@@ -1,0 +1,119 @@
+#!/usr/bin/env python3
+"""Render the perf numbers quoted in the docs from ``BENCH_perf.json``.
+
+    PYTHONPATH=src python benchmarks/render_perf_docs.py          # rewrite
+    PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
+
+README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
+speedups and macro sim/wall ratios between ``<!-- perf:NAME:begin -->``
+and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
+blocks from the committed JSON, so the docs are never typed from memory;
+``tests/test_perf_harness.py`` runs the ``--check`` form in tier-1.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+from pathlib import Path
+from typing import Callable, Dict
+
+from repro.perf.harness import (
+    SPEEDUP_GATES,
+    SPEEDUP_PAIRS,
+    PerfReport,
+    load_report,
+    parallel_speedup_gate,
+)
+from repro.perf.runner import default_bench_path
+
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
+def render_speedups(report: PerfReport) -> str:
+    rows = [
+        "| pair (optimized vs baseline) | recorded | gate (full / `--quick`) |",
+        "|---|---|---|",
+    ]
+    for label, value in report.speedups.items():
+        optimized, baseline = SPEEDUP_PAIRS[label]
+        if label in SPEEDUP_GATES:
+            full, quick = SPEEDUP_GATES[label]
+            gate = f"{full:g}× / {quick:g}×"
+        else:
+            probe = report.results[optimized].extra.get("measured_parallelism", 1.0)
+            gate = (
+                f"{parallel_speedup_gate(probe):.2f}× at measured "
+                f"parallelism {probe:.2f}"
+            )
+        rows.append(f"| `{optimized}` vs `{baseline}` | **{value:.2f}×** | {gate} |")
+    return "\n".join(rows)
+
+
+def render_macros(report: PerfReport) -> str:
+    macros = [
+        result for result in report.results.values()
+        if result.kind == "macro" and result.sim_wall_ratio is not None
+    ]
+    rows = [
+        "| macro benchmark | events | wall s | sim/wall | real time on this host |",
+        "|---|---|---|---|---|",
+    ]
+    for result in macros:
+        verdict = "yes" if result.sim_wall_ratio >= 1.0 else "no"
+        rows.append(
+            f"| `{result.name}` | {result.events:,} | {result.wall_seconds:.2f} "
+            f"| {result.sim_wall_ratio:.3g}× | {verdict} |"
+        )
+    made_it = [r.name for r in macros if r.sim_wall_ratio >= 1.0]
+    rows.append("")
+    rows.append(
+        f"{len(made_it)} of {len(macros)} recorded macro runs reach 1× real "
+        f"time on the recording host"
+        + (f" ({', '.join(f'`{name}`' for name in made_it)})." if made_it else ".")
+        + " The `campaign_shards_*` rows sum sim time over four one-cell shards."
+    )
+    return "\n".join(rows)
+
+
+BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
+    "speedups": render_speedups,
+    "macros": render_macros,
+}
+
+
+def render_doc(text: str, report: PerfReport) -> str:
+    """``text`` with every marked block regenerated from ``report``."""
+    def replace(match: "re.Match[str]") -> str:
+        name = match.group(1)
+        return (
+            f"<!-- perf:{name}:begin -->\n{BLOCKS[name](report)}\n"
+            f"<!-- perf:{name}:end -->"
+        )
+
+    return re.sub(
+        r"<!-- perf:(\w+):begin -->.*?<!-- perf:\1:end -->",
+        replace, text, flags=re.S,
+    )
+
+
+def main(argv: "list[str]") -> int:
+    report = load_report(default_bench_path())
+    stale = []
+    for name in DOCS:
+        path = ROOT / name
+        text = path.read_text()
+        fresh = render_doc(text, report)
+        if fresh != text:
+            stale.append(name)
+            if "--check" not in argv:
+                path.write_text(fresh)
+    if "--check" in argv and stale:
+        print(f"stale perf blocks in: {', '.join(stale)} (re-run without --check)")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

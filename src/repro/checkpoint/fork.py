@@ -106,6 +106,8 @@ def ensure_fork_bases(
     sweep (or by the soak's periodic checkpointing workflow) is simply
     reused; this is where the forked sweep's repeated-use speedup comes
     from. Missing bases build as independent shards on the same pool.
+    A base written under a different state manifest is neither reused
+    nor silently replaced: loading it raises ``SnapshotError``.
 
     Returns ``(key -> checkpoint path, number built this call)``.
     """
@@ -120,9 +122,12 @@ def ensure_fork_bases(
                 base_paths[key] = checkpoint_dir / (
                     f"base_s{key[0]}_p{key[1]}_t{key[2]}.ckpt"
                 )
-    missing = sorted(
-        (key, path) for key, path in base_paths.items() if not path.exists()
-    )
+    missing = []
+    for key, path in sorted(base_paths.items()):
+        if path.exists():
+            Checkpoint.load(path)
+        else:
+            missing.append((key, path))
     if missing:
         run_shards(
             build_fork_base_shard,

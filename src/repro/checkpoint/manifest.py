@@ -21,8 +21,8 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.apps.video.VideoReceiver': ('bins', 'bytes_received', 'packets_received'),
     'repro.apps.video.VideoSender': ('_frame_index', '_running', '_seq', 'frames_sent'),
     'repro.cell.deployment.BaselineCell': ('_reroute_armed',),
-    'repro.core.failure_detector.FailureDetector': ('_last_heartbeat_ns', '_monitored', '_reported'),
-    'repro.core.fh_middlebox.FronthaulMiddlebox': ('_pktgen', '_switch', 'detector', 'l2_table', 'notification_target'),
+    'repro.core.failure_detector.FailureDetector': ('_deadline', '_grid_origin_ns', '_last_heartbeat_ns', '_monitored', '_reported', '_sim', '_ticks_applied'),
+    'repro.core.fh_middlebox.FronthaulMiddlebox': ('_switch', 'detector', 'l2_table', 'notification_target'),
     'repro.core.migration.ClusterConfig': ('servers',),
     'repro.core.orion.L2SideOrion': ('cells', 'phy_orion_macs'),
     'repro.core.orion.PhySideOrion': ('_last_tti_slot', '_watchdog_running', 'nulls_injected'),
@@ -44,7 +44,6 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.net.addresses.MacAllocator': ('_next',),
     'repro.net.link.Link': ('_line_free_at', 'bytes_sent', 'endpoint', 'frames_sent'),
     'repro.net.p4.control.ControlPlane': ('updates_issued',),
-    'repro.net.p4.packetgen.PacketGenerator': ('packets_injected',),
     'repro.net.p4.registers.RegisterArray': ('_cells', 'reads', 'writes'),
     'repro.net.p4.tables.MatchActionTable': ('_entries', 'hits', 'lookups'),
     'repro.net.ptp.PtpClock': ('_base_offset_ns', '_drift', '_last_sync_ns', 'disciplined', 'epoch_ns', 'syncs_applied'),
@@ -60,7 +59,6 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.sim.engine.EventHandle': ('cancelled',),
     'repro.sim.engine.PeriodicHandle': ('cancelled', 'epoch', 'next_time'),
     'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_now', '_queue', '_running', '_wheel', '_wheel_garbage', '_wheel_size', '_wheel_times', 'compactions', 'wheel_compactions'),
-    'repro.sim.process.PeriodicProcess': ('_next_tick', '_stopped', 'tick_count'),
     'repro.sim.rng.BatchedIntegers': ('_buf', '_pos'),
     'repro.sim.rng.BatchedUniform': ('_buf', '_pos'),
     'repro.sim.rng.RngRegistry': ('_streams',),

@@ -49,6 +49,14 @@ class SnapshotError(RuntimeError):
     """A checkpoint failed verification (graph drift or corruption)."""
 
 
+def manifest_fingerprint(manifest: Dict[str, Tuple[str, ...]]) -> str:
+    """SHA-256 of a state manifest, stamped into every checkpoint header:
+    a payload pickled under another manifest holds objects of the wrong
+    shape for this tree, however valid its own hash is."""
+    canonical = json.dumps(manifest, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def _qualname(obj: Any) -> str:
     cls = type(obj)
     return f"{cls.__module__}.{cls.__qualname__}"
@@ -165,6 +173,9 @@ class CheckpointMeta:
     #: Manifest-class instance counts at capture time; restore verifies
     #: the deserialized graph reproduces them exactly.
     classes: Dict[str, int]
+    #: :func:`manifest_fingerprint` of the manifest the graph was
+    #: verified against ("" in files older than the field).
+    manifest_sha256: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -174,6 +185,7 @@ class CheckpointMeta:
             "events_processed": self.events_processed,
             "payload_sha256": self.payload_sha256,
             "classes": self.classes,
+            "manifest_sha256": self.manifest_sha256,
         }
 
     @staticmethod
@@ -185,6 +197,7 @@ class CheckpointMeta:
             events_processed=data["events_processed"],
             payload_sha256=data["payload_sha256"],
             classes=dict(data["classes"]),
+            manifest_sha256=data.get("manifest_sha256", ""),
         )
 
 
@@ -213,6 +226,7 @@ class Checkpoint:
             events_processed=simulator.events_processed,
             payload_sha256=hashlib.sha256(payload).hexdigest(),
             classes=counts,
+            manifest_sha256=manifest_fingerprint(reg.manifest),
         )
         return cls(meta=meta, payload=payload)
 
@@ -269,5 +283,12 @@ class Checkpoint:
             raise SnapshotError(
                 f"{path}: checkpoint schema {meta.schema} != "
                 f"supported {SCHEMA_VERSION}"
+            )
+        current = manifest_fingerprint(STATE_MANIFEST)
+        if meta.manifest_sha256 != current:
+            raise SnapshotError(
+                f"{path}: manifest mismatch, rebuild — written under state "
+                f"manifest {meta.manifest_sha256[:12] or '(unrecorded)'}, "
+                f"this tree's is {current[:12]}"
             )
         return Checkpoint(meta=meta, payload=rest[newline + 1:])

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.fork import forked_sweep
-from repro.checkpoint.snapshot import Checkpoint
+from repro.checkpoint.snapshot import Checkpoint, SnapshotError
 from repro.faults.soak import (
     SoakConfig,
     SoakState,
@@ -403,9 +403,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.resume is not None:
-        _, summary, _ = run_soak(
-            resume=args.resume, checkpoint_dir=args.ckpt_dir
-        )
+        try:
+            _, summary, _ = run_soak(
+                resume=args.resume, checkpoint_dir=args.ckpt_dir
+            )
+        except (OSError, SnapshotError) as exc:
+            print(f"repro soak: cannot resume: {exc}", file=sys.stderr)
+            return 2
         print(
             f"resumed from {summary['resumed_from_ns'] / 1e6:.0f} ms, "
             f"finished at {summary['horizon_ns'] / 1e6:.0f} ms"

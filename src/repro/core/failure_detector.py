@@ -20,14 +20,28 @@ Mechanics, mirroring the P4 implementation:
 The timeout value is chosen against the measured maximum healthy
 inter-packet gap (393 µs in the paper's testbed, §8.6): 450 µs leaves
 margin against false positives while still detecting within ~1 TTI.
+
+How the tick stream is evaluated (DESIGN.md §9): the timer packets are
+modelled, not simulated one event each. Bound to a simulator by
+:meth:`FailureDetector.start_grid`, tick ``i`` exists at ``origin + i *
+tick_period_ns``; elapsed ticks are applied arithmetically whenever
+detector state is touched, and one heap event — the *deadline* — sits at
+the earliest tick on which a monitored, unreported counter could
+saturate. Heartbeats only push that instant later, so they leave the
+event alone and it re-derives itself when it fires. A tick and a touch
+at the same nanosecond resolve **tick first** (the generator armed that
+timer packet a period earlier than a link armed the delivery), except
+tick 0, which is armed at the origin and so follows what runs there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.p4.registers import RegisterArray
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.units import US
 from repro.telemetry.metrics import active as _telemetry_active
 
@@ -78,31 +92,118 @@ class FailureDetector:
         #: Called as notify(phy_id, detected_at_ns) on counter saturation.
         self.notify = notify
         width = max(self.config.ticks_per_timeout.bit_length() + 1, 8)
-        self.counters = RegisterArray(
+        self._counters = RegisterArray(
             "detector_counters", self.config.max_phys, width_bits=width
         )
         self._monitored: Set[int] = set()
         #: PHYs already reported (suppress duplicate notifications).
         self._reported: Set[int] = set()
-        self.stats = DetectorStats()
+        self._stats = DetectorStats()
         # Telemetry registry captured at construction; None keeps the
         # data-plane paths to a single attribute test per packet.
         self._metrics = _telemetry_active()
         #: Last heartbeat sim-time per PHY, tracked only when telemetry
         #: is enabled (feeds the detection-latency histogram).
         self._last_heartbeat_ns: Dict[int, int] = {}
+        #: Tick grid, unbound until start_grid: tick i exists at
+        #: origin + i * period.
+        self._sim: Optional[Simulator] = None
+        self._grid_origin_ns = 0
+        self._grid_period_ns = self.config.tick_period_ns
+        #: Grid ticks applied so far (the next one is tick ``_ticks_applied``).
+        self._ticks_applied = 0
+        #: Pending event, never later than the earliest possible saturation.
+        self._deadline: Optional[EventHandle] = None
+
+    def start_grid(self, sim: Simulator) -> None:
+        """Start the timer-tick stream: tick 0 is now, then one per period."""
+        self._sim = sim
+        self._grid_origin_ns = sim.now
+        if self._metrics is not None:
+            self._metrics.add_flush_hook(self._sync)
+        self._arm()
+
+    def stop_grid(self) -> None:
+        """Stop the tick stream; later touches see no further ticks."""
+        if self._deadline is not None:
+            self._deadline.cancel()
+        self._sim = self._deadline = None
+
+    def _sync(self, count: Optional[int] = None) -> None:
+        """Apply grid ticks up to tick number ``count`` (counted from 1;
+        default: every tick that has elapsed since the last touch)."""
+        if self._sim is None:
+            return
+        if count is None:
+            elapsed = self._sim.now - self._grid_origin_ns
+            # At the origin instant tick 0 is still to come.
+            count = elapsed // self._grid_period_ns + 1 if elapsed else 0
+        ticks = count - self._ticks_applied
+        if ticks > 0:
+            self._ticks_applied = count
+            self.advance(
+                ticks, self._grid_origin_ns + (count - 1) * self._grid_period_ns
+            )
+
+    def _arm(self, target: Optional[int] = None) -> None:
+        """Keep the deadline event at or before tick number ``target``
+        (counted from 1; default: the earliest possible saturation)."""
+        if self._sim is None:
+            return
+        if target is None:
+            steps = [
+                self._ticks_to_saturation(phy_id)
+                for phy_id in self._monitored - self._reported
+            ]
+            if not steps:
+                return
+            target = self._ticks_applied + min(steps)
+        when = self._grid_origin_ns + (target - 1) * self._grid_period_ns
+        pending = self._deadline
+        if pending is not None and pending.pending:
+            if pending.time <= when:
+                return
+            pending.cancel()
+        self._deadline = self._sim.at(
+            when, self._on_deadline, target, label="detector.deadline"
+        )
+
+    def _on_deadline(self, target: int) -> None:
+        """Apply the deadline tick (detecting, if nothing reset the
+        counter meanwhile) and re-derive the next deadline."""
+        self._sync(target)
+        self._arm()
+
+    def _ticks_to_saturation(self, phy_id: int) -> int:
+        return max(1, self.config.ticks_per_timeout - self._counters.read(phy_id))
+
+    @property
+    def counters(self) -> RegisterArray:
+        """The heartbeat-counter registers, current as of now. The caller
+        may write them and pull a saturation earlier, so the deadline
+        moves to the next tick and re-derives itself from what it finds."""
+        self._sync()
+        self._arm(self._ticks_applied + 1)
+        return self._counters
+
+    @property
+    def stats(self) -> DetectorStats:
+        self._sync()
+        return self._stats
 
     # ------------------------------------------------------------------
     # Control interface (driven by Orion command packets)
     # ------------------------------------------------------------------
     def set_monitor(self, phy_id: int, enabled: bool) -> None:
         """Arm or disarm monitoring of one PHY."""
+        self._sync()
         if enabled:
-            self.counters.write(phy_id, 0)
+            self._counters.write(phy_id, 0)
             self._monitored.add(phy_id)
             if phy_id in self._reported:
                 self._reported.discard(phy_id)
-                self.stats.false_positives_rearmed += 1
+                self._stats.false_positives_rearmed += 1
+            self._arm()
         else:
             self._monitored.discard(phy_id)
             self._reported.discard(phy_id)
@@ -123,41 +224,55 @@ class FailureDetector:
         timestamps behind the detection-latency histogram); passing it
         never changes detector behaviour.
         """
-        if 0 <= phy_id < self.counters.size:
-            self.counters.write(phy_id, 0)
-            self.stats.heartbeats_seen += 1
+        if 0 <= phy_id < self._counters.size:
+            self._sync()
+            self._counters.write(phy_id, 0)
+            self._stats.heartbeats_seen += 1
             if self._metrics is not None:
                 self._metrics.counter("detector.heartbeat_resets").inc()
                 if now_ns is not None:
                     self._last_heartbeat_ns[phy_id] = now_ns
 
     def on_timer_tick(self, now_ns: int) -> List[int]:
-        """One timer-packet batch: increment all monitored counters.
+        """One timer-packet batch: :meth:`advance` by a single tick (the
+        direct-drive form, for callers that step the detector themselves)."""
+        return self.advance(1, now_ns)
 
-        Returns PHY ids newly detected as failed (also delivered via the
-        ``notify`` callback).
+    def advance(self, ticks: int, last_tick_ns: int) -> List[int]:
+        """Apply ``ticks`` consecutive timer ticks, a tick period apart,
+        the last at ``last_tick_ns`` — exactly that many single ticks:
+        a counter saturates on the tick that brings it to the threshold,
+        and that tick's instant is its notification's ``detected_at``.
+
+        Returns PHY ids newly detected as failed, in detection order
+        (also delivered via the ``notify`` callback).
         """
-        self.stats.ticks_processed += 1
+        self._stats.ticks_processed += ticks
         metrics = self._metrics
         if metrics is not None:
-            metrics.counter("detector.ticks").inc()
-        detected: List[int] = []
+            metrics.counter("detector.ticks").inc(ticks)
         threshold = self.config.ticks_per_timeout
+        #: (tick of this batch, counted from 1, that saturates; phy).
+        saturated: List[Tuple[int, int]] = []
         for phy_id in self._monitored:
-            if phy_id in self._reported:
-                continue
-            value = self.counters.increment(phy_id)
-            if value >= threshold:
-                self._reported.add(phy_id)
-                self.stats.failures_detected += 1
-                detected.append(phy_id)
-                if metrics is not None:
-                    metrics.counter("detector.saturations").inc()
-                    last = self._last_heartbeat_ns.get(phy_id)
-                    if last is not None:
-                        metrics.histogram(
-                            "detector.detection_latency_ns"
-                        ).observe(now_ns - last)
-                if self.notify is not None:
-                    self.notify(phy_id, now_ns)
-        return detected
+            if phy_id not in self._reported:
+                step = min(ticks, self._ticks_to_saturation(phy_id))
+                if self._counters.increment(phy_id, step) >= threshold:
+                    saturated.append((step, phy_id))
+        # Stable: PHYs saturating on one tick keep their scan order.
+        saturated.sort(key=itemgetter(0))
+        period = self.config.tick_period_ns
+        for step, phy_id in saturated:
+            detected_at = last_tick_ns - (ticks - step) * period
+            self._reported.add(phy_id)
+            self._stats.failures_detected += 1
+            if metrics is not None:
+                metrics.counter("detector.saturations").inc()
+                last = self._last_heartbeat_ns.get(phy_id)
+                if last is not None:
+                    metrics.histogram(
+                        "detector.detection_latency_ns"
+                    ).observe(detected_at - last)
+            if self.notify is not None:
+                self.notify(phy_id, detected_at)
+        return [phy_id for _, phy_id in saturated]

@@ -45,7 +45,6 @@ from repro.fronthaul.oran import (
     UplaneUplinkControlOnly,
 )
 from repro.net.addresses import MacAddress
-from repro.net.p4.packetgen import PacketGenerator, TimerPacket
 from repro.net.p4.registers import RegisterArray
 from repro.net.p4.tables import MatchActionTable
 from repro.net.packet import EtherType, EthernetFrame
@@ -124,7 +123,6 @@ class FronthaulMiddlebox:
         self.last_boundary = RegisterArray("last_boundary", cfg.max_rus, width_bits=32)
         # --- Failure detector -------------------------------------------
         self.detector = FailureDetector(cfg.detector, notify=self._on_detected)
-        self._pktgen: Optional[PacketGenerator] = None
         self._switch: Optional[Switch] = None
         #: Where failure notifications are sent: (mac, port).
         self.notification_target: Optional[Tuple[MacAddress, int]] = None
@@ -145,34 +143,22 @@ class FronthaulMiddlebox:
         """Install this pipeline on a switch and start the timer stream."""
         switch.pipeline = self
         self._switch = switch
-        self._pktgen = PacketGenerator.for_timeout(
-            self.sim,
-            inject=self._inject_timer,
-            timeout_ns=self.config.detector.timeout_ns,
-            ticks_per_timeout=self.config.detector.ticks_per_timeout,
-            name=f"{self.name}.pktgen",
-        )
+        self.detector.start_grid(self.sim)
 
     def reconfigure_detector(self, detector_config) -> None:
         """Swap the failure-detector parameters (timeout, tick count).
 
-        Restarts the packet generator so the tick period matches the new
-        timeout; monitored PHYs and counters are re-armed.
+        Re-programs the packet generator, so the tick stream restarts
+        now with the new period; monitored PHYs and counters are re-armed.
         """
         monitored = self.detector.monitored_phys()
+        self.detector.stop_grid()
         self.config.detector = detector_config
         self.detector = FailureDetector(detector_config, notify=self._on_detected)
         for phy_id in monitored:
             self.detector.set_monitor(phy_id, True)
-        if self._pktgen is not None:
-            self._pktgen.stop()
-            self._pktgen = PacketGenerator.for_timeout(
-                self.sim,
-                inject=self._inject_timer,
-                timeout_ns=detector_config.timeout_ns,
-                ticks_per_timeout=detector_config.ticks_per_timeout,
-                name=f"{self.name}.pktgen",
-            )
+        if self._switch is not None:
+            self.detector.start_grid(self.sim)
 
     def register_ru(self, ru_id: int, mac: MacAddress, port: int, initial_phy: int) -> None:
         """Install an RU's directory entries and initial PHY mapping."""
@@ -344,12 +330,8 @@ class FronthaulMiddlebox:
         return ForwardingDecision([port], frame)
 
     # ------------------------------------------------------------------
-    # Timer / detection path
+    # Detection path
     # ------------------------------------------------------------------
-    def _inject_timer(self, tick: TimerPacket) -> None:
-        """Packet-generator injection: run the detector's tick logic."""
-        self.detector.on_timer_tick(self.sim.now)
-
     def _on_detected(self, phy_id: int, detected_at: int) -> None:
         """Reformat the detecting timer packet into a failure notification."""
         if self.trace is not None:

@@ -11,15 +11,14 @@ primitives that program uses:
 * :class:`~repro.net.p4.registers.RegisterArray` — data-plane-updatable
   state (the RU-to-PHY mapping, migration request store, and
   failure-detector counters).
-* :class:`~repro.net.p4.packetgen.PacketGenerator` — Tofino's built-in
-  periodic packet generator, used to emulate timer ticks.
+* The built-in packet generator's timer-tick stream has no class here:
+  :mod:`repro.core.failure_detector` evaluates it arithmetically.
 * :mod:`~repro.net.p4.resources` — switch ASIC resource accounting for the
   §8.6 resource-usage table.
 """
 
 from repro.net.p4.tables import MatchActionTable, TableEntry
 from repro.net.p4.registers import RegisterArray
-from repro.net.p4.packetgen import PacketGenerator
 from repro.net.p4.control import ControlPlane
 from repro.net.p4.resources import PipelineResourceModel, ResourceUsage
 
@@ -27,7 +26,6 @@ __all__ = [
     "MatchActionTable",
     "TableEntry",
     "RegisterArray",
-    "PacketGenerator",
     "ControlPlane",
     "PipelineResourceModel",
     "ResourceUsage",

@@ -10,9 +10,12 @@ the committed ``benchmarks/BENCH_perf.json`` and fails on
 * a macro scenario whose canonical trace digest changed (behaviour
   regression — this check is exact, machine-independent, and the reason
   the perf pass can be trusted);
-* an events/sec rate that fell below ``tolerance`` x the recorded
-  baseline (performance regression — deliberately generous, wall-clock
-  rates vary across machines);
+* a rate that fell below ``tolerance`` x the recorded baseline
+  (performance regression — deliberately generous, wall-clock rates
+  vary across machines). A macro's rate is its sim-time/wall-time
+  ratio — removing events from a scenario makes it faster and its
+  events/sec *lower*; events/sec is the rate of the micro benchmarks,
+  whose event count is the workload;
 * an optimization speedup that fell below its gate (the engine-churn
   speedup is the PR's headline claim and must stay measured).
 """
@@ -27,23 +30,23 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.perf.benchmarks import CATALOG, BenchmarkSpec, RawRun
 from repro.perf.sampler import PopSampler
 
-#: Required speedup of the optimized engine over the frozen legacy one.
-MIN_ENGINE_SPEEDUP = 1.3
-#: Relaxed gate for --quick runs (shorter workloads, noisier ratios).
-QUICK_MIN_ENGINE_SPEEDUP = 1.1
-#: Required speedup of the slot-wheel periodic lane over the legacy
-#: self-rescheduling idiom (the PR's headline engine claim).
-MIN_WHEEL_SPEEDUP = 2.0
-QUICK_MIN_WHEEL_SPEEDUP = 1.5
-#: Required speedup of the full per-TTI hot path (wheel lanes +
-#: vectorized fleet-PHY backend) over the legacy fleet, end to end.
-MIN_FLEET_SLOT_SPEEDUP = 1.5
-QUICK_MIN_FLEET_SLOT_SPEEDUP = 1.2
-#: Codec fast path must at least not be slower than the reference.
-MIN_CODEC_SPEEDUP = 1.0
-#: Batched PHY kernels must beat the per-block loop on a full slot.
-MIN_PHY_BATCH_SPEEDUP = 1.15
-QUICK_MIN_PHY_BATCH_SPEEDUP = 1.05
+#: Speedup floors: label -> (full-run gate, relaxed ``--quick`` gate —
+#: shorter workloads, noisier ratios).
+SPEEDUP_GATES: Dict[str, tuple] = {
+    # Optimized engine over the frozen legacy one.
+    "engine_churn": (1.3, 1.1),
+    # Slot-wheel periodic lane over the legacy self-rescheduling idiom.
+    "engine_churn_wheel": (2.0, 1.5),
+    # Codec fast path must at least not be slower than the reference.
+    "fapi_codec": (1.0, 1.0),
+    # Batched PHY kernels over the per-block loop on a full slot.
+    "phy_slot_batch": (1.15, 1.05),
+    # Full per-TTI hot path (wheel lanes + vectorized fleet-PHY backend)
+    # over the legacy fleet. Re-derived (DESIGN.md section 9) when the
+    # detector's ticks, half of what the wheel re-armed, left the event
+    # loop: 1.28-1.65x measured where 1.68x was, both legs faster.
+    "fleet_slot": (1.2, 1.1),
+}
 #: Required campaign speedup at the parallel leg's jobs value — but only
 #: on machines that really have that parallel capacity; see
 #: :func:`parallel_speedup_gate`.
@@ -188,6 +191,14 @@ def load_report(path: Path) -> PerfReport:
     return PerfReport.from_dict(json.loads(Path(path).read_text()))
 
 
+def gated_rate(result: BenchmarkResult) -> "tuple[float, str]":
+    """The (rate, unit) a benchmark is compared by: sim/wall for a macro
+    scenario, events/sec for a micro workload (module docstring)."""
+    if result.kind == "macro" and result.sim_wall_ratio is not None:
+        return result.sim_wall_ratio, "sim/wall"
+    return result.events_per_sec, "events/s"
+
+
 def _derive(spec: BenchmarkSpec, raw: RawRun) -> BenchmarkResult:
     wall = raw.wall_seconds
     return BenchmarkResult(
@@ -279,8 +290,8 @@ def run_benchmarks(
     for label, (optimized, baseline) in SPEEDUP_PAIRS.items():
         opt = report.results.get(optimized)
         base = report.results.get(baseline)
-        if opt is not None and base is not None and base.events_per_sec > 0:
-            report.speedups[label] = opt.events_per_sec / base.events_per_sec
+        if opt is not None and base is not None and gated_rate(base)[0] > 0:
+            report.speedups[label] = gated_rate(opt)[0] / gated_rate(base)[0]
     return report
 
 
@@ -303,28 +314,18 @@ def check_report(
                     f"({recorded.digest[:12]}... -> "
                     f"{(fresh.digest or 'none')[:12]}...) — behaviour regression"
                 )
-        if recorded.events_per_sec > 0 and tolerance > 0:
-            floor = recorded.events_per_sec * tolerance
-            if fresh.events_per_sec < floor:
+        recorded_rate, unit = gated_rate(recorded)
+        if recorded_rate > 0 and tolerance > 0:
+            fresh_rate = gated_rate(fresh)[0]
+            if fresh_rate < recorded_rate * tolerance:
                 failures.append(
-                    f"{name}: {fresh.events_per_sec:,.0f} events/s is below "
-                    f"{tolerance:.0%} of recorded {recorded.events_per_sec:,.0f}"
+                    f"{name}: {fresh_rate:,.4g} {unit} is below "
+                    f"{tolerance:.0%} of recorded {recorded_rate:,.4g}"
                 )
 
-    engine_gate = QUICK_MIN_ENGINE_SPEEDUP if current.quick else MIN_ENGINE_SPEEDUP
-    phy_gate = (
-        QUICK_MIN_PHY_BATCH_SPEEDUP if current.quick else MIN_PHY_BATCH_SPEEDUP
-    )
-    wheel_gate = QUICK_MIN_WHEEL_SPEEDUP if current.quick else MIN_WHEEL_SPEEDUP
-    fleet_gate = (
-        QUICK_MIN_FLEET_SLOT_SPEEDUP if current.quick else MIN_FLEET_SLOT_SPEEDUP
-    )
     gates = {
-        "engine_churn": engine_gate,
-        "engine_churn_wheel": wheel_gate,
-        "fapi_codec": MIN_CODEC_SPEEDUP,
-        "phy_slot_batch": phy_gate,
-        "fleet_slot": fleet_gate,
+        label: gate[1 if current.quick else 0]
+        for label, gate in SPEEDUP_GATES.items()
     }
     parallel_result = current.results.get("campaign_shards_parallel")
     if parallel_result is not None:

@@ -9,7 +9,7 @@ common durations live in :mod:`repro.sim.units`.
 """
 
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.process import Process, PeriodicProcess
+from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder, TraceEvent
 from repro.sim.units import (
@@ -32,7 +32,6 @@ __all__ = [
     "EventHandle",
     "Simulator",
     "Process",
-    "PeriodicProcess",
     "RngRegistry",
     "TraceRecorder",
     "TraceEvent",

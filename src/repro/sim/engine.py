@@ -28,9 +28,9 @@ Design notes
   ``compaction_threshold`` **and** outnumber live ones — so compaction
   cost stays amortized O(1) per cancel while the queue never holds more
   than ~half garbage.
-* Strictly periodic work (slot ticks, FAPI timers, heartbeats, detector
-  ticks) rides a second lane: the **slot wheel**, a calendar queue keyed
-  on absolute integer-ns fire times (:meth:`Simulator.schedule_periodic`).
+* Strictly periodic work (slot ticks, FAPI timers, heartbeats) rides a
+  second lane: the **slot wheel**, a calendar queue keyed on absolute
+  integer-ns fire times (:meth:`Simulator.schedule_periodic`).
   Each periodic event keeps exactly one queued occurrence; when it pops,
   the engine re-arms the next occurrence with an O(1) bucket append
   instead of an O(log n) heap push. The two lanes merge at pop time under
@@ -674,11 +674,6 @@ class Simulator:
     def wheel_entries(self) -> int:
         """Wheel occupancy including stale garbage (diagnostics/tests)."""
         return self._wheel_size + self._wheel_garbage
-
-    @property
-    def wheel_buckets(self) -> int:
-        """Distinct fire-time buckets currently held by the wheel."""
-        return len(self._wheel)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self._now}ns pending={self.pending_events}>"

@@ -1,16 +1,13 @@
 """Process helpers layered on the event engine.
 
 A :class:`Process` is a named component bound to a simulator — all vRAN
-nodes (RU, PHY, L2, Orion, switch, UE, ...) derive from it. A
-:class:`PeriodicProcess` additionally ticks at a fixed period, which is the
-natural shape for slot-driven RAN components.
+nodes (RU, PHY, L2, Orion, switch, UE, ...) derive from it. Periodic
+work rides :meth:`~repro.sim.engine.Simulator.schedule_periodic`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.sim.engine import EventHandle, PeriodicHandle, Simulator
+from repro.sim.engine import EventHandle, Simulator
 
 
 class Process:
@@ -33,52 +30,3 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"
-
-
-class PeriodicProcess(Process):
-    """A process that invokes :meth:`on_tick` every ``period`` ns.
-
-    Subclasses override :meth:`on_tick`. The tick counter starts at zero and
-    increments by one per period, so slot-driven components can derive their
-    slot number directly from it.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        period: int,
-        start_offset: int = 0,
-    ) -> None:
-        super().__init__(sim, name)
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
-        self.period = period
-        self.tick_count = 0
-        self._stopped = False
-        self._next_tick: Optional[PeriodicHandle] = sim.schedule_periodic(
-            period, self._tick, start_offset=start_offset, label=f"{name}.tick"
-        )
-
-    def stop(self) -> None:
-        """Stop ticking; the pending tick (if any) is cancelled."""
-        self._stopped = True
-        if self._next_tick is not None:
-            self._next_tick.cancel()
-            self._next_tick = None
-
-    @property
-    def running(self) -> bool:
-        """True while the process continues to tick."""
-        return not self._stopped
-
-    def _tick(self) -> None:
-        if self._stopped:
-            return
-        tick = self.tick_count
-        self.tick_count += 1
-        self.on_tick(tick)
-
-    def on_tick(self, tick: int) -> None:
-        """Handle one period; ``tick`` counts from zero. Override in subclasses."""
-        raise NotImplementedError

@@ -30,7 +30,7 @@ bit-identical however the shards were scheduled.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 
 class Counter:
@@ -133,6 +133,7 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._spans: List[Span] = []
+        self._flush_hooks: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Metric accessors (create on first use)
@@ -165,11 +166,18 @@ class MetricsRegistry:
     def spans(self) -> Sequence[Span]:
         return tuple(self._spans)
 
+    def add_flush_hook(self, hook: Callable[[], None]) -> None:
+        """Run ``hook`` before every :meth:`snapshot`: components that
+        account lazily (the detector's timer ticks) bring themselves current."""
+        self._flush_hooks.append(hook)
+
     # ------------------------------------------------------------------
     # Canonical export / merge
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
         """Canonical JSON-ready dump: sorted keys, raw observations."""
+        for hook in self._flush_hooks:
+            hook()
         return {
             "counters": {
                 name: self._counters[name].value

@@ -14,12 +14,16 @@ The continuous-operation contract under test (DESIGN.md §13):
   ``python -m repro soak --check --quick`` (tier-1).
 """
 
+import json
 import pickle
 
 import pytest
 
 from repro.checkpoint import Checkpoint, SnapshotError, SnapshotRegistry
-from repro.checkpoint.fork import fork_key, forked_sweep
+from repro.checkpoint.fork import ensure_fork_bases, fork_key, forked_sweep
+from repro.checkpoint.manifest import STATE_MANIFEST
+from repro.checkpoint.snapshot import manifest_fingerprint
+from repro.checkpoint.soak import main as soak_main
 from repro.checkpoint.soak import run_soak
 from repro.faults.campaign import (
     arm_plan,
@@ -29,7 +33,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
-from repro.faults.scenarios import RUN_END_NS, scenario_by_name
+from repro.faults.scenarios import FAULT_AT_NS, RUN_END_NS, scenario_by_name
 from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
 from repro.parallel import run_shards
@@ -128,6 +132,106 @@ class TestCheckpointPrimitives:
         assert problems == []
         assert len(simulators) == 1
         assert counts.get("repro.sim.engine.Simulator") == 1
+
+
+class TestManifestMismatch:
+    """A checkpoint file written under another state manifest fails with
+    one specific error, wherever it is picked up (ROADMAP 4h)."""
+
+    DETECTOR = "repro.core.failure_detector.FailureDetector"
+
+    @pytest.fixture(scope="class")
+    def warm(self):
+        harness = build_probe_harness(1)
+        drive_to(harness, 5 * MS)
+        return harness
+
+    def _stale(self, warm, path):
+        """A file as a tree without the detector's grid fields wrote it."""
+        older = dict(STATE_MANIFEST)
+        older[self.DETECTOR] = ("_last_heartbeat_ns", "_monitored", "_reported")
+        Checkpoint.capture(warm, registry=SnapshotRegistry(older)).save(path)
+        return path
+
+    def test_header_carries_the_manifest_fingerprint(self, warm):
+        meta = Checkpoint.capture(warm).meta
+        assert meta.manifest_sha256 == manifest_fingerprint(STATE_MANIFEST)
+        assert {"_grid_origin_ns", "_ticks_applied", "_deadline"} <= set(
+            STATE_MANIFEST[self.DETECTOR]
+        )
+        assert not any("PacketGenerator" in name for name in STATE_MANIFEST)
+
+    def test_file_from_another_manifest_rejected(self, warm, tmp_path):
+        path = self._stale(warm, tmp_path / "stale.ckpt")
+        with pytest.raises(SnapshotError, match="manifest mismatch, rebuild"):
+            Checkpoint.load(path)
+
+    def test_file_predating_the_fingerprint_rejected(self, warm, tmp_path):
+        checkpoint = Checkpoint.capture(warm)
+        header = checkpoint.meta.as_dict()
+        del header["manifest_sha256"]
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(
+            b"repro-ckpt/1\n" + json.dumps(header).encode() + b"\n"
+            + checkpoint.payload
+        )
+        with pytest.raises(SnapshotError, match=r"manifest mismatch.*unrecorded"):
+            Checkpoint.load(path)
+
+    def test_stale_fork_base_is_not_silently_reused(self, warm, tmp_path):
+        scenario = scenario_by_name()["crash"]
+        key = fork_key(scenario, 1)
+        base = self._stale(
+            warm, tmp_path / f"base_s{key[0]}_p{key[1]}_t{key[2]}.ckpt"
+        )
+        before = base.read_bytes()
+        with pytest.raises(SnapshotError, match="manifest mismatch, rebuild"):
+            ensure_fork_bases([scenario], (1,), tmp_path)
+        assert base.read_bytes() == before
+
+    def test_soak_resume_of_stale_checkpoint_exits_2(self, warm, tmp_path, capsys):
+        path = self._stale(warm, tmp_path / "soak.ckpt")
+        assert soak_main(["--resume", str(path)]) == 2
+        assert "manifest mismatch, rebuild" in capsys.readouterr().err
+
+
+class TestCaptureBeforeSaturationDeadline:
+    """The detector evaluates its tick stream lazily, so a checkpoint
+    taken between the last heartbeat and the saturation it leads to holds
+    elapsed-but-unapplied ticks and a pending deadline event. The restored
+    run must detect on the same tick as the uninterrupted one."""
+
+    CAPTURE_NS = FAULT_AT_NS + 200_000
+
+    def test_restored_run_detects_on_the_same_tick(self):
+        scenario = scenario_by_name()["crash"]
+        harness = build_probe_harness(1)
+        arm_plan(harness, scenario.plan)
+        drive_to(harness, self.CAPTURE_NS)
+        detector = harness.cell.middlebox.detector
+        assert harness.cell.trace.count("mbox.failure_detected") == 0
+        deadline = detector._deadline
+        assert deadline.pending and deadline.time > self.CAPTURE_NS
+        period = detector.config.tick_period_ns
+        assert detector._ticks_applied < self.CAPTURE_NS // period + 1
+
+        checkpoint = Checkpoint.capture(harness, label="before saturation")
+        drive_to(harness, RUN_END_NS)
+        restored = checkpoint.restore()
+        twin = restored.cell.middlebox.detector
+        assert twin._deadline.pending and twin._deadline.time == deadline.time
+        drive_to(restored, RUN_END_NS)
+
+        detected = harness.cell.trace.events("mbox.failure_detected")
+        assert len(detected) == 1
+        assert FAULT_AT_NS < detected[0].time <= FAULT_AT_NS + 459_000
+        assert detected[0].time % period == 0
+        assert [e.time for e in restored.cell.trace.events("mbox.failure_detected")] == [
+            detected[0].time
+        ]
+        assert restored.cell.trace.digest() == harness.cell.trace.digest()
+        assert harness.cell.trace.digest() == _chaos_baseline()[("crash", 1)]
+        assert twin.stats == detector.stats
 
 
 @pytest.mark.slow

@@ -150,3 +150,46 @@ class TestDetection:
             tick += 1
         latency = detections[0][1] - last_heartbeat
         assert latency <= config.timeout_ns + config.precision_ns
+
+
+class TestBulkAdvance:
+    """``advance(k, t)`` is exactly ``k`` single ticks ending at ``t``."""
+
+    def _pair(self):
+        pair = []
+        for _ in range(2):
+            detections = []
+            detector = FailureDetector(
+                notify=lambda phy, t, sink=detections: sink.append((phy, t))
+            )
+            pair.append((detector, detections))
+        return pair
+
+    @pytest.mark.parametrize("ticks", [1, 7, 49, 50, 51, 120])
+    def test_matches_single_ticks(self, ticks):
+        (bulk, bulk_seen), (single, single_seen) = self._pair()
+        period = bulk.config.tick_period_ns
+        for detector in (bulk, single):
+            for phy, start in ((0, 0), (1, 30), (2, 45), (3, 49), (4, 200)):
+                detector.set_monitor(phy, True)
+                detector.counters.write(phy, start)
+            detector.set_monitor(5, True)
+            detector.set_monitor(5, False)
+        last = 1_000_000
+        assert bulk.advance(ticks, last) == [
+            phy
+            for k in range(ticks)
+            for phy in single.on_timer_tick(last - (ticks - 1 - k) * period)
+        ]
+        assert bulk_seen == single_seen
+        assert bulk.counters.snapshot() == single.counters.snapshot()
+        assert bulk.stats == single.stats
+
+    def test_detections_come_in_tick_order_not_scan_order(self):
+        (bulk, seen), _ = self._pair()
+        period = bulk.config.tick_period_ns
+        for phy, start in ((0, 10), (1, 40), (2, 25)):
+            bulk.set_monitor(phy, True)
+            bulk.counters.write(phy, start)
+        assert bulk.advance(50, 50 * period) == [1, 2, 0]
+        assert seen == [(1, 10 * period), (2, 25 * period), (0, 40 * period)]

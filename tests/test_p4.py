@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from repro.net.p4.control import ControlPlane
-from repro.net.p4.packetgen import PacketGenerator, TimerPacket
 from repro.net.p4.registers import RegisterArray
 from repro.net.p4.resources import PipelineResourceModel
 from repro.net.p4.tables import MatchActionTable
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
+from tests.packetgen import PacketGenerator
 
 
 class TestMatchActionTable:

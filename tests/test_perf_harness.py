@@ -31,6 +31,22 @@ def _result(name, rate=1000.0, digest=None, kind="micro"):
     )
 
 
+def test_docs_quote_the_committed_bench_json():
+    """README / DESIGN section 9 / EXPERIMENTS perf tables are generated
+    from BENCH_perf.json (benchmarks/render_perf_docs.py), never typed."""
+    import os
+    import subprocess
+    import sys
+
+    root = default_bench_path().parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "render_perf_docs.py"), "--check"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
 class TestCheckReport:
     def test_clean_pass(self):
         baseline = PerfReport(quick=False, results={"a": _result("a")})
@@ -60,6 +76,23 @@ class TestCheckReport:
         assert check_report(current, baseline, tolerance=0.5)
         assert not check_report(current, baseline, tolerance=0.3)
         assert not check_report(current, baseline, tolerance=0.0)
+
+    def test_macro_gated_on_sim_wall_ratio_not_events_per_sec(self):
+        """Removing half a scenario's events makes it faster and its
+        events/s lower; the gate must follow sim/wall."""
+        def macro(events, wall):
+            return BenchmarkResult(
+                name="m", kind="macro", description="", events=events,
+                wall_seconds=wall, events_per_sec=events / wall,
+                sim_ns=1_000_000_000, sim_wall_ratio=1.0 / wall,
+            )
+
+        baseline = PerfReport(quick=False, results={"m": macro(100_000, 2.0)})
+        fewer_events = PerfReport(quick=False, results={"m": macro(30_000, 1.5)})
+        assert check_report(fewer_events, baseline) == []
+        slower = PerfReport(quick=False, results={"m": macro(100_000, 5.0)})
+        failures = check_report(slower, baseline)
+        assert len(failures) == 1 and "sim/wall" in failures[0]
 
     def test_engine_speedup_gate(self):
         baseline = PerfReport(quick=False)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
-from repro.sim.process import PeriodicProcess, Process
+from repro.sim.process import Process
 from repro.sim.rng import BatchedIntegers, BatchedUniform, RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, SECOND, US, ms_to_ns, ns_to_ms, ns_to_us, s_to_ns, us_to_ns
+from tests.packetgen import PeriodicProcess
 
 
 class TestSimulatorScheduling:
