@@ -5,8 +5,8 @@
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
 
 README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
-speedups and macro sim/wall ratios between ``<!-- perf:NAME:begin -->``
-and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
+speedups, macro sim/wall ratios and receive-chain rate between
+``<!-- perf:NAME:begin -->`` and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
 blocks from the committed JSON, so the docs are never typed from memory;
 ``tests/test_perf_harness.py`` runs the ``--check`` form in tier-1.
 """
@@ -77,9 +77,24 @@ def render_macros(report: PerfReport) -> str:
     return "\n".join(rows)
 
 
+def render_rxchain(report: PerfReport) -> str:
+    """The per-block receive-chain budget against a 500 us slot."""
+    result = report.results["phy_rx_chain"]
+    per_block_us = 1e6 / result.events_per_sec
+    return (
+        f"`phy_rx_chain`: {result.events_per_sec:,.0f} blocks/s "
+        f"({per_block_us:.0f} µs a block at "
+        f"{result.extra['iterations_per_block']:.2f} BP iterations a block, "
+        f"block error rate {result.extra['block_error_rate']:.2%}) — "
+        f"{500.0 / per_block_us:.1f} transport blocks per 500 µs slot per "
+        "core is this host's real-time receive budget."
+    )
+
+
 BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
     "speedups": render_speedups,
     "macros": render_macros,
+    "rxchain": render_rxchain,
 }
 
 

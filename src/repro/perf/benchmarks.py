@@ -2,9 +2,9 @@
 
 Micro benchmarks time one hot subsystem in isolation (event-engine churn,
 cancel/reschedule watchdog load, FAPI encode/decode, eCPRI header
-framing, link delivery); macro benchmarks time the full-cell scenarios
-from :mod:`repro.perf.scenarios` and also report the sim-time/wall-time
-ratio and the scenario's canonical trace digest.
+framing, link delivery, the PHY receive chain); macro benchmarks time
+the full-cell scenarios from :mod:`repro.perf.scenarios` and also report
+the sim-time/wall-time ratio and the scenario's canonical trace digest.
 
 Several catalog entries exist purely as *baselines*:
 ``engine_churn_legacy`` and ``engine_churn_wheel_legacy`` run their
@@ -427,12 +427,13 @@ def _run_link_delivery(quick: bool) -> RawRun:
 # ----------------------------------------------------------------------
 # Batched PHY slot workload
 # ----------------------------------------------------------------------
-def _phy_slot_corpus(count: int = 24) -> List[Any]:
+def _phy_slot_corpus(count: int = 24, rng: Any = None) -> List[Any]:
     """A deterministic mixed-modulation uplink slot's transport blocks
-    (reserved RNG stream)."""
+    (reserved RNG stream; ``perf.phy_slot`` unless the caller owns one)."""
     from repro.phy.transport import LinkDirection, TransportBlock
 
-    rng = RngRegistry(CORPUS_SEED).stream("perf.phy_slot")
+    if rng is None:
+        rng = RngRegistry(CORPUS_SEED).stream("perf.phy_slot")
     modulations = list(Modulation)
     return [
         TransportBlock(
@@ -492,6 +493,59 @@ def _run_phy_slot_scalar(quick: bool) -> RawRun:
 
 def _run_phy_slot_batch(quick: bool) -> RawRun:
     return _phy_slot_run(batched=True, repeats=30 if quick else 120)
+
+
+# ----------------------------------------------------------------------
+# PHY receive-chain workload
+# ----------------------------------------------------------------------
+#: Per-modulation SNRs (dB) a little above each decoding threshold, where
+#: a block converges after about three BP iterations — the mean the
+#: full-cell scenarios run at.
+_PHY_RX_SNR_DB = {
+    Modulation.BPSK: 0.5,
+    Modulation.QPSK: 3.5,
+    Modulation.QAM16: 9.5,
+    Modulation.QAM64: 15.0,
+}
+
+
+def _run_phy_rx_chain(quick: bool) -> RawRun:
+    """``PhyCodec.decode_block`` over a fixed corpus: channel, soft
+    demodulation, HARQ combine, LDPC decode, CRC check. Events are
+    decoded blocks; ``extra`` records the iterations and failures that
+    say which operating point the rate was measured at."""
+    import numpy as np
+
+    from repro.phy.channel import ChannelRealization
+    from repro.phy.codec import PhyCodec
+
+    rng = RngRegistry(CORPUS_SEED).stream("perf.phy_rx")
+    blocks = _phy_slot_corpus(96, rng)
+    realizations = [
+        ChannelRealization(
+            snr_db=_PHY_RX_SNR_DB[block.modulation] + float(rng.uniform(0.0, 1.5))
+        )
+        for block in blocks
+    ]
+    codec = PhyCodec(np.random.default_rng(CORPUS_SEED))
+    symbols = codec.encode_blocks(blocks)
+    repeats = 2 if quick else 8
+    start = wall_ns()
+    for _ in range(repeats):
+        for block, realization, row in zip(blocks, realizations, symbols):
+            codec.decode_block(block, realization, symbols=row)
+    wall = (wall_ns() - start) / 1e9
+    stats = codec.stats
+    return RawRun(
+        events=stats.blocks_decoded,
+        wall_seconds=wall,
+        extra={
+            "iterations_per_block": round(
+                stats.total_decoder_iterations / stats.blocks_decoded, 3
+            ),
+            "block_error_rate": round(stats.block_error_rate, 4),
+        },
+    )
 
 
 # ----------------------------------------------------------------------
@@ -680,6 +734,9 @@ CATALOG: Dict[str, BenchmarkSpec] = {
         _spec("phy_slot_batch", "micro",
               "same slot through the batched PHY kernels (pinned identical)",
               _run_phy_slot_batch),
+        _spec("phy_rx_chain", "micro",
+              "receive chain per block: channel, demod, HARQ, LDPC decode, CRC",
+              _run_phy_rx_chain),
         _spec("campaign_shards_serial", "macro",
               "four chaos (scenario, seed) shards back to back (baseline)",
               _run_campaign_shards_serial, fanout=False),

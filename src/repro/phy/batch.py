@@ -29,7 +29,6 @@ from repro.phy.modulation import Modulation, demodulate_llr, modulate
 __all__ = [
     "demodulate_llr_batch",
     "ldpc_encode_batch",
-    "ldpc_syndrome_ok_batch",
     "modulate_batch",
 ]
 
@@ -130,26 +129,16 @@ def _demodulate_with_noise_vector(
 
 
 def ldpc_encode_batch(code: LdpcCode, info_blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Systematically encode a batch of info-bit blocks in one matmul.
+    """Systematically encode a batch of info-bit blocks in one kernel call.
 
     Returns a ``(B, n)`` uint8 codeword matrix; row ``i`` is identical
-    to ``code.encode(info_blocks[i])`` (the parity generator matmul and
-    mod-2 reduction are the same integer arithmetic, batched).
+    to ``code.encode(info_blocks[i])`` (the same packed GF(2) generator
+    product, batched).
     """
     info = np.stack([np.asarray(block, dtype=np.uint8) for block in info_blocks])
     if info.shape[1] != code.k:
         raise ValueError(f"expected {code.k} info bits, got {info.shape[1]}")
-    parity = (code._parity_gen @ info.T) % 2
     codewords = np.zeros((len(info), code.n), dtype=np.uint8)
     codewords[:, code._info_cols] = info
-    codewords[:, code._parity_cols] = parity.T
+    codewords[:, code._parity_cols] = code.parity_bits(info)
     return codewords
-
-
-def ldpc_syndrome_ok_batch(code: LdpcCode, hard_blocks: np.ndarray) -> np.ndarray:
-    """Per-row parity verdicts for a ``(B, n)`` hard-bit matrix.
-
-    Row ``i`` is True iff ``code.syndrome_ok(hard_blocks[i])``.
-    """
-    hard = np.asarray(hard_blocks, dtype=np.uint8)
-    return ~(((code._h @ hard.T) % 2).any(axis=0))

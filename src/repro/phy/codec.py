@@ -108,10 +108,11 @@ class PhyCodec:
     ) -> List[np.ndarray]:
         """Batched :meth:`encode_block` over a slot's transport blocks.
 
-        One CRC gather, one LDPC matmul, and one modulation-map call per
-        modulation order cover the whole batch; element ``i`` is
-        bit-identical to ``encode_block(blocks[i])`` (the batch kernels
-        in :mod:`repro.phy.batch` are pinned to the per-block paths).
+        One CRC gather, one LDPC generator product, and one
+        modulation-map call per modulation order cover the whole batch;
+        element ``i`` is bit-identical to ``encode_block(blocks[i])``
+        (the batch kernels in :mod:`repro.phy.batch` are pinned to the
+        per-block paths).
         RNG-free, like :meth:`encode_block`, so callers may hoist it out
         of any per-block loop that draws channel noise without
         perturbing stream order.

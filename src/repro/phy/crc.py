@@ -5,20 +5,25 @@
 the PHY declare a decode success/failure — the signal the whole HARQ
 machinery, and therefore Slingshot's state-discarding argument, hinges on.
 
-Two implementations live here, per the repo's optimization convention:
-
-* :func:`crc24a_reference` is the normative byte-at-a-time register loop
-  (bit-serial for non-byte-multiple lengths), kept unoptimized;
-* :func:`crc24a` / :func:`crc24a_batch` are the vectorized fast paths,
-  fuzz-pinned identical to the reference (``tests/test_phy_crc.py``).
+Cost model: one table lookup per message *byte*, at every length, for
+one block (:func:`crc24a`) or a slot's blocks at once
+(:func:`crc24a_batch`); no per-bit Python loop exists. The live payload
+is ``k - 24 = 300`` bits, not a byte multiple, so such lengths are the
+common case, not the rare one.
 
 The vectorization rests on GF(2) linearity: the register recurrence
 ``r' = (r << 8) ^ TABLE[(r >> 16) ^ byte]`` splits into
 ``advance(r) ^ TABLE[byte]`` because ``TABLE`` is itself linear
 (``TABLE[a ^ b] = TABLE[a] ^ TABLE[b]``), so the CRC of a message is
 the XOR of one precomputed per-position contribution per byte — a
-single gather + XOR-reduction instead of a Python loop, and across a
-whole batch of transport blocks at once.
+single gather + XOR-reduction instead of a Python loop.
+
+A length that is not a byte multiple is **left**-padded with zero bits.
+That is exact: the register starts at zero and a zero bit shifted into
+an all-zero register leaves it zero, so leading zero bits (or bytes —
+``TABLE[0] == 0`` at every position) do not change the remainder. The
+shift-register definition lives in ``tests/crc_serial.py`` and is pinned
+equal at every length 0..400 bits (``tests/test_phy_kernel_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -77,63 +82,23 @@ def _position_tables(length: int) -> np.ndarray:
     return grown
 
 
-def _bits_to_bytes_padded(bits: np.ndarray) -> np.ndarray:
-    """Pack a bit array (MSB-first) into bytes, zero-padding the tail.
-
-    Pure numpy: ``packbits`` zero-pads the final partial byte itself,
-    which is exactly what the old explicit concatenate-then-pack did.
-    """
-    return np.packbits(bits.astype(np.uint8))
-
-
-def _crc_bytes_serial(data: Sequence[int]) -> int:
-    """Normative byte-at-a-time register loop."""
-    register = 0
-    for byte in data:
-        index = ((register >> 16) ^ int(byte)) & 0xFF
-        register = ((register << 8) ^ int(_TABLE[index])) & 0xFFFFFF
-    return register
-
-
-def _crc_bits_serial(bits: np.ndarray) -> int:
-    """Normative bit-serial loop for non-byte-multiple lengths."""
-    register = 0
-    for bit in bits:
-        register ^= int(bit) << 23
-        register <<= 1
-        if register & 0x1000000:
-            register ^= CRC24A_POLY
-        register &= 0xFFFFFF
-    return register
-
-
-def crc24a_reference(bits: np.ndarray) -> int:
-    """Normative CRC24A of a bit array (MSB-first bit order).
-
-    The pre-vectorization implementation, kept as the behaviour oracle:
-    byte-at-a-time for byte-multiple lengths, bit-serial otherwise.
-    """
+def _packed_bytes(bits: np.ndarray) -> np.ndarray:
+    """MSB-first bytes of a bit array, zero bits prepended up to a byte
+    boundary (module docstring: leading zeros leave the CRC unchanged)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) % 8 == 0:
-        return _crc_bytes_serial(_bits_to_bytes_padded(bits))
-    return _crc_bits_serial(bits)
+    pad = -len(bits) % 8
+    if pad:
+        bits = np.concatenate([np.zeros(pad, dtype=np.uint8), bits])
+    return np.packbits(bits)
 
 
 def crc24a(bits: np.ndarray) -> int:
     """Compute the CRC24A of a bit array (MSB-first bit order).
 
-    Vectorized fast path, fuzz-pinned identical to
-    :func:`crc24a_reference`: one per-position table gather plus an
-    XOR-reduction replaces the per-byte Python loop. Bit arrays whose
-    length is not a byte multiple are processed bit-serially for
-    exactness.
+    One per-position table gather plus an XOR-reduction, at every
+    length; the cost is one table lookup per message byte.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    if len(bits) % 8 != 0:
-        return _crc_bits_serial(bits)
-    if len(bits) == 0:
-        return 0
-    data = np.packbits(bits)
+    data = _packed_bytes(bits)
     tables = _position_tables(len(data))
     contributions = tables[np.arange(len(data) - 1, -1, -1), data]
     return int(np.bitwise_xor.reduce(contributions))
@@ -143,39 +108,24 @@ def crc24a_batch(blocks: Sequence[np.ndarray]) -> np.ndarray:
     """CRC24A of every bit-array block, vectorized across the batch.
 
     Returns a ``uint32`` array of per-block CRCs, each identical to
-    ``crc24a(block)``. Byte-multiple blocks share one padded gather +
-    XOR-reduction; rare non-byte-multiple blocks fall back to the exact
-    bit-serial path.
+    ``crc24a(block)``. Blocks of any mix of lengths are right-aligned in
+    one byte matrix — the columns left of a shorter block are zero bytes,
+    which contribute nothing — and share one gather + XOR-reduction.
     """
-    crcs = np.zeros(len(blocks), dtype=np.uint32)
-    packed: List[np.ndarray] = []
-    packed_at: List[int] = []
-    for index, block in enumerate(blocks):
-        bits = np.asarray(block, dtype=np.uint8)
-        if len(bits) % 8 != 0:
-            crcs[index] = _crc_bits_serial(bits)
-        elif len(bits):
-            packed.append(np.packbits(bits))
-            packed_at.append(index)
-    if packed:
-        lengths = np.array([len(data) for data in packed])
-        width = int(lengths.max())
-        matrix = np.zeros((len(packed), width), dtype=np.uint8)
-        for row, data in enumerate(packed):
-            matrix[row, : len(data)] = data
-        # Byte j of a length-L block sits L-1-j bytes from the end.
-        positions = lengths[:, np.newaxis] - 1 - np.arange(width)[np.newaxis, :]
-        valid = positions >= 0
-        tables = _position_tables(width)
-        contributions = np.where(
-            valid, tables[positions.clip(min=0), matrix], np.uint32(0)
-        )
-        crcs[packed_at] = np.bitwise_xor.reduce(contributions, axis=1)
-    return crcs
+    packed = [_packed_bytes(block) for block in blocks]
+    width = max((len(data) for data in packed), default=0)
+    matrix = np.zeros((len(packed), width), dtype=np.uint8)
+    for row, data in enumerate(packed):
+        matrix[row, width - len(data):] = data
+    # Column j of the right-aligned matrix sits width-1-j bytes from the end.
+    tables = _position_tables(width)
+    contributions = tables[np.arange(width - 1, -1, -1), matrix]
+    return np.bitwise_xor.reduce(contributions, axis=1)
 
 
-#: MSB-first bit weights for expanding a 24-bit CRC into bits.
+#: MSB-first bit positions of a 24-bit CRC, and their weights.
 _CRC_SHIFTS = np.arange(CRC24_BITS - 1, -1, -1)
+_CRC_WEIGHTS = 1 << _CRC_SHIFTS
 
 
 def crc_bits(crc: int) -> np.ndarray:
@@ -207,8 +157,5 @@ def check_crc(block_bits: np.ndarray) -> bool:
     block_bits = np.asarray(block_bits, dtype=np.uint8)
     if len(block_bits) <= CRC24_BITS:
         return False
-    payload = block_bits[:-CRC24_BITS]
-    received = 0
-    for bit in block_bits[-CRC24_BITS:]:
-        received = (received << 1) | int(bit)
-    return crc24a(payload) == received
+    received = int(block_bits[-CRC24_BITS:] @ _CRC_WEIGHTS)
+    return crc24a(block_bits[:-CRC24_BITS]) == received

@@ -6,7 +6,33 @@ module implements a regular LDPC code with:
 * deterministic, seeded construction of a (dv, dc)-regular parity-check
   matrix (configuration-model graph with double-edge repair),
 * systematic encoding via GF(2) Gaussian elimination, and
-* vectorized normalized-min-sum belief-propagation decoding over LLRs.
+* normalized-min-sum belief-propagation decoding over LLRs.
+
+Cost model: every per-codeword kernel walks the Tanner graph's
+``E = m * dc`` edges (1,944 by default), never the dense ``m x n``
+parity-check matrix (209,952 entries), which exists only inside the
+constructor. Syndrome = XOR of the hard bits at each check's neighbours,
+once before BP and once per iteration. One BP iteration = one gather of
+variable totals, a two-smallest selection per check, and **one**
+scatter-add (``bincount``) whose totals serve this iteration's hard
+decision and the next one's variable-to-check messages: O(E) per
+iteration. Encode = the GF(2) generator product on bit-packed rows
+(AND, XOR-fold, byte-parity lookup; numpy has no BLAS for integers, and
+a float product would wake BLAS worker threads for a slot-sized batch).
+
+Exactness: these kernels replaced a dense-matrix form, kept as
+``tests/ldpc_dense.py`` and pinned equal by
+``tests/test_phy_kernel_fuzz.py``; they match it bit for bit by
+argument, not tolerance. Parity is a popcount mod 2 however it is
+folded. The two smallest magnitudes of a check are *selected*, never
+computed: every edge receives ``min1`` except its holder, which receives
+``min2``, and when several edges tie for the minimum ``min1 == min2``,
+so no sort order is needed. The totals entering iteration ``i + 1`` are
+the expression that closed iteration ``i``, carried over (iteration 1
+starts from the bare LLRs: the dense form's ``llr + 0.0`` differs only
+for ``-0.0``, which ``< 0`` and ``abs`` treat like ``+0.0``). The message
+expression and the ``bincount`` edge order, which fixes floating-point
+accumulation order, are unchanged.
 
 The decoder's iteration count is a first-class knob: the live-upgrade
 experiment (paper Fig 11) emulates "a PHY with better FEC" as a secondary
@@ -106,6 +132,26 @@ def _gf2_systemize(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return h, np.array(parity_cols, dtype=np.int64), info_cols
 
 
+#: Parity (popcount mod 2) of every byte value.
+_BYTE_PARITY = np.bitwise_xor.reduce(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, np.newaxis], axis=1), axis=1
+)
+
+
+def _two_smallest(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Column-wise smallest and second-smallest of a ``(dc, m)`` array.
+
+    A running (low, high) pair per column; values are only ever selected,
+    so a column whose minimum occurs twice yields ``low == high``.
+    """
+    low = np.minimum(rows[0], rows[1])
+    high = np.maximum(rows[0], rows[1])
+    for row in rows[2:]:
+        high = np.minimum(high, np.maximum(low, row))
+        low = np.minimum(low, row)
+    return low, high
+
+
 class LdpcCode:
     """A (dv, dc)-regular LDPC code with systematic encoding and min-sum decoding.
 
@@ -132,6 +178,7 @@ class LdpcCode:
         self.n = n
         self.dv = dv
         self.dc = dc
+        self.seed = seed
         self.normalization = normalization
         rng = np.random.default_rng(seed)
         for attempt in range(50):
@@ -144,31 +191,48 @@ class LdpcCode:
                 h_red, parity_cols, info_cols = _gf2_systemize(h)
             except np.linalg.LinAlgError:
                 continue
-            self._h = h
             self._parity_cols = parity_cols
             self._info_cols = info_cols
-            # For parity computation: h_red restricted to info columns gives
-            # parity[j] = sum_i h_red[j, info_cols[i]] * u[i] (mod 2).
-            self._parity_gen = h_red[:, info_cols].astype(np.uint8)
+            # h_red restricted to the info columns: parity[j] =
+            # sum_i h_red[j, info_cols[i]] * u[i] (mod 2). Rows are
+            # bit-packed the way ``parity_bits`` packs the info word.
+            self._parity_gen = np.packbits(h_red[:, info_cols], axis=1)
             break
         else:
             raise RuntimeError("could not construct a full-rank LDPC code")
         self.k = len(self._info_cols)
-        # Flat edge indexing for the decoder.
+        # Edge indexing for the decoder. Check-major flat order fixes the
+        # scatter-add's accumulation order; the slot-major (dc, m) copy —
+        # row s holds every check's s-th neighbour — puts each per-check
+        # reduction along the leading axis, where numpy runs it as dc - 1
+        # vector operations instead of m short row loops.
         self._edge_var = self.chk_to_var.ravel()
+        self._neighbours = np.ascontiguousarray(self.chk_to_var.T)
+
+    def __reduce__(self):
+        # Pickle by construction key: the graph and generator are a pure
+        # function of it, and a restored code rejoins the process cache.
+        return get_code, (self.n, self.dv, self.dc, self.seed, self.normalization)
 
     # ------------------------------------------------------------------
     # Encoding
     # ------------------------------------------------------------------
+    def parity_bits(self, info_bits: np.ndarray) -> np.ndarray:
+        """Parity bits for ``(..., k)`` info bits (one block or a batch)."""
+        packed = np.packbits(info_bits, axis=-1)
+        folded = np.bitwise_xor.reduce(
+            self._parity_gen & packed[..., np.newaxis, :], axis=-1
+        )
+        return _BYTE_PARITY[folded]
+
     def encode(self, info_bits: np.ndarray) -> np.ndarray:
         """Encode ``k`` information bits into an ``n``-bit codeword."""
         info_bits = np.asarray(info_bits, dtype=np.uint8)
         if info_bits.shape != (self.k,):
             raise ValueError(f"expected {self.k} info bits, got {info_bits.shape}")
-        parity = (self._parity_gen @ info_bits) % 2
         codeword = np.zeros(self.n, dtype=np.uint8)
         codeword[self._info_cols] = info_bits
-        codeword[self._parity_cols] = parity
+        codeword[self._parity_cols] = self.parity_bits(info_bits)
         return codeword
 
     def extract_info(self, codeword: np.ndarray) -> np.ndarray:
@@ -176,8 +240,9 @@ class LdpcCode:
         return np.asarray(codeword, dtype=np.uint8)[self._info_cols]
 
     def syndrome_ok(self, hard_bits: np.ndarray) -> bool:
-        """True if ``hard_bits`` satisfies all parity checks."""
-        return not ((self._h @ hard_bits) % 2).any()
+        """True if ``hard_bits`` (0/1 or boolean) satisfies all parity checks."""
+        checks = np.asarray(hard_bits)[self._neighbours]
+        return not np.bitwise_xor.reduce(checks, axis=0).any()
 
     # ------------------------------------------------------------------
     # Decoding
@@ -190,40 +255,36 @@ class LdpcCode:
         llr = np.asarray(llr, dtype=np.float64)
         if llr.shape != (self.n,):
             raise ValueError(f"expected {self.n} LLRs, got {llr.shape}")
-        m, dc = self.m, self.dc
-        edge_var = self._edge_var
-        c2v = np.zeros((m, dc), dtype=np.float64)
-        hard = (llr < 0).astype(np.uint8)
+        neighbours = self._neighbours
+        totals = llr
+        negative = totals < 0
+        converged = self.syndrome_ok(negative)
+        # Messages are slot-major like ``_neighbours``: (dc, m).
+        c2v = np.zeros(neighbours.shape, dtype=np.float64)
         iterations = 0
-        if self.syndrome_ok(hard):
-            info = np.zeros(self.n, dtype=np.uint8)
-            info[:] = hard
-            return LdpcDecodeResult(info[self._info_cols], True, 0)
-        for iterations in range(1, max_iterations + 1):
-            # Variable-node totals: channel LLR + sum of incoming messages.
-            totals = llr + np.bincount(
-                edge_var, weights=c2v.ravel(), minlength=self.n
-            )
-            v2c = totals[edge_var].reshape(m, dc) - c2v
-            # Check-node update (normalized min-sum).
-            signs = np.sign(v2c)
-            signs[signs == 0] = 1.0
-            row_sign = signs.prod(axis=1, keepdims=True)
+        while not converged and iterations < max_iterations:
+            iterations += 1
+            # Variable-to-check: each variable's total minus what this
+            # check told it.
+            v2c = totals[neighbours] - c2v
+            # Check-node update (normalized min-sum); a zero message
+            # counts as positive.
+            signs = np.where(v2c < 0, -1.0, 1.0)
+            row_sign = signs.prod(axis=0)
             magnitude = np.abs(v2c)
-            order = np.argsort(magnitude, axis=1)
-            min1 = magnitude[np.arange(m), order[:, 0]]
-            min2 = magnitude[np.arange(m), order[:, 1]]
-            out_mag = np.broadcast_to(min1[:, None], (m, dc)).copy()
-            out_mag[np.arange(m), order[:, 0]] = min2
+            min1, min2 = _two_smallest(magnitude)
+            out_mag = np.where(magnitude > min1, min1, min2)
             c2v = self.normalization * row_sign * signs * out_mag
-            # Hard decision + early stop.
+            # Variable-node totals: channel LLR + sum of incoming
+            # messages, accumulated in check-major edge order.
             totals = llr + np.bincount(
-                edge_var, weights=c2v.ravel(), minlength=self.n
+                self._edge_var, weights=c2v.T.ravel(), minlength=self.n
             )
-            hard = (totals < 0).astype(np.uint8)
-            if self.syndrome_ok(hard):
-                return LdpcDecodeResult(hard[self._info_cols], True, iterations)
-        return LdpcDecodeResult(hard[self._info_cols], False, iterations)
+            # Hard decision + early stop.
+            negative = totals < 0
+            converged = self.syndrome_ok(negative)
+        info_bits = negative[self._info_cols].astype(np.uint8)
+        return LdpcDecodeResult(info_bits, converged, iterations)
 
     @property
     def rate(self) -> float:
@@ -239,12 +300,13 @@ _CODE_CACHE: dict = {}
 
 
 def get_code(
-    n: int = 648, dv: int = 3, dc: int = 6, seed: int = 7
+    n: int = 648, dv: int = 3, dc: int = 6, seed: int = 7,
+    normalization: float = 0.8,
 ) -> LdpcCode:
     """Return a cached :class:`LdpcCode` for the given parameters."""
-    key = (n, dv, dc, seed)
+    key = (n, dv, dc, seed, normalization)
     code = _CODE_CACHE.get(key)
     if code is None:
-        code = LdpcCode(n=n, dv=dv, dc=dc, seed=seed)
+        code = LdpcCode(n=n, dv=dv, dc=dc, seed=seed, normalization=normalization)
         _CODE_CACHE[key] = code
     return code

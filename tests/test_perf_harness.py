@@ -142,11 +142,14 @@ class TestCheckReport:
         current = PerfReport(quick=False, speedups={"phy_slot_batch": 1.0})
         failures = check_report(current, PerfReport(quick=False))
         assert any("speedup[phy_slot_batch]" in f for f in failures)
-        # 1.10x clears the relaxed --quick gate but not the full one.
+        # 1.40x clears the relaxed --quick gate but not the full one.
+        slow = {"phy_slot_batch": 1.40}
         assert check_report(
-            PerfReport(quick=True, speedups={"phy_slot_batch": 1.10}),
-            PerfReport(quick=True),
+            PerfReport(quick=True, speedups=slow), PerfReport(quick=True)
         ) == []
+        assert check_report(
+            PerfReport(quick=False, speedups=slow), PerfReport(quick=False)
+        ) != []
 
     def test_parallel_speedup_gate_scales_with_probe(self):
         # Real >= 3x parallel capacity demands the full 1.8x.

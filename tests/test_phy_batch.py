@@ -15,7 +15,6 @@ from repro.perf.benchmarks import CORPUS_SEED
 from repro.phy.batch import (
     demodulate_llr_batch,
     ldpc_encode_batch,
-    ldpc_syndrome_ok_batch,
     modulate_batch,
 )
 from repro.phy.codec import PhyCodec
@@ -100,24 +99,6 @@ class TestLdpcBatch:
             assert batch.dtype == np.uint8
             for row, info in zip(batch, info_blocks):
                 assert np.array_equal(row, code.encode(info))
-
-    def test_syndrome_ok_batch_pins_to_per_block_reference(self):
-        code = get_code()
-        rng = RngRegistry(CORPUS_SEED).stream("perf.batch_fuzz.syndrome")
-        info_blocks = [
-            rng.integers(0, 2, size=code.k, dtype=np.uint8) for _ in range(12)
-        ]
-        hard = ldpc_encode_batch(code, info_blocks)
-        # Corrupt a random bit in half the rows so both verdicts appear.
-        for row in range(0, len(hard), 2):
-            hard[row, int(rng.integers(0, code.n))] ^= 1
-        verdicts = ldpc_syndrome_ok_batch(code, hard)
-        assert verdicts.dtype == np.bool_
-        for row, verdict in zip(hard, verdicts):
-            assert bool(verdict) == code.syndrome_ok(row)
-        # Clean codewords all pass; at least one corrupted row fails.
-        assert not verdicts[::2].all()
-        assert verdicts[1::2].all()
 
     def test_wrong_info_width_rejected(self):
         code = get_code()

@@ -12,8 +12,8 @@ from repro.phy.crc import (
     check_crc,
     crc24a,
     crc24a_batch,
-    crc24a_reference,
 )
+from tests.crc_serial import crc24a_reference
 
 
 class TestCrcBasics:
@@ -102,7 +102,8 @@ class TestCrcProperties:
 class TestCrcFuzzPins:
     """The vectorized fast paths pinned to the bit-serial reference.
 
-    ``crc24a_reference`` is the normative implementation; ``crc24a``
+    ``tests.crc_serial.crc24a_reference`` is the normative register
+    loop; ``crc24a``
     (single-block gather) and ``crc24a_batch`` (padded matrix) must match
     it exactly on every input. The corpus is ~1k random blocks spanning
     lengths 0..4096 from a reserved ``perf.*`` RngRegistry stream.
