@@ -5,7 +5,8 @@
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
 
 README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
-speedups, macro sim/wall ratios and receive-chain rate between
+speedups, macro sim/wall ratios, receive-chain rate and TCP recovery
+cost between
 ``<!-- perf:NAME:begin -->`` and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
 blocks from the committed JSON, so the docs are never typed from memory;
 ``tests/test_perf_harness.py`` runs the ``--check`` form in tier-1.
@@ -91,10 +92,23 @@ def render_rxchain(report: PerfReport) -> str:
     )
 
 
+def render_tcprecovery(report: PerfReport) -> str:
+    """What one segment costs the transport layer at a full window."""
+    result = report.results["tcp_recovery_window"]
+    return (
+        f"`tcp_recovery_window` as recorded ({result.description}): "
+        f"{result.events_per_sec:,.0f} ACKs/s, "
+        f"{result.extra['us_per_ack']:.1f} µs a segment, "
+        f"{result.extra['retransmissions']:.0f} retransmissions, "
+        f"{result.extra['rto_events']:.0f} RTOs."
+    )
+
+
 BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
     "speedups": render_speedups,
     "macros": render_macros,
     "rxchain": render_rxchain,
+    "tcprecovery": render_tcprecovery,
 }
 
 

@@ -63,8 +63,8 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.sim.rng.BatchedUniform': ('_buf', '_pos'),
     'repro.sim.rng.RngRegistry': ('_streams',),
     'repro.sim.trace.TraceRecorder': ('_by_category', '_chain', '_events', '_evicted_events', '_evicted_horizon_ns'),
-    'repro.transport.tcp.TcpReceiver': ('_ooo', 'bins', 'bytes_delivered', 'rcv_nxt', 'segments_received'),
-    'repro.transport.tcp.TcpSender': ('_dupacks', '_flight', '_lost', '_rack_time', '_recover', '_rto_handle', '_running', '_sacked', 'cwnd', 'in_fast_recovery', 'rto_ns', 'rttvar_ns', 'snd_nxt', 'snd_una', 'srtt_ns', 'ssthresh'),
+    'repro.transport.tcp.TcpReceiver': ('_held', '_ooo', 'bins', 'bytes_delivered', 'rcv_nxt', 'segments_received'),
+    'repro.transport.tcp.TcpSender': ('_flight', '_lost', '_lost_heap', '_rack_time', '_recover', '_rto_handle', '_running', '_sack_ranges', '_sacked', '_unjudged', 'cwnd', 'in_fast_recovery', 'rto_ns', 'rttvar_ns', 'snd_nxt', 'snd_una', 'srtt_ns', 'ssthresh'),
     'repro.transport.udp.UdpSender': ('_running', '_seq', 'bitrate_bps'),
     'repro.transport.udp.UdpSink': ('_seen', '_seen_max_seq', 'bin_packets', 'bins', 'latencies_ns'),
     'repro.ue.ue.UserEquipment': ('_last_dl_control_ns', '_last_status_ns', '_out_of_sync', '_pending_feedback', '_pending_ul_status', '_sent_blocks', '_staged_slots', '_vran_instance_id', 'attached', 'dl_rx', 'ul_tx'),

@@ -2,9 +2,10 @@
 
 Micro benchmarks time one hot subsystem in isolation (event-engine churn,
 cancel/reschedule watchdog load, FAPI encode/decode, eCPRI header
-framing, link delivery, the PHY receive chain); macro benchmarks time
-the full-cell scenarios from :mod:`repro.perf.scenarios` and also report
-the sim-time/wall-time ratio and the scenario's canonical trace digest.
+framing, link delivery, the PHY receive chain, TCP loss recovery at a
+full window); macro benchmarks time the full-cell scenarios from
+:mod:`repro.perf.scenarios` and also report the sim-time/wall-time ratio
+and the scenario's canonical trace digest.
 
 Several catalog entries exist purely as *baselines*:
 ``engine_churn_legacy`` and ``engine_churn_wheel_legacy`` run their
@@ -549,6 +550,71 @@ def _run_phy_rx_chain(quick: bool) -> RawRun:
 
 
 # ----------------------------------------------------------------------
+# TCP loss-recovery workload
+# ----------------------------------------------------------------------
+#: The shape ``cell_tcp_dl_failover`` puts on the sender: a window of
+#: about two thousand segments and a failover-sized hole in it.
+_TCP_WINDOW_SEGMENTS = 2048
+_TCP_BURST_SEGMENTS = 300
+#: Clock step per delivered segment: the full window is 10 ms of wire.
+_TCP_SEGMENT_NS = 5_000
+
+
+def _run_tcp_recovery_window(quick: bool) -> RawRun:
+    """Direct-drive ``TcpSender`` <-> ``TcpReceiver`` (no cell, no engine
+    events but the RTO timer): fill a 2,048-segment window, drop 300
+    consecutive segments, and run through SACK/RACK recovery and three
+    windows beyond. Events are ACKs; ``extra`` reports the microseconds
+    each one cost and what the recovery did, so a scoreboard that scans
+    the flight per ACK shows here and not only in a macro."""
+    from collections import deque
+
+    from repro.transport.packet import FlowDirection
+    from repro.transport.tcp import TcpConfig, TcpReceiver, TcpSender
+
+    def drive() -> RawRun:
+        sim = Simulator()
+        wire: Any = deque()
+        config = TcpConfig(
+            initial_cwnd_segments=_TCP_WINDOW_SEGMENTS,
+            receive_window_segments=_TCP_WINDOW_SEGMENTS,
+        )
+        sender = TcpSender(
+            sim, "bench", 1, 1, FlowDirection.DOWNLINK,
+            transmit=wire.append, config=config,
+        )
+        receiver = TcpReceiver(
+            sim, "bench", 1, 1, FlowDirection.UPLINK,
+            transmit_ack=lambda packet: sender.on_ack(packet.payload),
+        )
+        burst_at = 2 * _TCP_WINDOW_SEGMENTS
+        total = burst_at + _TCP_BURST_SEGMENTS + 3 * _TCP_WINDOW_SEGMENTS
+        sent = 0
+        start = wall_ns()
+        sender.start()
+        while wire and sent < total:
+            packet = wire.popleft()
+            sim.run_for(_TCP_SEGMENT_NS)
+            if not burst_at <= sent < burst_at + _TCP_BURST_SEGMENTS:
+                receiver.on_segment(packet.payload)
+            sent += 1
+        wall = (wall_ns() - start) / 1e9
+        sender.stop()
+        acks = receiver.segments_received
+        return RawRun(
+            events=acks,
+            wall_seconds=wall,
+            extra={
+                "us_per_ack": round(wall * 1e6 / acks, 2),
+                "retransmissions": float(sender.stats.retransmissions),
+                "rto_events": float(sender.stats.rto_events),
+            },
+        )
+
+    return _best_of(drive, repeats=2 if quick else 5)
+
+
+# ----------------------------------------------------------------------
 # Sharded campaign workload (the scale-out pair)
 # ----------------------------------------------------------------------
 #: Worker count for the parallel leg of the campaign pair (the --check
@@ -737,6 +803,10 @@ CATALOG: Dict[str, BenchmarkSpec] = {
         _spec("phy_rx_chain", "micro",
               "receive chain per block: channel, demod, HARQ, LDPC decode, CRC",
               _run_phy_rx_chain),
+        _spec("tcp_recovery_window", "micro",
+              f"TCP sender<->receiver, {_TCP_WINDOW_SEGMENTS}-segment window "
+              f"through a {_TCP_BURST_SEGMENTS}-segment burst loss",
+              _run_tcp_recovery_window),
         _spec("campaign_shards_serial", "macro",
               "four chaos (scenario, seed) shards back to back (baseline)",
               _run_campaign_shards_serial, fanout=False),
@@ -757,6 +827,9 @@ CATALOG: Dict[str, BenchmarkSpec] = {
         _spec("macro_fig10_smoke", "macro",
               "full cell: UDP iperf uplink through failover (fig 10 smoke)",
               _macro_runner("fig10_smoke"), DIGEST_SCENARIOS["fig10_smoke"]),
+        _spec("macro_fig10_tcp_dl", "macro",
+              "full cell: bulk TCP downlink through failover (fig 10 TCP curve)",
+              _macro_runner("fig10_tcp_dl"), DIGEST_SCENARIOS["fig10_tcp_dl"]),
         _spec("macro_chaos_crash_restart", "macro",
               "chaos campaign cell: primary crash + restart scenario",
               _macro_runner("chaos_crash_restart"),

@@ -1,102 +1,28 @@
-"""Simplified-but-behavioural TCP.
+"""Whole-window-scan TCP sender / receiver — the pre-scoreboard code, a test fixture.
 
-Implements the mechanisms that shape the paper's TCP results (Fig 10):
-sliding window with in-order delivery, slow start + AIMD congestion
-avoidance, SACK (RFC 6675) with RACK time-based loss detection and fast
-recovery, an RTO with exponential backoff, and SRTT/RTTVAR estimation
-(RFC 6298 style).
-
-During a PHY failover a burst of in-flight segments is lost; the
-receiver's in-order requirement stalls delivery at the gap, goodput
-drops to zero, and RACK retransmission / RTO recovery refills the pipe —
-the 80 ms zero-throughput window and the 157 Mb/s catch-up burst in the
-paper's uplink plot fall out of exactly this machinery.
-
-Every segment is ``mss_bytes`` long and ``mss_bytes``-aligned, so the
-scoreboard addresses the flight by sequence arithmetic and keeps its
-views of it ordered: an ACK or a data segment costs what it changed
-(segments newly acked, SACKed or marked lost), not the window
-(DESIGN.md section 9, "TCP scoreboard: cost model").
+:mod:`repro.transport.tcp` keeps its SACK/RACK scoreboard in ordered
+structures so an ACK costs what it changed; this is the code it
+replaced, verbatim: ``_apply_sack`` walks ``list(self._flight)`` once per
+SACK block, ``_rack_mark_lost`` walks the flight again, the cumulative
+ACK rebuilds ``_flight`` / ``_sacked`` / ``_lost`` by comprehension,
+``_fill_window`` takes ``min(self._lost)`` and the receiver sorts its
+out-of-order store for every segment. ``tests/test_tcp_scoreboard_fuzz.py``
+drives both through one lossy, reordering pipe and requires identical
+packets, congestion state and scoreboards.
 """
 
 from __future__ import annotations
 
-import itertools
-from bisect import bisect_left
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import Process
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
-
-#: TCP header bytes attributed to each segment.
-TCP_HEADER_BYTES = 20
+from repro.transport.tcp import TcpConfig, TcpSegment, TcpSenderStats
 
 
-@dataclass
-class TcpConfig:
-    """Transport tunables (defaults tuned for a cellular-latency path)."""
-
-    mss_bytes: int = 1200
-    initial_cwnd_segments: int = 10
-    #: Minimum retransmission timeout. Linux uses 200 ms; the paper's
-    #: 110 ms recovery implies fast retransmit usually wins the race.
-    min_rto_ns: int = 200 * MS
-    max_rto_ns: int = 4 * SECOND
-    #: Receiver window in segments (ample; radio is the bottleneck).
-    receive_window_segments: int = 2048
-    #: Max segments released per ACK event (Linux-style burst cap; an
-    #: uncapped release on recovery exit would smash the bottleneck
-    #: queue and immediately re-enter loss).
-    max_burst_segments: int = 10
-    #: RACK reordering window bounds. Radio links reorder heavily (a
-    #: HARQ retransmission delays one TB's worth of segments by several
-    #: ms while later TBs sail past), so loss is declared by *time* —
-    #: a segment is lost only when one sent sufficiently later has been
-    #: delivered — rather than by dupack counting.
-    rack_reo_wnd_min_ns: int = 6 * MS
-    rack_reo_wnd_max_ns: int = 40 * MS
-
-
-_segment_ids = itertools.count(1)
-
-
-@dataclass
-class TcpSegment:
-    """One TCP segment (data or pure ACK)."""
-
-    flow_id: str
-    seq: int                      # First data byte index carried.
-    length: int                   # Data bytes carried (0 for pure ACK).
-    ack: int                      # Cumulative ack: next byte expected.
-    segment_id: int = field(default_factory=lambda: next(_segment_ids))
-    #: Timestamp echoed for RTT sampling (sender sets on transmit).
-    ts_echo: int = 0
-    #: SACK blocks: up to four (start, end) received ranges above ack.
-    sack_blocks: Tuple[Tuple[int, int], ...] = ()
-    #: Sender-local transmit time (refreshed on retransmission); drives
-    #: RACK loss detection.
-    sent_at: int = 0
-
-    @property
-    def wire_bytes(self) -> int:
-        return TCP_HEADER_BYTES + self.length + 8 * len(self.sack_blocks)
-
-
-@dataclass
-class TcpSenderStats:
-    segments_sent: int = 0
-    retransmissions: int = 0
-    fast_retransmits: int = 0
-    rto_events: int = 0
-    bytes_acked: int = 0
-
-
-class TcpSender(Process):
+class ScanTcpSender(Process):
     """Bulk-data TCP sender (the iperf -c side)."""
 
     def __init__(
@@ -125,6 +51,7 @@ class TcpSender(Process):
         self.ssthresh = 64 * 1024 * 1024
         self.in_fast_recovery = False
         self._recover = 0
+        self._dupacks = 0
         # RTT estimation (RFC 6298).
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: int = 0
@@ -135,19 +62,8 @@ class TcpSender(Process):
         self._flight: Dict[int, TcpSegment] = {}
         #: Seqs the receiver reported holding out of order (SACK).
         self._sacked: set = set()
-        #: Sorted disjoint (start, end) byte ranges already applied to
-        #: ``_sacked``: a SACK block visits only what they do not cover.
-        self._sack_ranges: List[Tuple[int, int]] = []
         #: Seqs marked lost and awaiting retransmission.
         self._lost: set = set()
-        #: Min-heap over ``_lost``; entries whose seq has since left the
-        #: set are skipped when popped.
-        self._lost_heap: List[int] = []
-        #: seq -> transmit time of the segments RACK has yet to judge (in
-        #: flight, neither SACKed nor lost). ``sent_at`` is ``sim.now``,
-        #: so insertion order is transmit-time order and the oldest is
-        #: always first (Linux's ``tsorted_sent_queue``).
-        self._unjudged: "OrderedDict[int, int]" = OrderedDict()
         #: Latest transmit time among delivered (acked/sacked) segments:
         #: RACK's reference point — anything sent a reordering-window
         #: earlier and still undelivered is presumed lost.
@@ -202,9 +118,7 @@ class TcpSender(Process):
         ):
             sent += 1
             if self._lost:
-                seq = heappop(self._lost_heap)
-                while seq not in self._lost:
-                    seq = heappop(self._lost_heap)
+                seq = min(self._lost)
                 self._lost.discard(seq)
                 self._retransmit_one(seq)
                 continue
@@ -222,8 +136,6 @@ class TcpSender(Process):
 
     def _emit(self, segment: TcpSegment) -> None:
         segment.sent_at = self.now
-        if segment.seq not in self._sacked:
-            self._unjudged[segment.seq] = self.now
         self.stats.segments_sent += 1
         packet = Packet(
             flow_id=self.flow_id,
@@ -241,33 +153,14 @@ class TcpSender(Process):
     # ACK processing
     # ------------------------------------------------------------------
     def _apply_sack(self, segment: TcpSegment) -> None:
-        ranges = self._sack_ranges
         for start, end in segment.sack_blocks:
-            start, end = max(start, self.snd_una), min(end, self.snd_nxt)
-            if start >= end:
-                continue
-            # ranges[i:j] overlap or touch the block; only the gaps
-            # between them hold segments not yet SACKed.
-            i = bisect_left(ranges, (start,))
-            if i and ranges[i - 1][1] >= start:
-                i -= 1
-            j, cursor = i, start
-            while j < len(ranges) and ranges[j][0] <= end:
-                self._sack_span(cursor, ranges[j][0])
-                cursor = max(cursor, ranges[j][1])
-                j += 1
-            self._sack_span(cursor, end)
-            if i < j:
-                start, end = min(start, ranges[i][0]), max(end, ranges[j - 1][1])
-            ranges[i:j] = [(start, end)]
-
-    def _sack_span(self, start: int, end: int) -> None:
-        """Record the in-flight segments of ``[start, end)`` as SACKed
-        (a segment already marked lost stays in ``_lost`` as well)."""
-        for seq in range(start, end, self.config.mss_bytes):
-            self._sacked.add(seq)
-            self._unjudged.pop(seq, None)
-            self._rack_time = max(self._rack_time, self._flight[seq].sent_at)
+            for seq in list(self._flight):
+                if start <= seq and seq + self._flight[seq].length <= end:
+                    if seq not in self._sacked:
+                        self._sacked.add(seq)
+                        self._rack_time = max(
+                            self._rack_time, self._flight[seq].sent_at
+                        )
 
     def _reo_wnd(self) -> int:
         """RACK reordering window: a fraction of the smoothed RTT,
@@ -283,14 +176,11 @@ class TcpSender(Process):
         newest *delivered* segment as lost. Retransmissions refresh their
         send time, so a lost retransmission is re-detected naturally."""
         deadline = self._rack_time - self._reo_wnd()
-        unjudged = self._unjudged
-        while unjudged:
-            seq, sent_at = next(iter(unjudged.items()))
-            if sent_at > deadline:
-                break
-            del unjudged[seq]
-            self._lost.add(seq)
-            heappush(self._lost_heap, seq)
+        for seq, segment in self._flight.items():
+            if seq in self._sacked or seq in self._lost:
+                continue
+            if segment.sent_at <= deadline:
+                self._lost.add(seq)
 
     def on_ack(self, segment: TcpSegment) -> None:
         """Handle an incoming (possibly duplicate/SACK-bearing) ACK."""
@@ -301,14 +191,13 @@ class TcpSender(Process):
             self.stats.bytes_acked += newly_acked
             # Clear acked scoreboard entries; acked data counts as
             # delivered for RACK.
-            for seq in range(self.snd_una, segment.ack, mss):
-                self._rack_time = max(self._rack_time, self._flight.pop(seq).sent_at)
-                self._sacked.discard(seq)
-                self._lost.discard(seq)
-                self._unjudged.pop(seq, None)
-            while self._sack_ranges and self._sack_ranges[0][1] <= segment.ack:
-                del self._sack_ranges[0]
+            for seq in [s for s in self._flight if s < segment.ack]:
+                self._rack_time = max(self._rack_time, self._flight[seq].sent_at)
+                del self._flight[seq]
+            self._sacked = {s for s in self._sacked if s >= segment.ack}
+            self._lost = {s for s in self._lost if s >= segment.ack}
             self.snd_una = segment.ack
+            self._dupacks = 0
             if segment.ts_echo:
                 self._sample_rtt(self.now - segment.ts_echo)
             if self.in_fast_recovery and segment.ack >= self._recover:
@@ -321,6 +210,8 @@ class TcpSender(Process):
                 else:
                     self.cwnd += mss * mss / max(self.cwnd, 1.0)  # AIMD.
             self._arm_rto(reset=True)
+        elif segment.ack == self.snd_una and self.flight_size > 0:
+            self._dupacks += 1
         # RACK: (re)assess losses on every ACK; enter recovery when a
         # loss is first established.
         self._rack_mark_lost()
@@ -388,18 +279,17 @@ class TcpSender(Process):
         self.ssthresh = max(self._pipe() / 2, 2 * self.config.mss_bytes)
         self.cwnd = self.config.mss_bytes
         self.in_fast_recovery = False
+        self._dupacks = 0
         self.rto_ns = min(self.rto_ns * 2, self.config.max_rto_ns)
         # Everything unsacked is presumed lost; slow start retransmits
         # the backlog under the collapsed window.
         self._lost = {s for s in self._flight if s not in self._sacked}
-        self._lost_heap = sorted(self._lost)
-        self._unjudged.clear()
         self._lost.discard(self.snd_una)
         self._retransmit_one(self.snd_una)
         self._arm_rto(reset=True)
 
 
-class TcpReceiver(Process):
+class ScanTcpReceiver(Process):
     """TCP receiver (the iperf -s side): in-order delivery + cumulative ACKs."""
 
     def __init__(
@@ -423,18 +313,30 @@ class TcpReceiver(Process):
         self.rcv_nxt = 0
         #: Out-of-order segments held by seq.
         self._ooo: Dict[int, TcpSegment] = {}
-        #: Sorted (start, end) byte ranges of ``_ooo``, exactly adjacent
-        #: segments merged.
-        self._held: List[Tuple[int, int]] = []
         #: Goodput bins: in-order bytes delivered to the application.
         self.bins: Dict[int, int] = {}
         self.bytes_delivered = 0
         self.segments_received = 0
 
     def _sack_blocks(self, limit: int = 4) -> tuple:
-        """Merged (start, end) ranges of the out-of-order store. Most
-        recent ranges matter most; report the last few."""
-        return tuple(self._held[-limit:])
+        """Merged (start, end) ranges of the out-of-order store."""
+        if not self._ooo:
+            return ()
+        blocks = []
+        start = None
+        end = None
+        for seq in sorted(self._ooo):
+            seg = self._ooo[seq]
+            if start is None:
+                start, end = seq, seq + seg.length
+            elif seq == end:
+                end = seq + seg.length
+            else:
+                blocks.append((start, end))
+                start, end = seq, seq + seg.length
+        blocks.append((start, end))
+        # Most recent ranges matter most; keep the last few.
+        return tuple(blocks[-limit:])
 
     def on_segment(self, segment: TcpSegment) -> None:
         """Accept one data segment; emit a cumulative (+SACK) ACK."""
@@ -442,22 +344,12 @@ class TcpReceiver(Process):
         if segment.length > 0:
             if segment.seq >= self.rcv_nxt and segment.seq not in self._ooo:
                 self._ooo[segment.seq] = segment
-                held = self._held
-                start, end = segment.seq, segment.seq + segment.length
-                i = bisect_left(held, (start,))
-                if i < len(held) and held[i][0] == end:
-                    end = held.pop(i)[1]
-                if i and held[i - 1][1] == start:
-                    i -= 1
-                    start = held.pop(i)[0]
-                held.insert(i, (start, end))
             delivered = 0
             while self.rcv_nxt in self._ooo:
                 seg = self._ooo.pop(self.rcv_nxt)
                 self.rcv_nxt += seg.length
                 delivered += seg.length
             if delivered:
-                del self._held[0]  # The run that started at rcv_nxt.
                 self.bytes_delivered += delivered
                 index = self.now // self.bin_ns
                 self.bins[index] = self.bins.get(index, 0) + delivered

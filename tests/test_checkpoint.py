@@ -235,6 +235,52 @@ class TestCaptureBeforeSaturationDeadline:
 
 
 @pytest.mark.slow
+class TestCaptureMidTcpRecovery:
+    """The TCP scoreboard is several ordered views of one flight (time-
+    ordered unjudged queue, lost heap with lazily deleted entries, applied
+    SACK ranges). A checkpoint taken while all of them are populated —
+    the failover's burst marked lost, only the front hole retransmitted —
+    must restore to a run that ends on the uninterrupted digest."""
+
+    CAPTURE_S = 0.60  # Fault at 0.46 s; RACK gives up on the burst ~0.59 s.
+
+    def test_restored_bulk_tcp_run_ends_on_the_same_digest(self):
+        from repro.perf.scenarios import run_fig10_tcp_dl_cell
+        from repro.sim.units import run_until_ns, seconds
+        from tests.test_perf_digests import GOLDEN_DIGESTS
+
+        def sender_of(cell):
+            return cell.ue(1).dl_sink.deliver.__self__.sender
+
+        captured = {}
+
+        def capture(cell):
+            sender = sender_of(cell)
+            assert sender.in_fast_recovery
+            assert len(sender._sacked) > 100 and len(sender._lost) > 100
+            assert len(sender._lost_heap) > len(sender._lost)  # a stale entry
+            assert sender._unjudged and len(sender._sack_ranges) > 1
+            captured["checkpoint"] = Checkpoint.capture(cell, label="mid TCP recovery")
+            captured["scoreboard"] = (
+                set(sender._sacked), set(sender._lost), list(sender._lost_heap),
+                list(sender._unjudged.items()), list(sender._sack_ranges),
+            )
+
+        cell = run_fig10_tcp_dl_cell(pause_at_s=self.CAPTURE_S, on_pause=capture)
+        assert cell.trace.digest() == GOLDEN_DIGESTS["fig10_tcp_dl"]
+        restored = captured["checkpoint"].restore()
+        twin = sender_of(restored)
+        assert (
+            twin._sacked, twin._lost, twin._lost_heap,
+            list(twin._unjudged.items()), twin._sack_ranges,
+        ) == captured["scoreboard"]
+        run_until_ns(restored, seconds(0.85))
+        assert restored.trace.digest() == cell.trace.digest()
+        assert sender_of(restored).stats == sender_of(cell).stats
+        assert sender_of(cell).stats.retransmissions > 300
+
+
+@pytest.mark.slow
 class TestMidRecoveryCheckpoints:
     """Satellite 3: every chaos scenario class checkpoints mid-recovery
     and replays bit-identically, at --jobs 1 and 2."""

@@ -199,3 +199,51 @@ class TestReceiver:
         receiver.on_segment(self._segment(3600))
         receiver.on_segment(self._segment(6000))
         assert receiver._sack_blocks() == ((2400, 4800), (6000, 7200))
+
+
+class TestLostThenSackedEdge:
+    """Pins, does not bless, a suspected over-retransmission (DESIGN.md
+    section 6, ROADMAP item 4): a segment RACK marked lost whose original
+    then arrives — HARQ delivered it late — is SACKed *and* stays in
+    ``_lost``. ``_pipe()`` subtracts it twice and ``_fill_window`` still
+    retransmits it. Fixing it moves digests, so it gets a PR of its own."""
+
+    def _ack(self, ack, *blocks, ts_echo=0):
+        return TcpSegment(
+            flow_id="f", seq=0, length=0, ack=ack * 1200, ts_echo=ts_echo,
+            sack_blocks=tuple((a * 1200, b * 1200) for a, b in blocks),
+        )
+
+    def test_segment_marked_lost_then_sacked_is_still_retransmitted(self):
+        sim = Simulator()
+        sent = []
+        sender = TcpSender(
+            sim, "f", 1, 1, FlowDirection.DOWNLINK,
+            transmit=lambda p: sent.append(p.payload.seq // 1200),
+        )
+        sim.run_until(1 * MS)
+        sender.start()
+        assert sent == list(range(10))
+        # Segment 0 arrives; 1 and 2 are held up by HARQ; 3.. arrive.
+        sim.run_until(11 * MS)
+        sender.on_ack(self._ack(1, ts_echo=1 * MS))
+        sim.run_until(12 * MS)
+        sender.on_ack(self._ack(1, (3, 10)))
+        assert sent == list(range(19)) and not sender._lost
+        # A segment sent 10 ms after 1 and 2 is delivered: RACK gives up
+        # on both. The front hole goes out at once; 2 waits for pipe room.
+        sim.run_until(22 * MS)
+        sender.on_ack(self._ack(1, (3, 12)))
+        assert sender.in_fast_recovery
+        assert sent[19:] == [1] and sender._lost == {2 * 1200}
+        pipe_before = sender._pipe()
+        # The late original of 2 arrives after all and is SACKed.
+        sender.on_ack(self._ack(1, (2, 12)))
+        assert 2 * 1200 in sender._sacked and 2 * 1200 in sender._lost
+        assert sender._pipe() == pipe_before - 1200  # Counted out twice.
+        assert sent[19:] == [1]
+        # Once the pipe drains, the delivered segment is sent again.
+        sender.on_ack(self._ack(1, (2, 19)))
+        assert sent[19:21] == [1, 2]
+        assert sender.stats.retransmissions == 2
+        assert 2 * 1200 in sender._sacked and 2 * 1200 not in sender._lost
