@@ -5,8 +5,8 @@
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
 
 README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
-speedups, macro sim/wall ratios, receive-chain rate and TCP recovery
-cost between
+speedups, macro sim/wall ratios, receive-chain rate, TCP recovery cost
+and switch-transit cost between
 ``<!-- perf:NAME:begin -->`` and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
 blocks from the committed JSON, so the docs are never typed from memory;
 ``tests/test_perf_harness.py`` runs the ``--check`` form in tier-1.
@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Dict
 
+from repro import CellConfig
 from repro.perf.harness import (
     SPEEDUP_GATES,
     SPEEDUP_PAIRS,
@@ -104,11 +105,35 @@ def render_tcprecovery(report: PerfReport) -> str:
     )
 
 
+def render_transit(report: PerfReport) -> str:
+    """What a switch hop costs, and what a cell-slot costs in events."""
+    hop = report.results["transit_hop"]
+    slot_ns = CellConfig().numerology.slot_duration_ns
+    rows = [
+        f"`transit_hop` as recorded ({hop.description}): "
+        f"{hop.events_per_sec:,.0f} hops/s, {hop.extra['us_per_hop']:.2f} µs "
+        f"and {hop.extra['events_per_hop']:g} engine events a hop.",
+        "",
+        "| recorded run | cells | events | events per cell-slot |",
+        "|---|---|---|---|",
+    ]
+    for result in report.results.values():
+        if result.digest is None or result.name.startswith("campaign_shards"):
+            continue
+        cells = int(result.extra.get("cells", 1))
+        per_slot = result.events / (cells * result.sim_ns / slot_ns)
+        rows.append(
+            f"| `{result.name}` | {cells} | {result.events:,} | {per_slot:.1f} |"
+        )
+    return "\n".join(rows)
+
+
 BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
     "speedups": render_speedups,
     "macros": render_macros,
     "rxchain": render_rxchain,
     "tcprecovery": render_tcprecovery,
+    "transit": render_transit,
 }
 
 

@@ -88,7 +88,10 @@ class PeriodicSelfRescheduleRule(LintRule):
     expression — the pre-wheel periodic idiom that pays a full heap push
     per occurrence. Such ticks belong on ``schedule_periodic`` (the slot
     wheel: O(1) re-arm, epoch cancellation, compaction accounting).
-    Deadline-based re-arms whose delay is computed stay unflagged.
+    Deadline-based re-arms whose delay is computed stay unflagged, and so
+    does ``.at(<parameter>, self.<method>)``: an absolute time the caller
+    passed in is that caller's deadline (a one-shot deferral to it), not
+    a period.
     """
 
     rule_id = "PERF002"
@@ -125,7 +128,14 @@ class PeriodicSelfRescheduleRule(LintRule):
                 and callback.attr == func.name
             ):
                 continue
-            if not _is_static_delay(node.args[0]):
+            when = node.args[0]
+            if not _is_static_delay(when):
+                continue
+            if (
+                callee.attr == "at"
+                and isinstance(when, ast.Name)
+                and when.id in {arg.arg for arg in func.args.args}
+            ):
                 continue
             owner = dotted_name(callee.value) or "<sim>"
             yield self.finding(

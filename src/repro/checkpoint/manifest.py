@@ -42,7 +42,7 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.l2.rlc.RlcReceiver': ('_expected_seq', '_fallback_clock', '_held', '_partial', '_seen', '_seen_max', 'pdus_since_status'),
     'repro.l2.rlc.RlcTransmitter': ('_flight', '_next_seq', '_queue', '_queued_bytes', '_retx', '_trail_misses'),
     'repro.net.addresses.MacAllocator': ('_next',),
-    'repro.net.link.Link': ('_line_free_at', 'bytes_sent', 'endpoint', 'frames_sent'),
+    'repro.net.link.Link': ('_deferred', '_line_free_at', '_serialization_ns', 'bytes_sent', 'endpoint', 'frames_sent'),
     'repro.net.p4.control.ControlPlane': ('updates_issued',),
     'repro.net.p4.registers.RegisterArray': ('_cells', 'reads', 'writes'),
     'repro.net.p4.tables.MatchActionTable': ('_entries', 'hits', 'lookups'),

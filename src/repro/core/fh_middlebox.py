@@ -347,9 +347,6 @@ class FronthaulMiddlebox:
             wire_bytes=SLINGSHOT_CMD_BYTES,
         )
         self.stats.notifications_sent += 1
-        self._switch.sim.schedule(
-            self._switch.pipeline_latency_ns,
-            self._switch.port(port).transmit,
-            notification,
-            label=f"{self.name}.notify",
-        )
+        # Same call as a forwarded frame, so the egress link sees every
+        # sender's ready time in trigger order.
+        self._switch.port(port).transmit(notification)

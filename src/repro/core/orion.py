@@ -73,10 +73,11 @@ class OrionDatagram:
     phy_id: int
     #: True when flowing PHY -> L2 (an indication/response).
     is_response: bool
+    #: On-the-wire size, fixed at construction (read 2-3 times per hop).
+    wire_bytes: int = field(init=False)
 
-    @property
-    def wire_bytes(self) -> int:
-        return UDP_OVERHEAD_BYTES + wire_size(self.message)
+    def __post_init__(self) -> None:
+        self.wire_bytes = UDP_OVERHEAD_BYTES + wire_size(self.message)
 
 
 @dataclass
@@ -140,6 +141,7 @@ class _ServiceQueue:
         self._busy_until = 0
         self.depth = 0
         self.max_depth = 0
+        self._service_label = f"{name}.service"
 
     def submit(
         self, size_bytes: int, action: Callable[..., None], *args: Any
@@ -153,12 +155,15 @@ class _ServiceQueue:
         service = self.config.service_base_ns + round(
             size_bytes * self.config.service_per_byte_ns
         )
-        start = max(self.sim.now, self._busy_until)
+        start = self.sim.now
+        if self._busy_until > start:
+            start = self._busy_until
         done = start + service
         self._busy_until = done
         self.depth += 1
-        self.max_depth = max(self.max_depth, self.depth)
-        self.sim.at(done, self._complete, action, args, label=f"{self.name}.service")
+        if self.depth > self.max_depth:
+            self.max_depth = self.depth
+        self.sim.at(done, self._complete, action, args, label=self._service_label)
         return done
 
     def _complete(self, action: Callable[..., None], args: Tuple[Any, ...]) -> None:
@@ -229,6 +234,7 @@ class PhySideOrion(Process):
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.config, self.name)
+        self._watchdog_label = f"{self.name}.watchdog"
         #: SHM channel toward the local PHY.
         self.shm_to_phy: Optional[ShmChannel] = None
         #: NIC uplink into the switch.
@@ -307,7 +313,7 @@ class PhySideOrion(Process):
             self.slot_clock.slot_duration_ns,
             self._watchdog_tick,
             first_at=fire_at,
-            label=f"{self.name}.watchdog",
+            label=self._watchdog_label,
         )
 
     def _watchdog_tick(self) -> None:
@@ -377,6 +383,9 @@ class L2SideOrion(Process):
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.config, self.name)
+        self._watchdog_label = f"{name}.response-watchdog"
+        self._cmd_retx_label = f"{name}.cmd-retx"
+        self._finalize_label = f"{name}.finalize"
         #: SHM channel toward the local L2.
         self.shm_to_l2: Optional[ShmChannel] = None
         #: Multi-cell: per-cell SHM channels when several L2 processes
@@ -553,7 +562,7 @@ class L2SideOrion(Process):
                 self._watchdog_threshold_ns(),
                 self._watchdog_check,
                 assignment,
-                label=f"{self.name}.response-watchdog",
+                label=self._watchdog_label,
             )
 
     def _watchdog_check(self, assignment: CellAssignment) -> None:
@@ -571,7 +580,7 @@ class L2SideOrion(Process):
                 last + self._watchdog_threshold_ns(),
                 self._watchdog_check,
                 assignment,
-                label=f"{self.name}.response-watchdog",
+                label=self._watchdog_label,
             )
             return
         # Silence exceeded the threshold: the active PHY is gray-failed.
@@ -739,7 +748,7 @@ class L2SideOrion(Process):
                 assignment,
                 assignment.migration_seq,
                 commands,
-                label=f"{self.name}.cmd-retx",
+                label=self._cmd_retx_label,
             )
         if self.trace is not None:
             self.trace.record(
@@ -759,7 +768,7 @@ class L2SideOrion(Process):
             dest,
             old_primary,
             failover,
-            label=f"{self.name}.finalize",
+            label=self._finalize_label,
         )
 
     def _finalize_migration(

@@ -47,6 +47,7 @@ class ShmChannel:
         self.name = name
         self.messages_sent = 0
         self._pending: Deque[FapiMessage] = deque()
+        self._deliver_label = f"{name}.deliver"
 
     def connect(self, endpoint: FapiEndpoint) -> None:
         """Attach the consumer (two-phase wiring)."""
@@ -64,7 +65,7 @@ class ShmChannel:
             raise RuntimeError(f"SHM channel {self.name} has no endpoint")
         self.messages_sent += 1
         self._pending.append(message)
-        self.sim.schedule(self.latency_ns, self._deliver, label=f"{self.name}.deliver")
+        self.sim.schedule(self.latency_ns, self._deliver, label=self._deliver_label)
 
     def _deliver(self) -> None:
         assert self.endpoint is not None

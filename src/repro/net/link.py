@@ -8,7 +8,8 @@ instances with different parameters.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from collections import deque
+from typing import Deque, Dict, Optional, Protocol
 
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
@@ -74,6 +75,13 @@ class Link:
         self.bytes_sent = 0
         #: Optional fault-injection hook (see :class:`LinkImpairmentHook`).
         self.impairment: Optional[LinkImpairmentHook] = None
+        self._deliver_label = f"{name}.deliver"
+        self._deferred_label = f"{name}.send"
+        #: Frames an impaired link holds until their ready instant, FIFO
+        #: (created by the first one: most links never carry a hook).
+        self._deferred: Optional[Deque[EthernetFrame]] = None
+        #: Serialization delay per frame size seen (the rate is fixed).
+        self._serialization_ns: Dict[int, int] = {}
 
     def connect(self, endpoint: NetworkEndpoint) -> None:
         """Attach the receiving endpoint (allows two-phase wiring)."""
@@ -85,28 +93,56 @@ class Link:
             return 0
         return round(wire_bytes * 8 * SECOND / self.bandwidth_bps)
 
-    def send(self, frame: EthernetFrame) -> int:
+    def send(self, frame: EthernetFrame, ready_at: Optional[int] = None) -> int:
         """Transmit a frame; returns its scheduled arrival time.
 
         Serialization is FIFO: a frame cannot start until the previous one
-        has fully left the sender.
+        has fully left the sender. ``ready_at`` is a future instant at
+        which the sender will have the frame (a switch port knows it at
+        ingress: now plus the constant pipeline latency); serialization
+        starts at ``max(ready_at, line free)`` with no event in between,
+        which is exact while ready times arrive in non-decreasing order
+        (one producer adding a constant to the clock). An impairment hook
+        reads the clock and draws its RNG at transmit time, so an impaired
+        link waits for ``ready_at`` in an event and returns ``ready_at``;
+        waiting frames queue FIFO and each event takes the head, so
+        same-nanosecond frames keep their order under any tie order.
         """
         if self.endpoint is None:
             raise RuntimeError(f"link {self.name} has no endpoint")
-        start = max(self.sim.now, self._line_free_at)
-        tx_done = start + self.serialization_delay_ns(frame.wire_bytes)
+        sim = self.sim
+        start = sim.now
+        if ready_at is not None and ready_at > start:
+            if self.impairment is not None:
+                if self._deferred is None:
+                    self._deferred = deque()
+                self._deferred.append(frame)
+                sim.at(ready_at, self._send_deferred, label=self._deferred_label)
+                return ready_at
+            start = ready_at
+        if self._line_free_at > start:
+            start = self._line_free_at
+        wire_bytes = frame.wire_bytes
+        delay = self._serialization_ns.get(wire_bytes)
+        if delay is None:
+            delay = self._serialization_ns[wire_bytes] = self.serialization_delay_ns(
+                wire_bytes
+            )
+        tx_done = start + delay
         self._line_free_at = tx_done
         arrival = tx_done + self.latency_ns
         self.frames_sent += 1
-        self.bytes_sent += frame.wire_bytes
+        self.bytes_sent += wire_bytes
         if self.impairment is not None:
             for when, delivered in self.impairment.on_transmit(self, frame, arrival):
-                self.sim.at(
-                    when, self._deliver, delivered, label=f"{self.name}.deliver"
-                )
+                sim.at(when, self._deliver, delivered, label=self._deliver_label)
             return arrival
-        self.sim.at(arrival, self._deliver, frame, label=f"{self.name}.deliver")
+        sim.at(arrival, self._deliver, frame, label=self._deliver_label)
         return arrival
+
+    def _send_deferred(self) -> None:
+        assert self._deferred is not None
+        self.send(self._deferred.popleft())
 
     def _deliver(self, frame: EthernetFrame) -> None:
         assert self.endpoint is not None

@@ -43,6 +43,7 @@ class ControlPlane:
             rng if rng is not None else RngRegistry(seed=0).stream(f"p4.{name}")
         )
         self.updates_issued = 0
+        self._install_label = f"{name}.install"
 
     def sample_update_latency_ns(self) -> int:
         """Draw one rule-update latency."""
@@ -65,7 +66,7 @@ class ControlPlane:
             if on_done is not None:
                 on_done()
 
-        self.sim.schedule(delay, _apply, label=f"{self.name}.install")
+        self.sim.schedule(delay, _apply, label=self._install_label)
         return self.sim.now + delay
 
     def install_rule_sync(self, table: MatchActionTable, key: Hashable, value: Any) -> None:

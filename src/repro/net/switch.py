@@ -91,18 +91,26 @@ class SwitchPort(NetworkEndpoint):
         self.switch.ingress(frame, self.number)
 
     def transmit(self, frame: EthernetFrame) -> None:
-        """Send a frame out of this port toward the attached node."""
+        """Send a frame out of this port toward the attached node.
+
+        The frame reaches the egress link one pipeline latency from now;
+        the link is told so at once (``ready_at``) instead of through an
+        event, and ``frames_out`` counts the frame here, at ingress.
+        """
         if self.egress is None:
             return
         self.frames_out += 1
-        self.egress.send(frame)
+        switch = self.switch
+        self.egress.send(frame, switch.sim.now + switch.pipeline_latency_ns)
 
 
 class Switch(Process):
     """A store-and-forward switch with a pluggable processing pipeline.
 
     ``pipeline_latency_ns`` models the data-plane forwarding latency
-    (hundreds of nanoseconds on Tofino-class hardware).
+    (hundreds of nanoseconds on Tofino-class hardware). It is constant,
+    so a frame's egress instant is known at ingress and forwarding costs
+    no event of its own (see :meth:`Link.send`'s ``ready_at``).
     """
 
     def __init__(
@@ -173,23 +181,16 @@ class Switch(Process):
         if not decision.out_ports and not decision.extra:
             self.frames_dropped += 1
             return
-        self.sim.schedule(
-            self.pipeline_latency_ns,
-            self._egress,
-            decision,
-            label=f"{self.name}.egress",
-        )
+        ports = self._ports
+        for number in decision.out_ports:
+            port = ports.get(number)
+            if port is not None:
+                port.transmit(decision.frame)
+        for number, extra in decision.extra:
+            port = ports.get(number)
+            if port is not None:
+                port.transmit(extra)
 
     def inject(self, frame: EthernetFrame, in_port: int = -1) -> None:
         """Inject a frame into the pipeline as if received (packet generator)."""
         self.ingress(frame, in_port)
-
-    def _egress(self, decision: ForwardingDecision) -> None:
-        for number in decision.out_ports:
-            port = self._ports.get(number)
-            if port is not None:
-                port.transmit(decision.frame)
-        for number, frame in decision.extra:
-            port = self._ports.get(number)
-            if port is not None:
-                port.transmit(frame)

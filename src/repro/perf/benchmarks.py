@@ -37,6 +37,7 @@ from repro.fronthaul import ecpri
 from repro.net.addresses import MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EthernetFrame, EtherType
+from repro.net.switch import Switch
 from repro.perf.legacy import LegacySimulator
 from repro.perf.scenarios import DIGEST_SCENARIOS
 from repro.perf.timing import wall_ns
@@ -426,6 +427,51 @@ def _run_link_delivery(quick: bool) -> RawRun:
 
 
 # ----------------------------------------------------------------------
+# Switch transit workload
+# ----------------------------------------------------------------------
+#: Frames handed to the uplink back to back before the engine drains.
+_TRANSIT_BURST = 64
+
+
+def _run_transit_hop(quick: bool) -> RawRun:
+    """One switch hop, node -> switch -> node, through
+    :class:`StaticL2Pipeline`: the delay-stage chain every FAPI datagram
+    and fronthaul packet crosses. The frames are sent from outside the
+    event loop, so the engine runs nothing but the hop; events are frames,
+    and ``extra`` reports engine events and microseconds per hop (two
+    link deliveries; the pipeline latency costs no event)."""
+    frames = 20_000 if quick else 80_000
+
+    def drive() -> RawRun:
+        sim = Simulator()
+        switch = Switch(sim, name="bench-switch")
+        collector = _Collector()
+        allocator = MacAllocator()
+        src, dst = allocator.allocate(), allocator.allocate()
+        uplink = switch.attach(_Collector(), name="src").ingress_link
+        switch.pipeline.learn(dst, switch.attach(collector, name="dst").number)
+        payload = object()
+        start = wall_ns()
+        for _ in range(frames // _TRANSIT_BURST):
+            for _ in range(_TRANSIT_BURST):
+                uplink.send(EthernetFrame(src, dst, EtherType.IPV4, payload, wire_bytes=1500))
+            sim.run()
+        wall = (wall_ns() - start) / 1e9
+        hops = collector.received
+        return RawRun(
+            events=hops,
+            wall_seconds=wall,
+            sim_ns=sim.now,
+            extra={
+                "events_per_hop": sim.events_processed / hops,
+                "us_per_hop": round(wall * 1e6 / hops, 2),
+            },
+        )
+
+    return _best_of(drive, repeats=2 if quick else 5)
+
+
+# ----------------------------------------------------------------------
 # Batched PHY slot workload
 # ----------------------------------------------------------------------
 def _phy_slot_corpus(count: int = 24, rng: Any = None) -> List[Any]:
@@ -794,6 +840,9 @@ CATALOG: Dict[str, BenchmarkSpec] = {
         _spec("link_delivery", "micro",
               "frame serialization + delivery on a 100 GbE link model",
               _run_link_delivery),
+        _spec("transit_hop", "micro",
+              "node -> switch -> node through the static L2 pipeline, per frame",
+              _run_transit_hop),
         _spec("phy_slot_scalar", "micro",
               "one uplink slot encoded+demodulated block by block (baseline)",
               _run_phy_slot_scalar),

@@ -149,6 +149,7 @@ class PhyProcess(Process):
         name: str = "phy",
     ) -> None:
         super().__init__(sim, name)
+        self._fh_tx_label = f"{name}.fh_tx"
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
@@ -491,7 +492,7 @@ class PhyProcess(Process):
             self._send_fronthaul_now,
             payload,
             wire_bytes,
-            label=f"{self.name}.fh_tx",
+            label=self._fh_tx_label,
         )
         self._pending.append(handle)
 

@@ -33,11 +33,24 @@ Design notes
   integer-ns fire times (:meth:`Simulator.schedule_periodic`).
   Each periodic event keeps exactly one queued occurrence; when it pops,
   the engine re-arms the next occurrence with an O(1) bucket append
-  instead of an O(log n) heap push. The two lanes merge at pop time under
-  the identical ``(time, tie, seq)`` total order — the engine draws the
-  re-arm's tie/seq keys immediately before invoking the callback, exactly
-  where the old self-rescheduling call sites drew them, so traces (and
-  the tie-order race detector) are bit-identical across lanes.
+  instead of an O(log n) heap push. The two lanes share one
+  ``(time, tie, seq)`` total order — the engine draws the re-arm's
+  tie/seq keys immediately before invoking the callback, exactly where
+  the old self-rescheduling call sites drew them, so traces (and the
+  tie-order race detector) are bit-identical across lanes.
+* The lanes are merged only where they can meet. ``_wheel_times[0]``,
+  the earliest bucket time still on record, is a horizon no wheel
+  occurrence precedes (a drained bucket gives its time up at once; a
+  cancelled one leaves it behind until the merge reclaims it, which
+  only makes the horizon earlier). A live heap head strictly before it —
+  more than eight pops in ten on a deployed cell, whose events are
+  mostly link, switch and queue delays between slot boundaries — is
+  popped with one compare and one ``heappop``; a heap head at or past
+  the horizon, or an empty heap, takes the two-lane compare
+  (:meth:`Simulator._pop_merged`). An event therefore costs one
+  ``EventHandle``, one ``heappush`` and one ``heappop``;
+  :meth:`Simulator.schedule` and :meth:`Simulator.at` each build and
+  push it themselves rather than one calling the other.
 * Wheel garbage (occurrences orphaned by :meth:`PeriodicHandle.cancel` /
   ``re_arm`` churn) is bounded by the same policy as the heap: epoch
   tokens invalidate stale occurrences in O(1), and the wheel is compacted
@@ -50,9 +63,9 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import insort
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -84,6 +97,7 @@ class EventHandle:
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
         label: str = "",
+        sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
         self.callback = callback
@@ -91,8 +105,8 @@ class EventHandle:
         self.cancelled = False
         self.fired = False
         self.label = label
-        #: Owning simulator; set by Simulator.at for compaction accounting.
-        self._sim: Optional["Simulator"] = None
+        #: Owning simulator, for compaction accounting.
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing. Idempotent; safe after firing.
@@ -280,7 +294,8 @@ class Simulator:
         #: Slot-wheel lane: fire time -> [consume_idx, entries] where
         #: entries is a (tie, seq, handle, epoch) list sorted by (tie, seq).
         self._wheel: Dict[int, List[Any]] = {}
-        #: Min-heap of bucket fire times (lazily pruned as buckets drain).
+        #: Min-heap of bucket fire times (a bucket emptied by cancellation
+        #: keeps its time here until the merged pop reclaims it).
         self._wheel_times: List[int] = []
         #: Live (armed, epoch-valid) occurrences queued in the wheel.
         self._wheel_size = 0
@@ -338,7 +353,14 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        return self.at(self._now + delay, callback, *args, label=label)
+        time = self._now + delay
+        handle = EventHandle(time, callback, args, label, self)
+        ties = self._tie_stream
+        heappush(
+            self._queue,
+            (time, 0 if ties is None else ties.draw(), next(self._seq), handle),
+        )
+        return handle
 
     def at(
         self,
@@ -352,10 +374,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} ns; clock is already at {self._now} ns"
             )
-        handle = EventHandle(time, callback, args, label=label)
-        handle._sim = self
-        heapq.heappush(
-            self._queue, (time, self._tie_key(), next(self._seq), handle)
+        handle = EventHandle(time, callback, args, label, self)
+        ties = self._tie_stream
+        heappush(
+            self._queue,
+            (time, 0 if ties is None else ties.draw(), next(self._seq), handle),
         )
         return handle
 
@@ -407,7 +430,7 @@ class Simulator:
         bucket = self._wheel.get(time)
         if bucket is None:
             self._wheel[time] = [0, [entry]]
-            heapq.heappush(self._wheel_times, time)
+            heappush(self._wheel_times, time)
         else:
             entries = bucket[1]
             last = entries[-1]
@@ -429,7 +452,7 @@ class Simulator:
             time = times[0]
             bucket = wheel.get(time)
             if bucket is None:
-                heapq.heappop(times)
+                heappop(times)
                 continue
             idx, entries = bucket
             end = len(entries)
@@ -443,7 +466,7 @@ class Simulator:
                 return (time, tie, seq, handle)
             bucket[0] = idx
             del wheel[time]
-            heapq.heappop(times)
+            heappop(times)
         return None
 
     def _wheel_consume(self, head: Tuple[int, int, int, PeriodicHandle]) -> _QueueEntry:
@@ -451,7 +474,14 @@ class Simulator:
         re-arm the handle's next occurrence (drawing its tie/seq keys now,
         immediately before the caller invokes the callback)."""
         time, tie, seq, handle = head
-        self._wheel[time][0] += 1
+        bucket = self._wheel[time]
+        bucket[0] += 1
+        if bucket[0] == len(bucket[1]):
+            # Drained: drop the bucket and its time (the head of
+            # ``_wheel_times``) now, so the heap-only horizon in
+            # :meth:`_pop` moves on to the next bucket at once.
+            del self._wheel[time]
+            heappop(self._wheel_times)
         self._wheel_size -= 1
         next_time = time + handle.period
         handle.next_time = next_time
@@ -486,7 +516,7 @@ class Simulator:
             if live:
                 new_wheel[time] = [0, live]
                 times.append(time)
-        heapq.heapify(times)
+        heapify(times)
         self._wheel = new_wheel
         self._wheel_times = times
         self._wheel_garbage = 0
@@ -512,7 +542,7 @@ class Simulator:
         pop sequence — compaction is invisible to execution order.
         """
         self._queue = [entry for entry in self._queue if not entry[3].cancelled]
-        heapq.heapify(self._queue)
+        heapify(self._queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
 
@@ -522,25 +552,30 @@ class Simulator:
     def _pop(self, limit: Optional[int] = None) -> Optional[_QueueEntry]:
         """Pop the next live entry with time <= ``limit`` (None = no limit).
 
-        Merges the heap and wheel lanes under the shared (time, tie, seq)
-        total order; a popped wheel occurrence re-arms its successor
-        before returning. Skips (and drops) cancelled entries; leaves a
+        A live heap head strictly earlier than ``_wheel_times[0]`` sorts
+        before every wheel occurrence (stale bucket times only make that
+        horizon earlier), so it is popped without looking at the wheel;
+        a tie or a due bucket takes the two-lane compare in
+        :meth:`_pop_merged`. Skips (and drops) cancelled entries; leaves a
         live head beyond ``limit`` in place and returns None. Every event
         that fires — from either lane — flows through here; the perf
         sampler wraps this method to attribute wall time to subsystems.
         """
         queue = self._queue
-        if self._wheel_size:
-            return self._pop_merged(limit)
+        times = self._wheel_times
         while queue:
             head = queue[0]
             if head[3].cancelled:
-                heapq.heappop(queue)
+                heappop(queue)
                 self._cancelled_in_queue -= 1
                 continue
+            if times and head[0] >= times[0]:
+                break
             if limit is not None and head[0] > limit:
                 return None
-            return heapq.heappop(queue)
+            return heappop(queue)
+        if times:
+            return self._pop_merged(limit)
         return None
 
     def _pop_merged(self, limit: Optional[int]) -> Optional[_QueueEntry]:
@@ -551,7 +586,7 @@ class Simulator:
         while queue:
             head = queue[0]
             if head[3].cancelled:
-                heapq.heappop(queue)
+                heappop(queue)
                 self._cancelled_in_queue -= 1
                 continue
             heap_head = head
@@ -562,11 +597,11 @@ class Simulator:
                 return None
             if limit is not None and heap_head[0] > limit:
                 return None
-            return heapq.heappop(queue)
+            return heappop(queue)
         if heap_head is not None and heap_head[:3] <= wheel_head[:3]:
             if limit is not None and heap_head[0] > limit:
                 return None
-            return heapq.heappop(queue)
+            return heappop(queue)
         if limit is not None and wheel_head[0] > limit:
             return None
         return self._wheel_consume(wheel_head)
@@ -641,7 +676,7 @@ class Simulator:
         while queue:
             head = queue[0]
             if head[3].cancelled:
-                heapq.heappop(queue)
+                heappop(queue)
                 self._cancelled_in_queue -= 1
                 continue
             heap_time = head[0]

@@ -234,6 +234,71 @@ class TestCaptureBeforeSaturationDeadline:
         assert twin.stats == detector.stats
 
 
+class TestCaptureInsideSwitchPipelineWindow:
+    """A forwarded frame costs no event while it crosses the switch: from
+    ingress until the pipeline latency has passed it exists only as its
+    egress link's pending delivery, whose serialization starts at a ready
+    instant still in the future. A checkpoint taken inside that window —
+    for an ordinary frame, and for the failure notification between the
+    detection and its arrival at Orion — must restore to a run that ends
+    on the uninterrupted (chaos-baseline) digest."""
+
+    @staticmethod
+    def _harness():
+        harness = build_probe_harness(1)
+        arm_plan(harness, scenario_by_name()["crash"].plan)
+        return harness
+
+    @staticmethod
+    def _in_the_window(harness, ingress_ns):
+        """Advance to the middle of the window opened at ``ingress_ns``;
+        some egress line is already claimed past the window's end."""
+        switch = harness.cell.switch
+        window_end = ingress_ns + switch.pipeline_latency_ns
+        drive_to(harness, ingress_ns + switch.pipeline_latency_ns // 2)
+        assert any(
+            switch.port(number).egress._line_free_at > window_end
+            for number in switch.port_numbers()
+        )
+
+    @staticmethod
+    def _both_end_on_the_golden_digest(harness, label):
+        checkpoint = Checkpoint.capture(harness, label=label)
+        drive_to(harness, RUN_END_NS)
+        restored = checkpoint.restore()
+        drive_to(restored, RUN_END_NS)
+        assert restored.cell.trace.digest() == harness.cell.trace.digest()
+        assert harness.cell.trace.digest() == _chaos_baseline()[("crash", 1)]
+        return restored
+
+    def test_frame_inside_the_window(self):
+        harness = self._harness()
+        drive_to(harness, FAULT_AT_NS - 10 * MS)
+        sim, switch = harness.cell.sim, harness.cell.switch
+        forwarded = switch.frames_processed - switch.frames_dropped
+        while switch.frames_processed - switch.frames_dropped == forwarded:
+            assert sim.step()
+        self._in_the_window(harness, sim.now)
+        self._both_end_on_the_golden_digest(harness, "frame inside the switch")
+
+    def test_notification_between_detection_and_arrival(self):
+        harness = self._harness()
+        trace, orion = harness.cell.trace, harness.cell.l2_orion
+        drive_to(harness, FAULT_AT_NS)
+        while not trace.count("mbox.failure_detected"):
+            assert harness.cell.sim.step()
+        detected_at = trace.last("mbox.failure_detected").time
+        assert detected_at == harness.cell.sim.now
+        self._in_the_window(harness, detected_at)
+        assert harness.cell.middlebox.stats.notifications_sent == 1
+        assert orion.stats.failovers_handled == 0
+        restored = self._both_end_on_the_golden_digest(
+            harness, "notification inside the switch"
+        )
+        assert restored.cell.l2_orion.stats.failovers_handled == 1
+        assert orion.stats.failovers_handled == 1
+
+
 @pytest.mark.slow
 class TestCaptureMidTcpRecovery:
     """The TCP scoreboard is several ordered views of one flight (time-

@@ -5,8 +5,10 @@ driven for 100 ms and every popped event is attributed to the component
 and callback that own it. Two things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
-  (measured: 62.9; the per-tick detector model this bound was introduced
-  against popped 118.5, of which 55.6 were 9 µs timer ticks);
+  (measured 54.8 plus 15 %; 62.9 while every forwarded frame waited out
+  the switch pipeline in a ``Switch._egress`` event, 118.5 under the
+  per-tick detector model, of which 55.6 were 9 µs timer ticks) and none
+  of them is a switch egress event;
 * no single callback of a single component fires more often than once
   per OFDM symbol — the finest grain at which the modelled RAN does
   anything. A component that needs a finer clock has to evaluate it
@@ -21,7 +23,7 @@ from repro.sim.units import MS
 
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
-MAX_EVENTS_PER_SLOT = 80
+MAX_EVENTS_PER_SLOT = 63
 
 
 def test_healthy_cell_event_budget(monkeypatch):
@@ -50,6 +52,7 @@ def test_healthy_cell_event_budget(monkeypatch):
         f"{events / slots:.1f} events per slot on a healthy cell"
     )
     symbols = slots * cell.config.numerology.symbols_per_slot
+    assert not [name for _, name in fired if name.endswith("._egress")]
     (_, busiest), count = fired.most_common(1)[0]
     assert count <= symbols, (
         f"{busiest} fired {count} times in {symbols} OFDM symbols"

@@ -19,6 +19,7 @@ on every run and every machine — through both paths and require:
 
 import pytest
 
+from repro.core.orion import UDP_OVERHEAD_BYTES, OrionDatagram
 from repro.fapi import codec
 from repro.fapi import messages as m
 from repro.fronthaul import ecpri
@@ -69,6 +70,15 @@ class TestFapiCodecFuzz:
         # size must equal the actual encoding length.
         for message in fapi_corpus:
             assert codec.wire_size(message) == len(codec.encode_message(message))
+
+    def test_orion_datagram_wire_bytes_is_fixed_at_construction(self, fapi_corpus):
+        # Computed once, not per read: the value every hop sees is the
+        # analytic size at the moment the datagram was built.
+        for index, message in enumerate(fapi_corpus):
+            datagram = OrionDatagram(message, phy_id=index % 4, is_response=bool(index % 2))
+            expected = UDP_OVERHEAD_BYTES + codec.wire_size(message)
+            assert datagram.wire_bytes == expected
+            assert vars(datagram)["wire_bytes"] == expected
 
     def test_decoded_tti_pdus_preserve_fields(self, fapi_corpus):
         for message in fapi_corpus:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.perf.harness import (
     MIN_PARALLEL_SPEEDUP,
+    SPEEDUP_GATES,
     BenchmarkResult,
     PerfReport,
     check_report,
@@ -95,12 +96,14 @@ class TestCheckReport:
         assert len(failures) == 1 and "sim/wall" in failures[0]
 
     def test_engine_speedup_gate(self):
+        full, quick = SPEEDUP_GATES["engine_churn"]
+        between = {"engine_churn": (full + quick) / 2}
         baseline = PerfReport(quick=False)
-        current = PerfReport(quick=False, speedups={"engine_churn": 1.1})
+        current = PerfReport(quick=False, speedups=between)
         failures = check_report(current, baseline)
         assert any("speedup[engine_churn]" in f for f in failures)
         # The same measurement passes the relaxed --quick gate.
-        assert check_report(PerfReport(quick=True, speedups={"engine_churn": 1.1}),
+        assert check_report(PerfReport(quick=True, speedups=between),
                             PerfReport(quick=True)) == []
 
     def test_codec_speedup_gate(self):
@@ -120,13 +123,13 @@ class TestCheckReport:
                     extra={"compactions": 3.0},
                 )
             },
-            speedups={"engine_churn": 1.5},
+            speedups={"engine_churn": 3.5},
         )
         path = tmp_path / "bench.json"
         report.write(path)
         loaded = load_report(path)
         assert loaded.quick is True
-        assert loaded.speedups == {"engine_churn": 1.5}
+        assert loaded.speedups == {"engine_churn": 3.5}
         restored = loaded.results["m"]
         assert restored.digest == "c" * 64
         assert restored.sim_ns == 1_000_000

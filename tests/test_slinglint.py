@@ -550,6 +550,19 @@ class TestPerfRules:
             lint(source, path="src/repro/core/orion.py")
         )
 
+    def test_perf002_deferral_to_a_caller_given_instant_unflagged(self):
+        # An impaired link's send(frame, ready_at) waiting for ready_at.
+        source = (
+            "class Link:\n"
+            "    def send(self, frame, ready_at=None):\n"
+            "        if ready_at is not None and ready_at > self.sim.now:\n"
+            "            self.sim.at(ready_at, self.send, frame)\n"
+            "    def _poll(self, period):\n"
+            "        self.sim.schedule(period, self._poll, period)\n"
+        )
+        findings = lint(source, path="src/repro/net/link.py")
+        assert [f.line for f in findings if f.rule_id == "PERF002"] == [6]
+
     def test_perf002_rescheduling_a_different_method_unflagged(self):
         source = (
             "class P:\n"
