@@ -5,11 +5,12 @@
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
 
 README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
-speedups, macro sim/wall ratios, receive-chain rate, TCP recovery cost
-and switch-transit cost between
-``<!-- perf:NAME:begin -->`` and ``<!-- perf:NAME:end -->`` markers. This script regenerates those
-blocks from the committed JSON, so the docs are never typed from memory;
-``tests/test_perf_harness.py`` runs the ``--check`` form in tier-1.
+macro sim/wall ratios, receive-chain rate, TCP recovery cost and
+switch-transit cost between ``<!-- perf:NAME:begin -->`` and
+``<!-- perf:NAME:end -->`` markers. This script regenerates those blocks
+from the committed JSON's full-mode results, so the docs are never typed
+from memory; ``tests/test_perf_harness.py`` runs the ``--check`` form in
+tier-1. The numbers are one host's recorded, ungated rates.
 """
 
 from __future__ import annotations
@@ -20,42 +21,19 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro import CellConfig
-from repro.perf.harness import (
-    SPEEDUP_GATES,
-    SPEEDUP_PAIRS,
-    PerfReport,
-    load_report,
-    parallel_speedup_gate,
-)
-from repro.perf.runner import default_bench_path
+from repro.harness import bench_path
+from repro.perf.harness import BenchmarkResult, load_report
+
+#: What every renderer reads: the full-mode results by benchmark name.
+Results = Dict[str, BenchmarkResult]
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 
 
-def render_speedups(report: PerfReport) -> str:
-    rows = [
-        "| pair (optimized vs baseline) | recorded | gate (full / `--quick`) |",
-        "|---|---|---|",
-    ]
-    for label, value in report.speedups.items():
-        optimized, baseline = SPEEDUP_PAIRS[label]
-        if label in SPEEDUP_GATES:
-            full, quick = SPEEDUP_GATES[label]
-            gate = f"{full:g}× / {quick:g}×"
-        else:
-            probe = report.results[optimized].extra.get("measured_parallelism", 1.0)
-            gate = (
-                f"{parallel_speedup_gate(probe):.2f}× at measured "
-                f"parallelism {probe:.2f}"
-            )
-        rows.append(f"| `{optimized}` vs `{baseline}` | **{value:.2f}×** | {gate} |")
-    return "\n".join(rows)
-
-
-def render_macros(report: PerfReport) -> str:
+def render_macros(results: Results) -> str:
     macros = [
-        result for result in report.results.values()
+        result for result in results.values()
         if result.kind == "macro" and result.sim_wall_ratio is not None
     ]
     rows = [
@@ -74,53 +52,53 @@ def render_macros(report: PerfReport) -> str:
         f"{len(made_it)} of {len(macros)} recorded macro runs reach 1× real "
         f"time on the recording host"
         + (f" ({', '.join(f'`{name}`' for name in made_it)})." if made_it else ".")
-        + " The `campaign_shards_*` rows sum sim time over four one-cell shards."
+        + " The `campaign_shards_serial` row sums sim time over four one-cell shards."
     )
     return "\n".join(rows)
 
 
-def render_rxchain(report: PerfReport) -> str:
+def render_rxchain(results: Results) -> str:
     """The per-block receive-chain budget against a 500 us slot."""
-    result = report.results["phy_rx_chain"]
+    result = results["phy_rx_chain"]
     per_block_us = 1e6 / result.events_per_sec
     return (
         f"`phy_rx_chain`: {result.events_per_sec:,.0f} blocks/s "
         f"({per_block_us:.0f} µs a block at "
-        f"{result.extra['iterations_per_block']:.2f} BP iterations a block, "
-        f"block error rate {result.extra['block_error_rate']:.2%}) — "
+        f"{result.counts['iterations_per_block']:.2f} BP iterations a block, "
+        f"block error rate {result.counts['block_error_rate']:.2%}) — "
         f"{500.0 / per_block_us:.1f} transport blocks per 500 µs slot per "
         "core is this host's real-time receive budget."
     )
 
 
-def render_tcprecovery(report: PerfReport) -> str:
+def render_tcprecovery(results: Results) -> str:
     """What one segment costs the transport layer at a full window."""
-    result = report.results["tcp_recovery_window"]
+    result = results["tcp_recovery_window"]
     return (
         f"`tcp_recovery_window` as recorded ({result.description}): "
         f"{result.events_per_sec:,.0f} ACKs/s, "
         f"{result.extra['us_per_ack']:.1f} µs a segment, "
-        f"{result.extra['retransmissions']:.0f} retransmissions, "
-        f"{result.extra['rto_events']:.0f} RTOs."
+        f"{result.counts['retransmissions']:.0f} retransmissions, "
+        f"{result.counts['rto_events']:.0f} RTOs."
     )
 
 
-def render_transit(report: PerfReport) -> str:
+def render_transit(results: Results) -> str:
     """What a switch hop costs, and what a cell-slot costs in events."""
-    hop = report.results["transit_hop"]
+    hop = results["transit_hop"]
     slot_ns = CellConfig().numerology.slot_duration_ns
     rows = [
         f"`transit_hop` as recorded ({hop.description}): "
         f"{hop.events_per_sec:,.0f} hops/s, {hop.extra['us_per_hop']:.2f} µs "
-        f"and {hop.extra['events_per_hop']:g} engine events a hop.",
+        f"and {hop.counts['events_per_hop']:g} engine events a hop.",
         "",
         "| recorded run | cells | events | events per cell-slot |",
         "|---|---|---|---|",
     ]
-    for result in report.results.values():
+    for result in results.values():
         if result.digest is None or result.name.startswith("campaign_shards"):
             continue
-        cells = int(result.extra.get("cells", 1))
+        cells = int(result.counts.get("cells", 1))
         per_slot = result.events / (cells * result.sim_ns / slot_ns)
         rows.append(
             f"| `{result.name}` | {cells} | {result.events:,} | {per_slot:.1f} |"
@@ -128,8 +106,7 @@ def render_transit(report: PerfReport) -> str:
     return "\n".join(rows)
 
 
-BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
-    "speedups": render_speedups,
+BLOCKS: Dict[str, Callable[[Results], str]] = {
     "macros": render_macros,
     "rxchain": render_rxchain,
     "tcprecovery": render_tcprecovery,
@@ -137,12 +114,12 @@ BLOCKS: Dict[str, Callable[[PerfReport], str]] = {
 }
 
 
-def render_doc(text: str, report: PerfReport) -> str:
-    """``text`` with every marked block regenerated from ``report``."""
+def render_doc(text: str, results: Results) -> str:
+    """``text`` with every marked block regenerated from ``results``."""
     def replace(match: "re.Match[str]") -> str:
         name = match.group(1)
         return (
-            f"<!-- perf:{name}:begin -->\n{BLOCKS[name](report)}\n"
+            f"<!-- perf:{name}:begin -->\n{BLOCKS[name](results)}\n"
             f"<!-- perf:{name}:end -->"
         )
 
@@ -153,12 +130,12 @@ def render_doc(text: str, report: PerfReport) -> str:
 
 
 def main(argv: "list[str]") -> int:
-    report = load_report(default_bench_path())
+    results = load_report(bench_path("perf")).modes["full"]
     stale = []
     for name in DOCS:
         path = ROOT / name
         text = path.read_text()
-        fresh = render_doc(text, report)
+        fresh = render_doc(text, results)
         if fresh != text:
             stale.append(name)
             if "--check" not in argv:

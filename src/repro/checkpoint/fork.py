@@ -39,6 +39,7 @@ from repro.faults.campaign import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import ChaosScenario, RUN_END_NS
+from repro.harness import fan_out
 from repro.parallel.pool import run_shards
 from repro.sim.units import MS
 
@@ -171,15 +172,8 @@ def forked_sweep(
         )
         for scenario, seed in pairs
     ]
-    outcome = run_shards(
-        run_forked_scenario_shard,
-        shards,
-        jobs=jobs,
-        progress=None if progress is None else (lambda key, run: progress(run)),
-    )
-    report = CampaignReport(
-        runs=outcome.values(), execution=outcome.accounting()
-    )
+    results, execution = fan_out(run_forked_scenario_shard, shards, jobs, progress)
+    report = CampaignReport(runs=list(results.values()), execution=execution)
     fork_info = {
         "bases_total": len(base_paths),
         "bases_built": bases_built,

@@ -19,19 +19,20 @@ operating deployment imposes:
   runs and faster than rebuilding each (the recorded speedup is the
   BENCH's headline number).
 
-``python -m repro soak`` records ``benchmarks/BENCH_soak.json``;
-``--check [--quick]`` reruns deterministically and gates on it.
+``python -m repro soak --out benchmarks/BENCH_soak.json`` records the
+baseline (both profiles); ``--check [--quick]`` reruns one profile
+deterministically and compares its exact fields (:mod:`repro.harness`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import harness
 from repro.checkpoint.fork import forked_sweep
 from repro.checkpoint.snapshot import Checkpoint, SnapshotError
 from repro.faults.soak import (
@@ -46,10 +47,6 @@ from repro.sim.units import MS
 
 #: Checkpoints kept on disk during a soak (older boundaries pruned).
 KEEP_CHECKPOINTS = 3
-
-#: Recorded-speedup floor the ``--check`` gate enforces for the forked
-#: sweep (vs the cold sweep at the same --jobs).
-FORK_SPEEDUP_FLOOR = 1.5
 
 #: Scenario subset the quick profile forks (shares one warm base, so
 #: the digest-identity property gets exercised end to end cheaply).
@@ -159,18 +156,6 @@ def _verify_resume(
     }
 
 
-def _chaos_baseline_digests() -> Dict[Tuple[str, int], str]:
-    from repro.faults.campaign import default_bench_path
-
-    path = default_bench_path()
-    if not path.exists():
-        return {}
-    return {
-        (entry["scenario"], entry["seed"]): entry["digest"]
-        for entry in json.loads(path.read_text()).get("runs", [])
-    }
-
-
 #: Seeds the full profile's fork/cold comparison sweeps. Two seeds
 #: double the branches per warm base, which is exactly the regime
 #: forking exists for (many futures off one warm past).
@@ -196,7 +181,7 @@ def _fork_section(
     across every subsequent sweep that reuses the bases.
     """
     from repro.checkpoint.fork import ensure_fork_bases
-    from repro.faults.campaign import run_campaign
+    from repro.faults.campaign import recorded_digests, run_campaign
     from repro.faults.scenarios import scenario_by_name, standard_scenarios
 
     if quick:
@@ -212,7 +197,7 @@ def _fork_section(
         scenarios, seeds=seeds, checkpoint_dir=checkpoint_dir, jobs=jobs
     )
     forked_wall = (wall_ns() - started) / 1e9
-    baseline = _chaos_baseline_digests()
+    baseline = recorded_digests()
     mismatched = [
         f"{run.scenario}/seed={run.seed}"
         for run in report.runs
@@ -308,68 +293,11 @@ def summarize(result: Dict[str, Any]) -> str:
 
 
 # ----------------------------------------------------------------------
-# CLI (python -m repro soak)
+# CLI: the ``soak`` verb's declaration. The fan-out lives inside
+# ``run_campaign`` / ``forked_sweep``, so soak hands the harness a whole
+# ``run`` and adopts its baseline / check / write / exit-code half.
 # ----------------------------------------------------------------------
-def default_bench_path() -> Path:
-    """Repo-local baseline location: ``benchmarks/BENCH_soak.json``."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_soak.json"
-
-
-def check_against_baseline(
-    fresh: Dict[str, Any], profile: str, baseline_path: Path
-) -> List[str]:
-    """Gate a fresh profile run against the recorded baseline.
-
-    Deterministic fields (digests, verdicts) must match exactly; the
-    recorded **full**-profile fork speedup must clear
-    :data:`FORK_SPEEDUP_FLOOR` (wall times are machine facts, so the
-    gate trusts the recorded measurement rather than re-timing).
-    """
-    failures: List[str] = []
-    if not baseline_path.exists():
-        return [f"baseline {baseline_path} does not exist (record it first)"]
-    recorded_all = json.loads(baseline_path.read_text())
-    recorded = recorded_all.get("profiles", {}).get(profile)
-    if recorded is None:
-        return [f"baseline has no {profile!r} profile (re-record it)"]
-    for key in ("rolling_digest", "events_processed", "probe_deliveries"):
-        if fresh["soak"][key] != recorded["soak"][key]:
-            failures.append(
-                f"soak.{key}: {fresh['soak'][key]!r} != recorded "
-                f"{recorded['soak'][key]!r}"
-            )
-    if not fresh["resume"]["digest_matched"]:
-        failures.append("crash-resume digest did not match the soak digest")
-    if fresh["resume"]["rolling_digest"] != recorded["resume"]["rolling_digest"]:
-        failures.append("resume digest differs from recorded baseline")
-    if not fresh["fork"]["digests_matched_chaos_baseline"]:
-        failures.append(
-            "forked sweep digests diverged from BENCH_chaos: "
-            + ", ".join(fresh["fork"]["mismatched"])
-        )
-    if not fresh["fork"]["all_passed"]:
-        failures.append("forked sweep had failing scenario runs")
-    full = recorded_all.get("profiles", {}).get("full", {})
-    speedup = full.get("fork", {}).get("speedup")
-    if speedup is None:
-        failures.append("baseline records no full-profile fork speedup")
-    elif speedup < FORK_SPEEDUP_FLOOR:
-        failures.append(
-            f"recorded fork speedup {speedup}x below the "
-            f"{FORK_SPEEDUP_FLOOR}x floor"
-        )
-    return failures
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cliopts import harness_options, resolve_jobs
-
-    parser = argparse.ArgumentParser(
-        prog="repro soak",
-        description="Continuous-operation soak: background chaos, rolling "
-        "digests, checkpoint/resume, and scenario forking.",
-        parents=[harness_options()],
-    )
+def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--resume",
         type=Path,
@@ -394,84 +322,104 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         metavar="S",
         help="simulated seconds (default: profile-specific)",
     )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    jobs = resolve_jobs(args.jobs, "repro soak")
-    if jobs is None:
-        return 2
 
+
+def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
+    """``--resume`` and one-off ``--horizon/--seed`` runs (neither is the
+    recorded baseline shape, so neither reports nor gates)."""
     if args.resume is not None:
         try:
             _, summary, _ = run_soak(
                 resume=args.resume, checkpoint_dir=args.ckpt_dir
             )
         except (OSError, SnapshotError) as exc:
-            print(f"repro soak: cannot resume: {exc}", file=sys.stderr)
-            return 2
+            raise harness.UsageError(f"cannot resume: {exc}")
         print(
             f"resumed from {summary['resumed_from_ns'] / 1e6:.0f} ms, "
             f"finished at {summary['horizon_ns'] / 1e6:.0f} ms"
         )
         print(f"rolling digest: {summary['rolling_digest']}")
         return 0
-
-    if args.check:
-        profile = "quick" if args.quick else "full"
-        fresh = run_profile(profile, jobs=jobs, measure_speedup=False)
-        failures = check_against_baseline(
-            fresh,
-            profile,
-            args.out if args.out is not None else default_bench_path(),
+    if args.horizon is None and args.seed == 1:
+        return None
+    config = SoakConfig(
+        seed=args.seed, horizon_ns=int((args.horizon or 3.0) * 1e9)
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
+        _, summary, written = run_soak(
+            config, checkpoint_dir=args.ckpt_dir or Path(tmp)
         )
-        if failures:
-            print(f"soak check FAILED ({len(failures)} mismatch(es)):")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(
-            f"soak check passed ({profile} profile, "
-            f"digest {fresh['soak']['rolling_digest'][:12]}...)"
-        )
-        return 0
+        resume = _verify_resume(written, summary["rolling_digest"])
+    print(summarize({"soak": summary, "resume": resume, "jobs": jobs}))
+    return 0 if resume["digest_matched"] else 1
 
-    if args.horizon is not None or args.seed != 1:
-        # One-off run (not the recorded baseline shape).
-        config = SoakConfig(
-            seed=args.seed,
-            horizon_ns=int((args.horizon or 3.0) * 1e9),
-        )
-        ckpt_dir = args.ckpt_dir
-        if ckpt_dir is None:
-            with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
-                _, summary, written = run_soak(config, checkpoint_dir=Path(tmp))
-                resume = _verify_resume(written, summary["rolling_digest"])
-        else:
-            _, summary, written = run_soak(config, checkpoint_dir=ckpt_dir)
-            resume = _verify_resume(written, summary["rolling_digest"])
-        print(summarize({"soak": summary, "resume": resume, "jobs": jobs}))
-        return 0 if resume["digest_matched"] else 1
 
-    report = {
+def _run(args: argparse.Namespace, jobs: int) -> Dict[str, Any]:
+    """The recorded shape: ``--quick`` / ``--check`` run one profile, a
+    plain run both, timing the full profile's fork against a cold sweep."""
+    return {
         "benchmark": "soak",
         "profiles": {
-            "quick": run_profile("quick", jobs=jobs, measure_speedup=False),
-            "full": run_profile("full", jobs=jobs, measure_speedup=True),
+            profile: run_profile(
+                profile,
+                jobs=jobs,
+                measure_speedup=profile == "full" and not args.check,
+            )
+            for profile in harness.recorded_modes(args)
         },
     }
-    passed = all(profile_passed(p) for p in report["profiles"].values())
-    out = args.out if args.out is not None else default_bench_path()
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    full_fork = report["profiles"]["full"]["fork"]
-    print(
-        f"soak baseline written to {out}\n"
-        f"  fork speedup: {full_fork.get('speedup')}x "
-        f"(cold {full_fork.get('cold_wall_seconds')}s vs "
-        f"forked {full_fork.get('forked_wall_seconds')}s at jobs={jobs})"
-    )
-    return 0 if passed else 1
+
+
+def _summary(report: Dict[str, Any]) -> str:
+    lines = []
+    for profile, section in report["profiles"].items():
+        fork = section["fork"]
+        line = (
+            f"{profile:<6} digest {section['soak']['rolling_digest'][:12]}...  "
+            "crash-resume "
+            + ("MATCHED" if section["resume"]["digest_matched"] else "MISMATCH")
+            + f"  fork: {fork['runs_total']} runs "
+            + ("passed" if fork["all_passed"] else "FAILED")
+            + ", digests "
+            + (
+                "match BENCH_chaos"
+                if fork["digests_matched_chaos_baseline"]
+                else "DIVERGE from BENCH_chaos: " + ", ".join(fork["mismatched"])
+            )
+        )
+        if "speedup" in fork:
+            line += (
+                f"  [fork speedup {fork['speedup']}x: cold "
+                f"{fork['cold_wall_seconds']}s vs forked "
+                f"{fork['forked_wall_seconds']}s at jobs={fork['jobs']}]"
+            )
+        lines.append(line)
+    return "\n".join(lines)
+
+
+SOAK = harness.Verb(
+    name="soak",
+    description="Continuous-operation soak: background chaos, rolling "
+    "digests, checkpoint/resume, and scenario forking.",
+    exact_fields=(
+        "soak.rolling_digest",
+        "soak.events_processed",
+        "soak.probe_deliveries",
+        "resume.rolling_digest",
+    ),
+    arguments=_arguments,
+    entries=lambda report: report["profiles"],
+    summary=_summary,
+    run=_run,
+    passed=lambda report: all(
+        profile_passed(section) for section in report["profiles"].values()
+    ),
+    side_mode=_side_mode,
+)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main(SOAK, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -38,9 +38,17 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import REGISTRY, ExperimentSpec
 
-#: Harness verbs dispatched to their own sub-CLIs before experiment
-#: argument parsing (name -> lazy main import).
-_HARNESS_VERBS = ("lint", "chaos", "perf", "telemetry", "soak", "fleet")
+#: Verbs dispatched to their own sub-CLIs before experiment argument
+#: parsing: name -> module whose ``main(argv)`` runs it (imported lazily).
+#: All but ``lint`` are declarations handed to :mod:`repro.harness`.
+_HARNESS_VERBS = {
+    "lint": "repro.analysis.runner",
+    "chaos": "repro.faults.campaign",
+    "perf": "repro.perf.runner",
+    "telemetry": "repro.telemetry.runner",
+    "soak": "repro.checkpoint.soak",
+    "fleet": "repro.fleet.campaign",
+}
 
 
 def _registry_runner(spec: ExperimentSpec) -> Callable:
@@ -126,29 +134,9 @@ def _wall_seconds() -> float:
 
 
 def _dispatch_harness(verb: str, argv: List[str]) -> int:
-    if verb == "lint":
-        from repro.analysis import runner as lint_runner
+    import importlib
 
-        return lint_runner.main(argv)
-    if verb == "chaos":
-        from repro.faults import campaign as chaos_campaign
-
-        return chaos_campaign.main(argv)
-    if verb == "perf":
-        from repro.perf import runner as perf_runner
-
-        return perf_runner.main(argv)
-    if verb == "soak":
-        from repro.checkpoint import soak as soak_harness
-
-        return soak_harness.main(argv)
-    if verb == "fleet":
-        from repro.fleet import campaign as fleet_campaign
-
-        return fleet_campaign.main(argv)
-    from repro.telemetry import runner as telemetry_runner
-
-    return telemetry_runner.main(argv)
+    return importlib.import_module(_HARNESS_VERBS[verb]).main(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -2,8 +2,9 @@
 
 Runs a scenario matrix x seeds, checks the recovery invariants on each
 run, optionally replays every (scenario, seed) pair to prove the trace
-digest is seed-stable, and emits a JSON report (by default into
-``benchmarks/BENCH_chaos.json``).
+digest is seed-stable, and emits a JSON report (``--out FILE``;
+``benchmarks/BENCH_chaos.json`` is the recorded baseline ``--check``
+compares against — see :mod:`repro.harness`).
 
 ``--jobs N`` fans the independent ``(scenario, seed)`` shards out to a
 process pool (:mod:`repro.parallel`). Every shard rebuilds its cell
@@ -19,12 +20,11 @@ determinism stays mechanically checkable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro import harness
 from repro.apps.dispatch import UplinkTransmit
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
@@ -40,7 +40,6 @@ from repro.faults.scenarios import (
     scenario_by_name,
     standard_scenarios,
 )
-from repro.parallel.pool import run_shards
 from repro.parallel.workers import run_campaign_shard
 from repro.telemetry.metrics import active as _telemetry_active
 from repro.transport.packet import FlowDirection, Packet
@@ -323,6 +322,21 @@ def run_scenario(
     return run
 
 
+def _shards(
+    scenarios: Sequence[ChaosScenario], seeds: Sequence[int], replay: bool
+) -> harness.Shards:
+    """The canonical ``(scenario name, seed)``-keyed shard table."""
+    return [
+        ((scenario.name, seed), (scenario, seed, replay))
+        for scenario in scenarios
+        for seed in seeds
+    ]
+
+
+def _report(results: Dict[tuple, ScenarioRun], execution: dict) -> CampaignReport:
+    return CampaignReport(runs=list(results.values()), execution=execution)
+
+
 def run_campaign(
     scenarios: Optional[Sequence[ChaosScenario]] = None,
     seeds: Sequence[int] = (1, 2, 3),
@@ -332,27 +346,20 @@ def run_campaign(
 ) -> CampaignReport:
     """Run the (scenario x seed) matrix, optionally on ``jobs`` workers.
 
-    The shard key is the canonical ``(scenario name, seed)`` pair;
-    results merge — and ``progress`` streams — in that order at every
-    jobs value, so the returned report is identical to a serial run.
+    Results merge — and ``progress`` streams — in canonical shard order
+    at every jobs value, so the returned report is identical to a serial
+    run.
     """
-    selected = list(scenarios) if scenarios is not None else list(standard_scenarios())
-    shards = [
-        ((scenario.name, seed), (scenario, seed, replay))
-        for scenario in selected
-        for seed in seeds
-    ]
-    outcome = run_shards(
-        run_campaign_shard,
-        shards,
-        jobs=jobs,
-        progress=None if progress is None else (lambda key, run: progress(run)),
+    selected = standard_scenarios() if scenarios is None else scenarios
+    return _report(
+        *harness.fan_out(
+            run_campaign_shard, _shards(selected, seeds, replay), jobs, progress
+        )
     )
-    return CampaignReport(runs=outcome.values(), execution=outcome.accounting())
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: the ``chaos`` verb's declaration (the harness does the rest)
 # ----------------------------------------------------------------------
 def _format_run(run: ScenarioRun) -> str:
     verdict = "PASS" if run.passed else "FAIL"
@@ -367,49 +374,18 @@ def _format_run(run: ScenarioRun) -> str:
     )
 
 
-def default_bench_path() -> Path:
-    """Repo-local baseline location: ``benchmarks/BENCH_chaos.json``."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_chaos.json"
+def recorded_digests() -> Dict[Tuple[str, int], str]:
+    """``(scenario, seed)`` -> digest recorded (telemetry off, cold) in
+    ``BENCH_chaos.json``; empty when that file cannot be loaded."""
+    try:
+        runs = harness.load_baseline("chaos")["runs"]
+    except harness.BaselineError:
+        return {}
+    return {(run["scenario"], run["seed"]): run["digest"] for run in runs}
 
 
-def check_against_baseline(report: CampaignReport, baseline_path: Path) -> List[str]:
-    """Compare a fresh campaign's digests to the recorded baseline.
-
-    Only the runs actually executed are compared (so ``--check`` composes
-    with ``--scenario``/``--quick`` subsets); a run missing from the
-    baseline is a failure — the baseline must be re-recorded to cover it.
-    """
-    failures: List[str] = []
-    if not baseline_path.exists():
-        return [f"baseline {baseline_path} does not exist (record it first)"]
-    recorded = json.loads(baseline_path.read_text())
-    by_key = {
-        (entry["scenario"], entry["seed"]): entry
-        for entry in recorded.get("runs", [])
-    }
-    for run in report.runs:
-        entry = by_key.get((run.scenario, run.seed))
-        if entry is None:
-            failures.append(
-                f"{run.scenario}/seed={run.seed}: not in baseline"
-            )
-        elif entry["digest"] != run.digest:
-            failures.append(
-                f"{run.scenario}/seed={run.seed}: digest "
-                f"{run.digest[:12]}... != recorded {entry['digest'][:12]}..."
-            )
-    return failures
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cliopts import harness_options, resolve_jobs
-
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Deterministic fault-injection campaign with "
-        "recovery-invariant checking.",
-        parents=[harness_options()],
-    )
+def scenario_arguments(parser: argparse.ArgumentParser) -> None:
+    """``--scenario`` / ``--seeds``, shared with ``repro telemetry``."""
     parser.add_argument(
         "--scenario",
         action="append",
@@ -424,83 +400,61 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=None,
         help="scenario seeds (default: 1 2 3; --quick: 1)",
     )
+
+
+def selected_matrix(
+    args: argparse.Namespace, quick_scenarios: Optional[Sequence[str]] = None
+) -> Tuple[List[ChaosScenario], List[int]]:
+    """The (scenarios, seeds) a parsed ``--scenario/--seeds/--quick`` names."""
+    catalog = scenario_by_name()
+    names = args.scenarios or (
+        quick_scenarios if args.quick and quick_scenarios else list(catalog)
+    )
+    seeds = args.seeds if args.seeds is not None else ([1] if args.quick else [1, 2, 3])
+    return harness.select(catalog, names, "scenario"), seeds
+
+
+def _arguments(parser: argparse.ArgumentParser) -> None:
+    scenario_arguments(parser)
     parser.add_argument(
         "--no-replay",
         action="store_true",
         help="skip the digest-stability replay of each run (faster)",
     )
-    parser.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
+
+
+def _cli_shards(args: argparse.Namespace) -> harness.Shards:
+    scenarios, seeds = selected_matrix(args)
+    return _shards(scenarios, seeds, replay=not (args.no_replay or args.quick))
+
+
+def _summary(report: dict) -> str:
+    return (
+        f"{report['runs_total']} runs, {report['runs_failed']} failed, "
+        f"{report['replays_mismatched']} replay mismatches"
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
 
-    catalog = scenario_by_name()
-    if args.list:
-        for name, scenario in catalog.items():
-            print(f"{name:<18} {scenario.description}")
-        return 0
-    if args.scenarios:
-        unknown = [n for n in args.scenarios if n not in catalog]
-        if unknown:
-            print(f"repro chaos: unknown scenario(s): {unknown}", file=sys.stderr)
-            return 2
-        selected = [catalog[n] for n in args.scenarios]
-    else:
-        selected = list(standard_scenarios())
 
-    jobs = resolve_jobs(args.jobs, "repro chaos")
-    if jobs is None:
-        return 2
-    seeds = args.seeds if args.seeds is not None else ([1] if args.quick else [1, 2, 3])
-    replay = not (args.no_replay or args.quick)
+CHAOS = harness.Verb(
+    name="chaos",
+    description="Deterministic fault-injection campaign with "
+    "recovery-invariant checking.",
+    exact_fields=("digest",),
+    arguments=_arguments,
+    entries=harness.runs_by("scenario", "seed"),
+    summary=_summary,
+    shards=_cli_shards,
+    worker=run_campaign_shard,
+    format_run=_format_run,
+    report=lambda results, execution: _report(results, execution).bench_dict(),
+    catalog=lambda: {
+        name: scenario.description for name, scenario in scenario_by_name().items()
+    },
+)
 
-    def progress(run: ScenarioRun) -> None:
-        if args.format == "text":
-            print(_format_run(run), flush=True)
 
-    report = run_campaign(
-        selected, seeds=seeds, replay=replay,
-        progress=progress, jobs=jobs,
-    )
-    if args.format == "json":
-        print(json.dumps(report.bench_dict(), indent=2))
-    else:
-        failed = sum(1 for r in report.runs if not r.passed)
-        mismatched = sum(
-            1 for r in report.runs if r.replay_digest_matched is False
-        )
-        summary = (
-            f"\n{len(report.runs)} runs, {failed} failed, "
-            f"{mismatched} replay mismatches"
-        )
-        if report.execution is not None:
-            speedup = report.execution.get("parallel_speedup")
-            summary += (
-                f"  [jobs={report.execution['effective_jobs']}"
-                + (f", speedup {speedup:.2f}x" if speedup else "")
-                + "]"
-            )
-        print(summary)
-    if args.check:
-        failures = check_against_baseline(
-            report, args.out if args.out is not None else default_bench_path()
-        )
-        if failures:
-            print(f"\nchaos check FAILED ({len(failures)} mismatch(es)):")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"\nchaos check passed ({len(report.runs)} run(s))")
-    elif args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report.bench_dict(), indent=2) + "\n")
-    return 0 if report.passed else 1
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main(CHAOS, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,16 +17,15 @@ report and every digest are bit-identical at any jobs value.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import harness
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.fleet.composer import FleetConfig, FleetHarness, build_fleet, fleet_digest
-from repro.parallel.pool import run_shards
+from repro.parallel.workers import run_fleet_shard
 from repro.telemetry.metrics import active as _telemetry_active
 from repro.sim.units import MS
 
@@ -358,6 +357,31 @@ class FleetReport:
         return data
 
 
+def _shards(
+    fault_classes: Optional[Sequence[str]],
+    pool_sizes: Optional[Sequence[int]],
+    seeds: Optional[Sequence[int]],
+    quick: bool,
+) -> harness.Shards:
+    """The canonical ``(fault_class, pool_size, seed)``-keyed shard table
+    (key and payload coincide); None picks the full / ``quick`` default."""
+    if fault_classes is None:
+        fault_classes = QUICK_FAULT_CLASSES if quick else FAULT_CLASSES
+    if seeds is None:
+        seeds = QUICK_SEEDS if quick else FLEET_SEEDS
+    keys = [
+        (fault_class, pool_size, seed)
+        for fault_class in fault_classes
+        for pool_size in pool_sizes or POOL_SIZES
+        for seed in seeds
+    ]
+    return [(key, key) for key in keys]
+
+
+def _report(results: Dict[tuple, FleetRun], execution: dict) -> FleetReport:
+    return FleetReport(runs=list(results.values()), execution=execution)
+
+
 def run_fleet_campaign(
     fault_classes: Optional[Sequence[str]] = None,
     pool_sizes: Sequence[int] = POOL_SIZES,
@@ -368,36 +392,21 @@ def run_fleet_campaign(
 ) -> FleetReport:
     """Run the (fault class x pool size x seed) matrix on ``jobs`` workers.
 
-    The shard key is the canonical ``(fault_class, pool_size, seed)``
-    triple; results merge — and ``progress`` streams — in that order at
-    every jobs value, so the report is identical to a serial run.
+    Results merge — and ``progress`` streams — in canonical shard order
+    at every jobs value, so the report is identical to a serial run.
     """
-    from repro.parallel.workers import run_fleet_shard
-
-    if fault_classes is None:
-        fault_classes = QUICK_FAULT_CLASSES if quick else FAULT_CLASSES
-    if seeds is None:
-        seeds = QUICK_SEEDS if quick else FLEET_SEEDS
-    shards = [
-        (
-            (fault_class, pool_size, seed),
-            (fault_class, pool_size, seed),
+    return _report(
+        *harness.fan_out(
+            run_fleet_shard,
+            _shards(fault_classes, pool_sizes, seeds, quick),
+            jobs,
+            progress,
         )
-        for fault_class in fault_classes
-        for pool_size in pool_sizes
-        for seed in seeds
-    ]
-    outcome = run_shards(
-        run_fleet_shard,
-        shards,
-        jobs=jobs,
-        progress=None if progress is None else (lambda key, run: progress(run)),
     )
-    return FleetReport(runs=outcome.values(), execution=outcome.accounting())
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: the ``fleet`` verb's declaration (the harness does the rest)
 # ----------------------------------------------------------------------
 def _format_run(run: FleetRun) -> str:
     verdict = "PASS" if run.passed else "FAIL"
@@ -412,54 +421,7 @@ def _format_run(run: FleetRun) -> str:
     )
 
 
-def default_bench_path() -> Path:
-    """Repo-local baseline location: ``benchmarks/BENCH_fleet.json``."""
-    return Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_fleet.json"
-
-
-def check_against_baseline(report: FleetReport, baseline_path: Path) -> List[str]:
-    """Compare a fresh campaign's digests/curve points to the baseline.
-
-    Only executed runs are compared (``--check`` composes with
-    ``--quick`` subsets); a run missing from the baseline is a failure.
-    """
-    failures: List[str] = []
-    if not baseline_path.exists():
-        return [f"baseline {baseline_path} does not exist (record it first)"]
-    recorded = json.loads(baseline_path.read_text())
-    by_key = {
-        (entry["fault_class"], entry["pool_size"], entry["seed"]): entry
-        for entry in recorded.get("runs", [])
-    }
-    for run in report.runs:
-        key = (run.fault_class, run.pool_size, run.seed)
-        label = f"{run.fault_class}/pool={run.pool_size}/seed={run.seed}"
-        entry = by_key.get(key)
-        if entry is None:
-            failures.append(f"{label}: not in baseline")
-            continue
-        if entry["digest"] != run.digest:
-            failures.append(
-                f"{label}: digest {run.digest[:12]}... != recorded "
-                f"{entry['digest'][:12]}..."
-            )
-        if entry["availability"] != run.availability:
-            failures.append(
-                f"{label}: availability {run.availability} != recorded "
-                f"{entry['availability']}"
-            )
-    return failures
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cliopts import harness_options, resolve_jobs
-
-    parser = argparse.ArgumentParser(
-        prog="repro fleet",
-        description="Metro-scale fleet campaign: availability vs pooled "
-        "standby count across the chaos fault classes.",
-        parents=[harness_options()],
-    )
+def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--class",
         action="append",
@@ -479,59 +441,33 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--seeds", type=int, nargs="+", default=None,
         help="fleet seeds (default: 1 2; --quick: 1)",
     )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
+
+
+def _summary(report: dict) -> str:
+    return f"{report['runs_total']} runs, {report['runs_failed']} failed" + "".join(
+        f"\n  curve problem: {problem}" for problem in report["curve_problems"]
     )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
 
-    jobs = resolve_jobs(args.jobs, "repro fleet")
-    if jobs is None:
-        return 2
 
-    def progress(run: FleetRun) -> None:
-        if args.format == "text":
-            print(_format_run(run), flush=True)
+FLEET = harness.Verb(
+    name="fleet",
+    description="Metro-scale fleet campaign: availability vs pooled "
+    "standby count across the chaos fault classes.",
+    exact_fields=("digest", "availability"),
+    arguments=_arguments,
+    entries=harness.runs_by("fault_class", "pool_size", "seed"),
+    summary=_summary,
+    shards=lambda args: _shards(
+        args.fault_classes, args.pool_sizes, args.seeds, args.quick
+    ),
+    worker=run_fleet_shard,
+    format_run=_format_run,
+    report=lambda results, execution: _report(results, execution).bench_dict(),
+)
 
-    report = run_fleet_campaign(
-        fault_classes=args.fault_classes,
-        pool_sizes=tuple(args.pool_sizes) if args.pool_sizes else POOL_SIZES,
-        seeds=args.seeds,
-        quick=args.quick,
-        progress=progress,
-        jobs=jobs,
-    )
-    if args.format == "json":
-        print(json.dumps(report.bench_dict(), indent=2))
-    else:
-        failed = sum(1 for r in report.runs if not r.passed)
-        summary = f"\n{len(report.runs)} runs, {failed} failed"
-        for problem in report.curve_problems():
-            summary += f"\n  curve problem: {problem}"
-        if report.execution is not None:
-            speedup = report.execution.get("parallel_speedup")
-            summary += (
-                f"  [jobs={report.execution['effective_jobs']}"
-                + (f", speedup {speedup:.2f}x" if speedup else "")
-                + "]"
-            )
-        print(summary)
-    if args.check:
-        failures = check_against_baseline(
-            report, args.out if args.out is not None else default_bench_path()
-        )
-        if failures:
-            print(f"\nfleet check FAILED ({len(failures)} mismatch(es)):")
-            for failure in failures:
-                print(f"  {failure}")
-            return 1
-        print(f"\nfleet check passed ({len(report.runs)} run(s))")
-    elif args.out is not None:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(report.bench_dict(), indent=2) + "\n")
-    return 0 if report.passed else 1
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return harness.main(FLEET, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -45,7 +45,6 @@ import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.perf.timing import wall_ns
@@ -161,9 +160,7 @@ class ShardOutcome:
 
         Computed as ``sum(shard wall) / sweep wall``. Exact when workers
         do not contend for cores; under contention per-shard walls
-        inflate, making this an upper bound — the perf harness gates on
-        a true serial-vs-parallel wall ratio instead (see
-        :data:`repro.perf.harness.SPEEDUP_PAIRS`).
+        inflate, making this an upper bound.
         """
         if self.total_wall_seconds <= 0:
             return None
@@ -195,40 +192,6 @@ class ShardOutcome:
 def available_parallelism() -> int:
     """Usable CPU count (>= 1); the honest ceiling for ``--jobs``."""
     return os.cpu_count() or 1
-
-
-def _calibration_burn(iterations: int) -> int:
-    """Fixed-work CPU burn for the parallelism probe (pure compute)."""
-    total = 0
-    for i in range(iterations):
-        total += i
-    return total
-
-
-@lru_cache(maxsize=None)
-def measured_parallelism(jobs: int, iterations: int = 8_000_000) -> float:
-    """Measured throughput ratio of ``jobs`` workers over serial execution.
-
-    Runs the same fixed-size burn workload serially and on a ``jobs``-wide
-    pool and returns ``serial wall / parallel wall``. This is the *real*
-    core capacity of the machine — container CPU accounting frequently
-    lies in both directions (``os.cpu_count()`` can report 1 on a box
-    that schedules 4 processes concurrently, and vice versa), and
-    per-shard wall sums double-count contention, so an end-to-end probe
-    is the only trustworthy basis for parallel-speedup perf gates.
-    Cached per process; costs a few hundred milliseconds on first call.
-    """
-    if jobs <= 1 or not fork_available():
-        return 1.0
-    shards = [(index, iterations) for index in range(jobs)]
-    start = wall_ns()
-    for _, work in shards:
-        _calibration_burn(work)
-    serial = wall_ns() - start
-    parallel = run_shards(_calibration_burn, shards, jobs=jobs)
-    if parallel.total_wall_seconds <= 0:
-        return 1.0
-    return max(1.0, (serial / 1e9) / parallel.total_wall_seconds)
 
 
 def fork_available() -> bool:

@@ -44,17 +44,17 @@ def run_chaos_events_shard(payload: Tuple[str, int]) -> Dict[str, Any]:
     }
 
 
-def run_telemetry_shard(payload: Tuple[str, int]) -> Dict[str, Any]:
+def run_telemetry_shard(payload: Tuple[str, int, Any]) -> Dict[str, Any]:
     """One instrumented chaos run: digest + metrics snapshot + timeline.
 
     The worker enables its own fresh registry (inside
     ``run_instrumented_scenario``), so shards stay independent and the
-    parent merges their snapshots in canonical key order.
+    parent merges their snapshots in canonical key order. The payload's
+    third item is the digest recorded with telemetry off (or None).
     """
     from repro.telemetry.runner import run_instrumented_scenario
 
-    scenario_name, seed = payload
-    return run_instrumented_scenario(scenario_name, seed)
+    return run_instrumented_scenario(*payload)
 
 
 def build_fork_base_shard(payload: Tuple[int, int, int, str]) -> str:
@@ -104,16 +104,9 @@ def run_fleet_shard(payload: Tuple[str, int, int]) -> Any:
     return run_fleet(fault_class, pool_size, seed)
 
 
-def run_perf_benchmark_shard(payload: Tuple[str, bool]) -> Dict[str, Any]:
-    """One named perf-catalog benchmark, timed inside the worker."""
-    from repro.perf.benchmarks import CATALOG
+def run_perf_benchmark_shard(payload: Tuple[str, bool]) -> Any:
+    """One named perf-catalog benchmark ``(name, quick)``, timed inside
+    the worker; returns its :class:`~repro.perf.harness.BenchmarkResult`."""
+    from repro.perf.harness import measure
 
-    name, quick = payload
-    raw = CATALOG[name].run(quick)
-    return {
-        "events": raw.events,
-        "wall_seconds": raw.wall_seconds,
-        "sim_ns": raw.sim_ns,
-        "digest": raw.digest,
-        "extra": raw.extra,
-    }
+    return measure(*payload)

@@ -12,21 +12,17 @@ provides:
   fig10 smoke, chaos scenarios) shared by the macro benchmarks and the
   digest-equivalence regression tests. Their canonical trace digests are
   golden: any perf optimization must leave them bit-identical.
-* :mod:`repro.perf.sampler` — a lightweight sampling profiler hooked on
-  ``Simulator._pop`` that attributes wall time to subsystems
-  (``repro.sim``, ``repro.phy``, ...) without instrumenting every event.
 * :mod:`repro.perf.harness` — micro/macro benchmark harness reporting
-  events/sec and sim-time/wall-time ratios, with a ``--check``
-  regression gate against ``benchmarks/BENCH_perf.json``.
-* :mod:`repro.perf.benchmarks` — the named benchmark catalog, including
-  legacy/reference implementations of the event engine and FAPI codec so
-  the optimization speedups stay measurable forever.
+  events/sec and sim-time/wall-time ratios; ``repro perf --check``
+  compares the deterministic fields (digests, event counts, structural
+  counts) exactly against ``benchmarks/BENCH_perf.json`` and records the
+  rates ungated.
+* :mod:`repro.perf.benchmarks` — the named benchmark catalog.
 """
 
 __all__ = [
     "BenchmarkResult",
     "PerfReport",
-    "check_report",
     "load_report",
     "run_benchmarks",
     "DIGEST_SCENARIOS",
@@ -34,8 +30,7 @@ __all__ = [
 ]
 
 _HARNESS_NAMES = {
-    "BenchmarkResult", "PerfReport", "check_report", "load_report",
-    "run_benchmarks",
+    "BenchmarkResult", "PerfReport", "load_report", "run_benchmarks",
 }
 
 

@@ -7,22 +7,14 @@ full window); macro benchmarks time the full-cell scenarios from
 :mod:`repro.perf.scenarios` and also report the sim-time/wall-time ratio
 and the scenario's canonical trace digest.
 
-Several catalog entries exist purely as *baselines*:
-``engine_churn_legacy`` and ``engine_churn_wheel_legacy`` run their
-workloads on the frozen pre-optimization engine
-(:mod:`repro.perf.legacy`), ``fapi_codec_reference`` runs the codec
-workload through the normative slow paths, and ``fleet_slot_legacy``
-drives a full composed fleet on the legacy engine with per-cell encode —
-the harness derives the optimization speedups from these pairs, and
-``--check`` gates on them. The ``fleet_slot`` pair is ``fanout=False``
-not because it manages a pool but because its legs form a measured
-*ratio*: co-running shards would perturb the two legs unequally.
-
 Every workload is deterministic: sizes are fixed per (quick, full) mode,
 randomized message content comes from a reserved
 :class:`~repro.sim.rng.RngRegistry` stream, and the macro scenarios use
 the *same* durations in quick and full mode so their digests are
-comparable across modes and across machines.
+comparable across modes and across machines. A run therefore splits
+into what ``--check`` compares exactly — ``events``, ``sim_ns``,
+``digest`` and the structural ``counts`` — and machine facts (wall
+seconds, and whatever a workload puts in ``extra``).
 """
 
 from __future__ import annotations
@@ -38,7 +30,6 @@ from repro.net.addresses import MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EthernetFrame, EtherType
 from repro.net.switch import Switch
-from repro.perf.legacy import LegacySimulator
 from repro.perf.scenarios import DIGEST_SCENARIOS
 from repro.perf.timing import wall_ns
 from repro.phy.modulation import Modulation
@@ -62,6 +53,9 @@ class RawRun:
     wall_seconds: float
     sim_ns: Optional[int] = None
     digest: Optional[str] = None
+    #: Deterministic structural counts (compared exactly by ``--check``).
+    counts: Dict[str, float] = field(default_factory=dict)
+    #: Wall-derived figures (recorded, never compared).
     extra: Dict[str, float] = field(default_factory=dict)
 
 
@@ -73,23 +67,16 @@ class BenchmarkSpec:
     kind: str  # "micro" | "macro"
     description: str
     run: Callable[[bool], RawRun]
-    #: For macro specs: the zero-arg scenario runner, re-run under the
-    #: sampler when profiling (separately from the timed run).
-    scenario: Optional[Callable[[], Any]] = None
-    #: False for benchmarks that must run in the parent process even
-    #: under ``perf --jobs N`` — the shard-runner pair manages its own
-    #: pool, and nesting pools would corrupt its measurement.
-    fanout: bool = True
 
 
 # ----------------------------------------------------------------------
 # Event-engine workloads
 # ----------------------------------------------------------------------
-def _churn_workload(sim: Any, events: int, chains: int = 64) -> RawRun:
+def _run_engine_churn(quick: bool, chains: int = 64) -> RawRun:
     """Self-rescheduling event chains: the schedule/pop steady state that
-    dominates engine time in long runs. Runs on any engine exposing
-    ``schedule``/``run``/``events_processed``."""
-    remaining = [events]
+    dominates engine time in long runs."""
+    sim = Simulator()
+    remaining = [60_000 if quick else 240_000]
     schedule = sim.schedule
 
     def tick(i: int) -> None:
@@ -105,18 +92,10 @@ def _churn_workload(sim: Any, events: int, chains: int = 64) -> RawRun:
     return RawRun(events=sim.events_processed, wall_seconds=wall, sim_ns=sim.now)
 
 
-def _run_engine_churn(quick: bool) -> RawRun:
-    return _churn_workload(Simulator(), events=60_000 if quick else 240_000)
-
-
-def _run_engine_churn_legacy(quick: bool) -> RawRun:
-    return _churn_workload(LegacySimulator(), events=60_000 if quick else 240_000)
-
-
 def _run_engine_cancel_watchdog(quick: bool) -> RawRun:
     """Orion's watchdog pattern: every response cancels the pending
     timeout and re-arms it, so almost every scheduled event is cancelled.
-    Exercises compaction; ``extra`` records the heap-growth evidence."""
+    Exercises compaction; ``counts`` records the heap-growth evidence."""
     responses = 20_000 if quick else 80_000
     sim = Simulator()
     state = {"left": responses, "watchdog": None, "timeouts": 0, "max_heap": 0}
@@ -145,7 +124,7 @@ def _run_engine_cancel_watchdog(quick: bool) -> RawRun:
         events=sim.events_processed,
         wall_seconds=wall,
         sim_ns=sim.now,
-        extra={
+        counts={
             "compactions": float(sim.compactions),
             "max_heap_entries": float(state["max_heap"]),
             "timeouts_fired": float(state["timeouts"]),
@@ -156,10 +135,9 @@ def _run_engine_cancel_watchdog(quick: bool) -> RawRun:
 def _best_of(runner: Callable[[], RawRun], repeats: int) -> RawRun:
     """Min-wall-time of ``repeats`` runs of a deterministic workload.
 
-    The gated speedup pairs use this in full mode: their legs do
-    identical event counts every repeat (and identical digests, when they
-    record one), so keeping the fastest repeat per leg strips one-sided
-    scheduler noise from the measured ratio without biasing it."""
+    Every repeat does identical event counts (and records an identical
+    digest, when it records one), so keeping the fastest strips scheduler
+    noise from the recorded rate without touching the exact fields."""
     best: Optional[RawRun] = None
     for _ in range(repeats):
         raw = runner()
@@ -169,14 +147,11 @@ def _best_of(runner: Callable[[], RawRun], repeats: int) -> RawRun:
     return best
 
 
-def _periodic_workload(sim: Any, duration_ns: int, lanes: int = 256) -> RawRun:
+def _periodic_workload(duration_ns: int, lanes: int = 256) -> RawRun:
     """Periodic slot-tick lanes plus crash/restart-style cancel/re-arm
     churn: the steady state every deployed cell imposes on the engine.
-    On the live engine the lanes ride the slot wheel (O(1) re-arm, epoch
-    cancellation); on the legacy engine the ``schedule_periodic`` adapter
-    self-reschedules through the heap — the pre-wheel cost this pair
-    keeps measured. Runs on any engine exposing ``schedule_periodic`` /
-    ``run_for`` / ``events_processed``."""
+    The lanes ride the slot wheel (O(1) re-arm, epoch cancellation)."""
+    sim = Simulator()
     fired = [0]
 
     def tick() -> None:
@@ -200,30 +175,19 @@ def _periodic_workload(sim: Any, duration_ns: int, lanes: int = 256) -> RawRun:
     start = wall_ns()
     sim.run_for(duration_ns)
     wall = (wall_ns() - start) / 1e9
-    extra: Dict[str, float] = {"ticks_fired": float(fired[0])}
-    if hasattr(sim, "wheel_compactions"):
-        extra["wheel_compactions"] = float(sim.wheel_compactions)
-        extra["wheel_entries"] = float(sim.wheel_entries)
     return RawRun(
         events=sim.events_processed, wall_seconds=wall, sim_ns=sim.now,
-        extra=extra,
+        counts={
+            "ticks_fired": float(fired[0]),
+            "wheel_compactions": float(sim.wheel_compactions),
+            "wheel_entries": float(sim.wheel_entries),
+        },
     )
 
 
 def _run_engine_churn_wheel(quick: bool) -> RawRun:
     return _best_of(
-        lambda: _periodic_workload(
-            Simulator(), duration_ns=60_000 if quick else 150_000
-        ),
-        repeats=1 if quick else 2,
-    )
-
-
-def _run_engine_churn_wheel_legacy(quick: bool) -> RawRun:
-    return _best_of(
-        lambda: _periodic_workload(
-            LegacySimulator(), duration_ns=60_000 if quick else 150_000
-        ),
+        lambda: _periodic_workload(duration_ns=60_000 if quick else 150_000),
         repeats=1 if quick else 2,
     )
 
@@ -325,31 +289,17 @@ def build_fapi_corpus(count: int = 400, seed: int = CORPUS_SEED) -> List[m.FapiM
     return messages
 
 
-def _codec_run(
-    encode: Callable[[m.FapiMessage], bytes],
-    decode: Callable[[bytes], m.FapiMessage],
-    repeats: int,
-) -> RawRun:
+def _run_fapi_codec(quick: bool) -> RawRun:
     corpus = build_fapi_corpus()
+    encode, decode = codec.encode_message, codec.decode_message
     processed = 0
     start = wall_ns()
-    for _ in range(repeats):
+    for _ in range(6 if quick else 24):
         for message in corpus:
             decode(encode(message))
             processed += 1
     wall = (wall_ns() - start) / 1e9
     return RawRun(events=processed, wall_seconds=wall)
-
-
-def _run_fapi_codec(quick: bool) -> RawRun:
-    return _codec_run(codec.encode_message, codec.decode_message, 6 if quick else 24)
-
-
-def _run_fapi_codec_reference(quick: bool) -> RawRun:
-    return _codec_run(
-        codec.encode_message_reference, codec.decode_message_reference,
-        3 if quick else 12,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -422,7 +372,7 @@ def _run_link_delivery(quick: bool) -> RawRun:
         events=sim.events_processed,
         wall_seconds=wall,
         sim_ns=sim.now,
-        extra={"frames_delivered": float(collector.received)},
+        counts={"frames_delivered": float(collector.received)},
     )
 
 
@@ -438,8 +388,8 @@ def _run_transit_hop(quick: bool) -> RawRun:
     :class:`StaticL2Pipeline`: the delay-stage chain every FAPI datagram
     and fronthaul packet crosses. The frames are sent from outside the
     event loop, so the engine runs nothing but the hop; events are frames,
-    and ``extra`` reports engine events and microseconds per hop (two
-    link deliveries; the pipeline latency costs no event)."""
+    ``counts`` reports engine events per hop (two link deliveries; the
+    pipeline latency costs no event) and ``extra`` microseconds per hop."""
     frames = 20_000 if quick else 80_000
 
     def drive() -> RawRun:
@@ -462,10 +412,8 @@ def _run_transit_hop(quick: bool) -> RawRun:
             events=hops,
             wall_seconds=wall,
             sim_ns=sim.now,
-            extra={
-                "events_per_hop": sim.events_processed / hops,
-                "us_per_hop": round(wall * 1e6 / hops, 2),
-            },
+            counts={"events_per_hop": sim.events_processed / hops},
+            extra={"us_per_hop": round(wall * 1e6 / hops, 2)},
         )
 
     return _best_of(drive, repeats=2 if quick else 5)
@@ -500,18 +448,14 @@ def _phy_slot_corpus(count: int = 24, rng: Any = None) -> List[Any]:
     ]
 
 
-def _phy_slot_run(batched: bool, repeats: int) -> RawRun:
-    """Encode + soft-demodulate one slot's blocks, per-block or batched.
-
-    Both legs do identical arithmetic (the batch kernels are pinned
-    bit-identical to the per-block references), so the events/sec ratio
-    is the pure batching speedup the harness gates on.
-    """
+def _run_phy_slot_batch(quick: bool) -> RawRun:
+    """Encode + soft-demodulate one slot's blocks through the batched
+    kernels (pinned bit-identical to the per-block references by
+    ``tests/test_phy_batch.py``)."""
     import numpy as np
 
     from repro.phy.batch import demodulate_llr_batch
     from repro.phy.codec import PhyCodec
-    from repro.phy.modulation import demodulate_llr
 
     blocks = _phy_slot_corpus()
     codec = PhyCodec(np.random.default_rng(CORPUS_SEED))
@@ -521,25 +465,12 @@ def _phy_slot_run(batched: bool, repeats: int) -> RawRun:
     codec.encode_blocks(blocks[:1])
     processed = 0
     start = wall_ns()
-    for _ in range(repeats):
-        if batched:
-            symbols = codec.encode_blocks(blocks)
-            demodulate_llr_batch(symbols, modulations, noise_vars)
-        else:
-            symbols = [codec.encode_block(block) for block in blocks]
-            for sym, modulation, noise in zip(symbols, modulations, noise_vars):
-                demodulate_llr(sym, modulation, noise)
+    for _ in range(30 if quick else 120):
+        symbols = codec.encode_blocks(blocks)
+        demodulate_llr_batch(symbols, modulations, noise_vars)
         processed += len(blocks)
     wall = (wall_ns() - start) / 1e9
     return RawRun(events=processed, wall_seconds=wall)
-
-
-def _run_phy_slot_scalar(quick: bool) -> RawRun:
-    return _phy_slot_run(batched=False, repeats=30 if quick else 120)
-
-
-def _run_phy_slot_batch(quick: bool) -> RawRun:
-    return _phy_slot_run(batched=True, repeats=30 if quick else 120)
 
 
 # ----------------------------------------------------------------------
@@ -559,7 +490,7 @@ _PHY_RX_SNR_DB = {
 def _run_phy_rx_chain(quick: bool) -> RawRun:
     """``PhyCodec.decode_block`` over a fixed corpus: channel, soft
     demodulation, HARQ combine, LDPC decode, CRC check. Events are
-    decoded blocks; ``extra`` records the iterations and failures that
+    decoded blocks; ``counts`` records the iterations and failures that
     say which operating point the rate was measured at."""
     import numpy as np
 
@@ -586,7 +517,7 @@ def _run_phy_rx_chain(quick: bool) -> RawRun:
     return RawRun(
         events=stats.blocks_decoded,
         wall_seconds=wall,
-        extra={
+        counts={
             "iterations_per_block": round(
                 stats.total_decoder_iterations / stats.blocks_decoded, 3
             ),
@@ -611,8 +542,8 @@ def _run_tcp_recovery_window(quick: bool) -> RawRun:
     events but the RTO timer): fill a 2,048-segment window, drop 300
     consecutive segments, and run through SACK/RACK recovery and three
     windows beyond. Events are ACKs; ``extra`` reports the microseconds
-    each one cost and what the recovery did, so a scoreboard that scans
-    the flight per ACK shows here and not only in a macro."""
+    each one cost and ``counts`` what the recovery did, so a scoreboard
+    that scans the flight per ACK shows here and not only in a macro."""
     from collections import deque
 
     from repro.transport.packet import FlowDirection
@@ -650,25 +581,20 @@ def _run_tcp_recovery_window(quick: bool) -> RawRun:
         return RawRun(
             events=acks,
             wall_seconds=wall,
-            extra={
-                "us_per_ack": round(wall * 1e6 / acks, 2),
+            counts={
                 "retransmissions": float(sender.stats.retransmissions),
                 "rto_events": float(sender.stats.rto_events),
             },
+            extra={"us_per_ack": round(wall * 1e6 / acks, 2)},
         )
 
     return _best_of(drive, repeats=2 if quick else 5)
 
 
 # ----------------------------------------------------------------------
-# Sharded campaign workload (the scale-out pair)
+# Sharded campaign workload
 # ----------------------------------------------------------------------
-#: Worker count for the parallel leg of the campaign pair (the --check
-#: gate is calibrated against :func:`repro.parallel.pool.measured_parallelism`
-#: at this jobs value).
-PARALLEL_BENCH_JOBS = 4
-
-#: The (scenario, seed) shards both campaign legs run.
+#: The (scenario, seed) shards the campaign benchmark runs.
 _CAMPAIGN_BENCH_SHARDS = (
     ("cmd_drop", 1),
     ("crash_restart", 1),
@@ -677,107 +603,78 @@ _CAMPAIGN_BENCH_SHARDS = (
 )
 
 
-def _campaign_shards_run(jobs: int) -> RawRun:
-    """Run the fixed chaos shard set through the shard runner.
-
-    Both legs go through :func:`repro.parallel.pool.run_shards` (jobs=1
-    vs jobs=N) so the measured ratio is the pool's real speedup, not
-    wrapper overhead. The digest is the SHA-256 over the per-shard
-    canonical digests in shard order — identical at every jobs value,
-    which makes the --check digest comparison double as the
-    serial-vs-parallel determinism proof.
-    """
-    from repro.parallel.pool import measured_parallelism, run_shards
+def _run_campaign_shards_serial(quick: bool) -> RawRun:
+    """Run the fixed chaos shard set back to back through the shard
+    runner. The digest is the SHA-256 over the per-shard canonical
+    digests in shard order (serial-vs-pooled equality of the same runner
+    is pinned by ``tests/test_parallel.py``)."""
+    from repro.parallel.pool import run_shards
     from repro.parallel.workers import run_chaos_events_shard
 
     shards = [(key, key) for key in _CAMPAIGN_BENCH_SHARDS]
     start = wall_ns()
-    outcome = run_shards(run_chaos_events_shard, shards, jobs=jobs)
+    values = run_shards(run_chaos_events_shard, shards, jobs=1).values()
     wall = (wall_ns() - start) / 1e9
-    values = outcome.values()
     combined = hashlib.sha256(
         "".join(value["digest"] for value in values).encode("ascii")
     ).hexdigest()
-    extra: Dict[str, float] = {"shards": float(len(values))}
-    if jobs > 1:
-        extra["effective_jobs"] = float(outcome.effective_jobs)
-        extra["measured_parallelism"] = round(measured_parallelism(jobs), 3)
     return RawRun(
         events=sum(value["events"] for value in values),
         wall_seconds=wall,
         sim_ns=sum(value["sim_ns"] for value in values),
         digest=combined,
-        extra=extra,
+        counts={"shards": float(len(values))},
     )
 
 
-def _run_campaign_shards_serial(quick: bool) -> RawRun:
-    return _campaign_shards_run(jobs=1)
-
-
-def _run_campaign_shards_parallel(quick: bool) -> RawRun:
-    return _campaign_shards_run(jobs=PARALLEL_BENCH_JOBS)
-
-
 # ----------------------------------------------------------------------
-# Fleet slot workload (the per-TTI hot-path pair)
+# Fleet slot workload (the per-TTI hot path)
 # ----------------------------------------------------------------------
-#: Shape of the fleet both ``fleet_slot`` legs run: big enough that the
-#: per-TTI periodic machinery and the encode path dominate, small enough
-#: that the pair stays a single-digit-seconds benchmark.
+#: Shape of the fleet ``fleet_slot`` runs: big enough that the per-TTI
+#: periodic machinery and the encode path dominate, small enough that it
+#: stays a single-digit-seconds benchmark.
 _FLEET_BENCH_CELLS = 64
 _FLEET_BENCH_TRACERS = 2
 _FLEET_BENCH_SEED = 11
 _FLEET_BENCH_RUN_NS = 30_000_000
 
 
-def _fleet_slot_run(legacy: bool) -> RawRun:
-    """One composed fleet driven for 30 ms of sim time.
-
-    The optimized leg is the live engine (slot-wheel lanes) with the
-    vectorized fleet-PHY backend; the baseline leg is the frozen legacy
-    engine (self-rescheduling periodics) with per-cell encode — the full
-    pre-optimization per-TTI hot path. Build time is excluded from the
-    timing; the recorded digest is the canonical fleet digest, which is
-    bit-identical across the two legs (the differential tests pin this),
-    so the --check digest comparison doubles as the proof that neither
-    the wheel nor the backend changed behaviour."""
+def _fleet_slot_run() -> RawRun:
+    """One composed fleet (slot-wheel lanes, vectorized fleet-PHY
+    backend) driven for 30 ms of sim time. Build time is excluded from
+    the timing; the recorded digest is the canonical fleet digest."""
     from repro.fleet.composer import FleetConfig, build_fleet, fleet_digest
 
-    config = FleetConfig(
-        seed=_FLEET_BENCH_SEED,
-        num_cells=_FLEET_BENCH_CELLS,
-        tracer_cells=_FLEET_BENCH_TRACERS,
-        phy_backend="per-cell" if legacy else "vectorized",
+    harness = build_fleet(
+        FleetConfig(
+            seed=_FLEET_BENCH_SEED,
+            num_cells=_FLEET_BENCH_CELLS,
+            tracer_cells=_FLEET_BENCH_TRACERS,
+            phy_backend="vectorized",
+        )
     )
-    sim = LegacySimulator() if legacy else None
-    harness = build_fleet(config, sim=sim)
     start = wall_ns()
     harness.run_for(_FLEET_BENCH_RUN_NS)
     wall = (wall_ns() - start) / 1e9
-    extra: Dict[str, float] = {"cells": float(_FLEET_BENCH_CELLS)}
-    backend = harness.phy_backend
-    if backend is not None:
-        extra["kernel_invocations"] = float(backend.stats.kernel_invocations)
-        extra["blocks_encoded"] = float(backend.stats.blocks_encoded)
-        extra["cache_hits"] = float(backend.stats.cache_hits)
+    stats = harness.phy_backend.stats
     return RawRun(
         events=harness.sim.events_processed,
         wall_seconds=wall,
         sim_ns=harness.sim.now,
         digest=fleet_digest(harness),
-        extra=extra,
+        counts={
+            "cells": float(_FLEET_BENCH_CELLS),
+            "kernel_invocations": float(stats.kernel_invocations),
+            "blocks_encoded": float(stats.blocks_encoded),
+            "cache_hits": float(stats.cache_hits),
+        },
     )
 
 
 def _run_fleet_slot(quick: bool) -> RawRun:
     # Same fleet in quick and full mode: the digest must stay comparable
     # (quick only drops the second repeat).
-    return _best_of(lambda: _fleet_slot_run(legacy=False), 1 if quick else 2)
-
-
-def _run_fleet_slot_legacy(quick: bool) -> RawRun:
-    return _best_of(lambda: _fleet_slot_run(legacy=True), 1 if quick else 2)
+    return _best_of(_fleet_slot_run, 1 if quick else 2)
 
 
 # ----------------------------------------------------------------------
@@ -786,7 +683,7 @@ def _run_fleet_slot_legacy(quick: bool) -> RawRun:
 def _macro_runner(scenario_name: str) -> Callable[[bool], RawRun]:
     def run(quick: bool) -> RawRun:
         # Same durations in quick and full mode: the digest must be
-        # comparable across modes (quick only skips profiling/repeats).
+        # comparable across modes.
         runner = DIGEST_SCENARIOS[scenario_name]
         start = wall_ns()
         cell = runner()
@@ -801,87 +698,59 @@ def _macro_runner(scenario_name: str) -> Callable[[bool], RawRun]:
     return run
 
 
-def _spec(name: str, kind: str, description: str,
-          run: Callable[[bool], RawRun],
-          scenario: Optional[Callable[[], Any]] = None,
-          fanout: bool = True) -> BenchmarkSpec:
-    return BenchmarkSpec(name=name, kind=kind, description=description,
-                         run=run, scenario=scenario, fanout=fanout)
-
-
 #: Ordered benchmark catalog; iteration order is report order.
 CATALOG: Dict[str, BenchmarkSpec] = {
     spec.name: spec
     for spec in [
-        _spec("engine_churn", "micro",
-              "event-engine schedule/pop churn (tuple heap entries)",
-              _run_engine_churn),
-        _spec("engine_churn_legacy", "micro",
-              "same churn on the frozen pre-optimization engine (baseline)",
-              _run_engine_churn_legacy),
-        _spec("engine_churn_wheel", "micro",
-              "periodic slot-tick lanes + cancel/re-arm churn (wheel lane)",
-              _run_engine_churn_wheel),
-        _spec("engine_churn_wheel_legacy", "micro",
-              "same lanes self-rescheduling through the legacy heap (baseline)",
-              _run_engine_churn_wheel_legacy),
-        _spec("engine_cancel_watchdog", "micro",
-              "watchdog cancel/re-arm load (heap compaction)",
-              _run_engine_cancel_watchdog),
-        _spec("fapi_codec", "micro",
-              "FAPI encode+decode over a mixed message corpus (fast paths)",
-              _run_fapi_codec),
-        _spec("fapi_codec_reference", "micro",
-              "same corpus through the normative reference codec (baseline)",
-              _run_fapi_codec_reference),
-        _spec("ecpri_framing", "micro",
-              "eCPRI header pack/parse + switch timing-field extraction",
-              _run_ecpri_framing),
-        _spec("link_delivery", "micro",
-              "frame serialization + delivery on a 100 GbE link model",
-              _run_link_delivery),
-        _spec("transit_hop", "micro",
-              "node -> switch -> node through the static L2 pipeline, per frame",
-              _run_transit_hop),
-        _spec("phy_slot_scalar", "micro",
-              "one uplink slot encoded+demodulated block by block (baseline)",
-              _run_phy_slot_scalar),
-        _spec("phy_slot_batch", "micro",
-              "same slot through the batched PHY kernels (pinned identical)",
-              _run_phy_slot_batch),
-        _spec("phy_rx_chain", "micro",
-              "receive chain per block: channel, demod, HARQ, LDPC decode, CRC",
-              _run_phy_rx_chain),
-        _spec("tcp_recovery_window", "micro",
-              f"TCP sender<->receiver, {_TCP_WINDOW_SEGMENTS}-segment window "
-              f"through a {_TCP_BURST_SEGMENTS}-segment burst loss",
-              _run_tcp_recovery_window),
-        _spec("campaign_shards_serial", "macro",
-              "four chaos (scenario, seed) shards back to back (baseline)",
-              _run_campaign_shards_serial, fanout=False),
-        _spec("campaign_shards_parallel", "macro",
-              f"same shards on a {PARALLEL_BENCH_JOBS}-worker pool "
-              "(digest-identical to serial)",
-              _run_campaign_shards_parallel, fanout=False),
-        _spec("fleet_slot", "macro",
-              f"{_FLEET_BENCH_CELLS}-cell fleet, 30 ms: wheel lanes + "
-              "vectorized fleet-PHY backend",
-              _run_fleet_slot, fanout=False),
-        _spec("fleet_slot_legacy", "macro",
-              "same fleet on the legacy engine with per-cell encode (baseline)",
-              _run_fleet_slot_legacy, fanout=False),
-        _spec("macro_fig9", "macro",
-              "full cell: 3-UE ping through PHY failover (fig 9 shape)",
-              _macro_runner("fig9"), DIGEST_SCENARIOS["fig9"]),
-        _spec("macro_fig10_smoke", "macro",
-              "full cell: UDP iperf uplink through failover (fig 10 smoke)",
-              _macro_runner("fig10_smoke"), DIGEST_SCENARIOS["fig10_smoke"]),
-        _spec("macro_fig10_tcp_dl", "macro",
-              "full cell: bulk TCP downlink through failover (fig 10 TCP curve)",
-              _macro_runner("fig10_tcp_dl"), DIGEST_SCENARIOS["fig10_tcp_dl"]),
-        _spec("macro_chaos_crash_restart", "macro",
-              "chaos campaign cell: primary crash + restart scenario",
-              _macro_runner("chaos_crash_restart"),
-              DIGEST_SCENARIOS["chaos_crash_restart"]),
+        BenchmarkSpec("engine_churn", "micro",
+                      "event-engine schedule/pop churn (tuple heap entries)",
+                      _run_engine_churn),
+        BenchmarkSpec("engine_churn_wheel", "micro",
+                      "periodic slot-tick lanes + cancel/re-arm churn (wheel lane)",
+                      _run_engine_churn_wheel),
+        BenchmarkSpec("engine_cancel_watchdog", "micro",
+                      "watchdog cancel/re-arm load (heap compaction)",
+                      _run_engine_cancel_watchdog),
+        BenchmarkSpec("fapi_codec", "micro",
+                      "FAPI encode+decode over a mixed message corpus (fast paths)",
+                      _run_fapi_codec),
+        BenchmarkSpec("ecpri_framing", "micro",
+                      "eCPRI header pack/parse + switch timing-field extraction",
+                      _run_ecpri_framing),
+        BenchmarkSpec("link_delivery", "micro",
+                      "frame serialization + delivery on a 100 GbE link model",
+                      _run_link_delivery),
+        BenchmarkSpec("transit_hop", "micro",
+                      "node -> switch -> node through the static L2 pipeline, per frame",
+                      _run_transit_hop),
+        BenchmarkSpec("phy_slot_batch", "micro",
+                      "one uplink slot encoded+demodulated through the batched PHY kernels",
+                      _run_phy_slot_batch),
+        BenchmarkSpec("phy_rx_chain", "micro",
+                      "receive chain per block: channel, demod, HARQ, LDPC decode, CRC",
+                      _run_phy_rx_chain),
+        BenchmarkSpec("tcp_recovery_window", "micro",
+                      f"TCP sender<->receiver, {_TCP_WINDOW_SEGMENTS}-segment window "
+                      f"through a {_TCP_BURST_SEGMENTS}-segment burst loss",
+                      _run_tcp_recovery_window),
+        BenchmarkSpec("campaign_shards_serial", "macro",
+                      "four chaos (scenario, seed) shards back to back",
+                      _run_campaign_shards_serial),
+        BenchmarkSpec("fleet_slot", "macro",
+                      f"{_FLEET_BENCH_CELLS}-cell fleet, 30 ms: wheel lanes + "
+                      "vectorized fleet-PHY backend",
+                      _run_fleet_slot),
+        BenchmarkSpec("macro_fig9", "macro",
+                      "full cell: 3-UE ping through PHY failover (fig 9 shape)",
+                      _macro_runner("fig9")),
+        BenchmarkSpec("macro_fig10_smoke", "macro",
+                      "full cell: UDP iperf uplink through failover (fig 10 smoke)",
+                      _macro_runner("fig10_smoke")),
+        BenchmarkSpec("macro_fig10_tcp_dl", "macro",
+                      "full cell: bulk TCP downlink through failover (fig 10 TCP curve)",
+                      _macro_runner("fig10_tcp_dl")),
+        BenchmarkSpec("macro_chaos_crash_restart", "macro",
+                      "chaos campaign cell: primary crash + restart scenario",
+                      _macro_runner("chaos_crash_restart")),
     ]
 }

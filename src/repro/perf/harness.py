@@ -1,23 +1,19 @@
-"""Benchmark harness: run the catalog, report, and regression-gate.
+"""Benchmark harness: run the catalog and derive the report.
 
 ``run_benchmarks`` executes named benchmarks from
-:mod:`repro.perf.benchmarks`, derives events/sec and sim-time/wall-time
-ratios, profiles the macro scenarios with the ``_pop`` sampler, and
-computes the optimization speedups from the optimized/baseline pairs.
-``check_report`` is the ``--check`` gate: it compares a fresh run against
-the committed ``benchmarks/BENCH_perf.json`` and fails on
+:mod:`repro.perf.benchmarks` as shards — one ``(mode, name)`` shard per
+benchmark, each timed inside whichever process runs it — and derives
+events/sec and sim-time/wall-time ratios. A :class:`BenchmarkResult`
+separates what is deterministic (``events``, ``sim_ns``, ``digest``,
+``counts`` — the fields ``repro perf --check`` compares exactly against
+``benchmarks/BENCH_perf.json``) from machine facts (wall seconds, rates,
+``extra``), which are recorded and never gated: a gain or a regression
+in speed is proven at PR time by alternating parent/change runs of
+``bench/run.py``, not by a floor in this file.
 
-* a macro scenario whose canonical trace digest changed (behaviour
-  regression — this check is exact, machine-independent, and the reason
-  the perf pass can be trusted);
-* a rate that fell below ``tolerance`` x the recorded baseline
-  (performance regression — deliberately generous, wall-clock rates
-  vary across machines). A macro's rate is its sim-time/wall-time
-  ratio — removing events from a scenario makes it faster and its
-  events/sec *lower*; events/sec is the rate of the micro benchmarks,
-  whose event count is the workload;
-* an optimization speedup that fell below its gate (the engine-churn
-  speedup is the PR's headline claim and must stay measured).
+Quick and full mode size the micro workloads differently, so the exact
+fields are recorded per mode (``modes.quick`` / ``modes.full``), the way
+``BENCH_soak.json`` records its profiles.
 """
 
 from __future__ import annotations
@@ -25,74 +21,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from repro.perf.benchmarks import CATALOG, BenchmarkSpec, RawRun
-from repro.perf.sampler import PopSampler
-
-#: Speedup floors: label -> (full-run gate, relaxed ``--quick`` gate —
-#: shorter workloads, noisier ratios).
-SPEEDUP_GATES: Dict[str, tuple] = {
-    # Optimized engine over the frozen legacy one. Re-derived (DESIGN.md
-    # section 9, "Transit path") when schedule/at/_pop shed their per-event
-    # calls: 2.05-3.02x over twelve alternating full pairs, 2.19-2.90x
-    # over twelve --quick ones, where 1.67-1.75x was.
-    "engine_churn": (1.7, 1.6),
-    # Slot-wheel periodic lane over the legacy self-rescheduling idiom
-    # (same re-derivation: 2.93-3.68x full, 3.00-4.56x --quick).
-    "engine_churn_wheel": (2.4, 2.2),
-    # Codec fast path must at least not be slower than the reference.
-    "fapi_codec": (1.0, 1.0),
-    # Batched PHY kernels over the per-block loop on a full slot.
-    # Re-derived (DESIGN.md section 9) when the serial 300-bit CRC both
-    # legs paid per block went away: 1.74-2.17x over twelve alternating
-    # full runs, 1.68-1.91x over twelve --quick ones, where 1.16-1.66x was.
-    "phy_slot_batch": (1.5, 1.3),
-    # Full per-TTI hot path (wheel lanes + vectorized fleet-PHY backend)
-    # over the legacy fleet. Both legs forward frames without an egress
-    # event; only the live leg has the one-compare pop, so the ratio rose:
-    # 1.46-1.69x over twelve alternating full pairs, 1.54-2.52x over
-    # twelve --quick ones (the old 1.1x quick floor sat inside the old
-    # 0.96-1.50x quick spread and failed one tier-1 run in three).
-    "fleet_slot": (1.3, 1.2),
-}
-#: Required campaign speedup at the parallel leg's jobs value — but only
-#: on machines that really have that parallel capacity; see
-#: :func:`parallel_speedup_gate`.
-MIN_PARALLEL_SPEEDUP = 1.8
-
-#: speedup name -> (optimized benchmark, baseline benchmark).
-SPEEDUP_PAIRS: Dict[str, tuple] = {
-    "engine_churn": ("engine_churn", "engine_churn_legacy"),
-    "engine_churn_wheel": ("engine_churn_wheel", "engine_churn_wheel_legacy"),
-    "fapi_codec": ("fapi_codec", "fapi_codec_reference"),
-    "phy_slot_batch": ("phy_slot_batch", "phy_slot_scalar"),
-    "fleet_slot": ("fleet_slot", "fleet_slot_legacy"),
-    "parallel_campaign": ("campaign_shards_parallel", "campaign_shards_serial"),
-}
-
-
-def parallel_speedup_gate(measured_parallelism: float) -> float:
-    """The ``parallel_campaign`` gate, scaled to real machine capacity.
-
-    ``measured_parallelism`` is the calibration probe's throughput ratio
-    (:func:`repro.parallel.pool.measured_parallelism`) — trusted over
-    ``os.cpu_count()``, which containers routinely misreport in both
-    directions. On a machine whose probe shows genuine >= 3x capacity at
-    the pair's 4-worker setting, the campaign must parallelize at
-    >= 1.8x; on throttled machines the gate degrades to about half the
-    probe (never below 0.4x — the pool must at minimum not be a
-    catastrophic slowdown).
-    """
-    if measured_parallelism >= 3.0:
-        return MIN_PARALLEL_SPEEDUP
-    return max(0.4, 0.5 * measured_parallelism)
-
-#: Default rate-regression tolerance: fail only below half baseline rate.
-DEFAULT_TOLERANCE = 0.5
-
-#: Sampling interval for the macro profiling pass.
-PROFILE_EVERY = 8
+from repro.harness import Shards, fan_out, select
+from repro.parallel.workers import run_perf_benchmark_shard
+from repro.perf.benchmarks import CATALOG
 
 
 @dataclass
@@ -108,91 +41,63 @@ class BenchmarkResult:
     sim_ns: Optional[int] = None
     sim_wall_ratio: Optional[float] = None
     digest: Optional[str] = None
-    subsystem_shares: Optional[Dict[str, float]] = None
+    counts: Dict[str, float] = field(default_factory=dict)
     extra: Dict[str, float] = field(default_factory=dict)
 
     def as_dict(self) -> Dict:
-        data: Dict = {
+        return {
             "kind": self.kind,
             "description": self.description,
             "events": self.events,
+            "sim_ns": self.sim_ns,
+            "digest": self.digest,
+            "counts": self.counts,
             "wall_seconds": round(self.wall_seconds, 4),
             "events_per_sec": round(self.events_per_sec, 1),
+            "sim_wall_ratio": (
+                None if self.sim_wall_ratio is None
+                else round(self.sim_wall_ratio, 4)
+            ),
+            "extra": self.extra,
         }
-        if self.sim_ns is not None:
-            data["sim_ns"] = self.sim_ns
-        if self.sim_wall_ratio is not None:
-            data["sim_wall_ratio"] = round(self.sim_wall_ratio, 4)
-        if self.digest is not None:
-            data["digest"] = self.digest
-        if self.subsystem_shares is not None:
-            data["subsystem_shares"] = {
-                name: round(share, 4)
-                for name, share in self.subsystem_shares.items()
-            }
-        if self.extra:
-            data["extra"] = self.extra
-        return data
 
     @classmethod
     def from_dict(cls, name: str, data: Dict) -> "BenchmarkResult":
-        return cls(
-            name=name,
-            kind=data.get("kind", "micro"),
-            description=data.get("description", ""),
-            events=int(data.get("events", 0)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            events_per_sec=float(data.get("events_per_sec", 0.0)),
-            sim_ns=data.get("sim_ns"),
-            sim_wall_ratio=data.get("sim_wall_ratio"),
-            digest=data.get("digest"),
-            subsystem_shares=data.get("subsystem_shares"),
-            extra=dict(data.get("extra", {})),
-        )
+        return cls(name=name, **data)
 
 
 @dataclass
 class PerfReport:
-    """A full harness run: per-benchmark results plus derived speedups."""
+    """A harness run: per-mode, per-benchmark results."""
 
-    quick: bool
-    results: Dict[str, BenchmarkResult] = field(default_factory=dict)
-    speedups: Dict[str, float] = field(default_factory=dict)
-    #: Shard-runner accounting when the macro set ran under ``--jobs N``
-    #: (jobs, per-shard wall, parallel speedup). Machine facts — recorded
-    #: in the BENCH json, ignored by :func:`check_report`.
+    #: mode (``"quick"`` / ``"full"``) -> benchmark name -> result.
+    modes: Dict[str, Dict[str, BenchmarkResult]] = field(default_factory=dict)
+    #: Shard-runner accounting (jobs, per-shard wall, parallel speedup).
     execution: Optional[Dict] = None
 
     def as_dict(self) -> Dict:
-        data = {
+        return {
             "benchmark": "perf",
-            "generated_by": "python -m repro perf"
-            + (" --quick" if self.quick else ""),
-            "quick": self.quick,
-            "speedups": {k: round(v, 3) for k, v in self.speedups.items()},
-            "benchmarks": {
-                name: result.as_dict() for name, result in self.results.items()
+            "generated_by": "python -m repro perf",
+            "modes": {
+                mode: {name: result.as_dict() for name, result in results.items()}
+                for mode, results in self.modes.items()
             },
+            "execution": self.execution,
         }
-        if self.execution is not None:
-            data["execution"] = self.execution
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict) -> "PerfReport":
         return cls(
-            quick=bool(data.get("quick", False)),
-            results={
-                name: BenchmarkResult.from_dict(name, entry)
-                for name, entry in data.get("benchmarks", {}).items()
+            modes={
+                mode: {
+                    name: BenchmarkResult.from_dict(name, entry)
+                    for name, entry in results.items()
+                }
+                for mode, results in data["modes"].items()
             },
-            speedups={k: float(v) for k, v in data.get("speedups", {}).items()},
             execution=data.get("execution"),
         )
-
-    def write(self, path: Path) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.as_dict(), indent=2) + "\n")
 
 
 def load_report(path: Path) -> PerfReport:
@@ -200,15 +105,10 @@ def load_report(path: Path) -> PerfReport:
     return PerfReport.from_dict(json.loads(Path(path).read_text()))
 
 
-def gated_rate(result: BenchmarkResult) -> "tuple[float, str]":
-    """The (rate, unit) a benchmark is compared by: sim/wall for a macro
-    scenario, events/sec for a micro workload (module docstring)."""
-    if result.kind == "macro" and result.sim_wall_ratio is not None:
-        return result.sim_wall_ratio, "sim/wall"
-    return result.events_per_sec, "events/s"
-
-
-def _derive(spec: BenchmarkSpec, raw: RawRun) -> BenchmarkResult:
+def measure(name: str, quick: bool) -> BenchmarkResult:
+    """Run one catalog benchmark and derive its rates."""
+    spec = CATALOG[name]
+    raw = spec.run(quick)
     wall = raw.wall_seconds
     return BenchmarkResult(
         name=spec.name,
@@ -223,128 +123,47 @@ def _derive(spec: BenchmarkSpec, raw: RawRun) -> BenchmarkResult:
             if raw.sim_ns is not None and wall > 0 else None
         ),
         digest=raw.digest,
+        counts=raw.counts,
         extra=raw.extra,
     )
+
+
+def shard_table(names: Optional[Sequence[str]], modes: Sequence[str]) -> Shards:
+    """``(mode, name)``-keyed shards; unknown names are a usage error."""
+    specs = select(CATALOG, names or list(CATALOG), "benchmark")
+    return [
+        ((mode, spec.name), (spec.name, mode == "quick"))
+        for mode in modes
+        for spec in specs
+    ]
+
+
+def build_report(
+    results: Dict[Tuple[str, str], BenchmarkResult], execution: Dict
+) -> PerfReport:
+    report = PerfReport(execution=execution)
+    for (mode, name), result in results.items():
+        report.modes.setdefault(mode, {})[name] = result
+    return report
 
 
 def run_benchmarks(
     names: Optional[Sequence[str]] = None,
     quick: bool = False,
-    profile: Optional[bool] = None,
-    progress: Optional[Callable[[str], None]] = None,
+    progress: Optional[Callable[[BenchmarkResult], None]] = None,
     jobs: int = 1,
 ) -> PerfReport:
-    """Run (a subset of) the catalog and return the derived report.
+    """Run (a subset of) the catalog in one mode and return the report.
 
-    ``profile`` controls the sampler pass over macro scenarios: ``None``
-    means "full runs only" — the pass re-runs each macro scenario under
-    :class:`PopSampler` so the *timed* run stays unperturbed.
-
-    ``jobs > 1`` fans the macro scenarios out over worker processes
-    (their timings are taken *inside* each worker, and their digests are
-    deterministic, so the report differs from a serial run only in the
-    ``execution`` accounting). Micro benchmarks always run serially in
-    the parent — their rates are contention-sensitive — as does the
-    profiling pass and any benchmark that manages its own pool.
+    ``jobs > 1`` fans the benchmarks out over worker processes: exact
+    fields are unchanged, rates are contention-sensitive (record a
+    baseline at ``--jobs 1``).
     """
-    selected = list(CATALOG) if names is None else list(names)
-    unknown = [name for name in selected if name not in CATALOG]
-    if unknown:
-        raise KeyError(f"unknown benchmark(s): {', '.join(unknown)}")
-    do_profile = (not quick) if profile is None else profile
-
-    report = PerfReport(quick=quick)
-    fanned: Dict[str, RawRun] = {}
-    fan_names = [
-        name for name in selected
-        if CATALOG[name].kind == "macro" and CATALOG[name].fanout
-    ]
-    if jobs > 1 and len(fan_names) > 1:
-        from repro.parallel.pool import run_shards
-        from repro.parallel.workers import run_perf_benchmark_shard
-
-        if progress is not None:
-            progress(
-                f"running {len(fan_names)} macro benchmark(s) on "
-                f"{jobs} workers ..."
-            )
-        outcome = run_shards(
+    return build_report(
+        *fan_out(
             run_perf_benchmark_shard,
-            [(name, (name, quick)) for name in fan_names],
-            jobs=jobs,
+            shard_table(names, ["quick" if quick else "full"]),
+            jobs,
+            progress,
         )
-        for name, reply in zip(fan_names, outcome.values()):
-            fanned[name] = RawRun(
-                events=reply["events"],
-                wall_seconds=reply["wall_seconds"],
-                sim_ns=reply["sim_ns"],
-                digest=reply["digest"],
-                extra=reply["extra"],
-            )
-        report.execution = outcome.accounting()
-    for name in selected:
-        spec = CATALOG[name]
-        raw = fanned.get(name)
-        if raw is None:
-            if progress is not None:
-                progress(f"running {name} ({spec.kind}) ...")
-            raw = spec.run(quick)
-        result = _derive(spec, raw)
-        if do_profile and spec.scenario is not None:
-            with PopSampler(every=PROFILE_EVERY) as sampler:
-                spec.scenario()
-            result.subsystem_shares = sampler.shares()
-        report.results[name] = result
-
-    for label, (optimized, baseline) in SPEEDUP_PAIRS.items():
-        opt = report.results.get(optimized)
-        base = report.results.get(baseline)
-        if opt is not None and base is not None and gated_rate(base)[0] > 0:
-            report.speedups[label] = gated_rate(opt)[0] / gated_rate(base)[0]
-    return report
-
-
-def check_report(
-    current: PerfReport,
-    baseline: PerfReport,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> List[str]:
-    """Compare a fresh run against the committed baseline; return failures."""
-    failures: List[str] = []
-    for name, recorded in baseline.results.items():
-        fresh = current.results.get(name)
-        if fresh is None:
-            failures.append(f"{name}: present in baseline but not run")
-            continue
-        if recorded.digest is not None:
-            if fresh.digest != recorded.digest:
-                failures.append(
-                    f"{name}: trace digest changed "
-                    f"({recorded.digest[:12]}... -> "
-                    f"{(fresh.digest or 'none')[:12]}...) — behaviour regression"
-                )
-        recorded_rate, unit = gated_rate(recorded)
-        if recorded_rate > 0 and tolerance > 0:
-            fresh_rate = gated_rate(fresh)[0]
-            if fresh_rate < recorded_rate * tolerance:
-                failures.append(
-                    f"{name}: {fresh_rate:,.4g} {unit} is below "
-                    f"{tolerance:.0%} of recorded {recorded_rate:,.4g}"
-                )
-
-    gates = {
-        label: gate[1 if current.quick else 0]
-        for label, gate in SPEEDUP_GATES.items()
-    }
-    parallel_result = current.results.get("campaign_shards_parallel")
-    if parallel_result is not None:
-        probe = parallel_result.extra.get("measured_parallelism", 1.0)
-        gates["parallel_campaign"] = parallel_speedup_gate(probe)
-    for label, gate in gates.items():
-        speedup = current.speedups.get(label)
-        if speedup is not None and speedup < gate:
-            failures.append(
-                f"speedup[{label}]: measured {speedup:.2f}x is below the "
-                f"{gate:.2f}x gate"
-            )
-    return failures
+    )

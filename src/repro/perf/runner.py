@@ -2,79 +2,41 @@
 
 Usage::
 
-    python -m repro perf                    # run catalog, write BENCH_perf.json
-    python -m repro perf --quick            # shorter micro workloads, no profiling
-    python -m repro perf --check            # regression gate vs BENCH_perf.json
+    python -m repro perf                    # run the catalog in both modes
+    python -m repro perf --out benchmarks/BENCH_perf.json   # re-record
+    python -m repro perf --quick            # shorter micro workloads only
+    python -m repro perf --check            # exact fields vs BENCH_perf.json
     python -m repro perf --check --quick    # the tier-1 smoke configuration
-    python -m repro perf --jobs 4          # macro scenarios on 4 workers
-    python -m repro perf engine_churn engine_churn_legacy
+    python -m repro perf --jobs 4           # benchmarks on 4 workers
+    python -m repro perf engine_churn transit_hop
     python -m repro perf --profile fleet_slot   # cProfile one benchmark
     python -m repro perf --list
 
-Exit codes: 0 (ran / gate passed), 1 (gate failed), 2 (usage error).
+Flags, baseline handling and exit codes are the shared harness's
+(:mod:`repro.harness`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
+from repro import harness
+from repro.parallel.workers import run_perf_benchmark_shard
 from repro.perf.benchmarks import CATALOG
-from repro.perf.harness import (
-    DEFAULT_TOLERANCE,
-    PerfReport,
-    check_report,
-    load_report,
-    run_benchmarks,
-)
+from repro.perf.harness import BenchmarkResult, build_report, shard_table
 
 
-def _repo_root() -> Path:
-    """The repository root (three levels above this package)."""
-    return Path(__file__).resolve().parents[3]
-
-
-def default_bench_path() -> Path:
-    return _repo_root() / "benchmarks" / "BENCH_perf.json"
-
-
-def _format_text(report: PerfReport) -> str:
-    lines = [
-        f"{'benchmark':32s} {'kind':5s} {'events':>10s} {'events/s':>12s} "
-        f"{'sim/wall':>9s}"
-    ]
-    for result in report.results.values():
-        ratio = (
-            f"{result.sim_wall_ratio:9.2f}"
-            if result.sim_wall_ratio is not None else f"{'-':>9s}"
-        )
-        lines.append(
-            f"{result.name:32s} {result.kind:5s} {result.events:>10,d} "
-            f"{result.events_per_sec:>12,.0f} {ratio}"
-        )
-        if result.digest is not None:
-            lines.append(f"{'':32s}   digest {result.digest[:16]}...")
-        if result.subsystem_shares:
-            top = ", ".join(
-                f"{name}={share:.0%}"
-                for name, share in list(result.subsystem_shares.items())[:5]
-            )
-            lines.append(f"{'':32s}   shares {top}")
-    if report.speedups:
-        lines.append("speedups: " + ", ".join(
-            f"{label} {value:.2f}x" for label, value in report.speedups.items()
-        ))
-    if report.execution is not None:
-        speedup = report.execution.get("parallel_speedup")
-        lines.append(
-            f"macro fan-out: jobs={report.execution['effective_jobs']} "
-            f"over {report.execution['shards']} shard(s)"
-            + (f", speedup {speedup:.2f}x" if speedup else "")
-        )
-    return "\n".join(lines)
+def _format_run(result: BenchmarkResult) -> str:
+    ratio = "-" if result.sim_wall_ratio is None else f"{result.sim_wall_ratio:.3g}"
+    line = (
+        f"{result.name:28s} {result.kind:5s} events={result.events:>9,d}  "
+        f"events/s={result.events_per_sec:>11,.0f}  sim/wall={ratio:>7s}"
+    )
+    if result.digest is not None:
+        line += f"  digest={result.digest[:12]}..."
+    return line
 
 
 #: Rows printed per pstats table in ``--profile NAME`` mode.
@@ -116,118 +78,59 @@ def run_profiled(name: str, quick: bool = False) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.cliopts import harness_options
-
-    parser = argparse.ArgumentParser(
-        prog="repro perf",
-        description="Micro/macro benchmark harness for the Slingshot reproduction.",
-        parents=[harness_options()],
-    )
+def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "names", nargs="*",
         help="benchmark names to run (default: the full catalog; see --list)",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="--check rate floor as a fraction of the recorded rate "
-             f"(default: {DEFAULT_TOLERANCE}); 0 disables rate checks",
+        "--profile", default=None, metavar="NAME",
+        help="run only this benchmark under cProfile and print the pstats "
+             "hot-spot tables (no report, no gate)",
     )
-    parser.add_argument(
-        "--profile", nargs="?", const=True, default=None, metavar="NAME",
-        help="without a value: force the macro profiling pass on "
-             "(default: on for full runs, off for --quick); with a "
-             "benchmark NAME: run only that benchmark under cProfile and "
-             "print the pstats hot-spot tables (writes no BENCH file)",
-    )
-    parser.add_argument(
-        "--no-profile", dest="profile", action="store_const", const=False,
-        help="force the macro profiling pass off",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list the benchmark catalog and exit",
-    )
-    return parser
+
+
+def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
+    if args.profile is None:
+        return None
+    harness.select(CATALOG, [args.profile], "benchmark")
+    if args.check:
+        raise harness.UsageError("--profile NAME and --check are mutually exclusive")
+    return run_profiled(args.profile, quick=args.quick)
+
+
+def _entries(report: Dict) -> Dict[str, Dict]:
+    return {
+        f"{mode}/{name}": entry
+        for mode, results in report["modes"].items()
+        for name, entry in results.items()
+    }
+
+
+PERF = harness.Verb(
+    name="perf",
+    description="Micro/macro benchmark harness for the Slingshot reproduction.",
+    exact_fields=("digest", "events", "sim_ns", "counts"),
+    arguments=_arguments,
+    entries=_entries,
+    summary=lambda report: ", ".join(
+        f"{len(results)} {mode} benchmark(s)"
+        for mode, results in report["modes"].items()
+    ),
+    shards=lambda args: shard_table(args.names, harness.recorded_modes(args)),
+    worker=run_perf_benchmark_shard,
+    format_run=_format_run,
+    report=lambda results, execution: build_report(results, execution).as_dict(),
+    passed=lambda report: True,
+    catalog=lambda: {
+        name: f"{spec.kind:5s} {spec.description}" for name, spec in CATALOG.items()
+    },
+    side_mode=_side_mode,
+)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    if args.list:
-        for name, spec in CATALOG.items():
-            print(f"  {name:32s} {spec.kind:5s} {spec.description}")
-        return 0
-
-    if isinstance(args.profile, str):
-        if args.profile not in CATALOG:
-            print(f"repro perf: unknown benchmark {args.profile!r} (see --list)",
-                  file=sys.stderr)
-            return 2
-        if args.check:
-            print("repro perf: --profile NAME and --check are mutually "
-                  "exclusive", file=sys.stderr)
-            return 2
-        return run_profiled(args.profile, quick=args.quick)
-
-    bench_path = args.out if args.out is not None else default_bench_path()
-
-    baseline: Optional[PerfReport] = None
-    if args.check:
-        try:
-            baseline = load_report(bench_path)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"repro perf: cannot load baseline {bench_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    from repro.cliopts import resolve_jobs
-
-    jobs = resolve_jobs(args.jobs, "repro perf")
-    if jobs is None:
-        return 2
-    args.jobs = jobs
-
-    names: Optional[List[str]] = args.names or None
-    if names is None and baseline is not None:
-        # Check exactly what the baseline recorded (plus nothing stale).
-        names = [name for name in baseline.results if name in CATALOG]
-    try:
-        report = run_benchmarks(
-            names=names, quick=args.quick, profile=args.profile,
-            progress=(print if args.format == "text" else None),
-            jobs=args.jobs,
-        )
-    except KeyError as exc:
-        print(f"repro perf: {exc.args[0]}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(_format_text(report))
-
-    if args.check:
-        assert baseline is not None
-        failures = check_report(report, baseline, tolerance=args.tolerance)
-        if failures:
-            print(f"\nperf check FAILED ({len(failures)} failure(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(f"\nperf check passed ({len(baseline.results)} benchmark(s), "
-              f"tolerance {args.tolerance:.0%})")
-        return 0
-
-    report.write(bench_path)
-    print(f"\nwrote {bench_path}")
-    return 0
+    return harness.main(PERF, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

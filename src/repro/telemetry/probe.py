@@ -1,13 +1,13 @@
 """Per-subsystem event counting on the ``Simulator._pop`` seam.
 
-Every fired event leaves the queue through :meth:`Simulator._pop`, the
-same single hook point the perf profiler uses. Where
-:class:`repro.perf.sampler.PopSampler` times every N-th callback,
-:class:`EventCountProbe` merely *counts* every popped event into the
+Every fired event leaves the queue through :meth:`Simulator._pop`, so a
+single hook point sees the whole simulation without instrumenting any
+component. :class:`EventCountProbe` *counts* every popped event into the
 active :class:`~repro.telemetry.metrics.MetricsRegistry` under
-``engine.events.<subsystem>`` — attribution reuses
-:func:`repro.perf.sampler.subsystem_of` so perf shares and telemetry
-counts bucket identically.
+``engine.events.<subsystem>``, where :func:`subsystem_of` buckets a
+callback by its defining module (``repro.sim``, ``repro.phy``, ...).
+Wall-time shares per layer are ``bench/spans.py``'s job, measured from
+outside on a fingerprinted host; the counts here are exact.
 
 The probe also keeps the slot-wheel lane's accounting observable: it
 samples wheel occupancy at every pop (tracking the peak) and, on exit,
@@ -17,15 +17,14 @@ engine maintains anyway, surfaced here as ``engine.wheel.*`` metrics.
 Counting never touches the handle's callback, never reads a clock, and
 never writes a trace record, so a probed run's canonical digest is
 bit-identical to an unprobed one. The patch is class-level and
-process-global for the duration of the ``with`` block, exactly like
-``PopSampler`` (and like it, not reentrant).
+process-global for the duration of the ``with`` block, and not
+reentrant.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.perf.sampler import subsystem_of
 from repro.sim.engine import Simulator
 from repro.telemetry.metrics import MetricsRegistry, active
 
@@ -34,6 +33,17 @@ EVENT_COUNTER_PREFIX = "engine.events."
 
 #: Metric-name prefix for the wheel lane's occupancy/compaction stats.
 WHEEL_METRIC_PREFIX = "engine.wheel."
+
+
+def subsystem_of(callback: Callable[..., Any]) -> str:
+    """Attribution bucket for a callback: its defining module, truncated
+    to ``repro.<subsystem>`` (non-repro callbacks bill to their top-level
+    module; callables without a module bill to ``unknown``)."""
+    module = getattr(callback, "__module__", None)
+    if not module:
+        return "unknown"
+    parts = module.split(".")
+    return ".".join(parts[:2]) if parts[0] == "repro" else parts[0]
 
 
 class EventCountProbe:
@@ -68,7 +78,7 @@ class EventCountProbe:
         return sum(self.counts.values())
 
     # ------------------------------------------------------------------
-    # Class-level _pop patch (PopSampler pattern: save, wrap, restore)
+    # Class-level _pop patch (save, wrap, restore)
     # ------------------------------------------------------------------
     def __enter__(self) -> "EventCountProbe":
         if self._saved_pop is not None:

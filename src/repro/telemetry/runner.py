@@ -16,25 +16,32 @@ the engine — and reports, per ``(scenario, seed)`` run:
 
 Usage::
 
-    python -m repro telemetry                   # full 13x3 matrix -> BENCH_telemetry.json
+    python -m repro telemetry                   # full 13x3 matrix
+    python -m repro telemetry --out benchmarks/BENCH_telemetry.json   # re-record
     python -m repro telemetry --quick           # 3-scenario x seed-1 smoke
     python -m repro telemetry --check --quick   # the tier-1 gate
     python -m repro telemetry --scenario crash --seeds 1 2 --jobs 2
     python -m repro telemetry --format csv      # timeline table
 
-Exit codes: 0 (ran / gate passed), 1 (neutrality or gate failure),
-2 (usage error).
+Flags, baseline handling and exit codes are the shared harness's
+(:mod:`repro.harness`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.parallel.pool import run_shards
+from repro import harness
+from repro.faults.campaign import (
+    CHAOS,
+    recorded_digests,
+    run_scenario,
+    scenario_arguments,
+    selected_matrix,
+)
+from repro.faults.scenarios import scenario_by_name
 from repro.parallel.workers import run_telemetry_shard
 from repro.telemetry.metrics import MetricsRegistry, enabled, merge_snapshots
 from repro.telemetry.probe import EventCountProbe
@@ -43,7 +50,6 @@ from repro.telemetry.probe import EventCountProbe
 #: command-loss failover, one degraded-mode scenario — each exercising a
 #: different timeline shape — at a single seed.
 QUICK_SCENARIOS = ("cmd_drop", "crash", "no_secondary")
-QUICK_SEEDS = (1,)
 
 #: Timeline columns for the CSV export (and the text row summary).
 CSV_COLUMNS = (
@@ -62,16 +68,17 @@ CSV_COLUMNS = (
 )
 
 
-def run_instrumented_scenario(scenario_name: str, seed: int) -> Dict[str, Any]:
+def run_instrumented_scenario(
+    scenario_name: str, seed: int, recorded_digest: Optional[str] = None
+) -> Dict[str, Any]:
     """One fully instrumented chaos run; returns a JSON-ready dict.
 
     The registry is enabled *before* the cell is built (component
     construction is when instrumentation handles are captured) and the
-    engine probe wraps the whole run.
+    engine probe wraps the whole run. ``digest_neutral`` says whether
+    the run reproduced ``recorded_digest`` — the digest recorded with
+    telemetry off (None when there is no recording to compare with).
     """
-    from repro.faults.campaign import run_scenario
-    from repro.faults.scenarios import scenario_by_name
-
     scenario = scenario_by_name()[scenario_name]
     registry = MetricsRegistry()
     with enabled(registry), EventCountProbe():
@@ -83,60 +90,28 @@ def run_instrumented_scenario(scenario_name: str, seed: int) -> Dict[str, Any]:
         "invariants_passed": run.passed,
         "timeline": run.timeline,
         "metrics": registry.snapshot(),
+        "digest_neutral": (
+            None if recorded_digest is None else run.digest == recorded_digest
+        ),
     }
 
 
-def _chaos_reference_digests(path: Path) -> Dict[tuple, str]:
-    """Recorded telemetry-off digests keyed by (scenario, seed)."""
-    if not path.exists():
-        return {}
-    data = json.loads(path.read_text())
-    return {
-        (entry["scenario"], entry["seed"]): entry["digest"]
-        for entry in data.get("runs", [])
-    }
-
-
-def run_telemetry(
-    scenario_names: Sequence[str],
-    seeds: Sequence[int],
-    jobs: int = 1,
-    progress=None,
-) -> Dict[str, Any]:
-    """Run the instrumented matrix and assemble the telemetry report.
-
-    Shards fan out exactly like the chaos campaign (canonical
-    ``(scenario, seed)`` keys); each worker enables its own registry, so
-    per-shard snapshots come back independent and are merged here in
-    canonical key order — making the merged snapshot identical at any
-    ``jobs`` value.
-    """
-    from repro.faults.campaign import default_bench_path as chaos_bench_path
-
-    shards = [
-        ((name, seed), (name, seed))
+def _shards(scenario_names: Sequence[str], seeds: Sequence[int]) -> harness.Shards:
+    """Canonical ``(scenario, seed)`` shards, each carrying the digest
+    ``BENCH_chaos.json`` recorded for it with telemetry off."""
+    reference = recorded_digests()
+    return [
+        ((name, seed), (name, seed, reference.get((name, seed))))
         for name in scenario_names
         for seed in seeds
     ]
-    reference = _chaos_reference_digests(chaos_bench_path())
 
-    def annotate(run: Dict[str, Any]) -> Dict[str, Any]:
-        recorded = reference.get((run["scenario"], run["seed"]))
-        run["digest_neutral"] = (
-            None if recorded is None else run["digest"] == recorded
-        )
-        return run
 
-    outcome = run_shards(
-        run_telemetry_shard,
-        shards,
-        jobs=jobs,
-        progress=None
-        if progress is None
-        else (lambda key, run: progress(annotate(run))),
-    )
-    runs = [annotate(run) for run in outcome.values()]
-    merged = merge_snapshots([run["metrics"] for run in runs])
+def _report(results: Dict[tuple, Dict[str, Any]], execution: dict) -> Dict[str, Any]:
+    """Per-shard snapshots come back independent and merge here in
+    canonical key order, so the merged snapshot is identical at any
+    ``jobs`` value."""
+    runs = list(results.values())
     return {
         "benchmark": "telemetry",
         "scenarios": sorted({run["scenario"] for run in runs}),
@@ -147,65 +122,28 @@ def run_telemetry(
         ),
         "passed": all(run["digest_neutral"] is not False for run in runs),
         "runs": runs,
-        "merged_metrics": merged,
-        "execution": outcome.accounting(),
+        "merged_metrics": merge_snapshots([run["metrics"] for run in runs]),
+        "execution": execution,
     }
 
 
-# ----------------------------------------------------------------------
-# Report comparison (--check) and formatting
-# ----------------------------------------------------------------------
-def _comparable_run(run: Dict[str, Any]) -> Dict[str, Any]:
-    """The deterministic projection of one run (drops nothing today;
-    exists so future machine-fact fields stay out of the gate)."""
-    return {
-        key: run[key]
-        for key in (
-            "scenario", "seed", "digest", "invariants_passed",
-            "timeline", "metrics",
+def run_telemetry(
+    scenario_names: Sequence[str],
+    seeds: Sequence[int],
+    jobs: int = 1,
+    progress=None,
+) -> Dict[str, Any]:
+    """Run the instrumented matrix and assemble the telemetry report."""
+    return _report(
+        *harness.fan_out(
+            run_telemetry_shard, _shards(scenario_names, seeds), jobs, progress
         )
-    }
-
-
-def check_report(
-    current: Dict[str, Any], baseline: Dict[str, Any]
-) -> List[str]:
-    """Exact comparison of fresh runs against the recorded baseline.
-
-    Composes with subsets: only the freshly executed (scenario, seed)
-    pairs are compared. The ``execution`` block (machine facts) is never
-    part of the gate.
-    """
-    failures: List[str] = []
-    recorded = {
-        (entry["scenario"], entry["seed"]): entry
-        for entry in baseline.get("runs", [])
-    }
-    for run in current.get("runs", []):
-        key = (run["scenario"], run["seed"])
-        entry = recorded.get(key)
-        label = f"{run['scenario']}/seed={run['seed']}"
-        if entry is None:
-            failures.append(f"{label}: not in baseline (re-record it)")
-            continue
-        if run["digest_neutral"] is False:
-            failures.append(f"{label}: telemetry changed the trace digest")
-        fresh, old = _comparable_run(run), _comparable_run(entry)
-        for field in fresh:
-            if fresh[field] != old[field]:
-                failures.append(f"{label}: {field} differs from baseline")
-    return failures
-
-
-def default_bench_path() -> Path:
-    """Repo-local baseline: ``benchmarks/BENCH_telemetry.json``."""
-    return (
-        Path(__file__).resolve().parents[3]
-        / "benchmarks"
-        / "BENCH_telemetry.json"
     )
 
 
+# ----------------------------------------------------------------------
+# CLI: the ``telemetry`` verb's declaration (the harness does the rest)
+# ----------------------------------------------------------------------
 def _format_run(run: Dict[str, Any]) -> str:
     timeline = run.get("timeline") or {}
 
@@ -240,119 +178,33 @@ def _format_csv(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
+def _cli_shards(args: argparse.Namespace) -> harness.Shards:
+    scenarios, seeds = selected_matrix(args, QUICK_SCENARIOS)
+    return _shards([scenario.name for scenario in scenarios], seeds)
+
+
+TELEMETRY = harness.Verb(
+    name="telemetry",
+    description="Instrumented failover runs: metrics, timelines, and "
+    "the digest-neutrality gate.",
+    exact_fields=("digest", "invariants_passed", "timeline", "metrics"),
+    arguments=scenario_arguments,
+    entries=harness.runs_by("scenario", "seed"),
+    summary=lambda report: (
+        f"{report['runs_total']} runs, "
+        f"{report['neutrality_failures']} digest-neutrality failures"
+    ),
+    shards=_cli_shards,
+    worker=run_telemetry_shard,
+    format_run=_format_run,
+    report=_report,
+    catalog=CHAOS.catalog,
+    formats={"csv": _format_csv},
+)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.cliopts import harness_options, resolve_jobs
-    from repro.faults.scenarios import scenario_by_name
-
-    parser = argparse.ArgumentParser(
-        prog="repro telemetry",
-        description="Instrumented failover runs: metrics, timelines, and "
-        "the digest-neutrality gate.",
-        parents=[harness_options()],
-    )
-    parser.add_argument(
-        "--scenario",
-        action="append",
-        dest="scenarios",
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    parser.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        help="scenario seeds (default: 1 2 3; --quick: 1)",
-    )
-    parser.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-    )
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-
-    catalog = scenario_by_name()
-    if args.list:
-        for name, scenario in catalog.items():
-            print(f"{name:<18} {scenario.description}")
-        return 0
-    if args.scenarios:
-        unknown = [n for n in args.scenarios if n not in catalog]
-        if unknown:
-            print(
-                f"repro telemetry: unknown scenario(s): {unknown}",
-                file=sys.stderr,
-            )
-            return 2
-        names: Sequence[str] = args.scenarios
-    elif args.quick:
-        names = QUICK_SCENARIOS
-    else:
-        names = list(catalog)
-    seeds = (
-        args.seeds
-        if args.seeds is not None
-        else (list(QUICK_SEEDS) if args.quick else [1, 2, 3])
-    )
-    jobs = resolve_jobs(args.jobs, "repro telemetry")
-    if jobs is None:
-        return 2
-
-    def progress(run: Dict[str, Any]) -> None:
-        if args.format == "text":
-            print(_format_run(run), flush=True)
-
-    report = run_telemetry(names, seeds, jobs=jobs, progress=progress)
-
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        print(_format_csv(report))
-    else:
-        summary = (
-            f"\n{report['runs_total']} runs, "
-            f"{report['neutrality_failures']} digest-neutrality failures"
-        )
-        execution = report.get("execution")
-        if execution is not None:
-            speedup = execution.get("parallel_speedup")
-            summary += (
-                f"  [jobs={execution['effective_jobs']}"
-                + (f", speedup {speedup:.2f}x" if speedup else "")
-                + "]"
-            )
-        print(summary)
-
-    bench_path = args.out if args.out is not None else default_bench_path()
-    if args.check:
-        if not bench_path.exists():
-            print(
-                f"repro telemetry: cannot load baseline {bench_path}",
-                file=sys.stderr,
-            )
-            return 2
-        baseline = json.loads(bench_path.read_text())
-        failures = check_report(report, baseline)
-        if failures:
-            print(f"\ntelemetry check FAILED ({len(failures)} failure(s)):")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(f"\ntelemetry check passed ({report['runs_total']} run(s))")
-        return 0
-
-    bench_path.parent.mkdir(parents=True, exist_ok=True)
-    bench_path.write_text(json.dumps(report, indent=2) + "\n")
-    if args.format == "text":
-        print(f"wrote {bench_path}")
-    return 0 if report["passed"] else 1
+    return harness.main(TELEMETRY, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,24 +1,21 @@
-"""Frozen pre-optimization event engine, kept as a measurement baseline.
+"""The pre-optimization event engine, kept verbatim as a differential
+fixture (moved from ``repro/perf/legacy.py``; nothing in ``src/`` uses it).
 
 This is the simulator core as it stood *before* the performance pass that
 introduced tuple heap entries and cancelled-entry compaction in
 :mod:`repro.sim.engine`: dataclass heap entries (``@dataclass(order=True)``
 comparison), a ``peek + step`` run loop, O(n) ``pending_events``, and no
-compaction. The benchmark catalog runs the same workloads on this engine
-and on the live one so the optimization's speedup stays *measured* — a
-regression in the live engine shows up as the ``engine_churn`` speedup
-dropping below the gate in ``python -m repro perf --check``, not as a
-silently slower simulator.
+compaction. ``tests/test_sim_engine.py`` and ``tests/test_wheel_lane.py``
+drive it against the live engine: same program, same FIFO tie order,
+same fleet digest.
 
-Nothing outside :mod:`repro.perf` may import this module; it is not a
-fallback engine, and it intentionally does not track the live engine's
-API additions (``compactions``, ``_pop``, wheel diagnostics). The one
-deliberate exception: it grew ``run_for`` and a **self-rescheduling**
+It intentionally does not track the live engine's API additions
+(``compactions``, ``_pop``, wheel diagnostics). The one deliberate
+exception: it has ``run_for`` and a **self-rescheduling**
 ``schedule_periodic`` adapter so the full deployment model (whose call
-sites now use the wheel lane) still builds and runs on this engine —
-the adapter re-arms through the heap on every occurrence, which is
-exactly the pre-wheel cost the ``engine_churn_wheel`` and ``fleet_slot``
-benchmark pairs measure against.
+sites use the wheel lane) still builds and runs on this engine — the
+adapter re-arms through the heap on every occurrence, the idiom lint
+rule PERF002 bans from ``src/``.
 """
 
 from __future__ import annotations
@@ -102,7 +99,7 @@ class LegacyPeriodicHandle:
             return
         # Re-arm first, through the heap — the pre-wheel periodic idiom
         # the live engine's wheel lane replaced (and PERF002 now flags).
-        self._next = self.sim.schedule(  # slinglint: disable=PERF002
+        self._next = self.sim.schedule(
             self.period, self._fire, label=self.label
         )
         self.fired = True

@@ -75,9 +75,9 @@ def _mid_recovery_verify(payload):
 
 
 def _chaos_baseline():
-    from repro.checkpoint.soak import _chaos_baseline_digests
+    from repro.faults.campaign import recorded_digests
 
-    digests = _chaos_baseline_digests()
+    digests = recorded_digests()
     assert digests, "benchmarks/BENCH_chaos.json missing - record it first"
     return digests
 

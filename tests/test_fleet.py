@@ -35,9 +35,9 @@ from repro.fleet import (
 )
 from repro.fleet.campaign import main as fleet_main
 from repro.fleet.campaign import run_fleet_campaign
-from repro.perf.sampler import PopSampler
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
+from repro.telemetry.probe import EventCountProbe
 
 
 def _commits(cell) -> int:
@@ -352,15 +352,17 @@ class TestFleetScale:
             FleetConfig(seed=4, num_cells=100, users_per_cell=10_000)
         )
         assert harness.population.total_users() == 1_000_000
-        with PopSampler(every=4) as sampler:
+        with EventCountProbe() as probe:
             harness.run_until(30 * MS)
-        shares = sampler.shares()
-        assert sampler.sampled_events > 0
-        # No per-UE machinery runs at all (cohorts are aggregate), and
-        # the population model's once-per-epoch tick is a rounding error
-        # next to the per-cell PHY/fronthaul work.
-        assert shares.get("repro.ue", 0.0) < 0.01
-        assert shares.get("repro.fleet", 0.0) < 0.10
+        counts = probe.counts
+        assert probe.total_events == harness.sim.events_processed
+        # No per-UE machinery runs at all (cohorts are aggregate): not one
+        # event lands in the UE layer.
+        assert counts.get("repro.ue", 0) == 0
+        # The population model ticks once per cell per epoch; next to the
+        # per-cell PHY/fronthaul work that is a rounding error in events,
+        # and the count is exact, so this cannot flake on a busy host.
+        assert 0 < counts["repro.fleet"] < 0.01 * probe.total_events
 
 
 # ----------------------------------------------------------------------

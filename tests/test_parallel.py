@@ -18,7 +18,7 @@ from repro.parallel import (
     available_parallelism,
     run_shards,
 )
-from repro.parallel.pool import fork_available, measured_parallelism
+from repro.parallel.pool import fork_available
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="no fork start method on this platform"
@@ -105,7 +105,6 @@ class TestRunShardsSerial:
 
     def test_probe_and_cpu_count_sane(self):
         assert available_parallelism() >= 1
-        assert measured_parallelism(1) == 1.0
 
 
 @needs_fork
@@ -194,21 +193,19 @@ class TestChaosJobsSmoke:
 
 @pytest.mark.slow
 class TestSerialParallelEquality:
-    def test_standard_campaign_digests_identical_across_jobs(self):
-        """The full standard chaos campaign produces a bit-identical
-        deterministic report (every digest included) at jobs 1, 2, 4."""
-        from repro.faults.campaign import run_campaign
+    def test_standard_campaign_digests_identical_across_jobs(self, capsys):
+        """The full standard chaos campaign, run once on a 4-worker pool,
+        reproduces every digest in the recorded ``BENCH_chaos.json`` — all
+        39 pinned to the recording and, through it, to a serial run.
+        Equality at jobs 1, 2 and 4 on a subset is the harness contract
+        (``tests/test_harness_contract.py``)."""
+        from repro.faults.campaign import main as chaos_main
 
-        reports = {
-            jobs: run_campaign(replay=False, jobs=jobs) for jobs in (1, 2, 4)
-        }
-        serial = reports[1].as_dict()
-        assert serial["runs_total"] > 0 and serial["passed"]
-        assert reports[2].as_dict() == serial
-        assert reports[4].as_dict() == serial
-        # The execution accounting (excluded from as_dict) did record
-        # the fan-out.
-        assert reports[4].execution["jobs"] == 4
+        exit_code = chaos_main(["--check", "--no-replay", "--jobs", "4"])
+        output = capsys.readouterr().out
+        assert exit_code == 0, output
+        assert "39 runs, 0 failed" in output
+        assert "chaos check passed (39 run(s))" in output
 
     def test_perf_macro_digests_identical_across_jobs(self):
         """Macro perf scenarios fan out under --jobs with unchanged
@@ -218,15 +215,11 @@ class TestSerialParallelEquality:
         names = ["macro_fig9", "macro_chaos_crash_restart"]
         digests = {}
         for jobs in (1, 2, 4):
-            report = run_benchmarks(
-                names=names, quick=True, profile=False, jobs=jobs
-            )
+            report = run_benchmarks(names=names, quick=True, jobs=jobs)
             digests[jobs] = {
-                name: report.results[name].digest for name in names
+                name: report.modes["quick"][name].digest for name in names
             }
-            if jobs > 1:
-                assert report.execution is not None
-                assert report.execution["shards"] == len(names)
+            assert report.execution["shards"] == len(names)
         assert digests[2] == digests[1]
         assert digests[4] == digests[1]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.perf.legacy import LegacySimulator
+from tests.engine_legacy import LegacySimulator
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process

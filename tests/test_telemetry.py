@@ -213,6 +213,15 @@ class TestEventCountProbe:
             self._run_small_sim()
         assert probe.total_events == 3
 
+    def test_subsystem_attribution(self):
+        from repro.telemetry.probe import subsystem_of
+
+        assert subsystem_of(Simulator.step) == "repro.sim"
+        # Non-repro callables bill to their top-level module.
+        probe = lambda: None  # noqa: E731
+        assert subsystem_of(probe) == probe.__module__.split(".")[0]
+        assert subsystem_of(int) == "builtins"
+
 
 class TestFailoverTimeline:
     def _failover_events(self):

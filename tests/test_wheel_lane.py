@@ -183,7 +183,7 @@ class TestTieOrderDifferential:
         assert self._run_wheel(seed) == self._run_wheel(seed)
 
     def test_fifo_matches_legacy_engine(self):
-        from repro.perf.legacy import LegacySimulator
+        from tests.engine_legacy import LegacySimulator
 
         sim = LegacySimulator()
         log = []
@@ -333,7 +333,7 @@ class TestFleetBackendDifferential:
         assert stats.cache_hits > 0
 
     def test_legacy_engine_fleet_digest_matches_live(self):
-        from repro.perf.legacy import LegacySimulator
+        from tests.engine_legacy import LegacySimulator
 
         live, live_harness = self._digest("per-cell")
         legacy, legacy_harness = self._digest("per-cell", sim=LegacySimulator())
