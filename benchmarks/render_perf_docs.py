@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render the perf numbers quoted in the docs from ``BENCH_perf.json``.
+"""Render the generated doc blocks and ledgers from the committed sources.
 
     PYTHONPATH=src python benchmarks/render_perf_docs.py          # rewrite
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
@@ -11,10 +11,15 @@ switch-transit cost between ``<!-- perf:NAME:begin -->`` and
 from the committed JSON's full-mode results, so the docs are never typed
 from memory; ``tests/test_perf_harness.py`` runs the ``--check`` form in
 tier-1. The numbers are one host's recorded, ungated rates.
+
+It also writes ``benchmarks/src_lines.json``, the per-package line count
+of ``src/repro`` (:func:`src_line_ledger`), so a PR's diff shows what it
+did to the size of the runtime package instead of CHANGES.md typing it.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import sys
 from pathlib import Path
@@ -29,6 +34,20 @@ Results = Dict[str, BenchmarkResult]
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+SRC_LINES = ROOT / "benchmarks" / "src_lines.json"
+
+
+def src_line_ledger() -> str:
+    """``src/repro`` physical lines (what ``wc -l`` counts) per package,
+    top-level modules under ``"."``, as the JSON text of the ledger."""
+    package_root = ROOT / "src" / "repro"
+    packages: Dict[str, int] = {}
+    for path in sorted(package_root.rglob("*.py")):
+        parts = path.relative_to(package_root).parts
+        package = parts[0] if len(parts) > 1 else "."
+        packages[package] = packages.get(package, 0) + path.read_text().count("\n")
+    ledger = {"packages": packages, "total": sum(packages.values())}
+    return json.dumps(ledger, indent=2, sort_keys=True) + "\n"
 
 
 def render_macros(results: Results) -> str:
@@ -132,16 +151,15 @@ def render_doc(text: str, results: Results) -> str:
 def main(argv: "list[str]") -> int:
     results = load_report(bench_path("perf")).modes["full"]
     stale = []
-    for name in DOCS:
-        path = ROOT / name
-        text = path.read_text()
-        fresh = render_doc(text, results)
+    for path in [ROOT / name for name in DOCS] + [SRC_LINES]:
+        text = path.read_text() if path.exists() else ""
+        fresh = src_line_ledger() if path == SRC_LINES else render_doc(text, results)
         if fresh != text:
-            stale.append(name)
+            stale.append(path.name)
             if "--check" not in argv:
                 path.write_text(fresh)
     if "--check" in argv and stale:
-        print(f"stale perf blocks in: {', '.join(stale)} (re-run without --check)")
+        print(f"stale generated content in: {', '.join(stale)} (re-run without --check)")
         return 1
     return 0
 

@@ -9,9 +9,9 @@ as silently. This module lifts the stream-name discipline from the old
 per-file DET005 check ("``faults/`` stays inside ``faults.*``") to a
 whole-program ownership model:
 
-* every ``.stream(...)`` / ``.batched_uniform(...)`` call site in the
-  program is extracted with its statically-resolvable name (a literal,
-  or the constant prefix of an f-string);
+* every ``.stream(...)`` call site in the program is extracted with
+  its statically-resolvable name (a literal, or the constant prefix of
+  an f-string);
 * each name's leading component (its *namespace head*) must be declared
   in :data:`NAMESPACES`, which maps the head to the subsystem that owns
   those draws;
@@ -40,7 +40,7 @@ from repro.analysis.program import ModuleInfo, Program
 from repro.analysis.registry import ProgramRule, dotted_name, register_rule
 
 #: Method-name tails that acquire a named stream from a registry.
-_STREAM_METHODS = ("stream", "batched_uniform")
+_STREAM_METHODS = ("stream",)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,25 @@
-"""Full-cell deployment wiring.
+"""Deployment wiring: the one module that builds components.
 
-Reproduces the paper's testbed topology (Table 1): one RU on a fiber
+Reproduces the paper's testbed topology (Table 1): RUs on fiber
 fronthaul into a Tofino-class switch; two (or more) PHY servers and one
 L2 server on 100 GbE; a core network and an application server beyond.
+Every other composition root (the fleet composer, the chaos / soak probe
+harness, the experiments) calls one of the two builders here and never
+constructs a component itself (``tests/test_wiring_site.py``).
 
-Two builders:
+Two builders over one set of wiring steps (:class:`_Wiring`):
 
 * :func:`build_slingshot_cell` — the protected deployment: Slingshot's
   fronthaul middlebox on the switch, PHY-side Orions on the PHY servers,
   an L2-side Orion on the L2 server, a hot-standby secondary fed null
-  FAPI, and the in-switch failure detector armed on the primary.
+  FAPI, and the in-switch failure detector armed on every primary. By
+  default one RU with its primary on server 0 and its standby on
+  server 1; ``placement`` puts N RUs on the same servers, e.g. the
+  paper's economical pod (§2.2, §8: "Slingshot will co-locate primary
+  and secondary PHYs for different RUs within PHY processes") with
+  crossed roles ``[(0, 1), (1, 0)]`` — each server then runs one real
+  workload and one null-FAPI standby inside one PHY process, and
+  killing either fails over only the RU it was primary for.
 * :func:`build_baseline_cell` — today's vRAN: a full hot-backup vRAN
   stack (its own L2 identity) on the second server; on primary failure
   the fronthaul is re-routed to the backup with the same in-switch
@@ -19,14 +29,14 @@ Two builders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cell.config import CellConfig, UeProfile, default_bearers
 from repro.core.commands import MigrateOnSlot, SLINGSHOT_CMD_BYTES
 from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
 from repro.core.migration import ClusterConfig, MigrationController, PhyServer
-from repro.core.orion import L2SideOrion, OrionConfig, PhySideOrion
+from repro.core.orion import L2SideOrion, PhySideOrion
 from repro.corenet.core import CoreConfig, CoreNetwork
 from repro.corenet.server import AppServer
 from repro.fapi.channels import ShmChannel
@@ -45,6 +55,9 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.ue.ue import UeConfig, UserEquipment
+
+#: One RU's PHY placement: (primary server, standby server or None).
+Placement = Tuple[int, Optional[int]]
 
 
 class ServerNic:
@@ -81,8 +94,23 @@ class PhyServerNode:
 
 
 @dataclass
+class CellSite:
+    """One RU's slice of a deployment (``sites[i]`` is cell ``i``): the RU
+    (and, as ``ru.air``, its air interface), the L2 process scheduling it
+    and the UEs it serves."""
+
+    ru: RadioUnit
+    l2: L2Process
+    ues: Dict[int, UserEquipment]
+
+
+@dataclass
 class _BaseCell:
-    """Shared state of both deployment flavors."""
+    """Shared state of both deployment flavors.
+
+    ``air`` / ``ru`` are RU 0's; ``ues`` holds every UE of the
+    deployment (ids are unique across RUs).
+    """
 
     config: CellConfig
     sim: Simulator
@@ -98,7 +126,7 @@ class _BaseCell:
     server: AppServer
     ues: Dict[int, UserEquipment]
     #: PTP-disciplined clocks of the slot-synchronized nodes (Table 1):
-    #: the RU and every PHY server, each on its own registry stream.
+    #: every RU and every PHY server, each on its own registry stream.
     ptp_clocks: Dict[str, PtpClock] = field(default_factory=dict)
 
     @property
@@ -126,11 +154,13 @@ class _BaseCell:
 
 @dataclass
 class SlingshotCell(_BaseCell):
-    """A cell protected by Slingshot."""
+    """A deployment protected by Slingshot: one RU by default, one
+    :class:`CellSite` per RU (``l2`` is site 0's) when placed as a pod."""
 
     l2: L2Process = None  # type: ignore[assignment]
     l2_orion: L2SideOrion = None  # type: ignore[assignment]
     controller: MigrationController = None  # type: ignore[assignment]
+    sites: List[CellSite] = field(default_factory=list)
 
     def planned_migration(self, cell_id: int = 0) -> int:
         return self.controller.planned_migration(cell_id)
@@ -167,223 +197,296 @@ class BaselineCell(_BaseCell):
         self.trace.record(self.sim.now, "baseline.rerouted", boundary=boundary)
 
 
-def _wire_phy_server(
-    cell_cfg: CellConfig,
-    sim: Simulator,
-    trace: TraceRecorder,
-    rng: RngRegistry,
-    switch: Switch,
-    middlebox: FronthaulMiddlebox,
-    slot_clock: SlotClock,
-    macs: MacAllocator,
-    phy_id: int,
-    decoder_iterations: int,
-    vran_instance_id: int,
-) -> PhyServerNode:
-    """Stand up one PHY server: PHY + PHY-side Orion + NIC + switch port."""
-    phy_mac = macs.allocate()
-    orion_mac = macs.allocate()
-    nic = ServerNic(name=f"phy-server{phy_id}")
-    port = switch.attach(
-        nic,
-        bandwidth_bps=100e9,
-        latency_ns=cell_cfg.edge_link_latency_ns,
-        name=f"phy{phy_id}",
-    )
-    phy = PhyProcess(
-        sim=sim,
-        phy_id=phy_id,
-        mac=phy_mac,
-        slot_clock=slot_clock,
-        tdd=cell_cfg.tdd,
-        rng=rng.stream(f"phy{phy_id}"),
-        config=PhyConfig(
-            decoder_iterations=decoder_iterations,
-            vran_instance_id=vran_instance_id,
-            massive_mimo=cell_cfg.massive_mimo,
-        ),
-        uplink=port.ingress_link,  # type: ignore[attr-defined]
-        trace=trace,
-        name=f"phy{phy_id}",
-    )
-    orion = PhySideOrion(
-        sim=sim, phy_id=phy_id, mac=orion_mac, slot_clock=slot_clock,
-        trace=trace, name=f"orion-phy{phy_id}",
-    )
-    orion.uplink = port.ingress_link  # type: ignore[attr-defined]
-    # SHM pair between the local Orion and PHY.
-    shm_up = ShmChannel(sim, phy, name=f"shm-orion{phy_id}->phy")
-    shm_down = ShmChannel(sim, orion, name=f"shm-phy{phy_id}->orion")
-    orion.shm_to_phy = shm_up
-    phy.fapi_tx = shm_down
-    nic.phy = phy
-    nic.orion = orion
-    middlebox.register_phy(phy_id, phy_mac, port.number)
-    middlebox.register_l2_host(orion_mac, port.number)
-    return PhyServerNode(
-        phy_id=phy_id,
-        phy=phy,
-        orion=orion,
-        nic=nic,
-        phy_mac=phy_mac,
-        orion_mac=orion_mac,
-        port=port.number,
-    )
-
-
-def _build_common(config: CellConfig, sim: Optional[Simulator] = None):
-    """Create the shared substrate: sim, switch+middlebox, RU, air, UEs.
+class _Wiring:
+    """The substrate every component is wired against — one event loop,
+    trace, RNG registry and edge switch with the middlebox installed —
+    and the wiring steps both builders are made of.
 
     With an external ``sim`` (the fleet composer's island-cell mode) the
-    cell shares one event loop with its siblings but owns every other
-    piece of state — switch, middlebox, RNG registry, trace — so its
-    canonical trace is byte-identical to a standalone build of the same
-    config (``config.tie_shuffle_seed`` then belongs to the shared sim's
-    creator and is ignored here).
+    deployment shares one event loop with its siblings but owns every
+    other piece of state — switch, middlebox, RNG registry, trace — so
+    its canonical trace is byte-identical to a standalone build of the
+    same config (``config.tie_shuffle_seed`` then belongs to the shared
+    sim's creator and is ignored here).
     """
-    if sim is None:
-        sim = Simulator(tie_shuffle_seed=config.tie_shuffle_seed)
-    trace = TraceRecorder()
-    rng = RngRegistry(seed=config.seed)
-    slot_clock = SlotClock(config.numerology)
-    macs = MacAllocator()
-    switch = Switch(sim, name="edge-switch")
-    middlebox = FronthaulMiddlebox(
-        sim,
-        config=MiddleboxConfig(),
-        trace=trace,
-        name="fh-mbox",
-    )
-    middlebox.install_on(switch)
-    air = AirInterface()
-    ru_mac = macs.allocate()
-    ru = RadioUnit(
-        sim=sim,
-        ru_id=0,
-        mac=ru_mac,
-        virtual_phy_mac=middlebox.virtual_phy_mac,
-        slot_clock=slot_clock,
-        tdd=config.tdd,
-        air=air,
-        trace=trace,
-        name="ru0",
-    )
-    ru_port = switch.attach(
-        ru,
-        bandwidth_bps=25e9,
-        latency_ns=config.fronthaul_latency_ns,
-        name="ru0",
-    )
-    ru.uplink = ru_port.ingress_link  # type: ignore[attr-defined]
-    middlebox.register_ru(0, ru_mac, ru_port.number, initial_phy=0)
-    return sim, trace, rng, slot_clock, macs, switch, middlebox, air, ru
 
-
-def _build_ptp_clocks(rng: RngRegistry, num_phy_servers: int) -> Dict[str, PtpClock]:
-    """Disciplined PTP clocks for the RU and PHY servers.
-
-    Each clock's oscillator/servo noise comes from its own named registry
-    stream, so the clock ensemble is deterministic per scenario seed.
-    """
-    clocks: Dict[str, PtpClock] = {"ru0": PtpClock(rng=rng.stream("ptp.ru0"))}
-    for phy_id in range(num_phy_servers):
-        clocks[f"phy{phy_id}"] = PtpClock(rng=rng.stream(f"ptp.phy{phy_id}"))
-    return clocks
-
-
-def _build_ues(
-    config: CellConfig,
-    sim: Simulator,
-    trace: TraceRecorder,
-    rng: RngRegistry,
-    slot_clock: SlotClock,
-    air: AirInterface,
-    core: CoreNetwork,
-) -> Dict[int, UserEquipment]:
-    ues: Dict[int, UserEquipment] = {}
-    for profile in config.ue_profiles:
-        channel = UeChannelModel(
-            rng=rng.stream(f"ue{profile.ue_id}.channel"),
-            mean_snr_db=profile.mean_snr_db,
-            shadow_sigma_db=profile.shadow_sigma_db,
-            fade_probability=profile.fade_probability,
+    def __init__(self, config: CellConfig, sim: Optional[Simulator] = None) -> None:
+        if sim is None:
+            sim = Simulator(tie_shuffle_seed=config.tie_shuffle_seed)
+        self.config = config
+        self.sim = sim
+        self.trace = TraceRecorder()
+        self.rng = RngRegistry(seed=config.seed)
+        self.slot_clock = SlotClock(config.numerology)
+        self.macs = MacAllocator()
+        self.switch = Switch(sim, name="edge-switch")
+        self.middlebox = FronthaulMiddlebox(
+            sim, config=MiddleboxConfig(), trace=self.trace, name="fh-mbox"
         )
-        ue = UserEquipment(
-            sim=sim,
-            ue_id=profile.ue_id,
-            slot_clock=slot_clock,
-            tdd=config.tdd,
-            air=air,
-            channel=channel,
-            rng=rng.stream(f"ue{profile.ue_id}.modem"),
-            bearers=default_bearers(),
-            config=UeConfig(rlf_timeout_ns=config.rlf_timeout_ns),
-            trace=trace,
-            name=profile.name,
+        self.middlebox.install_on(self.switch)
+
+    def radio_unit(self, ru_id: int, initial_phy: int) -> RadioUnit:
+        """One RU on its fronthaul fiber, steered to ``initial_phy``."""
+        ru_mac = self.macs.allocate()
+        ru = RadioUnit(
+            sim=self.sim,
+            ru_id=ru_id,
+            mac=ru_mac,
+            virtual_phy_mac=self.middlebox.virtual_phy_mac,
+            slot_clock=self.slot_clock,
+            tdd=self.config.tdd,
+            air=AirInterface(),
+            trace=self.trace,
+            name=f"ru{ru_id}",
         )
-        core.admit_ue(ue, default_bearers(), snr_hint_db=profile.mean_snr_db)
-        ues[profile.ue_id] = ue
-    return ues
+        ru_port = self.switch.attach(
+            ru,
+            bandwidth_bps=25e9,
+            latency_ns=self.config.fronthaul_latency_ns,
+            name=f"ru{ru_id}",
+        )
+        ru.uplink = ru_port.ingress_link  # type: ignore[attr-defined]
+        self.middlebox.register_ru(
+            ru_id, ru_mac, ru_port.number, initial_phy=initial_phy
+        )
+        return ru
+
+    def phy_server(
+        self, phy_id: int, decoder_iterations: int, vran_instance_id: int
+    ) -> PhyServerNode:
+        """One PHY server: PHY + PHY-side Orion + NIC + switch port."""
+        phy_mac = self.macs.allocate()
+        orion_mac = self.macs.allocate()
+        nic = ServerNic(name=f"phy-server{phy_id}")
+        port = self.switch.attach(
+            nic,
+            bandwidth_bps=100e9,
+            latency_ns=self.config.edge_link_latency_ns,
+            name=f"phy{phy_id}",
+        )
+        phy = PhyProcess(
+            sim=self.sim,
+            phy_id=phy_id,
+            mac=phy_mac,
+            slot_clock=self.slot_clock,
+            tdd=self.config.tdd,
+            rng=self.rng.stream(f"phy{phy_id}"),
+            config=PhyConfig(
+                decoder_iterations=decoder_iterations,
+                vran_instance_id=vran_instance_id,
+                massive_mimo=self.config.massive_mimo,
+            ),
+            uplink=port.ingress_link,  # type: ignore[attr-defined]
+            trace=self.trace,
+            name=f"phy{phy_id}",
+        )
+        orion = PhySideOrion(
+            sim=self.sim, phy_id=phy_id, mac=orion_mac,
+            slot_clock=self.slot_clock, trace=self.trace,
+            name=f"orion-phy{phy_id}",
+        )
+        orion.uplink = port.ingress_link  # type: ignore[attr-defined]
+        # SHM pair between the local Orion and PHY.
+        orion.shm_to_phy = ShmChannel(self.sim, phy, name=f"shm-orion{phy_id}->phy")
+        phy.fapi_tx = ShmChannel(self.sim, orion, name=f"shm-phy{phy_id}->orion")
+        nic.phy = phy
+        nic.orion = orion
+        self.middlebox.register_phy(phy_id, phy_mac, port.number)
+        self.middlebox.register_l2_host(orion_mac, port.number)
+        return PhyServerNode(
+            phy_id=phy_id,
+            phy=phy,
+            orion=orion,
+            nic=nic,
+            phy_mac=phy_mac,
+            orion_mac=orion_mac,
+            port=port.number,
+        )
+
+    def l2_process(self, cell_id: int, name: str) -> L2Process:
+        return L2Process(
+            sim=self.sim,
+            slot_clock=self.slot_clock,
+            tdd=self.config.tdd,
+            numerology=self.config.numerology,
+            cell_id=cell_id,
+            ru_id=cell_id,
+            config=MacConfig(total_prbs=self.config.numerology.num_prbs),
+            trace=self.trace,
+            name=name,
+        )
+
+    def core_and_server(
+        self, l2s: Sequence[L2Process]
+    ) -> Tuple[CoreNetwork, AppServer]:
+        """The core takes uplink SDUs from every L2 in ``l2s``; the first
+        is its primary binding (bound last), per-UE routing reaches the
+        others."""
+        core = CoreNetwork(
+            self.sim,
+            config=CoreConfig(backhaul_latency_ns=self.config.backhaul_latency_ns),
+            registry=self.rng,
+            trace=self.trace,
+        )
+        for l2 in reversed(l2s):
+            core.bind_l2(l2)
+        server = AppServer(
+            self.sim, core, latency_to_core_ns=self.config.server_latency_ns
+        )
+        return core, server
+
+    def ues(
+        self,
+        profiles: Sequence[UeProfile],
+        air: AirInterface,
+        core: CoreNetwork,
+        l2: L2Process,
+    ) -> Dict[int, UserEquipment]:
+        """The UEs of one RU, admitted to the core as served by ``l2``."""
+        ues: Dict[int, UserEquipment] = {}
+        for profile in profiles:
+            channel = UeChannelModel(
+                rng=self.rng.stream(f"ue{profile.ue_id}.channel"),
+                mean_snr_db=profile.mean_snr_db,
+                shadow_sigma_db=profile.shadow_sigma_db,
+                fade_probability=profile.fade_probability,
+            )
+            ue = UserEquipment(
+                sim=self.sim,
+                ue_id=profile.ue_id,
+                slot_clock=self.slot_clock,
+                tdd=self.config.tdd,
+                air=air,
+                channel=channel,
+                rng=self.rng.stream(f"ue{profile.ue_id}.modem"),
+                bearers=default_bearers(),
+                config=UeConfig(rlf_timeout_ns=self.config.rlf_timeout_ns),
+                trace=self.trace,
+                name=profile.name,
+            )
+            core.admit_ue(
+                ue, default_bearers(), snr_hint_db=profile.mean_snr_db, l2=l2
+            )
+            ues[profile.ue_id] = ue
+        return ues
+
+    def arm_detector(self, phy_id: int) -> None:
+        """Arm failure detection on a primary once it is emitting
+        heartbeats (arming before bring-up would trip on the
+        not-yet-started PHY)."""
+        self.sim.schedule(
+            5 * self.slot_clock.slot_duration_ns,
+            self.middlebox.detector.set_monitor,
+            phy_id,
+            True,
+            label="arm-detector",
+        )
+
+    def ptp_clocks(self, num_rus: int, num_phy_servers: int) -> Dict[str, PtpClock]:
+        """Disciplined PTP clocks for the RUs and PHY servers.
+
+        Each clock's oscillator/servo noise comes from its own named
+        registry stream, so the clock ensemble is deterministic per
+        scenario seed.
+        """
+        nodes = [f"ru{i}" for i in range(num_rus)]
+        nodes += [f"phy{i}" for i in range(num_phy_servers)]
+        return {node: PtpClock(rng=self.rng.stream(f"ptp.{node}")) for node in nodes}
+
+
+def _site_profiles(config: CellConfig, ru_id: int) -> List[UeProfile]:
+    """RU 0 serves ``config.ue_profiles`` as given; every further RU
+    serves a copy with the ids shifted past the previous RU's, so UE ids
+    (and the RNG streams named after them) stay unique pod-wide."""
+    if ru_id == 0 or not config.ue_profiles:
+        return list(config.ue_profiles)
+    stride = 1 + max(profile.ue_id for profile in config.ue_profiles)
+    return [
+        replace(
+            profile,
+            ue_id=profile.ue_id + ru_id * stride,
+            name=f"ru{ru_id}-{profile.name}",
+        )
+        for profile in config.ue_profiles
+    ]
 
 
 def build_slingshot_cell(
     config: Optional[CellConfig] = None,
     sim: Optional[Simulator] = None,
+    placement: Optional[Sequence[Placement]] = None,
 ) -> SlingshotCell:
-    """Build, wire, and start a Slingshot-protected cell.
+    """Build, wire, and start a Slingshot-protected deployment.
 
-    ``sim`` plugs the cell into an existing event loop (island-cell mode,
-    used by :mod:`repro.fleet`); by default the cell gets its own.
+    ``sim`` plugs the deployment into an existing event loop (island-cell
+    mode, used by :mod:`repro.fleet`); by default it gets its own.
+    ``placement`` lists one ``(primary, standby)`` PHY-server pair per RU;
+    the default is the single-RU cell with its primary on server 0 and
+    (given a second server) its hot standby on server 1. RU ``i`` is
+    cell ``i``: its own L2 process behind the shared L2-side Orion, its
+    own air interface, and its own copy of ``config.ue_profiles``.
     """
     config = config or CellConfig()
-    (sim, trace, rng, slot_clock, macs, switch, middlebox, air, ru) = _build_common(
-        config, sim=sim
-    )
-    # PHY servers. All belong to vRAN instance 1 (one L2).
+    servers = range(config.num_phy_servers)
+    if placement is None:
+        placement = [(0, 1 if config.num_phy_servers > 1 else None)]
+    if not placement:
+        raise ValueError("placement needs at least one RU")
+    for primary, standby in placement:
+        if primary not in servers or standby == primary or (
+            standby is not None and standby not in servers
+        ):
+            raise ValueError(
+                f"placement {(primary, standby)} does not fit "
+                f"{config.num_phy_servers} PHY servers"
+            )
+    wiring = _Wiring(config, sim)
+    sim, middlebox = wiring.sim, wiring.middlebox
+    rus = [
+        wiring.radio_unit(ru_id, initial_phy=primary)
+        for ru_id, (primary, _) in enumerate(placement)
+    ]
+    # PHY servers. All belong to vRAN instance 1 (one L2 server).
     phy_servers: List[PhyServerNode] = []
-    for phy_id in range(config.num_phy_servers):
+    for phy_id in servers:
         iterations = config.phy_decoder_iterations
         if phy_id == 1 and config.secondary_decoder_iterations is not None:
             iterations = config.secondary_decoder_iterations
         phy_servers.append(
-            _wire_phy_server(
-                config, sim, trace, rng, switch, middlebox, slot_clock, macs,
-                phy_id, iterations, vran_instance_id=1,
-            )
+            wiring.phy_server(phy_id, iterations, vran_instance_id=1)
         )
-    # L2 server: L2 process + L2-side Orion.
-    l2_orion_mac = macs.allocate()
+    # L2 server: one L2 process per RU behind one L2-side Orion.
+    l2_orion_mac = wiring.macs.allocate()
     l2_nic = ServerNic(name="l2-server")
-    l2_port = switch.attach(
+    l2_port = wiring.switch.attach(
         l2_nic,
         bandwidth_bps=100e9,
         latency_ns=config.edge_link_latency_ns,
         name="l2",
     )
-    l2 = L2Process(
-        sim=sim,
-        slot_clock=slot_clock,
-        tdd=config.tdd,
-        numerology=config.numerology,
-        cell_id=0,
-        ru_id=0,
-        config=MacConfig(total_prbs=config.numerology.num_prbs),
-        trace=trace,
-        name="l2",
-    )
     l2_orion = L2SideOrion(
-        sim=sim, mac=l2_orion_mac, slot_clock=slot_clock, trace=trace
+        sim=sim, mac=l2_orion_mac, slot_clock=wiring.slot_clock, trace=wiring.trace
     )
     l2_orion.uplink = l2_port.ingress_link  # type: ignore[attr-defined]
     l2_nic.orion = l2_orion
-    # SHM pair between L2 and its Orion.
-    shm_to_orion = ShmChannel(sim, l2_orion, name="shm-l2->orion")
-    shm_to_l2 = ShmChannel(sim, l2, name="shm-orion->l2")
-    l2.set_fapi_channel(shm_to_orion)
-    l2_orion.shm_to_l2 = shm_to_l2
     middlebox.register_l2_host(l2_orion_mac, l2_port.number)
     middlebox.set_notification_target(l2_orion_mac, l2_port.number)
-    # Cluster config + assignment.
+    l2s: List[L2Process] = []
+    for cell_id, (primary, standby) in enumerate(placement):
+        # Cell 0 keeps the single-cell names and is the Orion's default
+        # route; further cells are keyed by id.
+        tag = "" if cell_id == 0 else f"-cell{cell_id}"
+        l2 = wiring.l2_process(cell_id, name=f"l2{tag}")
+        l2.set_fapi_channel(ShmChannel(sim, l2_orion, name=f"shm-l2{tag}->orion"))
+        shm_to_l2 = ShmChannel(sim, l2, name=f"shm-orion->l2{tag}")
+        if cell_id == 0:
+            l2_orion.shm_to_l2 = shm_to_l2
+        else:
+            l2_orion.shm_to_l2_by_cell[cell_id] = shm_to_l2
+        l2_orion.assign_cell(
+            cell_id=cell_id, ru_id=cell_id, primary_phy=primary, secondary_phy=standby
+        )
+        l2s.append(l2)
     cluster = ClusterConfig()
     for node in phy_servers:
         node.orion.l2_orion_mac = l2_orion_mac
@@ -391,51 +494,43 @@ def build_slingshot_cell(
         cluster.add_server(
             PhyServer(phy_id=node.phy_id, phy=node.phy, orion_mac=node.orion_mac)
         )
-    secondary = 1 if config.num_phy_servers > 1 else None
-    l2_orion.assign_cell(cell_id=0, ru_id=0, primary_phy=0, secondary_phy=secondary)
-    controller = MigrationController(l2_orion, cluster, trace=trace)
-    # Arm failure detection on the primary once it is emitting heartbeats
-    # (arming before bring-up would trip on the not-yet-started PHY).
-    sim.schedule(
-        5 * slot_clock.slot_duration_ns,
-        middlebox.detector.set_monitor,
-        0,
-        True,
-        label="arm-detector",
-    )
+    controller = MigrationController(l2_orion, cluster, trace=wiring.trace)
+    for phy_id in sorted({primary for primary, _ in placement}):
+        wiring.arm_detector(phy_id)
     # Core + app server + UEs.
-    core = CoreNetwork(
-        sim,
-        config=CoreConfig(backhaul_latency_ns=config.backhaul_latency_ns),
-        registry=rng,
-        trace=trace,
-    )
-    core.bind_l2(l2)
-    server = AppServer(sim, core, latency_to_core_ns=config.server_latency_ns)
-    ues = _build_ues(config, sim, trace, rng, slot_clock, air, core)
+    core, server = wiring.core_and_server(l2s)
+    sites = [
+        CellSite(
+            ru=ru,
+            l2=l2,
+            ues=wiring.ues(_site_profiles(config, cell_id), ru.air, core, l2),
+        )
+        for cell_id, (ru, l2) in enumerate(zip(rus, l2s))
+    ]
     # Bring-up.
-    ru.start()
-    l2.start()
-    cell = SlingshotCell(
+    for site in sites:
+        site.ru.start()
+        site.l2.start()
+    return SlingshotCell(
         config=config,
         sim=sim,
-        trace=trace,
-        rng=rng,
-        slot_clock=slot_clock,
-        switch=switch,
+        trace=wiring.trace,
+        rng=wiring.rng,
+        slot_clock=wiring.slot_clock,
+        switch=wiring.switch,
         middlebox=middlebox,
-        air=air,
-        ru=ru,
+        air=rus[0].air,
+        ru=rus[0],
         phy_servers=phy_servers,
         core=core,
         server=server,
-        ues=ues,
-        ptp_clocks=_build_ptp_clocks(rng, config.num_phy_servers),
-        l2=l2,
+        ues={ue_id: ue for site in sites for ue_id, ue in site.ues.items()},
+        ptp_clocks=wiring.ptp_clocks(len(rus), config.num_phy_servers),
+        l2=l2s[0],
         l2_orion=l2_orion,
         controller=controller,
+        sites=sites,
     )
-    return cell
 
 
 def build_baseline_cell(config: Optional[CellConfig] = None) -> BaselineCell:
@@ -447,74 +542,48 @@ def build_baseline_cell(config: Optional[CellConfig] = None) -> BaselineCell:
     nevertheless need a full re-establishment with the backup stack.
     """
     config = config or CellConfig()
-    (sim, trace, rng, slot_clock, macs, switch, middlebox, air, ru) = _build_common(
-        config
-    )
+    wiring = _Wiring(config)
+    sim, middlebox = wiring.sim, wiring.middlebox
+    ru = wiring.radio_unit(0, initial_phy=0)
     phy_servers: List[PhyServerNode] = []
     l2s: List[L2Process] = []
     # Two independent vRAN stacks: instance ids 1 and 2.
     for phy_id, instance in ((0, 1), (1, 2)):
-        node = _wire_phy_server(
-            config, sim, trace, rng, switch, middlebox, slot_clock, macs,
-            phy_id, config.phy_decoder_iterations, vran_instance_id=instance,
+        node = wiring.phy_server(
+            phy_id, config.phy_decoder_iterations, vran_instance_id=instance
         )
         phy_servers.append(node)
-        l2 = L2Process(
-            sim=sim,
-            slot_clock=slot_clock,
-            tdd=config.tdd,
-            numerology=config.numerology,
-            cell_id=0,
-            ru_id=0,
-            config=MacConfig(total_prbs=config.numerology.num_prbs),
-            trace=trace,
-            name=f"l2-vran{instance}",
-        )
+        l2 = wiring.l2_process(0, name=f"l2-vran{instance}")
         # In the baseline, each L2 talks straight to its PHY over SHM
         # (tightly-coupled stack, no Orion indirection needed).
-        shm_to_phy = ShmChannel(sim, node.phy, name=f"shm-l2{instance}->phy")
-        shm_to_l2 = ShmChannel(sim, l2, name=f"shm-phy{instance}->l2")
-        l2.set_fapi_channel(shm_to_phy)
-        node.phy.fapi_tx = shm_to_l2
+        l2.set_fapi_channel(ShmChannel(sim, node.phy, name=f"shm-l2{instance}->phy"))
+        node.phy.fapi_tx = ShmChannel(sim, l2, name=f"shm-phy{instance}->l2")
         l2s.append(l2)
-    core = CoreNetwork(
-        sim,
-        config=CoreConfig(backhaul_latency_ns=config.backhaul_latency_ns),
-        registry=rng,
-        trace=trace,
-    )
-    core.bind_l2(l2s[0])
-    server = AppServer(sim, core, latency_to_core_ns=config.server_latency_ns)
-    ues = _build_ues(config, sim, trace, rng, slot_clock, air, core)
+    core, server = wiring.core_and_server(l2s[:1])
+    ues = wiring.ues(config.ue_profiles, ru.air, core, l2s[0])
     ru.start()
     for l2 in l2s:
         l2.start()
     cell = BaselineCell(
         config=config,
         sim=sim,
-        trace=trace,
-        rng=rng,
-        slot_clock=slot_clock,
-        switch=switch,
+        trace=wiring.trace,
+        rng=wiring.rng,
+        slot_clock=wiring.slot_clock,
+        switch=wiring.switch,
         middlebox=middlebox,
-        air=air,
+        air=ru.air,
         ru=ru,
         phy_servers=phy_servers,
         core=core,
         server=server,
         ues=ues,
-        ptp_clocks=_build_ptp_clocks(rng, num_phy_servers=2),
+        ptp_clocks=wiring.ptp_clocks(1, num_phy_servers=2),
         primary_l2=l2s[0],
         backup_l2=l2s[1],
     )
-    # Arm detection on the primary (after bring-up) and route
-    # notifications to the baseline's re-route hook.
-    sim.schedule(
-        5 * slot_clock.slot_duration_ns,
-        middlebox.detector.set_monitor,
-        0,
-        True,
-        label="arm-detector",
-    )
+    # Arm detection on the primary and route notifications to the
+    # baseline's re-route hook.
+    wiring.arm_detector(0)
     middlebox.detector.notify = cell._on_failure
     return cell

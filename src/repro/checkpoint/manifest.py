@@ -60,7 +60,6 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.sim.engine.PeriodicHandle': ('cancelled', 'epoch', 'next_time'),
     'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_now', '_queue', '_running', '_wheel', '_wheel_garbage', '_wheel_size', '_wheel_times', 'compactions', 'wheel_compactions'),
     'repro.sim.rng.BatchedIntegers': ('_buf', '_pos'),
-    'repro.sim.rng.BatchedUniform': ('_buf', '_pos'),
     'repro.sim.rng.RngRegistry': ('_streams',),
     'repro.sim.trace.TraceRecorder': ('_by_category', '_chain', '_events', '_evicted_events', '_evicted_horizon_ns'),
     'repro.transport.tcp.TcpReceiver': ('_held', '_ooo', 'bins', 'bytes_delivered', 'rcv_nxt', 'segments_received'),

@@ -35,13 +35,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import harness
 from repro.checkpoint.fork import forked_sweep
 from repro.checkpoint.snapshot import Checkpoint, SnapshotError
-from repro.faults.soak import (
-    SoakConfig,
-    SoakState,
-    build_soak_state,
-    drive_soak_to,
-    plan_summary,
-)
+from repro.faults.campaign import drive_to
+from repro.faults.soak import SoakConfig, SoakState, build_soak_state, plan_summary
 from repro.perf.timing import wall_ns
 from repro.sim.units import MS
 
@@ -96,16 +91,18 @@ def run_soak(
             raise TypeError(f"{resume} is not a soak checkpoint")
         state = restored
         config = state.config
-        resumed_from: Optional[int] = state.cell.sim.now
+        resumed_from: Optional[int] = state.harness.cell.sim.now
     else:
         if config is None:
             config = PROFILES["full"]
         state = build_soak_state(config)
         resumed_from = None
+    probed = state.harness
+    cell = probed.cell
     written: List[Tuple[int, Path]] = []
-    for boundary in _checkpoint_boundaries(config, state.cell.sim.now):
-        drive_soak_to(state, boundary)
-        state.cell.trace.evict_before(boundary)
+    for boundary in _checkpoint_boundaries(config, cell.sim.now):
+        drive_to(probed, boundary)
+        cell.trace.evict_before(boundary)
         if checkpoint_dir is not None:
             path = Path(checkpoint_dir) / (
                 f"soak_s{config.seed}_t{boundary}.ckpt"
@@ -117,22 +114,22 @@ def run_soak(
             while len(written) > keep:
                 _, stale = written.pop(0)
                 stale.unlink(missing_ok=True)
-    if state.cell.sim.now < config.horizon_ns:
-        drive_soak_to(state, config.horizon_ns)
+    if cell.sim.now < config.horizon_ns:
+        drive_to(probed, config.horizon_ns)
     summary = {
         "seed": config.seed,
         "horizon_ns": config.horizon_ns,
         "window_ns": config.window_ns,
         "checkpoint_every_ns": config.checkpoint_every_ns,
-        "rolling_digest": state.cell.trace.rolling_digest(),
-        "events_processed": state.cell.sim.events_processed,
-        "evicted_events": state.cell.trace.evicted_events,
-        "retained_events": len(state.cell.trace),
+        "rolling_digest": cell.trace.rolling_digest(),
+        "events_processed": cell.sim.events_processed,
+        "evicted_events": cell.trace.evicted_events,
+        "retained_events": len(cell.trace),
         "probe_deliveries": state.monitor.deliveries,
         "max_probe_gap_ms": round(state.monitor.max_gap_ns / 1e6, 3),
         "checkpoints_written": len(written),
         "resumed_from_ns": resumed_from,
-        "plan": plan_summary(state.injector.plan),
+        "plan": plan_summary(probed.injector.plan),
     }
     return state, summary, written
 

@@ -9,19 +9,18 @@ Round-tripping through the codec is property-tested; the encoded size
 feeds the link-level serialization-delay model, which is how the "L2-PHY
 traffic is ~100 Mbps vs 4.5 Gbps fronthaul" comparison (§5) shows up.
 
-Two implementations coexist deliberately:
-
-* the **fast path** (:func:`encode_message` / :func:`decode_message`):
-  type-keyed dispatch tables instead of ``isinstance`` chains, positional
-  PDU construction, and ``__new__``-based message construction that skips
-  the per-message keyword-dict round-trip through dataclass ``__init__``;
-* the **reference path** (:func:`encode_message_reference` /
-  :func:`decode_message_reference`): the original straight-line chains,
-  kept as the normative definition of the wire format.
-
-``tests/test_perf_fuzz.py`` drives ~1k randomized messages through both
-and asserts byte-identity, so the fast path can never drift from the
-reference.
+What the simulation calls: only :func:`wire_size` (and
+:func:`data_message_wire_size`), the analytic size — FAPI messages cross
+the SHM channels and the Orion datagrams as typed objects, never as
+bytes. :func:`encode_message` / :func:`decode_message` are the normative
+wire image that size is checked against
+(``wire_size(m) == len(encode_message(m))`` over a generated corpus) and
+what the codec micro benchmarks drive: type-keyed dispatch tables,
+positional PDU construction, and ``__new__``-based message construction
+that skips the keyword-dict round-trip through dataclass ``__init__``.
+The straight-line ``isinstance`` / ``if``-chain codec they replaced lives
+in ``tests/fapi_reference.py``; ``tests/test_perf_fuzz.py`` drives ~1k
+generated messages through both and requires byte-identity.
 """
 
 from __future__ import annotations
@@ -88,29 +87,6 @@ def _decode_pdus(data: bytes, offset: int, cls) -> Tuple[List, int]:
     return pdus, offset
 
 
-def _decode_pdus_reference(data: bytes, offset: int, cls) -> Tuple[List, int]:
-    """Keyword-constructed PDU decode; normative counterpart of _decode_pdus."""
-    (count,) = struct.unpack_from(">H", data, offset)
-    offset += 2
-    pdus = []
-    for _ in range(count):
-        ue, harq, mod, prbs, ndi, tb_id, tb_bytes, retx = _PDU.unpack_from(data, offset)
-        offset += _PDU.size
-        pdus.append(
-            cls(
-                ue_id=ue,
-                harq_process=harq,
-                modulation=Modulation(mod),
-                prbs=prbs,
-                new_data=bool(ndi),
-                tb_id=tb_id,
-                tb_bytes=tb_bytes,
-                retx_index=retx,
-            )
-        )
-    return pdus, offset
-
-
 def _encode_blob_list(items: List[Tuple[int, bytes]]) -> bytes:
     parts = [_COUNT.pack(len(items))]
     for tb_id, payload in items:
@@ -132,7 +108,7 @@ def _decode_blob_list(data: bytes, offset: int) -> Tuple[List[Tuple[int, bytes]]
 
 
 # ----------------------------------------------------------------------
-# Body encoders (shared by the fast dispatch table and the reference path)
+# Body encoders (shared with the reference chain in tests/fapi_reference.py)
 # ----------------------------------------------------------------------
 def _encode_config(message: "m.ConfigRequest") -> bytes:
     pattern = message.tdd_pattern.encode("ascii")
@@ -211,47 +187,15 @@ _BODY_ENCODERS: Dict[Type[m.FapiMessage], Tuple[int, Callable[..., bytes]]] = {
 
 
 def encode_message(message: m.FapiMessage) -> bytes:
-    """Serialize a FAPI message to its wire representation (fast path)."""
+    """Serialize a FAPI message to its wire representation."""
     entry = _BODY_ENCODERS.get(type(message))
     if entry is None:
-        # Subclass or unknown type: fall back to the reference chain.
-        return encode_message_reference(message)
+        raise FapiCodecError(f"cannot encode message type {type(message).__name__}")
     mtype, encode_body = entry
     body = encode_body(message)
     return (
         _HEADER.pack(_MAGIC, mtype, message.cell_id, message.slot, len(body)) + body
     )
-
-
-def _encode_body_reference(message: m.FapiMessage) -> bytes:
-    if isinstance(message, m.ConfigRequest):
-        return _encode_config(message)
-    if isinstance(message, (m.StartRequest, m.StopRequest, m.SlotIndication)):
-        return b""
-    if isinstance(message, m.ErrorIndication):
-        return _encode_error(message)
-    if isinstance(message, m.UlTtiRequest):
-        return _encode_pdus(message.pdus)
-    if isinstance(message, m.DlTtiRequest):
-        return _encode_pdus(message.pdus)
-    if isinstance(message, m.TxDataRequest):
-        return _encode_blob_list(message.payloads)
-    if isinstance(message, m.RxDataIndication):
-        return _encode_rx_data(message)
-    if isinstance(message, m.CrcIndication):
-        return _encode_crc(message)
-    if isinstance(message, m.UciIndication):
-        return _encode_uci(message)
-    raise FapiCodecError(f"cannot encode message type {type(message).__name__}")
-
-
-def encode_message_reference(message: m.FapiMessage) -> bytes:
-    """Reference (straight-line) encoder; normative for the wire format."""
-    body = _encode_body_reference(message)
-    header = _HEADER.pack(
-        _MAGIC, int(message.message_type), message.cell_id, message.slot, len(body)
-    )
-    return header + body
 
 
 def encoded_size(message: m.FapiMessage) -> int:
@@ -477,90 +421,9 @@ def _parse_header(data: bytes) -> Tuple[int, int, int, bytes]:
 
 
 def decode_message(data: bytes) -> m.AnyFapiMessage:
-    """Parse wire bytes back into a typed FAPI message (fast path)."""
+    """Parse wire bytes back into a typed FAPI message."""
     mtype, cell_id, slot, body = _parse_header(data)
     decoder = _BODY_DECODERS.get(mtype)
     if decoder is None:
         raise FapiCodecError(f"unknown message type {mtype}")
     return decoder(cell_id, slot, body)
-
-
-def decode_message_reference(data: bytes) -> m.AnyFapiMessage:
-    """Reference decoder: keyword-constructed dataclasses, if/elif chain."""
-    raw_mtype, cell_id, slot, body = _parse_header(data)
-    try:
-        mtype = m.MessageType(raw_mtype)
-    except ValueError as exc:
-        raise FapiCodecError(f"unknown message type {raw_mtype}") from exc
-    if mtype == m.MessageType.CONFIG_REQUEST:
-        num_prbs, mu, ru_id = struct.unpack_from(">HBH", body, 0)
-        (plen,) = struct.unpack_from(">B", body, 5)
-        pattern = body[6 : 6 + plen].decode("ascii")
-        return m.ConfigRequest(
-            cell_id=cell_id, slot=slot, num_prbs=num_prbs,
-            numerology_mu=mu, tdd_pattern=pattern, ru_id=ru_id,
-        )
-    if mtype == m.MessageType.START_REQUEST:
-        return m.StartRequest(cell_id=cell_id, slot=slot)
-    if mtype == m.MessageType.STOP_REQUEST:
-        return m.StopRequest(cell_id=cell_id, slot=slot)
-    if mtype == m.MessageType.SLOT_INDICATION:
-        return m.SlotIndication(cell_id=cell_id, slot=slot)
-    if mtype == m.MessageType.ERROR_INDICATION:
-        code, dlen = struct.unpack_from(">HH", body, 0)
-        detail = body[4 : 4 + dlen].decode("utf-8")
-        return m.ErrorIndication(cell_id=cell_id, slot=slot, error_code=code, detail=detail)
-    if mtype == m.MessageType.UL_TTI_REQUEST:
-        pdus, _ = _decode_pdus_reference(body, 0, m.PuschPdu)
-        return m.UlTtiRequest(cell_id=cell_id, slot=slot, pdus=pdus)
-    if mtype == m.MessageType.DL_TTI_REQUEST:
-        pdus, _ = _decode_pdus_reference(body, 0, m.PdschPdu)
-        return m.DlTtiRequest(cell_id=cell_id, slot=slot, pdus=pdus)
-    if mtype == m.MessageType.TX_DATA_REQUEST:
-        payloads, _ = _decode_blob_list(body, 0)
-        return m.TxDataRequest(cell_id=cell_id, slot=slot, payloads=payloads)
-    if mtype == m.MessageType.RX_DATA_INDICATION:
-        (count,) = _COUNT.unpack_from(body, 0)
-        offset = 2
-        payloads = []
-        for _ in range(count):
-            ue, harq, tb_id, length = struct.unpack_from(">HBqI", body, offset)
-            offset += 15
-            payloads.append((ue, harq, tb_id, bytes(body[offset : offset + length])))
-            offset += length
-        return m.RxDataIndication(cell_id=cell_id, slot=slot, payloads=payloads)
-    if mtype == m.MessageType.CRC_INDICATION:
-        (count,) = _COUNT.unpack_from(body, 0)
-        offset = 2
-        results = []
-        for _ in range(count):
-            ue, harq, tb_id, ok, snr, retx = _CRC.unpack_from(body, offset)
-            offset += _CRC.size
-            results.append(
-                m.CrcResult(
-                    ue_id=ue, harq_process=harq, tb_id=tb_id,
-                    crc_ok=bool(ok), measured_snr_db=snr, retx_index=retx,
-                )
-            )
-        return m.CrcIndication(cell_id=cell_id, slot=slot, results=results)
-    if mtype == m.MessageType.UCI_INDICATION:
-        (count,) = _COUNT.unpack_from(body, 0)
-        offset = 2
-        feedback = []
-        for _ in range(count):
-            ue, harq, tb_id, ack = _UCI.unpack_from(body, offset)
-            offset += _UCI.size
-            feedback.append(
-                m.HarqFeedback(ue_id=ue, harq_process=harq, tb_id=tb_id, ack=bool(ack))
-            )
-        (bsr_count,) = _COUNT.unpack_from(body, offset)
-        offset += 2
-        bsr_reports = []
-        for _ in range(bsr_count):
-            ue, pending = struct.unpack_from(">HI", body, offset)
-            offset += 6
-            bsr_reports.append((ue, pending))
-        return m.UciIndication(
-            cell_id=cell_id, slot=slot, feedback=feedback, bsr_reports=bsr_reports
-        )
-    raise FapiCodecError(f"unknown message type {mtype}")

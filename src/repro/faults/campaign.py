@@ -127,20 +127,26 @@ class CampaignReport:
 
 
 class ProbeTap:
-    """Server-side probe sink: trace ``PROBE_RX`` then deliver.
+    """Server-side probe sink: trace ``PROBE_RX``, fold the delivery into
+    ``monitor`` when there is one (a soak's incremental gap tracker),
+    then deliver.
 
     A plain callable class (not a closure) so a probed cell's whole
     object graph stays picklable for checkpoint/restore.
     """
 
-    __slots__ = ("cell", "sink")
+    __slots__ = ("cell", "sink", "monitor")
 
-    def __init__(self, cell, sink: UdpSink) -> None:
+    def __init__(self, cell, sink: UdpSink, monitor=None) -> None:
         self.cell = cell
         self.sink = sink
+        self.monitor = monitor
 
     def __call__(self, packet: Packet) -> None:
-        self.cell.trace.record(self.cell.sim.now, PROBE_RX, seq=packet.seq)
+        now = self.cell.sim.now
+        self.cell.trace.record(now, PROBE_RX, seq=packet.seq)
+        if self.monitor is not None:
+            self.monitor.on_delivery(now)
         self.sink.on_packet(packet)
 
 
@@ -164,7 +170,10 @@ class ProbeHarness:
 
 
 def build_probe_harness(
-    seed: int, num_phy_servers: int = 2, plan: Optional[FaultPlan] = None
+    seed: int,
+    num_phy_servers: int = 2,
+    plan: Optional[FaultPlan] = None,
+    monitor=None,
 ) -> ProbeHarness:
     """Build one probed cell; arm ``plan`` against it when given.
 
@@ -172,6 +181,7 @@ def build_probe_harness(
     :func:`arm_plan` attaches a fault plan later (scenario forking), and
     because every fault draws from its own named ``faults.*`` stream,
     late arming consumes exactly the draws an at-build arm would have.
+    ``monitor`` is handed every probe delivery (see :class:`ProbeTap`).
     """
     config = CellConfig(
         seed=seed,
@@ -199,7 +209,7 @@ def build_probe_harness(
         bitrate_bps=PROBE_BITRATE_BPS,
         packet_bytes=PROBE_PACKET_BYTES,
     )
-    cell.server.register_flow(PROBE_FLOW_ID, ProbeTap(cell, sink))
+    cell.server.register_flow(PROBE_FLOW_ID, ProbeTap(cell, sink, monitor))
     return ProbeHarness(
         cell=cell, injector=injector, sender=sender, sink=sink, seed=seed
     )

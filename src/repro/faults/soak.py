@@ -21,30 +21,16 @@ impairments) rides along inside the pickled graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import List
 
-from repro.apps.dispatch import UplinkTransmit
-from repro.cell.config import CellConfig, UeProfile
-from repro.cell.deployment import build_slingshot_cell
-from repro.faults.campaign import (
-    PROBE_BEARER_ID,
-    PROBE_BITRATE_BPS,
-    PROBE_FLOW_ID,
-    PROBE_PACKET_BYTES,
-)
-from repro.faults.injector import FaultInjector
-from repro.faults.invariants import PROBE_RX
+from repro.faults.campaign import ProbeHarness, arm_plan, build_probe_harness
 from repro.faults.plan import FaultPlan, LinkFaultSpec, ProcessFaultSpec
+from repro.faults.scenarios import PROBE_START_NS
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS
-from repro.transport.packet import FlowDirection, Packet
-from repro.transport.udp import UdpSender, UdpSink
 
 #: Reserved registry stream the background plan is pre-drawn from.
 SOAK_PLAN_STREAM = "faults.soak.plan"
-
-#: Soak probe starts after UE attach settles (same as the campaign).
-SOAK_PROBE_START_NS = 300 * MS
 
 #: Background fault menu: each arrival picks one by a single uniform.
 _CRASH_RESTART_DURATION_NS = 120 * MS
@@ -84,7 +70,7 @@ class SoakConfig:
                 "checkpoint_every_ns must be a multiple of window_ns "
                 f"({self.checkpoint_every_ns} % {self.window_ns} != 0)"
             )
-        if self.first_fault_ns <= SOAK_PROBE_START_NS:
+        if self.first_fault_ns <= PROBE_START_NS:
             raise ValueError("first_fault_ns must be after the probe start")
 
 
@@ -172,93 +158,30 @@ class ProbeGapMonitor:
         self.deliveries += 1
 
 
-class SoakProbeTap:
-    """Server-side probe sink: trace ``PROBE_RX``, fold the gap, deliver."""
-
-    __slots__ = ("cell", "sink", "monitor")
-
-    def __init__(self, cell: Any, sink: UdpSink, monitor: ProbeGapMonitor) -> None:
-        self.cell = cell
-        self.sink = sink
-        self.monitor = monitor
-
-    def __call__(self, packet: Packet) -> None:
-        now = self.cell.sim.now
-        self.cell.trace.record(now, PROBE_RX, seq=packet.seq)
-        self.monitor.on_delivery(now)
-        self.sink.on_packet(packet)
-
-
 @dataclass
 class SoakState:
-    """The checkpoint root of one soak run.
-
-    Carries the whole simulation (cell = engine + trace + RNG registry
-    + components), the armed background injector, the probe endpoints,
-    and the incremental monitor — restoring this one object resumes the
-    run exactly where it paused.
+    """The checkpoint root of one soak run: the campaign's probed cell
+    (:class:`~repro.faults.campaign.ProbeHarness` — simulation, armed
+    background injector, probe endpoints; driven by the same
+    :func:`~repro.faults.campaign.drive_to`) plus the soak's config and
+    the incremental monitor its probe tap folds into. Restoring this one
+    object resumes the run exactly where it paused.
     """
 
     config: SoakConfig
-    cell: Any
-    injector: FaultInjector
-    sender: UdpSender
-    sink: UdpSink
+    harness: ProbeHarness
     monitor: ProbeGapMonitor
-    probe_started: bool = False
 
 
 def build_soak_state(config: SoakConfig) -> SoakState:
-    """Build a fresh soak run: cell, pre-drawn plan, probe wiring."""
-    cell = build_slingshot_cell(
-        CellConfig(
-            seed=config.seed,
-            num_phy_servers=config.num_phy_servers,
-            ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
-        )
+    """Build a fresh soak run: probed cell, pre-drawn plan armed on it."""
+    monitor = ProbeGapMonitor(PROBE_START_NS)
+    harness = build_probe_harness(
+        config.seed, num_phy_servers=config.num_phy_servers, monitor=monitor
     )
-    cell.trace.window_ns = config.window_ns
-    plan = generate_soak_plan(cell.rng, config)
-    injector = FaultInjector(cell, plan)
-    injector.arm()
-    sink = UdpSink(cell.sim, PROBE_FLOW_ID)
-    ue = cell.ue(1)
-    sender = UdpSender(
-        cell.sim,
-        PROBE_FLOW_ID,
-        ue.ue_id,
-        PROBE_BEARER_ID,
-        FlowDirection.UPLINK,
-        transmit=UplinkTransmit(ue, PROBE_BEARER_ID),
-        bitrate_bps=PROBE_BITRATE_BPS,
-        packet_bytes=PROBE_PACKET_BYTES,
-    )
-    monitor = ProbeGapMonitor(SOAK_PROBE_START_NS)
-    cell.server.register_flow(PROBE_FLOW_ID, SoakProbeTap(cell, sink, monitor))
-    return SoakState(
-        config=config,
-        cell=cell,
-        injector=injector,
-        sender=sender,
-        sink=sink,
-        monitor=monitor,
-    )
-
-
-def drive_soak_to(state: SoakState, until_ns: int) -> None:
-    """Advance a soak run to an absolute time, starting the probe on
-    the way past :data:`SOAK_PROBE_START_NS`. Any split into multiple
-    calls — including across checkpoint/restore — is behaviour-identical
-    to one call."""
-    cell = state.cell
-    if not state.probe_started:
-        if until_ns < SOAK_PROBE_START_NS:
-            cell.run_until(until_ns)
-            return
-        cell.run_until(SOAK_PROBE_START_NS)
-        state.sender.start()
-        state.probe_started = True
-    cell.run_until(until_ns)
+    harness.cell.trace.window_ns = config.window_ns
+    arm_plan(harness, generate_soak_plan(harness.cell.rng, config))
+    return SoakState(config=config, harness=harness, monitor=monitor)
 
 
 def plan_summary(plan: FaultPlan) -> dict:

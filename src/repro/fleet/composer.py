@@ -103,10 +103,6 @@ class FleetConfig:
     epoch_ns: int = 10 * MS
     tie_shuffle_seed: Optional[int] = None
     phys_per_cell: int = 2
-    #: Encode backend: "per-cell" (each PHY batches its own slot) or
-    #: "vectorized" (one fleet-wide kernel invocation per completion
-    #: instant — byte-identical, see :mod:`repro.fleet.phy_backend`).
-    phy_backend: str = "per-cell"
 
     def cell_config(self, cell_index: int, tracer: bool) -> CellConfig:
         """The standalone-equivalent config of one island cell."""
@@ -141,11 +137,11 @@ class FleetHarness:
     rng: RngRegistry
     pool: StandbyPool
     population: FleetPopulation
+    #: The encode backend shared by every PHY of the fleet.
+    phy_backend: FleetPhyBackend
     cells: List[SlingshotCell]
     tracer_indices: Tuple[int, ...] = ()
     gates: List[PoolGate] = field(default_factory=list)
-    #: The shared vectorized encode backend (None on the per-cell path).
-    phy_backend: Optional[FleetPhyBackend] = None
 
     def run_for(self, duration_ns: int) -> None:
         self.sim.run_for(duration_ns)
@@ -162,16 +158,16 @@ def build_fleet(
 ) -> FleetHarness:
     """Compose, validate, and start a fleet (built at sim time zero).
 
-    ``sim`` lets a caller supply the event engine (the perf harness runs
-    the same fleet on the frozen legacy engine for its baseline pair);
-    default is a fresh :class:`Simulator`.
+    ``sim`` lets a caller supply the event engine (the engine
+    differential tests run the same fleet on the old engine kept in
+    ``tests/engine_legacy.py``); default is a fresh :class:`Simulator`.
+
+    Every PHY of every island shares one
+    :class:`~repro.fleet.phy_backend.FleetPhyBackend`: a fleet always
+    has peers to batch an encode with. A standalone cell has none, so
+    its PHYs keep the direct ``codec.encode_blocks`` call.
     """
     config = config or FleetConfig()
-    if config.phy_backend not in ("per-cell", "vectorized"):
-        raise ValueError(
-            f"unknown phy_backend {config.phy_backend!r}; "
-            "expected 'per-cell' or 'vectorized'"
-        )
     validate_fleet_budget(config.num_cells, config.phys_per_cell)
     if sim is None:
         sim = Simulator(tie_shuffle_seed=config.tie_shuffle_seed)
@@ -190,7 +186,7 @@ def build_fleet(
         users_per_cell=config.users_per_cell,
         epoch_ns=config.epoch_ns,
     )
-    backend = FleetPhyBackend() if config.phy_backend == "vectorized" else None
+    backend = FleetPhyBackend()
     cells: List[SlingshotCell] = []
     gates: List[PoolGate] = []
     for cell_index in range(config.num_cells):
@@ -201,9 +197,8 @@ def build_fleet(
         gate = PoolGate(pool, cell_index, on_decision=population.on_pool_decision)
         cell.l2_orion.standby_gate = gate
         cell.l2_orion.on_failover = FleetFailoverHook(population, cell_index)
-        if backend is not None:
-            for server in cell.phy_servers:
-                server.phy.phy_backend = backend
+        for server in cell.phy_servers:
+            server.phy.phy_backend = backend
         cells.append(cell)
         gates.append(gate)
     population.start()
@@ -214,10 +209,10 @@ def build_fleet(
         rng=rng,
         pool=pool,
         population=population,
+        phy_backend=backend,
         cells=cells,
         tracer_indices=tracer_indices,
         gates=gates,
-        phy_backend=backend,
     )
 
 

@@ -51,8 +51,11 @@ class FleetPhyBackendStats:
     blocks_encoded: int = 0
     #: Blocks served straight from the per-timestamp symbol cache.
     cache_hits: int = 0
-    #: Blocks that missed the gathered batch (e.g. a capture landing in
-    #: the same instant after the gather) and were encoded supplementary.
+    #: Blocks the gathered batch did not cover, encoded supplementary.
+    #: Mostly the demanding PHY's own: ``_finish_uplink`` pops its
+    #: captures before it demands, so the gather's peek no longer finds
+    #: them and they are served only if a sibling planned an identical
+    #: key (a capture landing after the gather is the rare case).
     supplementary_blocks: int = 0
     #: Gather passes performed (at most one per completion timestamp).
     gather_passes: int = 0
@@ -107,8 +110,9 @@ class FleetPhyBackend:
             block for block in blocks if _encode_key(phy.codec, block) not in cache
         ]
         if misses:
-            # A capture that landed in this same instant after the gather
-            # (or a PHY that never registered): encode it in one
+            # Not covered by the gather (the demander's own popped
+            # captures with no sibling twin, a capture that landed after
+            # it, a PHY that never registered): encode them in one
             # supplementary batch so the demand is still a single call.
             for block, symbols in zip(misses, phy.codec.encode_blocks(misses)):
                 cache[_encode_key(phy.codec, block)] = symbols

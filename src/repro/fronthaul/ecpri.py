@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 from repro.phy.numerology import SlotAddress
@@ -63,28 +62,7 @@ def encode_header(
     symbol: int = 0,
     section_type: int = SECTION_TYPE_UL,
 ) -> bytes:
-    """Pack the eCPRI common header + O-RAN application header.
-
-    Memoized: fronthaul traffic re-emits the same header for every packet
-    of a (slot, section) burst with only the 8-bit sequence rolling, so a
-    bounded cache turns repeat packs into a dict hit. Header encoding is
-    a pure function of its arguments, making the cache behavior-invisible.
-    """
-    return _encode_header_cached(
-        message_type, payload_bytes, eaxc_id, sequence, address, symbol, section_type
-    )
-
-
-@lru_cache(maxsize=8192)
-def _encode_header_cached(
-    message_type: int,
-    payload_bytes: int,
-    eaxc_id: int,
-    sequence: int,
-    address: SlotAddress,
-    symbol: int,
-    section_type: int,
-) -> bytes:
+    """Pack the eCPRI common header + O-RAN application header."""
     if not 0 <= address.frame < 1024:
         raise EcpriCodecError(f"frame {address.frame} out of range")
     if not 0 <= address.subframe < 10:
@@ -112,17 +90,7 @@ def _encode_header_cached(
 
 
 def decode_header(data: bytes) -> EcpriHeader:
-    """Parse the header; inverse of :func:`encode_header`.
-
-    Memoized on the (immutable) header bytes: a burst of fronthaul
-    packets repeats the same 9-byte header, and :class:`EcpriHeader` is
-    frozen, so returning the cached instance is behavior-invisible.
-    """
-    return _decode_header_cached(bytes(data[: HEADER_BYTES]) if len(data) > HEADER_BYTES else bytes(data))
-
-
-@lru_cache(maxsize=8192)
-def _decode_header_cached(data: bytes) -> EcpriHeader:
+    """Parse the header; inverse of :func:`encode_header`."""
     if len(data) < _COMMON.size + _APP.size:
         raise EcpriCodecError("truncated fronthaul header")
     rev_flags, message_type, payload_bytes, eaxc_id = _COMMON.unpack_from(data, 0)

@@ -9,19 +9,6 @@ type keeps addresses hashable, comparable, and printable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4096)
-def _format_mac(value: int) -> str:
-    """``aa:bb:cc:dd:ee:ff`` rendering, memoized per 48-bit value.
-
-    A deployment has a small, fixed set of addresses but formats them on
-    every trace/repr touch; the cache turns repeat formatting into a dict
-    hit. (Behavior-invisible: pure function of ``value``.)
-    """
-    octets = [(value >> shift) & 0xFF for shift in range(40, -8, -8)]
-    return ":".join(f"{octet:02x}" for octet in octets)
 
 
 @dataclass(frozen=True, order=True)
@@ -49,7 +36,9 @@ class MacAddress:
         return cls(value)
 
     def __str__(self) -> str:
-        return _format_mac(self.value)
+        """``aa:bb:cc:dd:ee:ff`` rendering."""
+        octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]
+        return ":".join(f"{octet:02x}" for octet in octets)
 
     def __int__(self) -> int:
         return self.value

@@ -640,7 +640,7 @@ _FLEET_BENCH_RUN_NS = 30_000_000
 
 
 def _fleet_slot_run() -> RawRun:
-    """One composed fleet (slot-wheel lanes, vectorized fleet-PHY
+    """One composed fleet (slot-wheel lanes, shared fleet-PHY encode
     backend) driven for 30 ms of sim time. Build time is excluded from
     the timing; the recorded digest is the canonical fleet digest."""
     from repro.fleet.composer import FleetConfig, build_fleet, fleet_digest
@@ -650,7 +650,6 @@ def _fleet_slot_run() -> RawRun:
             seed=_FLEET_BENCH_SEED,
             num_cells=_FLEET_BENCH_CELLS,
             tracer_cells=_FLEET_BENCH_TRACERS,
-            phy_backend="vectorized",
         )
     )
     start = wall_ns()

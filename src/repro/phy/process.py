@@ -171,9 +171,10 @@ class PhyProcess(Process):
         self.service_inflation_ns = 0
         #: FAPI channel back toward the L2 / Orion peer.
         self.fapi_tx: Optional[ShmChannel] = None
-        #: Optional fleet-wide vectorized encode backend
-        #: (:class:`repro.fleet.phy_backend.FleetPhyBackend`); None keeps
-        #: the per-cell ``codec.encode_blocks`` path.
+        #: The fleet's shared encode backend
+        #: (:class:`repro.fleet.phy_backend.FleetPhyBackend`, attached by
+        #: ``build_fleet``); None in a standalone cell, which has no peer
+        #: to batch with and calls ``codec.encode_blocks`` directly.
         self.phy_backend: Optional[object] = None
         self._pending: List[EventHandle] = []
         self._tick_handle: Optional[PeriodicHandle] = None
@@ -374,27 +375,26 @@ class PhyProcess(Process):
             )
         self._emit_downlink(cell, abs_slot, ul_pdus, dl_pdus)
         self._emit_slot_indication(cell, abs_slot)
-        if ul_pdus or True:
-            # Uplink slot results surface after the processing pipeline,
-            # even when only control (feedback) was captured.
-            done_at = (
-                self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
-                + 120 * US
-                + self.service_inflation_ns
-            )
-            handle = self.sim.at(
-                done_at,
-                self._finish_uplink,
-                cell,
-                abs_slot,
-                ul_pdus,
-                label=f"{self.name}.ul_done",
-            )
-            if self.phy_backend is not None:
-                self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
-            self._pending.append(handle)
-            if len(self._pending) > 64:
-                self._pending = [h for h in self._pending if h.pending]
+        # Uplink slot results surface after the processing pipeline,
+        # even when only control (feedback) was captured.
+        done_at = (
+            self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
+            + 120 * US
+            + self.service_inflation_ns
+        )
+        handle = self.sim.at(
+            done_at,
+            self._finish_uplink,
+            cell,
+            abs_slot,
+            ul_pdus,
+            label=f"{self.name}.ul_done",
+        )
+        if self.phy_backend is not None:
+            self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
+        self._pending.append(handle)
+        if len(self._pending) > 64:
+            self._pending = [h for h in self._pending if h.pending]
 
     # ------------------------------------------------------------------
     # Downlink emission (the heartbeat + DL data)
@@ -532,7 +532,7 @@ class PhyProcess(Process):
         if self.phy_backend is not None:
             # Fleet backend: one batched kernel invocation covers every
             # cell completing at this instant; element-for-element
-            # identical to the per-cell call below.
+            # identical to the standalone cell's call below.
             encoded = iter(self.phy_backend.encode_blocks(self, blocks))
         else:
             encoded = iter(self.codec.encode_blocks(blocks))

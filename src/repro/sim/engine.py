@@ -57,8 +57,8 @@ Design notes
   once garbage exceeds ``compaction_threshold`` and outnumbers live
   occurrences (``wheel_compactions`` counts rebuilds).
 * ``_pop`` is the single point through which every fired event leaves
-  either lane; the perf sampler (:mod:`repro.perf.sampler`) hooks it to
-  build per-subsystem time shares without instrumenting callbacks.
+  either lane; the telemetry engine probe (:mod:`repro.telemetry.probe`)
+  hooks it to count events per subsystem without instrumenting callbacks.
 """
 
 from __future__ import annotations
@@ -558,8 +558,8 @@ class Simulator:
         a tie or a due bucket takes the two-lane compare in
         :meth:`_pop_merged`. Skips (and drops) cancelled entries; leaves a
         live head beyond ``limit`` in place and returns None. Every event
-        that fires — from either lane — flows through here; the perf
-        sampler wraps this method to attribute wall time to subsystems.
+        that fires — from either lane — flows through here; the telemetry
+        engine probe wraps this method to count events per subsystem.
         """
         queue = self._queue
         times = self._wheel_times

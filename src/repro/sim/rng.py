@@ -35,48 +35,21 @@ def set_stream_observer(
     return previous
 
 
-class BatchedUniform:
-    """Block-prefetching facade over one generator's uniform doubles.
+class BatchedIntegers:
+    """Block-prefetching facade over one generator's bounded integers.
 
     ``numpy`` fills arrays with the same per-element routine it uses for
-    scalar draws, so ``Generator.random(n)`` consumes the bit stream
-    exactly like ``n`` scalar ``random()`` calls — prefetching a block
-    amortizes the per-call numpy dispatch overhead without changing a
-    single value. (Pinned by ``tests/test_sim_engine.py``.)
+    scalar draws, so for a *fixed* ``[low, high)`` bound
+    ``Generator.integers(low, high, size=n)`` consumes the bit stream
+    exactly like ``n`` scalar calls — prefetching a block amortizes the
+    per-call numpy dispatch overhead without changing a single value.
+    (Pinned by ``tests/test_sim_engine.py``.) Used by the engine's
+    tie-shuffle key stream, where the race detector draws one key per
+    scheduled event.
 
     The facade must *own* its generator: interleaving direct draws on the
     same generator with batched draws would see values out of order
     relative to the unbatched program.
-    """
-
-    __slots__ = ("_gen", "_block", "_buf", "_pos")
-
-    def __init__(self, generator: np.random.Generator, block: int = 256) -> None:
-        if block <= 0:
-            raise ValueError(f"block must be positive, got {block}")
-        self._gen = generator
-        self._block = block
-        self._buf: List[float] = []
-        self._pos = 0
-
-    def random(self) -> float:
-        """Next uniform double in [0, 1); identical to ``generator.random()``."""
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.random(self._block).tolist()
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return value
-
-
-class BatchedIntegers:
-    """Block-prefetching facade over one generator's bounded integers.
-
-    Same contract as :class:`BatchedUniform`, for a *fixed* ``[low,
-    high)`` bound: ``Generator.integers(low, high, size=n)`` yields the
-    same sequence as ``n`` scalar calls, so batching is draw-for-draw
-    invisible. Used by the engine's tie-shuffle key stream, where the
-    race detector draws one key per scheduled event.
     """
 
     __slots__ = ("_gen", "_low", "_high", "_block", "_buf", "_pos")
@@ -132,15 +105,6 @@ class RngRegistry:
             generator = np.random.Generator(np.random.PCG64(seq))
             self._streams[name] = generator
         return generator
-
-    def batched_uniform(self, name: str, block: int = 256) -> BatchedUniform:
-        """A :class:`BatchedUniform` owning the named stream.
-
-        The caller becomes the stream's sole consumer; the values are
-        draw-for-draw identical to scalar ``stream(name).random()``
-        calls, just cheaper in bulk.
-        """
-        return BatchedUniform(self.stream(name), block=block)
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams

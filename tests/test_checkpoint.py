@@ -565,14 +565,38 @@ class TestSoakStatePicklability:
     def test_soak_state_round_trips_through_pickle(self):
         """The whole runtime graph is closure-free: a fresh soak state
         pickles and unpickles without a registry in the loop."""
-        from repro.faults.soak import build_soak_state, drive_soak_to
+        from repro.faults.soak import build_soak_state
 
         state = build_soak_state(SoakConfig(seed=7, horizon_ns=1500 * MS))
-        drive_soak_to(state, 350 * MS)
+        drive_to(state.harness, 350 * MS)
         clone = pickle.loads(pickle.dumps(state))
-        drive_soak_to(state, 700 * MS)
-        drive_soak_to(clone, 700 * MS)
-        assert clone.cell.trace.rolling_digest() == (
-            state.cell.trace.rolling_digest()
+        drive_to(state.harness, 700 * MS)
+        drive_to(clone.harness, 700 * MS)
+        assert clone.harness.cell.trace.rolling_digest() == (
+            state.harness.cell.trace.rolling_digest()
         )
         assert clone.monitor.max_gap_ns == state.monitor.max_gap_ns
+
+    def test_restored_soak_state_is_driven_by_the_shared_drive_to(self):
+        """A soak is a ``ProbeHarness`` plus config and monitor: restored
+        from a checkpoint taken before the probe start, the campaign's
+        ``drive_to`` starts the probe on the way, and the restored tap
+        folds deliveries into the restored monitor."""
+        from repro.faults.scenarios import PROBE_START_NS
+        from repro.faults.soak import build_soak_state
+
+        config = SoakConfig(seed=7, horizon_ns=1500 * MS)
+        straight = build_soak_state(config)
+        drive_to(straight.harness, 700 * MS)
+
+        paused = build_soak_state(config)
+        drive_to(paused.harness, PROBE_START_NS - 100 * MS)
+        assert not paused.harness.probe_started
+        restored = Checkpoint.capture(paused, label="soak pre-probe").restore()
+        drive_to(restored.harness, 700 * MS)
+        assert restored.harness.probe_started
+        assert restored.monitor.deliveries == straight.monitor.deliveries > 0
+        assert restored.monitor.max_gap_ns == straight.monitor.max_gap_ns
+        assert restored.harness.cell.trace.rolling_digest() == (
+            straight.harness.cell.trace.rolling_digest()
+        )

@@ -148,6 +148,17 @@ class TestSizesAndErrors:
             decode_message(data[:-3])
 
 
+    def test_unregistered_message_type_rejected(self):
+        """The encoder dispatches on the exact type; anything outside
+        its table (here: a subclass) is refused, not guessed at."""
+
+        class VendorSlotIndication(m.SlotIndication):
+            pass
+
+        with pytest.raises(FapiCodecError, match="VendorSlotIndication"):
+            encode_message(VendorSlotIndication(cell_id=0, slot=0))
+
+
 class TestNullHelpers:
     def test_null_requests_are_null(self):
         assert m.null_ul_tti(0, 1).is_null

@@ -178,6 +178,12 @@ class TestTracerDifferential:
 
         fleet_cell = harness.cells[tracer_index]
         assert fleet_cell.trace.digest() == standalone.trace.digest()
+        # The two encode paths, selected by structure: the island shares
+        # the fleet's backend, the standalone cell has none.
+        for server in fleet_cell.phy_servers:
+            assert server.phy.phy_backend is harness.phy_backend
+        for server in standalone.phy_servers:
+            assert server.phy.phy_backend is None
 
         # Per-UE canonical lines, byte for byte. The tracer cell runs
         # the full default UE population; every cohort-modelled cell

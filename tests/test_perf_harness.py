@@ -53,6 +53,22 @@ def test_docs_quote_the_committed_bench_json():
     assert result.returncode == 0, result.stdout + result.stderr
 
 
+def test_src_line_ledger_is_current():
+    """benchmarks/src_lines.json is the per-package line count of
+    src/repro as committed: a PR that grows or shrinks the runtime
+    package shows it in its own diff."""
+    import importlib.util
+
+    script = bench_path("perf").parent / "render_perf_docs.py"
+    spec = importlib.util.spec_from_file_location("render_perf_docs", script)
+    render = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(render)
+    assert render.SRC_LINES.read_text() == render.src_line_ledger(), (
+        "benchmarks/src_lines.json is stale: run "
+        "`PYTHONPATH=src python benchmarks/render_perf_docs.py`"
+    )
+
+
 class TestCheckReport:
     def test_clean_pass(self):
         """Equal exact fields pass whatever the rates did."""

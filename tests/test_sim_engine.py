@@ -9,7 +9,7 @@ from tests.engine_legacy import LegacySimulator
 from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process
-from repro.sim.rng import BatchedIntegers, BatchedUniform, RngRegistry
+from repro.sim.rng import BatchedIntegers, RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, SECOND, US, ms_to_ns, ns_to_ms, ns_to_us, s_to_ns, us_to_ns
 from tests.packetgen import PeriodicProcess
@@ -354,16 +354,6 @@ def test_transit_stages_format_no_label_per_event():
 
 
 class TestBatchedRng:
-    def test_batched_uniform_matches_scalar_sequence(self):
-        for block in (1, 7, 256):
-            batched = BatchedUniform(
-                np.random.Generator(np.random.PCG64(42)), block=block
-            )
-            scalar = np.random.Generator(np.random.PCG64(42))
-            assert [batched.random() for _ in range(1000)] == [
-                float(scalar.random()) for _ in range(1000)
-            ]
-
     def test_batched_integers_matches_scalar_sequence(self):
         batched = BatchedIntegers(
             np.random.Generator(np.random.PCG64(7)), 0, 1 << 32, block=64
@@ -371,14 +361,6 @@ class TestBatchedRng:
         scalar = np.random.Generator(np.random.PCG64(7))
         assert [batched.draw() for _ in range(1000)] == [
             int(scalar.integers(0, 1 << 32)) for _ in range(1000)
-        ]
-
-    def test_registry_batched_uniform_owns_named_stream(self):
-        registry = RngRegistry(seed=9)
-        batched = registry.batched_uniform("tie", block=16)
-        reference = RngRegistry(seed=9).stream("tie")
-        assert [batched.random() for _ in range(64)] == [
-            float(reference.random()) for _ in range(64)
         ]
 
 

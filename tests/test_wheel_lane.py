@@ -309,7 +309,7 @@ class TestFleetBackendDifferential:
     #: path the vectorized backend batches).
     RUN_NS = 60_000_000
 
-    def _digest(self, phy_backend, sim=None):
+    def _digest(self, detach=False, sim=None):
         from repro.fleet.composer import FleetConfig, build_fleet, fleet_digest
 
         harness = build_fleet(
@@ -317,34 +317,33 @@ class TestFleetBackendDifferential:
                 seed=self.SEED,
                 num_cells=self.CELLS,
                 tracer_cells=self.TRACERS,
-                phy_backend=phy_backend,
             ),
             sim=sim,
         )
+        if detach:
+            # What a standalone cell runs: every PHY encodes its own slot.
+            for cell in harness.cells:
+                for server in cell.phy_servers:
+                    server.phy.phy_backend = None
         harness.run_for(self.RUN_NS)
         return fleet_digest(harness), harness
 
     def test_vectorized_backend_digest_identical_to_per_cell(self):
-        per_cell, _ = self._digest("per-cell")
-        vectorized, harness = self._digest("vectorized")
+        per_cell, detached = self._digest(detach=True)
+        vectorized, harness = self._digest()
         assert vectorized == per_cell
         stats = harness.phy_backend.stats
         assert stats.blocks_encoded > 0
         assert stats.cache_hits > 0
+        assert detached.phy_backend.stats.kernel_invocations == 0
 
     def test_legacy_engine_fleet_digest_matches_live(self):
         from tests.engine_legacy import LegacySimulator
 
-        live, live_harness = self._digest("per-cell")
-        legacy, legacy_harness = self._digest("per-cell", sim=LegacySimulator())
+        live, live_harness = self._digest()
+        legacy, legacy_harness = self._digest(sim=LegacySimulator())
         assert legacy == live
         assert (
             legacy_harness.sim.events_processed
             == live_harness.sim.events_processed
         )
-
-    def test_unknown_backend_rejected(self):
-        from repro.fleet.composer import FleetConfig, build_fleet
-
-        with pytest.raises(ValueError):
-            build_fleet(FleetConfig(phy_backend="gpu"))
