@@ -1,10 +1,19 @@
 """Batched PHY kernels: one numpy call per slot, not one per UE.
 
 The scale-up counterpart to :mod:`repro.parallel`'s scale-out: where the
-shard runner spreads independent runs across cores, these kernels make a
-single run process **all transport blocks in a slot together** — CRC
-attach, LDPC bit operations, and modulation map/demap each collapse from
-a per-UE Python loop into one vectorized call.
+shard runner spreads independent runs across cores, these kernels process
+**all transport blocks of a slot together**.
+
+What the live slot pipeline runs, through
+:meth:`repro.phy.codec.PhyCodec.encode_blocks` (a cell's uplink
+completion, or one :class:`~repro.fleet.phy_backend.FleetPhyBackend`
+gather for every cell completing at an instant):
+:func:`repro.phy.crc.attach_crc_batch` for the info words not yet in the
+codec's table, :func:`ldpc_encode_batch` and :func:`modulate_batch`. The
+receive side does not batch: ``PhyCodec.decode_block`` demodulates and
+decodes one block per call, its channel-noise and SNR-measurement draws
+interleaved block by block. :func:`demodulate_llr_batch` is driven only
+by ``repro perf phy_slot_batch`` and the tests.
 
 Every batch kernel is pinned **byte-identical** to a loop over its
 per-block reference (``tests/test_phy_batch.py`` fuzzes the pins), which
@@ -12,9 +21,8 @@ stays the normative implementation per the repo's optimization
 convention. The pins are exact, not approximate: grouping blocks by
 modulation and concatenating their bits feeds the very same elementwise
 numpy operations the per-block calls run, so not a single float may
-differ — and the golden macro-scenario digests enforce that end to end,
-because :meth:`repro.phy.codec.PhyCodec.encode_blocks` drives the live
-uplink slot pipeline through these kernels.
+differ — and for the three live kernels the golden macro-scenario
+digests enforce that end to end.
 """
 
 from __future__ import annotations
@@ -74,58 +82,26 @@ def demodulate_llr_batch(
 ) -> List[np.ndarray]:
     """Soft-demodulate every block; one kernel call per modulation group.
 
-    Identical to ``[demodulate_llr(sym, mod, nv) for ...]``. Blocks in a
-    group may carry different noise variances: the divisions happen
-    against a per-symbol noise vector holding each block's value, which
-    is elementwise the same arithmetic the per-block call performs.
+    Identical to ``[demodulate_llr(sym, mod, nv) for ...]``: a group's
+    blocks are concatenated and demodulated against a per-symbol noise
+    vector holding each block's value, which is elementwise the same
+    arithmetic the per-block call performs.
     """
     if not (len(symbol_blocks) == len(modulations) == len(noise_vars)):
         raise ValueError("blocks, modulations, and noise_vars must align")
     out: List[np.ndarray] = [np.empty(0)] * len(symbol_blocks)
     for modulation, indices in _groups_by_modulation(modulations).items():
-        if len(indices) == 1:
-            index = indices[0]
-            out[index] = demodulate_llr(
-                symbol_blocks[index], modulation, noise_vars[index]
-            )
-            continue
         blocks = [
             np.asarray(symbol_blocks[i], dtype=np.complex128) for i in indices
         ]
         counts = [len(block) for block in blocks]
-        stacked = np.concatenate(blocks)
-        per_symbol_nv = np.repeat(
-            [max(noise_vars[i], 1e-12) for i in indices], counts
-        )
-        llrs = _demodulate_with_noise_vector(stacked, modulation, per_symbol_nv)
+        per_symbol_nv = np.repeat([noise_vars[i] for i in indices], counts)
+        llrs = demodulate_llr(np.concatenate(blocks), modulation, per_symbol_nv)
         bps = modulation.bits_per_symbol
         bounds = np.cumsum([count * bps for count in counts])[:-1]
         for index, chunk in zip(indices, np.split(llrs, bounds)):
             out[index] = chunk
     return out
-
-
-def _demodulate_with_noise_vector(
-    symbols: np.ndarray, modulation: Modulation, noise_var: np.ndarray
-) -> np.ndarray:
-    """``demodulate_llr`` generalized to a per-symbol noise vector.
-
-    Mirrors :func:`repro.phy.modulation.demodulate_llr` operation for
-    operation (same expressions, same order) so each element matches the
-    scalar-noise call bit for bit.
-    """
-    from repro.phy.modulation import _NORMS, _PAM_LEVELS, _pam_llrs
-
-    norm = _NORMS[modulation]
-    if modulation is Modulation.BPSK:
-        return 4.0 * symbols.real / (norm * noise_var) * norm ** 0
-    axis_bits = modulation.bits_per_symbol // 2
-    levels = _PAM_LEVELS[modulation] / norm
-    axis_noise = noise_var / 2.0
-    i_llrs = _pam_llrs(symbols.real, axis_bits, levels, 2.0 * axis_noise)
-    q_llrs = _pam_llrs(symbols.imag, axis_bits, levels, 2.0 * axis_noise)
-    interleaved = np.concatenate([i_llrs, q_llrs], axis=1)
-    return interleaved.reshape(-1)
 
 
 def ldpc_encode_batch(code: LdpcCode, info_blocks: Sequence[np.ndarray]) -> np.ndarray:

@@ -5,7 +5,7 @@
     payload bits -> CRC24 attach -> LDPC encode -> QAM modulate
         -> AWGN channel at the UE's realized SNR
         -> soft demodulate (LLRs) -> HARQ chase-combine -> LDPC decode
-        -> CRC check -> DecodeOutcome
+        -> CRC verdict (the transmitted word, or not) -> DecodeOutcome
 
 One representative LDPC codeword is processed per transport block; its
 decode fate stands for the block's. The codec also exposes
@@ -20,18 +20,31 @@ noise variance plus estimation error), and that measurement feeds the
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.phy.batch import ldpc_encode_batch, modulate_batch
 from repro.phy.channel import AwgnChannel, ChannelRealization
-from repro.phy.crc import CRC24_BITS, attach_crc, attach_crc_batch, check_crc
+from repro.phy.crc import CRC24_BITS, attach_crc_batch
 from repro.phy.harq import HarqProcessPool
 from repro.phy.ldpc import LdpcCode, get_code
 from repro.phy.modulation import Modulation, demodulate_llr, modulate
 from repro.phy.transport import DecodeOutcome, TransportBlock
+
+#: Transmitted info words (payload bits + CRC24A) by ``(payload_bits,
+#: tb_id)``, oldest first. Process-wide like ``ldpc._CODE_CACHE`` and for
+#: the same reason: a pure function of its key, and in a fleet the encode
+#: is usually done by a sibling cell's codec. Bounded by a constant and
+#: evicted in insertion order; a miss only recomputes, so no result can
+#: depend on the capacity. Entries are read-only arrays.
+_INFO_WORD_CAPACITY = 4096
+_INFO_WORDS: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+#: Table misses so far. Module state, not a ``CodecStats`` field: it
+#: depends on what this process ran before, which checkpointed state may not.
+payload_derivations = 0
 
 
 @dataclass
@@ -92,11 +105,30 @@ class PhyCodec:
         bit_rng = np.random.default_rng(block.tb_id)
         return bit_rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
 
+    def _info_words(self, blocks: Sequence[TransportBlock]) -> List[np.ndarray]:
+        """Each block's transmitted info word, derived once per TB: the
+        batch's table misses share one CRC kernel call."""
+        global payload_derivations
+        keys = [(self.payload_bits, block.tb_id) for block in blocks]
+        missing = {
+            key: block for key, block in zip(keys, blocks) if key not in _INFO_WORDS
+        }
+        if missing:
+            payload_derivations += len(missing)
+            derived = attach_crc_batch(
+                [self.representative_bits(block) for block in missing.values()]
+            )
+            for key, word in zip(missing, derived):
+                word.setflags(write=False)
+                _INFO_WORDS[key] = word
+        words = [_INFO_WORDS[key] for key in keys]
+        while len(_INFO_WORDS) > _INFO_WORD_CAPACITY:
+            _INFO_WORDS.popitem(last=False)
+        return words
+
     def encode_block(self, block: TransportBlock) -> np.ndarray:
         """CRC-attach, LDPC-encode, and modulate one representative codeword."""
-        payload = self.representative_bits(block)
-        with_crc = attach_crc(payload)
-        codeword = self.code.encode(with_crc)
+        codeword = self.code.encode(self._info_words([block])[0])
         bps = block.modulation.bits_per_symbol
         pad = (-len(codeword)) % bps
         if pad:
@@ -108,8 +140,9 @@ class PhyCodec:
     ) -> List[np.ndarray]:
         """Batched :meth:`encode_block` over a slot's transport blocks.
 
-        One CRC gather, one LDPC generator product, and one
-        modulation-map call per modulation order cover the whole batch;
+        One CRC gather (for the info words not yet in the table), one
+        LDPC generator product, and one modulation-map call per
+        modulation order cover the whole batch;
         element ``i`` is bit-identical to ``encode_block(blocks[i])``
         (the batch kernels in :mod:`repro.phy.batch` are pinned to the
         per-block paths).
@@ -119,9 +152,7 @@ class PhyCodec:
         """
         if not blocks:
             return []
-        payloads = [self.representative_bits(block) for block in blocks]
-        with_crc = attach_crc_batch(payloads)
-        codewords = ldpc_encode_batch(self.code, with_crc)
+        codewords = ldpc_encode_batch(self.code, self._info_words(blocks))
         bit_blocks: List[np.ndarray] = []
         for row, block in zip(codewords, blocks):
             pad = (-len(row)) % block.modulation.bits_per_symbol
@@ -158,13 +189,11 @@ class PhyCodec:
             block.ue_id, block.harq_process, block.tb_id, llrs, block.new_data
         )
         result = self.code.decode(combined, max_iterations=self.decoder_iterations)
-        sent_payload = self.representative_bits(block)
-        crc_ok = False
-        if result.parity_ok:
-            decoded_with_crc = result.info_bits
-            crc_ok = check_crc(decoded_with_crc) and bool(
-                np.array_equal(decoded_with_crc[: self.payload_bits], sent_payload)
-            )
+        # A parity-clean decode passes iff it is the transmitted word: that is
+        # "CRC valid and payload as sent", since equal payloads have equal CRCs.
+        crc_ok = result.parity_ok and bool(
+            np.array_equal(result.info_bits, self._info_words([block])[0])
+        )
         buf = self.harq.buffer(block.ue_id, block.harq_process)
         combined_transmissions = buf.transmissions
         if crc_ok:

@@ -8,7 +8,7 @@ SNR) picks the modulation order; the PHY's decoder consumes the LLRs.
 from __future__ import annotations
 
 import enum
-from typing import Dict
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -86,45 +86,50 @@ def modulate(bits: np.ndarray, modulation: Modulation) -> np.ndarray:
     return symbols
 
 
-def _pam_llrs(y: np.ndarray, axis_bits: int, levels: np.ndarray, noise_var: float) -> np.ndarray:
-    """Max-log LLRs for the per-axis PAM component.
+def _bit_rows(axis_bits: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """Per axis bit (MSB first): the level rows whose Gray label has that
+    bit 0, and those where it is 1."""
+    labels = np.arange(1 << axis_bits)
+    bit_of = [(labels >> (axis_bits - 1 - index)) & 1 for index in range(axis_bits)]
+    return tuple((np.flatnonzero(bit == 0), np.flatnonzero(bit == 1)) for bit in bit_of)
 
-    Returns an array of shape (len(y), axis_bits): LLR per bit, MSB first.
-    Positive LLR favours bit 0.
-    """
-    count = 1 << axis_bits
-    labels = np.arange(count)
-    # Squared distance from each observation to each candidate level.
-    dist = (y[:, None] - levels[None, :]) ** 2
-    llrs = np.empty((len(y), axis_bits))
-    for bit_index in range(axis_bits):
-        mask = (labels >> (axis_bits - 1 - bit_index)) & 1
-        d0 = dist[:, mask == 0].min(axis=1)
-        d1 = dist[:, mask == 1].min(axis=1)
-        llrs[:, bit_index] = (d1 - d0) / noise_var
-    return llrs
+
+#: Per modulation: unit-energy PAM levels as a column, and the bit rows.
+_DEMOD_TABLES: Dict[Modulation, Tuple[np.ndarray, tuple]] = {
+    modulation: (
+        (levels / _NORMS[modulation])[:, None],
+        _bit_rows(modulation.bits_per_symbol // 2),
+    )
+    for modulation, levels in _PAM_LEVELS.items()
+}
 
 
 def demodulate_llr(
-    symbols: np.ndarray, modulation: Modulation, noise_var: float
+    symbols: np.ndarray, modulation: Modulation, noise_var: Union[float, np.ndarray]
 ) -> np.ndarray:
-    """Soft-demodulate symbols into per-bit LLRs (positive favours 0).
+    """Max-log soft demodulation into per-bit LLRs (positive favours 0).
 
     ``noise_var`` is the complex noise variance (per complex dimension
-    total); the per-axis variance is half of it.
+    total), one value or one per symbol; the per-axis variance is half of
+    it. Squared distances to every PAM level are laid out as
+    ``(levels, 2 * symbols)`` rows, I then Q, so each bit's two minima are
+    a ``minimum.reduce`` over the rows of :data:`_DEMOD_TABLES`.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
-    noise_var = max(noise_var, 1e-12)
+    noise_var = np.maximum(noise_var, 1e-12)
     norm = _NORMS[modulation]
     if modulation is Modulation.BPSK:
         return 4.0 * symbols.real / (norm * noise_var) * norm ** 0  # = 4*Re(y)/N0
-    axis_bits = modulation.bits_per_symbol // 2
-    levels = _PAM_LEVELS[modulation] / norm
+    levels, bit_rows = _DEMOD_TABLES[modulation]
+    dist = (np.concatenate([symbols.real, symbols.imag]) - levels) ** 2
+    diffs = np.array([
+        np.minimum.reduce(dist.take(one_rows, 0)) - np.minimum.reduce(dist.take(zero_rows, 0))
+        for zero_rows, one_rows in bit_rows
+    ])
     axis_noise = noise_var / 2.0
-    i_llrs = _pam_llrs(symbols.real, axis_bits, levels, 2.0 * axis_noise)
-    q_llrs = _pam_llrs(symbols.imag, axis_bits, levels, 2.0 * axis_noise)
-    interleaved = np.concatenate([i_llrs, q_llrs], axis=1)
-    return interleaved.reshape(-1)
+    # (bit, I/Q, symbol) -> per symbol: the I bits MSB first, then the Q bits.
+    llrs = diffs.reshape(len(bit_rows), 2, len(symbols)) / (2.0 * axis_noise)
+    return llrs.transpose(2, 1, 0).reshape(-1)
 
 
 def hard_decision(llrs: np.ndarray) -> np.ndarray:

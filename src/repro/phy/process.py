@@ -535,7 +535,7 @@ class PhyProcess(Process):
             # identical to the standalone cell's call below.
             encoded = iter(self.phy_backend.encode_blocks(self, blocks))
         else:
-            encoded = iter(self.codec.encode_blocks(blocks))
+            encoded = iter(self.codec.encode_blocks(blocks) if blocks else ())
         for pdu, capture in captured:
             if capture is None:
                 # Nothing arrived on the fronthaul for this allocation
