@@ -12,6 +12,10 @@ from the committed JSON's full-mode results, so the docs are never typed
 from memory; ``tests/test_perf_harness.py`` runs the ``--check`` form in
 tier-1. The numbers are one host's recorded, ungated rates.
 
+DESIGN section 7's slinglint rule table sits between the same kind of
+markers (``perf:rules``) and is rendered from the rule registry, the one
+place a rule's id, severity and title are written down.
+
 It also writes ``benchmarks/src_lines.json``, the per-package line count
 of ``src/repro`` (:func:`src_line_ledger`), so a PR's diff shows what it
 did to the size of the runtime package instead of CHANGES.md typing it.
@@ -26,6 +30,7 @@ from pathlib import Path
 from typing import Callable, Dict
 
 from repro import CellConfig
+from repro.analysis import all_rules
 from repro.harness import bench_path
 from repro.perf.harness import BenchmarkResult, load_report
 
@@ -125,11 +130,21 @@ def render_transit(results: Results) -> str:
     return "\n".join(rows)
 
 
+def render_rules(results: Results) -> str:
+    """The slinglint catalog (``python -m repro lint --list-rules``)."""
+    rows = ["| rule | severity | title |", "|---|---|---|"]
+    rows.extend(
+        f"| {rule.rule_id} | {rule.severity} | {rule.title} |" for rule in all_rules()
+    )
+    return "\n".join(rows)
+
+
 BLOCKS: Dict[str, Callable[[Results], str]] = {
     "macros": render_macros,
     "rxchain": render_rxchain,
     "tcprecovery": render_tcprecovery,
     "transit": render_transit,
+    "rules": render_rules,
 }
 
 

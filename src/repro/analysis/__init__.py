@@ -2,30 +2,36 @@
 
 The reproduction rests on invariants that used to live only in prose:
 
-* **Determinism** — all stochastic behaviour flows through
-  :class:`repro.sim.rng.RngRegistry` named streams; no wall clocks, no
-  stdlib ``random``, no ad-hoc constant-seeded generators.
-* **Time units** — all simulated time is integer nanoseconds on the
-  shared :class:`repro.sim.engine.Simulator` clock, expressed via
-  :mod:`repro.sim.units`.
-* **Event safety** — event callbacks must not rely on same-timestamp
-  FIFO tie order or capture loop variables late.
-* **P4 resources** — the switch program must fit a Tofino-class
-  pipeline's table, register-access, and SRAM/ALU budgets (§8.6).
-* **Perf timing funnel** — benchmark code in ``repro/perf`` reads wall
-  time only through the sanctioned :mod:`repro.perf.timing` helper.
-* **Shard-worker purity** — ``repro/parallel`` holds no fork-divergent
-  module state, and shard workers (``*_shard``) draw randomness only
-  from seed-derived RngRegistry streams.
-* **Telemetry purity** — ``repro/telemetry`` records only deterministic
-  counts and integer sim-time values: no wall clocks, no randomness, no
-  RngRegistry stream acquisition (digest neutrality by construction).
+* **Determinism** (DET, STREAM) — all stochastic behaviour flows
+  through :class:`repro.sim.rng.RngRegistry` named streams, each drawn
+  only by the subsystem that owns it; no wall clocks outside
+  :mod:`repro.perf.timing`, no stdlib ``random``, no generator built
+  outside :mod:`repro.sim.rng` from anything but a derived seed — in
+  every package, under whatever name the import gave it.
+* **Time units** (TIMX) — all simulated time is integer nanoseconds on
+  the shared :class:`repro.sim.engine.Simulator` clock, expressed via
+  :mod:`repro.sim.units`; no float reaches the scheduler.
+* **Event safety** (EVT, PERF002) — event callbacks must not rely on
+  same-timestamp FIFO tie order or capture loop variables late, and a
+  periodic tick rides the slot wheel, not the heap.
+* **Checkpointable state** (CKPT) — every mutable attribute of a
+  runtime class exists from construction and is listed in the generated
+  manifest the checkpoint layer walks.
+* **P4 register accesses** (P4R003) — no pass of the switch program
+  touches one register array more often than a Tofino-class pipeline
+  allows.
+
+Every rule is ``check(program)`` over the one
+:class:`~repro.analysis.program.Program` built from the linted files,
+and stays only while it guards an invariant nothing else guards (DESIGN
+§7 lists the retired ones and what covers their cases).
 
 ``python -m repro lint`` runs every registered rule over ``src/repro``
 (or explicit paths) and exits non-zero on findings. Individual findings
 are suppressed in source with ``# slinglint: disable=<rule-id>`` on the
 offending line, or ``# slinglint: disable-file=<rule-id>`` anywhere in
-the file.
+the file; a directive that suppresses nothing is itself a finding
+(SUP001).
 """
 
 from repro.analysis.findings import Finding, Severity, format_findings
@@ -40,14 +46,11 @@ from repro.analysis.runner import lint_paths, lint_source
 # Importing the rule modules registers their rules.
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import event_safety as _event_safety  # noqa: F401
-from repro.analysis import observability as _observability  # noqa: F401
 from repro.analysis import p4budget as _p4budget  # noqa: F401
-from repro.analysis import parallel_rules as _parallel_rules  # noqa: F401
 from repro.analysis import perf_rules as _perf_rules  # noqa: F401
 from repro.analysis import state_inventory as _state_inventory  # noqa: F401
 from repro.analysis import streams as _streams  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
-from repro.analysis import time_units as _time_units  # noqa: F401
 
 __all__ = [
     "Finding",

@@ -1,165 +1,209 @@
-"""Determinism rules (DET0xx).
+"""Determinism rules (DET0xx): one table of ambient nondeterminism.
 
 The simulation must be a pure function of its scenario seed: identical
 runs produce identical traces. That dies the moment anything samples a
 wall clock or a generator whose seed is not derived from the scenario.
 All randomness flows through :class:`repro.sim.rng.RngRegistry` named
 streams; all timing flows from the :class:`repro.sim.engine.Simulator`
-clock.
+clock; the one host clock is :mod:`repro.perf.timing`.
+
+Each DET rule is a row of :data:`AMBIENT_SOURCES`: the origins it bans,
+which use of them is the violation, and the modules sanctioned to use
+them anyway. Rows are matched against what a name *resolves to* through
+the module's imports (:meth:`~repro.analysis.program.ModuleInfo.origin`),
+so ``from time import time``, ``import time as t`` and ``from numpy
+import random as r`` are the same violation as the spelled-out call — in
+every package, tooling included: telemetry, perf and the shard workers
+need no rule of their own because this table already binds them.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import LintContext, LintRule, dotted_name, register_rule
-
-#: Wall-clock calls that leak host time into simulation logic.
-_WALL_CLOCK_CALLS = {
-    "time.time",
-    "time.time_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-}
-
-#: datetime constructors that read the host clock.
-_DATETIME_CALLS = {"now", "utcnow", "today"}
-
-#: Legacy numpy global-state RNG functions (np.random.<fn> draws from a
-#: hidden module-level generator).
-_NUMPY_GLOBAL_RNG = {
-    "seed",
-    "random",
-    "rand",
-    "randn",
-    "randint",
-    "uniform",
-    "normal",
-    "choice",
-    "shuffle",
-    "permutation",
-}
+from repro.analysis.findings import Finding
+from repro.analysis.program import ModuleInfo, Program
+from repro.analysis.registry import LintRule, location, register_rule
 
 
-@register_rule
-class WallClockRule(LintRule):
-    """DET001: no host wall clocks inside the simulation package."""
+@dataclass(frozen=True)
+class AmbientSource:
+    """One row of the ambient-nondeterminism table."""
 
-    rule_id = "DET001"
-    title = "wall-clock read"
-    severity = Severity.ERROR
-    fix_hint = (
-        "use Simulator.now (simulated ns); the only allowlisted wall-clock "
-        "sites are cli.py's elapsed-time helper and repro/perf/timing.py "
-        "(the benchmark harness's sanctioned clock, see PERF001)"
+    rule_id: str
+    title: str
+    #: Banned origins; ``"pkg.*"`` bans ``pkg`` and every name under it.
+    banned: Tuple[str, ...]
+    #: Which use of a banned origin is the violation: ``"call"``,
+    #: ``"import"`` (the import alone, called or not), or
+    #: ``"literal-seed"`` (a call given no seed or a literal one — a
+    #: derived seed, a parameter or content, is allowed).
+    use: str
+    #: The modules allowed to do it anyway.
+    sanctioned: Tuple[str, ...]
+    fix_hint: str
+    #: Origins under a banned wildcard that belong to another row.
+    exempt: Tuple[str, ...] = ()
+
+    def bans(self, origin: str) -> bool:
+        if origin in self.exempt:
+            return False
+        for pattern in self.banned:
+            if pattern.endswith(".*"):
+                if origin == pattern[:-2] or origin.startswith(pattern[:-1]):
+                    return True
+            elif origin == pattern:
+                return True
+        return False
+
+
+#: Every constructor of a numpy generator or bit generator: called with
+#: no seed they read OS entropy, with a literal they start a private
+#: stream the scenario seed does not reach.
+_GENERATOR_CONSTRUCTORS = tuple(
+    f"numpy.random.{name}"
+    for name in (
+        "default_rng",
+        "Generator",
+        "RandomState",
+        "SeedSequence",
+        "PCG64",
+        "PCG64DXSM",
+        "MT19937",
+        "Philox",
+        "SFC64",
     )
+)
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+AMBIENT_SOURCES: Tuple[AmbientSource, ...] = (
+    AmbientSource(
+        "DET001",
+        "wall-clock read",
+        banned=(
+            "time.time",
+            "time.time_ns",
+            "time.monotonic",
+            "time.monotonic_ns",
+            "time.perf_counter",
+            "time.perf_counter_ns",
+            "datetime.datetime.now",
+            "datetime.datetime.utcnow",
+            "datetime.datetime.today",
+            "datetime.date.today",
+        ),
+        use="call",
+        sanctioned=("repro.perf.timing",),
+        fix_hint=(
+            "use Simulator.now (simulated ns); host tooling that must time "
+            "itself calls repro.perf.timing.wall_ns(), the one sanctioned "
+            "host-clock module"
+        ),
+    ),
+    AmbientSource(
+        "DET002",
+        "stdlib random import",
+        banned=("random.*",),
+        use="import",
+        sanctioned=(),
+        fix_hint="draw from an RngRegistry named stream (repro.sim.rng) instead",
+    ),
+    AmbientSource(
+        "DET003",
+        "private numpy generator",
+        banned=_GENERATOR_CONSTRUCTORS,
+        use="literal-seed",
+        sanctioned=("repro.sim.rng",),
+        fix_hint=(
+            "thread an RngRegistry stream through the deployment wiring "
+            "(rng.stream(name)); a generator built anywhere else takes a "
+            "derived seed — a parameter, or content such as a transport "
+            "block id"
+        ),
+    ),
+    AmbientSource(
+        "DET004",
+        "numpy global RNG",
+        banned=("numpy.random.*",),
+        use="call",
+        sanctioned=("repro.sim.rng",),
+        fix_hint="use a Generator object from an RngRegistry stream",
+        exempt=_GENERATOR_CONSTRUCTORS,
+    ),
+)
+
+
+def _import_origins(node: ast.AST) -> List[str]:
+    """What an import statement binds, as origins (absolute imports only)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def _seed_argument(call: ast.Call) -> Optional[ast.expr]:
+    """The seed of a generator construction: the first positional
+    argument, else the first keyword's value (``seed=``, ``entropy=``,
+    ``bit_generator=``); ``None`` when the call has no argument at all."""
+    if call.args:
+        return call.args[0]
+    return call.keywords[0].value if call.keywords else None
+
+
+def _banned_uses(
+    row: AmbientSource, module: ModuleInfo, node: ast.AST
+) -> Iterator[str]:
+    """How ``node`` uses an origin ``row`` bans, once per use."""
+    if row.use == "import":
+        for origin in _import_origins(node):
+            if row.bans(origin):
+                yield origin
+        return
+    if not isinstance(node, ast.Call):
+        return
+    origin = module.origin(node.func)
+    if origin is None or not row.bans(origin):
+        return
+    if row.use == "call":
+        yield f"{origin}()"
+        return
+    seed = _seed_argument(node)
+    if seed is None:
+        yield f"unseeded {origin}()"
+    elif isinstance(seed, ast.Constant):
+        yield f"constant-seeded {origin}({seed.value!r})"
+
+
+class AmbientSourceRule(LintRule):
+    """A DET rule: its row of :data:`AMBIENT_SOURCES`, evaluated on every
+    import and call outside the row's sanctioned modules."""
+
+    row: AmbientSource
+
+    def check(self, program: Program) -> Iterator[Finding]:
+        row = self.row
+        for module in program.modules.values():
+            if module.name in row.sanctioned:
                 continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name in _WALL_CLOCK_CALLS:
-                yield self.finding(ctx, node, f"wall-clock call {name}()")
-            else:
-                head, _, tail = name.rpartition(".")
-                if tail in _DATETIME_CALLS and (
-                    head.endswith("datetime") or head.endswith("date")
-                ):
-                    yield self.finding(ctx, node, f"wall-clock call {name}()")
-
-
-@register_rule
-class StdlibRandomRule(LintRule):
-    """DET002: the stdlib ``random`` module is banned outright."""
-
-    rule_id = "DET002"
-    title = "stdlib random import"
-    severity = Severity.ERROR
-    fix_hint = "draw from an RngRegistry named stream (repro.sim.rng) instead"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "random" or alias.name.startswith("random."):
-                        yield self.finding(ctx, node, "import of stdlib random module")
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "random" and node.level == 0:
+            for node in ast.walk(module.context.tree):
+                for used in _banned_uses(row, module, node):
                     yield self.finding(
-                        ctx, node, "import from stdlib random module"
+                        module.context.path, *location(node), f"{row.title}: {used}"
                     )
 
 
-@register_rule
-class PrivateGeneratorRule(LintRule):
-    """DET003: no unseeded or constant-seeded private numpy generators.
-
-    ``np.random.default_rng()`` is nondeterministic; ``default_rng(0)``
-    (any constant literal) creates a private stream that silently decouples
-    the component from the scenario seed. Seeds must be derived — an
-    RngRegistry stream, a function parameter, or content (e.g. a transport
-    block id). ``repro/sim/rng.py`` itself is exempt: it is the one place
-    allowed to construct generators.
-    """
-
-    rule_id = "DET003"
-    title = "private numpy generator"
-    severity = Severity.ERROR
-    fix_hint = (
-        "thread an RngRegistry stream through the deployment wiring "
-        "(rng.stream(name)) instead of a private default_rng fallback"
+for _row in AMBIENT_SOURCES:
+    register_rule(
+        type(
+            _row.rule_id,
+            (AmbientSourceRule,),
+            {
+                "row": _row,
+                "rule_id": _row.rule_id,
+                "title": _row.title,
+                "fix_hint": _row.fix_hint,
+            },
+        )
     )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.in_module("sim", "rng.py"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            if name.endswith("random.default_rng") or name == "default_rng":
-                if not node.args and not node.keywords:
-                    yield self.finding(
-                        ctx, node, "unseeded np.random.default_rng()"
-                    )
-                elif node.args and isinstance(node.args[0], ast.Constant):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "constant-seeded np.random.default_rng"
-                        f"({node.args[0].value!r})",
-                    )
-
-
-@register_rule
-class NumpyGlobalRngRule(LintRule):
-    """DET004: no draws from numpy's hidden module-level generator."""
-
-    rule_id = "DET004"
-    title = "numpy global RNG"
-    severity = Severity.ERROR
-    fix_hint = "use a Generator object from an RngRegistry stream"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if ctx.in_module("sim", "rng.py"):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None:
-                continue
-            head, _, tail = name.rpartition(".")
-            if tail in _NUMPY_GLOBAL_RNG and (
-                head == "np.random" or head == "numpy.random"
-            ):
-                yield self.finding(ctx, node, f"numpy global-state call {name}()")

@@ -13,8 +13,9 @@ import ast
 from typing import Iterator, List, Set
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import LintContext, LintRule, dotted_name, register_rule
-from repro.analysis.time_units import _SCHEDULING_METHODS
+from repro.analysis.program import Program
+from repro.analysis.registry import LintRule, dotted_name, location, register_rule
+from repro.analysis.taint import SCHEDULING_METHODS
 
 
 def _lambda_free_names(node: ast.Lambda) -> Set[str]:
@@ -60,8 +61,8 @@ class LoopCaptureRule(LintRule):
         "(sim.schedule(d, fn, item)) or a lambda default (lambda item=item: ...)"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for loop in ast.walk(ctx.tree):
+    def check(self, program: Program) -> Iterator[Finding]:
+        for module, loop in program.walk():
             if not isinstance(loop, (ast.For, ast.AsyncFor)):
                 continue
             loop_vars = _target_names(loop.target)
@@ -71,7 +72,7 @@ class LoopCaptureRule(LintRule):
                 name = dotted_name(node.func)
                 if name is None:
                     continue
-                if name.rpartition(".")[2] not in _SCHEDULING_METHODS:
+                if name.rpartition(".")[2] not in SCHEDULING_METHODS:
                     continue
                 values: List[ast.expr] = list(node.args)
                 values.extend(k.value for k in node.keywords)
@@ -80,8 +81,8 @@ class LoopCaptureRule(LintRule):
                         captured = _lambda_free_names(value) & loop_vars
                         if captured:
                             yield self.finding(
-                                ctx,
-                                value,
+                                module.context.path,
+                                *location(value),
                                 "scheduled lambda captures loop variable(s) "
                                 + ", ".join(sorted(captured)),
                             )
@@ -106,8 +107,8 @@ class ZeroDelayRule(LintRule):
         "suppress, or schedule at an explicit later time"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+    def check(self, program: Program) -> Iterator[Finding]:
+        for module, node in program.walk():
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -120,5 +121,7 @@ class ZeroDelayRule(LintRule):
                 isinstance(node.args[0], ast.Constant) and node.args[0].value == 0
             ):
                 yield self.finding(
-                    ctx, node, f"zero-delay {method}() depends on FIFO tie order"
+                    module.context.path,
+                    *location(node),
+                    f"zero-delay {method}() depends on FIFO tie order",
                 )

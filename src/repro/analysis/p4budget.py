@@ -1,14 +1,16 @@
-"""P4 pipeline resource rules (P4R0xx) — static §8.6 budget verifier.
+"""P4 pipeline rule (P4R003) — the per-pass register-access bound.
 
 The fronthaul middlebox (:mod:`repro.core.fh_middlebox`) models a Tofino
-pipeline, and a Tofino imposes hard per-pass limits that plain Python
-never would: a bounded number of match-action tables, a bounded number of
-accesses to any one register array within a single packet pass, and
-fixed SRAM/ALU/crossbar budgets. These rules recover the pipeline's
-shape from the AST — table and register declarations, plus a call graph
-of the ``_process_*`` packet passes — and check it against the budgets
-in :mod:`repro.net.p4.resources` at the scale the paper reports (§8.6:
-256 RUs / 256 PHY servers).
+pipeline, and a Tofino imposes a hard limit that plain Python never
+would: a stateful register array is bound to pipeline stages, so one
+packet pass can touch it only a small fixed number of times. This module
+recovers the pipeline's shape from the AST — table and register
+declarations, plus a call graph of the ``_process_*`` packet passes — and
+checks that bound; nothing else in the repo does. (The §8.6 fractional
+SRAM/ALU/crossbar budget is arithmetic on the deployment scale, not on
+the program text: :mod:`repro.net.p4.resources` computes it,
+``tests/test_p4.py`` asserts it and ``fleet.composer`` enforces it at
+run time.)
 
 Modelling notes:
 
@@ -26,14 +28,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Set
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import LintContext, LintRule, dotted_name, register_rule
-from repro.net.p4.resources import PipelineResourceModel
-
-#: Match-action tables one pipeline can host (stage-count bound).
-MAX_TABLES_PER_PIPELINE = 32
+from repro.analysis.program import Program
+from repro.analysis.registry import LintRule, dotted_name, register_rule
 
 #: Stateful-ALU accesses to a single register array within one pass.
 MAX_REGISTER_ACCESSES_PER_PASS = 4
@@ -43,10 +42,10 @@ MAX_REGISTER_ACCESSES_PER_PASS = 4
 class P4ProgramSummary:
     """Statically recovered shape of a switch-pipeline program."""
 
-    #: Declared match-action tables: attribute name -> resolved entry count.
-    tables: Dict[str, Optional[int]] = field(default_factory=dict)
-    #: Declared register arrays: attribute name -> resolved entry count.
-    registers: Dict[str, Optional[int]] = field(default_factory=dict)
+    #: Declared match-action tables, by attribute name.
+    tables: Set[str] = field(default_factory=set)
+    #: Declared register arrays, by attribute name.
+    registers: Set[str] = field(default_factory=set)
     #: Per-pass, per-register access counts: pass name -> register -> count.
     pass_accesses: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
@@ -58,31 +57,11 @@ class P4ProgramSummary:
         )
 
 
-def _resolve_size(node: ast.expr, num_rus: int, num_phys: int) -> Optional[int]:
-    """Resolve a declared table/register size expression to a number.
-
-    ``cfg.max_rus`` / ``self.config.max_rus`` style attributes resolve to
-    the verification scale; integer literals pass through.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, int):
-        return node.value
-    name = dotted_name(node)
-    if name is not None:
-        tail = name.rpartition(".")[2]
-        if tail == "max_rus":
-            return num_rus
-        if tail == "max_phys":
-            return num_phys
-    return None
-
-
 def _is_pass_method(name: str) -> bool:
     return name == "process" or name.startswith("_process")
 
 
-def summarize_program(
-    tree: ast.Module, num_rus: int = 256, num_phys: int = 256
-) -> P4ProgramSummary:
+def summarize_program(tree: ast.Module) -> P4ProgramSummary:
     """Recover tables, registers, and per-pass access counts from a module."""
     summary = P4ProgramSummary()
     for cls in ast.walk(tree):
@@ -110,13 +89,10 @@ def summarize_program(
                 if attr is None:
                     continue
                 attr = attr.rpartition(".")[2]
-                size = None
-                if len(node.value.args) >= 2:
-                    size = _resolve_size(node.value.args[1], num_rus, num_phys)
                 if ctor == "MatchActionTable":
-                    summary.tables[attr] = size
+                    summary.tables.add(attr)
                 else:
-                    summary.registers[attr] = size
+                    summary.registers.add(attr)
         if not summary.registers and not summary.tables:
             continue
         # Per-method direct register accesses and intra-class call edges.
@@ -166,73 +142,8 @@ def summarize_program(
     return summary
 
 
-class _P4Rule(LintRule):
-    """Shared machinery: only fire on files that construct pipeline state."""
-
-    def _summary(self, ctx: LintContext) -> Optional[P4ProgramSummary]:
-        summary = summarize_program(ctx.tree, ctx.p4_num_rus, ctx.p4_num_phys)
-        if not summary.tables and not summary.registers:
-            return None
-        return summary
-
-
 @register_rule
-class ResourceBudgetRule(_P4Rule):
-    """P4R001: the program must fit the pipeline at the verification scale.
-
-    Evaluates :class:`PipelineResourceModel` at ``ctx.p4_num_rus`` /
-    ``ctx.p4_num_phys`` (default 256/256, the paper's §8.6 configuration)
-    and fails if any resource fraction reaches 100 %.
-    """
-
-    rule_id = "P4R001"
-    title = "pipeline resource budget exceeded"
-    severity = Severity.ERROR
-    fix_hint = (
-        "shrink the directory/register sizing or lower the deployment "
-        "scale; see repro.net.p4.resources.PipelineResourceModel"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        summary = self._summary(ctx)
-        if summary is None:
-            return
-        usage = PipelineResourceModel().usage(ctx.p4_num_rus, ctx.p4_num_phys)
-        for resource in sorted(usage.fraction):
-            if usage.fraction[resource] >= 1.0:
-                yield self.finding(
-                    ctx,
-                    ctx.tree,
-                    f"{resource} over budget at {ctx.p4_num_rus} RUs / "
-                    f"{ctx.p4_num_phys} PHYs: {usage.percent(resource):.1f}% "
-                    "of pipeline total",
-                )
-
-
-@register_rule
-class TableCountRule(_P4Rule):
-    """P4R002: at most MAX_TABLES_PER_PIPELINE match-action tables."""
-
-    rule_id = "P4R002"
-    title = "too many match-action tables"
-    severity = Severity.ERROR
-    fix_hint = "merge directories or split the program across pipelines"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        summary = self._summary(ctx)
-        if summary is None:
-            return
-        if len(summary.tables) > MAX_TABLES_PER_PIPELINE:
-            yield self.finding(
-                ctx,
-                ctx.tree,
-                f"{len(summary.tables)} match-action tables declared, "
-                f"pipeline supports {MAX_TABLES_PER_PIPELINE}",
-            )
-
-
-@register_rule
-class RegisterAccessRule(_P4Rule):
+class RegisterAccessRule(LintRule):
     """P4R003: bounded register accesses per packet pass.
 
     A stateful register array is bound to pipeline stages; one packet
@@ -249,24 +160,18 @@ class RegisterAccessRule(_P4Rule):
         "the logic across recirculation passes"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        summary = self._summary(ctx)
-        if summary is None:
-            return
-        for pass_name in sorted(summary.pass_accesses):
-            counts = summary.pass_accesses[pass_name]
-            for register in sorted(counts):
-                if counts[register] > MAX_REGISTER_ACCESSES_PER_PASS:
-                    yield self.finding(
-                        ctx,
-                        ctx.tree,
-                        f"register {register!r} accessed {counts[register]}x "
-                        f"in pass {pass_name}() "
-                        f"(limit {MAX_REGISTER_ACCESSES_PER_PASS})",
-                    )
-
-
-def resource_report(num_rus: int = 256, num_phys: int = 256) -> Dict[str, float]:
-    """Paper-§8.6-style report: resource -> percent of pipeline used."""
-    usage = PipelineResourceModel().usage(num_rus, num_phys)
-    return {resource: usage.percent(resource) for resource in sorted(usage.fraction)}
+    def check(self, program: Program) -> Iterator[Finding]:
+        for module in program.modules.values():
+            summary = summarize_program(module.context.tree)
+            for pass_name in sorted(summary.pass_accesses):
+                counts = summary.pass_accesses[pass_name]
+                for register in sorted(counts):
+                    if counts[register] > MAX_REGISTER_ACCESSES_PER_PASS:
+                        yield self.finding(
+                            module.context.path,
+                            1,
+                            1,
+                            f"register {register!r} accessed {counts[register]}x "
+                            f"in pass {pass_name}() "
+                            f"(limit {MAX_REGISTER_ACCESSES_PER_PASS})",
+                        )

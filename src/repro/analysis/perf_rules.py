@@ -1,13 +1,8 @@
-"""Perf-package rules (PERF0xx).
+"""Scheduling-lane rule (PERF002).
 
-The perf subsystem is the one part of the tree that *must* read the host
-wall clock — that is what a benchmark harness does — but letting each
-benchmark call ``time.*`` directly would scatter ad-hoc clock choices
-(``time.time`` vs ``monotonic`` vs ``perf_counter``) through measurement
-code and make the DET001 allowlist unauditable. So all wall-time reads
-inside ``repro/perf/`` flow through the sanctioned helper module
-:mod:`repro.perf.timing` (itself carrying the DET001 suppression), and
-PERF001 enforces the funnel.
+A periodic tick that re-schedules itself through the heap pops exactly
+as many events as one riding the slot wheel, so no digest, event count
+or ``--check`` gate notices the difference. This rule does.
 """
 
 from __future__ import annotations
@@ -16,54 +11,8 @@ import ast
 from typing import Iterator, Union
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import LintContext, LintRule, dotted_name, register_rule
-
-#: The single module inside repro/perf allowed to touch ``time``.
-_SANCTIONED = ("perf", "timing.py")
-
-
-@register_rule
-class PerfTimingFunnelRule(LintRule):
-    """PERF001: perf code reads wall time only via ``repro.perf.timing``.
-
-    Flags any ``import time`` / ``from time import ...`` and any
-    ``time.<fn>()`` call in ``repro/perf/`` outside ``timing.py``.
-    """
-
-    rule_id = "PERF001"
-    title = "direct time.* use in perf package"
-    severity = Severity.ERROR
-    fix_hint = (
-        "call repro.perf.timing.wall_ns() / wall_seconds_since(); only "
-        "perf/timing.py may touch the time module"
-    )
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        if not ctx.module_parts or ctx.module_parts[0] != "perf":
-            return
-        if ctx.in_module(*_SANCTIONED):
-            return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "time" or alias.name.startswith("time."):
-                        yield self.finding(
-                            ctx, node, "import of the time module in perf code"
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                if node.module == "time" and node.level == 0:
-                    yield self.finding(
-                        ctx, node, "import from the time module in perf code"
-                    )
-            elif isinstance(node, ast.Call):
-                name = dotted_name(node.func)
-                if name is not None and (
-                    name == "time" or name.startswith("time.")
-                ):
-                    yield self.finding(
-                        ctx, node, f"direct wall-clock call {name}() in perf code"
-                    )
-
+from repro.analysis.program import Program
+from repro.analysis.registry import LintRule, dotted_name, location, register_rule
 
 #: Scheduling entry points a self-rescheduler goes through.
 _SCHEDULE_METHODS = ("schedule", "at")
@@ -103,13 +52,12 @@ class PeriodicSelfRescheduleRule(LintRule):
         "pays a heap push per occurrence"
     )
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for func in ast.walk(ctx.tree):
-            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            yield from self._check_method(ctx, func)
+    def check(self, program: Program) -> Iterator[Finding]:
+        for module, func in program.walk():
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_method(module.context.path, func)
 
-    def _check_method(self, ctx: LintContext, func: _FuncDef) -> Iterator[Finding]:
+    def _check_method(self, path: str, func: _FuncDef) -> Iterator[Finding]:
         for node in ast.walk(func):
             if node is func or not isinstance(node, ast.Call):
                 continue
@@ -139,8 +87,8 @@ class PeriodicSelfRescheduleRule(LintRule):
                 continue
             owner = dotted_name(callee.value) or "<sim>"
             yield self.finding(
-                ctx,
-                node,
+                path,
+                *location(node),
                 f"{owner}.{callee.attr}(..., self.{func.name}) inside "
                 f"{func.name}(): periodic self-reschedule bypasses the "
                 "wheel lane",

@@ -1,28 +1,26 @@
-"""Whole-program model: module table, import graph, symbols, call graph.
+"""Whole-program model: module table, import aliases, symbols, call resolution.
 
-Per-file rules see one AST at a time; that ceiling is exactly where the
-determinism contract leaks (a float-seconds value returned from one
-module and scheduled in another, a stream name drawn far from the
-subsystem that owns it). :class:`Program` lifts the linted file set into
-one queryable object:
+One AST at a time is exactly where the determinism contract leaks (a
+float-seconds value returned from one module and scheduled in another, a
+stream name drawn far from the subsystem that owns it, a clock imported
+under another name). :class:`Program` lifts the linted file set into one
+queryable object, and every rule receives it:
 
 * **module table** — every file keyed by its dotted module name
   (``repro.cell.deployment``), with the file's :class:`LintContext`;
-* **import graph** — per-module alias table (``run_for_ns`` ->
-  ``repro.sim.units.run_for_ns``) plus module -> imported-module edges;
+* **import aliases** — per-module alias table (``run_for_ns`` ->
+  ``repro.sim.units.run_for_ns``), through which :meth:`ModuleInfo.origin`
+  names what a call target really is (``now`` ->
+  ``time.perf_counter_ns``, ``np.random.default_rng`` ->
+  ``numpy.random.default_rng``);
 * **symbol table** — top-level functions, classes, and class methods,
   each with its AST node and defining module;
-* **call graph** — best-effort resolution of ``Call`` nodes to program
+* **call resolution** — best-effort resolution of ``Call`` nodes to program
   functions: bare names through the local symbol table and import
   aliases, ``self.method()`` within a class, and ``module.func()``
   through ``import``/``from`` aliases. Unresolvable calls (builtins,
-  third-party, dynamic dispatch) resolve to ``None`` and are simply
-  absent from the graph — the analyses built on top are *may* analyses
-  over the resolvable subset.
-
-Program-level rules subclass :class:`~repro.analysis.registry.ProgramRule`
-and receive the :class:`Program`; their findings are filtered through the
-owning file's suppressions exactly like per-file findings.
+  third-party, dynamic dispatch) resolve to ``None`` — the analyses
+  built on top are *may* analyses over the resolvable subset.
 """
 
 from __future__ import annotations
@@ -114,6 +112,22 @@ class ModuleInfo:
             return leaf[:-3] if leaf.endswith(".py") else leaf
         return parts[0]
 
+    def origin(self, node: ast.AST) -> Optional[str]:
+        """Dotted name of ``node`` with its head resolved through this
+        module's imports; ``None`` for anything but a name chain.
+
+        ``t.time`` after ``import time as t`` is ``time.time``; ``dt.now``
+        after ``from datetime import datetime as dt`` is
+        ``datetime.datetime.now``. A head that no import binds is kept as
+        written, so policy tables match on what a name *is*, never on how
+        a file chose to spell it.
+        """
+        name = dotted_name(node)
+        if name is None:
+            return None
+        head, dot, rest = name.partition(".")
+        return self.aliases.get(head, head) + dot + rest
+
 
 def _function_params(node: FunctionNode, is_method: bool) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     args = node.args
@@ -163,7 +177,6 @@ class Program:
                 self._classes[klass.qualname] = klass
                 for method in klass.methods.values():
                     self._functions[method.qualname] = method
-        self._call_graph: Optional[Dict[str, Tuple[str, ...]]] = None
         #: Shared memo for derived whole-program analyses (taint
         #: fixpoint, stream sites, class states): several rules consume
         #: the same analysis, which only depends on the immutable
@@ -173,10 +186,6 @@ class Program:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_contexts(cls, contexts: Sequence[LintContext]) -> "Program":
-        return cls(contexts)
-
     def _index_module(self, ctx: LintContext) -> ModuleInfo:
         name = module_name_for(ctx)
         info = ModuleInfo(name=name, context=ctx, aliases=_collect_aliases(ctx.tree))
@@ -219,8 +228,11 @@ class Program:
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def module_for_path(self, path: str) -> Optional[ModuleInfo]:
-        return self._by_path.get(path)
+    def walk(self) -> Iterator[Tuple[ModuleInfo, ast.AST]]:
+        """Every AST node of every module, with the module it sits in."""
+        for module in self.modules.values():
+            for node in ast.walk(module.context.tree):
+                yield module, node
 
     def context_for_path(self, path: str) -> Optional[LintContext]:
         info = self._by_path.get(path)
@@ -343,48 +355,3 @@ class Program:
                     result.append(resolved)
                     queue.append(resolved)
         return result
-
-    def call_graph(self) -> Dict[str, Tuple[str, ...]]:
-        """Caller qualname -> sorted tuple of resolved callee qualnames."""
-        if self._call_graph is None:
-            graph: Dict[str, Tuple[str, ...]] = {}
-            for function in self.functions():
-                module = self.modules[function.module]
-                callees = set()
-                for node in ast.walk(function.node):
-                    if isinstance(node, ast.Call):
-                        resolved = self.resolve_call(
-                            node, module, class_name=function.class_name
-                        )
-                        if resolved is not None:
-                            callees.add(resolved.qualname)
-                graph[function.qualname] = tuple(sorted(callees))
-            self._call_graph = graph
-        return self._call_graph
-
-    def calls_in(
-        self, function: FunctionInfo
-    ) -> Iterator[Tuple[ast.Call, Optional[FunctionInfo]]]:
-        """Every ``Call`` node in one function with its resolution."""
-        module = self.modules[function.module]
-        for node in ast.walk(function.node):
-            if isinstance(node, ast.Call):
-                yield node, self.resolve_call(
-                    node, module, class_name=function.class_name
-                )
-
-    def import_graph(self) -> Dict[str, Tuple[str, ...]]:
-        """Module name -> sorted tuple of imported program modules."""
-        graph: Dict[str, Tuple[str, ...]] = {}
-        for name, info in sorted(self.modules.items()):
-            edges = set()
-            for target in info.aliases.values():
-                # ``a.b.symbol`` and ``a.b`` both edge to module ``a.b``.
-                candidate = target
-                while candidate:
-                    if candidate in self.modules and candidate != name:
-                        edges.add(candidate)
-                        break
-                    candidate = candidate.rpartition(".")[0]
-            graph[name] = tuple(sorted(edges))
-        return graph

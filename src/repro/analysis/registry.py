@@ -1,8 +1,11 @@
 """Rule registry, lint context, and suppression handling.
 
 Rules are small classes registered with :func:`register_rule`; each gets
-the parsed AST plus per-line suppression data and yields
-:class:`~repro.analysis.findings.Finding` objects. Suppressions:
+the :class:`~repro.analysis.program.Program` built from every linted
+file (a single snippet is a one-module program) and yields
+:class:`~repro.analysis.findings.Finding` objects, which the framework
+filters through the suppressions of the file they anchor to.
+Suppressions:
 
 * ``# slinglint: disable=RULE1,RULE2`` on the offending line, or
 * ``# slinglint: disable=all`` to silence every rule on that line, or
@@ -19,10 +22,10 @@ from io import StringIO
 from typing import (
     TYPE_CHECKING,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Type,
@@ -79,19 +82,15 @@ class LintContext:
     #: Path split into parts relative to the ``repro`` package root, e.g.
     #: ``("sim", "rng.py")``; empty when the file is outside the package.
     module_parts: Tuple[str, ...] = ()
-    #: Scale at which the P4 resource verifier checks budgets.
-    p4_num_rus: int = 256
-    p4_num_phys: int = 256
 
     @classmethod
-    def for_source(cls, source: str, path: str = "<string>", **kwargs) -> "LintContext":
+    def for_source(cls, source: str, path: str = "<string>") -> "LintContext":
         per_line, whole_file = parse_suppressions(source)
         tree = ast.parse(source, filename=path)
-        parts: Tuple[str, ...] = kwargs.pop("module_parts", ())
-        if not parts:
-            pieces = path.replace("\\", "/").split("/")
-            if "repro" in pieces:
-                parts = tuple(pieces[pieces.index("repro") + 1 :])
+        parts: Tuple[str, ...] = ()
+        pieces = path.replace("\\", "/").split("/")
+        if "repro" in pieces:
+            parts = tuple(pieces[pieces.index("repro") + 1 :])
         return cls(
             path=path,
             source=source,
@@ -99,7 +98,6 @@ class LintContext:
             line_suppressions=per_line,
             file_suppressions=whole_file,
             module_parts=parts,
-            **kwargs,
         )
 
     def in_module(self, *suffix: str) -> bool:
@@ -115,12 +113,19 @@ class LintContext:
         return bool({"all", rule_id} & at_line)
 
 
+def location(node: ast.AST) -> Tuple[int, int]:
+    """``(line, col)`` of an AST node, 1-based; ``(1, 1)`` for a module."""
+    return getattr(node, "lineno", 1), getattr(node, "col_offset", 0) + 1
+
+
 class LintRule:
     """Base class for one lint rule.
 
     Subclasses set ``rule_id``, ``title``, ``severity``, ``fix_hint`` and
     implement :meth:`check`, yielding findings (suppression filtering is
-    applied by the framework, not the rule).
+    applied by the framework, not the rule). A rule that reads one file
+    at a time iterates :meth:`Program.walk`; a cross-file rule queries
+    the program directly — both anchor each finding to a file and line.
     """
 
     rule_id: str = ""
@@ -128,63 +133,19 @@ class LintRule:
     severity: Severity = Severity.ERROR
     fix_hint: str = ""
 
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
+    def check(self, program: "Program") -> Iterator[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self,
-        ctx: LintContext,
-        node: ast.AST,
-        message: str,
-        severity: Optional[Severity] = None,
-        fix_hint: Optional[str] = None,
-    ) -> Finding:
-        """Build a finding anchored at ``node``."""
-        return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule_id=self.rule_id,
-            severity=self.severity if severity is None else severity,
-            message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
-        )
-
-
-class ProgramRule(LintRule):
-    """Base class for a whole-program rule.
-
-    Program rules run once per lint invocation over the
-    :class:`~repro.analysis.program.Program` built from every linted
-    file, instead of once per file. Findings still anchor to a file and
-    line, and are filtered through *that* file's suppressions.
-    """
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        """Program rules do not participate in the per-file pass."""
-        return iter(())
-
-    def check_program(self, program: "Program") -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        severity: Optional[Severity] = None,
-        fix_hint: Optional[str] = None,
-    ) -> Finding:
-        """Build a finding at an explicit location (cross-file anchor)."""
+    def finding(self, path: str, line: int, col: int, message: str) -> Finding:
+        """Build a finding at ``path:line:col`` (see :func:`location`)."""
         return Finding(
             path=path,
             line=line,
             col=col,
             rule_id=self.rule_id,
-            severity=self.severity if severity is None else severity,
+            severity=self.severity,
             message=message,
-            fix_hint=self.fix_hint if fix_hint is None else fix_hint,
+            fix_hint=self.fix_hint,
         )
 
 
@@ -206,54 +167,79 @@ def all_rules() -> List[LintRule]:
     return [_REGISTRY[rule_id]() for rule_id in sorted(_REGISTRY)]
 
 
-def file_rules() -> List[LintRule]:
-    """Registered per-file rules (everything that is not a ProgramRule)."""
-    return [rule for rule in all_rules() if not isinstance(rule, ProgramRule)]
+@register_rule
+class UnusedSuppressionRule(LintRule):
+    """SUP001: suppression comments must still suppress something.
 
-
-def program_rules() -> List[ProgramRule]:
-    """Registered whole-program rules."""
-    return [rule for rule in all_rules() if isinstance(rule, ProgramRule)]
-
-
-def run_rules(
-    ctx: LintContext,
-    rules: Optional[Iterable[LintRule]] = None,
-    suppressed: Optional[List[Finding]] = None,
-) -> List[Finding]:
-    """Run per-file rules over one context, dropping suppressed findings.
-
-    When ``suppressed`` is given, dropped findings are collected into it
-    so the caller can audit which suppression directives actually fired
-    (``--strict-suppressions``).
+    A ``# slinglint: disable=RULE`` directive that no longer matches any
+    finding is dead weight: it documents a violation that was fixed (or
+    never existed) and will silently swallow a *future* violation on
+    that line. The audit needs every other rule's findings, so
+    :func:`run_rules` computes it last, on every run.
     """
-    results: List[Finding] = []
-    for rule in file_rules() if rules is None else rules:
-        for finding in rule.check(ctx):
-            if ctx.suppressed(finding.rule_id, finding.line):
-                if suppressed is not None:
-                    suppressed.append(finding)
-            else:
-                results.append(finding)
-    return results
+
+    rule_id = "SUP001"
+    title = "unused suppression directive"
+    severity = Severity.WARNING
+    fix_hint = "delete the stale # slinglint: disable comment"
+
+    def check(self, program: "Program") -> Iterator[Finding]:
+        # Not computable from the program alone; see unused().
+        return iter(())
+
+    def unused(self, ctx: LintContext, suppressed: Sequence[Finding]) -> List[Finding]:
+        """Findings for the directives in ``ctx`` that suppressed nothing.
+
+        ``suppressed`` is the set of findings (for this file) that rule
+        execution dropped; a directive is *used* when at least one dropped
+        finding matches its line and rule id.
+        """
+
+        def stale(line: int, rule_id: str, file_level: bool) -> Finding:
+            scope = "file-wide " if file_level else ""
+            return self.finding(
+                ctx.path,
+                line,
+                1,
+                f"{scope}suppression of {rule_id} no longer suppresses any finding",
+            )
+
+        dropped_by_line: Dict[int, Set[str]] = {}
+        dropped_ids: Set[str] = set()
+        for finding in suppressed:
+            dropped_by_line.setdefault(finding.line, set()).add(finding.rule_id)
+            dropped_ids.add(finding.rule_id)
+        findings: List[Finding] = []
+        for line in sorted(ctx.line_suppressions):
+            at_line = dropped_by_line.get(line, set())
+            for rule_id in sorted(ctx.line_suppressions[line]):
+                used = bool(at_line) if rule_id == "all" else rule_id in at_line
+                if not used:
+                    findings.append(stale(line, rule_id, file_level=False))
+        for rule_id in sorted(ctx.file_suppressions):
+            used = bool(dropped_ids) if rule_id == "all" else rule_id in dropped_ids
+            if not used:
+                findings.append(stale(1, rule_id, file_level=True))
+        return findings
 
 
-def run_program_rules(
-    program: "Program",
-    rules: Optional[Iterable[ProgramRule]] = None,
-    suppressed: Optional[List[Finding]] = None,
-) -> List[Finding]:
-    """Run whole-program rules, filtering each finding through the
-    suppressions of the file it anchors to."""
+def run_rules(program: "Program") -> List[Finding]:
+    """Run every registered rule over the program, filter each finding
+    through the suppressions of the file it anchors to, then audit the
+    suppression directives against what they dropped (SUP001)."""
     results: List[Finding] = []
-    for rule in program_rules() if rules is None else rules:
-        for finding in rule.check_program(program):
+    dropped: Dict[str, List[Finding]] = {}
+    for rule in all_rules():
+        for finding in rule.check(program):
             ctx = program.context_for_path(finding.path)
             if ctx is not None and ctx.suppressed(finding.rule_id, finding.line):
-                if suppressed is not None:
-                    suppressed.append(finding)
+                dropped.setdefault(finding.path, []).append(finding)
             else:
                 results.append(finding)
+    audit = UnusedSuppressionRule()
+    for module in program.modules.values():
+        ctx = module.context
+        results.extend(audit.unused(ctx, dropped.get(ctx.path, [])))
     return results
 
 

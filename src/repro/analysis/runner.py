@@ -3,43 +3,33 @@
 ``python -m repro lint [paths...]`` — lints ``src/repro`` by default,
 prints a text or JSON report, and exits 0 (clean), 1 (findings), or
 2 (usage/parse error). The driver parses every file first, builds the
-:class:`~repro.analysis.program.Program` whole-program model, then runs
-per-file rules file by file and program rules once over the whole set.
+:class:`~repro.analysis.program.Program` whole-program model, runs every
+rule over it once, and audits the ``# slinglint: disable=`` comments
+for the ones that suppressed nothing (SUP001) — on every run: a stale
+directive silently swallows the next violation on its line.
 
 Extras beyond the plain pass:
 
-* ``--strict-suppressions`` — audit ``# slinglint: disable=`` comments
-  and flag the ones that no longer suppress anything (SUP001);
 * ``--list-rules`` — print the rule catalog (id, severity, title);
-* ``--state-inventory FILE`` — write the CKPT mutable-state inventory
+* ``--write-manifest`` — regenerate ``repro/checkpoint/manifest.py``
+  from the CKPT state inventory
   (:mod:`repro.analysis.state_inventory`);
 * ``--sanitize`` — run the golden scenarios with the RNG-stream
   recorder on and diff dynamic draws against the static STREAM map
-  (:mod:`repro.analysis.sanitize`);
-* ``--bench FILE`` — append a runtime record so the lint pass itself is
-  benchmarked alongside the simulations.
+  (:mod:`repro.analysis.sanitize`).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
-from repro.analysis.findings import Finding, Severity, format_findings, sort_findings
+from repro.analysis.findings import Finding, format_findings, sort_findings
 from repro.analysis.program import Program
-from repro.analysis.registry import (
-    LintContext,
-    LintRule,
-    all_rules,
-    register_rule,
-    run_program_rules,
-    run_rules,
-)
+from repro.analysis.registry import LintContext, all_rules, run_rules
 
 
 def _repo_root() -> Path:
@@ -51,130 +41,27 @@ def _default_target() -> Path:
     return Path(__file__).resolve().parents[1]
 
 
-@register_rule
-class UnusedSuppressionRule(LintRule):
-    """SUP001: suppression comments must still suppress something.
-
-    A ``# slinglint: disable=RULE`` directive that no longer matches any
-    finding is dead weight: it documents a violation that was fixed (or
-    never existed) and will silently swallow a *future* violation on
-    that line. Driver-computed — enabled by ``--strict-suppressions``.
-    """
-
-    rule_id = "SUP001"
-    title = "unused suppression directive"
-    severity = Severity.WARNING
-    fix_hint = "delete the stale # slinglint: disable comment"
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        # Computed by the driver from suppression-hit data, not from the
-        # AST; the class exists so the catalog and severity are uniform.
-        return iter(())
-
-
-def unused_suppression_findings(
-    ctx: LintContext, suppressed: Sequence[Finding]
-) -> List[Finding]:
-    """SUP001 findings for directives in ``ctx`` that suppressed nothing.
-
-    ``suppressed`` is the set of findings (for this file) that rule
-    execution dropped; a directive is *used* when at least one dropped
-    finding matches its line and rule id.
-    """
-    rule = UnusedSuppressionRule()
-
-    def stale(path: str, line: int, rule_id: str, file_level: bool) -> Finding:
-        scope = "file-wide " if file_level else ""
-        return Finding(
-            path=path,
-            line=line,
-            col=1,
-            rule_id=rule.rule_id,
-            severity=rule.severity,
-            message=(
-                f"{scope}suppression of {rule_id} no longer suppresses "
-                "any finding"
-            ),
-            fix_hint=rule.fix_hint,
-        )
-
-    dropped_by_line: Dict[int, Set[str]] = {}
-    dropped_ids: Set[str] = set()
-    for finding in suppressed:
-        dropped_by_line.setdefault(finding.line, set()).add(finding.rule_id)
-        dropped_ids.add(finding.rule_id)
-    findings: List[Finding] = []
-    for line in sorted(ctx.line_suppressions):
-        at_line = dropped_by_line.get(line, set())
-        for rule_id in sorted(ctx.line_suppressions[line]):
-            used = bool(at_line) if rule_id == "all" else rule_id in at_line
-            if not used:
-                findings.append(stale(ctx.path, line, rule_id, file_level=False))
-    for rule_id in sorted(ctx.file_suppressions):
-        used = bool(dropped_ids) if rule_id == "all" else rule_id in dropped_ids
-        if not used:
-            findings.append(stale(ctx.path, 1, rule_id, file_level=True))
-    return findings
-
-
 @dataclass
 class LintReport:
     """Everything one lint invocation produced."""
 
     findings: List[Finding]
-    contexts: List[LintContext] = field(default_factory=list)
-    program: Optional[Program] = None
-    #: Findings dropped by suppression directives, per file path.
-    suppressed_by_path: Dict[str, List[Finding]] = field(default_factory=dict)
+    program: Program
 
 
-def _run_over_contexts(
-    contexts: Sequence[LintContext], strict_suppressions: bool = False
-) -> LintReport:
-    """Run per-file and program rules over parsed contexts."""
+def _run_over_contexts(contexts: Sequence[LintContext]) -> LintReport:
+    """Build the program from parsed contexts and run every rule over it."""
     program = Program(contexts)
-    findings: List[Finding] = []
-    suppressed_by_path: Dict[str, List[Finding]] = {
-        ctx.path: [] for ctx in contexts
-    }
-    for ctx in contexts:
-        findings.extend(
-            run_rules(ctx, suppressed=suppressed_by_path[ctx.path])
-        )
-    program_suppressed: List[Finding] = []
-    findings.extend(run_program_rules(program, suppressed=program_suppressed))
-    for finding in program_suppressed:
-        suppressed_by_path.setdefault(finding.path, []).append(finding)
-    if strict_suppressions:
-        for ctx in contexts:
-            findings.extend(
-                unused_suppression_findings(
-                    ctx, suppressed_by_path.get(ctx.path, [])
-                )
-            )
-    return LintReport(
-        findings=sort_findings(findings),
-        contexts=list(contexts),
-        program=program,
-        suppressed_by_path=suppressed_by_path,
-    )
+    return LintReport(findings=sort_findings(run_rules(program)), program=program)
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    num_rus: int = 256,
-    num_phys: int = 256,
-) -> List[Finding]:
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source string; raises SyntaxError on unparseable input.
 
-    The single file forms a one-module program, so program rules
-    (STREAM/TIMX/CKPT) run over it too.
+    The single file forms a one-module program, so every rule —
+    cross-file ones included — runs over it.
     """
-    ctx = LintContext.for_source(
-        source, path=path, p4_num_rus=num_rus, p4_num_phys=num_phys
-    )
-    return _run_over_contexts([ctx]).findings
+    return _run_over_contexts([LintContext.for_source(source, path=path)]).findings
 
 
 def _is_skippable(path: Path) -> bool:
@@ -208,57 +95,38 @@ def discover_files(paths: Iterable[Path]) -> List[Path]:
     return files
 
 
-def _contexts_for_paths(
-    paths: Optional[Sequence[Path]],
-    num_rus: int,
-    num_phys: int,
-) -> List[LintContext]:
+def _contexts_for_paths(paths: Optional[Sequence[Path]]) -> List[LintContext]:
     targets = [Path(p) for p in paths] if paths else [_default_target()]
     root = _repo_root()
     contexts: List[LintContext] = []
     for file_path in discover_files(targets):
-        source = file_path.read_text()
         resolved = file_path.resolve()
         try:
             display = str(resolved.relative_to(root))
         except ValueError:
             display = str(file_path)
-        contexts.append(
-            LintContext.for_source(
-                source, path=display, p4_num_rus=num_rus, p4_num_phys=num_phys
-            )
-        )
+        try:
+            source = file_path.read_text(encoding="utf-8")
+            contexts.append(LintContext.for_source(source, path=display))
+        except (SyntaxError, ValueError) as exc:
+            # ValueError: not UTF-8 (UnicodeDecodeError) or, on older
+            # interpreters, a NUL byte; neither message names the file.
+            raise ValueError(f"{display}: {exc}") from exc
     return contexts
 
 
-def lint_report(
-    paths: Optional[Sequence[Path]] = None,
-    num_rus: int = 256,
-    num_phys: int = 256,
-    strict_suppressions: bool = False,
-) -> LintReport:
+def lint_report(paths: Optional[Sequence[Path]] = None) -> LintReport:
     """Full lint pass over files/directories, returning the rich report.
 
     Finding paths are reported relative to the repository root when the
     file lives under it, so reports are stable across checkouts.
     """
-    contexts = _contexts_for_paths(paths, num_rus, num_phys)
-    return _run_over_contexts(contexts, strict_suppressions=strict_suppressions)
+    return _run_over_contexts(_contexts_for_paths(paths))
 
 
-def lint_paths(
-    paths: Optional[Sequence[Path]] = None,
-    num_rus: int = 256,
-    num_phys: int = 256,
-    strict_suppressions: bool = False,
-) -> List[Finding]:
+def lint_paths(paths: Optional[Sequence[Path]] = None) -> List[Finding]:
     """Lint files/directories (default: the ``repro`` package source)."""
-    return lint_report(
-        paths,
-        num_rus=num_rus,
-        num_phys=num_phys,
-        strict_suppressions=strict_suppressions,
-    ).findings
+    return lint_report(paths).findings
 
 
 def rule_catalog() -> str:
@@ -267,33 +135,6 @@ def rule_catalog() -> str:
     for rule in all_rules():
         lines.append(f"{rule.rule_id:10s} {str(rule.severity):8s} {rule.title}")
     return "\n".join(lines)
-
-
-#: Wall-clock budget for one whole-repo lint pass; the tier-1 smoke
-#: fails when the analyzer grows slower than this.
-LINT_BUDGET_SECONDS = 20.0
-
-
-def _record_bench(bench_path: Path, files: int, findings: int, seconds: float) -> None:
-    """Append one lint-runtime record to a JSON benchmark file."""
-    entries = []
-    if bench_path.exists():
-        try:
-            entries = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            entries = []
-    entries.append(
-        {
-            "benchmark": "slinglint",
-            "files": files,
-            "rules": len(all_rules()),
-            "findings": findings,
-            "wall_seconds": round(seconds, 4),
-            "budget_seconds": LINT_BUDGET_SECONDS,
-        }
-    )
-    bench_path.parent.mkdir(parents=True, exist_ok=True)
-    bench_path.write_text(json.dumps(entries, indent=2) + "\n")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -314,33 +155,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--num-rus",
-        type=int,
-        default=256,
-        help="deployment scale for the P4 resource verifier (default: 256)",
-    )
-    parser.add_argument(
-        "--num-phys",
-        type=int,
-        default=256,
-        help="PHY-server count for the P4 resource verifier (default: 256)",
-    )
-    parser.add_argument(
-        "--strict-suppressions",
-        action="store_true",
-        help="flag # slinglint: disable comments that suppress nothing (SUP001)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalog (id, severity, title) and exit",
-    )
-    parser.add_argument(
-        "--state-inventory",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="write the CKPT mutable-state inventory JSON to FILE",
     )
     parser.add_argument(
         "--write-manifest",
@@ -354,13 +171,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run the golden scenarios with the RNG-stream recorder and "
         "diff dynamic draws against the static STREAM map",
     )
-    parser.add_argument(
-        "--bench",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="append a lint-runtime record to this JSON benchmark file",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -368,29 +178,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         print(rule_catalog())
         return 0
-    # Wall-clock timing of the lint pass itself is host tooling, not
-    # simulation logic.
-    started = time.perf_counter()  # slinglint: disable=DET001
     try:
-        report = lint_report(
-            args.paths or None,
-            num_rus=args.num_rus,
-            num_phys=args.num_phys,
-            strict_suppressions=args.strict_suppressions,
-        )
-    except (SyntaxError, OSError) as exc:
+        report = lint_report(args.paths or None)
+    except (OSError, ValueError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     findings = report.findings
-    elapsed = time.perf_counter() - started  # slinglint: disable=DET001
     sanitize_failed = False
     extra_lines: List[str] = []
-    if args.state_inventory is not None and report.program is not None:
-        from repro.analysis.state_inventory import write_inventory
-
-        write_inventory(report.program, args.state_inventory)
-        extra_lines.append(f"state inventory written to {args.state_inventory}")
-    if args.write_manifest and report.program is not None:
+    if args.write_manifest:
         from repro.analysis.state_inventory import MANIFEST_MODULE, write_manifest
 
         manifest_module = report.program.modules.get(MANIFEST_MODULE)
@@ -404,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         manifest_path = Path(manifest_module.context.path)
         write_manifest(report.program, manifest_path)
         extra_lines.append(f"checkpoint manifest written to {manifest_path}")
-    if args.sanitize and report.program is not None:
+    if args.sanitize:
         from repro.analysis.sanitize import run_sanitizer
 
         result = run_sanitizer(report.program)
@@ -419,13 +215,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # still reports the findings.
         sys.stderr.close()
         return 1 if findings or sanitize_failed else 0
-    if args.bench is not None:
-        _record_bench(
-            args.bench,
-            files=len(report.contexts),
-            findings=len(findings),
-            seconds=elapsed,
-        )
     return 1 if findings or sanitize_failed else 0
 
 

@@ -16,23 +16,23 @@ component class, classified as:
   there and not declared derived. This is state a checkpoint silently
   misses (CKPT001): after restore the attribute may not exist at all.
 
-``python -m repro lint --state-inventory FILE`` writes the inventory as
-deterministic JSON (``benchmarks/state_inventory.json`` in CI), so the
-checkpointable surface of the system is pinned and reviewed like any
-other contract.
+The inventory is pinned in exactly one place: the generated
+``repro/checkpoint/manifest.py`` (``python -m repro lint
+--write-manifest``), the literal the checkpoint layer walks at capture /
+restore time and CKPT003 compares against, so the checkpointable surface
+of the system is reviewed like any other contract.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.program import ClassInfo, Program
-from repro.analysis.registry import ProgramRule, dotted_name, register_rule
+from repro.analysis.registry import LintRule, dotted_name, register_rule
 
 #: Subsystems whose classes model runtime components (and therefore
 #: carry state a checkpoint/restore cycle must reason about). Tooling
@@ -158,28 +158,32 @@ def _method_self_attrs(node: ast.FunctionDef) -> Iterator[Tuple[str, int]]:
                 yield attr, getattr(stmt, "lineno", 1)
 
 
+def _assignment_to(
+    body: Sequence[ast.stmt], name: str
+) -> Optional[Union[ast.Assign, ast.AnnAssign]]:
+    """The first statement of ``body`` that assigns the bare name ``name``
+    (plain or annotated)."""
+    for stmt in body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return stmt
+    return None
+
+
 def _declared_derived(node: ast.ClassDef) -> Set[str]:
     names: Set[str] = set()
-    for stmt in node.body:
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == DERIVED_DECLARATION
-                for t in stmt.targets
-            ):
-                value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == DERIVED_DECLARATION
-            ):
-                value = stmt.value
-        if isinstance(value, (ast.Tuple, ast.List, ast.Set)):
-            for element in value.elts:
-                if isinstance(element, ast.Constant) and isinstance(
-                    element.value, str
-                ):
-                    names.add(element.value)
+    declaration = _assignment_to(node.body, DERIVED_DECLARATION)
+    if declaration is not None and isinstance(
+        declaration.value, (ast.Tuple, ast.List, ast.Set)
+    ):
+        for element in declaration.value.elts:
+            if isinstance(element, ast.Constant) and isinstance(element.value, str):
+                names.add(element.value)
     return names
 
 
@@ -240,22 +244,7 @@ def _class_state(program: Program, klass: ClassInfo) -> ClassState:
     checkpointable = sorted((set(mutated) & init_attrs) - derived_declared)
     derived = sorted(derived_declared & touched)
     unregistered = sorted(set(mutated) - init_attrs - derived_declared)
-    decl_line = klass.node.lineno
-    for stmt in klass.node.body:
-        found = False
-        if isinstance(stmt, ast.Assign):
-            found = any(
-                isinstance(t, ast.Name) and t.id == DERIVED_DECLARATION
-                for t in stmt.targets
-            )
-        elif isinstance(stmt, ast.AnnAssign):
-            found = (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == DERIVED_DECLARATION
-            )
-        if found:
-            decl_line = stmt.lineno
-            break
+    declaration = _assignment_to(klass.node.body, DERIVED_DECLARATION)
     return ClassState(
         qualname=klass.qualname,
         subsystem=module.subsystem,
@@ -266,7 +255,7 @@ def _class_state(program: Program, klass: ClassInfo) -> ClassState:
         unregistered=tuple(unregistered),
         first_mutation=mutated,
         stale_derived=tuple(sorted(_declared_derived(klass.node) - touched)),
-        derived_decl_line=decl_line,
+        derived_decl_line=(declaration or klass.node).lineno,
     )
 
 
@@ -309,15 +298,6 @@ def build_inventory(program: Program) -> Dict[str, object]:
         "classes": classes,
         "totals": {**totals, "classes": len(classes)},
     }
-
-
-def write_inventory(program: Program, path: Path) -> Dict[str, object]:
-    """Write the inventory as deterministic JSON and return it."""
-    inventory = build_inventory(program)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(inventory, indent=2, sort_keys=True) + "\n")
-    return inventory
 
 
 #: Module holding the checkpoint layer's generated state manifest.
@@ -381,37 +361,23 @@ def _parse_manifest_literal(
     tree: ast.Module,
 ) -> Optional[Tuple[Dict[str, Tuple[str, ...]], int]]:
     """``(manifest, line)`` from the module's STATE_MANIFEST assignment."""
-    for stmt in tree.body:
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            if any(
-                isinstance(t, ast.Name) and t.id == MANIFEST_NAME
-                for t in stmt.targets
-            ):
-                value = stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            if (
-                isinstance(stmt.target, ast.Name)
-                and stmt.target.id == MANIFEST_NAME
-            ):
-                value = stmt.value
-        if value is None:
-            continue
-        try:
-            literal = ast.literal_eval(value)
-        except ValueError:
-            return None
-        if not isinstance(literal, dict):
-            return None
-        return (
-            {str(k): tuple(str(a) for a in v) for k, v in literal.items()},
-            stmt.lineno,
-        )
-    return None
+    stmt = _assignment_to(tree.body, MANIFEST_NAME)
+    if stmt is None or stmt.value is None:
+        return None
+    try:
+        literal = ast.literal_eval(stmt.value)
+    except ValueError:
+        return None
+    if not isinstance(literal, dict):
+        return None
+    return (
+        {str(k): tuple(str(a) for a in v) for k, v in literal.items()},
+        stmt.lineno,
+    )
 
 
 @register_rule
-class ManifestDriftRule(ProgramRule):
+class ManifestDriftRule(LintRule):
     """CKPT003: the checkpoint manifest must match the state inventory.
 
     The manifest literal in :data:`MANIFEST_MODULE` is what the
@@ -436,14 +402,14 @@ class ManifestDriftRule(ProgramRule):
         "`python -m repro lint --write-manifest`"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         module = program.modules.get(MANIFEST_MODULE)
         if module is None:
             return
         path = module.context.path
         parsed = _parse_manifest_literal(module.context.tree)
         if parsed is None:
-            yield self.finding_at(
+            yield self.finding(
                 path,
                 1,
                 1,
@@ -460,7 +426,7 @@ class ManifestDriftRule(ProgramRule):
             if entry["checkpointable"]
         }
         for qualname in sorted(set(expected) - set(manifest)):
-            yield self.finding_at(
+            yield self.finding(
                 path,
                 line,
                 1,
@@ -468,7 +434,7 @@ class ManifestDriftRule(ProgramRule):
                 f"(checkpointable: {', '.join(expected[qualname])})",
             )
         for qualname in sorted(set(manifest) - set(expected)):
-            yield self.finding_at(
+            yield self.finding(
                 path,
                 line,
                 1,
@@ -477,7 +443,7 @@ class ManifestDriftRule(ProgramRule):
             )
         for qualname in sorted(set(manifest) & set(expected)):
             if tuple(sorted(manifest[qualname])) != expected[qualname]:
-                yield self.finding_at(
+                yield self.finding(
                     path,
                     line,
                     1,
@@ -488,7 +454,7 @@ class ManifestDriftRule(ProgramRule):
 
 
 @register_rule
-class UnregisteredStateRule(ProgramRule):
+class UnregisteredStateRule(LintRule):
     """CKPT001: runtime state must exist from construction.
 
     An attribute first assigned outside ``__init__`` is invisible to any
@@ -506,10 +472,10 @@ class UnregisteredStateRule(ProgramRule):
         "list it in the class's _checkpoint_derived_ tuple (recomputable)"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         for state in class_states(program):
             for attr in state.unregistered:
-                yield self.finding_at(
+                yield self.finding(
                     state.path,
                     state.first_mutation.get(attr, state.line),
                     1,
@@ -520,7 +486,7 @@ class UnregisteredStateRule(ProgramRule):
 
 
 @register_rule
-class StaleDerivedDeclarationRule(ProgramRule):
+class StaleDerivedDeclarationRule(LintRule):
     """CKPT002: ``_checkpoint_derived_`` entries must name real state.
 
     A derived declaration that matches no initialized or mutated
@@ -534,10 +500,10 @@ class StaleDerivedDeclarationRule(ProgramRule):
     severity = Severity.WARNING
     fix_hint = "remove the entry or fix the attribute name it refers to"
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         for state in class_states(program):
             for attr in state.stale_derived:
-                yield self.finding_at(
+                yield self.finding(
                     state.path,
                     state.derived_decl_line,
                     1,

@@ -37,7 +37,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.program import ModuleInfo, Program
-from repro.analysis.registry import ProgramRule, dotted_name, register_rule
+from repro.analysis.registry import LintRule, dotted_name, location, register_rule
 
 #: Method-name tails that acquire a named stream from a registry.
 _STREAM_METHODS = ("stream",)
@@ -182,14 +182,15 @@ def _module_sites(info: ModuleInfo) -> Iterator[StreamSite]:
                     static = _static_stream_name(keyword.value)
                     break
         stream_name, exact = static if static is not None else ("", True)
+        line, col = location(node)
         yield StreamSite(
             name=stream_name,
             exact=exact,
             module=info.name,
             subsystem=info.subsystem,
             path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
+            line=line,
+            col=col,
             method=method,
             private_registry=_is_private_registry(node.func),
         )
@@ -246,7 +247,7 @@ def ownership_map(program: Program) -> Dict[str, Dict[str, object]]:
 
 
 @register_rule
-class StreamNameResolvableRule(ProgramRule):
+class StreamNameResolvableRule(LintRule):
     """STREAM001: every stream name must be statically resolvable.
 
     A stream acquired through a fully dynamic name cannot be assigned an
@@ -262,10 +263,10 @@ class StreamNameResolvableRule(ProgramRule):
         'carries the namespace, e.g. rng.stream(f"p4.{name}")'
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         for site in stream_sites(program):
             if not site.name:
-                yield self.finding_at(
+                yield self.finding(
                     site.path,
                     site.line,
                     site.col,
@@ -275,7 +276,7 @@ class StreamNameResolvableRule(ProgramRule):
 
 
 @register_rule
-class StreamNamespaceDeclaredRule(ProgramRule):
+class StreamNamespaceDeclaredRule(LintRule):
     """STREAM002: stream names live in a declared namespace.
 
     The ownership table (:data:`NAMESPACES`) is the single registry of
@@ -292,13 +293,13 @@ class StreamNamespaceDeclaredRule(ProgramRule):
         "repro.analysis.streams.NAMESPACES"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         for site in stream_sites(program):
             if not site.name:
                 continue
             head = namespace_head(site.name)
             if head not in _NAMESPACE_BY_HEAD:
-                yield self.finding_at(
+                yield self.finding(
                     site.path,
                     site.line,
                     site.col,
@@ -309,7 +310,7 @@ class StreamNamespaceDeclaredRule(ProgramRule):
 
 
 @register_rule
-class StreamOwnershipRule(ProgramRule):
+class StreamOwnershipRule(LintRule):
     """STREAM003: draw sites sit in the namespace's owning subsystem.
 
     Non-strict namespaces may also be drawn from a composition root
@@ -327,7 +328,7 @@ class StreamOwnershipRule(ProgramRule):
         "may only be drawn by their owner"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         for site in stream_sites(program):
             if not site.name:
                 continue
@@ -339,7 +340,7 @@ class StreamOwnershipRule(ProgramRule):
             if not namespace.strict and site.subsystem in COMPOSITION_ROOTS:
                 continue
             kind = "strict " if namespace.strict else ""
-            yield self.finding_at(
+            yield self.finding(
                 site.path,
                 site.line,
                 site.col,
@@ -351,7 +352,7 @@ class StreamOwnershipRule(ProgramRule):
 
 
 @register_rule
-class StreamCollisionRule(ProgramRule):
+class StreamCollisionRule(LintRule):
     """STREAM004: one stream name, one owning subsystem.
 
     Two subsystems drawing the same (scenario-registry) stream name
@@ -369,7 +370,7 @@ class StreamCollisionRule(ProgramRule):
         "components through the RNG bit stream"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         shared = [
             s for s in stream_sites(program) if s.name and not s.private_registry
         ]
@@ -380,7 +381,7 @@ class StreamCollisionRule(ProgramRule):
                 if not self._overlaps(site, other):
                     continue
                 for flagged, peer in ((site, other), (other, site)):
-                    yield self.finding_at(
+                    yield self.finding(
                         flagged.path,
                         flagged.line,
                         flagged.col,

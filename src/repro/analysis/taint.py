@@ -1,47 +1,77 @@
-"""Interprocedural ns-taint rules (TIMX0xx).
+"""Time-unit rules (TIMX0xx): float-seconds taint over the whole program.
 
-TIM001/TIM003 are lexical: they flag a float literal or a
-seconds-suffixed identifier *visible in the argument expression* of a
-scheduling call. The moment the value takes one hop — assigned to an
-innocently-named local, returned from a helper, passed through a
-parameter — the name heuristic goes blind. This module tracks
-float-seconds *dataflow* instead:
+The simulator clock is integer nanoseconds (:mod:`repro.sim.units`):
+float time makes event ordering inexact and breaks TTI arithmetic. One
+dataflow pass is the only time-unit check, whether the float is visible
+in the scheduling call itself or arrives there through a rename, a
+helper's return value or a chain of parameters:
 
-* **sources** — seconds-suffixed identifiers (``duration_s``,
-  ``timeout_secs``, ``gap_seconds``), plus the known float-time
-  producers ``ns_to_s``/``ns_to_ms``/``ns_to_us``;
+* **sources** — float literals, seconds-suffixed identifiers
+  (``duration_s``, ``timeout_secs``, ``gap_seconds``), and the known
+  float-time producers ``ns_to_s``/``ns_to_ms``/``ns_to_us``;
 * **propagation** — through local assignments, function returns, and
-  call arguments, using the :class:`~repro.analysis.program.Program`
-  call graph; per-function summaries (param reaches sink, param reaches
-  return, returns seconds) are iterated to a fixpoint so taint crosses
-  any number of call hops;
+  call arguments, using :meth:`Program.resolve_call`; per-function
+  summaries (param reaches sink, param reaches return, returns seconds)
+  are iterated to a fixpoint so taint crosses any number of call hops.
+  Module-level statements, closures and lambdas are walked too;
 * **sanitizers** — the integer-producing conversions (``int``,
   ``round``, ``s_to_ns``, ``ms_to_ns``, ``us_to_ns``, ``seconds``)
   clear taint for their whole subtree;
-* **sinks** — the scheduling APIs TIM001 watches (``schedule``, ``at``,
-  ``call_after``, ``run_until``, ``run_for``, ``run_for_ns``,
-  ``run_until_ns``).
+* **sinks** — the scheduling APIs (``schedule``, ``at``, ``call_after``,
+  ``run_until``, ``run_for``, ``run_for_ns``, ``run_until_ns``).
 
-TIMX001 fires where tainted dataflow reaches a sink that the lexical
-rules cannot see; TIMX002 fires where a seconds-tainted value is bound
-to a ``*_ns`` name (a unit lie that poisons every later reader).
+TIMX001 fires wherever tainted dataflow reaches a sink, after zero hops
+or many; TIMX002 fires where a seconds-tainted value is bound to a
+``*_ns`` name (a unit lie that poisons every later reader).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.program import FunctionInfo, Program
-from repro.analysis.registry import ProgramRule, dotted_name, register_rule
-from repro.analysis.time_units import (
-    _INT_PRODUCERS,
-    _SECONDS_SUFFIXES,
-    _contains_seconds_name,
-    _time_argument,
-)
+from repro.analysis.program import FunctionInfo, ModuleInfo, Program
+from repro.analysis.registry import LintRule, dotted_name, location, register_rule
+
+#: Methods whose first positional argument is a time/delay in ns.
+SCHEDULING_METHODS = {"schedule", "at", "call_after", "run_until", "run_for"}
+
+#: Boundary helpers from :mod:`repro.sim.units` whose *second* positional
+#: argument is the time/duration in ns (the first is the run target).
+_BOUNDARY_HELPERS = {"run_for_ns": 1, "run_until_ns": 1}
+
+#: Conversions that legitimately produce integer ns from float input.
+_INT_PRODUCERS = {"int", "round", "s_to_ns", "ms_to_ns", "us_to_ns", "seconds"}
+
+#: Identifier suffixes conventionally denoting float seconds.
+_SECONDS_SUFFIXES = ("_s", "_secs", "_seconds")
+
+
+def _time_argument(node: ast.Call) -> Optional[ast.expr]:
+    """The time/delay argument of a scheduling call, if this is one."""
+    name = dotted_name(node.func)
+    if name is None:
+        return None
+    method = name.rpartition(".")[2]
+    if method in _BOUNDARY_HELPERS:
+        index = _BOUNDARY_HELPERS[method]
+        if len(node.args) > index:
+            return node.args[index]
+        for keyword in node.keywords:
+            if keyword.arg in ("duration_ns", "time_ns"):
+                return keyword.value
+        return None
+    if method not in SCHEDULING_METHODS:
+        return None
+    if node.args:
+        return node.args[0]
+    for keyword in node.keywords:
+        if keyword.arg in ("delay", "time", "end_time", "duration"):
+            return keyword.value
+    return None
+
 
 #: Known float-time producers outside the seconds-suffix convention.
 _SECONDS_PRODUCER_QUALNAMES = frozenset(
@@ -60,8 +90,17 @@ def _is_seconds_name(name: str) -> bool:
 
 #: Taint roots: ``("param", name)`` — flowed from a parameter;
 #: ``("seconds", name)`` — a seconds-suffixed identifier;
-#: ``("producer", qualname)`` — returned by a float-time producer.
+#: ``("producer", qualname)`` — returned by a float-time producer;
+#: ``("literal", text)`` — a float literal.
 Root = Tuple[str, str]
+
+#: The root kinds that carry the seconds unit, and those that are a float
+#: in their own right (a ``param`` root only matters through the caller's
+#: argument). A literal has no unit: it must not reach the scheduler, but
+#: binding it to a ``*_ns`` name or returning it says nothing about
+#: seconds — most floats a function returns are rates and probabilities.
+_SECONDS_KINDS = ("seconds", "producer")
+_FLOAT_KINDS = (*_SECONDS_KINDS, "literal")
 
 
 @dataclass
@@ -94,25 +133,35 @@ class SinkRecord:
     path: str = ""
 
 
-class _FunctionTaint:
-    """One pass of taint propagation through a single function body."""
+class _ScopeTaint:
+    """One pass of taint propagation through one scope: the body of a
+    program function, or (``function=None``) a module's top level."""
 
     def __init__(
         self,
         program: Program,
-        function: FunctionInfo,
+        module: ModuleInfo,
+        function: Optional[FunctionInfo],
         summaries: Dict[str, Summary],
+        own_pass: Set[int],
     ) -> None:
         self.program = program
-        self.function = function
-        self.module = program.modules[function.module]
+        self.module = module
+        #: ``id`` of every def node that is a program function.
+        self.own_pass = own_pass
+        self.qualname = module.name if function is None else function.qualname
+        self.class_name = None if function is None else function.class_name
+        self.body: Sequence[ast.stmt] = (
+            module.context.tree.body if function is None else function.node.body
+        )
         self.summaries = summaries
         self.env: Dict[str, Set[Root]] = {}
-        for param in (*function.params, *function.kwonly):
-            roots: Set[Root] = {("param", param)}
-            if _is_seconds_name(param):
-                roots.add(("seconds", param))
-            self.env[param] = roots
+        if function is not None:
+            for param in (*function.params, *function.kwonly):
+                self.env[param] = {("param", param)}
+        #: Depth of closures being walked inline: their ``return`` is not
+        #: this scope's.
+        self._closures = 0
         self.return_roots: Set[Root] = set()
         self.sinks: List[SinkRecord] = []
         self.ns_bindings: List[Tuple[ast.stmt, str, Tuple[Root, ...]]] = []
@@ -123,13 +172,19 @@ class _FunctionTaint:
     def eval(self, node: ast.expr) -> Set[Root]:
         if isinstance(node, ast.Call):
             return self._eval_call(node)
+        if isinstance(node, ast.Constant):
+            if isinstance(node.value, float):
+                return {("literal", repr(node.value))}
+            return set()
         if isinstance(node, ast.Name):
             roots = set(self.env.get(node.id, set()))
             if _is_seconds_name(node.id):
                 roots.add(("seconds", node.id))
             return roots
         if isinstance(node, ast.Attribute):
-            roots = self.eval(node.value)
+            # A literal taints the number it builds, not every field of
+            # an object that number was stored in.
+            roots = {r for r in self.eval(node.value) if r[0] != "literal"}
             if _is_seconds_name(node.attr):
                 roots.add(("seconds", node.attr))
             return roots
@@ -148,7 +203,7 @@ class _FunctionTaint:
             # Sanitizer: the whole subtree produces integer ns.
             return set()
         resolved = self.program.resolve_call(
-            node, self.module, class_name=self.function.class_name
+            node, self.module, class_name=self.class_name
         )
         arg_roots = [self.eval(arg) for arg in node.args]
         kw_roots = {
@@ -173,8 +228,8 @@ class _FunctionTaint:
             return roots
         if tail in _SECONDS_PRODUCER_TAILS:
             return {("producer", tail)}
-        # Unresolved call: taint passes through, mirroring the lexical
-        # rules' treatment of unknown function arguments.
+        # Unresolved call (builtin, third-party, dynamic dispatch): what
+        # goes in may come out.
         roots = set()
         for taint in arg_roots:
             roots |= taint
@@ -203,7 +258,7 @@ class _FunctionTaint:
             if param in summary.params_to_sink:
                 self.sinks.append(
                     SinkRecord(
-                        function=self.function.qualname,
+                        function=self.qualname,
                         call=node,
                         sink_name=sink_name,
                         roots=tuple(sorted(taint)),
@@ -215,7 +270,7 @@ class _FunctionTaint:
             if taint and keyword in summary.params_to_sink:
                 self.sinks.append(
                     SinkRecord(
-                        function=self.function.qualname,
+                        function=self.qualname,
                         call=node,
                         sink_name=sink_name,
                         roots=tuple(sorted(taint)),
@@ -228,15 +283,23 @@ class _FunctionTaint:
     # Statement walk
     # ------------------------------------------------------------------
     def run(self) -> None:
-        self._walk(self.function.node.body)
+        self._walk(self.body)
 
-    def _walk(self, body: List[ast.stmt]) -> None:
+    def _walk(self, body: Sequence[ast.stmt]) -> None:
         for stmt in body:
             self._statement(stmt)
 
     def _statement(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return  # Nested defs get their own pass.
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # A program function (top-level, or a method of a top-level
+            # class) has a pass and a summary of its own; any other def
+            # is a closure, walked here in the environment it closes over.
+            if id(stmt) not in self.own_pass:
+                self._closure(stmt)
+            return
+        if isinstance(stmt, ast.ClassDef):
+            self._walk(stmt.body)
+            return
         self._scan_sinks(stmt)
         if isinstance(stmt, ast.Assign):
             roots = self.eval(stmt.value)
@@ -249,7 +312,9 @@ class _FunctionTaint:
             if isinstance(stmt.target, ast.Name) and roots:
                 self.env.setdefault(stmt.target.id, set()).update(roots)
         elif isinstance(stmt, ast.Return) and stmt.value is not None:
-            self.return_roots |= self.eval(stmt.value)
+            roots = self.eval(stmt.value)
+            if not self._closures:
+                self.return_roots |= roots
         else:
             # Expression statements, conditions, with-items: evaluate so
             # calls inside them feed the interprocedural sink records.
@@ -260,6 +325,14 @@ class _FunctionTaint:
                     self.eval(child.context_expr)
         for child_body in self._inner_bodies(stmt):
             self._walk(child_body)
+
+    def _closure(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
+        args = node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+            self.env[arg.arg] = set()
+        self._closures += 1
+        self._walk(node.body)
+        self._closures -= 1
 
     @staticmethod
     def _inner_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
@@ -286,12 +359,20 @@ class _FunctionTaint:
         if (
             name is not None
             and name.endswith("_ns")
-            and any(kind in ("seconds", "producer") for kind, _ in roots)
+            and any(kind in _SECONDS_KINDS for kind, _ in roots)
         ):
             self.ns_bindings.append((stmt, name, tuple(sorted(roots))))
 
     def _scan_sinks(self, stmt: ast.stmt) -> None:
-        for node in ast.walk(stmt):
+        """Direct sinks in the statement's own expressions — not in the
+        statements nested under it, which get their own turn, with the
+        environment as it is by then."""
+        pending = list(ast.iter_child_nodes(stmt))
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.stmt):
+                continue
+            pending.extend(ast.iter_child_nodes(node))
             if not isinstance(node, ast.Call):
                 continue
             time_arg = _time_argument(node)
@@ -302,7 +383,7 @@ class _FunctionTaint:
                 continue
             self.sinks.append(
                 SinkRecord(
-                    function=self.function.qualname,
+                    function=self.qualname,
                     call=node,
                     sink_name=dotted_name(node.func) or "<sink>",
                     roots=tuple(sorted(roots)),
@@ -321,7 +402,8 @@ class TaintAnalysis:
 
 
 def analyze(program: Program, max_rounds: int = 8) -> TaintAnalysis:
-    """Iterate per-function taint passes until summaries stabilize.
+    """Iterate per-scope taint passes until the function summaries
+    stabilize.
 
     Memoized per Program: TIMX001 and TIMX002 share one fixpoint run.
     """
@@ -331,29 +413,29 @@ def analyze(program: Program, max_rounds: int = 8) -> TaintAnalysis:
     summaries: Dict[str, Summary] = {}
     for producer in _SECONDS_PRODUCER_QUALNAMES:
         summaries[producer] = Summary(returns_seconds=True)
+    scopes: List[Tuple[ModuleInfo, Optional[FunctionInfo]]] = [
+        (program.modules[function.module], function)
+        for function in program.functions()
+    ]
+    scopes.extend((module, None) for module in program.modules.values())
+    own_pass = {id(function.node) for _, function in scopes if function}
     sinks: List[SinkRecord] = []
     bindings: List[Tuple[str, ast.stmt, str, Tuple[Root, ...], str]] = []
     for _ in range(max_rounds):
         sinks = []
         bindings = []
         changed = False
-        for function in program.functions():
-            walker = _FunctionTaint(program, function, summaries)
+        for module, function in scopes:
+            walker = _ScopeTaint(program, module, function, summaries, own_pass)
             walker.run()
             sinks.extend(walker.sinks)
             for stmt, name, roots in walker.ns_bindings:
                 bindings.append(
-                    (
-                        function.qualname,
-                        stmt,
-                        name,
-                        roots,
-                        walker.module.context.path,
-                    )
+                    (walker.qualname, stmt, name, roots, module.context.path)
                 )
-            summary = summaries.setdefault(function.qualname, Summary())
-            if function.qualname in _SECONDS_PRODUCER_QUALNAMES:
+            if function is None or function.qualname in _SECONDS_PRODUCER_QUALNAMES:
                 continue
+            summary = summaries.setdefault(function.qualname, Summary())
             before = summary.key()
             param_names = set(function.params) | set(function.kwonly)
             for record in walker.sinks:
@@ -363,7 +445,7 @@ def analyze(program: Program, max_rounds: int = 8) -> TaintAnalysis:
             for kind, value in walker.return_roots:
                 if kind == "param" and value in param_names:
                     summary.params_to_return.add(value)
-                elif kind in ("seconds", "producer"):
+                elif kind in _SECONDS_KINDS:
                     summary.returns_seconds = True
             if summary.key() != before:
                 changed = True
@@ -375,47 +457,36 @@ def analyze(program: Program, max_rounds: int = 8) -> TaintAnalysis:
 
 
 def _describe_roots(roots: Tuple[Root, ...]) -> str:
-    names = sorted({value for kind, value in roots if kind in ("seconds", "producer")})
+    names = sorted({value for kind, value in roots if kind in _FLOAT_KINDS})
     return ", ".join(names) if names else "tainted value"
 
 
 @register_rule
-class InterproceduralSecondsRule(ProgramRule):
+class SecondsIntoSchedulerRule(LintRule):
     """TIMX001: float-seconds dataflow reaching the scheduler.
 
-    Catches the flows TIM003's name heuristic cannot: a seconds value
-    renamed through a local, returned from a helper, or passed through a
-    call chain before it hits ``schedule``/``run_until``/... . Findings
-    that the lexical rules already report are skipped, so each leak is
-    reported exactly once, at the hop where it becomes invisible.
+    A float literal, a seconds-suffixed identifier or a float-time
+    producer's result that arrives at ``schedule``/``run_until``/...
+    unconverted — written in the call itself, renamed through a local,
+    returned from a helper, or passed down a call chain. Each leak is
+    reported once, at the call where the value leaves the caller's hands.
     """
 
     rule_id = "TIMX001"
-    title = "interprocedural float-seconds flow into the scheduler"
+    title = "float-seconds flow into the scheduler"
     severity = Severity.ERROR
     fix_hint = (
         "convert at the boundary with seconds()/s_to_ns()/round() before "
         "the value crosses a call or assignment on its way to the engine"
     )
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         analysis = analyze(program)
         seen: Set[Tuple[str, int, int, str]] = set()
         for record in analysis.sinks:
-            flagged = [
-                (kind, value)
-                for kind, value in record.roots
-                if kind in ("seconds", "producer")
-            ]
-            if not flagged:
+            if not any(kind in _FLOAT_KINDS for kind, _ in record.roots):
                 continue
-            if record.via is None and _contains_seconds_name(
-                _time_argument(record.call) or record.call
-            ):
-                # Lexically visible at the sink: TIM003's finding.
-                continue
-            line = getattr(record.call, "lineno", 1)
-            col = getattr(record.call, "col_offset", 0) + 1
+            line, col = location(record.call)
             key = (record.path, line, col, record.sink_name)
             if key in seen:
                 continue
@@ -431,18 +502,18 @@ class InterproceduralSecondsRule(ProgramRule):
             else:
                 message = (
                     f"float-seconds value ({source}) reaches "
-                    f"{record.sink_name}() through assignment/return flow"
+                    f"{record.sink_name}() unconverted"
                 )
-            yield self.finding_at(record.path, line, col, message)
+            yield self.finding(record.path, line, col, message)
 
 
 @register_rule
-class SecondsBoundToNsNameRule(ProgramRule):
+class SecondsBoundToNsNameRule(LintRule):
     """TIMX002: seconds-tainted values must not be bound to ``*_ns`` names.
 
     A ``timeout_ns = response_timeout_s`` assignment launders a float
     seconds value into the integer-ns naming convention; every later
-    reader (and every lexical rule) will trust the suffix.
+    reader will trust the suffix.
     """
 
     rule_id = "TIMX002"
@@ -450,19 +521,19 @@ class SecondsBoundToNsNameRule(ProgramRule):
     severity = Severity.ERROR
     fix_hint = "convert first: timeout_ns = seconds(timeout_s) / s_to_ns(...)"
 
-    def check_program(self, program: Program) -> Iterator[Finding]:
+    def check(self, program: Program) -> Iterator[Finding]:
         analysis = analyze(program)
         seen: Set[Tuple[str, int, str]] = set()
-        for function, stmt, name, roots, path in analysis.ns_bindings:
-            line = getattr(stmt, "lineno", 1)
+        for scope, stmt, name, roots, path in analysis.ns_bindings:
+            line, col = location(stmt)
             key = (path, line, name)
             if key in seen:
                 continue
             seen.add(key)
-            yield self.finding_at(
+            yield self.finding(
                 path,
                 line,
-                getattr(stmt, "col_offset", 0) + 1,
-                f"{name!r} in {function} is assigned a float-seconds value "
+                col,
+                f"{name!r} in {scope} is assigned a float-seconds value "
                 f"({_describe_roots(roots)}) without conversion",
             )

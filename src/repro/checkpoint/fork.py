@@ -183,11 +183,3 @@ def forked_sweep(
         "fork_margin_ns": FORK_MARGIN_NS,
     }
     return report, fork_info
-
-
-def fork_points(scenarios: Sequence[ChaosScenario]) -> Dict[str, int]:
-    """Scenario name -> absolute fork time, for reports and docs."""
-    return {
-        scenario.name: earliest_fault_ns(scenario.plan) - FORK_MARGIN_NS
-        for scenario in scenarios
-    }

@@ -8,7 +8,7 @@ Usage::
     python -m repro table2 --duration 60 --rates 1 10 20 50
     python -m repro all --quick
     python -m repro sec52 --jobs 4
-    python -m repro lint [--strict-suppressions] [--sanitize] [paths...]
+    python -m repro lint [--sanitize] [--write-manifest] [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
     python -m repro perf [--quick] [--check] [--jobs N]
     python -m repro telemetry [--quick] [--check] [--jobs N]
@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import REGISTRY, ExperimentSpec
+from repro.perf.timing import wall_ns
 
 #: Verbs dispatched to their own sub-CLIs before experiment argument
 #: parsing: name -> module whose ``main(argv)`` runs it (imported lazily).
@@ -124,13 +124,11 @@ def _defaults_for(name: str, args) -> None:
 def _wall_seconds() -> float:
     """Host wall-clock seconds, for user-facing elapsed-time output only.
 
-    One of the two allowlisted wall-clock sites in the package — the
-    other is :mod:`repro.perf.timing`, the benchmark harness's sanctioned
-    clock. Simulation logic must use Simulator.now; DET001 enforces that,
-    PERF001 funnels perf code through the timing helper, and OBS001 bans
-    both clocks and RNG from the telemetry layer.
+    Read through :mod:`repro.perf.timing`, the one module DET001
+    sanctions to touch the host clock; simulation logic uses
+    Simulator.now.
     """
-    return time.time()  # slinglint: disable=DET001
+    return wall_ns() / 1e9
 
 
 def _dispatch_harness(verb: str, argv: List[str]) -> int:

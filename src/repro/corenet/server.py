@@ -40,9 +40,6 @@ class AppServer(Process):
         """Route uplink packets of ``flow_id`` to ``handler``."""
         self._handlers[flow_id] = handler
 
-    def unregister_flow(self, flow_id: str) -> None:
-        self._handlers.pop(flow_id, None)
-
     def send_to_ue(self, packet: Packet) -> None:
         """Send one downlink packet toward its UE via the core."""
         self.packets_sent += 1

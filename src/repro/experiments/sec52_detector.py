@@ -44,9 +44,10 @@ def _detection_trial_shard(
 ) -> Optional[float]:
     """One kill trial: fresh cell from its seed, returns latency in µs.
 
-    Shard worker (PAR001): everything — including the kill offset the
-    serial loop used to draw inline — arrives in the payload, so the
-    result is identical whether this runs inline or in a pool worker.
+    Shard worker: everything — including the kill offset the serial
+    loop used to draw inline — arrives in the payload, so the result is
+    identical whether this runs inline or in a pool worker
+    (``tests/test_parallel.py`` pins serial against ``--jobs`` 1/2/4).
     """
     seed, trial, offset_us, detector = payload
     config = CellConfig(

@@ -37,9 +37,9 @@ class DroppedTtiResult:
 
 def _failover_trial_shard(payload: Tuple[int, int, int]) -> int:
     """One failover trial: dropped-TTI count for a kill at the given
-    slot-phase offset. Shard worker (PAR001): state rebuilds from the
-    payload's seed; the kill offset was drawn by the caller in serial
-    order."""
+    slot-phase offset. Shard worker: state rebuilds from the payload's
+    seed; the kill offset was drawn by the caller in serial order, so
+    serial and ``--jobs`` N agree (pinned by ``tests/test_parallel.py``)."""
     seed, trial, offset_us = payload
     config = CellConfig(
         seed=seed + trial,

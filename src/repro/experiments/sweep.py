@@ -7,14 +7,18 @@ idiom for fanning those trials out over :mod:`repro.parallel` workers
 while keeping results **bit-identical to the serial loop**:
 
 * the trial worker is a top-level function in the experiment module
-  (named ``*_shard`` so PAR001 lints it) that rebuilds everything from
-  its payload;
+  (named ``*_shard`` by convention) that rebuilds everything from its
+  payload;
 * any RNG draws the serial loop interleaved with trial execution (e.g.
   per-trial kill offsets) are precomputed by the caller *in serial draw
   order* and passed inside the payloads, so sharding never reorders a
   generator's sequence;
 * results come back in canonical trial order regardless of completion
   order.
+
+The guarantee is pinned dynamically, not linted: ``tests/test_parallel.py``
+and ``tests/test_harness_contract.py`` compare serial against ``--jobs``
+1/2/4, and the DET rules bind a worker like any other code.
 """
 
 from __future__ import annotations

@@ -109,9 +109,6 @@ class AirInterface:
     def port(self, ue_id: int) -> Optional[UeRadioPort]:
         return self._ports.get(ue_id)
 
-    def ue_ids(self) -> List[int]:
-        return sorted(self._ports)
-
     # ------------------------------------------------------------------
     # Downlink (RU -> UEs)
     # ------------------------------------------------------------------

@@ -148,11 +148,6 @@ class Link:
         assert self.endpoint is not None
         self.endpoint.receive_frame(frame, ingress=self)
 
-    @property
-    def utilization_window_end(self) -> int:
-        """Time at which the line becomes idle (for tests/diagnostics)."""
-        return self._line_free_at
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         gbps = self.bandwidth_bps / 1e9
         return f"<Link {self.name} {gbps:g}Gbps {self.latency_ns}ns>"

@@ -11,10 +11,12 @@ canonical-trace digest are bit-identical to the serial run, at any
 ``--jobs`` value.
 
 Worker entrypoints live in :mod:`repro.parallel.workers` so they are
-importable (picklable) from a fresh interpreter and statically checkable
-by the PAR001 lint rule: shard workers must not read module-level
-mutable state or create RNGs outside the shard-key-derived
-:class:`~repro.sim.rng.RngRegistry` namespace.
+importable (picklable) from a fresh interpreter. Shard workers must not
+read module-level mutable state or seed an RNG from anything but their
+payload; the serial-equals-parallel guarantee that rests on this is
+pinned on every campaign (``tests/test_parallel.py``,
+``tests/test_harness_contract.py``, all five ``--check`` gates), and the
+DET rules bind this package like any other.
 """
 
 from repro.parallel.pool import (

@@ -413,7 +413,8 @@ def run_shards(
     worker:
         Top-level (picklable) function mapping one payload to one
         picklable result. Workers must rebuild all state from the
-        payload; PAR001 lints the sanctioned entrypoints.
+        payload; ``tests/test_parallel.py`` pins serial against
+        ``jobs`` 1/2/4 for the sanctioned entrypoints.
     shards:
         Ordered ``(key, payload)`` pairs; the order is the canonical
         merge/flush order and keys must be unique.

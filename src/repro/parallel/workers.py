@@ -4,10 +4,11 @@ Every function here is a top-level, picklable worker for
 :func:`repro.parallel.pool.run_shards`. Workers rebuild **all** state
 from their payload (ultimately from the shard's seed): they hold no
 module-level state, and any randomness they trigger flows through the
-shard's own seed-derived :class:`~repro.sim.rng.RngRegistry` streams —
-the PAR001 lint rule enforces both properties, which is what makes the
-"bit-identical to serial at any --jobs" guarantee checkable rather than
-aspirational.
+shard's own seed-derived :class:`~repro.sim.rng.RngRegistry` streams.
+Every campaign pins the consequence — "bit-identical to serial at any
+--jobs" — dynamically (``tests/test_parallel.py``,
+``tests/test_harness_contract.py``, the five ``--check`` gates), which
+is what makes the guarantee checked rather than aspirational.
 
 Imports of the heavyweight driver modules happen inside the workers:
 the drivers import this module's pool machinery, and lazy imports keep

@@ -5,9 +5,9 @@ allows"; this package is the measurement side of that promise. It
 provides:
 
 * :mod:`repro.perf.timing` — the *sanctioned* wall-clock helper. All
-  wall-time reads inside this package go through :func:`~repro.perf.timing.wall_ns`
-  (enforced by slinglint rule PERF001); simulation logic still never
-  touches a wall clock (DET001).
+  wall-time reads in ``src/repro`` go through :func:`~repro.perf.timing.wall_ns`:
+  it is the one module slinglint's DET001 row exempts, so neither
+  benchmark code nor simulation logic can touch a wall clock directly.
 * :mod:`repro.perf.scenarios` — deterministic scenario runners (fig9,
   fig10 smoke, chaos scenarios) shared by the macro benchmarks and the
   digest-equivalence regression tests. Their canonical trace digests are

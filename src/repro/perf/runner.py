@@ -48,7 +48,7 @@ def run_profiled(name: str, quick: bool = False) -> int:
     hot-spot tables (by cumulative and by internal time).
 
     The benchmark's own wall measurement still goes through
-    :func:`repro.perf.timing.wall_ns` (PERF001) — cProfile wraps it, so
+    :func:`repro.perf.timing.wall_ns` (DET001) — cProfile wraps it, so
     the printed ``wall_seconds`` is the *profiled* figure and must not be
     pasted into BENCH_perf.json.
     """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class TraceRecorder:
         if category is None:
             return list(self._events)
         return list(self._by_category.get(category, []))
-
-    def iter_events(self, category: str) -> Iterator[TraceEvent]:
-        """Iterate events of one category without copying."""
-        return iter(self._by_category.get(category, []))
 
     def count(self, category: str) -> int:
         """Number of events recorded under ``category``."""

@@ -59,7 +59,7 @@ def run_for_ns(target, duration_ns: int):
 
     The explicit boundary helper for float-seconds experiment code:
     ``run_for_ns(cell, seconds(duration_s))``. Rejects non-int durations
-    at runtime; slinglint TIM003 flags float-seconds identifiers flowing
+    at runtime; slinglint TIMX001 flags float-seconds values flowing
     in statically.
     """
     return target.run_for(_require_int_ns(duration_ns, "duration_ns"))

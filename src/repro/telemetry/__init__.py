@@ -18,8 +18,9 @@ The package-level API is the instrumentation surface components import:
 
 Determinism contract: telemetry records only deterministic counts and
 integer simulated-time values — never wall clocks, never RNG draws
-(slinglint OBS001) — and never writes trace records, so enabling it is
-digest-neutral by construction. ``repro.telemetry.runner`` is imported
+(slinglint DET001–004; no stream namespace is owned by ``telemetry``,
+so STREAM002/003 refuse an acquisition) — and never writes trace
+records, so enabling it is digest-neutral by construction. ``repro.telemetry.runner`` is imported
 lazily by the CLI so importing this package stays cheap for the
 instrumented components.
 """

@@ -11,9 +11,10 @@ The instrumentation contract has three legs:
 
 * **Sim time only.** Every recorded value is either a deterministic
   count or an integer-nanosecond simulated timestamp/duration. Nothing
-  in this package may read a wall clock or draw randomness — the OBS001
-  lint rule enforces it — which is what makes telemetry output
-  bit-reproducible across machines and ``--jobs`` values.
+  in this package may read a wall clock or draw randomness — the DET
+  and STREAM lint rules enforce it here as everywhere — which is what
+  makes telemetry output bit-reproducible across machines and
+  ``--jobs`` values.
 
 * **Digest neutrality.** A registry never writes to the
   :class:`~repro.sim.trace.TraceRecorder` and never consumes RNG

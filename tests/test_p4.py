@@ -171,6 +171,8 @@ class TestResourceModel:
     def test_hundreds_of_rus_fit(self):
         model = PipelineResourceModel()
         assert model.max_supported_entries("sram_bits") > 1000
+        # ~5.9k entries exhaust one pipeline's SRAM.
+        assert model.usage(6000, 6000).fraction["sram_bits"] >= 1.0
 
     def test_invalid_deployment_rejected(self):
         with pytest.raises(ValueError):
