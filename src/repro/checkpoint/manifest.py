@@ -57,8 +57,8 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.phy.process.PhyProcess': ('_pending', '_tick_handle', 'alive', 'cells', 'codec', 'hung', 'service_inflation_ns', 'snr_filter'),
     'repro.phy.snr_filter.SnrMovingAverage': ('_state',),
     'repro.sim.engine.EventHandle': ('cancelled',),
-    'repro.sim.engine.PeriodicHandle': ('cancelled', 'epoch', 'next_time'),
-    'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_now', '_queue', '_running', '_wheel', '_wheel_garbage', '_wheel_size', '_wheel_times', 'compactions', 'wheel_compactions'),
+    'repro.sim.engine.PeriodicHandle': ('_event',),
+    'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_now', '_queue', '_running', 'compactions'),
     'repro.sim.rng.BatchedIntegers': ('_buf', '_pos'),
     'repro.sim.rng.RngRegistry': ('_streams',),
     'repro.sim.trace.TraceRecorder': ('_by_category', '_chain', '_events', '_evicted_events', '_evicted_horizon_ns'),

@@ -36,18 +36,26 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import REGISTRY, ExperimentSpec
+from repro.parallel.pool import available_parallelism
 from repro.perf.timing import wall_ns
 
 #: Verbs dispatched to their own sub-CLIs before experiment argument
-#: parsing: name -> module whose ``main(argv)`` runs it (imported lazily).
-#: All but ``lint`` are declarations handed to :mod:`repro.harness`.
+#: parsing: name -> (module whose ``main(argv)`` runs it, imported
+#: lazily; the line ``list`` prints for it). All but ``lint`` are
+#: declarations handed to :mod:`repro.harness`.
 _HARNESS_VERBS = {
-    "lint": "repro.analysis.runner",
-    "chaos": "repro.faults.campaign",
-    "perf": "repro.perf.runner",
-    "telemetry": "repro.telemetry.runner",
-    "soak": "repro.checkpoint.soak",
-    "fleet": "repro.fleet.campaign",
+    "lint": ("repro.analysis.runner",
+             "static-analysis pass over src/repro (slinglint)"),
+    "chaos": ("repro.faults.campaign",
+              "fault-injection campaign with recovery invariants"),
+    "perf": ("repro.perf.runner",
+             "micro/macro benchmark harness with --check gate"),
+    "telemetry": ("repro.telemetry.runner",
+                  "instrumented failover metrics + timelines"),
+    "soak": ("repro.checkpoint.soak",
+             "continuous-operation run: checkpoints, resume, forking"),
+    "fleet": ("repro.fleet.campaign",
+              "metro-scale availability vs pooled standby count"),
 }
 
 
@@ -76,6 +84,24 @@ QUICK_DURATION: Dict[str, float] = {
 }
 
 
+def _at_least(kind: Callable, low: float, strict: bool = False) -> Callable:
+    """argparse ``type=``: a ``kind`` no lower than ``low`` (``strict``:
+    above it). A violation is argparse's one ``repro: error:`` line and
+    exit 2, not a traceback from wherever the value is first used."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    # What argparse names in "invalid <type> value" for a non-number.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -85,20 +111,23 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment id (see 'list'), or 'all' / 'list'",
     )
-    parser.add_argument("--duration", type=float, default=None,
+    parser.add_argument("--duration", type=_at_least(float, 0, strict=True),
+                        default=None,
                         help="simulated seconds (default: experiment-specific)")
-    parser.add_argument("--failure-at", type=float, default=None,
+    parser.add_argument("--failure-at", type=_at_least(float, 0), default=None,
                         help="failure/event injection time in seconds")
-    parser.add_argument("--runs", type=int, default=None,
+    parser.add_argument("--runs", type=_at_least(int, 1), default=None,
                         help="trial count for sampled experiments")
-    parser.add_argument("--rates", type=float, nargs="+",
+    parser.add_argument("--rates", type=_at_least(float, 0, strict=True),
+                        nargs="+",
                         default=[1.0, 10.0, 20.0, 50.0],
                         help="migration rates for table2")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down durations for a fast pass")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_at_least(int, 0), default=1,
                         help="worker processes for trial sweeps (sec52, sec82); "
-                             "results are bit-identical at any value")
+                             "0 = one per CPU core. Results are bit-identical "
+                             "at any value")
     return parser
 
 
@@ -119,6 +148,8 @@ def _defaults_for(name: str, args) -> None:
         args.runs = 4 if args.quick else 8
     if args.quick and args.experiment == "all" and name == "table2":
         args.rates = [1.0, 20.0]
+    # 0 = one per CPU core, as repro.harness reads it for the verbs.
+    args.jobs = args.jobs or available_parallelism()
 
 
 def _wall_seconds() -> float:
@@ -134,7 +165,7 @@ def _wall_seconds() -> float:
 def _dispatch_harness(verb: str, argv: List[str]) -> int:
     import importlib
 
-    return importlib.import_module(_HARNESS_VERBS[verb]).main(argv)
+    return importlib.import_module(_HARNESS_VERBS[verb][0]).main(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -144,14 +175,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(raw_argv)
     if args.experiment == "list":
         print("available experiments:")
+        # ``soak`` and ``fleet`` are both: the name dispatches to the
+        # verb, the registry entry is what ``all`` runs. Listed once.
         for name, (_, description, _) in EXPERIMENTS.items():
-            print(f"  {name:7s} {description}")
-        print("  lint    static-analysis pass over src/repro (slinglint)")
-        print("  chaos   fault-injection campaign with recovery invariants")
-        print("  perf    micro/macro benchmark harness with --check gate")
-        print("  telemetry  instrumented failover metrics + timelines")
-        print("  soak    continuous-operation run: checkpoints, resume, forking")
-        print("  fleet   metro-scale availability vs pooled standby count")
+            if name not in _HARNESS_VERBS:
+                print(f"  {name:9s} {description}")
+        for name, (_, description) in _HARNESS_VERBS.items():
+            print(f"  {name:9s} {description}")
         return 0
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]

@@ -153,7 +153,7 @@ class RadioUnit(Process):
     # Per-slot operation
     # ------------------------------------------------------------------
     def _slot_boundary(self) -> None:
-        # Fires exactly at each slot boundary; the wheel re-arms the next
+        # Fires exactly at each slot boundary; the engine re-arms the next
         # one before this callback runs, so a failure in this slot's
         # handling can never stop the radio.
         abs_slot = self.slot_clock.slot_at(self.now)

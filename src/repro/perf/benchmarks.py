@@ -147,51 +147,6 @@ def _best_of(runner: Callable[[], RawRun], repeats: int) -> RawRun:
     return best
 
 
-def _periodic_workload(duration_ns: int, lanes: int = 256) -> RawRun:
-    """Periodic slot-tick lanes plus crash/restart-style cancel/re-arm
-    churn: the steady state every deployed cell imposes on the engine.
-    The lanes ride the slot wheel (O(1) re-arm, epoch cancellation)."""
-    sim = Simulator()
-    fired = [0]
-
-    def tick() -> None:
-        fired[0] += 1
-
-    handles = [
-        sim.schedule_periodic(100 + (i & 7), tick, label=f"lane{i}")
-        for i in range(lanes)
-    ]
-    cursor = [0]
-
-    def churn() -> None:
-        # The crash/restart pattern: take a lane down, bring it back.
-        i = cursor[0] % lanes
-        cursor[0] += 1
-        handle = handles[i]
-        handle.cancel()
-        handle.re_arm(start_offset=100 + (i & 7))
-
-    sim.schedule_periodic(900, churn, label="churn")
-    start = wall_ns()
-    sim.run_for(duration_ns)
-    wall = (wall_ns() - start) / 1e9
-    return RawRun(
-        events=sim.events_processed, wall_seconds=wall, sim_ns=sim.now,
-        counts={
-            "ticks_fired": float(fired[0]),
-            "wheel_compactions": float(sim.wheel_compactions),
-            "wheel_entries": float(sim.wheel_entries),
-        },
-    )
-
-
-def _run_engine_churn_wheel(quick: bool) -> RawRun:
-    return _best_of(
-        lambda: _periodic_workload(duration_ns=60_000 if quick else 150_000),
-        repeats=1 if quick else 2,
-    )
-
-
 # ----------------------------------------------------------------------
 # FAPI codec workload
 # ----------------------------------------------------------------------
@@ -645,7 +600,7 @@ _FLEET_BENCH_RUN_NS = 30_000_000
 
 
 def _fleet_slot_run() -> RawRun:
-    """One composed fleet (slot-wheel lanes, shared fleet-PHY encode
+    """One composed fleet (per-slot periodic ticks, shared fleet-PHY encode
     backend) driven for 30 ms of sim time. Build time is excluded from
     the timing; the recorded digest is the canonical fleet digest."""
     from repro.fleet.composer import FleetConfig, build_fleet, fleet_digest
@@ -709,9 +664,6 @@ CATALOG: Dict[str, BenchmarkSpec] = {
         BenchmarkSpec("engine_churn", "micro",
                       "event-engine schedule/pop churn (tuple heap entries)",
                       _run_engine_churn),
-        BenchmarkSpec("engine_churn_wheel", "micro",
-                      "periodic slot-tick lanes + cancel/re-arm churn (wheel lane)",
-                      _run_engine_churn_wheel),
         BenchmarkSpec("engine_cancel_watchdog", "micro",
                       "watchdog cancel/re-arm load (heap compaction)",
                       _run_engine_cancel_watchdog),
@@ -741,7 +693,7 @@ CATALOG: Dict[str, BenchmarkSpec] = {
                       "four chaos (scenario, seed) shards back to back",
                       _run_campaign_shards_serial),
         BenchmarkSpec("fleet_slot", "macro",
-                      f"{_FLEET_BENCH_CELLS}-cell fleet, 30 ms: wheel lanes + "
+                      f"{_FLEET_BENCH_CELLS}-cell fleet, 30 ms: slot ticks + "
                       "vectorized fleet-PHY backend",
                       _run_fleet_slot),
         BenchmarkSpec("macro_fig9", "macro",

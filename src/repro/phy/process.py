@@ -305,7 +305,7 @@ class PhyProcess(Process):
     # Slot engine
     # ------------------------------------------------------------------
     def _schedule_next_slot(self) -> None:
-        """Arm the per-slot tick (wheel lane) at the next transmit deadline."""
+        """Arm the periodic per-slot tick at the next transmit deadline."""
         next_slot = self.slot_clock.slot_at(self.now + self.config.tx_lead_ns) + 1
         fire_at = self.slot_clock.slot_start(next_slot) - self.config.tx_lead_ns
         self._tick_handle = self.sim.schedule_periodic(

@@ -9,10 +9,10 @@ callback by its defining module (``repro.sim``, ``repro.phy``, ...).
 Wall-time shares per layer are ``bench/spans.py``'s job, measured from
 outside on a fingerprinted host; the counts here are exact.
 
-The probe also keeps the slot-wheel lane's accounting observable: it
-samples wheel occupancy at every pop (tracking the peak) and, on exit,
-publishes the engines' compaction and cancel-no-op totals — counters the
-engine maintains anyway, surfaced here as ``engine.wheel.*`` metrics.
+On exit the probe also publishes two counters every engine keeps anyway,
+summed over the simulators it saw: ``engine.cancel_noops`` and
+``engine.compactions`` (heap rebuilds — where cancel / re-arm churn,
+periodic or not, shows up).
 
 Counting never touches the handle's callback, never reads a clock, and
 never writes a trace record, so a probed run's canonical digest is
@@ -30,9 +30,6 @@ from repro.telemetry.metrics import MetricsRegistry, active
 
 #: Counter-name prefix for per-subsystem fired-event counts.
 EVENT_COUNTER_PREFIX = "engine.events."
-
-#: Metric-name prefix for the wheel lane's occupancy/compaction stats.
-WHEEL_METRIC_PREFIX = "engine.wheel."
 
 
 def subsystem_of(callback: Callable[..., Any]) -> str:
@@ -64,14 +61,10 @@ class EventCountProbe:
         self._registry = registry
         #: Fired-event count per subsystem (always populated).
         self.counts: Dict[str, int] = {}
-        #: Wheel-lane accounting, filled in on exit: peak occupancy seen
-        #: at any pop, plus the engines' compaction / cancel-no-op /
-        #: residual-entry totals.
-        self.wheel_stats: Dict[str, int] = {}
         self._saved_pop: Optional[Callable[..., Any]] = None
         self._entered_registry: Optional[MetricsRegistry] = None
+        #: Simulators seen popping (their counters are published on exit).
         self._sims: List[Simulator] = []
-        self._peak: List[int] = [0]
 
     @property
     def total_events(self) -> int:
@@ -88,7 +81,6 @@ class EventCountProbe:
         counts = self.counts
         sims = self._sims
         last_sim: List[Optional[Simulator]] = [None]
-        peak = self._peak
         inner_pop = Simulator._pop
         self._saved_pop = inner_pop
 
@@ -103,8 +95,6 @@ class EventCountProbe:
                         last_sim[0] = sim
                         if sim not in sims:
                             sims.append(sim)
-                    if sim._wheel_size > peak[0]:
-                        peak[0] = sim._wheel_size
                     bucket = subsystem_of(entry[3].callback)
                     counts[bucket] = counts.get(bucket, 0) + 1
                     name = EVENT_COUNTER_PREFIX + bucket
@@ -119,12 +109,6 @@ class EventCountProbe:
             def counting_pop(sim: Simulator, limit: Optional[int] = None):
                 entry = inner_pop(sim, limit)
                 if entry is not None:
-                    if sim is not last_sim[0]:
-                        last_sim[0] = sim
-                        if sim not in sims:
-                            sims.append(sim)
-                    if sim._wheel_size > peak[0]:
-                        peak[0] = sim._wheel_size
                     bucket = subsystem_of(entry[3].callback)
                     counts[bucket] = counts.get(bucket, 0) + 1
                 return entry
@@ -135,21 +119,10 @@ class EventCountProbe:
     def __exit__(self, *exc_info: Any) -> None:
         Simulator._pop = self._saved_pop
         self._saved_pop = None
-        sims = self._sims
-        self.wheel_stats = {
-            "peak_pending": self._peak[0],
-            "compactions": sum(sim.wheel_compactions for sim in sims),
-            "cancel_noops": sum(sim.cancel_noops for sim in sims),
-            "entries_final": sum(sim.wheel_entries for sim in sims),
-        }
         registry = self._entered_registry
         self._entered_registry = None
         if registry is not None:
-            for name in ("compactions", "cancel_noops"):
-                registry.counter(WHEEL_METRIC_PREFIX + name).inc(
-                    self.wheel_stats[name]
-                )
-            for name in ("peak_pending", "entries_final"):
-                registry.gauge(WHEEL_METRIC_PREFIX + name).set(
-                    self.wheel_stats[name]
+            for name in ("cancel_noops", "compactions"):
+                registry.counter("engine." + name).inc(
+                    sum(getattr(sim, name) for sim in self._sims)
                 )

@@ -5,17 +5,18 @@ This is the simulator core as it stood *before* the performance pass that
 introduced tuple heap entries and cancelled-entry compaction in
 :mod:`repro.sim.engine`: dataclass heap entries (``@dataclass(order=True)``
 comparison), a ``peek + step`` run loop, O(n) ``pending_events``, and no
-compaction. ``tests/test_sim_engine.py`` and ``tests/test_wheel_lane.py``
+compaction. ``tests/test_sim_engine.py`` and ``tests/test_periodic.py``
 drive it against the live engine: same program, same FIFO tie order,
 same fleet digest.
 
 It intentionally does not track the live engine's API additions
-(``compactions``, ``_pop``, wheel diagnostics). The one deliberate
-exception: it has ``run_for`` and a **self-rescheduling**
-``schedule_periodic`` adapter so the full deployment model (whose call
-sites use the wheel lane) still builds and runs on this engine — the
-adapter re-arms through the heap on every occurrence, the idiom lint
-rule PERF002 bans from ``src/``.
+(``compactions``, ``_pop``). The one deliberate exception: it has
+``run_for`` and a **self-rescheduling** ``schedule_periodic`` adapter so
+the full deployment model (whose call sites use ``schedule_periodic``)
+still builds and runs on this engine. The adapter re-schedules itself on
+every occurrence, before the callback — the draw point the live engine's
+own re-arm reproduces, which makes this file the order oracle for
+periodic events.
 """
 
 from __future__ import annotations
@@ -97,8 +98,8 @@ class LegacyPeriodicHandle:
     def _fire(self) -> None:
         if self.cancelled:
             return
-        # Re-arm first, through the heap — the pre-wheel periodic idiom
-        # the live engine's wheel lane replaced (and PERF002 now flags).
+        # Re-arm first, then run: the live engine pushes the next
+        # occurrence at this same point, from inside its run loop.
         self._next = self.sim.schedule(
             self.period, self._fire, label=self.label
         )
@@ -187,10 +188,10 @@ class LegacySimulator:
         first_at: Optional[int] = None,
         label: str = "",
     ) -> LegacyPeriodicHandle:
-        """Periodic work the pre-wheel way: a handle that re-schedules
-        itself through the heap on every occurrence. Draw-order-compatible
-        with the live wheel lane (the re-arm precedes the callback), so
-        FIFO trace digests match across engines."""
+        """Periodic work as a handle that re-schedules itself on every
+        occurrence. Draw-order-compatible with the live engine (the re-arm
+        precedes the callback), so FIFO trace digests match across
+        engines."""
         if first_at is None:
             offset = period if start_offset is None else start_offset
             first_at = self._now + offset

@@ -11,6 +11,18 @@ from repro.experiments import (
     registered_names,
 )
 
+#: (command line, what argparse must say about it): ROADMAP item 5c.
+OUT_OF_RANGE = [
+    ("fig12 --duration -1", "--duration: must be > 0, got -1"),
+    ("fig12 --duration 0", "--duration: must be > 0, got 0"),
+    ("fig8 --failure-at -0.5", "--failure-at: must be >= 0, got -0.5"),
+    ("fig3 --runs -2", "--runs: must be >= 1, got -2"),
+    ("sec52 --runs 0", "--runs: must be >= 1, got 0"),
+    ("sec52 --jobs -1", "--jobs: must be >= 0, got -1"),
+    ("table2 --rates 1 0", "--rates: must be > 0, got 0"),
+    ("fig3 --runs many", "--runs: invalid int value: 'many'"),
+]
+
 
 class TestParser:
     def test_list_command(self, capsys):
@@ -36,6 +48,23 @@ class TestParser:
         assert args.rates == [1.0, 20.0]
         assert args.quick
 
+    @pytest.mark.parametrize(
+        "argv, complaint", OUT_OF_RANGE, ids=[argv for argv, _ in OUT_OF_RANGE]
+    )
+    def test_out_of_range_value_is_one_error_line_and_exit_2(
+        self, capsys, argv, complaint
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv.split())
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines()
+            if not line.startswith(("usage:", " "))
+        ]
+        assert errors == [f"repro: error: argument {complaint}"]
+
 
 class TestExecution:
     def test_fig3_runs_end_to_end(self, capsys):
@@ -49,6 +78,10 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "one-way latency added by Orion" in out
         assert "3.4 Gbps" in out
+
+    def test_jobs_zero_means_one_per_core_as_for_the_harness_verbs(self, capsys):
+        assert main(["sec52", "--jobs", "0", "--runs", "1"]) == 0
+        assert "over 1 kills" in capsys.readouterr().out
 
     def test_every_experiment_is_wired(self):
         """Each registry entry references a callable and a description."""
@@ -77,6 +110,7 @@ class TestRegistry:
         ]
         for name in registered_names():
             assert name in listed
+        assert len(listed) == len(set(listed)), listed
 
     def test_specs_satisfy_the_experiment_protocol(self):
         from repro.experiments import Experiment

@@ -2,7 +2,7 @@
 
 Deterministic (event counts, no wall clock). A healthy default cell is
 driven for 100 ms and every popped event is attributed to the component
-and callback that own it. Two things are pinned:
+and callback that own it. Three things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
   (measured 54.8 plus 15 %; 62.9 while every forwarded frame waited out
@@ -12,7 +12,10 @@ and callback that own it. Two things are pinned:
 * no single callback of a single component fires more often than once
   per OFDM symbol — the finest grain at which the modelled RAN does
   anything. A component that needs a finer clock has to evaluate it
-  arithmetically between events, the way the failure detector does.
+  arithmetically between events, the way the failure detector does;
+* exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
+  ``schedule_periodic`` series (16 % of the measured 54.8) — the census
+  on which periodic events were sized to share the one heap (DESIGN §15).
 """
 
 from collections import Counter
@@ -24,6 +27,7 @@ from repro.sim.units import MS
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
 MAX_EVENTS_PER_SLOT = 63
+PERIODIC_PER_SLOT = 9
 
 
 def test_healthy_cell_event_budget(monkeypatch):
@@ -31,12 +35,14 @@ def test_healthy_cell_event_budget(monkeypatch):
     cell.sim.run_for(WARMUP_NS)
 
     fired = Counter()
+    periodic = [0]
     inner_pop = Simulator._pop
 
     def counting_pop(sim, limit=None):
         entry = inner_pop(sim, limit)
         if entry is not None:
             callback = entry[3].callback
+            periodic[0] += entry[3].periodic is not None
             fired[(id(getattr(callback, "__self__", None)), callback.__qualname__)] += 1
         return entry
 
@@ -51,6 +57,7 @@ def test_healthy_cell_event_budget(monkeypatch):
     assert events / slots <= MAX_EVENTS_PER_SLOT, (
         f"{events / slots:.1f} events per slot on a healthy cell"
     )
+    assert periodic[0] == PERIODIC_PER_SLOT * slots
     symbols = slots * cell.config.numerology.symbols_per_slot
     assert not [name for _, name in fired if name.endswith("._egress")]
     (_, busiest), count = fired.most_common(1)[0]

@@ -1,14 +1,15 @@
-"""Tests for the slot-wheel scheduling lane and the fleet-PHY backend.
+"""Tests for periodic events and the fleet-PHY backend.
 
-Covers the PR's contract surface: the ``schedule_periodic`` API
-(cancel / re-arm / no-op accounting), the heap-vs-wheel tie-order
-differential under ``tie_shuffle_seed`` sweeps, bounded wheel memory
-under cancel/re-arm storms, and the vectorized fleet-PHY backend's
-byte-identity to the per-cell encode path (plus the legacy-engine fleet
-digest equality the ``fleet_slot`` benchmark pair relies on).
+Covers the ``schedule_periodic`` contract (cancel / re-arm / no-op
+accounting, pickling mid-run), the tie-order differential against
+callbacks that re-schedule themselves under ``tie_shuffle_seed`` sweeps,
+a bounded heap under cancel/re-arm storms, and the vectorized fleet-PHY
+backend's byte-identity to the per-cell encode path (plus the
+legacy-engine fleet digest equality).
 """
 
 import hashlib
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,18 @@ from repro.sim.engine import SimulationError, Simulator
 
 #: Seed sweep for the tie-order differential: FIFO plus shuffled ties.
 TIE_SEEDS = (None, 1, 2, 7, 20260)
+
+
+class _FireLog:
+    """Picklable tick target: records (label, now) of the simulator it is
+    pickled together with."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.entries = []
+
+    def tick(self, label):
+        self.entries.append((label, self.sim.now))
 
 
 def _sequence_digest(log):
@@ -87,12 +100,11 @@ class TestSchedulePeriodicApi:
         sim.run_for(300)
         assert times == [100, 200, 550, 650, 750]
 
-    def test_pending_events_includes_wheel_occurrences(self):
+    def test_pending_events_includes_periodic_occurrences(self):
         sim = Simulator()
         sim.schedule(500, lambda: None)
         sim.schedule_periodic(100, lambda: None)
         assert sim.pending_events == 2
-        assert sim.wheel_pending == 1
 
     def test_repeated_periodic_cancel_counts_as_noop(self):
         sim = Simulator()
@@ -102,6 +114,67 @@ class TestSchedulePeriodicApi:
         handle.cancel()
         handle.cancel()
         assert sim.cancel_noops == 2
+
+    def test_cancel_from_own_callback_stops_the_series(self):
+        """The next occurrence is queued before the callback runs; a
+        cancel from inside it must tombstone that one."""
+        sim = Simulator()
+        times = []
+        holder = []
+
+        def tick():
+            times.append(sim.now)
+            if len(times) == 3:
+                holder[0].cancel()
+
+        holder.append(sim.schedule_periodic(100, tick))
+        sim.run_for(1_000)
+        assert times == [100, 200, 300]
+        assert not holder[0].pending and holder[0].next_time is None
+        assert sim.pending_events == 0
+        assert sim.cancel_noops == 0
+
+    def test_re_arm_at_the_cancelled_occurrences_instant_fires_once(self):
+        """The cancelled occurrence stays queued as a tombstone at t=200;
+        re-arming for that very instant must not bring it back."""
+        sim = Simulator()
+        times = []
+        handle = sim.schedule_periodic(100, lambda: times.append(sim.now))
+        sim.run_for(150)
+        assert handle.next_time == 200
+        handle.cancel()
+        handle.re_arm(first_at=200)
+        assert sim.queued_entries == 2 and sim.pending_events == 1
+        sim.run_for(200)
+        assert times == [100, 200, 300]
+
+    @pytest.mark.parametrize("seed", (None, 3, 11))
+    def test_pickled_mid_run_continues_to_the_same_fire_log(self, seed):
+        sim = Simulator(tie_shuffle_seed=seed)
+        log = _FireLog(sim)
+        # "live" and "twin" share every instant, so their order is the
+        # tie key's; "back" is re-armed onto one of those instants.
+        sim.schedule_periodic(100, log.tick, "live")
+        sim.schedule_periodic(100, log.tick, "twin")
+        dead = sim.schedule_periodic(100, log.tick, "dead")
+        back = sim.schedule_periodic(70, log.tick, "back")
+        sim.run_for(250)
+        dead.cancel()
+        back.cancel()
+        back.re_arm(first_at=300)
+        sim.run_for(100)
+        copy_sim, copy_log, copy_back = pickle.loads(pickle.dumps((sim, log, back)))
+        for each_sim, each_back in ((sim, back), (copy_sim, copy_back)):
+            each_sim.run_for(300)
+            each_back.cancel()
+            each_sim.run_for(200)
+        assert copy_log.entries == log.entries
+        assert copy_sim.events_processed == sim.events_processed
+        labels = [label for label, _ in log.entries]
+        assert labels.count("dead") == 2
+        assert [t for label, t in log.entries if label == "back"] == [
+            70, 140, 210, 300, 370, 440, 510, 580, 650
+        ]
 
     def test_cancel_after_fire_counts_as_noop(self):
         sim = Simulator()
@@ -115,8 +188,8 @@ class TestSchedulePeriodicApi:
 
 
 def _make_self_rescheduler(sim, period, label, log):
-    """The pre-wheel periodic idiom: re-arm through the heap first (the
-    draw point the wheel lane reproduces), then do the tick's work."""
+    """A callback that re-schedules itself first (the draw point the
+    engine's re-arm reproduces), then does the tick's work."""
 
     def tick():
         sim.schedule(period, tick)
@@ -125,23 +198,24 @@ def _make_self_rescheduler(sim, period, label, log):
 
 
 def _heap_collisions(sim, log, lanes, period, rounds):
-    """One-shot heap events landing exactly on wheel occurrence times, so
-    every pop must merge the two lanes under (time, tie, seq)."""
+    """One-shot events landing exactly on periodic occurrence times, so
+    every round is ordered by (tie, seq) alone."""
     for r in range(1, rounds + 1):
         for k in range(lanes):
             sim.at(r * period, log.append, (f"h{k}", r * period))
 
 
 class TestTieOrderDifferential:
-    """Same program through the wheel and through heap self-rescheduling
-    must produce identical firing sequences — for FIFO ties and for every
-    ``tie_shuffle_seed``, with same-instant heap/wheel collisions."""
+    """Same program through ``schedule_periodic`` and through callbacks
+    that re-schedule themselves must produce identical firing sequences —
+    for FIFO ties and for every ``tie_shuffle_seed``, with same-instant
+    one-shot/periodic collisions."""
 
     LANES = 4
     PERIOD = 100
     ROUNDS = 10
 
-    def _run_wheel(self, seed):
+    def _run_periodic(self, seed):
         sim = Simulator(tie_shuffle_seed=seed)
         log = []
         for i in range(self.LANES):
@@ -165,22 +239,22 @@ class TestTieOrderDifferential:
         return log
 
     @pytest.mark.parametrize("seed", TIE_SEEDS)
-    def test_wheel_matches_heap_self_reschedule(self, seed):
-        wheel_log = self._run_wheel(seed)
+    def test_periodic_matches_heap_self_reschedule(self, seed):
+        periodic_log = self._run_periodic(seed)
         heap_log = self._run_heap(seed)
-        assert len(wheel_log) == self.LANES * self.ROUNDS * 2
-        assert _sequence_digest(wheel_log) == _sequence_digest(heap_log)
-        assert wheel_log == heap_log
+        assert len(periodic_log) == self.LANES * self.ROUNDS * 2
+        assert _sequence_digest(periodic_log) == _sequence_digest(heap_log)
+        assert periodic_log == heap_log
 
     def test_shuffled_orders_differ_from_fifo_somewhere(self):
         # The sweep is only meaningful if the shuffle actually permutes
         # same-instant events for at least one seed.
-        fifo = self._run_wheel(None)
-        assert any(self._run_wheel(seed) != fifo for seed in TIE_SEEDS[1:])
+        fifo = self._run_periodic(None)
+        assert any(self._run_periodic(seed) != fifo for seed in TIE_SEEDS[1:])
 
     @pytest.mark.parametrize("seed", TIE_SEEDS[1:])
     def test_same_seed_is_reproducible(self, seed):
-        assert self._run_wheel(seed) == self._run_wheel(seed)
+        assert self._run_periodic(seed) == self._run_periodic(seed)
 
     def test_fifo_matches_legacy_engine(self):
         from tests.engine_legacy import LegacySimulator
@@ -195,32 +269,39 @@ class TestTieOrderDifferential:
             )
         _heap_collisions(sim, log, self.LANES, self.PERIOD, self.ROUNDS)
         sim.run_for(self.PERIOD * self.ROUNDS)
-        assert log == self._run_wheel(None)
+        assert log == self._run_periodic(None)
 
 
-class TestWheelChurnBounded:
-    def test_cancel_re_arm_storm_keeps_wheel_bounded(self):
-        """A crash/restart storm must not grow the wheel: stale entries
-        are swept by compaction once they outnumber live ones."""
+class TestPeriodicChurnBounded:
+    def test_cancel_re_arm_storm_keeps_heap_bounded(self):
+        """A crash/restart storm must not grow the heap: tombstoned
+        occurrences are swept by compaction once they outnumber live
+        ones."""
         sim = Simulator(compaction_threshold=8)
         lanes = 4
+        fired = []
         handles = [
-            sim.schedule_periodic(100, lambda: None, label=f"lane{i}")
+            sim.schedule_periodic(100, fired.append, i, label=f"lane{i}")
             for i in range(lanes)
         ]
+        most_queued = 0
         for _ in range(200):
             sim.run_for(250)
             # Several bounce cycles per round: each cancel strands the
-            # just-armed occurrence as wheel garbage.
+            # just-armed occurrence as a tombstone.
             for _ in range(5):
                 for handle in handles:
                     handle.cancel()
                     handle.re_arm(start_offset=100)
-        assert sim.wheel_pending == lanes
-        # Total stored entries (live + not-yet-swept garbage) stay within
-        # the compaction threshold of the live population, forever.
-        assert sim.wheel_entries <= lanes + sim.compaction_threshold
-        assert sim.wheel_compactions > 0
+                    most_queued = max(most_queued, sim.queued_entries)
+        assert sim.pending_events == lanes
+        # Live entries plus not-yet-swept tombstones stay within the
+        # compaction policy's bound, forever.
+        assert most_queued <= 2 * lanes + sim.compaction_threshold
+        assert sim.compactions > 0
+        # Two ticks per lane per round: the re-arm at +100 and its
+        # successor fire before the next bounce at +250.
+        assert len(fired) == 200 * lanes * 2
 
     def test_cancelled_occurrence_never_fires_even_same_instant(self):
         sim = Simulator()
@@ -231,13 +312,13 @@ class TestWheelChurnBounded:
             holder[0].cancel()
 
         # Killer is scheduled first (lower seq), so at t=100 it runs
-        # before the lane's occurrence at the same instant — the epoch
-        # bump must invalidate the already-queued occurrence.
+        # before the periodic's occurrence at the same instant — the
+        # already-queued occurrence must be skipped.
         sim.at(100, killer)
         holder.append(sim.schedule_periodic(100, lambda: fired.append(sim.now)))
         sim.run_for(400)
         assert fired == []
-        assert sim.wheel_pending == 0
+        assert sim.pending_events == 0
 
 
 def _backend_fixture():

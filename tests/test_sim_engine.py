@@ -6,14 +6,12 @@ import numpy as np
 import pytest
 
 from tests.engine_legacy import LegacySimulator
-from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process
 from repro.sim.rng import BatchedIntegers, RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, SECOND, US, ms_to_ns, ns_to_ms, ns_to_us, s_to_ns, us_to_ns
 from tests.packetgen import PeriodicProcess
-from tests.test_phy_kernel_fuzz import _python_lines_executed
 
 
 class TestSimulatorScheduling:
@@ -119,6 +117,19 @@ class TestCancellation:
         drop = sim.schedule(20, lambda: None)
         drop.cancel()
         assert sim.pending_events == 1
+
+    def test_stopped_run_until_leaves_the_clock_at_the_last_fired_event(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(10, sim.stop)
+        sim.schedule(20, lambda: seen.append(sim.now))
+        sim.run_until(100)
+        assert sim.now == 10 and sim.pending_events == 1
+        # t=15: must fire before the event still queued at t=20.
+        sim.schedule(5, lambda: seen.append(sim.now))
+        sim.run_until(200)
+        assert seen == [15, 20]
+        assert sim.now == 200
 
     def test_stop_halts_run(self):
         sim = Simulator()
@@ -229,75 +240,29 @@ class TestCompaction:
         assert sim.pending_events == 0
 
 
-class TestPopFastPath:
-    """A heap entry that precedes the wheel's earliest bucket is popped
-    without looking at the wheel; only a tie or a due bucket pays for the
-    two-lane compare."""
+class TestPeriodicTieOrder:
+    """Periodic occurrences and one-shot events share one (time, tie, seq)
+    order: the order the legacy engine's self-rescheduling periodics
+    produce."""
 
-    #: Python lines of ``_pop`` on the heap-only path (measured: 8).
-    MAX_LINES = 10
-
-    @staticmethod
-    def _count_wheel_entries(monkeypatch):
-        calls = {"_pop_merged": 0, "_wheel_head": 0}
-        for name in calls:
-            inner = getattr(Simulator, name)
-
-            def counting(sim, *args, _inner=inner, _name=name):
-                calls[_name] += 1
-                return _inner(sim, *args)
-
-            monkeypatch.setattr(Simulator, name, counting)
-        return calls
-
-    def test_early_heap_pop_is_constant_and_never_touches_the_wheel(self, monkeypatch):
-        calls = self._count_wheel_entries(monkeypatch)
-        lines = {}
-        for armed in (0, 1, 1000):
-            sim = Simulator()
-            for lane in range(armed):
-                sim.schedule_periodic(1_000, lambda: None, first_at=500 + lane % 7)
-            for when in (10, 20, 499):
-                sim.at(when, lambda: None)
-            for limit in (None, 499, None):
-                popped = []
-                lines[armed, len(lines)] = _python_lines_executed(
-                    engine_module.__file__, lambda: popped.append(sim._pop(limit))
-                )
-                assert popped[0] is not None
-        assert calls == {"_pop_merged": 0, "_wheel_head": 0}
-        assert len(set(lines.values())) == 1, lines
-        assert set(lines.values()).pop() <= self.MAX_LINES
-
-    def test_head_beyond_limit_stays_without_touching_the_wheel(self, monkeypatch):
-        calls = self._count_wheel_entries(monkeypatch)
-        sim = Simulator()
-        sim.schedule_periodic(1_000, lambda: None, first_at=500)
-        sim.at(100, lambda: None)
-        assert sim._pop(99) is None
-        assert sim.pending_events == 2
-        assert calls == {"_pop_merged": 0, "_wheel_head": 0}
-
-    def test_stale_bucket_times_only_make_the_horizon_earlier(self):
-        """A cancelled periodic leaves its bucket time behind; heap events
-        past it take the merged path (which reclaims it) and still fire."""
+    def test_cancelled_periodic_leaves_the_order_of_the_rest_intact(self):
         sim = Simulator()
         fired = []
-        sim.schedule_periodic(100, lambda: fired.append("wheel"), first_at=50).cancel()
-        sim.schedule_periodic(100, lambda: fired.append(("w", sim.now)), first_at=80)
+        sim.schedule_periodic(100, lambda: fired.append("dead"), first_at=50).cancel()
+        sim.schedule_periodic(100, lambda: fired.append(("p", sim.now)), first_at=80)
         for when in (40, 60, 80, 90):
             sim.at(when, lambda: fired.append(("h", sim.now)))
         sim.run_until(95)
-        assert fired == [("h", 40), ("h", 60), ("w", 80), ("h", 80), ("h", 90)]
+        assert fired == [("h", 40), ("h", 60), ("p", 80), ("h", 80), ("h", 90)]
 
     LANES = 3
     PERIOD = 100
     ROUNDS = 6
 
     def _program(self, sim, log):
-        """Periodic lanes, heap events landing exactly on their occurrence
-        times (scheduled before and after the lanes are armed) and heap
-        events strictly between."""
+        """Periodic lanes, one-shot events landing exactly on their
+        occurrence times (scheduled before and after the lanes are armed)
+        and one-shot events strictly between."""
         for k in range(self.LANES):
             sim.at(2 * self.PERIOD, log.append, (f"early{k}", 2 * self.PERIOD))
         for lane in range(self.LANES):
@@ -311,36 +276,22 @@ class TestPopFastPath:
         sim.run_for(self.PERIOD * self.ROUNDS + 50)
         return log
 
-    def test_pop_on_a_bucket_time_takes_the_merged_compare(self, monkeypatch):
-        calls = self._count_wheel_entries(monkeypatch)
-        log = self._program(Simulator(), [])
-        assert len(log) == self.LANES * self.ROUNDS * 3 + self.LANES
-        # Through the compare: every wheel occurrence, every heap event
-        # that sorts ahead of a tied occurrence (the early ones, and from
-        # round 2 on the collisions, whose seq predates the re-armed
-        # lanes'), and the final empty-handed pop. Round 1's collisions
-        # follow the lanes armed before them: by then the bucket has
-        # drained and its time is gone, so they are heap-only again, like
-        # every in-between event.
-        wheel = self.LANES * self.ROUNDS
-        ahead = self.LANES + self.LANES * (self.ROUNDS - 1)
-        assert calls["_pop_merged"] == wheel + ahead + 1
-
     def test_fifo_tie_order_matches_the_legacy_engine(self):
         assert self._program(Simulator(), []) == self._program(LegacySimulator(), [])
 
     @pytest.mark.parametrize("seed", (1, 7, 2024))
     def test_shuffled_tie_order_matches_heap_self_rescheduling(self, seed):
-        """The legacy periodic idiom (re-arm through the heap, then run)
-        draws the same tie keys in the same order as the wheel."""
-        wheel = self._program(Simulator(tie_shuffle_seed=seed), [])
+        """The legacy periodic idiom (the callback's wrapper re-schedules
+        itself, then runs it) draws the same tie keys in the same order as
+        the engine's own re-arm."""
+        live = self._program(Simulator(tie_shuffle_seed=seed), [])
 
         class SelfRescheduling(Simulator):
             schedule_periodic = LegacySimulator.schedule_periodic
 
-        heap = self._program(SelfRescheduling(tie_shuffle_seed=seed), [])
-        assert wheel == heap
-        assert wheel != self._program(Simulator(), [])
+        legacy_idiom = self._program(SelfRescheduling(tie_shuffle_seed=seed), [])
+        assert live == legacy_idiom
+        assert live != self._program(Simulator(), [])
 
 
 def test_transit_stages_format_no_label_per_event():

@@ -509,7 +509,9 @@ def _pipeline_class(table_count=1, accesses=2):
 
 class TestPerfRules:
     """PERF001 is retired: its cases are DET001's, with ``perf/timing.py``
-    the row's one sanctioned module. PERF002 stays."""
+    the row's one sanctioned module. PERF002 is retired with the second
+    scheduling lane it policed: a tick that re-schedules itself costs
+    what ``schedule_periodic`` costs."""
 
     PERF_PATH = "src/repro/perf/benchmarks.py"
 
@@ -546,83 +548,13 @@ class TestPerfRules:
         )
         assert findings == []
 
-    SELF_RESCHEDULE = (
-        "class P:\n"
-        "    def _tick(self):\n"
-        "        self.count += 1\n"
-        "        self.sim.schedule(self.period, self._tick)\n"
-    )
-
-    def test_perf002_self_reschedule_flagged(self):
-        findings = lint(self.SELF_RESCHEDULE, path="src/repro/phy/process.py")
-        assert "PERF002" in rule_ids(findings)
-
-    def test_perf002_at_with_literal_delay_flagged(self):
-        source = (
-            "class P:\n"
-            "    def _beat(self):\n"
-            "        self.sim.at(self.sim.now + 1000, self._beat)\n"
-            "    def _pulse(self):\n"
-            "        self.sim.at(1000, self._pulse)\n"
-        )
-        findings = lint(source, path="src/repro/core/orion.py")
-        flagged = [f.line for f in findings if f.rule_id == "PERF002"]
-        # Only the literal-time _pulse: _beat's time is a computed BinOp.
-        assert flagged == [5]
-
-    def test_perf002_computed_delay_is_deadline_not_periodic(self):
-        source = (
-            "class P:\n"
-            "    def _watchdog(self):\n"
-            "        self.sim.schedule(self.deadline - self.sim.now, self._watchdog)\n"
-        )
-        assert "PERF002" not in rule_ids(
-            lint(source, path="src/repro/core/orion.py")
-        )
-
-    def test_perf002_deferral_to_a_caller_given_instant_unflagged(self):
-        # An impaired link's send(frame, ready_at) waiting for ready_at.
-        source = (
-            "class Link:\n"
-            "    def send(self, frame, ready_at=None):\n"
-            "        if ready_at is not None and ready_at > self.sim.now:\n"
-            "            self.sim.at(ready_at, self.send, frame)\n"
-            "    def _poll(self, period):\n"
-            "        self.sim.schedule(period, self._poll, period)\n"
-        )
-        findings = lint(source, path="src/repro/net/link.py")
-        assert [f.line for f in findings if f.rule_id == "PERF002"] == [6]
-
-    def test_perf002_rescheduling_a_different_method_unflagged(self):
+    def test_perf002_self_reschedule_is_not_a_lint_matter(self):
         source = (
             "class P:\n"
             "    def _tick(self):\n"
-            "        self.sim.schedule(100, self._other)\n"
+            "        self.sim.schedule(self.period, self._tick)\n"
         )
-        assert "PERF002" not in rule_ids(
-            lint(source, path="src/repro/phy/process.py")
-        )
-
-    def test_perf002_schedule_periodic_is_the_sanctioned_api(self):
-        source = (
-            "class P:\n"
-            "    def start(self):\n"
-            "        self.sim.schedule_periodic(self.period, self._tick)\n"
-        )
-        assert "PERF002" not in rule_ids(
-            lint(source, path="src/repro/phy/process.py")
-        )
-
-    def test_perf002_suppressible_for_legacy_sites(self):
-        source = (
-            "class P:\n"
-            "    def _fire(self):\n"
-            "        self.sim.schedule(self.period, self._fire)"
-            "  # slinglint: disable=PERF002\n"
-        )
-        assert "PERF002" not in rule_ids(
-            lint(source, path="src/repro/perf/legacy.py")
-        )
+        assert lint(source, path="src/repro/phy/process.py") == []
 
 
 class TestP4BudgetRules:
@@ -864,13 +796,6 @@ def _census():
             ["P4R003"],
             _pipeline_class(accesses=MAX_REGISTER_ACCESSES_PER_PASS + 1),
             "src/repro/somewhere/mod.py",
-        ),
-        row(
-            "PERF002 alone",
-            ["PERF002"],
-            "class P:\n"
-            "    def _tick(self):\n"
-            "        self.sim.schedule(self.period, self._tick)\n",
         ),
         row(
             "STREAM001 alone",
