@@ -21,7 +21,7 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.apps.video.VideoReceiver': ('bins', 'bytes_received', 'packets_received'),
     'repro.apps.video.VideoSender': ('_frame_index', '_running', '_seq', 'frames_sent'),
     'repro.cell.deployment.BaselineCell': ('_reroute_armed',),
-    'repro.core.failure_detector.FailureDetector': ('_deadline', '_grid_origin_ns', '_last_heartbeat_ns', '_monitored', '_reported', '_sim', '_ticks_applied'),
+    'repro.core.failure_detector.FailureDetector': ('_deadline', '_grid_origin_ns', '_last_heartbeat_ns', '_monitored', '_reported', '_sim', '_ticks_applied', 'detections'),
     'repro.core.fh_middlebox.FronthaulMiddlebox': ('_switch', 'detector', 'l2_table', 'notification_target'),
     'repro.core.migration.ClusterConfig': ('servers',),
     'repro.core.orion.L2SideOrion': ('cells', 'phy_orion_macs'),

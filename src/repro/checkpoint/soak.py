@@ -310,14 +310,17 @@ def _arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for periodic checkpoints (default: temporary)",
     )
     parser.add_argument(
-        "--seed", type=int, default=1, help="soak seed (default: 1)"
+        "--seed", type=harness.at_least(int, 0), default=1,
+        help="soak seed (default: 1)",
     )
     parser.add_argument(
         "--horizon",
-        type=float,
+        # Shorter than one checkpoint interval there is nothing to resume.
+        type=harness.at_least(float, SoakConfig().checkpoint_every_ns / 1e9),
         default=None,
         metavar="S",
-        help="simulated seconds (default: profile-specific)",
+        help="simulated seconds, at least one checkpoint interval "
+        "(default: profile-specific)",
     )
 
 

@@ -36,6 +36,7 @@ import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import REGISTRY, ExperimentSpec
+from repro.harness import at_least
 from repro.parallel.pool import available_parallelism
 from repro.perf.timing import wall_ns
 
@@ -84,24 +85,6 @@ QUICK_DURATION: Dict[str, float] = {
 }
 
 
-def _at_least(kind: Callable, low: float, strict: bool = False) -> Callable:
-    """argparse ``type=``: a ``kind`` no lower than ``low`` (``strict``:
-    above it). A violation is argparse's one ``repro: error:`` line and
-    exit 2, not a traceback from wherever the value is first used."""
-
-    def parse(text: str):
-        value = kind(text)
-        if value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>' if strict else '>='} {low}, got {text}"
-            )
-        return value
-
-    # What argparse names in "invalid <type> value" for a non-number.
-    parse.__name__ = kind.__name__
-    return parse
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -111,20 +94,20 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment id (see 'list'), or 'all' / 'list'",
     )
-    parser.add_argument("--duration", type=_at_least(float, 0, strict=True),
+    parser.add_argument("--duration", type=at_least(float, 0, strict=True),
                         default=None,
                         help="simulated seconds (default: experiment-specific)")
-    parser.add_argument("--failure-at", type=_at_least(float, 0), default=None,
+    parser.add_argument("--failure-at", type=at_least(float, 0), default=None,
                         help="failure/event injection time in seconds")
-    parser.add_argument("--runs", type=_at_least(int, 1), default=None,
+    parser.add_argument("--runs", type=at_least(int, 1), default=None,
                         help="trial count for sampled experiments")
-    parser.add_argument("--rates", type=_at_least(float, 0, strict=True),
+    parser.add_argument("--rates", type=at_least(float, 0, strict=True),
                         nargs="+",
                         default=[1.0, 10.0, 20.0, 50.0],
                         help="migration rates for table2")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down durations for a fast pass")
-    parser.add_argument("--jobs", type=_at_least(int, 0), default=1,
+    parser.add_argument("--jobs", type=at_least(int, 0), default=1,
                         help="worker processes for trial sweeps (sec52, sec82); "
                              "0 = one per CPU core. Results are bit-identical "
                              "at any value")

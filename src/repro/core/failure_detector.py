@@ -43,7 +43,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.net.p4.registers import RegisterArray
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.units import US
-from repro.telemetry.metrics import active as _telemetry_active
 
 
 @dataclass
@@ -99,12 +98,12 @@ class FailureDetector:
         #: PHYs already reported (suppress duplicate notifications).
         self._reported: Set[int] = set()
         self._stats = DetectorStats()
-        # Telemetry registry captured at construction; None keeps the
-        # data-plane paths to a single attribute test per packet.
-        self._metrics = _telemetry_active()
-        #: Last heartbeat sim-time per PHY, tracked only when telemetry
-        #: is enabled (feeds the detection-latency histogram).
-        self._last_heartbeat_ns: Dict[int, int] = {}
+        #: ``now_ns`` of each PHY's latest heartbeat (None: it carried none).
+        self._last_heartbeat_ns: Dict[int, Optional[int]] = {}
+        #: One ``(phy_id, detected_at_ns, last_heartbeat_ns)`` record per
+        #: detection, in detection order: detected − last heartbeat is the
+        #: latency §5.2 bounds by T plus one tick.
+        self.detections: List[Tuple[int, int, Optional[int]]] = []
         #: Tick grid, unbound until start_grid: tick i exists at
         #: origin + i * period.
         self._sim: Optional[Simulator] = None
@@ -119,8 +118,6 @@ class FailureDetector:
         """Start the timer-tick stream: tick 0 is now, then one per period."""
         self._sim = sim
         self._grid_origin_ns = sim.now
-        if self._metrics is not None:
-            self._metrics.add_flush_hook(self._sync)
         self._arm()
 
     def stop_grid(self) -> None:
@@ -220,18 +217,15 @@ class FailureDetector:
     def on_heartbeat(self, phy_id: int, now_ns: Optional[int] = None) -> None:
         """A downlink packet from ``phy_id`` traversed the switch.
 
-        ``now_ns`` is optional metadata for telemetry (last-heartbeat
-        timestamps behind the detection-latency histogram); passing it
-        never changes detector behaviour.
+        ``now_ns`` is optional metadata (the last-heartbeat timestamp a
+        :attr:`detections` record carries); passing it never changes
+        detector behaviour.
         """
         if 0 <= phy_id < self._counters.size:
             self._sync()
             self._counters.write(phy_id, 0)
             self._stats.heartbeats_seen += 1
-            if self._metrics is not None:
-                self._metrics.counter("detector.heartbeat_resets").inc()
-                if now_ns is not None:
-                    self._last_heartbeat_ns[phy_id] = now_ns
+            self._last_heartbeat_ns[phy_id] = now_ns
 
     def on_timer_tick(self, now_ns: int) -> List[int]:
         """One timer-packet batch: :meth:`advance` by a single tick (the
@@ -248,9 +242,6 @@ class FailureDetector:
         (also delivered via the ``notify`` callback).
         """
         self._stats.ticks_processed += ticks
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.counter("detector.ticks").inc(ticks)
         threshold = self.config.ticks_per_timeout
         #: (tick of this batch, counted from 1, that saturates; phy).
         saturated: List[Tuple[int, int]] = []
@@ -266,13 +257,9 @@ class FailureDetector:
             detected_at = last_tick_ns - (ticks - step) * period
             self._reported.add(phy_id)
             self._stats.failures_detected += 1
-            if metrics is not None:
-                metrics.counter("detector.saturations").inc()
-                last = self._last_heartbeat_ns.get(phy_id)
-                if last is not None:
-                    metrics.histogram(
-                        "detector.detection_latency_ns"
-                    ).observe(detected_at - last)
+            self.detections.append(
+                (phy_id, detected_at, self._last_heartbeat_ns.get(phy_id))
+            )
             if self.notify is not None:
                 self.notify(phy_id, detected_at)
         return [phy_id for _, phy_id in saturated]

@@ -51,7 +51,6 @@ from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import ForwardingDecision, Switch
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.telemetry.metrics import active as _telemetry_active
 
 
 @dataclass
@@ -129,9 +128,6 @@ class FronthaulMiddlebox:
         #: Fallback static L2 table for non-fronthaul traffic.
         self.l2_table: Dict[MacAddress, int] = {}
         self.stats = MiddleboxStats()
-        # Telemetry registry captured at construction (None when
-        # disabled, keeping the per-packet paths to one attribute test).
-        self._metrics = _telemetry_active()
         #: Virtual PHY MAC each RU addresses (for documentation/testing;
         #: steering keys off the RU's source MAC, not this address).
         self.virtual_phy_mac = MacAddress(0x02_5A_5A_00_00_01)
@@ -230,8 +226,6 @@ class FronthaulMiddlebox:
             self.ru_to_phy.write(ru_id, dest)
             self.mig_valid.write(ru_id, 0)
             self.stats.migrations_executed += 1
-            if self._metrics is not None:
-                self._metrics.counter(f"mbox.ru{ru_id}.migrations").inc()
             if self.trace is not None:
                 self.trace.record(
                     self.sim.now,
@@ -254,8 +248,6 @@ class FronthaulMiddlebox:
             return ForwardingDecision.drop(frame)
         mac, port = target
         self.stats.ul_steered += 1
-        if self._metrics is not None:
-            self._metrics.counter(f"mbox.ru{ru_id}.ul_forwarded").inc()
         return ForwardingDecision([port], frame.copy_to(mac))
 
     def _process_downlink(self, frame: EthernetFrame, payload) -> ForwardingDecision:
@@ -271,8 +263,6 @@ class FronthaulMiddlebox:
         active = self._effective_phy(ru_id, payload.abs_slot)
         if src_phy != active:
             self.stats.dl_filtered += 1
-            if self._metrics is not None:
-                self._metrics.counter(f"mbox.ru{ru_id}.dl_filtered").inc()
             return ForwardingDecision.drop(frame)
         target = self.ru_port_directory.lookup(ru_id)
         if target is None:
@@ -280,8 +270,6 @@ class FronthaulMiddlebox:
             return ForwardingDecision.drop(frame)
         mac, port = target
         self.stats.dl_forwarded += 1
-        if self._metrics is not None:
-            self._metrics.counter(f"mbox.ru{ru_id}.dl_forwarded").inc()
         return ForwardingDecision([port], frame.copy_to(mac))
 
     # --- Slingshot commands ---------------------------------------------

@@ -58,7 +58,6 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
-from repro.telemetry.metrics import active as _telemetry_active
 
 #: Ethernet + IP + UDP overhead on each inter-Orion datagram.
 UDP_OVERHEAD_BYTES = 46
@@ -114,6 +113,8 @@ class OrionConfig:
 @dataclass
 class OrionStats:
     messages_relayed: int = 0
+    #: UL/DL TTI and TX-data requests routed to a cell's active PHY.
+    real_requests_sent: int = 0
     null_requests_sent: int = 0
     responses_dropped: int = 0
     drained_responses: int = 0
@@ -127,6 +128,8 @@ class OrionStats:
     repair_slots_dropped: int = 0
     #: Failovers triggered by the L2-side response watchdog (gray faults).
     watchdog_failovers: int = 0
+    #: Response-watchdog expiries, whether or not a standby could take over.
+    watchdog_fires: int = 0
     #: Migration command packets retransmitted.
     commands_retransmitted: int = 0
 
@@ -248,8 +251,6 @@ class PhySideOrion(Process):
         #: Lead before slot start at which the watchdog injects.
         self.watchdog_lead_ns = 200_000
         self._watchdog_running = False
-        # Telemetry registry captured at construction (None = disabled).
-        self._metrics = _telemetry_active()
 
     # --- Network -> PHY -------------------------------------------------
     def receive_frame(self, frame: EthernetFrame, ingress: Link) -> None:
@@ -287,10 +288,6 @@ class PhySideOrion(Process):
             self.stats.repair_slots_dropped += dropped
         nulls = [make_null(message.cell_id, slot) for slot in missing]
         self.nulls_injected += len(nulls)
-        if self._metrics is not None and nulls:
-            self._metrics.counter(
-                f"orion.phy{self.phy_id}.nulls_injected"
-            ).inc(len(nulls))
         if self.trace is not None and nulls:
             self.trace.record(
                 self.now, "orion.loss_repaired",
@@ -333,10 +330,6 @@ class PhySideOrion(Process):
             for slot in range(last + 1, abs_slot + 1):
                 self.shm_to_phy.send(make_null(cell_id, slot))
                 self.nulls_injected += 1
-                if self._metrics is not None:
-                    self._metrics.counter(
-                        f"orion.phy{self.phy_id}.nulls_injected"
-                    ).inc()
             self._last_tti_slot[(cell_id, kind)] = abs_slot
             if self.trace is not None:
                 self.trace.record(
@@ -405,8 +398,6 @@ class L2SideOrion(Process):
         #: the cell degrades exactly as if it had no standby. ``None`` —
         #: the dedicated-standby default — always grants.
         self.standby_gate: Optional[Callable[[CellAssignment], bool]] = None
-        # Telemetry registry captured at construction (None = disabled).
-        self._metrics = _telemetry_active()
 
     # ------------------------------------------------------------------
     # Wiring / cluster config
@@ -453,15 +444,12 @@ class L2SideOrion(Process):
         if isinstance(message, (UlTtiRequest, DlTtiRequest, TxDataRequest)):
             active, standby = self._roles_for_slot(assignment, message.slot)
             self._send_to_phy(active, message)
-            if self._metrics is not None:
-                self._metrics.counter("orion.fapi_real_requests").inc()
+            self.stats.real_requests_sent += 1
             if standby is not None:
                 null = self._null_counterpart(message)
                 if null is not None:
                     self._send_to_phy(standby, null)
                     self.stats.null_requests_sent += 1
-                    if self._metrics is not None:
-                        self._metrics.counter("orion.fapi_null_requests").inc()
             return
         # Other control messages follow the current primary.
         self._send_to_phy(assignment.primary_phy, message)
@@ -586,8 +574,7 @@ class L2SideOrion(Process):
         # Silence exceeded the threshold: the active PHY is gray-failed.
         if assignment.primary_phy in assignment.failed_phys:
             return  # Failure already accounted (pooled-standby denial).
-        if self._metrics is not None:
-            self._metrics.counter("orion.watchdog_fires").inc()
+        self.stats.watchdog_fires += 1
         if self.trace is not None:
             self.trace.record(
                 self.now,
@@ -825,10 +812,6 @@ class L2SideOrion(Process):
         for command in commands:
             self._send_command(command)
         self.stats.commands_retransmitted += len(commands)
-        if self._metrics is not None:
-            self._metrics.counter("orion.commands_retransmitted").inc(
-                len(commands)
-            )
 
     def _send_command(self, command) -> None:
         """Send a Slingshot command packet into the switch."""

@@ -41,7 +41,6 @@ from repro.faults.scenarios import (
     standard_scenarios,
 )
 from repro.parallel.workers import run_campaign_shard
-from repro.telemetry.metrics import active as _telemetry_active
 from repro.transport.packet import FlowDirection, Packet
 from repro.transport.udp import UdpSender, UdpSink
 
@@ -68,10 +67,6 @@ class ScenarioRun:
     detection: Dict[str, int]
     link_faults: List[dict]
     replay_digest_matched: Optional[bool] = None
-    #: FailoverTimeline.as_dict(), populated only when telemetry is
-    #: enabled; excluded from :meth:`as_dict` so the chaos report (and
-    #: its serial-vs-parallel equality) is identical either way.
-    timeline: Optional[dict] = None
 
     def as_dict(self) -> dict:
         return {
@@ -300,35 +295,9 @@ def run_scenario(
     """Execute one (scenario, seed) pair and judge it."""
     cell, injector = _execute(scenario, seed)
     run = judge_execution(scenario, seed, cell, injector)
-    digest = run.digest
-    events = cell.trace.canonical_events()
-    metrics = _telemetry_active()
-    if metrics is not None:
-        # Per-scenario recovery span: fault (or window start, for pure
-        # link-noise scenarios) through recovery (or window end). The
-        # timeline reconstructor recomputes the full decomposition; the
-        # span is the coarse sim-time interval that decomposition covers.
-        from repro.telemetry.timeline import FailoverTimeline
-
-        timeline = FailoverTimeline.from_events(
-            events,
-            window_start_ns=MEASURE_START_NS,
-            window_end_ns=MEASURE_END_NS,
-        )
-        start = timeline.fault_ns
-        end = timeline.first_good_ns
-        metrics.span(
-            "chaos.recovery",
-            MEASURE_START_NS if start is None else start,
-            MEASURE_END_NS if end is None else end,
-            scenario=scenario.name,
-            seed=seed,
-            downtime_ns=timeline.downtime_ns,
-        )
-        run.timeline = timeline.as_dict()
     if replay:
         replay_cell, _ = _execute(scenario, seed)
-        run.replay_digest_matched = replay_cell.trace.digest() == digest
+        run.replay_digest_matched = replay_cell.trace.digest() == run.digest
     return run
 
 
@@ -385,7 +354,7 @@ def _format_run(run: ScenarioRun) -> str:
 
 
 def recorded_digests() -> Dict[Tuple[str, int], str]:
-    """``(scenario, seed)`` -> digest recorded (telemetry off, cold) in
+    """``(scenario, seed)`` -> digest recorded (cold, unprobed) in
     ``BENCH_chaos.json``; empty when that file cannot be loaded."""
     try:
         runs = harness.load_baseline("chaos")["runs"]
@@ -405,7 +374,7 @@ def scenario_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--seeds",
-        type=int,
+        type=harness.at_least(int, 0),
         nargs="+",
         default=None,
         help="scenario seeds (default: 1 2 3; --quick: 1)",

@@ -26,7 +26,6 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.fleet.composer import FleetConfig, FleetHarness, build_fleet, fleet_digest
 from repro.parallel.workers import run_fleet_shard
-from repro.telemetry.metrics import active as _telemetry_active
 from repro.sim.units import MS
 
 # ----------------------------------------------------------------------
@@ -114,10 +113,6 @@ class FleetRun:
     population: Dict[str, int]
     accounting: Dict[str, object]
     passed: bool
-    #: Per-failed-cell FailoverTimeline.as_dict(), populated only when
-    #: telemetry is enabled; excluded from :meth:`as_dict` so the report
-    #: (and serial-vs-parallel equality) is identical either way.
-    timelines: Optional[List[dict]] = None
 
     def as_dict(self) -> dict:
         return {
@@ -243,7 +238,7 @@ def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
         "problems": problems,
     }
 
-    run = FleetRun(
+    return FleetRun(
         fault_class=fault_class,
         pool_size=pool_size,
         seed=seed,
@@ -258,31 +253,6 @@ def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
         accounting=accounting,
         passed=not problems,
     )
-    metrics = _telemetry_active()
-    if metrics is not None:
-        from repro.telemetry.timeline import FailoverTimeline
-
-        run.timelines = []
-        for cell_index, spec in schedule:
-            timeline = FailoverTimeline.from_events(
-                harness.cells[cell_index].trace.canonical_events(),
-                window_start_ns=FLEET_MEASURE_START_NS,
-                window_end_ns=FLEET_MEASURE_END_NS,
-            )
-            metrics.span(
-                "fleet.recovery",
-                spec.at_ns,
-                FLEET_MEASURE_END_NS
-                if timeline.committed_ns is None
-                else timeline.committed_ns,
-                fault_class=fault_class,
-                pool_size=pool_size,
-                cell=cell_index,
-                seed=seed,
-            )
-            run.timelines.append(dict(timeline.as_dict(), cell=cell_index))
-        metrics.gauge("fleet.pool.size").set(pool_size)
-    return run
 
 
 # ----------------------------------------------------------------------
@@ -432,13 +402,13 @@ def _arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--pool-sizes",
-        type=int,
+        type=harness.at_least(int, 0),
         nargs="+",
         default=None,
         help=f"standby pool sizes to sweep (default: {list(POOL_SIZES)})",
     )
     parser.add_argument(
-        "--seeds", type=int, nargs="+", default=None,
+        "--seeds", type=harness.at_least(int, 0), nargs="+", default=None,
         help="fleet seeds (default: 1 2; --quick: 1)",
     )
 

@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
-from repro.telemetry.metrics import active as _telemetry_active
 
 
 class StandbyPool:
@@ -44,8 +43,6 @@ class StandbyPool:
         self.promotions = 0
         self.exhaustions = 0
         self.rewarmed = 0
-        # Telemetry registry captured at construction (None = disabled).
-        self._metrics = _telemetry_active()
 
     # ------------------------------------------------------------------
     def claim(self, cell_index: int, cell_id: int, phy_id: int) -> bool:
@@ -64,8 +61,6 @@ class StandbyPool:
                     cell=cell_index,
                     phy=phy_id,
                 )
-            if self._metrics is not None:
-                self._metrics.counter("fleet.pool.exhaustions").inc()
             return False
         self.available -= 1
         self.promotions += 1
@@ -77,9 +72,6 @@ class StandbyPool:
                 phy=phy_id,
                 available=self.available,
             )
-        self._update_gauges()
-        if self._metrics is not None:
-            self._metrics.counter("fleet.pool.promotions").inc()
         self.sim.schedule(self.rewarm_ns, self._rewarm, label="fleet.pool.rewarm")
         return True
 
@@ -93,13 +85,6 @@ class StandbyPool:
             self.trace.record(
                 self.sim.now, "fleet.pool.rewarmed", available=self.available
             )
-        self._update_gauges()
-        if self._metrics is not None:
-            self._metrics.counter("fleet.pool.rewarms").inc()
-
-    def _update_gauges(self) -> None:
-        if self._metrics is not None:
-            self._metrics.gauge("fleet.pool.available").set(self.available)
 
     # ------------------------------------------------------------------
     def stats_dict(self) -> dict:

@@ -101,6 +101,24 @@ def load_baseline(name: str, path: Optional[Path] = None) -> Dict[str, Any]:
     return data
 
 
+def at_least(kind: Callable, low: float, strict: bool = False) -> Callable:
+    """argparse ``type=``: a ``kind`` no lower than ``low`` (``strict``:
+    above it). A violation is argparse's one ``error:`` line and exit 2,
+    not a traceback from wherever the value is first used."""
+
+    def parse(text: str):
+        value = kind(text)
+        if value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    # What argparse names in "invalid <type> value" for a non-number.
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def select(catalog: Mapping[str, Any], names: Sequence[str], what: str) -> List[Any]:
     """Catalog entries for ``names``; unknown names are a usage error."""
     unknown = [name for name in names if name not in catalog]
@@ -216,7 +234,7 @@ def _parser(verb: Verb) -> argparse.ArgumentParser:
         help="compare the exact fields against the recorded baseline",
     )
     group.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=at_least(int, 0), default=1, metavar="N",
         help="worker processes for independent shards; 0 = one per CPU "
         "core. Results are bit-identical at any value (default: 1)",
     )
@@ -246,14 +264,17 @@ def main(verb: Verb, argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:<32} {description}")
         return 0
     try:
-        if args.jobs < 0:
-            raise UsageError("--jobs must be >= 0")
         jobs = args.jobs or available_parallelism()
         if verb.side_mode is not None:
             code = verb.side_mode(args, jobs)
             if code is not None:
                 return code
         shards = verb.shards(args) if verb.shards is not None else ()
+        seen = set()
+        for key, _ in shards:
+            if key in seen:
+                raise UsageError(f"run {key!r} selected more than once")
+            seen.add(key)
         recorded = None
         if args.check:
             path = args.out or bench_path(verb.name)

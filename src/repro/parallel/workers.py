@@ -46,12 +46,12 @@ def run_chaos_events_shard(payload: Tuple[str, int]) -> Dict[str, Any]:
 
 
 def run_telemetry_shard(payload: Tuple[str, int, Any]) -> Dict[str, Any]:
-    """One instrumented chaos run: digest + metrics snapshot + timeline.
+    """One probed chaos run: digest + metrics snapshot + timeline.
 
-    The worker enables its own fresh registry (inside
-    ``run_instrumented_scenario``), so shards stay independent and the
-    parent merges their snapshots in canonical key order. The payload's
-    third item is the digest recorded with telemetry off (or None).
+    Each shard builds and reads its own harness, so shards stay
+    independent and the parent merges their snapshots in canonical key
+    order. The payload's third item is the digest the plain chaos
+    campaign recorded for the run (or None).
     """
     from repro.telemetry.runner import run_instrumented_scenario
 

@@ -1,18 +1,19 @@
 """Telemetry CLI: ``python -m repro telemetry``.
 
-Runs instrumented chaos scenarios — a fresh
-:class:`~repro.telemetry.metrics.MetricsRegistry` enabled around each
-cell build, plus an :class:`~repro.telemetry.probe.EventCountProbe` on
-the engine — and reports, per ``(scenario, seed)`` run:
+Runs the chaos scenarios under an
+:class:`~repro.telemetry.probe.EventCountProbe`, reads the finished
+harness with :func:`~repro.telemetry.collect.collect`, and reports, per
+``(scenario, seed)`` run:
 
 * the canonical trace **digest**, compared against the recorded chaos
-  baseline (``benchmarks/BENCH_chaos.json``): the run with telemetry ON
-  must produce the digest recorded with telemetry OFF, which is the
+  baseline (``benchmarks/BENCH_chaos.json``): the probed, read run must
+  produce the digest the plain chaos campaign recorded, which is the
   digest-neutrality contract made mechanical;
 * the reconstructed :class:`~repro.telemetry.timeline.FailoverTimeline`
   (failure → detect → notify → commit → first good delivery, plus the
   probe-gap downtime that exactly matches the chaos invariant bound);
-* the full **metrics snapshot** (counters, histograms, spans).
+* the **metrics snapshot**: every non-zero counter of every layer, the
+  per-subsystem event counts, the detection-latency histogram.
 
 Usage::
 
@@ -36,15 +37,24 @@ from typing import Any, Dict, Optional, Sequence
 from repro import harness
 from repro.faults.campaign import (
     CHAOS,
+    build_probe_harness,
+    drive_to,
+    judge_execution,
     recorded_digests,
-    run_scenario,
     scenario_arguments,
     selected_matrix,
 )
-from repro.faults.scenarios import scenario_by_name
+from repro.faults.scenarios import (
+    MEASURE_END_NS,
+    MEASURE_START_NS,
+    RUN_END_NS,
+    scenario_by_name,
+)
 from repro.parallel.workers import run_telemetry_shard
-from repro.telemetry.metrics import MetricsRegistry, enabled, merge_snapshots
-from repro.telemetry.probe import EventCountProbe
+from repro.telemetry.collect import collect
+from repro.telemetry.metrics import merge_snapshots, snapshot
+from repro.telemetry.probe import EVENT_COUNTER_PREFIX, EventCountProbe
+from repro.telemetry.timeline import FailoverTimeline
 
 #: Reduced matrix for ``--quick``: one process-fault failover, one
 #: command-loss failover, one degraded-mode scenario — each exercising a
@@ -71,40 +81,58 @@ CSV_COLUMNS = (
 def run_instrumented_scenario(
     scenario_name: str, seed: int, recorded_digest: Optional[str] = None
 ) -> Dict[str, Any]:
-    """One fully instrumented chaos run; returns a JSON-ready dict.
+    """One chaos run, probed and read; returns a JSON-ready dict.
 
-    The registry is enabled *before* the cell is built (component
-    construction is when instrumentation handles are captured) and the
-    engine probe wraps the whole run. ``digest_neutral`` says whether
-    the run reproduced ``recorded_digest`` — the digest recorded with
-    telemetry off (None when there is no recording to compare with).
+    The harness is the plain chaos one — nothing is switched on before
+    it is built — driven under the engine probe and read once it has
+    finished. ``digest_neutral`` says whether the run reproduced
+    ``recorded_digest`` — the digest the unprobed chaos campaign
+    recorded (None when there is no recording to compare with).
     """
     scenario = scenario_by_name()[scenario_name]
-    registry = MetricsRegistry()
-    with enabled(registry), EventCountProbe():
-        run = run_scenario(scenario, seed, replay=False)
+    probed = build_probe_harness(
+        seed, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
+    )
+    with EventCountProbe() as probe:
+        drive_to(probed, RUN_END_NS)
+    cell = probed.cell
+    run = judge_execution(scenario, seed, cell, probed.injector)
+    timeline = FailoverTimeline.from_events(
+        cell.trace.canonical_events(),
+        window_start_ns=MEASURE_START_NS,
+        window_end_ns=MEASURE_END_NS,
+    )
+    counters = collect(probed)
+    for bucket, count in probe.counts.items():
+        counters[EVENT_COUNTER_PREFIX + bucket] = count
+    # §5.2 bounds detection − last heartbeat by T plus one tick.
+    latencies = [
+        detected_at - last_heartbeat
+        for _, detected_at, last_heartbeat in cell.middlebox.detector.detections
+        if last_heartbeat is not None
+    ]
     return {
         "scenario": scenario_name,
         "seed": seed,
         "digest": run.digest,
         "invariants_passed": run.passed,
-        "timeline": run.timeline,
-        "metrics": registry.snapshot(),
+        "timeline": timeline.as_dict(),
+        "metrics": snapshot(
+            counters, {"core.detector.detection_latency_ns": latencies}
+        ),
         "digest_neutral": (
             None if recorded_digest is None else run.digest == recorded_digest
         ),
     }
 
 
-def _shards(scenario_names: Sequence[str], seeds: Sequence[int]) -> harness.Shards:
+def _shards(args: argparse.Namespace) -> harness.Shards:
     """Canonical ``(scenario, seed)`` shards, each carrying the digest
-    ``BENCH_chaos.json`` recorded for it with telemetry off."""
+    ``BENCH_chaos.json`` recorded for it, unprobed."""
+    scenarios, seeds = selected_matrix(args, QUICK_SCENARIOS)
     reference = recorded_digests()
-    return [
-        ((name, seed), (name, seed, reference.get((name, seed))))
-        for name in scenario_names
-        for seed in seeds
-    ]
+    keys = [(scenario.name, seed) for scenario in scenarios for seed in seeds]
+    return [(key, (*key, reference.get(key))) for key in keys]
 
 
 def _report(results: Dict[tuple, Dict[str, Any]], execution: dict) -> Dict[str, Any]:
@@ -125,20 +153,6 @@ def _report(results: Dict[tuple, Dict[str, Any]], execution: dict) -> Dict[str, 
         "merged_metrics": merge_snapshots([run["metrics"] for run in runs]),
         "execution": execution,
     }
-
-
-def run_telemetry(
-    scenario_names: Sequence[str],
-    seeds: Sequence[int],
-    jobs: int = 1,
-    progress=None,
-) -> Dict[str, Any]:
-    """Run the instrumented matrix and assemble the telemetry report."""
-    return _report(
-        *harness.fan_out(
-            run_telemetry_shard, _shards(scenario_names, seeds), jobs, progress
-        )
-    )
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +192,6 @@ def _format_csv(report: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _cli_shards(args: argparse.Namespace) -> harness.Shards:
-    scenarios, seeds = selected_matrix(args, QUICK_SCENARIOS)
-    return _shards([scenario.name for scenario in scenarios], seeds)
-
-
 TELEMETRY = harness.Verb(
     name="telemetry",
     description="Instrumented failover runs: metrics, timelines, and "
@@ -194,7 +203,7 @@ TELEMETRY = harness.Verb(
         f"{report['runs_total']} runs, "
         f"{report['neutrality_failures']} digest-neutrality failures"
     ),
-    shards=_cli_shards,
+    shards=_shards,
     worker=run_telemetry_shard,
     format_run=_format_run,
     report=_report,

@@ -38,6 +38,7 @@ from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
 from repro.parallel import run_shards
 from repro.sim.units import MS
+from repro.telemetry import collect
 
 #: Mid-recovery capture point: inside every standard scenario's fault
 #: window (faults land at 550 ms, recovery completes by 850 ms).
@@ -50,8 +51,9 @@ MID_RECOVERY_NS = 600 * MS
 def _mid_recovery_verify(payload):
     """Checkpoint one scenario mid-recovery; finish both timelines.
 
-    Returns the continued and restored runs — the caller asserts the
-    digests and verdicts are identical (and match the recorded chaos
+    Returns the continued and restored runs and whether the two
+    finished harnesses read the same (``collect``) — the caller asserts
+    the digests and verdicts are identical (and match the recorded chaos
     baseline).
     """
     name, seed = payload
@@ -70,6 +72,7 @@ def _mid_recovery_verify(payload):
     return {
         "continued": continued,
         "restored": replayed,
+        "readings_equal": collect(restored) == collect(harness),
         "checkpoint_sim_ns": checkpoint.meta.sim_now_ns,
     }
 
@@ -369,6 +372,9 @@ class TestMidRecoveryCheckpoints:
             )
             assert restored.passed and continued.passed, (
                 f"{name}: recovery invariants failed"
+            )
+            assert result["readings_equal"], (
+                f"{name}: the restored harness reads differently"
             )
             assert continued.digest == baseline[(name, 1)], (
                 f"{name}: run diverged from the recorded chaos baseline"

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+import importlib
+
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro import harness
+from repro.cli import _HARNESS_VERBS, EXPERIMENTS, build_parser, main
 from repro.experiments import (
     REGISTRY,
     ExperimentSpec,
@@ -22,6 +26,41 @@ OUT_OF_RANGE = [
     ("table2 --rates 1 0", "--rates: must be > 0, got 0"),
     ("fig3 --runs many", "--runs: invalid int value: 'many'"),
 ]
+
+#: (verb command line, the one line it must answer with): ROADMAP item
+#: 7c. A repeated selector is the harness's ``UsageError``, an
+#: out-of-range one argparse's, both before anything runs.
+VERB_REJECTS = [
+    ("chaos --scenario crash --scenario crash --seeds 1 --no-replay",
+     "repro chaos: run ('crash', 1) selected more than once"),
+    ("chaos --scenario crash --seeds 1 1",
+     "repro chaos: run ('crash', 1) selected more than once"),
+    ("telemetry --seeds 1 1",
+     "repro telemetry: run ('fh_loss', 1) selected more than once"),
+    ("fleet --quick --pool-sizes 1 1",
+     "repro fleet: run ('crash', 1, 1) selected more than once"),
+    ("chaos --seeds -1",
+     "repro chaos: error: argument --seeds: must be >= 0, got -1"),
+    ("telemetry --seeds -1",
+     "repro telemetry: error: argument --seeds: must be >= 0, got -1"),
+    ("fleet --quick --seeds -1",
+     "repro fleet: error: argument --seeds: must be >= 0, got -1"),
+    ("fleet --quick --pool-sizes -1",
+     "repro fleet: error: argument --pool-sizes: must be >= 0, got -1"),
+    ("soak --quick --seed -1",
+     "repro soak: error: argument --seed: must be >= 0, got -1"),
+    ("soak --quick --horizon -1",
+     "repro soak: error: argument --horizon: must be >= 0.5, got -1"),
+    ("soak --quick --horizon 0",
+     "repro soak: error: argument --horizon: must be >= 0.5, got 0"),
+    # Shorter than one checkpoint interval: nothing to resume from.
+    ("soak --quick --horizon 0.2",
+     "repro soak: error: argument --horizon: must be >= 0.5, got 0.2"),
+]
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("a run started although its arguments were refused")
 
 
 class TestParser:
@@ -64,6 +103,38 @@ class TestParser:
             if not line.startswith(("usage:", " "))
         ]
         assert errors == [f"repro: error: argument {complaint}"]
+
+    @pytest.mark.parametrize(
+        "argv, complaint", VERB_REJECTS, ids=[argv for argv, _ in VERB_REJECTS]
+    )
+    def test_verb_refuses_repeated_or_out_of_range_selector_before_running(
+        self, capsys, monkeypatch, argv, complaint
+    ):
+        verb, *flags = argv.split()
+        module = importlib.import_module(_HARNESS_VERBS[verb][0])
+        (attribute,) = [
+            name
+            for name, value in vars(module).items()
+            if isinstance(value, harness.Verb) and value.name == verb
+        ]
+        declared = getattr(module, attribute)
+        inert = dataclasses.replace(
+            declared,
+            **{
+                hook: _never
+                for hook in ("worker", "run", "side_mode")
+                if getattr(declared, hook) is not None
+            },
+        )
+        monkeypatch.setattr(module, attribute, inert)
+        assert main([verb, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [
+            line for line in captured.err.splitlines()
+            if not line.startswith(("usage:", " "))
+        ]
+        assert errors == [complaint]
 
 
 class TestExecution:

@@ -151,6 +151,31 @@ class TestDetection:
         latency = detections[0][1] - last_heartbeat
         assert latency <= config.timeout_ns + config.precision_ns
 
+    def test_a_detection_appends_exactly_one_record(self):
+        """``(phy, detected_at, last_heartbeat)`` per detection — what the
+        ``core.detector.detection_latency_ns`` histogram is computed from;
+        the timestamp is None when no heartbeat ever carried one."""
+        detector, detections = self._detector()
+        config = detector.config
+        for phy in (0, 1):
+            detector.set_monitor(phy, True)
+        detector.on_heartbeat(0, 1000)
+        detector.on_heartbeat(1)
+        assert detector.detections == []
+        for tick in range(config.ticks_per_timeout):
+            detector.on_timer_tick(1000 + (tick + 1) * config.tick_period_ns)
+        detected_at = 1000 + config.timeout_ns
+        assert detector.detections == [
+            (0, detected_at, 1000), (1, detected_at, None)
+        ]
+        assert detections == [(0, detected_at), (1, detected_at)]
+        assert detector.stats.heartbeats_seen == 2
+        assert detector.stats.ticks_processed == config.ticks_per_timeout
+        assert detector.stats.failures_detected == 2
+        # Already reported: further ticks add no record.
+        detector.on_timer_tick(detected_at + config.tick_period_ns)
+        assert len(detector.detections) == 2
+
 
 class TestBulkAdvance:
     """``advance(k, t)`` is exactly ``k`` single ticks ending at ``t``."""

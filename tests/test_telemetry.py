@@ -1,24 +1,30 @@
 """Telemetry subsystem tests.
 
-Covers the three contract legs of :mod:`repro.telemetry`:
+Covers the contract of :mod:`repro.telemetry`:
 
-* **Zero cost when disabled** — components built outside ``enabled(...)``
-  carry no registry handle at all.
-* **Determinism** — snapshots are canonical (sorted keys), merges are a
-  pure function of canonical shard order, and the report at ``--jobs 2``
-  is byte-identical to ``--jobs 1``.
-* **Digest neutrality** — instrumented runs reproduce the golden
-  canonical-trace digests recorded with telemetry off.
+* **The collector** — ``collect`` publishes every ``*Stats`` object a
+  probe harness holds (a new one cannot be forgotten silently), looking
+  mid-run changes neither the digest nor the final reading, and a
+  rebuilt component's names start over.
+* **Determinism** — snapshots are canonical (sorted names, zeros left
+  out) and merges are a pure function of canonical shard order
+  (``tests/test_harness_contract.py`` runs the report at jobs 1 / 2 / 4).
+* **Digest neutrality** — probed, read runs reproduce the golden
+  canonical-trace digests of plain runs.
 
 Plus the timeline reconstructor (synthetic traces, round-trips, and the
 paper's §5.2 detection-latency bound on a real crash failover).
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.core.failure_detector import DetectorConfig, FailureDetector
+from repro.checkpoint.snapshot import iter_object_graph
+from repro.core.failure_detector import DetectorConfig
+from repro.faults.campaign import build_probe_harness, drive_to, recorded_digests
+from repro.faults.scenarios import RUN_END_NS, scenario_by_name
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceEvent
 from repro.sim.units import MS, US
@@ -26,152 +32,43 @@ from repro.telemetry import (
     EVENT_COUNTER_PREFIX,
     EventCountProbe,
     FailoverTimeline,
-    MetricsRegistry,
-    active,
-    disable,
-    enable,
-    enabled,
+    collect,
     merge_snapshots,
+    snapshot,
+    stats_objects,
 )
+from repro.telemetry.runner import QUICK_SCENARIOS
 
 
-class TestMetricsPrimitives:
-    def test_counter_accumulates_and_is_shared_by_name(self):
-        registry = MetricsRegistry()
-        registry.counter("pkts").inc()
-        registry.counter("pkts").inc(4)
-        assert registry.counter("pkts").value == 5
-        assert registry.counter("pkts") is registry.counter("pkts")
-
-    def test_gauge_is_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth").set(3)
-        registry.gauge("depth").set(1)
-        assert registry.gauge("depth").value == 1
-
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        for value in (5, 1, 9):
-            registry.histogram("lat").observe(value)
-        assert registry.histogram("lat").summary() == {
-            "count": 3,
-            "min": 1,
-            "max": 9,
-            "sum": 15,
+class TestSnapshot:
+    def test_is_sorted_and_leaves_out_what_reads_zero(self):
+        taken = snapshot({"zeta": 2, "idle": 0, "alpha": 1.5}, {"lat": [7], "none": []})
+        assert list(taken["counters"]) == ["alpha", "zeta"]
+        assert taken["histograms"] == {
+            "lat": {"count": 1, "min": 7, "max": 7, "sum": 7, "observations": [7]}
         }
-        assert registry.histogram("empty").summary() == {"count": 0}
-
-    def test_span_sorts_attrs_and_computes_duration(self):
-        registry = MetricsRegistry()
-        span = registry.span("recovery", 100, 350, seed=1, scenario="crash")
-        assert span.duration_ns == 250
-        assert span.attrs == (("scenario", "crash"), ("seed", 1))
-        assert registry.spans == (span,)
-
-    def test_snapshot_is_canonically_sorted(self):
-        registry = MetricsRegistry()
-        registry.counter("zeta").inc()
-        registry.counter("alpha").inc()
-        registry.histogram("m").observe(7)
-        snapshot = registry.snapshot()
-        assert list(snapshot["counters"]) == ["alpha", "zeta"]
-        assert snapshot["histograms"]["m"]["observations"] == [7]
         # Canonical means JSON round-trip stable.
-        assert json.loads(json.dumps(snapshot)) == snapshot
-
-
-class TestActiveRegistry:
-    def test_disabled_by_default(self):
-        disable()
-        assert active() is None
-
-    def test_enabled_scope_installs_and_restores(self):
-        disable()
-        with enabled() as registry:
-            assert active() is registry
-            with enabled() as inner:
-                assert active() is inner
-            assert active() is registry
-        assert active() is None
-
-    def test_enable_returns_the_installed_registry(self):
-        mine = MetricsRegistry()
-        try:
-            assert enable(mine) is mine
-            assert active() is mine
-        finally:
-            disable()
-
-    def test_component_built_while_disabled_carries_no_registry(self):
-        disable()
-        detector = FailureDetector()
-        assert detector._metrics is None
-
-    def test_component_built_while_enabled_captures_registry(self):
-        with enabled() as registry:
-            detector = FailureDetector()
-        assert detector._metrics is registry
-
-    def test_detector_counts_ticks_resets_and_saturation(self):
-        config = DetectorConfig(timeout_ns=450 * US, ticks_per_timeout=50)
-        with enabled() as registry:
-            detector = FailureDetector(config)
-        detector.set_monitor(0, True)
-        detector.on_heartbeat(0, 1000)
-        for tick in range(config.ticks_per_timeout):
-            detector.on_timer_tick(1000 + (tick + 1) * config.tick_period_ns)
-        counters = registry.snapshot()["counters"]
-        assert counters["detector.heartbeat_resets"] == 1
-        assert counters["detector.ticks"] == config.ticks_per_timeout
-        assert counters["detector.saturations"] == 1
-        histogram = registry.snapshot()["histograms"][
-            "detector.detection_latency_ns"
-        ]
-        assert histogram["count"] == 1
-        assert histogram["observations"][0] == config.timeout_ns
+        assert json.loads(json.dumps(taken)) == taken
 
 
 class TestMergeSnapshots:
-    def _snapshot(self, **counters):
-        registry = MetricsRegistry()
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
-        return registry.snapshot()
-
     def test_counters_add_and_resort(self):
         merged = merge_snapshots(
-            [self._snapshot(b=2), self._snapshot(a=1, b=3)]
+            [snapshot({"b": 2}, {}), snapshot({"a": 1, "b": 3}, {})]
         )
         assert merged["counters"] == {"a": 1, "b": 5}
         assert list(merged["counters"]) == ["a", "b"]
 
     def test_histograms_concatenate_in_shard_order(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.histogram("lat").observe(10)
-        second.histogram("lat").observe(3)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
+        merged = merge_snapshots(
+            [snapshot({}, {"lat": [10]}), snapshot({}, {"lat": [3]})]
+        )
         assert merged["histograms"]["lat"]["observations"] == [10, 3]
         assert merged["histograms"]["lat"]["count"] == 2
         assert merged["histograms"]["lat"]["min"] == 3
 
-    def test_gauges_last_write_and_spans_concatenate(self):
-        first, second = MetricsRegistry(), MetricsRegistry()
-        first.gauge("depth").set(9)
-        first.span("s", 0, 10)
-        second.gauge("depth").set(2)
-        second.span("s", 10, 30)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["gauges"]["depth"] == 2
-        assert [span["t_start_ns"] for span in merged["spans"]] == [0, 10]
-
     def test_merge_of_empty_is_empty(self):
-        merged = merge_snapshots([])
-        assert merged == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "spans": [],
-        }
+        assert merge_snapshots([]) == {"counters": {}, "histograms": {}}
 
 
 class TestEventCountProbe:
@@ -191,27 +88,10 @@ class TestEventCountProbe:
         assert Simulator._pop is original_pop
         assert probe.total_events == 3
 
-    def test_records_into_active_registry(self):
-        with enabled() as registry:
-            with EventCountProbe():
-                self._run_small_sim()
-        counters = registry.snapshot()["counters"]
-        assert sum(
-            value
-            for name, value in counters.items()
-            if name.startswith(EVENT_COUNTER_PREFIX)
-        ) == 3
-
     def test_not_reentrant(self):
         with EventCountProbe() as probe:
             with pytest.raises(RuntimeError):
                 probe.__enter__()
-
-    def test_probe_without_registry_keeps_registry_empty(self):
-        disable()
-        with EventCountProbe() as probe:
-            self._run_small_sim()
-        assert probe.total_events == 3
 
     def test_subsystem_attribution(self):
         from repro.telemetry.probe import subsystem_of
@@ -221,6 +101,70 @@ class TestEventCountProbe:
         probe = lambda: None  # noqa: E731
         assert subsystem_of(probe) == probe.__module__.split(".")[0]
         assert subsystem_of(int) == "builtins"
+
+
+def _is_stats(obj) -> bool:
+    return dataclasses.is_dataclass(obj) and type(obj).__name__.endswith("Stats")
+
+
+@pytest.mark.slow
+class TestCollector:
+    def test_every_stats_object_of_a_harness_is_published(self):
+        """Completeness: whatever ``*Stats`` dataclass instance the
+        checkpoint walker finds in a built-and-run harness (link faults
+        armed, so ``ImpairmentStats`` exist), ``collect`` reads — a new
+        Stats class or a new component cannot be forgotten silently."""
+        harness = build_probe_harness(1, plan=scenario_by_name()["fh_loss"].plan)
+        drive_to(harness, 30 * MS)
+        published = list(stats_objects(harness))
+        prefixes = [prefix for prefix, _ in published]
+        assert len(set(prefixes)) == len(prefixes)
+        assert all(_is_stats(stats) for _, stats in published)
+        reachable = [obj for obj in iter_object_graph(harness) if _is_stats(obj)]
+        assert {type(obj).__name__ for obj in reachable} >= {
+            "ImpairmentStats", "UdpFlowStats", "RlcTxStats", "HarqCombineStats"
+        }
+        ids = {id(stats) for _, stats in published}
+        assert [obj for obj in reachable if id(obj) not in ids] == []
+        reading = collect(harness)
+        assert list(reading) == sorted(reading)
+        assert len(reading) == sum(
+            len(dataclasses.fields(stats)) for _, stats in published
+        ) + len(harness.cell.phy_servers) + 2
+
+    @pytest.mark.parametrize("name", QUICK_SCENARIOS)
+    def test_reading_is_neutral(self, name):
+        """A ``collect`` at every 10 ms pause reproduces the recorded chaos
+        digest and the final reading of a run nobody looked at."""
+        scenario = scenario_by_name()[name]
+        watched, unwatched = (
+            build_probe_harness(
+                1, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
+            )
+            for _ in range(2)
+        )
+        looks = []
+        for until in range(10 * MS, RUN_END_NS + 1, 10 * MS):
+            drive_to(watched, until)
+            looks.append(collect(watched))
+        drive_to(unwatched, RUN_END_NS)
+        assert watched.cell.sim.now == RUN_END_NS
+        assert watched.cell.trace.digest() == recorded_digests()[(name, 1)]
+        assert looks[-1] == collect(unwatched)
+        assert looks[0] != looks[-1]
+
+    def test_a_rebuilt_component_starts_over(self):
+        """The rule interval rows must start from (``collect``'s
+        docstring): a restarted PHY gets a fresh codec, so a name's
+        reading can drop between two looks."""
+        scenario = scenario_by_name()["crash_restart"]
+        (fault,) = scenario.plan.process_faults
+        harness = build_probe_harness(1, plan=scenario.plan)
+        drive_to(harness, fault.at_ns + fault.duration_ns - 1 * MS)
+        before = collect(harness)["phy.phy0.codec.blocks_decoded"]
+        drive_to(harness, RUN_END_NS)
+        after = collect(harness)["phy.phy0.codec.blocks_decoded"]
+        assert 0 <= after < before
 
 
 class TestFailoverTimeline:
@@ -301,16 +245,16 @@ class TestFailoverTimeline:
 @pytest.mark.slow
 class TestDigestNeutrality:
     def test_instrumented_chaos_run_reproduces_golden_digest(self):
-        """Telemetry ON reproduces the digest recorded with telemetry OFF."""
+        """A probed, read run reproduces the plain run's golden digest."""
         from repro.telemetry.runner import run_instrumented_scenario
         from tests.test_perf_digests import GOLDEN_DIGESTS
 
         run = run_instrumented_scenario("cmd_drop", 1)
         assert run["digest"] == GOLDEN_DIGESTS["chaos_cmd_drop"]
         assert run["invariants_passed"] is True
-        # The run was actually instrumented, not silently disabled.
+        # The run was actually probed and read.
         counters = run["metrics"]["counters"]
-        assert counters["detector.ticks"] > 0
+        assert counters["core.detector.ticks_processed"] > 0
         assert any(
             name.startswith(EVENT_COUNTER_PREFIX) for name in counters
         )
@@ -319,7 +263,7 @@ class TestDigestNeutrality:
         from repro.perf.scenarios import scenario_digest
         from tests.test_perf_digests import GOLDEN_DIGESTS
 
-        with enabled(), EventCountProbe():
+        with EventCountProbe():
             digest = scenario_digest("fig10_smoke")
         assert digest == GOLDEN_DIGESTS["fig10_smoke"]
 
@@ -338,7 +282,7 @@ class TestInstrumentedFailover:
         one tick of T = 450 µs."""
         config = DetectorConfig()
         histogram = crash_run["metrics"]["histograms"][
-            "detector.detection_latency_ns"
+            "core.detector.detection_latency_ns"
         ]
         assert histogram["count"] >= 1
         for observed in histogram["observations"]:
@@ -347,8 +291,6 @@ class TestInstrumentedFailover:
             ), f"detection latency {observed} ns vs T={config.timeout_ns} ns"
 
     def test_timeline_within_scenario_downtime_budget(self, crash_run):
-        from repro.faults.scenarios import scenario_by_name
-
         budget = scenario_by_name()["crash"].downtime_budget_ns
         timeline = crash_run["timeline"]
         assert timeline["downtime_ns"] is not None
@@ -362,27 +304,20 @@ class TestInstrumentedFailover:
             <= timeline["first_good_ns"]
         )
 
-    def test_recovery_span_emitted(self, crash_run):
-        spans = [
-            span
-            for span in crash_run["metrics"]["spans"]
-            if span["name"] == "chaos.recovery"
-        ]
-        assert len(spans) == 1
-        assert spans[0]["attrs"]["scenario"] == "crash"
-        assert spans[0]["attrs"]["seed"] == 1
-
-
-@pytest.mark.slow
-class TestParallelNeutrality:
-    def test_report_identical_at_jobs_1_and_2(self):
-        from repro.telemetry.runner import run_telemetry
-
-        serial = run_telemetry(["cmd_drop", "crash"], [1], jobs=1)
-        parallel = run_telemetry(["cmd_drop", "crash"], [1], jobs=2)
-        serial.pop("execution")
-        parallel.pop("execution")
-        assert serial == parallel
+    def test_the_absorption_story_is_readable(self, crash_run):
+        """§4: the failover is absorbed by HARQ / MAC / the RU, and one
+        run's snapshot says so, layer by layer."""
+        counters = crash_run["metrics"]["counters"]
+        for name in (
+            "phy.phy1.harq.lost_to_migration",
+            "l2.mac0.ul_dtx_timeouts",
+            "l2.mac0.ul_retx_granted",
+            "fronthaul.ru0.slots_without_control",
+            "transport.udp.probe.tx.packets_sent",
+            "transport.udp.probe.rx.packets_received",
+        ):
+            assert counters[name] > 0, name
+        assert 0 not in counters.values()
 
 
 @pytest.mark.slow

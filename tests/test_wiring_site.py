@@ -10,6 +10,9 @@ and are not covered.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -50,3 +53,44 @@ def test_only_the_deployment_module_instantiates_components():
         "components instantiated outside cell/deployment.py "
         f"(compose build_slingshot_cell instead): {sites}"
     )
+
+
+def test_nothing_simulated_imports_telemetry():
+    """Components count in their own ``Stats``; telemetry reads them. An
+    import of ``repro.telemetry`` outside the package itself (and the
+    shard worker that runs it) is a push site growing back."""
+    importers = {}
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative.startswith("telemetry/") or relative == "parallel/workers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [
+                    node.module,
+                    *(f"{node.module}.{alias.name}" for alias in node.names),
+                ]
+            if any(name.startswith("repro.telemetry") for name in names):
+                importers[relative] = node.lineno
+    assert importers == {}
+
+
+def test_the_readers_load_no_campaign_tooling():
+    """``bench/`` imports ``repro.telemetry.timeline`` at the end of a
+    measured run, on top of its memory high-water mark: the package's
+    import must stay what the timeline needs, not the campaign harness
+    (argparse tables, the process pool) — 3.5 MB of peak RSS when it did."""
+    code = (
+        "import sys, repro.telemetry.timeline\n"
+        "tooling = ('repro.harness', 'repro.parallel', 'repro.faults.campaign')\n"
+        "loaded = [m for m in sys.modules if m.startswith(tooling)]\n"
+        "sys.exit(str(loaded) if loaded else 0)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
