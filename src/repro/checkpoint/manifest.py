@@ -21,7 +21,7 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.apps.video.VideoReceiver': ('bins', 'bytes_received', 'packets_received'),
     'repro.apps.video.VideoSender': ('_frame_index', '_running', '_seq', 'frames_sent'),
     'repro.cell.deployment.BaselineCell': ('_reroute_armed',),
-    'repro.core.failure_detector.FailureDetector': ('_deadline', '_grid_origin_ns', '_last_heartbeat_ns', '_monitored', '_reported', '_sim', '_ticks_applied', 'detections'),
+    'repro.core.failure_detector.FailureDetector': ('_deadline', '_grid_origin_ns', '_lag', '_last_heartbeat_ns', '_monitored', '_reported', '_sim', '_ticks_applied', 'detections'),
     'repro.core.fh_middlebox.FronthaulMiddlebox': ('_switch', 'detector', 'l2_table', 'notification_target'),
     'repro.core.migration.ClusterConfig': ('servers',),
     'repro.core.orion.L2SideOrion': ('cells', 'phy_orion_macs'),
@@ -58,7 +58,7 @@ STATE_MANIFEST: Dict[str, Tuple[str, ...]] = {
     'repro.phy.snr_filter.SnrMovingAverage': ('_state',),
     'repro.sim.engine.EventHandle': ('cancelled',),
     'repro.sim.engine.PeriodicHandle': ('_event',),
-    'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_now', '_queue', '_running', 'compactions'),
+    'repro.sim.engine.Simulator': ('_cancelled_in_queue', '_events_processed', '_queue', '_running', 'compactions', 'now'),
     'repro.sim.rng.BatchedIntegers': ('_buf', '_pos'),
     'repro.sim.rng.RngRegistry': ('_streams',),
     'repro.sim.trace.TraceRecorder': ('_by_category', '_chain', '_events', '_evicted_events', '_evicted_horizon_ns'),

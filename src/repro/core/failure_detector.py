@@ -25,13 +25,19 @@ How the tick stream is evaluated (DESIGN.md §9): the timer packets are
 modelled, not simulated one event each. Bound to a simulator by
 :meth:`FailureDetector.start_grid`, tick ``i`` exists at ``origin + i *
 tick_period_ns``; elapsed ticks are applied arithmetically whenever
-detector state is touched, and one heap event — the *deadline* — sits at
-the earliest tick on which a monitored, unreported counter could
-saturate. Heartbeats only push that instant later, so they leave the
-event alone and it re-derives itself when it fires. A tick and a touch
-at the same nanosecond resolve **tick first** (the generator armed that
-timer packet a period earlier than a link armed the delivery), except
-tick 0, which is armed at the origin and so follows what runs there.
+detector state is *read* (the deadline event, ``counters``, ``stats``,
+``set_monitor``), and one heap event — the *deadline* — sits at the
+earliest tick on which a monitored, unreported counter could saturate.
+A heartbeat only pushes that instant later, so it leaves the event alone
+(it re-derives itself when it fires) and applies no tick: it writes its
+zero and records how many elapsed, unapplied ticks the zero covers — the
+PHY's *lag*, which the next sync leaves out of that PHY's share. Nothing
+saturates unseen meanwhile: every event before now has run and the
+deadline is never later than a saturation. A tick and a touch at the
+same nanosecond resolve **tick first** (the generator armed that timer
+packet a period earlier than a link armed the delivery) — so a heartbeat
+that finds the deadline queued at its own nanosecond syncs like a read —
+except tick 0, armed at the origin, which follows what runs there.
 """
 
 from __future__ import annotations
@@ -111,8 +117,11 @@ class FailureDetector:
         self._grid_period_ns = self.config.tick_period_ns
         #: Grid ticks applied so far (the next one is tick ``_ticks_applied``).
         self._ticks_applied = 0
-        #: Pending event, never later than the earliest possible saturation.
+        #: Queued event, never later than the earliest possible saturation.
         self._deadline: Optional[EventHandle] = None
+        #: Per PHY zeroed since the last sync: how many of the ticks the
+        #: next sync applies had already elapsed when the zero was written.
+        self._lag: Dict[int, int] = {}
 
     def start_grid(self, sim: Simulator) -> None:
         """Start the timer-tick stream: tick 0 is now, then one per period."""
@@ -122,13 +131,14 @@ class FailureDetector:
 
     def stop_grid(self) -> None:
         """Stop the tick stream; later touches see no further ticks."""
+        self._sync()
         if self._deadline is not None:
             self._deadline.cancel()
         self._sim = self._deadline = None
 
     def _sync(self, count: Optional[int] = None) -> None:
         """Apply grid ticks up to tick number ``count`` (counted from 1;
-        default: every tick that has elapsed since the last touch)."""
+        default: every tick that has elapsed since the last sync)."""
         if self._sim is None:
             return
         if count is None:
@@ -157,7 +167,7 @@ class FailureDetector:
             target = self._ticks_applied + min(steps)
         when = self._grid_origin_ns + (target - 1) * self._grid_period_ns
         pending = self._deadline
-        if pending is not None and pending.pending:
+        if pending is not None:
             if pending.time <= when:
                 return
             pending.cancel()
@@ -168,6 +178,7 @@ class FailureDetector:
     def _on_deadline(self, target: int) -> None:
         """Apply the deadline tick (detecting, if nothing reset the
         counter meanwhile) and re-derive the next deadline."""
+        self._deadline = None
         self._sync(target)
         self._arm()
 
@@ -222,7 +233,18 @@ class FailureDetector:
         detector behaviour.
         """
         if 0 <= phy_id < self._counters.size:
-            self._sync()
+            sim = self._sim
+            if sim is not None:
+                deadline = self._deadline
+                elapsed = sim.now - self._grid_origin_ns
+                if deadline is not None and deadline.time <= sim.now:
+                    # Queued at this very nanosecond, and its tick may
+                    # saturate: tick first.
+                    self._sync()
+                elif elapsed:  # (At the origin no tick precedes a touch.)
+                    self._lag[phy_id] = (
+                        elapsed // self._grid_period_ns + 1 - self._ticks_applied
+                    )
             self._counters.write(phy_id, 0)
             self._stats.heartbeats_seen += 1
             self._last_heartbeat_ns[phy_id] = now_ns
@@ -243,13 +265,17 @@ class FailureDetector:
         """
         self._stats.ticks_processed += ticks
         threshold = self.config.ticks_per_timeout
+        lag = self._lag
         #: (tick of this batch, counted from 1, that saturates; phy).
         saturated: List[Tuple[int, int]] = []
         for phy_id in self._monitored:
             if phy_id not in self._reported:
-                step = min(ticks, self._ticks_to_saturation(phy_id))
+                # A PHY zeroed since the last sync sat out its lag.
+                covered = lag.get(phy_id, 0)
+                step = min(ticks - covered, self._ticks_to_saturation(phy_id))
                 if self._counters.increment(phy_id, step) >= threshold:
-                    saturated.append((step, phy_id))
+                    saturated.append((covered + step, phy_id))
+        lag.clear()
         # Stable: PHYs saturating on one tick keep their scan order.
         saturated.sort(key=itemgetter(0))
         period = self.config.tick_period_ns

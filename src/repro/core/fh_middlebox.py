@@ -235,13 +235,23 @@ class FronthaulMiddlebox:
                     slot=abs_slot,
                 )
 
+    def _steer(self, ru_id: int, abs_slot: int) -> int:
+        """Active PHY for a packet of ``abs_slot``, committing first a
+        migration whose boundary the packet reaches. One ``mig_valid``
+        read settles every packet that finds no `migrate_on_slot` pending."""
+        if self.mig_valid.read(ru_id):
+            self._maybe_commit_migration(ru_id, abs_slot)
+            return self._effective_phy(ru_id, abs_slot)
+        if abs_slot < self.last_boundary.read(ru_id):
+            return self.prev_phy.read(ru_id)
+        return self.ru_to_phy.read(ru_id)
+
     def _process_uplink(self, frame: EthernetFrame, payload) -> ForwardingDecision:
         ru_id = self.ru_id_directory.lookup(frame.src)
         if ru_id is None:
             self.stats.unknown_dropped += 1
             return ForwardingDecision.drop(frame)
-        self._maybe_commit_migration(ru_id, payload.abs_slot)
-        phy_id = self._effective_phy(ru_id, payload.abs_slot)
+        phy_id = self._steer(ru_id, payload.abs_slot)
         target = self.phy_address_directory.lookup(phy_id)
         if target is None:
             self.stats.unknown_dropped += 1
@@ -259,9 +269,7 @@ class FronthaulMiddlebox:
         # including packets about to be filtered.
         self.detector.on_heartbeat(src_phy, self.sim.now)
         ru_id = payload.ru_id
-        self._maybe_commit_migration(ru_id, payload.abs_slot)
-        active = self._effective_phy(ru_id, payload.abs_slot)
-        if src_phy != active:
+        if src_phy != self._steer(ru_id, payload.abs_slot):
             self.stats.dl_filtered += 1
             return ForwardingDecision.drop(frame)
         target = self.ru_port_directory.lookup(ru_id)

@@ -162,8 +162,10 @@ class RadioUnit(Process):
         self.call_after(
             self.control_deadline_ns, self._process_slot, abs_slot, slot_type
         )
-        # Garbage-collect state from long-past slots.
-        self._gc(abs_slot - 16)
+        # Garbage-collect state from long-past slots: what a scan frees
+        # is at least 16 slots stale, so one scan in 16 slots is enough.
+        if abs_slot % 16 == 0:
+            self._gc(abs_slot - 16)
 
     def _process_slot(self, abs_slot: int, slot_type: SlotType) -> None:
         cplane = self._cplane.pop(abs_slot, None)

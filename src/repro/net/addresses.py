@@ -43,6 +43,10 @@ class MacAddress:
     def __int__(self) -> int:
         return self.value
 
+    def __hash__(self) -> int:
+        # The generated hash builds a one-element tuple per table lookup.
+        return hash(self.value)
+
 
 #: The all-ones broadcast address.
 BROADCAST_MAC = MacAddress((1 << 48) - 1)

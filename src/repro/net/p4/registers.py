@@ -31,24 +31,28 @@ class RegisterArray:
         self.writes = 0
 
     def _check(self, index: int) -> None:
+        """Raise for an out-of-range index (accessors test the bound inline)."""
         if not 0 <= index < self.size:
             raise IndexError(f"{self.name}[{index}] out of range (size {self.size})")
 
     def read(self, index: int) -> int:
         """Data-plane read."""
-        self._check(index)
+        if not 0 <= index < self.size:
+            self._check(index)
         self.reads += 1
         return self._cells[index]
 
     def write(self, index: int, value: int) -> None:
         """Data-plane write; values wrap at the register width."""
-        self._check(index)
+        if not 0 <= index < self.size:
+            self._check(index)
         self.writes += 1
         self._cells[index] = value & self._mask
 
     def increment(self, index: int, amount: int = 1) -> int:
         """Saturating increment (the detector counters saturate, not wrap)."""
-        self._check(index)
+        if not 0 <= index < self.size:
+            self._check(index)
         self.writes += 1
         value = min(self._cells[index] + amount, self._mask)
         self._cells[index] = value

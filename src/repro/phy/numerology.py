@@ -116,10 +116,9 @@ class SlotClock:
     def __init__(self, numerology: Numerology, epoch_ns: int = 0) -> None:
         self.numerology = numerology
         self.epoch_ns = epoch_ns
-
-    @property
-    def slot_duration_ns(self) -> int:
-        return self.numerology.slot_duration_ns
+        #: The numerology's slot (TTI) duration, read under every
+        #: ``slot_at`` / ``slot_start``.
+        self.slot_duration_ns = numerology.slot_duration_ns
 
     def slot_at(self, time_ns: int) -> int:
         """Absolute slot counter containing ``time_ns``."""

@@ -67,6 +67,10 @@ from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
 
+#: Destination of every emitted fronthaul frame: a placeholder the switch
+#: rewrites toward the RU port.
+_UNRESOLVED_DST = MacAddress(0)
+
 
 @dataclass
 class PhyConfig:
@@ -150,6 +154,7 @@ class PhyProcess(Process):
     ) -> None:
         super().__init__(sim, name)
         self._fh_tx_label = f"{name}.fh_tx"
+        self._ul_done_label = f"{name}.ul_done"
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
@@ -324,6 +329,12 @@ class PhyProcess(Process):
         for cell in self.cells.values():
             if cell.started:
                 self._process_cell_slot(cell, abs_slot)
+        # Every handle is appended under this tick, healthy or hung, so
+        # this is the one place that bounds the list.
+        if len(self._pending) > 64:
+            self._pending = [
+                h for h in self._pending if not (h.fired or h.cancelled)
+            ]
 
     def _tx_jitter_ns(self) -> int:
         """Transmit-time jitter for the slot's first DL packet.
@@ -388,13 +399,11 @@ class PhyProcess(Process):
             cell,
             abs_slot,
             ul_pdus,
-            label=f"{self.name}.ul_done",
+            label=self._ul_done_label,
         )
         if self.phy_backend is not None:
             self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
         self._pending.append(handle)
-        if len(self._pending) > 64:
-            self._pending = [h for h in self._pending if h.pending]
 
     # ------------------------------------------------------------------
     # Downlink emission (the heartbeat + DL data)
@@ -482,7 +491,7 @@ class PhyProcess(Process):
             vran_instance_id=self.config.vran_instance_id,
         )
         mid_offset = self.config.tx_lead_ns + 250 * US + round(
-            float(self.rng.uniform(0.0, 50.0)) * US
+            50.0 * float(self.rng.random()) * US
         )
         self._send_fronthaul_at(self.now + mid_offset, mid, mid.wire_bytes)
 
@@ -501,7 +510,7 @@ class PhyProcess(Process):
             return
         frame = EthernetFrame(
             src=self.mac,
-            dst=MacAddress(0),  # Rewritten by the switch toward the RU port.
+            dst=_UNRESOLVED_DST,
             ethertype=EtherType.ECPRI,
             payload=payload,
             wire_bytes=wire_bytes,

@@ -200,11 +200,11 @@ class PeriodicHandle:
         sim = self._sim
         if first_at is None:
             offset = self.period if start_offset is None else start_offset
-            first_at = sim._now + offset
-        if first_at < sim._now:
+            first_at = sim.now + offset
+        if first_at < sim.now:
             raise SimulationError(
                 f"cannot arm periodic at t={first_at} ns; "
-                f"clock is already at {sim._now} ns"
+                f"clock is already at {sim.now} ns"
             )
         self._arm(first_at)
 
@@ -267,7 +267,8 @@ class Simulator:
             raise ValueError(
                 f"compaction_threshold must be >= 1, got {compaction_threshold}"
             )
-        self._now = start_time
+        #: Current simulated time in nanoseconds; only the run loop writes it.
+        self.now = start_time
         self._queue: List[_QueueEntry] = []
         self._seq = itertools.count()
         self._running = False
@@ -291,14 +292,6 @@ class Simulator:
             )
         )
 
-    # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
     @property
     def events_processed(self) -> int:
         """Total number of callbacks executed so far."""
@@ -321,7 +314,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
-        time = self._now + delay
+        time = self.now + delay
         handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
         heappush(
@@ -338,9 +331,9 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} ns; clock is already at {self._now} ns"
+                f"cannot schedule at t={time} ns; clock is already at {self.now} ns"
             )
         handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
@@ -425,7 +418,7 @@ class Simulator:
         if entry is None:
             return False
         handle = entry[3]
-        self._now = entry[0]
+        self.now = entry[0]
         handle.fired = True
         self._events_processed += 1
         periodic = handle.periodic
@@ -445,7 +438,7 @@ class Simulator:
                 if entry is None:
                     return True
                 handle = entry[3]
-                self._now = entry[0]
+                self.now = entry[0]
                 handle.fired = True
                 self._events_processed += 1
                 periodic = handle.periodic
@@ -463,16 +456,16 @@ class Simulator:
         :meth:`stop` leaves the clock at the last fired event: earlier
         events may still be queued, and the clock never steps back to them.
         """
-        if end_time < self._now:
+        if end_time < self.now:
             raise SimulationError(
-                f"run_until({end_time}) is in the past (now={self._now})"
+                f"run_until({end_time}) is in the past (now={self.now})"
             )
-        if self._run(end_time) and self._now < end_time:
-            self._now = end_time
+        if self._run(end_time) and self.now < end_time:
+            self.now = end_time
 
     def run_for(self, duration: int) -> None:
         """Run the simulation for ``duration`` ns of simulated time."""
-        self.run_until(self._now + duration)
+        self.run_until(self.now + duration)
 
     def run(self) -> None:
         """Run until the event queue drains completely."""
@@ -493,4 +486,4 @@ class Simulator:
         return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Simulator now={self._now}ns pending={self.pending_events}>"
+        return f"<Simulator now={self.now}ns pending={self.pending_events}>"

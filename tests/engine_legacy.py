@@ -142,15 +142,11 @@ class LegacySimulator:
     """
 
     def __init__(self, start_time: int = 0) -> None:
-        self._now = start_time
+        self.now = start_time
         self._queue: List[_LegacyQueueEntry] = []
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
-
-    @property
-    def now(self) -> int:
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -163,7 +159,7 @@ class LegacySimulator:
         *args: Any,
         label: str = "",
     ) -> LegacyEventHandle:
-        return self.at(self._now + delay, callback, *args, label=label)
+        return self.at(self.now + delay, callback, *args, label=label)
 
     def at(
         self,
@@ -194,7 +190,7 @@ class LegacySimulator:
         engines."""
         if first_at is None:
             offset = period if start_offset is None else start_offset
-            first_at = self._now + offset
+            first_at = self.now + offset
         return LegacyPeriodicHandle(self, period, callback, args, first_at, label=label)
 
     def step(self) -> bool:
@@ -203,7 +199,7 @@ class LegacySimulator:
             handle = entry.handle
             if handle.cancelled:
                 continue
-            self._now = entry.time
+            self.now = entry.time
             handle.fired = True
             self._events_processed += 1
             handle.callback(*handle.args)
@@ -220,11 +216,11 @@ class LegacySimulator:
                 self.step()
         finally:
             self._running = False
-        if self._now < end_time:
-            self._now = end_time
+        if self.now < end_time:
+            self.now = end_time
 
     def run_for(self, duration: int) -> None:
-        self.run_until(self._now + duration)
+        self.run_until(self.now + duration)
 
     def run(self) -> None:
         self._running = True

@@ -14,12 +14,40 @@ Every scheduled operation is armed one link latency (1 µs) before it
 runs, the way ``Link._deliver`` arms a packet, so under FIFO a tick and
 an operation at the same nanosecond resolve tick-first in the eager
 model — the convention the deadline-driven detector hard-codes.
+
+A heartbeat applies no tick: it writes its zero and records the PHY's
+*lag*, which the next sync (the deadline event, ``counters``, ``stats``,
+``set_monitor``) leaves out of that PHY's share. The generated schedules
+therefore land heartbeats between syncs, interleave all three kinds of
+read, and put operations on the exact nanosecond of a grid tick, of a
+grid's origin and inside the last microsecond before a tick (where the
+deadline a read arms pops *after* a coincident heartbeat);
+``test_corpus_reaches_the_lag_cases`` counts each. ``TestMutantsAreCaught``
+applies three one-line mutants to the live detector and requires the
+schedules to tell each from the per-tick model. Census (of the 8 named
+lag schedules + the 12 FIFO corpus seeds, how many differ from the model):
+
+* ``lag_not_cleared_at_sync`` — 4 named + 12 generated;
+* ``zero_swallows_the_saturating_tick`` (a heartbeat that finds the
+  deadline still queued at its own nanosecond records a lag instead of
+  applying the tick first) — 1 named + 11 generated;
+* ``lag_recorded_at_the_origin`` (tick 0, still to come, counted as
+  elapsed) — 1 named + 1 generated.
+
+ISSUE 22 named two other mutants — lag not added in
+``_ticks_to_saturation``, a stale lag kept on an already-applied tick —
+that have no live line here: ``_arm`` derives its target right after a
+sync, when the lag map is empty (and a target without the lag is early,
+never late), and a heartbeat always overwrites its own entry. The two
+above are the nearest lines that exist.
 """
 
 from dataclasses import asdict
 
 import pytest
 
+from repro import CellConfig, build_slingshot_cell
+from repro.checkpoint.snapshot import Checkpoint
 from repro.core.commands import FailureNotification
 from repro.core.failure_detector import DetectorConfig, FailureDetector
 from repro.core.fh_middlebox import FronthaulMiddlebox
@@ -28,7 +56,8 @@ from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.sim.units import US
+from repro.sim.units import MS, US
+from tests.conftest import mutated
 from tests.packetgen import PacketGenerator
 
 ORION_MAC = MacAddress(0x30)
@@ -38,6 +67,8 @@ LEAD_NS = 1_000
 PERIOD_NS = DetectorConfig().tick_period_ns
 THRESHOLD = DetectorConfig().ticks_per_timeout
 SHUFFLE_SEEDS = (1, 2, 3)
+#: The generated FIFO schedules (with coincidences).
+CORPUS_SEEDS = range(12)
 
 
 class EagerMiddlebox(FronthaulMiddlebox):
@@ -97,6 +128,10 @@ class Rig:
         detector = self.mbox.detector
         if kind == "hb":
             detector.on_heartbeat(args[0], self.sim.now)
+        elif kind == "hb_after":
+            # Armed at its own instant: behind whatever this instant's
+            # earlier operations armed there (a deadline, tick 0).
+            self.sim.at(self.sim.now, self.apply, ("hb", args[0]))
         elif kind == "mon":
             detector.set_monitor(args[0], args[1])
         elif kind == "reconf":
@@ -107,6 +142,9 @@ class Rig:
             detector.counters.write(args[0], args[1])
         elif kind == "read":
             self.reads.append(self.observe())
+        elif kind == "stats":
+            # ``stats`` alone: a sync that does not move the deadline.
+            self.reads.append((self.sim.now, asdict(detector.stats)))
         else:  # pragma: no cover
             raise ValueError(kind)
 
@@ -317,6 +355,83 @@ class TestNamedSchedules:
         # Stats belong to the new detector: ticks 0..5 by at + 55 us.
         assert out["reads"][0][2]["ticks_processed"] == 6
 
+    def test_heartbeats_between_syncs_leave_the_other_phys_their_ticks(self):
+        """Three heartbeats of PHY 0 with no read in between: PHY 1, never
+        refreshed, is still charged every tick and saturates on time, and
+        PHY 0's window restarts at its last heartbeat."""
+        schedule = [
+            (LEAD_NS, ("mon", 0, True)),
+            (LEAD_NS, ("mon", 1, True)),
+            (tick(10) + 3_500, ("hb", 0)),
+            (tick(20) + 3_500, ("hb", 0)),
+            (tick(30) + 3_500, ("hb", 0)),
+            (tick(40) + 3_500, ("stats",)),
+        ]
+        out = run_both(schedule, end_ns=3 * 450 * US)
+        assert out["reads"][0][1]["ticks_processed"] == 41
+        assert out["detections"] == [
+            (tick(THRESHOLD), 1), (tick(30 + THRESHOLD), 0),
+        ]
+
+    def test_lag_is_spent_by_one_sync_only(self):
+        """A heartbeat, a stats read (the sync that settles its lag),
+        then silence: the later syncs charge the PHY every tick."""
+        schedule = [
+            (LEAD_NS, ("mon", 0, True)),
+            (tick(10) + 3_500, ("hb", 0)),
+            (tick(12) + 3_500, ("stats",)),
+            (tick(14) + 3_500, ("read",)),
+        ]
+        out = run_both(schedule, end_ns=3 * 450 * US)
+        assert out["reads"][1][1][0] == 4
+        assert out["detections"] == [(tick(10 + THRESHOLD), 0)]
+
+    def test_heartbeat_ahead_of_the_deadline_queued_at_its_instant(self):
+        """A write inside the last microsecond before tick 5 arms the
+        deadline *after* the coincident heartbeat was armed, so the
+        heartbeat pops first — and still loses to the saturating tick."""
+        schedule = [
+            (LEAD_NS, ("mon", 0, True)),
+            (tick(5) - 400, ("write", 0, THRESHOLD - 1)),
+            (tick(5), ("hb", 0)),
+        ]
+        out = run_both(schedule, end_ns=2 * 450 * US)
+        assert out["detections"] == [(tick(5), 0)]
+
+    def test_reconfigure_on_the_saturating_tick_still_detects(self):
+        """Stopping the grid is a touch too: the tick at its nanosecond
+        comes first, even when the deadline would pop after it."""
+        schedule = [
+            (LEAD_NS, ("mon", 0, True)),
+            (tick(5) - 400, ("write", 0, THRESHOLD - 1)),
+            (tick(5), ("reconf", 200 * US, 20)),
+        ]
+        out = run_both(schedule, end_ns=tick(5) + 100 * US)
+        assert out["detections"] == [(tick(5), 0)]
+
+    def test_heartbeat_at_the_origin_precedes_tick_zero(self):
+        """A synchronous heartbeat at install time is followed by tick 0,
+        like a ``set_monitor`` there."""
+        def setup(rig):
+            rig.mbox.detector.set_monitor(0, True)
+            rig.mbox.detector.on_heartbeat(0, 0)
+
+        out = run_both([], end_ns=2 * 450 * US, setup=setup)
+        assert out["detections"] == [(tick(THRESHOLD - 1), 0)]
+
+    def test_heartbeat_at_the_origin_after_tick_zero(self):
+        """Tick 0 applied by a deadline at the origin, then a heartbeat
+        at the same nanosecond: the zero covers no later tick."""
+        def setup(rig):
+            rig.mbox.detector.set_monitor(0, True)
+            rig.mbox.detector.set_monitor(1, True)
+            rig.mbox.detector.counters  # Arms the deadline on tick 0.
+            rig.sim.at(0, rig.apply, ("hb", 0))
+
+        out = run_both([(tick(3) + 10, ("read",))], end_ns=2 * 450 * US, setup=setup)
+        assert out["reads"][0][1][:2] == [3, 4]
+        assert out["detections"] == [(tick(THRESHOLD - 1), 1), (tick(THRESHOLD), 0)]
+
     def test_orphaned_detector_of_a_reconfigure_stays_silent(self):
         """Deployments schedule ``set_monitor`` on the detector object
         that existed at build time; after ``reconfigure_detector`` that
@@ -345,17 +460,33 @@ def generated_schedule(seed, coincide):
     Ordinary operations sit at residues 500..899 on strictly increasing
     microseconds, so they never meet a tick or each other and tie order
     cannot matter. With ``coincide`` a quarter of them move onto the next
-    grid instant instead, and some share their predecessor's instant.
+    grid instant instead, some share their predecessor's instant, and
+    two composites appear: a counter written to the brink inside the last
+    microsecond before a tick with that PHY's heartbeat on the tick (the
+    deadline the write arms pops after the heartbeat), and a reconfigure
+    followed, on the new origin's nanosecond, by a heartbeat or by a
+    read and a heartbeat armed behind the deadline that read puts on
+    tick 0.
     """
     rng = RngRegistry(seed).stream("test.detector_deadline")
     schedule = []
     base = 2_000
-    origin, period = 0, PERIOD_NS
+    origin, period, threshold = 0, PERIOD_NS, THRESHOLD
     reconfigures = 0
     when = base
     for index in range(220):
         base += int(rng.integers(1, 60)) * 1_000
         roll = float(rng.random())
+        phy = int(rng.integers(0, len(PHYS)))
+        if coincide and roll < 0.04:
+            # Residue 100..499 of the microsecond that ends on a tick.
+            when = origin + -(-(base + 1_000 - origin) // period) * period
+            schedule.append(
+                (when - 1_000 + 100 + index % 400, ("write", phy, threshold - 1))
+            )
+            schedule.append((when, ("hb", phy)))
+            base = (when // 1_000 + 1) * 1_000
+            continue
         if coincide and roll < 0.25:
             when = origin + -(-(base - origin) // period) * period
             base = (when // 1_000 + 1) * 1_000
@@ -363,29 +494,37 @@ def generated_schedule(seed, coincide):
             pass  # same instant as the previous operation
         else:
             when = base + 500 + index % 400
-        phy = int(rng.integers(0, len(PHYS)))
         kind = float(rng.random())
-        if kind < 0.50:
+        if kind < 0.46:
             op = ("hb", phy)
-        elif kind < 0.68:
+        elif kind < 0.64:
             op = ("mon", phy, bool(rng.random() < 0.7))
-        elif kind < 0.78:
+        elif kind < 0.74:
             op = ("write", phy, int(rng.integers(0, THRESHOLD + 10)))
-        elif kind < 0.82:
+        elif kind < 0.78:
             ticks = int(rng.integers(5, 60))
             tick_us = int(rng.integers(3, 15))
             op = ("reconf", ticks * tick_us * US, ticks)
             reconfigures += 1
             when = base + reconfigures
-            origin, period = when, tick_us * US
+            origin, period, threshold = when, tick_us * US, ticks
+        elif kind < 0.88:
+            op = ("stats",)
         else:
             op = ("read",)
         schedule.append((when, op))
+        if coincide and op[0] == "reconf" and roll < 0.6:
+            # On the new origin's nanosecond: ahead of tick 0, or behind it.
+            if roll < 0.3:
+                schedule.append((when, ("hb", phy)))
+            else:
+                schedule.append((when, ("read",)))
+                schedule.append((when, ("hb_after", phy)))
     return schedule, base + 3 * 450 * US
 
 
 class TestGeneratedSchedules:
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS)
     def test_fifo_with_coincidences(self, seed):
         schedule, end_ns = generated_schedule(seed, coincide=True)
         out = run_both(schedule, end_ns)
@@ -409,6 +548,157 @@ class TestGeneratedSchedules:
             detections += len(out["detections"])
             rearms += out["final"][2]["false_positives_rearmed"]
         assert detections >= 12 and rearms >= 1
+
+
+def test_corpus_reaches_the_lag_cases(monkeypatch):
+    """Census of the FIFO corpus on the live detector: heartbeats whose
+    zero covers unapplied ticks, that land on an already-applied tick, on
+    a grid's origin, or on the nanosecond of the queued deadline, and
+    syncs from the deadline and from reads that settle a recorded lag."""
+    saw = dict.fromkeys(
+        ("lagged", "on_applied_tick", "at_the_origin", "deadline_queued",
+         "settled_by_deadline", "settled_by_read", "two_lags_in_one_sync"), 0
+    )
+    inner_heartbeat = FailureDetector.on_heartbeat
+    inner_advance = FailureDetector.advance
+    inner_deadline = FailureDetector._on_deadline
+    in_deadline = [False]
+
+    def on_heartbeat(self, phy_id, now_ns=None):
+        if self._sim is not None:
+            deadline = self._deadline
+            if deadline is not None and deadline.time <= self._sim.now:
+                saw["deadline_queued"] += 1
+            elif self._sim.now == self._grid_origin_ns:
+                saw["at_the_origin"] += 1
+            else:
+                inner_heartbeat(self, phy_id, now_ns)
+                saw["lagged" if self._lag[phy_id] else "on_applied_tick"] += 1
+                return
+        inner_heartbeat(self, phy_id, now_ns)
+
+    def advance(self, ticks, last_tick_ns):
+        lags = sum(1 for lag in self._lag.values() if lag)
+        if lags:
+            saw["settled_by_deadline" if in_deadline[0] else "settled_by_read"] += 1
+            saw["two_lags_in_one_sync"] += lags > 1
+        return inner_advance(self, ticks, last_tick_ns)
+
+    def on_deadline(self, target):
+        in_deadline[0] = True
+        inner_deadline(self, target)
+        in_deadline[0] = False
+
+    monkeypatch.setattr(FailureDetector, "on_heartbeat", on_heartbeat)
+    monkeypatch.setattr(FailureDetector, "advance", advance)
+    monkeypatch.setattr(FailureDetector, "_on_deadline", on_deadline)
+    for seed in CORPUS_SEEDS:
+        schedule, end_ns = generated_schedule(seed, coincide=True)
+        Rig(FronthaulMiddlebox).run(schedule, end_ns)
+    assert all(saw.values()), saw
+
+
+# ----------------------------------------------------------------------
+# Mutants of the live code
+# ----------------------------------------------------------------------
+MUTANTS = {
+    # The lag outlives the sync that settled it and is left out again.
+    "lag_not_cleared_at_sync": ("advance", "lag.clear()", "pass"),
+    # A heartbeat that meets the deadline still queued at its own
+    # nanosecond records a lag that covers the tick about to saturate.
+    "zero_swallows_the_saturating_tick": (
+        "on_heartbeat",
+        "deadline is not None and deadline.time <= sim.now",
+        "False",
+    ),
+    # A heartbeat at the origin counts tick 0, still to come, as elapsed,
+    # and its zero covers it.
+    "lag_recorded_at_the_origin": ("on_heartbeat", "elif elapsed:", "else:"),
+}
+
+
+def named_schedules():
+    """The lag schedules of :class:`TestNamedSchedules`, as run_both calls."""
+    cases = TestNamedSchedules()
+    return [
+        cases.test_heartbeats_between_syncs_leave_the_other_phys_their_ticks,
+        cases.test_lag_is_spent_by_one_sync_only,
+        cases.test_heartbeat_ahead_of_the_deadline_queued_at_its_instant,
+        cases.test_heartbeat_at_the_origin_after_tick_zero,
+        cases.test_heartbeat_at_the_origin_precedes_tick_zero,
+        cases.test_reconfigure_on_the_saturating_tick_still_detects,
+        cases.test_heartbeat_exactly_on_a_grid_instant_loses_to_the_tick,
+        cases.test_gap_of_threshold_minus_one_ticks_survives,
+    ]
+
+
+class TestMutantsAreCaught:
+    def test_unmutated_code_passes_the_same_loop(self):
+        assert self.caught() == (0, 0)
+
+    @pytest.mark.parametrize("name", sorted(MUTANTS))
+    def test_mutant(self, name, monkeypatch):
+        attribute, old, new = MUTANTS[name]
+        monkeypatch.setattr(
+            FailureDetector,
+            attribute,
+            mutated(getattr(FailureDetector, attribute), old, new),
+        )
+        assert sum(self.caught()) > 0, f"no schedule tells {name} from the model"
+
+    @staticmethod
+    def caught():
+        """(named, generated) schedules on which the two models differ."""
+        named = 0
+        for case in named_schedules():
+            try:
+                case()
+            except AssertionError:
+                named += 1
+        generated = 0
+        for seed in CORPUS_SEEDS:
+            schedule, end_ns = generated_schedule(seed, coincide=True)
+            eager = Rig(EagerMiddlebox).run(schedule, end_ns)
+            generated += Rig(FronthaulMiddlebox).run(schedule, end_ns) != eager
+        return named, generated
+
+
+# ----------------------------------------------------------------------
+# The paper's bound at every kill phase (ROADMAP item 1b in miniature)
+# ----------------------------------------------------------------------
+def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase():
+    """One warm default cell, forked into a primary kill at each of the 56
+    tick-period offsets that cover a slot, each branch run 2 ms on.
+
+    The counter reaches ``n`` on the n-th tick after the zero and the
+    first of those ticks is at most one period away, so §5.2's "450 µs
+    within one 9 µs tick" reads, from the last heartbeat the switch saw,
+    ``T - tick < detected - last heartbeat <= T`` — (441, 450] µs — at
+    every phase. A lag one tick off in either direction leaves the window.
+    """
+    cell = build_slingshot_cell(CellConfig())
+    cell.sim.run_for(50 * MS)
+    warm = Checkpoint.capture(cell)
+    config = cell.middlebox.config.detector
+    phases = -(-cell.slot_ns // config.tick_period_ns)
+    assert phases == 56
+    latency = {}
+    for phase in range(phases):
+        branch = warm.restore()
+        kill_at = warm.meta.sim_now_ns + MS + phase * config.tick_period_ns
+        branch.kill_phy_at(0, kill_at)
+        branch.sim.run_until(kill_at + 2 * MS)
+        detections = branch.middlebox.detector.detections
+        assert len(detections) == 1, (phase, detections)
+        ((_, detected_at, last_heartbeat),) = detections
+        assert kill_at < detected_at
+        latency[phase] = detected_at - last_heartbeat
+    worst = max(latency, key=latency.get)
+    low, high = config.timeout_ns - config.tick_period_ns, config.timeout_ns
+    assert all(low < value <= high for value in latency.values()), (
+        f"max {latency[worst]} ns at phase {worst}, "
+        f"min {min(latency.values())} ns; allowed ({low}, {high}]"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Deterministic (event counts, no wall clock). A healthy default cell is
 driven for 100 ms and every popped event is attributed to the component
-and callback that own it. Three things are pinned:
+and callback that own it. Four things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
   (measured 54.8 plus 15 %; 62.9 while every forwarded frame waited out
@@ -15,9 +15,15 @@ and callback that own it. Three things are pinned:
   arithmetically between events, the way the failure detector does;
 * exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
   ``schedule_periodic`` series (16 % of the measured 54.8) — the census
-  on which periodic events were sized to share the one heap (DESIGN §15).
+  on which periodic events were sized to share the one heap (DESIGN §15);
+* the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
+  slot (measured 666.3 plus 5 %; 851.3 while the clock was a property,
+  every heartbeat walked the tick grid and every register access called
+  its bound check — DESIGN §9 "Healthy slot: cost model"). Python frames
+  only: ``c_call`` accounting differs across interpreter versions.
 """
 
+import sys
 from collections import Counter
 
 from repro import CellConfig, build_slingshot_cell
@@ -28,6 +34,7 @@ WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
 MAX_EVENTS_PER_SLOT = 63
 PERIODIC_PER_SLOT = 9
+MAX_CALLS_PER_SLOT = 699
 
 
 def test_healthy_cell_event_budget(monkeypatch):
@@ -46,9 +53,20 @@ def test_healthy_cell_event_budget(monkeypatch):
             fired[(id(getattr(callback, "__self__", None)), callback.__qualname__)] += 1
         return entry
 
+    calls = [0]
+
+    def count_python_frames(frame, event, arg):
+        # The census wrapper above is not the program's.
+        calls[0] += event == "call" and frame.f_code is not counting_pop.__code__
+
     monkeypatch.setattr(Simulator, "_pop", counting_pop)
     before = cell.sim.events_processed
-    cell.sim.run_for(WINDOW_NS)
+    profiler = sys.getprofile()
+    sys.setprofile(count_python_frames)
+    try:
+        cell.sim.run_for(WINDOW_NS)
+    finally:
+        sys.setprofile(profiler)
     monkeypatch.undo()
 
     slots = WINDOW_NS // cell.slot_ns
@@ -58,6 +76,9 @@ def test_healthy_cell_event_budget(monkeypatch):
         f"{events / slots:.1f} events per slot on a healthy cell"
     )
     assert periodic[0] == PERIODIC_PER_SLOT * slots
+    assert calls[0] / slots <= MAX_CALLS_PER_SLOT, (
+        f"{calls[0] / slots:.1f} Python calls per slot on a healthy cell"
+    )
     symbols = slots * cell.config.numerology.symbols_per_slot
     assert not [name for _, name in fired if name.endswith("._egress")]
     (_, busiest), count = fired.most_common(1)[0]

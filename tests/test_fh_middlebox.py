@@ -1,5 +1,7 @@
 """Tests for the in-switch fronthaul middlebox (§5)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.commands import FailureNotification, MigrateOnSlot, SetMonitor, SLINGSHOT_CMD_BYTES
@@ -13,6 +15,7 @@ from repro.phy.modulation import Modulation
 from repro.phy.numerology import Numerology, SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 
 RU_MAC = MacAddress(0x10)
 PHY0_MAC = MacAddress(0x20)
@@ -189,6 +192,67 @@ class TestMigrateOnSlot:
         switch.inject(ul_frame(5), in_port=nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 1
+
+
+class TwoCallMiddlebox(FronthaulMiddlebox):
+    """The steering ``_steer`` replaced at both call sites, as the model."""
+
+    def _steer(self, ru_id, abs_slot):
+        self._maybe_commit_migration(ru_id, abs_slot)
+        return self._effective_phy(ru_id, abs_slot)
+
+
+class TestSteerAgainstTheTwoCallForm:
+    """``_steer`` reads ``mig_valid`` once; over the whole register table
+    it must decide, write and trace what the two calls it replaced did."""
+
+    MIG_SLOT = 100
+    REGISTERS = (
+        "ru_to_phy", "mig_valid", "mig_slot", "mig_dest", "prev_phy", "last_boundary",
+    )
+
+    def outcome(self, mbox_cls, mig_valid, slot, last_boundary, frame):
+        sim = Simulator()
+        switch = Switch(sim, pipeline_latency_ns=0)
+        trace = TraceRecorder()
+        mbox = mbox_cls(sim, trace=trace)
+        mbox.install_on(switch)
+        mbox.register_ru(0, RU_MAC, 1, initial_phy=0)
+        for phy_id, mac in ((0, PHY0_MAC), (1, PHY1_MAC), (2, MacAddress(0x22))):
+            mbox.register_phy(phy_id, mac, 10 + phy_id)
+        mbox.mig_valid.write(0, mig_valid)
+        mbox.mig_slot.write(0, self.MIG_SLOT)
+        mbox.mig_dest.write(0, 1)
+        mbox.prev_phy.write(0, 2)
+        mbox.last_boundary.write(0, last_boundary)
+        decision = mbox.process(frame(slot), in_port=1, switch=switch)
+        return (
+            decision.out_ports,
+            decision.frame.dst,
+            {name: getattr(mbox, name).snapshot()[0] for name in self.REGISTERS},
+            asdict(mbox.stats),
+            [(e.time, e.category, e.fields) for e in trace.events()],
+        )
+
+    @pytest.mark.parametrize("frame", [
+        ul_frame,
+        dl_frame,
+        lambda slot: dl_frame(slot, src_mac=PHY1_MAC, src_phy=1),
+    ], ids=["uplink", "downlink_primary", "downlink_standby"])
+    def test_every_register_state(self, frame):
+        commits = steered_to = 0
+        for mig_valid in (0, 1):
+            for slot in (self.MIG_SLOT - 1, self.MIG_SLOT, self.MIG_SLOT + 1):
+                for last_boundary in (slot - 1, slot, slot + 1):
+                    state = (mig_valid, slot, last_boundary, frame)
+                    live = self.outcome(FronthaulMiddlebox, *state)
+                    assert live == self.outcome(TwoCallMiddlebox, *state), state
+                    commits += live[3]["migrations_executed"]
+                    steered_to |= 1 << live[2]["ru_to_phy"] if live[0] else 0
+        # Both halves of the table were reached: a commit happened
+        # wherever a pending boundary was met, and nowhere else.
+        assert commits == 6
+        assert steered_to
 
 
 class TestFailureNotificationPath:

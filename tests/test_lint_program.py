@@ -298,7 +298,7 @@ class TestStateInventory:
         assert totals["classes"] > 30
         engine = inventory["classes"]["repro.sim.engine.Simulator"]
         assert engine["subsystem"] == "sim"
-        assert "_now" in engine["checkpointable"]
+        assert "now" in engine["checkpointable"]
         assert "_queue" in engine["checkpointable"]
 
 

@@ -69,6 +69,39 @@ def test_src_line_ledger_is_current():
     )
 
 
+def test_pop_census_attributes_every_event():
+    """benchmarks/pop_census.py at smoke size: every popped event of the
+    window lands in exactly one callback kind, the carriers are split by
+    consumer, and every line it prints parses. No wall number is asserted."""
+    import re
+    import subprocess
+    import sys
+
+    root = bench_path("perf").parents[1]
+    result = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "pop_census.py"),
+         "fleet_idle_wave", "--smoke"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    *rows, total, calls = result.stdout.splitlines()
+    assert rows[0].startswith("# pop census: fleet_idle_wave seed 1 smoke")
+    assert rows[1].startswith("# host: ") and rows[2].startswith("callback kind")
+    row = re.compile(r"(\S.*?) +(\d+) +(\d+\.\d\d) +(\d+\.\d) +(\d+\.\d\d)")
+    parsed = [row.fullmatch(line) for line in rows[3:]]
+    assert all(parsed), [line for line, m in zip(rows[3:], parsed) if m is None]
+    kinds = [m.group(1) for m in parsed]
+    assert len(set(kinds)) == len(kinds)
+    assert {"Link._deliver -> SwitchPort", "ShmChannel._deliver -> PhyProcess",
+            "_ServiceQueue._complete -> L2SideOrion._route_request",
+            "PhyProcess._slot_tick"} <= set(kinds)
+    attributed, delta = re.fullmatch(
+        r"events (\d+) == events_processed delta (\d+) \(\d+\.\d /cell-slot\)", total
+    ).groups()
+    assert int(attributed) == int(delta) == sum(int(m.group(2)) for m in parsed) > 0
+    assert re.fullmatch(r"calls /cell-slot: python \d+\.\d c \d+\.\d", calls)
+
+
 class TestCheckReport:
     def test_clean_pass(self):
         """Equal exact fields pass whatever the rates did."""

@@ -21,13 +21,11 @@ a structural guard in the spirit of ``test_event_budget.py``: it pins the
 loop in the CRC), not a wall time.
 """
 
-import inspect
 import pickle
 import sys
-import textwrap
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Union
+from typing import Union
 
 import numpy as np
 import pytest
@@ -50,6 +48,7 @@ from repro.phy.ldpc import LdpcCode, get_code
 from repro.phy.modulation import Modulation, demodulate_llr, modulate
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.rng import RngRegistry
+from tests.conftest import mutated
 from tests.crc_serial import crc_bits_serial
 from tests.demod_masked import (
     demodulate_llr_masked,
@@ -328,15 +327,6 @@ class TestDemodMatchesMasked:
             np.ndim(c.noise) and (c.noise < 1e-12).any() and (c.noise > 1e-12).any()
             for c in DEMOD_CORPUS
         )
-
-
-def mutated(function, old: str, new: str):
-    """``function`` recompiled with the first ``old`` in its source replaced."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert old in source, f"{function.__qualname__} no longer contains {old!r}"
-    namespace: Dict[str, Any] = {}
-    exec(source.replace(old, new, 1), function.__globals__, namespace)
-    return namespace[function.__name__]
 
 
 DEMOD_MUTANTS = {

@@ -125,6 +125,34 @@ class TestHeartbeatEmission:
         assert gaps.max() < 450 * US
 
 
+class TestPendingHandleBookkeeping:
+    def test_hung_phy_keeps_its_pending_list_bounded(self):
+        """A hung PHY keeps heartbeating — two handles a slot — so its
+        slot tick has to bound ``_pending`` as a healthy one does; the
+        hung branch used to skip the prune and leak 4,000 dead handles a
+        simulated second, all cancelled one by one at the eventual crash."""
+        sim = Simulator()
+        phy, _, _ = build_phy(sim)
+        start_cell(phy)
+        feed_nulls(phy, sim, 1, 200)
+        # The tick prunes past 64 entries and a null slot adds three.
+        bound = 64 + 3
+        longest = [0]
+
+        def sample():
+            longest[0] = max(longest[0], len(phy._pending))
+
+        sim.schedule_periodic(500 * US, sample)
+        sim.run_until(100 * MS)
+        assert phy.alive and 40 < longest[0] <= bound
+        phy.hang()
+        sim.run_until(300 * MS)
+        assert longest[0] <= bound
+        noops = sim.cancel_noops
+        phy.crash()
+        assert sim.cancel_noops - noops < 70
+
+
 class TestFapiContract:
     def test_crash_after_consecutive_missing_tti(self):
         sim = Simulator()

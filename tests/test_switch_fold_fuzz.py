@@ -25,8 +25,6 @@ The last class applies three one-line mutants to the live code and
 requires the corpus to tell each from the fixture.
 """
 
-import inspect
-import textwrap
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, Tuple
 
@@ -45,6 +43,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
+from tests.conftest import mutated
 from tests.switch_egress_event import EgressEventMiddlebox, EgressEventSwitch
 
 SCHEDULES = 60
@@ -412,15 +411,6 @@ def test_corpus_reaches_the_cases_it_names(monkeypatch):
 # ----------------------------------------------------------------------
 # Mutants of the live code
 # ----------------------------------------------------------------------
-def mutated(function, old: str, new: str):
-    """``function`` recompiled with the first ``old`` in its source replaced."""
-    source = textwrap.dedent(inspect.getsource(function))
-    assert old in source, f"{function.__qualname__} no longer contains {old!r}"
-    namespace: Dict[str, Any] = {}
-    exec(source.replace(old, new, 1), function.__globals__, namespace)
-    return namespace[function.__name__]
-
-
 MUTANTS = {
     # The notification rides an event of its own to the egress link, so a
     # frame that entered the switch after it can reach the link first.
