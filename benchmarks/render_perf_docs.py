@@ -4,13 +4,13 @@
     PYTHONPATH=src python benchmarks/render_perf_docs.py          # rewrite
     PYTHONPATH=src python benchmarks/render_perf_docs.py --check  # exit 1 if stale
 
-README.md, DESIGN.md (section 9) and EXPERIMENTS.md quote the recorded
-macro sim/wall ratios, receive-chain rate, TCP recovery cost and
-switch-transit cost between ``<!-- perf:NAME:begin -->`` and
-``<!-- perf:NAME:end -->`` markers. This script regenerates those blocks
-from the committed JSON's full-mode results, so the docs are never typed
-from memory; ``tests/test_perf_harness.py`` runs the ``--check`` form in
-tier-1. The numbers are one host's recorded, ungated rates.
+README.md and EXPERIMENTS.md quote the simulator's speed between
+``<!-- perf:trajectory:begin -->`` and ``<!-- perf:trajectory:end -->``
+markers. This script regenerates that block from
+``benchmarks/trajectory.json`` — one row per PR of ``bench/run.py``
+``sim_rate`` medians, each tagged with its source and host — so the docs
+are never typed from memory; ``tests/test_benchmark_scripts.py`` runs the
+``--check`` form in tier-1.
 
 DESIGN section 7's slinglint rule table sits between the same kind of
 markers (``perf:rules``) and is rendered from the rule registry, the one
@@ -27,19 +27,14 @@ import json
 import re
 import sys
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Any, Callable, Dict, List, Optional
 
-from repro import CellConfig
 from repro.analysis import all_rules
-from repro.harness import bench_path
-from repro.perf.harness import BenchmarkResult, load_report
-
-#: What every renderer reads: the full-mode results by benchmark name.
-Results = Dict[str, BenchmarkResult]
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 SRC_LINES = ROOT / "benchmarks" / "src_lines.json"
+TRAJECTORY = ROOT / "benchmarks" / "trajectory.json"
 
 
 def src_line_ledger() -> str:
@@ -55,82 +50,56 @@ def src_line_ledger() -> str:
     return json.dumps(ledger, indent=2, sort_keys=True) + "\n"
 
 
-def render_macros(results: Results) -> str:
-    macros = [
-        result for result in results.values()
-        if result.kind == "macro" and result.sim_wall_ratio is not None
-    ]
+def _rate(value: Optional[float]) -> str:
+    if value is None:
+        return "–"
+    return f"{value:.4f}" if value < 0.1 else f"{value:.3f}"
+
+
+def render_trajectory() -> str:
+    """``sim_rate`` per PR and source, then which workloads reach 1× real
+    time in the latest measurement on each host."""
+    data = json.loads(TRAJECTORY.read_text())
+    workloads: List[str] = data["workloads"]
     rows = [
-        "| macro benchmark | events | wall s | sim/wall | real time on this host |",
-        "|---|---|---|---|---|",
+        "| PR | `src/` lines | source | " + " | ".join(f"`{w}`" for w in workloads) + " |",
+        "|---|---|---|" + "---|" * len(workloads),
     ]
-    for result in macros:
-        verdict = "yes" if result.sim_wall_ratio >= 1.0 else "no"
-        rows.append(
-            f"| `{result.name}` | {result.events:,} | {result.wall_seconds:.2f} "
-            f"| {result.sim_wall_ratio:.3g}× | {verdict} |"
-        )
-    made_it = [r.name for r in macros if r.sim_wall_ratio >= 1.0]
+    latest: Dict[str, Any] = {}
+    for row in data["rows"]:
+        if not row["sim_rate"]:
+            rows.append(
+                f"| {row['pr']} | {row['src_lines']:,} | not measured |"
+                + " |" * len(workloads)
+            )
+        for run in row["sim_rate"]:
+            parent = run["parent"] or [None] * len(workloads)
+            cells = [
+                _rate(new) if old is None else f"{_rate(old)} → {_rate(new)}"
+                for old, new in zip(parent, run["change"])
+            ]
+            rows.append(
+                f"| {row['pr']} | {row['src_lines']:,} | {run['source']} | "
+                + " | ".join(cells) + " |"
+            )
+            latest[run["host"]] = (row["pr"], run)
     rows.append("")
-    rows.append(
-        f"{len(made_it)} of {len(macros)} recorded macro runs reach 1× real "
-        f"time on the recording host"
-        + (f" ({', '.join(f'`{name}`' for name in made_it)})." if made_it else ".")
-        + " The `campaign_shards_serial` row sums sim time over four one-cell shards."
-    )
-    return "\n".join(rows)
-
-
-def render_rxchain(results: Results) -> str:
-    """The per-block receive-chain budget against a 500 us slot."""
-    result = results["phy_rx_chain"]
-    per_block_us = 1e6 / result.events_per_sec
-    return (
-        f"`phy_rx_chain`: {result.events_per_sec:,.0f} blocks/s "
-        f"({per_block_us:.0f} µs a block at "
-        f"{result.counts['iterations_per_block']:.2f} BP iterations a block, "
-        f"block error rate {result.counts['block_error_rate']:.2%}) — "
-        f"{500.0 / per_block_us:.1f} transport blocks per 500 µs slot per "
-        "core is this host's real-time receive budget."
-    )
-
-
-def render_tcprecovery(results: Results) -> str:
-    """What one segment costs the transport layer at a full window."""
-    result = results["tcp_recovery_window"]
-    return (
-        f"`tcp_recovery_window` as recorded ({result.description}): "
-        f"{result.events_per_sec:,.0f} ACKs/s, "
-        f"{result.extra['us_per_ack']:.1f} µs a segment, "
-        f"{result.counts['retransmissions']:.0f} retransmissions, "
-        f"{result.counts['rto_events']:.0f} RTOs."
-    )
-
-
-def render_transit(results: Results) -> str:
-    """What a switch hop costs, and what a cell-slot costs in events."""
-    hop = results["transit_hop"]
-    slot_ns = CellConfig().numerology.slot_duration_ns
-    rows = [
-        f"`transit_hop` as recorded ({hop.description}): "
-        f"{hop.events_per_sec:,.0f} hops/s, {hop.extra['us_per_hop']:.2f} µs "
-        f"and {hop.counts['events_per_hop']:g} engine events a hop.",
-        "",
-        "| recorded run | cells | events | events per cell-slot |",
-        "|---|---|---|---|",
-    ]
-    for result in results.values():
-        if result.digest is None or result.name.startswith("campaign_shards"):
-            continue
-        cells = int(result.counts.get("cells", 1))
-        per_slot = result.events / (cells * result.sim_ns / slot_ns)
+    for host, (pr, run) in latest.items():
+        rates = dict(zip(workloads, run["change"]))
+        fast = [f"`{w}`" for w, rate in rates.items() if rate is not None and rate >= 1.0]
+        slow = [
+            f"`{w}` {rate:.2g}×" for w, rate in rates.items()
+            if rate is not None and rate < 1.0
+        ]
         rows.append(
-            f"| `{result.name}` | {cells} | {result.events:,} | {per_slot:.1f} |"
+            f"- {data['hosts'][host]} (latest: PR {pr}, {run['source']}): "
+            + (", ".join(fast) + " reach" if fast else "nothing reaches")
+            + " 1× real time; " + ", ".join(slow) + "."
         )
     return "\n".join(rows)
 
 
-def render_rules(results: Results) -> str:
+def render_rules() -> str:
     """The slinglint catalog (``python -m repro lint --list-rules``)."""
     rows = ["| rule | severity | title |", "|---|---|---|"]
     rows.extend(
@@ -139,23 +108,17 @@ def render_rules(results: Results) -> str:
     return "\n".join(rows)
 
 
-BLOCKS: Dict[str, Callable[[Results], str]] = {
-    "macros": render_macros,
-    "rxchain": render_rxchain,
-    "tcprecovery": render_tcprecovery,
-    "transit": render_transit,
+BLOCKS: Dict[str, Callable[[], str]] = {
+    "trajectory": render_trajectory,
     "rules": render_rules,
 }
 
 
-def render_doc(text: str, results: Results) -> str:
-    """``text`` with every marked block regenerated from ``results``."""
+def render_doc(text: str) -> str:
+    """``text`` with every marked block regenerated."""
     def replace(match: "re.Match[str]") -> str:
         name = match.group(1)
-        return (
-            f"<!-- perf:{name}:begin -->\n{BLOCKS[name](results)}\n"
-            f"<!-- perf:{name}:end -->"
-        )
+        return f"<!-- perf:{name}:begin -->\n{BLOCKS[name]()}\n<!-- perf:{name}:end -->"
 
     return re.sub(
         r"<!-- perf:(\w+):begin -->.*?<!-- perf:\1:end -->",
@@ -164,11 +127,10 @@ def render_doc(text: str, results: Results) -> str:
 
 
 def main(argv: "list[str]") -> int:
-    results = load_report(bench_path("perf")).modes["full"]
     stale = []
     for path in [ROOT / name for name in DOCS] + [SRC_LINES]:
         text = path.read_text() if path.exists() else ""
-        fresh = src_line_ledger() if path == SRC_LINES else render_doc(text, results)
+        fresh = src_line_ledger() if path == SRC_LINES else render_doc(text)
         if fresh != text:
             stale.append(path.name)
             if "--check" not in argv:

@@ -78,7 +78,7 @@ NAMESPACES: Tuple[StreamNamespace, ...] = (
         description="fleet composition draws (tracer-cell sampling)",
     ),
     StreamNamespace(
-        "perf", "perf", strict=True, description="benchmark input corpora"
+        "perf", "perf", strict=True, description="test input corpora (tests/corpora.py)"
     ),
     StreamNamespace("phy", "cell", description="per-PHY processing jitter"),
     StreamNamespace("ptp", "net", description="PTP clock noise"),

@@ -276,9 +276,19 @@ class Checkpoint:
         data = Path(path).read_bytes()
         if not data.startswith(_MAGIC):
             raise SnapshotError(f"{path}: not a repro checkpoint file")
-        rest = data[len(_MAGIC):]
-        newline = rest.index(b"\n")
-        meta = CheckpointMeta.from_dict(json.loads(rest[:newline].decode("utf-8")))
+        header, newline, payload = data[len(_MAGIC):].partition(b"\n")
+        if not newline:
+            raise SnapshotError(f"{path}: malformed header: no newline ends it")
+        try:
+            meta = CheckpointMeta.from_dict(json.loads(header.decode("utf-8")))
+        except UnicodeDecodeError:
+            raise SnapshotError(f"{path}: malformed header: not UTF-8") from None
+        except json.JSONDecodeError as exc:
+            raise SnapshotError(f"{path}: malformed header: not JSON ({exc})") from None
+        except KeyError as exc:
+            raise SnapshotError(f"{path}: malformed header: no {exc} field") from None
+        except (TypeError, ValueError) as exc:  # a field of the wrong type
+            raise SnapshotError(f"{path}: malformed header: {exc}") from None
         if meta.schema != SCHEMA_VERSION:
             raise SnapshotError(
                 f"{path}: checkpoint schema {meta.schema} != "
@@ -291,4 +301,4 @@ class Checkpoint:
                 f"manifest {meta.manifest_sha256[:12] or '(unrecorded)'}, "
                 f"this tree's is {current[:12]}"
             )
-        return Checkpoint(meta=meta, payload=rest[newline + 1:])
+        return Checkpoint(meta=meta, payload=payload)

@@ -357,6 +357,7 @@ def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
 def _run(args: argparse.Namespace, jobs: int) -> Dict[str, Any]:
     """The recorded shape: ``--quick`` / ``--check`` run one profile, a
     plain run both, timing the full profile's fork against a cold sweep."""
+    profiles = ["quick"] if args.quick else ["full"] if args.check else ["quick", "full"]
     return {
         "benchmark": "soak",
         "profiles": {
@@ -365,7 +366,7 @@ def _run(args: argparse.Namespace, jobs: int) -> Dict[str, Any]:
                 jobs=jobs,
                 measure_speedup=profile == "full" and not args.check,
             )
-            for profile in harness.recorded_modes(args)
+            for profile in profiles
         },
     }
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro sec52 --jobs 4
     python -m repro lint [--sanitize] [--write-manifest] [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
-    python -m repro perf [--quick] [--check] [--jobs N]
     python -m repro telemetry [--quick] [--check] [--jobs N]
     python -m repro soak [--check --quick] [--resume CKPT] [--jobs N]
     python -m repro fleet [--check --quick] [--pool-sizes 0 1 2 4] [--jobs N]
@@ -21,9 +20,9 @@ description, the default/quick durations, and the mapping from parsed
 CLI arguments to ``run(...)`` parameters, so adding an experiment means
 registering a spec, not writing another shim. ``lint`` runs the
 :mod:`repro.analysis` static checks (slinglint); ``chaos`` sweeps the
-:mod:`repro.faults` fault-injection matrix; ``perf`` runs the
-:mod:`repro.perf` benchmark harness; ``telemetry`` runs instrumented
-failover scenarios (:mod:`repro.telemetry`).
+:mod:`repro.faults` fault-injection matrix; ``telemetry`` runs instrumented
+failover scenarios (:mod:`repro.telemetry`). The simulator's speed is
+measured by the repo benchmark, ``bench/run.py``, not by a verb here.
 
 The former per-experiment ``_run_*`` functions are gone; their exact
 argument mappings live in each spec's ``cli_params``.
@@ -49,8 +48,6 @@ _HARNESS_VERBS = {
              "static-analysis pass over src/repro (slinglint)"),
     "chaos": ("repro.faults.campaign",
               "fault-injection campaign with recovery invariants"),
-    "perf": ("repro.perf.runner",
-             "micro/macro benchmark harness with --check gate"),
     "telemetry": ("repro.telemetry.runner",
                   "instrumented failover metrics + timelines"),
     "soak": ("repro.checkpoint.soak",
@@ -169,8 +166,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
-        print("run 'python -m repro list' for options", file=sys.stderr)
+        print(
+            f"repro: unknown experiment(s): {', '.join(unknown)} "
+            "(run 'python -m repro list' for options)",
+            file=sys.stderr,
+        )
         return 2
     for name in names:
         runner, description, _ = EXPERIMENTS[name]

@@ -1,7 +1,7 @@
 """One run -> report -> ``--check`` harness for the campaign verbs.
 
-``repro chaos``, ``fleet``, ``telemetry``, ``soak`` and ``perf`` all run
-a deterministic workload, print a report and optionally gate it against
+``repro chaos``, ``fleet``, ``telemetry`` and ``soak`` all run a
+deterministic workload, print a report and optionally gate it against
 a recorded ``benchmarks/BENCH_<verb>.json``. Each verb is a :class:`Verb`
 declaration — its extra flags, its shard table, its worker, its one-line
 run formatter, its report dict and the exact fields ``--check`` compares
@@ -77,8 +77,8 @@ class Verb:
     catalog: Optional[Callable[[], Mapping[str, str]]] = None
     #: ``--format`` renderings beyond text and json.
     formats: Mapping[str, Callable[[Dict[str, Any]], str]] = field(default_factory=dict)
-    #: Modes that are not a campaign (``soak --resume``, ``perf
-    #: --profile NAME``): (args, jobs) -> exit code, or None to go on.
+    #: Modes that are not a campaign (``soak --resume``): (args, jobs)
+    #: -> exit code, or None to go on.
     side_mode: Optional[Callable[[argparse.Namespace, int], Optional[int]]] = None
 
 
@@ -125,14 +125,6 @@ def select(catalog: Mapping[str, Any], names: Sequence[str], what: str) -> List[
     if unknown:
         raise UsageError(f"unknown {what}(s): {', '.join(unknown)}")
     return [catalog[name] for name in names]
-
-
-def recorded_modes(args: argparse.Namespace) -> List[str]:
-    """For verbs that record per mode (soak profiles, perf modes):
-    ``--quick`` and ``--check`` run one mode, a plain run records both."""
-    if args.quick:
-        return ["quick"]
-    return ["full"] if args.check else ["quick", "full"]
 
 
 def runs_by(*key_fields: str) -> Callable[[Dict[str, Any]], Dict[str, Dict[str, Any]]]:

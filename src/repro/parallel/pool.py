@@ -3,8 +3,8 @@
 ``run_shards`` executes independent ``(key, payload)`` shards through a
 top-level worker function, either serially (``jobs <= 1``, single shard,
 or no ``fork`` support) or on a warm ``ProcessPoolExecutor``. The
-determinism contract, relied on by the chaos campaign, the experiment
-sweeps, and the perf macro scenarios:
+determinism contract, relied on by the campaign verbs and the experiment
+sweeps:
 
 * every shard is self-contained — the worker rebuilds all state from the
   shard payload (ultimately from a seed), so a shard's result does not

@@ -7,7 +7,7 @@ module-level state, and any randomness they trigger flows through the
 shard's own seed-derived :class:`~repro.sim.rng.RngRegistry` streams.
 Every campaign pins the consequence — "bit-identical to serial at any
 --jobs" — dynamically (``tests/test_parallel.py``,
-``tests/test_harness_contract.py``, the five ``--check`` gates), which
+``tests/test_harness_contract.py``, the four ``--check`` gates), which
 is what makes the guarantee checked rather than aspirational.
 
 Imports of the heavyweight driver modules happen inside the workers:
@@ -30,19 +30,6 @@ def run_campaign_shard(payload: Tuple[Any, int, bool]) -> Any:
 
     scenario, seed, replay = payload
     return run_scenario(scenario, seed, replay=replay)
-
-
-def run_chaos_events_shard(payload: Tuple[str, int]) -> Dict[str, Any]:
-    """One chaos scenario run reduced to perf facts (digest/events/sim_ns)."""
-    from repro.perf.scenarios import run_chaos_cell
-
-    scenario_name, seed = payload
-    cell = run_chaos_cell(scenario_name, seed)
-    return {
-        "digest": cell.trace.digest(),
-        "events": cell.sim.events_processed,
-        "sim_ns": cell.sim.now,
-    }
 
 
 def run_telemetry_shard(payload: Tuple[str, int, Any]) -> Dict[str, Any]:
@@ -103,11 +90,3 @@ def run_fleet_shard(payload: Tuple[str, int, int]) -> Any:
 
     fault_class, pool_size, seed = payload
     return run_fleet(fault_class, pool_size, seed)
-
-
-def run_perf_benchmark_shard(payload: Tuple[str, bool]) -> Any:
-    """One named perf-catalog benchmark ``(name, quick)``, timed inside
-    the worker; returns its :class:`~repro.perf.harness.BenchmarkResult`."""
-    from repro.perf.harness import measure
-
-    return measure(*payload)

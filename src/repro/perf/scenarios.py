@@ -1,21 +1,15 @@
-"""Deterministic scenario runners shared by benchmarks and digest tests.
+"""Deterministic scenario runners behind the golden digests.
 
 Each runner builds a full Slingshot cell, drives a short, fixed workload
 through a resilience event, and returns the cell so callers can read
-``cell.trace`` and ``cell.sim``. Two consumers share these functions:
-
-* the **macro benchmarks** (``python -m repro perf``), which time them
-  and report events/sec and the sim-time/wall-time ratio;
-* the **digest-equivalence regression tests**
-  (``tests/test_perf_digests.py``), which pin each scenario's canonical
-  trace digest as a golden value.
-
-Because both consumers run the *same* code with the *same* durations,
-any performance work that changes behaviour — an event reordered, an RNG
-draw added, a float perturbed — flips a golden digest and fails tier-1
-loudly. Durations are deliberately short (about a second of simulated
-time) so the digest tests stay cheap; the harness's ``repeats`` knob, not
-longer scenarios, provides measurement stability.
+``cell.trace`` and ``cell.sim``. ``tests/test_perf_digests.py`` pins each
+scenario's canonical trace digest as a golden value, so any change that
+alters behaviour — an event reordered, an RNG draw added, a float
+perturbed — fails tier-1 loudly. The same runners are what
+``repro lint --sanitize`` records RNG draws over and what the checkpoint
+tests split with ``pause_at_s`` to restore mid-run. Durations are
+deliberately short (about a second of simulated time) so the digest
+tests stay cheap.
 """
 
 from __future__ import annotations
@@ -139,25 +133,22 @@ def run_fig10_tcp_dl_cell(
     return _fail_and_finish(cell, event_at_s, duration_s, pause_at_s, on_pause)
 
 
-def run_chaos_cell(scenario_name: str, seed: int = 1):
-    """One (scenario, seed) run of the chaos campaign's standard matrix."""
-    from repro.faults.campaign import _execute
-    from repro.faults.scenarios import scenario_by_name
-
-    cell, _injector = _execute(scenario_by_name()[scenario_name], seed)
-    return cell
-
-
 def _chaos_runner(scenario_name: str, seed: int) -> Callable:
+    """One (scenario, seed) run of the chaos campaign's standard matrix."""
+
     def run():
-        return run_chaos_cell(scenario_name, seed)
+        from repro.faults.campaign import _execute
+        from repro.faults.scenarios import scenario_by_name
+
+        cell, _injector = _execute(scenario_by_name()[scenario_name], seed)
+        return cell
 
     run.__name__ = f"run_chaos_{scenario_name}"
     return run
 
 
 #: Scenario name -> zero-argument runner returning a finished cell.
-#: These five are the golden-digest set; the macro benchmarks reuse them.
+#: These five are the golden-digest set.
 DIGEST_SCENARIOS: Dict[str, Callable] = {
     "fig9": run_fig9_cell,
     "fig10_smoke": run_fig10_smoke_cell,

@@ -13,7 +13,7 @@ codec's table, :func:`ldpc_encode_batch` and :func:`modulate_batch`. The
 receive side does not batch: ``PhyCodec.decode_block`` demodulates and
 decodes one block per call, its channel-noise and SNR-measurement draws
 interleaved block by block. :func:`demodulate_llr_batch` is driven only
-by ``repro perf phy_slot_batch`` and the tests.
+by the tests (``tests/test_phy_batch.py``).
 
 Every batch kernel is pinned **byte-identical** to a loop over its
 per-block reference (``tests/test_phy_batch.py`` fuzzes the pins), which

@@ -125,6 +125,23 @@ class TestCheckpointPrimitives:
         with pytest.raises(SnapshotError):
             Checkpoint.load(path)
 
+    @pytest.mark.parametrize("defect, header", [
+        ("no newline ends it", b'{"schema": 1}'),
+        ("not JSON", b"schema=1\npayload"),
+        ("not UTF-8", b"\xff\xfe\npayload"),
+        ("no 'label' field", b'{"schema": 1, "sim_now_ns": 0}\npayload'),
+    ])
+    def test_malformed_header_is_one_error_and_exit_2(self, tmp_path, capsys, defect, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(b"repro-ckpt/1\n" + header)
+        with pytest.raises(SnapshotError, match=f"malformed header: {defect}"):
+            Checkpoint.load(path)
+        assert soak_main(["--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro soak: cannot resume: {path}: malformed header: {defect}")
+
     def test_two_simulators_rejected(self, warm):
         other = build_probe_harness(2)
         with pytest.raises(SnapshotError, match="[Ss]imulator"):

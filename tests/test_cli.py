@@ -28,9 +28,11 @@ OUT_OF_RANGE = [
 ]
 
 #: (verb command line, the one line it must answer with): ROADMAP item
-#: 7c. A repeated selector is the harness's ``UsageError``, an
-#: out-of-range one argparse's, both before anything runs.
+#: 7c. A repeated or unknown selector is the harness's ``UsageError``,
+#: an out-of-range one argparse's, all before anything runs.
 VERB_REJECTS = [
+    ("chaos --scenario nonsense --seeds 1",
+     "repro chaos: unknown scenario(s): nonsense"),
     ("chaos --scenario crash --scenario crash --seeds 1 --no-replay",
      "repro chaos: run ('crash', 1) selected more than once"),
     ("chaos --scenario crash --seeds 1 1",
@@ -70,9 +72,18 @@ class TestParser:
         for name in EXPERIMENTS:
             assert name in out
 
-    def test_unknown_experiment_rejected(self, capsys):
-        assert main(["nonsense"]) == 2
-        assert "unknown experiment" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", ["nonsense", "perf"])
+    def test_unknown_experiment_is_one_line_and_exit_2(self, capsys, name):
+        """``perf`` is not a verb: speed is ``bench/run.py``'s to measure."""
+        assert main([name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro: unknown experiment(s): {name} "
+            "(run 'python -m repro list' for options)"
+        ]
+        assert main(["list"]) == 0
+        assert name not in {line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]}
 
     def test_defaults_parse(self):
         args = build_parser().parse_args(["fig8"])

@@ -1,11 +1,13 @@
-"""The run -> report -> ``--check`` contract, once, for all five verbs.
+"""The run -> report -> ``--check`` contract, once, for all four verbs.
 
-``repro chaos``, ``fleet``, ``telemetry``, ``soak`` and ``perf`` are
-declarations handed to :mod:`repro.harness`; this file pins what the
+``repro chaos``, ``fleet``, ``telemetry`` and ``soak`` are declarations
+handed to :mod:`repro.harness`; this file pins what the
 harness promises for each of them (DESIGN.md §10, "Harness contract"):
 
 * a corrupt, missing, wrong-tag or malformed baseline is one line on stderr and
   exit 2, decided before any shard runs;
+* ``--check`` compares each verb's exact fields and no machine fact, over
+  every committed entry;
 * ``--check`` composes with every subset flag and compares only the
   verb's exact fields: a run absent from the baseline and a flipped
   exact field are each exactly one failure line and exit 1;
@@ -15,6 +17,7 @@ harness promises for each of them (DESIGN.md §10, "Harness contract"):
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import hashlib
@@ -29,7 +32,6 @@ from repro.checkpoint.soak import SOAK
 from repro.faults.campaign import CHAOS
 from repro.fleet.campaign import FLEET
 from repro.parallel.pool import fork_available
-from repro.perf.runner import PERF
 from repro.telemetry.runner import TELEMETRY
 
 
@@ -69,14 +71,6 @@ CASES = {
         ["--quick"],
         ["quick"],
         drop=lambda baseline, entry, label: baseline["profiles"].pop(label),
-    ),
-    "perf": Case(
-        PERF,
-        ["--quick", "engine_cancel_watchdog", "link_delivery"],
-        ["quick/engine_cancel_watchdog", "quick/link_delivery"],
-        drop=lambda baseline, entry, label: baseline["modes"]["quick"].pop(
-            label.split("/")[1]
-        ),
     ),
 }
 SHARDED = [name for name, case in CASES.items() if case.verb.shards is not None]
@@ -128,7 +122,6 @@ HOSTILE = {
             "benchmark": name,
             "runs": [{"scenario": "crash", "fault_class": "crash", "pool_size": 0, "seed": 1}],
             "profiles": {"quick": {}},
-            "modes": {"quick": {"link_delivery": {}}},
         }
     ),
 }
@@ -154,6 +147,78 @@ def test_hostile_baseline_is_one_line_and_exit_2(name, kind, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "Traceback" not in captured.err
     assert lines[0].startswith(f"repro {name}: cannot load baseline {path}: ")
+
+
+# ----------------------------------------------------------------------
+# Exact fields vs machine facts, over every committed entry
+# ----------------------------------------------------------------------
+def _flipped(value: Any) -> Any:
+    """A value of the same kind that differs from ``value``."""
+    if value is None:
+        return 0
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, str):
+        return "1" * 64 if value == "0" * 64 else "0" * 64
+    if isinstance(value, dict):
+        return {**value, "flipped": True}
+    return [*value, "flipped"]
+
+
+def _perturb_machine_facts(entry: Dict[str, Any], exact: List[str], prefix: str = "") -> None:
+    """Flip every leaf of ``entry`` that no exact field is, or lies under."""
+    for key, value in entry.items():
+        path = prefix + key
+        if any(field == path or field.startswith(path + ".") for field in exact):
+            if isinstance(value, dict) and path not in exact:
+                _perturb_machine_facts(value, exact, path + ".")
+            continue
+        entry[key] = _flipped(value)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_machine_facts_are_never_compared(name):
+    verb = CASES[name].verb
+    recorded = verb.entries(harness.load_baseline(name))
+    fresh = copy.deepcopy(recorded)
+    for entry in fresh.values():
+        _perturb_machine_facts(entry, list(verb.exact_fields))
+    assert fresh != recorded
+    assert harness.check_entries(fresh, recorded, verb.exact_fields) == []
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_each_flipped_exact_field_is_one_failure_line_per_entry(name):
+    verb = CASES[name].verb
+    recorded = verb.entries(harness.load_baseline(name))
+    for field in verb.exact_fields:
+        fresh = copy.deepcopy(recorded)
+        for entry in fresh.values():
+            _set(entry, field, _flipped(harness._lookup(entry, field)))
+        failures = harness.check_entries(fresh, recorded, verb.exact_fields)
+        assert len(failures) == len(recorded)
+        for label, failure in zip(recorded, failures):
+            container = isinstance(harness._lookup(recorded[label], field), (dict, list))
+            assert failure.startswith(f"{label}: {field} ")
+            assert failure.endswith("differs from baseline") == container
+
+
+def test_failure_lines_shorten_scalars_and_name_containers():
+    fresh = {
+        "a": {"digest": "f" * 64, "timeline": {"x": 1}, "nested": {"count": 1}},
+        "b": {"digest": "e" * 64, "timeline": {}, "nested": {"count": 2}},
+    }
+    recorded = {"a": {"digest": "e" * 64, "timeline": {"x": 2}, "nested": {"count": 2}}}
+    assert harness.check_entries(
+        fresh, recorded, ("digest", "timeline", "nested.count")
+    ) == [
+        "a: digest ffffffffffff... != recorded eeeeeeeeeeee...",
+        "a: timeline differs from baseline",
+        "a: nested.count 1 != recorded 2",
+        "b: not in baseline (re-record it)",
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -209,15 +274,8 @@ def _report_from(stdout: str) -> Dict[str, Any]:
     return report
 
 
-def _deterministic(case: Case, report: Dict[str, Any]) -> Any:
-    """Everything but machine facts: the whole report minus ``execution``
-    — for perf, whose entries also carry wall-clock rates, the exact
-    fields of each entry."""
-    if case.verb is PERF:
-        return {
-            label: {name: entry[name] for name in PERF.exact_fields}
-            for label, entry in PERF.entries(report).items()
-        }
+def _deterministic(report: Dict[str, Any]) -> Any:
+    """Everything but machine facts: the whole report minus ``execution``."""
     return {key: value for key, value in report.items() if key != "execution"}
 
 
@@ -245,7 +303,7 @@ def test_report_is_jobs_invariant_and_only_out_writes(name, capsys):
         assert f"{name} check passed (2 run(s))" in out
         pooled = _report_from(out)
         assert pooled["execution"]["jobs"] == jobs
-        assert _deterministic(case, pooled) == _deterministic(case, serial)
+        assert _deterministic(pooled) == _deterministic(serial)
 
 
 @pytest.mark.slow
@@ -260,11 +318,13 @@ def test_soak_without_out_writes_nothing(capsys):
 
 def test_out_is_the_only_place_a_report_lands(tmp_path, capsys):
     out = tmp_path / "nested" / "report.json"
+    before = _benchmarks_fingerprint()
     code = harness.main(
-        PERF, ["--quick", "engine_cancel_watchdog", "--out", str(out)]
+        CHAOS, ["--scenario", "cmd_drop", "--seeds", "1", "--no-replay", "--out", str(out)]
     )
     assert code == 0
     assert f"wrote {out}" in capsys.readouterr().out
+    assert _benchmarks_fingerprint() == before
     report = json.loads(out.read_text())
-    assert report["benchmark"] == "perf"
-    assert list(PERF.entries(report)) == ["quick/engine_cancel_watchdog"]
+    assert report["benchmark"] == "chaos"
+    assert list(CHAOS.entries(report)) == ["cmd_drop/seed=1"]

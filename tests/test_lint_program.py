@@ -351,7 +351,7 @@ class TestStrictSuppressions:
 
     def test_real_tree_passes_strict_suppressions(self, package_report):
         """Clean under the audit, and what it audits outside the linter's
-        own sources is exactly the five reviewed EVT002 sites."""
+        own sources is exactly the three reviewed EVT002 sites."""
         assert not [f for f in package_report.findings if f.rule_id == "SUP001"]
         modules = [
             module
@@ -367,8 +367,6 @@ class TestStrictSuppressions:
         ) == [
             ("repro.apps.ping", "EVT002"),
             ("repro.apps.video", "EVT002"),
-            ("repro.perf.benchmarks", "EVT002"),
-            ("repro.perf.benchmarks", "EVT002"),
             ("repro.transport.udp", "EVT002"),
         ]
 

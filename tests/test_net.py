@@ -166,6 +166,9 @@ class TestSwitch:
         arrival = hosts[1][0].received[0][0]
         # ~10ns + serialization in, 100ns pipeline, ~10ns + serialization out.
         assert arrival > 120
+        # The ingress and egress deliveries are the hop's only engine
+        # events; the pipeline latency costs none.
+        assert sim.events_processed == 2
 
     def test_duplicate_port_number_rejected(self):
         sim = Simulator()

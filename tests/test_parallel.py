@@ -207,22 +207,6 @@ class TestSerialParallelEquality:
         assert "39 runs, 0 failed" in output
         assert "chaos check passed (39 run(s))" in output
 
-    def test_perf_macro_digests_identical_across_jobs(self):
-        """Macro perf scenarios fan out under --jobs with unchanged
-        digests (timings are per-worker; only accounting differs)."""
-        from repro.perf.harness import run_benchmarks
-
-        names = ["macro_fig9", "macro_chaos_crash_restart"]
-        digests = {}
-        for jobs in (1, 2, 4):
-            report = run_benchmarks(names=names, quick=True, jobs=jobs)
-            digests[jobs] = {
-                name: report.modes["quick"][name].digest for name in names
-            }
-            assert report.execution["shards"] == len(names)
-        assert digests[2] == digests[1]
-        assert digests[4] == digests[1]
-
     def test_experiment_sweeps_identical_across_jobs(self):
         """sec52/sec82 trial sweeps return equal results at any jobs
         value (kill offsets are pre-drawn in serial order)."""

@@ -23,10 +23,10 @@ from repro.core.orion import UDP_OVERHEAD_BYTES, OrionDatagram
 from repro.fapi import codec
 from repro.fapi import messages as m
 from repro.fronthaul import ecpri
-from repro.perf.benchmarks import build_fapi_corpus
 from repro.phy.numerology import SlotAddress
 from repro.sim.rng import RngRegistry
 from tests import fapi_reference as reference_codec
+from tests.corpora import build_fapi_corpus
 
 #: Seed reserved for codec fuzzing (distinct from the benchmark corpus).
 FUZZ_SEED = 77_2026

@@ -322,13 +322,13 @@ class TestPeriodicChurnBounded:
 
 
 def _backend_fixture():
-    from repro.perf.benchmarks import CORPUS_SEED, _phy_slot_corpus
     from repro.phy.codec import PhyCodec
+    from tests.corpora import CORPUS_SEED, phy_slot_corpus
 
     # 8 blocks: the corpus assigns ue_id = 1 + (i % 8), and the gather
     # keys captures by (slot, ue_id), so block count must not exceed the
     # distinct-UE count.
-    blocks = _phy_slot_corpus(count=8)
+    blocks = phy_slot_corpus(count=8)
     codec = PhyCodec(np.random.default_rng(CORPUS_SEED))
     sim = Simulator()
     phy = SimpleNamespace(sim=sim, codec=codec)
@@ -417,6 +417,22 @@ class TestFleetBackendDifferential:
         assert stats.blocks_encoded > 0
         assert stats.cache_hits > 0
         assert detached.phy_backend.stats.kernel_invocations == 0
+
+    def test_recorded_tracer_fleet_digest_and_kernel_counts(self):
+        """A 64-cell, 2-tracer fleet for 30 ms, as recorded: the two
+        differentials above compare the backend against a twin run, this
+        pins the vectorized path to a golden as well (`fleet --check`
+        composes no tracer cell)."""
+        from repro.fleet.composer import FleetConfig, build_fleet, fleet_digest
+
+        harness = build_fleet(FleetConfig(seed=self.SEED, num_cells=64, tracer_cells=2))
+        harness.run_for(30_000_000)
+        stats = harness.phy_backend.stats
+        assert fleet_digest(harness) == (
+            "fb5153e32a8f9c7235752afe41e291e3ea7258ab93f48114b8960bce773215d2"
+        )
+        assert harness.sim.events_processed == 191_515
+        assert (stats.kernel_invocations, stats.blocks_encoded, stats.cache_hits) == (1, 3, 6)
 
     def test_legacy_engine_fleet_digest_matches_live(self):
         from tests.engine_legacy import LegacySimulator

@@ -11,7 +11,6 @@ collide with simulation streams.
 import numpy as np
 import pytest
 
-from repro.perf.benchmarks import CORPUS_SEED
 from repro.phy.batch import (
     demodulate_llr_batch,
     ldpc_encode_batch,
@@ -22,6 +21,7 @@ from repro.phy.ldpc import get_code
 from repro.phy.modulation import Modulation, demodulate_llr, modulate
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.rng import RngRegistry
+from tests.corpora import CORPUS_SEED
 
 MODULATIONS = list(Modulation)
 

@@ -110,8 +110,8 @@ class TestCrcFuzzPins:
     """
 
     def _corpus(self):
-        from repro.perf.benchmarks import CORPUS_SEED
         from repro.sim.rng import RngRegistry
+        from tests.corpora import CORPUS_SEED
 
         rng = RngRegistry(CORPUS_SEED).stream("perf.crc_fuzz")
         return [

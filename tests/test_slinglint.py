@@ -439,7 +439,7 @@ class TestCheckpointRules:
             "class Widget:\n"
             "    def poke(self):\n"
             "        self.last_poke = 42\n",
-            path="src/repro/perf/harness.py",
+            path="src/repro/perf/scenarios.py",
         )
         assert "CKPT001" not in rule_ids(findings)
 
@@ -513,7 +513,7 @@ class TestPerfRules:
     scheduling lane it policed: a tick that re-schedules itself costs
     what ``schedule_periodic`` costs."""
 
-    PERF_PATH = "src/repro/perf/benchmarks.py"
+    PERF_PATH = "src/repro/perf/scenarios.py"
 
     def test_perf001_direct_time_call(self):
         findings = lint(
@@ -706,7 +706,7 @@ class TestParallelRules:
 
 RUNTIME = "src/repro/l2/mac.py"
 TELEMETRY = "src/repro/telemetry/metrics.py"
-PERF = "src/repro/perf/benchmarks.py"
+PERF = "src/repro/perf/scenarios.py"
 PARALLEL = "src/repro/parallel/pool.py"
 TIMING = "src/repro/perf/timing.py"
 RNG = "src/repro/sim/rng.py"

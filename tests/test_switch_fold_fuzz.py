@@ -38,12 +38,12 @@ from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import ForwardingDecision, StaticL2Pipeline, Switch
-from repro.perf.benchmarks import CORPUS_SEED
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
 from tests.conftest import mutated
+from tests.corpora import CORPUS_SEED
 from tests.switch_egress_event import EgressEventMiddlebox, EgressEventSwitch
 
 SCHEDULES = 60

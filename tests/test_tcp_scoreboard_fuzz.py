@@ -25,13 +25,13 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.perf.benchmarks import CORPUS_SEED
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, US
 from repro.transport import tcp as tcp_module
 from repro.transport.packet import FlowDirection
 from repro.transport.tcp import TcpConfig, TcpReceiver, TcpSender
+from tests.corpora import CORPUS_SEED
 from tests.tcp_scan import ScanTcpReceiver, ScanTcpSender
 from tests.test_phy_kernel_fuzz import _python_lines_executed
 
@@ -427,7 +427,8 @@ def _line_profile(sender_cls, receiver_cls, filename, window, burst_len):
     pipe.around_ack = around_ack
     pipe.around_segment = around_segment
     pipe.run()
-    assert sender.stats.rto_events == 0
+    # SACK/RACK repairs the burst alone: each lost segment resent once.
+    assert (sender.stats.retransmissions, sender.stats.rto_events) == (burst_len, 0)
     return acks, segments
 
 
@@ -437,8 +438,9 @@ class TestCostIsIndependentOfFlight:
     @pytest.fixture(scope="class")
     def profiles(self):
         filename = tcp_module.__file__
-        # A 300-segment burst at flight 2,048; at flight 64 the largest
-        # burst that still leaves SACKs flowing (no RTO).
+        # A 300-segment burst at flight 2,048 (300 retransmissions, no
+        # RTO); at flight 64 the largest burst that still leaves SACKs
+        # flowing.
         return {
             flight: _line_profile(
                 TcpSender, TcpReceiver, filename, flight, min(300, flight // 2)

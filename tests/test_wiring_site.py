@@ -4,9 +4,8 @@ Every composition root in ``src/repro`` — the fleet composer, the chaos /
 soak probe harness, the experiments, the perf scenarios — composes
 ``build_slingshot_cell`` / ``build_baseline_cell`` and never constructs a
 vRAN component itself, so a fault plan, a checkpoint, a telemetry probe
-or a fleet reaches every deployment shape there is. The perf micro
-drivers that hand-wire a bare ``Switch`` / ``Link`` are not components
-and are not covered.
+or a fleet reaches every deployment shape there is. A bare ``Switch`` /
+``Link`` is not a component and is not covered.
 """
 
 import ast
