@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Pop-level census of one benchmark workload: which callbacks the wall goes to.
 
-    python benchmarks/pop_census.py <workload> [--seed N] [--smoke]
+    python benchmarks/pop_census.py <workload> [--seed N] [--smoke] [--frames N]
 
 Builds and warms the workload's plan exactly as ``bench/worker.py`` does
 (``bench/workloads.py`` is imported read-only), then drives the measured
@@ -13,9 +13,10 @@ window twice, on two identical deployments:
   ``Link._deliver``, ``ShmChannel._deliver`` and ``_ServiceQueue._complete``
   split by the consumer they hand to;
 * a **counted** pass under ``sys.setprofile``: Python ``call`` and C
-  ``c_call`` events per cell-slot. Deterministic, so it repeats exactly;
-  it runs apart from the timed pass because the profile hook would be
-  most of the wall it measured.
+  ``c_call`` events per cell-slot, and the Python ones per code object
+  (``--frames N`` prints the N most entered). Deterministic, so it repeats
+  exactly; it runs apart from the timed pass because the profile hook
+  would be most of the wall it measured.
 
 Both passes must pop the ``events_processed`` delta of the window, event
 for event, or the script fails. ROADMAP item 6 asks for this census
@@ -106,15 +107,40 @@ def timed_pass(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     }
 
 
-def counted_pass(name: str, seed: int, smoke: bool) -> Dict[str, int]:
-    """Interpreter ``call`` / ``c_call`` events over the same window."""
+def frame_label(code: Any, owner: Optional[str] = None) -> str:
+    """``path:qualname`` of a code object, the path relative to ``src/``
+    or the checkout, below ``site-packages`` or a bare file name (the
+    standard library); a generated one (a dataclass ``__init__``, compiled
+    from ``<string>``) is named by the class that owns it."""
+    if owner is not None:
+        return f"{code.co_filename}:{owner}.{code.co_name}"
+    path = code.co_filename
+    for base in (os.path.join(ROOT, "src"), ROOT):
+        if path.startswith(base + os.sep):
+            path = os.path.relpath(path, base)
+            break
+    else:
+        path = path.partition("site-packages" + os.sep)[2] or os.path.basename(path)
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def counted_pass(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
+    """Interpreter ``call`` / ``c_call`` events over the same window, and
+    the ``call`` events per code object."""
     deployment, plan = _window(name, seed, smoke)
     sim = deployment.sim
-    counts = {"call": 0, "c_call": 0}
+    counts: Dict[str, Any] = {"call": 0, "c_call": 0}
+    calls: Counter = Counter()
+    owners: Dict[Any, str] = {}
 
     def profile(frame: Any, event: str, arg: Any) -> None:
-        if event in counts:
-            counts[event] += 1
+        if event == "call":
+            code = frame.f_code
+            if code not in calls and code.co_filename == "<string>":
+                owners[code] = type(frame.f_locals.get("self")).__qualname__
+            calls[code] += 1
+        elif event == "c_call":
+            counts["c_call"] += 1
 
     before = sim.events_processed
     previous = sys.getprofile()
@@ -123,6 +149,10 @@ def counted_pass(name: str, seed: int, smoke: bool) -> Dict[str, int]:
         sim.run_until(plan["end_ns"])
     finally:
         sys.setprofile(previous)
+    counts["call"] = sum(calls.values())
+    counts["frames"] = Counter()
+    for code, count in calls.items():
+        counts["frames"][frame_label(code, owners.get(code))] += count
     counts["events_processed"] = sim.events_processed - before
     return counts
 
@@ -143,8 +173,9 @@ def census(name: str, seed: int = 1, smoke: bool = False) -> Dict[str, Any]:
     }
 
 
-def render(result: Dict[str, Any]) -> List[str]:
-    """The census as text: a header, one row per kind, two total lines."""
+def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
+    """The census as text: a header, one row per kind, two total lines,
+    then the ``frames`` most entered Python code objects."""
     slots = result["cell_slots"]
     wall_total = sum(result["wall_ns"].values())
     lines = [
@@ -167,6 +198,10 @@ def render(result: Dict[str, Any]) -> List[str]:
     lines.append(
         f"calls /cell-slot: python {result['call'] / slots:.1f} c {result['c_call'] / slots:.1f}"
     )
+    if frames:
+        lines.append(f"{'python frame':<86} {'/cell-slot':>10}")
+        for label, count in result["frames"].most_common(frames):
+            lines.append(f"{label:<86} {count / slots:>10.2f}")
     return lines
 
 
@@ -175,8 +210,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--smoke", action="store_true", help="the smoke-test shape")
+    parser.add_argument(
+        "--frames", type=int, default=0, metavar="N",
+        help="also list the N most entered Python code objects per cell-slot",
+    )
     args = parser.parse_args(argv)
-    print("\n".join(render(census(args.workload, args.seed, args.smoke))))
+    if args.frames < 0:
+        parser.error(f"--frames must be >= 0, got {args.frames}")
+    print("\n".join(render(census(args.workload, args.seed, args.smoke), args.frames)))
     return 0
 
 

@@ -115,7 +115,7 @@ class ZeroDelayRule(LintRule):
             if name is None:
                 continue
             method = name.rpartition(".")[2]
-            if method not in ("schedule", "call_after"):
+            if method != "schedule":
                 continue
             if node.args and (
                 isinstance(node.args[0], ast.Constant) and node.args[0].value == 0

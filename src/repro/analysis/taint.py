@@ -17,8 +17,8 @@ helper's return value or a chain of parameters:
 * **sanitizers** — the integer-producing conversions (``int``,
   ``round``, ``s_to_ns``, ``ms_to_ns``, ``us_to_ns``, ``seconds``)
   clear taint for their whole subtree;
-* **sinks** — the scheduling APIs (``schedule``, ``at``, ``call_after``,
-  ``run_until``, ``run_for``, ``run_for_ns``, ``run_until_ns``).
+* **sinks** — the scheduling APIs (``schedule``, ``at``, ``run_until``,
+  ``run_for``, ``run_for_ns``, ``run_until_ns``).
 
 TIMX001 fires wherever tainted dataflow reaches a sink, after zero hops
 or many; TIMX002 fires where a seconds-tainted value is bound to a
@@ -36,7 +36,7 @@ from repro.analysis.program import FunctionInfo, ModuleInfo, Program
 from repro.analysis.registry import LintRule, dotted_name, location, register_rule
 
 #: Methods whose first positional argument is a time/delay in ns.
-SCHEDULING_METHODS = {"schedule", "at", "call_after", "run_until", "run_for"}
+SCHEDULING_METHODS = {"schedule", "at", "run_until", "run_for"}
 
 #: Boundary helpers from :mod:`repro.sim.units` whose *second* positional
 #: argument is the time/duration in ns (the first is the run target).

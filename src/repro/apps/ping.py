@@ -93,7 +93,7 @@ class PingClient(Process):
             return
         self._running = True
         # First probe at start time; order-independent (tie-shuffle clean).
-        self.call_after(0, self._send_next)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_next)  # slinglint: disable=EVT002
 
     def stop(self) -> None:
         self._running = False
@@ -101,10 +101,10 @@ class PingClient(Process):
     def _send_next(self) -> None:
         if not self._running:
             return
-        sample = PingSample(seq=self._seq, sent_ns=self.now, rtt_ns=None)
+        sample = PingSample(seq=self._seq, sent_ns=self.sim.now, rtt_ns=None)
         self.samples.append(sample)
         self._outstanding[self._seq] = sample
-        request = _EchoRequest(ping_seq=self._seq, sent_ns=self.now)
+        request = _EchoRequest(ping_seq=self._seq, sent_ns=self.sim.now)
         packet = Packet(
             flow_id=self.flow_id,
             ue_id=self.ue_id,
@@ -112,14 +112,14 @@ class PingClient(Process):
             direction=FlowDirection.DOWNLINK,
             payload=request,
             size_bytes=self.packet_bytes,
-            created_ns=self.now,
+            created_ns=self.sim.now,
             seq=self._seq,
         )
         self._seq += 1
         self.server.send_to_ue(packet)
-        self.call_after(self.interval_ns, self._send_next)
+        self.sim.schedule(self.interval_ns, self._send_next)
         # Expire long-gone requests to bound the outstanding map.
-        cutoff = self.now - self.timeout_ns
+        cutoff = self.sim.now - self.timeout_ns
         stale = [s for s, smp in self._outstanding.items() if smp.sent_ns < cutoff]
         for seq in stale:
             del self._outstanding[seq]
@@ -131,7 +131,7 @@ class PingClient(Process):
         sample = self._outstanding.pop(request.ping_seq, None)
         if sample is None:
             return
-        sample.rtt_ns = self.now - request.sent_ns
+        sample.rtt_ns = self.sim.now - request.sent_ns
 
     # ------------------------------------------------------------------
     # Analysis helpers
@@ -146,7 +146,7 @@ class PingClient(Process):
 
     def loss_count(self) -> int:
         """Pings with no reply (excluding ones still in flight)."""
-        horizon = self.now - self.timeout_ns
+        horizon = self.sim.now - self.timeout_ns
         return sum(
             1 for s in self.samples if s.rtt_ns is None and s.sent_ns < horizon
         )

@@ -73,7 +73,7 @@ class VideoSender(Process):
             return
         self._running = True
         # First frame at start time; order-independent (tie-shuffle clean).
-        self.call_after(0, self._send_frame)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_frame)  # slinglint: disable=EVT002
 
     def stop(self) -> None:
         self._running = False
@@ -95,7 +95,7 @@ class VideoSender(Process):
                 direction=FlowDirection.DOWNLINK,
                 payload=_VideoChunk(self._frame_index, chunk_index),
                 size_bytes=chunk,
-                created_ns=self.now,
+                created_ns=self.sim.now,
                 seq=self._seq,
             )
             self._seq += 1
@@ -104,7 +104,7 @@ class VideoSender(Process):
             self.server.send_to_ue(packet)
         self._frame_index += 1
         self.frames_sent += 1
-        self.call_after(self.frame_interval_ns, self._send_frame)
+        self.sim.schedule(self.frame_interval_ns, self._send_frame)
 
 
 class VideoReceiver:

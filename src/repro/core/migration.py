@@ -82,7 +82,7 @@ class MigrationController:
         self.orion.initialize_secondary(cell_id, secondary_id)
         if self.trace is not None:
             self.trace.record(
-                self.orion.now,
+                self.orion.sim.now,
                 "controller.upgrade",
                 cell=cell_id,
                 phy=secondary_id,

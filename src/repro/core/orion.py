@@ -290,7 +290,7 @@ class PhySideOrion(Process):
         self.nulls_injected += len(nulls)
         if self.trace is not None and nulls:
             self.trace.record(
-                self.now, "orion.loss_repaired",
+                self.sim.now, "orion.loss_repaired",
                 phy=self.phy_id, cell=message.cell_id, count=len(nulls),
             )
         return nulls
@@ -304,7 +304,7 @@ class PhySideOrion(Process):
 
     def _arm_watchdog(self) -> None:
         assert self.slot_clock is not None
-        next_slot = self.slot_clock.slot_at(self.now + self.watchdog_lead_ns) + 1
+        next_slot = self.slot_clock.slot_at(self.sim.now + self.watchdog_lead_ns) + 1
         fire_at = self.slot_clock.slot_start(next_slot) - self.watchdog_lead_ns
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
@@ -317,7 +317,7 @@ class PhySideOrion(Process):
         """Just before the PHY needs the upcoming slot's requests, check
         that they arrived; inject nulls for any that did not."""
         assert self.slot_clock is not None
-        abs_slot = self.slot_clock.slot_at(self.now + self.watchdog_lead_ns)
+        abs_slot = self.slot_clock.slot_at(self.sim.now + self.watchdog_lead_ns)
         if self.shm_to_phy is None:
             return
         # Sorted, not insertion order: the dict is populated in arrival
@@ -333,7 +333,7 @@ class PhySideOrion(Process):
             self._last_tti_slot[(cell_id, kind)] = abs_slot
             if self.trace is not None:
                 self.trace.record(
-                    self.now, "orion.watchdog_nulls",
+                    self.sim.now, "orion.watchdog_nulls",
                     phy=self.phy_id, cell=cell_id, kind=kind, slot=abs_slot,
                 )
 
@@ -543,7 +543,7 @@ class L2SideOrion(Process):
         return self.config.response_watchdog_slots * self.slot_clock.slot_duration_ns
 
     def _note_response(self, assignment: CellAssignment) -> None:
-        assignment.last_response_ns = self.now
+        assignment.last_response_ns = self.sim.now
         if not assignment.watchdog_pending:
             assignment.watchdog_pending = True
             self.sim.schedule(
@@ -560,7 +560,7 @@ class L2SideOrion(Process):
         last = assignment.last_response_ns
         if last is None:
             return
-        if self.now - last < self._watchdog_threshold_ns():
+        if self.sim.now - last < self._watchdog_threshold_ns():
             # Fresh responses arrived; re-check when the current silence
             # window would expire.
             assignment.watchdog_pending = True
@@ -577,11 +577,11 @@ class L2SideOrion(Process):
         self.stats.watchdog_fires += 1
         if self.trace is not None:
             self.trace.record(
-                self.now,
+                self.sim.now,
                 "orion.response_watchdog_fired",
                 cell=assignment.cell_id,
                 phy=assignment.primary_phy,
-                silent_ns=self.now - last,
+                silent_ns=self.sim.now - last,
             )
         dest = self._failover_dest(assignment)
         if dest is None:
@@ -592,7 +592,7 @@ class L2SideOrion(Process):
         self._start_migration(
             assignment,
             dest=dest,
-            boundary=self.slot_clock.slot_at(self.now)
+            boundary=self.slot_clock.slot_at(self.sim.now)
             + self.config.failover_slot_margin,
             failover=True,
         )
@@ -618,7 +618,7 @@ class L2SideOrion(Process):
             datagram.phy_id == assignment.draining_phy
             and assignment.migration_slot is not None
             and slot < assignment.migration_slot
-            and self.slot_clock.slot_at(self.now) <= assignment.drain_until_slot
+            and self.slot_clock.slot_at(self.sim.now) <= assignment.drain_until_slot
         ):
             self.stats.drained_responses += 1
             return True
@@ -631,7 +631,7 @@ class L2SideOrion(Process):
         """The switch detected a dead PHY: fail over every affected cell."""
         if self.trace is not None:
             self.trace.record(
-                self.now, "orion.failure_notified", phy=notification.phy_id
+                self.sim.now, "orion.failure_notified", phy=notification.phy_id
             )
         for assignment in self.cells.values():
             if assignment.primary_phy != notification.phy_id:
@@ -653,7 +653,7 @@ class L2SideOrion(Process):
             self._start_migration(
                 assignment,
                 dest=dest,
-                boundary=self.slot_clock.slot_at(self.now)
+                boundary=self.slot_clock.slot_at(self.sim.now)
                 + self.config.failover_slot_margin,
                 failover=True,
             )
@@ -679,7 +679,7 @@ class L2SideOrion(Process):
             assignment.failed_phys.add(phy_id)
         if self.trace is not None:
             self.trace.record(
-                self.now,
+                self.sim.now,
                 "orion.failover_impossible",
                 cell=assignment.cell_id,
                 phy=phy_id,
@@ -693,7 +693,7 @@ class L2SideOrion(Process):
         boundary = (
             at_slot
             if at_slot is not None
-            else self.slot_clock.slot_at(self.now) + self.config.planned_slot_margin
+            else self.slot_clock.slot_at(self.sim.now) + self.config.planned_slot_margin
         )
         self._start_migration(
             assignment, dest=assignment.secondary_phy, boundary=boundary, failover=False
@@ -739,7 +739,7 @@ class L2SideOrion(Process):
             )
         if self.trace is not None:
             self.trace.record(
-                self.now,
+                self.sim.now,
                 "orion.migration_started",
                 cell=assignment.cell_id,
                 dest_phy=dest,
@@ -749,7 +749,7 @@ class L2SideOrion(Process):
         # Finalize roles once the boundary + draining window passes.
         finalize_at = self.slot_clock.slot_start(assignment.drain_until_slot + 1)
         self.sim.at(
-            max(finalize_at, self.now),
+            max(finalize_at, self.sim.now),
             self._finalize_migration,
             assignment,
             dest,
@@ -778,7 +778,7 @@ class L2SideOrion(Process):
         assignment.draining_phy = None
         if self.trace is not None:
             self.trace.record(
-                self.now,
+                self.sim.now,
                 "orion.migration_finalized",
                 cell=assignment.cell_id,
                 primary=dest,
@@ -801,7 +801,7 @@ class L2SideOrion(Process):
         self._send_to_phy(phy_id, StartRequest(cell_id=cell_id))
         if self.trace is not None:
             self.trace.record(
-                self.now, "orion.secondary_initialized", cell=cell_id, phy=phy_id
+                self.sim.now, "orion.secondary_initialized", cell=cell_id, phy=phy_id
             )
 
     def _retransmit_commands(

@@ -118,10 +118,10 @@ class CoreNetwork(Process):
     def send_downlink(self, packet: Packet) -> None:
         """Server -> core -> L2: deliver after backhaul latency."""
         self.packets_dl += 1
-        self.call_after(self.config.backhaul_latency_ns, self._deliver_dl, packet)
+        self.sim.schedule(self.config.backhaul_latency_ns, self._deliver_dl, packet)
 
     def _deliver_dl(self, packet: Packet) -> None:
-        serving = self._serving_l2(packet.ue_id)
+        serving = self._l2_for_ue.get(packet.ue_id, self.l2)  # _serving_l2, inlined
         if serving is not None:
             serving.send_downlink(
                 packet.ue_id, packet.bearer_id, packet, packet.size_bytes
@@ -130,7 +130,7 @@ class CoreNetwork(Process):
     def _on_uplink_sdu(self, ue_id: int, bearer_id: int, sdu: Any) -> None:
         """L2 -> core -> server: deliver after backhaul latency."""
         self.packets_ul += 1
-        self.call_after(self.config.backhaul_latency_ns, self._deliver_ul, sdu)
+        self.sim.schedule(self.config.backhaul_latency_ns, self._deliver_ul, sdu)
 
     def _deliver_ul(self, sdu: Any) -> None:
         if self.uplink_handler is not None and isinstance(sdu, Packet):
@@ -149,9 +149,9 @@ class CoreNetwork(Process):
         duration = max(self.config.attach_duration_ns + jitter, 0)
         if self.trace is not None:
             self.trace.record(
-                self.now, "core.attach_started", ue=ue.ue_id, expected_ns=duration
+                self.sim.now, "core.attach_started", ue=ue.ue_id, expected_ns=duration
             )
-        self.call_after(duration, self._finish_attach, ue)
+        self.sim.schedule(duration, self._finish_attach, ue)
 
     def _finish_attach(self, ue: UserEquipment) -> None:
         bearers = self._bearer_profiles.get(ue.ue_id, [])
@@ -162,4 +162,4 @@ class CoreNetwork(Process):
             )
         ue.complete_reattach()
         if self.trace is not None:
-            self.trace.record(self.now, "core.attach_done", ue=ue.ue_id)
+            self.trace.record(self.sim.now, "core.attach_done", ue=ue.ue_id)

@@ -43,10 +43,10 @@ class AppServer(Process):
     def send_to_ue(self, packet: Packet) -> None:
         """Send one downlink packet toward its UE via the core."""
         self.packets_sent += 1
-        self.call_after(self.latency_to_core_ns, self.core.send_downlink, packet)
+        self.sim.schedule(self.latency_to_core_ns, self.core.send_downlink, packet)
 
     def _dispatch_uplink(self, packet: Packet) -> None:
-        self.call_after(self.latency_to_core_ns, self._deliver_local, packet)
+        self.sim.schedule(self.latency_to_core_ns, self._deliver_local, packet)
 
     def _deliver_local(self, packet: Packet) -> None:
         self.packets_received += 1

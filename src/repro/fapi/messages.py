@@ -50,7 +50,7 @@ class FapiMessage:
     cell_id: int = 0
     #: Absolute slot counter (the simulation's TTI index).
     slot: int = -1
-    message_id: int = field(default_factory=lambda: next(_message_ids))
+    message_id: int = field(default_factory=_message_ids.__next__)
 
     @property
     def message_type(self) -> MessageType:

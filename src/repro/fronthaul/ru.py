@@ -99,7 +99,7 @@ class RadioUnit(Process):
         if self._started:
             return
         self._started = True
-        next_slot = self.slot_clock.slot_at(self.now) + 1
+        next_slot = self.slot_clock.slot_at(self.sim.now) + 1
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
             self._slot_boundary,
@@ -131,7 +131,7 @@ class RadioUnit(Process):
             # migrations to spot stale post-boundary sources).
             if self.trace is not None:
                 self.trace.record(
-                    self.now,
+                    self.sim.now,
                     "ru.source_changed",
                     ru=self.ru_id,
                     slot=abs_slot,
@@ -146,7 +146,7 @@ class RadioUnit(Process):
             self.stats.conflicting_source_slots += 1
             if self.trace is not None:
                 self.trace.record(
-                    self.now, "ru.conflicting_sources", slot=abs_slot, ru=self.ru_id
+                    self.sim.now, "ru.conflicting_sources", slot=abs_slot, ru=self.ru_id
                 )
 
     # ------------------------------------------------------------------
@@ -156,10 +156,10 @@ class RadioUnit(Process):
         # Fires exactly at each slot boundary; the engine re-arms the next
         # one before this callback runs, so a failure in this slot's
         # handling can never stop the radio.
-        abs_slot = self.slot_clock.slot_at(self.now)
+        abs_slot = self.slot_clock.slot_at(self.sim.now)
         slot_type = self.tdd.slot_type(abs_slot)
         # Give the PHY's packets a grace window past the slot start, then act.
-        self.call_after(
+        self.sim.schedule(
             self.control_deadline_ns, self._process_slot, abs_slot, slot_type
         )
         # Garbage-collect state from long-past slots: what a scan frees

@@ -42,6 +42,7 @@ from repro.fapi.messages import (
     UlTtiRequest,
 )
 from repro.l2.rlc import (
+    PDU_HEADER_BYTES,
     RlcBearerConfig,
     RlcMode,
     RlcPdu,
@@ -237,7 +238,7 @@ class L2Process(Process):
             self.fapi_tx.send(
                 ConfigRequest(
                     cell_id=self.cell_id,
-                    slot=self.slot_clock.slot_at(self.now),
+                    slot=self.slot_clock.slot_at(self.sim.now),
                     num_prbs=self.numerology.num_prbs,
                     numerology_mu=self.numerology.mu,
                     tdd_pattern=self.tdd.pattern,
@@ -245,7 +246,7 @@ class L2Process(Process):
                 )
             )
             self.fapi_tx.send(StartRequest(cell_id=self.cell_id))
-        next_slot = self.slot_clock.slot_at(self.now) + 1
+        next_slot = self.slot_clock.slot_at(self.sim.now) + 1
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
             self._slot_tick,
@@ -270,14 +271,14 @@ class L2Process(Process):
             )
         self.ues[ue_id] = ctx
         if self.trace is not None:
-            self.trace.record(self.now, "l2.ue_registered", ue=ue_id)
+            self.trace.record(self.sim.now, "l2.ue_registered", ue=ue_id)
         return ctx
 
     def deregister_ue(self, ue_id: int) -> None:
         """Remove a UE (RLF/detach): all its L2 state is released."""
         self.ues.pop(ue_id, None)
         if self.trace is not None:
-            self.trace.record(self.now, "l2.ue_deregistered", ue=ue_id)
+            self.trace.record(self.sim.now, "l2.ue_deregistered", ue=ue_id)
 
     def send_downlink(self, ue_id: int, bearer_id: int, sdu: Any, size_bytes: int) -> bool:
         """Entry point for core-network DL traffic toward a UE."""
@@ -375,7 +376,7 @@ class L2Process(Process):
     # ------------------------------------------------------------------
     def _slot_tick(self) -> None:
         # Fires 10 µs into each slot, so the current slot is slot_at(now).
-        abs_slot = self.slot_clock.slot_at(self.now)
+        abs_slot = self.slot_clock.slot_at(self.sim.now)
         target = abs_slot + self.config.schedule_ahead_slots
         self._expire_harq(abs_slot)
         self._maybe_emit_status(abs_slot)
@@ -421,9 +422,9 @@ class L2Process(Process):
     def _maybe_emit_status(self, abs_slot: int) -> None:
         """Queue RLC AM status reports for UL bearers onto the DL path."""
         for ctx in self.ues.values():
-            if self.now - ctx.last_status_at < self.config.status_interval_ns:
+            if self.sim.now - ctx.last_status_at < self.config.status_interval_ns:
                 continue
-            ctx.last_status_at = self.now
+            ctx.last_status_at = self.sim.now
             for bearer_id, receiver in ctx.ul_rx.items():
                 if receiver.config.mode is RlcMode.AM and receiver.status_due:
                     ctx.pending_dl_status.append(receiver.build_status())
@@ -504,7 +505,8 @@ class L2Process(Process):
                 break
             pulled = tx.pull(capacity - used)
             items.extend(pulled)
-            used += sum(p.wire_bytes for p in pulled)
+            for rlc_pdu in pulled:
+                used += PDU_HEADER_BYTES + rlc_pdu.length  # its ``wire_bytes``
         if not items:
             return None
         tb_id = next(self._tb_id_gen)

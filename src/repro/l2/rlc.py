@@ -169,14 +169,16 @@ class RlcTransmitter:
         """Fill up to ``max_bytes`` of a transport block with PDUs.
 
         Retransmissions take priority over fresh data (standard RLC AM
-        behaviour).
+        behaviour). A PDU costs ``PDU_HEADER_BYTES`` plus its length (its
+        ``wire_bytes``).
         """
         pdus: List[RlcPdu] = []
         budget = max_bytes
-        while self._retx and budget >= self._retx[0].wire_bytes:
-            pdu = self._retx.popleft()
+        retx = self._retx
+        while retx and budget >= PDU_HEADER_BYTES + retx[0].length:
+            pdu = retx.popleft()
             pdus.append(pdu)
-            budget -= pdu.wire_bytes
+            budget -= PDU_HEADER_BYTES + pdu.length
             self.stats.pdus_retransmitted += 1
         while self._queue and budget > PDU_HEADER_BYTES:
             pending = self._queue[0]
@@ -201,7 +203,7 @@ class RlcTransmitter:
             if is_last:
                 self._queue.popleft()
             pdus.append(pdu)
-            budget -= pdu.wire_bytes
+            budget -= PDU_HEADER_BYTES + segment
             self.stats.pdus_sent += 1
             if self.config.mode is RlcMode.AM:
                 self._flight[pdu.seq] = (pdu, 0)
@@ -318,13 +320,35 @@ class RlcReceiver:
         return self._fallback_clock
 
     def on_pdu(self, pdu: RlcPdu) -> List[Any]:
-        """Accept one PDU; returns the SDUs it makes deliverable."""
+        """Accept one PDU; returns the SDUs it makes deliverable.
+
+        UM delivers a complete SDU at once: an unsegmented PDU is handed
+        up here, a segment goes through :meth:`_assemble`, and the
+        t-Reassembly scan runs only while a partial SDU exists.
+        """
         self.stats.pdus_received += 1
         self.pdus_since_status += 1
         self._fallback_clock += 1
         if self.config.mode is RlcMode.AM:
             return self._on_pdu_am(pdu)
-        return self._on_pdu_um(pdu)
+        seen = self._seen
+        if pdu.seq in seen:
+            self.stats.duplicates += 1
+            return []
+        seen.add(pdu.seq)
+        self._seen_max = max(self._seen_max, pdu.seq)
+        if len(seen) > 4096:
+            cutoff = self._seen_max - 2048
+            self._seen = {s for s in seen if s > cutoff}
+        if pdu.offset == 0 and pdu.is_last_segment:
+            self.stats.sdus_delivered += 1
+            delivered = [pdu.sdu]
+        else:
+            sdu = self._assemble(pdu)
+            delivered = [] if sdu is None else [sdu]
+        if self._partial:
+            self._expire_partials()
+        return delivered
 
     # --- AM: strict in-order ------------------------------------------
     def _on_pdu_am(self, pdu: RlcPdu) -> List[Any]:
@@ -339,23 +363,6 @@ class RlcReceiver:
             sdu = self._assemble(next_pdu)
             if sdu is not None:
                 delivered.append(sdu)
-        return delivered
-
-    # --- UM: immediate delivery of complete SDUs ----------------------
-    def _on_pdu_um(self, pdu: RlcPdu) -> List[Any]:
-        if pdu.seq in self._seen:
-            self.stats.duplicates += 1
-            return []
-        self._seen.add(pdu.seq)
-        self._seen_max = max(self._seen_max, pdu.seq)
-        if len(self._seen) > 4096:
-            cutoff = self._seen_max - 2048
-            self._seen = {s for s in self._seen if s > cutoff}
-        delivered: List[Any] = []
-        sdu = self._assemble(pdu)
-        if sdu is not None:
-            delivered.append(sdu)
-        self._expire_partials()
         return delivered
 
     def _assemble(self, pdu: RlcPdu) -> Optional[Any]:

@@ -191,9 +191,14 @@ class PhyCodec:
         result = self.code.decode(combined, max_iterations=self.decoder_iterations)
         # A parity-clean decode passes iff it is the transmitted word: that is
         # "CRC valid and payload as sent", since equal payloads have equal CRCs.
-        crc_ok = result.parity_ok and bool(
-            np.array_equal(result.info_bits, self._info_words([block])[0])
-        )
+        # The encode (here or the caller's) left the word in the table; a
+        # miss re-derives it exactly as the encode did.
+        crc_ok = False
+        if result.parity_ok:
+            sent = _INFO_WORDS.get((self.payload_bits, block.tb_id))
+            if sent is None:
+                sent = self._info_words([block])[0]
+            crc_ok = bool(np.array_equal(result.info_bits, sent))
         buf = self.harq.buffer(block.ue_id, block.harq_process)
         combined_transmissions = buf.transmissions
         if crc_ok:

@@ -199,7 +199,7 @@ class PhyProcess(Process):
             handle.cancel()
         self._pending.clear()
         if self.trace is not None:
-            self.trace.record(self.now, "phy.crash", phy=self.phy_id, reason=reason)
+            self.trace.record(self.sim.now, "phy.crash", phy=self.phy_id, reason=reason)
 
     def hang(self, reason: str = "wedged") -> None:
         """Gray failure: the PHY worker pool wedges (e.g. a deadlocked
@@ -213,7 +213,7 @@ class PhyProcess(Process):
         # hang is precisely the failure it cannot see.
         self.hung = True
         if self.trace is not None:
-            self.trace.record(self.now, "phy.hang", phy=self.phy_id, reason=reason)
+            self.trace.record(self.sim.now, "phy.hang", phy=self.phy_id, reason=reason)
 
     def unhang(self) -> None:
         """Clear a hang (the wedged stage recovers)."""
@@ -221,7 +221,7 @@ class PhyProcess(Process):
             return
         self.hung = False
         if self.trace is not None:
-            self.trace.record(self.now, "phy.unhang", phy=self.phy_id)
+            self.trace.record(self.sim.now, "phy.unhang", phy=self.phy_id)
 
     def restart(self, decoder_iterations: Optional[int] = None) -> None:
         """Bring the process back up, empty (used for upgrade rollarounds).
@@ -243,7 +243,7 @@ class PhyProcess(Process):
         self.service_inflation_ns = 0
         self._schedule_next_slot()
         if self.trace is not None:
-            self.trace.record(self.now, "phy.restart", phy=self.phy_id)
+            self.trace.record(self.sim.now, "phy.restart", phy=self.phy_id)
 
     # ------------------------------------------------------------------
     # FAPI receive path (from PHY-side Orion or the L2 directly)
@@ -311,7 +311,7 @@ class PhyProcess(Process):
     # ------------------------------------------------------------------
     def _schedule_next_slot(self) -> None:
         """Arm the periodic per-slot tick at the next transmit deadline."""
-        next_slot = self.slot_clock.slot_at(self.now + self.config.tx_lead_ns) + 1
+        next_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns) + 1
         fire_at = self.slot_clock.slot_start(next_slot) - self.config.tx_lead_ns
         self._tick_handle = self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
@@ -325,7 +325,7 @@ class PhyProcess(Process):
             return
         # Fires tx_lead_ns before each slot boundary, so the target slot
         # is the one containing now + lead.
-        abs_slot = self.slot_clock.slot_at(self.now + self.config.tx_lead_ns)
+        abs_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns)
         for cell in self.cells.values():
             if cell.started:
                 self._process_cell_slot(cell, abs_slot)
@@ -451,7 +451,7 @@ class PhyProcess(Process):
             vran_instance_id=self.config.vran_instance_id,
         )
         first_tx = self._tx_jitter_ns()
-        self._send_fronthaul_at(self.now + first_tx, cplane, cplane.wire_bytes)
+        self._send_fronthaul_at(self.sim.now + first_tx, cplane, cplane.wire_bytes)
         # DL U-plane data for each allocation, paced across the early slot.
         payloads = cell.tx_data.pop(abs_slot, {})
         offset = first_tx + 20 * US
@@ -477,7 +477,7 @@ class PhyProcess(Process):
                 block=block,
                 source_phy_id=self.phy_id,
             )
-            self._send_fronthaul_at(self.now + offset, packet, packet.wire_bytes)
+            self._send_fronthaul_at(self.sim.now + offset, packet, packet.wire_bytes)
             offset += 8 * US
         # Second C-plane section packet mid-slot (symbol-group sections);
         # keeps the heartbeat cadence dense within the slot.
@@ -493,11 +493,11 @@ class PhyProcess(Process):
         mid_offset = self.config.tx_lead_ns + 250 * US + round(
             50.0 * float(self.rng.random()) * US
         )
-        self._send_fronthaul_at(self.now + mid_offset, mid, mid.wire_bytes)
+        self._send_fronthaul_at(self.sim.now + mid_offset, mid, mid.wire_bytes)
 
     def _send_fronthaul_at(self, when: int, payload, wire_bytes: int) -> None:
         handle = self.sim.at(
-            max(when, self.now),
+            max(when, self.sim.now),
             self._send_fronthaul_now,
             payload,
             wire_bytes,

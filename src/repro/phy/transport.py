@@ -53,7 +53,7 @@ class TransportBlock:
     retx_index: int = 0
     #: Slot in which the block is (re)transmitted.
     slot: int = -1
-    tb_id: int = field(default_factory=lambda: next(_tb_ids))
+    tb_id: int = field(default_factory=_tb_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_bytes == 0 and isinstance(self.data, (bytes, bytearray)):

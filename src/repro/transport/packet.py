@@ -42,7 +42,7 @@ class Packet:
     created_ns: int = 0
     #: Flow-scope sequence number (loss/reordering accounting).
     seq: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_packet_ids.__next__)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -78,7 +78,7 @@ class UdpSender(Process):
             return
         self._running = True
         # First packet at start time; order-independent (tie-shuffle clean).
-        self.call_after(0, self._send_next)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_next)  # slinglint: disable=EVT002
 
     def stop(self) -> None:
         self._running = False
@@ -97,13 +97,13 @@ class UdpSender(Process):
             direction=self.direction,
             payload=None,
             size_bytes=self.packet_bytes,
-            created_ns=self.now,
+            created_ns=self.sim.now,
             seq=self._seq,
         )
         self._seq += 1
         self.stats.packets_sent += 1
         self.transmit(packet)
-        self.call_after(self.interval_ns, self._send_next)
+        self.sim.schedule(self.interval_ns, self._send_next)
 
 
 class UdpSink:

@@ -26,6 +26,7 @@ import numpy as np
 from repro.fronthaul.air import AirInterface, UeRadioPort
 from repro.fronthaul.oran import UlGrant
 from repro.l2.rlc import (
+    PDU_HEADER_BYTES,
     RlcBearerConfig,
     RlcMode,
     RlcPdu,
@@ -169,7 +170,7 @@ class UserEquipment(Process):
             self._out_of_sync = True
         if self._out_of_sync:
             return
-        self._last_dl_control_ns = self.now
+        self._last_dl_control_ns = self.sim.now
         my_grants = [g for g in grants if g.ue_id == self.ue_id]
         for grant in my_grants:
             self._transmit_on_grant(abs_slot, grant)
@@ -224,7 +225,8 @@ class UserEquipment(Process):
                     break
                 pulled = tx.pull(capacity - used)
                 items.extend(pulled)
-                used += sum(p.wire_bytes for p in pulled)
+                for rlc_pdu in pulled:
+                    used += PDU_HEADER_BYTES + rlc_pdu.length  # its ``wire_bytes``
             block = TransportBlock(
                 ue_id=self.ue_id,
                 direction=LinkDirection.UPLINK,
@@ -277,7 +279,7 @@ class UserEquipment(Process):
     # Per-slot tick: PUCCH staging, status generation, RLF supervision
     # ------------------------------------------------------------------
     def _schedule_tick(self) -> None:
-        next_slot = self.slot_clock.slot_at(self.now) + 1
+        next_slot = self.slot_clock.slot_at(self.sim.now) + 1
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
             self._tick,
@@ -288,17 +290,17 @@ class UserEquipment(Process):
 
     def _tick(self) -> None:
         # Fires pucch_stage_offset_ns into each slot.
-        abs_slot = self.slot_clock.slot_at(self.now)
+        abs_slot = self.slot_clock.slot_at(self.sim.now)
         self._staged_slots = {s for s in self._staged_slots if s >= abs_slot - 4}
         if not self.attached:
             return
         # Radio link supervision.
-        if self.now - self._last_dl_control_ns > self.config.rlf_timeout_ns:
+        if self.sim.now - self._last_dl_control_ns > self.config.rlf_timeout_ns:
             self._radio_link_failure()
             return
         # Periodic RLC status generation for DL AM bearers.
-        if self.now - self._last_status_ns >= self.config.status_interval_ns:
-            self._last_status_ns = self.now
+        if self.sim.now - self._last_status_ns >= self.config.status_interval_ns:
+            self._last_status_ns = self.sim.now
             for bearer_id, receiver in self.dl_rx.items():
                 if receiver.config.mode is RlcMode.AM and receiver.status_due:
                     self._pending_ul_status.append(receiver.build_status())
@@ -331,7 +333,7 @@ class UserEquipment(Process):
         self._sent_blocks.clear()
         self.codec.harq.discard_all()
         if self.trace is not None:
-            self.trace.record(self.now, "ue.rlf", ue=self.ue_id)
+            self.trace.record(self.sim.now, "ue.rlf", ue=self.ue_id)
         if self.on_rlf is not None:
             self.on_rlf(self)
 
@@ -339,11 +341,11 @@ class UserEquipment(Process):
         """Called by the core once the attach procedure finishes."""
         self.attached = True
         self.port.attached = True
-        self._last_dl_control_ns = self.now
+        self._last_dl_control_ns = self.sim.now
         # A fresh RRC context is established with whichever stack now
         # serves the cell.
         self._vran_instance_id = None
         self._out_of_sync = False
         self.stats.reattach_completions += 1
         if self.trace is not None:
-            self.trace.record(self.now, "ue.reattached", ue=self.ue_id)
+            self.trace.record(self.sim.now, "ue.reattached", ue=self.ue_id)

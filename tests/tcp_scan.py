@@ -127,7 +127,7 @@ class ScanTcpSender(Process):
                 seq=self.snd_nxt,
                 length=mss,
                 ack=0,
-                ts_echo=self.now,
+                ts_echo=self.sim.now,
             )
             self.snd_nxt += mss
             self._flight[segment.seq] = segment
@@ -135,7 +135,7 @@ class ScanTcpSender(Process):
         self._arm_rto()
 
     def _emit(self, segment: TcpSegment) -> None:
-        segment.sent_at = self.now
+        segment.sent_at = self.sim.now
         self.stats.segments_sent += 1
         packet = Packet(
             flow_id=self.flow_id,
@@ -144,7 +144,7 @@ class ScanTcpSender(Process):
             direction=self.direction,
             payload=segment,
             size_bytes=segment.wire_bytes,
-            created_ns=self.now,
+            created_ns=self.sim.now,
             seq=segment.segment_id,
         )
         self.transmit(packet)
@@ -199,7 +199,7 @@ class ScanTcpSender(Process):
             self.snd_una = segment.ack
             self._dupacks = 0
             if segment.ts_echo:
-                self._sample_rtt(self.now - segment.ts_echo)
+                self._sample_rtt(self.sim.now - segment.ts_echo)
             if self.in_fast_recovery and segment.ack >= self._recover:
                 # Recovery complete: deflate to the halved window.
                 self.in_fast_recovery = False
@@ -270,7 +270,7 @@ class ScanTcpSender(Process):
         if self.flight_size == 0:
             return
         if self._rto_handle is None or not self._rto_handle.pending:
-            self._rto_handle = self.call_after(self.rto_ns, self._on_rto)
+            self._rto_handle = self.sim.schedule(self.rto_ns, self._on_rto)
 
     def _on_rto(self) -> None:
         if not self._running or self.flight_size == 0:
@@ -351,7 +351,7 @@ class ScanTcpReceiver(Process):
                 delivered += seg.length
             if delivered:
                 self.bytes_delivered += delivered
-                index = self.now // self.bin_ns
+                index = self.sim.now // self.bin_ns
                 self.bins[index] = self.bins.get(index, 0) + delivered
         ack = TcpSegment(
             flow_id=self.flow_id,
@@ -368,7 +368,7 @@ class ScanTcpReceiver(Process):
             direction=self.ack_direction,
             payload=ack,
             size_bytes=ack.wire_bytes,
-            created_ns=self.now,
+            created_ns=self.sim.now,
             seq=ack.segment_id,
         )
         self.transmit_ack(packet)

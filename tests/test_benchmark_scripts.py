@@ -69,3 +69,29 @@ def test_pop_census_attributes_every_event():
     ).groups()
     assert int(attributed) == int(delta) == sum(int(m.group(2)) for m in parsed) > 0
     assert re.fullmatch(r"calls /cell-slot: python \d+\.\d c \d+\.\d", calls)
+
+
+def test_pop_census_frames_tally_every_python_call():
+    """``--frames N`` appends the N most entered Python code objects per
+    cell-slot: at most N rows, most entered first, each a ``path:qualname``
+    under ``src/`` (a generated dataclass ``__init__`` is named by its
+    class), and together no more than the ``calls`` total above them."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "pop_census.py"),
+         "cell_tcp_dl_failover", "--smoke", "--frames", "12"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    header = lines.index(next(line for line in lines if line.startswith("python frame")))
+    calls = re.fullmatch(r"calls /cell-slot: python (\d+\.\d) c \d+\.\d", lines[header - 1])
+    assert calls, lines[header - 1]
+    rows = [re.fullmatch(r"(\S+:\S+) +(\d+\.\d\d)", line) for line in lines[header + 1:]]
+    assert all(rows) and len(rows) == 12, lines[header + 1:]
+    per_slot = [float(m.group(2)) for m in rows]
+    assert per_slot == sorted(per_slot, reverse=True)
+    assert sum(per_slot) <= float(calls.group(1)) + 0.1
+    labels = [m.group(1) for m in rows]
+    assert len(set(labels)) == len(labels)
+    assert "repro/sim/engine.py:Simulator._pop" in labels
+    assert all(label.startswith(("repro/", "<string>:")) for label in labels), labels

@@ -17,16 +17,26 @@ and callback that own it. Four things are pinned:
   ``schedule_periodic`` series (16 % of the measured 54.8) — the census
   on which periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (measured 666.3 plus 5 %; 851.3 while the clock was a property,
+  slot (measured 627.1 plus 5 %; 666.3 while every process read the
+  clock through a property, 851.3 while the engine's clock was one too,
   every heartbeat walked the tick grid and every register access called
   its bound check — DESIGN §9 "Healthy slot: cost model"). Python frames
   only: ``c_call`` accounting differs across interpreter versions.
+
+A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
+``TcpIperfDownlink``, warmed past slow start and its first recovery, pops
+exactly ``TCP_EVENTS`` events in the window (89.4 a slot) and enters at
+most ``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (measured 1,117.7
+plus 5 %; 1,478.4 with a clock property, a label string per event, lambda
+id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
+model"), so frames cannot be traded for events.
 """
 
 import sys
 from collections import Counter
 
-from repro import CellConfig, build_slingshot_cell
+from repro import CellConfig, UeProfile, build_slingshot_cell
+from repro.apps import TcpIperfDownlink
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
@@ -34,7 +44,29 @@ WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
 MAX_EVENTS_PER_SLOT = 63
 PERIODIC_PER_SLOT = 9
-MAX_CALLS_PER_SLOT = 699
+MAX_CALLS_PER_SLOT = 659
+#: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
+#: on, past slow start's overshoot and the fast recovery it ends in.
+TCP_WARMUP_NS = 650 * MS
+TCP_EVENTS = 17_884
+MAX_CALLS_PER_TCP_SLOT = 1174
+
+
+def _python_calls(sim, window_ns, skip=None):
+    """Python frames entered while ``sim`` runs ``window_ns``; frames of
+    the code object ``skip`` (a census wrapper, not the program's) excluded."""
+    calls = [0]
+
+    def count_python_frames(frame, event, arg):
+        calls[0] += event == "call" and frame.f_code is not skip
+
+    profiler = sys.getprofile()
+    sys.setprofile(count_python_frames)
+    try:
+        sim.run_for(window_ns)
+    finally:
+        sys.setprofile(profiler)
+    return calls[0]
 
 
 def test_healthy_cell_event_budget(monkeypatch):
@@ -53,20 +85,9 @@ def test_healthy_cell_event_budget(monkeypatch):
             fired[(id(getattr(callback, "__self__", None)), callback.__qualname__)] += 1
         return entry
 
-    calls = [0]
-
-    def count_python_frames(frame, event, arg):
-        # The census wrapper above is not the program's.
-        calls[0] += event == "call" and frame.f_code is not counting_pop.__code__
-
     monkeypatch.setattr(Simulator, "_pop", counting_pop)
     before = cell.sim.events_processed
-    profiler = sys.getprofile()
-    sys.setprofile(count_python_frames)
-    try:
-        cell.sim.run_for(WINDOW_NS)
-    finally:
-        sys.setprofile(profiler)
+    calls = _python_calls(cell.sim, WINDOW_NS, skip=counting_pop.__code__)
     monkeypatch.undo()
 
     slots = WINDOW_NS // cell.slot_ns
@@ -76,8 +97,8 @@ def test_healthy_cell_event_budget(monkeypatch):
         f"{events / slots:.1f} events per slot on a healthy cell"
     )
     assert periodic[0] == PERIODIC_PER_SLOT * slots
-    assert calls[0] / slots <= MAX_CALLS_PER_SLOT, (
-        f"{calls[0] / slots:.1f} Python calls per slot on a healthy cell"
+    assert calls / slots <= MAX_CALLS_PER_SLOT, (
+        f"{calls / slots:.1f} Python calls per slot on a healthy cell"
     )
     symbols = slots * cell.config.numerology.symbols_per_slot
     assert not [name for _, name in fired if name.endswith("._egress")]
@@ -89,4 +110,26 @@ def test_healthy_cell_event_budget(monkeypatch):
     period = cell.middlebox.config.detector.tick_period_ns
     assert cell.middlebox.detector.stats.ticks_processed == (
         (WARMUP_NS + WINDOW_NS) // period + 1
+    )
+
+
+def test_bulk_tcp_cell_call_budget():
+    bulk_ue = UeProfile(
+        ue_id=1, name="UE", mean_snr_db=17.0, shadow_sigma_db=0.6, fade_probability=0.0
+    )
+    cell = build_slingshot_cell(CellConfig(ue_profiles=[bulk_ue]))
+    cell.sim.run_for(WARMUP_NS)
+    flow = TcpIperfDownlink(cell.sim, cell.server, cell.ue(1), "iperf", 1)
+    flow.start()
+    cell.sim.run_until(TCP_WARMUP_NS)
+    assert not flow.sender.in_fast_recovery
+    assert flow.sender.cwnd >= flow.sender.ssthresh  # Congestion avoidance.
+
+    before = cell.sim.events_processed
+    calls = _python_calls(cell.sim, WINDOW_NS)
+    slots = WINDOW_NS // cell.slot_ns
+    events = cell.sim.events_processed - before
+    assert events == TCP_EVENTS, f"{events / slots:.2f} events per bulk-TCP slot"
+    assert calls / slots <= MAX_CALLS_PER_TCP_SLOT, (
+        f"{calls / slots:.1f} Python calls per bulk-TCP slot"
     )

@@ -54,7 +54,9 @@ class TestSec52:
     def test_detection_latency_within_budget(self):
         result = sec52_detector.run(trials=3, healthy_seconds=1.0)
         assert len(result.detection_latencies_us) == 3
-        assert result.max_us() < 1100.0  # ~2 TTIs upper bound.
+        # Measured from the kill, which follows the last heartbeat: never
+        # more than detection - last heartbeat, which is at most T.
+        assert result.max_us() <= result.timeout_us
         assert result.false_positives == 0
         assert sec52_detector.summarize(result)
 
@@ -62,7 +64,7 @@ class TestSec52:
 class TestSec82:
     def test_dropped_tti_comparison(self):
         result = sec82_dropped_ttis.run(trials=2)
-        assert result.max_failover_dropped() <= 4
+        assert result.max_failover_dropped() <= 3  # Paper: <= 3.
         assert result.planned_dropped == 0
         assert result.vm_migration_dropped > 100
         assert sec82_dropped_ttis.summarize(result)

@@ -322,7 +322,7 @@ class TestPeriodicProcess:
 
         class Ticker(PeriodicProcess):
             def on_tick(self, tick):
-                times.append((tick, self.now))
+                times.append((tick, self.sim.now))
 
         Ticker(sim, "t", period=100)
         sim.run_until(350)
@@ -358,7 +358,7 @@ class TestPeriodicProcess:
 
         class Ticker(PeriodicProcess):
             def on_tick(self, tick):
-                times.append(self.now)
+                times.append(self.sim.now)
 
         Ticker(sim, "t", period=100, start_offset=37)
         sim.run_until(250)
