@@ -17,6 +17,13 @@ exactly the draws an at-build arm would have, and every forked branch's
 canonical trace digest equals the cold run's. ``--check`` and the
 tier-1 tests assert this against ``BENCH_chaos.json``.
 
+Digests and verdicts, not the whole record: a branch attaches its link
+impairments at the fork point, a cold run at build time, and
+``ImpairmentStats.frames_seen`` (and, on an impaired switch-egress link,
+one deferred-send event per frame) counts from attachment — so a
+link-fault branch's ``counters`` differ from the cold run's while its
+digest does not.
+
 Fork bases are keyed by ``(seed, num_phy_servers, fork_ns)``: most
 scenarios share one base (fault at :data:`~repro.faults.scenarios.FAULT_AT_NS`),
 ``clock_drift`` needs an earlier branch point (its clock fault leads
@@ -91,7 +98,7 @@ def run_forked_scenario(
     assert isinstance(harness, ProbeHarness)
     arm_plan(harness, scenario.plan)
     drive_to(harness, RUN_END_NS)
-    return judge_execution(scenario, seed, harness.cell, harness.injector)
+    return judge_execution(scenario, seed, harness)
 
 
 def ensure_fork_bases(

@@ -257,39 +257,6 @@ def profile_passed(section: Dict[str, Any]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Experiment registry surface (python -m repro all / list)
-# ----------------------------------------------------------------------
-def run(horizon_s: float = 3.0, seed: int = 1, jobs: int = 1) -> Dict[str, Any]:
-    """Experiment entrypoint: soak + crash-resume digest verification."""
-    # At least two checkpoint intervals, so there is a boundary to
-    # resume from and meaningful trace eviction behind it.
-    config = SoakConfig(seed=seed, horizon_ns=max(int(horizon_s * 1e9), 1_000 * MS))
-    with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
-        _, soak, written = run_soak(config, checkpoint_dir=Path(tmp))
-        resume = _verify_resume(written, soak["rolling_digest"])
-    return {"soak": soak, "resume": resume, "jobs": jobs}
-
-
-def summarize(result: Dict[str, Any]) -> str:
-    soak = result["soak"]
-    resume = result["resume"]
-    plan = soak["plan"]
-    lines = [
-        f"soak: {soak['horizon_ns'] / 1e9:.1f} s horizon, seed {soak['seed']}",
-        f"  background faults: {plan['faults_total']} ({plan['by_kind']})",
-        f"  probe deliveries:  {soak['probe_deliveries']} "
-        f"(max gap {soak['max_probe_gap_ms']:.2f} ms)",
-        f"  trace: {soak['events_processed']} events, "
-        f"{soak['evicted_events']} evicted, "
-        f"{soak['retained_events']} retained",
-        f"  rolling digest:    {soak['rolling_digest'][:16]}...",
-        f"  crash-resume from {resume['resumed_from_ns'] / 1e6:.0f} ms: "
-        + ("digest MATCHED" if resume["digest_matched"] else "digest MISMATCH"),
-    ]
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
 # CLI: the ``soak`` verb's declaration. The fan-out lives inside
 # ``run_campaign`` / ``forked_sweep``, so soak hands the harness a whole
 # ``run`` and adopts its baseline / check / write / exit-code half.
@@ -324,6 +291,25 @@ def _arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _describe(soak: Dict[str, Any], resume: Dict[str, Any]) -> str:
+    """A one-off soak and its crash-resume check, as text."""
+    plan = soak["plan"]
+    return "\n".join(
+        [
+            f"soak: {soak['horizon_ns'] / 1e9:.1f} s horizon, seed {soak['seed']}",
+            f"  background faults: {plan['faults_total']} ({plan['by_kind']})",
+            f"  probe deliveries:  {soak['probe_deliveries']} "
+            f"(max gap {soak['max_probe_gap_ms']:.2f} ms)",
+            f"  trace: {soak['events_processed']} events, "
+            f"{soak['evicted_events']} evicted, "
+            f"{soak['retained_events']} retained",
+            f"  rolling digest:    {soak['rolling_digest'][:16]}...",
+            f"  crash-resume from {resume['resumed_from_ns'] / 1e6:.0f} ms: "
+            + ("digest MATCHED" if resume["digest_matched"] else "digest MISMATCH"),
+        ]
+    )
+
+
 def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
     """``--resume`` and one-off ``--horizon/--seed`` runs (neither is the
     recorded baseline shape, so neither reports nor gates)."""
@@ -350,7 +336,7 @@ def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
             config, checkpoint_dir=args.ckpt_dir or Path(tmp)
         )
         resume = _verify_resume(written, summary["rolling_digest"])
-    print(summarize({"soak": summary, "resume": resume, "jobs": jobs}))
+    print(_describe(summary, resume))
     return 0 if resume["digest_matched"] else 1
 
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro sec52 --jobs 4
     python -m repro lint [--sanitize] [--write-manifest] [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
-    python -m repro telemetry [--quick] [--check] [--jobs N]
     python -m repro soak [--check --quick] [--resume CKPT] [--jobs N]
     python -m repro fleet [--check --quick] [--pool-sizes 0 1 2 4] [--jobs N]
 
@@ -20,9 +19,12 @@ description, the default/quick durations, and the mapping from parsed
 CLI arguments to ``run(...)`` parameters, so adding an experiment means
 registering a spec, not writing another shim. ``lint`` runs the
 :mod:`repro.analysis` static checks (slinglint); ``chaos`` sweeps the
-:mod:`repro.faults` fault-injection matrix; ``telemetry`` runs instrumented
-failover scenarios (:mod:`repro.telemetry`). The simulator's speed is
-measured by the repo benchmark, ``bench/run.py``, not by a verb here.
+:mod:`repro.faults` fault-injection matrix and records each run's
+failover timeline and every layer's counters (:mod:`repro.telemetry`);
+``soak`` and ``fleet`` are the continuous-operation and metro-fleet
+campaigns, reached only as verbs (``all`` runs the paper experiments).
+The simulator's speed is measured by the repo benchmark,
+``bench/run.py``, not by a verb here.
 
 The former per-experiment ``_run_*`` functions are gone; their exact
 argument mappings live in each spec's ``cli_params``.
@@ -47,9 +49,7 @@ _HARNESS_VERBS = {
     "lint": ("repro.analysis.runner",
              "static-analysis pass over src/repro (slinglint)"),
     "chaos": ("repro.faults.campaign",
-              "fault-injection campaign with recovery invariants"),
-    "telemetry": ("repro.telemetry.runner",
-                  "instrumented failover metrics + timelines"),
+              "fault-injection campaign: invariants, timelines, counters"),
     "soak": ("repro.checkpoint.soak",
              "continuous-operation run: checkpoints, resume, forking"),
     "fleet": ("repro.fleet.campaign",
@@ -155,11 +155,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(raw_argv)
     if args.experiment == "list":
         print("available experiments:")
-        # ``soak`` and ``fleet`` are both: the name dispatches to the
-        # verb, the registry entry is what ``all`` runs. Listed once.
         for name, (_, description, _) in EXPERIMENTS.items():
-            if name not in _HARNESS_VERBS:
-                print(f"  {name:9s} {description}")
+            print(f"  {name:9s} {description}")
         for name, (_, description) in _HARNESS_VERBS.items():
             print(f"  {name:9s} {description}")
         return 0

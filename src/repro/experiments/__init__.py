@@ -26,8 +26,6 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
 
-from repro.checkpoint import soak as soak_experiment
-from repro.fleet import experiment as fleet_experiment
 from repro.experiments import (
     fig3_vm_migration,
     fig8_video,
@@ -205,23 +203,6 @@ register(ExperimentSpec(
     cli_params=lambda args: {"duration_s": min(args.duration, 5.0)},
 ))
 register(ExperimentSpec(
-    name="soak",
-    description="continuous-operation soak with crash-resume verification",
-    default_duration_s=3.0,
-    quick_duration_s=1.5,
-    module=soak_experiment,
-    cli_params=lambda args: {
-        "horizon_s": min(args.duration, 10.0), "jobs": args.jobs,
-    },
-))
-register(ExperimentSpec(
-    name="fleet",
-    description="metro fleet availability vs pooled standby count",
-    default_duration_s=0.0,
-    module=fleet_experiment,
-    cli_params=lambda args: {"jobs": args.jobs, "quick": args.quick},
-))
-register(ExperimentSpec(
     name="sec86",
     description="switch resources + inter-packet gap",
     default_duration_s=3.0,
@@ -248,8 +229,6 @@ __all__ = [
     "sec82_dropped_ttis",
     "sec85_overhead",
     "sec86_switch",
-    "soak_experiment",
-    "fleet_experiment",
     "ablations",
     "ext_massive_mimo",
 ]

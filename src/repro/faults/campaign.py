@@ -6,6 +6,12 @@ digest is seed-stable, and emits a JSON report (``--out FILE``;
 ``benchmarks/BENCH_chaos.json`` is the recorded baseline ``--check``
 compares against — see :mod:`repro.harness`).
 
+Each run is one failover record (:class:`ScenarioRun`): the digest and
+verdicts, the :class:`~repro.telemetry.timeline.FailoverTimeline`, every
+layer's non-zero :func:`~repro.telemetry.collect.collect` counter, and
+the detector's detection latencies — read once the run has ended, which
+writes no trace record and draws no randomness.
+
 ``--jobs N`` fans the independent ``(scenario, seed)`` shards out to a
 process pool (:mod:`repro.parallel`). Every shard rebuilds its cell
 from its own seed, results merge in canonical ``(scenario, seed)``
@@ -41,6 +47,7 @@ from repro.faults.scenarios import (
     standard_scenarios,
 )
 from repro.parallel.workers import run_campaign_shard
+from repro.telemetry import FailoverTimeline, collect
 from repro.transport.packet import FlowDirection, Packet
 from repro.transport.udp import UdpSender, UdpSink
 
@@ -55,17 +62,20 @@ PROBE_BEARER_ID = 1
 
 @dataclass
 class ScenarioRun:
-    """One (scenario, seed) execution's verdicts and evidence."""
+    """One (scenario, seed) execution's verdicts and failover record."""
 
     scenario: str
     seed: int
     digest: str
     invariants: List[dict]
     passed: bool
-    max_probe_gap_ms: Optional[float]
-    migrations_committed: int
-    detection: Dict[str, int]
-    link_faults: List[dict]
+    #: ``FailoverTimeline.as_dict()``; its ``downtime_ns`` is the probe
+    #: gap the ``bounded_downtime`` invariant bounds.
+    timeline: Dict[str, Any]
+    #: ``collect(harness)`` without the names that read 0, sorted.
+    counters: Dict[str, float]
+    #: Detected − last heartbeat, per switch-detector detection.
+    detection_latencies_ns: List[int]
     replay_digest_matched: Optional[bool] = None
 
     def as_dict(self) -> dict:
@@ -74,11 +84,10 @@ class ScenarioRun:
             "seed": self.seed,
             "digest": self.digest,
             "passed": self.passed,
-            "max_probe_gap_ms": self.max_probe_gap_ms,
-            "migrations_committed": self.migrations_committed,
-            "detection": self.detection,
             "invariants": self.invariants,
-            "link_faults": self.link_faults,
+            "timeline": self.timeline,
+            "counters": self.counters,
+            "detection_latencies_ns": self.detection_latencies_ns,
             "replay_digest_matched": self.replay_digest_matched,
         }
 
@@ -239,65 +248,62 @@ def drive_to(harness: ProbeHarness, until_ns: int) -> None:
     cell.run_until(until_ns)
 
 
-def _execute(scenario: ChaosScenario, seed: int):
-    """Build, arm, probe, and run one scenario; returns (cell, injector)."""
-    harness = build_probe_harness(
+def _execute(scenario: ChaosScenario, seed: int) -> ProbeHarness:
+    """Build, arm, probe, and run one scenario."""
+    probed = build_probe_harness(
         seed, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
     )
-    drive_to(harness, RUN_END_NS)
-    return harness.cell, harness.injector
+    drive_to(probed, RUN_END_NS)
+    return probed
 
 
 def judge_execution(
-    scenario: ChaosScenario, seed: int, cell, injector: FaultInjector
+    scenario: ChaosScenario, seed: int, probed: ProbeHarness
 ) -> ScenarioRun:
-    """Judge one finished execution against the scenario's invariants.
+    """Judge one finished execution against the scenario's invariants
+    and read its failover record.
 
     Shared by the normal campaign path and the checkpoint/fork paths —
     a restored or forked execution must produce byte-identical verdicts,
     so there is exactly one judging code path.
     """
+    cell = probed.cell
     events = cell.trace.canonical_events()
-    digest = cell.trace.digest()
-    checker = RecoveryInvariants(
+    results = RecoveryInvariants(
         events,
         window_start_ns=MEASURE_START_NS,
         window_end_ns=MEASURE_END_NS,
         downtime_budget_ns=scenario.downtime_budget_ns,
         expected_migrations=scenario.expected_migrations,
         expect_failover_impossible=scenario.expect_failover_impossible(),
+    ).check_all()
+    timeline = FailoverTimeline.from_events(
+        events, window_start_ns=MEASURE_START_NS, window_end_ns=MEASURE_END_NS
     )
-    results = checker.check_all()
-    gap = checker.max_probe_gap_ns()
-    run = ScenarioRun(
+    return ScenarioRun(
         scenario=scenario.name,
         seed=seed,
-        digest=digest,
+        digest=cell.trace.digest(),
         invariants=[r.as_dict() for r in results],
         passed=all(r.passed for r in results),
-        max_probe_gap_ms=None if gap is None else round(gap / 1e6, 3),
-        migrations_committed=cell.trace.count("mbox.migration_committed"),
-        detection={
-            "switch_detector": cell.trace.count("mbox.failure_detected"),
-            "response_watchdog": cell.trace.count(
-                "orion.response_watchdog_fired"
-            ),
-            "failover_impossible": cell.trace.count("orion.failover_impossible"),
-        },
-        link_faults=injector.link_fault_stats(),
+        timeline=timeline.as_dict(),
+        counters={name: value for name, value in collect(probed).items() if value},
+        detection_latencies_ns=[
+            detected_at - last_heartbeat
+            for _, detected_at, last_heartbeat in cell.middlebox.detector.detections
+            if last_heartbeat is not None
+        ],
     )
-    return run
 
 
 def run_scenario(
     scenario: ChaosScenario, seed: int, replay: bool = False
 ) -> ScenarioRun:
     """Execute one (scenario, seed) pair and judge it."""
-    cell, injector = _execute(scenario, seed)
-    run = judge_execution(scenario, seed, cell, injector)
+    run = judge_execution(scenario, seed, _execute(scenario, seed))
     if replay:
-        replay_cell, _ = _execute(scenario, seed)
-        run.replay_digest_matched = replay_cell.trace.digest() == run.digest
+        replayed = _execute(scenario, seed).cell.trace.digest()
+        run.replay_digest_matched = replayed == run.digest
     return run
 
 
@@ -344,12 +350,14 @@ def _format_run(run: ScenarioRun) -> str:
     verdict = "PASS" if run.passed else "FAIL"
     if run.replay_digest_matched is False:
         verdict = "FAIL(replay)"
-    gap = "-" if run.max_probe_gap_ms is None else f"{run.max_probe_gap_ms:8.2f}"
+    downtime = run.timeline["downtime_ns"]
+    gap = "-" if downtime is None else f"{downtime / 1e6:8.2f}"
+    migrations = run.counters.get("core.mbox.migrations_executed", 0)
     failed = [r["name"] for r in run.invariants if not r["passed"]]
     suffix = f"  !{','.join(failed)}" if failed else ""
     return (
         f"{run.scenario:<18} seed={run.seed:<3} {verdict:<12} "
-        f"gap_ms={gap}  migrations={run.migrations_committed}{suffix}"
+        f"gap_ms={gap}  migrations={migrations}{suffix}"
     )
 
 
@@ -363,8 +371,7 @@ def recorded_digests() -> Dict[Tuple[str, int], str]:
     return {(run["scenario"], run["seed"]): run["digest"] for run in runs}
 
 
-def scenario_arguments(parser: argparse.ArgumentParser) -> None:
-    """``--scenario`` / ``--seeds``, shared with ``repro telemetry``."""
+def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--scenario",
         action="append",
@@ -379,22 +386,6 @@ def scenario_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="scenario seeds (default: 1 2 3; --quick: 1)",
     )
-
-
-def selected_matrix(
-    args: argparse.Namespace, quick_scenarios: Optional[Sequence[str]] = None
-) -> Tuple[List[ChaosScenario], List[int]]:
-    """The (scenarios, seeds) a parsed ``--scenario/--seeds/--quick`` names."""
-    catalog = scenario_by_name()
-    names = args.scenarios or (
-        quick_scenarios if args.quick and quick_scenarios else list(catalog)
-    )
-    seeds = args.seeds if args.seeds is not None else ([1] if args.quick else [1, 2, 3])
-    return harness.select(catalog, names, "scenario"), seeds
-
-
-def _arguments(parser: argparse.ArgumentParser) -> None:
-    scenario_arguments(parser)
     parser.add_argument(
         "--no-replay",
         action="store_true",
@@ -403,7 +394,10 @@ def _arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _cli_shards(args: argparse.Namespace) -> harness.Shards:
-    scenarios, seeds = selected_matrix(args)
+    """The matrix a parsed ``--scenario/--seeds/--quick`` names."""
+    catalog = scenario_by_name()
+    scenarios = harness.select(catalog, args.scenarios or list(catalog), "scenario")
+    seeds = args.seeds if args.seeds is not None else ([1] if args.quick else [1, 2, 3])
     return _shards(scenarios, seeds, replay=not (args.no_replay or args.quick))
 
 
@@ -418,7 +412,7 @@ CHAOS = harness.Verb(
     name="chaos",
     description="Deterministic fault-injection campaign with "
     "recovery-invariant checking.",
-    exact_fields=("digest",),
+    exact_fields=("digest", "timeline", "counters", "detection_latencies_ns"),
     arguments=_arguments,
     entries=harness.runs_by("scenario", "seed"),
     summary=_summary,

@@ -10,10 +10,10 @@ bit-identically for a given cell seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List
+from typing import Dict, Iterator
 
 from repro.faults.link_faults import LinkImpairment
-from repro.faults.plan import ClockFaultSpec, FaultPlan, ProcessFaultSpec
+from repro.faults.plan import ClockFaultSpec, FaultPlan, ProcessFaultSpec, invalid_spec
 from repro.net.link import Link
 
 
@@ -32,6 +32,7 @@ class FaultInjector:
         """Attach hooks and schedule every fault transition."""
         if self._armed:
             raise RuntimeError("fault plan already armed")
+        self._refuse_what_this_cell_lacks()
         self._armed = True
         for link in self._switch_links():
             specs = tuple(
@@ -50,6 +51,28 @@ class FaultInjector:
             self._arm_process_fault(spec)
         for spec in self.plan.clock_faults:
             self._arm_clock_fault(spec)
+
+    def _refuse_what_this_cell_lacks(self) -> None:
+        """Before anything is attached or scheduled: every link pattern
+        matches a switch link, every ``phy_id`` names a server, every
+        clock ``node`` names a clock — else one ``ValueError``, not a
+        scenario that "passes" with nothing armed or a traceback at the
+        fault instant."""
+        links = [link.name for link in self._switch_links()]
+        for spec in self.plan.link_faults:
+            if not any(spec.link_pattern in name for name in links):
+                raise invalid_spec(spec, "link_pattern matches no switch link")
+        for spec in self.plan.process_faults:
+            servers = len(self.cell.phy_servers)
+            if spec.phy_id >= servers:
+                raise invalid_spec(
+                    spec, f"phy_id {spec.phy_id} but the cell has {servers} PHY servers"
+                )
+        for spec in self.plan.clock_faults:
+            if spec.node not in self.cell.ptp_clocks:
+                raise invalid_spec(
+                    spec, f"unknown clock node; known: {sorted(self.cell.ptp_clocks)}"
+                )
 
     def _switch_links(self) -> Iterator[Link]:
         switch = self.cell.switch
@@ -168,21 +191,3 @@ class FaultInjector:
     def _end_holdover(self, spec: ClockFaultSpec) -> None:
         clock = self.cell.ptp_clocks[spec.node]
         clock.set_disciplined(self.cell.sim.now, True)
-
-    # ------------------------------------------------------------------
-    def link_fault_stats(self) -> List[dict]:
-        """JSON-ready per-link impairment counters."""
-        out = []
-        for name in sorted(self.impairments):
-            stats = self.impairments[name].stats
-            out.append(
-                {
-                    "link": name,
-                    "frames_seen": stats.frames_seen,
-                    "dropped": stats.dropped,
-                    "corrupted": stats.corrupted,
-                    "reordered": stats.reordered,
-                    "duplicated": stats.duplicated,
-                }
-            )
-        return out

@@ -9,6 +9,12 @@ randomness lives in the executor's named RNG streams).
 
 Times are absolute simulated nanoseconds, matching the campaign's fixed
 timeline (warmup, fault window, measurement window).
+
+A spec that cannot mean anything — a probability outside [0, 1], an
+empty window, a negative duration or PHY index — is refused when it is
+built; one a particular cell cannot honour is refused by
+:meth:`~repro.faults.injector.FaultInjector.arm`. Either way it is one
+``ValueError`` naming the spec and the defect.
 """
 
 from __future__ import annotations
@@ -20,6 +26,18 @@ from repro.net.packet import EtherType
 
 #: "Until the end of the run" sentinel for open-ended fault windows.
 FOREVER = 2**62
+
+
+def invalid_spec(spec, defect: str) -> ValueError:
+    """The one error a spec a plan cannot honour raises: which, and why."""
+    return ValueError(f"{spec!r}: {defect}")
+
+
+def _refuse_negative(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if value < 0:
+            raise invalid_spec(spec, f"negative {name} {value}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,17 @@ class LinkFaultSpec:
     dup_prob: float = 0.0
     #: Restrict to these ethertypes (empty tuple = every frame).
     ethertypes: Tuple[EtherType, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("loss_prob", "corrupt_prob", "reorder_prob", "dup_prob"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise invalid_spec(self, f"{name} {value} is outside [0, 1]")
+        if self.end_ns <= self.start_ns:
+            raise invalid_spec(
+                self, f"end_ns {self.end_ns} <= start_ns {self.start_ns}"
+            )
+        _refuse_negative(self, "reorder_jitter_ns")
 
 
 @dataclass(frozen=True)
@@ -78,7 +107,9 @@ class ProcessFaultSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
-            raise ValueError(f"unknown process fault kind {self.kind!r}")
+            raise invalid_spec(self, f"unknown process fault kind {self.kind!r}")
+        # ``phy_servers[-1]`` would silently fault the last server.
+        _refuse_negative(self, "phy_id", "duration_ns", "slowdown_ns")
 
 
 @dataclass(frozen=True)
@@ -97,6 +128,9 @@ class ClockFaultSpec:
     drift_ppm: Optional[float] = None
     holdover: bool = False
     duration_ns: int = 0
+
+    def __post_init__(self) -> None:
+        _refuse_negative(self, "duration_ns")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """One run -> report -> ``--check`` harness for the campaign verbs.
 
-``repro chaos``, ``fleet``, ``telemetry`` and ``soak`` all run a
+``repro chaos``, ``fleet`` and ``soak`` all run a
 deterministic workload, print a report and optionally gate it against
 a recorded ``benchmarks/BENCH_<verb>.json``. Each verb is a :class:`Verb`
 declaration — its extra flags, its shard table, its worker, its one-line
@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -75,8 +75,6 @@ class Verb:
     passed: Callable[[Dict[str, Any]], bool] = lambda report: report["passed"]
     #: ``--list`` table: name -> description.
     catalog: Optional[Callable[[], Mapping[str, str]]] = None
-    #: ``--format`` renderings beyond text and json.
-    formats: Mapping[str, Callable[[Dict[str, Any]], str]] = field(default_factory=dict)
     #: Modes that are not a campaign (``soak --resume``): (args, jobs)
     #: -> exit code, or None to go on.
     side_mode: Optional[Callable[[argparse.Namespace, int], Optional[int]]] = None
@@ -236,7 +234,7 @@ def _parser(verb: Verb) -> argparse.ArgumentParser:
     )
     if verb.format_run is not None:
         group.add_argument(
-            "--format", choices=("text", "json", *verb.formats), default="text",
+            "--format", choices=("text", "json"), default="text",
         )
     if verb.catalog is not None:
         group.add_argument("--list", action="store_true", help="list the catalog and exit")
@@ -293,8 +291,6 @@ def main(verb: Verb, argv: Optional[Sequence[str]] = None) -> int:
         report = verb.report(*fan_out(verb.worker, shards, jobs, stream))
     if style == "json":
         print(json.dumps(report, indent=2))
-    elif style != "text":
-        print(verb.formats[style](report))
     else:
         print("\n" + verb.summary(report) + execution_tail(report.get("execution")))
 

@@ -1,6 +1,6 @@
 """Sharded parallel execution for campaign/sweep workloads.
 
-The chaos, telemetry and fleet campaigns and the experiment sweeps are
+The chaos and fleet campaigns and the experiment sweeps are
 all embarrassingly parallel: every ``(scenario, seed)`` or
 ``(experiment, config)`` pair builds its own cell from its own seed and
 never touches another shard's state. :mod:`repro.parallel.pool` fans
@@ -15,7 +15,7 @@ importable (picklable) from a fresh interpreter. Shard workers must not
 read module-level mutable state or seed an RNG from anything but their
 payload; the serial-equals-parallel guarantee that rests on this is
 pinned on every campaign (``tests/test_parallel.py``,
-``tests/test_harness_contract.py``, all four ``--check`` gates), and the
+``tests/test_harness_contract.py``, all three ``--check`` gates), and the
 DET rules bind this package like any other.
 """
 

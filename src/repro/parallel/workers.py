@@ -7,7 +7,7 @@ module-level state, and any randomness they trigger flows through the
 shard's own seed-derived :class:`~repro.sim.rng.RngRegistry` streams.
 Every campaign pins the consequence — "bit-identical to serial at any
 --jobs" — dynamically (``tests/test_parallel.py``,
-``tests/test_harness_contract.py``, the four ``--check`` gates), which
+``tests/test_harness_contract.py``, the three ``--check`` gates), which
 is what makes the guarantee checked rather than aspirational.
 
 Imports of the heavyweight driver modules happen inside the workers:
@@ -17,7 +17,7 @@ the dependency one-way at import time.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Tuple
 
 
 def run_campaign_shard(payload: Tuple[Any, int, bool]) -> Any:
@@ -30,19 +30,6 @@ def run_campaign_shard(payload: Tuple[Any, int, bool]) -> Any:
 
     scenario, seed, replay = payload
     return run_scenario(scenario, seed, replay=replay)
-
-
-def run_telemetry_shard(payload: Tuple[str, int, Any]) -> Dict[str, Any]:
-    """One probed chaos run: digest + metrics snapshot + timeline.
-
-    Each shard builds and reads its own harness, so shards stay
-    independent and the parent merges their snapshots in canonical key
-    order. The payload's third item is the digest the plain chaos
-    campaign recorded for the run (or None).
-    """
-    from repro.telemetry.runner import run_instrumented_scenario
-
-    return run_instrumented_scenario(*payload)
 
 
 def build_fork_base_shard(payload: Tuple[int, int, int, str]) -> str:

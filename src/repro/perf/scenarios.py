@@ -140,8 +140,7 @@ def _chaos_runner(scenario_name: str, seed: int) -> Callable:
         from repro.faults.campaign import _execute
         from repro.faults.scenarios import scenario_by_name
 
-        cell, _injector = _execute(scenario_by_name()[scenario_name], seed)
-        return cell
+        return _execute(scenario_by_name()[scenario_name], seed).cell
 
     run.__name__ = f"run_chaos_{scenario_name}"
     return run

@@ -41,8 +41,8 @@ Design notes
   periodic re-arm each build and push it themselves rather than one
   calling the other.
 * ``_pop`` is the single point through which every fired event leaves
-  the queue; the telemetry engine probe (:mod:`repro.telemetry.probe`)
-  hooks it to count events per subsystem without instrumenting callbacks.
+  the queue; ``benchmarks/pop_census.py`` hooks it from outside to
+  attribute wall time without instrumenting callbacks.
 """
 
 from __future__ import annotations
@@ -397,8 +397,7 @@ class Simulator:
 
         Skips (and drops) cancelled entries; leaves a live head beyond
         ``limit`` in place and returns None. Every event that fires flows
-        through here; the telemetry engine probe wraps this method to
-        count events per subsystem.
+        through here, so the pop census wraps this method.
         """
         queue = self._queue
         while queue:

@@ -1,21 +1,12 @@
 """Telemetry: metrics read off a built deployment + failover timelines.
 
-``python -m repro telemetry`` runs the chaos scenarios under an engine
-probe, reads every layer's counters off the finished harness,
-reconstructs per-run :class:`~repro.telemetry.timeline.FailoverTimeline`
-records, and gates the result against ``benchmarks/BENCH_telemetry.json``
-(see :mod:`repro.telemetry.runner`).
-
-The package-level API:
+A library, not a verb: ``repro chaos`` reads every run with it once the
+run ends and records the result (:func:`repro.faults.campaign.judge_execution`).
 
 * :func:`collect` — a flat ``name -> number`` reading of every
   ``*Stats`` field of a ``SlingshotCell`` or a chaos ``ProbeHarness``,
   in place: no flag, no registry, nothing to enable before the cell is
   built (:func:`stats_objects` is the walk under it);
-* :func:`snapshot` / :func:`merge_snapshots` — the JSON form of one
-  run's reading and the canonical-order merge across shards;
-* :class:`EventCountProbe` counting fired events per subsystem on the
-  ``Simulator._pop`` seam;
 * :class:`FailoverTimeline` folding canonical trace events into the
   paper's failure→detect→notify→commit→first-good decomposition.
 
@@ -29,16 +20,10 @@ record, so looking at a run is digest-neutral by construction.
 """
 
 from repro.telemetry.collect import collect, stats_objects
-from repro.telemetry.metrics import merge_snapshots, snapshot
-from repro.telemetry.probe import EVENT_COUNTER_PREFIX, EventCountProbe
 from repro.telemetry.timeline import FailoverTimeline
 
 __all__ = [
-    "EVENT_COUNTER_PREFIX",
-    "EventCountProbe",
     "FailoverTimeline",
     "collect",
-    "merge_snapshots",
-    "snapshot",
     "stats_objects",
 ]

@@ -78,9 +78,9 @@ def stats_objects(root: Any) -> Iterator[Tuple[str, Any]]:
 
 def collect(root: Any) -> Dict[str, float]:
     """A flat, sorted ``name -> number`` reading of every field of every
-    stats object :func:`stats_objects` reaches, plus the three counters
+    stats object :func:`stats_objects` reaches, plus the four counters
     kept as plain attributes (``PhySideOrion.nulls_injected`` and the
-    engine's ``cancel_noops`` / ``compactions``).
+    engine's ``events_processed`` / ``cancel_noops`` / ``compactions``).
 
     Two things a caller comparing two looks at one run must expect
     (interval rows, ROADMAP item 5, start from them): a component that
@@ -102,6 +102,7 @@ def collect(root: Any) -> Dict[str, float]:
         readings[f"core.orion.phy{node.phy_id}.nulls_injected"] = (
             node.orion.nulls_injected
         )
+    readings["engine.events_processed"] = cell.sim.events_processed
     readings["engine.cancel_noops"] = cell.sim.cancel_noops
     readings["engine.compactions"] = cell.sim.compactions
     return dict(sorted(readings.items()))

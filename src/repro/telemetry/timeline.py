@@ -176,17 +176,3 @@ class FailoverTimeline:
             "resume_latency_ns": self.resume_latency_ns,
             "fault_to_first_good_ns": self.fault_to_first_good_ns,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "FailoverTimeline":
-        return cls(
-            window_start_ns=data["window_start_ns"],
-            window_end_ns=data["window_end_ns"],
-            fault_ns=data.get("fault_ns"),
-            detected_ns=data.get("detected_ns"),
-            notified_ns=data.get("notified_ns"),
-            migrate_armed_ns=data.get("migrate_armed_ns"),
-            committed_ns=data.get("committed_ns"),
-            first_good_ns=data.get("first_good_ns"),
-            downtime_ns=data.get("downtime_ns"),
-        )

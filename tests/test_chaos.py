@@ -7,6 +7,7 @@ import pytest
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.faults import (
+    ClockFaultSpec,
     CorruptedPayload,
     FaultInjector,
     FaultPlan,
@@ -15,9 +16,13 @@ from repro.faults import (
     ProcessFaultSpec,
     RecoveryInvariants,
 )
-from repro.faults.campaign import run_scenario
+from repro.faults.campaign import build_probe_harness, drive_to, run_scenario
 from repro.faults.invariants import PROBE_RX
+from repro.faults.proptest import generate_cases
 from repro.faults.scenarios import scenario_by_name, standard_scenarios
+from repro.faults.soak import SoakConfig, generate_soak_plan
+from repro.fleet import FleetConfig, build_fleet
+from repro.fleet.campaign import FAULT_CLASSES, fault_schedule
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
@@ -25,6 +30,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
+from repro.telemetry import collect
 
 
 class Collector:
@@ -137,10 +143,108 @@ class TestLinkImpairment:
         assert fates(3) != fates(4)
 
 
+def two_server_cell(seed=5):
+    return build_slingshot_cell(
+        CellConfig(
+            seed=seed,
+            num_phy_servers=2,
+            ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
+        )
+    )
+
+
+def _process(**overrides):
+    spec = dict(phy_id=0, kind="crash", at_ns=100 * MS)
+    spec.update(overrides)
+    return FaultPlan(name="t", process_faults=(ProcessFaultSpec(**spec),))
+
+
+def _link(**overrides):
+    spec = dict(link_pattern="ru0", loss_prob=0.1)
+    spec.update(overrides)
+    return FaultPlan(name="t", link_faults=(LinkFaultSpec(**spec),))
+
+
+def _clock(**overrides):
+    spec = dict(node="phy0", at_ns=100 * MS, holdover=True, duration_ns=MS)
+    spec.update(overrides)
+    return FaultPlan(name="t", clock_faults=(ClockFaultSpec(**spec),))
+
+
+#: defect -> (plan builder, what the one error says after the spec).
+#: The first group is refused when the spec is built, the second by
+#: ``arm()`` on a two-server cell, before anything is scheduled.
+HOSTILE_PLANS = {
+    "negative phy_id": (lambda: _process(phy_id=-1), "negative phy_id -1"),
+    "negative hang duration": (
+        lambda: _process(kind="hang", duration_ns=-MS), "negative duration_ns"
+    ),
+    "negative slowdown": (
+        lambda: _process(kind="slowdown", slowdown_ns=-1), "negative slowdown_ns"
+    ),
+    "negative holdover": (lambda: _clock(duration_ns=-MS), "negative duration_ns"),
+    "loss above one": (lambda: _link(loss_prob=1.5), "loss_prob 1.5 is outside [0, 1]"),
+    "dup below zero": (lambda: _link(dup_prob=-0.1), "dup_prob -0.1 is outside [0, 1]"),
+    "empty window": (
+        lambda: _link(start_ns=20 * MS, end_ns=20 * MS), "end_ns 20000000 <= start_ns"
+    ),
+    "negative jitter": (
+        lambda: _link(reorder_prob=0.5, reorder_jitter_ns=-1),
+        "negative reorder_jitter_ns",
+    ),
+    "phy_id out of range": (
+        lambda: _process(phy_id=2), "phy_id 2 but the cell has 2 PHY servers"
+    ),
+    "unknown clock node": (lambda: _clock(node="gnss"), "unknown clock node"),
+    "pattern matches no link": (
+        lambda: _link(link_pattern="backhaul"), "link_pattern matches no switch link"
+    ),
+}
+
+
 class TestFaultPlan:
     def test_unknown_process_kind_rejected(self):
         with pytest.raises(ValueError):
             ProcessFaultSpec(phy_id=0, kind="meltdown", at_ns=0)
+
+    @pytest.mark.parametrize("defect", HOSTILE_PLANS)
+    def test_hostile_plan_is_one_value_error_naming_spec_and_defect(self, defect):
+        build, says = HOSTILE_PLANS[defect]
+        cell = two_server_cell()
+        queued = cell.sim.queued_entries
+        with pytest.raises(ValueError) as refused:
+            FaultInjector(cell, build()).arm()
+        message = str(refused.value)
+        assert message.split("(")[0] in {
+            "ProcessFaultSpec", "LinkFaultSpec", "ClockFaultSpec"
+        }, message
+        assert f"): {says}" in message, message
+        assert cell.sim.queued_entries == queued
+        links = FaultInjector(cell, FaultPlan(name="none"))._switch_links()
+        assert all(link.impairment is None for link in links)
+
+    @pytest.mark.slow
+    def test_every_shipped_plan_arms(self):
+        """Standard scenarios, a soak horizon, every fleet fault class and
+        every proptest case, each on the cell shape it runs on (a fleet
+        cell is a two-server cell)."""
+        for scenario in standard_scenarios():
+            build_probe_harness(
+                1, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
+            )
+        cell = two_server_cell()
+        soak = SoakConfig(seed=1, horizon_ns=3_000 * MS)
+        FaultInjector(cell, generate_soak_plan(RngRegistry(1), soak)).arm()
+        for fault_class in FAULT_CLASSES:
+            for _, spec in fault_schedule(fault_class):
+                plan = FaultPlan(name=fault_class, process_faults=(spec,))
+                FaultInjector(cell, plan).arm()
+        fleet = build_fleet(FleetConfig(seed=1, num_cells=3, users_per_cell=50))
+        for case in generate_cases():
+            for index in range(case.num_cells):
+                plan = case.plan_for(index)
+                if plan is not None:
+                    FaultInjector(fleet.cells[index], plan).arm()
 
     def test_describe_is_json_ready(self):
         import json
@@ -153,17 +257,8 @@ class TestFaultPlan:
 
 
 class TestFaultInjector:
-    def _cell(self):
-        return build_slingshot_cell(
-            CellConfig(
-                seed=5,
-                num_phy_servers=2,
-                ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
-            )
-        )
-
     def test_arm_attaches_only_matching_links(self):
-        cell = self._cell()
+        cell = two_server_cell()
         plan = FaultPlan(
             name="t", link_faults=(LinkFaultSpec("ru0", loss_prob=0.1),)
         )
@@ -175,22 +270,28 @@ class TestFaultInjector:
         }
 
     def test_double_arm_rejected(self):
-        cell = self._cell()
+        cell = two_server_cell()
         injector = FaultInjector(cell, FaultPlan(name="t"))
         injector.arm()
         with pytest.raises(RuntimeError):
             injector.arm()
 
-    def test_link_fault_stats_shape(self):
-        cell = self._cell()
+    def test_impairment_counters_reach_the_record(self):
+        """Every armed link's ``ImpairmentStats`` is read as
+        ``net.link.<link>.impairment.*`` — the counters a chaos record
+        carries."""
         plan = FaultPlan(
             name="t", link_faults=(LinkFaultSpec("l2", loss_prob=1.0),)
         )
-        injector = FaultInjector(cell, plan)
-        injector.arm()
-        stats = injector.link_fault_stats()
-        assert [s["link"] for s in stats] == sorted(s["link"] for s in stats)
-        assert all("dropped" in s and "frames_seen" in s for s in stats)
+        harness = build_probe_harness(5, plan=plan)
+        drive_to(harness, 5 * MS)
+        reading = collect(harness)
+        links = sorted(harness.injector.impairments)
+        assert links == ["edge-switch->l2", "l2->edge-switch"]
+        for link in links:
+            prefix = f"net.link.{link}.impairment."
+            assert reading[prefix + "frames_seen"] > 0
+            assert reading[prefix + "dropped"] == reading[prefix + "frames_seen"]
 
 
 def recorded(events):
@@ -312,5 +413,7 @@ class TestChaosSmoke:
         assert run.replay_digest_matched is True
         failed = [r["name"] for r in run.invariants if not r["passed"]]
         assert not failed, failed
-        assert run.migrations_committed == 1
-        assert run.detection["switch_detector"] == 1
+        assert run.counters["core.mbox.migrations_executed"] == 1
+        assert run.counters["core.detector.failures_detected"] == 1
+        assert len(run.detection_latencies_ns) == 1
+        assert "core.orion.l2.watchdog_fires" not in run.counters

@@ -37,14 +37,10 @@ VERB_REJECTS = [
      "repro chaos: run ('crash', 1) selected more than once"),
     ("chaos --scenario crash --seeds 1 1",
      "repro chaos: run ('crash', 1) selected more than once"),
-    ("telemetry --seeds 1 1",
-     "repro telemetry: run ('fh_loss', 1) selected more than once"),
     ("fleet --quick --pool-sizes 1 1",
      "repro fleet: run ('crash', 1, 1) selected more than once"),
     ("chaos --seeds -1",
      "repro chaos: error: argument --seeds: must be >= 0, got -1"),
-    ("telemetry --seeds -1",
-     "repro telemetry: error: argument --seeds: must be >= 0, got -1"),
     ("fleet --quick --seeds -1",
      "repro fleet: error: argument --seeds: must be >= 0, got -1"),
     ("fleet --quick --pool-sizes -1",
@@ -72,9 +68,11 @@ class TestParser:
         for name in EXPERIMENTS:
             assert name in out
 
-    @pytest.mark.parametrize("name", ["nonsense", "perf"])
+    @pytest.mark.parametrize("name", ["nonsense", "perf", "telemetry"])
     def test_unknown_experiment_is_one_line_and_exit_2(self, capsys, name):
-        """``perf`` is not a verb: speed is ``bench/run.py``'s to measure."""
+        """``perf`` is not a verb: speed is ``bench/run.py``'s to measure;
+        nor is ``telemetry``: every chaos run carries its timeline and
+        counters."""
         assert main([name]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -664,7 +664,7 @@ class TestMutantsAreCaught:
 
 
 # ----------------------------------------------------------------------
-# The paper's bound at every kill phase (ROADMAP item 1b in miniature)
+# The paper's bounds at every kill and hang phase
 # ----------------------------------------------------------------------
 def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase():
     """One warm default cell, forked into a primary kill at each of the 56
@@ -698,6 +698,43 @@ def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase():
     assert all(low < value <= high for value in latency.values()), (
         f"max {latency[worst]} ns at phase {worst}, "
         f"min {min(latency.values())} ns; allowed ({low}, {high}]"
+    )
+
+
+def test_the_watchdog_catches_a_hang_at_every_phase():
+    """A hang keeps the heartbeats flowing, so the switch never detects
+    it; the L2 Orion's response watchdog must, at every phase. One warm
+    default cell, forked into a PHY 0 hang at each of the 56 tick-period
+    offsets that cover a slot, each branch run 8 ms on.
+
+    A silent check re-arms to ``last response + threshold``, so the
+    silence a fire reports is exactly ``response_watchdog_slots`` slots;
+    the fire trails the hang by at most that plus the one slot in which
+    output the PHY already had in flight still arrives.
+    """
+    cell = build_slingshot_cell(CellConfig())
+    cell.sim.run_for(50 * MS)
+    warm = Checkpoint.capture(cell)
+    threshold = cell.l2_orion.config.response_watchdog_slots * cell.slot_ns
+    period = cell.middlebox.config.detector.tick_period_ns
+    phases = -(-cell.slot_ns // period)
+    assert phases == 56
+    delay = {}
+    for phase in range(phases):
+        branch = warm.restore()
+        hang_at = warm.meta.sim_now_ns + MS + phase * period
+        branch.sim.at(hang_at, branch.phy_servers[0].phy.hang, "phase")
+        branch.sim.run_until(hang_at + 8 * MS)
+        fired = branch.trace.events("orion.response_watchdog_fired")
+        assert branch.trace.count("mbox.failure_detected") == 0, phase
+        assert len(fired) == 1, (phase, fired)
+        assert fired[0]["silent_ns"] == threshold, (phase, fired[0])
+        assert branch.trace.count("mbox.migration_committed") == 1, phase
+        delay[phase] = fired[0].time - hang_at
+    worst = max(delay, key=delay.get)
+    assert delay[worst] <= threshold + cell.slot_ns, (
+        f"max fire - hang {delay[worst]} ns at phase {worst}, "
+        f"min {min(delay.values())} ns; allowed <= {threshold + cell.slot_ns}"
     )
 
 

@@ -1,6 +1,6 @@
-"""The run -> report -> ``--check`` contract, once, for all four verbs.
+"""The run -> report -> ``--check`` contract, once, for all three verbs.
 
-``repro chaos``, ``fleet``, ``telemetry`` and ``soak`` are declarations
+``repro chaos``, ``fleet`` and ``soak`` are declarations
 handed to :mod:`repro.harness`; this file pins what the
 harness promises for each of them (DESIGN.md §10, "Harness contract"):
 
@@ -32,7 +32,6 @@ from repro.checkpoint.soak import SOAK
 from repro.faults.campaign import CHAOS
 from repro.fleet.campaign import FLEET
 from repro.parallel.pool import fork_available
-from repro.telemetry.runner import TELEMETRY
 
 
 def _drop_run(baseline: Dict[str, Any], entry: Dict[str, Any], label: str) -> None:
@@ -60,11 +59,6 @@ CASES = {
         FLEET,
         ["--class", "crash", "--pool-sizes", "0", "1", "--seeds", "1"],
         ["crash/pool_size=0/seed=1", "crash/pool_size=1/seed=1"],
-    ),
-    "telemetry": Case(
-        TELEMETRY,
-        ["--scenario", "cmd_drop", "--scenario", "crash", "--seeds", "1"],
-        ["cmd_drop/seed=1", "crash/seed=1"],
     ),
     "soak": Case(
         SOAK,

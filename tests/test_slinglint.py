@@ -588,7 +588,7 @@ class TestObservabilityRules:
     """OBS001 is retired: telemetry is bound by the same DET / STREAM rows
     as every other package, which already fired on each of its cases."""
 
-    TELEMETRY_PATH = "src/repro/telemetry/metrics.py"
+    TELEMETRY_PATH = "src/repro/telemetry/collect.py"
 
     def test_obs001_time_import_in_telemetry(self):
         # An import reads no clock; the call is the violation.
@@ -705,7 +705,7 @@ class TestParallelRules:
 
 
 RUNTIME = "src/repro/l2/mac.py"
-TELEMETRY = "src/repro/telemetry/metrics.py"
+TELEMETRY = "src/repro/telemetry/collect.py"
 PERF = "src/repro/perf/scenarios.py"
 PARALLEL = "src/repro/parallel/pool.py"
 TIMING = "src/repro/perf/timing.py"

@@ -1,4 +1,4 @@
-"""Telemetry subsystem tests.
+"""Telemetry library tests.
 
 Covers the contract of :mod:`repro.telemetry`:
 
@@ -6,14 +6,13 @@ Covers the contract of :mod:`repro.telemetry`:
   probe harness holds (a new one cannot be forgotten silently), looking
   mid-run changes neither the digest nor the final reading, and a
   rebuilt component's names start over.
-* **Determinism** — snapshots are canonical (sorted names, zeros left
-  out) and merges are a pure function of canonical shard order
-  (``tests/test_harness_contract.py`` runs the report at jobs 1 / 2 / 4).
-* **Digest neutrality** — probed, read runs reproduce the golden
-  canonical-trace digests of plain runs.
-
-Plus the timeline reconstructor (synthetic traces, round-trips, and the
-paper's §5.2 detection-latency bound on a real crash failover).
+* **The timeline reconstructor** — synthetic traces, and the paper's
+  §5.2 detection-latency bound, §4 absorption counters and causal order
+  read off one chaos run's record (``faults.campaign.ScenarioRun``).
+* **Digest neutrality** — a judged (read) chaos run and a read perf
+  scenario reproduce the golden digests and event counts of plain runs.
+* **The recorded matrix** — every record in ``BENCH_chaos.json`` tells
+  one consistent failover story.
 """
 
 import dataclasses
@@ -23,84 +22,19 @@ import pytest
 
 from repro.checkpoint.snapshot import iter_object_graph
 from repro.core.failure_detector import DetectorConfig
-from repro.faults.campaign import build_probe_harness, drive_to, recorded_digests
+from repro.faults.campaign import (
+    build_probe_harness,
+    drive_to,
+    judge_execution,
+    recorded_digests,
+    run_scenario,
+)
 from repro.faults.scenarios import RUN_END_NS, scenario_by_name
-from repro.sim.engine import Simulator
+from repro.harness import load_baseline
+from repro.perf.scenarios import DIGEST_SCENARIOS
 from repro.sim.trace import TraceEvent
 from repro.sim.units import MS, US
-from repro.telemetry import (
-    EVENT_COUNTER_PREFIX,
-    EventCountProbe,
-    FailoverTimeline,
-    collect,
-    merge_snapshots,
-    snapshot,
-    stats_objects,
-)
-from repro.telemetry.runner import QUICK_SCENARIOS
-
-
-class TestSnapshot:
-    def test_is_sorted_and_leaves_out_what_reads_zero(self):
-        taken = snapshot({"zeta": 2, "idle": 0, "alpha": 1.5}, {"lat": [7], "none": []})
-        assert list(taken["counters"]) == ["alpha", "zeta"]
-        assert taken["histograms"] == {
-            "lat": {"count": 1, "min": 7, "max": 7, "sum": 7, "observations": [7]}
-        }
-        # Canonical means JSON round-trip stable.
-        assert json.loads(json.dumps(taken)) == taken
-
-
-class TestMergeSnapshots:
-    def test_counters_add_and_resort(self):
-        merged = merge_snapshots(
-            [snapshot({"b": 2}, {}), snapshot({"a": 1, "b": 3}, {})]
-        )
-        assert merged["counters"] == {"a": 1, "b": 5}
-        assert list(merged["counters"]) == ["a", "b"]
-
-    def test_histograms_concatenate_in_shard_order(self):
-        merged = merge_snapshots(
-            [snapshot({}, {"lat": [10]}), snapshot({}, {"lat": [3]})]
-        )
-        assert merged["histograms"]["lat"]["observations"] == [10, 3]
-        assert merged["histograms"]["lat"]["count"] == 2
-        assert merged["histograms"]["lat"]["min"] == 3
-
-    def test_merge_of_empty_is_empty(self):
-        assert merge_snapshots([]) == {"counters": {}, "histograms": {}}
-
-
-class TestEventCountProbe:
-    def _run_small_sim(self):
-        sim = Simulator()
-        fired = []
-        for t in (10, 20, 30):
-            sim.schedule(t, lambda: fired.append(sim.now))
-        sim.run_until(100)
-        return fired
-
-    def test_counts_fired_events_and_restores_pop(self):
-        original_pop = Simulator._pop
-        with EventCountProbe() as probe:
-            assert Simulator._pop is not original_pop
-            self._run_small_sim()
-        assert Simulator._pop is original_pop
-        assert probe.total_events == 3
-
-    def test_not_reentrant(self):
-        with EventCountProbe() as probe:
-            with pytest.raises(RuntimeError):
-                probe.__enter__()
-
-    def test_subsystem_attribution(self):
-        from repro.telemetry.probe import subsystem_of
-
-        assert subsystem_of(Simulator.step) == "repro.sim"
-        # Non-repro callables bill to their top-level module.
-        probe = lambda: None  # noqa: E731
-        assert subsystem_of(probe) == probe.__module__.split(".")[0]
-        assert subsystem_of(int) == "builtins"
+from repro.telemetry import FailoverTimeline, collect, stats_objects
 
 
 def _is_stats(obj) -> bool:
@@ -130,9 +64,9 @@ class TestCollector:
         assert list(reading) == sorted(reading)
         assert len(reading) == sum(
             len(dataclasses.fields(stats)) for _, stats in published
-        ) + len(harness.cell.phy_servers) + 2
+        ) + len(harness.cell.phy_servers) + 3
 
-    @pytest.mark.parametrize("name", QUICK_SCENARIOS)
+    @pytest.mark.parametrize("name", ("cmd_drop", "crash", "no_secondary"))
     def test_reading_is_neutral(self, name):
         """A ``collect`` at every 10 ms pause reproduces the recorded chaos
         digest and the final reading of a run nobody looked at."""
@@ -235,64 +169,87 @@ class TestFailoverTimeline:
             window_end_ns=1000 * MS,
         )
         data = json.loads(json.dumps(timeline.as_dict()))
-        assert FailoverTimeline.from_dict(data) == timeline
+        assert data == timeline.as_dict()
         assert data["detect_latency_ns"] == timeline.detect_latency_ns
 
 
 # ----------------------------------------------------------------------
-# Full-cell runs: digest neutrality and the §5.2 latency bound (slow)
+# Full-cell runs: digest neutrality (slow)
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestDigestNeutrality:
     def test_instrumented_chaos_run_reproduces_golden_digest(self):
-        """A probed, read run reproduces the plain run's golden digest."""
-        from repro.telemetry.runner import run_instrumented_scenario
-        from tests.test_perf_digests import GOLDEN_DIGESTS
+        """A run whose record reads every layer reproduces the plain run's
+        golden digest, and its event counter is the golden event count."""
+        from tests.test_perf_digests import GOLDEN_DIGESTS, GOLDEN_EVENTS
 
-        run = run_instrumented_scenario("cmd_drop", 1)
-        assert run["digest"] == GOLDEN_DIGESTS["chaos_cmd_drop"]
-        assert run["invariants_passed"] is True
-        # The run was actually probed and read.
-        counters = run["metrics"]["counters"]
-        assert counters["core.detector.ticks_processed"] > 0
-        assert any(
-            name.startswith(EVENT_COUNTER_PREFIX) for name in counters
-        )
+        run = run_scenario(scenario_by_name()["cmd_drop"], 1)
+        assert run.digest == GOLDEN_DIGESTS["chaos_cmd_drop"]
+        assert run.passed
+        assert run.counters["engine.events_processed"] == GOLDEN_EVENTS["chaos_cmd_drop"]
+        assert run.counters["core.detector.ticks_processed"] > 0
 
     def test_instrumented_perf_scenario_reproduces_golden_digest(self):
-        from repro.perf.scenarios import scenario_digest
-        from tests.test_perf_digests import GOLDEN_DIGESTS
+        """``collect`` reads a bare cell as well as a probe harness, and
+        reading it moves neither the digest nor the event count."""
+        from tests.test_perf_digests import GOLDEN_DIGESTS, GOLDEN_EVENTS
 
-        with EventCountProbe():
-            digest = scenario_digest("fig10_smoke")
-        assert digest == GOLDEN_DIGESTS["fig10_smoke"]
+        cell = DIGEST_SCENARIOS["fig10_smoke"]()
+        reading = collect(cell)
+        assert cell.trace.digest() == GOLDEN_DIGESTS["fig10_smoke"]
+        assert (
+            reading["engine.events_processed"]
+            == cell.sim.events_processed
+            == GOLDEN_EVENTS["fig10_smoke"]
+        )
+        assert reading["phy.phy0.codec.blocks_decoded"] > 0
 
 
+# ----------------------------------------------------------------------
+# One chaos run's record: the §5.2 latency bound and the §4 story (slow)
+# ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestInstrumentedFailover:
     @pytest.fixture(scope="class")
-    def crash_run(self):
-        from repro.telemetry.runner import run_instrumented_scenario
+    def crash(self):
+        """The finished crash harness and its judged record."""
+        scenario = scenario_by_name()["crash"]
+        probed = build_probe_harness(
+            1, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
+        )
+        drive_to(probed, RUN_END_NS)
+        return probed, judge_execution(scenario, 1, probed)
 
-        return run_instrumented_scenario("crash", 1)
+    @pytest.fixture(scope="class")
+    def crash_run(self, crash):
+        return crash[1]
+
+    def test_counters_are_the_nonzero_reading_sorted(self, crash):
+        """The record's counters are the end-of-run reading without the
+        names that read 0, in name order, and survive the JSON round trip
+        the baseline takes."""
+        probed, run = crash
+        reading = collect(probed)
+        assert 0 in reading.values()
+        assert run.counters == {name: value for name, value in reading.items() if value}
+        assert list(run.counters) == sorted(run.counters)
+        assert run.counters["engine.events_processed"] == probed.cell.sim.events_processed
+        assert json.loads(json.dumps(run.as_dict())) == run.as_dict()
 
     def test_detection_latency_within_one_tick_of_timeout(self, crash_run):
         """§5.2: detection fires one timeout after the last heartbeat,
         quantized by the 9 µs tick — every observed latency sits within
         one tick of T = 450 µs."""
         config = DetectorConfig()
-        histogram = crash_run["metrics"]["histograms"][
-            "core.detector.detection_latency_ns"
-        ]
-        assert histogram["count"] >= 1
-        for observed in histogram["observations"]:
+        assert len(crash_run.detection_latencies_ns) >= 1
+        for observed in crash_run.detection_latencies_ns:
             assert (
                 abs(observed - config.timeout_ns) <= config.tick_period_ns
             ), f"detection latency {observed} ns vs T={config.timeout_ns} ns"
 
     def test_timeline_within_scenario_downtime_budget(self, crash_run):
         budget = scenario_by_name()["crash"].downtime_budget_ns
-        timeline = crash_run["timeline"]
+        timeline = crash_run.timeline
         assert timeline["downtime_ns"] is not None
         assert timeline["downtime_ns"] <= budget
         # The decomposition is causally ordered.
@@ -306,8 +263,8 @@ class TestInstrumentedFailover:
 
     def test_the_absorption_story_is_readable(self, crash_run):
         """§4: the failover is absorbed by HARQ / MAC / the RU, and one
-        run's snapshot says so, layer by layer."""
-        counters = crash_run["metrics"]["counters"]
+        run's record says so, layer by layer."""
+        counters = crash_run.counters
         for name in (
             "phy.phy1.harq.lost_to_migration",
             "l2.mac0.ul_dtx_timeouts",
@@ -315,30 +272,57 @@ class TestInstrumentedFailover:
             "fronthaul.ru0.slots_without_control",
             "transport.udp.probe.tx.packets_sent",
             "transport.udp.probe.rx.packets_received",
+            "engine.events_processed",
         ):
             assert counters[name] > 0, name
         assert 0 not in counters.values()
+        assert list(counters) == sorted(counters)
 
 
-@pytest.mark.slow
-class TestTelemetryCli:
-    def test_list_exits_zero(self, capsys):
-        from repro.telemetry.runner import main
+# ----------------------------------------------------------------------
+# The recorded matrix: all 39 records, read from ``BENCH_chaos.json``
+# (which ``tests/test_parallel.py`` pins to the code with ``--check``)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def recorded_runs():
+    by_scenario = {}
+    for run in load_baseline("chaos")["runs"]:
+        by_scenario.setdefault(run["scenario"], []).append(run)
+    return by_scenario
 
-        assert main(["--list"]) == 0
-        assert "cmd_drop" in capsys.readouterr().out
 
-    def test_check_quick_gate_passes(self, capsys):
-        """The tier-1 gate: quick matrix vs the recorded baseline."""
-        from repro.telemetry.runner import main
+ANCHORS = ("fault_ns", "detected_ns", "notified_ns", "committed_ns", "first_good_ns")
 
-        assert main(["--check", "--quick"]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry check passed" in out
-        assert "0 digest-neutrality failures" in out
 
-    def test_unknown_scenario_is_usage_error(self, capsys):
-        from repro.telemetry.runner import main
-
-        assert main(["--scenario", "nonsense"]) == 2
-        assert "unknown scenario" in capsys.readouterr().err
+@pytest.mark.parametrize("name", sorted(scenario_by_name()))
+def test_every_record_tells_one_consistent_failover_story(recorded_runs, name):
+    """Per seed: each switch-detector detection is one timeout after a
+    heartbeat that predates the fault (§5.2, to one tick); the mbox
+    executed the migrations the scenario expects and the timeline commits
+    iff it did; only a cell without a secondary reports the failover
+    impossible; the anchors that are set are in causal order; and the
+    downtime is inside the scenario's budget (§8)."""
+    scenario = scenario_by_name()[name]
+    config = DetectorConfig()
+    runs = recorded_runs[name]
+    assert [run["seed"] for run in runs] == [1, 2, 3]
+    for run in runs:
+        where = f"{name} seed {run['seed']}"
+        counters, timeline = run["counters"], run["timeline"]
+        latencies = run["detection_latencies_ns"]
+        assert run["passed"], where
+        assert len(latencies) == counters.get("core.detector.failures_detected", 0), where
+        assert len(latencies) <= 1, where
+        for latency in latencies:
+            assert abs(latency - config.timeout_ns) <= config.tick_period_ns, where
+            last_heartbeat = timeline["detected_ns"] - latency
+            assert last_heartbeat <= timeline["fault_ns"] < timeline["detected_ns"], where
+        migrations = counters.get("core.mbox.migrations_executed", 0)
+        assert migrations == scenario.expected_migrations, where
+        assert (timeline["committed_ns"] is not None) == (migrations > 0), where
+        impossible = counters.get("core.orion.l2.failovers_impossible", 0)
+        assert (impossible > 0) == scenario.expect_failover_impossible(), where
+        anchors = [timeline[key] for key in ANCHORS if timeline[key] is not None]
+        assert anchors == sorted(anchors), where
+        if scenario.downtime_budget_ns is not None:
+            assert timeline["downtime_ns"] <= scenario.downtime_budget_ns, where
