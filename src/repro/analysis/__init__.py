@@ -13,9 +13,6 @@ The reproduction rests on invariants that used to live only in prose:
   :mod:`repro.sim.units`; no float reaches the scheduler.
 * **Event safety** (EVT) — event callbacks must not rely on
   same-timestamp FIFO tie order or capture loop variables late.
-* **Checkpointable state** (CKPT) — every mutable attribute of a
-  runtime class exists from construction and is listed in the generated
-  manifest the checkpoint layer walks.
 * **P4 register accesses** (P4R003) — no pass of the switch program
   touches one register array more often than a Tofino-class pipeline
   allows.
@@ -46,7 +43,6 @@ from repro.analysis.runner import lint_paths, lint_source
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import event_safety as _event_safety  # noqa: F401
 from repro.analysis import p4budget as _p4budget  # noqa: F401
-from repro.analysis import state_inventory as _state_inventory  # noqa: F401
 from repro.analysis import streams as _streams  # noqa: F401
 from repro.analysis import taint as _taint  # noqa: F401
 

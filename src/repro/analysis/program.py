@@ -178,7 +178,7 @@ class Program:
                 for method in klass.methods.values():
                     self._functions[method.qualname] = method
         #: Shared memo for derived whole-program analyses (taint
-        #: fixpoint, stream sites, class states): several rules consume
+        #: fixpoint, stream sites): several rules consume
         #: the same analysis, which only depends on the immutable
         #: context set, so each is computed once per Program.
         self.analysis_cache: Dict[str, object] = {}
@@ -245,11 +245,6 @@ class Program:
 
     def function(self, qualname: str) -> Optional[FunctionInfo]:
         return self._functions.get(qualname)
-
-    def classes(self) -> Iterator[ClassInfo]:
-        """All top-level classes, in qualname order."""
-        for qualname in sorted(self._classes):
-            yield self._classes[qualname]
 
     def resolve_class(self, name: str, module: ModuleInfo) -> Optional[ClassInfo]:
         """Resolve a (possibly imported) class name seen in ``module``."""
@@ -337,21 +332,3 @@ class Program:
                 if resolved is not None:
                     queue.append(resolved)
         return None
-
-    def base_classes(self, klass: ClassInfo) -> List[ClassInfo]:
-        """Transitive in-program base classes of ``klass``."""
-        result: List[ClassInfo] = []
-        seen = {klass.qualname}
-        queue = [klass]
-        while queue:
-            current = queue.pop(0)
-            module = self.modules.get(current.module)
-            if module is None:
-                continue
-            for base in current.bases:
-                resolved = self.resolve_class(base.split(".")[-1], module)
-                if resolved is not None and resolved.qualname not in seen:
-                    seen.add(resolved.qualname)
-                    result.append(resolved)
-                    queue.append(resolved)
-        return result

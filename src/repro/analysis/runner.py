@@ -11,9 +11,6 @@ directive silently swallows the next violation on its line.
 Extras beyond the plain pass:
 
 * ``--list-rules`` — print the rule catalog (id, severity, title);
-* ``--write-manifest`` — regenerate ``repro/checkpoint/manifest.py``
-  from the CKPT state inventory
-  (:mod:`repro.analysis.state_inventory`);
 * ``--sanitize`` — run the golden scenarios with the RNG-stream
   recorder on and diff dynamic draws against the static STREAM map
   (:mod:`repro.analysis.sanitize`).
@@ -160,12 +157,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="print the rule catalog (id, severity, title) and exit",
     )
     parser.add_argument(
-        "--write-manifest",
-        action="store_true",
-        help="regenerate src/repro/checkpoint/manifest.py from the state "
-        "inventory (the literal CKPT003 checks against)",
-    )
-    parser.add_argument(
         "--sanitize",
         action="store_true",
         help="run the golden scenarios with the RNG-stream recorder and "
@@ -186,20 +177,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = report.findings
     sanitize_failed = False
     extra_lines: List[str] = []
-    if args.write_manifest:
-        from repro.analysis.state_inventory import MANIFEST_MODULE, write_manifest
-
-        manifest_module = report.program.modules.get(MANIFEST_MODULE)
-        if manifest_module is None:
-            print(
-                "repro lint: --write-manifest needs the whole package "
-                f"linted (module {MANIFEST_MODULE} not in the file set)",
-                file=sys.stderr,
-            )
-            return 2
-        manifest_path = Path(manifest_module.context.path)
-        write_manifest(report.program, manifest_path)
-        extra_lines.append(f"checkpoint manifest written to {manifest_path}")
     if args.sanitize:
         from repro.analysis.sanitize import run_sanitizer
 

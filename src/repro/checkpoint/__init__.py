@@ -5,14 +5,12 @@ The checkpoint subsystem snapshots a *root object* — a
 :class:`~repro.faults.soak.SoakState`, any picklable graph holding one
 :class:`~repro.sim.engine.Simulator` — and restores it into a new
 process such that continuing the restored run replays **bit-identically**
-(canonical trace digest) to the uninterrupted original. Three layers
-keep that promise honest:
+(canonical trace digest) to the uninterrupted original. Replay is the
+proof (``tests/test_checkpoint.py``); two modules carry it:
 
-* :mod:`repro.checkpoint.manifest` — a generated literal of every
-  runtime class's checkpointable attributes, diffed against the static
-  state inventory by lint rule CKPT003 so serializer drift fails tier-1;
-* :mod:`repro.checkpoint.snapshot` — capture/restore plus a graph walk
-  verifying each snapshotted instance against the manifest;
+* :mod:`repro.checkpoint.snapshot` — capture/restore: ``pickle``, one
+  Simulator, a SHA-256 seal, the clock / event-count re-check, and a
+  fingerprint of the source tree that refuses another tree's file;
 * :mod:`repro.checkpoint.soak` / :mod:`repro.checkpoint.fork` — the
   continuous-operation harness (``python -m repro soak``): long-horizon
   runs with background chaos, bounded-memory rolling trace digests,
@@ -23,14 +21,14 @@ from repro.checkpoint.snapshot import (
     Checkpoint,
     CheckpointMeta,
     SnapshotError,
-    SnapshotRegistry,
     iter_object_graph,
+    source_fingerprint,
 )
 
 __all__ = [
     "Checkpoint",
     "CheckpointMeta",
     "SnapshotError",
-    "SnapshotRegistry",
     "iter_object_graph",
+    "source_fingerprint",
 ]

@@ -114,8 +114,8 @@ def ensure_fork_bases(
     sweep (or by the soak's periodic checkpointing workflow) is simply
     reused; this is where the forked sweep's repeated-use speedup comes
     from. Missing bases build as independent shards on the same pool.
-    A base written under a different state manifest is neither reused
-    nor silently replaced: loading it raises ``SnapshotError``.
+    A base written by a different source tree is neither reused nor
+    silently replaced: loading it raises ``SnapshotError``.
 
     Returns ``(key -> checkpoint path, number built this call)``.
     """

@@ -1,4 +1,4 @@
-"""Checkpoint capture/restore with manifest-verified object graphs.
+"""Checkpoint capture/restore of whole object graphs, proven by replay.
 
 A checkpoint is the pickled object graph of one *root* (a harness or
 soak state holding exactly one :class:`~repro.sim.engine.Simulator`)
@@ -8,21 +8,25 @@ RNG generator's position, component state, in-flight fault windows —
 because the runtime graph is kept closure-free by construction (see
 :mod:`repro.apps.dispatch`).
 
-Trust, but verify: before serializing and again after restoring, the
-:class:`SnapshotRegistry` walks the graph and checks every instance of
-a manifest-listed runtime class still carries all of its checkpointable
-attributes. The manifest itself is generated from the static state
-inventory and pinned by lint rule CKPT003, so the chain is
+What proves a checkpoint is bit-identical replay: the restored run ends
+on the uninterrupted run's digest (``tests/test_checkpoint.py``, the
+forked sweeps). The checks here only make the cases replay cannot
+reach fail early and by name, in this order:
 
-    source AST  ==CKPT003==  manifest literal  ==SnapshotRegistry==  live graph
+    pickle  ->  one Simulator  ->  SHA-256 seal  ->  clock / event re-check
+            ->  source fingerprint (``Checkpoint.load``)
 
-and a class growing mutable state without the checkpoint layer knowing
-fails loudly — at lint time if the manifest is stale, at capture time
-if an instance diverges from the manifest.
+``pickle`` refuses an unpicklable callback; the walk refuses a root
+that reaches zero engines or two; the seal refuses a corrupted payload;
+the restore re-check refuses a ``__reduce__`` that loses the clock or
+the event count; and the header's :func:`source_fingerprint` refuses a
+file written by any other source tree, since replay was proven only for
+the tree that wrote it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
@@ -30,9 +34,9 @@ import types
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List
 
-from repro.checkpoint.manifest import STATE_MANIFEST
+from repro.sim.engine import Simulator
 
 #: Bumped whenever the on-disk layout changes; load() refuses mismatches.
 SCHEMA_VERSION = 1
@@ -42,24 +46,25 @@ _MAGIC = b"repro-ckpt/1\n"
 #: Leaf values the graph walk never descends into.
 _ATOMIC = (type(None), bool, int, float, complex, str, bytes, bytearray)
 
-_SIMULATOR_QUALNAME = "repro.sim.engine.Simulator"
+#: The ``repro`` package directory whose sources a checkpoint is bound to.
+PACKAGE_DIR = Path(__file__).resolve().parents[1]
 
 
 class SnapshotError(RuntimeError):
-    """A checkpoint failed verification (graph drift or corruption)."""
+    """A checkpoint failed verification (wrong graph, corruption, or
+    another source tree)."""
 
 
-def manifest_fingerprint(manifest: Dict[str, Tuple[str, ...]]) -> str:
-    """SHA-256 of a state manifest, stamped into every checkpoint header:
-    a payload pickled under another manifest holds objects of the wrong
-    shape for this tree, however valid its own hash is."""
-    canonical = json.dumps(manifest, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _qualname(obj: Any) -> str:
-    cls = type(obj)
-    return f"{cls.__module__}.{cls.__qualname__}"
+@functools.lru_cache(maxsize=None)
+def source_fingerprint(package_dir: Path = PACKAGE_DIR) -> str:
+    """SHA-256 over every ``.py`` file under ``package_dir``: each
+    relative path and its bytes, in sorted path order. Computed once per
+    process and directory."""
+    digest = hashlib.sha256()
+    for path in sorted(package_dir.rglob("*.py")):
+        digest.update(path.relative_to(package_dir).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 def iter_object_graph(root: Any) -> Iterator[Any]:
@@ -112,53 +117,18 @@ def iter_object_graph(root: Any) -> Iterator[Any]:
                     pass  # slot declared but never assigned
 
 
-class SnapshotRegistry:
-    """Graph-walking verifier binding checkpoints to the state manifest."""
+def _the_simulator(root: Any) -> Simulator:
+    """The one :class:`Simulator` reachable from ``root``.
 
-    def __init__(self, manifest: Optional[Dict[str, Tuple[str, ...]]] = None) -> None:
-        self.manifest = STATE_MANIFEST if manifest is None else manifest
-
-    def scan(self, root: Any) -> Tuple[Dict[str, int], List[Any], List[str]]:
-        """One walk: manifest-class instance counts, simulators, problems."""
-        counts: Dict[str, int] = {}
-        simulators: List[Any] = []
-        problems: List[str] = []
-        for obj in iter_object_graph(root):
-            qualname = _qualname(obj)
-            if qualname == _SIMULATOR_QUALNAME:
-                simulators.append(obj)
-            attrs = self.manifest.get(qualname)
-            if attrs is None:
-                continue
-            counts[qualname] = counts.get(qualname, 0) + 1
-            for attr in attrs:
-                if not hasattr(obj, attr):
-                    problems.append(
-                        f"{qualname} instance is missing checkpointable "
-                        f"attribute {attr!r} (manifest drift — regenerate "
-                        "repro/checkpoint/manifest.py)"
-                    )
-        return counts, simulators, problems
-
-    def verify(self, root: Any) -> Tuple[Dict[str, int], Any]:
-        """Verify a graph; returns (class counts, the unique simulator).
-
-        Raises :class:`SnapshotError` when an instance is missing a
-        manifest attribute or the graph does not hold exactly one
-        simulator (a checkpoint must capture one engine — zero means
-        the root is not a run, two means entangled runs).
-        """
-        counts, simulators, problems = self.scan(root)
-        if len(simulators) != 1:
-            problems.append(
-                f"checkpoint root must reach exactly 1 Simulator, "
-                f"found {len(simulators)}"
-            )
-        if problems:
-            raise SnapshotError(
-                "snapshot verification failed:\n  " + "\n  ".join(problems)
-            )
-        return counts, simulators[0]
+    Raises :class:`SnapshotError` unless there is exactly one: zero
+    means the root is not a run, two means entangled runs.
+    """
+    simulators = [obj for obj in iter_object_graph(root) if isinstance(obj, Simulator)]
+    if len(simulators) != 1:
+        raise SnapshotError(
+            f"checkpoint root must reach exactly 1 Simulator, found {len(simulators)}"
+        )
+    return simulators[0]
 
 
 @dataclass(frozen=True)
@@ -170,12 +140,9 @@ class CheckpointMeta:
     sim_now_ns: int
     events_processed: int
     payload_sha256: str
-    #: Manifest-class instance counts at capture time; restore verifies
-    #: the deserialized graph reproduces them exactly.
-    classes: Dict[str, int]
-    #: :func:`manifest_fingerprint` of the manifest the graph was
-    #: verified against ("" in files older than the field).
-    manifest_sha256: str = ""
+    #: :func:`source_fingerprint` of the tree that wrote the payload
+    #: ("" in files older than the field).
+    source_sha256: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -184,8 +151,7 @@ class CheckpointMeta:
             "sim_now_ns": self.sim_now_ns,
             "events_processed": self.events_processed,
             "payload_sha256": self.payload_sha256,
-            "classes": self.classes,
-            "manifest_sha256": self.manifest_sha256,
+            "source_sha256": self.source_sha256,
         }
 
     @staticmethod
@@ -196,28 +162,21 @@ class CheckpointMeta:
             sim_now_ns=data["sim_now_ns"],
             events_processed=data["events_processed"],
             payload_sha256=data["payload_sha256"],
-            classes=dict(data["classes"]),
-            manifest_sha256=data.get("manifest_sha256", ""),
+            source_sha256=data.get("source_sha256", ""),
         )
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A captured run: verified pickled graph + metadata header."""
+    """A captured run: sealed pickled graph + metadata header."""
 
     meta: CheckpointMeta
     payload: bytes
 
     @classmethod
-    def capture(
-        cls,
-        root: Any,
-        label: str = "",
-        registry: Optional[SnapshotRegistry] = None,
-    ) -> "Checkpoint":
-        """Snapshot ``root`` after verifying it against the manifest."""
-        reg = registry if registry is not None else SnapshotRegistry()
-        counts, simulator = reg.verify(root)
+    def capture(cls, root: Any, label: str = "") -> "Checkpoint":
+        """Snapshot ``root``, which must reach exactly one Simulator."""
+        simulator = _the_simulator(root)
         payload = pickle.dumps(root, protocol=pickle.HIGHEST_PROTOCOL)
         meta = CheckpointMeta(
             schema=SCHEMA_VERSION,
@@ -225,18 +184,16 @@ class Checkpoint:
             sim_now_ns=simulator.now,
             events_processed=simulator.events_processed,
             payload_sha256=hashlib.sha256(payload).hexdigest(),
-            classes=counts,
-            manifest_sha256=manifest_fingerprint(reg.manifest),
+            source_sha256=source_fingerprint(),
         )
         return cls(meta=meta, payload=payload)
 
-    def restore(self, registry: Optional[SnapshotRegistry] = None) -> Any:
-        """Deserialize and re-verify; returns the restored root.
+    def restore(self) -> Any:
+        """Check the seal, deserialize, and re-check; returns the root.
 
-        The restored graph must pass the same manifest walk as capture
-        did *and* reproduce the captured class counts and simulator
-        clock — asymmetric pickling (a ``__reduce__`` quietly dropping
-        state) shows up here, not three subsystems later.
+        The restored graph must reach one Simulator whose clock and
+        event count are the captured ones — a ``__reduce__`` quietly
+        dropping either shows up here, not three subsystems later.
         """
         digest = hashlib.sha256(self.payload).hexdigest()
         if digest != self.meta.payload_sha256:
@@ -245,22 +202,13 @@ class Checkpoint:
                 f"recorded {self.meta.payload_sha256[:12]}..."
             )
         root = pickle.loads(self.payload)
-        reg = registry if registry is not None else SnapshotRegistry()
-        counts, simulator = reg.verify(root)
-        problems = []
-        if counts != self.meta.classes:
-            problems.append(
-                f"restored class counts {counts!r} != captured "
-                f"{self.meta.classes!r}"
-            )
-        if simulator.now != self.meta.sim_now_ns:
-            problems.append(
-                f"restored sim clock {simulator.now} != captured "
-                f"{self.meta.sim_now_ns}"
-            )
-        if problems:
+        simulator = _the_simulator(root)
+        restored = (simulator.now, simulator.events_processed)
+        captured = (self.meta.sim_now_ns, self.meta.events_processed)
+        if restored != captured:
             raise SnapshotError(
-                "restore verification failed:\n  " + "\n  ".join(problems)
+                f"restore verification failed: (sim clock, events processed) "
+                f"{restored} != captured {captured}"
             )
         return root
 
@@ -294,11 +242,11 @@ class Checkpoint:
                 f"{path}: checkpoint schema {meta.schema} != "
                 f"supported {SCHEMA_VERSION}"
             )
-        current = manifest_fingerprint(STATE_MANIFEST)
-        if meta.manifest_sha256 != current:
+        current = source_fingerprint()
+        if meta.source_sha256 != current:
             raise SnapshotError(
-                f"{path}: manifest mismatch, rebuild — written under state "
-                f"manifest {meta.manifest_sha256[:12] or '(unrecorded)'}, "
-                f"this tree's is {current[:12]}"
+                f"{path}: written by another source tree "
+                f"({meta.source_sha256[:12] or 'unrecorded'}, this tree is "
+                f"{current[:12]}); rebuild it"
             )
         return Checkpoint(meta=meta, payload=payload)

@@ -8,9 +8,9 @@ operating deployment imposes:
   digest chain (:meth:`~repro.sim.trace.TraceRecorder.rolling_digest`)
   survives eviction and still equals the full-trace digest;
 * **periodic checkpoints** — every ``checkpoint_every_ns`` the whole
-  :class:`~repro.faults.soak.SoakState` graph is captured, verified
-  against the state manifest, and written to disk (older checkpoints
-  pruned);
+  :class:`~repro.faults.soak.SoakState` graph is captured, sealed,
+  stamped with the source tree's fingerprint, and written to disk
+  (older checkpoints pruned);
 * **crash-resume** — ``--resume FILE`` restores a checkpoint and
   finishes the horizon; the resumed run's rolling digest must equal the
   uninterrupted run's, and the recorded baseline pins both;
@@ -78,9 +78,10 @@ def run_soak(
     """Run (or resume) one soak; returns (state, summary, checkpoints).
 
     With ``resume`` the config travels inside the restored state and
-    ``config`` must be None. At every boundary the trace evicts all
+    ``config`` must be None; a checkpoint of anything but a
+    :class:`SoakState` is a ``SnapshotError``. At every boundary the trace evicts all
     complete digest windows behind it and (when ``checkpoint_dir`` is
-    set) a verified checkpoint is written; only the last ``keep``
+    set) a checkpoint is written; only the last ``keep``
     boundary checkpoints stay on disk.
     """
     if resume is not None:
@@ -88,7 +89,7 @@ def run_soak(
             raise ValueError("pass either config or resume, not both")
         restored = Checkpoint.load(resume).restore()
         if not isinstance(restored, SoakState):
-            raise TypeError(f"{resume} is not a soak checkpoint")
+            raise SnapshotError(f"{resume} is not a soak checkpoint")
         state = restored
         config = state.config
         resumed_from: Optional[int] = state.harness.cell.sim.now

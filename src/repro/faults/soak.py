@@ -2,11 +2,9 @@
 
 A soak run is a long-horizon cell execution with fault arrivals spread
 across the whole horizon instead of the campaign's single fixed fault
-window. Everything with *mutable runtime state* lives in this module —
-inside the ``faults`` subsystem — so the checkpoint state inventory
-(CKPT001/CKPT003) audits it like any other component, and the whole
-:class:`SoakState` graph is the checkpoint root that
-``python -m repro soak`` snapshots and resumes.
+window. The whole :class:`SoakState` graph is the checkpoint root that
+``python -m repro soak`` snapshots and resumes, and a resumed soak must
+land on the uninterrupted run's rolling digest.
 
 Determinism contract: the background :class:`~repro.faults.plan.FaultPlan`
 is pre-drawn **once at build time** from the reserved

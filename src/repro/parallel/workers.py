@@ -54,8 +54,9 @@ def run_forked_scenario_shard(payload: Tuple[Any, int, str]) -> Any:
     The checkpoint file was captured from the same seed the payload
     names, so all worker state still derives from the shard's seed —
     the checkpoint is a verified intermediate of the deterministic
-    build, not an outside input (restore re-checks the payload hash and
-    the manifest walk).
+    build, not an outside input (load checks the source fingerprint;
+    restore the payload hash, the one Simulator, its clock and event
+    count).
     """
     from pathlib import Path
 

@@ -14,17 +14,27 @@ The continuous-operation contract under test (DESIGN.md §13):
   ``python -m repro soak --check --quick`` (tier-1).
 """
 
+import copyreg
+import hashlib
 import json
 import pickle
+import shutil
+from collections import Counter
 
 import pytest
 
-from repro.checkpoint import Checkpoint, SnapshotError, SnapshotRegistry
+from repro.checkpoint import (
+    Checkpoint,
+    CheckpointMeta,
+    SnapshotError,
+    iter_object_graph,
+    source_fingerprint,
+)
 from repro.checkpoint.fork import ensure_fork_bases, fork_key, forked_sweep
-from repro.checkpoint.manifest import STATE_MANIFEST
-from repro.checkpoint.snapshot import manifest_fingerprint
+from repro.checkpoint.snapshot import PACKAGE_DIR
 from repro.checkpoint.soak import main as soak_main
 from repro.checkpoint.soak import run_soak
+from repro.core.failure_detector import FailureDetector
 from repro.faults.campaign import (
     arm_plan,
     build_probe_harness,
@@ -36,7 +46,9 @@ from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.faults.scenarios import FAULT_AT_NS, RUN_END_NS, scenario_by_name
 from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
+from repro.fleet.pool import StandbyPool
 from repro.parallel import run_shards
+from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
 #: Mid-recovery capture point: inside every standard scenario's fault
@@ -74,6 +86,19 @@ def _mid_recovery_verify(payload):
     }
 
 
+def _census(root):
+    """Instances per ``repro`` class reachable from ``root``."""
+    return Counter(
+        f"{type(obj).__module__}.{type(obj).__qualname__}"
+        for obj in iter_object_graph(root)
+        if type(obj).__module__.startswith("repro.")
+    )
+
+
+def _instances(root, cls):
+    return sum(isinstance(obj, cls) for obj in iter_object_graph(root))
+
+
 def _chaos_baseline():
     from repro.faults.campaign import recorded_digests
 
@@ -94,7 +119,8 @@ class TestCheckpointPrimitives:
         assert checkpoint.meta.label == "warm-50ms"
         assert checkpoint.meta.sim_now_ns == 50 * MS
         assert checkpoint.meta.events_processed == warm.cell.sim.events_processed
-        assert checkpoint.meta.classes  # manifest classes seen in the graph
+        # The restored graph holds the captured graph's repro objects.
+        assert _census(checkpoint.restore()) == _census(warm)
 
     def test_save_load_round_trip(self, warm, tmp_path):
         checkpoint = Checkpoint.capture(warm, label="roundtrip")
@@ -139,23 +165,42 @@ class TestCheckpointPrimitives:
         (line,) = captured.err.splitlines()
         assert line.startswith(f"repro soak: cannot resume: {path}: malformed header: {defect}")
 
+    def test_resume_of_a_non_soak_checkpoint_is_one_error_and_exit_2(
+        self, warm, tmp_path, capsys
+    ):
+        path = tmp_path / "probe.ckpt"
+        Checkpoint.capture(warm, label="not a soak").save(path)
+        assert soak_main(["--resume", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro soak: cannot resume: {path} is not a soak checkpoint"
+        ]
+
     def test_two_simulators_rejected(self, warm):
         other = build_probe_harness(2)
         with pytest.raises(SnapshotError, match="[Ss]imulator"):
             Checkpoint.capture([warm, other], label="twins")
 
-    def test_registry_scan_counts_manifest_classes(self, warm):
-        counts, simulators, problems = SnapshotRegistry().scan(warm)
-        assert problems == []
-        assert len(simulators) == 1
-        assert counts.get("repro.sim.engine.Simulator") == 1
+    def test_graph_walk_reaches_one_simulator(self, warm):
+        restored = Checkpoint.capture(warm).restore()
+        assert _instances(restored, Simulator) == 1
+
+    def test_restore_rechecks_the_event_count(self, warm):
+        checkpoint = Checkpoint.capture(warm)
+        meta = checkpoint.meta.as_dict()
+        meta["events_processed"] += 1
+        shifted = Checkpoint(
+            meta=CheckpointMeta.from_dict(meta), payload=checkpoint.payload
+        )
+        with pytest.raises(SnapshotError, match="events processed"):
+            shifted.restore()
 
 
-class TestManifestMismatch:
-    """A checkpoint file written under another state manifest fails with
-    one specific error, wherever it is picked up (ROADMAP 4h)."""
-
-    DETECTOR = "repro.core.failure_detector.FailureDetector"
+class TestSourceMismatch:
+    """A checkpoint file written by another source tree fails with one
+    specific error wherever it is picked up: replay was proven only for
+    the tree that wrote it."""
 
     @pytest.fixture(scope="class")
     def warm(self):
@@ -163,53 +208,194 @@ class TestManifestMismatch:
         drive_to(harness, 5 * MS)
         return harness
 
-    def _stale(self, warm, path):
-        """A file as a tree without the detector's grid fields wrote it."""
-        older = dict(STATE_MANIFEST)
-        older[self.DETECTOR] = ("_last_heartbeat_ns", "_monitored", "_reported")
-        Checkpoint.capture(warm, registry=SnapshotRegistry(older)).save(path)
-        return path
-
-    def test_header_carries_the_manifest_fingerprint(self, warm):
-        meta = Checkpoint.capture(warm).meta
-        assert meta.manifest_sha256 == manifest_fingerprint(STATE_MANIFEST)
-        assert {"_grid_origin_ns", "_ticks_applied", "_deadline"} <= set(
-            STATE_MANIFEST[self.DETECTOR]
-        )
-        assert not any("PacketGenerator" in name for name in STATE_MANIFEST)
-
-    def test_file_from_another_manifest_rejected(self, warm, tmp_path):
-        path = self._stale(warm, tmp_path / "stale.ckpt")
-        with pytest.raises(SnapshotError, match="manifest mismatch, rebuild"):
-            Checkpoint.load(path)
-
-    def test_file_predating_the_fingerprint_rejected(self, warm, tmp_path):
+    @staticmethod
+    def _foreign(warm, path, source_sha256):
+        """A file as another tree wrote it (``None``: as a tree older than
+        the field wrote it)."""
         checkpoint = Checkpoint.capture(warm)
         header = checkpoint.meta.as_dict()
-        del header["manifest_sha256"]
-        path = tmp_path / "old.ckpt"
+        if source_sha256 is None:
+            del header["source_sha256"]
+        else:
+            header["source_sha256"] = source_sha256
         path.write_bytes(
             b"repro-ckpt/1\n" + json.dumps(header).encode() + b"\n"
             + checkpoint.payload
         )
-        with pytest.raises(SnapshotError, match=r"manifest mismatch.*unrecorded"):
+        return path
+
+    def test_header_carries_the_source_fingerprint(self, warm):
+        fingerprint = source_fingerprint()
+        assert len(fingerprint) == 64
+        assert Checkpoint.capture(warm).meta.source_sha256 == fingerprint
+
+    def test_file_from_another_tree_rejected(self, warm, tmp_path):
+        path = self._foreign(warm, tmp_path / "other.ckpt", "0" * 64)
+        with pytest.raises(SnapshotError, match="another source tree.*rebuild"):
             Checkpoint.load(path)
 
-    def test_stale_fork_base_is_not_silently_reused(self, warm, tmp_path):
+    def test_file_without_the_fingerprint_rejected(self, warm, tmp_path):
+        path = self._foreign(warm, tmp_path / "old.ckpt", None)
+        with pytest.raises(SnapshotError, match="another source tree.*unrecorded"):
+            Checkpoint.load(path)
+
+    def test_stale_fork_base_is_neither_reused_nor_rewritten(self, warm, tmp_path):
         scenario = scenario_by_name()["crash"]
         key = fork_key(scenario, 1)
-        base = self._stale(
-            warm, tmp_path / f"base_s{key[0]}_p{key[1]}_t{key[2]}.ckpt"
+        base = self._foreign(
+            warm, tmp_path / f"base_s{key[0]}_p{key[1]}_t{key[2]}.ckpt", "0" * 64
         )
         before = base.read_bytes()
-        with pytest.raises(SnapshotError, match="manifest mismatch, rebuild"):
+        with pytest.raises(SnapshotError, match="another source tree"):
             ensure_fork_bases([scenario], (1,), tmp_path)
         assert base.read_bytes() == before
 
     def test_soak_resume_of_stale_checkpoint_exits_2(self, warm, tmp_path, capsys):
-        path = self._stale(warm, tmp_path / "soak.ckpt")
+        path = self._foreign(warm, tmp_path / "soak.ckpt", "0" * 64)
         assert soak_main(["--resume", str(path)]) == 2
-        assert "manifest mismatch, rebuild" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"repro soak: cannot resume: {path}: written by another source tree")
+
+    def test_a_renamed_attribute_changes_the_fingerprint(self, tmp_path):
+        """The renamed-attribute mutant: a copy of the package is this
+        tree until one attribute is renamed in one file."""
+        same, renamed = tmp_path / "same", tmp_path / "renamed"
+        for copy in (same, renamed):
+            shutil.copytree(
+                PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
+            )
+        assert source_fingerprint(same) == source_fingerprint()
+        detector = renamed / "core" / "failure_detector.py"
+        source = detector.read_text()
+        assert "self._lag" in source
+        detector.write_text(source.replace("self._lag", "self._tick_lag"))
+        assert source_fingerprint(renamed) != source_fingerprint()
+
+    def test_a_moved_module_changes_the_fingerprint(self, tmp_path):
+        """Paths count as well as bytes: a module moved unchanged makes
+        another tree."""
+        moved = tmp_path / "moved"
+        shutil.copytree(
+            PACKAGE_DIR, moved, ignore=shutil.ignore_patterns("__pycache__")
+        )
+        (moved / "sim" / "units.py").rename(moved / "sim" / "units_moved.py")
+        assert source_fingerprint(moved) != source_fingerprint()
+
+    def test_only_python_sources_count(self, tmp_path):
+        """Bytecode caches and stray data files do not make another tree:
+        running the code must not invalidate the files it wrote."""
+        copy = tmp_path / "copy"
+        shutil.copytree(PACKAGE_DIR, copy)
+        (copy / "notes.txt").write_text("not a source\n")
+        (copy / "sim" / "__pycache__").mkdir(exist_ok=True)
+        (copy / "sim" / "__pycache__" / "stray.pyc").write_bytes(b"\0")
+        assert source_fingerprint(copy) == source_fingerprint()
+
+
+class TestCensusMutants:
+    """The defects the retired state schema was meant to catch, each built
+    in process on a ``crash`` run captured mid-recovery (DESIGN.md §7
+    "Retired rules"). Every one that breaks capture, restore or replay is
+    caught by a check that stays; the attribute first set outside
+    ``__init__`` replays identically and is left alone on purpose."""
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        harness = build_probe_harness(1)
+        arm_plan(harness, scenario_by_name()["crash"].plan)
+        drive_to(harness, MID_RECOVERY_NS)
+        return Checkpoint.capture(harness, label="census base")
+
+    @pytest.fixture(scope="class")
+    def reference(self, base):
+        """The unmutated replay's digest: the recorded chaos baseline."""
+        digest = self._replay(base.restore())
+        assert digest == _chaos_baseline()[("crash", 1)]
+        return digest
+
+    @staticmethod
+    def _replay(root):
+        drive_to(root, RUN_END_NS)
+        return judge_execution(scenario_by_name()["crash"], 1, root).digest
+
+    @staticmethod
+    def _reduce(cls, monkeypatch, edit):
+        """Give ``cls`` a ``__reduce__`` that pickles its ``__dict__``
+        after ``edit`` has changed it."""
+
+        def __reduce__(self):
+            state = dict(self.__dict__)
+            edit(state)
+            return (copyreg.__newobj__, (type(self),), state)
+
+        monkeypatch.setattr(cls, "__reduce__", __reduce__)
+
+    def test_a_lambda_callback_fails_at_capture(self, base):
+        branch = base.restore()
+        branch.cell.sim.at(branch.cell.sim.now + MS, lambda: None)
+        with pytest.raises((AttributeError, pickle.PicklingError), match="lambda"):
+            Checkpoint.capture(branch)
+
+    def test_an_attribute_first_set_outside_init_replays_identically(
+        self, base, reference
+    ):
+        branch = base.restore()
+        branch.cell.middlebox.detector._late_attribute = 1
+        restored = Checkpoint.capture(branch).restore()
+        assert restored.cell.middlebox.detector._late_attribute == 1
+        assert self._replay(restored) == reference
+
+    def test_a_second_simulator_fails_at_capture(self, base):
+        branch = base.restore()
+        branch.cell.middlebox.detector._shadow_sim = Simulator()
+        with pytest.raises(SnapshotError, match="exactly 1 Simulator, found 2"):
+            Checkpoint.capture(branch)
+
+    def test_a_sealed_payload_with_two_simulators_fails_at_restore(self, base):
+        branch = base.restore()
+        branch.cell.middlebox.detector._shadow_sim = Simulator()
+        payload = pickle.dumps(branch, protocol=pickle.HIGHEST_PROTOCOL)
+        meta = base.meta.as_dict()
+        meta["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        sealed = Checkpoint(meta=CheckpointMeta.from_dict(meta), payload=payload)
+        with pytest.raises(SnapshotError, match="exactly 1 Simulator, found 2"):
+            sealed.restore()
+
+    def test_a_root_without_a_simulator_fails_at_capture(self):
+        with pytest.raises(SnapshotError, match="exactly 1 Simulator, found 0"):
+            Checkpoint.capture({"not": "a run"})
+
+    def test_a_reduce_dropping_a_field_fails_the_replay(self, base, monkeypatch):
+        branch = base.restore()
+        self._reduce(FailureDetector, monkeypatch, lambda state: state.pop("_lag"))
+        checkpoint = Checkpoint.capture(branch)
+        monkeypatch.undo()
+        restored = checkpoint.restore()
+        with pytest.raises(AttributeError, match="_lag"):
+            drive_to(restored, RUN_END_NS)
+
+    def test_a_reduce_resetting_a_field_diverges_the_replay(
+        self, base, reference, monkeypatch
+    ):
+        branch = base.restore()
+        self._reduce(
+            FailureDetector, monkeypatch, lambda state: state.update(_ticks_applied=0)
+        )
+        checkpoint = Checkpoint.capture(branch)
+        monkeypatch.undo()
+        assert self._replay(checkpoint.restore()) != reference
+
+    def test_a_reduce_zeroing_the_event_count_fails_the_restore_recheck(
+        self, base, monkeypatch
+    ):
+        branch = base.restore()
+        self._reduce(
+            Simulator, monkeypatch, lambda state: state.update(_events_processed=0)
+        )
+        checkpoint = Checkpoint.capture(branch)
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match=r"events processed\) \(\d+, 0\) !="):
+            checkpoint.restore()
 
 
 class TestCaptureBeforeSaturationDeadline:
@@ -545,7 +731,6 @@ class TestFleetMidRecoveryCheckpoint:
         harness.run_until(self.CAPTURE_NS)
         checkpoint = Checkpoint.capture(harness, label="fleet mid-recovery")
         assert checkpoint.meta.sim_now_ns == self.CAPTURE_NS
-        assert checkpoint.meta.classes.get("repro.fleet.pool.StandbyPool") == 1
 
         harness.run_until(self.END_NS)
         continued_digest = fleet_digest(harness)
@@ -554,6 +739,7 @@ class TestFleetMidRecoveryCheckpoint:
 
         restored = checkpoint.restore()
         assert restored.sim.now == self.CAPTURE_NS
+        assert _instances(restored, StandbyPool) == 1
         restored.run_until(self.END_NS)
         assert fleet_digest(restored) == continued_digest
         assert restored.pool.stats_dict() == harness.pool.stats_dict()

@@ -664,41 +664,81 @@ class TestMutantsAreCaught:
 
 
 # ----------------------------------------------------------------------
-# The paper's bounds at every kill and hang phase
+# The paper's bounds at every kill, migration and hang phase
 # ----------------------------------------------------------------------
+#: How long a forked branch runs past its kill or migration: the paper's
+#: < 10 ms downtime bound, past which recovery is over.
+RECOVERY_NS = 10 * MS
+
+
+def _phase_branches():
+    """One warm default cell, and the instant of each of the 56
+    tick-period offsets that cover a slot, 1 ms past the warm point."""
+    cell = build_slingshot_cell(CellConfig())
+    cell.sim.run_for(50 * MS)
+    warm = Checkpoint.capture(cell)
+    period = cell.middlebox.config.detector.tick_period_ns
+    phases = -(-cell.slot_ns // period)
+    assert phases == 56
+    return cell, warm, [warm.meta.sim_now_ns + MS + k * period for k in range(phases)]
+
+
 def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase():
     """One warm default cell, forked into a primary kill at each of the 56
-    tick-period offsets that cover a slot, each branch run 2 ms on.
+    tick-period offsets that cover a slot, each branch run through its
+    recovery.
 
     The counter reaches ``n`` on the n-th tick after the zero and the
     first of those ticks is at most one period away, so §5.2's "450 µs
     within one 9 µs tick" reads, from the last heartbeat the switch saw,
     ``T - tick < detected - last heartbeat <= T`` — (441, 450] µs — at
     every phase. A lag one tick off in either direction leaves the window.
+    §8.2's "at most three dropped TTIs" is the RU's count of slots that
+    went without control, at every phase.
     """
-    cell = build_slingshot_cell(CellConfig())
-    cell.sim.run_for(50 * MS)
-    warm = Checkpoint.capture(cell)
+    cell, warm, instants = _phase_branches()
     config = cell.middlebox.config.detector
-    phases = -(-cell.slot_ns // config.tick_period_ns)
-    assert phases == 56
-    latency = {}
-    for phase in range(phases):
+    latency, dropped = {}, {}
+    for phase, kill_at in enumerate(instants):
         branch = warm.restore()
-        kill_at = warm.meta.sim_now_ns + MS + phase * config.tick_period_ns
+        before = branch.ru.stats.slots_without_control
         branch.kill_phy_at(0, kill_at)
-        branch.sim.run_until(kill_at + 2 * MS)
+        branch.sim.run_until(kill_at + RECOVERY_NS)
         detections = branch.middlebox.detector.detections
         assert len(detections) == 1, (phase, detections)
         ((_, detected_at, last_heartbeat),) = detections
         assert kill_at < detected_at
         latency[phase] = detected_at - last_heartbeat
+        dropped[phase] = branch.ru.stats.slots_without_control - before
     worst = max(latency, key=latency.get)
     low, high = config.timeout_ns - config.tick_period_ns, config.timeout_ns
     assert all(low < value <= high for value in latency.values()), (
         f"max {latency[worst]} ns at phase {worst}, "
         f"min {min(latency.values())} ns; allowed ({low}, {high}]"
     )
+    most = max(dropped, key=dropped.get)
+    assert dropped[most] <= 3, (
+        f"max {dropped[most]} dropped TTIs at phase {most}; allowed <= 3"
+    )
+
+
+def test_a_planned_migration_drops_nothing_at_every_phase():
+    """The same warm cell, forked into ``planned_migration(0)`` at each of
+    the 56 offsets: the switch flips at a TTI boundary Orion chose ahead
+    of time, so no slot goes without control and exactly one migration
+    commits per branch."""
+    _, warm, instants = _phase_branches()
+    dropped, committed = {}, {}
+    for phase, at in enumerate(instants):
+        branch = warm.restore()
+        before = branch.ru.stats.slots_without_control
+        branch.sim.at(at, branch.planned_migration, 0)
+        branch.sim.run_until(at + RECOVERY_NS)
+        dropped[phase] = branch.ru.stats.slots_without_control - before
+        committed[phase] = branch.trace.count("mbox.migration_committed")
+    most = max(dropped, key=dropped.get)
+    assert dropped[most] == 0, f"{dropped[most]} dropped TTIs at phase {most}"
+    assert set(committed.values()) == {1}, committed
 
 
 def test_the_watchdog_catches_a_hang_at_every_phase():
@@ -712,17 +752,11 @@ def test_the_watchdog_catches_a_hang_at_every_phase():
     the fire trails the hang by at most that plus the one slot in which
     output the PHY already had in flight still arrives.
     """
-    cell = build_slingshot_cell(CellConfig())
-    cell.sim.run_for(50 * MS)
-    warm = Checkpoint.capture(cell)
+    cell, warm, instants = _phase_branches()
     threshold = cell.l2_orion.config.response_watchdog_slots * cell.slot_ns
-    period = cell.middlebox.config.detector.tick_period_ns
-    phases = -(-cell.slot_ns // period)
-    assert phases == 56
     delay = {}
-    for phase in range(phases):
+    for phase, hang_at in enumerate(instants):
         branch = warm.restore()
-        hang_at = warm.meta.sim_now_ns + MS + phase * period
         branch.sim.at(hang_at, branch.phy_servers[0].phy.hang, "phase")
         branch.sim.run_until(hang_at + 8 * MS)
         fired = branch.trace.events("orion.response_watchdog_fired")

@@ -1,16 +1,14 @@
 """Whole-program analysis layer: the Program model, cross-file STREAM
-ownership, the checkpointability inventory, the suppression audit, file
-discovery, and the rule catalog. Reads of the real tree share the
-session's one ``package_report`` (``tests/conftest.py``)."""
+ownership, the suppression audit, file discovery, and the rule catalog.
+Reads of the real tree share the session's one ``package_report``
+(``tests/conftest.py``)."""
 
 import ast
-from pathlib import Path
 
 from repro.analysis import all_rules
 from repro.analysis.program import Program, module_name_for
 from repro.analysis.registry import LintContext, run_rules
-from repro.analysis.runner import discover_files, lint_report
-from repro.analysis.state_inventory import build_inventory
+from repro.analysis.runner import discover_files
 from repro.analysis.streams import (
     COMPOSITION_ROOTS,
     NAMESPACES,
@@ -18,10 +16,6 @@ from repro.analysis.streams import (
     ownership_map,
     stream_sites,
 )
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = REPO_ROOT / "src" / "repro"
-
 
 def ctx(source, path):
     return LintContext.for_source(source, path=path)
@@ -284,24 +278,6 @@ class TestStreamOwnership:
             assert site.name, f"unresolvable stream name at {site.path}:{site.line}"
 
 
-class TestStateInventory:
-    def test_inventory_is_deterministic(self, package_report):
-        first = build_inventory(package_report.program)
-        second = build_inventory(lint_report([PACKAGE]).program)
-        assert first == second
-
-    def test_inventory_shape(self, package_report):
-        inventory = build_inventory(package_report.program)
-        totals = inventory["totals"]
-        assert totals["unregistered"] == 0
-        assert totals["checkpointable"] > 100
-        assert totals["classes"] > 30
-        engine = inventory["classes"]["repro.sim.engine.Simulator"]
-        assert engine["subsystem"] == "sim"
-        assert "now" in engine["checkpointable"]
-        assert "_queue" in engine["checkpointable"]
-
-
 class TestStrictSuppressions:
     """SUP001: the audit runs with the rules, on every program."""
 
@@ -401,5 +377,15 @@ class TestRuleCatalog:
 
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert "STREAM001" in out and "CKPT001" in out
-        assert len(out.splitlines()) == len(all_rules())
+        assert "STREAM001" in out and "P4R003" in out
+        assert "CKPT" not in out
+        assert len(out.splitlines()) == len(all_rules()) == 14
+
+    def test_the_retired_manifest_flag_is_a_usage_error(self, capsys):
+        """There is no generated state manifest to write any more: the
+        flag that wrote it is an unrecognized argument, exit 2."""
+        from repro.analysis.runner import main
+
+        flag = "--write-" + "manifest"
+        assert main([flag]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

@@ -369,93 +369,6 @@ class TestInterproceduralTaintRules:
         assert "TIMX002" not in rule_ids(findings)
 
 
-class TestCheckpointRules:
-    """CKPT001/002: the mutable-state inventory's findings."""
-
-    CELL_PATH = "src/repro/cell/widget.py"
-
-    def test_ckpt001_unregistered_attribute(self):
-        findings = lint(
-            "class Widget:\n"
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n"
-            "        self.last_poke = 42\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT001" in rule_ids(findings)
-
-    def test_ckpt001_initialized_attribute_clean(self):
-        findings = lint(
-            "class Widget:\n"
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT001" not in rule_ids(findings)
-
-    def test_ckpt001_derived_declaration_exempts(self):
-        findings = lint(
-            "class Widget:\n"
-            '    _checkpoint_derived_ = ("last_poke",)\n'
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n"
-            "        self.last_poke = 42\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT001" not in rule_ids(findings)
-
-    def test_ckpt001_dataclass_fields_count_as_initialized(self):
-        findings = lint(
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class Widget:\n"
-            "    count: int = 0\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT001" not in rule_ids(findings)
-
-    def test_ckpt001_base_class_init_seen(self):
-        findings = lint(
-            "class Base:\n"
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-            "class Widget(Base):\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT001" not in rule_ids(findings)
-
-    def test_ckpt001_inactive_outside_runtime_subsystems(self):
-        findings = lint(
-            "class Widget:\n"
-            "    def poke(self):\n"
-            "        self.last_poke = 42\n",
-            path="src/repro/perf/scenarios.py",
-        )
-        assert "CKPT001" not in rule_ids(findings)
-
-    def test_ckpt002_stale_derived_declaration(self):
-        findings = lint(
-            "class Widget:\n"
-            '    _checkpoint_derived_ = ("ghost",)\n'
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-            "    def poke(self):\n"
-            "        self.count += 1\n",
-            path=self.CELL_PATH,
-        )
-        assert "CKPT002" in rule_ids(findings)
-
-
 class TestEventSafetyRules:
     def test_evt001_loop_capture(self):
         findings = lint(
@@ -711,16 +624,6 @@ PARALLEL = "src/repro/parallel/pool.py"
 TIMING = "src/repro/perf/timing.py"
 RNG = "src/repro/sim/rng.py"
 
-WIDGET = (
-    "class Widget:\n"
-    "{derived}"
-    "    def __init__(self):\n"
-    "        self.count = 0\n"
-    "    def poke(self):\n"
-    "        self.count += 1\n"
-    "{extra}"
-)
-
 #: The determinism holes string matching left open, each with the DET
 #: row that owns it and the module that row sanctions.
 HOLES = [
@@ -751,26 +654,6 @@ def _census():
 
     rows = [
         # (a) every surviving rule fires alone somewhere.
-        row(
-            "CKPT001 alone",
-            ["CKPT001"],
-            WIDGET.format(derived="", extra="        self.last_poke = 42\n"),
-            "src/repro/cell/widget.py",
-        ),
-        row(
-            "CKPT002 alone",
-            ["CKPT002"],
-            WIDGET.format(
-                derived='    _checkpoint_derived_ = ("ghost",)\n', extra=""
-            ),
-            "src/repro/cell/widget.py",
-        ),
-        row(
-            "CKPT003 alone",
-            ["CKPT003"],
-            'STATE_MANIFEST = {"repro.cell.ghost.Ghost": ("x",)}\n',
-            "src/repro/checkpoint/manifest.py",
-        ),
         row("DET001 alone", ["DET001"], "import time\nt = time.time()\n"),
         row("DET002 alone", ["DET002"], "import random\n"),
         row(
@@ -900,6 +783,16 @@ def _census():
             [],
             _pipeline_class(table_count=33),
             "src/repro/core/fh_middlebox.py",
+        ),
+        row(
+            "runtime: attribute first set outside __init__",
+            [],
+            "class Widget:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+            "    def poke(self):\n"
+            "        self.count += 1\n"
+            "        self.last_poke = 42\n",
         ),
     ]
     # No stream namespace is owned by ``telemetry``: six declared heads
