@@ -11,10 +11,12 @@ proof (``tests/test_checkpoint.py``); two modules carry it:
 * :mod:`repro.checkpoint.snapshot` — capture/restore: ``pickle``, one
   Simulator, a SHA-256 seal, the clock / event-count re-check, and a
   fingerprint of the source tree that refuses another tree's file;
-* :mod:`repro.checkpoint.soak` / :mod:`repro.checkpoint.fork` — the
-  continuous-operation harness (``python -m repro soak``): long-horizon
-  runs with background chaos, bounded-memory rolling trace digests,
-  crash-resume, and forking one warm checkpoint into many chaos futures.
+* :mod:`repro.checkpoint.soak` — the continuous-operation harness
+  (``python -m repro soak``): long-horizon runs with background chaos,
+  bounded-memory rolling trace digests and crash-resume.
+
+The chaos campaign (:mod:`repro.faults.campaign`) is the other user: it
+branches every ``(scenario, seed)`` from an in-memory warm base.
 """
 
 from repro.checkpoint.snapshot import (

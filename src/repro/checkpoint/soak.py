@@ -13,12 +13,10 @@ operating deployment imposes:
   (older checkpoints pruned);
 * **crash-resume** — ``--resume FILE`` restores a checkpoint and
   finishes the horizon; the resumed run's rolling digest must equal the
-  uninterrupted run's, and the recorded baseline pins both;
-* **scenario forking** — one warm checkpoint branches into the whole
-  chaos matrix (:mod:`repro.checkpoint.fork`), digest-identical to cold
-  runs and faster than rebuilding each (the recorded speedup is the
-  BENCH's headline number).
+  uninterrupted run's, and the recorded baseline pins both.
 
+A profile is one soak plus its resume; the chaos matrix is branched from
+warm checkpoints by ``repro chaos`` itself (:mod:`repro.faults.campaign`).
 ``python -m repro soak --out benchmarks/BENCH_soak.json`` records the
 baseline (both profiles); ``--check [--quick]`` reruns one profile
 deterministically and compares its exact fields (:mod:`repro.harness`).
@@ -33,19 +31,13 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro import harness
-from repro.checkpoint.fork import forked_sweep
 from repro.checkpoint.snapshot import Checkpoint, SnapshotError
 from repro.faults.campaign import drive_to
 from repro.faults.soak import SoakConfig, SoakState, build_soak_state, plan_summary
-from repro.perf.timing import wall_ns
 from repro.sim.units import MS
 
 #: Checkpoints kept on disk during a soak (older boundaries pruned).
 KEEP_CHECKPOINTS = 3
-
-#: Scenario subset the quick profile forks (shares one warm base, so
-#: the digest-identity property gets exercised end to end cheaply).
-QUICK_FORK_SCENARIOS = ("fh_loss", "crash", "crash_restart", "cmd_drop")
 
 #: The two recorded baseline profiles.
 PROFILES: Dict[str, SoakConfig] = {
@@ -154,113 +146,18 @@ def _verify_resume(
     }
 
 
-#: Seeds the full profile's fork/cold comparison sweeps. Two seeds
-#: double the branches per warm base, which is exactly the regime
-#: forking exists for (many futures off one warm past).
-FULL_FORK_SEEDS = (1, 2)
-
-
-def _fork_section(
-    quick: bool,
-    jobs: int,
-    checkpoint_dir: Path,
-    measure_speedup: bool,
-    seeds: Sequence[int] = (1,),
-) -> Dict[str, Any]:
-    """Forked sweep vs chaos baseline, optionally timed against cold.
-
-    The speedup compares, at the same ``jobs``, a cold sweep (every
-    (scenario, seed) rebuilt from scratch) against a forked sweep
-    branching from **existing** warm-base checkpoints — the steady
-    state of a continuously operating deployment, where warm
-    checkpoints are already on disk (the soak writes them
-    continuously). The one-time base construction is timed and
-    reported separately (``base_build_wall_seconds``); it is amortized
-    across every subsequent sweep that reuses the bases.
-    """
-    from repro.checkpoint.fork import ensure_fork_bases
-    from repro.faults.campaign import recorded_digests, run_campaign
-    from repro.faults.scenarios import scenario_by_name, standard_scenarios
-
-    if quick:
-        catalog = scenario_by_name()
-        scenarios = [catalog[name] for name in QUICK_FORK_SCENARIOS]
-    else:
-        scenarios = list(standard_scenarios())
-    started = wall_ns()
-    ensure_fork_bases(scenarios, seeds, checkpoint_dir, jobs=jobs)
-    base_build_wall = (wall_ns() - started) / 1e9
-    started = wall_ns()
-    report, fork_info = forked_sweep(
-        scenarios, seeds=seeds, checkpoint_dir=checkpoint_dir, jobs=jobs
-    )
-    forked_wall = (wall_ns() - started) / 1e9
-    baseline = recorded_digests()
-    mismatched = [
-        f"{run.scenario}/seed={run.seed}"
-        for run in report.runs
-        if baseline.get((run.scenario, run.seed)) != run.digest
-    ]
-    section: Dict[str, Any] = {
-        "scenarios": [s.name for s in scenarios],
-        "seeds": list(seeds),
-        "jobs": jobs,
-        "runs_total": len(report.runs),
-        "all_passed": all(run.passed for run in report.runs),
-        "digests_matched_chaos_baseline": not mismatched,
-        "mismatched": mismatched,
-        "base_build_wall_seconds": round(base_build_wall, 3),
-        "forked_wall_seconds": round(forked_wall, 3),
-        **fork_info,
-    }
-    if measure_speedup:
-        started = wall_ns()
-        cold = run_campaign(scenarios, seeds=seeds, replay=False, jobs=jobs)
-        cold_wall = (wall_ns() - started) / 1e9
-        cold_mismatch = [
-            f"{run.scenario}/seed={run.seed}"
-            for run in cold.runs
-            if baseline.get((run.scenario, run.seed)) != run.digest
-        ]
-        section["cold_wall_seconds"] = round(cold_wall, 3)
-        section["cold_digests_matched"] = not cold_mismatch
-        section["speedup"] = (
-            round(cold_wall / forked_wall, 3) if forked_wall > 0 else None
-        )
-    return section
-
-
-def run_profile(
-    profile: str, jobs: int, measure_speedup: bool
-) -> Dict[str, Any]:
-    """One recorded-baseline profile: soak + resume + forked sweep."""
-    config = PROFILES[profile]
+def run_profile(profile: str) -> Dict[str, Any]:
+    """One recorded-baseline profile: a soak and its crash-resume."""
     with tempfile.TemporaryDirectory(prefix="repro-soak-") as tmp:
-        tmp_path = Path(tmp)
-        _, soak, written = run_soak(config, checkpoint_dir=tmp_path / "soak")
+        _, soak, written = run_soak(PROFILES[profile], checkpoint_dir=Path(tmp))
         resume = _verify_resume(written, soak["rolling_digest"])
-        fork = _fork_section(
-            quick=(profile == "quick"),
-            jobs=jobs,
-            checkpoint_dir=tmp_path / "fork",
-            measure_speedup=measure_speedup,
-            seeds=(1,) if profile == "quick" else FULL_FORK_SEEDS,
-        )
-    return {"soak": soak, "resume": resume, "fork": fork}
-
-
-def profile_passed(section: Dict[str, Any]) -> bool:
-    return bool(
-        section["resume"]["digest_matched"]
-        and section["fork"]["all_passed"]
-        and section["fork"]["digests_matched_chaos_baseline"]
-    )
+    return {"soak": soak, "resume": resume}
 
 
 # ----------------------------------------------------------------------
-# CLI: the ``soak`` verb's declaration. The fan-out lives inside
-# ``run_campaign`` / ``forked_sweep``, so soak hands the harness a whole
-# ``run`` and adopts its baseline / check / write / exit-code half.
+# CLI: the ``soak`` verb's declaration. One soak does not fan out, so
+# soak hands the harness a whole ``run`` (and takes no ``--jobs``) and
+# adopts its baseline / check / write / exit-code half.
 # ----------------------------------------------------------------------
 def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
@@ -311,7 +208,7 @@ def _describe(soak: Dict[str, Any], resume: Dict[str, Any]) -> str:
     )
 
 
-def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
+def _side_mode(args: argparse.Namespace) -> Optional[int]:
     """``--resume`` and one-off ``--horizon/--seed`` runs (neither is the
     recorded baseline shape, so neither reports nor gates)."""
     if args.resume is not None:
@@ -341,54 +238,29 @@ def _side_mode(args: argparse.Namespace, jobs: int) -> Optional[int]:
     return 0 if resume["digest_matched"] else 1
 
 
-def _run(args: argparse.Namespace, jobs: int) -> Dict[str, Any]:
+def _run(args: argparse.Namespace) -> Dict[str, Any]:
     """The recorded shape: ``--quick`` / ``--check`` run one profile, a
-    plain run both, timing the full profile's fork against a cold sweep."""
+    plain run both."""
     profiles = ["quick"] if args.quick else ["full"] if args.check else ["quick", "full"]
     return {
         "benchmark": "soak",
-        "profiles": {
-            profile: run_profile(
-                profile,
-                jobs=jobs,
-                measure_speedup=profile == "full" and not args.check,
-            )
-            for profile in profiles
-        },
+        "profiles": {profile: run_profile(profile) for profile in profiles},
     }
 
 
 def _summary(report: Dict[str, Any]) -> str:
-    lines = []
-    for profile, section in report["profiles"].items():
-        fork = section["fork"]
-        line = (
-            f"{profile:<6} digest {section['soak']['rolling_digest'][:12]}...  "
-            "crash-resume "
-            + ("MATCHED" if section["resume"]["digest_matched"] else "MISMATCH")
-            + f"  fork: {fork['runs_total']} runs "
-            + ("passed" if fork["all_passed"] else "FAILED")
-            + ", digests "
-            + (
-                "match BENCH_chaos"
-                if fork["digests_matched_chaos_baseline"]
-                else "DIVERGE from BENCH_chaos: " + ", ".join(fork["mismatched"])
-            )
-        )
-        if "speedup" in fork:
-            line += (
-                f"  [fork speedup {fork['speedup']}x: cold "
-                f"{fork['cold_wall_seconds']}s vs forked "
-                f"{fork['forked_wall_seconds']}s at jobs={fork['jobs']}]"
-            )
-        lines.append(line)
-    return "\n".join(lines)
+    return "\n".join(
+        f"{profile:<6} digest {section['soak']['rolling_digest'][:12]}...  "
+        "crash-resume "
+        + ("MATCHED" if section["resume"]["digest_matched"] else "MISMATCH")
+        for profile, section in report["profiles"].items()
+    )
 
 
 SOAK = harness.Verb(
     name="soak",
     description="Continuous-operation soak: background chaos, rolling "
-    "digests, checkpoint/resume, and scenario forking.",
+    "digests and checkpoint/resume.",
     exact_fields=(
         "soak.rolling_digest",
         "soak.events_processed",
@@ -400,7 +272,7 @@ SOAK = harness.Verb(
     summary=_summary,
     run=_run,
     passed=lambda report: all(
-        profile_passed(section) for section in report["profiles"].values()
+        section["resume"]["digest_matched"] for section in report["profiles"].values()
     ),
     side_mode=_side_mode,
 )

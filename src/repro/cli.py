@@ -51,7 +51,7 @@ _HARNESS_VERBS = {
     "chaos": ("repro.faults.campaign",
               "fault-injection campaign: invariants, timelines, counters"),
     "soak": ("repro.checkpoint.soak",
-             "continuous-operation run: checkpoints, resume, forking"),
+             "continuous-operation run: checkpoints and resume"),
     "fleet": ("repro.fleet.campaign",
               "metro-scale availability vs pooled standby count"),
 }

@@ -12,15 +12,31 @@ layer's non-zero :func:`~repro.telemetry.collect.collect` counter, and
 the detector's detection latencies — read once the run has ended, which
 writes no trace record and draws no randomness.
 
-``--jobs N`` fans the independent ``(scenario, seed)`` shards out to a
-process pool (:mod:`repro.parallel`). Every shard rebuilds its cell
-from its own seed, results merge in canonical ``(scenario, seed)``
-order, and per-run output streams as shards complete (ordered flush) —
-so the report, the printed lines, and every canonical-trace digest are
-bit-identical to the serial run. Only the ``execution`` accounting
-block (wall times, peak RSS, measured speedup) differs between jobs
-values, and it is kept out of :meth:`CampaignReport.as_dict` so
-determinism stays mechanically checkable.
+**Every run is a branch.** A scenario spends its first ~540 ms of
+1,050 ms identically (build the cell, attach the UE, start the probe,
+idle until the fault), so the sweep builds one warm, unarmed
+:class:`ProbeHarness` per :func:`fork_key` — ``(seed, num_phy_servers,
+fork_ns)``, :data:`FORK_MARGIN_NS` before the plan's earliest fault — and
+checkpoints it in memory; each ``(scenario, seed)`` then restores its
+base, arms the plan and runs the remainder (a replay branches the same
+base again). Most scenarios share one base; ``clock_drift`` needs an
+earlier one (its clock fault leads the crash by 100 ms) and
+``no_secondary`` runs a one-PHY cell. The branch equals a run armed at
+t = 0 record for record: link impairments touch nothing, draw nothing
+and count nothing before their windows open (:meth:`Link.send
+<repro.net.link.Link.send>`), transitions are scheduled at absolute
+times, and registry streams are seeded by name alone. The cold run
+survives as the model of that differential test
+(``tests/chaos_cold.py``).
+
+``--jobs N`` fans both passes — bases, then branches — out to a process
+pool (:mod:`repro.parallel`); results merge in canonical ``(scenario,
+seed)`` order and per-run output streams as branches complete (ordered
+flush), so the report, the printed lines and every digest are
+bit-identical to the serial run. Only the ``execution`` accounting block
+(wall times, peak RSS, measured speedup) differs between jobs values,
+and it is kept out of :meth:`CampaignReport.as_dict` so determinism
+stays mechanically checkable.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from repro import harness
 from repro.apps.dispatch import UplinkTransmit
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
+from repro.checkpoint.snapshot import Checkpoint
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import PROBE_RX, RecoveryInvariants
 from repro.faults.plan import FaultPlan
@@ -46,7 +63,9 @@ from repro.faults.scenarios import (
     scenario_by_name,
     standard_scenarios,
 )
-from repro.parallel.workers import run_campaign_shard
+from repro.parallel.pool import run_shards
+from repro.parallel.workers import build_fork_base_shard, run_branch_shard
+from repro.sim.units import MS
 from repro.telemetry import FailoverTimeline, collect
 from repro.transport.packet import FlowDirection, Packet
 from repro.transport.udp import UdpSender, UdpSink
@@ -58,6 +77,14 @@ PROBE_BITRATE_BPS = 8e6
 PROBE_PACKET_BYTES = 1200
 PROBE_FLOW_ID = "chaos-probe"
 PROBE_BEARER_ID = 1
+
+#: Branch this long before a scenario's earliest fault: late enough to
+#: amortize warmup, early enough that every plan-scheduled transition
+#: is still in the future when the restored harness arms it.
+FORK_MARGIN_NS = 10 * MS
+
+#: ``(seed, num_phy_servers, fork_ns)`` — one warm base per key.
+ForkKey = Tuple[int, int, int]
 
 
 @dataclass
@@ -248,24 +275,14 @@ def drive_to(harness: ProbeHarness, until_ns: int) -> None:
     cell.run_until(until_ns)
 
 
-def _execute(scenario: ChaosScenario, seed: int) -> ProbeHarness:
-    """Build, arm, probe, and run one scenario."""
-    probed = build_probe_harness(
-        seed, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
-    )
-    drive_to(probed, RUN_END_NS)
-    return probed
-
-
 def judge_execution(
     scenario: ChaosScenario, seed: int, probed: ProbeHarness
 ) -> ScenarioRun:
     """Judge one finished execution against the scenario's invariants
     and read its failover record.
 
-    Shared by the normal campaign path and the checkpoint/fork paths —
-    a restored or forked execution must produce byte-identical verdicts,
-    so there is exactly one judging code path.
+    Shared by the branches and every restored or rebuilt execution the
+    tests compare them with — so there is exactly one judging code path.
     """
     cell = probed.cell
     events = cell.trace.canonical_events()
@@ -296,15 +313,89 @@ def judge_execution(
     )
 
 
-def run_scenario(
-    scenario: ChaosScenario, seed: int, replay: bool = False
+def earliest_fault_ns(plan: FaultPlan) -> int:
+    """The first absolute time at which a plan touches the cell."""
+    times = (
+        [spec.at_ns for spec in plan.process_faults]
+        + [spec.start_ns for spec in plan.link_faults]
+        + [spec.at_ns for spec in plan.clock_faults]
+    )
+    if not times:
+        raise ValueError(f"plan {plan.name!r} has no faults to fork before")
+    return min(times)
+
+
+def fork_key(scenario: ChaosScenario, seed: int) -> ForkKey:
+    """The warm-base key serving one (scenario, seed) branch."""
+    return (
+        seed,
+        scenario.num_phy_servers,
+        earliest_fault_ns(scenario.plan) - FORK_MARGIN_NS,
+    )
+
+
+def build_fork_base(key: ForkKey) -> Checkpoint:
+    """Build and checkpoint one warm, unarmed harness at its fork point."""
+    seed, num_phy_servers, fork_ns = key
+    probed = build_probe_harness(seed, num_phy_servers=num_phy_servers)
+    drive_to(probed, fork_ns)
+    return Checkpoint.capture(
+        probed, label=f"fork-base seed={seed} phys={num_phy_servers} t={fork_ns}"
+    )
+
+
+def run_branch(
+    scenario: ChaosScenario, seed: int, base: Checkpoint, replay: bool = False
 ) -> ScenarioRun:
-    """Execute one (scenario, seed) pair and judge it."""
-    run = judge_execution(scenario, seed, _execute(scenario, seed))
+    """Branch ``base`` into one scenario and judge it; ``replay`` branches
+    the same base a second time and compares the digests."""
+
+    def branch() -> ProbeHarness:
+        probed = base.restore()
+        arm_plan(probed, scenario.plan)
+        drive_to(probed, RUN_END_NS)
+        return probed
+
+    run = judge_execution(scenario, seed, branch())
     if replay:
-        replayed = _execute(scenario, seed).cell.trace.digest()
-        run.replay_digest_matched = replayed == run.digest
+        run.replay_digest_matched = branch().cell.trace.digest() == run.digest
     return run
+
+
+def build_fork_bases(
+    keys: Sequence[ForkKey], jobs: int = 1
+) -> Tuple[Dict[ForkKey, Checkpoint], Dict[str, Any]]:
+    """Every distinct base ``keys`` name, built as shards on ``jobs``
+    workers; returns (key -> checkpoint, the pass's accounting)."""
+    outcome = run_shards(
+        build_fork_base_shard, [(key, key) for key in sorted(set(keys))], jobs=jobs
+    )
+    return dict(zip(outcome.keys, outcome.values())), outcome.accounting()
+
+
+def execute(
+    shards: harness.Shards, jobs: int = 1, progress=None
+) -> Tuple[Dict[Any, ScenarioRun], Dict[str, Any]]:
+    """The chaos verb's sweep over a ``(scenario, seed)`` shard table:
+    one pass builds the bases, a second runs the branches (streaming
+    ``progress`` in canonical order). The bases' pass is summarized
+    under ``execution["bases"]``."""
+    bases, building = build_fork_bases(
+        [fork_key(scenario, seed) for _, (scenario, seed, _) in shards], jobs
+    )
+    results, execution = harness.fan_out(
+        run_branch_shard,
+        [
+            (key, (scenario, seed, bases[fork_key(scenario, seed)], replay))
+            for key, (scenario, seed, replay) in shards
+        ],
+        jobs,
+        progress,
+    )
+    execution["bases"] = {
+        name: building[name] for name in ("shards", "wall_seconds", "max_peak_rss_kb")
+    }
+    return results, execution
 
 
 def _shards(
@@ -336,11 +427,7 @@ def run_campaign(
     run.
     """
     selected = standard_scenarios() if scenarios is None else scenarios
-    return _report(
-        *harness.fan_out(
-            run_campaign_shard, _shards(selected, seeds, replay), jobs, progress
-        )
-    )
+    return _report(*execute(_shards(selected, seeds, replay), jobs, progress))
 
 
 # ----------------------------------------------------------------------
@@ -359,16 +446,6 @@ def _format_run(run: ScenarioRun) -> str:
         f"{run.scenario:<18} seed={run.seed:<3} {verdict:<12} "
         f"gap_ms={gap}  migrations={migrations}{suffix}"
     )
-
-
-def recorded_digests() -> Dict[Tuple[str, int], str]:
-    """``(scenario, seed)`` -> digest recorded (cold, unprobed) in
-    ``BENCH_chaos.json``; empty when that file cannot be loaded."""
-    try:
-        runs = harness.load_baseline("chaos")["runs"]
-    except harness.BaselineError:
-        return {}
-    return {(run["scenario"], run["seed"]): run["digest"] for run in runs}
 
 
 def _arguments(parser: argparse.ArgumentParser) -> None:
@@ -417,7 +494,7 @@ CHAOS = harness.Verb(
     entries=harness.runs_by("scenario", "seed"),
     summary=_summary,
     shards=_cli_shards,
-    worker=run_campaign_shard,
+    execute=execute,
     format_run=_format_run,
     report=lambda results, execution: _report(results, execution).bench_dict(),
     catalog=lambda: {

@@ -37,6 +37,8 @@ class CorruptedPayload:
 
 @dataclass
 class ImpairmentStats:
+    #: Frames inside some spec's window and ethertypes (each counted once),
+    #: so the reading does not depend on when the hook was attached.
     frames_seen: int = 0
     dropped: int = 0
     corrupted: int = 0
@@ -57,12 +59,15 @@ class LinkImpairment:
         self.rng = rng
         self.trace = trace
         self.stats = ImpairmentStats()
+        #: No frame is touched before the earliest window opens, so the
+        #: link need not defer until then (see :meth:`Link.send`).
+        self.active_from_ns = min(spec.start_ns for spec in specs)
 
     def on_transmit(
         self, link: Link, frame: EthernetFrame, arrival: int
     ) -> List[Tuple[int, EthernetFrame]]:
         now = link.sim.now
-        self.stats.frames_seen += 1
+        seen = False
         delivered = frame
         deliver_at = arrival
         duplicate = False
@@ -71,6 +76,9 @@ class LinkImpairment:
                 continue
             if spec.ethertypes and frame.ethertype not in spec.ethertypes:
                 continue
+            if not seen:
+                seen = True
+                self.stats.frames_seen += 1
             # Fixed draw order — loss, corrupt, reorder(+jitter), dup —
             # keeps stream consumption identical across outcomes.
             u_loss = float(self.rng.random())

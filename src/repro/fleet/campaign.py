@@ -17,6 +17,7 @@ report and every digest are bit-identical at any jobs value.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -430,7 +431,7 @@ FLEET = harness.Verb(
     shards=lambda args: _shards(
         args.fault_classes, args.pool_sizes, args.seeds, args.quick
     ),
-    worker=run_fleet_shard,
+    execute=functools.partial(harness.fan_out, run_fleet_shard),
     format_run=_format_run,
     report=lambda results, execution: _report(results, execution).bench_dict(),
 )

@@ -3,9 +3,11 @@
 ``repro chaos``, ``fleet`` and ``soak`` all run a
 deterministic workload, print a report and optionally gate it against
 a recorded ``benchmarks/BENCH_<verb>.json``. Each verb is a :class:`Verb`
-declaration — its extra flags, its shard table, its worker, its one-line
-run formatter, its report dict and the exact fields ``--check`` compares
-— and :func:`main` owns everything else. The contract (DESIGN.md §10):
+declaration — its extra flags, its shard table and how it executes one
+(fleet fans it out with :func:`fan_out`, chaos builds fork bases and
+branches them), its one-line run formatter, its report dict and the
+exact fields ``--check`` compares — and :func:`main` owns everything
+else. The contract (DESIGN.md §10):
 
 * **exact fields vs machine facts** — ``--check`` compares a verb's
   ``exact_fields`` for equality and nothing else; wall seconds, rates
@@ -15,8 +17,9 @@ run formatter, its report dict and the exact fields ``--check`` compares
   line and exit 2, decided before the first shard runs;
 * **write rule** — a report is written only to an explicit ``--out``
   (with ``--check``, ``--out`` names the baseline to compare against);
-* **exit codes** — 0 pass, 1 gate or invariant failure, 2 usage or
-  input error.
+* **exit codes** — 0 pass, 1 gate or invariant failure (or a worker
+  process that died: one ``repro <verb>: worker process died; ...``
+  paragraph on stderr), 2 usage or input error.
 
 Only the runs actually executed are compared, so ``--check`` composes
 with every subset flag; a run absent from the baseline is a failure.
@@ -31,10 +34,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.parallel.pool import available_parallelism, run_shards
+from repro.parallel.pool import ShardCrash, available_parallelism, run_shards
 
 #: A shard table: ``(key, payload)`` pairs in canonical order.
 Shards = Sequence[Tuple[Any, Any]]
+
+#: (shards, jobs, progress) -> ({key: value}, execution).
+Execute = Callable[
+    [Shards, int, Optional[Callable[[Any], None]]],
+    Tuple[Dict[Any, Any], Dict[str, Any]],
+]
 
 
 class UsageError(Exception):
@@ -61,23 +70,25 @@ class Verb:
     #: One-paragraph text summary of a report (the harness appends the
     #: ``[jobs=..., speedup ...]`` tail).
     summary: Callable[[Dict[str, Any]], str]
-    #: Sharded verbs: parsed args -> shard table (may raise UsageError),
-    #: the shard worker, a one-line formatter streamed per finished
-    #: shard, and ({key: value}, execution) -> report dict.
+    #: Sharded verbs: parsed args -> shard table (may raise UsageError);
+    #: how to execute it on ``jobs`` workers, streaming each value to
+    #: ``progress`` in canonical order; a one-line formatter for those
+    #: values; and ({key: value}, execution) -> report dict. Only these
+    #: verbs take ``--jobs``.
     shards: Optional[Callable[[argparse.Namespace], Shards]] = None
-    worker: Optional[Callable[[Any], Any]] = None
+    execute: Optional[Execute] = None
     format_run: Optional[Callable[[Any], str]] = None
     report: Optional[Callable[[Dict[Any, Any], Dict[str, Any]], Dict[str, Any]]] = None
-    #: A verb whose fan-out lives elsewhere (soak) runs whole instead:
-    #: (args, jobs) -> report dict.
-    run: Optional[Callable[[argparse.Namespace, int], Dict[str, Any]]] = None
+    #: A verb that does not fan out (soak) runs whole instead:
+    #: args -> report dict.
+    run: Optional[Callable[[argparse.Namespace], Dict[str, Any]]] = None
     #: Invariant verdict of a report (exit 1 when false, gate or not).
     passed: Callable[[Dict[str, Any]], bool] = lambda report: report["passed"]
     #: ``--list`` table: name -> description.
     catalog: Optional[Callable[[], Mapping[str, str]]] = None
-    #: Modes that are not a campaign (``soak --resume``): (args, jobs)
-    #: -> exit code, or None to go on.
-    side_mode: Optional[Callable[[argparse.Namespace, int], Optional[int]]] = None
+    #: Modes that are not a campaign (``soak --resume``): args -> exit
+    #: code, or None to go on.
+    side_mode: Optional[Callable[[argparse.Namespace], Optional[int]]] = None
 
 
 def bench_path(name: str) -> Path:
@@ -223,11 +234,12 @@ def _parser(verb: Verb) -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="compare the exact fields against the recorded baseline",
     )
-    group.add_argument(
-        "--jobs", type=at_least(int, 0), default=1, metavar="N",
-        help="worker processes for independent shards; 0 = one per CPU "
-        "core. Results are bit-identical at any value (default: 1)",
-    )
+    if verb.execute is not None:
+        group.add_argument(
+            "--jobs", type=at_least(int, 0), default=1, metavar="N",
+            help="worker processes for independent shards; 0 = one per CPU "
+            "core. Results are bit-identical at any value (default: 1)",
+        )
     group.add_argument(
         "--quick", action="store_true",
         help="reduced-scale run (for smokes and CI gates)",
@@ -254,9 +266,8 @@ def main(verb: Verb, argv: Optional[Sequence[str]] = None) -> int:
             print(f"{name:<32} {description}")
         return 0
     try:
-        jobs = args.jobs or available_parallelism()
         if verb.side_mode is not None:
-            code = verb.side_mode(args, jobs)
+            code = verb.side_mode(args)
             if code is not None:
                 return code
         shards = verb.shards(args) if verb.shards is not None else ()
@@ -283,12 +294,17 @@ def main(verb: Verb, argv: Optional[Sequence[str]] = None) -> int:
 
     style = getattr(args, "format", "text")
     if verb.run is not None:
-        report = verb.run(args, jobs)
+        report = verb.run(args)
     else:
         stream = None
         if style == "text":
             stream = lambda value: print(verb.format_run(value), flush=True)  # noqa: E731
-        report = verb.report(*fan_out(verb.worker, shards, jobs, stream))
+        try:
+            results = verb.execute(shards, args.jobs or available_parallelism(), stream)
+        except ShardCrash as exc:
+            print(f"{prog}: {exc}", file=sys.stderr)
+            return 1
+        report = verb.report(*results)
     if style == "json":
         print(json.dumps(report, indent=2))
     else:

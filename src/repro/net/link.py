@@ -26,11 +26,14 @@ class NetworkEndpoint(Protocol):
 class LinkImpairmentHook(Protocol):
     """Fault-injection hook invoked once per transmitted frame.
 
-    Returns the deliveries to schedule as ``(arrival_time, frame)``
-    pairs: an empty list drops the frame, two entries duplicate it, a
-    shifted time reorders it, and a substituted frame corrupts it. The
-    unimpaired behaviour is ``[(arrival, frame)]``.
+    ``active_from_ns`` is the earliest instant at which it may touch a
+    frame. ``on_transmit`` returns the deliveries to schedule as
+    ``(arrival_time, frame)`` pairs: an empty list drops the frame, two
+    entries duplicate it, a shifted time reorders it, and a substituted
+    frame corrupts it. The unimpaired behaviour is ``[(arrival, frame)]``.
     """
+
+    active_from_ns: int
 
     def on_transmit(
         self, link: "Link", frame: EthernetFrame, arrival: int
@@ -103,17 +106,21 @@ class Link:
         starts at ``max(ready_at, line free)`` with no event in between,
         which is exact while ready times arrive in non-decreasing order
         (one producer adding a constant to the clock). An impairment hook
-        reads the clock and draws its RNG at transmit time, so an impaired
-        link waits for ``ready_at`` in an event and returns ``ready_at``;
-        waiting frames queue FIFO and each event takes the head, so
-        same-nanosecond frames keep their order under any tie order.
+        reads the clock and draws its RNG at transmit time, so once its
+        earliest window can be open (``ready_at >= active_from_ns``) an
+        impaired link waits for ``ready_at`` in an event and returns
+        ``ready_at``; waiting frames queue FIFO and each event takes the
+        head, so same-nanosecond frames keep their order under any tie
+        order. Before that a hook touches nothing, and the link sends as
+        an unimpaired one — wherever the hook was attached.
         """
         if self.endpoint is None:
             raise RuntimeError(f"link {self.name} has no endpoint")
         sim = self.sim
         start = sim.now
         if ready_at is not None and ready_at > start:
-            if self.impairment is not None:
+            impairment = self.impairment
+            if impairment is not None and ready_at >= impairment.active_from_ns:
                 if self._deferred is None:
                     self._deferred = deque()
                 self._deferred.append(frame)

@@ -20,52 +20,34 @@ from __future__ import annotations
 from typing import Any, Tuple
 
 
-def run_campaign_shard(payload: Tuple[Any, int, bool]) -> Any:
-    """One chaos-campaign ``(scenario, seed)`` run, optionally replayed.
-
-    Returns the :class:`~repro.faults.campaign.ScenarioRun` verdict —
-    plain data, identical whether computed in-process or in a worker.
-    """
-    from repro.faults.campaign import run_scenario
-
-    scenario, seed, replay = payload
-    return run_scenario(scenario, seed, replay=replay)
-
-
-def build_fork_base_shard(payload: Tuple[int, int, int, str]) -> str:
-    """Build one warm fork base and save its checkpoint; returns the path.
+def build_fork_base_shard(key: Tuple[int, int, int]) -> Any:
+    """Build one warm chaos fork base; returns its in-memory checkpoint.
 
     The base is fully determined by ``(seed, num_phy_servers, fork_ns)``
-    — an unarmed probe harness driven to the fork point — so shards stay
-    payload-pure and the saved checkpoints are bit-stable per key.
+    — an unarmed probe harness driven to the fork point — so the
+    checkpoint is bit-stable per key.
     """
-    from pathlib import Path
+    from repro.faults.campaign import build_fork_base
 
-    from repro.checkpoint.fork import build_fork_base
-
-    seed, num_phy_servers, fork_ns, path = payload
-    build_fork_base((seed, num_phy_servers, fork_ns)).save(Path(path))
-    return path
+    return build_fork_base(key)
 
 
-def run_forked_scenario_shard(payload: Tuple[Any, int, str]) -> Any:
-    """One forked chaos branch: load a warm checkpoint, arm, run, judge.
+def run_branch_shard(payload: Tuple[Any, int, Any, bool]) -> Any:
+    """One chaos ``(scenario, seed)`` run: branch its warm base, arm the
+    plan, run, judge — and optionally branch again to replay.
 
-    The checkpoint file was captured from the same seed the payload
-    names, so all worker state still derives from the shard's seed —
-    the checkpoint is a verified intermediate of the deterministic
-    build, not an outside input (load checks the source fingerprint;
-    restore the payload hash, the one Simulator, its clock and event
-    count).
+    The base was captured from the seed the payload names, so all worker
+    state still derives from the shard's seed: the checkpoint is a
+    verified intermediate of the deterministic build, not an outside
+    input (restore checks the payload hash, the one Simulator, its clock
+    and event count). Returns the
+    :class:`~repro.faults.campaign.ScenarioRun` — plain data, identical
+    whether computed in-process or in a worker.
     """
-    from pathlib import Path
+    from repro.faults.campaign import run_branch
 
-    from repro.checkpoint.fork import run_forked_scenario
-    from repro.checkpoint.snapshot import Checkpoint
-
-    scenario, seed, checkpoint_path = payload
-    checkpoint = Checkpoint.load(Path(checkpoint_path))
-    return run_forked_scenario(scenario, seed, checkpoint)
+    scenario, seed, base, replay = payload
+    return run_branch(scenario, seed, base, replay=replay)
 
 
 def run_fleet_shard(payload: Tuple[str, int, int]) -> Any:

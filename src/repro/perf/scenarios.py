@@ -134,13 +134,19 @@ def run_fig10_tcp_dl_cell(
 
 
 def _chaos_runner(scenario_name: str, seed: int) -> Callable:
-    """One (scenario, seed) run of the chaos campaign's standard matrix."""
+    """One (scenario, seed) run of the chaos matrix, its plan armed at
+    build; ``repro chaos`` branches the same run from a warm base."""
 
     def run():
-        from repro.faults.campaign import _execute
-        from repro.faults.scenarios import scenario_by_name
+        from repro.faults.campaign import build_probe_harness, drive_to
+        from repro.faults.scenarios import RUN_END_NS, scenario_by_name
 
-        return _execute(scenario_by_name()[scenario_name], seed).cell
+        scenario = scenario_by_name()[scenario_name]
+        probed = build_probe_harness(
+            seed, num_phy_servers=scenario.num_phy_servers, plan=scenario.plan
+        )
+        drive_to(probed, RUN_END_NS)
+        return probed.cell
 
     run.__name__ = f"run_chaos_{scenario_name}"
     return run

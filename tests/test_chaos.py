@@ -16,7 +16,7 @@ from repro.faults import (
     ProcessFaultSpec,
     RecoveryInvariants,
 )
-from repro.faults.campaign import build_probe_harness, drive_to, run_scenario
+from repro.faults.campaign import build_probe_harness, drive_to, run_campaign
 from repro.faults.invariants import PROBE_RX
 from repro.faults.proptest import generate_cases
 from repro.faults.scenarios import scenario_by_name, standard_scenarios
@@ -108,6 +108,52 @@ class TestLinkImpairment:
         sim.run()
         assert len(sink.received) == 2
         assert link.impairment.stats.dropped == 1
+
+    def test_an_egress_link_defers_only_once_the_window_can_be_open(self):
+        """A switch egress link hands ``send`` a future ``ready_at``. Frames
+        ready before the earliest window opens go out as on a link with no
+        hook — not deferred, same line state, same arrivals — and only
+        frames inside the window count as seen, so the record does not
+        depend on when the hook was attached."""
+        opens = 50_000
+        spec = LinkFaultSpec("lk", start_ns=opens, loss_prob=1.0)
+        sim = Simulator()
+        impaired, plain = (
+            Link(sim, Collector(sim), bandwidth_bps=10e9, latency_ns=1_000, name="lk")
+            for _ in range(2)
+        )
+        impaired.impairment = LinkImpairment(
+            (spec,), RngRegistry(7).stream("faults.link.lk")
+        )
+        sent = []
+
+        def send(tag):
+            ready_at = sim.now + 8_000
+            returned = [
+                link.send(make_frame(payload=tag), ready_at=ready_at)
+                for link in (impaired, plain)
+            ]
+            sent.append((
+                ready_at, returned, bool(impaired._deferred),
+                impaired._line_free_at, plain._line_free_at,
+            ))
+
+        for tag in range(10):
+            sim.at(tag * 10_000, send, tag)
+        sim.run()
+        before = [entry for entry in sent if entry[0] < opens]
+        assert len(before) == 5
+        for _, (ours, theirs), deferred, line_free, plain_line_free in before:
+            assert not deferred
+            assert ours == theirs
+            assert line_free == plain_line_free
+        stats = impaired.impairment.stats
+        assert stats.frames_seen == stats.dropped == 5
+        assert [(at, frame.payload) for at, frame in impaired.endpoint.received] == [
+            (at, frame.payload)
+            for at, frame in plain.endpoint.received
+            if frame.payload < 5
+        ]
 
     def test_ethertype_filter(self):
         sim, link, sink = impaired_link(
@@ -409,7 +455,7 @@ class TestChaosSmoke:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_crash_scenario_replays_bit_identically(self, seed):
         scenario = scenario_by_name()["crash"]
-        run = run_scenario(scenario, seed, replay=True)
+        (run,) = run_campaign([scenario], seeds=(seed,), replay=True).runs
         assert run.replay_digest_matched is True
         failed = [r["name"] for r in run.invariants if not r["passed"]]
         assert not failed, failed

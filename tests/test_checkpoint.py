@@ -8,8 +8,8 @@ The continuous-operation contract under test (DESIGN.md §13):
   every chaos scenario class;
 * soak runs survive eviction and crash-resume with the same rolling
   digest;
-* forked branches from a warm base are digest-identical to cold runs at
-  any ``--jobs``;
+* a chaos run branched from a warm base (``repro chaos``) produces the
+  same whole record as the cold run it replaced (``tests/chaos_cold.py``);
 * the recorded ``BENCH_soak.json`` baseline gates all of it via
   ``python -m repro soak --check --quick`` (tier-1).
 """
@@ -30,26 +30,34 @@ from repro.checkpoint import (
     iter_object_graph,
     source_fingerprint,
 )
-from repro.checkpoint.fork import ensure_fork_bases, fork_key, forked_sweep
 from repro.checkpoint.snapshot import PACKAGE_DIR
 from repro.checkpoint.soak import main as soak_main
 from repro.checkpoint.soak import run_soak
 from repro.core.failure_detector import FailureDetector
 from repro.faults.campaign import (
     arm_plan,
+    build_fork_bases,
     build_probe_harness,
     drive_to,
+    fork_key,
     judge_execution,
+    run_campaign,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
-from repro.faults.scenarios import FAULT_AT_NS, RUN_END_NS, scenario_by_name
+from repro.faults.scenarios import (
+    FAULT_AT_NS,
+    RUN_END_NS,
+    scenario_by_name,
+    standard_scenarios,
+)
 from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
 from repro.fleet.pool import StandbyPool
 from repro.parallel import run_shards
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
+from tests.chaos_cold import recorded_digests, run_cold_shard
 
 #: Mid-recovery capture point: inside every standard scenario's fault
 #: window (faults land at 550 ms, recovery completes by 850 ms).
@@ -60,18 +68,16 @@ MID_RECOVERY_NS = 600 * MS
 # Top-level shard worker (picklable) for the jobs-swept matrix test.
 # ----------------------------------------------------------------------
 def _mid_recovery_verify(payload):
-    """Checkpoint one scenario mid-recovery; finish both timelines.
+    """Branch one scenario from its warm base, checkpoint it mid-recovery,
+    and finish both timelines.
 
     Returns the continued and restored runs — the caller asserts their
     records are identical (and the digest matches the recorded chaos
-    baseline). The plan is armed before the capture, so the two agree on
-    every counter too, link impairments included.
+    baseline).
     """
-    name, seed = payload
+    name, seed, base = payload
     scenario = scenario_by_name()[name]
-    harness = build_probe_harness(
-        seed, num_phy_servers=scenario.num_phy_servers
-    )
+    harness = base.restore()
     arm_plan(harness, scenario.plan)
     drive_to(harness, MID_RECOVERY_NS)
     checkpoint = Checkpoint.capture(harness, label=f"mid-recovery {name}")
@@ -84,6 +90,22 @@ def _mid_recovery_verify(payload):
         "restored": judge_execution(scenario, seed, restored),
         "checkpoint_sim_ns": checkpoint.meta.sim_now_ns,
     }
+
+
+@pytest.fixture(scope="module")
+def seed1_bases():
+    """Every chaos scenario's warm fork base at seed 1 (three keys)."""
+    bases, _ = build_fork_bases(
+        [fork_key(scenario, 1) for scenario in standard_scenarios()], jobs=2
+    )
+    return bases
+
+
+def _mid_recovery_payloads(names, bases):
+    catalog = scenario_by_name()
+    return [
+        (name, (name, 1, bases[fork_key(catalog[name], 1)])) for name in names
+    ]
 
 
 def _census(root):
@@ -100,8 +122,6 @@ def _instances(root, cls):
 
 
 def _chaos_baseline():
-    from repro.faults.campaign import recorded_digests
-
     digests = recorded_digests()
     assert digests, "benchmarks/BENCH_chaos.json missing - record it first"
     return digests
@@ -238,17 +258,6 @@ class TestSourceMismatch:
         path = self._foreign(warm, tmp_path / "old.ckpt", None)
         with pytest.raises(SnapshotError, match="another source tree.*unrecorded"):
             Checkpoint.load(path)
-
-    def test_stale_fork_base_is_neither_reused_nor_rewritten(self, warm, tmp_path):
-        scenario = scenario_by_name()["crash"]
-        key = fork_key(scenario, 1)
-        base = self._foreign(
-            warm, tmp_path / f"base_s{key[0]}_p{key[1]}_t{key[2]}.ckpt", "0" * 64
-        )
-        before = base.read_bytes()
-        with pytest.raises(SnapshotError, match="another source tree"):
-            ensure_fork_bases([scenario], (1,), tmp_path)
-        assert base.read_bytes() == before
 
     def test_soak_resume_of_stale_checkpoint_exits_2(self, warm, tmp_path, capsys):
         path = self._foreign(warm, tmp_path / "soak.ckpt", "0" * 64)
@@ -550,15 +559,15 @@ class TestCaptureMidTcpRecovery:
 
 @pytest.mark.slow
 class TestMidRecoveryCheckpoints:
-    """Satellite 3: every chaos scenario class checkpoints mid-recovery
-    and replays bit-identically, at --jobs 1 and 2."""
+    """Every chaos scenario class, branched from its warm base, checkpoints
+    mid-recovery and replays bit-identically, at --jobs 1 and 2."""
 
-    def test_all_scenario_classes_replay_identically_jobs2(self):
+    def test_all_scenario_classes_replay_identically_jobs2(self, seed1_bases):
         baseline = _chaos_baseline()
         names = sorted(scenario_by_name())
         outcome = run_shards(
             _mid_recovery_verify,
-            [(name, (name, 1)) for name in names],
+            _mid_recovery_payloads(names, seed1_bases),
             jobs=2,
         )
         for name, result in zip(outcome.keys, outcome.values()):
@@ -573,14 +582,10 @@ class TestMidRecoveryCheckpoints:
                 f"{name}: run diverged from the recorded chaos baseline"
             )
 
-    def test_serial_pass_matches_pooled_on_subset(self):
-        names = ["cmd_drop", "crash_restart"]
-        serial = run_shards(
-            _mid_recovery_verify, [(n, (n, 1)) for n in names], jobs=1
-        )
-        pooled = run_shards(
-            _mid_recovery_verify, [(n, (n, 1)) for n in names], jobs=2
-        )
+    def test_serial_pass_matches_pooled_on_subset(self, seed1_bases):
+        payloads = _mid_recovery_payloads(["cmd_drop", "crash_restart"], seed1_bases)
+        serial = run_shards(_mid_recovery_verify, payloads, jobs=1)
+        pooled = run_shards(_mid_recovery_verify, payloads, jobs=2)
         assert serial.values() == pooled.values()
 
 
@@ -621,37 +626,46 @@ class TestGoldenRestoreIdentity:
             ("chaos_crash_restart", "crash_restart"),
         ],
     )
-    def test_chaos_scenarios(self, golden_name, scenario_name):
+    def test_chaos_scenarios(self, golden_name, scenario_name, seed1_bases):
         from tests.test_perf_digests import GOLDEN_DIGESTS
 
-        result = _mid_recovery_verify((scenario_name, 1))
+        ((_, payload),) = _mid_recovery_payloads([scenario_name], seed1_bases)
+        result = _mid_recovery_verify(payload)
         assert result["restored"].digest == GOLDEN_DIGESTS[golden_name]
 
 
+#: The differential test's branches: ingress and egress impairments
+#: (``fh_loss``), an egress impairment that duplicates (``orion_dup``),
+#: ``cmd_drop``, an earlier fork point (``clock_drift``) and a one-PHY base
+#: (``no_secondary``).
+DIFFERENTIAL_SCENARIOS = ("fh_loss", "orion_dup", "cmd_drop", "clock_drift", "no_secondary")
+
+
 @pytest.mark.slow
-class TestForkedSweep:
-    def test_forked_branches_match_cold_digests_at_any_jobs(self, tmp_path):
-        """A quick 4-scenario forked sweep (one shared warm base) is
-        digest-identical to the recorded cold baseline at jobs 1 and 2,
-        and the second sweep reuses the bases the first built."""
-        from repro.checkpoint.soak import QUICK_FORK_SCENARIOS
-
-        baseline = _chaos_baseline()
+class TestForkedEqualsCold:
+    def test_branched_record_equals_the_cold_record(self):
+        """``repro chaos`` branches each run from a warm base; the cold
+        run armed at t = 0 (``tests/chaos_cold.py``) is its model. The two
+        agree on the whole record — every counter included, the link
+        impairments' ``frames_seen`` and the engine's event count too."""
         catalog = scenario_by_name()
-        scenarios = [catalog[n] for n in QUICK_FORK_SCENARIOS]
-        assert len({fork_key(s, 1) for s in scenarios}) == 1
-
-        report1, info1 = forked_sweep(scenarios, (1,), tmp_path, jobs=1)
-        report2, info2 = forked_sweep(scenarios, (1,), tmp_path, jobs=2)
-        assert info1["bases_built"] == 1 and info1["bases_reused"] == 0
-        assert info2["bases_built"] == 0 and info2["bases_reused"] == 1
-        for report in (report1, report2):
-            for run in report.runs:
-                assert run.passed
-                assert run.digest == baseline[(run.scenario, run.seed)]
-        assert [r.digest for r in report1.runs] == [
-            r.digest for r in report2.runs
+        scenarios = [catalog[name] for name in DIFFERENTIAL_SCENARIOS]
+        assert len({fork_key(scenario, 1) for scenario in scenarios}) == 3
+        forked = run_campaign(scenarios, seeds=(1,), jobs=2)
+        cold = run_shards(
+            run_cold_shard,
+            [(name, (name, 1)) for name in DIFFERENTIAL_SCENARIOS],
+            jobs=2,
+        )
+        for run, model in zip(forked.runs, cold.values()):
+            assert run.as_dict() == model.as_dict(), (
+                f"{run.scenario}: the branch's record differs from the cold run's"
+            )
+            assert run.passed
+        impaired = [
+            name for name in forked.runs[0].counters if name.endswith(".frames_seen")
         ]
+        assert len(impaired) == 2, impaired
 
 
 class TestSoakResume:

@@ -131,7 +131,7 @@ class TestParser:
             declared,
             **{
                 hook: _never
-                for hook in ("worker", "run", "side_mode")
+                for hook in ("execute", "run", "side_mode")
                 if getattr(declared, hook) is not None
             },
         )

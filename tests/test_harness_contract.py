@@ -12,7 +12,8 @@ harness promises for each of them (DESIGN.md §10, "Harness contract"):
   verb's exact fields: a run absent from the baseline and a flipped
   exact field are each exactly one failure line and exit 1;
 * the deterministic report is equal at ``--jobs`` 1, 2 and 4;
-* a run without ``--out`` writes nothing under ``benchmarks/``.
+* a run without ``--out`` writes nothing under ``benchmarks/``;
+* a worker process that dies is one paragraph on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 from typing import Any, Callable, Dict, List
 
 import pytest
@@ -67,7 +69,7 @@ CASES = {
         drop=lambda baseline, entry, label: baseline["profiles"].pop(label),
     ),
 }
-SHARDED = [name for name, case in CASES.items() if case.verb.shards is not None]
+SHARDED = [name for name, case in CASES.items() if case.verb.execute is not None]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -131,7 +133,7 @@ def test_hostile_baseline_is_one_line_and_exit_2(name, kind, tmp_path, capsys):
         path.write_text(text)
     inert = dataclasses.replace(
         case.verb,
-        worker=_never,
+        execute=None if case.verb.execute is None else _never,
         run=None if case.verb.run is None else _never,
     )
     code = harness.main(inert, [*case.subset, "--check", "--out", str(path)])
@@ -302,12 +304,14 @@ def test_report_is_jobs_invariant_and_only_out_writes(name, capsys):
 
 @pytest.mark.slow
 def test_soak_without_out_writes_nothing(capsys):
-    """Soak has no shard table of its own (its fan-out is the chaos
-    campaign's); it shares the write rule and the exit codes."""
+    """Soak has no shard table (one soak does not fan out, so it takes no
+    ``--jobs``); it shares the write rule and the exit codes."""
     before = _benchmarks_fingerprint()
     assert harness.main(SOAK, ["--quick"]) == 0
     assert "crash-resume MATCHED" in capsys.readouterr().out
     assert _benchmarks_fingerprint() == before
+    assert harness.main(SOAK, ["--quick", "--jobs", "2"]) == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_out_is_the_only_place_a_report_lands(tmp_path, capsys):
@@ -322,3 +326,44 @@ def test_out_is_the_only_place_a_report_lands(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["benchmark"] == "chaos"
     assert list(CHAOS.entries(report)) == ["cmd_drop/seed=1"]
+
+
+# ----------------------------------------------------------------------
+# A worker that dies: one paragraph, exit 1
+# ----------------------------------------------------------------------
+def _dies_on_two(payload):
+    if payload == 2:
+        # fd 2 directly: what the pool's stderr capture redirects.
+        os.write(2, b"fatal: shard two always dies\n")
+        os._exit(13)
+    return payload
+
+
+DYING = harness.Verb(
+    name="dying",
+    description="A verb whose worker process dies on one shard.",
+    exact_fields=(),
+    arguments=lambda parser: None,
+    entries=harness.runs_by("n"),
+    summary=lambda report: "",
+    shards=lambda args: [(n, n) for n in range(4)],
+    execute=functools.partial(harness.fan_out, _dies_on_two),
+    format_run=str,
+    report=lambda results, execution: {
+        "runs": [{"n": n} for n in results], "passed": True
+    },
+)
+
+
+@pytest.mark.skipif(not fork_available(), reason="no fork start method")
+def test_a_dead_worker_is_one_paragraph_and_exit_1(capsys):
+    code = harness.main(DYING, ["--jobs", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    first, *tail = err.splitlines()
+    assert first.startswith(
+        "repro dying: worker process died; unfinished shard(s): "
+    )
+    assert "2" in first.split("unfinished shard(s): ")[1]
+    assert "fatal: shard two always dies" in tail

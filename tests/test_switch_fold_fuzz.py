@@ -432,7 +432,7 @@ MUTANTS = {
     "impaired_link_not_deferred": (
         Link,
         "send",
-        "if self.impairment is not None:",
+        "if impairment is not None and ready_at >= impairment.active_from_ns:",
         "if False:",
     ),
 }

@@ -26,8 +26,7 @@ from repro.faults.campaign import (
     build_probe_harness,
     drive_to,
     judge_execution,
-    recorded_digests,
-    run_scenario,
+    run_campaign,
 )
 from repro.faults.scenarios import RUN_END_NS, scenario_by_name
 from repro.harness import load_baseline
@@ -35,6 +34,7 @@ from repro.perf.scenarios import DIGEST_SCENARIOS
 from repro.sim.trace import TraceEvent
 from repro.sim.units import MS, US
 from repro.telemetry import FailoverTimeline, collect, stats_objects
+from tests.chaos_cold import recorded_digests
 
 
 def _is_stats(obj) -> bool:
@@ -179,11 +179,12 @@ class TestFailoverTimeline:
 @pytest.mark.slow
 class TestDigestNeutrality:
     def test_instrumented_chaos_run_reproduces_golden_digest(self):
-        """A run whose record reads every layer reproduces the plain run's
-        golden digest, and its event counter is the golden event count."""
+        """A branched run whose record reads every layer reproduces the
+        golden digest of the plain run armed at build, and its event
+        counter is the golden event count."""
         from tests.test_perf_digests import GOLDEN_DIGESTS, GOLDEN_EVENTS
 
-        run = run_scenario(scenario_by_name()["cmd_drop"], 1)
+        (run,) = run_campaign([scenario_by_name()["cmd_drop"]], seeds=(1,)).runs
         assert run.digest == GOLDEN_DIGESTS["chaos_cmd_drop"]
         assert run.passed
         assert run.counters["engine.events_processed"] == GOLDEN_EVENTS["chaos_cmd_drop"]
