@@ -2,6 +2,7 @@
 """Pop-level census of one benchmark workload: which callbacks the wall goes to.
 
     python benchmarks/pop_census.py <workload> [--seed N] [--smoke] [--frames N]
+                                    [--by-role]
 
 Builds and warms the workload's plan exactly as ``bench/worker.py`` does
 (``bench/workloads.py`` is imported read-only), then drives the measured
@@ -11,7 +12,11 @@ window twice, on two identical deployments:
   between one pop returning and the next pop being asked for is the
   popped callback's, attributed to its kind — owner class · method, with
   ``Link._deliver``, ``ShmChannel._deliver`` and ``_ServiceQueue._complete``
-  split by the consumer they hand to;
+  split by the consumer they hand to; ``gc.callbacks`` times CPython's
+  cyclic collector over the same window (collections per generation and
+  their share of the window's wall, DESIGN §9 "Collector: cost model");
+  ``--by-role`` prefixes each kind with the role, at pop time, of the
+  PHY server the event works for (below);
 * a **counted** pass under ``sys.setprofile``: Python ``call`` and C
   ``c_call`` events per cell-slot, and the Python ones per code object
   (``--frames N`` prints the N most entered). Deterministic, so it repeats
@@ -19,14 +24,23 @@ window twice, on two identical deployments:
   would be most of the wall it measured.
 
 Both passes must pop the ``events_processed`` delta of the window, event
-for event, or the script fails. ROADMAP item 6 asks for this census
+for event, or the script fails. ROADMAP item 9 asks for this census
 before any fleet-speed direction is taken; DESIGN §9 "Healthy slot: cost
-model" quotes its table.
+model" quotes its table and "Collector: cost model" its collector line.
+
+A PHY server's events are those of its PHY, its PHY-side Orion, their
+SHM channels and its NIC, every frame from or to one of its MACs, and
+the L2-side ``_route_response`` of its datagrams. Its role is read from
+its cell's L2-side Orion when the event pops, since a failover swaps
+them: ``active`` (a primary), ``standby`` (a secondary) or ``retired``
+(neither, e.g. a killed primary). Every other event (RU, switch,
+detector, L2, the fleet's own) is ``other``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import platform
 import sys
@@ -60,6 +74,54 @@ def callback_kind(handle: Any) -> str:
     return kind
 
 
+class RoleMap:
+    """Which PHY server of which cell a popped event works for, and that
+    server's role at pop time."""
+
+    def __init__(self, cells: List[Any]) -> None:
+        self.cells = cells
+        self.server_of: Dict[int, Tuple[int, int]] = {}  # id(object) -> (cell, phy)
+        self.cell_of: Dict[int, int] = {}  # id(link or L2-side Orion) -> cell
+        self.mac_phy: Dict[Tuple[int, Any], int] = {}  # (cell, MAC) -> phy
+        for index, cell in enumerate(cells):
+            self.cell_of[id(cell.l2_orion)] = index
+            for number in cell.switch.port_numbers():
+                port = cell.switch.port(number)
+                self.cell_of[id(port.egress)] = index
+                self.cell_of[id(port.ingress_link)] = index
+            for node in cell.phy_servers:
+                for part in (node.phy, node.orion, node.nic,
+                             node.orion.shm_to_phy, node.phy.fapi_tx):
+                    self.server_of[id(part)] = (index, node.phy_id)
+                self.mac_phy[index, node.phy_mac] = node.phy_id
+                self.mac_phy[index, node.orion_mac] = node.phy_id
+
+    def role(self, cell: int, phy: int) -> str:
+        assignments = self.cells[cell].l2_orion.cells.values()
+        if any(a.primary_phy == phy for a in assignments):
+            return "active"
+        if any(a.secondary_phy == phy for a in assignments):
+            return "standby"
+        return "retired"
+
+    def __call__(self, handle: Any) -> str:
+        callback = handle.callback
+        owner = getattr(callback, "__self__", None)
+        server = self.server_of.get(id(owner))
+        if server is None and type(owner).__name__ == "_ServiceQueue":
+            action, args = handle.args
+            server = self.server_of.get(id(action.__self__))
+            if server is None and action.__name__ == "_route_response":
+                server = (self.cell_of[id(action.__self__)], args[0].phy_id)
+        elif server is None and type(owner).__name__ == "Link":
+            cell = self.cell_of[id(owner)]
+            frame = handle.args[0]
+            phy = self.mac_phy.get((cell, frame.src), self.mac_phy.get((cell, frame.dst)))
+            if phy is not None:
+                server = (cell, phy)
+        return "other" if server is None else self.role(*server)
+
+
 def _window(name: str, seed: int, smoke: bool) -> Tuple[Any, Dict[str, Any]]:
     plan = workloads.plan(name, seed, smoke)
     deployment = workloads.build(plan)
@@ -67,12 +129,18 @@ def _window(name: str, seed: int, smoke: bool) -> Tuple[Any, Dict[str, Any]]:
     return deployment, plan
 
 
-def timed_pass(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
-    """Events and callback wall per kind over the measured window."""
+def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict[str, Any]:
+    """Events and callback wall per kind (per role and kind with
+    ``by_role``) over the measured window, and the collections the
+    window ran."""
     deployment, plan = _window(name, seed, smoke)
     sim = deployment.sim
+    role_of = RoleMap(deployment.cells) if by_role else None
     events: Counter = Counter()
     wall_ns: Counter = Counter()
+    collections: Counter = Counter()  # generation -> collections ...
+    collected: Counter = Counter()  # ... -> objects they reclaimed
+    gc_ns = 0
     inner_pop = Simulator._pop
     clock = time.perf_counter_ns
     running: Optional[str] = None  # Kind of the callback in flight ...
@@ -88,19 +156,38 @@ def timed_pass(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
             running = None
             return None
         running = callback_kind(entry[3])
+        if role_of is not None:
+            running = f"{role_of(entry[3])} {running}"
         events[running] += 1
         started = clock()
         return entry
 
+    def on_collect(phase: str, info: Dict[str, int]) -> None:
+        nonlocal gc_ns
+        if phase == "start":
+            gc_ns -= clock()
+        else:
+            gc_ns += clock()
+            collections[info["generation"]] += 1
+            collected[info["generation"]] += info["collected"]
+
     before = sim.events_processed
     Simulator._pop = census_pop
+    gc.callbacks.append(on_collect)
+    window_started = clock()
     try:
         sim.run_until(plan["end_ns"])
     finally:
+        window_ns = clock() - window_started
+        gc.callbacks.remove(on_collect)
         Simulator._pop = inner_pop
     return {
         "events": events,
         "wall_ns": wall_ns,
+        "window_ns": window_ns,
+        "gc_ns": gc_ns,
+        "collections": collections,
+        "collected": collected,
         "events_processed": sim.events_processed - before,
         "cell_slots": len(deployment.cells)
         * ((plan["end_ns"] - plan["warmup_ns"]) // SLOT_NS),
@@ -157,9 +244,11 @@ def counted_pass(name: str, seed: int, smoke: bool) -> Dict[str, Any]:
     return counts
 
 
-def census(name: str, seed: int = 1, smoke: bool = False) -> Dict[str, Any]:
+def census(
+    name: str, seed: int = 1, smoke: bool = False, by_role: bool = False
+) -> Dict[str, Any]:
     """Both passes of one workload, checked against each other."""
-    timed = timed_pass(name, seed, smoke)
+    timed = timed_pass(name, seed, smoke, by_role)
     counted = counted_pass(name, seed, smoke)
     total = sum(timed["events"].values())
     if not total == timed["events_processed"] == counted["events_processed"]:
@@ -168,7 +257,8 @@ def census(name: str, seed: int = 1, smoke: bool = False) -> Dict[str, Any]:
             f"{timed['events_processed']} (timed) / {counted['events_processed']} (counted)"
         )
     return {
-        "workload": name, "seed": seed, "smoke": smoke, "attributed": total,
+        "workload": name, "seed": seed, "smoke": smoke, "by_role": by_role,
+        "attributed": total,
         **timed, **counted,
     }
 
@@ -198,6 +288,27 @@ def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
     lines.append(
         f"calls /cell-slot: python {result['call'] / slots:.1f} c {result['c_call'] / slots:.1f}"
     )
+    collections, collected = result["collections"], result["collected"]
+    lines.append(
+        "collector: " + " ".join(
+            f"gen{g} {collections[g]} ({collected[g]} reclaimed)" for g in range(3)
+        )
+        + f", {result['gc_ns'] / 1e9:.3f} s of {result['window_ns'] / 1e9:.3f} s wall"
+        f" ({100 * result['gc_ns'] / result['window_ns']:.1f} %)"
+    )
+    if result["by_role"]:
+        role_wall: Counter = Counter()
+        role_events: Counter = Counter()
+        for kind, wall in result["wall_ns"].items():
+            role = kind.partition(" ")[0]
+            role_wall[role] += wall
+            role_events[role] += result["events"][kind]
+        lines.append(f"{'role':<10} {'events':>8} {'/cell-slot':>10} {'wall %':>7}")
+        for role, wall in role_wall.most_common():
+            lines.append(
+                f"{role:<10} {role_events[role]:>8} {role_events[role] / slots:>10.2f} "
+                f"{100 * wall / wall_total:>7.1f}"
+            )
     if frames:
         lines.append(f"{'python frame':<86} {'/cell-slot':>10}")
         for label, count in result["frames"].most_common(frames):
@@ -214,10 +325,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--frames", type=int, default=0, metavar="N",
         help="also list the N most entered Python code objects per cell-slot",
     )
+    parser.add_argument(
+        "--by-role", action="store_true",
+        help="split each kind by the role of the PHY server it works for",
+    )
     args = parser.parse_args(argv)
     if args.frames < 0:
         parser.error(f"--frames must be >= 0, got {args.frames}")
-    print("\n".join(render(census(args.workload, args.seed, args.smoke), args.frames)))
+    result = census(args.workload, args.seed, args.smoke, args.by_role)
+    print("\n".join(render(result, args.frames)))
     return 0
 
 

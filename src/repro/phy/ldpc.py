@@ -91,11 +91,10 @@ def _build_regular_graph(
         dup_rows = np.where(has_dup)[0]
         dup_slots = (dup_rows[:, None] * dc + np.arange(dc)).ravel()
         n_extra = min(len(stubs) - len(dup_slots), len(dup_slots) + dc)
-        clean_slots = rng.choice(
-            np.setdiff1d(np.arange(len(stubs)), dup_slots),
-            size=n_extra,
-            replace=False,
-        )
+        # The clean slots in ascending order, as ``rng.choice`` must see them.
+        clean = np.ones(len(stubs), dtype=bool)
+        clean[dup_slots] = False
+        clean_slots = rng.choice(np.flatnonzero(clean), size=n_extra, replace=False)
         mix = np.concatenate([dup_slots, clean_slots])
         shuffled = stubs[mix]
         rng.shuffle(shuffled)
@@ -115,12 +114,10 @@ def _gf2_systemize(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     parity_cols = []
     used = np.zeros(n, dtype=bool)
     for row in range(m):
-        pivot_col = -1
-        for col in range(n):
-            if not used[col] and h[row, col]:
-                pivot_col = col
-                break
-        if pivot_col < 0:
+        # The first column of this row that is set and not yet a pivot.
+        free = (h[row] != 0) & ~used
+        pivot_col = int(free.argmax())
+        if not free[pivot_col]:
             raise np.linalg.LinAlgError("parity-check matrix is rank deficient")
         used[pivot_col] = True
         parity_cols.append(pivot_col)
@@ -128,7 +125,7 @@ def _gf2_systemize(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         others = h[:, pivot_col].astype(bool)
         others[row] = False
         h[others] ^= h[row]
-    info_cols = np.array([c for c in range(n) if not used[c]], dtype=np.int64)
+    info_cols = np.flatnonzero(~used).astype(np.int64)
     return h, np.array(parity_cols, dtype=np.int64), info_cols
 
 

@@ -53,7 +53,7 @@ def test_pop_census_attributes_every_event():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    *rows, total, calls = result.stdout.splitlines()
+    *rows, total, calls, collector = result.stdout.splitlines()
     assert rows[0].startswith("# pop census: fleet_idle_wave seed 1 smoke")
     assert rows[1].startswith("# host: ") and rows[2].startswith("callback kind")
     row = re.compile(r"(\S.*?) +(\d+) +(\d+\.\d\d) +(\d+\.\d) +(\d+\.\d\d)")
@@ -69,6 +69,43 @@ def test_pop_census_attributes_every_event():
     ).groups()
     assert int(attributed) == int(delta) == sum(int(m.group(2)) for m in parsed) > 0
     assert re.fullmatch(r"calls /cell-slot: python \d+\.\d c \d+\.\d", calls)
+    assert re.fullmatch(
+        r"collector: gen0 \d+ \(\d+ reclaimed\) gen1 \d+ \(\d+ reclaimed\) "
+        r"gen2 \d+ \(\d+ reclaimed\), \d+\.\d{3} s of \d+\.\d{3} s wall \(\d+\.\d %\)",
+        collector,
+    ), collector
+
+
+def test_pop_census_by_role_splits_every_kind():
+    """``--by-role`` prefixes every kind with the role, at pop time, of
+    the PHY server the event works for; the role block sums the rows.
+    The idle fleet's killed primaries show up as ``retired``, and both
+    live roles run the PHY tick."""
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "pop_census.py"),
+         "fleet_idle_wave", "--smoke", "--by-role"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    total = next(i for i, line in enumerate(lines) if line.startswith("events "))
+    row = re.compile(r"(\S+) (\S.*?) +(\d+) +\d+\.\d\d +\d+\.\d +\d+\.\d\d")
+    parsed = [row.fullmatch(line) for line in lines[3:total]]
+    assert all(parsed), [line for line, m in zip(lines[3:total], parsed) if m is None]
+    roles = {"active", "standby", "retired", "other"}
+    assert {m.group(1) for m in parsed} == roles
+    assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",
+            "standby _ServiceQueue._complete -> L2SideOrion._route_response",
+            "other RadioUnit._slot_boundary"} <= {f"{m.group(1)} {m.group(2)}" for m in parsed}
+    header = lines.index(next(line for line in lines if line.startswith("role ")))
+    block = [re.fullmatch(r"(\S+) +(\d+) +\d+\.\d\d +(\d+\.\d)", line)
+             for line in lines[header + 1:]]
+    assert all(block) and {m.group(1) for m in block} == roles
+    for m in block:
+        assert int(m.group(2)) == sum(
+            int(r.group(3)) for r in parsed if r.group(1) == m.group(1)
+        )
+    assert abs(sum(float(m.group(3)) for m in block) - 100.0) < 0.3
 
 
 def test_pop_census_frames_tally_every_python_call():
@@ -84,8 +121,10 @@ def test_pop_census_frames_tally_every_python_call():
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     header = lines.index(next(line for line in lines if line.startswith("python frame")))
-    calls = re.fullmatch(r"calls /cell-slot: python (\d+\.\d) c \d+\.\d", lines[header - 1])
-    assert calls, lines[header - 1]
+    calls = next(filter(None, (
+        re.fullmatch(r"calls /cell-slot: python (\d+\.\d) c \d+\.\d", line)
+        for line in lines[:header]
+    )))
     rows = [re.fullmatch(r"(\S+:\S+) +(\d+\.\d\d)", line) for line in lines[header + 1:]]
     assert all(rows) and len(rows) == 12, lines[header + 1:]
     per_slot = [float(m.group(2)) for m in rows]
