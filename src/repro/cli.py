@@ -3,14 +3,14 @@
 Usage::
 
     python -m repro list
-    python -m repro fig3
+    python -m repro fig3 [--runs N]
     python -m repro fig8 --duration 12 --failure-at 2.6
     python -m repro table2 --duration 60 --rates 1 10 20 50
     python -m repro all --quick
-    python -m repro sec52 --jobs 4
+    python -m repro sec52
     python -m repro lint [--sanitize] [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
-    python -m repro soak [--check --quick] [--resume CKPT] [--jobs N]
+    python -m repro soak [--check --quick] [--resume CKPT]
     python -m repro fleet [--check --quick] [--pool-sizes 0 1 2 4] [--jobs N]
 
 Every experiment subcommand is derived from the
@@ -24,7 +24,8 @@ failover timeline and every layer's counters (:mod:`repro.telemetry`);
 ``soak`` and ``fleet`` are the continuous-operation and metro-fleet
 campaigns, reached only as verbs (``all`` runs the paper experiments).
 The simulator's speed is measured by the repo benchmark,
-``bench/run.py``, not by a verb here.
+``bench/run.py``, not by a verb here. ``sec52`` and ``sec82`` take no
+flags: each is one forked sweep over all 56 kill phases.
 
 The former per-experiment ``_run_*`` functions are gone; their exact
 argument mappings live in each spec's ``cli_params``.
@@ -38,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import REGISTRY, ExperimentSpec
 from repro.harness import at_least
-from repro.parallel.pool import available_parallelism
 from repro.perf.timing import wall_ns
 
 #: Verbs dispatched to their own sub-CLIs before experiment argument
@@ -97,17 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--failure-at", type=at_least(float, 0), default=None,
                         help="failure/event injection time in seconds")
     parser.add_argument("--runs", type=at_least(int, 1), default=None,
-                        help="trial count for sampled experiments")
+                        help="migrations per transport for fig3 (default 40)")
     parser.add_argument("--rates", type=at_least(float, 0, strict=True),
                         nargs="+",
                         default=[1.0, 10.0, 20.0, 50.0],
                         help="migration rates for table2")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down durations for a fast pass")
-    parser.add_argument("--jobs", type=at_least(int, 0), default=1,
-                        help="worker processes for trial sweeps (sec52, sec82); "
-                             "0 = one per CPU core. Results are bit-identical "
-                             "at any value")
     return parser
 
 
@@ -124,12 +120,8 @@ def _defaults_for(name: str, args) -> None:
             args.failure_at = args.duration * 0.75
         else:
             args.failure_at = max(min(args.duration * 0.4, 2.6), 0.8)
-    if args.runs is None:
-        args.runs = 4 if args.quick else 8
     if args.quick and args.experiment == "all" and name == "table2":
         args.rates = [1.0, 20.0]
-    # 0 = one per CPU core, as repro.harness reads it for the verbs.
-    args.jobs = args.jobs or available_parallelism()
 
 
 def _wall_seconds() -> float:

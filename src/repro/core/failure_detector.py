@@ -9,8 +9,8 @@ Mechanics, mirroring the P4 implementation:
 
 * the switch packet generator injects ``n`` timer packets per timeout
   period ``T`` (paper defaults: T = 450 µs, n = 50 → 9 µs precision at a
-  negligible 50 k packets/s internal rate, plus per-monitored-PHY tick
-  streams);
+  negligible 111 k packets/s internal rate, one per tick, per monitored
+  PHY);
 * every downlink packet from PHY ``p`` writes 0 into ``counter[p]``;
 * every timer packet increments the counters of monitored PHYs
   (saturating); a counter reaching ``n`` means no heartbeat arrived for

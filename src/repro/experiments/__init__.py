@@ -1,30 +1,28 @@
 """Experiment harnesses: one module per paper figure/table.
 
 Each module exposes a ``run(...)`` function returning a result dataclass
-plus a ``summarize(result)`` pretty-printer. The pytest benchmarks under
-``benchmarks/`` and the scripts under ``examples/`` both call into these,
-so there is exactly one code path per experiment.
+plus a ``summarize(result)`` pretty-printer. The CLI, the tier-1 claim
+tests (``tests/test_experiments_smoke.py``) and the scripts under
+``examples/`` all call into these, so there is exactly one code path per
+experiment.
 
 Durations are parameters: the defaults regenerate the paper's plots at
-full length, while the benches pass scaled-down windows (documented in
-EXPERIMENTS.md) to keep CI runtimes sane.
+full length, while the tests pass scaled-down windows (documented in
+EXPERIMENTS.md) to keep tier-1 runtimes sane. §5.2 and §8.2 have no
+scale to shrink: each is one forked sweep over all 56 kill phases.
 
 The **Experiment registry** is the single source of truth the CLI is
 derived from: each paper experiment is registered as an
 :class:`ExperimentSpec` (name, module, description, durations, and the
 CLI-argument → ``run(...)`` parameter mapping), and ``python -m repro
 list`` / the per-experiment subcommands are generated from
-:data:`REGISTRY` rather than hand-written shims. Anything satisfying the
-:class:`Experiment` protocol — ``name``, ``run(**params)``,
-``summarize(result)``, ``default_params`` — can be driven the same way;
-``ExperimentSpec`` adapts the module convention to that protocol.
+:data:`REGISTRY` rather than hand-written shims.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, Optional
 
 from repro.experiments import (
     fig3_vm_migration,
@@ -41,23 +39,6 @@ from repro.experiments import (
     ablations,
     ext_massive_mimo,
 )
-
-
-@runtime_checkable
-class Experiment(Protocol):
-    """The uniform surface every registered experiment presents."""
-
-    name: str
-
-    def run(self, **params: Any) -> Any:
-        """Execute the experiment, returning its result object."""
-
-    def summarize(self, result: Any) -> str:
-        """Render a result as the paper-style text summary."""
-
-    @property
-    def default_params(self) -> Dict[str, Any]:
-        """The ``run`` keyword defaults (the full-length paper config)."""
 
 
 @dataclass(frozen=True)
@@ -86,15 +67,6 @@ class ExperimentSpec:
     def summarize(self, result: Any) -> str:
         return self.module.summarize(result)
 
-    @property
-    def default_params(self) -> Dict[str, Any]:
-        signature = inspect.signature(self.module.run)
-        return {
-            name: parameter.default
-            for name, parameter in signature.parameters.items()
-            if parameter.default is not inspect.Parameter.empty
-        }
-
 
 #: The experiment registry, in paper presentation order.
 REGISTRY: Dict[str, ExperimentSpec] = {}
@@ -107,20 +79,15 @@ def register(spec: ExperimentSpec) -> ExperimentSpec:
     return spec
 
 
-def get(name: str) -> ExperimentSpec:
-    return REGISTRY[name]
-
-
-def registered_names() -> list:
-    return list(REGISTRY)
-
-
 register(ExperimentSpec(
     name="fig3",
     description="VM-migration pause-time CDF (baseline)",
     default_duration_s=0.0,
     module=fig3_vm_migration,
-    cli_params=lambda args: {"runs_per_transport": args.runs},
+    # --runs unset: fig3's own default, the paper's 40 per transport.
+    cli_params=lambda args: (
+        {} if args.runs is None else {"runs_per_transport": args.runs}
+    ),
 ))
 register(ExperimentSpec(
     name="fig8",
@@ -185,14 +152,14 @@ register(ExperimentSpec(
     description="in-switch failure-detector microbench",
     default_duration_s=0.0,
     module=sec52_detector,
-    cli_params=lambda args: {"trials": args.runs, "jobs": args.jobs},
+    cli_params=lambda args: {},
 ))
 register(ExperimentSpec(
     name="sec82",
     description="dropped TTIs per resilience event",
     default_duration_s=0.0,
     module=sec82_dropped_ttis,
-    cli_params=lambda args: {"trials": args.runs, "jobs": args.jobs},
+    cli_params=lambda args: {},
 ))
 register(ExperimentSpec(
     name="sec85",
@@ -212,12 +179,9 @@ register(ExperimentSpec(
 ))
 
 __all__ = [
-    "Experiment",
     "ExperimentSpec",
     "REGISTRY",
-    "get",
     "register",
-    "registered_names",
     "fig3_vm_migration",
     "fig8_video",
     "fig9_ping",

@@ -1,12 +1,12 @@
-"""Sharded parallel execution for campaign/sweep workloads.
+"""Sharded parallel execution for campaign workloads.
 
-The chaos and fleet campaigns and the experiment sweeps are
-all embarrassingly parallel: every ``(scenario, seed)`` or
-``(experiment, config)`` pair builds its own cell from its own seed and
-never touches another shard's state. :mod:`repro.parallel.pool` fans
-those shards out to ``multiprocessing`` workers and merges the results
-deterministically — results are keyed by shard key and merged in
-canonical (submission) order, so the merged report and every per-run
+The chaos and fleet campaigns are embarrassingly parallel: every
+``(scenario, seed)`` or ``(fault class, pool size, seed)`` shard builds
+its own state from its own seed and never touches another shard's
+state. :mod:`repro.parallel.pool` fans those shards out to
+``multiprocessing`` workers and merges the results deterministically —
+results are keyed by shard key and merged in canonical (submission)
+order, so the merged report and every per-run
 canonical-trace digest are bit-identical to the serial run, at any
 ``--jobs`` value.
 

@@ -7,24 +7,18 @@ import pytest
 
 from repro import harness
 from repro.cli import _HARNESS_VERBS, EXPERIMENTS, build_parser, main
-from repro.experiments import (
-    REGISTRY,
-    ExperimentSpec,
-    get,
-    register,
-    registered_names,
-)
+from repro.experiments import REGISTRY, fig3_vm_migration, fig8_video, register
 
 #: (command line, what argparse must say about it): ROADMAP item 5c.
 OUT_OF_RANGE = [
-    ("fig12 --duration -1", "--duration: must be > 0, got -1"),
-    ("fig12 --duration 0", "--duration: must be > 0, got 0"),
-    ("fig8 --failure-at -0.5", "--failure-at: must be >= 0, got -0.5"),
-    ("fig3 --runs -2", "--runs: must be >= 1, got -2"),
-    ("sec52 --runs 0", "--runs: must be >= 1, got 0"),
-    ("sec52 --jobs -1", "--jobs: must be >= 0, got -1"),
-    ("table2 --rates 1 0", "--rates: must be > 0, got 0"),
-    ("fig3 --runs many", "--runs: invalid int value: 'many'"),
+    ("fig12 --duration -1", "argument --duration: must be > 0, got -1"),
+    ("fig12 --duration 0", "argument --duration: must be > 0, got 0"),
+    ("fig8 --failure-at -0.5", "argument --failure-at: must be >= 0, got -0.5"),
+    ("fig3 --runs -2", "argument --runs: must be >= 1, got -2"),
+    ("sec52 --runs 0", "argument --runs: must be >= 1, got 0"),
+    ("sec52 --jobs -1", "unrecognized arguments: --jobs -1"),
+    ("table2 --rates 1 0", "argument --rates: must be > 0, got 0"),
+    ("fig3 --runs many", "argument --runs: invalid int value: 'many'"),
 ]
 
 #: (verb command line, the one line it must answer with): ROADMAP item
@@ -111,7 +105,7 @@ class TestParser:
             line for line in captured.err.splitlines()
             if not line.startswith(("usage:", " "))
         ]
-        assert errors == [f"repro: error: argument {complaint}"]
+        assert errors == [f"repro: error: {complaint}"]
 
     @pytest.mark.parametrize(
         "argv, complaint", VERB_REJECTS, ids=[argv for argv, _ in VERB_REJECTS]
@@ -159,9 +153,20 @@ class TestExecution:
         assert "one-way latency added by Orion" in out
         assert "3.4 Gbps" in out
 
-    def test_jobs_zero_means_one_per_core_as_for_the_harness_verbs(self, capsys):
-        assert main(["sec52", "--jobs", "0", "--runs", "1"]) == 0
-        assert "over 1 kills" in capsys.readouterr().out
+    def test_fig3_defaults_to_the_papers_80_migrations(self, capsys, monkeypatch):
+        """``--runs`` unset leaves fig3 at its own default, 40 per transport."""
+        results = []
+        run = fig3_vm_migration.run
+
+        def recording_run(**params):
+            results.append(run(**params))
+            return results[-1]
+
+        monkeypatch.setattr(fig3_vm_migration, "run", recording_run)
+        assert main(["fig3"]) == 0
+        (result,) = results
+        assert len(result.tcp_runs) == len(result.rdma_runs) == 40
+        assert "overall median 245 ms (paper: 244 ms)" in capsys.readouterr().out
 
     def test_every_experiment_is_wired(self):
         """Each registry entry references a callable and a description."""
@@ -173,9 +178,9 @@ class TestRegistry:
     """The CLI is derived from the Experiment registry, not hand-written."""
 
     def test_cli_table_round_trips_through_registry(self):
-        assert list(EXPERIMENTS) == registered_names()
+        assert list(EXPERIMENTS) == list(REGISTRY)
         for name, (_, description, duration) in EXPERIMENTS.items():
-            spec = get(name)
+            spec = REGISTRY[name]
             assert spec.name == name
             assert spec.description == description
             assert spec.default_duration_s == duration
@@ -188,25 +193,12 @@ class TestRegistry:
             for line in out.splitlines()
             if line.startswith("  ") and line.split()
         ]
-        for name in registered_names():
+        for name in REGISTRY:
             assert name in listed
         assert len(listed) == len(set(listed)), listed
 
-    def test_specs_satisfy_the_experiment_protocol(self):
-        from repro.experiments import Experiment
-
-        for spec in REGISTRY.values():
-            assert isinstance(spec, Experiment), spec.name
-            assert callable(spec.module.run), spec.name
-            assert callable(spec.module.summarize), spec.name
-
-    def test_default_params_reflect_run_signature(self):
-        params = get("fig8").default_params
-        assert "duration_s" in params
-        assert params["duration_s"] == get("fig8").default_duration_s
-
     def test_duplicate_registration_rejected(self):
-        spec = get("fig8")
+        spec = REGISTRY["fig8"]
         with pytest.raises(ValueError, match="registered twice"):
             register(spec)
 
@@ -215,9 +207,9 @@ class TestRegistry:
         from repro.cli import _defaults_for
 
         _defaults_for("fig8", args)
-        kwargs = get("fig8").cli_params(args)
+        kwargs = REGISTRY["fig8"].cli_params(args)
         assert set(kwargs) == {"duration_s", "failure_at_s"}
         run_params = set(
-            __import__("inspect").signature(get("fig8").module.run).parameters
+            __import__("inspect").signature(fig8_video.run).parameters
         )
         assert set(kwargs) <= run_params

@@ -1,15 +1,22 @@
-"""Smoke tests for every experiment harness (scaled-down parameters).
+"""The paper's claims, one tier-1 test per experiment harness.
 
-Full-length runs live in benchmarks/; these verify each harness produces
-a structurally sound result and preserves the paper's qualitative shape.
+Each paper bound is asserted once, here, on the experiment's own
+result. Durations are scaled down where a bound holds at the smaller
+scale; a bound that needs the full scale runs at it. §5.2 and §8.2 have
+no scale to shrink: their ``run`` is the forked sweep over all 56 kill
+phases.
 """
 
+import numpy as np
 import pytest
 
 from repro.experiments import (
     ablations,
+    ext_massive_mimo,
     fig3_vm_migration,
     fig8_video,
+    fig9_ping,
+    fig10_throughput,
     fig11_upgrade,
     fig12_orion_latency,
     sec52_detector,
@@ -19,12 +26,26 @@ from repro.experiments import (
     table2_stress,
 )
 
+#: §8.6's switch resources for 256 RUs / 256 servers, percent.
+PAPER_PERCENT = {
+    "crossbar": 5.2,
+    "alu": 10.4,
+    "gateway": 14.1,
+    "sram_bits": 5.3,
+    "hash_bits": 9.5,
+}
+
 
 class TestFig3:
     def test_shape(self):
         result = fig3_vm_migration.run(runs_per_transport=20)
         assert 150.0 < result.median_pause_ms() < 400.0
         assert result.crash_fraction() == 1.0
+        assert min(r.pause_time_ms for r in result.all_runs) > 50.0
+        # RDMA helps, but not enough.
+        tcp = np.median([r.pause_time_ms for r in result.tcp_runs])
+        rdma = np.median([r.pause_time_ms for r in result.rdma_runs])
+        assert rdma < tcp
         cdf = result.cdf(fig3_vm_migration.TransportKind.TCP)
         assert len(cdf) == 20
         assert fig3_vm_migration.summarize(result)
@@ -35,38 +56,89 @@ class TestFig12:
         result = fig12_orion_latency.run(duration_s=0.3)
         medians = [p.median_us for p in result.points]
         assert medians == sorted(medians)
-        assert result.max_added_latency_us() < 400.0  # TTI budget margin.
+        assert result.max_added_latency_us() < 250.0  # TTI budget margin.
         assert result.points[0].median_us < 10.0  # Idle is microseconds.
+        # The top load point really offered ~3.4 Gb/s worth of messages.
+        assert result.points[-1].samples > 5_000
         assert fig12_orion_latency.summarize(result)
 
 
 class TestSec86:
     def test_resources_and_gap(self):
         result = sec86_switch.run(gap_duration_s=1.0)
+        for name, paper_value in PAPER_PERCENT.items():
+            assert result.resource_percent[name] == pytest.approx(
+                paper_value, abs=1.0
+            ), name
         assert result.resource_percent["sram_bits"] == pytest.approx(5.3, abs=0.5)
-        assert result.max_gap_us < 450.0  # Never above the timeout.
+        assert result.max_gap_us < result.detector_timeout_us  # No false positive.
         assert result.max_gap_us > 200.0  # But a real fraction of it.
-        assert result.sram_scaling[1024] > result.sram_scaling[64]
+        # Busy traffic only densifies packets.
+        assert result.max_gap_busy_us < result.detector_timeout_us
+        # Only SRAM scales with deployment size.
+        assert result.sram_scaling[1024] > 2 * result.sram_scaling[64]
         assert sec86_switch.summarize(result)
 
 
 class TestSec52:
-    def test_detection_latency_within_budget(self):
-        result = sec52_detector.run(trials=3, healthy_seconds=1.0)
-        assert len(result.detection_latencies_us) == 3
-        # Measured from the kill, which follows the last heartbeat: never
-        # more than detection - last heartbeat, which is at most T.
+    @pytest.fixture(scope="class")
+    def result(self):
+        """One warm default cell, forked into a primary kill at each of the
+        56 tick-period offsets that cover a slot. The healthy continuation
+        runs 1 s, as this test always has."""
+        return sec52_detector.run(healthy_seconds=1.0)
+
+    def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase(
+        self, result
+    ):
+        """The counter reaches ``n`` on the n-th tick after the zero and the
+        first of those ticks is at most one period away, so §5.2's "450 µs
+        within one 9 µs tick" reads, from the last heartbeat the switch
+        saw, ``T - tick < detected - last heartbeat <= T`` at every phase.
+        A lag one tick off in either direction leaves the window.
+        """
+        assert result.detections_per_kill == [1] * 56
+        assert result.precision_us == 9.0
+        low = result.timeout_us - result.precision_us
+        since = result.heartbeat_to_detection_us
+        assert all(low < value <= result.timeout_us for value in since), (
+            f"{min(since)}..{max(since)} us; allowed ({low}, {result.timeout_us}]"
+        )
+
+    def test_detection_latency_within_budget(self, result):
+        # Measured from the kill, which follows the last heartbeat: after
+        # the kill, and never more than detection - last heartbeat.
+        assert min(result.detection_latencies_us) > 0
         assert result.max_us() <= result.timeout_us
+        assert result.median_us() <= 550.0
         assert result.false_positives == 0
+        assert result.pktgen_rate_pps < 200_000  # Negligible load.
         assert sec52_detector.summarize(result)
 
 
 class TestSec82:
-    def test_dropped_tti_comparison(self):
-        result = sec82_dropped_ttis.run(trials=2)
+    @pytest.fixture(scope="class")
+    def result(self):
+        """The same 56 phases, each forked into a primary kill and into a
+        planned migration."""
+        return sec82_dropped_ttis.run()
+
+    def test_a_planned_migration_drops_nothing_at_every_phase(self, result):
+        """A planned migration flips at a TTI boundary Orion chose ahead of
+        time, so it drops none and commits exactly once."""
+        assert result.planned_dropped == [0] * 56
+        assert result.planned_commits == [1] * 56
+
+    def test_dropped_tti_comparison(self, result):
+        """§8.2's "at most three dropped TTIs" is the RU's count of slots
+        that went without control after each kill."""
+        assert len(result.failover_dropped) == 56
         assert result.max_failover_dropped() <= 3  # Paper: <= 3.
-        assert result.planned_dropped == 0
-        assert result.vm_migration_dropped > 100
+        assert result.vm_migration_dropped > 100  # Paper: hundreds.
+        # The two-orders-of-magnitude claim.
+        assert result.vm_migration_dropped > 50 * max(
+            result.max_failover_dropped(), 1
+        )
         assert sec82_dropped_ttis.summarize(result)
 
 
@@ -76,17 +148,70 @@ class TestSec85:
         assert result.secondary_cpu_fraction < 0.05
         assert result.secondary_fec_decodes == 0
         assert result.null_fapi_bytes_per_s < 1_000_000  # < 1 MB/s.
+        assert result.primary_fec_decodes > 0  # The primary worked.
         assert sec85_overhead.summarize(result)
 
 
 class TestFig8:
     def test_slingshot_vs_baseline_outage(self):
         result = fig8_video.run(duration_s=4.0, failure_at_s=1.5)
+        # Control: steady at the target bitrate, no outage.
+        control = [kbps for _, kbps in result.no_failure.bitrate_kbps]
+        assert result.no_failure.outage_seconds == 0.0
+        assert 400 < sum(control) / len(control) < 600
         assert result.failure_with_slingshot.outage_seconds == 0.0
-        assert result.failure_without_slingshot.outage_seconds > 1.5
+        assert result.failure_without_slingshot.outage_seconds > 2.0
         assert result.failure_with_slingshot.rlf_events == 0
         assert result.failure_without_slingshot.rlf_events == 1
         assert fig8_video.summarize(result)
+
+
+class TestFig9:
+    def test_pings_ride_through_failover(self):
+        result = fig9_ping.run(duration_s=3.2, failure_at_s=2.0)
+        # All UEs answered pings continuously.
+        for name, series in result.rtt_series.items():
+            assert len(series) > 250, name
+            assert result.losses[name] <= 2, name
+        # Latencies stay at cellular scale; the failover spike is small.
+        medians = [
+            float(np.median([rtt for _, rtt in series]))
+            for series in result.rtt_series.values()
+        ]
+        assert all(15.0 < m < 60.0 for m in medians), medians
+        assert result.max_spike_ms() < 25.0  # Paper: 15 ms worst spike.
+        # Detection really happened during the run.
+        assert result.detection_time_s is not None
+        assert 0.0 < result.detection_time_s - result.failure_time_s < 0.002
+        assert fig9_ping.summarize(result)
+
+
+class TestFig10:
+    def test_throughput_through_events(self):
+        result = fig10_throughput.run(duration_s=1.6, event_at_s=1.2)
+        # Downlink: no noticeable degradation (DL HARQ state lives in UE+L2).
+        assert result.downlink_udp.zero_window_ms() == 0.0
+        assert result.downlink_tcp.zero_window_ms() <= 20.0
+        # Uplink UDP: a sub-20 ms dip, then back to the offered rate.
+        assert result.uplink_udp.zero_window_ms() <= 20.0
+        recovery = result.uplink_udp.recovery_ms()
+        assert recovery is not None and recovery <= 30.0
+        # Uplink TCP: a brief stall (under the paper's 110 ms), then full
+        # recovery with a retransmission burst.
+        tcp = result.uplink_tcp
+        assert tcp.zero_window_ms() <= 110.0
+        after = [m for t, m in tcp.series if t > tcp.event_time_ms + 150.0]
+        before = [m for t, m in tcp.series if t < tcp.event_time_ms - 50.0]
+        before_mean = sum(before) / len(before)
+        assert sum(after) / len(after) > 0.8 * before_mean
+        burst = max(
+            m for t, m in tcp.series if 0 <= t - tcp.event_time_ms <= 120.0
+        )
+        assert burst > 1.2 * before_mean
+        # Planned migration: no drop whatsoever.
+        assert result.uplink_tcp_planned.zero_window_ms() == 0.0
+        assert result.uplink_tcp_planned.min_after_event_mbps() > 20.0
+        assert fig10_throughput.summarize(result)
 
 
 class TestFig11:
@@ -94,21 +219,49 @@ class TestFig11:
         result = fig11_upgrade.run(duration_s=4.0, upgrade_at_s=2.0)
         for phone in ("OnePlus N10", "Samsung A52s"):
             before, after = result.mean_before_after(phone)
-            assert after > before * 1.3
+            assert after > before * 1.4, phone
         fairness_before, fairness_after = result.fairness_before_after()
-        assert fairness_after >= fairness_before
+        assert fairness_after > fairness_before
+        assert fairness_after > 0.93
         assert result.control_gaps_during_upgrade == 0
         assert fig11_upgrade.summarize(result)
 
 
 class TestTable2:
-    def test_low_rate_stress_row(self):
-        result = table2_stress.run(rates_per_s=[5.0], duration_s=3.0)
-        row = result.rows[0]
-        assert row.migrations_executed >= 10
-        assert row.blackout_bins_10ms <= 2
-        assert row.max_tput_mbps_per_10ms > row.min_tput_mbps_per_10ms
+    def test_state_discard_stress_rows(self):
+        result = table2_stress.run(rates_per_s=[1.0, 10.0, 20.0, 50.0], duration_s=1.5)
+        rows = {row.migrations_per_s: row for row in result.rows}
+        # Sub-10 ms downtime through 20 migrations/s: no zero-throughput
+        # 10 ms bin (the paper's availability target).
+        for rate in (1.0, 10.0, 20.0):
+            assert rows[rate].blackout_bins_10ms == 0, rate
+            assert rows[rate].min_tput_mbps_per_10ms > 0.0, rate
+        for row in result.rows:
+            assert row.max_tput_mbps_per_10ms > row.min_tput_mbps_per_10ms
+        # Migrations really executed at roughly the requested rates.
+        assert rows[50.0].migrations_executed > 4 * rows[10.0].migrations_per_s
+        # Interrupted HARQ sequences grow with the migration rate yet the
+        # flow keeps running (the §4 state-discarding argument).
+        assert rows[50.0].interrupted_harq_seqs > rows[1.0].interrupted_harq_seqs
+        assert rows[50.0].avg_loss_rate < 0.05
         assert table2_stress.summarize(result)
+
+
+class TestExtMassiveMimo:
+    def test_transient_is_larger_but_bounded(self):
+        result = ext_massive_mimo.run(duration_s=1.8, migrate_at_s=1.0)
+        massive, small = result.massive_mimo, result.small_antenna
+        # Larger transient than the small-antenna case...
+        assert massive.dip_duration_ms() > small.dip_duration_ms()
+        # ...but bounded (well under a second) and never a disconnection.
+        assert massive.dip_duration_ms() < 500.0
+        assert massive.rlf_events == 0
+        assert small.rlf_events == 0
+        # Both recover to the offered rate.
+        for transient in (massive, small):
+            tail = [m for t, m in transient.series if t > 400.0]
+            assert sum(tail) / max(len(tail), 1) > 8.0, transient.label
+        assert ext_massive_mimo.summarize(result)
 
 
 class TestAblations:
@@ -119,14 +272,16 @@ class TestAblations:
 
     def test_software_vs_switch(self):
         comparison = ablations.software_vs_switch_middlebox()
-        assert comparison.software_radius_reduction > 0.05
+        assert 6.0 < comparison.software_p99999_latency_us < 16.0
+        assert 0.06 < comparison.software_radius_reduction < 0.16
+        assert 0.05 < comparison.software_cpu_fraction < 0.15
         assert comparison.switch_added_latency_us < 1.0
         assert comparison.software_nic_multiplier == 2.0
 
     def test_null_vs_duplicate_fapi(self):
         result = ablations.null_vs_duplicate_fapi(duration_s=1.0)
         assert result.null_secondary_fraction < 0.05
-        assert result.duplicate_secondary_fraction > 0.5
+        assert result.duplicate_secondary_fraction > 0.6  # ~100 % overhead.
 
     def test_detector_timeout_sweep_tradeoff(self):
         points = ablations.detector_timeout_sweep(timeouts_us=[250.0, 450.0, 1800.0])

@@ -206,16 +206,3 @@ class TestSerialParallelEquality:
         assert exit_code == 0, output
         assert "39 runs, 0 failed" in output
         assert "chaos check passed (39 run(s))" in output
-
-    def test_experiment_sweeps_identical_across_jobs(self):
-        """sec52/sec82 trial sweeps return equal results at any jobs
-        value (kill offsets are pre-drawn in serial order)."""
-        from repro.experiments import sec52_detector, sec82_dropped_ttis
-
-        serial = sec52_detector.run(trials=2, healthy_seconds=0.5, jobs=1)
-        pooled = sec52_detector.run(trials=2, healthy_seconds=0.5, jobs=2)
-        assert pooled == serial
-
-        serial82 = sec82_dropped_ttis.run(trials=2, jobs=1)
-        pooled82 = sec82_dropped_ttis.run(trials=2, jobs=2)
-        assert pooled82 == serial82
