@@ -24,8 +24,8 @@ window twice, on two identical deployments:
   would be most of the wall it measured.
 
 Both passes must pop the ``events_processed`` delta of the window, event
-for event, or the script fails. ROADMAP item 9 asks for this census
-before any fleet-speed direction is taken; DESIGN §9 "Healthy slot: cost
+for event, or the script fails. ROADMAP's perf_opt item asks for this
+census before any fleet-speed direction is taken; DESIGN §9 "Healthy slot: cost
 model" quotes its table and "Collector: cost model" its collector line.
 
 A PHY server's events are those of its PHY, its PHY-side Orion, their

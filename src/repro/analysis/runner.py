@@ -11,9 +11,9 @@ directive silently swallows the next violation on its line.
 Extras beyond the plain pass:
 
 * ``--list-rules`` — print the rule catalog (id, severity, title);
-* ``--sanitize`` — run the golden scenarios with the RNG-stream
-  recorder on and diff dynamic draws against the static STREAM map
-  (:mod:`repro.analysis.sanitize`).
+* ``--sanitize`` — run two seed-1 chaos branches and a short fig9
+  failover with the RNG-stream recorder on and diff dynamic draws
+  against the static STREAM map (:mod:`repro.analysis.sanitize`).
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--sanitize",
         action="store_true",
-        help="run the golden scenarios with the RNG-stream recorder and "
-        "diff dynamic draws against the static STREAM map",
+        help="run two seed-1 chaos branches and a short fig9 failover with "
+        "the RNG-stream recorder and diff dynamic draws against the static "
+        "STREAM map",
     )
     try:
         args = parser.parse_args(argv)

@@ -1,29 +1,28 @@
-"""Runtime sanitizer: static STREAM map vs. actual golden-run draws.
+"""Runtime sanitizer: static STREAM map vs. actual draws of a short workload.
 
 The STREAM rules (:mod:`repro.analysis.streams`) prove stream-name
 ownership *statically*; this module closes the loop at runtime. With the
 :func:`repro.sim.rng.set_stream_observer` hook installed, every
-``RngRegistry.stream(...)`` acquisition during the golden digest
-scenarios (:data:`repro.perf.scenarios.DIGEST_SCENARIOS`) is recorded
-with the module that made it, then diffed against the static map:
+``RngRegistry.stream(...)`` acquisition during :data:`WORKLOAD` — two
+seed-1 chaos branches run in-process, and a 0.5 s fig9 ping failover —
+is recorded with the module that made it, then diffed against the
+static map:
 
 * a dynamic draw whose ``(name, module)`` matches no static site in that
   module is a **divergence** — the static analysis is blind to a real
   draw (an ``exec``-built name, a monkeypatched acquirer, a site the
   extractor failed to see), so every STREAM guarantee is unsound there;
-* static sites the scenarios never exercised are reported as coverage,
-  not divergence — the golden set is deliberately small.
+* static sites the workload never exercised are reported as coverage,
+  not divergence — the workload is deliberately small.
 
-The observer only records; it never draws. The scenarios are the same
-functions whose trace digests tier-1 pins, so a ``--sanitize`` run is
-also an end-to-end determinism check of the instrumented registry.
+The observer only records; it never draws.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.analysis.program import Program
 from repro.analysis.streams import StreamSite, stream_sites
@@ -31,6 +30,9 @@ from repro.analysis.streams import StreamSite, stream_sites
 #: Modules whose frames are skipped when attributing a draw to its
 #: caller: the registry's own internals and this recorder.
 _INFRA_MODULES = frozenset({"repro.sim.rng", "repro.analysis.sanitize"})
+
+#: What :func:`run_sanitizer` runs, as its summary names it.
+WORKLOAD = "chaos cmd_drop + crash_restart at seed 1, a 0.5 s fig9 failover"
 
 
 def _caller_module() -> str:
@@ -55,7 +57,6 @@ class SanitizeResult:
     #: Static sites matched by at least one observed draw.
     covered_sites: int = 0
     total_sites: int = 0
-    scenarios: Tuple[str, ...] = ()
 
     def summary(self) -> str:
         status = (
@@ -65,8 +66,7 @@ class SanitizeResult:
         )
         lines = [
             f"sanitize: {len(self.draws)} distinct stream draws across "
-            f"{len(self.scenarios)} golden scenarios "
-            f"({', '.join(self.scenarios)}); "
+            f"{WORKLOAD}; "
             f"{self.covered_sites}/{self.total_sites} static sites "
             f"exercised; {status}"
         ]
@@ -74,20 +74,18 @@ class SanitizeResult:
         return "\n".join(lines)
 
 
-def run_sanitizer(
-    program: Program, scenario_names: Optional[Sequence[str]] = None
-) -> SanitizeResult:
-    """Run the golden scenarios with the recorder on and diff the draws.
+def run_sanitizer(program: Program) -> SanitizeResult:
+    """Run :data:`WORKLOAD` with the recorder on and diff the draws.
 
-    Imports the scenario runners lazily so a plain lint pass never pulls
-    the simulation stack (or numpy) into the analyzer's import graph.
-    ``scenario_names`` restricts the run to a subset of the golden set
-    (tests); the default runs all of it.
+    The campaign runs at ``jobs=1``, in this process, where the observer
+    sees its draws. The simulation stack is imported lazily so a plain
+    lint pass never pulls it (or numpy) into the analyzer's import graph.
     """
-    from repro.perf.scenarios import DIGEST_SCENARIOS
+    from repro.experiments import fig9_ping
+    from repro.faults.campaign import run_campaign
+    from repro.faults.scenarios import scenario_by_name
     from repro.sim.rng import set_stream_observer
 
-    names = sorted(DIGEST_SCENARIOS) if scenario_names is None else list(scenario_names)
     observed: Set[Tuple[str, str]] = set()
 
     def record(_registry, name: str) -> None:
@@ -95,8 +93,9 @@ def run_sanitizer(
 
     previous = set_stream_observer(record)
     try:
-        for scenario_name in names:
-            DIGEST_SCENARIOS[scenario_name]()
+        catalog = scenario_by_name()
+        run_campaign([catalog["cmd_drop"], catalog["crash_restart"]], seeds=(1,), jobs=1)
+        fig9_ping.run(duration_s=0.5, failure_at_s=0.3)
     finally:
         set_stream_observer(previous)
 
@@ -123,5 +122,4 @@ def run_sanitizer(
         divergences=divergences,
         covered_sites=len(matched_sites),
         total_sites=len(sites),
-        scenarios=tuple(names),
     )

@@ -26,7 +26,8 @@ whole-program ownership model:
   (``RngRegistry(seed=0).stream(...)`` — its own seed universe).
 
 The extracted :func:`stream_sites` map doubles as the static half of the
-``--sanitize`` runtime cross-check (:mod:`repro.analysis.sanitize`).
+``--sanitize`` runtime cross-check (:mod:`repro.analysis.sanitize`), which
+records the draws of two seed-1 chaos branches and a short fig9 failover.
 """
 
 from __future__ import annotations
@@ -216,7 +217,8 @@ def stream_sites(program: Program) -> List[StreamSite]:
 def ownership_map(program: Program) -> Dict[str, Dict[str, object]]:
     """Stream name/prefix -> {owner, subsystem draw sites} (JSON-able).
 
-    The machine-readable static half of the ``--sanitize`` cross-check.
+    The machine-readable static half of the ``--sanitize`` cross-check
+    (its dynamic half: the draws of the sanitizer's chaos and fig9 runs).
     """
     result: Dict[str, Dict[str, object]] = {}
     for site in stream_sites(program):

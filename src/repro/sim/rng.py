@@ -16,7 +16,8 @@ import numpy as np
 
 #: Optional observer invoked on every stream acquisition with
 #: ``(registry, name)``. Installed by the slinglint ``--sanitize`` pass
-#: to cross-check runtime draws against the static ownership map; it
+#: over two seed-1 chaos branches and a short fig9 failover, to
+#: cross-check runtime draws against the static ownership map; it
 #: must never draw from (or otherwise perturb) the stream — with the
 #: default ``None`` the registry behaves exactly as before.
 _STREAM_OBSERVER: Optional[Callable[["RngRegistry", str], None]] = None

@@ -83,12 +83,13 @@ def collect(root: Any) -> Dict[str, float]:
     engine's ``events_processed`` / ``cancel_noops`` / ``compactions``).
 
     Two things a caller comparing two looks at one run must expect
-    (interval rows, ROADMAP item 5, start from them): a component that
-    is *rebuilt* starts over — a restarted PHY gets a fresh ``PhyCodec``
-    (its ``phy.phy<N>.codec.*`` / ``.harq.*`` names drop to zero) and a
-    re-attach rebuilds the UE's RLC entities (likewise; the L2 context of
-    a released UE disappears with its names) — so a name's reading can
-    *drop* between two looks and a name can vanish; and
+    (interval rows, ROADMAP's "§4's key insight as a number" item, start
+    from them): a component that is *rebuilt* starts over — a restarted
+    PHY gets a fresh ``PhyCodec`` (its ``phy.phy<N>.codec.*`` /
+    ``.harq.*`` names drop to zero) and a re-attach rebuilds the UE's RLC
+    entities (likewise; the L2 context of a released UE disappears with
+    its names) — so a name's reading can *drop* between two looks and a
+    name can vanish; and
     ``phy.phy<N>.cpu.busy_core_us`` is the one float, an order-fixed
     IEEE sum and so still exact across machines and ``--jobs``.
     """

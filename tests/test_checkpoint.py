@@ -4,8 +4,8 @@ The continuous-operation contract under test (DESIGN.md §13):
 
 * ``restore(checkpoint(t))`` replays **bit-identically** — the restored
   run's canonical trace digest equals the uninterrupted run's, for the
-  golden perf scenarios and for checkpoints captured *mid-recovery* in
-  every chaos scenario class;
+  checkpoints captured *mid-recovery* in every chaos scenario class (the
+  golden figure cells restore in ``tests/test_perf_digests.py``);
 * soak runs survive eviction and crash-resume with the same rolling
   digest;
 * a chaos run branched from a warm base (``repro chaos``) produces the
@@ -36,12 +36,10 @@ from repro.checkpoint.soak import run_soak
 from repro.core.failure_detector import FailureDetector
 from repro.faults.campaign import (
     arm_plan,
-    build_fork_bases,
     build_probe_harness,
     drive_to,
     fork_key,
     judge_execution,
-    run_campaign,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
@@ -49,7 +47,6 @@ from repro.faults.scenarios import (
     FAULT_AT_NS,
     RUN_END_NS,
     scenario_by_name,
-    standard_scenarios,
 )
 from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
@@ -58,54 +55,7 @@ from repro.parallel import run_shards
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from tests.chaos_cold import recorded_digests, run_cold_shard
-
-#: Mid-recovery capture point: inside every standard scenario's fault
-#: window (faults land at 550 ms, recovery completes by 850 ms).
-MID_RECOVERY_NS = 600 * MS
-
-
-# ----------------------------------------------------------------------
-# Top-level shard worker (picklable) for the jobs-swept matrix test.
-# ----------------------------------------------------------------------
-def _mid_recovery_verify(payload):
-    """Branch one scenario from its warm base, checkpoint it mid-recovery,
-    and finish both timelines.
-
-    Returns the continued and restored runs — the caller asserts their
-    records are identical (and the digest matches the recorded chaos
-    baseline).
-    """
-    name, seed, base = payload
-    scenario = scenario_by_name()[name]
-    harness = base.restore()
-    arm_plan(harness, scenario.plan)
-    drive_to(harness, MID_RECOVERY_NS)
-    checkpoint = Checkpoint.capture(harness, label=f"mid-recovery {name}")
-    drive_to(harness, RUN_END_NS)
-    continued = judge_execution(scenario, seed, harness)
-    restored = checkpoint.restore()
-    drive_to(restored, RUN_END_NS)
-    return {
-        "continued": continued,
-        "restored": judge_execution(scenario, seed, restored),
-        "checkpoint_sim_ns": checkpoint.meta.sim_now_ns,
-    }
-
-
-@pytest.fixture(scope="module")
-def seed1_bases():
-    """Every chaos scenario's warm fork base at seed 1 (three keys)."""
-    bases, _ = build_fork_bases(
-        [fork_key(scenario, 1) for scenario in standard_scenarios()], jobs=2
-    )
-    return bases
-
-
-def _mid_recovery_payloads(names, bases):
-    catalog = scenario_by_name()
-    return [
-        (name, (name, 1, bases[fork_key(catalog[name], 1)])) for name in names
-    ]
+from tests.conftest import MID_RECOVERY_NS
 
 
 def _census(root):
@@ -512,126 +462,24 @@ class TestCaptureInsideSwitchPipelineWindow:
 
 
 @pytest.mark.slow
-class TestCaptureMidTcpRecovery:
-    """The TCP scoreboard is several ordered views of one flight (time-
-    ordered unjudged queue, lost heap with lazily deleted entries, applied
-    SACK ranges). A checkpoint taken while all of them are populated —
-    the failover's burst marked lost, only the front hole retransmitted —
-    must restore to a run that ends on the uninterrupted digest."""
-
-    CAPTURE_S = 0.60  # Fault at 0.46 s; RACK gives up on the burst ~0.59 s.
-
-    def test_restored_bulk_tcp_run_ends_on_the_same_digest(self):
-        from repro.perf.scenarios import run_fig10_tcp_dl_cell
-        from repro.sim.units import run_until_ns, seconds
-        from tests.test_perf_digests import GOLDEN_DIGESTS
-
-        def sender_of(cell):
-            return cell.ue(1).dl_sink.deliver.__self__.sender
-
-        captured = {}
-
-        def capture(cell):
-            sender = sender_of(cell)
-            assert sender.in_fast_recovery
-            assert len(sender._sacked) > 100 and len(sender._lost) > 100
-            assert len(sender._lost_heap) > len(sender._lost)  # a stale entry
-            assert sender._unjudged and len(sender._sack_ranges) > 1
-            captured["checkpoint"] = Checkpoint.capture(cell, label="mid TCP recovery")
-            captured["scoreboard"] = (
-                set(sender._sacked), set(sender._lost), list(sender._lost_heap),
-                list(sender._unjudged.items()), list(sender._sack_ranges),
-            )
-
-        cell = run_fig10_tcp_dl_cell(pause_at_s=self.CAPTURE_S, on_pause=capture)
-        assert cell.trace.digest() == GOLDEN_DIGESTS["fig10_tcp_dl"]
-        restored = captured["checkpoint"].restore()
-        twin = sender_of(restored)
-        assert (
-            twin._sacked, twin._lost, twin._lost_heap,
-            list(twin._unjudged.items()), twin._sack_ranges,
-        ) == captured["scoreboard"]
-        run_until_ns(restored, seconds(0.85))
-        assert restored.trace.digest() == cell.trace.digest()
-        assert sender_of(restored).stats == sender_of(cell).stats
-        assert sender_of(cell).stats.retransmissions > 300
-
-
-@pytest.mark.slow
 class TestMidRecoveryCheckpoints:
     """Every chaos scenario class, branched from its warm base, checkpoints
-    mid-recovery and replays bit-identically, at --jobs 1 and 2."""
+    mid-recovery and replays bit-identically (the session's seed-1 pass,
+    at --jobs 2)."""
 
-    def test_all_scenario_classes_replay_identically_jobs2(self, seed1_bases):
-        baseline = _chaos_baseline()
-        names = sorted(scenario_by_name())
-        outcome = run_shards(
-            _mid_recovery_verify,
-            _mid_recovery_payloads(names, seed1_bases),
-            jobs=2,
+    @pytest.mark.parametrize("name", sorted(scenario_by_name()))
+    def test_scenario_class_replays_identically_jobs2(self, name, seed1_chaos):
+        result = seed1_chaos[name]
+        continued, restored = result["continued"], result["restored"]
+        assert result["checkpoint_sim_ns"] == MID_RECOVERY_NS
+        assert restored.as_dict() == continued.as_dict(), (
+            f"{name}: the restored run's record diverged from the "
+            "uninterrupted run's"
         )
-        for name, result in zip(outcome.keys, outcome.values()):
-            continued, restored = result["continued"], result["restored"]
-            assert result["checkpoint_sim_ns"] == MID_RECOVERY_NS
-            assert restored.as_dict() == continued.as_dict(), (
-                f"{name}: the restored run's record diverged from the "
-                "uninterrupted run's"
-            )
-            assert continued.passed, f"{name}: recovery invariants failed"
-            assert continued.digest == baseline[(name, 1)], (
-                f"{name}: run diverged from the recorded chaos baseline"
-            )
-
-    def test_serial_pass_matches_pooled_on_subset(self, seed1_bases):
-        payloads = _mid_recovery_payloads(["cmd_drop", "crash_restart"], seed1_bases)
-        serial = run_shards(_mid_recovery_verify, payloads, jobs=1)
-        pooled = run_shards(_mid_recovery_verify, payloads, jobs=2)
-        assert serial.values() == pooled.values()
-
-
-@pytest.mark.slow
-class TestGoldenRestoreIdentity:
-    """The four golden digest scenarios restore to their golden values."""
-
-    @pytest.mark.parametrize(
-        "name,runner_name,duration_s",
-        [
-            ("fig9", "run_fig9_cell", 1.2),
-            ("fig10_smoke", "run_fig10_smoke_cell", 1.0),
-        ],
-    )
-    def test_figure_scenarios(self, name, runner_name, duration_s):
-        from repro.perf import scenarios as perf_scenarios
-        from repro.sim.units import run_until_ns, seconds
-        from tests.test_perf_digests import GOLDEN_DIGESTS
-
-        captured = {}
-        runner = getattr(perf_scenarios, runner_name)
-        cell = runner(
-            pause_at_s=0.7,
-            on_pause=lambda c: captured.update(
-                checkpoint=Checkpoint.capture(c, label=f"{name}@0.7s")
-            ),
+        assert continued.passed, f"{name}: recovery invariants failed"
+        assert continued.digest == _chaos_baseline()[(name, 1)], (
+            f"{name}: run diverged from the recorded chaos baseline"
         )
-        golden = GOLDEN_DIGESTS[name]
-        assert cell.trace.digest() == golden
-        restored = captured["checkpoint"].restore()
-        run_until_ns(restored, seconds(duration_s))
-        assert restored.trace.digest() == golden
-
-    @pytest.mark.parametrize(
-        "golden_name,scenario_name",
-        [
-            ("chaos_cmd_drop", "cmd_drop"),
-            ("chaos_crash_restart", "crash_restart"),
-        ],
-    )
-    def test_chaos_scenarios(self, golden_name, scenario_name, seed1_bases):
-        from tests.test_perf_digests import GOLDEN_DIGESTS
-
-        ((_, payload),) = _mid_recovery_payloads([scenario_name], seed1_bases)
-        result = _mid_recovery_verify(payload)
-        assert result["restored"].digest == GOLDEN_DIGESTS[golden_name]
 
 
 #: The differential test's branches: ingress and egress impairments
@@ -643,37 +491,47 @@ DIFFERENTIAL_SCENARIOS = ("fh_loss", "orion_dup", "cmd_drop", "clock_drift", "no
 
 @pytest.mark.slow
 class TestForkedEqualsCold:
-    def test_branched_record_equals_the_cold_record(self):
-        """``repro chaos`` branches each run from a warm base; the cold
-        run armed at t = 0 (``tests/chaos_cold.py``) is its model. The two
-        agree on the whole record — every counter included, the link
-        impairments' ``frames_seen`` and the engine's event count too."""
+    def test_branched_record_equals_the_cold_record(self, seed1_chaos):
+        """``repro chaos`` branches each run from a warm base (the
+        session's seed-1 pass branches the same way); the cold run armed
+        at t = 0 (``tests/chaos_cold.py``) is its model. The two agree on
+        the whole record — every counter included, the link impairments'
+        ``frames_seen`` and the engine's event count too."""
         catalog = scenario_by_name()
-        scenarios = [catalog[name] for name in DIFFERENTIAL_SCENARIOS]
-        assert len({fork_key(scenario, 1) for scenario in scenarios}) == 3
-        forked = run_campaign(scenarios, seeds=(1,), jobs=2)
+        assert len({fork_key(catalog[name], 1) for name in DIFFERENTIAL_SCENARIOS}) == 3
         cold = run_shards(
             run_cold_shard,
             [(name, (name, 1)) for name in DIFFERENTIAL_SCENARIOS],
             jobs=2,
         )
-        for run, model in zip(forked.runs, cold.values()):
+        for name, model in zip(cold.keys, cold.values()):
+            run = seed1_chaos[name]["continued"]
             assert run.as_dict() == model.as_dict(), (
-                f"{run.scenario}: the branch's record differs from the cold run's"
+                f"{name}: the branch's record differs from the cold run's"
             )
             assert run.passed
         impaired = [
-            name for name in forked.runs[0].counters if name.endswith(".frames_seen")
+            counter
+            for counter in seed1_chaos["fh_loss"]["continued"].counters
+            if counter.endswith(".frames_seen")
         ]
         assert len(impaired) == 2, impaired
 
 
 class TestSoakResume:
-    def test_soak_resume_reproduces_rolling_digest(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def soaked(self, tmp_path_factory):
+        """One seed-5, 1.5 s soak with eviction and checkpoints on disk."""
+        config = SoakConfig(seed=5, horizon_ns=1500 * MS)
+        _, summary, written = run_soak(
+            config, checkpoint_dir=tmp_path_factory.mktemp("soak")
+        )
+        return config, summary, written
+
+    def test_soak_resume_reproduces_rolling_digest(self, soaked):
         """Crash-resume from the earliest retained checkpoint replays
         the uninterrupted run's rolling digest, with eviction active."""
-        config = SoakConfig(seed=5, horizon_ns=1500 * MS)
-        _, summary, written = run_soak(config, checkpoint_dir=tmp_path)
+        _, summary, written = soaked
         assert summary["evicted_events"] > 0
         assert written, "soak wrote no checkpoints"
         boundary, path = written[0]
@@ -683,9 +541,8 @@ class TestSoakResume:
         assert resumed["events_processed"] == summary["events_processed"]
         assert resumed["probe_deliveries"] == summary["probe_deliveries"]
 
-    def test_resume_rejects_config_override(self, tmp_path):
-        config = SoakConfig(seed=5, horizon_ns=1500 * MS)
-        _, _, written = run_soak(config, checkpoint_dir=tmp_path)
+    def test_resume_rejects_config_override(self, soaked):
+        config, _, written = soaked
         with pytest.raises(ValueError, match="resume"):
             run_soak(config, resume=written[0][1])
 
@@ -698,10 +555,12 @@ class TestSoakResume:
 
 
 @pytest.mark.slow
+@pytest.mark.usefixtures("one_soak_profile_execution")
 class TestSoakCheckGate:
     def test_soak_check_quick_passes(self, capsys):
         """Tier-1 gate: the quick soak profile reruns deterministically
-        against the recorded BENCH_soak.json baseline."""
+        against the recorded BENCH_soak.json baseline (one execution per
+        session, shared with ``tests/test_harness_contract.py``)."""
         from repro.checkpoint.soak import main as soak_main
 
         exit_code = soak_main(["--check", "--quick"])

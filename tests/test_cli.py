@@ -9,7 +9,8 @@ from repro import harness
 from repro.cli import _HARNESS_VERBS, EXPERIMENTS, build_parser, main
 from repro.experiments import REGISTRY, fig3_vm_migration, fig8_video, register
 
-#: (command line, what argparse must say about it): ROADMAP item 5c.
+#: (command line, what argparse must say about it): a bad CLI argument
+#: fails loudly and specifically (ROADMAP north star, correctness).
 OUT_OF_RANGE = [
     ("fig12 --duration -1", "argument --duration: must be > 0, got -1"),
     ("fig12 --duration 0", "argument --duration: must be > 0, got 0"),
@@ -21,9 +22,9 @@ OUT_OF_RANGE = [
     ("fig3 --runs many", "argument --runs: invalid int value: 'many'"),
 ]
 
-#: (verb command line, the one line it must answer with): ROADMAP item
-#: 7c. A repeated or unknown selector is the harness's ``UsageError``,
-#: an out-of-range one argparse's, all before anything runs.
+#: (verb command line, the one line it must answer with): the harness
+#: contract (DESIGN §10). A repeated or unknown selector is the harness's
+#: ``UsageError``, an out-of-range one argparse's, all before anything runs.
 VERB_REJECTS = [
     ("chaos --scenario nonsense --seeds 1",
      "repro chaos: unknown scenario(s): nonsense"),

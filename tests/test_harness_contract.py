@@ -29,7 +29,6 @@ from typing import Any, Callable, Dict, List
 import pytest
 
 from repro import harness
-from repro.checkpoint import soak as soak_module
 from repro.checkpoint.soak import SOAK
 from repro.faults.campaign import CHAOS
 from repro.fleet.campaign import FLEET
@@ -72,17 +71,8 @@ CASES = {
 SHARDED = [name for name, case in CASES.items() if case.verb.execute is not None]
 
 
-@pytest.fixture(scope="module", autouse=True)
-def one_soak_profile_execution():
-    """``run_profile`` is a pure function of its arguments, so the soak
-    cases below share one real quick-profile execution (~5 s each)."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(
-            soak_module,
-            "run_profile",
-            functools.lru_cache(maxsize=None)(soak_module.run_profile),
-        )
-        yield
+#: The soak cases share the session's one quick-profile execution.
+pytestmark = pytest.mark.usefixtures("one_soak_profile_execution")
 
 
 def _benchmarks_fingerprint() -> Dict[str, str]:

@@ -83,8 +83,9 @@ class TestLintSmoke:
 @pytest.mark.slow
 class TestStreamSanitizer:
     def test_golden_run_has_zero_divergence(self, package_report):
-        """Every stream drawn during the golden digest scenarios must map
-        to a static site the STREAM rules audited (ISSUE acceptance)."""
+        """Every stream drawn during the sanitizer's workload (two seed-1
+        chaos branches and a 0.5 s fig9 failover) must map to a static
+        site the STREAM rules audited."""
         from repro.analysis.sanitize import run_sanitizer
 
         result = run_sanitizer(package_report.program)

@@ -426,7 +426,7 @@ class TestPerfRules:
     scheduling lane it policed: a tick that re-schedules itself costs
     what ``schedule_periodic`` costs."""
 
-    PERF_PATH = "src/repro/perf/scenarios.py"
+    PERF_PATH = "src/repro/perf/__init__.py"
 
     def test_perf001_direct_time_call(self):
         findings = lint(
@@ -619,7 +619,7 @@ class TestParallelRules:
 
 RUNTIME = "src/repro/l2/mac.py"
 TELEMETRY = "src/repro/telemetry/collect.py"
-PERF = "src/repro/perf/scenarios.py"
+PERF = "src/repro/perf/__init__.py"
 PARALLEL = "src/repro/parallel/pool.py"
 TIMING = "src/repro/perf/timing.py"
 RNG = "src/repro/sim/rng.py"

@@ -203,7 +203,7 @@ class TestReceiver:
 
 class TestLostThenSackedEdge:
     """Pins, does not bless, a suspected over-retransmission (DESIGN.md
-    section 6, ROADMAP item 4): a segment RACK marked lost whose original
+    section 6, ROADMAP "The two pins"): a segment RACK marked lost whose original
     then arrives — HARQ delivered it late — is SACKed *and* stays in
     ``_lost``. ``_pipe()`` subtracts it twice and ``_fill_window`` still
     retransmits it. Fixing it moves digests, so it gets a PR of its own."""

@@ -1,7 +1,7 @@
 """Structural guard: ``cell/deployment.py`` is the one wiring site.
 
 Every composition root in ``src/repro`` — the fleet composer, the chaos /
-soak probe harness, the experiments, the perf scenarios — composes
+soak probe harness, the experiments — composes
 ``build_slingshot_cell`` / ``build_baseline_cell`` and never constructs a
 vRAN component itself, so a fault plan, a checkpoint, a telemetry read
 or a fleet reaches every deployment shape there is. A bare ``Switch`` /
