@@ -14,11 +14,11 @@ and EXPERIMENTS.md for paper-vs-measured results.
 
 Quickstart::
 
-    from repro import build_slingshot_cell, run_for_ns, seconds
+    from repro import build_slingshot_cell, seconds
 
     cell = build_slingshot_cell()
     cell.kill_phy_at(0, seconds(2.0))   # SIGKILL the primary PHY at t=2s
-    run_for_ns(cell, seconds(4.0))
+    cell.run_for(seconds(4.0))
     print(cell.middlebox.stats)          # failover executed in-switch
 """
 
@@ -43,8 +43,6 @@ from repro.sim import (
     ns_to_ms,
     ns_to_s,
     ns_to_us,
-    run_for_ns,
-    run_until_ns,
     s_to_ns,
     seconds,
     us_to_ns,
@@ -69,8 +67,6 @@ __all__ = [
     "ns_to_ms",
     "ns_to_s",
     "ns_to_us",
-    "run_for_ns",
-    "run_until_ns",
     "s_to_ns",
     "seconds",
     "us_to_ns",

@@ -1,21 +1,21 @@
 """slinglint — repo-native static analysis for the Slingshot reproduction.
 
-The reproduction rests on invariants that used to live only in prose:
+The reproduction rests on invariants that used to live only in prose.
+What a run can see is checked where it runs: each RNG stream is drawn
+only by the subsystem that owns it
+(:meth:`repro.sim.rng.RngRegistry.stream`), simulated time is integer
+nanoseconds (every :class:`repro.sim.engine.Simulator` entry point
+refuses a non-``int``), and a test counts the switch program's register
+accesses per packet pass (``tests/test_fh_middlebox.py``). The linter
+keeps what no run can notice:
 
-* **Determinism** (DET, STREAM) — all stochastic behaviour flows
-  through :class:`repro.sim.rng.RngRegistry` named streams, each drawn
-  only by the subsystem that owns it; no wall clocks outside
-  :mod:`repro.perf.timing`, no stdlib ``random``, no generator built
-  outside :mod:`repro.sim.rng` from anything but a derived seed — in
-  every package, under whatever name the import gave it.
-* **Time units** (TIMX) — all simulated time is integer nanoseconds on
-  the shared :class:`repro.sim.engine.Simulator` clock, expressed via
-  :mod:`repro.sim.units`; no float reaches the scheduler.
+* **Determinism** (DET) — all stochastic behaviour flows through
+  :class:`repro.sim.rng.RngRegistry` named streams; no wall clocks
+  outside :mod:`repro.perf.timing`, no stdlib ``random``, no generator
+  built outside :mod:`repro.sim.rng` from anything but a derived seed —
+  in every package, under whatever name the import gave it.
 * **Event safety** (EVT) — event callbacks must not rely on
   same-timestamp FIFO tie order or capture loop variables late.
-* **P4 register accesses** (P4R003) — no pass of the switch program
-  touches one register array more often than a Tofino-class pipeline
-  allows.
 
 Every rule is ``check(program)`` over the one
 :class:`~repro.analysis.program.Program` built from the linted files,
@@ -42,9 +42,6 @@ from repro.analysis.runner import lint_paths, lint_source
 # Importing the rule modules registers their rules.
 from repro.analysis import determinism as _determinism  # noqa: F401
 from repro.analysis import event_safety as _event_safety  # noqa: F401
-from repro.analysis import p4budget as _p4budget  # noqa: F401
-from repro.analysis import streams as _streams  # noqa: F401
-from repro.analysis import taint as _taint  # noqa: F401
 
 __all__ = [
     "Finding",

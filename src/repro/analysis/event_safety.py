@@ -15,7 +15,9 @@ from typing import Iterator, List, Set
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.program import Program
 from repro.analysis.registry import LintRule, dotted_name, location, register_rule
-from repro.analysis.taint import SCHEDULING_METHODS
+
+#: The scheduling entry points whose lambda arguments EVT001 reads.
+SCHEDULING_METHODS = {"schedule", "at", "run_until", "run_for"}
 
 
 def _lambda_free_names(node: ast.Lambda) -> Set[str]:

@@ -123,9 +123,9 @@ class LintRule:
 
     Subclasses set ``rule_id``, ``title``, ``severity``, ``fix_hint`` and
     implement :meth:`check`, yielding findings (suppression filtering is
-    applied by the framework, not the rule). A rule that reads one file
-    at a time iterates :meth:`Program.walk`; a cross-file rule queries
-    the program directly — both anchor each finding to a file and line.
+    applied by the framework, not the rule). A rule iterates the
+    program's modules (or :meth:`Program.walk`) and anchors each finding
+    to a file and line.
     """
 
     rule_id: str = ""

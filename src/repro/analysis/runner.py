@@ -7,13 +7,7 @@ prints a text or JSON report, and exits 0 (clean), 1 (findings), or
 rule over it once, and audits the ``# slinglint: disable=`` comments
 for the ones that suppressed nothing (SUP001) — on every run: a stale
 directive silently swallows the next violation on its line.
-
-Extras beyond the plain pass:
-
-* ``--list-rules`` — print the rule catalog (id, severity, title);
-* ``--sanitize`` — run two seed-1 chaos branches and a short fig9
-  failover with the RNG-stream recorder on and diff dynamic draws
-  against the static STREAM map (:mod:`repro.analysis.sanitize`).
+``--list-rules`` prints the rule catalog (id, severity, title).
 """
 
 from __future__ import annotations
@@ -55,8 +49,7 @@ def _run_over_contexts(contexts: Sequence[LintContext]) -> LintReport:
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source string; raises SyntaxError on unparseable input.
 
-    The single file forms a one-module program, so every rule —
-    cross-file ones included — runs over it.
+    The single file forms a one-module program that every rule runs over.
     """
     return _run_over_contexts([LintContext.for_source(source, path=path)]).findings
 
@@ -156,13 +149,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="print the rule catalog (id, severity, title) and exit",
     )
-    parser.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run two seed-1 chaos branches and a short fig9 failover with "
-        "the RNG-stream recorder and diff dynamic draws against the static "
-        "STREAM map",
-    )
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -176,24 +162,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
     findings = report.findings
-    sanitize_failed = False
-    extra_lines: List[str] = []
-    if args.sanitize:
-        from repro.analysis.sanitize import run_sanitizer
-
-        result = run_sanitizer(report.program)
-        extra_lines.append(result.summary())
-        sanitize_failed = bool(result.divergences)
     try:
         print(format_findings(findings, fmt=args.format))
-        for line in extra_lines:
-            print(line)
     except BrokenPipeError:
         # Downstream (e.g. `| head`) closed the pipe; the exit code
         # still reports the findings.
         sys.stderr.close()
-        return 1 if findings or sanitize_failed else 0
-    return 1 if findings or sanitize_failed else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

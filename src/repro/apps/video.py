@@ -11,14 +11,13 @@ pinning to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.corenet.server import AppServer
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
-from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
 from repro.ue.ue import UserEquipment
@@ -43,7 +42,8 @@ class VideoSender(Process):
         bitrate_bps: float = 500_000.0,
         fps: float = 30.0,
         mtu_bytes: int = 1200,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"video-tx:{flow_id}")
@@ -54,11 +54,7 @@ class VideoSender(Process):
         self.bitrate_bps = bitrate_bps
         self.fps = fps
         self.mtu_bytes = mtu_bytes
-        self.rng = (
-            rng
-            if rng is not None
-            else RngRegistry(seed=0).stream(f"app.video.{flow_id}")
-        )
+        self.rng = rng
         self._frame_index = 0
         self._seq = 0
         self._running = False

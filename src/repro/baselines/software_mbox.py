@@ -19,7 +19,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.sim.rng import RngRegistry
 from repro.sim.units import US
 
 #: Propagation speed in fiber, ~5 µs per km one way.
@@ -52,12 +51,11 @@ class SoftwareMiddleboxModel:
     def __init__(
         self,
         config: Optional[SoftwareMboxConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         self.config = config or SoftwareMboxConfig()
-        self.rng = (
-            rng if rng is not None else RngRegistry(seed=0).stream("baseline.swmbox")
-        )
+        self.rng = rng
 
     def sample_added_latency_ns(self, count: int) -> np.ndarray:
         """Draw per-packet added one-way latencies."""

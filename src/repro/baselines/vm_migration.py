@@ -30,7 +30,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, SECOND, US, ns_to_ms
 
 
@@ -98,12 +97,11 @@ class PrecopyMigrationModel:
     def __init__(
         self,
         config: Optional[VmMigrationConfig] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         self.config = config or VmMigrationConfig()
-        self.rng = (
-            rng if rng is not None else RngRegistry(seed=0).stream("baseline.vm_mig")
-        )
+        self.rng = rng
 
     def _bandwidth(self, transport: TransportKind) -> float:
         cfg = self.config

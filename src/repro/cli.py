@@ -8,7 +8,7 @@ Usage::
     python -m repro table2 --duration 60 --rates 1 10 20 50
     python -m repro all --quick
     python -m repro sec52
-    python -m repro lint [--sanitize] [paths...]
+    python -m repro lint [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
     python -m repro soak [--check --quick] [--resume CKPT]
     python -m repro fleet [--check --quick] [--pool-sizes 0 1 2 4] [--jobs N]

@@ -25,7 +25,7 @@ from repro.baselines.software_mbox import SoftwareMiddleboxModel
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.core.failure_detector import DetectorConfig
-from repro.sim.units import US, run_for_ns, seconds
+from repro.sim.units import US, seconds
 
 
 @dataclass
@@ -44,12 +44,12 @@ def tti_alignment(trials: int = 3, seed: int = 0) -> TtiAlignmentResult:
         )
         cell = build_slingshot_cell(config)
         cell.middlebox.config.align_to_tti = align
-        run_for_ns(cell, seconds(0.5))
+        cell.run_for(seconds(0.5))
         # Migrate mid-slot (worst case for the unaligned variant).
         cell.sim.schedule(
             130 * US, lambda: cell.planned_migration(0), label="ablate-migrate"
         )
-        run_for_ns(cell, seconds(0.3))
+        cell.run_for(seconds(0.3))
         return cell.ru.stats.conflicting_source_slots
 
     aligned = sum(run_one(True, seed + i) for i in range(trials))
@@ -88,12 +88,12 @@ def detector_timeout_sweep(
             True,
         )
         # Healthy phase: count false positives.
-        run_for_ns(cell, seconds(1.5))
+        cell.run_for(seconds(1.5))
         false_positives = cell.trace.count("mbox.failure_detected")
         # Kill phase: measure latency (only meaningful without FPs).
         kill_at = cell.sim.now + 123 * US
         cell.kill_phy_at(0, kill_at)
-        run_for_ns(cell, seconds(0.3))
+        cell.run_for(seconds(0.3))
         detections = cell.trace.events("mbox.failure_detected")
         latency = None
         for event in detections:
@@ -158,11 +158,11 @@ def null_vs_duplicate_fapi(duration_s: float = 2.0, seed: int = 0) -> NullVsDupl
         flow = UdpIperfUplink(
             cell.sim, cell.server, cell.ue(1), "load", bearer_id=1, bitrate_bps=12e6
         )
-        run_for_ns(cell, seconds(0.3))
+        cell.run_for(seconds(0.3))
         flow.start()
         primary, secondary = cell.phy_servers[0].phy, cell.phy_servers[1].phy
         busy0 = (primary.cpu.busy_core_us, secondary.cpu.busy_core_us)
-        run_for_ns(cell, seconds(duration_s))
+        cell.run_for(seconds(duration_s))
         primary_busy = primary.cpu.busy_core_us - busy0[0]
         secondary_busy = secondary.cpu.busy_core_us - busy0[1]
         return secondary_busy / max(primary_busy, 1e-9)

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 from repro.apps.iperf import UdpIperfUplink
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import MS, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import MS, s_to_ns, seconds
 
 
 @dataclass
@@ -77,12 +77,12 @@ def _run_variant(
         cell.sim, cell.server, cell.ue(1), "mimo", 1, bitrate_bps=offered_bps
     )
     # Give the tracker time to converge before measuring.
-    run_for_ns(cell, seconds(0.3))
+    cell.run_for(seconds(0.3))
     flow.start()
     cell.sim.at(
         s_to_ns(migrate_at_s), lambda: cell.planned_migration(0), label="migrate"
     )
-    run_until_ns(cell, seconds(duration_s))
+    cell.run_until(seconds(duration_s))
     start = s_to_ns(0.5)
     series = [
         (t - migrate_at_s * 1000.0, mbps)

@@ -25,7 +25,7 @@ from repro.apps.iperf import (
 )
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import MS, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import MS, s_to_ns, seconds
 
 
 @dataclass
@@ -132,7 +132,7 @@ def _run_flow(
     else:
         flow = TcpIperfUplink(cell.sim, cell.server, ue, "iperf", 1)
         series_source = flow.receiver
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     flow.start()
     if planned:
         cell.sim.at(
@@ -140,7 +140,7 @@ def _run_flow(
         )
     else:
         cell.kill_phy_at(0, s_to_ns(event_at_s))
-    run_until_ns(cell, seconds(duration_s))
+    cell.run_until(seconds(duration_s))
     series = series_source.throughput_series(s_to_ns(0.4), s_to_ns(duration_s))
     label = f"{direction.upper()} {kind.upper()}" + (" planned" if planned else "")
     return ThroughputTrace(

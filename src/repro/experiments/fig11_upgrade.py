@@ -24,7 +24,7 @@ from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.l2.mac import McsEntry, McsTable
 from repro.phy.modulation import Modulation
-from repro.sim.units import SECOND, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import SECOND, s_to_ns, seconds
 
 
 @dataclass
@@ -100,7 +100,7 @@ def run(
             bin_ns=SECOND,
         )
         flows[ue.name] = flow
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     for flow in flows.values():
         flow.start()
     gaps_before = None
@@ -111,7 +111,7 @@ def run(
         cell.live_upgrade(decoder_iterations=new_iterations)
 
     cell.sim.at(s_to_ns(upgrade_at_s), do_upgrade, label="upgrade")
-    run_until_ns(cell, seconds(duration_s))
+    cell.run_until(seconds(duration_s))
     gaps_during = (
         cell.ru.stats.slots_without_control - gaps_before
         if gaps_before is not None

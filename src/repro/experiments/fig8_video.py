@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 from repro.apps.video import VideoReceiver, VideoSender
 from repro.cell.config import CellConfig
 from repro.cell.deployment import build_baseline_cell, build_slingshot_cell
-from repro.sim.units import SECOND, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import SECOND, s_to_ns, seconds
 
 
 @dataclass
@@ -58,11 +58,11 @@ def _run_scenario(
     )
     receiver = VideoReceiver(cell.sim, ue, flow_id="video")
     # Let the cell settle before streaming.
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     sender.start()
     if inject_failure:
         cell.kill_phy_at(0, s_to_ns(failure_at_s))
-    run_until_ns(cell, seconds(duration_s))
+    cell.run_until(seconds(duration_s))
     series = receiver.bitrate_series_kbps(s_to_ns(0.5), s_to_ns(duration_s))
     return VideoScenarioResult(
         label=label,

@@ -16,7 +16,7 @@ import numpy as np
 from repro.apps.ping import PingClient, UePingResponder
 from repro.cell.config import CellConfig
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import MS, SECOND, ns_to_s, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import MS, SECOND, ns_to_s, s_to_ns, seconds
 from repro.transport.packet import Packet
 
 
@@ -73,11 +73,11 @@ def run(
             bearer_id=1,
             interval_ns=round(interval_ms * MS),
         )
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     for client in clients.values():
         client.start()
     cell.kill_phy_at(0, s_to_ns(failure_at_s))
-    run_until_ns(cell, seconds(duration_s))
+    cell.run_until(seconds(duration_s))
     detection = cell.trace.last("mbox.failure_detected")
     return Fig9Result(
         rtt_series={name: c.rtt_series_ms() for name, c in clients.items()},

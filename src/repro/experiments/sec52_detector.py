@@ -24,7 +24,7 @@ import numpy as np
 from repro.cell.config import CellConfig
 from repro.cell.deployment import SlingshotCell, build_slingshot_cell
 from repro.checkpoint.snapshot import Checkpoint
-from repro.sim.units import MS, US, ns_to_us, run_for_ns, run_until_ns, seconds
+from repro.sim.units import MS, US, ns_to_us, seconds
 
 #: How long a forked branch runs past its kill or migration: the paper's
 #: < 10 ms downtime bound, past which recovery is over.
@@ -36,7 +36,7 @@ def phase_branches(seed: int = 0) -> Tuple[SlingshotCell, Checkpoint, List[int]]
     of each tick-period offset that covers a slot, 1 ms past the warm
     point: 56 instants, phase k at ``warm + 1 ms + k * tick``."""
     cell = build_slingshot_cell(CellConfig(seed=seed))
-    run_for_ns(cell, 50 * MS)
+    cell.run_for(50 * MS)
     warm = Checkpoint.capture(cell)
     period = cell.middlebox.config.detector.tick_period_ns
     phases = -(-cell.slot_ns // period)
@@ -80,14 +80,14 @@ def run(healthy_seconds: float = 2.0, seed: int = 0) -> DetectorResult:
     for kill_at in instants:
         branch = warm.restore()
         branch.kill_phy_at(0, kill_at)
-        run_until_ns(branch.sim, kill_at + RECOVERY_NS)
+        branch.sim.run_until(kill_at + RECOVERY_NS)
         detections = branch.middlebox.detector.detections
         counts.append(len(detections))
         if detections:
             _, detected_at, last_heartbeat = detections[0]
             from_kill.append(ns_to_us(detected_at - kill_at))
             from_heartbeat.append(ns_to_us(detected_at - last_heartbeat))
-    run_for_ns(cell, seconds(healthy_seconds))
+    cell.run_for(seconds(healthy_seconds))
     config = cell.middlebox.config.detector
     return DetectorResult(
         detection_latencies_us=from_kill,

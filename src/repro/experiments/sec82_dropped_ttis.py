@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.baselines.vm_migration import PrecopyMigrationModel, TransportKind
 from repro.experiments.sec52_detector import RECOVERY_NS, phase_branches
-from repro.sim.units import run_until_ns
 
 
 @dataclass
@@ -49,12 +48,12 @@ def run(seed: int = 0) -> DroppedTtiResult:
     for at in instants:
         branch = warm.restore()
         branch.kill_phy_at(0, at)
-        run_until_ns(branch.sim, at + RECOVERY_NS)
+        branch.sim.run_until(at + RECOVERY_NS)
         failover.append(branch.ru.stats.slots_without_control - before)
 
         branch = warm.restore()
         branch.sim.at(at, branch.planned_migration, 0)
-        run_until_ns(branch.sim, at + RECOVERY_NS)
+        branch.sim.run_until(at + RECOVERY_NS)
         planned.append(branch.ru.stats.slots_without_control - before)
         commits.append(branch.trace.count("mbox.migration_committed"))
     # VM migration: the median pause time expressed in TTIs.

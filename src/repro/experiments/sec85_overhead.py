@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.apps.iperf import UdpIperfUplink
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import SECOND, run_for_ns, seconds
+from repro.sim.units import SECOND, seconds
 
 
 @dataclass
@@ -53,7 +53,7 @@ def run(duration_s: float = 3.0, offered_bps: float = 16e6, seed: int = 0) -> Ov
     flow = UdpIperfUplink(
         cell.sim, cell.server, cell.ue(1), "load", bearer_id=1, bitrate_bps=offered_bps
     )
-    run_for_ns(cell, seconds(0.3))
+    cell.run_for(seconds(0.3))
     flow.start()
     primary = cell.phy_servers[0].phy
     secondary = cell.phy_servers[1].phy
@@ -63,7 +63,7 @@ def run(duration_s: float = 3.0, offered_bps: float = 16e6, seed: int = 0) -> Ov
     nulls_bytes_0 = orion.stats.bytes_on_wire
     nulls_0 = orion.stats.null_requests_sent
     start = cell.sim.now
-    run_for_ns(cell, seconds(duration_s))
+    cell.run_for(seconds(duration_s))
     elapsed_s = (cell.sim.now - start) / SECOND
     # Approximate the null-FAPI byte rate from Orion's null counter and
     # the average bytes per message.

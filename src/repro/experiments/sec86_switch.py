@@ -24,7 +24,7 @@ from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.net.p4.resources import PipelineResourceModel
 from repro.net.packet import EtherType
-from repro.sim.units import US, run_for_ns, seconds
+from repro.sim.units import US, seconds
 
 
 @dataclass
@@ -65,9 +65,9 @@ def _measure_max_gap(busy: bool, duration_s: float, seed: int) -> float:
         flow = UdpIperfDownlink(
             cell.sim, cell.server, cell.ue(1), "dl", bearer_id=1, bitrate_bps=60e6
         )
-        run_for_ns(cell, seconds(0.2))
+        cell.run_for(seconds(0.2))
         flow.start()
-    run_for_ns(cell, seconds(duration_s))
+    cell.run_for(seconds(duration_s))
     stamps = np.array(timestamps[10:], dtype=np.int64)
     if len(stamps) < 2:
         return 0.0

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 from repro.apps.iperf import UdpIperfUplink
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import MS, SECOND, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import MS, SECOND, s_to_ns, seconds
 
 
 @dataclass
@@ -65,7 +65,7 @@ def _run_rate(
         cell.sim, cell.server, cell.ue(1), "stress", bearer_id=1,
         bitrate_bps=offered_bps,
     )
-    run_for_ns(cell, seconds(0.3))
+    cell.run_for(seconds(0.3))
     flow.start()
     start_ns = cell.sim.now + s_to_ns(0.2)
     end_ns = start_ns + s_to_ns(duration_s)
@@ -76,7 +76,7 @@ def _run_rate(
         cell.sim.at(t, lambda: cell.planned_migration(0), label="stress-migrate")
         t += interval_ns
     harq_before = _interrupted_harq(cell)
-    run_until_ns(cell, end_ns + seconds(0.1))
+    cell.run_until(end_ns + seconds(0.1))
     min_mbps, max_mbps = flow.sink.min_max_bin_mbps(start_ns, end_ns)
     blackouts = flow.sink.blackout_bins(start_ns, end_ns)
     # Per-10ms packet loss: compare offered packets per bin to received.

@@ -13,9 +13,9 @@ lossy control plane. This package provides:
 * :mod:`repro.faults.scenarios` — the standard scenario matrix;
 * :mod:`repro.faults.campaign` — ``python -m repro chaos``.
 
-Every random draw comes from ``faults.*`` registry streams (enforced by
-slinglint's strict STREAM003 ownership), so any (scenario, seed) pair replays to the
-bit-identical trace digest.
+Every random draw comes from ``faults.*`` registry streams (a strict
+namespace: ``RngRegistry.stream`` refuses it to any other subsystem), so
+any (scenario, seed) pair replays to the bit-identical trace digest.
 """
 
 from repro.faults.plan import (

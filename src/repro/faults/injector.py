@@ -4,8 +4,9 @@ The injector is purely a scheduler: at arm() time it attaches
 :class:`~repro.faults.link_faults.LinkImpairment` hooks to every switch
 link whose name matches a spec, and schedules the process/clock fault
 transitions as ordinary simulator events. All randomness is drawn from
-``faults.*`` registry streams (slinglint STREAM003), so a plan replays
-bit-identically for a given cell seed.
+``faults.*`` registry streams (owner-only, checked by
+``RngRegistry.stream``), so a plan replays bit-identically for a given
+cell seed.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def generate_cases(
 ) -> Tuple[PropCase, ...]:
     """Draw ``count`` cases; every ``contention_every``-th is same-instant."""
     registry = RngRegistry(seed=master_seed)  # Private seed universe.
-    stream = registry.stream("faults.prop")  # == PROP_STREAM (literal for lint)
+    stream = registry.stream(PROP_STREAM)
     cases = []
     for case_id in range(count):
         num_cells = int(stream.integers(2, 4))

@@ -166,8 +166,9 @@ def sample_tracer_cells(
 ) -> Tuple[int, ...]:
     """Sample which cells get full per-UE fidelity, from ``fleet.tracers``.
 
-    The stream is reserved to the fleet subsystem (slinglint STREAM
-    table), so tracer selection never perturbs any cell-local stream.
+    The stream is reserved to the fleet subsystem (a strict namespace
+    that ``RngRegistry.stream`` refuses to any other subsystem), so
+    tracer selection never perturbs any cell-local stream.
     """
     if count <= 0:
         return ()

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.sim.rng import RngRegistry
 from repro.sim.units import SECOND, US
 
 
@@ -47,13 +46,14 @@ class PtpClock:
     def __init__(
         self,
         config: Optional[PtpConfig] = None,
+        *,
+        rng: np.random.Generator,
         disciplined: bool = True,
-        rng: Optional[np.random.Generator] = None,
         epoch_ns: int = 0,
     ) -> None:
         self.config = config or PtpConfig()
         self.disciplined = disciplined
-        self.rng = rng if rng is not None else RngRegistry(seed=0).stream("ptp")
+        self.rng = rng
         self.epoch_ns = epoch_ns
         #: Offset at the last discipline point.
         self._base_offset_ns = 0.0

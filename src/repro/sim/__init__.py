@@ -20,8 +20,6 @@ from repro.sim.units import (
     ns_to_ms,
     ns_to_s,
     ns_to_us,
-    run_for_ns,
-    run_until_ns,
     s_to_ns,
     seconds,
     us_to_ns,
@@ -46,6 +44,4 @@ __all__ = [
     "ms_to_ns",
     "s_to_ns",
     "seconds",
-    "run_for_ns",
-    "run_until_ns",
 ]

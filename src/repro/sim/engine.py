@@ -8,6 +8,12 @@ whole system is expressed purely in event time.
 Design notes
 ------------
 * Time is an ``int`` number of nanoseconds (see :mod:`repro.sim.units`).
+  Every entry point that takes a time or a delay — :meth:`Simulator.schedule`,
+  :meth:`Simulator.at`, :meth:`Simulator.schedule_periodic` and
+  :meth:`Simulator.run_until` — refuses anything whose type is not exactly
+  ``int`` (a float, a ``bool``, a numpy integer) with a
+  :class:`SimulationError`, in the comparison it already makes, so a
+  float-seconds value cannot reach the queue however it got there.
 * Events at the same timestamp fire in scheduling order (FIFO), which makes
   traces deterministic and reproducible.
 * The *tie-order race detector* (``Simulator(tie_shuffle_seed=...)``)
@@ -67,6 +73,17 @@ from repro.sim.rng import BatchedIntegers
 
 class SimulationError(RuntimeError):
     """Raised for invalid use of the simulator (e.g. scheduling in the past)."""
+
+
+def _refused(what: str, value: Any, out_of_range: str) -> SimulationError:
+    """The error for a refused time argument: ``out_of_range`` for an
+    ``int``, else the integer-nanoseconds refusal naming the type."""
+    if type(value) is int:
+        return SimulationError(out_of_range)
+    return SimulationError(
+        f"{what} must be integer nanoseconds, got "
+        f"{type(value).__name__}: {value!r}"
+    )
 
 
 #: Heap entry shape: (time, tie, seq, handle).
@@ -228,10 +245,12 @@ class PeriodicHandle:
         if first_at is None:
             offset = self.period if start_offset is None else start_offset
             first_at = sim.now + offset
-        if first_at < sim.now:
-            raise SimulationError(
+        if type(first_at) is not int or first_at < sim.now:
+            raise _refused(
+                "periodic first occurrence",
+                first_at,
                 f"cannot arm periodic at t={first_at} ns; "
-                f"clock is already at {sim.now} ns"
+                f"clock is already at {sim.now} ns",
             )
         self._arm(first_at)
 
@@ -340,8 +359,10 @@ class Simulator:
         ``delay`` must be non-negative; a zero delay runs the callback after
         all events already scheduled for the current instant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} ns in the past")
+        if type(delay) is not int or delay < 0:
+            raise _refused(
+                "delay", delay, f"cannot schedule {delay} ns in the past"
+            )
         time = self.now + delay
         handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
@@ -359,9 +380,11 @@ class Simulator:
         label: str = "",
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time} ns; clock is already at {self.now} ns"
+        if type(time) is not int or time < self.now:
+            raise _refused(
+                "time",
+                time,
+                f"cannot schedule at t={time} ns; clock is already at {self.now} ns",
             )
         handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
@@ -387,8 +410,10 @@ class Simulator:
         queues the next, ``period`` later, before its callback runs (the
         module notes say why there).
         """
-        if period < 1:
-            raise SimulationError(f"periodic period must be >= 1 ns, got {period}")
+        if type(period) is not int or period < 1:
+            raise _refused(
+                "period", period, f"periodic period must be >= 1 ns, got {period}"
+            )
         handle = PeriodicHandle(self, period, callback, args, label)
         handle.re_arm(start_offset=start_offset, first_at=first_at)
         return handle
@@ -483,9 +508,11 @@ class Simulator:
         :meth:`stop` leaves the clock at the last fired event: earlier
         events may still be queued, and the clock never steps back to them.
         """
-        if end_time < self.now:
-            raise SimulationError(
-                f"run_until({end_time}) is in the past (now={self.now})"
+        if type(end_time) is not int or end_time < self.now:
+            raise _refused(
+                "end_time",
+                end_time,
+                f"run_until({end_time}) is in the past (now={self.now})",
             )
         if self._run(end_time) and self.now < end_time:
             self.now = end_time

@@ -37,37 +37,11 @@ def seconds(value: float) -> int:
     """Convert seconds to integer nanoseconds (alias of :func:`s_to_ns`).
 
     The name reads as a unit annotation at API boundaries —
-    ``run_for_ns(cell, seconds(2.5))`` — which is where experiments hand
-    their float ``duration_s`` parameters to the integer-ns engine.
+    ``cell.run_for(seconds(2.5))`` — which is where experiments hand
+    their float ``duration_s`` parameters to the integer-ns engine (whose
+    entry points refuse anything but an ``int``).
     """
     return round(value * SECOND)
-
-
-def _require_int_ns(value: int, what: str) -> int:
-    # Exact type check: bool is an int subclass but never a duration,
-    # and float durations are precisely the bug this boundary rejects.
-    if type(value) is not int:
-        raise TypeError(
-            f"{what} must be integer nanoseconds, got "
-            f"{type(value).__name__}: {value!r}"
-        )
-    return value
-
-
-def run_for_ns(target, duration_ns: int):
-    """Advance ``target`` (anything with ``run_for``) by integer ns.
-
-    The explicit boundary helper for float-seconds experiment code:
-    ``run_for_ns(cell, seconds(duration_s))``. Rejects non-int durations
-    at runtime; slinglint TIMX001 flags float-seconds values flowing
-    in statically.
-    """
-    return target.run_for(_require_int_ns(duration_ns, "duration_ns"))
-
-
-def run_until_ns(target, time_ns: int):
-    """Run ``target`` (anything with ``run_until``) to an integer-ns time."""
-    return target.run_until(_require_int_ns(time_ns, "time_ns"))
 
 
 def ns_to_us(ns: int) -> float:

@@ -15,7 +15,7 @@ components count in their own ``Stats`` fields and telemetry only reads
 them. Determinism contract: every value is a deterministic count or an
 integer simulated-time value — never a wall clock, never an RNG draw
 (slinglint DET001–004; no stream namespace is owned by ``telemetry``,
-so STREAM002/003 refuse an acquisition) — and reading writes no trace
+so ``RngRegistry.stream`` refuses it any draw) — and reading writes no trace
 record, so looking at a run is digest-neutral by construction.
 """
 

@@ -31,9 +31,9 @@ MID_RECOVERY_NS = 600 * MS
 
 @pytest.fixture(scope="session")
 def package_report():
-    """One whole-tree lint pass (``src/repro``, ~4 s) serving every
-    read-only assertion about the real tree: findings, program model,
-    stream map, state inventory and the sanitizer's static half."""
+    """One whole-tree lint pass (``src/repro``) serving every read-only
+    assertion about the real tree: its findings, its suppression
+    directives and its program model."""
     return lint_report([PACKAGE])
 
 

@@ -2,9 +2,9 @@
 
 Every corpus draws from a reserved ``perf.*`` RngRegistry stream seeded
 with :data:`CORPUS_SEED` (the strict ``perf`` namespace of
-``repro.analysis.streams``: nothing in ``src/`` draws it), so a corpus
-never shares a bit stream with the system under test and is the same on
-every machine.
+``repro.sim.rng.NAMESPACES``: ``RngRegistry.stream`` refuses it to any
+other ``repro`` subsystem), so a corpus never shares a bit stream with
+the system under test and is the same on every machine.
 """
 
 from __future__ import annotations

@@ -66,10 +66,10 @@ class TestPrecopyModel:
     def test_higher_bandwidth_lowers_pause(self):
         fast = VmMigrationConfig(rdma_bandwidth_bytes_per_s=20e9)
         slow = VmMigrationConfig(rdma_bandwidth_bytes_per_s=5e9)
-        fast_runs = PrecopyMigrationModel(fast, np.random.default_rng(4)).run_campaign(
+        fast_runs = PrecopyMigrationModel(fast, rng=np.random.default_rng(4)).run_campaign(
             TransportKind.RDMA, 15
         )
-        slow_runs = PrecopyMigrationModel(slow, np.random.default_rng(4)).run_campaign(
+        slow_runs = PrecopyMigrationModel(slow, rng=np.random.default_rng(4)).run_campaign(
             TransportKind.RDMA, 15
         )
         assert np.median([r.pause_time_ms for r in fast_runs]) < np.median(

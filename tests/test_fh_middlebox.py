@@ -4,10 +4,14 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.cell.config import CellConfig
+from repro.cell.deployment import build_slingshot_cell
+from repro.checkpoint.snapshot import Checkpoint
 from repro.core.commands import FailureNotification, MigrateOnSlot, SetMonitor, SLINGSHOT_CMD_BYTES
 from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
 from repro.fronthaul.oran import CplaneMessage, UplaneUplink
 from repro.net.addresses import MacAddress
+from repro.net.p4.registers import RegisterArray
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import Switch
 from repro.phy.channel import ChannelRealization
@@ -16,6 +20,7 @@ from repro.phy.numerology import Numerology, SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
+from repro.sim.units import MS
 
 RU_MAC = MacAddress(0x10)
 PHY0_MAC = MacAddress(0x20)
@@ -287,3 +292,117 @@ class TestL2Fallback:
         switch.inject(frame, in_port=nodes["orion"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 1
+
+
+#: Accesses one register array may take in one packet pass. A stateful
+#: register is bound to pipeline stages, so a Tofino-class switch allows
+#: only a small fixed number per pass — the limit SMARTHO designs its
+#: in-switch state around. ``_steer``'s committing frame sits at it.
+MAX_REGISTER_ACCESSES_PER_PASS = 4
+
+
+class TestRegisterAccessCensus:
+    """Each ``process()`` call touches each register array at most
+    :data:`MAX_REGISTER_ACCESSES_PER_PASS` times, counted at run time
+    over every pass: uplink and downlink fronthaul (primary and standby),
+    the committing frame of each direction, frames before and after a
+    boundary, a failover's and a planned migration's ``migrate_on_slot``
+    and its retransmitted copies, the unaligned ablation, ``set_monitor``
+    and plain L2."""
+
+    @pytest.fixture
+    def census(self, monkeypatch):
+        """Per ``process()`` call: register name -> accesses."""
+        calls = []
+        current = []
+
+        def counted(method):
+            def access(array, index, *args):
+                if current:
+                    counts = current[-1]
+                    counts[array.name] = counts.get(array.name, 0) + 1
+                return method(array, index, *args)
+            return access
+
+        def process(mbox, frame, in_port, switch):
+            current.append({})
+            try:
+                return live_process(mbox, frame, in_port, switch)
+            finally:
+                calls.append(current.pop())
+
+        live_process = FronthaulMiddlebox.process
+        monkeypatch.setattr(RegisterArray, "read", counted(RegisterArray.read))
+        monkeypatch.setattr(RegisterArray, "write", counted(RegisterArray.write))
+        monkeypatch.setattr(FronthaulMiddlebox, "process", process)
+        return calls
+
+    @staticmethod
+    def worst(calls):
+        worst = {}
+        for counts in calls:
+            for name, accesses in counts.items():
+                worst[name] = max(worst.get(name, 0), accesses)
+        return worst
+
+    def test_a_cell_failover_and_planned_migration(self, census):
+        cell = build_slingshot_cell(CellConfig(seed=0))
+        cell.run_for(30 * MS)
+        warm = Checkpoint.capture(cell)
+        failover = warm.restore()
+        failover.kill_phy_at(0, failover.sim.now + 1)
+        failover.run_for(10 * MS)
+        planned = warm.restore()
+        planned.planned_migration(0)
+        planned.run_for(10 * MS)
+        for branch in (failover, planned):
+            stats = branch.middlebox.stats
+            assert stats.migrations_executed == 1
+            assert stats.duplicate_commands_ignored > 0
+            assert stats.ul_steered and stats.dl_forwarded and stats.dl_filtered
+        assert failover.middlebox.stats.notifications_sent == 1
+        worst = self.worst(census)
+        assert max(worst.values()) <= MAX_REGISTER_ACCESSES_PER_PASS, worst
+        assert worst["mig_valid"] == MAX_REGISTER_ACCESSES_PER_PASS
+
+    def test_every_fabric_pass(self, census):
+        sim, switch, mbox, nodes = build_fabric()
+        ru, phy0, phy1 = (nodes[name][1].number for name in ("ru", "phy0", "phy1"))
+        orion = nodes["orion"][1].number
+        # An uplink commits one boundary, a downlink the next. Frames of
+        # a slot before the last boundary arrive with a migration pending
+        # and without one, then frames after the second boundary.
+        frames = [
+            (ul_frame(10), ru),
+            (dl_frame(10), phy0),
+            (command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)), orion),
+            (ul_frame(100), ru),
+            (command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)), orion),
+            (command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=0, slot=200)), orion),
+            (ul_frame(50), ru),
+            (dl_frame(50, PHY0_MAC, 0), phy0),
+            (dl_frame(200, PHY0_MAC, 0), phy0),
+            (ul_frame(150), ru),
+            (dl_frame(150, PHY1_MAC, 1), phy1),
+            (ul_frame(201), ru),
+            (dl_frame(201, PHY1_MAC, 1), phy1),
+            (command_frame(SetMonitor(phy_id=1, enabled=True)), orion),
+            (ul_frame(5, src=MacAddress(0x99)), 9),
+            (EthernetFrame(
+                src=ORION_MAC, dst=PHY1_MAC, ethertype=EtherType.IPV4,
+                payload="udp", wire_bytes=100,
+            ), orion),
+        ]
+        for frame, port in frames:
+            switch.inject(frame, in_port=port)
+        mbox.config.align_to_tti = False
+        switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=300)))
+        stats = mbox.stats
+        assert stats.migrations_executed == 3
+        assert stats.duplicate_commands_ignored == 1
+        assert (stats.ul_steered, stats.dl_forwarded, stats.dl_filtered) == (5, 4, 1)
+        assert stats.unknown_dropped == 1
+        assert len(census) == len(frames) + 1
+        worst = self.worst(census)
+        assert max(worst.values()) <= MAX_REGISTER_ACCESSES_PER_PASS, worst
+        assert worst["mig_valid"] == MAX_REGISTER_ACCESSES_PER_PASS

@@ -1,22 +1,15 @@
 """Tier-1 gate: the tree lints clean (suppression audit included, always
-on), undecodable input is one stderr line, the stream sanitizer sees no
-draw the static map misses, and the P4 pass expansion recovers the
-fronthaul middlebox's shape inside the per-pass register-access bound.
+on), undecodable input is one stderr line, and a JSON report is JSON.
 Every read of the real tree shares the session's one ``package_report``
 (``tests/conftest.py``)."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import cli
-from repro.analysis import format_findings, lint_source
-from repro.analysis.p4budget import (
-    MAX_REGISTER_ACCESSES_PER_PASS,
-    summarize_program,
-)
-
-import ast
+from repro.analysis import format_findings
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = REPO_ROOT / "src" / "repro"
@@ -56,6 +49,16 @@ class TestTreeIsClean:
         out = capsys.readouterr().out
         assert "DET002" in out and "dirty.py" in out
 
+    def test_json_report_is_one_json_document(self, tmp_path, capsys):
+        dirty = tmp_path / "dirty.py"
+        dirty.write_text("import random\nimport time\nt = time.time()\n")
+        assert cli.main(["lint", str(dirty), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [(f["rule_id"], f["line"]) for f in report] == [
+            ("DET002", 1),
+            ("DET001", 3),
+        ]
+
 
 class TestLintSmoke:
     """The analyzer's own health: suppression audit and (when available)
@@ -78,49 +81,3 @@ class TestLintSmoke:
             ["--strict", "--no-error-summary", str(PACKAGE / "analysis")]
         )
         assert code == 0, out or err
-
-
-@pytest.mark.slow
-class TestStreamSanitizer:
-    def test_golden_run_has_zero_divergence(self, package_report):
-        """Every stream drawn during the sanitizer's workload (two seed-1
-        chaos branches and a 0.5 s fig9 failover) must map to a static
-        site the STREAM rules audited."""
-        from repro.analysis.sanitize import run_sanitizer
-
-        result = run_sanitizer(package_report.program)
-        assert result.divergences == [], result.summary()
-        assert len(result.draws) >= 10
-        assert result.covered_sites >= 5
-
-
-class TestSection86BudgetCheck:
-    """The per-pass register-access bound a Tofino-class pipeline puts on
-    the §5 middlebox (P4R003). The §8.6 resource percentages are
-    ``tests/test_p4.py``'s."""
-
-    def test_fh_middlebox_fits_at_256_rus(self):
-        source = (PACKAGE / "core" / "fh_middlebox.py").read_text()
-        findings = lint_source(source, path="src/repro/core/fh_middlebox.py")
-        assert findings == [], "\n" + format_findings(findings)
-
-    def test_recovered_program_shape(self):
-        source = (PACKAGE / "core" / "fh_middlebox.py").read_text()
-        summary = summarize_program(ast.parse(source))
-        assert summary.tables == {
-            "ru_id_directory",
-            "phy_id_directory",
-            "phy_address_directory",
-            "ru_port_directory",
-        }
-        assert summary.registers == {
-            "ru_to_phy",
-            "mig_valid",
-            "mig_slot",
-            "mig_dest",
-            "prev_phy",
-            "last_boundary",
-        }
-        assert any(summary.pass_accesses.values())
-        for register in summary.registers:
-            assert summary.max_accesses(register) <= MAX_REGISTER_ACCESSES_PER_PASS

@@ -30,7 +30,7 @@ from repro.apps.ping import PingClient, UePingResponder
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.checkpoint import Checkpoint
-from repro.sim.units import MS, run_for_ns, run_until_ns, s_to_ns, seconds
+from repro.sim.units import MS, s_to_ns, seconds
 from repro.telemetry import collect
 
 #: Full-cell scenario runs; excluded from the fast `-m "not slow"` split.
@@ -67,7 +67,7 @@ def fig9_cell():
                 bearer_id=1, interval_ns=10 * MS,
             )
         )
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     for client in clients:
         client.start()
     return cell
@@ -94,7 +94,7 @@ def fig10_smoke_cell():
     flow = UdpIperfUplink(
         cell.sim, cell.server, cell.ue(1), "iperf", 1, bitrate_bps=15.8e6
     )
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     flow.start()
     return cell
 
@@ -105,7 +105,7 @@ def fig10_tcp_dl_cell():
     of them, so SACK/RACK recovery is the transport layer's work."""
     cell = _bulk_flow_cell()
     flow = TcpIperfDownlink(cell.sim, cell.server, cell.ue(1), "iperf", 1)
-    run_for_ns(cell, seconds(0.2))
+    cell.run_for(seconds(0.2))
     flow.start()
     return cell
 
@@ -149,16 +149,16 @@ def _run_with_capture(name):
     tcp = name == "fig10_tcp_dl"
     cell = builder()
     cell.kill_phy_at(0, s_to_ns(failure_at_s))
-    run_until_ns(cell, seconds(capture_at_s))
+    cell.run_until(seconds(capture_at_s))
     seen = {"captured": _scoreboard(cell) if tcp else None}
     checkpoint = Checkpoint.capture(cell, label=f"{name}@{capture_at_s}s")
-    run_until_ns(cell, seconds(end_s))
+    cell.run_until(seconds(end_s))
     seen["reading"] = collect(cell)
     seen["digest"] = cell.trace.digest()
     seen["events"] = cell.sim.events_processed
     restored = checkpoint.restore()
     seen["restored_scoreboard"] = _scoreboard(restored) if tcp else None
-    run_until_ns(restored, seconds(end_s))
+    restored.run_until(seconds(end_s))
     seen["restored_digest"] = restored.trace.digest()
     seen["restored_events"] = restored.sim.events_processed
     if tcp:

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulator core."""
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from tests.engine_legacy import LegacySimulator
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process
-from repro.sim.rng import BatchedIntegers, RngRegistry
+from repro.sim.rng import COMPOSITION_ROOTS, NAMESPACES, BatchedIntegers, RngRegistry, namespace_head
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, SECOND, US, ms_to_ns, ns_to_ms, ns_to_us, s_to_ns, us_to_ns
 from tests.packetgen import PeriodicProcess
@@ -86,6 +87,45 @@ class TestSimulatorScheduling:
         sim.run_until(100)
         sim.run_for(50)
         assert sim.now == 150
+
+
+class TestIntegerTime:
+    """Every entry point refuses a time that is not exactly an ``int``,
+    where it already compares the value (once the only guard was the
+    TIMX001 dataflow lint)."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.schedule(0.5, print),
+            lambda sim: sim.schedule(np.int64(5), print),
+            lambda sim: sim.schedule(True, print),
+            lambda sim: sim.at(1.0, print),
+            lambda sim: sim.schedule_periodic(2.0, print),
+            lambda sim: sim.schedule_periodic(2, print, start_offset=1.0),
+            lambda sim: sim.schedule_periodic(2, print, first_at=np.int64(1)),
+            lambda sim: sim.run_until(3.0),
+            lambda sim: sim.run_for(10 / 1),
+        ],
+        ids=[
+            "float delay", "numpy.int64 delay", "bool delay", "float at",
+            "float period", "float start_offset", "numpy.int64 first_at",
+            "float run_until", "integral float run_for",
+        ],
+    )
+    def test_non_int_time_refused(self, call):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="must be integer nanoseconds"):
+            call(sim)
+        assert sim.pending_events == 0 and sim.now == 0
+
+    def test_int_times_are_still_range_checked(self):
+        sim = Simulator()
+        with pytest.raises(SimulationError, match="in the past"):
+            sim.schedule(-1, print)
+        sim.schedule_periodic(5, print, start_offset=0)
+        sim.run_until(12)
+        assert sim.now == 12
 
 
 class TestCancellation:
@@ -396,6 +436,449 @@ class TestRngRegistry:
     def test_different_names_differ(self):
         registry = RngRegistry(seed=3)
         assert registry.stream("x").random() != registry.stream("y").random()
+
+
+def draw_from(module, registry, name):
+    """``registry.stream(name)`` called from code whose module is ``module``."""
+    scope = {"__name__": module, "registry": registry}
+    exec(f"drawn = registry.stream({name!r})", scope)
+    return scope["drawn"]
+
+
+class TestStreamOwnership:
+    """``RngRegistry.stream`` refuses a ``repro`` caller the namespace
+    table (``NAMESPACES``) does not let draw the stream — what the
+    STREAM002-004 lint rules used to approximate from the source."""
+
+    def test_namespace_table(self):
+        assert namespace_head("faults.link.fh") == "faults"
+        assert namespace_head("phy3") == "phy"
+        assert namespace_head("ue12.channel") == "ue"
+        assert namespace_head("p4") == "p4"
+        assert {"faults", "phy", "ptp", "ue", "app", "perf", "fleet"} <= set(NAMESPACES)
+        assert {head for head, (_, strict) in NAMESPACES.items() if strict} == {
+            "faults", "fleet", "perf",
+        }
+        assert COMPOSITION_ROOTS == {"cell", "experiments"}
+
+    @pytest.mark.parametrize(
+        "module, name, reason",
+        [
+            ("repro.telemetry.collect", "ue1.channel", "owned by 'cell'"),
+            ("repro.apps.video", "ue1.channel", "owned by 'cell'"),
+            ("repro.cell.deployment", "faults.x", "strict faults.* namespace"),
+            ("repro.experiments.fig9_ping", "fleet.tracers", "strict fleet.*"),
+            ("repro.faults.injector", "channel.snr", "'channel' has no owner"),
+            ("repro.phy.channel", "channel.snr", "'channel' has no owner"),
+            ("repro.telemetry.collect", "telemetry", "'telemetry' has no owner"),
+        ],
+    )
+    def test_foreign_or_undeclared_draw_refused(self, module, name, reason):
+        with pytest.raises(ValueError) as refused:
+            draw_from(module, RngRegistry(seed=1), name)
+        message = str(refused.value)
+        assert reason in message and repr(name) in message and module in message
+
+    def test_one_name_one_subsystem_per_registry(self):
+        registry = RngRegistry(seed=1)
+        shared = draw_from("repro.cell.deployment", registry, "app.shared")
+        assert draw_from("repro.cell.other", registry, "app.shared") is shared
+        with pytest.raises(ValueError, match="already handed it to 'cell'"):
+            draw_from("repro.apps.video", registry, "app.shared")
+        # Another registry is another seed universe.
+        draw_from("repro.apps.video", RngRegistry(seed=1), "app.shared")
+
+    def test_first_repro_acquirer_is_recorded_after_an_exempt_one(self):
+        registry = RngRegistry(seed=1)
+        draw_from("tests.test_sim_engine", registry, "app.shared")
+        draw_from("repro.cell.deployment", registry, "app.shared")
+        with pytest.raises(ValueError, match="already handed it to 'cell'"):
+            draw_from("repro.apps.video", registry, "app.shared")
+
+    def test_callers_outside_the_package_are_exempt(self):
+        registry = RngRegistry(seed=1)
+        for module in ("tests.corpora", "__main__", "workloads", "repro"):
+            for name in ("perf.ldpc", "faults.x", "channel.snr"):
+                draw_from(module, registry, name)
+
+    def test_composition_roots_wire_non_strict_namespaces(self):
+        registry = RngRegistry(seed=1)
+        draw_from("repro.cell.deployment", registry, "ue1.channel")
+        draw_from("repro.cell.deployment", registry, "ptp.ru")
+        draw_from("repro.experiments.fig8_video", registry, "app.video.video")
+        draw_from("repro.faults.injector", registry, "faults.link.fh")
+        draw_from("repro.fleet.population", registry, "fleet.tracers")
+
+
+REFUSED_TIME = "must be integer nanoseconds"
+
+#: The retired TIM / TIMX lint corpus, run instead of linted: (case,
+#: source defining ``f(sim, *args)`` or acting at module level, args,
+#: refused). A suppression comment silenced the lint; it cannot silence
+#: the scheduler. A flow the lint followed only to a binding is carried
+#: on to the scheduler call it would have reached.
+TIME_CORPUS = [
+    ("tim001_float_literal_delay", "def f(sim):\n    sim.schedule(1.5, print)\n", (), True),
+    ("tim001_float_inside_expression", "def f(sim, n):\n    sim.at(n * 0.5, print)\n", (4,), True),
+    (
+        "tim001_converted_float_allowed",
+        "from repro.sim.units import s_to_ns\n"
+        "def f(sim):\n"
+        "    sim.schedule(s_to_ns(1.5), print)\n",
+        (),
+        False,
+    ),
+    (
+        "tim001_suppressed",
+        "def f(sim):\n    sim.schedule(1.5, print)  # slinglint: disable=TIMX001\n",
+        (),
+        True,
+    ),
+    ("tim002_magic_duration", "def f(sim):\n    sim.schedule(500_000, print)\n", (), False),
+    ("tim002_small_offsets_allowed", "def f(sim):\n    sim.schedule(100, print)\n", (), False),
+    (
+        "tim002_units_expression_allowed",
+        "from repro.sim.units import US\n"
+        "def f(sim):\n"
+        "    sim.schedule(500 * US, print)\n",
+        (),
+        False,
+    ),
+    (
+        "tim003_seconds_identifier_into_scheduler",
+        "def f(sim, duration_s):\n    sim.run_for(duration_s)\n",
+        (2.0,),
+        True,
+    ),
+    (
+        "tim003_seconds_attribute_into_boundary_helper",
+        "def f(sim, config):\n    sim.run_for(config.gap_seconds)\n",
+        (SimpleNamespace(gap_seconds=0.5),),
+        True,
+    ),
+    (
+        "tim003_converted_seconds_allowed",
+        "from repro.sim.units import seconds\n"
+        "def f(sim, duration_s):\n"
+        "    sim.run_for(seconds(duration_s))\n",
+        (2e-6,),
+        False,
+    ),
+    (
+        "tim003_ns_identifier_allowed",
+        "def f(sim, duration_ns):\n    sim.run_for(duration_ns)\n",
+        (2_000,),
+        False,
+    ),
+    (
+        "tim003_suppressed",
+        "def f(sim, delay_s):\n"
+        "    sim.schedule(delay_s, print)  # slinglint: disable=TIMX001\n",
+        (0.5,),
+        True,
+    ),
+    (
+        "timx001_renamed_local_reaches_sink",
+        "def f(sim):\n"
+        "    delay_s = 0.5\n"
+        "    wait = delay_s\n"
+        "    sim.schedule(wait, print)\n",
+        (),
+        True,
+    ),
+    (
+        "timx001_seconds_returned_from_helper",
+        "def gap():\n"
+        "    gap_seconds = 2.5\n"
+        "    return gap_seconds\n"
+        "def f(sim):\n"
+        "    sim.schedule(gap(), print)\n",
+        (),
+        True,
+    ),
+    (
+        "timx001_tainted_argument_crosses_call",
+        "def helper(sim, delay):\n"
+        "    sim.schedule(delay, print)\n"
+        "def f(sim, timeout_s):\n"
+        "    helper(sim, timeout_s)\n",
+        (1.0,),
+        True,
+    ),
+    (
+        "timx001_two_hop_chain",
+        "def inner(sim, d):\n"
+        "    sim.schedule(d, print)\n"
+        "def middle(sim, v):\n"
+        "    inner(sim, v)\n"
+        "def f(sim):\n"
+        "    interval_s = 1.5\n"
+        "    middle(sim, interval_s)\n",
+        (),
+        True,
+    ),
+    (
+        "timx001_ns_to_s_result_is_tainted",
+        "from repro.sim.units import ns_to_s\n"
+        "def f(sim, t_ns):\n"
+        "    sim.schedule(ns_to_s(t_ns), print)\n",
+        (2 * SECOND,),
+        True,
+    ),
+    (
+        "timx001_sanitized_flow_clean",
+        "def helper(sim, delay):\n"
+        "    sim.schedule(delay, print)\n"
+        "def f(sim, timeout_s):\n"
+        "    helper(sim, int(timeout_s * 1e9))\n",
+        (1e-6,),
+        False,
+    ),
+    (
+        "timx001_converted_local_clean",
+        "from repro.sim.units import seconds\n"
+        "def f(sim, delay_s):\n"
+        "    wait = seconds(delay_s)\n"
+        "    sim.schedule(wait, print)\n",
+        (1e-6,),
+        False,
+    ),
+    (
+        "timx001_does_not_duplicate_tim003",
+        "def f(sim, duration_s):\n"
+        "    sim.run_for(duration_s)\n"
+        "    sim.run_for(duration_s)\n",
+        (1.0,),
+        True,
+    ),
+    ("timx001_sees_module_level", "sim.schedule(1.5, print)\n", (), True),
+    (
+        "timx001_sees_closures",
+        "def f(sim, delay_s):\n"
+        "    def later():\n"
+        "        sim.schedule(delay_s, print)\n"
+        "    sim.schedule(1, later)\n",
+        (0.5,),
+        True,
+    ),
+    (
+        "timx001_sees_lambdas",
+        "def f(sim):\n    sim.schedule(1, lambda: sim.at(sim.now + 0.5, print))\n",
+        (),
+        True,
+    ),
+    (
+        "timx001_literal_does_not_taint_the_object_it_configures",
+        "def f(sim, make):\n"
+        "    cell = make(snr_db=16.0)\n"
+        "    sim.schedule(6 * cell.slot_ns, print)\n",
+        (lambda snr_db: SimpleNamespace(snr_db=snr_db, slot_ns=500 * US),),
+        False,
+    ),
+    (
+        "timx001_suppressed",
+        "def f(sim):\n"
+        "    delay_s = 0.5\n"
+        "    wait = delay_s\n"
+        "    sim.schedule(wait, print)  # slinglint: disable=TIMX001\n",
+        (),
+        True,
+    ),
+    (
+        "timx002_seconds_bound_to_ns_name",
+        "def f(sim, timeout_s):\n"
+        "    timeout_ns = timeout_s\n"
+        "    sim.schedule(timeout_ns, print)\n",
+        (0.5,),
+        True,
+    ),
+    (
+        "timx002_converted_binding_clean",
+        "from repro.sim.units import seconds\n"
+        "def f(sim, timeout_s):\n"
+        "    timeout_ns = seconds(timeout_s)\n"
+        "    sim.schedule(timeout_ns, print)\n",
+        (1e-6,),
+        False,
+    ),
+    (
+        "integral_float_interval_divided_by_one",
+        "def f(sim, interval_ns):\n    sim.schedule(interval_ns / 1, print)\n",
+        (MS,),
+        True,
+    ),
+]
+
+#: The retired STREAM / OBS001 lint corpus, run instead of linted: (case,
+#: draws, refusal). Each draw is (calling module, source defining
+#: ``f(rng, *args)``, args), all on one registry; ``refusal`` is a piece
+#: of the last draw's ``ValueError``, or ``None`` when every draw passes.
+#: A runtime name is always concrete, so STREAM001's dynamic names are
+#: checked by what they evaluate to.
+DRAW = 'def f(rng, name):\n    return rng.stream(name)\n'
+STREAM_CORPUS = [
+    (
+        "stream_namespaced_draw_in_owner_allowed",
+        [("repro.faults.injector", 'def f(rng):\n    return rng.stream("faults.link.fh")\n', ())],
+        None,
+    ),
+    (
+        "stream_fstring_prefix_allowed",
+        [(
+            "repro.faults.injector",
+            'def f(rng, link):\n    return rng.stream(f"faults.link.{link.name}")\n',
+            (SimpleNamespace(name="fh"),),
+        )],
+        None,
+    ),
+    (
+        "stream001_dynamic_name_owned",
+        [("repro.faults.link_faults", DRAW, ("faults.link.fh",))],
+        None,
+    ),
+    (
+        "stream001_dynamic_name_foreign",
+        [("repro.faults.link_faults", DRAW, ("ue1.channel",))],
+        "owned by 'cell'",
+    ),
+    (
+        "stream001_fstring_without_static_prefix",
+        [("repro.faults.injector", 'def f(rng, name):\n    return rng.stream(f"{name}.jitter")\n', ("ptp",))],
+        "owned by 'net'",
+    ),
+    (
+        "stream002_undeclared_namespace_in_faults",
+        [("repro.faults.injector", DRAW, ("channel.snr",))],
+        "'channel' has no owner",
+    ),
+    (
+        "stream002_undeclared_namespace_in_phy",
+        [("repro.phy.channel", DRAW, ("channel.snr",))],
+        "'channel' has no owner",
+    ),
+    (
+        "stream003_strict_namespace_owner_only",
+        [("repro.cell.deployment", DRAW, ("faults.link.fh",))],
+        "strict faults.* namespace",
+    ),
+    (
+        "stream003_composition_root_may_wire_non_strict",
+        [("repro.cell.deployment", DRAW, ("ue1.channel",))],
+        None,
+    ),
+    (
+        "stream003_foreign_subsystem_draw_flagged",
+        [("repro.apps.video", DRAW, ("ue1.channel",))],
+        "owned by 'cell'",
+    ),
+    (
+        "stream_suppressed",
+        [(
+            "repro.faults.injector",
+            "def f(rng, name):\n"
+            "    return rng.stream(name)  # slinglint: disable=STREAM001\n",
+            ("channel.snr",),
+        )],
+        "'channel' has no owner",
+    ),
+    (
+        "stream003_fleet_draw_outside_fleet_flagged",
+        [("repro.ue.rogue", DRAW, ("fleet.tracers",))],
+        "strict fleet.* namespace",
+    ),
+    (
+        "stream003_fleet_draw_inside_fleet_clean",
+        [("repro.fleet.sampling", DRAW, ("fleet.tracers",))],
+        None,
+    ),
+    (
+        "obs001_rng_stream_acquisition_in_telemetry",
+        [("repro.telemetry.collect", 'def f(registry):\n    return registry.stream("telemetry")\n', ())],
+        "'telemetry' has no owner",
+    ),
+    (
+        "stream004_cross_subsystem_collision",
+        [
+            ("repro.apps.a", DRAW, ("app.shared",)),
+            ("repro.cell.b", DRAW, ("app.shared",)),
+        ],
+        "already handed it to 'apps'",
+    ),
+    (
+        "stream004_private_registry_does_not_collide",
+        [
+            (
+                "repro.apps.a",
+                "from repro.sim.rng import RngRegistry\n"
+                "def f(rng):\n"
+                '    return RngRegistry(seed=0).stream("app.shared")\n',
+                (),
+            ),
+            ("repro.cell.b", DRAW, ("app.shared",)),
+        ],
+        None,
+    ),
+    (
+        "prefix_sites_collide_with_exact_names",
+        [
+            ("repro.apps.a", 'def f(rng, i):\n    return rng.stream(f"app.flow{i}")\n', (3,)),
+            ("repro.cell.b", DRAW, ("app.flow3",)),
+        ],
+        "already handed it to 'apps'",
+    ),
+]
+
+
+class TestRetiredLintCorpus:
+    """Every case of the retired TIM / TIMX / STREAM / OBS001 lint tests,
+    executed against the runtime check that replaced the rule: a case
+    the lint flagged raises, a case it passed runs."""
+
+    @staticmethod
+    def run_time_case(source, args):
+        sim = Simulator()
+        scope = {"__name__": "repro.apps.corpus", "sim": sim}
+        exec(source, scope)
+        if "f" in scope:
+            scope["f"](sim, *args)
+        sim.run()
+        return sim
+
+    @pytest.mark.parametrize(
+        "source, args, refused",
+        [case[1:] for case in TIME_CORPUS],
+        ids=[case[0] for case in TIME_CORPUS],
+    )
+    def test_time_case(self, source, args, refused):
+        if refused:
+            with pytest.raises(SimulationError, match=REFUSED_TIME):
+                self.run_time_case(source, args)
+        else:
+            sim = self.run_time_case(source, args)
+            assert sim.now > 0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize(
+        "draws, refusal",
+        [case[1:] for case in STREAM_CORPUS],
+        ids=[case[0] for case in STREAM_CORPUS],
+    )
+    def test_stream_case(self, draws, refusal):
+        registry = RngRegistry(seed=1)
+        *before, (module, source, args) = draws
+        for earlier in before:
+            self.draw(registry, *earlier)
+        if refusal is None:
+            assert self.draw(registry, module, source, args) is not None
+            return
+        with pytest.raises(ValueError) as refused:
+            self.draw(registry, module, source, args)
+        assert refusal in str(refused.value) and module in str(refused.value)
+
+    @staticmethod
+    def draw(registry, module, source, args):
+        scope = {"__name__": module}
+        exec(source, scope)
+        return scope["f"](registry, *args)
 
 
 class TestTraceRecorder:

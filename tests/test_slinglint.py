@@ -5,14 +5,8 @@ by case, exactly which rules fire."""
 import pytest
 
 from repro.analysis import Severity, all_rules, lint_source
-from repro.analysis.p4budget import (
-    MAX_REGISTER_ACCESSES_PER_PASS,
-    summarize_program,
-)
 from repro.analysis.program import Program
 from repro.analysis.registry import LintContext, parse_suppressions, run_rules
-
-import ast
 
 
 def rule_ids(findings):
@@ -78,295 +72,6 @@ class TestDeterminismRules:
     def test_det004_generator_method_allowed(self):
         findings = lint("def f(rng):\n    return rng.uniform(0, 1)\n")
         assert "DET004" not in rule_ids(findings)
-
-
-class TestStreamRules:
-    """STREAM001-004 replace the old per-file DET005 namespace check."""
-
-    def test_stream_namespaced_draw_in_owner_allowed(self):
-        findings = lint(
-            'def f(rng):\n    return rng.stream("faults.link.fh")\n',
-            path="src/repro/faults/injector.py",
-        )
-        assert not [r for r in rule_ids(findings) if r.startswith("STREAM")]
-
-    def test_stream_fstring_prefix_allowed(self):
-        findings = lint(
-            "def f(rng, link):\n"
-            '    return rng.stream(f"faults.link.{link.name}")\n',
-            path="src/repro/faults/injector.py",
-        )
-        assert not [r for r in rule_ids(findings) if r.startswith("STREAM")]
-
-    def test_stream001_dynamic_name_flagged(self):
-        """A fully dynamic stream name can't be assigned an owner."""
-        findings = lint(
-            "def f(rng, name):\n    return rng.stream(name)\n",
-            path="src/repro/faults/link_faults.py",
-        )
-        assert "STREAM001" in rule_ids(findings)
-
-    def test_stream001_fstring_without_static_prefix_flagged(self):
-        findings = lint(
-            "def f(rng, name):\n"
-            '    return rng.stream(f"{name}.jitter")\n',
-            path="src/repro/faults/injector.py",
-        )
-        assert "STREAM001" in rule_ids(findings)
-
-    def test_stream002_undeclared_namespace_flagged_anywhere(self):
-        """Unlike DET005, the ownership table binds every subsystem."""
-        for path in (
-            "src/repro/faults/injector.py",
-            "src/repro/phy/channel.py",
-        ):
-            findings = lint(
-                'def f(rng):\n    return rng.stream("channel.snr")\n',
-                path=path,
-            )
-            assert "STREAM002" in rule_ids(findings), path
-
-    def test_stream003_strict_namespace_owner_only(self):
-        # cell is a composition root, but faults.* is strict: only
-        # faults/ itself may draw fault-plan streams.
-        findings = lint(
-            'def f(rng):\n    return rng.stream("faults.link.fh")\n',
-            path="src/repro/cell/deployment.py",
-        )
-        assert "STREAM003" in rule_ids(findings)
-
-    def test_stream003_composition_root_may_wire_non_strict(self):
-        findings = lint(
-            'def f(rng):\n    return rng.stream("ue1.channel")\n',
-            path="src/repro/cell/deployment.py",
-        )
-        assert "STREAM003" not in rule_ids(findings)
-
-    def test_stream003_foreign_subsystem_draw_flagged(self):
-        findings = lint(
-            'def f(rng):\n    return rng.stream("ue1.channel")\n',
-            path="src/repro/apps/video.py",
-        )
-        assert "STREAM003" in rule_ids(findings)
-
-    def test_stream_suppressed(self):
-        findings = lint(
-            "def f(rng, name):\n"
-            "    return rng.stream(name)  # slinglint: disable=STREAM001\n",
-            path="src/repro/faults/injector.py",
-        )
-        assert "STREAM001" not in rule_ids(findings)
-
-
-class TestTimeUnitRules:
-    """The TIM001 / TIM003 behaviours, now the zero-hop case of TIMX001;
-    TIM002 (a style warning) is retired and its cases lint clean."""
-
-    def test_tim001_float_literal_delay(self):
-        findings = lint("def f(sim):\n    sim.schedule(1.5, print)\n")
-        assert rule_ids(findings) == ["TIMX001"]
-
-    def test_tim001_float_inside_expression(self):
-        findings = lint("def f(sim, n):\n    sim.at(n * 0.5, print)\n")
-        assert rule_ids(findings) == ["TIMX001"]
-
-    def test_tim001_converted_float_allowed(self):
-        findings = lint(
-            "from repro.sim.units import s_to_ns\n"
-            "def f(sim):\n"
-            "    sim.schedule(s_to_ns(1.5), print)\n"
-        )
-        assert findings == []
-
-    def test_tim001_suppressed(self):
-        findings = lint(
-            "def f(sim):\n"
-            "    sim.schedule(1.5, print)  # slinglint: disable=TIMX001\n"
-        )
-        assert findings == []
-
-    def test_tim002_magic_duration(self):
-        # An integer literal carries no float, whatever its size.
-        assert lint("def f(sim):\n    sim.schedule(500_000, print)\n") == []
-
-    def test_tim002_small_offsets_allowed(self):
-        assert lint("def f(sim):\n    sim.schedule(100, print)\n") == []
-
-    def test_tim002_units_expression_allowed(self):
-        findings = lint(
-            "from repro.sim.units import US\n"
-            "def f(sim):\n"
-            "    sim.schedule(500 * US, print)\n"
-        )
-        assert findings == []
-
-    def test_tim003_seconds_identifier_into_scheduler(self):
-        findings = lint(
-            "def f(sim, duration_s):\n"
-            "    sim.run_for(duration_s)\n"
-        )
-        assert rule_ids(findings) == ["TIMX001"]
-
-    def test_tim003_seconds_attribute_into_boundary_helper(self):
-        findings = lint(
-            "from repro.sim.units import run_for_ns\n"
-            "def f(cell, config):\n"
-            "    run_for_ns(cell, config.gap_seconds)\n"
-        )
-        assert rule_ids(findings) == ["TIMX001"]
-
-    def test_tim003_converted_seconds_allowed(self):
-        findings = lint(
-            "from repro.sim.units import run_for_ns, seconds\n"
-            "def f(cell, duration_s):\n"
-            "    run_for_ns(cell, seconds(duration_s))\n"
-        )
-        assert findings == []
-
-    def test_tim003_ns_identifier_allowed(self):
-        findings = lint(
-            "def f(sim, duration_ns):\n"
-            "    sim.run_for(duration_ns)\n"
-        )
-        assert findings == []
-
-    def test_tim003_suppressed(self):
-        findings = lint(
-            "def f(sim, delay_s):\n"
-            "    sim.schedule(delay_s, print)  # slinglint: disable=TIMX001\n"
-        )
-        assert findings == []
-
-
-class TestInterproceduralTaintRules:
-    """TIMX001/002: float-seconds dataflow across assignments and calls."""
-
-    def test_timx001_renamed_local_reaches_sink(self):
-        findings = lint(
-            "def f(sim):\n"
-            "    delay_s = 0.5\n"
-            "    wait = delay_s\n"
-            "    sim.schedule(wait, print)\n"
-        )
-        assert "TIMX001" in rule_ids(findings)
-
-    def test_timx001_seconds_returned_from_helper(self):
-        findings = lint(
-            "def gap():\n"
-            "    gap_seconds = 2.5\n"
-            "    return gap_seconds\n"
-            "def f(sim):\n"
-            "    sim.schedule(gap(), print)\n"
-        )
-        assert "TIMX001" in rule_ids(findings)
-
-    def test_timx001_tainted_argument_crosses_call(self):
-        findings = lint(
-            "def helper(sim, delay):\n"
-            "    sim.schedule(delay, print)\n"
-            "def f(sim, timeout_s):\n"
-            "    helper(sim, timeout_s)\n"
-        )
-        assert "TIMX001" in rule_ids(findings)
-
-    def test_timx001_two_hop_chain(self):
-        findings = lint(
-            "def inner(sim, d):\n"
-            "    sim.schedule(d, print)\n"
-            "def middle(sim, v):\n"
-            "    inner(sim, v)\n"
-            "def f(sim):\n"
-            "    interval_s = 1.5\n"
-            "    middle(sim, interval_s)\n"
-        )
-        assert "TIMX001" in rule_ids(findings)
-
-    def test_timx001_ns_to_s_result_is_tainted(self):
-        findings = lint(
-            "from repro.sim.units import ns_to_s\n"
-            "def f(sim, t_ns):\n"
-            "    sim.schedule(ns_to_s(t_ns), print)\n"
-        )
-        assert "TIMX001" in rule_ids(findings)
-
-    def test_timx001_sanitized_flow_clean(self):
-        findings = lint(
-            "def helper(sim, delay):\n"
-            "    sim.schedule(delay, print)\n"
-            "def f(sim, timeout_s):\n"
-            "    helper(sim, int(timeout_s * 1e9))\n"
-        )
-        assert "TIMX001" not in rule_ids(findings)
-
-    def test_timx001_converted_local_clean(self):
-        findings = lint(
-            "from repro.sim.units import seconds\n"
-            "def f(sim, delay_s):\n"
-            "    wait = seconds(delay_s)\n"
-            "    sim.schedule(wait, print)\n"
-        )
-        assert "TIMX001" not in rule_ids(findings)
-
-    def test_timx001_does_not_duplicate_tim003(self):
-        """Inverted with TIM003's retirement: the zero-hop flow is the
-        taint pass's own finding, reported once."""
-        findings = lint(
-            "def f(sim, duration_s):\n"
-            "    sim.run_for(duration_s)\n"
-            "    sim.run_for(duration_s)\n"
-        )
-        assert [(f.rule_id, f.line) for f in findings] == [
-            ("TIMX001", 2),
-            ("TIMX001", 3),
-        ]
-
-    def test_timx001_sees_closures_lambdas_and_module_level(self):
-        findings = lint(
-            "sim.schedule(1.5, print)\n"
-            "def f(sim, delay_s):\n"
-            "    def later():\n"
-            "        sim.schedule(delay_s, print)\n"
-            "    sim.schedule(1, lambda: sim.at(0.5, print))\n"
-        )
-        assert [(f.rule_id, f.line) for f in findings] == [
-            ("TIMX001", 1),
-            ("TIMX001", 4),
-            ("TIMX001", 5),
-        ]
-
-    def test_timx001_literal_does_not_taint_the_object_it_configures(self):
-        findings = lint(
-            "def f(sim, make):\n"
-            "    cell = make(snr_db=16.0)\n"
-            "    sim.schedule(6 * cell.slot_ns, print)\n"
-        )
-        assert findings == []
-
-    def test_timx001_suppressed(self):
-        findings = lint(
-            "def f(sim):\n"
-            "    delay_s = 0.5\n"
-            "    wait = delay_s\n"
-            "    sim.schedule(wait, print)  # slinglint: disable=TIMX001\n"
-        )
-        assert "TIMX001" not in rule_ids(findings)
-
-    def test_timx002_seconds_bound_to_ns_name(self):
-        findings = lint(
-            "def f(timeout_s):\n"
-            "    timeout_ns = timeout_s\n"
-            "    return timeout_ns\n"
-        )
-        assert "TIMX002" in rule_ids(findings)
-
-    def test_timx002_converted_binding_clean(self):
-        findings = lint(
-            "from repro.sim.units import seconds\n"
-            "def f(timeout_s):\n"
-            "    timeout_ns = seconds(timeout_s)\n"
-            "    return timeout_ns\n"
-        )
-        assert "TIMX002" not in rule_ids(findings)
 
 
 class TestEventSafetyRules:
@@ -470,36 +175,9 @@ class TestPerfRules:
         assert lint(source, path="src/repro/phy/process.py") == []
 
 
-class TestP4BudgetRules:
-    def test_p4r002_table_count(self):
-        # The table count is not a lint matter any more (P4R002 retired).
-        assert lint(_pipeline_class(table_count=33)) == []
-
-    def test_p4r003_register_accesses_per_pass(self):
-        findings = lint(
-            _pipeline_class(accesses=MAX_REGISTER_ACCESSES_PER_PASS + 1)
-        )
-        assert "P4R003" in rule_ids(findings)
-        findings = lint(
-            _pipeline_class(accesses=MAX_REGISTER_ACCESSES_PER_PASS)
-        )
-        assert "P4R003" not in rule_ids(findings)
-
-    def test_rules_inactive_without_pipeline_state(self):
-        findings = lint("x = 1\n")
-        assert not [f for f in findings if f.rule_id.startswith("P4R")]
-
-    def test_summary_helpers(self):
-        tree = ast.parse(_pipeline_class(table_count=2, accesses=3))
-        summary = summarize_program(tree)
-        assert summary.tables == {"t0", "t1"}
-        assert summary.registers == {"reg"}
-        assert summary.max_accesses("reg") == 3
-
-
 class TestObservabilityRules:
-    """OBS001 is retired: telemetry is bound by the same DET / STREAM rows
-    as every other package, which already fired on each of its cases."""
+    """OBS001 is retired: telemetry is bound by the same DET rows as every
+    other package, which already fired on each of its clock and RNG cases."""
 
     TELEMETRY_PATH = "src/repro/telemetry/collect.py"
 
@@ -526,14 +204,6 @@ class TestObservabilityRules:
                 path=self.TELEMETRY_PATH,
             )
         ) == ["DET003"]
-
-    def test_obs001_rng_stream_acquisition_in_telemetry(self):
-        findings = lint(
-            "def f(registry):\n"
-            "    return registry.stream('telemetry')\n",
-            path=self.TELEMETRY_PATH,
-        )
-        assert rule_ids(findings) == ["STREAM002"]
 
     def test_obs001_inactive_outside_telemetry(self):
         findings = lint(
@@ -674,53 +344,7 @@ def _census():
             "        sim.schedule(10, lambda: print(item))\n",
         ),
         row("EVT002 alone", ["EVT002"], "def f(sim):\n    sim.schedule(0, print)\n"),
-        row(
-            "P4R003 alone",
-            ["P4R003"],
-            _pipeline_class(accesses=MAX_REGISTER_ACCESSES_PER_PASS + 1),
-            "src/repro/somewhere/mod.py",
-        ),
-        row(
-            "STREAM001 alone",
-            ["STREAM001"],
-            "def f(rng, name):\n    return rng.stream(name)\n",
-        ),
-        row(
-            "STREAM002 alone",
-            ["STREAM002"],
-            'def f(rng):\n    return rng.stream("channel.snr")\n',
-        ),
-        row(
-            "STREAM003 alone",
-            ["STREAM003"],
-            'def f(rng):\n    return rng.stream("ue1.channel")\n',
-            "src/repro/apps/video.py",
-        ),
-        (
-            "STREAM004 alone",
-            {"STREAM004"},
-            [
-                (
-                    "src/repro/cell/a.py",
-                    'def f(rng):\n    return rng.stream("app.shared")\n',
-                ),
-                (
-                    "src/repro/experiments/b.py",
-                    'def g(rng):\n    return rng.stream("app.shared")\n',
-                ),
-            ],
-        ),
         row("SUP001 alone", ["SUP001"], "x = 1  # slinglint: disable=DET001\n"),
-        row(
-            "TIMX001 alone",
-            ["TIMX001"],
-            "def f(sim):\n    wait = 0.5\n    sim.schedule(wait, print)\n",
-        ),
-        row(
-            "TIMX002 alone",
-            ["TIMX002"],
-            "def f(timeout_s):\n    timeout_ns = timeout_s\n    return timeout_ns\n",
-        ),
         # (b) what the retired rules' positive cases do now (DESIGN §7).
         row(
             "telemetry: time.monotonic_ns()",
@@ -767,12 +391,51 @@ def _census():
             "    _COUNT += 1\n",
             PARALLEL,
         ),
+        # Float time and stream ownership are the runtime's: the
+        # Simulator refuses a non-int time and RngRegistry.stream a
+        # draw its namespace table forbids (tests/test_sim_engine.py).
         row(
             "sim.schedule(delay_s, cb)",
-            ["TIMX001"],
+            [],
             "def f(sim, delay_s):\n    sim.schedule(delay_s, print)\n",
         ),
-        row("sim.schedule(1.5, cb)", ["TIMX001"], "sim.schedule(1.5, print)\n"),
+        row("sim.schedule(1.5, cb)", [], "sim.schedule(1.5, print)\n"),
+        row(
+            "wait = 0.5; sim.schedule(wait, cb)",
+            [],
+            "def f(sim):\n    wait = 0.5\n    sim.schedule(wait, print)\n",
+        ),
+        row(
+            "timeout_ns = timeout_s",
+            [],
+            "def f(timeout_s):\n    timeout_ns = timeout_s\n    return timeout_ns\n",
+        ),
+        row("rng.stream(name)", [], "def f(rng, name):\n    return rng.stream(name)\n"),
+        row(
+            "rng.stream('channel.snr')",
+            [],
+            'def f(rng):\n    return rng.stream("channel.snr")\n',
+        ),
+        row(
+            "apps: rng.stream('ue1.channel')",
+            [],
+            'def f(rng):\n    return rng.stream("ue1.channel")\n',
+            "src/repro/apps/video.py",
+        ),
+        (
+            "app.shared from cell and experiments",
+            set(),
+            [
+                (
+                    "src/repro/cell/a.py",
+                    'def f(rng):\n    return rng.stream("app.shared")\n',
+                ),
+                (
+                    "src/repro/experiments/b.py",
+                    'def g(rng):\n    return rng.stream("app.shared")\n',
+                ),
+            ],
+        ),
         row(
             "sim.schedule(500_000, cb)",
             [],
@@ -782,6 +445,13 @@ def _census():
             "more than 32 tables",
             [],
             _pipeline_class(table_count=33),
+            "src/repro/core/fh_middlebox.py",
+        ),
+        # Counted per process() call by tests/test_fh_middlebox.py.
+        row(
+            "5 register accesses in one pass",
+            [],
+            _pipeline_class(accesses=5),
             "src/repro/core/fh_middlebox.py",
         ),
         row(
@@ -796,21 +466,16 @@ def _census():
         ),
     ]
     # No stream namespace is owned by ``telemetry``: six declared heads
-    # belong to someone else, two undeclared ones to nobody.
-    for name in ("app.x", "core.x", "faults.x", "phy1", "ptp", "ue1.channel"):
+    # belong to someone else, two undeclared ones to nobody. The lint is
+    # silent; RngRegistry.stream refuses each draw at run time.
+    for name in (
+        "app.x", "core.x", "faults.x", "phy1", "ptp", "ue1.channel",
+        "telemetry", "metrics.flush",
+    ):
         rows.append(
             row(
                 f"telemetry: stream({name!r})",
-                ["STREAM003"],
-                f"def f(registry):\n    return registry.stream({name!r})\n",
-                TELEMETRY,
-            )
-        )
-    for name in ("telemetry", "metrics.flush"):
-        rows.append(
-            row(
-                f"telemetry: stream({name!r})",
-                ["STREAM002"],
+                [],
                 f"def f(registry):\n    return registry.stream({name!r})\n",
                 TELEMETRY,
             )
