@@ -32,9 +32,12 @@ A PHY server's events are those of its PHY, its PHY-side Orion, their
 SHM channels and its NIC, every frame from or to one of its MACs, and
 the L2-side ``_route_response`` of its datagrams. Its role is read from
 its cell's L2-side Orion when the event pops, since a failover swaps
-them: ``active`` (a primary), ``standby`` (a secondary) or ``retired``
+them: ``active`` (a primary), ``standby`` (a secondary), ``dormant`` (a
+secondary whose slots run evaluated, ``core/standby.py``) or ``retired``
 (neither, e.g. a killed primary). Every other event (RU, switch,
-detector, L2, the fleet's own) is ``other``.
+detector, L2, the fleet's own) is ``other``. A dormant server's elided
+work pops nothing; the census counts its dormant slot ticks instead
+(``standby-slots elided``).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py)
 
+from repro.phy.process import PhyProcess  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
 SLOT_NS = 500 * workloads.US
@@ -101,7 +105,7 @@ class RoleMap:
         if any(a.primary_phy == phy for a in assignments):
             return "active"
         if any(a.secondary_phy == phy for a in assignments):
-            return "standby"
+            return "dormant" if self.cells[cell].phy_servers[phy].phy.asleep else "standby"
         return "retired"
 
     def __call__(self, handle: Any) -> str:
@@ -141,7 +145,9 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     collections: Counter = Counter()  # generation -> collections ...
     collected: Counter = Counter()  # ... -> objects they reclaimed
     gc_ns = 0
+    elided = 0  # Slots a dormant standby ran evaluated.
     inner_pop = Simulator._pop
+    inner_dormant_slot = PhyProcess._dormant_slot
     clock = time.perf_counter_ns
     running: Optional[str] = None  # Kind of the callback in flight ...
     started = 0  # ... and when its pop returned.
@@ -171,8 +177,14 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
             collections[info["generation"]] += 1
             collected[info["generation"]] += info["collected"]
 
+    def counting_dormant_slot(self: PhyProcess, sleeper: Any, abs_slot: int) -> None:
+        nonlocal elided
+        elided += 1
+        inner_dormant_slot(self, sleeper, abs_slot)
+
     before = sim.events_processed
     Simulator._pop = census_pop
+    PhyProcess._dormant_slot = counting_dormant_slot
     gc.callbacks.append(on_collect)
     window_started = clock()
     try:
@@ -180,8 +192,10 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     finally:
         window_ns = clock() - window_started
         gc.callbacks.remove(on_collect)
+        PhyProcess._dormant_slot = inner_dormant_slot
         Simulator._pop = inner_pop
     return {
+        "elided_slots": elided,
         "events": events,
         "wall_ns": wall_ns,
         "window_ns": window_ns,
@@ -309,6 +323,10 @@ def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
                 f"{role:<10} {role_events[role]:>8} {role_events[role] / slots:>10.2f} "
                 f"{100 * wall / wall_total:>7.1f}"
             )
+        lines.append(
+            f"standby-slots elided {result['elided_slots']} "
+            f"({result['elided_slots'] / slots:.2f} /cell-slot)"
+        )
     if frames:
         lines.append(f"{'python frame':<86} {'/cell-slot':>10}")
         for label, count in result["frames"].most_common(frames):

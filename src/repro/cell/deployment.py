@@ -37,6 +37,7 @@ from repro.core.commands import MigrateOnSlot, SLINGSHOT_CMD_BYTES
 from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
 from repro.core.migration import ClusterConfig, MigrationController, PhyServer
 from repro.core.orion import L2SideOrion, PhySideOrion
+from repro.core.standby import StandbyDormancy
 from repro.corenet.core import CoreConfig, CoreNetwork
 from repro.corenet.server import AppServer
 from repro.fapi.channels import ShmChannel
@@ -161,6 +162,8 @@ class SlingshotCell(_BaseCell):
     l2_orion: L2SideOrion = None  # type: ignore[assignment]
     controller: MigrationController = None  # type: ignore[assignment]
     sites: List[CellSite] = field(default_factory=list)
+    #: Evaluates a healthy standby's slots on touch (core/standby.py).
+    dormancy: StandbyDormancy = None  # type: ignore[assignment]
 
     def planned_migration(self, cell_id: int = 0) -> int:
         return self.controller.planned_migration(cell_id)
@@ -495,6 +498,11 @@ def build_slingshot_cell(
             PhyServer(phy_id=node.phy_id, phy=node.phy, orion_mac=node.orion_mac)
         )
     controller = MigrationController(l2_orion, cluster, trace=wiring.trace)
+    dormancy = StandbyDormancy(sim, middlebox)
+    for node in phy_servers:
+        dormancy.add_server(node.phy, node.orion)
+    dormancy.l2_orion = l2_orion
+    l2_orion.dormancy = dormancy
     for phy_id in sorted({primary for primary, _ in placement}):
         wiring.arm_detector(phy_id)
     # Core + app server + UEs.
@@ -530,6 +538,7 @@ def build_slingshot_cell(
         l2_orion=l2_orion,
         controller=controller,
         sites=sites,
+        dormancy=dormancy,
     )
 
 

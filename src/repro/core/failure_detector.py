@@ -249,6 +249,20 @@ class FailureDetector:
             self._stats.heartbeats_seen += 1
             self._last_heartbeat_ns[phy_id] = now_ns
 
+    def note_heartbeats(self, phy_id: int, count: int, last_ns: int) -> None:
+        """``count`` heartbeats of an *unmonitored* PHY, the last at
+        ``last_ns``, accounted after the fact (a dormant standby's,
+        ``core/standby.py``). An unmonitored counter is only ever
+        zeroed, and its lag is never read, so applying them late leaves
+        every later reading what :meth:`on_heartbeat` at each arrival
+        would have; a tick sync they skip is a read, and reads apply the
+        same ticks whenever they run."""
+        counters = self._counters
+        counters.write(phy_id, 0)
+        counters.writes += count - 1
+        self._stats.heartbeats_seen += count
+        self._last_heartbeat_ns[phy_id] = last_ns
+
     def on_timer_tick(self, now_ns: int) -> List[int]:
         """One timer-packet batch: :meth:`advance` by a single tick (the
         direct-drive form, for callers that step the detector themselves)."""

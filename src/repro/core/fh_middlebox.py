@@ -246,6 +246,32 @@ class FronthaulMiddlebox:
             return self.prev_phy.read(ru_id)
         return self.ru_to_phy.read(ru_id)
 
+    # --- A dormant standby's heartbeats (core/standby.py) ----------------
+    def filters(self, phy_id: int, ru_id: int, abs_slot: int) -> bool:
+        """True when a downlink packet of ``abs_slot`` from ``phy_id``
+        would be filtered by the no-migration branch of :meth:`_steer`
+        (read without counting register accesses)."""
+        return (
+            not self.mig_valid.peek(ru_id)
+            and abs_slot >= self.last_boundary.peek(ru_id)
+            and self.ru_to_phy.peek(ru_id) != phy_id
+        )
+
+    def absorb_filtered(
+        self, phy_id: int, ru_id: int, count: int, last_ns: int
+    ) -> None:
+        """Account ``count`` downlink packets from ``phy_id`` that
+        :meth:`filters` dropped, the last arriving at ``last_ns``: the
+        counters, table and register accesses and detector heartbeats
+        :meth:`_process_downlink` would have produced."""
+        self.phy_id_directory.lookups += count
+        self.phy_id_directory.hits += count
+        self.mig_valid.reads += count
+        self.last_boundary.reads += count
+        self.ru_to_phy.reads += count
+        self.stats.dl_filtered += count
+        self.detector.note_heartbeats(phy_id, count, last_ns)
+
     def _process_uplink(self, frame: EthernetFrame, payload) -> ForwardingDecision:
         ru_id = self.ru_id_directory.lookup(frame.src)
         if ru_id is None:

@@ -54,7 +54,7 @@ from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.numerology import SlotClock
-from repro.sim.engine import Simulator
+from repro.sim.engine import PeriodicHandle, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
@@ -155,18 +155,23 @@ class _ServiceQueue:
         (callable, args) pair on a bound-method event — not a closure —
         so an in-flight queue survives a checkpoint pickle.
         """
-        service = self.config.service_base_ns + round(
-            size_bytes * self.config.service_per_byte_ns
-        )
-        start = self.sim.now
-        if self._busy_until > start:
-            start = self._busy_until
-        done = start + service
-        self._busy_until = done
+        done = self.reserve(self.sim.now, size_bytes)
         self.depth += 1
         if self.depth > self.max_depth:
             self.max_depth = self.depth
         self.sim.at(done, self._complete, action, args, label=self._service_label)
+        return done
+
+    def reserve(self, arrival: int, size_bytes: int) -> int:
+        """Take the worker for one message arriving at ``arrival``;
+        returns its completion time (no event: :meth:`submit` schedules
+        one, a dormant standby's elided null is completed by its books)."""
+        service = self.config.service_base_ns + round(
+            size_bytes * self.config.service_per_byte_ns
+        )
+        start = arrival if arrival > self._busy_until else self._busy_until
+        done = start + service
+        self._busy_until = done
         return done
 
     def _complete(self, action: Callable[..., None], args: Tuple[Any, ...]) -> None:
@@ -251,6 +256,11 @@ class PhySideOrion(Process):
         #: Lead before slot start at which the watchdog injects.
         self.watchdog_lead_ns = 200_000
         self._watchdog_running = False
+        self._watchdog: Optional[PeriodicHandle] = None
+        #: The :class:`~repro.core.standby.Sleeper` while its PHY is
+        #: dormant: elided inbound nulls take the worker before any kept
+        #: submit does.
+        self.sleeper: Optional[Any] = None
 
     # --- Network -> PHY -------------------------------------------------
     def receive_frame(self, frame: EthernetFrame, ingress: Link) -> None:
@@ -306,12 +316,34 @@ class PhySideOrion(Process):
         assert self.slot_clock is not None
         next_slot = self.slot_clock.slot_at(self.sim.now + self.watchdog_lead_ns) + 1
         fire_at = self.slot_clock.slot_start(next_slot) - self.watchdog_lead_ns
-        self.sim.schedule_periodic(
+        if self._watchdog is not None:
+            self._watchdog.re_arm(first_at=fire_at)
+            return
+        self._watchdog = self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
             self._watchdog_tick,
             first_at=fire_at,
             label=self._watchdog_label,
         )
+
+    # A dormant standby's watchdog (core/standby.py): the periodic is
+    # cancelled while every occurrence is known to find nothing missing,
+    # and re-armed at its next occurrence on wake.
+    def watchdog_covers(self, abs_slot: int) -> bool:
+        """True when the watchdog occurrence for ``abs_slot`` (and every
+        earlier one) will inject nothing: its requests already arrived.
+        ``_last_tti_slot`` only grows, so the answer holds until then."""
+        return self._watchdog_running and min(self._last_tti_slot.values()) >= abs_slot
+
+    def pause_watchdog(self) -> None:
+        """Cancel the watchdog periodic (its occurrences are covered)."""
+        if self._watchdog is not None:
+            self._watchdog.cancel()
+
+    def resume_watchdog(self) -> None:
+        """Re-arm the paused watchdog at its next occurrence after now."""
+        if self._watchdog is not None and not self._watchdog.pending:
+            self._arm_watchdog()
 
     def _watchdog_tick(self) -> None:
         """Just before the PHY needs the upcoming slot's requests, check
@@ -339,6 +371,8 @@ class PhySideOrion(Process):
 
     # --- PHY -> network ---------------------------------------------------
     def receive_fapi(self, message: FapiMessage, channel: ShmChannel) -> None:
+        if self.sleeper is not None:
+            self.sleeper.reserve_arrivals_before(self.sim.now)
         datagram = OrionDatagram(message=message, phy_id=self.phy_id, is_response=True)
         self.stats.messages_relayed += 1
         self.stats.bytes_on_wire += datagram.wire_bytes
@@ -398,6 +432,9 @@ class L2SideOrion(Process):
         #: the cell degrades exactly as if it had no standby. ``None`` —
         #: the dedicated-standby default — always grants.
         self.standby_gate: Optional[Callable[[CellAssignment], bool]] = None
+        #: The deployment's :class:`~repro.core.standby.StandbyDormancy`:
+        #: any assignment change wakes its dormant standbys first.
+        self.dormancy: Optional[Any] = None
 
     # ------------------------------------------------------------------
     # Wiring / cluster config
@@ -703,6 +740,8 @@ class L2SideOrion(Process):
     def _start_migration(
         self, assignment: CellAssignment, dest: int, boundary: int, failover: bool
     ) -> None:
+        if self.dormancy is not None:
+            self.dormancy.wake()
         self.stats.migrations_initiated += 1
         assignment.migration_slot = boundary
         assignment.migration_dest = dest
@@ -767,6 +806,8 @@ class L2SideOrion(Process):
     ) -> None:
         if assignment.migration_dest != dest:
             return  # Superseded by a newer migration.
+        if self.dormancy is not None:
+            self.dormancy.wake()
         assignment.primary_phy = dest
         # After a planned migration the old primary becomes the standby;
         # after a failover there is no standby until one is initialized.
@@ -793,6 +834,8 @@ class L2SideOrion(Process):
         assignment = self.cells[cell_id]
         if assignment.stored_config is None:
             raise RuntimeError(f"cell {cell_id} has no stored initialization")
+        if self.dormancy is not None:
+            self.dormancy.wake()
         # The operator standing a server back up clears its failure record
         # (mirrors the injector's revive path) so it is eligible again.
         assignment.failed_phys.discard(phy_id)

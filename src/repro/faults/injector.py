@@ -48,6 +48,9 @@ class FaultInjector:
             )
             link.impairment = impairment
             self.impairments[link.name] = impairment
+        dormancy = getattr(self.cell, "dormancy", None)
+        if self.impairments and dormancy is not None:
+            dormancy.hooks_attached()
         for spec in self.plan.process_faults:
             self._arm_process_fault(spec)
         for spec in self.plan.clock_faults:
@@ -127,6 +130,7 @@ class FaultInjector:
 
     def _set_inflation(self, phy_id: int, inflation_ns: int) -> None:
         phy = self.cell.phy_servers[phy_id].phy
+        phy.touch()
         phy.service_inflation_ns = inflation_ns
         if self.cell.trace is not None:
             self.cell.trace.record(

@@ -9,7 +9,7 @@ instances with different parameters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Optional, Protocol
+from typing import Any, Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
@@ -85,6 +85,18 @@ class Link:
         self._deferred: Optional[Deque[EthernetFrame]] = None
         #: Serialization delay per frame size seen (the rate is fixed).
         self._serialization_ns: Dict[int, int] = {}
+        #: Elided sends not yet applied to the line, in send order, as
+        #: ``(send_ns, wire_bytes, token)`` (see :meth:`elide`; created
+        #: by the first one: only a dormant standby's NIC link has any).
+        self._elided: Optional[Deque[Tuple[int, int, Any]]] = None
+        #: Elided frames that have left the line, as ``(arrival_ns,
+        #: token)``, for their owner to account at the far end.
+        self.elided_departed: Optional[Deque[Tuple[int, Any]]] = None
+        #: ``intercept(frame, arrival) -> bool``, asked about each frame no
+        #: impairment hook can touch: a True return takes the frame's
+        #: delivery off the event loop (a dormant standby's inbound null,
+        #: ``core/standby.py``).
+        self.intercept: Optional[Callable[[EthernetFrame, int], bool]] = None
 
     def connect(self, endpoint: NetworkEndpoint) -> None:
         """Attach the receiving endpoint (allows two-phase wiring)."""
@@ -112,11 +124,14 @@ class Link:
         ``ready_at``; waiting frames queue FIFO and each event takes the
         head, so same-nanosecond frames keep their order under any tie
         order. Before that a hook touches nothing, and the link sends as
-        an unimpaired one — wherever the hook was attached.
+        an unimpaired one — wherever the hook was attached (and the hook
+        is not consulted: it would hand the frame back untouched).
         """
         if self.endpoint is None:
             raise RuntimeError(f"link {self.name} has no endpoint")
         sim = self.sim
+        if self._elided:
+            self.settle_elided(sim.now)
         start = sim.now
         if ready_at is not None and ready_at > start:
             impairment = self.impairment
@@ -140,12 +155,59 @@ class Link:
         arrival = tx_done + self.latency_ns
         self.frames_sent += 1
         self.bytes_sent += wire_bytes
-        if self.impairment is not None:
-            for when, delivered in self.impairment.on_transmit(self, frame, arrival):
+        impairment = self.impairment
+        if impairment is not None and sim.now >= impairment.active_from_ns:
+            for when, delivered in impairment.on_transmit(self, frame, arrival):
                 sim.at(when, self._deliver, delivered, label=self._deliver_label)
+            return arrival
+        if self.intercept is not None and self.intercept(frame, arrival):
             return arrival
         sim.at(arrival, self._deliver, frame, label=self._deliver_label)
         return arrival
+
+    # ------------------------------------------------------------------
+    # Elided sends (a dormant standby's C-plane, core/standby.py)
+    # ------------------------------------------------------------------
+    def elide(self, send_ns: int, wire_bytes: int, token: Any) -> None:
+        """Account a frame its sender would :meth:`send` at ``send_ns``
+        (now or later, in non-decreasing order) with no event: the line
+        and the counters take it at the next :meth:`settle_elided` that
+        reaches ``send_ns``, and it then joins :attr:`elided_departed`
+        instead of being delivered. Only for a send no impairment hook
+        can touch (``send_ns`` before its ``active_from_ns``)."""
+        if self._elided is None:
+            self._elided = deque()
+            self.elided_departed = deque()
+        self._elided.append((send_ns, wire_bytes, token))
+
+    def settle_elided(self, now: int) -> None:
+        """Apply every elided send at or before ``now`` to the line, in
+        send order. :meth:`send` calls this first, so a kept frame queues
+        behind every elided one sent no later than it — at a tie the
+        elided frame goes first, as its send event, scheduled by the
+        slot tick before the kept frame's, would under FIFO."""
+        elided = self._elided
+        departed = self.elided_departed
+        while elided and elided[0][0] <= now:
+            send_ns, wire_bytes, token = elided.popleft()
+            start = send_ns if send_ns > self._line_free_at else self._line_free_at
+            delay = self._serialization_ns.get(wire_bytes)
+            if delay is None:
+                delay = self._serialization_ns[wire_bytes] = (
+                    self.serialization_delay_ns(wire_bytes)
+                )
+            self._line_free_at = start + delay
+            self.frames_sent += 1
+            self.bytes_sent += wire_bytes
+            departed.append((start + delay + self.latency_ns, token))
+
+    def take_elided(self) -> List[Tuple[int, int, Any]]:
+        """Remove and return the elided sends not yet applied."""
+        if not self._elided:
+            return []
+        pending = list(self._elided)
+        self._elided.clear()
+        return pending
 
     def _send_deferred(self) -> None:
         assert self._deferred is not None

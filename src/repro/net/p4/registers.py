@@ -42,6 +42,12 @@ class RegisterArray:
         self.reads += 1
         return self._cells[index]
 
+    def peek(self, index: int) -> int:
+        """Control-plane read: the value, counted in no statistic."""
+        if not 0 <= index < self.size:
+            self._check(index)
+        return self._cells[index]
+
     def write(self, index: int, value: int) -> None:
         """Data-plane write; values wrap at the register width."""
         if not 0 <= index < self.size:

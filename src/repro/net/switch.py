@@ -90,6 +90,14 @@ class SwitchPort(NetworkEndpoint):
         self.frames_in += 1
         self.switch.ingress(frame, self.number)
 
+    def absorb_dropped(self, count: int) -> None:
+        """Account ``count`` frames that arrived here and were dropped
+        by the pipeline, without running them (a dormant standby's
+        filtered C-plane, ``core/standby.py``)."""
+        self.frames_in += count
+        self.switch.frames_processed += count
+        self.switch.frames_dropped += count
+
     def transmit(self, frame: EthernetFrame) -> None:
         """Send a frame out of this port toward the attached node.
 

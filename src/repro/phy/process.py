@@ -44,6 +44,7 @@ from repro.fapi.messages import (
     TxDataRequest,
     UciIndication,
     UlTtiRequest,
+    is_null_request,
 )
 from repro.fronthaul.oran import (
     CplaneMessage,
@@ -181,6 +182,11 @@ class PhyProcess(Process):
         #: ``build_fleet``); None in a standalone cell, which has no peer
         #: to batch with and calls ``codec.encode_blocks`` directly.
         self.phy_backend: Optional[object] = None
+        #: The deployment's :class:`~repro.core.standby.StandbyDormancy`
+        #: (None: every slot runs eagerly, as in a baseline cell).
+        self.dormancy: Optional[object] = None
+        #: Set by the dormancy while this PHY's slots run dormant.
+        self.asleep = False
         self._pending: List[EventHandle] = []
         self._tick_handle: Optional[PeriodicHandle] = None
         self._schedule_next_slot()
@@ -192,6 +198,7 @@ class PhyProcess(Process):
         """Fail-stop: cease all processing and emission immediately."""
         if not self.alive:
             return
+        self.touch()
         self.alive = False
         if self._tick_handle is not None:
             self._tick_handle.cancel()
@@ -207,6 +214,7 @@ class PhyProcess(Process):
         fronthaul heartbeats — invisible to the in-switch detector."""
         if not self.alive or self.hung:
             return
+        self.touch()
         # In-flight emissions and pipeline stages complete (only *new*
         # work wedges) — cancelling them would tear a hole in the
         # heartbeat cadence that the in-switch detector would see, and a
@@ -219,6 +227,7 @@ class PhyProcess(Process):
         """Clear a hang (the wedged stage recovers)."""
         if not self.hung:
             return
+        self.touch()
         self.hung = False
         if self.trace is not None:
             self.trace.record(self.sim.now, "phy.unhang", phy=self.phy_id)
@@ -231,6 +240,7 @@ class PhyProcess(Process):
         """
         if self.alive:
             return
+        self.touch()
         if decoder_iterations is not None:
             self.config.decoder_iterations = decoder_iterations
         self.codec = PhyCodec(
@@ -245,12 +255,20 @@ class PhyProcess(Process):
         if self.trace is not None:
             self.trace.record(self.sim.now, "phy.restart", phy=self.phy_id)
 
+    def touch(self) -> None:
+        """A fault or a non-null input reaches this deployment: wake its
+        dormant standbys into the eager path first."""
+        if self.dormancy is not None:
+            self.dormancy.wake()
+
     # ------------------------------------------------------------------
     # FAPI receive path (from PHY-side Orion or the L2 directly)
     # ------------------------------------------------------------------
     def receive_fapi(self, message: FapiMessage, channel: ShmChannel) -> None:
         if not self.alive:
             return
+        if self.asleep and not is_null_request(message):
+            self.touch()
         cell = self.cells.get(message.cell_id)
         if isinstance(message, ConfigRequest):
             cell = PhyCellContext(cell_id=message.cell_id, ru_id=message.ru_id)
@@ -276,6 +294,8 @@ class PhyProcess(Process):
     def receive_frame(self, frame: EthernetFrame, ingress: Link) -> None:
         if not self.alive:
             return
+        if self.asleep:
+            self.touch()
         payload = frame.payload
         if isinstance(payload, UplaneUplink):
             cell = self._cell_for_ru(payload.ru_id)
@@ -326,9 +346,15 @@ class PhyProcess(Process):
         # Fires tx_lead_ns before each slot boundary, so the target slot
         # is the one containing now + lead.
         abs_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns)
-        for cell in self.cells.values():
-            if cell.started:
-                self._process_cell_slot(cell, abs_slot)
+        sleeper = (
+            None if self.dormancy is None else self.dormancy.sleeper(self, abs_slot)
+        )
+        if sleeper is not None:
+            self._dormant_slot(sleeper, abs_slot)
+        else:
+            for cell in self.cells.values():
+                if cell.started:
+                    self._process_cell_slot(cell, abs_slot)
         # Every handle is appended under this tick, healthy or hung, so
         # this is the one place that bounds the list.
         if len(self._pending) > 64:
@@ -404,6 +430,53 @@ class PhyProcess(Process):
         if self.phy_backend is not None:
             self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
         self._pending.append(handle)
+
+    def _dormant_slot(self, sleeper, abs_slot: int) -> None:
+        """A dormant standby's null slot, evaluated (core/standby.py):
+        :meth:`_process_cell_slot` on a null request pair with the same
+        CPU accounting, RNG draws and ``SlotIndication``, but the two
+        C-plane sends are elided into the NIC link and the pipeline
+        completion into the dormancy's (and backend's) books."""
+        cell = sleeper.cell
+        del cell.ul_tti[abs_slot], cell.dl_tti[abs_slot]
+        cell.consecutive_missing_tti = 0
+        cpu = self.cpu
+        cpu.slots_processed += 1
+        cpu.null_slots += 1
+        cpu.busy_core_us += self.config.cpu_null_slot_us
+        # _emit_downlink's draws, in its order: the first C-plane's
+        # jitter, then the mid-slot section's offset.
+        first_tx = self._tx_jitter_ns()
+        mid_offset = self.config.tx_lead_ns + 250 * US + round(
+            50.0 * float(self.rng.random()) * US
+        )
+        now = self.sim.now
+        uplink = self.uplink
+        wire_bytes = sleeper.wire_bytes
+        uplink.elide(now + first_tx, wire_bytes, abs_slot)
+        uplink.elide(now + mid_offset, wire_bytes, abs_slot)
+        self._emit_slot_indication(cell, abs_slot)
+        done_at = (
+            self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
+            + 120 * US
+        )
+        if self.phy_backend is not None:
+            self.phy_backend.register(done_at, self, cell, abs_slot, [])
+            self.phy_backend.elide_finish(done_at)
+        sleeper.finishes.append((done_at, abs_slot))
+
+    def _null_cplane(self, cell: PhyCellContext, abs_slot: int) -> CplaneMessage:
+        """A C-plane section with no grant or allocation: the mid-slot
+        one of every slot, both of a null slot."""
+        return CplaneMessage(
+            ru_id=cell.ru_id,
+            address=self.slot_clock.address_of(abs_slot),
+            abs_slot=abs_slot,
+            ul_grants=[],
+            dl_allocations=[],
+            source_phy_id=self.phy_id,
+            vran_instance_id=self.config.vran_instance_id,
+        )
 
     # ------------------------------------------------------------------
     # Downlink emission (the heartbeat + DL data)
@@ -481,15 +554,7 @@ class PhyProcess(Process):
             offset += 8 * US
         # Second C-plane section packet mid-slot (symbol-group sections);
         # keeps the heartbeat cadence dense within the slot.
-        mid = CplaneMessage(
-            ru_id=cell.ru_id,
-            address=address,
-            abs_slot=abs_slot,
-            ul_grants=[],
-            dl_allocations=[],
-            source_phy_id=self.phy_id,
-            vran_instance_id=self.config.vran_instance_id,
-        )
+        mid = self._null_cplane(cell, abs_slot)
         mid_offset = self.config.tx_lead_ns + 250 * US + round(
             50.0 * float(self.rng.random()) * US
         )
@@ -508,14 +573,16 @@ class PhyProcess(Process):
     def _send_fronthaul_now(self, payload, wire_bytes: int) -> None:
         if not self.alive or self.uplink is None:
             return
-        frame = EthernetFrame(
+        self.uplink.send(self._fronthaul_frame(payload, wire_bytes))
+
+    def _fronthaul_frame(self, payload, wire_bytes: int) -> EthernetFrame:
+        return EthernetFrame(
             src=self.mac,
             dst=_UNRESOLVED_DST,
             ethertype=EtherType.ECPRI,
             payload=payload,
             wire_bytes=wire_bytes,
         )
-        self.uplink.send(frame)
 
     def _emit_slot_indication(self, cell: PhyCellContext, abs_slot: int) -> None:
         if self.fapi_tx is not None:

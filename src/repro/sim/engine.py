@@ -49,6 +49,13 @@ Design notes
 * ``_pop`` is the single point through which every fired event leaves
   the queue; ``benchmarks/pop_census.py`` hooks it from outside to
   attribute wall time without instrumenting callbacks.
+* *Settle hooks* (:meth:`Simulator.add_settle_hook`) run, in
+  registration order, whenever a run call (``run_until``, ``run_for``,
+  ``run``, ``step``) returns. A component that evaluates work lazily —
+  a dormant standby's elided slot work (``core/standby.py``) — brings
+  its observable state up to the clock there, so anything read between
+  run calls is exact. With none registered a run call pays one loop over
+  an empty list.
 * Collector policy: building the first :class:`Simulator` of a process
   raises CPython's young-generation threshold to
   :data:`GC_YOUNG_THRESHOLD`. A running deployment makes no reference
@@ -329,6 +336,8 @@ class Simulator:
         #: cancelled). Diagnostic only.
         self.cancel_noops = 0
         self.tie_shuffle_seed = tie_shuffle_seed
+        #: Called as ``hook(now)`` whenever a run call returns.
+        self._settle_hooks: List[Callable[[int], None]] = []
         self._tie_stream: Optional[BatchedIntegers] = (
             None
             if tie_shuffle_seed is None
@@ -343,6 +352,14 @@ class Simulator:
     def events_processed(self) -> int:
         """Total number of callbacks executed so far."""
         return self._events_processed
+
+    def add_settle_hook(self, hook: Callable[[int], None]) -> None:
+        """Call ``hook(now)`` whenever a run call returns (module notes)."""
+        self._settle_hooks.append(hook)
+
+    def _settle(self) -> None:
+        for hook in self._settle_hooks:
+            hook(self.now)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -477,6 +494,7 @@ class Simulator:
         if periodic is not None:
             periodic._arm(entry[0] + periodic.period)
         handle.callback(*handle.args)
+        self._settle()
         return True
 
     def _run(self, limit: Optional[int]) -> bool:
@@ -516,6 +534,7 @@ class Simulator:
             )
         if self._run(end_time) and self.now < end_time:
             self.now = end_time
+        self._settle()
 
     def run_for(self, duration: int) -> None:
         """Run the simulation for ``duration`` ns of simulated time."""
@@ -524,6 +543,7 @@ class Simulator:
     def run(self) -> None:
         """Run until the event queue drains completely."""
         self._run(None)
+        self._settle()
 
     def stop(self) -> None:
         """Stop a ``run_until``/``run`` loop after the current event returns."""

@@ -147,10 +147,21 @@ class LegacySimulator:
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
+        self._settle_hooks: List[Callable[[int], None]] = []
 
     @property
     def events_processed(self) -> int:
         return self._events_processed
+
+    def add_settle_hook(self, hook: Callable[[int], None]) -> None:
+        """Same contract as the live engine: ``hook(now)`` whenever a
+        top-level run call returns (the model's dormant standbys settle
+        there)."""
+        self._settle_hooks.append(hook)
+
+    def _settle(self) -> None:
+        for hook in self._settle_hooks:
+            hook(self.now)
 
     def schedule(
         self,
@@ -194,6 +205,11 @@ class LegacySimulator:
         return LegacyPeriodicHandle(self, period, callback, args, first_at, label=label)
 
     def step(self) -> bool:
+        fired = self._step()
+        self._settle()
+        return fired
+
+    def _step(self) -> bool:
         while self._queue:
             entry = heapq.heappop(self._queue)
             handle = entry.handle
@@ -213,11 +229,12 @@ class LegacySimulator:
                 head_time = self._peek_time()
                 if head_time is None or head_time > end_time:
                     break
-                self.step()
+                self._step()
         finally:
             self._running = False
         if self.now < end_time:
             self.now = end_time
+        self._settle()
 
     def run_for(self, duration: int) -> None:
         self.run_until(self.now + duration)
@@ -226,9 +243,10 @@ class LegacySimulator:
         self._running = True
         try:
             while self._queue and self._running:
-                self.step()
+                self._step()
         finally:
             self._running = False
+        self._settle()
 
     def stop(self) -> None:
         self._running = False

@@ -79,8 +79,9 @@ def test_pop_census_attributes_every_event():
 def test_pop_census_by_role_splits_every_kind():
     """``--by-role`` prefixes every kind with the role, at pop time, of
     the PHY server the event works for; the role block sums the rows.
-    The idle fleet's killed primaries show up as ``retired``, and both
-    live roles run the PHY tick."""
+    The idle fleet's killed primaries show up as ``retired``, its
+    never-promoted standbys as ``dormant`` (their slots elided and
+    counted), and every PHY role runs the PHY tick."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "pop_census.py"),
          "fleet_idle_wave", "--smoke", "--by-role"],
@@ -92,14 +93,22 @@ def test_pop_census_by_role_splits_every_kind():
     row = re.compile(r"(\S+) (\S.*?) +(\d+) +\d+\.\d\d +\d+\.\d +\d+\.\d\d")
     parsed = [row.fullmatch(line) for line in lines[3:total]]
     assert all(parsed), [line for line, m in zip(lines[3:total], parsed) if m is None]
-    roles = {"active", "standby", "retired", "other"}
+    roles = {"active", "standby", "dormant", "retired", "other"}
     assert {m.group(1) for m in parsed} == roles
     assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",
-            "standby _ServiceQueue._complete -> L2SideOrion._route_response",
+            "dormant PhyProcess._slot_tick",
+            "dormant _ServiceQueue._complete -> L2SideOrion._route_response",
             "other RadioUnit._slot_boundary"} <= {f"{m.group(1)} {m.group(2)}" for m in parsed}
+    # A dormant standby's own chain pops nothing.
+    assert not {"dormant PhyProcess._send_fronthaul_now", "dormant PhyProcess._finish_uplink",
+                "dormant PhySideOrion._watchdog_tick"} & {
+        f"{m.group(1)} {m.group(2)}" for m in parsed
+    }
     header = lines.index(next(line for line in lines if line.startswith("role ")))
+    elided = re.fullmatch(r"standby-slots elided (\d+) \((\d+\.\d\d) /cell-slot\)", lines[-1])
+    assert elided and int(elided.group(1)) > 0, lines[-1]
     block = [re.fullmatch(r"(\S+) +(\d+) +\d+\.\d\d +(\d+\.\d)", line)
-             for line in lines[header + 1:]]
+             for line in lines[header + 1:-1]]
     assert all(block) and {m.group(1) for m in block} == roles
     for m in block:
         assert int(m.group(2)) == sum(

@@ -5,7 +5,9 @@ driven for 100 ms and every popped event is attributed to the component
 and callback that own it. Four things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
-  (measured 54.8 plus 15 %; 62.9 while every forwarded frame waited out
+  (measured 42.8 plus 15 %; 54.8 while the hot standby's null slots ran
+  as events — twelve a slot, now evaluated on touch, DESIGN §9 "Standby
+  on touch: cost model" — 62.9 while every forwarded frame waited out
   the switch pipeline in a ``Switch._egress`` event, 118.5 under the
   per-tick detector model, of which 55.6 were 9 µs timer ticks) and none
   of them is a switch egress event;
@@ -14,10 +16,12 @@ and callback that own it. Four things are pinned:
   anything. A component that needs a finer clock has to evaluate it
   arithmetically between events, the way the failure detector does;
 * exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
-  ``schedule_periodic`` series (16 % of the measured 54.8) — the census
-  on which periodic events were sized to share the one heap (DESIGN §15);
+  ``schedule_periodic`` series (19 % of the measured 42.8; the dormant
+  standby's Orion watchdog is the ninth, paused) — the census on which
+  periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (measured 627.1 plus 5 %; 666.3 while every process read the
+  slot (measured 545.3 plus 5 %; 645.4 with the standby forced awake,
+  627.1 before dormancy existed, 666.3 while every process read the
   clock through a property, 851.3 while the engine's clock was one too,
   every heartbeat walked the tick grid and every register access called
   its bound check — DESIGN §9 "Healthy slot: cost model"). Python frames
@@ -25,11 +29,16 @@ and callback that own it. Four things are pinned:
 
 A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
 ``TcpIperfDownlink``, warmed past slow start and its first recovery, pops
-exactly ``TCP_EVENTS`` events in the window (89.4 a slot) and enters at
+exactly ``TCP_EVENTS`` events in the window (77.4 a slot; 89.4 with the
+standby forced awake) and enters at
 most ``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (measured 1,117.7
 plus 5 %; 1,478.4 with a clock property, a label string per event, lambda
 id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
 model"), so frames cannot be traded for events.
+
+A 16-cell idle fleet pops at most ``MAX_FLEET_EVENTS_PER_CELL_SLOT``
+events per cell-slot (measured 39.3 plus 15 %; 51.3 with every standby
+forced awake).
 """
 
 import sys
@@ -37,19 +46,22 @@ from collections import Counter
 
 from repro import CellConfig, UeProfile, build_slingshot_cell
 from repro.apps import TcpIperfDownlink
+from repro.fleet import FleetConfig, build_fleet
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
-MAX_EVENTS_PER_SLOT = 63
-PERIODIC_PER_SLOT = 9
-MAX_CALLS_PER_SLOT = 659
+MAX_EVENTS_PER_SLOT = 50
+PERIODIC_PER_SLOT = 8
+MAX_CALLS_PER_SLOT = 573
 #: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
-TCP_EVENTS = 17_884
+TCP_EVENTS = 15_484
 MAX_CALLS_PER_TCP_SLOT = 1174
+FLEET_CELLS = 16
+MAX_FLEET_EVENTS_PER_CELL_SLOT = 46
 
 
 def _python_calls(sim, window_ns, skip=None):
@@ -133,3 +145,19 @@ def test_bulk_tcp_cell_call_budget():
     assert calls / slots <= MAX_CALLS_PER_TCP_SLOT, (
         f"{calls / slots:.1f} Python calls per bulk-TCP slot"
     )
+
+
+def test_idle_fleet_event_budget():
+    """Cohort-only cells: per cell-slot the primary's chain plus what a
+    dormant standby keeps (its tick, its SlotIndication and the L2-side
+    nulls toward it)."""
+    fleet = build_fleet(FleetConfig(seed=0, num_cells=FLEET_CELLS))
+    fleet.run_for(20 * MS)
+    before = fleet.sim.events_processed
+    fleet.run_for(WINDOW_NS // 2)
+    cell_slots = FLEET_CELLS * (WINDOW_NS // 2) // fleet.cells[0].slot_ns
+    events = fleet.sim.events_processed - before
+    assert events / cell_slots <= MAX_FLEET_EVENTS_PER_CELL_SLOT, (
+        f"{events / cell_slots:.1f} events per cell-slot on an idle fleet"
+    )
+    assert all(len(cell.dormancy.sleeping) == 1 for cell in fleet.cells)
