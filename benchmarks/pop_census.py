@@ -37,7 +37,8 @@ secondary whose slots run evaluated, ``core/standby.py``) or ``retired``
 (neither, e.g. a killed primary). Every other event (RU, switch,
 detector, L2, the fleet's own) is ``other``. A dormant server's elided
 work pops nothing; the census counts its dormant slot ticks instead
-(``standby-slots elided``).
+(``standby-slots elided``), and the null requests the L2-side Orion
+booked for it instead of sending them (``nulls booked``).
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py)
 
+from repro.core.standby import Sleeper  # noqa: E402
 from repro.phy.process import PhyProcess  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
@@ -146,8 +148,10 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     collected: Counter = Counter()  # ... -> objects they reclaimed
     gc_ns = 0
     elided = 0  # Slots a dormant standby ran evaluated.
+    booked = 0  # Null requests booked for a dormant standby.
     inner_pop = Simulator._pop
     inner_dormant_slot = PhyProcess._dormant_slot
+    inner_book = Sleeper.book
     clock = time.perf_counter_ns
     running: Optional[str] = None  # Kind of the callback in flight ...
     started = 0  # ... and when its pop returned.
@@ -182,9 +186,16 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         elided += 1
         inner_dormant_slot(self, sleeper, abs_slot)
 
+    def counting_book(self: Sleeper, message: Any) -> bool:
+        nonlocal booked
+        done = inner_book(self, message)
+        booked += done
+        return done
+
     before = sim.events_processed
     Simulator._pop = census_pop
     PhyProcess._dormant_slot = counting_dormant_slot
+    Sleeper.book = counting_book
     gc.callbacks.append(on_collect)
     window_started = clock()
     try:
@@ -192,10 +203,12 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     finally:
         window_ns = clock() - window_started
         gc.callbacks.remove(on_collect)
+        Sleeper.book = inner_book
         PhyProcess._dormant_slot = inner_dormant_slot
         Simulator._pop = inner_pop
     return {
         "elided_slots": elided,
+        "booked_nulls": booked,
         "events": events,
         "wall_ns": wall_ns,
         "window_ns": window_ns,
@@ -326,6 +339,10 @@ def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
         lines.append(
             f"standby-slots elided {result['elided_slots']} "
             f"({result['elided_slots'] / slots:.2f} /cell-slot)"
+        )
+        lines.append(
+            f"nulls booked {result['booked_nulls']} "
+            f"({result['booked_nulls'] / slots:.2f} /cell-slot)"
         )
     if frames:
         lines.append(f"{'python frame':<86} {'/cell-slot':>10}")

@@ -121,7 +121,6 @@ class OrionStats:
     migrations_initiated: int = 0
     failovers_handled: int = 0
     bytes_on_wire: int = 0
-    queue_max_depth: int = 0
     #: Failure notifications for cells with no live standby.
     failovers_impossible: int = 0
     #: Gap-repair nulls not fabricated because the gap exceeded the cap.
@@ -142,8 +141,6 @@ class _ServiceQueue:
         self.config = config
         self.name = name
         self._busy_until = 0
-        self.depth = 0
-        self.max_depth = 0
         self._service_label = f"{name}.service"
 
     def submit(
@@ -156,16 +153,13 @@ class _ServiceQueue:
         so an in-flight queue survives a checkpoint pickle.
         """
         done = self.reserve(self.sim.now, size_bytes)
-        self.depth += 1
-        if self.depth > self.max_depth:
-            self.max_depth = self.depth
         self.sim.at(done, self._complete, action, args, label=self._service_label)
         return done
 
     def reserve(self, arrival: int, size_bytes: int) -> int:
         """Take the worker for one message arriving at ``arrival``;
         returns its completion time (no event: :meth:`submit` schedules
-        one, a dormant standby's elided null is completed by its books)."""
+        one, a dormant standby's booked null is completed by its books)."""
         service = self.config.service_base_ns + round(
             size_bytes * self.config.service_per_byte_ns
         )
@@ -175,7 +169,6 @@ class _ServiceQueue:
         return done
 
     def _complete(self, action: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        self.depth -= 1
         action(*args)
 
 
@@ -258,7 +251,7 @@ class PhySideOrion(Process):
         self._watchdog_running = False
         self._watchdog: Optional[PeriodicHandle] = None
         #: The :class:`~repro.core.standby.Sleeper` while its PHY is
-        #: dormant: elided inbound nulls take the worker before any kept
+        #: dormant: booked inbound nulls take the worker before any kept
         #: submit does.
         self.sleeper: Optional[Any] = None
 
@@ -267,6 +260,9 @@ class PhySideOrion(Process):
         payload = frame.payload
         if not isinstance(payload, OrionDatagram):
             return
+        if self.sleeper is not None:
+            # Every null for a dormant PHY is booked: a datagram is a touch.
+            self.sleeper.dormancy.wake()
         self.stats.messages_relayed += 1
         self._queue.submit(payload.wire_bytes, self._to_phy, payload.message)
 
@@ -372,7 +368,8 @@ class PhySideOrion(Process):
     # --- PHY -> network ---------------------------------------------------
     def receive_fapi(self, message: FapiMessage, channel: ShmChannel) -> None:
         if self.sleeper is not None:
-            self.sleeper.reserve_arrivals_before(self.sim.now)
+            now = self.sim.now
+            self.sleeper.settle_inbound(now, now - 1, now)
         datagram = OrionDatagram(message=message, phy_id=self.phy_id, is_response=True)
         self.stats.messages_relayed += 1
         self.stats.bytes_on_wire += datagram.wire_bytes
@@ -482,11 +479,18 @@ class L2SideOrion(Process):
             active, standby = self._roles_for_slot(assignment, message.slot)
             self._send_to_phy(active, message)
             self.stats.real_requests_sent += 1
-            if standby is not None:
-                null = self._null_counterpart(message)
-                if null is not None:
-                    self._send_to_phy(standby, null)
-                    self.stats.null_requests_sent += 1
+            if standby is None:
+                return
+            # A dormant standby's null is booked, not sent
+            # (core/standby.py); one it cannot book has woken it.
+            sleeper = None if self.dormancy is None else self.dormancy.sleeping.get(standby)
+            if sleeper is not None and sleeper.book(message):
+                self.stats.null_requests_sent += 1
+                return
+            null = self._null_counterpart(message)
+            if null is not None:
+                self._send_to_phy(standby, null)
+                self.stats.null_requests_sent += 1
             return
         # Other control messages follow the current primary.
         self._send_to_phy(assignment.primary_phy, message)

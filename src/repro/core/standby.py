@@ -7,68 +7,85 @@ loss watchdog finds every request on time. While that stays true the
 standby is *dormant*: its slot tick still draws its RNG and sends its
 ``SlotIndication`` (both cross shared resources and stay events), but
 the server-private rest — two C-plane send events, their two switch
-deliveries, the completion event and the watchdog occurrence — is done
-as bookkeeping here (DESIGN §9 "Standby on touch: cost model").
+deliveries, the completion event, the watchdog occurrence, and the two
+null requests the L2-side Orion addresses to it, from its send to the
+PHY's request map — is done as bookkeeping here (DESIGN §9 "Standby on
+touch: cost model").
 
 **Eligibility** is decided at each of the standby's slot ticks, by
 :meth:`StandbyDormancy.sleeper`: the server holds exactly one cell
 context, it is that cell's secondary and no migration is in flight, the
 slot's UL/DL requests are both present and null, it holds no capture,
 feedback, BSR or TX data, neither PHY of the cell is crashed, hung or
-slowed, no impairment hook on the server's own two links can touch a
-frame before the next tick, the detector does not monitor it, the
-switch filters its C-plane for the slot, and its Orion's watchdog
-already has the next slot's requests. A hook on any other link of the
-cell meets only kept frames, and a hook is inert before its window, so
-dormancy does not depend on when a fault plan was armed.
+slowed, no impairment hook on the server's own two links or the L2
+server's uplink can touch a frame before the next tick, the detector
+does not monitor it, the switch filters its C-plane for the slot, its
+Orion's watchdog already has the next slot's requests, and nothing
+addressed to it is on its way to its Orion's worker or in it. A hook on
+any other link of the cell meets only kept frames, and a hook is inert
+before its window, so dormancy does not depend on when a fault plan was
+armed.
 
 **Touch.** Anything that could make the elided work observable wakes
 every dormant standby of the deployment first (:meth:`wake`): a crash,
 hang, unhang or restart of any of its PHYs, a slow-down, any L2-side
-Orion assignment change, a non-null FAPI message or any fronthaul frame
-reaching a dormant PHY, any inbound frame that is not the next null in
-sequence (a lost, duplicated, reordered or corrupted one), a hook armed
-on its own links with its window opening before the next tick, and a
-tick that finds the standby ineligible (a missing null, a hook about to
-open). On wake every elided send not yet on the line and every elided
-frame still in flight becomes the event it would have been, pending
-completions are scheduled, and the watchdog is re-armed at its next
-occurrence.
+Orion assignment change, a non-null FAPI message, any fronthaul frame or
+datagram reaching a dormant server, a null that is not the next in
+sequence, a hook armed on the links above with its window opening
+before the next tick, and a tick that finds the standby ineligible (a
+missing null, a hook about to open). On wake every elided send not yet
+on the line and every elided frame or booked null still in flight
+becomes the event it would have been, pending completions are
+scheduled, and the watchdog is re-armed at its next occurrence.
 
-**Settle points.** The NIC link applies elided sends before any kept
-send (:meth:`repro.net.link.Link.settle_elided`); a wake settles; and
-:meth:`settle` runs whenever a simulator run call returns, so counters,
-``collect()`` and checkpoints read between runs see exact values.
+**Settle points.** A line applies elided sends before any kept send
+(:meth:`repro.net.link.Link.settle_elided`); the Orion's worker takes
+booked arrivals before a kept submit; a tick files the nulls delivered
+before it; a wake settles; and :meth:`settle` runs whenever a simulator
+run call returns, so counters, ``collect()`` and checkpoints read
+between runs see exact values.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.core.orion import OrionDatagram, PhySideOrion
-from repro.fapi.messages import DlTtiRequest, FapiMessage, UlTtiRequest
+from repro.core.orion import UDP_OVERHEAD_BYTES, OrionDatagram, PhySideOrion
+from repro.fapi.codec import wire_size
+from repro.fapi.messages import (
+    DlTtiRequest, FapiMessage, UlTtiRequest, null_dl_tti, null_ul_tti,
+)
 from repro.net.link import Link
-from repro.net.packet import EthernetFrame
+from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import SwitchPort
 from repro.phy.process import PhyCellContext, PhyProcess
 from repro.sim.engine import Simulator
 
-_KINDS = {UlTtiRequest: "UL", DlTtiRequest: "DL"}
+#: Request kinds as book indices; a booked null is ``slot << 1 | kind``.
+UL, DL = 0, 1
+_KINDS = {UlTtiRequest: UL, DlTtiRequest: DL}
+_NULLS = (null_ul_tti, null_dl_tti)
 
 
 class Sleeper:
     """One dormant standby's books.
 
-    Its inbound nulls move through three stages, each a deque in time
-    order: *inbound* (on the switch's egress line, arriving at the NIC),
-    *queued* (holding the PHY-side Orion's worker) and *handed* (in the
-    Orion -> PHY SHM channel). :meth:`settle_inbound` moves what is due.
+    A null the L2-side Orion books (:meth:`book`) is an elided send on
+    the L2 line and one on the switch -> NIC line (:attr:`egress`),
+    whose ``elided_departed`` gives its NIC arrival;
+    :meth:`settle_inbound` takes it from there through the Orion's
+    worker (*queued*, with its completion) and SHM (*handed*, with its
+    delivery) to *filed*, as integer arithmetic on its code. The slot
+    tick takes filed nulls from the books (:meth:`take`); a wake writes
+    the rest into the PHY's request maps (:meth:`file_requests`).
     """
 
     __slots__ = (
-        "dormancy", "phy", "orion", "port", "egress", "cell", "wire_bytes",
-        "finishes", "inbound", "queued", "handed", "expected",
+        "dormancy", "sim", "l2_stats", "phy", "orion", "cell", "cell_id", "port",
+        "egress", "l2_line", "l2_port", "pipeline_ns",
+        "wire_bytes", "null_bytes", "keys", "finishes", "booked", "forwarded",
+        "queued", "handed", "expected", "filed", "taken",
     )
 
     def __init__(
@@ -76,131 +93,196 @@ class Sleeper:
         cell: PhyCellContext,
     ) -> None:
         self.dormancy = dormancy
+        self.sim = dormancy.sim
+        self.l2_stats = dormancy.l2_orion.stats
         self.phy = phy
         self.orion = orion
-        #: Switch port the NIC link delivers to, and its egress link back.
+        self.cell = cell
+        self.cell_id = cell.cell_id
+        #: The NIC link's switch port and its egress link; the L2 uplink's.
         self.port: SwitchPort = phy.uplink.endpoint
         self.egress: Link = self.port.egress
-        self.cell = cell
-        #: Wire size of the null slot's C-plane section.
+        self.l2_line: Link = dormancy.l2_orion.uplink
+        self.l2_port: SwitchPort = self.l2_line.endpoint
+        self.pipeline_ns = self.port.switch.pipeline_latency_ns
+        #: Wire size of the null slot's C-plane section, and per kind of a
+        #: null request's datagram, and its loss-repair key at the Orion.
         self.wire_bytes = phy._null_cplane(cell, 0).wire_bytes
+        self.null_bytes = tuple(UDP_OVERHEAD_BYTES + wire_size(null(0, 0)) for null in _NULLS)
+        self.keys = ((cell.cell_id, "UL"), (cell.cell_id, "DL"))
         #: Elided pipeline completions, as ``(done_at, abs_slot)``.
         self.finishes: Deque[Tuple[int, int]] = deque()
-        #: Elided inbound nulls per stage, each with its request kind:
-        #: ``(arrival, frame, kind)``, ``(done, message, kind)`` and
-        #: ``(delivery, message, kind)``.
-        self.inbound: Deque[Tuple[int, EthernetFrame, str]] = deque()
-        self.queued: Deque[Tuple[int, FapiMessage, str]] = deque()
-        self.handed: Deque[Tuple[int, FapiMessage, str]] = deque()
-        #: Last slot per request kind put on the egress line for the cell.
-        self.expected: Dict[str, Optional[int]] = {
-            kind: orion._last_tti_slot.get((cell.cell_id, kind))
-            for kind in _KINDS.values()
-        }
+        #: Nulls booked, and those the switch has forwarded (the rest are
+        #: elided sends the egress line has not yet taken).
+        self.booked = 0
+        self.forwarded = 0
+        #: Booked nulls in the worker, as ``(done, code)``, and in SHM, as
+        #: ``(delivery, code)``.
+        self.queued: Deque[Tuple[int, int]] = deque()
+        self.handed: Deque[Tuple[int, int]] = deque()
+        #: Per kind: the last slot sent or booked toward the Orion, the
+        #: last filed, and the last the request map holds or a tick took
+        #: (the books hold the filed slots after it).
+        last = orion._last_tti_slot
+        self.expected: List[int] = [last.get(key, -2) for key in self.keys]
+        self.filed = list(self.expected)
+        self.taken = list(self.expected)
 
-    def intercept(self, frame: EthernetFrame, arrival: int) -> bool:
-        """The egress line's hook: elide the next in-sequence null request
-        for this cell's Orion; anything else is a touch, delivered live.
+    def book(self, message: FapiMessage) -> bool:
+        """Book the null counterpart of ``message``, which the L2-side
+        Orion routes to the active PHY: its stats, and elided sends on
+        the L2 line and on the switch -> NIC line (after the switch's
+        constant pipeline latency). False to send it live: ``message``
+        has no null, or its null is not the next in sequence, which
+        wakes the deployment.
 
-        A null whose NIC arrival would land on the very nanosecond the
-        slot tick's ``SlotIndication`` reaches the Orion is delivered live
-        too: only the two events' scheduling order could say which one
-        takes the worker first."""
-        payload = frame.payload
-        if type(payload) is OrionDatagram and not payload.is_response:
-            message = payload.message
-            kind = _KINDS.get(type(message))
-            last = self.expected.get(kind)
-            if (
-                kind is not None
-                and not message.pdus
-                and message.cell_id == self.cell.cell_id
-                and last is not None
-                and message.slot == last + 1
-                and not self._meets_slot_indication(arrival)
-            ):
-                self.expected[kind] = message.slot
-                self.inbound.append((arrival, frame, kind))
-                return True
-        self.dormancy.wake()
-        return False
+        A null whose NIC arrival lands on the nanosecond a tick's
+        ``SlotIndication`` reaches the Orion wakes it at once, which
+        makes it the event it would have been: only the two events'
+        scheduling order could say which takes the worker first."""
+        kind = _KINDS.get(type(message))
+        if kind is None:
+            return False
+        slot = message.slot
+        expected = self.expected
+        if message.cell_id != self.cell_id or slot != expected[kind] + 1:
+            self.dormancy.wake()
+            return False
+        expected[kind] = slot
+        wire_bytes = self.null_bytes[kind]
+        stats = self.l2_stats
+        stats.messages_relayed += 1
+        stats.bytes_on_wire += wire_bytes
+        arrival = self.l2_line.elide(self.sim.now, wire_bytes)
+        self.booked += 1
+        nic = self.egress.elide(arrival, wire_bytes, slot << 1 | kind, arrival + self.pipeline_ns)
+        if self._meets_slot_indication(nic):
+            self.dormancy.wake()
+        return True
 
     def _meets_slot_indication(self, arrival: int) -> bool:
         phy = self.phy
-        boundary = arrival - phy.fapi_tx.latency_ns + phy.config.tx_lead_ns
         clock = phy.slot_clock
-        return clock.slot_start(clock.slot_at(boundary)) == boundary
+        boundary = arrival - phy.fapi_tx.latency_ns + phy.config.tx_lead_ns
+        return (boundary - clock.epoch_ns) % clock.slot_duration_ns == 0
 
-    def reserve_arrivals_before(self, now: int) -> None:
-        """Inbound nulls that reached the NIC before ``now`` take the
-        Orion's worker (and count as relayed), in arrival order."""
-        inbound = self.inbound
-        if not inbound or inbound[0][0] >= now:
+    def settle_inbound(self, now: int, arrived_by: int, delivered_before: int) -> None:
+        """Apply every stage due: NIC arrivals at or before
+        ``arrived_by`` reserve the Orion's worker in arrival order and
+        count as relayed (``receive_frame``); completions at or before
+        ``now`` record the slot for loss repair and send on SHM
+        (``_to_phy`` of an in-sequence null); deliveries before
+        ``delivered_before`` are filed (a slot tick is armed a period
+        ahead, so a delivery at its own nanosecond comes after it)."""
+        egress = self.egress
+        elided = egress._elided
+        if elided and elided[0][0] <= now:
+            egress.settle_elided(now)
+        departed = egress.elided_departed
+        queued, handed, filed = self.queued, self.handed, self.filed
+        if not (departed or queued or handed):
             return
         orion = self.orion
-        queue = orion._queue
-        queued = self.queued
-        while inbound and inbound[0][0] < now:
-            arrival, frame, kind = inbound.popleft()
-            orion.stats.messages_relayed += 1
-            datagram = frame.payload
-            done = queue.reserve(arrival, datagram.wire_bytes)
-            queue.depth += 1
-            if queue.depth > queue.max_depth:
-                queue.max_depth = queue.depth
-            queued.append((done, datagram.message, kind))
+        channel = orion.shm_to_phy
+        latency = channel.latency_ns
+        while True:
+            if queued and queued[0][0] <= now:
+                done, code = queued.popleft()
+            elif departed and departed[0][0] <= arrived_by:
+                arrival, code = departed.popleft()
+                orion.stats.messages_relayed += 1
+                done = orion._queue.reserve(arrival, self.null_bytes[code & 1])
+                if queued or done > now:
+                    queued.append((done, code))
+                    continue
+            else:
+                break
+            orion._last_tti_slot[self.keys[code & 1]] = code >> 1
+            channel.messages_sent += 1
+            if handed or done + latency >= delivered_before:
+                handed.append((done + latency, code))
+            else:
+                filed[code & 1] = code >> 1
+        while handed and handed[0][0] < delivered_before:
+            code = handed.popleft()[1]
+            filed[code & 1] = code >> 1
 
-    def settle_inbound(self, now: int, delivered_before: int) -> None:
-        """Apply every stage due by ``now``: arrivals and Orion
-        completions at or before it, PHY deliveries before
-        ``delivered_before`` (a slot tick is armed a period ahead, so a
-        delivery at its own nanosecond comes after it).
+    def settle_switch(self) -> None:
+        """Count the booked nulls the switch has forwarded since the last
+        call: each one the egress line has taken."""
+        elided = self.egress._elided
+        forwarded = self.booked - len(elided or ())
+        if forwarded > self.forwarded:
+            self.l2_port.absorb_forwarded(forwarded - self.forwarded, self.port)
+            self.forwarded = forwarded
 
-        A completion is ``PhySideOrion._to_phy`` of an in-sequence null:
-        its gap repair only records the slot, then the SHM send. A
-        delivery is ``PhyProcess.receive_fapi`` of a null: it files the
-        request under its slot."""
-        self.reserve_arrivals_before(now + 1)
-        queued = self.queued
-        handed = self.handed
-        if queued and queued[0][0] <= now:
-            orion = self.orion
-            queue = orion._queue
-            last_slot = orion._last_tti_slot
-            channel = orion.shm_to_phy
-            cell_id = self.cell.cell_id
-            while queued and queued[0][0] <= now:
-                done, message, kind = queued.popleft()
-                queue.depth -= 1
-                last_slot[(cell_id, kind)] = message.slot
-                channel.messages_sent += 1
-                handed.append((done + channel.latency_ns, message, kind))
-        if handed and handed[0][0] < delivered_before:
-            cell = self.cell
-            while handed and handed[0][0] < delivered_before:
-                _, message, kind = handed.popleft()
-                requests = cell.ul_tti if kind == "UL" else cell.dl_tti
-                requests[message.slot] = message
+    def slot_is_null(self, abs_slot: int) -> bool:
+        """Both of the slot's TTI requests arrived, null, with no TX data:
+        each is the next filed one in the books, or in the request map."""
+        cell, taken, filed = self.cell, self.taken, self.filed
+        for kind in (UL, DL):
+            last = taken[kind]
+            if abs_slot > last:
+                if abs_slot != last + 1 or filed[kind] == last:
+                    return False
+            else:
+                request = (cell.dl_tti if kind else cell.ul_tti).get(abs_slot)
+                if request is None or request.pdus:
+                    return False
+        return abs_slot not in cell.tx_data
+
+    def take(self, abs_slot: int) -> None:
+        """The slot tick takes its two requests (:meth:`slot_is_null`)."""
+        taken, cell = self.taken, self.cell
+        if abs_slot > taken[UL]:
+            taken[UL] = abs_slot
+        else:
+            del cell.ul_tti[abs_slot]
+        if abs_slot > taken[DL]:
+            taken[DL] = abs_slot
+        else:
+            del cell.dl_tti[abs_slot]
+
+    def file_requests(self) -> None:
+        """Write the filed nulls the books hold into the request maps, as
+        ``PhyProcess.receive_fapi`` would have."""
+        for kind, requests in ((UL, self.cell.ul_tti), (DL, self.cell.dl_tti)):
+            for slot in range(self.taken[kind] + 1, self.filed[kind] + 1):
+                requests[slot] = _NULLS[kind](self.cell_id, slot)
+            self.taken[kind] = self.filed[kind]
+
+    def _null(self, code: int) -> FapiMessage:
+        return _NULLS[code & 1](self.cell_id, code >> 1)
+
+    def _frame(self, code: int) -> EthernetFrame:
+        """The frame the L2-side Orion would have sent for a booked null."""
+        datagram = OrionDatagram(self._null(code), self.phy.phy_id, is_response=False)
+        return EthernetFrame(
+            src=self.dormancy.l2_orion.mac, dst=self.orion.mac, ethertype=EtherType.IPV4,
+            payload=datagram, wire_bytes=datagram.wire_bytes,
+        )
 
     def wake_inbound(self, sim: Simulator) -> None:
-        """Make every stage not yet due the event it would have been."""
-        egress = self.egress
-        egress.intercept = None
-        for arrival, frame, _ in self.inbound:
-            sim.at(arrival, egress._deliver, frame, label=egress._deliver_label)
-        queue = self.orion._queue
-        for done, message, _ in self.queued:
-            sim.at(
-                done, queue._complete, self.orion._to_phy, (message,),
-                label=queue._service_label,
-            )
-        channel = self.orion.shm_to_phy
-        for delivery, message, _ in self.handed:
-            channel._pending.append(message)
+        """Make every booked null not yet filed the event it would have
+        been (after :meth:`settle_inbound` now): on the L2 line (which
+        took it when booked), a switch delivery; on the egress line, a NIC
+        delivery; in the worker, its completion; in SHM, its delivery."""
+        l2_line, egress = self.l2_line, self.egress
+        for arrival, _, _, code in egress.take_elided():
+            sim.at(arrival, l2_line._deliver, self._frame(code),
+                   label=l2_line._deliver_label)
+        departed = egress.elided_departed or deque()
+        while departed:
+            arrival, code = departed.popleft()
+            sim.at(arrival, egress._deliver, self._frame(code),
+                   label=egress._deliver_label)
+        queue, channel = self.orion._queue, self.orion.shm_to_phy
+        for done, code in self.queued:
+            sim.at(done, queue._complete, self.orion._to_phy, (self._null(code),),
+                   label=queue._service_label)
+        for delivery, code in self.handed:
+            channel._pending.append(self._null(code))
             sim.at(delivery, channel._deliver, label=channel._deliver_label)
-        self.inbound.clear()
-        self.queued.clear()
-        self.handed.clear()
 
 
 class StandbyDormancy:
@@ -235,7 +317,7 @@ class StandbyDormancy:
                 return None
             current = self._fall_asleep(phy)
         else:
-            current.settle_inbound(now, now)
+            current.settle_inbound(now, now, now)
             if not self._still_eligible(current, abs_slot):
                 self._wake(current)
                 return None
@@ -275,47 +357,58 @@ class StandbyDormancy:
         ):
             return False
         middlebox = self.middlebox
+        orion = self.orions[phy.phy_id]
         return (
             not middlebox.detector.is_monitored(phy.phy_id)
             and middlebox.filters(phy.phy_id, cell.ru_id, abs_slot)
-            and self.orions[phy.phy_id].watchdog_covers(abs_slot + 1)
+            and orion.watchdog_covers(abs_slot + 1)
+            and self._nothing_inbound(phy, orion)
         )
 
     def _still_eligible(self, current: Sleeper, abs_slot: int) -> bool:
         """A sleeper stays eligible unless its slot's input changed:
         every other condition of :meth:`eligible` changes only through a
         touch, which wakes it before it can."""
-        phy = current.phy
         return (
-            self._slot_is_null(current.cell, abs_slot)
+            current.slot_is_null(abs_slot)
             and current.orion.watchdog_covers(abs_slot + 1)
-            and (phy.uplink.impairment is None and current.egress.impairment is None
-                 or self._inert(phy))
+            and (
+                current.phy.uplink.impairment is None
+                and current.egress.impairment is None
+                and current.l2_line.impairment is None
+                or self._inert(current.phy)
+            )
         )
 
     def _inert(self, phy: PhyProcess) -> bool:
-        """No impairment hook on the server's two links can touch a
-        frame before the next slot tick (a hook elsewhere in the cell
-        meets only kept frames; one whose window opens later is a touch
-        the tick before it opens)."""
+        """No impairment hook on the server's two links or the L2
+        server's uplink can touch a frame before the next slot tick (a
+        hook elsewhere in the cell meets only kept frames; one whose
+        window opens later is a touch the tick before it opens)."""
         horizon = self.sim.now + phy.slot_clock.slot_duration_ns
-        for link in (phy.uplink, phy.uplink.endpoint.egress):
+        for link in (phy.uplink, phy.uplink.endpoint.egress, self.l2_orion.uplink):
             hook = link.impairment
             if hook is not None and hook.active_from_ns <= horizon:
                 return False
         return True
 
+    def _nothing_inbound(self, phy: PhyProcess, orion: PhySideOrion) -> bool:
+        """Nothing addressed to the server is on its way to its Orion's
+        worker or in it: the L2 line, the switch -> NIC line and the
+        worker are all idle by now, so the books start where the
+        Orion's loss repair stands and no live frame has to be merged."""
+        now = self.sim.now
+        for link in (self.l2_orion.uplink, phy.uplink.endpoint.egress):
+            if link._line_free_at + link.latency_ns >= now:
+                return False
+        return orion._queue._busy_until < now
+
     @staticmethod
     def _slot_is_null(cell: PhyCellContext, abs_slot: int) -> bool:
         """Both of the slot's TTI requests arrived, null, with no TX data."""
-        ul_req = cell.ul_tti.get(abs_slot)
-        dl_req = cell.dl_tti.get(abs_slot)
-        return (
-            ul_req is not None
-            and dl_req is not None
-            and not ul_req.pdus
-            and not dl_req.pdus
-            and abs_slot not in cell.tx_data
+        requests = (cell.ul_tti.get(abs_slot), cell.dl_tti.get(abs_slot))
+        return abs_slot not in cell.tx_data and all(
+            request is not None and not request.pdus for request in requests
         )
 
     def _fall_asleep(self, phy: PhyProcess) -> Sleeper:
@@ -326,7 +419,6 @@ class StandbyDormancy:
         phy.asleep = True
         orion.sleeper = current
         orion.pause_watchdog()
-        current.egress.intercept = current.intercept
         return current
 
     # ------------------------------------------------------------------
@@ -335,7 +427,8 @@ class StandbyDormancy:
     def settle(self, now: int) -> None:
         """Bring every dormant standby's elided work up to ``now``."""
         for current in self.sleeping.values():
-            current.settle_inbound(now, now + 1)
+            current.settle_inbound(now, now, now + 1)
+            current.settle_switch()
             self._settle_outbound(current, now)
 
     def _settle_outbound(self, current: Sleeper, now: int) -> None:
@@ -375,11 +468,12 @@ class StandbyDormancy:
         now = sim.now
         # A delivery at this nanosecond stays an event: it follows the
         # touch, as any event the touch did not schedule might.
-        current.settle_inbound(now, now)
+        current.settle_inbound(now, now, now)
+        current.settle_switch()
+        current.file_requests()
         current.wake_inbound(sim)
         self._settle_outbound(current, now)
-        link = phy.uplink
-        cell = current.cell
+        link, cell, pending = phy.uplink, current.cell, phy._pending
         departed = link.elided_departed
         while departed:
             arrival, abs_slot = departed.popleft()
@@ -387,28 +481,17 @@ class StandbyDormancy:
                 phy._null_cplane(cell, abs_slot), current.wire_bytes
             )
             sim.at(arrival, link._deliver, frame, label=link._deliver_label)
-        for send_ns, wire_bytes, abs_slot in link.take_elided():
-            phy._pending.append(
-                sim.at(
-                    send_ns,
-                    phy._send_fronthaul_now,
-                    phy._null_cplane(cell, abs_slot),
-                    wire_bytes,
-                    label=phy._fh_tx_label,
-                )
-            )
+        for send_ns, _, wire_bytes, abs_slot in link.take_elided():
+            pending.append(sim.at(
+                send_ns, phy._send_fronthaul_now, phy._null_cplane(cell, abs_slot),
+                wire_bytes, label=phy._fh_tx_label,
+            ))
         for done_at, abs_slot in current.finishes:
             if done_at > now:
-                phy._pending.append(
-                    sim.at(
-                        done_at,
-                        phy._finish_uplink,
-                        cell,
-                        abs_slot,
-                        [],
-                        label=phy._ul_done_label,
-                    )
-                )
+                pending.append(sim.at(
+                    done_at, phy._finish_uplink, cell, abs_slot, [],
+                    label=phy._ul_done_label,
+                ))
         current.orion.resume_watchdog()
         current.orion.sleeper = None
         phy.asleep = False

@@ -9,7 +9,7 @@ instances with different parameters.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Protocol, Tuple
+from typing import Any, Deque, Dict, List, Optional, Protocol, Tuple
 
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
@@ -86,17 +86,14 @@ class Link:
         #: Serialization delay per frame size seen (the rate is fixed).
         self._serialization_ns: Dict[int, int] = {}
         #: Elided sends not yet applied to the line, in send order, as
-        #: ``(send_ns, wire_bytes, token)`` (see :meth:`elide`; created
-        #: by the first one: only a dormant standby's NIC link has any).
-        self._elided: Optional[Deque[Tuple[int, int, Any]]] = None
+        #: ``(send_ns, ready_ns, wire_bytes, token)`` (see :meth:`elide`;
+        #: created by the first one, with ``_elided_free_at``, when the
+        #: line frees after the last one: only the lines toward and from a
+        #: dormant standby have any).
+        self._elided: Optional[Deque[Tuple[int, int, int, Any]]] = None
         #: Elided frames that have left the line, as ``(arrival_ns,
         #: token)``, for their owner to account at the far end.
         self.elided_departed: Optional[Deque[Tuple[int, Any]]] = None
-        #: ``intercept(frame, arrival) -> bool``, asked about each frame no
-        #: impairment hook can touch: a True return takes the frame's
-        #: delivery off the event loop (a dormant standby's inbound null,
-        #: ``core/standby.py``).
-        self.intercept: Optional[Callable[[EthernetFrame, int], bool]] = None
 
     def connect(self, endpoint: NetworkEndpoint) -> None:
         """Attach the receiving endpoint (allows two-phase wiring)."""
@@ -147,9 +144,7 @@ class Link:
         wire_bytes = frame.wire_bytes
         delay = self._serialization_ns.get(wire_bytes)
         if delay is None:
-            delay = self._serialization_ns[wire_bytes] = self.serialization_delay_ns(
-                wire_bytes
-            )
+            delay = self._serialization_ns[wire_bytes] = self.serialization_delay_ns(wire_bytes)
         tx_done = start + delay
         self._line_free_at = tx_done
         arrival = tx_done + self.latency_ns
@@ -160,48 +155,66 @@ class Link:
             for when, delivered in impairment.on_transmit(self, frame, arrival):
                 sim.at(when, self._deliver, delivered, label=self._deliver_label)
             return arrival
-        if self.intercept is not None and self.intercept(frame, arrival):
-            return arrival
         sim.at(arrival, self._deliver, frame, label=self._deliver_label)
         return arrival
 
     # ------------------------------------------------------------------
-    # Elided sends (a dormant standby's C-plane, core/standby.py)
+    # Elided sends (a dormant standby's traffic, core/standby.py)
     # ------------------------------------------------------------------
-    def elide(self, send_ns: int, wire_bytes: int, token: Any) -> None:
+    def elide(
+        self, send_ns: int, wire_bytes: int, token: Any = None,
+        ready_at: Optional[int] = None,
+    ) -> int:
         """Account a frame its sender would :meth:`send` at ``send_ns``
-        (now or later, in non-decreasing order) with no event: the line
-        and the counters take it at the next :meth:`settle_elided` that
-        reaches ``send_ns``, and it then joins :attr:`elided_departed`
-        instead of being delivered. Only for a send no impairment hook
-        can touch (``send_ns`` before its ``active_from_ns``)."""
-        if self._elided is None:
-            self._elided = deque()
+        (now or later, in non-decreasing order; ``ready_at`` as there, a
+        switch port's) with no event: the line and the counters take it
+        at once if it is due and no elided send waits, else at the next
+        :meth:`settle_elided` that reaches ``send_ns``; it then joins
+        :attr:`elided_departed` (unless ``token`` is None) instead of
+        being delivered. Only for a send no impairment hook can touch
+        (before its ``active_from_ns``). Returns its arrival, which holds
+        unless a kept frame is sent onto the line first."""
+        elided = self._elided
+        if elided is None:
+            elided = self._elided = deque()
             self.elided_departed = deque()
-        self._elided.append((send_ns, wire_bytes, token))
+            self._elided_free_at = 0
+        ready = send_ns if ready_at is None else ready_at
+        free = self._elided_free_at if elided else self._line_free_at
+        delay = self._serialization_ns.get(wire_bytes)
+        if delay is None:
+            delay = self._serialization_ns[wire_bytes] = self.serialization_delay_ns(wire_bytes)
+        free = self._elided_free_at = (ready if ready > free else free) + delay
+        if elided or send_ns > self.sim.now:
+            elided.append((send_ns, ready, wire_bytes, token))
+        else:
+            self._line_free_at = free
+            self.frames_sent += 1
+            self.bytes_sent += wire_bytes
+            if token is not None:
+                self.elided_departed.append((free + self.latency_ns, token))
+        return free + self.latency_ns
 
     def settle_elided(self, now: int) -> None:
         """Apply every elided send at or before ``now`` to the line, in
         send order. :meth:`send` calls this first, so a kept frame queues
         behind every elided one sent no later than it — at a tie the
-        elided frame goes first, as its send event, scheduled by the
-        slot tick before the kept frame's, would under FIFO."""
+        elided frame goes first, as its send event, scheduled before the
+        kept frame's, would under FIFO."""
         elided = self._elided
-        departed = self.elided_departed
         while elided and elided[0][0] <= now:
-            send_ns, wire_bytes, token = elided.popleft()
-            start = send_ns if send_ns > self._line_free_at else self._line_free_at
+            _, ready, wire_bytes, token = elided.popleft()
+            free = self._line_free_at
             delay = self._serialization_ns.get(wire_bytes)
             if delay is None:
-                delay = self._serialization_ns[wire_bytes] = (
-                    self.serialization_delay_ns(wire_bytes)
-                )
-            self._line_free_at = start + delay
+                delay = self._serialization_ns[wire_bytes] = self.serialization_delay_ns(wire_bytes)
+            free = self._line_free_at = (ready if ready > free else free) + delay
             self.frames_sent += 1
             self.bytes_sent += wire_bytes
-            departed.append((start + delay + self.latency_ns, token))
+            if token is not None:
+                self.elided_departed.append((free + self.latency_ns, token))
 
-    def take_elided(self) -> List[Tuple[int, int, Any]]:
+    def take_elided(self) -> List[Tuple[int, int, int, Any]]:
         """Remove and return the elided sends not yet applied."""
         if not self._elided:
             return []

@@ -98,6 +98,14 @@ class SwitchPort(NetworkEndpoint):
         self.switch.frames_processed += count
         self.switch.frames_dropped += count
 
+    def absorb_forwarded(self, count: int, out: "SwitchPort") -> None:
+        """Account ``count`` frames that arrived here and left by ``out``
+        without running them (a dormant standby's inbound nulls, whose
+        egress line takes them as elided sends)."""
+        self.frames_in += count
+        self.switch.frames_processed += count
+        out.frames_out += count
+
     def transmit(self, frame: EthernetFrame) -> None:
         """Send a frame out of this port toward the attached node.
 

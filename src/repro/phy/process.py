@@ -434,11 +434,12 @@ class PhyProcess(Process):
     def _dormant_slot(self, sleeper, abs_slot: int) -> None:
         """A dormant standby's null slot, evaluated (core/standby.py):
         :meth:`_process_cell_slot` on a null request pair with the same
-        CPU accounting, RNG draws and ``SlotIndication``, but the two
-        C-plane sends are elided into the NIC link and the pipeline
-        completion into the dormancy's (and backend's) books."""
+        CPU accounting, RNG draws and ``SlotIndication``, but the request
+        pair is taken from the books, the two C-plane sends are elided
+        into the NIC link and the pipeline completion into the dormancy's
+        (and backend's) books."""
         cell = sleeper.cell
-        del cell.ul_tti[abs_slot], cell.dl_tti[abs_slot]
+        sleeper.take(abs_slot)
         cell.consecutive_missing_tti = 0
         cpu = self.cpu
         cpu.slots_processed += 1

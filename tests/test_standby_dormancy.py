@@ -15,13 +15,14 @@ built — and the two must agree on everything a reader can see:
 * bench's ``COUNTERS`` at the end, apart from ``sim.events``;
 * every PHY stream's ``bit_generator.state`` at the end;
 * every switch ingress that the middlebox did not filter, in order and
-  to the nanosecond.
+  to the nanosecond, apart from null requests (booked, they never reach
+  the switch; their counters and line occupancy are compared above).
 
 The event counts differ by exactly the eager run's pops of the elided
-kinds; every other kind pops identically. Hand-made mutants of the
-dormant path must each break one of these equalities, and the eager
-run pins the premises the dormant path relies on (DESIGN §9 "Standby on
-touch: cost model").
+kinds; every other kind pops identically. Touches find booked nulls in
+each stage of their way, hand-made mutants of the dormant path must each
+break one of these equalities, and the eager run pins the premises the
+dormant path relies on (DESIGN §9 "Standby on touch: cost model").
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ import pytest
 from repro import CellConfig, UeProfile, build_slingshot_cell
 from repro.apps import TcpIperfDownlink
 from repro.core.orion import OrionDatagram, _ServiceQueue
-from repro.core.standby import StandbyDormancy
-from repro.fapi.messages import SlotIndication
+from repro.core.standby import Sleeper, StandbyDormancy
+from repro.fapi.messages import SlotIndication, is_null_request
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, LinkFaultSpec, ProcessFaultSpec
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
 from repro.fronthaul.oran import CplaneMessage, UplaneDownlink
 from repro.net.link import Link
-from repro.net.switch import Switch
+from repro.net.switch import Switch, SwitchPort
 from repro.phy.process import PhyProcess
 from repro.telemetry import collect
 
@@ -67,15 +68,17 @@ def _bench_counters() -> Dict[str, tuple]:
 
 COUNTERS = _bench_counters()
 
-#: Labels of the event kinds a dormant standby elides (some — the NIC
-#: link's deliveries, the Orion worker's completions — also carry kept
-#: traffic, so only their elided share goes).
+#: Labels of the event kinds a dormant standby elides (some — the L2 and
+#: NIC links' deliveries, the Orion worker's completions — also carry
+#: kept traffic, so only their elided share goes).
 ELIDED_LABELS = ("fh_tx", "ul_done", ".watchdog", "->edge-switch.deliver",
                  "edge-switch->phy", ".service", "->phy.deliver")
 
 
 def _elided_kind(label: str) -> bool:
-    return label.startswith(("phy", "orion-phy", "edge-switch->phy", "shm-orion")) and any(
+    return label.startswith(
+        ("phy", "orion-phy", "edge-switch->phy", "shm-orion", "l2->")
+    ) and any(
         part in label for part in ELIDED_LABELS
     )
 
@@ -134,13 +137,18 @@ def _state(cell: Any) -> Dict[str, Any]:
     }
     for node in cell.phy_servers:
         orion, phy = node.orion, node.phy
+        sleeper = cell.dormancy.sleeping.get(node.phy_id)
+        booked = [[], []] if sleeper is None else [
+            list(range(taken + 1, filed + 1))
+            for taken, filed in zip(sleeper.taken, sleeper.filed)
+        ]
         state[f"server{node.phy_id}"] = (
             orion._queue._busy_until,
-            orion._queue.depth,
             sorted(orion._last_tti_slot.items()),
             orion.shm_to_phy.messages_sent,
             phy.fapi_tx.messages_sent,
-            [(c.cell_id, sorted(c.ul_tti), sorted(c.dl_tti), c.consecutive_missing_tti)
+            [(c.cell_id, sorted([*c.ul_tti, *booked[0]]), sorted([*c.dl_tti, *booked[1]]),
+              c.consecutive_missing_tti)
              for c in phy.cells.values()],
         )
     return state
@@ -179,9 +187,10 @@ def _bench_counts(root: Any, flows: List[Any]) -> Dict[str, Any]:
 @pytest.fixture
 def instrumented(monkeypatch):
     """Class-level probes shared by both runs of a scenario: the switch
-    ingress log (frames the middlebox did not filter) and every Orion
-    worker submit. Installed identically in both runs, so they change
-    nothing they compare."""
+    ingress log (frames the middlebox did not filter, apart from null
+    requests, which a dormant standby's books take through the switch)
+    and every Orion worker submit. Installed identically in both runs,
+    so they change nothing they compare."""
     log: Dict[str, list] = {"ingress": [], "submits": []}
     ingress = Switch.ingress
     submit = _ServiceQueue.submit
@@ -192,10 +201,12 @@ def instrumented(monkeypatch):
         ingress(self, frame, in_port)
         # (A datagram's ingress may wake a standby, whose settle counts
         # earlier filtered frames: only a downlink frame is ever filtered.)
+        payload = frame.payload
+        if isinstance(payload, OrionDatagram) and is_null_request(payload.message):
+            return
         if stats.dl_filtered == filtered or not isinstance(
-            frame.payload, (CplaneMessage, UplaneDownlink)
+            payload, (CplaneMessage, UplaneDownlink)
         ):
-            payload = frame.payload
             detail = getattr(payload, "message", payload)
             log["ingress"].append((
                 id(self), self.sim.now, in_port, type(detail).__name__,
@@ -598,6 +609,170 @@ def test_tie_on_the_nic_line_goes_to_the_c_plane(monkeypatch, instrumented):
             if mode == "mutant":
                 _kept_frame_first_at_a_tie(patch)
             modes[mode] = _drive(default_cell, 40, {}, instrumented)
+    assert modes["dormant"].slept
+    assert _mismatches(modes["eager"], modes["dormant"]) == []
+    assert "switch ingress log" in _mismatches(modes["eager"], modes["mutant"])
+
+
+# ----------------------------------------------------------------------
+# A touch while booked nulls are on their way
+# ----------------------------------------------------------------------
+#: In the default cell the L2-side Orion books a slot's UL null 12.5 µs
+#: into the slot; it reaches the switch 1.0 µs later, the standby's NIC
+#: 1.4 µs after that, and holds the Orion's worker and then SHM for about
+#: 1.5 µs and 1 µs. A touch (``StandbyDormancy.wake``, a no-op on an
+#: eager standby) at each of these instants into four slots finds it on
+#: the L2 line, on the switch -> NIC line, in the worker and in SHM.
+TOUCHES = {40: 13_000, 44: 14_000, 48: 15_500, 52: 17_000}
+TOUCH_END_MS = 30
+
+
+def touched_cell() -> Tuple[Any, List[Any]]:
+    cell, flows = default_cell()
+    for slot, offset in TOUCHES.items():
+        cell.sim.at(cell.slot_clock.slot_start(slot) + offset, cell.dormancy.wake,
+                    label="test.touch")
+    return cell, flows
+
+
+def _stages_at_wake(patch) -> List[Tuple[int, ...]]:
+    """Per wake: its instant and the booked nulls then on the L2 line,
+    on the switch -> NIC line, in the worker and in SHM."""
+    seen: List[Tuple[int, ...]] = []
+    wake_inbound = Sleeper.wake_inbound
+
+    def recording(self, sim):
+        egress = self.egress
+        seen.append((sim.now, len(egress._elided or ()), len(egress.elided_departed or ()),
+                     len(self.queued), len(self.handed)))
+        wake_inbound(self, sim)
+
+    patch.setattr(Sleeper, "wake_inbound", recording)
+    return seen
+
+
+def _touch_pair(runs, monkeypatch, log) -> Tuple[Run, Run, List[Tuple[int, ...]]]:
+    if ("touched", False) not in runs:
+        with monkeypatch.context() as patch:
+            stages = _stages_at_wake(patch)
+            runs[("touched", False)] = _drive(touched_cell, TOUCH_END_MS, {}, log)
+        runs["touched stages"] = stages
+    eager = _run(runs, ("touched", True), monkeypatch, log, touched_cell, TOUCH_END_MS,
+                 {}, True)
+    return eager, runs[("touched", False)], runs["touched stages"]
+
+
+def test_a_touch_makes_booked_nulls_events_in_every_stage(runs, monkeypatch, instrumented):
+    eager, dormant, stages = _touch_pair(runs, monkeypatch, instrumented)
+    _assert_equivalent(eager, dormant)
+    clock = build_slingshot_cell(CellConfig(seed=11)).slot_clock
+    by_time = {wake[0]: wake[1:] for wake in stages}
+    for stage, (slot, offset) in enumerate(TOUCHES.items()):
+        assert by_time[clock.slot_start(slot) + offset][stage] > 0, (slot, by_time)
+
+
+def _booked_null_skips_the_l2_line(patch) -> None:
+    """A booked null takes no time on the L2 server's uplink, so the kept
+    request after it goes onto the line early."""
+    elide = Link.elide
+
+    def unoccupied(self, send_ns, wire_bytes, token=None, ready_at=None):
+        line = (self._line_free_at, self.frames_sent, self.bytes_sent)
+        arrival = elide(self, send_ns, wire_bytes, token, ready_at)
+        if self.name.startswith("l2->"):
+            self._line_free_at, self.frames_sent, self.bytes_sent = line
+        return arrival
+
+    patch.setattr(Link, "elide", unoccupied)
+
+
+def _kept_send_unsettled(patch) -> None:
+    """A kept frame goes onto a line ahead of the elided sends due
+    before it (the standby's SlotIndication ahead of its C-plane)."""
+    send = Link.send
+
+    def unsettled(self, frame, ready_at=None):
+        held, self._elided = self._elided, None
+        try:
+            return send(self, frame, ready_at)
+        finally:
+            self._elided = held
+
+    patch.setattr(Link, "send", unsettled)
+
+
+def _frames_processed_not_booked(patch) -> None:
+    def forwarded(self, count, out):
+        self.frames_in += count
+        out.frames_out += count
+
+    patch.setattr(SwitchPort, "absorb_forwarded", forwarded)
+
+
+def _wake_drops_nulls_on_the_nic_line(patch) -> None:
+    wake_inbound = Sleeper.wake_inbound
+
+    def dropping(self, sim):
+        self.egress.elided_departed.clear()
+        wake_inbound(self, sim)
+
+    patch.setattr(Sleeper, "wake_inbound", dropping)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_booked_null_skips_the_l2_line, _kept_send_unsettled, _frames_processed_not_booked,
+     _wake_drops_nulls_on_the_nic_line],
+    ids=["l2-line-unoccupied", "kept-send-unsettled", "frames-processed-unbooked",
+         "wake-drops-a-null"],
+)
+def test_booking_mutant_is_caught(runs, monkeypatch, instrumented, mutate):
+    eager, _, _ = _touch_pair(runs, monkeypatch, instrumented)
+    with monkeypatch.context() as patch:
+        mutate(patch)
+        mutant = _drive(touched_cell, TOUCH_END_MS, {}, instrumented)
+    assert _mismatches(eager, mutant)
+
+
+# ----------------------------------------------------------------------
+# A booked null and the SlotIndication on one nanosecond of the worker
+# ----------------------------------------------------------------------
+#: Nanoseconds into a slot at which the default cell's UL null reaches
+#: the standby's NIC (booked 12.5 µs in, 2.4 µs of lines and switch).
+UL_NULL_AT_NIC = 14_923
+
+
+def _tick_onto_null_arrivals(cell: Any) -> None:
+    """From here the sleeping standby ticks while a UL null is on its
+    NIC line, its SHM hop short of the null's arrival: the two meet at
+    the Orion's worker on one nanosecond, and FIFO gives it to the null,
+    whose delivery was scheduled first. The standby cannot fall asleep
+    again (a tick always finds a null in flight)."""
+    phy = cell.phy_servers[1].phy
+    phy.config.tx_lead_ns = cell.slot_clock.slot_duration_ns - (
+        UL_NULL_AT_NIC - phy.fapi_tx.latency_ns
+    )
+    phy._tick_handle.cancel()
+    phy._schedule_next_slot()
+
+
+def rephased_cell() -> Tuple[Any, List[Any]]:
+    cell, flows = default_cell()
+    cell.sim.at(10 * MS + 1, _tick_onto_null_arrivals, cell, label="test.rephase")
+    return cell, flows
+
+
+def test_a_null_meeting_the_slot_indication_is_sent_live(monkeypatch, instrumented):
+    """The tie guard wakes the standby at the booking, and without it the
+    SlotIndication takes the worker first, which the switch shows."""
+    modes = {}
+    for mode in ("eager", "dormant", "mutant"):
+        with monkeypatch.context() as patch:
+            if mode == "eager":
+                _forced_awake(patch)
+            if mode == "mutant":
+                patch.setattr(Sleeper, "_meets_slot_indication", lambda self, arrival: False)
+            modes[mode] = _drive(rephased_cell, 14, {}, instrumented)
     assert modes["dormant"].slept
     assert _mismatches(modes["eager"], modes["dormant"]) == []
     assert "switch ingress log" in _mismatches(modes["eager"], modes["mutant"])
