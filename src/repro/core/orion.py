@@ -322,24 +322,13 @@ class PhySideOrion(Process):
             label=self._watchdog_label,
         )
 
-    # A dormant standby's watchdog (core/standby.py): the periodic is
-    # cancelled while every occurrence is known to find nothing missing,
-    # and re-armed at its next occurrence on wake.
     def watchdog_covers(self, abs_slot: int) -> bool:
         """True when the watchdog occurrence for ``abs_slot`` (and every
         earlier one) will inject nothing: its requests already arrived.
-        ``_last_tti_slot`` only grows, so the answer holds until then."""
+        ``_last_tti_slot`` only grows, so the answer holds until then:
+        a dormant standby (core/standby.py), whose books settle nulls
+        into it late, sleeps only while it holds up to its next tick."""
         return self._watchdog_running and min(self._last_tti_slot.values()) >= abs_slot
-
-    def pause_watchdog(self) -> None:
-        """Cancel the watchdog periodic (its occurrences are covered)."""
-        if self._watchdog is not None:
-            self._watchdog.cancel()
-
-    def resume_watchdog(self) -> None:
-        """Re-arm the paused watchdog at its next occurrence after now."""
-        if self._watchdog is not None and not self._watchdog.pending:
-            self._arm_watchdog()
 
     def _watchdog_tick(self) -> None:
         """Just before the PHY needs the upcoming slot's requests, check
@@ -479,18 +468,15 @@ class L2SideOrion(Process):
             active, standby = self._roles_for_slot(assignment, message.slot)
             self._send_to_phy(active, message)
             self.stats.real_requests_sent += 1
-            if standby is None:
+            null = None if standby is None else self._null_counterpart(message)
+            if null is None:
                 return
             # A dormant standby's null is booked, not sent
             # (core/standby.py); one it cannot book has woken it.
             sleeper = None if self.dormancy is None else self.dormancy.sleeping.get(standby)
-            if sleeper is not None and sleeper.book(message):
-                self.stats.null_requests_sent += 1
-                return
-            null = self._null_counterpart(message)
-            if null is not None:
+            if sleeper is None or not sleeper.book(null):
                 self._send_to_phy(standby, null)
-                self.stats.null_requests_sent += 1
+            self.stats.null_requests_sent += 1
             return
         # Other control messages follow the current primary.
         self._send_to_phy(assignment.primary_phy, message)

@@ -1,16 +1,14 @@
 """Standby on touch: a healthy hot standby is evaluated, not simulated.
 
 A hot standby spends its life on null FAPI slots whose output nobody
-consumes: the switch filters its C-plane (counting a heartbeat), its
-pipeline completion finds nothing to decode, and its PHY-side Orion's
-loss watchdog finds every request on time. While that stays true the
-standby is *dormant*: its slot tick still draws its RNG and sends its
-``SlotIndication`` (both cross shared resources and stay events), but
-the server-private rest — two C-plane send events, their two switch
-deliveries, the completion event, the watchdog occurrence, and the two
-null requests the L2-side Orion addresses to it, from its send to the
-PHY's request map — is done as bookkeeping here (DESIGN §9 "Standby on
-touch: cost model").
+consumes: the switch filters its C-plane (counting a heartbeat), and the
+two null requests the L2-side Orion addresses to it each slot only
+reach its request map. While that stays true the standby is *dormant*:
+its slot tick still draws its RNG and sends its ``SlotIndication``, and
+its pipeline completion and its Orion's loss watchdog still run, but its
+two C-plane send events and their switch deliveries, and the two nulls'
+way from the L2-side Orion to the PHY's request map, are bookkeeping
+here (DESIGN §9 "Standby on touch: cost model").
 
 **Eligibility** is decided at each of the standby's slot ticks, by
 :meth:`StandbyDormancy.sleeper`: the server holds exactly one cell
@@ -23,27 +21,27 @@ does not monitor it, the switch filters its C-plane for the slot, its
 Orion's watchdog already has the next slot's requests, and nothing
 addressed to it is on its way to its Orion's worker or in it. A hook on
 any other link of the cell meets only kept frames, and a hook is inert
-before its window, so dormancy does not depend on when a fault plan was
-armed.
+before its window opens and after its windows have closed, so dormancy
+does not depend on when a fault plan was armed.
 
 **Touch.** Anything that could make the elided work observable wakes
 every dormant standby of the deployment first (:meth:`wake`): a crash,
 hang, unhang or restart of any of its PHYs, a slow-down, any L2-side
 Orion assignment change, a non-null FAPI message, any fronthaul frame or
-datagram reaching a dormant server, a null that is not the next in
-sequence, a hook armed on the links above with its window opening
-before the next tick, and a tick that finds the standby ineligible (a
-missing null, a hook about to open). On wake every elided send not yet
-on the line and every elided frame or booked null still in flight
-becomes the event it would have been, pending completions are
-scheduled, and the watchdog is re-armed at its next occurrence.
+datagram reaching a dormant server, a counterpart that is not the next
+null in sequence, a hook armed on the links above with its window
+opening before the next tick, and a tick that finds the standby
+ineligible (a missing null, a hook about to open). On wake every elided
+send not yet on the line and every elided frame or booked null still in
+flight becomes the event it would have been.
 
 **Settle points.** A line applies elided sends before any kept send
 (:meth:`repro.net.link.Link.settle_elided`); the Orion's worker takes
 booked arrivals before a kept submit; a tick files the nulls delivered
 before it; a wake settles; and :meth:`settle` runs whenever a simulator
 run call returns, so counters, ``collect()`` and checkpoints read
-between runs see exact values.
+between runs see exact values. It is the only drain of the C-plane
+books short of a wake, so every sleeper has work for it.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ class Sleeper:
     __slots__ = (
         "dormancy", "sim", "l2_stats", "phy", "orion", "cell", "cell_id", "port",
         "egress", "l2_line", "l2_port", "pipeline_ns",
-        "wire_bytes", "null_bytes", "keys", "finishes", "booked", "forwarded",
+        "wire_bytes", "null_bytes", "keys", "booked", "forwarded",
         "queued", "handed", "expected", "filed", "taken",
     )
 
@@ -110,8 +108,6 @@ class Sleeper:
         self.wire_bytes = phy._null_cplane(cell, 0).wire_bytes
         self.null_bytes = tuple(UDP_OVERHEAD_BYTES + wire_size(null(0, 0)) for null in _NULLS)
         self.keys = ((cell.cell_id, "UL"), (cell.cell_id, "DL"))
-        #: Elided pipeline completions, as ``(done_at, abs_slot)``.
-        self.finishes: Deque[Tuple[int, int]] = deque()
         #: Nulls booked, and those the switch has forwarded (the rest are
         #: elided sends the egress line has not yet taken).
         self.booked = 0
@@ -129,23 +125,25 @@ class Sleeper:
         self.taken = list(self.expected)
 
     def book(self, message: FapiMessage) -> bool:
-        """Book the null counterpart of ``message``, which the L2-side
-        Orion routes to the active PHY: its stats, and elided sends on
-        the L2 line and on the switch -> NIC line (after the switch's
-        constant pipeline latency). False to send it live: ``message``
-        has no null, or its null is not the next in sequence, which
-        wakes the deployment.
+        """Book ``message``, the counterpart the L2-side Orion would send
+        the standby: its stats, and elided sends on the L2 line and on
+        the switch -> NIC line (after the switch's constant pipeline
+        latency). False to send it live: ``message`` is not this cell's
+        next null TTI request, which wakes the deployment.
 
         A null whose NIC arrival lands on the nanosecond a tick's
         ``SlotIndication`` reaches the Orion wakes it at once, which
         makes it the event it would have been: only the two events'
         scheduling order could say which takes the worker first."""
         kind = _KINDS.get(type(message))
-        if kind is None:
-            return False
         slot = message.slot
         expected = self.expected
-        if message.cell_id != self.cell_id or slot != expected[kind] + 1:
+        if (
+            kind is None
+            or message.pdus
+            or message.cell_id != self.cell_id
+            or slot != expected[kind] + 1
+        ):
             self.dormancy.wake()
             return False
         expected[kind] = slot
@@ -311,19 +309,13 @@ class StandbyDormancy:
         """The books to run ``phy``'s slot ``abs_slot`` dormant with, or
         None to run it eagerly (waking ``phy`` first if it slept)."""
         current = self.sleeping.get(phy.phy_id)
-        now = self.sim.now
         if current is None:
-            if not self.eligible(phy, abs_slot):
-                return None
-            current = self._fall_asleep(phy)
-        else:
-            current.settle_inbound(now, now, now)
-            if not self._still_eligible(current, abs_slot):
-                self._wake(current)
-                return None
-        finishes = current.finishes
-        while finishes and finishes[0][0] <= now:
-            finishes.popleft()
+            return self._fall_asleep(phy) if self.eligible(phy, abs_slot) else None
+        now = self.sim.now
+        current.settle_inbound(now, now, now)
+        if not self._still_eligible(current, abs_slot):
+            self._wake(current)
+            return None
         return current
 
     def eligible(self, phy: PhyProcess, abs_slot: int) -> bool:
@@ -382,13 +374,15 @@ class StandbyDormancy:
 
     def _inert(self, phy: PhyProcess) -> bool:
         """No impairment hook on the server's two links or the L2
-        server's uplink can touch a frame before the next slot tick (a
-        hook elsewhere in the cell meets only kept frames; one whose
-        window opens later is a touch the tick before it opens)."""
-        horizon = self.sim.now + phy.slot_clock.slot_duration_ns
+        server's uplink can touch a frame from now to the next slot tick:
+        its windows open after the tick or have all closed (a hook
+        elsewhere in the cell meets only kept frames; one whose window
+        opens later is a touch the tick before it opens)."""
+        now = self.sim.now
+        horizon = now + phy.slot_clock.slot_duration_ns
         for link in (phy.uplink, phy.uplink.endpoint.egress, self.l2_orion.uplink):
             hook = link.impairment
-            if hook is not None and hook.active_from_ns <= horizon:
+            if hook is not None and hook.active_from_ns <= horizon and hook.active_until_ns > now:
                 return False
         return True
 
@@ -418,7 +412,6 @@ class StandbyDormancy:
         self.sleeping[phy.phy_id] = current
         phy.asleep = True
         orion.sleeper = current
-        orion.pause_watchdog()
         return current
 
     # ------------------------------------------------------------------
@@ -486,13 +479,6 @@ class StandbyDormancy:
                 send_ns, phy._send_fronthaul_now, phy._null_cplane(cell, abs_slot),
                 wire_bytes, label=phy._fh_tx_label,
             ))
-        for done_at, abs_slot in current.finishes:
-            if done_at > now:
-                pending.append(sim.at(
-                    done_at, phy._finish_uplink, cell, abs_slot, [],
-                    label=phy._ul_done_label,
-                ))
-        current.orion.resume_watchdog()
         current.orion.sleeper = None
         phy.asleep = False
         del self.sleeping[phy.phy_id]

@@ -155,9 +155,6 @@ def null_vs_duplicate_fapi(duration_s: float = 2.0, seed: int = 0) -> NullVsDupl
         if duplicate:
             orion = cell.l2_orion
             orion._null_counterpart = lambda message: message  # type: ignore[assignment]
-            # Keep the standby eager: a dormant one is booked nulls in
-            # place of these counterparts.
-            cell.dormancy.eligible = lambda phy, abs_slot: False  # type: ignore[assignment]
         flow = UdpIperfUplink(
             cell.sim, cell.server, cell.ue(1), "load", bearer_id=1, bitrate_bps=12e6
         )

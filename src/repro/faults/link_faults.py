@@ -60,8 +60,10 @@ class LinkImpairment:
         self.trace = trace
         self.stats = ImpairmentStats()
         #: No frame is touched before the earliest window opens, so the
-        #: link need not defer until then (see :meth:`Link.send`).
+        #: link need not defer until then (see :meth:`Link.send`), nor
+        #: once the latest has closed (``on_transmit`` then draws nothing).
         self.active_from_ns = min(spec.start_ns for spec in specs)
+        self.active_until_ns = max(spec.end_ns for spec in specs)
 
     def on_transmit(
         self, link: Link, frame: EthernetFrame, arrival: int

@@ -187,7 +187,6 @@ def build_fleet(
         epoch_ns=config.epoch_ns,
     )
     backend = FleetPhyBackend()
-    sim.add_settle_hook(backend.settle)
     cells: List[SlingshotCell] = []
     gates: List[PoolGate] = []
     for cell_index in range(config.num_cells):

@@ -75,9 +75,6 @@ class FleetPhyBackend:
         #: Per-timestamp symbol cache; flushed when the clock moves on.
         self._cache: Dict[_EncodeKey, np.ndarray] = {}
         self._cache_time: int = -1
-        #: Completion instants of elided finishes (a dormant standby's
-        #: null slot, ``core/standby.py``) no demand has reached yet.
-        self._elided: Dict[int, None] = {}
         self.stats = FleetPhyBackendStats()
 
     # ------------------------------------------------------------------
@@ -105,9 +102,6 @@ class FleetPhyBackend:
         """
         now = phy.sim.now
         if now != self._cache_time:
-            if self._elided:
-                self.settle(now - 1)
-                self._elided.pop(now, None)
             self._cache.clear()
             self._cache_time = now
             self._gather(now)
@@ -126,29 +120,6 @@ class FleetPhyBackend:
             self.stats.supplementary_blocks += len(misses)
         self.stats.cache_hits += len(blocks) - len(misses)
         return [cache[_encode_key(phy.codec, block)] for block in blocks]
-
-    # ------------------------------------------------------------------
-    # Elided finishes (from a dormant standby's slot tick)
-    # ------------------------------------------------------------------
-    def elide_finish(self, done_at: int) -> None:
-        """A registered plan's ``_finish_uplink`` runs as no event. Its
-        demand would be the instant's first only if no other PHY
-        finishes then; :meth:`settle` runs that gather pass."""
-        self._elided[done_at] = None
-
-    def settle(self, now: int) -> None:
-        """Run, in time order, the gather pass of every elided finish
-        instant up to ``now`` that no demand reached. The pass reads
-        only plans registered before that instant and captures no live
-        PHY can change after it, so running it late counts what the
-        eager demand would have."""
-        due = sorted(t for t in self._elided if t <= now)
-        for instant in due:
-            del self._elided[instant]
-            if instant != self._cache_time:
-                self._cache.clear()
-                self._cache_time = instant
-                self._gather(instant)
 
     # ------------------------------------------------------------------
     # Gather -> batched kernels -> scatter (into the cache)

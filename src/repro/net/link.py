@@ -27,13 +27,15 @@ class LinkImpairmentHook(Protocol):
     """Fault-injection hook invoked once per transmitted frame.
 
     ``active_from_ns`` is the earliest instant at which it may touch a
-    frame. ``on_transmit`` returns the deliveries to schedule as
+    frame, and ``active_until_ns`` the instant from which it touches
+    none. ``on_transmit`` returns the deliveries to schedule as
     ``(arrival_time, frame)`` pairs: an empty list drops the frame, two
     entries duplicate it, a shifted time reorders it, and a substituted
     frame corrupts it. The unimpaired behaviour is ``[(arrival, frame)]``.
     """
 
     active_from_ns: int
+    active_until_ns: int
 
     def on_transmit(
         self, link: "Link", frame: EthernetFrame, arrival: int
@@ -172,8 +174,9 @@ class Link:
         :meth:`settle_elided` that reaches ``send_ns``; it then joins
         :attr:`elided_departed` (unless ``token`` is None) instead of
         being delivered. Only for a send no impairment hook can touch
-        (before its ``active_from_ns``). Returns its arrival, which holds
-        unless a kept frame is sent onto the line first."""
+        (before its ``active_from_ns`` or from its ``active_until_ns``).
+        Returns its arrival, which holds unless a kept frame is sent onto
+        the line first."""
         elided = self._elided
         if elided is None:
             elided = self._elided = deque()

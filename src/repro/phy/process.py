@@ -412,8 +412,11 @@ class PhyProcess(Process):
             )
         self._emit_downlink(cell, abs_slot, ul_pdus, dl_pdus)
         self._emit_slot_indication(cell, abs_slot)
-        # Uplink slot results surface after the processing pipeline,
-        # even when only control (feedback) was captured.
+        self._schedule_finish(cell, abs_slot, ul_pdus)
+
+    def _schedule_finish(self, cell: PhyCellContext, abs_slot: int, ul_pdus) -> None:
+        """Uplink slot results surface after the processing pipeline,
+        even when only control (feedback) was captured."""
         done_at = (
             self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
             + 120 * US
@@ -434,10 +437,9 @@ class PhyProcess(Process):
     def _dormant_slot(self, sleeper, abs_slot: int) -> None:
         """A dormant standby's null slot, evaluated (core/standby.py):
         :meth:`_process_cell_slot` on a null request pair with the same
-        CPU accounting, RNG draws and ``SlotIndication``, but the request
-        pair is taken from the books, the two C-plane sends are elided
-        into the NIC link and the pipeline completion into the dormancy's
-        (and backend's) books."""
+        CPU accounting, RNG draws, ``SlotIndication`` and completion, but
+        the request pair is taken from the books and the two C-plane
+        sends are elided into the NIC link."""
         cell = sleeper.cell
         sleeper.take(abs_slot)
         cell.consecutive_missing_tti = 0
@@ -457,14 +459,7 @@ class PhyProcess(Process):
         uplink.elide(now + first_tx, wire_bytes, abs_slot)
         uplink.elide(now + mid_offset, wire_bytes, abs_slot)
         self._emit_slot_indication(cell, abs_slot)
-        done_at = (
-            self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
-            + 120 * US
-        )
-        if self.phy_backend is not None:
-            self.phy_backend.register(done_at, self, cell, abs_slot, [])
-            self.phy_backend.elide_finish(done_at)
-        sleeper.finishes.append((done_at, abs_slot))
+        self._schedule_finish(cell, abs_slot, [])
 
     def _null_cplane(self, cell: PhyCellContext, abs_slot: int) -> CplaneMessage:
         """A C-plane section with no grant or allocation: the mid-slot

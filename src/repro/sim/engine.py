@@ -51,11 +51,13 @@ Design notes
   attribute wall time without instrumenting callbacks.
 * *Settle hooks* (:meth:`Simulator.add_settle_hook`) run, in
   registration order, whenever a run call (``run_until``, ``run_for``,
-  ``run``, ``step``) returns. A component that evaluates work lazily —
-  a dormant standby's elided slot work (``core/standby.py``) — brings
-  its observable state up to the clock there, so anything read between
-  run calls is exact. With none registered a run call pays one loop over
-  an empty list.
+  ``run``, ``step``) returns. Only a deployment's standby dormancy
+  (``core/standby.py``) registers one: it brings a dormant standby's
+  elided C-plane, switch and inbound books up to the clock, so anything
+  read between run calls is exact. Every dormant standby has unsettled
+  books at every return (its C-plane sends are drained nowhere else),
+  so the hook visits them all. With none registered a run call pays one
+  loop over an empty list.
 * Collector policy: building the first :class:`Simulator` of a process
   raises CPython's young-generation threshold to
   :data:`GC_YOUNG_THRESHOLD`. A running deployment makes no reference

@@ -95,15 +95,17 @@ def test_pop_census_by_role_splits_every_kind():
     assert all(parsed), [line for line, m in zip(lines[3:total], parsed) if m is None]
     roles = {"active", "standby", "dormant", "retired", "other"}
     assert {m.group(1) for m in parsed} == roles
+    kinds = {f"{m.group(1)} {m.group(2)}" for m in parsed}
     assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",
             "dormant PhyProcess._slot_tick",
             "dormant _ServiceQueue._complete -> L2SideOrion._route_response",
-            "other RadioUnit._slot_boundary"} <= {f"{m.group(1)} {m.group(2)}" for m in parsed}
-    # A dormant standby's own chain pops nothing.
-    assert not {"dormant PhyProcess._send_fronthaul_now", "dormant PhyProcess._finish_uplink",
-                "dormant PhySideOrion._watchdog_tick"} & {
-        f"{m.group(1)} {m.group(2)}" for m in parsed
-    }
+            "other RadioUnit._slot_boundary"} <= kinds
+    # A dormant standby's C-plane sends and inbound nulls pop nothing;
+    # its completion and its watchdog occurrence stay events.
+    assert not {"dormant PhyProcess._send_fronthaul_now",
+                "dormant _ServiceQueue._complete -> PhySideOrion._to_phy",
+                "dormant ShmChannel._deliver -> PhyProcess"} & kinds
+    assert {"dormant PhyProcess._finish_uplink", "dormant PhySideOrion._watchdog_tick"} <= kinds
     header = lines.index(next(line for line in lines if line.startswith("role ")))
     elided = re.fullmatch(r"standby-slots elided (\d+) \((\d+\.\d\d) /cell-slot\)", lines[-2])
     assert elided and int(elided.group(1)) > 0, lines[-2]

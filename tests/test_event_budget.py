@@ -5,9 +5,9 @@ driven for 100 ms and every popped event is attributed to the component
 and callback that own it. Four things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
-  (measured 40.8 plus 15 %; 42.8 while the L2-side nulls toward the
-  dormant standby crossed the switch as events, 54.8 while its null
-  slots ran as events — fourteen a slot, now evaluated on touch, DESIGN
+  (40.8 plus 15 % when set; 42.8 measured since the dormant standby's
+  completion and watchdog occurrence are events again, 54.8 while its
+  null slots ran as events — twelve a slot are evaluated on touch, DESIGN
   §9 "Standby on touch: cost model" — 62.9 while every forwarded frame waited out
   the switch pipeline in a ``Switch._egress`` event, 118.5 under the
   per-tick detector model, of which 55.6 were 9 µs timer ticks) and none
@@ -17,12 +17,12 @@ and callback that own it. Four things are pinned:
   anything. A component that needs a finer clock has to evaluate it
   arithmetically between events, the way the failure detector does;
 * exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
-  ``schedule_periodic`` series (20 % of the measured 40.8; the dormant
-  standby's Orion watchdog is the ninth, paused) — the census on which
+  ``schedule_periodic`` series (21 % of the measured 42.8; the dormant
+  standby's Orion watchdog is one) — the census on which
   periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (measured 505.2 plus 5 %; 548.2 with the L2-side nulls sent and
-  switched, 645.4 with the standby forced awake, 627.1 before dormancy
+  slot (505.2 plus 5 % when set, 526.2 measured since; 548.2 with the
+  L2-side nulls sent and switched, 645.4 with the standby forced awake, 627.1 before dormancy
   existed, 666.3 while every process read the clock through a property,
   851.3 while the engine's clock was one too,
   every heartbeat walked the tick grid and every register access called
@@ -31,16 +31,17 @@ and callback that own it. Four things are pinned:
 
 A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
 ``TcpIperfDownlink``, warmed past slow start and its first recovery, pops
-exactly ``TCP_EVENTS`` events in the window (75.4 a slot; 77.4 with the
-L2-side nulls sent and switched, 89.4 with the standby forced awake) and
-enters at most ``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot
-(measured 998.9 plus 5 %; 1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
+exactly ``TCP_EVENTS`` events in the window (77.4 a slot; 75.4 while the
+dormant standby's completion and watchdog were elided too, 89.4 with the
+standby forced awake) and enters at most
+``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (998.9 plus 5 % when
+set, 1,019.3 measured since; 1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
 id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
 model"), so frames cannot be traded for events.
 
 A 16-cell idle fleet pops at most ``MAX_FLEET_EVENTS_PER_CELL_SLOT``
-events per cell-slot (measured 37.3 plus 15 %; 39.3 with the L2-side
-nulls sent and switched, 51.3 with every standby forced awake).
+events per cell-slot (37.3 plus 15 % when set, 39.3 measured since;
+51.3 with every standby forced awake).
 """
 
 import sys
@@ -55,12 +56,12 @@ from repro.sim.units import MS
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
 MAX_EVENTS_PER_SLOT = 47
-PERIODIC_PER_SLOT = 8
+PERIODIC_PER_SLOT = 9
 MAX_CALLS_PER_SLOT = 531
 #: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
-TCP_EVENTS = 15_084
+TCP_EVENTS = 15_484
 MAX_CALLS_PER_TCP_SLOT = 1049
 FLEET_CELLS = 16
 MAX_FLEET_EVENTS_PER_CELL_SLOT = 43
@@ -151,8 +152,8 @@ def test_bulk_tcp_cell_call_budget():
 
 def test_idle_fleet_event_budget():
     """Cohort-only cells: per cell-slot the primary's chain plus what a
-    dormant standby keeps (its tick, its SlotIndication and the L2-side
-    nulls toward it)."""
+    dormant standby keeps (its tick, its SlotIndication, its completion
+    and its watchdog occurrence)."""
     fleet = build_fleet(FleetConfig(seed=0, num_cells=FLEET_CELLS))
     fleet.run_for(20 * MS)
     before = fleet.sim.events_processed

@@ -46,12 +46,13 @@ GOLDEN_DIGESTS = {
 #: cell name -> engine events popped. An event that leaves no trace
 #: record (a timer that fires and does nothing visible) moves no digest,
 #: so the count is pinned beside it. Each is the eager count (120,440 /
-#: 99,681 / 116,315 with the standby forced awake) less the fourteen
-#: events a slot of its dormant standby elides (``core/standby.py``).
+#: 99,681 / 116,315 with the standby forced awake) less the twelve
+#: events a slot of its dormant standby elides (``core/standby.py``;
+#: 1,197 / 1,197 / 917 dormant slots).
 GOLDEN_EVENTS = {
-    "fig9": 103_696,
-    "fig10_smoke": 82_937,
-    "fig10_tcp_dl": 103_491,
+    "fig9": 106_086,
+    "fig10_smoke": 85_327,
+    "fig10_tcp_dl": 105_321,
 }
 
 

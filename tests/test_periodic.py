@@ -431,9 +431,9 @@ class TestFleetBackendDifferential:
         assert fleet_digest(harness) == (
             "fb5153e32a8f9c7235752afe41e291e3ea7258ab93f48114b8960bce773215d2"
         )
-        # 191,515 with every standby forced awake, less the 14 events a
+        # 191,515 with every standby forced awake, less the 12 events a
         # slot each of the 64 dormant standbys elides (core/standby.py).
-        assert harness.sim.events_processed == 141_339
+        assert harness.sim.events_processed == 148_379
         assert (stats.kernel_invocations, stats.blocks_encoded, stats.cache_hits) == (1, 3, 6)
 
     def test_legacy_engine_fleet_digest_matches_live(self):

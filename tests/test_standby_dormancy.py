@@ -71,7 +71,7 @@ COUNTERS = _bench_counters()
 #: Labels of the event kinds a dormant standby elides (some — the L2 and
 #: NIC links' deliveries, the Orion worker's completions — also carry
 #: kept traffic, so only their elided share goes).
-ELIDED_LABELS = ("fh_tx", "ul_done", ".watchdog", "->edge-switch.deliver",
+ELIDED_LABELS = ("fh_tx", "->edge-switch.deliver",
                  "edge-switch->phy", ".service", "->phy.deliver")
 
 
@@ -96,7 +96,7 @@ class Run:
     rng: List[Any]
     ingress: List[tuple]
     asleep_after_touch: List[int]
-    slept: int
+    asleep: List[int]
     submits: List[tuple]
 
 
@@ -243,12 +243,10 @@ def _drive(
         return entry
 
     sim._pop = counting_pop
-    slept = Counter()
-    readings, asleep_after_touch = [], []
+    readings, asleep_after_touch, asleep = [], [], []
     for ms in range(1, end_ms + 1):
         sim.run_until(ms * MS)
-        for cell in _cells(root):
-            slept[id(cell)] = max(slept[id(cell)], len(cell.dormancy.sleeping))
+        asleep.append(sum(len(cell.dormancy.sleeping) for cell in _cells(root)))
         if ms in actions:
             actions[ms](root)
             asleep_after_touch.append(
@@ -268,7 +266,7 @@ def _drive(
         ],
         ingress=[(ingress_ids[entry[0]],) + entry[1:] for entry in log["ingress"]],
         asleep_after_touch=asleep_after_touch,
-        slept=sum(slept.values()),
+        asleep=asleep,
         submits=list(log["submits"]),
     )
 
@@ -298,8 +296,8 @@ def _mismatches(eager: Run, dormant: Run) -> List[str]:
 
 
 def _assert_equivalent(eager: Run, dormant: Run) -> None:
-    assert eager.slept == 0
-    assert dormant.slept, "no standby ever fell asleep"
+    assert not any(eager.asleep)
+    assert any(dormant.asleep), "no standby ever fell asleep"
     assert _mismatches(eager, dormant) == []
     elided = {label for label in eager.pops | dormant.pops if _elided_kind(label)}
     kept = set(eager.pops) | set(dormant.pops)
@@ -349,12 +347,13 @@ def idle_fleet() -> Tuple[Any, List[Any]]:
 
 def impaired_cell() -> Tuple[Any, List[Any]]:
     """Two plans armed mid-run, while the standby sleeps. The first: loss
-    on the L2's uplink (missing nulls), a slow-down and a hang of the
-    standby and a slow-down of the primary — the standby falls asleep
-    again after each — then lossy, duplicating, reordering hooks on the
-    standby's own links, which wake it the tick before their window
-    opens. The second arms the same kind of hooks with the window open at
-    once, which wakes it at the arm."""
+    on the L2's uplink (missing nulls), then duplication there, a
+    slow-down and a hang of the standby and a slow-down of the primary —
+    the standby falls asleep again after each, with the L2 uplink's hook
+    still attached once its windows have closed — then lossy,
+    duplicating, reordering hooks on the standby's own links, which wake
+    it the tick before their window opens. The second arms the same kind
+    of hooks with the window open at once, which wakes it at the arm."""
     cell = build_slingshot_cell(CellConfig(seed=4))
     lossy = dict(loss_prob=0.2, dup_prob=0.1, reorder_prob=0.2, reorder_jitter_ns=3_000)
     plan = FaultPlan(
@@ -362,6 +361,8 @@ def impaired_cell() -> Tuple[Any, List[Any]]:
         link_faults=(
             LinkFaultSpec(link_pattern="l2->edge", start_ns=40 * MS, end_ns=60 * MS,
                           loss_prob=0.05),
+            LinkFaultSpec(link_pattern="l2->edge", start_ns=64 * MS, end_ns=66 * MS,
+                          dup_prob=0.2),
             LinkFaultSpec(link_pattern="edge-switch->phy1", start_ns=200 * MS,
                           end_ns=230 * MS, **lossy),
         ),
@@ -445,6 +446,10 @@ class TestDifferential:
             for awake in (True, False)
         )
         _assert_equivalent(eager, dormant)
+        # Awake while a window of the L2 uplink's hook can open; asleep
+        # again once its windows (and later the standby's links') closed.
+        assert not dormant.asleep[50 - 1]
+        assert dormant.asleep[75 - 1] and dormant.asleep[-1]
 
     def test_bulk_tcp_cell(self, runs, monkeypatch, instrumented):
         eager, dormant = (
@@ -609,7 +614,7 @@ def test_tie_on_the_nic_line_goes_to_the_c_plane(monkeypatch, instrumented):
             if mode == "mutant":
                 _kept_frame_first_at_a_tie(patch)
             modes[mode] = _drive(default_cell, 40, {}, instrumented)
-    assert modes["dormant"].slept
+    assert any(modes["dormant"].asleep)
     assert _mismatches(modes["eager"], modes["dormant"]) == []
     assert "switch ingress log" in _mismatches(modes["eager"], modes["mutant"])
 
@@ -773,7 +778,7 @@ def test_a_null_meeting_the_slot_indication_is_sent_live(monkeypatch, instrument
             if mode == "mutant":
                 patch.setattr(Sleeper, "_meets_slot_indication", lambda self, arrival: False)
             modes[mode] = _drive(rephased_cell, 14, {}, instrumented)
-    assert modes["dormant"].slept
+    assert any(modes["dormant"].asleep)
     assert _mismatches(modes["eager"], modes["dormant"]) == []
     assert "switch ingress log" in _mismatches(modes["eager"], modes["mutant"])
 
