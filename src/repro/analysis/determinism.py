@@ -13,8 +13,9 @@ them anyway. Rows are matched against what a name *resolves to* through
 the module's imports (:meth:`~repro.analysis.program.ModuleInfo.origin`),
 so ``from time import time``, ``import time as t`` and ``from numpy
 import random as r`` are the same violation as the spelled-out call — in
-every package, tooling included: telemetry, perf and the shard workers
-need no rule of their own because this table already binds them.
+every package, tooling included: telemetry, perf and whatever functions
+a campaign hands to the shard pool need no rule of their own because
+this table already binds them.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Paper results:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,10 +42,11 @@ class SwitchResult:
         return max(self.max_gap_idle_us, self.max_gap_busy_us)
 
 
-def _measure_max_gap(busy: bool, duration_s: float, seed: int) -> float:
+def _measure_max_gap(busy: bool, duration_s: float, seed: int) -> Tuple[float, float]:
     """Timestamp the primary PHY's downlink packets at the switch and
     compute the maximum inter-packet gap (the paper's P4 timestamping
-    mirror, §8.6)."""
+    mirror, §8.6); returns it with the measured cell's detector timeout
+    T, both in µs."""
     config = CellConfig(
         seed=seed,
         ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
@@ -69,9 +70,8 @@ def _measure_max_gap(busy: bool, duration_s: float, seed: int) -> float:
         flow.start()
     cell.run_for(seconds(duration_s))
     stamps = np.array(timestamps[10:], dtype=np.int64)
-    if len(stamps) < 2:
-        return 0.0
-    return float(np.diff(stamps).max()) / US
+    gap_us = float(np.diff(stamps).max()) / US if len(stamps) >= 2 else 0.0
+    return gap_us, cell.middlebox.config.detector.timeout_ns / US
 
 
 def run(
@@ -86,14 +86,16 @@ def run(
     sram_scaling = {
         n: model.usage(n, n).percent("sram_bits") for n in (64, 128, 256, 512, 1024)
     }
+    idle_us, idle_timeout_us = _measure_max_gap(False, gap_duration_s, seed)
+    busy_us, busy_timeout_us = _measure_max_gap(True, gap_duration_s, seed + 1)
     return SwitchResult(
         resource_percent={
             name: usage.percent(name) for name in usage.fraction
         },
         sram_scaling=sram_scaling,
-        max_gap_idle_us=_measure_max_gap(False, gap_duration_s, seed),
-        max_gap_busy_us=_measure_max_gap(True, gap_duration_s, seed + 1),
-        detector_timeout_us=450.0,
+        max_gap_idle_us=idle_us,
+        max_gap_busy_us=busy_us,
+        detector_timeout_us=min(idle_timeout_us, busy_timeout_us),
     )
 
 

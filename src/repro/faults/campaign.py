@@ -29,11 +29,12 @@ times, and registry streams are seeded by name alone. The cold run
 survives as the model of that differential test
 (``tests/chaos_cold.py``).
 
-``--jobs N`` fans both passes — bases, then branches — out to a process
-pool (:mod:`repro.parallel`); results merge in canonical ``(scenario,
-seed)`` order and per-run output streams as branches complete (ordered
-flush), so the report, the printed lines and every digest are
-bit-identical to the serial run. Only the ``execution`` accounting block
+The sweep is the harness's :func:`~repro.harness.branch_sweep`, as the
+fleet campaign's is. ``--jobs N`` fans both of its passes — bases, then
+branches — out to a process pool (:mod:`repro.parallel`); results merge
+in canonical ``(scenario, seed)`` order and per-run output streams as
+branches complete (ordered flush), so the report, the printed lines and
+every digest are bit-identical to the serial run. Only the ``execution`` accounting block
 (wall times, peak RSS, measured speedup) differs between jobs values,
 and it is kept out of :meth:`CampaignReport.as_dict` so determinism
 stays mechanically checkable.
@@ -42,6 +43,7 @@ stays mechanically checkable.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -63,8 +65,6 @@ from repro.faults.scenarios import (
     scenario_by_name,
     standard_scenarios,
 )
-from repro.parallel.pool import run_shards
-from repro.parallel.workers import build_fork_base_shard, run_branch_shard
 from repro.sim.units import MS
 from repro.telemetry import FailoverTimeline, collect
 from repro.transport.packet import FlowDirection, Packet
@@ -344,11 +344,11 @@ def build_fork_base(key: ForkKey) -> Checkpoint:
     )
 
 
-def run_branch(
-    scenario: ChaosScenario, seed: int, base: Checkpoint, replay: bool = False
-) -> ScenarioRun:
-    """Branch ``base`` into one scenario and judge it; ``replay`` branches
-    the same base a second time and compares the digests."""
+def run_branch(base: Checkpoint, payload: Tuple[ChaosScenario, int, bool]) -> ScenarioRun:
+    """Branch ``base`` into one ``(scenario, seed, replay)`` run and judge
+    it; ``replay`` branches the same base a second time and compares the
+    digests."""
+    scenario, seed, replay = payload
 
     def branch() -> ProbeHarness:
         probed = base.restore()
@@ -360,42 +360,6 @@ def run_branch(
     if replay:
         run.replay_digest_matched = branch().cell.trace.digest() == run.digest
     return run
-
-
-def build_fork_bases(
-    keys: Sequence[ForkKey], jobs: int = 1
-) -> Tuple[Dict[ForkKey, Checkpoint], Dict[str, Any]]:
-    """Every distinct base ``keys`` name, built as shards on ``jobs``
-    workers; returns (key -> checkpoint, the pass's accounting)."""
-    outcome = run_shards(
-        build_fork_base_shard, [(key, key) for key in sorted(set(keys))], jobs=jobs
-    )
-    return dict(zip(outcome.keys, outcome.values())), outcome.accounting()
-
-
-def execute(
-    shards: harness.Shards, jobs: int = 1, progress=None
-) -> Tuple[Dict[Any, ScenarioRun], Dict[str, Any]]:
-    """The chaos verb's sweep over a ``(scenario, seed)`` shard table:
-    one pass builds the bases, a second runs the branches (streaming
-    ``progress`` in canonical order). The bases' pass is summarized
-    under ``execution["bases"]``."""
-    bases, building = build_fork_bases(
-        [fork_key(scenario, seed) for _, (scenario, seed, _) in shards], jobs
-    )
-    results, execution = harness.fan_out(
-        run_branch_shard,
-        [
-            (key, (scenario, seed, bases[fork_key(scenario, seed)], replay))
-            for key, (scenario, seed, replay) in shards
-        ],
-        jobs,
-        progress,
-    )
-    execution["bases"] = {
-        name: building[name] for name in ("shards", "wall_seconds", "max_peak_rss_kb")
-    }
-    return results, execution
 
 
 def _shards(
@@ -427,7 +391,7 @@ def run_campaign(
     run.
     """
     selected = standard_scenarios() if scenarios is None else scenarios
-    return _report(*execute(_shards(selected, seeds, replay), jobs, progress))
+    return _report(*CHAOS.execute(_shards(selected, seeds, replay), jobs, progress))
 
 
 # ----------------------------------------------------------------------
@@ -494,7 +458,13 @@ CHAOS = harness.Verb(
     entries=harness.runs_by("scenario", "seed"),
     summary=_summary,
     shards=_cli_shards,
-    execute=execute,
+    # One warm base per fork key, one branch per (scenario, seed) run.
+    execute=functools.partial(
+        harness.branch_sweep,
+        base_key=lambda payload: fork_key(*payload[:2]),
+        build_base=build_fork_base,
+        run_branch=run_branch,
+    ),
     format_run=_format_run,
     report=lambda results, execution: _report(results, execution).bench_dict(),
     catalog=lambda: {

@@ -17,8 +17,8 @@ composes that deployment shape out of the existing cell builder:
   with cells, not users), with sampled *tracer* cells expanded to full
   per-UE fidelity;
 * :mod:`repro.fleet.campaign` — the availability-vs-standby-count
-  experiment over the chaos fault classes, sharded via
-  :func:`repro.parallel.run_shards` and gated by
+  experiment over the chaos fault classes: every run a branch of one
+  warm base per seed (:func:`repro.harness.branch_sweep`), gated by
   ``benchmarks/BENCH_fleet.json``.
 """
 

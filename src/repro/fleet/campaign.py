@@ -9,24 +9,28 @@ converts one more concurrent failure into a ~millisecond blip, and the
 re-warm path lets the *same* seat absorb a second failure wave — the
 availability-vs-standby curve the recorded ``BENCH_fleet.json`` pins.
 
-``--jobs N`` fans the independent ``(fault class, pool size, seed)``
-runs over a process pool; runs merge in canonical key order so the
+Every run is a branch (:func:`~repro.harness.branch_sweep`): nothing
+reads the pool before its first claim, so one warm, pool-free base per
+seed serves every ``(fault class, pool size)``. ``--jobs N`` fans both
+passes over a process pool; runs merge in canonical key order so the
 report and every digest are bit-identical at any jobs value.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import harness
+from repro.checkpoint.snapshot import Checkpoint
+from repro.faults.campaign import FORK_MARGIN_NS
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.fleet.composer import FleetConfig, FleetHarness, build_fleet, fleet_digest
-from repro.parallel.workers import run_fleet_shard
 from repro.sim.units import MS
 
 # ----------------------------------------------------------------------
@@ -43,6 +47,8 @@ FLEET_FAULT_NS = 60 * MS
 FLEET_WAVE2_NS = 130 * MS
 FLEET_MEASURE_END_NS = 190 * MS
 FLEET_RUN_END_NS = 200 * MS
+#: Where each seed's warm base is captured.
+FLEET_BASE_NS = FLEET_FAULT_NS - FORK_MARGIN_NS
 #: Wave-internal stagger, so pool contention resolves in failure order.
 FLEET_STAGGER_NS = 1 * MS
 
@@ -159,18 +165,20 @@ def _downtimes_ns(
     return downtimes
 
 
-def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
-    """Execute and judge one fleet run."""
-    config = FleetConfig(
+def fleet_config(seed: int, pool_size: int = 0) -> FleetConfig:
+    """The campaign fleet's shape for one seed and standby pool size."""
+    return FleetConfig(
         seed=seed,
         num_cells=FLEET_NUM_CELLS,
         standby_pool_size=pool_size,
         users_per_cell=FLEET_USERS_PER_CELL,
         rewarm_ns=FLEET_REWARM_NS,
     )
-    harness = build_fleet(config)
-    schedule = fault_schedule(fault_class)
-    for cell_index, spec in schedule:
+
+
+def arm_wave(harness: FleetHarness, fault_class: str) -> None:
+    """Arm one fault class's schedule, one plan per failed cell."""
+    for cell_index, spec in fault_schedule(fault_class):
         FaultInjector(
             harness.cells[cell_index],
             FaultPlan(
@@ -178,8 +186,33 @@ def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
                 process_faults=(spec,),
             ),
         ).arm()
-    harness.run_until(FLEET_RUN_END_NS)
 
+
+def build_fleet_base(seed: int) -> Checkpoint:
+    """Build one seed's warm fleet — pool size 0, nothing armed — and
+    checkpoint it at :data:`FLEET_BASE_NS`."""
+    harness = build_fleet(fleet_config(seed))
+    harness.run_until(FLEET_BASE_NS)
+    return Checkpoint.capture(harness, label=f"fleet base seed={seed}")
+
+
+def run_fleet(base: Checkpoint, payload: Tuple[str, int, int]) -> FleetRun:
+    """Branch ``base`` into one ``(fault_class, pool_size, seed)`` run:
+    size the pool, arm the wave, run to the end and judge."""
+    fault_class, pool_size, _ = payload
+    harness = base.restore()
+    harness.pool.resize(pool_size)
+    harness.config = dataclasses.replace(harness.config, standby_pool_size=pool_size)
+    arm_wave(harness, fault_class)
+    harness.run_until(FLEET_RUN_END_NS)
+    return judge_fleet(harness, fault_class)
+
+
+def judge_fleet(harness: FleetHarness, fault_class: str) -> FleetRun:
+    """Judge one finished fleet run of ``fault_class``; its seed and pool
+    size are the fleet's own configuration."""
+    config = harness.config
+    schedule = fault_schedule(fault_class)
     commits = sum(
         cell.trace.count("mbox.migration_committed") for cell in harness.cells
     )
@@ -226,8 +259,8 @@ def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
     ]
     if any(count > 1 for count in per_cell_commits):
         problems.append(f"a cell committed more than once: {per_cell_commits}")
-    if fault_class == "second_wave" and pool_size > 0:
-        wave1_grants = min(len(WAVE1_CELLS), pool_size)
+    if fault_class == "second_wave" and config.standby_pool_size > 0:
+        wave1_grants = min(len(WAVE1_CELLS), config.standby_pool_size)
         if pool.rewarmed < 1 or pool.promotions <= wave1_grants:
             problems.append(
                 "re-warmed seat was never reclaimed by the second wave "
@@ -241,8 +274,8 @@ def run_fleet(fault_class: str, pool_size: int, seed: int) -> FleetRun:
 
     return FleetRun(
         fault_class=fault_class,
-        pool_size=pool_size,
-        seed=seed,
+        pool_size=config.standby_pool_size,
+        seed=config.seed,
         digest=fleet_digest(harness),
         availability=round(availability, 6),
         downtime_ms=[round(d / 1e6, 3) for d in downtimes],
@@ -353,29 +386,6 @@ def _report(results: Dict[tuple, FleetRun], execution: dict) -> FleetReport:
     return FleetReport(runs=list(results.values()), execution=execution)
 
 
-def run_fleet_campaign(
-    fault_classes: Optional[Sequence[str]] = None,
-    pool_sizes: Sequence[int] = POOL_SIZES,
-    seeds: Optional[Sequence[int]] = None,
-    quick: bool = False,
-    progress=None,
-    jobs: int = 1,
-) -> FleetReport:
-    """Run the (fault class x pool size x seed) matrix on ``jobs`` workers.
-
-    Results merge — and ``progress`` streams — in canonical shard order
-    at every jobs value, so the report is identical to a serial run.
-    """
-    return _report(
-        *harness.fan_out(
-            run_fleet_shard,
-            _shards(fault_classes, pool_sizes, seeds, quick),
-            jobs,
-            progress,
-        )
-    )
-
-
 # ----------------------------------------------------------------------
 # CLI: the ``fleet`` verb's declaration (the harness does the rest)
 # ----------------------------------------------------------------------
@@ -431,7 +441,13 @@ FLEET = harness.Verb(
     shards=lambda args: _shards(
         args.fault_classes, args.pool_sizes, args.seeds, args.quick
     ),
-    execute=functools.partial(harness.fan_out, run_fleet_shard),
+    # One warm base per seed, one branch per (fault class, pool size).
+    execute=functools.partial(
+        harness.branch_sweep,
+        base_key=lambda payload: payload[2],
+        build_base=build_fleet_base,
+        run_branch=run_fleet,
+    ),
     format_run=_format_run,
     report=lambda results, execution: _report(results, execution).bench_dict(),
 )

@@ -33,16 +33,25 @@ class StandbyPool:
         rewarm_ns: int,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
-        if size < 0:
-            raise ValueError(f"pool size must be >= 0, got {size}")
         self.sim = sim
-        self.size = size
         self.rewarm_ns = rewarm_ns
         self.trace = trace
-        self.available = size
         self.promotions = 0
         self.exhaustions = 0
         self.rewarmed = 0
+        self.resize(size)
+
+    def resize(self, size: int) -> None:
+        """Provision ``size`` tokens; refused once a claim has been made."""
+        if size < 0:
+            raise ValueError(f"pool size must be >= 0, got {size}")
+        if self.promotions or self.exhaustions:
+            raise RuntimeError(
+                f"cannot resize a pool after {self.promotions + self.exhaustions} "
+                "claim(s)"
+            )
+        self.size = size
+        self.available = size
 
     # ------------------------------------------------------------------
     def claim(self, cell_index: int, cell_id: int, phy_id: int) -> bool:

@@ -4,10 +4,10 @@
 deterministic workload, print a report and optionally gate it against
 a recorded ``benchmarks/BENCH_<verb>.json``. Each verb is a :class:`Verb`
 declaration — its extra flags, its shard table and how it executes one
-(fleet fans it out with :func:`fan_out`, chaos builds fork bases and
-branches them), its one-line run formatter, its report dict and the
-exact fields ``--check`` compares — and :func:`main` owns everything
-else. The contract (DESIGN.md §10):
+(chaos and fleet are both a :func:`branch_sweep`: warm one base per
+key, branch every run from it), its one-line run formatter, its report
+dict and the exact fields ``--check`` compares — and :func:`main` owns
+everything else. The contract (DESIGN.md §10):
 
 * **exact fields vs machine facts** — ``--check`` compares a verb's
   ``exact_fields`` for equality and nothing else; wall seconds, rates
@@ -150,22 +150,43 @@ def runs_by(*key_fields: str) -> Callable[[Dict[str, Any]], Dict[str, Dict[str, 
     return entries
 
 
-def fan_out(
-    worker: Callable[[Any], Any],
+def _branch(task: Tuple[Callable[[Any, Any], Any], Any, Any]) -> Any:
+    run_branch, base, payload = task
+    return run_branch(base, payload)
+
+
+def branch_sweep(
     shards: Shards,
     jobs: int = 1,
     progress: Optional[Callable[[Any], None]] = None,
+    *,
+    base_key: Callable[[Any], Any],
+    build_base: Callable[[Any], Any],
+    run_branch: Callable[[Any, Any], Any],
 ) -> Tuple[Dict[Any, Any], Dict[str, Any]]:
-    """Run a shard table; returns ({key: value} in canonical order, the
-    ``execution`` accounting). ``progress`` streams each value in that
-    same order at any ``jobs``."""
+    """Build each distinct ``base_key(payload)`` once as ``build_base``,
+    then run ``run_branch(base, payload)`` per shard: two ``run_shards``
+    passes on ``jobs`` workers (so both functions are module-level).
+    Returns ({key: value} in canonical order, the branches' accounting
+    with the bases' under ``"bases"``); ``progress`` streams each value
+    in that order at any ``jobs``."""
+    base_keys = list(dict.fromkeys(base_key(payload) for _, payload in shards))
+    building = run_shards(build_base, [(key, key) for key in base_keys], jobs=jobs)
+    bases = dict(zip(building.keys, building.values()))
     outcome = run_shards(
-        worker,
-        shards,
+        _branch,
+        [
+            (key, (run_branch, bases[base_key(payload)], payload))
+            for key, payload in shards
+        ],
         jobs=jobs,
         progress=None if progress is None else (lambda key, value: progress(value)),
     )
-    return dict(zip(outcome.keys, outcome.values())), outcome.accounting()
+    execution, built = outcome.accounting(), building.accounting()
+    execution["bases"] = {
+        name: built[name] for name in ("shards", "wall_seconds", "max_peak_rss_kb")
+    }
+    return dict(zip(outcome.keys, outcome.values())), execution
 
 
 def execution_tail(execution: Optional[Dict[str, Any]]) -> str:

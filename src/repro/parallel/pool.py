@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sys
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -205,7 +206,7 @@ def _peak_rss_kb() -> int:
         return 0
     usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB; macOS reports bytes.
-    return int(usage // 1024) if usage > 1 << 30 else int(usage)
+    return int(usage // 1024) if sys.platform == "darwin" else int(usage)
 
 
 def _shard_entry(worker: ShardWorker, key: ShardKey, payload: Any) -> Dict[str, Any]:
@@ -413,8 +414,9 @@ def run_shards(
     worker:
         Top-level (picklable) function mapping one payload to one
         picklable result. Workers must rebuild all state from the
-        payload; ``tests/test_parallel.py`` pins serial against
-        ``jobs`` 1/2/4 for the sanctioned entrypoints.
+        payload; ``tests/test_parallel.py`` and
+        ``tests/test_harness_contract.py`` pin serial against ``jobs``
+        2 and 4 for the campaigns.
     shards:
         Ordered ``(key, payload)`` pairs; the order is the canonical
         merge/flush order and keys must be unique.

@@ -13,13 +13,13 @@ from repro.checkpoint import Checkpoint
 from repro.checkpoint import soak as soak_module
 from repro.faults.campaign import (
     arm_plan,
-    build_fork_bases,
+    build_fork_base,
     drive_to,
     fork_key,
     judge_execution,
 )
 from repro.faults.scenarios import RUN_END_NS, scenario_by_name
-from repro.parallel import run_shards
+from repro.harness import branch_sweep
 from repro.sim.units import MS
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -37,20 +37,19 @@ def package_report():
     return lint_report([PACKAGE])
 
 
-def _mid_recovery_verify(payload):
-    """Branch one scenario from its warm base, checkpoint it mid-recovery,
-    and finish both timelines.
+def _mid_recovery_verify(base, payload):
+    """Branch one ``(scenario, seed)`` from its warm base, checkpoint it
+    mid-recovery, and finish both timelines.
 
     Returns the continued and restored runs — the callers assert their
     records are identical, and the continued one against the recorded
     chaos baseline.
     """
-    name, seed, base = payload
-    scenario = scenario_by_name()[name]
+    scenario, seed = payload
     harness = base.restore()
     arm_plan(harness, scenario.plan)
     drive_to(harness, MID_RECOVERY_NS)
-    checkpoint = Checkpoint.capture(harness, label=f"mid-recovery {name}")
+    checkpoint = Checkpoint.capture(harness, label=f"mid-recovery {scenario.name}")
     drive_to(harness, RUN_END_NS)
     continued = judge_execution(scenario, seed, harness)
     restored = checkpoint.restore()
@@ -69,18 +68,14 @@ def seed1_chaos():
     a capture at :data:`MID_RECOVERY_NS` restored to the end beside it.
     Scenario name -> ``_mid_recovery_verify``'s result."""
     catalog = scenario_by_name()
-    bases, _ = build_fork_bases(
-        [fork_key(scenario, 1) for scenario in catalog.values()], jobs=2
-    )
-    outcome = run_shards(
-        _mid_recovery_verify,
-        [
-            (name, (name, 1, bases[fork_key(catalog[name], 1)]))
-            for name in sorted(catalog)
-        ],
+    results, _ = branch_sweep(
+        [(name, (catalog[name], 1)) for name in sorted(catalog)],
         jobs=2,
+        base_key=lambda payload: fork_key(*payload),
+        build_base=build_fork_base,
+        run_branch=_mid_recovery_verify,
     )
-    return dict(zip(outcome.keys, outcome.values()))
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -65,6 +65,9 @@ class TestFig12:
 
 class TestSec86:
     def test_resources_and_gap(self):
+        """T is the measured cell's own ``DetectorConfig.timeout_ns``.
+        Mutant: that default at 300 µs, below the ~380 µs healthy gap,
+        fails "gap < T"."""
         result = sec86_switch.run(gap_duration_s=1.0)
         for name, paper_value in PAPER_PERCENT.items():
             assert result.resource_percent[name] == pytest.approx(

@@ -34,8 +34,15 @@ from repro.fleet import (
     fleet_cell_seed,
     validate_fleet_budget,
 )
+from repro.fleet.campaign import (
+    FLEET_RUN_END_NS,
+    arm_wave,
+    build_fleet_base,
+    fleet_config,
+    judge_fleet,
+    run_fleet,
+)
 from repro.fleet.campaign import main as fleet_main
-from repro.fleet.campaign import run_fleet_campaign
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 from repro.ue.ue import UserEquipment
@@ -112,6 +119,9 @@ class TestPooledStandby:
         # The fleet trace records both pool decisions.
         assert harness.trace.count("fleet.pool.promoted") == 1
         assert harness.trace.count("fleet.pool.exhausted") == 1
+        # Its tokens are in play now: the pool can no longer be sized.
+        with pytest.raises(RuntimeError, match="after 2 claim"):
+            harness.pool.resize(2)
 
     def test_rewarmed_seat_absorbs_a_later_failure(self):
         harness = self._mini_fleet(pool_size=1, rewarm_ns=20 * MS)
@@ -308,33 +318,34 @@ class TestPoolProperties:
 
 
 # ----------------------------------------------------------------------
-# Pool-exhaustion accounting regression at --jobs 1 and 2 (satellite 4)
+# Pool-exhaustion accounting through the re-warm reclaim, branched = cold
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 class TestAccountingRegression:
-    def test_rewarm_reclaim_accounting_is_jobs_invariant(self):
-        reports = {
-            jobs: run_fleet_campaign(
-                fault_classes=("second_wave",),
-                pool_sizes=(1,),
-                seeds=(1,),
-                jobs=jobs,
-            )
-            for jobs in (1, 2)
-        }
-        serial = reports[1].runs[0]
+    def test_rewarm_reclaim_accounting_branch_equals_cold(self):
+        """``repro fleet`` branches every run from its seed's warm base;
+        the cold run it replaced — built with its pool size, armed at
+        t = 0 — stays here as the model. Jobs-invariance is
+        ``tests/test_harness_contract.py``'s. Mutants: a branch that
+        skips ``fleet.pool.resize`` differs (pool 0's verdict), and a
+        base warmed past the first fault (60 ms) fails arming with
+        "cannot schedule at t=60000000 ns"."""
+        cold = build_fleet(fleet_config(seed=1, pool_size=1))
+        arm_wave(cold, "second_wave")
+        cold.run_until(FLEET_RUN_END_NS)
+        model = judge_fleet(cold, "second_wave")
         # The reclaim shape: wave 1 takes the token (2 denials), the
         # re-warmed seat absorbs one wave-2 failure (1 more denial).
-        assert serial.pool["promotions"] == 2
-        assert serial.pool["exhaustions"] == 3
-        assert serial.pool["rewarmed"] == 2
-        assert serial.migrations_committed == 2
-        assert serial.failovers_impossible == 3
-        assert serial.source_transitions == 2
-        assert serial.accounting["consistent"], serial.accounting["problems"]
-        assert serial.passed
-        # Bit-identical verdicts and digests across jobs values.
-        assert reports[2].runs[0].as_dict() == serial.as_dict()
+        assert model.pool["promotions"] == 2
+        assert model.pool["exhaustions"] == 3
+        assert model.pool["rewarmed"] == 2
+        assert model.migrations_committed == 2
+        assert model.failovers_impossible == 3
+        assert model.source_transitions == 2
+        assert model.accounting["consistent"], model.accounting["problems"]
+        assert model.passed
+        branched = run_fleet(build_fleet_base(1), ("second_wave", 1, 1))
+        assert branched.as_dict() == model.as_dict()
 
 
 # ----------------------------------------------------------------------

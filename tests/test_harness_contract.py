@@ -321,7 +321,7 @@ def test_out_is_the_only_place_a_report_lands(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # A worker that dies: one paragraph, exit 1
 # ----------------------------------------------------------------------
-def _dies_on_two(payload):
+def _dies_on_two(base, payload):
     if payload == 2:
         # fd 2 directly: what the pool's stderr capture redirects.
         os.write(2, b"fatal: shard two always dies\n")
@@ -337,7 +337,9 @@ DYING = harness.Verb(
     entries=harness.runs_by("n"),
     summary=lambda report: "",
     shards=lambda args: [(n, n) for n in range(4)],
-    execute=functools.partial(harness.fan_out, _dies_on_two),
+    execute=functools.partial(
+        harness.branch_sweep, base_key=abs, build_base=abs, run_branch=_dies_on_two
+    ),
     format_run=str,
     report=lambda results, execution: {
         "runs": [{"n": n} for n in results], "passed": True

@@ -9,6 +9,7 @@ failures surface with the shard key instead of hanging the sweep.
 
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.parallel import (
     available_parallelism,
     run_shards,
 )
+from repro.parallel import pool
 from repro.parallel.pool import fork_available
 
 needs_fork = pytest.mark.skipif(
@@ -105,6 +107,22 @@ class TestRunShardsSerial:
 
     def test_probe_and_cpu_count_sane(self):
         assert available_parallelism() >= 1
+
+    @pytest.mark.parametrize(
+        "platform, maxrss, kib",
+        [
+            ("linux", 600 * 1024, 600 * 1024),  # KiB already
+            ("linux", 3 << 30, 3 << 30),  # 3 TiB in KiB, still KiB
+            ("darwin", 600 << 20, 600 * 1024),  # bytes, under 1 GiB
+            ("darwin", 3 << 30, 3 << 20),
+        ],
+    )
+    def test_peak_rss_unit_follows_the_platform(self, monkeypatch, platform, maxrss, kib):
+        monkeypatch.setattr(pool.sys, "platform", platform)
+        monkeypatch.setattr(
+            pool.resource, "getrusage", lambda who: SimpleNamespace(ru_maxrss=maxrss)
+        )
+        assert pool._peak_rss_kb() == kib
 
 
 @needs_fork
