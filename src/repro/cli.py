@@ -24,8 +24,8 @@ failover timeline and every layer's counters (:mod:`repro.telemetry`);
 ``soak`` and ``fleet`` are the continuous-operation and metro-fleet
 campaigns, reached only as verbs (``all`` runs the paper experiments).
 The simulator's speed is measured by the repo benchmark,
-``bench/run.py``, not by a verb here. ``sec52`` and ``sec82`` take no
-flags: each is one forked sweep over all 56 kill phases.
+``bench/run.py``, not by a verb here. ``sec52`` takes no flags: it is
+§5.2's and §8.2's one forked sweep over all 56 kill phases.
 
 The former per-experiment ``_run_*`` functions are gone; their exact
 argument mappings live in each spec's ``cli_params``.

@@ -9,7 +9,7 @@ experiment.
 Durations are parameters: the defaults regenerate the paper's plots at
 full length, while the tests pass scaled-down windows (documented in
 EXPERIMENTS.md) to keep tier-1 runtimes sane. §5.2 and §8.2 have no
-scale to shrink: each is one forked sweep over all 56 kill phases.
+scale to shrink: they are one forked sweep over all 56 kill phases.
 
 The **Experiment registry** is the single source of truth the CLI is
 derived from: each paper experiment is registered as an
@@ -33,7 +33,6 @@ from repro.experiments import (
     fig12_orion_latency,
     table2_stress,
     sec52_detector,
-    sec82_dropped_ttis,
     sec85_overhead,
     sec86_switch,
     ablations,
@@ -149,16 +148,9 @@ register(ExperimentSpec(
 ))
 register(ExperimentSpec(
     name="sec52",
-    description="in-switch failure-detector microbench",
+    description="failure detection + dropped TTIs (§5.2, §8.2)",
     default_duration_s=0.0,
     module=sec52_detector,
-    cli_params=lambda args: {},
-))
-register(ExperimentSpec(
-    name="sec82",
-    description="dropped TTIs per resilience event",
-    default_duration_s=0.0,
-    module=sec82_dropped_ttis,
     cli_params=lambda args: {},
 ))
 register(ExperimentSpec(
@@ -172,10 +164,9 @@ register(ExperimentSpec(
 register(ExperimentSpec(
     name="sec86",
     description="switch resources + inter-packet gap",
-    default_duration_s=3.0,
-    quick_duration_s=1.5,
+    default_duration_s=0.0,
     module=sec86_switch,
-    cli_params=lambda args: {"gap_duration_s": min(args.duration, 5.0)},
+    cli_params=lambda args: {},
 ))
 
 __all__ = [
@@ -190,7 +181,6 @@ __all__ = [
     "fig12_orion_latency",
     "table2_stress",
     "sec52_detector",
-    "sec82_dropped_ttis",
     "sec85_overhead",
     "sec86_switch",
     "ablations",

@@ -10,21 +10,22 @@ Paper results:
   fronthaul packets, measured with nanosecond switch timestamps across
   idle and busy periods, is 393 µs — motivating the conservative
   450 µs detector timeout.
+
+Here the gap is not sampled but derived from the PHY's transmit
+schedule (:func:`repro.phy.process.downlink_schedule`); tier-1 checks
+it against the heartbeats of §5.2's healthy run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
-import numpy as np
-
-from repro.apps.iperf import UdpIperfDownlink
-from repro.cell.config import CellConfig, UeProfile
-from repro.cell.deployment import build_slingshot_cell
+from repro.core.failure_detector import DetectorConfig
 from repro.net.p4.resources import PipelineResourceModel
-from repro.net.packet import EtherType
-from repro.sim.units import US, seconds
+from repro.phy.numerology import Numerology
+from repro.phy.process import PhyConfig, downlink_schedule
+from repro.sim.units import US
 
 
 @dataclass
@@ -33,69 +34,26 @@ class SwitchResult:
     resource_percent: Dict[str, float]
     #: SRAM percentages at growing deployment sizes (only SRAM scales).
     sram_scaling: Dict[int, float]
-    max_gap_idle_us: float
-    max_gap_busy_us: float
+    #: The default PHY's maximum healthy gap between downlink frames.
+    max_gap_us: float
     detector_timeout_us: float
 
-    @property
-    def max_gap_us(self) -> float:
-        return max(self.max_gap_idle_us, self.max_gap_busy_us)
 
-
-def _measure_max_gap(busy: bool, duration_s: float, seed: int) -> Tuple[float, float]:
-    """Timestamp the primary PHY's downlink packets at the switch and
-    compute the maximum inter-packet gap (the paper's P4 timestamping
-    mirror, §8.6); returns it with the measured cell's detector timeout
-    T, both in µs."""
-    config = CellConfig(
-        seed=seed,
-        ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
-    )
-    cell = build_slingshot_cell(config)
-    timestamps: List[int] = []
-    detector = cell.middlebox.detector
-    original = detector.on_heartbeat
-
-    def tap(phy_id: int, now_ns: Optional[int] = None) -> None:
-        if phy_id == 0:
-            timestamps.append(cell.sim.now)
-        original(phy_id, now_ns)
-
-    detector.on_heartbeat = tap
-    if busy:
-        flow = UdpIperfDownlink(
-            cell.sim, cell.server, cell.ue(1), "dl", bearer_id=1, bitrate_bps=60e6
-        )
-        cell.run_for(seconds(0.2))
-        flow.start()
-    cell.run_for(seconds(duration_s))
-    stamps = np.array(timestamps[10:], dtype=np.int64)
-    gap_us = float(np.diff(stamps).max()) / US if len(stamps) >= 2 else 0.0
-    return gap_us, cell.middlebox.config.detector.timeout_ns / US
-
-
-def run(
-    num_rus: int = 256,
-    num_phys: int = 256,
-    gap_duration_s: float = 3.0,
-    seed: int = 0,
-) -> SwitchResult:
-    """Compute resource usage and measure the healthy inter-packet gap."""
+def run(num_rus: int = 256, num_phys: int = 256) -> SwitchResult:
+    """Compute resource usage and derive the healthy inter-packet gap."""
     model = PipelineResourceModel()
     usage = model.usage(num_rus, num_phys)
     sram_scaling = {
         n: model.usage(n, n).percent("sram_bits") for n in (64, 128, 256, 512, 1024)
     }
-    idle_us, idle_timeout_us = _measure_max_gap(False, gap_duration_s, seed)
-    busy_us, busy_timeout_us = _measure_max_gap(True, gap_duration_s, seed + 1)
+    schedule = downlink_schedule(PhyConfig(), Numerology().slot_duration_ns)
     return SwitchResult(
         resource_percent={
             name: usage.percent(name) for name in usage.fraction
         },
         sram_scaling=sram_scaling,
-        max_gap_idle_us=idle_us,
-        max_gap_busy_us=busy_us,
-        detector_timeout_us=min(idle_timeout_us, busy_timeout_us),
+        max_gap_us=schedule.max_gap_ns / US,
+        detector_timeout_us=DetectorConfig().timeout_ns / US,
     )
 
 
@@ -115,8 +73,8 @@ def summarize(result: SwitchResult) -> str:
     scaling = ", ".join(f"{n}:{p:.1f}%" for n, p in result.sram_scaling.items())
     lines.append(f"  SRAM scaling with deployment size: {scaling}")
     lines.append(
-        f"  max healthy inter-packet gap: idle {result.max_gap_idle_us:.0f} us, "
-        f"busy {result.max_gap_busy_us:.0f} us (paper: 393 us) "
+        f"  max healthy inter-packet gap: {result.max_gap_us:.0f} us derived from "
+        f"the PHY's transmit schedule (paper: 393 us measured) "
         f"< timeout {result.detector_timeout_us:.0f} us"
     )
     return "\n".join(lines)

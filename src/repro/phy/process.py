@@ -10,8 +10,8 @@ modify:
   started, and crashes after a few consecutive missing slots (§6.2);
 * it emits downlink C-plane fronthaul packets in **every** slot — the
   natural heartbeat the in-switch failure detector watches (§5.2.1) —
-  with realistic transmit-time jitter, so the measured maximum
-  inter-packet gap lands near the paper's 393 µs;
+  at the offsets :func:`downlink_schedule` states, whose maximum healthy
+  gap (380 µs) lands near the paper's measured 393 µs;
 * it processes uplink slots through a three-slot pipeline (Fig 7):
   indications for slot N are delivered to the L2 during slot N+2, so an
   already-failed-over primary keeps producing output for pre-boundary
@@ -25,7 +25,7 @@ modify:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -72,6 +72,21 @@ from repro.sim.units import US
 #: rewrites toward the RU port.
 _UNRESOLVED_DST = MacAddress(0)
 
+# One slot's downlink transmit schedule (:meth:`PhyProcess._emit_downlink`),
+# from the PHY's slot tick ``tx_lead_ns`` before the slot starts. Every
+# frame is a heartbeat to the in-switch detector, so these constants fix
+# the healthy gap :func:`downlink_schedule` derives.
+#: The first C-plane section's jitter is clipped to [0, this] µs.
+FIRST_SECTION_MAX_JITTER_US = 140.0
+#: The DL U-plane leaves this long after the first section, ...
+UPLANE_DELAY_NS = 20 * US
+#: ... one packet every this long.
+UPLANE_PACING_NS = 8 * US
+#: The mid-slot section leaves this long into the slot, plus a uniform
+#: draw of [0, ``MID_SECTION_SPREAD_US``) µs.
+MID_SECTION_NS = 250 * US
+MID_SECTION_SPREAD_US = 50.0
+
 
 @dataclass
 class PhyConfig:
@@ -98,6 +113,39 @@ class PhyConfig:
     #: state whose array gain boosts the effective uplink SNR; the state
     #: is soft and discarded on migration like HARQ buffers.
     massive_mimo: bool = False
+
+
+class DownlinkSchedule(NamedTuple):
+    """When a healthy PHY's downlink sections for one slot leave it: each
+    window is ``(earliest, latest)`` in ns from that slot's start."""
+
+    first_section: Tuple[int, int]
+    mid_section: Tuple[int, int]
+    #: The longest a healthy PHY goes between two downlink frames.
+    max_gap_ns: int
+
+
+def downlink_schedule(config: PhyConfig, slot_ns: int) -> DownlinkSchedule:
+    """The section windows of one slot and the maximum healthy gap
+    between two consecutive downlink frames of a PHY.
+
+    The DL U-plane only ever follows a first section, so the gaps to
+    bound are first → mid of one slot, longest at zero jitter and full
+    spread, and mid → the next slot's first, longest at no spread and
+    full jitter: ``max(lead + 250 + 50, slot - lead - 250 + 140)`` µs,
+    380 µs for the defaults. Every frame crosses the same link to the
+    switch, so the gap there is the same.
+
+    The bound needs the L2 to send a TTI request every slot, null FAPI
+    included: a slot without one emits no frame at all, and the gap
+    grows by a slot.
+    """
+    lead = config.tx_lead_ns
+    first = (-lead, round(FIRST_SECTION_MAX_JITTER_US * US) - lead)
+    mid = (MID_SECTION_NS, MID_SECTION_NS + round(MID_SECTION_SPREAD_US * US))
+    return DownlinkSchedule(
+        first, mid, max(mid[1] - first[0], slot_ns + first[1] - mid[0])
+    )
 
 
 @dataclass
@@ -366,14 +414,16 @@ class PhyProcess(Process):
         """Transmit-time jitter for the slot's first DL packet.
 
         A clipped normal around the nominal lead plus a rare heavy tail
-        (realtime-thread scheduling hiccups); calibrated so the maximum
-        observed inter-packet gap approaches but never exceeds the
-        detector budget (≈390 µs observed vs the 450 µs timeout).
+        (realtime-thread scheduling hiccups). Jitter only shortens the
+        first → mid gap, and even the tail's clip at
+        :data:`FIRST_SECTION_MAX_JITTER_US` holds mid → first to 310 µs:
+        the maximum healthy gap (380 µs, :func:`downlink_schedule`) is
+        the first → mid one at zero jitter.
         """
         base = float(self.rng.normal(10.0, 8.0))
         if float(self.rng.random()) < 0.02:
             base += float(self.rng.uniform(40.0, 140.0))
-        return round(max(0.0, min(base, 140.0)) * US)
+        return round(max(0.0, min(base, FIRST_SECTION_MAX_JITTER_US)) * US)
 
     def _process_cell_slot(self, cell: PhyCellContext, abs_slot: int) -> None:
         ul_req = cell.ul_tti.pop(abs_slot, None)
@@ -450,8 +500,8 @@ class PhyProcess(Process):
         # _emit_downlink's draws, in its order: the first C-plane's
         # jitter, then the mid-slot section's offset.
         first_tx = self._tx_jitter_ns()
-        mid_offset = self.config.tx_lead_ns + 250 * US + round(
-            50.0 * float(self.rng.random()) * US
+        mid_offset = self.config.tx_lead_ns + MID_SECTION_NS + round(
+            MID_SECTION_SPREAD_US * float(self.rng.random()) * US
         )
         now = self.sim.now
         uplink = self.uplink
@@ -523,7 +573,7 @@ class PhyProcess(Process):
         self._send_fronthaul_at(self.sim.now + first_tx, cplane, cplane.wire_bytes)
         # DL U-plane data for each allocation, paced across the early slot.
         payloads = cell.tx_data.pop(abs_slot, {})
-        offset = first_tx + 20 * US
+        offset = first_tx + UPLANE_DELAY_NS
         for pdu in dl_pdus:
             data = payloads.get(pdu.tb_id)
             block = TransportBlock(
@@ -547,12 +597,12 @@ class PhyProcess(Process):
                 source_phy_id=self.phy_id,
             )
             self._send_fronthaul_at(self.sim.now + offset, packet, packet.wire_bytes)
-            offset += 8 * US
+            offset += UPLANE_PACING_NS
         # Second C-plane section packet mid-slot (symbol-group sections);
         # keeps the heartbeat cadence dense within the slot.
         mid = self._null_cplane(cell, abs_slot)
-        mid_offset = self.config.tx_lead_ns + 250 * US + round(
-            50.0 * float(self.rng.random()) * US
+        mid_offset = self.config.tx_lead_ns + MID_SECTION_NS + round(
+            MID_SECTION_SPREAD_US * float(self.rng.random()) * US
         )
         self._send_fronthaul_at(self.sim.now + mid_offset, mid, mid.wire_bytes)
 

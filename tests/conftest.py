@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.runner import lint_report
 from repro.checkpoint import Checkpoint
 from repro.checkpoint import soak as soak_module
+from repro.experiments.sec52_detector import phase_branches
 from repro.faults.campaign import (
     arm_plan,
     build_fork_base,
@@ -76,6 +77,14 @@ def seed1_chaos():
         run_branch=_mid_recovery_verify,
     )
     return results
+
+
+@pytest.fixture(scope="session")
+def warm_phases():
+    """The default seed-0 cell warmed and captured, with its 56 kill
+    phases (``sec52_detector.phase_branches``): the one base of §5.2 and
+    §8.2's sweep and of the hang sweep. Every run on it is a restore."""
+    return phase_branches()
 
 
 @pytest.fixture(scope="session")

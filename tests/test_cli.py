@@ -63,11 +63,11 @@ class TestParser:
         for name in EXPERIMENTS:
             assert name in out
 
-    @pytest.mark.parametrize("name", ["nonsense", "perf", "telemetry"])
+    @pytest.mark.parametrize("name", ["nonsense", "perf", "telemetry", "sec82"])
     def test_unknown_experiment_is_one_line_and_exit_2(self, capsys, name):
         """``perf`` is not a verb: speed is ``bench/run.py``'s to measure;
         nor is ``telemetry``: every chaos run carries its timeline and
-        counters."""
+        counters; nor is ``sec82``: ``sec52`` prints §8.2 from its sweep."""
         assert main([name]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -214,3 +214,16 @@ class TestRegistry:
             __import__("inspect").signature(fig8_video.run).parameters
         )
         assert set(kwargs) <= run_params
+
+    def test_every_cli_mapping_names_run_parameters(self):
+        """A spec maps CLI arguments only onto parameters its ``run``
+        has: a knob removed from ``run`` leaves no stale mapping."""
+        import inspect
+
+        from repro.cli import _defaults_for
+
+        for name, spec in REGISTRY.items():
+            args = build_parser().parse_args([name])
+            _defaults_for(name, args)
+            run_params = set(inspect.signature(spec.module.run).parameters)
+            assert set(spec.cli_params(args)) <= run_params, name

@@ -49,7 +49,6 @@ import pytest
 from repro.core.commands import FailureNotification
 from repro.core.failure_detector import DetectorConfig, FailureDetector
 from repro.core.fh_middlebox import FronthaulMiddlebox
-from repro.experiments.sec52_detector import phase_branches
 from repro.net.addresses import MacAddress
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
@@ -664,25 +663,26 @@ class TestMutantsAreCaught:
 
 # ----------------------------------------------------------------------
 # The watchdog at every hang phase (the kill and planned-migration phases
-# are §5.2's and §8.2's own sweeps, gated in test_experiments_smoke.py)
+# are §5.2 and §8.2's one sweep, gated in test_experiments_smoke.py)
 # ----------------------------------------------------------------------
-def test_the_watchdog_catches_a_hang_at_every_phase():
+def test_the_watchdog_catches_a_hang_at_every_phase(warm_phases):
     """A hang keeps the heartbeats flowing, so the switch never detects
-    it; the L2 Orion's response watchdog must, at every phase. One warm
-    default cell, forked into a PHY 0 hang at each of the 56 tick-period
-    offsets that cover a slot, each branch run 8 ms on.
+    it; the L2 Orion's response watchdog must, at every phase. The warm
+    default cell of the kill sweep, forked into a PHY 0 hang at each of
+    the 56 tick-period offsets that cover a slot, each branch run 8 ms on.
 
     A silent check re-arms to ``last response + threshold``, so the
     silence a fire reports is exactly ``response_watchdog_slots`` slots;
     the fire trails the hang by at most that plus the one slot in which
     output the PHY already had in flight still arrives.
     """
-    cell, warm, instants = phase_branches()
+    warm, instants = warm_phases
     assert len(instants) == 56
-    threshold = cell.l2_orion.config.response_watchdog_slots * cell.slot_ns
     delay = {}
     for phase, hang_at in enumerate(instants):
         branch = warm.restore()
+        slot_ns = branch.slot_ns
+        threshold = branch.l2_orion.config.response_watchdog_slots * slot_ns
         branch.sim.at(hang_at, branch.phy_servers[0].phy.hang, "phase")
         branch.sim.run_until(hang_at + 8 * MS)
         fired = branch.trace.events("orion.response_watchdog_fired")
@@ -692,9 +692,9 @@ def test_the_watchdog_catches_a_hang_at_every_phase():
         assert branch.trace.count("mbox.migration_committed") == 1, phase
         delay[phase] = fired[0].time - hang_at
     worst = max(delay, key=delay.get)
-    assert delay[worst] <= threshold + cell.slot_ns, (
+    assert delay[worst] <= threshold + slot_ns, (
         f"max fire - hang {delay[worst]} ns at phase {worst}, "
-        f"min {min(delay.values())} ns; allowed <= {threshold + cell.slot_ns}"
+        f"min {min(delay.values())} ns; allowed <= {threshold + slot_ns}"
     )
 
 

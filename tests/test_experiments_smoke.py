@@ -3,13 +3,20 @@
 Each paper bound is asserted once, here, on the experiment's own
 result. Durations are scaled down where a bound holds at the smaller
 scale; a bound that needs the full scale runs at it. §5.2 and §8.2 have
-no scale to shrink: their ``run`` is the forked sweep over all 56 kill
-phases.
+no scale to shrink: they share one forked sweep over all 56 kill
+phases, and its healthy continuation is also the run §8.6's derived gap
+is checked against.
 """
+
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from repro.cell.config import CellConfig
+from repro.core.failure_detector import FailureDetector
+from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.experiments import (
     ablations,
     ext_massive_mimo,
@@ -20,11 +27,12 @@ from repro.experiments import (
     fig11_upgrade,
     fig12_orion_latency,
     sec52_detector,
-    sec82_dropped_ttis,
     sec85_overhead,
     sec86_switch,
     table2_stress,
 )
+from repro.fronthaul.oran import CplaneMessage
+from repro.sim.units import US
 
 #: §8.6's switch resources for 256 RUs / 256 servers, percent.
 PAPER_PERCENT = {
@@ -63,33 +71,91 @@ class TestFig12:
         assert fig12_orion_latency.summarize(result)
 
 
+class Sweep(NamedTuple):
+    result: sec52_detector.SweepResult
+    #: What the switch saw of PHY 0 in the healthy continuation:
+    #: ``heartbeats``, every arrival the detector took, and
+    #: ``first_sections``, slot -> arrival of its first C-plane section.
+    healthy: SimpleNamespace
+
+
+@pytest.fixture(scope="module")
+def sweep(warm_phases):
+    """§5.2 and §8.2's one sweep over the session's warm cell, its healthy
+    continuation running 1 s as TestSec52's always has. A tap on
+    ``FailureDetector.on_heartbeat`` and ``FronthaulMiddlebox.
+    _process_downlink`` records what the switch saw of PHY 0. The sweep
+    runs its restored copies one at a time, so a new detector starts a
+    new run; the healthy continuation is the longest."""
+    runs, owner = [], None
+
+    def run_of(detector):
+        nonlocal owner
+        if detector is not owner:
+            owner = detector
+            runs.append(SimpleNamespace(heartbeats=[], first_sections={}))
+        return runs[-1]
+
+    on_heartbeat = FailureDetector.on_heartbeat
+    process_downlink = FronthaulMiddlebox._process_downlink
+
+    def heartbeat(detector, phy_id, now_ns=None):
+        if phy_id == 0:
+            run_of(detector).heartbeats.append(now_ns)
+        on_heartbeat(detector, phy_id, now_ns)
+
+    def downlink(mbox, frame, payload):
+        if type(payload) is CplaneMessage and payload.source_phy_id == 0:
+            run_of(mbox.detector).first_sections.setdefault(
+                payload.abs_slot, mbox.sim.now
+            )
+        return process_downlink(mbox, frame, payload)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FailureDetector, "on_heartbeat", heartbeat)
+        patch.setattr(FronthaulMiddlebox, "_process_downlink", downlink)
+        result = sec52_detector.sweep(*warm_phases, healthy_seconds=1.0)
+    return Sweep(result, max(runs, key=lambda run: len(run.heartbeats)))
+
+
 class TestSec86:
     def test_resources_and_gap(self):
-        """T is the measured cell's own ``DetectorConfig.timeout_ns``.
-        Mutant: that default at 300 µs, below the ~380 µs healthy gap,
-        fails "gap < T"."""
-        result = sec86_switch.run(gap_duration_s=1.0)
+        """T is ``DetectorConfig``'s own timeout. Mutant: that default at
+        300 µs, below the 380 µs healthy gap, fails "gap < T"."""
+        result = sec86_switch.run()
         for name, paper_value in PAPER_PERCENT.items():
             assert result.resource_percent[name] == pytest.approx(
                 paper_value, abs=1.0
             ), name
         assert result.resource_percent["sram_bits"] == pytest.approx(5.3, abs=0.5)
+        # max(lead + 250 + 50, slot - lead - 250 + 140) us, lead = 80.
+        assert result.max_gap_us == 380.0
         assert result.max_gap_us < result.detector_timeout_us  # No false positive.
-        assert result.max_gap_us > 200.0  # But a real fraction of it.
-        # Busy traffic only densifies packets.
-        assert result.max_gap_busy_us < result.detector_timeout_us
         # Only SRAM scales with deployment size.
         assert result.sram_scaling[1024] > 2 * result.sram_scaling[64]
         assert sec86_switch.summarize(result)
 
+    def test_the_measured_gap_is_the_derived_one(self, sweep):
+        """The derived gap is a bound the healthy PHY reaches: the largest
+        gap between PHY 0's heartbeats in the sweep's 1 s healthy
+        continuation lies in (derived - 1 µs, derived]. Mutant: the
+        mid-section offset in ``_emit_downlink`` restored as a literal
+        ``260 * US`` measures ~390 µs."""
+        derived = sweep.result.max_gap_us
+        assert derived == sec86_switch.run().max_gap_us
+        heartbeats = sweep.healthy.heartbeats
+        assert len(heartbeats) >= 4_000  # Two sections a slot, 2,000 slots.
+        gaps = np.diff(np.array(heartbeats, dtype=np.int64))
+        measured = float(gaps.max()) / US
+        assert derived - 1.0 < measured <= derived, (measured, derived)
+
 
 class TestSec52:
-    @pytest.fixture(scope="class")
-    def result(self):
-        """One warm default cell, forked into a primary kill at each of the
-        56 tick-period offsets that cover a slot. The healthy continuation
-        runs 1 s, as this test always has."""
-        return sec52_detector.run(healthy_seconds=1.0)
+    @pytest.fixture
+    def result(self, sweep):
+        """The warm default cell forked into a primary kill at each of the
+        56 tick-period offsets that cover a slot."""
+        return sweep.result
 
     def test_detection_trails_the_last_heartbeat_by_one_timeout_at_every_phase(
         self, result
@@ -120,11 +186,10 @@ class TestSec52:
 
 
 class TestSec82:
-    @pytest.fixture(scope="class")
-    def result(self):
-        """The same 56 phases, each forked into a primary kill and into a
-        planned migration."""
-        return sec82_dropped_ttis.run()
+    @pytest.fixture
+    def result(self, sweep):
+        """The same 56 phases, each also forked into a planned migration."""
+        return sweep.result
 
     def test_a_planned_migration_drops_nothing_at_every_phase(self, result):
         """A planned migration flips at a TTI boundary Orion chose ahead of
@@ -142,7 +207,30 @@ class TestSec82:
         assert result.vm_migration_dropped > 50 * max(
             result.max_failover_dropped(), 1
         )
-        assert sec82_dropped_ttis.summarize(result)
+        assert sec52_detector.summarize(result)
+
+    def test_a_tti_drops_only_when_the_kill_suppresses_a_first_section(
+        self, sweep
+    ):
+        """§8.2 as a closed form: slot S goes without control exactly when
+        S is below the branch's committed boundary slot and the primary's
+        first C-plane section for S left the PHY after the kill (switch
+        arrival - edge latency > kill; a frame in flight still arrives).
+        The healthy continuation, identical to every branch up to its
+        kill, supplies the frames."""
+        result = sweep.result
+        edge_ns = CellConfig().edge_link_latency_ns
+        firsts = sweep.healthy.first_sections
+        formula = [
+            sum(
+                1
+                for slot, arrival in firsts.items()
+                if slot < committed and arrival - edge_ns > kill_at
+            )
+            for kill_at, committed in zip(result.kill_at_ns, result.committed_slots)
+        ]
+        assert formula == result.failover_dropped
+        assert 0 < sum(formula)  # The step is there to match.
 
 
 class TestSec85:
@@ -289,7 +377,8 @@ class TestAblations:
     def test_detector_timeout_sweep_tradeoff(self):
         points = ablations.detector_timeout_sweep(timeouts_us=[250.0, 450.0, 1800.0])
         by_timeout = {p.timeout_us: p for p in points}
-        # Too-low timeout false-positives on healthy gaps (~390 us).
+        # Too-low timeout false-positives on healthy gaps (up to the
+        # 380 us that phy.process.downlink_schedule derives).
         assert by_timeout[250.0].false_positives > 0
         assert by_timeout[450.0].false_positives == 0
         # Larger timeouts detect more slowly.
