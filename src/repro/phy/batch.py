@@ -7,9 +7,10 @@ shard runner spreads independent runs across cores, these kernels process
 What the live slot pipeline runs, through
 :meth:`repro.phy.codec.PhyCodec.encode_blocks` (a cell's uplink
 completion, or one :class:`~repro.fleet.phy_backend.FleetPhyBackend`
-gather for every cell completing at an instant):
-:func:`repro.phy.crc.attach_crc_batch` for the info words not yet in the
-codec's table, :func:`ldpc_encode_batch` and :func:`modulate_batch`. The
+gather for every cell completing at an instant): :func:`modulate_batch`,
+one constellation-table gather per modulation order over the codewords
+the codec's table holds. :func:`ldpc_encode_batch` builds each code's
+payload -> codeword generator once (``codec.payload_generator``). The
 receive side does not batch: ``PhyCodec.decode_block`` demodulates and
 decodes one block per call, its channel-noise and SNR-measurement draws
 interleaved block by block. :func:`demodulate_llr_batch` is driven only
@@ -21,7 +22,7 @@ stays the normative implementation per the repo's optimization
 convention. The pins are exact, not approximate: grouping blocks by
 modulation and concatenating their bits feeds the very same elementwise
 numpy operations the per-block calls run, so not a single float may
-differ — and for the three live kernels the golden macro-scenario
+differ — and for the live kernels the golden macro-scenario
 digests enforce that end to end.
 """
 
@@ -60,18 +61,19 @@ def modulate_batch(
     Identical to ``[modulate(bits, mod) for ...]``: blocks sharing a
     modulation are concatenated (each block's bit count is already a
     multiple of bits-per-symbol, so symbol boundaries survive the
-    concatenation), modulated in one call, and split back.
+    concatenation), modulated in one call, and sliced back.
     """
     if len(bit_blocks) != len(modulations):
         raise ValueError("one modulation per bit block required")
     out: List[np.ndarray] = [np.empty(0)] * len(bit_blocks)
     for modulation, indices in _groups_by_modulation(modulations).items():
-        blocks = [np.asarray(bit_blocks[i], dtype=np.uint8) for i in indices]
-        symbols = modulate(np.concatenate(blocks), modulation)
+        symbols = modulate(np.concatenate([bit_blocks[i] for i in indices]), modulation)
         bps = modulation.bits_per_symbol
-        bounds = np.cumsum([len(block) // bps for block in blocks])[:-1]
-        for index, chunk in zip(indices, np.split(symbols, bounds)):
-            out[index] = chunk
+        start = 0
+        for index in indices:
+            stop = start + len(bit_blocks[index]) // bps
+            out[index] = symbols[start:stop]
+            start = stop
     return out
 
 

@@ -14,6 +14,7 @@ Two layers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,15 @@ class AwgnChannel:
     def apply(
         self, symbols: np.ndarray, realization: ChannelRealization
     ) -> np.ndarray:
-        """Return symbols plus complex Gaussian noise at the realized SNR."""
-        symbols = np.asarray(symbols, dtype=np.complex128)
-        sigma = np.sqrt(realization.noise_var / 2.0)
-        noise = self.rng.normal(0.0, sigma, size=symbols.shape) + 1j * self.rng.normal(
-            0.0, sigma, size=symbols.shape
+        """Return symbols plus complex Gaussian noise at the realized SNR.
+
+        One draw holds the real parts, then the imaginary parts: the same
+        stream values, in the same order, as two draws of half the size.
+        """
+        noise = self.rng.normal(
+            0.0, math.sqrt(realization.noise_var / 2.0), size=(2,) + np.shape(symbols)
         )
-        return symbols + noise
+        return symbols + (noise[0] + 1j * noise[1])
 
     def garbage(self, count: int) -> np.ndarray:
         """Pure-noise 'symbols' standing in for missing fronthaul data.
@@ -59,10 +62,8 @@ class AwgnChannel:
         processes garbage-valued IQ samples (paper §4); decoding them is
         indistinguishable from decoding an extremely noisy channel.
         """
-        sigma = np.sqrt(0.5)
-        return self.rng.normal(0.0, sigma, size=count) + 1j * self.rng.normal(
-            0.0, sigma, size=count
-        )
+        noise = self.rng.normal(0.0, math.sqrt(0.5), size=(2, count))
+        return noise[0] + 1j * noise[1]
 
 
 class UeChannelModel:

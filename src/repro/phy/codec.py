@@ -2,7 +2,7 @@
 
 :class:`PhyCodec` binds together the signal-processing primitives:
 
-    payload bits -> CRC24 attach -> LDPC encode -> QAM modulate
+    payload bits -> (CRC24 attach -> LDPC encode) -> QAM modulate
         -> AWGN channel at the UE's realized SNR
         -> soft demodulate (LLRs) -> HARQ chase-combine -> LDPC decode
         -> CRC verdict (the transmitted word, or not) -> DecodeOutcome
@@ -16,13 +16,25 @@ SNR measurement: the receiver estimates SNR from the noisy symbols the
 way a real channel estimator would (here: directly from the realized
 noise variance plus estimation error), and that measurement feeds the
 :class:`~repro.phy.snr_filter.SnrMovingAverage`.
+
+Cost model, per TB (live path, ~16 numpy calls outside the decoder):
+the codeword comes from a process-wide table keyed by ``(code, tb_id)``;
+a miss draws the payload from a bare ``PCG64`` and multiplies it by one
+packed payload -> codeword generator (:func:`payload_generator`: CRC24A
+is linear, so it folds into the LDPC generator), batched over a slot's
+misses. Modulation is one constellation-table gather, the channel one
+``normal`` draw, demodulation one gather and one ``minimum.reduce``, and
+the verdict one byte comparison of the decoder's hard decision with the
+table's codeword. Every float, draw and verdict equals the per-stage
+chain kept in ``tests/phy_chain_reference.py``
+(``tests/test_phy_chain_fuzz.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,21 +42,45 @@ from repro.phy.batch import ldpc_encode_batch, modulate_batch
 from repro.phy.channel import AwgnChannel, ChannelRealization
 from repro.phy.crc import CRC24_BITS, attach_crc_batch
 from repro.phy.harq import HarqProcessPool
-from repro.phy.ldpc import LdpcCode, get_code
-from repro.phy.modulation import Modulation, demodulate_llr, modulate
+from repro.phy.ldpc import _BYTE_PARITY, LdpcCode, get_code
+from repro.phy.modulation import demodulate_llr, modulate
 from repro.phy.transport import DecodeOutcome, TransportBlock
 
-#: Transmitted info words (payload bits + CRC24A) by ``(payload_bits,
-#: tb_id)``, oldest first. Process-wide like ``ldpc._CODE_CACHE`` and for
-#: the same reason: a pure function of its key, and in a fleet the encode
-#: is usually done by a sibling cell's codec. Bounded by a constant and
+#: Transmitted codewords (payload + CRC24A + parity) by ``(code, tb_id)``,
+#: oldest first. Process-wide like ``ldpc._CODE_CACHE`` and for the same
+#: reason: a pure function of its key, and in a fleet the encode is
+#: usually done by a sibling cell's codec. Bounded by a constant and
 #: evicted in insertion order; a miss only recomputes, so no result can
 #: depend on the capacity. Entries are read-only arrays.
-_INFO_WORD_CAPACITY = 4096
-_INFO_WORDS: "OrderedDict[Tuple[int, int], np.ndarray]" = OrderedDict()
+_CODEWORD_CAPACITY = 4096
+_CODEWORDS: "OrderedDict[Tuple[LdpcCode, int], np.ndarray]" = OrderedDict()
 #: Table misses so far. Module state, not a ``CodecStats`` field: it
 #: depends on what this process ran before, which checkpointed state may not.
 payload_derivations = 0
+#: Per code: the packed GF(2) generator from payload to codeword (below).
+_GENERATORS: Dict[LdpcCode, np.ndarray] = {}
+
+
+def payload_generator(code: LdpcCode) -> np.ndarray:
+    """The bit-packed generator of the map payload ->
+    ``code.encode(attach_crc(payload))``: row ``j`` holds byte ``j`` of
+    every codeword bit's payload mask, ``(ceil(payload / 8), n)``, so the
+    product's XOR-fold runs over the leading axis.
+
+    CRC24A starts from a zero register with no XOR-out, and LDPC
+    encoding is a GF(2) product, so the whole transmit word is linear in
+    the payload: column ``i`` is the codeword of the ``i``-th unit
+    payload, built in one batched pass (one CRC kernel call, one parity
+    product). Cached per code object; a restored code is the process
+    cache's instance (``LdpcCode.__reduce__``) and finds or rebuilds it.
+    """
+    generator = _GENERATORS.get(code)
+    if generator is None:
+        units = np.eye(code.k - CRC24_BITS, dtype=np.uint8)
+        codewords = ldpc_encode_batch(code, attach_crc_batch(list(units)))
+        generator = np.packbits(codewords, axis=0)
+        _GENERATORS[code] = generator
+    return generator
 
 
 @dataclass
@@ -100,37 +136,44 @@ class PhyCodec:
         """Deterministic payload bits standing in for the block's data.
 
         Derived from the TB id so retransmissions encode the same bits and
-        chase combining is coherent.
+        chase combining is coherent. They equal
+        ``default_rng(tb_id).integers(0, 2, size=payload_bits, dtype=uint8)``:
+        a bounded ``uint8`` draw of range 2 keeps the top bit of each
+        buffered byte of the PCG64 stream.
         """
-        bit_rng = np.random.default_rng(block.tb_id)
-        return bit_rng.integers(0, 2, size=self.payload_bits, dtype=np.uint8)
+        raw = np.random.PCG64(block.tb_id).random_raw(-(-self.payload_bits // 8))
+        return raw.view(np.uint8)[: self.payload_bits] >> 7
 
-    def _info_words(self, blocks: Sequence[TransportBlock]) -> List[np.ndarray]:
-        """Each block's transmitted info word, derived once per TB: the
-        batch's table misses share one CRC kernel call."""
+    def _codewords(self, blocks: Sequence[TransportBlock]) -> List[np.ndarray]:
+        """Each block's transmitted codeword, derived once per TB: the
+        batch's table misses share one generator product."""
         global payload_derivations
-        keys = [(self.payload_bits, block.tb_id) for block in blocks]
+        code = self.code
+        keys = [(code, block.tb_id) for block in blocks]
         missing = {
-            key: block for key, block in zip(keys, blocks) if key not in _INFO_WORDS
+            key: block for key, block in zip(keys, blocks) if key not in _CODEWORDS
         }
         if missing:
             payload_derivations += len(missing)
-            derived = attach_crc_batch(
-                [self.representative_bits(block) for block in missing.values()]
+            packed = np.packbits(
+                [self.representative_bits(block) for block in missing.values()], axis=1
             )
-            for key, word in zip(missing, derived):
-                word.setflags(write=False)
-                _INFO_WORDS[key] = word
-        words = [_INFO_WORDS[key] for key in keys]
-        while len(_INFO_WORDS) > _INFO_WORD_CAPACITY:
-            _INFO_WORDS.popitem(last=False)
+            derived = _BYTE_PARITY.take(
+                np.bitwise_xor.reduce(payload_generator(code) & packed[:, :, None], axis=1)
+            )
+            derived.setflags(write=False)
+            _CODEWORDS.update(zip(missing, derived))
+        words = [_CODEWORDS[key] for key in keys]
+        while len(_CODEWORDS) > _CODEWORD_CAPACITY:
+            _CODEWORDS.popitem(last=False)
         return words
 
     def encode_block(self, block: TransportBlock) -> np.ndarray:
-        """CRC-attach, LDPC-encode, and modulate one representative codeword."""
-        codeword = self.code.encode(self._info_words([block])[0])
-        bps = block.modulation.bits_per_symbol
-        pad = (-len(codeword)) % bps
+        """Modulate one representative codeword (payload, CRC, parity)."""
+        codeword = _CODEWORDS.get((self.code, block.tb_id))
+        if codeword is None:
+            (codeword,) = self._codewords([block])
+        pad = (-len(codeword)) % block.modulation.bits_per_symbol
         if pad:
             codeword = np.concatenate([codeword, np.zeros(pad, dtype=np.uint8)])
         return modulate(codeword, block.modulation)
@@ -140,21 +183,18 @@ class PhyCodec:
     ) -> List[np.ndarray]:
         """Batched :meth:`encode_block` over a slot's transport blocks.
 
-        One CRC gather (for the info words not yet in the table), one
-        LDPC generator product, and one modulation-map call per
-        modulation order cover the whole batch;
-        element ``i`` is bit-identical to ``encode_block(blocks[i])``
-        (the batch kernels in :mod:`repro.phy.batch` are pinned to the
-        per-block paths).
+        One generator product (for the codewords not yet in the table)
+        and one modulation-table gather per modulation order cover the
+        whole batch; element ``i`` is bit-identical to
+        ``encode_block(blocks[i])``.
         RNG-free, like :meth:`encode_block`, so callers may hoist it out
         of any per-block loop that draws channel noise without
         perturbing stream order.
         """
         if not blocks:
             return []
-        codewords = ldpc_encode_batch(self.code, self._info_words(blocks))
         bit_blocks: List[np.ndarray] = []
-        for row, block in zip(codewords, blocks):
+        for row, block in zip(self._codewords(blocks), blocks):
             pad = (-len(row)) % block.modulation.bits_per_symbol
             if pad:
                 row = np.concatenate([row, np.zeros(pad, dtype=np.uint8)])
@@ -189,16 +229,17 @@ class PhyCodec:
             block.ue_id, block.harq_process, block.tb_id, llrs, block.new_data
         )
         result = self.code.decode(combined, max_iterations=self.decoder_iterations)
-        # A parity-clean decode passes iff it is the transmitted word: that is
-        # "CRC valid and payload as sent", since equal payloads have equal CRCs.
-        # The encode (here or the caller's) left the word in the table; a
-        # miss re-derives it exactly as the encode did.
+        # A parity-clean decode passes iff it is the transmitted codeword:
+        # the encoding is systematic, so that is "CRC valid and payload as
+        # sent", since equal payloads have equal CRCs. The encode (here or
+        # the caller's) left the word in the table; a miss re-derives it
+        # exactly as the encode did.
         crc_ok = False
         if result.parity_ok:
-            sent = _INFO_WORDS.get((self.payload_bits, block.tb_id))
+            sent = _CODEWORDS.get((self.code, block.tb_id))
             if sent is None:
-                sent = self._info_words([block])[0]
-            crc_ok = bool(np.array_equal(result.info_bits, sent))
+                (sent,) = self._codewords([block])
+            crc_ok = result.hard_bits.tobytes() == sent.tobytes()
         buf = self.harq.buffer(block.ue_id, block.harq_process)
         combined_transmissions = buf.transmissions
         if crc_ok:

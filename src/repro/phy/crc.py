@@ -6,10 +6,12 @@ the PHY declare a decode success/failure — the signal the whole HARQ
 machinery, and therefore Slingshot's state-discarding argument, hinges on.
 
 Cost model: one table lookup per message *byte*, at every length, for
-one block (:func:`crc24a`) or a slot's blocks at once
-(:func:`crc24a_batch`); no per-bit Python loop exists. The live payload
-is ``k - 24 = 300`` bits, not a byte multiple, so such lengths are the
-common case, not the rare one.
+one block (:func:`crc24a`) or a batch (:func:`crc24a_batch`); no per-bit
+Python loop exists. No CRC runs per transport block on the live path:
+the codec folds CRC24A into its payload -> codeword generator, built
+once per code from :func:`attach_crc_batch` of the unit payloads, and
+its verdict compares codewords. :func:`crc24a_batch` is that builder
+and the reference the fold is pinned to.
 
 The vectorization rests on GF(2) linearity: the register recurrence
 ``r' = (r << 8) ^ TABLE[(r >> 16) ^ byte]`` splits into

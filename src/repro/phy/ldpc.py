@@ -11,28 +11,37 @@ module implements a regular LDPC code with:
 Cost model: every per-codeword kernel walks the Tanner graph's
 ``E = m * dc`` edges (1,944 by default), never the dense ``m x n``
 parity-check matrix (209,952 entries), which exists only inside the
-constructor. Syndrome = XOR of the hard bits at each check's neighbours,
-once before BP and once per iteration. One BP iteration = one gather of
-variable totals, a two-smallest selection per check, and **one**
-scatter-add (``bincount``) whose totals serve this iteration's hard
-decision and the next one's variable-to-check messages: O(E) per
-iteration. Encode = the GF(2) generator product on bit-packed rows
-(AND, XOR-fold, byte-parity lookup; numpy has no BLAS for integers, and
-a float product would wake BLAS worker threads for a slot-sized batch).
+constructor. Syndrome = XOR of the hard bits at each check's neighbours
+(one ``take``, one XOR-fold, one ``count_nonzero``), once before BP and
+once per iteration. One BP iteration is ~27 numpy calls: one gather of
+variable totals, a 9-ufunc two-smallest network per check (at
+``dc = 6``), and one gather-sum of each variable's ``dv`` messages whose
+totals serve this iteration's hard decision and the next one's
+variable-to-check messages: O(E) per iteration. The live path does not
+encode here: ``PhyCodec`` folds CRC24A into one payload -> codeword
+generator, which :func:`repro.phy.batch.ldpc_encode_batch` builds once
+per code from :meth:`LdpcCode.parity_bits` (the GF(2) product on
+bit-packed rows: AND, XOR-fold, byte-parity lookup; numpy has no BLAS for
+integers).
 
 Exactness: these kernels replaced a dense-matrix form, kept as
 ``tests/ldpc_dense.py`` and pinned equal by
-``tests/test_phy_kernel_fuzz.py``; they match it bit for bit by
+``tests/test_phy_kernel_fuzz.py``, and the last per-iteration form, kept
+in ``tests/phy_chain_reference.py`` and pinned by
+``tests/test_phy_chain_fuzz.py``; they match both bit for bit by
 argument, not tolerance. Parity is a popcount mod 2 however it is
 folded. The two smallest magnitudes of a check are *selected*, never
 computed: every edge receives ``min1`` except its holder, which receives
 ``min2``, and when several edges tie for the minimum ``min1 == min2``,
-so no sort order is needed. The totals entering iteration ``i + 1`` are
-the expression that closed iteration ``i``, carried over (iteration 1
-starts from the bare LLRs: the dense form's ``llr + 0.0`` differs only
-for ``-0.0``, which ``< 0`` and ``abs`` treat like ``+0.0``). The message
-expression and the ``bincount`` edge order, which fixes floating-point
-accumulation order, are unchanged.
+so no sort order is needed. A message's sign reaches the other edges of
+its check only; when its magnitude is zero those edges receive
+``min1 == 0``, so reading ``-0.0`` as negative (``copysign``) changes no
+value but the sign of a zero. Each variable's messages are summed in
+ascending check order, the order the old scatter-add accumulated them
+in (its leading ``0.0 +`` changes only the sign of a zero). The totals
+entering iteration ``i + 1`` are the expression that closed iteration
+``i``, carried over (iteration 1 starts from the bare LLRs). Signs of
+zero reach only ``< 0`` and ``abs``, which treat ``-0.0`` like ``+0.0``.
 
 The decoder's iteration count is a first-class knob: the live-upgrade
 experiment (paper Fig 11) emulates "a PHY with better FEC" as a secondary
@@ -63,6 +72,8 @@ class LdpcDecodeResult:
     parity_ok: bool
     #: Iterations actually run (early stop on convergence).
     iterations_used: int
+    #: Hard decision at every codeword position (True = bit 1), length n.
+    hard_bits: Optional[np.ndarray] = None
 
 
 def _build_regular_graph(
@@ -138,12 +149,19 @@ _BYTE_PARITY = np.bitwise_xor.reduce(
 def _two_smallest(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Column-wise smallest and second-smallest of a ``(dc, m)`` array.
 
-    A running (low, high) pair per column; values are only ever selected,
-    so a column whose minimum occurs twice yields ``low == high``.
+    Rows ``i`` and ``i + dc // 2`` are paired into a low and a high row
+    (an odd last row joins the lows). The smallest is the smallest low;
+    the second-smallest is the smaller of the second-smallest low and the
+    smallest high, since any high but the minimum's partner is at least
+    its own low: a running (low, high) pair over the lows, started from
+    the first low and the smallest high, yields both in 9 ufunc calls at
+    ``dc = 6``. Values are only ever selected, so a column whose
+    minimum occurs twice yields ``low == high``.
     """
-    low = np.minimum(rows[0], rows[1])
-    high = np.maximum(rows[0], rows[1])
-    for row in rows[2:]:
+    half = len(rows) // 2
+    lows = np.minimum(rows[:half], rows[half:2 * half])
+    low, high = lows[0], np.minimum.reduce(np.maximum(rows[:half], rows[half:2 * half]))
+    for row in (*lows[1:], *rows[2 * half:]):
         high = np.minimum(high, np.maximum(low, row))
         low = np.minimum(low, row)
     return low, high
@@ -198,13 +216,16 @@ class LdpcCode:
         else:
             raise RuntimeError("could not construct a full-rank LDPC code")
         self.k = len(self._info_cols)
-        # Edge indexing for the decoder. Check-major flat order fixes the
-        # scatter-add's accumulation order; the slot-major (dc, m) copy —
+        # Edge indexing for the decoder. The slot-major (dc, m) copy —
         # row s holds every check's s-th neighbour — puts each per-check
         # reduction along the leading axis, where numpy runs it as dc - 1
-        # vector operations instead of m short row loops.
-        self._edge_var = self.chk_to_var.ravel()
+        # vector operations instead of m short row loops. Row j of
+        # ``_var_edges`` is every variable's j-th edge in ascending check
+        # order, as an index into the flat slot-major message array.
         self._neighbours = np.ascontiguousarray(self.chk_to_var.T)
+        by_variable = np.argsort(self.chk_to_var.ravel(), kind="stable").reshape(n, dv)
+        checks, slots = np.divmod(by_variable, dc)
+        self._var_edges = np.ascontiguousarray((slots * self.m + checks).T)
 
     def __reduce__(self):
         # Pickle by construction key: the graph and generator are a pure
@@ -245,17 +266,18 @@ class LdpcCode:
     # Decoding
     # ------------------------------------------------------------------
     def decode(self, llr: np.ndarray, max_iterations: int = 8) -> LdpcDecodeResult:
-        """Normalized-min-sum BP decode of channel LLRs.
+        """Normalized-min-sum BP decode of ``n`` float64 channel LLRs.
 
         LLR convention: positive LLR favours bit 0.
         """
-        llr = np.asarray(llr, dtype=np.float64)
-        if llr.shape != (self.n,):
-            raise ValueError(f"expected {self.n} LLRs, got {llr.shape}")
+        if len(llr) != self.n:
+            raise ValueError(f"expected {self.n} LLRs, got {len(llr)}")
         neighbours = self._neighbours
         totals = llr
         negative = totals < 0
-        converged = self.syndrome_ok(negative)
+        converged = not np.count_nonzero(
+            np.bitwise_xor.reduce(negative.take(neighbours), axis=0)
+        )
         # Messages are slot-major like ``_neighbours``: (dc, m).
         c2v = np.zeros(neighbours.shape, dtype=np.float64)
         iterations = 0
@@ -263,25 +285,27 @@ class LdpcCode:
             iterations += 1
             # Variable-to-check: each variable's total minus what this
             # check told it.
-            v2c = totals[neighbours] - c2v
-            # Check-node update (normalized min-sum); a zero message
-            # counts as positive.
-            signs = np.where(v2c < 0, -1.0, 1.0)
+            v2c = totals.take(neighbours) - c2v
+            # Check-node update (normalized min-sum). A zero message's
+            # sign reaches only the zero-magnitude messages of its own
+            # check (module notes), so ``copysign`` may read -0.0 as -1.
+            signs = np.copysign(1.0, v2c)
             row_sign = signs.prod(axis=0)
             magnitude = np.abs(v2c)
             min1, min2 = _two_smallest(magnitude)
             out_mag = np.where(magnitude > min1, min1, min2)
             c2v = self.normalization * row_sign * signs * out_mag
             # Variable-node totals: channel LLR + sum of incoming
-            # messages, accumulated in check-major edge order.
-            totals = llr + np.bincount(
-                self._edge_var, weights=c2v.T.ravel(), minlength=self.n
-            )
+            # messages, each variable's in ascending check order.
+            totals = llr + np.add.reduce(c2v.take(self._var_edges), axis=0)
             # Hard decision + early stop.
             negative = totals < 0
-            converged = self.syndrome_ok(negative)
-        info_bits = negative[self._info_cols].astype(np.uint8)
-        return LdpcDecodeResult(info_bits, converged, iterations)
+            converged = not np.count_nonzero(
+                np.bitwise_xor.reduce(negative.take(neighbours), axis=0)
+            )
+        return LdpcDecodeResult(
+            negative.take(self._info_cols).view(np.uint8), converged, iterations, negative
+        )
 
     @property
     def rate(self) -> float:

@@ -56,11 +56,29 @@ _NORMS: Dict[Modulation, float] = {
 }
 
 
-def _bits_to_labels(bits: np.ndarray, width: int) -> np.ndarray:
-    """Group a bit array into integer labels of ``width`` bits (MSB first)."""
-    grouped = bits.reshape(-1, width)
-    weights = 1 << np.arange(width - 1, -1, -1)
-    return (grouped * weights).sum(axis=1)
+def _constellation(modulation: Modulation) -> np.ndarray:
+    """Unit-energy symbol of every label (the symbol's bits, MSB first):
+    the first half of a label's bits selects the I level, the second half
+    the Q level (both Gray-coded)."""
+    labels = np.arange(1 << modulation.bits_per_symbol)
+    if modulation is Modulation.BPSK:
+        return ((1 - 2 * labels.astype(np.float64)) / _NORMS[modulation]).astype(np.complex128)
+    axis_bits = modulation.bits_per_symbol // 2
+    levels = _PAM_LEVELS[modulation]
+    i_labels = labels >> axis_bits
+    q_labels = labels & ((1 << axis_bits) - 1)
+    return (levels[i_labels] + 1j * levels[q_labels]) / _NORMS[modulation]
+
+
+#: Per modulation: the constellation by label, and the label weight of
+#: each of a symbol's bits.
+_MOD_TABLES: Dict[Modulation, Tuple[np.ndarray, np.ndarray]] = {
+    modulation: (
+        _constellation(modulation),
+        1 << np.arange(modulation.bits_per_symbol - 1, -1, -1),
+    )
+    for modulation in Modulation
+}
 
 
 def modulate(bits: np.ndarray, modulation: Modulation) -> np.ndarray:
@@ -68,34 +86,29 @@ def modulate(bits: np.ndarray, modulation: Modulation) -> np.ndarray:
 
     The bit count must be a multiple of ``bits_per_symbol``. For QAM, the
     first half of each symbol's bits selects the I axis, the second half
-    the Q axis (both Gray-coded).
+    the Q axis (both Gray-coded); each symbol is one lookup of its label
+    in a constellation table built from the same expression.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
     bps = modulation.bits_per_symbol
     if len(bits) % bps != 0:
         raise ValueError(f"bit count {len(bits)} not a multiple of {bps}")
-    norm = _NORMS[modulation]
-    if modulation is Modulation.BPSK:
-        return ((1 - 2 * bits.astype(np.float64)) / norm).astype(np.complex128)
-    axis_bits = bps // 2
-    labels = _bits_to_labels(bits, bps)
-    i_labels = labels >> axis_bits
-    q_labels = labels & ((1 << axis_bits) - 1)
-    levels = _PAM_LEVELS[modulation]
-    symbols = (levels[i_labels] + 1j * levels[q_labels]) / norm
-    return symbols
+    table, weights = _MOD_TABLES[modulation]
+    return table[np.reshape(bits, (-1, bps)) @ weights]
 
 
-def _bit_rows(axis_bits: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """Per axis bit (MSB first): the level rows whose Gray label has that
-    bit 0, and those where it is 1."""
+def _bit_rows(axis_bits: int) -> np.ndarray:
+    """Level rows per axis bit (MSB first): the rows whose Gray label has
+    the bit 1 for every bit, then those where it is 0."""
     labels = np.arange(1 << axis_bits)
     bit_of = [(labels >> (axis_bits - 1 - index)) & 1 for index in range(axis_bits)]
-    return tuple((np.flatnonzero(bit == 0), np.flatnonzero(bit == 1)) for bit in bit_of)
+    return np.array(
+        [np.flatnonzero(bit == 1) for bit in bit_of]
+        + [np.flatnonzero(bit == 0) for bit in bit_of]
+    )
 
 
 #: Per modulation: unit-energy PAM levels as a column, and the bit rows.
-_DEMOD_TABLES: Dict[Modulation, Tuple[np.ndarray, tuple]] = {
+_DEMOD_TABLES: Dict[Modulation, Tuple[np.ndarray, np.ndarray]] = {
     modulation: (
         (levels / _NORMS[modulation])[:, None],
         _bit_rows(modulation.bits_per_symbol // 2),
@@ -112,8 +125,9 @@ def demodulate_llr(
     ``noise_var`` is the complex noise variance (per complex dimension
     total), one value or one per symbol; the per-axis variance is half of
     it. Squared distances to every PAM level are laid out as
-    ``(levels, 2 * symbols)`` rows, I then Q, so each bit's two minima are
-    a ``minimum.reduce`` over the rows of :data:`_DEMOD_TABLES`.
+    ``(levels, 2 * symbols)`` rows, I then Q; one gather of the rows of
+    :data:`_DEMOD_TABLES` and one ``minimum.reduce`` over the level axis
+    give every bit's two minima.
     """
     symbols = np.asarray(symbols, dtype=np.complex128)
     noise_var = np.maximum(noise_var, 1e-12)
@@ -122,13 +136,12 @@ def demodulate_llr(
         return 4.0 * symbols.real / (norm * noise_var) * norm ** 0  # = 4*Re(y)/N0
     levels, bit_rows = _DEMOD_TABLES[modulation]
     dist = (np.concatenate([symbols.real, symbols.imag]) - levels) ** 2
-    diffs = np.array([
-        np.minimum.reduce(dist.take(one_rows, 0)) - np.minimum.reduce(dist.take(zero_rows, 0))
-        for zero_rows, one_rows in bit_rows
-    ])
+    minima = np.minimum.reduce(dist.take(bit_rows, 0), axis=1)
+    axis_bits = len(bit_rows) // 2
+    diffs = minima[:axis_bits] - minima[axis_bits:]
     axis_noise = noise_var / 2.0
     # (bit, I/Q, symbol) -> per symbol: the I bits MSB first, then the Q bits.
-    llrs = diffs.reshape(len(bit_rows), 2, len(symbols)) / (2.0 * axis_noise)
+    llrs = diffs.reshape(axis_bits, 2, len(symbols)) / (2.0 * axis_noise)
     return llrs.transpose(2, 1, 0).reshape(-1)
 
 

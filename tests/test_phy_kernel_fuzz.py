@@ -11,8 +11,9 @@ The receive chain around the decoder is pinned the same way: the
 index-row soft demodulator against the boolean-mask kernels it replaced
 and ``PhyCodec.decode_block``'s one-comparison verdict against the old
 CRC re-check (both in ``tests/demod_masked.py``), the process-wide
-info-word table against a fresh derivation, and three one-line mutants
-of the live demodulator that the corpus must tell from the fixture.
+codeword table against a fresh ``encode(attach_crc(payload))``, and three
+one-line mutants of the live demodulator that the corpus must tell from
+the fixture.
 
 Corpora come from reserved ``perf.*`` RngRegistry streams (seed
 ``CORPUS_SEED``), like ``test_perf_fuzz.py``. ``TestKernelCostShape`` is
@@ -333,8 +334,8 @@ DEMOD_MUTANTS = {
     # The last axis bit reads its minima from each other's level rows.
     "bit_rows_swapped_for_one_bit": (
         "levels, bit_rows = _DEMOD_TABLES[modulation]\n",
-        "levels, bit_rows = _DEMOD_TABLES[modulation]; "
-        "bit_rows = bit_rows[:-1] + (bit_rows[-1][::-1],)\n",
+        "levels, bit_rows = _DEMOD_TABLES[modulation]; half = len(bit_rows) // 2; "
+        "bit_rows = bit_rows[[*range(half - 1), -1, *range(half, 2 * half - 1), half - 1]]\n",
     ),
     # The Q halves of the distance rows are filled from I and vice versa.
     "i_and_q_halves_swapped": (
@@ -387,58 +388,50 @@ def _block(tb_id, modulation=Modulation.QPSK, ue_id=1, harq_process=0):
 
 
 def _fresh_word(codec, block):
-    return attach_crc(codec.representative_bits(block))
+    return codec.code.encode(attach_crc(codec.representative_bits(block)))
 
 
 @pytest.fixture
 def empty_table():
     """The process-wide table, emptied for the test and afterwards."""
-    codec_module._INFO_WORDS.clear()
-    yield codec_module._INFO_WORDS
-    codec_module._INFO_WORDS.clear()
+    codec_module._CODEWORDS.clear()
+    yield codec_module._CODEWORDS
+    codec_module._CODEWORDS.clear()
 
 
 class TestVerdictMatchesRecheck:
     def test_constructed_words(self, empty_table):
         """Old and new verdict on the transmitted word and on each way of
-        not being it, for 60 TBs. A wrong-length word cannot come out of
-        ``LdpcCode.decode`` (``test_live_decodes`` asserts ``k`` bits,
-        which the equivalence argument uses). The one shape on which the
-        expressions differ is of that kind: the transmitted word stays
-        CRC-valid with a zero appended, or with a final zero dropped (the
-        register starts at zero and the generator has a constant term),
-        and the old expression never compared lengths."""
+        not being it, for 60 TBs. The decoder hands the verdict a
+        parity-clean hard decision, so each ``k``-bit info word enters
+        as its codeword; the new verdict compares that with the table's
+        codeword, the old one re-checks the info word's CRC and payload."""
         rng = RngRegistry(CORPUS_SEED).stream("perf.kernel_fuzz.verdict")
         codec = PhyCodec(np.random.default_rng(0))
+        code = codec.code
         census = Counter()
         for tb_id in range(7000, 7060):
             block = _block(tb_id)
-            (sent,) = codec._info_words([block])
+            (sent,) = codec._codewords([block])
             payload = codec.representative_bits(block)
-            payload_flip = sent.copy()
+            info = code.extract_info(sent)
+            payload_flip = info.copy()
             payload_flip[int(rng.integers(0, codec.payload_bits))] ^= 1
-            crc_flip = sent.copy()
+            crc_flip = info.copy()
             crc_flip[codec.payload_bits + int(rng.integers(0, CRC24_BITS))] ^= 1
-            other_valid = _fresh_word(codec, _block(tb_id + 1000))
+            other_valid = attach_crc(codec.representative_bits(_block(tb_id + 1000)))
             words = {
-                "transmitted": sent.copy(),
+                "transmitted": info.copy(),
                 "payload_bit_flipped": payload_flip,
                 "crc_bit_flipped": crc_flip,
                 "different_valid_word": other_valid,
-                "first_bit_dropped": sent[1:],
-                "one_appended": np.concatenate([sent, [1]]).astype(np.uint8),
-                "empty": sent[:0],
             }
-            assert check_crc(other_valid) and not np.array_equal(other_valid, sent)
+            assert check_crc(other_valid) and not np.array_equal(other_valid, info)
             for name, word in words.items():
-                new = bool(np.array_equal(word, sent))
+                hard = code.encode(word).astype(bool)
+                new = hard.tobytes() == sent.tobytes()
                 assert new == verdict_recheck(word, payload, codec.payload_bits), name
                 census[name, new] += 1
-            zero_appended = np.concatenate([sent, [0]]).astype(np.uint8)
-            assert verdict_recheck(zero_appended, payload, codec.payload_bits)
-            assert verdict_recheck(sent[:-1], payload, codec.payload_bits) == (sent[-1] == 0)
-            census["final_zero_dropped", False] += int(sent[-1] == 0)
-        assert 20 <= census.pop(("final_zero_dropped", False)) <= 40
         assert census == {
             (name, name == "transmitted"): 60 for name in words
         }
@@ -487,39 +480,41 @@ class TestVerdictMatchesRecheck:
         assert census[False, True] == 0
 
 
-class TestInfoWordTable:
+class TestCodewordTable:
     def test_hit_equals_a_fresh_derivation_also_after_eviction(self, empty_table, monkeypatch):
-        monkeypatch.setattr(codec_module, "_INFO_WORD_CAPACITY", 8)
+        monkeypatch.setattr(codec_module, "_CODEWORD_CAPACITY", 8)
         codec = PhyCodec(np.random.default_rng(0))
         blocks = [_block(tb_id) for tb_id in range(100, 120)]
         before = codec_module.payload_derivations
         for block in blocks:                      # 20 misses through a table of 8
-            assert np.array_equal(codec._info_words([block])[0], _fresh_word(codec, block))
+            assert np.array_equal(codec._codewords([block])[0], _fresh_word(codec, block))
             assert len(empty_table) <= 8
         assert codec_module.payload_derivations - before == 20
-        assert list(empty_table) == [(codec.payload_bits, t) for t in range(112, 120)]
+        assert list(empty_table) == [(codec.code, t) for t in range(112, 120)]
         for block in blocks[12:]:                 # the survivors hit
-            word = codec._info_words([block])[0]
+            word = codec._codewords([block])[0]
             assert np.array_equal(word, _fresh_word(codec, block))
             assert not word.flags.writeable
         assert codec_module.payload_derivations - before == 20
-        (word,) = codec._info_words(blocks[:1])   # evicted, derived again
+        (word,) = codec._codewords(blocks[:1])    # evicted, derived again
         assert np.array_equal(word, _fresh_word(codec, blocks[0]))
         assert codec_module.payload_derivations - before == 21
-        assert list(empty_table)[-1] == (codec.payload_bits, 100)
+        assert list(empty_table)[-1] == (codec.code, 100)
 
     def test_batch_larger_than_the_table_and_repeated_keys(self, empty_table, monkeypatch):
-        monkeypatch.setattr(codec_module, "_INFO_WORD_CAPACITY", 8)
+        monkeypatch.setattr(codec_module, "_CODEWORD_CAPACITY", 8)
         codec = PhyCodec(np.random.default_rng(0))
         blocks = [_block(200 + index % 15) for index in range(40)]
         calls = []
-        attach = codec_module.attach_crc_batch
+        generator = codec_module.payload_generator
         monkeypatch.setattr(
-            codec_module, "attach_crc_batch",
-            lambda payloads: calls.append(len(payloads)) or attach(payloads),
+            codec_module, "payload_generator",
+            lambda code: calls.append(code) or generator(code),
         )
-        words = codec._info_words(blocks)
-        assert calls == [15]                      # one kernel call, distinct TBs only
+        before = codec_module.payload_derivations
+        words = codec._codewords(blocks)
+        assert calls == [codec.code]              # one product, distinct TBs only
+        assert codec_module.payload_derivations - before == 15
         for block, word in zip(blocks, words):
             assert np.array_equal(word, _fresh_word(codec, block))
         assert len(empty_table) == 8
@@ -528,22 +523,22 @@ class TestInfoWordTable:
 
     def test_capacity_is_respected_in_insertion_order(self, empty_table):
         codec = PhyCodec(np.random.default_rng(0))
-        capacity = codec_module._INFO_WORD_CAPACITY
+        capacity = codec_module._CODEWORD_CAPACITY
         assert capacity == 4096
         for start in range(0, capacity + 50, 64):
-            codec._info_words([_block(tb_id) for tb_id in range(start, start + 64)])
+            codec._codewords([_block(tb_id) for tb_id in range(start, start + 64)])
             assert len(empty_table) <= capacity
         last = start + 64
         assert list(empty_table) == [
-            (codec.payload_bits, tb_id) for tb_id in range(last - capacity, last)
+            (codec.code, tb_id) for tb_id in range(last - capacity, last)
         ]
 
-    def test_key_includes_the_payload_width(self, empty_table):
+    def test_key_includes_the_code(self, empty_table):
         small = PhyCodec(np.random.default_rng(0), code=LdpcCode(n=96, dv=3, dc=6, seed=11))
         full = PhyCodec(np.random.default_rng(0))
         block = _block(300)
-        assert len(small._info_words([block])[0]) == small.code.k
-        assert len(full._info_words([block])[0]) == full.code.k
+        assert np.array_equal(small._codewords([block])[0], _fresh_word(small, block))
+        assert np.array_equal(full._codewords([block])[0], _fresh_word(full, block))
         assert len(empty_table) == 2
 
     def test_decode_of_a_tb_this_process_encoded_derives_nothing(self, empty_table):
@@ -565,7 +560,7 @@ class TestInfoWordTable:
         )
         assert not outcome.crc_ok and outcome.decoder_iterations == receiver.decoder_iterations
         assert codec_module.payload_derivations == before
-        assert (receiver.payload_bits, 999) not in empty_table
+        assert (receiver.code, 999) not in empty_table
 
     def test_receive_chain_corpus_keeps_its_operating_point(self, empty_table):
         """96 mixed-modulation blocks a little above each decoding
