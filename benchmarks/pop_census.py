@@ -186,9 +186,9 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         elided += 1
         inner_dormant_slot(self, sleeper, abs_slot)
 
-    def counting_book(self: Sleeper, message: Any) -> bool:
+    def counting_book(self: Sleeper, *fields: int) -> bool:
         nonlocal booked
-        done = inner_book(self, message)
+        done = inner_book(self, *fields)
         booked += done
         return done
 

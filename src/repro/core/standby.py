@@ -51,9 +51,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.orion import UDP_OVERHEAD_BYTES, OrionDatagram, PhySideOrion
 from repro.fapi.codec import wire_size
-from repro.fapi.messages import (
-    DlTtiRequest, FapiMessage, UlTtiRequest, null_dl_tti, null_ul_tti,
-)
+from repro.fapi.messages import FapiMessage, null_dl_tti, null_ul_tti
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import SwitchPort
@@ -62,7 +60,6 @@ from repro.sim.engine import Simulator
 
 #: Request kinds as book indices; a booked null is ``slot << 1 | kind``.
 UL, DL = 0, 1
-_KINDS = {UlTtiRequest: UL, DlTtiRequest: DL}
 _NULLS = (null_ul_tti, null_dl_tti)
 
 
@@ -124,26 +121,20 @@ class Sleeper:
         self.filed = list(self.expected)
         self.taken = list(self.expected)
 
-    def book(self, message: FapiMessage) -> bool:
-        """Book ``message``, the counterpart the L2-side Orion would send
-        the standby: its stats, and elided sends on the L2 line and on
-        the switch -> NIC line (after the switch's constant pipeline
-        latency). False to send it live: ``message`` is not this cell's
-        next null TTI request, which wakes the deployment.
+    def book(self, kind: int, cell_id: int, slot: int) -> bool:
+        """Book the null TTI request of ``kind`` (:data:`UL` or :data:`DL`)
+        for ``cell_id``'s ``slot`` that the L2-side Orion would send the
+        standby: its stats, and elided sends on the L2 line and on the
+        switch -> NIC line (after the switch's constant pipeline
+        latency). False to send it live: it is not this cell's next null
+        of its kind, which wakes the deployment.
 
         A null whose NIC arrival lands on the nanosecond a tick's
         ``SlotIndication`` reaches the Orion wakes it at once, which
         makes it the event it would have been: only the two events'
         scheduling order could say which takes the worker first."""
-        kind = _KINDS.get(type(message))
-        slot = message.slot
         expected = self.expected
-        if (
-            kind is None
-            or message.pdus
-            or message.cell_id != self.cell_id
-            or slot != expected[kind] + 1
-        ):
+        if cell_id != self.cell_id or slot != expected[kind] + 1:
             self.dormancy.wake()
             return False
         expected[kind] = slot

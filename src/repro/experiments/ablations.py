@@ -153,6 +153,10 @@ def null_vs_duplicate_fapi(duration_s: float = 2.0, seed: int = 0) -> NullVsDupl
         )
         cell = build_slingshot_cell(config)
         if duplicate:
+            # Real requests reach the standby, so it must never sleep: a
+            # dormant standby's counterparts are booked as nulls.
+            for server in cell.phy_servers:
+                server.phy.dormancy = None
             orion = cell.l2_orion
             orion._null_counterpart = lambda message: message  # type: ignore[assignment]
         flow = UdpIperfUplink(
