@@ -79,9 +79,11 @@ def test_pop_census_attributes_every_event():
 def test_pop_census_by_role_splits_every_kind():
     """``--by-role`` prefixes every kind with the role, at pop time, of
     the PHY server the event works for; the role block sums the rows.
-    The idle fleet's killed primaries show up as ``retired``, its
-    never-promoted standbys as ``dormant`` (their slots elided and
-    counted), and every PHY role runs the PHY tick."""
+    The idle fleet's never-promoted standbys show up as ``dormant``
+    (their slots elided and counted), and every live PHY role runs the
+    PHY tick. Its killed primaries pop nothing in the window: no row is
+    ``retired`` (their loss watchdogs stop at the first tick after the
+    kill)."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "pop_census.py"),
          "fleet_idle_wave", "--smoke", "--by-role"],
@@ -93,7 +95,7 @@ def test_pop_census_by_role_splits_every_kind():
     row = re.compile(r"(\S+) (\S.*?) +(\d+) +\d+\.\d\d +\d+\.\d +\d+\.\d\d")
     parsed = [row.fullmatch(line) for line in lines[3:total]]
     assert all(parsed), [line for line, m in zip(lines[3:total], parsed) if m is None]
-    roles = {"active", "standby", "dormant", "retired", "other"}
+    roles = {"active", "standby", "dormant", "other"}
     assert {m.group(1) for m in parsed} == roles
     kinds = {f"{m.group(1)} {m.group(2)}" for m in parsed}
     assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",

@@ -52,6 +52,9 @@ class FrameSink:
 class MessageSink:
     """Captures FAPI messages delivered over a SHM channel."""
 
+    #: Standing in for a PHY: a PHY-side Orion repairs losses for a live one.
+    alive = True
+
     def __init__(self):
         self.messages = []
 
@@ -347,6 +350,8 @@ class TestPhySideOrion:
         arrival_times = []
 
         class TimedSink:
+            alive = True
+
             def receive_fapi(self, message, channel):
                 arrival_times.append(sim.now)
 

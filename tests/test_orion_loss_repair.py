@@ -21,6 +21,9 @@ from repro.sim.units import s_to_ns
 
 
 class MessageSink:
+    #: Standing in for a PHY: a PHY-side Orion repairs losses for a live one.
+    alive = True
+
     def __init__(self):
         self.messages = []
 
@@ -144,3 +147,55 @@ class TestEndToEndLoss:
         assert cell.phy_servers[0].phy.alive
         assert phy_orion.nulls_injected >= 2
         assert cell.ue(1).stats.rlf_events == 0
+
+
+class TestDeadPrimaryGoesQuiet:
+    """Loss repair serves a live PHY (§6.1): a crashed one's watchdog stops
+    at its first tick after the crash, a restarted one's re-arms at its
+    first request, and a hung one (a gray failure) keeps it."""
+
+    @staticmethod
+    def _cell():
+        cell = build_slingshot_cell(
+            CellConfig(seed=77, ue_profiles=[UeProfile(1, "UE", 16.0)])
+        )
+        cell.run_for(s_to_ns(0.3))
+        return cell
+
+    def test_crash_stops_the_watchdog_and_restart_rearms_it(self):
+        cell = self._cell()
+        orion = cell.phy_servers[0].orion
+        assert orion._watchdog_running
+        kill_ns = cell.sim.now + 100_000
+        cell.kill_phy_at(0, kill_ns)
+        armed = []
+        start = orion._start_watchdog
+        orion._start_watchdog = lambda: (
+            orion._watchdog_running or armed.append(cell.sim.now) or start()
+        )
+        cell.run_for(s_to_ns(0.05))
+        injected = orion.nulls_injected
+        assert not orion._watchdog_running and orion._last_tti_slot == {}
+        assert armed == []    # requests still in flight to the dead PHY arm nothing
+        assert not [
+            event for event in cell.trace.events("orion.watchdog_nulls")
+            if event["phy"] == 0 and event.time >= kill_ns
+        ]
+        cell.run_for(s_to_ns(0.05))
+        assert orion.nulls_injected == injected
+        restart_ns = cell.sim.now
+        cell.phy_servers[0].phy.restart()
+        cell.l2_orion.initialize_secondary(0, 0)
+        cell.run_for(s_to_ns(0.02))
+        assert orion._watchdog_running and orion._last_tti_slot
+        assert armed and armed[0] > restart_ns
+        assert not [
+            event for event in cell.trace.events("orion.loss_repaired")
+            if event["phy"] == 0 and event.time >= restart_ns
+        ]
+
+    def test_hung_phy_keeps_its_watchdog(self):
+        cell = self._cell()
+        cell.phy_servers[0].phy.hang()
+        cell.run_for(s_to_ns(0.05))
+        assert cell.phy_servers[0].orion._watchdog_running

@@ -38,21 +38,22 @@ pytestmark = pytest.mark.slow
 
 #: cell name -> golden canonical-trace digest.
 GOLDEN_DIGESTS = {
-    "fig9": "154785d0fe3c3971df57539d73a178a2cbd0cae32da1f10d626c4b3fbc838b67",
-    "fig10_smoke": "249e2939805ab23746011f7033962031bbf536b593c816e06f9e003388fa68dc",
-    "fig10_tcp_dl": "c9aeeb3a58ec8310f45f8eb0b895a04875d0cc8f40a3ae159d9e9e10f57bb0a4",
+    "fig9": "a2d803ef1283861ef3e27034a5f68d2961c98aa1d311be8a188517af18c32ecf",
+    "fig10_smoke": "ad5cac0c91d549f258a41da816ca1fc648852e45ff94731f01b80e9fe240be35",
+    "fig10_tcp_dl": "4c1e748f0271ee4f8a9858cacc1464c54292cd993f72b91aa09b5cb2362f05bc",
 }
 
 #: cell name -> engine events popped. An event that leaves no trace
 #: record (a timer that fires and does nothing visible) moves no digest,
-#: so the count is pinned beside it. Each is the eager count (120,440 /
-#: 99,681 / 116,315 with the standby forced awake) less the twelve
+#: so the count is pinned beside it. Each is the eager count (116,857 /
+#: 97,298 / 113,992 with the standby forced awake) less the twelve
 #: events a slot of its dormant standby elides (``core/standby.py``;
-#: 1,197 / 1,197 / 917 dormant slots).
+#: 1,197 / 1,197 / 917 dormant slots). The killed primary's loss
+#: watchdog stops at its first tick after the crash (``PhySideOrion``).
 GOLDEN_EVENTS = {
-    "fig9": 106_086,
-    "fig10_smoke": 85_327,
-    "fig10_tcp_dl": 105_321,
+    "fig9": 102_503,
+    "fig10_smoke": 82_944,
+    "fig10_tcp_dl": 102_998,
 }
 
 
