@@ -21,7 +21,8 @@ and callback that own it. Four things are pinned:
   standby's Orion watchdog is one) — the census on which
   periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (505.2 plus 5 % when set, 526.2 measured since; 548.2 with the
+  slot (505.2 plus 5 % when set, 518.5 measured since; 526.2 with a
+  per-bit demodulator and a Generator per payload, 548.2 with the
   L2-side nulls sent and switched, 645.4 with the standby forced awake, 627.1 before dormancy
   existed, 666.3 while every process read the clock through a property,
   851.3 while the engine's clock was one too,
@@ -34,8 +35,9 @@ A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
 exactly ``TCP_EVENTS`` events in the window (77.4 a slot; 75.4 while the
 dormant standby's completion and watchdog were elided too, 89.4 with the
 standby forced awake) and enters at most
-``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (998.9 plus 5 % when
-set, 1,019.3 measured since; 1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
+``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (995.5 plus 5 % when
+set; 1,019.3 with a per-bit demodulator and a Generator per payload,
+1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
 id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
 model"), so frames cannot be traded for events.
 
@@ -62,7 +64,7 @@ MAX_CALLS_PER_SLOT = 531
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
 TCP_EVENTS = 15_484
-MAX_CALLS_PER_TCP_SLOT = 1049
+MAX_CALLS_PER_TCP_SLOT = 1046
 FLEET_CELLS = 16
 MAX_FLEET_EVENTS_PER_CELL_SLOT = 43
 
