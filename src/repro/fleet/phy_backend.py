@@ -3,7 +3,7 @@
 In a composed fleet every cell's PHY finishes its uplink pipeline at the
 same slot-relative deadline, so at any completion timestamp there are
 O(cells) transport blocks waiting for the same RNG-free transmit chain
-(CRC attach -> LDPC encode -> modulate). The per-cell path pays one
+(codeword table -> constellation gather). The per-cell path pays one
 batched-kernel invocation *per cell*; this backend pays one *per fleet*:
 
 * At slot-processing time each PHY **registers** its planned uplink work
