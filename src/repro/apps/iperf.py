@@ -8,14 +8,12 @@ and the granularity of its sub-10 ms availability target.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.dispatch import FlowDispatch, UplinkTransmit
 from repro.corenet.server import AppServer
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.transport.packet import FlowDirection, Packet
-from repro.transport.tcp import TcpConfig, TcpReceiver, TcpSegment, TcpSender
+from repro.transport.tcp import TcpReceiver, TcpSegment, TcpSender
 from repro.transport.udp import UdpSender, UdpSink
 from repro.ue.ue import UserEquipment
 
@@ -98,7 +96,6 @@ class TcpIperfDownlink:
         ue: UserEquipment,
         flow_id: str,
         bearer_id: int,
-        config: Optional[TcpConfig] = None,
         bin_ns: int = 10 * MS,
     ) -> None:
         self.sender = TcpSender(
@@ -108,7 +105,6 @@ class TcpIperfDownlink:
             bearer_id,
             FlowDirection.DOWNLINK,
             transmit=server.send_to_ue,
-            config=config,
         )
         self.receiver = TcpReceiver(
             sim,
@@ -147,7 +143,6 @@ class TcpIperfUplink:
         ue: UserEquipment,
         flow_id: str,
         bearer_id: int,
-        config: Optional[TcpConfig] = None,
         bin_ns: int = 10 * MS,
     ) -> None:
         self.sender = TcpSender(
@@ -157,7 +152,6 @@ class TcpIperfUplink:
             bearer_id,
             FlowDirection.UPLINK,
             transmit=UplinkTransmit(ue, bearer_id),
-            config=config,
         )
         self.receiver = TcpReceiver(
             sim,

@@ -13,17 +13,14 @@
 
 from repro.baselines.vm_migration import (
     PrecopyMigrationModel,
-    VmMigrationConfig,
     MigrationRun,
     TransportKind,
 )
-from repro.baselines.software_mbox import SoftwareMiddleboxModel, SoftwareMboxConfig
+from repro.baselines.software_mbox import SoftwareMiddleboxModel
 
 __all__ = [
     "PrecopyMigrationModel",
-    "VmMigrationConfig",
     "MigrationRun",
     "TransportKind",
     "SoftwareMiddleboxModel",
-    "SoftwareMboxConfig",
 ]

@@ -14,9 +14,6 @@ numbers beside the in-switch design's ~0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
-
 import numpy as np
 
 from repro.sim.units import US
@@ -25,44 +22,35 @@ from repro.sim.units import US
 FIBER_NS_PER_KM = 5_000.0
 
 
-@dataclass
-class SoftwareMboxConfig:
-    """Latency/cost model of the DPDK middlebox."""
+# Latency/cost model of the DPDK middlebox.
 
-    #: Median added one-way latency per fronthaul packet.
-    median_latency_ns: int = 4_500
-    #: Lognormal sigma of the added latency (tail from bursty batching).
-    sigma: float = 0.18
-    #: Rare scheduling hiccup: probability and added delay (beyond the
-    #: p99.999 the paper quotes, but present).
-    hiccup_probability: float = 3e-6
-    hiccup_extra_ns: int = 25_000
-    #: One-way fronthaul delay budget (O-RAN split 7.2x).
-    fronthaul_budget_ns: int = 100 * US
-    #: Dedicated cores per PHY server the software middlebox needs.
-    cores_per_server: float = 1.6
-    #: PHY cores per server (FlexRAN-class deployment).
-    phy_cores_per_server: float = 16.0
+#: Median added one-way latency per fronthaul packet.
+MEDIAN_LATENCY_NS = 4_500
+#: Lognormal sigma of the added latency (tail from bursty batching).
+LATENCY_SIGMA = 0.18
+#: Rare scheduling hiccup: probability and added delay (beyond the
+#: p99.999 the paper quotes, but present).
+HICCUP_PROBABILITY = 3e-6
+HICCUP_EXTRA_NS = 25_000
+#: One-way fronthaul delay budget (O-RAN split 7.2x).
+FRONTHAUL_BUDGET_NS = 100 * US
+#: Dedicated cores per PHY server the software middlebox needs.
+MBOX_CORES_PER_SERVER = 1.6
+#: PHY cores per server (FlexRAN-class deployment).
+PHY_CORES_PER_SERVER = 16.0
 
 
 class SoftwareMiddleboxModel:
     """Samples the software middlebox's added latency and derives costs."""
 
-    def __init__(
-        self,
-        config: Optional[SoftwareMboxConfig] = None,
-        *,
-        rng: np.random.Generator,
-    ) -> None:
-        self.config = config or SoftwareMboxConfig()
+    def __init__(self, *, rng: np.random.Generator) -> None:
         self.rng = rng
 
     def sample_added_latency_ns(self, count: int) -> np.ndarray:
         """Draw per-packet added one-way latencies."""
-        cfg = self.config
-        base = self.rng.lognormal(np.log(cfg.median_latency_ns), cfg.sigma, size=count)
-        hiccups = self.rng.random(count) < cfg.hiccup_probability
-        base[hiccups] += self.rng.uniform(0.3, 1.0, hiccups.sum()) * cfg.hiccup_extra_ns
+        base = self.rng.lognormal(np.log(MEDIAN_LATENCY_NS), LATENCY_SIGMA, size=count)
+        hiccups = self.rng.random(count) < HICCUP_PROBABILITY
+        base[hiccups] += self.rng.uniform(0.3, 1.0, hiccups.sum()) * HICCUP_EXTRA_NS
         return base
 
     def added_latency_percentile_ns(self, percentile: float, count: int = 400_000) -> float:
@@ -72,7 +60,7 @@ class SoftwareMiddleboxModel:
 
     def radius_km(self, added_latency_ns: float = 0.0) -> float:
         """Max RU-to-datacenter distance under the fronthaul budget."""
-        usable = self.config.fronthaul_budget_ns - added_latency_ns
+        usable = FRONTHAUL_BUDGET_NS - added_latency_ns
         return max(usable, 0.0) / FIBER_NS_PER_KM
 
     def radius_reduction_fraction(self, percentile: float = 99.999) -> float:
@@ -83,7 +71,7 @@ class SoftwareMiddleboxModel:
 
     def cpu_overhead_fraction(self) -> float:
         """Middlebox cores as a fraction of PHY cores (§5: ~10 %)."""
-        return self.config.cores_per_server / self.config.phy_cores_per_server
+        return MBOX_CORES_PER_SERVER / PHY_CORES_PER_SERVER
 
     def nic_bandwidth_multiplier(self) -> float:
         """Per-server NIC bandwidth factor (every packet takes 2 hops)."""

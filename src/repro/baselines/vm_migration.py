@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -40,37 +40,35 @@ class TransportKind(enum.Enum):
     RDMA = "RDMA"
 
 
-@dataclass
-class VmMigrationConfig:
-    """Pre-copy model parameters (calibrated to the paper's testbed)."""
+# Pre-copy model parameters (calibrated to the paper's testbed).
 
-    #: Guest RAM of the FlexRAN VM.
-    guest_ram_bytes: float = 16e9
-    #: Page size used for dirty tracking.
-    page_bytes: int = 4096
-    #: Mean rate at which FlexRAN dirties memory while processing slots.
-    dirty_rate_bytes_per_s: float = 2.8e9
-    #: Hot working set that is re-dirtied every slot regardless of round
-    #: length (IQ buffers, FEC scratch, DPDK rings).
-    hot_set_bytes: float = 1.2e9
-    #: Run-to-run variation of the hot set (lognormal sigma).
-    hot_set_sigma: float = 0.18
-    #: Effective migration bandwidth by transport. TCP on 100 GbE lands
-    #: well below line rate (single-stream, copies through the kernel);
-    #: RDMA gets closer but pays per-round registration overheads.
-    tcp_bandwidth_bytes_per_s: float = 4.2e9
-    rdma_bandwidth_bytes_per_s: float = 7.0e9
-    #: Pre-copy gives up when a round fails to shrink by this factor.
-    min_shrink_factor: float = 0.9
-    #: Maximum pre-copy rounds before forcing stop-and-copy.
-    max_rounds: int = 12
-    #: Fixed stop-and-copy overhead (device state, CPU state, switchover).
-    stop_copy_overhead_ns: int = 18 * MS
-    #: Jitter of the overhead term.
-    overhead_sigma_ns: int = 5 * MS
-    #: Thread-interruption tolerance of the realtime PHY (§2.4: vRAN
-    #: platforms must keep interruptions under ~10 µs).
-    phy_jitter_tolerance_ns: int = 10 * US
+#: Guest RAM of the FlexRAN VM.
+GUEST_RAM_BYTES = 16e9
+#: Page size used for dirty tracking.
+PAGE_BYTES = 4096
+#: Mean rate at which FlexRAN dirties memory while processing slots.
+DIRTY_RATE_BYTES_PER_S = 2.8e9
+#: Hot working set that is re-dirtied every slot regardless of round
+#: length (IQ buffers, FEC scratch, DPDK rings).
+HOT_SET_BYTES = 1.2e9
+#: Run-to-run variation of the hot set (lognormal sigma).
+HOT_SET_SIGMA = 0.18
+#: Effective migration bandwidth by transport. TCP on 100 GbE lands
+#: well below line rate (single-stream, copies through the kernel);
+#: RDMA gets closer but pays per-round registration overheads.
+TCP_BANDWIDTH_BYTES_PER_S = 4.2e9
+RDMA_BANDWIDTH_BYTES_PER_S = 7.0e9
+#: Pre-copy gives up when a round fails to shrink by this factor.
+MIN_SHRINK_FACTOR = 0.9
+#: Maximum pre-copy rounds before forcing stop-and-copy.
+MAX_ROUNDS = 12
+#: Fixed stop-and-copy overhead (device state, CPU state, switchover).
+STOP_COPY_OVERHEAD_NS = 18 * MS
+#: Jitter of the overhead term.
+OVERHEAD_SIGMA_NS = 5 * MS
+#: Thread-interruption tolerance of the realtime PHY (§2.4: vRAN
+#: platforms must keep interruptions under ~10 µs).
+PHY_JITTER_TOLERANCE_NS = 10 * US
 
 
 @dataclass
@@ -94,39 +92,29 @@ class MigrationRun:
 class PrecopyMigrationModel:
     """Monte-Carlo pre-copy migration simulator."""
 
-    def __init__(
-        self,
-        config: Optional[VmMigrationConfig] = None,
-        *,
-        rng: np.random.Generator,
-    ) -> None:
-        self.config = config or VmMigrationConfig()
+    def __init__(self, *, rng: np.random.Generator) -> None:
         self.rng = rng
 
     def _bandwidth(self, transport: TransportKind) -> float:
-        cfg = self.config
         base = (
-            cfg.tcp_bandwidth_bytes_per_s
+            TCP_BANDWIDTH_BYTES_PER_S
             if transport is TransportKind.TCP
-            else cfg.rdma_bandwidth_bytes_per_s
+            else RDMA_BANDWIDTH_BYTES_PER_S
         )
         # Run-to-run variation (co-scheduled traffic, NUMA placement).
         return base * float(self.rng.uniform(0.85, 1.1))
 
     def migrate_once(self, transport: TransportKind) -> MigrationRun:
         """Simulate one live migration; returns its timing breakdown."""
-        cfg = self.config
         bandwidth = self._bandwidth(transport)
-        hot_set = float(
-            cfg.hot_set_bytes * self.rng.lognormal(0.0, cfg.hot_set_sigma)
-        )
-        dirty_rate = cfg.dirty_rate_bytes_per_s * float(self.rng.uniform(0.9, 1.1))
-        remaining = cfg.guest_ram_bytes
+        hot_set = float(HOT_SET_BYTES * self.rng.lognormal(0.0, HOT_SET_SIGMA))
+        dirty_rate = DIRTY_RATE_BYTES_PER_S * float(self.rng.uniform(0.9, 1.1))
+        remaining = GUEST_RAM_BYTES
         total_time = 0.0
         total_bytes = 0.0
         rounds = 0
         previous = float("inf")
-        while rounds < cfg.max_rounds:
+        while rounds < MAX_ROUNDS:
             round_time = remaining / bandwidth
             total_time += round_time
             total_bytes += remaining
@@ -135,16 +123,16 @@ class PrecopyMigrationModel:
             # re-dirtied, and it caps how low pre-copy can drive the
             # residual (you cannot copy the hot set faster than FlexRAN
             # re-touches it).
-            dirtied = min(dirty_rate * round_time, cfg.guest_ram_bytes)
+            dirtied = min(dirty_rate * round_time, GUEST_RAM_BYTES)
             next_remaining = max(dirtied, hot_set)
-            if next_remaining >= previous * cfg.min_shrink_factor:
+            if next_remaining >= previous * MIN_SHRINK_FACTOR:
                 remaining = next_remaining
                 break
             previous = next_remaining
             remaining = next_remaining
         # Stop-and-copy: the VM is paused while the residual set moves.
         overhead = max(
-            0.0, float(self.rng.normal(cfg.stop_copy_overhead_ns, cfg.overhead_sigma_ns))
+            0.0, float(self.rng.normal(STOP_COPY_OVERHEAD_NS, OVERHEAD_SIGMA_NS))
         )
         pause_ns = int(remaining / bandwidth * SECOND + overhead)
         total_bytes += remaining
@@ -155,7 +143,7 @@ class PrecopyMigrationModel:
             total_time_ns=total_ns,
             rounds=rounds,
             bytes_transferred=total_bytes,
-            phy_crashed=pause_ns > cfg.phy_jitter_tolerance_ns,
+            phy_crashed=pause_ns > PHY_JITTER_TOLERANCE_NS,
         )
 
     def run_campaign(

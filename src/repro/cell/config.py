@@ -13,7 +13,6 @@ from typing import List, Optional
 
 from repro.l2.rlc import RlcBearerConfig, RlcMode
 from repro.phy.numerology import Numerology, TddPattern
-from repro.sim.units import MS
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,12 @@ def default_bearers() -> List[RlcBearerConfig]:
     ]
 
 
+#: The testbed's carrier (Table 1): 100 MHz at 30 kHz SCS, 500 µs slots.
+NUMEROLOGY = Numerology()
+#: The testbed's TDD slot format, "DDDSU".
+TDD = TddPattern()
+
+
 @dataclass
 class CellConfig:
     """Everything needed to stand up one simulated cell."""
@@ -63,8 +68,6 @@ class CellConfig:
     #: when set, same-timestamp events fire in seeded-random order instead
     #: of FIFO. Traces must not depend on the value.
     tie_shuffle_seed: Optional[int] = None
-    numerology: Numerology = field(default_factory=Numerology)
-    tdd: TddPattern = field(default_factory=TddPattern)
     ue_profiles: List[UeProfile] = field(default_factory=lambda: list(DEFAULT_UE_PROFILES))
     #: Decoder iterations of the (initial) PHY software build.
     phy_decoder_iterations: int = 8
@@ -76,13 +79,3 @@ class CellConfig:
     #: Massive-MIMO mode (§10 extension): PHYs maintain long-lived
     #: beamforming state whose array gain lifts uplink SNR.
     massive_mimo: bool = False
-    #: UE radio-link-failure timer.
-    rlf_timeout_ns: int = 50 * MS
-    #: One-way latency between the app server and the core.
-    server_latency_ns: int = 6 * MS
-    #: One-way backhaul latency between the core and the L2.
-    backhaul_latency_ns: int = 4 * MS
-    #: Inter-server link latency inside the edge datacenter.
-    edge_link_latency_ns: int = 1_000
-    #: Fronthaul fiber latency (RU to switch).
-    fronthaul_latency_ns: int = 25_000

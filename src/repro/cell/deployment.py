@@ -32,18 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cell.config import CellConfig, UeProfile, default_bearers
+from repro.cell.config import NUMEROLOGY, TDD, CellConfig, UeProfile, default_bearers
 from repro.core.commands import MigrateOnSlot, SLINGSHOT_CMD_BYTES
-from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
-from repro.core.migration import ClusterConfig, MigrationController, PhyServer
+from repro.core.fh_middlebox import FronthaulMiddlebox
+from repro.core.migration import Cluster, MigrationController, PhyServer
 from repro.core.orion import L2SideOrion, PhySideOrion
 from repro.core.standby import StandbyDormancy
-from repro.corenet.core import CoreConfig, CoreNetwork
+from repro.corenet.core import CoreNetwork
 from repro.corenet.server import AppServer
 from repro.fapi.channels import ShmChannel
 from repro.fronthaul.air import AirInterface
 from repro.fronthaul.ru import RadioUnit
-from repro.l2.mac import L2Process, MacConfig
+from repro.l2.mac import L2Process
 from repro.net.addresses import MacAddress, MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
@@ -55,10 +55,15 @@ from repro.phy.process import PhyConfig, PhyProcess
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.ue.ue import UeConfig, UserEquipment
+from repro.ue.ue import UserEquipment
 
 #: One RU's PHY placement: (primary server, standby server or None).
 Placement = Tuple[int, Optional[int]]
+
+#: Inter-server link latency inside the edge datacenter.
+EDGE_LINK_LATENCY_NS = 1_000
+#: Fronthaul fiber latency (RU to switch).
+FRONTHAUL_LATENCY_NS = 25_000
 
 
 class ServerNic:
@@ -220,12 +225,10 @@ class _Wiring:
         self.sim = sim
         self.trace = TraceRecorder()
         self.rng = RngRegistry(seed=config.seed)
-        self.slot_clock = SlotClock(config.numerology)
+        self.slot_clock = SlotClock(NUMEROLOGY)
         self.macs = MacAllocator()
         self.switch = Switch(sim, name="edge-switch")
-        self.middlebox = FronthaulMiddlebox(
-            sim, config=MiddleboxConfig(), trace=self.trace, name="fh-mbox"
-        )
+        self.middlebox = FronthaulMiddlebox(sim, trace=self.trace, name="fh-mbox")
         self.middlebox.install_on(self.switch)
 
     def radio_unit(self, ru_id: int, initial_phy: int) -> RadioUnit:
@@ -237,7 +240,7 @@ class _Wiring:
             mac=ru_mac,
             virtual_phy_mac=self.middlebox.virtual_phy_mac,
             slot_clock=self.slot_clock,
-            tdd=self.config.tdd,
+            tdd=TDD,
             air=AirInterface(),
             trace=self.trace,
             name=f"ru{ru_id}",
@@ -245,7 +248,7 @@ class _Wiring:
         ru_port = self.switch.attach(
             ru,
             bandwidth_bps=25e9,
-            latency_ns=self.config.fronthaul_latency_ns,
+            latency_ns=FRONTHAUL_LATENCY_NS,
             name=f"ru{ru_id}",
         )
         ru.uplink = ru_port.ingress_link  # type: ignore[attr-defined]
@@ -264,7 +267,7 @@ class _Wiring:
         port = self.switch.attach(
             nic,
             bandwidth_bps=100e9,
-            latency_ns=self.config.edge_link_latency_ns,
+            latency_ns=EDGE_LINK_LATENCY_NS,
             name=f"phy{phy_id}",
         )
         phy = PhyProcess(
@@ -272,7 +275,7 @@ class _Wiring:
             phy_id=phy_id,
             mac=phy_mac,
             slot_clock=self.slot_clock,
-            tdd=self.config.tdd,
+            tdd=TDD,
             rng=self.rng.stream(f"phy{phy_id}"),
             config=PhyConfig(
                 decoder_iterations=decoder_iterations,
@@ -310,11 +313,10 @@ class _Wiring:
         return L2Process(
             sim=self.sim,
             slot_clock=self.slot_clock,
-            tdd=self.config.tdd,
-            numerology=self.config.numerology,
+            tdd=TDD,
+            numerology=NUMEROLOGY,
             cell_id=cell_id,
             ru_id=cell_id,
-            config=MacConfig(total_prbs=self.config.numerology.num_prbs),
             trace=self.trace,
             name=name,
         )
@@ -325,17 +327,10 @@ class _Wiring:
         """The core takes uplink SDUs from every L2 in ``l2s``; the first
         is its primary binding (bound last), per-UE routing reaches the
         others."""
-        core = CoreNetwork(
-            self.sim,
-            config=CoreConfig(backhaul_latency_ns=self.config.backhaul_latency_ns),
-            registry=self.rng,
-            trace=self.trace,
-        )
+        core = CoreNetwork(self.sim, registry=self.rng, trace=self.trace)
         for l2 in reversed(l2s):
             core.bind_l2(l2)
-        server = AppServer(
-            self.sim, core, latency_to_core_ns=self.config.server_latency_ns
-        )
+        server = AppServer(self.sim, core)
         return core, server
 
     def ues(
@@ -358,12 +353,11 @@ class _Wiring:
                 sim=self.sim,
                 ue_id=profile.ue_id,
                 slot_clock=self.slot_clock,
-                tdd=self.config.tdd,
+                tdd=TDD,
                 air=air,
                 channel=channel,
                 rng=self.rng.stream(f"ue{profile.ue_id}.modem"),
                 bearers=default_bearers(),
-                config=UeConfig(rlf_timeout_ns=self.config.rlf_timeout_ns),
                 trace=self.trace,
                 name=profile.name,
             )
@@ -464,7 +458,7 @@ def build_slingshot_cell(
     l2_port = wiring.switch.attach(
         l2_nic,
         bandwidth_bps=100e9,
-        latency_ns=config.edge_link_latency_ns,
+        latency_ns=EDGE_LINK_LATENCY_NS,
         name="l2",
     )
     l2_orion = L2SideOrion(
@@ -490,7 +484,7 @@ def build_slingshot_cell(
             cell_id=cell_id, ru_id=cell_id, primary_phy=primary, secondary_phy=standby
         )
         l2s.append(l2)
-    cluster = ClusterConfig()
+    cluster = Cluster()
     for node in phy_servers:
         node.orion.l2_orion_mac = l2_orion_mac
         l2_orion.register_phy_server(node.phy_id, node.orion_mac)

@@ -7,7 +7,7 @@ operating deployment imposes:
 * **bounded memory** — the trace keeps only recent windows; the rolling
   digest chain (:meth:`~repro.sim.trace.TraceRecorder.rolling_digest`)
   survives eviction and still equals the full-trace digest;
-* **periodic checkpoints** — every ``checkpoint_every_ns`` the whole
+* **periodic checkpoints** — every ``CHECKPOINT_EVERY_NS`` the whole
   :class:`~repro.faults.soak.SoakState` graph is captured, sealed,
   stamped with the source tree's fingerprint, and written to disk
   (older checkpoints pruned);
@@ -33,7 +33,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro import harness
 from repro.checkpoint.snapshot import Checkpoint, SnapshotError
 from repro.faults.campaign import drive_to
-from repro.faults.soak import SoakConfig, SoakState, build_soak_state, plan_summary
+from repro.faults.soak import (
+    CHECKPOINT_EVERY_NS,
+    WINDOW_NS,
+    SoakConfig,
+    SoakState,
+    build_soak_state,
+    plan_summary,
+)
 from repro.sim.units import MS
 
 #: Checkpoints kept on disk during a soak (older boundaries pruned).
@@ -53,11 +60,11 @@ def _checkpoint_boundaries(config: SoakConfig, after_ns: int) -> List[int]:
     any checkpoint walks the identical boundary schedule.
     """
     boundaries = []
-    t = config.checkpoint_every_ns
+    t = CHECKPOINT_EVERY_NS
     while t <= config.horizon_ns:
         if t > after_ns:
             boundaries.append(t)
-        t += config.checkpoint_every_ns
+        t += CHECKPOINT_EVERY_NS
     return boundaries
 
 
@@ -112,8 +119,8 @@ def run_soak(
     summary = {
         "seed": config.seed,
         "horizon_ns": config.horizon_ns,
-        "window_ns": config.window_ns,
-        "checkpoint_every_ns": config.checkpoint_every_ns,
+        "window_ns": WINDOW_NS,
+        "checkpoint_every_ns": CHECKPOINT_EVERY_NS,
         "rolling_digest": cell.trace.rolling_digest(),
         "events_processed": cell.sim.events_processed,
         "evicted_events": cell.trace.evicted_events,
@@ -181,7 +188,7 @@ def _arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--horizon",
         # Shorter than one checkpoint interval there is nothing to resume.
-        type=harness.at_least(float, SoakConfig().checkpoint_every_ns / 1e9),
+        type=harness.at_least(float, CHECKPOINT_EVERY_NS / 1e9),
         default=None,
         metavar="S",
         help="simulated seconds, at least one checkpoint interval "

@@ -29,11 +29,10 @@ from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
 from repro.core.orion import (
     L2SideOrion,
     PhySideOrion,
-    OrionConfig,
     OrionDatagram,
     CellAssignment,
 )
-from repro.core.migration import MigrationController, ClusterConfig, PhyServer
+from repro.core.migration import MigrationController, Cluster, PhyServer
 
 __all__ = [
     "MigrateOnSlot",
@@ -46,10 +45,9 @@ __all__ = [
     "MiddleboxConfig",
     "L2SideOrion",
     "PhySideOrion",
-    "OrionConfig",
     "OrionDatagram",
     "CellAssignment",
     "MigrationController",
-    "ClusterConfig",
+    "Cluster",
     "PhyServer",
 ]

@@ -51,20 +51,23 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.units import US
 
 
+#: Timer ticks per timeout period (n); precision = T/n.
+TICKS_PER_TIMEOUT = 50
+#: Maximum PHY id supported (register array size; the switch's PHY
+#: directories are as large).
+MAX_PHYS = 256
+
+
 @dataclass
 class DetectorConfig:
     """Failure-detector parameters."""
 
     #: Timeout period T.
     timeout_ns: int = 450 * US
-    #: Timer ticks per timeout period (n); precision = T/n.
-    ticks_per_timeout: int = 50
-    #: Maximum PHY id supported (register array size).
-    max_phys: int = 256
 
     @property
     def tick_period_ns(self) -> int:
-        return max(1, self.timeout_ns // self.ticks_per_timeout)
+        return max(1, self.timeout_ns // TICKS_PER_TIMEOUT)
 
     @property
     def precision_ns(self) -> int:
@@ -96,10 +99,10 @@ class FailureDetector:
         self.config = config or DetectorConfig()
         #: Called as notify(phy_id, detected_at_ns) on counter saturation.
         self.notify = notify
-        width = max(self.config.ticks_per_timeout.bit_length() + 1, 8)
-        self._counters = RegisterArray(
-            "detector_counters", self.config.max_phys, width_bits=width
-        )
+        #: Ticks to saturation, fixed with the packet generator's program.
+        self._threshold = TICKS_PER_TIMEOUT
+        width = max(self._threshold.bit_length() + 1, 8)
+        self._counters = RegisterArray("detector_counters", MAX_PHYS, width_bits=width)
         self._monitored: Set[int] = set()
         #: PHYs already reported (suppress duplicate notifications).
         self._reported: Set[int] = set()
@@ -183,7 +186,7 @@ class FailureDetector:
         self._arm()
 
     def _ticks_to_saturation(self, phy_id: int) -> int:
-        return max(1, self.config.ticks_per_timeout - self._counters.read(phy_id))
+        return max(1, self._threshold - self._counters.read(phy_id))
 
     @property
     def counters(self) -> RegisterArray:
@@ -278,7 +281,7 @@ class FailureDetector:
         (also delivered via the ``notify`` callback).
         """
         self._stats.ticks_processed += ticks
-        threshold = self.config.ticks_per_timeout
+        threshold = self._threshold
         lag = self._lag
         #: (tick of this batch, counted from 1, that saturates; phy).
         saturated: List[Tuple[int, int]] = []
@@ -292,7 +295,7 @@ class FailureDetector:
         lag.clear()
         # Stable: PHYs saturating on one tick keep their scan order.
         saturated.sort(key=itemgetter(0))
-        period = self.config.tick_period_ns
+        period = self._grid_period_ns
         for step, phy_id in saturated:
             detected_at = last_tick_ns - (ticks - step) * period
             self._reported.add(phy_id)

@@ -37,7 +37,7 @@ from repro.core.commands import (
     MigrateOnSlot,
     SetMonitor,
 )
-from repro.core.failure_detector import DetectorConfig, FailureDetector
+from repro.core.failure_detector import MAX_PHYS, FailureDetector
 from repro.fronthaul.oran import (
     CplaneMessage,
     UplaneDownlink,
@@ -53,20 +53,18 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
 
+#: RUs the pipeline's directories and per-RU registers hold (its PHY
+#: directories hold the detector's ``MAX_PHYS``).
+MAX_RUS = 256
+
+
 @dataclass
 class MiddleboxConfig:
-    """Sizing and behaviour knobs for the pipeline."""
+    """Behaviour knobs for the pipeline."""
 
-    max_rus: int = 256
-    max_phys: int = 256
-    detector: DetectorConfig = None  # type: ignore[assignment]
     #: Ablation switch: when False, migrate commands apply immediately
     #: instead of at the requested TTI boundary (protocol-violating).
     align_to_tti: bool = True
-
-    def __post_init__(self) -> None:
-        if self.detector is None:
-            self.detector = DetectorConfig(max_phys=self.max_phys)
 
 
 @dataclass
@@ -87,41 +85,39 @@ class FronthaulMiddlebox:
     def __init__(
         self,
         sim: Simulator,
-        config: Optional[MiddleboxConfig] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "fh-mbox",
     ) -> None:
         self.sim = sim
-        self.config = config or MiddleboxConfig()
+        self.config = MiddleboxConfig()
         self.trace = trace
         self.name = name
-        cfg = self.config
         # --- Match-action tables (control-plane installed) -------------
         self.ru_id_directory = MatchActionTable(
-            "ru_id_directory", cfg.max_rus, key_bits=48, value_bits=8
+            "ru_id_directory", MAX_RUS, key_bits=48, value_bits=8
         )
         self.phy_id_directory = MatchActionTable(
-            "phy_id_directory", cfg.max_phys, key_bits=48, value_bits=8
+            "phy_id_directory", MAX_PHYS, key_bits=48, value_bits=8
         )
         self.phy_address_directory = MatchActionTable(
-            "phy_address_directory", cfg.max_phys, key_bits=8, value_bits=48 + 9
+            "phy_address_directory", MAX_PHYS, key_bits=8, value_bits=48 + 9
         )
         self.ru_port_directory = MatchActionTable(
-            "ru_port_directory", cfg.max_rus, key_bits=8, value_bits=48 + 9
+            "ru_port_directory", MAX_RUS, key_bits=8, value_bits=48 + 9
         )
         # --- Data-plane registers --------------------------------------
-        self.ru_to_phy = RegisterArray("ru_to_phy", cfg.max_rus, width_bits=8)
-        self.mig_valid = RegisterArray("mig_valid", cfg.max_rus, width_bits=1)
-        self.mig_slot = RegisterArray("mig_slot", cfg.max_rus, width_bits=32)
-        self.mig_dest = RegisterArray("mig_dest", cfg.max_rus, width_bits=8)
+        self.ru_to_phy = RegisterArray("ru_to_phy", MAX_RUS, width_bits=8)
+        self.mig_valid = RegisterArray("mig_valid", MAX_RUS, width_bits=1)
+        self.mig_slot = RegisterArray("mig_slot", MAX_RUS, width_bits=32)
+        self.mig_dest = RegisterArray("mig_dest", MAX_RUS, width_bits=8)
         # The previous PHY and the committed boundary: late packets for
         # pre-boundary slots must still resolve to the *old* PHY (the
         # "primary for TTIs <= i, secondary for > i" contract outlives
         # the register flip).
-        self.prev_phy = RegisterArray("prev_phy", cfg.max_rus, width_bits=8)
-        self.last_boundary = RegisterArray("last_boundary", cfg.max_rus, width_bits=32)
+        self.prev_phy = RegisterArray("prev_phy", MAX_RUS, width_bits=8)
+        self.last_boundary = RegisterArray("last_boundary", MAX_RUS, width_bits=32)
         # --- Failure detector -------------------------------------------
-        self.detector = FailureDetector(cfg.detector, notify=self._on_detected)
+        self.detector = FailureDetector(notify=self._on_detected)
         self._switch: Optional[Switch] = None
         #: Where failure notifications are sent: (mac, port).
         self.notification_target: Optional[Tuple[MacAddress, int]] = None
@@ -142,14 +138,13 @@ class FronthaulMiddlebox:
         self.detector.start_grid(self.sim)
 
     def reconfigure_detector(self, detector_config) -> None:
-        """Swap the failure-detector parameters (timeout, tick count).
+        """Swap the failure-detector parameters (its timeout).
 
         Re-programs the packet generator, so the tick stream restarts
         now with the new period; monitored PHYs and counters are re-armed.
         """
         monitored = self.detector.monitored_phys()
         self.detector.stop_grid()
-        self.config.detector = detector_config
         self.detector = FailureDetector(detector_config, notify=self._on_detected)
         for phy_id in monitored:
             self.detector.set_monitor(phy_id, True)

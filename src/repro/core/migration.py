@@ -1,4 +1,4 @@
-"""Cluster configuration and the migration/upgrade controller.
+"""The PHY-server cluster and the migration/upgrade controller.
 
 Planned migrations and live upgrades (paper §8.3) are operator-initiated;
 this module provides the thin management layer the paper attributes to
@@ -28,8 +28,8 @@ class PhyServer:
 
 
 @dataclass
-class ClusterConfig:
-    """The deployment's PHY servers and cell placements."""
+class Cluster:
+    """The deployment's PHY servers."""
 
     servers: Dict[int, PhyServer] = field(default_factory=dict)
 
@@ -50,7 +50,7 @@ class MigrationController:
     def __init__(
         self,
         orion: L2SideOrion,
-        cluster: ClusterConfig,
+        cluster: Cluster,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.orion = orion

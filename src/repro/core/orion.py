@@ -79,35 +79,33 @@ class OrionDatagram:
         self.wire_bytes = UDP_OVERHEAD_BYTES + wire_size(self.message)
 
 
-@dataclass
-class OrionConfig:
-    """Per-process Orion tunables (service model per Fig 12)."""
+# Per-process Orion tunables (service model per Fig 12).
 
-    #: Fixed per-message processing cost (parse + transform + enqueue).
-    service_base_ns: int = 1_500
-    #: Additional cost per payload byte (copy through the UDP path).
-    service_per_byte_ns: float = 0.42
-    #: Slot margin used when choosing a failover migration boundary.
-    failover_slot_margin: int = 1
-    #: Slot margin for planned migrations (must exceed the L2's
-    #: schedule-ahead depth so zero TTIs are dropped).
-    planned_slot_margin: int = 6
-    #: Slots of draining during which the old primary's responses for
-    #: pre-boundary slots are still accepted.
-    drain_slots: int = 4
-    #: Upper bound on nulls fabricated for one arrival-time sequence gap
-    #: (a huge jump, e.g. after a pause, must not flood the PHY).
-    max_repair_slots: int = 8
-    #: Response watchdog (§6.2 backstop for gray failures): if the active
-    #: PHY's FAPI responses go silent for this many slots while its
-    #: heartbeats keep the in-switch detector happy, the L2-side Orion
-    #: fails the cell over itself.
-    response_watchdog_slots: int = 8
-    #: Times each migration's command packets are retransmitted (the
-    #: switch command path is lossy under faults; commands are idempotent).
-    command_retx_count: int = 8
-    #: Slots between command retransmissions.
-    command_retx_spacing_slots: int = 1
+#: Fixed per-message processing cost (parse + transform + enqueue).
+SERVICE_BASE_NS = 1_500
+#: Additional cost per payload byte (copy through the UDP path).
+SERVICE_PER_BYTE_NS = 0.42
+#: Slot margin used when choosing a failover migration boundary.
+FAILOVER_SLOT_MARGIN = 1
+#: Slot margin for planned migrations (must exceed the L2's
+#: schedule-ahead depth so zero TTIs are dropped).
+PLANNED_SLOT_MARGIN = 6
+#: Slots of draining during which the old primary's responses for
+#: pre-boundary slots are still accepted.
+DRAIN_SLOTS = 4
+#: Upper bound on nulls fabricated for one arrival-time sequence gap
+#: (a huge jump, e.g. after a pause, must not flood the PHY).
+MAX_REPAIR_SLOTS = 8
+#: Response watchdog (§6.2 backstop for gray failures): if the active
+#: PHY's FAPI responses go silent for this many slots while its
+#: heartbeats keep the in-switch detector happy, the L2-side Orion
+#: fails the cell over itself.
+RESPONSE_WATCHDOG_SLOTS = 8
+#: Times each migration's command packets are retransmitted (the
+#: switch command path is lossy under faults; commands are idempotent).
+COMMAND_RETX_COUNT = 8
+#: Slots between command retransmissions.
+COMMAND_RETX_SPACING_SLOTS = 1
 
 
 @dataclass
@@ -136,9 +134,8 @@ class OrionStats:
 class _ServiceQueue:
     """Single-worker FIFO modeling Orion's busy-polling DPDK thread."""
 
-    def __init__(self, sim: Simulator, config: OrionConfig, name: str) -> None:
+    def __init__(self, sim: Simulator, name: str) -> None:
         self.sim = sim
-        self.config = config
         self.name = name
         self._busy_until = 0
         self._service_label = f"{name}.service"
@@ -160,9 +157,7 @@ class _ServiceQueue:
         """Take the worker for one message arriving at ``arrival``;
         returns its completion time (no event: :meth:`submit` schedules
         one, a dormant standby's booked null is completed by its books)."""
-        service = self.config.service_base_ns + round(
-            size_bytes * self.config.service_per_byte_ns
-        )
+        service = SERVICE_BASE_NS + round(size_bytes * SERVICE_PER_BYTE_NS)
         start = arrival if arrival > self._busy_until else self._busy_until
         done = start + service
         self._busy_until = done
@@ -230,7 +225,6 @@ class PhySideOrion(Process):
         sim: Simulator,
         phy_id: int,
         mac: MacAddress,
-        config: Optional[OrionConfig] = None,
         slot_clock: Optional[SlotClock] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "",
@@ -238,11 +232,10 @@ class PhySideOrion(Process):
         super().__init__(sim, name or f"orion-phy{phy_id}")
         self.phy_id = phy_id
         self.mac = mac
-        self.config = config or OrionConfig()
         self.slot_clock = slot_clock
         self.trace = trace
         self.stats = OrionStats()
-        self._queue = _ServiceQueue(sim, self.config, self.name)
+        self._queue = _ServiceQueue(sim, self.name)
         self._watchdog_label = f"{self.name}.watchdog"
         #: SHM channel toward the local PHY.
         self.shm_to_phy: Optional[ShmChannel] = None
@@ -297,7 +290,7 @@ class PhySideOrion(Process):
         self._start_watchdog()
         if last is None or message.slot <= last + 1:
             return []
-        cap = self.config.max_repair_slots
+        cap = MAX_REPAIR_SLOTS
         missing = range(last + 1, min(message.slot, last + 1 + cap))
         dropped = (message.slot - last - 1) - len(missing)
         if dropped > 0:
@@ -403,17 +396,15 @@ class L2SideOrion(Process):
         sim: Simulator,
         mac: MacAddress,
         slot_clock: SlotClock,
-        config: Optional[OrionConfig] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "orion-l2",
     ) -> None:
         super().__init__(sim, name)
         self.mac = mac
         self.slot_clock = slot_clock
-        self.config = config or OrionConfig()
         self.trace = trace
         self.stats = OrionStats()
-        self._queue = _ServiceQueue(sim, self.config, self.name)
+        self._queue = _ServiceQueue(sim, self.name)
         self._watchdog_label = f"{name}.response-watchdog"
         self._cmd_retx_label = f"{name}.cmd-retx"
         self._finalize_label = f"{name}.finalize"
@@ -585,7 +576,7 @@ class L2SideOrion(Process):
     # ``response_watchdog_slots`` slots, Orion fails the cell over
     # without waiting for a switch notification that will never come.
     def _watchdog_threshold_ns(self) -> int:
-        return self.config.response_watchdog_slots * self.slot_clock.slot_duration_ns
+        return RESPONSE_WATCHDOG_SLOTS * self.slot_clock.slot_duration_ns
 
     def _note_response(self, assignment: CellAssignment) -> None:
         assignment.last_response_ns = self.sim.now
@@ -637,8 +628,7 @@ class L2SideOrion(Process):
         self._start_migration(
             assignment,
             dest=dest,
-            boundary=self.slot_clock.slot_at(self.sim.now)
-            + self.config.failover_slot_margin,
+            boundary=self.slot_clock.slot_at(self.sim.now) + FAILOVER_SLOT_MARGIN,
             failover=True,
         )
 
@@ -699,7 +689,7 @@ class L2SideOrion(Process):
                 assignment,
                 dest=dest,
                 boundary=self.slot_clock.slot_at(self.sim.now)
-                + self.config.failover_slot_margin,
+                + FAILOVER_SLOT_MARGIN,
                 failover=True,
             )
 
@@ -738,7 +728,7 @@ class L2SideOrion(Process):
         boundary = (
             at_slot
             if at_slot is not None
-            else self.slot_clock.slot_at(self.sim.now) + self.config.planned_slot_margin
+            else self.slot_clock.slot_at(self.sim.now) + PLANNED_SLOT_MARGIN
         )
         self._start_migration(
             assignment, dest=assignment.secondary_phy, boundary=boundary, failover=False
@@ -754,7 +744,7 @@ class L2SideOrion(Process):
         assignment.migration_slot = boundary
         assignment.migration_dest = dest
         assignment.draining_phy = None if failover else assignment.primary_phy
-        assignment.drain_until_slot = boundary + self.config.drain_slots
+        assignment.drain_until_slot = boundary + DRAIN_SLOTS
         assignment.migration_seq += 1
         # The response watchdog re-arms on the new primary's first output.
         assignment.last_response_ns = None
@@ -773,9 +763,9 @@ class L2SideOrion(Process):
         # commands are idempotent (the switch ignores duplicates of an
         # already-committed boundary), so blind retransmission is safe.
         spacing = (
-            self.config.command_retx_spacing_slots * self.slot_clock.slot_duration_ns
+            COMMAND_RETX_SPACING_SLOTS * self.slot_clock.slot_duration_ns
         )
-        for attempt in range(1, self.config.command_retx_count + 1):
+        for attempt in range(1, COMMAND_RETX_COUNT + 1):
             self.sim.schedule(
                 attempt * spacing,
                 self._retransmit_commands,

@@ -55,7 +55,7 @@ from repro.fapi.messages import FapiMessage, null_dl_tti, null_ul_tti
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import SwitchPort
-from repro.phy.process import PhyCellContext, PhyProcess
+from repro.phy.process import TX_LEAD_NS, PhyCellContext, PhyProcess
 from repro.sim.engine import Simulator
 
 #: Request kinds as book indices; a booked null is ``slot << 1 | kind``.
@@ -152,7 +152,7 @@ class Sleeper:
     def _meets_slot_indication(self, arrival: int) -> bool:
         phy = self.phy
         clock = phy.slot_clock
-        boundary = arrival - phy.fapi_tx.latency_ns + phy.config.tx_lead_ns
+        boundary = arrival - phy.fapi_tx.latency_ns + TX_LEAD_NS
         return (boundary - clock.epoch_ns) % clock.slot_duration_ns == 0
 
     def settle_inbound(self, now: int, arrived_by: int, delivered_before: int) -> None:

@@ -7,7 +7,7 @@ into a ~6.2 s outage in the no-Slingshot baseline (§8.1): re-establishing
 a broken connection with the core dominates the downtime.
 """
 
-from repro.corenet.core import CoreNetwork, CoreConfig
+from repro.corenet.core import CoreNetwork
 from repro.corenet.server import AppServer
 
-__all__ = ["CoreNetwork", "CoreConfig", "AppServer"]
+__all__ = ["CoreNetwork", "AppServer"]

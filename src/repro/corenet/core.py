@@ -1,7 +1,7 @@
 """Core network model.
 
 Routes user-plane packets between the application server and the L2
-(GTP-tunnel latency folded into a configurable one-way delay), and runs
+(GTP-tunnel latency folded into a fixed one-way delay), and runs
 the control-plane attach procedure.
 
 The attach duration default reproduces the paper's measured baseline:
@@ -12,7 +12,6 @@ consistent with Qualcomm's ~5 s field reports cited there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.l2.mac import L2Process
@@ -26,16 +25,14 @@ from repro.transport.packet import FlowDirection, Packet
 from repro.ue.ue import UserEquipment
 
 
-@dataclass
-class CoreConfig:
-    """Core-network tunables."""
+# Core-network tunables.
 
-    #: One-way user-plane latency between L2 and the core's N6 interface.
-    backhaul_latency_ns: int = 4 * MS
-    #: Mean duration of the full UE attach procedure (RRC + NAS + bearers).
-    attach_duration_ns: int = s_to_ns(6.2)
-    #: Jitter applied to each attach (uniform +/-).
-    attach_jitter_ns: int = s_to_ns(0.3)
+#: One-way user-plane latency between L2 and the core's N6 interface.
+BACKHAUL_LATENCY_NS = 4 * MS
+#: Mean duration of the full UE attach procedure (RRC + NAS + bearers).
+ATTACH_DURATION_NS = s_to_ns(6.2)
+#: Jitter applied to each attach (uniform +/-).
+ATTACH_JITTER_NS = s_to_ns(0.3)
 
 
 class CoreNetwork(Process):
@@ -44,13 +41,11 @@ class CoreNetwork(Process):
     def __init__(
         self,
         sim: Simulator,
-        config: Optional[CoreConfig] = None,
         registry: Optional[RngRegistry] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "core",
     ) -> None:
         super().__init__(sim, name)
-        self.config = config or CoreConfig()
         #: Named-stream registry. Attach jitter is drawn from a per-UE
         #: stream so that concurrent RLFs (same-timestamp events) get the
         #: same durations regardless of the order their events fire in.
@@ -118,7 +113,7 @@ class CoreNetwork(Process):
     def send_downlink(self, packet: Packet) -> None:
         """Server -> core -> L2: deliver after backhaul latency."""
         self.packets_dl += 1
-        self.sim.schedule(self.config.backhaul_latency_ns, self._deliver_dl, packet)
+        self.sim.schedule(BACKHAUL_LATENCY_NS, self._deliver_dl, packet)
 
     def _deliver_dl(self, packet: Packet) -> None:
         serving = self._l2_for_ue.get(packet.ue_id, self.l2)  # _serving_l2, inlined
@@ -130,7 +125,7 @@ class CoreNetwork(Process):
     def _on_uplink_sdu(self, ue_id: int, bearer_id: int, sdu: Any) -> None:
         """L2 -> core -> server: deliver after backhaul latency."""
         self.packets_ul += 1
-        self.sim.schedule(self.config.backhaul_latency_ns, self._deliver_ul, sdu)
+        self.sim.schedule(BACKHAUL_LATENCY_NS, self._deliver_ul, sdu)
 
     def _deliver_ul(self, sdu: Any) -> None:
         if self.uplink_handler is not None and isinstance(sdu, Packet):
@@ -145,8 +140,8 @@ class CoreNetwork(Process):
         if serving is not None:
             serving.deregister_ue(ue.ue_id)
         rng = self.registry.stream(f"core.attach.ue{ue.ue_id}")
-        jitter = int(rng.uniform(-1.0, 1.0) * self.config.attach_jitter_ns)
-        duration = max(self.config.attach_duration_ns + jitter, 0)
+        jitter = int(rng.uniform(-1.0, 1.0) * ATTACH_JITTER_NS)
+        duration = max(ATTACH_DURATION_NS + jitter, 0)
         if self.trace is not None:
             self.trace.record(
                 self.sim.now, "core.attach_started", ue=ue.ue_id, expected_ns=duration

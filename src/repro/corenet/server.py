@@ -16,6 +16,9 @@ from repro.sim.process import Process
 from repro.sim.units import MS
 from repro.transport.packet import Packet
 
+#: One-way latency between the app server and the core.
+LATENCY_TO_CORE_NS = 6 * MS
+
 
 class AppServer(Process):
     """The experiment application server, reachable through the core."""
@@ -24,12 +27,10 @@ class AppServer(Process):
         self,
         sim: Simulator,
         core: CoreNetwork,
-        latency_to_core_ns: int = 6 * MS,
         name: str = "appserver",
     ) -> None:
         super().__init__(sim, name)
         self.core = core
-        self.latency_to_core_ns = latency_to_core_ns
         #: Per-flow uplink packet handlers.
         self._handlers: Dict[str, Callable[[Packet], None]] = {}
         core.uplink_handler = self._dispatch_uplink
@@ -43,10 +44,10 @@ class AppServer(Process):
     def send_to_ue(self, packet: Packet) -> None:
         """Send one downlink packet toward its UE via the core."""
         self.packets_sent += 1
-        self.sim.schedule(self.latency_to_core_ns, self.core.send_downlink, packet)
+        self.sim.schedule(LATENCY_TO_CORE_NS, self.core.send_downlink, packet)
 
     def _dispatch_uplink(self, packet: Packet) -> None:
-        self.sim.schedule(self.latency_to_core_ns, self._deliver_local, packet)
+        self.sim.schedule(LATENCY_TO_CORE_NS, self._deliver_local, packet)
 
     def _deliver_local(self, packet: Packet) -> None:
         self.packets_received += 1

@@ -14,11 +14,11 @@ one-way L2-to-PHY latency (both Orion hops plus the wire).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.orion import OrionConfig, OrionDatagram, _ServiceQueue
+from repro.core.orion import _ServiceQueue
 from repro.fapi.messages import DlTtiRequest, PdschPdu, TxDataRequest, UlTtiRequest
 from repro.fapi.codec import wire_size
 from repro.phy.modulation import Modulation
@@ -58,14 +58,12 @@ def _measure_load_point(
     offered_bps: float,
     duration_s: float,
     seed: int,
-    config: Optional[OrionConfig] = None,
 ) -> LoadPointResult:
     """One load point: replay the L2's per-slot message pattern through
     the L2-side and PHY-side Orion service queues plus the wire."""
     sim = Simulator()
-    cfg = config or OrionConfig()
-    l2_side = _ServiceQueue(sim, cfg, "l2-orion")
-    phy_side = _ServiceQueue(sim, cfg, "phy-orion")
+    l2_side = _ServiceQueue(sim, "l2-orion")
+    phy_side = _ServiceQueue(sim, "phy-orion")
     rng = np.random.default_rng(seed)
     slot_ns = 500 * US
     wire_ns = 1_300  # switch hop + 100 GbE propagation

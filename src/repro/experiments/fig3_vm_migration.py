@@ -16,7 +16,6 @@ from repro.baselines.vm_migration import (
     MigrationRun,
     PrecopyMigrationModel,
     TransportKind,
-    VmMigrationConfig,
 )
 
 
@@ -45,9 +44,7 @@ class Fig3Result:
 
 def run(runs_per_transport: int = 40, seed: int = 0) -> Fig3Result:
     """Reproduce the 80-migration campaign (40 per transport)."""
-    model = PrecopyMigrationModel(
-        VmMigrationConfig(), rng=np.random.default_rng(seed)
-    )
+    model = PrecopyMigrationModel(rng=np.random.default_rng(seed))
     return Fig3Result(
         tcp_runs=model.run_campaign(TransportKind.TCP, runs_per_transport),
         rdma_runs=model.run_campaign(TransportKind.RDMA, runs_per_transport),

@@ -48,7 +48,7 @@ def phase_branches(seed: int = 0) -> Tuple[Checkpoint, List[int]]:
     cell = build_slingshot_cell(CellConfig(seed=seed))
     cell.run_for(50 * MS)
     warm = Checkpoint.capture(cell)
-    period = cell.middlebox.config.detector.tick_period_ns
+    period = cell.middlebox.detector.config.tick_period_ns
     phases = -(-cell.slot_ns // period)
     return warm, [warm.meta.sim_now_ns + MS + k * period for k in range(phases)]
 
@@ -142,8 +142,8 @@ def sweep(warm: Checkpoint, instants: List[int], healthy_seconds: float) -> Swee
     model = PrecopyMigrationModel(rng=np.random.default_rng(healthy.config.seed))
     runs = model.run_campaign(TransportKind.RDMA, 20)
     median_pause_us = float(np.median([r.pause_time_ns for r in runs])) / US
-    config = healthy.middlebox.config.detector
-    schedule = downlink_schedule(healthy.phy_servers[0].phy.config, healthy.slot_ns)
+    config = healthy.middlebox.detector.config
+    schedule = downlink_schedule(healthy.slot_ns)
     return SweepResult(
         kill_at_ns=list(instants),
         detection_latencies_us=from_kill,

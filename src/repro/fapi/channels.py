@@ -70,15 +70,3 @@ class ShmChannel:
     def _deliver(self) -> None:
         assert self.endpoint is not None
         self.endpoint.receive_fapi(self._pending.popleft(), channel=self)
-
-
-class DuplexShmChannel:
-    """A pair of SHM channels wiring two FAPI endpoints together."""
-
-    def __init__(self, sim: Simulator, latency_ns: int = 1 * US, name: str = "shm") -> None:
-        self.a_to_b = ShmChannel(sim, None, latency_ns, f"{name}.a2b")
-        self.b_to_a = ShmChannel(sim, None, latency_ns, f"{name}.b2a")
-
-    def connect(self, a: FapiEndpoint, b: FapiEndpoint) -> None:
-        self.a_to_b.connect(b)
-        self.b_to_a.connect(a)

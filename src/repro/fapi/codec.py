@@ -15,12 +15,8 @@ the SHM channels and the Orion datagrams as typed objects, never as
 bytes. :func:`encode_message` / :func:`decode_message` are the normative
 wire image that size is checked against
 (``wire_size(m) == len(encode_message(m))`` over a generated corpus) and
-what the codec micro benchmarks drive: type-keyed dispatch tables,
-positional PDU construction, and ``__new__``-based message construction
-that skips the keyword-dict round-trip through dataclass ``__init__``.
-The straight-line ``isinstance`` / ``if``-chain codec they replaced lives
-in ``tests/fapi_reference.py``; ``tests/test_perf_fuzz.py`` drives ~1k
-generated messages through both and requires byte-identity.
+what the codec micro benchmarks drive: type-keyed dispatch tables, and
+decoders that build every message through its constructor.
 """
 
 from __future__ import annotations
@@ -108,7 +104,7 @@ def _decode_blob_list(data: bytes, offset: int) -> Tuple[List[Tuple[int, bytes]]
 
 
 # ----------------------------------------------------------------------
-# Body encoders (shared with the reference chain in tests/fapi_reference.py)
+# Body encoders
 # ----------------------------------------------------------------------
 def _encode_config(message: "m.ConfigRequest") -> bytes:
     pattern = message.tdd_pattern.encode("ascii")
@@ -278,66 +274,54 @@ def data_message_wire_size(message: m.FapiMessage, payload_bytes: int) -> int:
 # ----------------------------------------------------------------------
 # Decoders
 # ----------------------------------------------------------------------
-def _new_message(cls, cell_id: int, slot: int):
-    """Construct a message skeleton without the dataclass kwargs round-trip."""
-    msg = cls.__new__(cls)
-    msg.cell_id = cell_id
-    msg.slot = slot
-    msg.message_id = next(m._message_ids)
-    return msg
-
-
 def _decode_config(cell_id: int, slot: int, body: bytes):
     num_prbs, mu, ru_id = struct.unpack_from(">HBH", body, 0)
     (plen,) = struct.unpack_from(">B", body, 5)
-    pattern = body[6 : 6 + plen].decode("ascii")
-    msg = _new_message(m.ConfigRequest, cell_id, slot)
-    msg.num_prbs = num_prbs
-    msg.numerology_mu = mu
-    msg.tdd_pattern = pattern
-    msg.ru_id = ru_id
-    return msg
+    return m.ConfigRequest(
+        cell_id=cell_id,
+        slot=slot,
+        num_prbs=num_prbs,
+        numerology_mu=mu,
+        tdd_pattern=body[6 : 6 + plen].decode("ascii"),
+        ru_id=ru_id,
+    )
 
 
 def _decode_start(cell_id: int, slot: int, body: bytes):
-    return _new_message(m.StartRequest, cell_id, slot)
+    return m.StartRequest(cell_id=cell_id, slot=slot)
 
 
 def _decode_stop(cell_id: int, slot: int, body: bytes):
-    return _new_message(m.StopRequest, cell_id, slot)
+    return m.StopRequest(cell_id=cell_id, slot=slot)
 
 
 def _decode_slot_indication(cell_id: int, slot: int, body: bytes):
-    return _new_message(m.SlotIndication, cell_id, slot)
+    return m.SlotIndication(cell_id=cell_id, slot=slot)
 
 
 def _decode_error(cell_id: int, slot: int, body: bytes):
     code, dlen = struct.unpack_from(">HH", body, 0)
-    msg = _new_message(m.ErrorIndication, cell_id, slot)
-    msg.error_code = code
-    msg.detail = body[4 : 4 + dlen].decode("utf-8")
-    return msg
+    return m.ErrorIndication(
+        cell_id=cell_id,
+        slot=slot,
+        error_code=code,
+        detail=body[4 : 4 + dlen].decode("utf-8"),
+    )
 
 
 def _decode_ul_tti(cell_id: int, slot: int, body: bytes):
     pdus, _ = _decode_pdus(body, 0, m.PuschPdu)
-    msg = _new_message(m.UlTtiRequest, cell_id, slot)
-    msg.pdus = pdus
-    return msg
+    return m.UlTtiRequest(cell_id=cell_id, slot=slot, pdus=pdus)
 
 
 def _decode_dl_tti(cell_id: int, slot: int, body: bytes):
     pdus, _ = _decode_pdus(body, 0, m.PdschPdu)
-    msg = _new_message(m.DlTtiRequest, cell_id, slot)
-    msg.pdus = pdus
-    return msg
+    return m.DlTtiRequest(cell_id=cell_id, slot=slot, pdus=pdus)
 
 
 def _decode_tx_data(cell_id: int, slot: int, body: bytes):
     payloads, _ = _decode_blob_list(body, 0)
-    msg = _new_message(m.TxDataRequest, cell_id, slot)
-    msg.payloads = payloads
-    return msg
+    return m.TxDataRequest(cell_id=cell_id, slot=slot, payloads=payloads)
 
 
 def _decode_rx_data(cell_id: int, slot: int, body: bytes):
@@ -349,9 +333,7 @@ def _decode_rx_data(cell_id: int, slot: int, body: bytes):
         offset += 15
         payloads.append((ue, harq, tb_id, bytes(body[offset : offset + length])))
         offset += length
-    msg = _new_message(m.RxDataIndication, cell_id, slot)
-    msg.payloads = payloads
-    return msg
+    return m.RxDataIndication(cell_id=cell_id, slot=slot, payloads=payloads)
 
 
 def _decode_crc(cell_id: int, slot: int, body: bytes):
@@ -364,9 +346,7 @@ def _decode_crc(cell_id: int, slot: int, body: bytes):
         ue, harq, tb_id, ok, snr, retx = unpack_from(body, offset)
         offset += size
         results.append(m.CrcResult(ue, harq, tb_id, ok == 1, snr, retx))
-    msg = _new_message(m.CrcIndication, cell_id, slot)
-    msg.results = results
-    return msg
+    return m.CrcIndication(cell_id=cell_id, slot=slot, results=results)
 
 
 def _decode_uci(cell_id: int, slot: int, body: bytes):
@@ -386,10 +366,9 @@ def _decode_uci(cell_id: int, slot: int, body: bytes):
         ue, pending = struct.unpack_from(">HI", body, offset)
         offset += 6
         bsr_reports.append((ue, pending))
-    msg = _new_message(m.UciIndication, cell_id, slot)
-    msg.feedback = feedback
-    msg.bsr_reports = bsr_reports
-    return msg
+    return m.UciIndication(
+        cell_id=cell_id, slot=slot, feedback=feedback, bsr_reports=bsr_reports
+    )
 
 
 #: Fast-path dispatch: wire type id -> body decoder.

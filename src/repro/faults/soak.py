@@ -43,33 +43,23 @@ _LINK_LOSS_PROB = 0.03
 _FAULT_MARGIN_NS = 80 * MS
 
 
+#: Digest window of the soak cell's trace.
+WINDOW_NS = 250 * MS
+#: Checkpoint interval; a multiple of :data:`WINDOW_NS`, so trace
+#: eviction at checkpoint boundaries folds only complete digest windows.
+CHECKPOINT_EVERY_NS = 500 * MS
+#: The first background fault, after the probe flow has started.
+FIRST_FAULT_NS = 600 * MS
+#: Mean gap between one fault's quiet margin and the next arrival.
+MEAN_FAULT_GAP_NS = 450 * MS
+
+
 @dataclass(frozen=True)
 class SoakConfig:
-    """Knobs of one soak run; lives inside every checkpoint.
-
-    ``checkpoint_every_ns`` must be a multiple of ``window_ns`` so
-    trace eviction at checkpoint boundaries folds only complete digest
-    windows.
-    """
+    """Knobs of one soak run; lives inside every checkpoint."""
 
     seed: int = 1
     horizon_ns: int = 3_000 * MS
-    window_ns: int = 250 * MS
-    checkpoint_every_ns: int = 500 * MS
-    first_fault_ns: int = 600 * MS
-    mean_fault_gap_ns: int = 450 * MS
-    num_phy_servers: int = 2
-
-    def __post_init__(self) -> None:
-        if self.window_ns <= 0 or self.checkpoint_every_ns <= 0:
-            raise ValueError("window_ns and checkpoint_every_ns must be > 0")
-        if self.checkpoint_every_ns % self.window_ns != 0:
-            raise ValueError(
-                "checkpoint_every_ns must be a multiple of window_ns "
-                f"({self.checkpoint_every_ns} % {self.window_ns} != 0)"
-            )
-        if self.first_fault_ns <= PROBE_START_NS:
-            raise ValueError("first_fault_ns must be after the probe start")
 
 
 def generate_soak_plan(rng: RngRegistry, config: SoakConfig) -> FaultPlan:
@@ -87,11 +77,11 @@ def generate_soak_plan(rng: RngRegistry, config: SoakConfig) -> FaultPlan:
     process_faults: List[ProcessFaultSpec] = []
     link_faults: List[LinkFaultSpec] = []
     primary = 0
-    at_ns = config.first_fault_ns
+    at_ns = FIRST_FAULT_NS
     while at_ns < config.horizon_ns - _CRASH_RESTART_DURATION_NS:
         draw = stream.random()
         gap_scale = 0.75 + 0.5 * stream.random()
-        if draw < 0.4 and config.num_phy_servers > 1:
+        if draw < 0.4:
             process_faults.append(
                 ProcessFaultSpec(
                     phy_id=primary,
@@ -124,7 +114,7 @@ def generate_soak_plan(rng: RngRegistry, config: SoakConfig) -> FaultPlan:
             )
             fault_end = at_ns + _LINK_WINDOW_NS
         at_ns = fault_end + _FAULT_MARGIN_NS
-        at_ns += int(config.mean_fault_gap_ns * gap_scale)
+        at_ns += int(MEAN_FAULT_GAP_NS * gap_scale)
     return FaultPlan(
         name=f"soak-seed{config.seed}",
         link_faults=tuple(link_faults),
@@ -174,10 +164,8 @@ class SoakState:
 def build_soak_state(config: SoakConfig) -> SoakState:
     """Build a fresh soak run: probed cell, pre-drawn plan armed on it."""
     monitor = ProbeGapMonitor(PROBE_START_NS)
-    harness = build_probe_harness(
-        config.seed, num_phy_servers=config.num_phy_servers, monitor=monitor
-    )
-    harness.cell.trace.window_ns = config.window_ns
+    harness = build_probe_harness(config.seed, monitor=monitor)
+    harness.cell.trace.window_ns = WINDOW_NS
     arm_plan(harness, generate_soak_plan(harness.cell.rng, config))
     return SoakState(config=config, harness=harness, monitor=monitor)
 

@@ -31,6 +31,7 @@ from repro.faults.campaign import FORK_MARGIN_NS
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.fleet.composer import FleetConfig, FleetHarness, build_fleet, fleet_digest
+from repro.fleet.pool import REWARM_NS
 from repro.sim.units import MS
 
 # ----------------------------------------------------------------------
@@ -40,7 +41,6 @@ from repro.sim.units import MS
 # ----------------------------------------------------------------------
 FLEET_NUM_CELLS = 10
 FLEET_USERS_PER_CELL = 100_000  # 10 cells x 100k = the ~1M-user metro.
-FLEET_REWARM_NS = 40 * MS
 
 FLEET_MEASURE_START_NS = 40 * MS
 FLEET_FAULT_NS = 60 * MS
@@ -172,7 +172,6 @@ def fleet_config(seed: int, pool_size: int = 0) -> FleetConfig:
         num_cells=FLEET_NUM_CELLS,
         standby_pool_size=pool_size,
         users_per_cell=FLEET_USERS_PER_CELL,
-        rewarm_ns=FLEET_REWARM_NS,
     )
 
 
@@ -336,7 +335,7 @@ class FleetReport:
             "fleet": {
                 "num_cells": FLEET_NUM_CELLS,
                 "users_per_cell": FLEET_USERS_PER_CELL,
-                "rewarm_ms": FLEET_REWARM_NS // MS,
+                "rewarm_ms": REWARM_NS // MS,
                 "wave1_cells": list(WAVE1_CELLS),
                 "wave2_cells": list(WAVE2_CELLS),
             },

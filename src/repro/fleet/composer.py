@@ -21,9 +21,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.cell.config import CellConfig, UeProfile
+from repro.cell.config import CellConfig
 from repro.cell.deployment import SlingshotCell, build_slingshot_cell
-from repro.core.fh_middlebox import MiddleboxConfig
+from repro.core.fh_middlebox import MAX_PHYS, MAX_RUS
 from repro.fleet.phy_backend import FleetPhyBackend
 from repro.fleet.pool import PoolGate, StandbyPool
 from repro.fleet.population import (
@@ -35,12 +35,14 @@ from repro.net.p4.resources import PipelineResourceModel, ResourceUsage
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
-from repro.sim.units import MS
 
 #: Deterministic per-cell seed derivation: cells of one fleet draw from
 #: disjoint seed points, and cell ``i`` of fleet seed ``s`` always gets
 #: the same value (tests rebuild standalone cells from it).
 FLEET_CELL_SEED_STRIDE = 10_007
+
+#: PHY servers per island cell: its primary and its hot standby.
+PHYS_PER_CELL = 2
 
 
 def fleet_cell_seed(fleet_seed: int, cell_index: int) -> int:
@@ -51,23 +53,20 @@ class FleetBudgetError(ValueError):
     """The requested fleet exceeds the P4 pipeline's §8.6 envelope."""
 
 
-def validate_fleet_budget(
-    num_cells: int, phys_per_cell: int = 2
-) -> ResourceUsage:
+def validate_fleet_budget(num_cells: int) -> ResourceUsage:
     """Check a fleet against the switch's 256-RU/256-PHY directories and
     the Tofino pipeline resource model; raise with every overflow listed."""
-    mbox = MiddleboxConfig()
     num_rus = num_cells
-    num_phys = num_cells * phys_per_cell
+    num_phys = num_cells * PHYS_PER_CELL
     problems: List[str] = []
-    if num_rus > mbox.max_rus:
-        problems.append(f"{num_rus} RUs > ru_id_directory capacity {mbox.max_rus}")
-    if num_phys > mbox.max_phys:
+    if num_rus > MAX_RUS:
+        problems.append(f"{num_rus} RUs > ru_id_directory capacity {MAX_RUS}")
+    if num_phys > MAX_PHYS:
         problems.append(
-            f"{num_phys} PHYs > phy_id_directory capacity {mbox.max_phys}"
+            f"{num_phys} PHYs > phy_id_directory capacity {MAX_PHYS}"
         )
     usage = PipelineResourceModel().usage(
-        min(num_rus, mbox.max_rus), min(num_phys, mbox.max_phys)
+        min(num_rus, MAX_RUS), min(num_phys, MAX_PHYS)
     )
     for resource in sorted(usage.fraction):
         if usage.fraction[resource] >= 1.0:
@@ -77,7 +76,7 @@ def validate_fleet_budget(
             )
     if problems:
         raise FleetBudgetError(
-            f"fleet of {num_cells} cells x {phys_per_cell} PHYs does not fit "
+            f"fleet of {num_cells} cells x {PHYS_PER_CELL} PHYs does not fit "
             f"the P4 envelope: " + "; ".join(problems)
         )
     return usage
@@ -93,36 +92,17 @@ class FleetConfig:
     standby_pool_size: int = 2
     #: Aggregate (cohort-modelled) users per cell.
     users_per_cell: int = 10_000
-    #: Cells expanded to full per-UE fidelity (sampled from ``fleet.tracers``).
+    #: Cells expanded to full per-UE fidelity (sampled from
+    #: ``fleet.tracers``), each with the single-cell default UEs.
     tracer_cells: int = 0
-    #: UE profiles given to each tracer cell (None: the single-cell default).
-    tracer_ue_profiles: Optional[List[UeProfile]] = None
-    #: Replacement-standby provisioning time after a pool claim.
-    rewarm_ns: int = 40 * MS
-    #: Cohort accounting period.
-    epoch_ns: int = 10 * MS
     tie_shuffle_seed: Optional[int] = None
-    phys_per_cell: int = 2
 
     def cell_config(self, cell_index: int, tracer: bool) -> CellConfig:
         """The standalone-equivalent config of one island cell."""
+        seed = fleet_cell_seed(self.seed, cell_index)
         if tracer:
-            profiles = self.tracer_ue_profiles
-            if profiles is None:
-                return CellConfig(
-                    seed=fleet_cell_seed(self.seed, cell_index),
-                    num_phy_servers=self.phys_per_cell,
-                )
-            return CellConfig(
-                seed=fleet_cell_seed(self.seed, cell_index),
-                ue_profiles=list(profiles),
-                num_phy_servers=self.phys_per_cell,
-            )
-        return CellConfig(
-            seed=fleet_cell_seed(self.seed, cell_index),
-            ue_profiles=[],
-            num_phy_servers=self.phys_per_cell,
-        )
+            return CellConfig(seed=seed)
+        return CellConfig(seed=seed, ue_profiles=[])
 
 
 @dataclass
@@ -168,7 +148,7 @@ def build_fleet(
     its PHYs keep the direct ``codec.encode_blocks`` call.
     """
     config = config or FleetConfig()
-    validate_fleet_budget(config.num_cells, config.phys_per_cell)
+    validate_fleet_budget(config.num_cells)
     if sim is None:
         sim = Simulator(tie_shuffle_seed=config.tie_shuffle_seed)
     trace = TraceRecorder()
@@ -176,15 +156,12 @@ def build_fleet(
     tracer_indices = sample_tracer_cells(
         rng, config.num_cells, config.tracer_cells
     )
-    pool = StandbyPool(
-        sim, size=config.standby_pool_size, rewarm_ns=config.rewarm_ns, trace=trace
-    )
+    pool = StandbyPool(sim, size=config.standby_pool_size, trace=trace)
     population = FleetPopulation(
         sim=sim,
         trace=trace,
         num_cells=config.num_cells,
         users_per_cell=config.users_per_cell,
-        epoch_ns=config.epoch_ns,
     )
     backend = FleetPhyBackend()
     cells: List[SlingshotCell] = []

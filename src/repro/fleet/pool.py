@@ -9,7 +9,7 @@ at promotion time either grants (token consumed, re-warm scheduled) or
 denies — and a denied cell degrades exactly like a cell with no standby,
 surfacing ``orion.failover_impossible``.
 
-Re-warm restores the *capacity* after ``rewarm_ns`` (a replacement
+Re-warm restores the *capacity* after :data:`REWARM_NS` (a replacement
 server is provisioned into the pool); it does not resurrect the failed
 cell's own redundancy — that still takes an operator reviving the dead
 server (``initialize_secondary``).
@@ -21,6 +21,10 @@ from typing import Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
+from repro.sim.units import MS
+
+#: Replacement-standby provisioning time after a pool claim.
+REWARM_NS = 40 * MS
 
 
 class StandbyPool:
@@ -30,11 +34,9 @@ class StandbyPool:
         self,
         sim: Simulator,
         size: int,
-        rewarm_ns: int,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.sim = sim
-        self.rewarm_ns = rewarm_ns
         self.trace = trace
         self.promotions = 0
         self.exhaustions = 0
@@ -81,7 +83,7 @@ class StandbyPool:
                 phy=phy_id,
                 available=self.available,
             )
-        self.sim.schedule(self.rewarm_ns, self._rewarm, label="fleet.pool.rewarm")
+        self.sim.schedule(REWARM_NS, self._rewarm, label="fleet.pool.rewarm")
         return True
 
     def _rewarm(self) -> None:

@@ -24,6 +24,10 @@ from typing import List, Optional, Tuple
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
+from repro.sim.units import MS
+
+#: Cohort accounting period.
+EPOCH_NS = 10 * MS
 
 #: Per-user downlink demand per cohort class, bytes per 10 ms epoch
 #: (~1.2 Mb/s video + ~80 kb/s interactive — the §8 workload mix).
@@ -54,7 +58,6 @@ class FleetPopulation:
     trace: Optional[TraceRecorder]
     num_cells: int
     users_per_cell: int
-    epoch_ns: int
     cohorts: List[UeCohort] = field(default_factory=list)
     cell_down: List[bool] = field(default_factory=list)
     epochs: int = 0
@@ -90,7 +93,7 @@ class FleetPopulation:
     # ------------------------------------------------------------------
     def start(self) -> None:
         self.sim.schedule_periodic(
-            self.epoch_ns, self._epoch_tick, label="fleet.pop.epoch"
+            EPOCH_NS, self._epoch_tick, label="fleet.pop.epoch"
         )
 
     def _epoch_tick(self) -> None:

@@ -16,7 +16,7 @@ Modules:
 """
 
 from repro.l2.rlc import RlcMode, RlcPdu, RlcBearerConfig, RlcTransmitter, RlcReceiver
-from repro.l2.mac import L2Process, MacConfig, McsTable, UeContext
+from repro.l2.mac import L2Process, McsTable, UeContext
 
 __all__ = [
     "RlcMode",
@@ -25,7 +25,6 @@ __all__ = [
     "RlcTransmitter",
     "RlcReceiver",
     "L2Process",
-    "MacConfig",
     "McsTable",
     "UeContext",
 ]

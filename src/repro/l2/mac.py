@@ -95,32 +95,28 @@ class McsTable:
         return chosen
 
 
-@dataclass
-class MacConfig:
-    """Scheduler tunables."""
+# Scheduler tunables.
 
-    #: Slots of lead time between FAPI generation and air time (Fig 7).
-    schedule_ahead_slots: int = 3
-    #: DL HARQ processes per UE.
-    dl_harq_processes: int = 16
-    #: UL HARQ processes per UE.
-    ul_harq_processes: int = 8
-    #: Max HARQ retransmissions (total transmissions = this + 1).
-    max_harq_retx: int = 3
-    #: Slots to wait for CRC/UCI before declaring DTX.
-    harq_timeout_slots: int = 12
-    #: Interval between RLC AM status reports.
-    status_interval_ns: int = 5 * MS
-    #: PRBs available per slot.
-    total_prbs: int = 273
-    #: Fraction of a slot's REs usable for shared-channel data.
-    usable_re_fraction: float = 1.0
-    #: Idle UEs still get a small poll grant every this many uplink
-    #: slots, keeping SNR measurements (and hence link adaptation) warm.
-    ul_poll_interval_slots: int = 50
-    #: Downlink per-bearer RLC queue bound. gNB-side buffers are sized
-    #: for the high downlink rate (~70 ms of line-rate buffering).
-    dl_queue_limit_bytes: int = 1_200_000
+#: Slots of lead time between FAPI generation and air time (Fig 7).
+SCHEDULE_AHEAD_SLOTS = 3
+#: DL HARQ processes per UE.
+DL_HARQ_PROCESSES = 16
+#: UL HARQ processes per UE.
+UL_HARQ_PROCESSES = 8
+#: Max HARQ retransmissions (total transmissions = this + 1).
+MAX_HARQ_RETX = 3
+#: Slots to wait for CRC/UCI before declaring DTX.
+HARQ_TIMEOUT_SLOTS = 12
+#: Interval between RLC AM status reports.
+STATUS_INTERVAL_NS = 5 * MS
+#: Fraction of a slot's REs usable for shared-channel data.
+USABLE_RE_FRACTION = 1.0
+#: Idle UEs still get a small poll grant every this many uplink
+#: slots, keeping SNR measurements (and hence link adaptation) warm.
+UL_POLL_INTERVAL_SLOTS = 50
+#: Downlink per-bearer RLC queue bound. gNB-side buffers are sized
+#: for the high downlink rate (~70 ms of line-rate buffering).
+DL_QUEUE_LIMIT_BYTES = 1_200_000
 
 
 @dataclass
@@ -196,7 +192,6 @@ class L2Process(Process):
         numerology: Numerology,
         cell_id: int = 0,
         ru_id: int = 0,
-        config: Optional[MacConfig] = None,
         mcs_table: Optional[McsTable] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "l2",
@@ -207,7 +202,6 @@ class L2Process(Process):
         self.numerology = numerology
         self.cell_id = cell_id
         self.ru_id = ru_id
-        self.config = config or MacConfig()
         self.mcs_table = mcs_table or McsTable()
         self.trace = trace
         self.ues: Dict[int, UeContext] = {}
@@ -264,7 +258,7 @@ class L2Process(Process):
         ctx = UeContext(ue_id=ue_id, snr_db=snr_db)
         for bearer in bearers:
             ctx.dl_tx[bearer.bearer_id] = RlcTransmitter(
-                bearer, queue_limit_bytes=self.config.dl_queue_limit_bytes
+                bearer, queue_limit_bytes=DL_QUEUE_LIMIT_BYTES
             )
             ctx.ul_rx[bearer.bearer_id] = RlcReceiver(
                 bearer, now_fn=SimClock(self.sim)
@@ -314,7 +308,7 @@ class L2Process(Process):
             self.stats.ul_crc_fail += 1
             if outstanding is None:
                 continue
-            if outstanding.retx_count < self.config.max_harq_retx:
+            if outstanding.retx_count < MAX_HARQ_RETX:
                 outstanding.retx_count += 1
                 ctx.ul_retx_queue.append(outstanding)
             else:
@@ -363,7 +357,7 @@ class L2Process(Process):
         outstanding = ctx.dl_outstanding.get(harq_process)
         if outstanding is None:
             return
-        if outstanding.retx_count >= self.config.max_harq_retx:
+        if outstanding.retx_count >= MAX_HARQ_RETX:
             # HARQ exhausted: drop; RLC AM (or TCP) recovers.
             del ctx.dl_outstanding[harq_process]
             self.stats.dl_harq_failures += 1
@@ -377,7 +371,7 @@ class L2Process(Process):
     def _slot_tick(self) -> None:
         # Fires 10 µs into each slot, so the current slot is slot_at(now).
         abs_slot = self.slot_clock.slot_at(self.sim.now)
-        target = abs_slot + self.config.schedule_ahead_slots
+        target = abs_slot + SCHEDULE_AHEAD_SLOTS
         self._expire_harq(abs_slot)
         self._maybe_emit_status(abs_slot)
         slot_type = self.tdd.slot_type(target)
@@ -396,7 +390,7 @@ class L2Process(Process):
 
     def _expire_harq(self, now_slot: int) -> None:
         """DTX timeouts: missing CRC/UCI responses count as NACK."""
-        timeout = self.config.harq_timeout_slots
+        timeout = HARQ_TIMEOUT_SLOTS
         for ctx in self.ues.values():
             expired_ul = [
                 tb_id
@@ -406,7 +400,7 @@ class L2Process(Process):
             for tb_id in expired_ul:
                 out = ctx.ul_outstanding.pop(tb_id)
                 self.stats.ul_dtx_timeouts += 1
-                if out.retx_count < self.config.max_harq_retx:
+                if out.retx_count < MAX_HARQ_RETX:
                     out.retx_count += 1
                     ctx.ul_retx_queue.append(out)
                 else:
@@ -422,7 +416,7 @@ class L2Process(Process):
     def _maybe_emit_status(self, abs_slot: int) -> None:
         """Queue RLC AM status reports for UL bearers onto the DL path."""
         for ctx in self.ues.values():
-            if self.sim.now - ctx.last_status_at < self.config.status_interval_ns:
+            if self.sim.now - ctx.last_status_at < STATUS_INTERVAL_NS:
                 continue
             ctx.last_status_at = self.sim.now
             for bearer_id, receiver in ctx.ul_rx.items():
@@ -434,7 +428,7 @@ class L2Process(Process):
     # ------------------------------------------------------------------
     def _tb_bytes(self, prbs: int, entry: McsEntry) -> int:
         res = self.numerology.resource_elements_per_slot(prbs)
-        usable = res * self.config.usable_re_fraction
+        usable = res * USABLE_RE_FRACTION
         return int(usable * entry.modulation.bits_per_symbol * entry.code_rate) // 8
 
     def _schedule_downlink(
@@ -454,7 +448,7 @@ class L2Process(Process):
         ]
         if not candidates:
             return pdus, payloads
-        prbs_each = max(1, self.config.total_prbs // len(candidates))
+        prbs_each = max(1, self.numerology.num_prbs // len(candidates))
         # Round-robin rotation for fairness across slots.
         self._dl_rr_cursor += 1
         rotation = self._dl_rr_cursor % len(candidates)
@@ -489,7 +483,7 @@ class L2Process(Process):
                 )
                 self.stats.dl_tbs_retransmitted += 1
                 return pdu, outstanding.payload
-        pid = ctx.free_dl_process(self.config.dl_harq_processes)
+        pid = ctx.free_dl_process(DL_HARQ_PROCESSES)
         if pid is None:
             return None
         entry = self.mcs_table.select(ctx.snr_db)
@@ -534,7 +528,7 @@ class L2Process(Process):
         if ctx.ul_retx_queue or ctx.ul_backlog_estimate > 0:
             return True
         return (
-            target_slot - ctx.last_ul_grant_slot >= self.config.ul_poll_interval_slots
+            target_slot - ctx.last_ul_grant_slot >= UL_POLL_INTERVAL_SLOTS
         )
 
     def _schedule_uplink(self, target_slot: int) -> List[PuschPdu]:
@@ -546,7 +540,7 @@ class L2Process(Process):
         ]
         if not active:
             return pdus
-        prbs_each = max(1, self.config.total_prbs // len(active))
+        prbs_each = max(1, self.numerology.num_prbs // len(active))
         for ctx in active:
             ctx.last_ul_grant_slot = target_slot
             # Pending retransmission grants first.
@@ -571,7 +565,7 @@ class L2Process(Process):
             tb_bytes = self._tb_bytes(prbs_each, entry)
             ctx.ul_backlog_estimate = max(0, ctx.ul_backlog_estimate - tb_bytes)
             harq = ctx.next_ul_harq
-            ctx.next_ul_harq = (ctx.next_ul_harq + 1) % self.config.ul_harq_processes
+            ctx.next_ul_harq = (ctx.next_ul_harq + 1) % UL_HARQ_PROCESSES
             tb_id = next(self._tb_id_gen)
             pdu = PuschPdu(
                 ue_id=ctx.ue_id,

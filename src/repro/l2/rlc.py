@@ -37,23 +37,23 @@ class RlcMode(enum.Enum):
     AM = "AM"
 
 
+#: AM: maximum retransmissions of one PDU before it is discarded.
+MAX_RETX = 8
+#: UM: reassembly timer — a gap older than this is declared lost and
+#: skipped (3GPP t-Reassembly). Generous enough for MAC-level (DTX
+#: driven) HARQ retransmissions to fill the gap first.
+UM_T_REASSEMBLY_NS = 40_000_000
+#: Transmit queue bound; tail-drop beyond it (keeps TCP's
+#: bufferbloat at a realistic level).
+QUEUE_LIMIT_BYTES = 512_000
+
+
 @dataclass(frozen=True)
 class RlcBearerConfig:
     """Configuration of one radio bearer's RLC entity pair."""
 
     bearer_id: int
     mode: RlcMode
-    #: AM: how many SDU sequence numbers may be outstanding.
-    window_size: int = 512
-    #: AM: maximum retransmissions of one PDU before it is discarded.
-    max_retx: int = 8
-    #: UM: reassembly timer — a gap older than this is declared lost and
-    #: skipped (3GPP t-Reassembly). Generous enough for MAC-level (DTX
-    #: driven) HARQ retransmissions to fill the gap first.
-    um_t_reassembly_ns: int = 40_000_000
-    #: Transmit queue bound; tail-drop beyond it (keeps TCP's
-    #: bufferbloat at a realistic level).
-    queue_limit_bytes: int = 512_000
 
 
 _sdu_ids = itertools.count(1)
@@ -118,13 +118,10 @@ class RlcTransmitter:
     """Sender side of one bearer's RLC entity."""
 
     def __init__(
-        self, config: RlcBearerConfig, queue_limit_bytes: Optional[int] = None
+        self, config: RlcBearerConfig, queue_limit_bytes: int = QUEUE_LIMIT_BYTES
     ) -> None:
         self.config = config
-        self.queue_limit_bytes = (
-            queue_limit_bytes if queue_limit_bytes is not None
-            else config.queue_limit_bytes
-        )
+        self.queue_limit_bytes = queue_limit_bytes
         self._queue: Deque[_PendingSdu] = deque()
         self._queued_bytes = 0
         self._next_seq = 0
@@ -250,7 +247,7 @@ class RlcTransmitter:
         if entry is None or seq in already_queued:
             return
         pdu, retx_count = entry
-        if retx_count + 1 > self.config.max_retx:
+        if retx_count + 1 > MAX_RETX:
             del self._flight[seq]
             self.stats.pdus_discarded += 1
             return
@@ -386,7 +383,7 @@ class RlcReceiver:
     def _expire_partials(self) -> None:
         """UM t-Reassembly: partial SDUs whose first segment is older
         than the timer are dropped (their missing segments are lost)."""
-        deadline = self._now() - self.config.um_t_reassembly_ns
+        deadline = self._now() - UM_T_REASSEMBLY_NS
         expired = [
             sdu_id
             for sdu_id, entry in self._partial.items()

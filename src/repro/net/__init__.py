@@ -10,7 +10,7 @@ fronthaul middlebox is built.
 from repro.net.addresses import MacAddress, BROADCAST_MAC
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.link import Link, NetworkEndpoint
-from repro.net.ptp import PtpClock, PtpConfig
+from repro.net.ptp import PtpClock
 from repro.net.switch import Switch, SwitchPort
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "Link",
     "NetworkEndpoint",
     "PtpClock",
-    "PtpConfig",
     "Switch",
     "SwitchPort",
 ]

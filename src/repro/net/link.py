@@ -236,22 +236,3 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         gbps = self.bandwidth_bps / 1e9
         return f"<Link {self.name} {gbps:g}Gbps {self.latency_ns}ns>"
-
-
-class DuplexLink:
-    """Convenience pair of opposite-direction :class:`Link` instances."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth_bps: float = 100e9,
-        latency_ns: int = 1_000,
-        name: str = "duplex",
-    ) -> None:
-        self.forward = Link(sim, None, bandwidth_bps, latency_ns, f"{name}.fwd")
-        self.reverse = Link(sim, None, bandwidth_bps, latency_ns, f"{name}.rev")
-
-    def connect(self, a: NetworkEndpoint, b: NetworkEndpoint) -> None:
-        """Wire ``a -> forward -> b`` and ``b -> reverse -> a``."""
-        self.forward.connect(b)
-        self.reverse.connect(a)

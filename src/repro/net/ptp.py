@@ -14,24 +14,19 @@ of true time, while a free-running oscillator drifts by parts-per-million
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from repro.sim.units import SECOND, US
 
 
-@dataclass
-class PtpConfig:
-    """Servo and oscillator characteristics."""
+# Servo and oscillator characteristics.
 
-    #: Sync message interval (PTP default: 1 s; telecom profiles faster).
-    sync_interval_ns: int = SECOND // 16
-    #: Residual offset after servo correction (one-sigma).
-    residual_sigma_ns: float = 80.0
-    #: Free-running oscillator drift, in parts per million.
-    drift_ppm: float = 8.0
+#: Sync message interval (PTP default: 1 s; telecom profiles faster).
+SYNC_INTERVAL_NS = SECOND // 16
+#: Residual offset after servo correction (one-sigma).
+RESIDUAL_SIGMA_NS = 80.0
+#: Free-running oscillator drift, in parts per million.
+DRIFT_PPM = 8.0
 
 
 class PtpClock:
@@ -45,13 +40,11 @@ class PtpClock:
 
     def __init__(
         self,
-        config: Optional[PtpConfig] = None,
         *,
         rng: np.random.Generator,
         disciplined: bool = True,
         epoch_ns: int = 0,
     ) -> None:
-        self.config = config or PtpConfig()
         self.disciplined = disciplined
         self.rng = rng
         self.epoch_ns = epoch_ns
@@ -59,7 +52,7 @@ class PtpClock:
         self._base_offset_ns = 0.0
         self._last_sync_ns = epoch_ns
         #: This oscillator's actual drift (fixed per instance).
-        self._drift = float(self.rng.normal(0.0, self.config.drift_ppm / 3.0))
+        self._drift = float(self.rng.normal(0.0, DRIFT_PPM / 3.0))
         self.syncs_applied = 0
 
     @property
@@ -69,10 +62,10 @@ class PtpClock:
     def _sync_if_due(self, true_time: int) -> None:
         if not self.disciplined:
             return
-        while true_time - self._last_sync_ns >= self.config.sync_interval_ns:
-            self._last_sync_ns += self.config.sync_interval_ns
+        while true_time - self._last_sync_ns >= SYNC_INTERVAL_NS:
+            self._last_sync_ns += SYNC_INTERVAL_NS
             self._base_offset_ns = float(
-                self.rng.normal(0.0, self.config.residual_sigma_ns)
+                self.rng.normal(0.0, RESIDUAL_SIGMA_NS)
             )
             self.syncs_applied += 1
 

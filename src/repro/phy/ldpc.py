@@ -253,15 +253,6 @@ class LdpcCode:
         codeword[self._parity_cols] = self.parity_bits(info_bits)
         return codeword
 
-    def extract_info(self, codeword: np.ndarray) -> np.ndarray:
-        """Pull the information bits out of a codeword."""
-        return np.asarray(codeword, dtype=np.uint8)[self._info_cols]
-
-    def syndrome_ok(self, hard_bits: np.ndarray) -> bool:
-        """True if ``hard_bits`` (0/1 or boolean) satisfies all parity checks."""
-        checks = np.asarray(hard_bits)[self._neighbours]
-        return not np.bitwise_xor.reduce(checks, axis=0).any()
-
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------

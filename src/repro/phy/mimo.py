@@ -23,27 +23,24 @@ state in play.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
-@dataclass
-class MimoConfig:
-    """Array and estimation parameters."""
+# Array and estimation parameters.
 
-    #: Antennas at the base station (64 is the common massive-MIMO size).
-    num_antennas: int = 64
-    #: Fraction of the ideal array gain a single sounding provides.
-    gain_per_sounding: float = 0.12
-    #: Slots of staleness after which an estimate has lost half its value.
-    aging_half_life_slots: int = 200
+#: Antennas at the base station (64 is the common massive-MIMO size).
+NUM_ANTENNAS = 64
+#: Fraction of the ideal array gain a single sounding provides.
+GAIN_PER_SOUNDING = 0.12
+#: Slots of staleness after which an estimate has lost half its value.
+AGING_HALF_LIFE_SLOTS = 200
 
-    @property
-    def max_gain_db(self) -> float:
-        """Ideal coherent array gain: 10·log10(N) for N antennas."""
-        import math
 
-        return 10.0 * math.log10(self.num_antennas)
+def max_gain_db() -> float:
+    """Ideal coherent array gain: 10·log10(N) for N antennas."""
+    return 10.0 * math.log10(NUM_ANTENNAS)
 
 
 @dataclass
@@ -62,8 +59,7 @@ class BeamformingTracker:
     one sounding at a time.
     """
 
-    def __init__(self, config: Optional[MimoConfig] = None) -> None:
-        self.config = config or MimoConfig()
+    def __init__(self) -> None:
         self._state: Dict[int, _UeBeamState] = {}
         self.soundings_processed = 0
         self.discards = 0
@@ -72,7 +68,7 @@ class BeamformingTracker:
         if state.last_sounding_slot < 0:
             return 0.0
         age = max(slot - state.last_sounding_slot, 0)
-        decay = 0.5 ** (age / self.config.aging_half_life_slots)
+        decay = 0.5 ** (age / AGING_HALF_LIFE_SLOTS)
         return state.quality * decay
 
     def on_sounding(self, ue_id: int, slot: int) -> float:
@@ -85,7 +81,7 @@ class BeamformingTracker:
         """
         state = self._state.setdefault(ue_id, _UeBeamState())
         current = self._aged_quality(state, slot)
-        state.quality = current + self.config.gain_per_sounding * (1.0 - current)
+        state.quality = current + GAIN_PER_SOUNDING * (1.0 - current)
         state.last_sounding_slot = slot
         self.soundings_processed += 1
         return self.gain_db(ue_id, slot)
@@ -95,7 +91,7 @@ class BeamformingTracker:
         state = self._state.get(ue_id)
         if state is None:
             return 0.0
-        return self._aged_quality(state, slot) * self.config.max_gain_db
+        return self._aged_quality(state, slot) * max_gain_db()
 
     def tracked_ues(self) -> int:
         return len(self._state)
@@ -107,7 +103,7 @@ class BeamformingTracker:
         the derived precoder row — the multi-megabyte state §10 notes is
         impractical to transfer within the availability target.
         """
-        per_ue = self.config.num_antennas * 2 * 4 * 273  # complex64 x PRBs.
+        per_ue = NUM_ANTENNAS * 2 * 4 * 273  # complex64 x PRBs.
         return len(self._state) * per_ue
 
     def discard_all(self) -> int:

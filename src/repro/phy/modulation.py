@@ -143,8 +143,3 @@ def demodulate_llr(
     # (bit, I/Q, symbol) -> per symbol: the I bits MSB first, then the Q bits.
     llrs = diffs.reshape(axis_bits, 2, len(symbols)) / (2.0 * axis_noise)
     return llrs.transpose(2, 1, 0).reshape(-1)
-
-
-def hard_decision(llrs: np.ndarray) -> np.ndarray:
-    """Hard bits from LLRs (positive LLR → 0)."""
-    return (np.asarray(llrs) < 0).astype(np.uint8)

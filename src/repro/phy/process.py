@@ -72,8 +72,23 @@ from repro.sim.units import US
 #: rewrites toward the RU port.
 _UNRESOLVED_DST = MacAddress(0)
 
+#: Consecutive slots without TTI requests before the process crashes.
+MAX_MISSING_TTI_SLOTS = 4
+#: Lead time before the over-the-air slot at which DL packets are sent.
+TX_LEAD_NS = 80 * US
+#: Uplink pipeline delay: slot N's indications reach the L2 during slot
+#: N + 2, so each uplink slot occupies the three-slot pipeline (N, N + 1,
+#: N + 2) FlexRAN runs (Fig 7).
+UL_PIPELINE_SLOTS = 2
+#: CPU cost model, in core-microseconds per slot.
+CPU_NULL_SLOT_US = 1.0
+CPU_PER_UL_PDU_US = 60.0
+CPU_PER_DL_PDU_US = 35.0
+CPU_PER_PRB_US = 0.9
+
+
 # One slot's downlink transmit schedule (:meth:`PhyProcess._emit_downlink`),
-# from the PHY's slot tick ``tx_lead_ns`` before the slot starts. Every
+# from the PHY's slot tick :data:`TX_LEAD_NS` before the slot starts. Every
 # frame is a heartbeat to the in-switch detector, so these constants fix
 # the healthy gap :func:`downlink_schedule` derives.
 #: The first C-plane section's jitter is clipped to [0, this] µs.
@@ -90,22 +105,11 @@ MID_SECTION_SPREAD_US = 50.0
 
 @dataclass
 class PhyConfig:
-    """Tunables of one PHY process."""
+    """What differs between the PHY processes of a deployment."""
 
     #: Max LDPC belief-propagation iterations (the FEC-quality knob; the
     #: "upgraded PHY" of Fig 11 uses a higher value).
     decoder_iterations: int = 8
-    #: Consecutive slots without TTI requests before the process crashes.
-    max_missing_tti_slots: int = 4
-    #: Lead time before the over-the-air slot at which DL packets are sent.
-    tx_lead_ns: int = 80 * US
-    #: Uplink pipeline depth in slots (FlexRAN uses 3; Fig 7).
-    ul_pipeline_slots: int = 2
-    #: CPU cost model, in core-microseconds per slot.
-    cpu_null_slot_us: float = 1.0
-    cpu_per_ul_pdu_us: float = 60.0
-    cpu_per_dl_pdu_us: float = 35.0
-    cpu_per_prb_us: float = 0.9
     #: Identity of the vRAN stack this PHY belongs to (see
     #: :class:`repro.fronthaul.oran.CplaneMessage`).
     vran_instance_id: int = 1
@@ -125,7 +129,7 @@ class DownlinkSchedule(NamedTuple):
     max_gap_ns: int
 
 
-def downlink_schedule(config: PhyConfig, slot_ns: int) -> DownlinkSchedule:
+def downlink_schedule(slot_ns: int) -> DownlinkSchedule:
     """The section windows of one slot and the maximum healthy gap
     between two consecutive downlink frames of a PHY.
 
@@ -140,7 +144,7 @@ def downlink_schedule(config: PhyConfig, slot_ns: int) -> DownlinkSchedule:
     included: a slot without one emits no frame at all, and the gap
     grows by a slot.
     """
-    lead = config.tx_lead_ns
+    lead = TX_LEAD_NS
     first = (-lead, round(FIRST_SECTION_MAX_JITTER_US * US) - lead)
     mid = (MID_SECTION_NS, MID_SECTION_NS + round(MID_SECTION_SPREAD_US * US))
     return DownlinkSchedule(
@@ -379,8 +383,8 @@ class PhyProcess(Process):
     # ------------------------------------------------------------------
     def _schedule_next_slot(self) -> None:
         """Arm the periodic per-slot tick at the next transmit deadline."""
-        next_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns) + 1
-        fire_at = self.slot_clock.slot_start(next_slot) - self.config.tx_lead_ns
+        next_slot = self.slot_clock.slot_at(self.sim.now + TX_LEAD_NS) + 1
+        fire_at = self.slot_clock.slot_start(next_slot) - TX_LEAD_NS
         self._tick_handle = self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
             self._slot_tick,
@@ -391,9 +395,9 @@ class PhyProcess(Process):
     def _slot_tick(self) -> None:
         if not self.alive:
             return
-        # Fires tx_lead_ns before each slot boundary, so the target slot
+        # Fires TX_LEAD_NS before each slot boundary, so the target slot
         # is the one containing now + lead.
-        abs_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns)
+        abs_slot = self.slot_clock.slot_at(self.sim.now + TX_LEAD_NS)
         sleeper = (
             None if self.dormancy is None else self.dormancy.sleeper(self, abs_slot)
         )
@@ -433,7 +437,7 @@ class PhyProcess(Process):
             # and no FAPI response is produced; only the transmit
             # thread's heartbeat C-plane still reaches the fronthaul.
             self._emit_downlink(cell, abs_slot, [], [])
-            stale = abs_slot - self.config.ul_pipeline_slots
+            stale = abs_slot - UL_PIPELINE_SLOTS
             cell.captures = {k: v for k, v in cell.captures.items() if k[0] > stale}
             cell.feedback_only = {
                 s: v for s, v in cell.feedback_only.items() if s > stale
@@ -442,7 +446,7 @@ class PhyProcess(Process):
             return
         if ul_req is None and dl_req is None:
             cell.consecutive_missing_tti += 1
-            if cell.consecutive_missing_tti >= self.config.max_missing_tti_slots:
+            if cell.consecutive_missing_tti >= MAX_MISSING_TTI_SLOTS:
                 self.crash(reason="missing TTI requests")
             return
         cell.consecutive_missing_tti = 0
@@ -451,14 +455,14 @@ class PhyProcess(Process):
         dl_pdus = dl_req.pdus if dl_req is not None else []
         if not ul_pdus and not dl_pdus:
             self.cpu.null_slots += 1
-            self.cpu.busy_core_us += self.config.cpu_null_slot_us
+            self.cpu.busy_core_us += CPU_NULL_SLOT_US
         else:
             self.cpu.work_slots += 1
             self.cpu.busy_core_us += (
-                self.config.cpu_null_slot_us
-                + len(ul_pdus) * self.config.cpu_per_ul_pdu_us
-                + len(dl_pdus) * self.config.cpu_per_dl_pdu_us
-                + sum(p.prbs for p in ul_pdus + dl_pdus) * self.config.cpu_per_prb_us
+                CPU_NULL_SLOT_US
+                + len(ul_pdus) * CPU_PER_UL_PDU_US
+                + len(dl_pdus) * CPU_PER_DL_PDU_US
+                + sum(p.prbs for p in ul_pdus + dl_pdus) * CPU_PER_PRB_US
             )
         self._emit_downlink(cell, abs_slot, ul_pdus, dl_pdus)
         self._emit_slot_indication(cell, abs_slot)
@@ -468,7 +472,7 @@ class PhyProcess(Process):
         """Uplink slot results surface after the processing pipeline,
         even when only control (feedback) was captured."""
         done_at = (
-            self.slot_clock.slot_start(abs_slot + self.config.ul_pipeline_slots)
+            self.slot_clock.slot_start(abs_slot + UL_PIPELINE_SLOTS)
             + 120 * US
             + self.service_inflation_ns
         )
@@ -496,11 +500,11 @@ class PhyProcess(Process):
         cpu = self.cpu
         cpu.slots_processed += 1
         cpu.null_slots += 1
-        cpu.busy_core_us += self.config.cpu_null_slot_us
+        cpu.busy_core_us += CPU_NULL_SLOT_US
         # _emit_downlink's draws, in its order: the first C-plane's
         # jitter, then the mid-slot section's offset.
         first_tx = self._tx_jitter_ns()
-        mid_offset = self.config.tx_lead_ns + MID_SECTION_NS + round(
+        mid_offset = TX_LEAD_NS + MID_SECTION_NS + round(
             MID_SECTION_SPREAD_US * float(self.rng.random()) * US
         )
         now = self.sim.now
@@ -601,7 +605,7 @@ class PhyProcess(Process):
         # Second C-plane section packet mid-slot (symbol-group sections);
         # keeps the heartbeat cadence dense within the slot.
         mid = self._null_cplane(cell, abs_slot)
-        mid_offset = self.config.tx_lead_ns + MID_SECTION_NS + round(
+        mid_offset = TX_LEAD_NS + MID_SECTION_NS + round(
             MID_SECTION_SPREAD_US * float(self.rng.random()) * US
         )
         self._send_fronthaul_at(self.sim.now + mid_offset, mid, mid.wire_bytes)

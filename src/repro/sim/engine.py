@@ -31,7 +31,7 @@ Design notes
   when popped. To keep the heap *bounded* under heavy cancel/reschedule
   churn (e.g. a watchdog re-armed every response), the simulator counts
   live cancellations and compacts the heap once cancelled entries exceed
-  ``compaction_threshold`` **and** outnumber live ones — so compaction
+  :data:`COMPACTION_THRESHOLD` **and** outnumber live ones — so compaction
   cost stays amortized O(1) per cancel while the queue never holds more
   than ~half garbage.
 * Strictly periodic work (slot ticks, FAPI timers, heartbeats) is
@@ -97,6 +97,10 @@ def _refused(what: str, value: Any, out_of_range: str) -> SimulationError:
 
 #: Heap entry shape: (time, tie, seq, handle).
 _QueueEntry = Tuple[int, int, int, "EventHandle"]
+
+#: Cancelled heap entries that, once they also outnumber live ones,
+#: trigger a rebuild of the queue without them.
+COMPACTION_THRESHOLD = 64
 
 #: CPython's young-generation collection threshold once a process builds
 #: a simulator: above the peak of live young objects a run reaches (about
@@ -307,21 +311,17 @@ class Simulator:
     the traces is a dynamic race check — identical traces mean no component
     depends on same-timestamp tie order.
 
-    ``compaction_threshold`` bounds heap garbage: once at least that many
-    cancelled entries sit in the queue *and* they outnumber live entries,
-    the queue is rebuilt without them (``compactions`` counts rebuilds).
+    :data:`COMPACTION_THRESHOLD` bounds heap garbage: once at least that
+    many cancelled entries sit in the queue *and* they outnumber live
+    entries, the queue is rebuilt without them (``compactions`` counts
+    rebuilds).
     """
 
     def __init__(
         self,
         start_time: int = 0,
         tie_shuffle_seed: Optional[int] = None,
-        compaction_threshold: int = 64,
     ) -> None:
-        if compaction_threshold < 1:
-            raise ValueError(
-                f"compaction_threshold must be >= 1, got {compaction_threshold}"
-            )
         _apply_gc_policy()
         #: Current simulated time in nanoseconds; only the run loop writes it.
         self.now = start_time
@@ -329,7 +329,6 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self._events_processed = 0
-        self.compaction_threshold = compaction_threshold
         #: Number of cancelled-entry heap rebuilds performed so far.
         self.compactions = 0
         #: Cancelled entries currently sitting in the heap.
@@ -444,7 +443,7 @@ class Simulator:
         """Called by :meth:`EventHandle.cancel` while the entry is queued."""
         self._cancelled_in_queue += 1
         if (
-            self._cancelled_in_queue >= self.compaction_threshold
+            self._cancelled_in_queue >= COMPACTION_THRESHOLD
             and self._cancelled_in_queue * 2 >= len(self._queue)
         ):
             self._compact()

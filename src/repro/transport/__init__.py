@@ -15,7 +15,7 @@ end-to-end experiments measure:
 
 from repro.transport.packet import Packet, FlowDirection
 from repro.transport.udp import UdpSender, UdpSink, UdpFlowStats
-from repro.transport.tcp import TcpSender, TcpReceiver, TcpSegment, TcpConfig
+from repro.transport.tcp import TcpSender, TcpReceiver, TcpSegment
 
 __all__ = [
     "Packet",
@@ -26,5 +26,4 @@ __all__ = [
     "TcpSender",
     "TcpReceiver",
     "TcpSegment",
-    "TcpConfig",
 ]

@@ -12,7 +12,7 @@ drops to zero, and RACK retransmission / RTO recovery refills the pipe —
 the 80 ms zero-throughput window and the 157 Mb/s catch-up burst in the
 paper's uplink plot fall out of exactly this machinery.
 
-Every segment is ``mss_bytes`` long and ``mss_bytes``-aligned, so the
+Every segment is ``MSS_BYTES`` long and ``MSS_BYTES``-aligned, so the
 scoreboard addresses the flight by sequence arithmetic and keeps its
 views of it ordered: an ACK or a data segment costs what it changed
 (segments newly acked, SACKed or marked lost), not the window
@@ -37,29 +37,27 @@ from repro.transport.packet import FlowDirection, Packet
 TCP_HEADER_BYTES = 20
 
 
-@dataclass
-class TcpConfig:
-    """Transport tunables (defaults tuned for a cellular-latency path)."""
+# Transport tunables (tuned for a cellular-latency path).
 
-    mss_bytes: int = 1200
-    initial_cwnd_segments: int = 10
-    #: Minimum retransmission timeout. Linux uses 200 ms; the paper's
-    #: 110 ms recovery implies fast retransmit usually wins the race.
-    min_rto_ns: int = 200 * MS
-    max_rto_ns: int = 4 * SECOND
-    #: Receiver window in segments (ample; radio is the bottleneck).
-    receive_window_segments: int = 2048
-    #: Max segments released per ACK event (Linux-style burst cap; an
-    #: uncapped release on recovery exit would smash the bottleneck
-    #: queue and immediately re-enter loss).
-    max_burst_segments: int = 10
-    #: RACK reordering window bounds. Radio links reorder heavily (a
-    #: HARQ retransmission delays one TB's worth of segments by several
-    #: ms while later TBs sail past), so loss is declared by *time* —
-    #: a segment is lost only when one sent sufficiently later has been
-    #: delivered — rather than by dupack counting.
-    rack_reo_wnd_min_ns: int = 6 * MS
-    rack_reo_wnd_max_ns: int = 40 * MS
+MSS_BYTES = 1200
+INITIAL_CWND_SEGMENTS = 10
+#: Minimum retransmission timeout. Linux uses 200 ms; the paper's
+#: 110 ms recovery implies fast retransmit usually wins the race.
+MIN_RTO_NS = 200 * MS
+MAX_RTO_NS = 4 * SECOND
+#: Receiver window in segments (ample; radio is the bottleneck).
+RECEIVE_WINDOW_SEGMENTS = 2048
+#: Max segments released per ACK event (Linux-style burst cap; an
+#: uncapped release on recovery exit would smash the bottleneck
+#: queue and immediately re-enter loss).
+MAX_BURST_SEGMENTS = 10
+#: RACK reordering window bounds. Radio links reorder heavily (a
+#: HARQ retransmission delays one TB's worth of segments by several
+#: ms while later TBs sail past), so loss is declared by *time* —
+#: a segment is lost only when one sent sufficiently later has been
+#: delivered — rather than by dupack counting.
+RACK_REO_WND_MIN_NS = 6 * MS
+RACK_REO_WND_MAX_NS = 40 * MS
 
 
 _segment_ids = itertools.count(1)
@@ -107,7 +105,6 @@ class TcpSender(Process):
         bearer_id: int,
         direction: FlowDirection,
         transmit: Callable[[Packet], None],
-        config: Optional[TcpConfig] = None,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"tcp-tx:{flow_id}")
@@ -116,19 +113,18 @@ class TcpSender(Process):
         self.bearer_id = bearer_id
         self.direction = direction
         self.transmit = transmit
-        self.config = config or TcpConfig()
         self.stats = TcpSenderStats()
         # Connection state.
         self.snd_una = 0              # Oldest unacked byte.
         self.snd_nxt = 0              # Next byte to send.
-        self.cwnd = self.config.initial_cwnd_segments * self.config.mss_bytes
+        self.cwnd = INITIAL_CWND_SEGMENTS * MSS_BYTES
         self.ssthresh = 64 * 1024 * 1024
         self.in_fast_recovery = False
         self._recover = 0
         # RTT estimation (RFC 6298).
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: int = 0
-        self.rto_ns = self.config.min_rto_ns
+        self.rto_ns = MIN_RTO_NS
         self._rto_handle: Optional[EventHandle] = None
         # SACK scoreboard (RFC 6675) + RACK (time-based loss detection):
         #: Unacked segments by seq (for retransmission).
@@ -180,7 +176,7 @@ class TcpSender(Process):
         """Estimated bytes currently in the network (RFC 6675 'pipe'):
         everything in flight except what SACK says arrived and what has
         been marked lost but not yet retransmitted."""
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         outstanding = len(self._flight) - len(self._sacked) - len(self._lost)
         return max(outstanding, 0) * mss
 
@@ -191,14 +187,13 @@ class TcpSender(Process):
         here moves ``cwnd``); the pipe is :meth:`_pipe`, inlined."""
         if not self._running:
             return
-        config = self.config
-        mss = config.mss_bytes
-        window = min(int(self.cwnd), config.receive_window_segments * mss)
+        mss = MSS_BYTES
+        window = min(int(self.cwnd), RECEIVE_WINDOW_SEGMENTS * mss)
         flight, sacked, lost = self._flight, self._sacked, self._lost
         sent = 0
         while (
             max(len(flight) - len(sacked) - len(lost), 0) * mss + mss <= window
-            and sent < config.max_burst_segments
+            and sent < MAX_BURST_SEGMENTS
         ):
             sent += 1
             if lost:
@@ -266,7 +261,7 @@ class TcpSender(Process):
     def _sack_span(self, start: int, end: int) -> None:
         """Record the in-flight segments of ``[start, end)`` as SACKed
         (a segment already marked lost stays in ``_lost`` as well)."""
-        for seq in range(start, end, self.config.mss_bytes):
+        for seq in range(start, end, MSS_BYTES):
             self._sacked.add(seq)
             self._unjudged.pop(seq, None)
             self._rack_time = max(self._rack_time, self._flight[seq].sent_at)
@@ -274,10 +269,10 @@ class TcpSender(Process):
     def _reo_wnd(self) -> int:
         """RACK reordering window: a fraction of the smoothed RTT,
         clamped to cover radio-layer (HARQ) reordering."""
-        base = (self.srtt_ns or self.config.min_rto_ns) // 3
+        base = (self.srtt_ns or MIN_RTO_NS) // 3
         return min(
-            max(base, self.config.rack_reo_wnd_min_ns),
-            self.config.rack_reo_wnd_max_ns,
+            max(base, RACK_REO_WND_MIN_NS),
+            RACK_REO_WND_MAX_NS,
         )
 
     def _rack_mark_lost(self) -> None:
@@ -296,7 +291,7 @@ class TcpSender(Process):
 
     def on_ack(self, segment: TcpSegment) -> None:
         """Handle an incoming (possibly duplicate/SACK-bearing) ACK."""
-        mss = self.config.mss_bytes
+        mss = MSS_BYTES
         self._apply_sack(segment)
         if segment.ack > self.snd_una:
             newly_acked = segment.ack - self.snd_una
@@ -332,7 +327,7 @@ class TcpSender(Process):
 
     def _enter_fast_recovery(self) -> None:
         self.stats.fast_retransmits += 1
-        self.ssthresh = max(self._pipe() / 2, 2 * self.config.mss_bytes)
+        self.ssthresh = max(self._pipe() / 2, 2 * MSS_BYTES)
         self.cwnd = self.ssthresh
         self.in_fast_recovery = True
         self._recover = self.snd_nxt
@@ -370,8 +365,8 @@ class TcpSender(Process):
             self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
             self.srtt_ns = (7 * self.srtt_ns + rtt_ns) // 8
         self.rto_ns = min(
-            max(self.srtt_ns + 4 * self.rttvar_ns, self.config.min_rto_ns),
-            self.config.max_rto_ns,
+            max(self.srtt_ns + 4 * self.rttvar_ns, MIN_RTO_NS),
+            MAX_RTO_NS,
         )
 
     def _arm_rto(self, reset: bool = False) -> None:
@@ -388,10 +383,10 @@ class TcpSender(Process):
         if not self._running or self.flight_size == 0:
             return
         self.stats.rto_events += 1
-        self.ssthresh = max(self._pipe() / 2, 2 * self.config.mss_bytes)
-        self.cwnd = self.config.mss_bytes
+        self.ssthresh = max(self._pipe() / 2, 2 * MSS_BYTES)
+        self.cwnd = MSS_BYTES
         self.in_fast_recovery = False
-        self.rto_ns = min(self.rto_ns * 2, self.config.max_rto_ns)
+        self.rto_ns = min(self.rto_ns * 2, MAX_RTO_NS)
         # Everything unsacked is presumed lost; slow start retransmits
         # the backlog under the collapsed window.
         self._lost = {s for s in self._flight if s not in self._sacked}

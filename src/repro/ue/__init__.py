@@ -8,6 +8,6 @@ timer and ~6.2 s reattach define the *baseline* outage when a vRAN fails
 without Slingshot (§2.1, §8.1).
 """
 
-from repro.ue.ue import UserEquipment, UeConfig, UeStats
+from repro.ue.ue import UserEquipment, UeStats
 
-__all__ = ["UserEquipment", "UeConfig", "UeStats"]
+__all__ = ["UserEquipment", "UeStats"]

@@ -11,7 +11,7 @@ A :class:`UserEquipment` is attached to one cell's air interface and:
   piggybacking them on uplink transmissions (PUCCH-style control-only
   transmissions happen in uplink slots even without a data grant);
 * runs the radio-link-failure state machine: if downlink control goes
-  silent for ``rlf_timeout_ns`` (50 ms in the paper's setup), the UE
+  silent for ``RLF_TIMEOUT_NS`` (50 ms in the paper's setup), the UE
   declares RLF, detaches, and begins the full reattach procedure through
   the core network — the ~6.2 s outage that Slingshot eliminates.
 """
@@ -44,18 +44,16 @@ from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, US
 
 
-@dataclass
-class UeConfig:
-    """UE tunables."""
+# UE tunables.
 
-    #: Radio link failure timer (paper setup: 50 ms).
-    rlf_timeout_ns: int = 50 * MS
-    #: Downlink decoder iterations in the UE modem.
-    decoder_iterations: int = 8
-    #: Interval between UE-generated RLC status reports for DL bearers.
-    status_interval_ns: int = 5 * MS
-    #: Offset into a slot at which control-only uplink is staged.
-    pucch_stage_offset_ns: int = 250 * US
+#: Radio link failure timer (paper setup: 50 ms).
+RLF_TIMEOUT_NS = 50 * MS
+#: Downlink decoder iterations in the UE modem.
+DECODER_ITERATIONS = 8
+#: Interval between UE-generated RLC status reports for DL bearers.
+STATUS_INTERVAL_NS = 5 * MS
+#: Offset into a slot at which control-only uplink is staged.
+PUCCH_STAGE_OFFSET_NS = 250 * US
 
 
 @dataclass
@@ -82,7 +80,6 @@ class UserEquipment(Process):
         channel: UeChannelModel,
         rng: np.random.Generator,
         bearers: List[RlcBearerConfig],
-        config: Optional[UeConfig] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "",
     ) -> None:
@@ -90,10 +87,9 @@ class UserEquipment(Process):
         self.ue_id = ue_id
         self.slot_clock = slot_clock
         self.tdd = tdd
-        self.config = config or UeConfig()
         self.trace = trace
         self.bearer_configs = list(bearers)
-        self.codec = PhyCodec(rng, decoder_iterations=self.config.decoder_iterations)
+        self.codec = PhyCodec(rng, decoder_iterations=DECODER_ITERATIONS)
         self.stats = UeStats()
         self.attached = True
         #: Radio port registered on the air interface.
@@ -284,7 +280,7 @@ class UserEquipment(Process):
             self.slot_clock.slot_duration_ns,
             self._tick,
             first_at=self.slot_clock.slot_start(next_slot)
-            + self.config.pucch_stage_offset_ns,
+            + PUCCH_STAGE_OFFSET_NS,
             label=f"{self.name}.tick",
         )
 
@@ -295,11 +291,11 @@ class UserEquipment(Process):
         if not self.attached:
             return
         # Radio link supervision.
-        if self.sim.now - self._last_dl_control_ns > self.config.rlf_timeout_ns:
+        if self.sim.now - self._last_dl_control_ns > RLF_TIMEOUT_NS:
             self._radio_link_failure()
             return
         # Periodic RLC status generation for DL AM bearers.
-        if self.sim.now - self._last_status_ns >= self.config.status_interval_ns:
+        if self.sim.now - self._last_status_ns >= STATUS_INTERVAL_NS:
             self._last_status_ns = self.sim.now
             for bearer_id, receiver in self.dl_rx.items():
                 if receiver.config.mode is RlcMode.AM and receiver.status_due:

@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.runner import lint_report
 from repro.checkpoint import Checkpoint
 from repro.checkpoint import soak as soak_module
+from repro.core import orion as orion_module
 from repro.experiments.sec52_detector import phase_branches
 from repro.faults.campaign import (
     arm_plan,
@@ -28,6 +29,14 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: Mid-recovery capture point: inside every standard scenario's fault
 #: window (faults land at 550 ms, recovery completes by 850 ms).
 MID_RECOVERY_NS = 600 * MS
+
+
+@pytest.fixture
+def zero_orion_service(monkeypatch):
+    """Orion's service queue as a zero-cost relay, for rigs that assert
+    hop-by-hop timing without the Fig 12 service model."""
+    monkeypatch.setattr(orion_module, "SERVICE_BASE_NS", 0)
+    monkeypatch.setattr(orion_module, "SERVICE_PER_BYTE_NS", 0.0)
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,8 @@ from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import Process
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
-from repro.transport.tcp import TcpConfig, TcpSegment, TcpSenderStats
+from repro.transport import tcp as tcp_module
+from repro.transport.tcp import TcpSegment, TcpSenderStats
 
 
 class ScanTcpSender(Process):
@@ -33,7 +34,6 @@ class ScanTcpSender(Process):
         bearer_id: int,
         direction: FlowDirection,
         transmit: Callable[[Packet], None],
-        config: Optional[TcpConfig] = None,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"tcp-tx:{flow_id}")
@@ -42,12 +42,11 @@ class ScanTcpSender(Process):
         self.bearer_id = bearer_id
         self.direction = direction
         self.transmit = transmit
-        self.config = config or TcpConfig()
         self.stats = TcpSenderStats()
         # Connection state.
         self.snd_una = 0              # Oldest unacked byte.
         self.snd_nxt = 0              # Next byte to send.
-        self.cwnd = self.config.initial_cwnd_segments * self.config.mss_bytes
+        self.cwnd = tcp_module.INITIAL_CWND_SEGMENTS * tcp_module.MSS_BYTES
         self.ssthresh = 64 * 1024 * 1024
         self.in_fast_recovery = False
         self._recover = 0
@@ -55,7 +54,7 @@ class ScanTcpSender(Process):
         # RTT estimation (RFC 6298).
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: int = 0
-        self.rto_ns = self.config.min_rto_ns
+        self.rto_ns = tcp_module.MIN_RTO_NS
         self._rto_handle: Optional[EventHandle] = None
         # SACK scoreboard (RFC 6675) + RACK (time-based loss detection):
         #: Unacked segments by seq (for retransmission).
@@ -93,14 +92,14 @@ class ScanTcpSender(Process):
         return self.snd_nxt - self.snd_una
 
     def _window(self) -> int:
-        rwnd = self.config.receive_window_segments * self.config.mss_bytes
+        rwnd = tcp_module.RECEIVE_WINDOW_SEGMENTS * tcp_module.MSS_BYTES
         return min(int(self.cwnd), rwnd)
 
     def _pipe(self) -> int:
         """Estimated bytes currently in the network (RFC 6675 'pipe'):
         everything in flight except what SACK says arrived and what has
         been marked lost but not yet retransmitted."""
-        mss = self.config.mss_bytes
+        mss = tcp_module.MSS_BYTES
         outstanding = len(self._flight) - len(self._sacked) - len(self._lost)
         return max(outstanding, 0) * mss
 
@@ -110,11 +109,11 @@ class ScanTcpSender(Process):
         by the burst cap."""
         if not self._running:
             return
-        mss = self.config.mss_bytes
+        mss = tcp_module.MSS_BYTES
         sent = 0
         while (
             self._pipe() + mss <= self._window()
-            and sent < self.config.max_burst_segments
+            and sent < tcp_module.MAX_BURST_SEGMENTS
         ):
             sent += 1
             if self._lost:
@@ -165,10 +164,10 @@ class ScanTcpSender(Process):
     def _reo_wnd(self) -> int:
         """RACK reordering window: a fraction of the smoothed RTT,
         clamped to cover radio-layer (HARQ) reordering."""
-        base = (self.srtt_ns or self.config.min_rto_ns) // 3
+        base = (self.srtt_ns or tcp_module.MIN_RTO_NS) // 3
         return min(
-            max(base, self.config.rack_reo_wnd_min_ns),
-            self.config.rack_reo_wnd_max_ns,
+            max(base, tcp_module.RACK_REO_WND_MIN_NS),
+            tcp_module.RACK_REO_WND_MAX_NS,
         )
 
     def _rack_mark_lost(self) -> None:
@@ -184,7 +183,7 @@ class ScanTcpSender(Process):
 
     def on_ack(self, segment: TcpSegment) -> None:
         """Handle an incoming (possibly duplicate/SACK-bearing) ACK."""
-        mss = self.config.mss_bytes
+        mss = tcp_module.MSS_BYTES
         self._apply_sack(segment)
         if segment.ack > self.snd_una:
             newly_acked = segment.ack - self.snd_una
@@ -221,7 +220,7 @@ class ScanTcpSender(Process):
 
     def _enter_fast_recovery(self) -> None:
         self.stats.fast_retransmits += 1
-        self.ssthresh = max(self._pipe() / 2, 2 * self.config.mss_bytes)
+        self.ssthresh = max(self._pipe() / 2, 2 * tcp_module.MSS_BYTES)
         self.cwnd = self.ssthresh
         self.in_fast_recovery = True
         self._recover = self.snd_nxt
@@ -259,8 +258,8 @@ class ScanTcpSender(Process):
             self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
             self.srtt_ns = (7 * self.srtt_ns + rtt_ns) // 8
         self.rto_ns = min(
-            max(self.srtt_ns + 4 * self.rttvar_ns, self.config.min_rto_ns),
-            self.config.max_rto_ns,
+            max(self.srtt_ns + 4 * self.rttvar_ns, tcp_module.MIN_RTO_NS),
+            tcp_module.MAX_RTO_NS,
         )
 
     def _arm_rto(self, reset: bool = False) -> None:
@@ -276,11 +275,11 @@ class ScanTcpSender(Process):
         if not self._running or self.flight_size == 0:
             return
         self.stats.rto_events += 1
-        self.ssthresh = max(self._pipe() / 2, 2 * self.config.mss_bytes)
-        self.cwnd = self.config.mss_bytes
+        self.ssthresh = max(self._pipe() / 2, 2 * tcp_module.MSS_BYTES)
+        self.cwnd = tcp_module.MSS_BYTES
         self.in_fast_recovery = False
         self._dupacks = 0
-        self.rto_ns = min(self.rto_ns * 2, self.config.max_rto_ns)
+        self.rto_ns = min(self.rto_ns * 2, tcp_module.MAX_RTO_NS)
         # Everything unsacked is presumed lost; slow start retransmits
         # the backlog under the collapsed window.
         self._lost = {s for s in self._flight if s not in self._sacked}

@@ -4,12 +4,9 @@ fronthaul middlebox model."""
 import numpy as np
 import pytest
 
-from repro.baselines.software_mbox import SoftwareMboxConfig, SoftwareMiddleboxModel
-from repro.baselines.vm_migration import (
-    PrecopyMigrationModel,
-    TransportKind,
-    VmMigrationConfig,
-)
+from repro.baselines import vm_migration
+from repro.baselines.software_mbox import SoftwareMiddleboxModel
+from repro.baselines.vm_migration import PrecopyMigrationModel, TransportKind
 from repro.sim.units import MS, US
 
 
@@ -40,13 +37,13 @@ class TestPrecopyModel:
 
     def test_pause_exceeds_jitter_budget_by_orders_of_magnitude(self, campaigns):
         tcp, _ = campaigns
-        budget = VmMigrationConfig().phy_jitter_tolerance_ns
+        budget = vm_migration.PHY_JITTER_TOLERANCE_NS
         assert min(r.pause_time_ns for r in tcp) > 1000 * budget
 
     def test_precopy_converges_before_round_cap(self):
         model = PrecopyMigrationModel(rng=np.random.default_rng(1))
         run = model.migrate_once(TransportKind.RDMA)
-        assert run.rounds < VmMigrationConfig().max_rounds
+        assert run.rounds < vm_migration.MAX_ROUNDS
 
     def test_total_includes_pause(self):
         model = PrecopyMigrationModel(rng=np.random.default_rng(2))
@@ -63,18 +60,15 @@ class TestPrecopyModel:
         pauses = [p for p, _ in cdf]
         assert pauses == sorted(pauses)
 
-    def test_higher_bandwidth_lowers_pause(self):
-        fast = VmMigrationConfig(rdma_bandwidth_bytes_per_s=20e9)
-        slow = VmMigrationConfig(rdma_bandwidth_bytes_per_s=5e9)
-        fast_runs = PrecopyMigrationModel(fast, rng=np.random.default_rng(4)).run_campaign(
-            TransportKind.RDMA, 15
-        )
-        slow_runs = PrecopyMigrationModel(slow, rng=np.random.default_rng(4)).run_campaign(
-            TransportKind.RDMA, 15
-        )
-        assert np.median([r.pause_time_ms for r in fast_runs]) < np.median(
-            [r.pause_time_ms for r in slow_runs]
-        )
+    def test_higher_bandwidth_lowers_pause(self, monkeypatch):
+        medians = {}
+        for bandwidth in (20e9, 5e9):
+            monkeypatch.setattr(vm_migration, "RDMA_BANDWIDTH_BYTES_PER_S", bandwidth)
+            runs = PrecopyMigrationModel(rng=np.random.default_rng(4)).run_campaign(
+                TransportKind.RDMA, 15
+            )
+            medians[bandwidth] = np.median([r.pause_time_ms for r in runs])
+        assert medians[20e9] < medians[5e9]
 
 
 class TestSoftwareMbox:

@@ -47,11 +47,14 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, ProcessFaultSpec
 from repro.faults.scenarios import (
     FAULT_AT_NS,
+    PROBE_START_NS,
     RUN_END_NS,
     scenario_by_name,
 )
+from repro.faults import soak as soak_faults
 from repro.faults.soak import SoakConfig
 from repro.fleet import FleetConfig, build_fleet, fleet_digest
+from repro.fleet import pool as pool_module
 from repro.fleet.pool import StandbyPool
 from repro.parallel import run_shards
 from repro.sim.engine import Simulator
@@ -551,6 +554,12 @@ class TestForkedEqualsCold:
 
 
 class TestSoakResume:
+    def test_soak_constants_keep_their_invariants(self):
+        """Eviction at a checkpoint boundary folds only complete digest
+        windows, and the first background fault finds the probe flowing."""
+        assert soak_faults.CHECKPOINT_EVERY_NS % soak_faults.WINDOW_NS == 0
+        assert soak_faults.FIRST_FAULT_NS > PROBE_START_NS
+
     @pytest.fixture(scope="class")
     def soaked(self, tmp_path_factory):
         """One seed-5, 1.5 s soak with eviction and checkpoints on disk."""
@@ -609,6 +618,11 @@ class TestFleetMidRecoveryCheckpoint:
     CAPTURE_NS = 60 * MS + 200_000  # after the crash, before the commit
     END_NS = 150 * MS
 
+    @pytest.fixture(autouse=True)
+    def short_rewarm(self, monkeypatch):
+        """A 30 ms re-warm lands inside the run, on both sides of a restore."""
+        monkeypatch.setattr(pool_module, "REWARM_NS", 30 * MS)
+
     def _build(self):
         harness = build_fleet(
             FleetConfig(
@@ -616,7 +630,6 @@ class TestFleetMidRecoveryCheckpoint:
                 num_cells=3,
                 standby_pool_size=1,
                 users_per_cell=200,
-                rewarm_ns=30 * MS,
             )
         )
         # Two crashes against one token: the second lands after capture,
@@ -686,7 +699,6 @@ class TestSoakStatePicklability:
         from a checkpoint taken before the probe start, the campaign's
         ``drive_to`` starts the probe on the way, and the restored tap
         folds deliveries into the restored monitor."""
-        from repro.faults.scenarios import PROBE_START_NS
         from repro.faults.soak import build_soak_state
 
         config = SoakConfig(seed=7, horizon_ns=1500 * MS)

@@ -4,19 +4,16 @@ import pytest
 
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.corenet.core import CoreConfig
+from repro.corenet import core as core_module
 from repro.sim.units import MS, s_to_ns
 from repro.transport.packet import FlowDirection, Packet
 
 
-def single_ue_cell(seed=31, **core_overrides):
+def single_ue_cell(seed=31):
     config = CellConfig(
         seed=seed, ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=17.0)]
     )
-    cell = build_slingshot_cell(config)
-    for key, value in core_overrides.items():
-        setattr(cell.core.config, key, value)
-    return cell
+    return build_slingshot_cell(config)
 
 
 class TestUserPlane:
@@ -88,8 +85,9 @@ class TestAttachProcedure:
         expected_s = started["expected_ns"] / 1e9
         assert 5.5 < expected_s < 7.0
 
-    def test_reattach_reregisters_ue_at_l2(self):
-        cell = single_ue_cell(seed=33, attach_duration_ns=s_to_ns(0.1))
+    def test_reattach_reregisters_ue_at_l2(self, monkeypatch):
+        monkeypatch.setattr(core_module, "ATTACH_DURATION_NS", s_to_ns(0.1))
+        cell = single_ue_cell(seed=33)
         cell.run_for(s_to_ns(0.2))
         ue = cell.ue(1)
         ue.attached = False

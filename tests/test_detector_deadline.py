@@ -47,8 +47,11 @@ from dataclasses import asdict
 import pytest
 
 from repro.core.commands import FailureNotification
+from repro.core import failure_detector as detector_module
+from repro.core.failure_detector import TICKS_PER_TIMEOUT as THRESHOLD
 from repro.core.failure_detector import DetectorConfig, FailureDetector
 from repro.core.fh_middlebox import FronthaulMiddlebox
+from repro.core.orion import RESPONSE_WATCHDOG_SLOTS
 from repro.net.addresses import MacAddress
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
@@ -63,7 +66,6 @@ PHYS = (0, 1, 2)
 #: How far ahead of its instant an operation is armed (a link's latency).
 LEAD_NS = 1_000
 PERIOD_NS = DetectorConfig().tick_period_ns
-THRESHOLD = DetectorConfig().ticks_per_timeout
 SHUFFLE_SEEDS = (1, 2, 3)
 #: The generated FIFO schedules (with coincidences).
 CORPUS_SEEDS = range(12)
@@ -79,7 +81,6 @@ class EagerMiddlebox(FronthaulMiddlebox):
 
     def reconfigure_detector(self, detector_config):
         monitored = self.detector.monitored_phys()
-        self.config.detector = detector_config
         self.detector = FailureDetector(detector_config, notify=self._on_detected)
         for phy_id in monitored:
             self.detector.set_monitor(phy_id, True)
@@ -90,8 +91,8 @@ class EagerMiddlebox(FronthaulMiddlebox):
         self._pktgen = PacketGenerator.for_timeout(
             self.sim,
             inject=self._inject_timer,
-            timeout_ns=self.config.detector.timeout_ns,
-            ticks_per_timeout=self.config.detector.ticks_per_timeout,
+            timeout_ns=self.detector.config.timeout_ns,
+            ticks_per_timeout=detector_module.TICKS_PER_TIMEOUT,
         )
 
     def _inject_timer(self, tick):
@@ -133,9 +134,10 @@ class Rig:
         elif kind == "mon":
             detector.set_monitor(args[0], args[1])
         elif kind == "reconf":
-            self.mbox.reconfigure_detector(
-                DetectorConfig(timeout_ns=args[0], ticks_per_timeout=args[1])
-            )
+            # The tick count is a module constant: the new detector (and
+            # the eager model's packet generator) are programmed under it.
+            self._patch.setattr(detector_module, "TICKS_PER_TIMEOUT", args[1])
+            self.mbox.reconfigure_detector(DetectorConfig(timeout_ns=args[0]))
         elif kind == "write":
             detector.counters.write(args[0], args[1])
         elif kind == "read":
@@ -161,7 +163,8 @@ class Rig:
     def run(self, schedule, end_ns):
         for when, op in schedule:
             self.sim.at(when - LEAD_NS, self._arm, when, op)
-        self.sim.run_until(end_ns)
+        with pytest.MonkeyPatch.context() as self._patch:
+            self.sim.run_until(end_ns)
         return self.outcome()
 
     def outcome(self):
@@ -682,7 +685,7 @@ def test_the_watchdog_catches_a_hang_at_every_phase(warm_phases):
     for phase, hang_at in enumerate(instants):
         branch = warm.restore()
         slot_ns = branch.slot_ns
-        threshold = branch.l2_orion.config.response_watchdog_slots * slot_ns
+        threshold = RESPONSE_WATCHDOG_SLOTS * slot_ns
         branch.sim.at(hang_at, branch.phy_servers[0].phy.hang, "phase")
         branch.sim.run_until(hang_at + 8 * MS)
         fired = branch.trace.events("orion.response_watchdog_fired")

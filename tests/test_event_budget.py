@@ -50,6 +50,7 @@ import sys
 from collections import Counter
 
 from repro import CellConfig, UeProfile, build_slingshot_cell
+from repro.cell.config import NUMEROLOGY
 from repro.apps import TcpIperfDownlink
 from repro.fleet import FleetConfig, build_fleet
 from repro.sim.engine import Simulator
@@ -117,14 +118,14 @@ def test_healthy_cell_event_budget(monkeypatch):
     assert calls / slots <= MAX_CALLS_PER_SLOT, (
         f"{calls / slots:.1f} Python calls per slot on a healthy cell"
     )
-    symbols = slots * cell.config.numerology.symbols_per_slot
+    symbols = slots * NUMEROLOGY.symbols_per_slot
     assert not [name for _, name in fired if name.endswith("._egress")]
     (_, busiest), count = fired.most_common(1)[0]
     assert count <= symbols, (
         f"{busiest} fired {count} times in {symbols} OFDM symbols"
     )
     # The detector still models every 9 us tick of the window.
-    period = cell.middlebox.config.detector.tick_period_ns
+    period = cell.middlebox.detector.config.tick_period_ns
     assert cell.middlebox.detector.stats.ticks_processed == (
         (WARMUP_NS + WINDOW_NS) // period + 1
     )

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from repro.cell.config import CellConfig
+from repro.cell.deployment import EDGE_LINK_LATENCY_NS
 from repro.core.failure_detector import FailureDetector
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.experiments import (
@@ -219,7 +219,7 @@ class TestSec82:
         The healthy continuation, identical to every branch up to its
         kill, supplies the frames."""
         result = sweep.result
-        edge_ns = CellConfig().edge_link_latency_ns
+        edge_ns = EDGE_LINK_LATENCY_NS
         firsts = sweep.healthy.first_sections
         formula = [
             sum(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.failure_detector import DetectorConfig, FailureDetector
+from repro.core.failure_detector import TICKS_PER_TIMEOUT, DetectorConfig, FailureDetector
 from repro.sim.units import US
 
 
@@ -10,7 +10,7 @@ class TestDetectorConfig:
     def test_paper_defaults(self):
         config = DetectorConfig()
         assert config.timeout_ns == 450 * US
-        assert config.ticks_per_timeout == 50
+        assert TICKS_PER_TIMEOUT == 50
         assert config.precision_ns == 9 * US
 
     def test_pktgen_rate_is_negligible(self):
@@ -21,12 +21,9 @@ class TestDetectorConfig:
 
 
 class TestDetection:
-    def _detector(self, **kwargs):
+    def _detector(self):
         detections = []
-        detector = FailureDetector(
-            DetectorConfig(**kwargs),
-            notify=lambda phy, t: detections.append((phy, t)),
-        )
+        detector = FailureDetector(notify=lambda phy, t: detections.append((phy, t)))
         return detector, detections
 
     def test_counter_saturates_after_n_ticks(self):
@@ -75,7 +72,7 @@ class TestDetection:
         (one tick from saturation) must reset it — detection then needs a
         full fresh timeout window, not just the one remaining tick."""
         detector, detections = self._detector()
-        threshold = detector.config.ticks_per_timeout
+        threshold = TICKS_PER_TIMEOUT
         detector.set_monitor(4, True)
         for tick in range(threshold - 1):
             detector.on_timer_tick(tick)
@@ -162,7 +159,7 @@ class TestDetection:
         detector.on_heartbeat(0, 1000)
         detector.on_heartbeat(1)
         assert detector.detections == []
-        for tick in range(config.ticks_per_timeout):
+        for tick in range(TICKS_PER_TIMEOUT):
             detector.on_timer_tick(1000 + (tick + 1) * config.tick_period_ns)
         detected_at = 1000 + config.timeout_ns
         assert detector.detections == [
@@ -170,7 +167,7 @@ class TestDetection:
         ]
         assert detections == [(0, detected_at), (1, detected_at)]
         assert detector.stats.heartbeats_seen == 2
-        assert detector.stats.ticks_processed == config.ticks_per_timeout
+        assert detector.stats.ticks_processed == TICKS_PER_TIMEOUT
         assert detector.stats.failures_detected == 2
         # Already reported: further ticks add no record.
         detector.on_timer_tick(detected_at + config.tick_period_ns)

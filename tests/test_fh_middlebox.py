@@ -8,7 +8,7 @@ from repro.cell.config import CellConfig
 from repro.cell.deployment import build_slingshot_cell
 from repro.checkpoint.snapshot import Checkpoint
 from repro.core.commands import FailureNotification, MigrateOnSlot, SetMonitor, SLINGSHOT_CMD_BYTES
-from repro.core.fh_middlebox import FronthaulMiddlebox, MiddleboxConfig
+from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.fronthaul.oran import CplaneMessage, UplaneUplink
 from repro.net.addresses import MacAddress
 from repro.net.p4.registers import RegisterArray
@@ -265,7 +265,7 @@ class TestFailureNotificationPath:
         sim, switch, mbox, nodes = build_fabric()
         mbox.detector.set_monitor(0, True)
         # No heartbeats at all: the pktgen ticks saturate the counter.
-        sim.run_until(mbox.config.detector.timeout_ns * 2)
+        sim.run_until(mbox.detector.config.timeout_ns * 2)
         orion_frames = nodes["orion"][0].received
         assert len(orion_frames) == 1
         notification = orion_frames[0][1].payload

@@ -42,6 +42,7 @@ from repro.fleet.campaign import (
     judge_fleet,
     run_fleet,
 )
+from repro.fleet import pool as pool_module
 from repro.fleet.campaign import main as fleet_main
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
@@ -69,12 +70,12 @@ def _source_transitions(cell) -> int:
 # ----------------------------------------------------------------------
 class TestFleetBudget:
     def test_hundred_cells_fit_the_envelope(self):
-        usage = validate_fleet_budget(100, phys_per_cell=2)
+        usage = validate_fleet_budget(100)
         assert all(fraction < 1.0 for fraction in usage.fraction.values())
 
     def test_oversized_fleet_is_rejected_with_every_overflow_listed(self):
         with pytest.raises(FleetBudgetError) as excinfo:
-            validate_fleet_budget(300, phys_per_cell=2)
+            validate_fleet_budget(300)
         message = str(excinfo.value)
         assert "300 RUs" in message
         assert "600 PHYs" in message
@@ -93,19 +94,19 @@ class TestFleetBudget:
 # Pool semantics (deterministic unit scenarios)
 # ----------------------------------------------------------------------
 class TestPooledStandby:
-    def _mini_fleet(self, pool_size: int, rewarm_ns: int = 10_000 * MS):
+    def _mini_fleet(self, monkeypatch, pool_size: int, rewarm_ns: int = 10_000 * MS):
+        monkeypatch.setattr(pool_module, "REWARM_NS", rewarm_ns)
         return build_fleet(
             FleetConfig(
                 seed=11,
                 num_cells=3,
                 standby_pool_size=pool_size,
                 users_per_cell=50,
-                rewarm_ns=rewarm_ns,
             )
         )
 
-    def test_single_token_grants_first_failure_denies_second(self):
-        harness = self._mini_fleet(pool_size=1)
+    def test_single_token_grants_first_failure_denies_second(self, monkeypatch):
+        harness = self._mini_fleet(monkeypatch, pool_size=1)
         harness.kill_cell_primary_at(0, 60 * MS)
         harness.kill_cell_primary_at(1, 80 * MS)
         harness.run_until(120 * MS)
@@ -123,8 +124,8 @@ class TestPooledStandby:
         with pytest.raises(RuntimeError, match="after 2 claim"):
             harness.pool.resize(2)
 
-    def test_rewarmed_seat_absorbs_a_later_failure(self):
-        harness = self._mini_fleet(pool_size=1, rewarm_ns=20 * MS)
+    def test_rewarmed_seat_absorbs_a_later_failure(self, monkeypatch):
+        harness = self._mini_fleet(monkeypatch, pool_size=1, rewarm_ns=20 * MS)
         harness.kill_cell_primary_at(0, 60 * MS)
         harness.kill_cell_primary_at(1, 100 * MS)
         harness.run_until(140 * MS)
@@ -137,8 +138,8 @@ class TestPooledStandby:
             assert _source_transitions(cell) == _commits(cell)
             assert _commits(cell) <= 1
 
-    def test_denied_cell_recovers_only_through_operator_revival(self):
-        harness = self._mini_fleet(pool_size=0)
+    def test_denied_cell_recovers_only_through_operator_revival(self, monkeypatch):
+        harness = self._mini_fleet(monkeypatch, pool_size=0)
         harness.kill_cell_primary_at(0, 60 * MS)
         harness.run_until(100 * MS)
         assert _impossible(harness.cells[0]) == 1
@@ -150,8 +151,8 @@ class TestPooledStandby:
         harness.run_until(120 * MS)
         assert cell.l2_orion.cells[0].secondary_phy == 0
 
-    def test_population_degrades_and_recovers_with_the_cell(self):
-        harness = self._mini_fleet(pool_size=1)
+    def test_population_degrades_and_recovers_with_the_cell(self, monkeypatch):
+        harness = self._mini_fleet(monkeypatch, pool_size=1)
         harness.kill_cell_primary_at(0, 60 * MS)
         harness.run_until(200 * MS)
         summary = harness.population.summary()
@@ -234,14 +235,14 @@ CASES = generate_cases()
 @pytest.mark.slow
 class TestPoolProperties:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"case{c.case_id}")
-    def test_generated_case_matches_greedy_token_expectation(self, case):
+    def test_generated_case_matches_greedy_token_expectation(self, case, monkeypatch):
+        monkeypatch.setattr(pool_module, "REWARM_NS", PROP_REWARM_NS)
         harness = build_fleet(
             FleetConfig(
                 seed=1_000 + case.case_id,
                 num_cells=case.num_cells,
                 standby_pool_size=case.pool_size,
                 users_per_cell=50,
-                rewarm_ns=PROP_REWARM_NS,
             )
         )
         for cell_index in range(case.num_cells):

@@ -12,7 +12,8 @@ from repro.fapi.messages import (
     UciIndication,
     UlTtiRequest,
 )
-from repro.l2.mac import L2Process, MacConfig, McsEntry, McsTable
+from repro.l2 import mac as mac_module
+from repro.l2.mac import L2Process, McsEntry, McsTable
 from repro.l2.rlc import RlcBearerConfig, RlcMode
 from repro.phy.modulation import Modulation
 from repro.phy.numerology import Numerology, SlotClock, SlotType, TddPattern
@@ -31,13 +32,16 @@ class FapiSink:
         return [m for m in self.messages if isinstance(m, cls)]
 
 
-def build_l2(sim, **config_kwargs):
+def build_l2(sim, monkeypatch=None, **constants):
+    """An L2 on a zero-latency FAPI sink; ``constants`` (lower-case names)
+    override the scheduler's module constants for the test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(mac_module, name.upper(), value)
     l2 = L2Process(
         sim,
         slot_clock=SlotClock(Numerology()),
         tdd=TddPattern(),
         numerology=Numerology(),
-        config=MacConfig(**config_kwargs),
     )
     sink = FapiSink()
     l2.set_fapi_channel(ShmChannel(sim, sink, latency_ns=0))
@@ -96,7 +100,7 @@ class TestTtiGeneration:
         clock = SlotClock(Numerology())
         for message in sink.of_type(UlTtiRequest):
             generation_slot = clock.slot_at(generated_at[message.message_id])
-            assert message.slot - generation_slot == l2.config.schedule_ahead_slots
+            assert message.slot - generation_slot == mac_module.SCHEDULE_AHEAD_SLOTS
 
     def test_idle_cell_sends_null_requests(self):
         sim = Simulator()
@@ -105,9 +109,9 @@ class TestTtiGeneration:
         sim.run_until(5 * MS)
         assert all(m.is_null for m in sink.of_type(DlTtiRequest))
 
-    def test_ul_pdus_only_in_uplink_slots(self):
+    def test_ul_pdus_only_in_uplink_slots(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=1)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=1)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(20 * MS)
@@ -184,11 +188,11 @@ class TestDownlinkScheduling:
         )
         assert pdu.harq_process not in ctx.dl_outstanding
 
-    def test_dtx_timeout_retransmits(self):
+    def test_dtx_timeout_retransmits(self, monkeypatch):
         """No feedback at all (PHY dead) must still lead to
         retransmission — the self-healing behaviour failover relies on."""
         sim = Simulator()
-        l2, sink = build_l2(sim, harq_timeout_slots=6)
+        l2, sink = build_l2(sim, monkeypatch, harq_timeout_slots=6)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         l2.send_downlink(1, 1, "x", 100)
@@ -197,17 +201,17 @@ class TestDownlinkScheduling:
 
 
 class TestUplinkScheduling:
-    def test_no_grants_without_bsr_or_poll(self):
+    def test_no_grants_without_bsr_or_poll(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=10_000)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=10_000)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(20 * MS)
         assert l2.stats.ul_grants_issued <= 1
 
-    def test_bsr_attracts_grants(self):
+    def test_bsr_attracts_grants(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=10_000)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=10_000)
         ctx = l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(2 * MS)
@@ -219,17 +223,17 @@ class TestUplinkScheduling:
         sim.run_until(10 * MS)
         assert l2.stats.ul_grants_issued > before
 
-    def test_poll_grants_for_idle_ue(self):
+    def test_poll_grants_for_idle_ue(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=10)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=10)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(50 * MS)
         assert 2 <= l2.stats.ul_grants_issued <= 25
 
-    def test_crc_failure_grants_retransmission(self):
+    def test_crc_failure_grants_retransmission(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=5)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=5)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(10 * MS)
@@ -251,9 +255,9 @@ class TestUplinkScheduling:
         assert retx
         assert retx[0].pdus[0].tb_id == pdu.tb_id
 
-    def test_harq_gives_up_after_max_retx(self):
+    def test_harq_gives_up_after_max_retx(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=5, max_harq_retx=2)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=5, max_harq_retx=2)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
 
@@ -275,9 +279,9 @@ class TestUplinkScheduling:
             nack_everything()
         assert l2.stats.ul_harq_failures >= 1
 
-    def test_deregistered_ue_not_scheduled(self):
+    def test_deregistered_ue_not_scheduled(self, monkeypatch):
         sim = Simulator()
-        l2, sink = build_l2(sim, ul_poll_interval_slots=1)
+        l2, sink = build_l2(sim, monkeypatch, ul_poll_interval_slots=1)
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.deregister_ue(1)
         l2.start()

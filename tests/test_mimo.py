@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.phy.mimo import BeamformingTracker, MimoConfig
+from repro.phy import mimo as mimo_module
+from repro.phy.mimo import BeamformingTracker, max_gain_db
 
 
 class TestBeamformingTracker:
@@ -20,19 +21,19 @@ class TestBeamformingTracker:
         """Steady-state gain balances estimation against channel aging:
         it converges to a large fraction of the ideal array gain (not
         all of it — estimates are always slightly stale)."""
-        config = MimoConfig(num_antennas=64)
-        tracker = BeamformingTracker(config)
+        tracker = BeamformingTracker()
         for slot in range(0, 2000, 5):
             tracker.on_sounding(1, slot)
         steady = tracker.gain_db(1, 2000)
-        assert 0.75 * config.max_gain_db < steady <= config.max_gain_db
+        assert 0.75 * max_gain_db() < steady <= max_gain_db()
 
     def test_64_antennas_give_18db_ideal(self):
-        assert MimoConfig(num_antennas=64).max_gain_db == pytest.approx(18.06, abs=0.1)
+        assert mimo_module.NUM_ANTENNAS == 64
+        assert max_gain_db() == pytest.approx(18.06, abs=0.1)
 
-    def test_estimates_age_without_sounding(self):
-        config = MimoConfig(aging_half_life_slots=100)
-        tracker = BeamformingTracker(config)
+    def test_estimates_age_without_sounding(self, monkeypatch):
+        monkeypatch.setattr(mimo_module, "AGING_HALF_LIFE_SLOTS", 100)
+        tracker = BeamformingTracker()
         for slot in range(0, 500, 5):
             tracker.on_sounding(1, slot)
         fresh = tracker.gain_db(1, 500)
@@ -52,14 +53,13 @@ class TestBeamformingTracker:
 
     def test_reconvergence_takes_tens_of_soundings(self):
         """The paper's 'tens to hundreds of slots' horizon."""
-        config = MimoConfig()
-        tracker = BeamformingTracker(config)
+        tracker = BeamformingTracker()
         for slot in range(0, 1000, 5):
             tracker.on_sounding(1, slot)
         tracker.discard_all()
         soundings = 0
         slot = 1000
-        while tracker.gain_db(1, slot) < 0.8 * config.max_gain_db:
+        while tracker.gain_db(1, slot) < 0.8 * max_gain_db():
             slot += 5
             tracker.on_sounding(1, slot)
             soundings += 1
@@ -73,12 +73,14 @@ class TestBeamformingTracker:
         assert tracker.gain_db(1, 100) > 0.0
         assert tracker.gain_db(2, 100) == 0.0
 
-    def test_state_bytes_scale_with_ues_and_antennas(self):
-        small = BeamformingTracker(MimoConfig(num_antennas=4))
-        large = BeamformingTracker(MimoConfig(num_antennas=64))
-        for tracker in (small, large):
-            tracker.on_sounding(1, 0)
-        assert large.state_bytes() > small.state_bytes()
+    def test_state_bytes_scale_with_ues_and_antennas(self, monkeypatch):
+        tracker = BeamformingTracker()
+        tracker.on_sounding(1, 0)
+        state_bytes = {}
+        for antennas in (4, 64):
+            monkeypatch.setattr(mimo_module, "NUM_ANTENNAS", antennas)
+            state_bytes[antennas] = tracker.state_bytes()
+        assert state_bytes[64] > state_bytes[4]
 
 
 class TestPhyIntegration:

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core import orion as orion_module
 from repro.core.commands import FailureNotification, MigrateOnSlot, SetMonitor
 from repro.core.orion import (
     CellAssignment,
     L2SideOrion,
-    OrionConfig,
     OrionDatagram,
     PhySideOrion,
 )
@@ -33,6 +33,9 @@ from repro.sim.engine import Simulator
 L2_ORION_MAC = MacAddress(0x100)
 PHY0_ORION_MAC = MacAddress(0x200)
 PHY1_ORION_MAC = MacAddress(0x201)
+
+#: Every rig here relays at zero cost except the service-queue test.
+pytestmark = pytest.mark.usefixtures("zero_orion_service")
 
 
 class FrameSink:
@@ -67,7 +70,6 @@ def build_l2_orion(sim):
         sim,
         mac=L2_ORION_MAC,
         slot_clock=SlotClock(Numerology()),
-        config=OrionConfig(service_base_ns=0, service_per_byte_ns=0.0),
     )
     nic = FrameSink(sim)
     orion.uplink = Link(sim, nic, bandwidth_bps=0, latency_ns=0)
@@ -309,10 +311,7 @@ class TestMigrationSteering:
 class TestPhySideOrion:
     def test_relays_network_to_shm(self):
         sim = Simulator()
-        orion = PhySideOrion(
-            sim, phy_id=0, mac=PHY0_ORION_MAC,
-            config=OrionConfig(service_base_ns=0, service_per_byte_ns=0.0),
-        )
+        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
         phy_sink = MessageSink()
         orion.shm_to_phy = ShmChannel(sim, phy_sink, latency_ns=0)
         message = UlTtiRequest(cell_id=0, slot=5, pdus=[])
@@ -329,10 +328,7 @@ class TestPhySideOrion:
 
     def test_relays_shm_to_network(self):
         sim = Simulator()
-        orion = PhySideOrion(
-            sim, phy_id=0, mac=PHY0_ORION_MAC,
-            config=OrionConfig(service_base_ns=0, service_per_byte_ns=0.0),
-        )
+        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
         nic = FrameSink(sim)
         orion.uplink = Link(sim, nic, bandwidth_bps=0, latency_ns=0)
         orion.l2_orion_mac = L2_ORION_MAC
@@ -342,10 +338,10 @@ class TestPhySideOrion:
         assert nic.frames[0].dst == L2_ORION_MAC
         assert nic.frames[0].payload.phy_id == 0
 
-    def test_service_queue_adds_latency_under_load(self):
+    def test_service_queue_adds_latency_under_load(self, monkeypatch):
+        monkeypatch.setattr(orion_module, "SERVICE_BASE_NS", 1000)
         sim = Simulator()
-        config = OrionConfig(service_base_ns=1000, service_per_byte_ns=0.0)
-        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC, config=config)
+        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
         sink = MessageSink()
         arrival_times = []
 

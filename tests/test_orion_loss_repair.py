@@ -11,7 +11,7 @@ import pytest
 
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.core.orion import OrionConfig, OrionDatagram, PhySideOrion
+from repro.core.orion import OrionDatagram, PhySideOrion
 from repro.fapi.channels import ShmChannel
 from repro.fapi.messages import DlTtiRequest, UlTtiRequest, is_null_request
 from repro.net.addresses import MacAddress
@@ -32,10 +32,7 @@ class MessageSink:
 
 
 def build_orion(sim):
-    orion = PhySideOrion(
-        sim, phy_id=0, mac=MacAddress(0x200),
-        config=OrionConfig(service_base_ns=0, service_per_byte_ns=0.0),
-    )
+    orion = PhySideOrion(sim, phy_id=0, mac=MacAddress(0x200))
     sink = MessageSink()
     orion.shm_to_phy = ShmChannel(sim, sink, latency_ns=0)
     return orion, sink
@@ -52,6 +49,7 @@ def deliver(orion, message):
     )
 
 
+@pytest.mark.usefixtures("zero_orion_service")
 class TestGapRepair:
     def test_contiguous_slots_need_no_repair(self):
         sim = Simulator()

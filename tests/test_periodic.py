@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationError, Simulator
 
 #: Seed sweep for the tie-order differential: FIFO plus shuffled ties.
@@ -273,11 +274,12 @@ class TestTieOrderDifferential:
 
 
 class TestPeriodicChurnBounded:
-    def test_cancel_re_arm_storm_keeps_heap_bounded(self):
+    def test_cancel_re_arm_storm_keeps_heap_bounded(self, monkeypatch):
         """A crash/restart storm must not grow the heap: tombstoned
         occurrences are swept by compaction once they outnumber live
         ones."""
-        sim = Simulator(compaction_threshold=8)
+        monkeypatch.setattr(engine_module, "COMPACTION_THRESHOLD", 8)
+        sim = Simulator()
         lanes = 4
         fired = []
         handles = [
@@ -297,7 +299,7 @@ class TestPeriodicChurnBounded:
         assert sim.pending_events == lanes
         # Live entries plus not-yet-swept tombstones stay within the
         # compaction policy's bound, forever.
-        assert most_queued <= 2 * lanes + sim.compaction_threshold
+        assert most_queued <= 2 * lanes + engine_module.COMPACTION_THRESHOLD
         assert sim.compactions > 0
         # Two ticks per lane per round: the re-arm at +100 and its
         # successor fire before the next bounce at +250.

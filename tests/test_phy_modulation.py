@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.phy.modulation import (
     Modulation,
     demodulate_llr,
-    hard_decision,
     modulate,
 )
 
@@ -73,12 +72,12 @@ class TestModulation:
 
 class TestDemodulation:
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
-    def test_noiseless_hard_decision_roundtrip(self, modulation):
+    def test_noiseless_llr_sign_roundtrip(self, modulation):
         rng = np.random.default_rng(1)
         bits = rng.integers(0, 2, modulation.bits_per_symbol * 64, dtype=np.uint8)
         symbols = modulate(bits, modulation)
         llrs = demodulate_llr(symbols, modulation, noise_var=0.01)
-        assert np.array_equal(hard_decision(llrs), bits)
+        assert np.array_equal(llrs < 0, bits)
 
     @pytest.mark.parametrize("modulation", ALL_MODULATIONS)
     def test_llr_count_matches_bits(self, modulation):
@@ -107,7 +106,7 @@ class TestDemodulation:
         bits = rng.integers(0, 2, 6 * 32, dtype=np.uint8)
         symbols = modulate(bits, Modulation.QAM64)
         llrs = demodulate_llr(symbols, Modulation.QAM64, noise_var=0.001)
-        assert np.array_equal(hard_decision(llrs), bits)
+        assert np.array_equal(llrs < 0, bits)
 
     def test_ber_improves_with_snr(self):
         rng = np.random.default_rng(2)
@@ -121,7 +120,7 @@ class TestDemodulation:
             realization = ChannelRealization(snr_db)
             received = channel.apply(symbols, realization)
             llrs = demodulate_llr(received, Modulation.QAM16, realization.noise_var)
-            return float(np.mean(hard_decision(llrs) != bits))
+            return float(np.mean((llrs < 0) != bits))
 
         assert ber(4.0) > ber(12.0)
         assert ber(12.0) > ber(20.0)

@@ -24,7 +24,7 @@ from repro.net.link import Link
 from repro.phy.channel import ChannelRealization
 from repro.phy.modulation import Modulation
 from repro.phy.numerology import Numerology, SlotClock, TddPattern
-from repro.phy.process import PhyConfig, PhyProcess
+from repro.phy.process import PhyProcess
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -53,7 +53,7 @@ class FapiSink:
         return [m for m in self.messages if isinstance(m, cls)]
 
 
-def build_phy(sim, **config_kwargs):
+def build_phy(sim):
     sink = FrameSink(sim)
     uplink = Link(sim, sink, bandwidth_bps=0, latency_ns=0)
     phy = PhyProcess(
@@ -63,7 +63,6 @@ def build_phy(sim, **config_kwargs):
         slot_clock=SlotClock(Numerology()),
         tdd=TddPattern(),
         rng=np.random.default_rng(0),
-        config=PhyConfig(**config_kwargs),
         uplink=uplink,
     )
     fapi_sink = FapiSink()
@@ -156,7 +155,7 @@ class TestPendingHandleBookkeeping:
 class TestFapiContract:
     def test_crash_after_consecutive_missing_tti(self):
         sim = Simulator()
-        phy, sink, _ = build_phy(sim, max_missing_tti_slots=4)
+        phy, sink, _ = build_phy(sim)
         start_cell(phy)
         feed_nulls(phy, sim, 1, 6)  # Slots 1-6 covered, then nothing.
         sim.run_until(8 * MS)

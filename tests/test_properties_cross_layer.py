@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from repro.core.commands import MigrateOnSlot
 from repro.core.fh_middlebox import FronthaulMiddlebox
+from repro.l2.mac import DL_HARQ_PROCESSES
 from repro.net.addresses import MacAddress
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 from repro.transport.packet import FlowDirection
+from repro.transport import tcp as tcp_module
 from repro.transport.tcp import TcpReceiver, TcpSender
 
 
@@ -118,10 +120,11 @@ class TestTcpEndToEndProperty:
         receiver_box["rx"] = receiver
         receiver_box["tx"] = sender
         # Keep the flow small so hypothesis examples stay cheap.
-        sender.config.receive_window_segments = 120
-        sender.start()
-        sim.run_until(450 * MS)
-        sender.stop()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tcp_module, "RECEIVE_WINDOW_SEGMENTS", 120)
+            sender.start()
+            sim.run_until(450 * MS)
+            sender.stop()
         # In-order gapless delivery: delivered == rcv_nxt and it covers
         # a contiguous prefix of the sent stream.
         assert receiver.bytes_delivered == receiver.rcv_nxt
@@ -147,11 +150,12 @@ class TestTcpEndToEndProperty:
         sender = TcpSender(sim, "f", 1, 1, FlowDirection.UPLINK, to_receiver)
         receiver = TcpReceiver(sim, "f", 1, 1, FlowDirection.DOWNLINK, to_sender)
         box["rx"], box["tx"] = receiver, sender
-        sender.config.receive_window_segments = 120
-        sender.start()
-        sim.run_until(300 * MS)
-        first = receiver.bytes_delivered
-        sim.run_until(900 * MS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tcp_module, "RECEIVE_WINDOW_SEGMENTS", 120)
+            sender.start()
+            sim.run_until(300 * MS)
+            first = receiver.bytes_delivered
+            sim.run_until(900 * MS)
         assert receiver.bytes_delivered > first  # Still making progress.
 
 
@@ -187,6 +191,6 @@ class TestHarqTbidProperty:
             # Keys of dl_outstanding *are* the HARQ processes: unique by
             # construction; also bounded by the configured pool.
             assert all(
-                0 <= pid < cell.l2.config.dl_harq_processes
+                0 <= pid < DL_HARQ_PROCESSES
                 for pid in ctx.dl_outstanding
             )

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.net.ptp import PtpClock, PtpConfig
+from repro.net import ptp as ptp_module
+from repro.net.ptp import PtpClock
 from repro.sim.units import MS, SECOND, US
 
 
@@ -21,9 +22,9 @@ class TestDisciplinedClock:
         t = 10 * SECOND
         assert abs(clock.read(t) - t) < 2_000
 
-    def test_syncs_applied_at_interval(self):
-        config = PtpConfig(sync_interval_ns=SECOND)
-        clock = PtpClock(config, rng=np.random.default_rng(2))
+    def test_syncs_applied_at_interval(self, monkeypatch):
+        monkeypatch.setattr(ptp_module, "SYNC_INTERVAL_NS", SECOND)
+        clock = PtpClock(rng=np.random.default_rng(2))
         clock.offset_ns(10 * SECOND)
         assert clock.syncs_applied == 10
 
@@ -49,11 +50,7 @@ class TestFreeRunningClock:
         clock; within an hour a free-running oscillator is off by more
         than many whole slots, so 'migrate at time T' is meaningless —
         only the packets' own slot fields identify TTIs."""
-        clock = PtpClock(
-            PtpConfig(drift_ppm=8.0),
-            rng=np.random.default_rng(6),
-            disciplined=False,
-        )
+        clock = PtpClock(rng=np.random.default_rng(6), disciplined=False)
         offset_after_hour = abs(clock.offset_ns(3600 * SECOND))
         assert offset_after_hour > 2 * 500 * US  # Several slots wrong.
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.l2 import rlc as rlc_module
 from repro.l2.rlc import (
     RlcBearerConfig,
     RlcMode,
@@ -14,12 +15,12 @@ from repro.l2.rlc import (
 )
 
 
-def am_config(**kwargs):
-    return RlcBearerConfig(bearer_id=1, mode=RlcMode.AM, **kwargs)
+def am_config():
+    return RlcBearerConfig(bearer_id=1, mode=RlcMode.AM)
 
 
-def um_config(**kwargs):
-    return RlcBearerConfig(bearer_id=2, mode=RlcMode.UM, **kwargs)
+def um_config():
+    return RlcBearerConfig(bearer_id=2, mode=RlcMode.UM)
 
 
 class TestTransmitterBasics:
@@ -147,20 +148,18 @@ class TestUmDelivery:
         assert rx.on_pdu(self._pdu(2)) == ["s2"]
         assert rx.on_pdu(self._pdu(3)) == ["s3"]
 
-    def test_segmented_sdu_waits_for_all_segments(self):
+    def test_segmented_sdu_waits_for_all_segments(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "UM_T_REASSEMBLY_NS", 1000)
         clock = {"now": 0}
-        rx = RlcReceiver(
-            um_config(um_t_reassembly_ns=1000), now_fn=lambda: clock["now"]
-        )
+        rx = RlcReceiver(um_config(), now_fn=lambda: clock["now"])
         assert rx.on_pdu(self._segment(0, 9, 0, 10, 20, False)) == []
         assert rx.on_pdu(self._segment(1, 9, 10, 10, 20, True, sdu="big")) == ["big"]
         assert rx.stats.sdus_lost == 0
 
-    def test_partial_sdu_expires_after_t_reassembly(self):
+    def test_partial_sdu_expires_after_t_reassembly(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "UM_T_REASSEMBLY_NS", 100)
         clock = {"now": 0}
-        rx = RlcReceiver(
-            um_config(um_t_reassembly_ns=100), now_fn=lambda: clock["now"]
-        )
+        rx = RlcReceiver(um_config(), now_fn=lambda: clock["now"])
         rx.on_pdu(self._segment(0, 9, 0, 10, 20, False))
         clock["now"] = 300
         # Any later PDU triggers expiry of the stale partial.
@@ -176,11 +175,10 @@ class TestUmDelivery:
         assert rx.on_pdu(self._pdu(0)) == []
         assert rx.stats.duplicates == 1
 
-    def test_out_of_order_segments_still_assemble(self):
+    def test_out_of_order_segments_still_assemble(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "UM_T_REASSEMBLY_NS", 10_000)
         clock = {"now": 0}
-        rx = RlcReceiver(
-            um_config(um_t_reassembly_ns=10_000), now_fn=lambda: clock["now"]
-        )
+        rx = RlcReceiver(um_config(), now_fn=lambda: clock["now"])
         assert rx.on_pdu(self._segment(1, 9, 10, 10, 20, True, sdu="big")) == []
         assert rx.on_pdu(self._segment(0, 9, 0, 10, 20, False)) == ["big"]
 
@@ -221,9 +219,9 @@ class TestAmStatusRetransmission:
         tx.on_status(RlcStatus(bearer_id=1, ack_seq=1, nack_seqs=[0]))
         assert tx.pull(1000) == []
 
-    def test_max_retx_discards(self):
-        config = am_config(max_retx=2)
-        tx = RlcTransmitter(config)
+    def test_max_retx_discards(self, monkeypatch):
+        monkeypatch.setattr(rlc_module, "MAX_RETX", 2)
+        tx = RlcTransmitter(am_config())
         tx.enqueue("a", 40)
         tx.pull(1000)
         for _ in range(3):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from tests.engine_legacy import LegacySimulator
+from repro.sim import engine as engine_module
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.process import Process
 from repro.sim.rng import COMPOSITION_ROOTS, NAMESPACES, BatchedIntegers, RngRegistry, namespace_head
@@ -181,12 +182,9 @@ class TestCancellation:
 
 
 class TestCompaction:
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator(compaction_threshold=0)
-
-    def test_compaction_triggers_under_cancel_churn(self):
-        sim = Simulator(compaction_threshold=8)
+    def test_compaction_triggers_under_cancel_churn(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "COMPACTION_THRESHOLD", 8)
+        sim = Simulator()
         handles = [sim.schedule(1000 + i, lambda: None) for i in range(32)]
         for handle in handles[:24]:
             handle.cancel()
@@ -194,10 +192,11 @@ class TestCompaction:
         assert sim.queued_entries == 8
         assert sim.pending_events == 8
 
-    def test_compaction_preserves_fifo_tie_order(self):
+    def test_compaction_preserves_fifo_tie_order(self, monkeypatch):
         # Survivors of a compaction must still fire in scheduling order,
         # including same-timestamp ties.
-        sim = Simulator(compaction_threshold=4)
+        monkeypatch.setattr(engine_module, "COMPACTION_THRESHOLD", 4)
+        sim = Simulator()
         order = []
         handles = [sim.schedule(100, order.append, tag) for tag in range(40)]
         for tag in range(0, 40, 2):
@@ -210,7 +209,11 @@ class TestCompaction:
         # The same cancel-heavy workload with aggressive and disabled
         # compaction fires the identical event sequence.
         def run(threshold):
-            sim = Simulator(compaction_threshold=threshold)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine_module, "COMPACTION_THRESHOLD", threshold)
+                return drive(Simulator())
+
+        def drive(sim):
             order = []
             handles = {}
 
@@ -234,7 +237,7 @@ class TestCompaction:
         # compaction the heap grows with the response count; with it the
         # raw heap size stays around the compaction threshold.
         responses = 5_000
-        sim = Simulator(compaction_threshold=64)
+        sim = Simulator()
         state = {"left": responses, "watchdog": None, "max_heap": 0}
 
         def on_timeout():
@@ -254,7 +257,7 @@ class TestCompaction:
         assert sim.compactions > 0
         # Bounded by ~2x threshold plus the couple of live events, far
         # below the ~5000 entries an uncompacted heap would reach.
-        assert state["max_heap"] <= 2 * sim.compaction_threshold + 4
+        assert state["max_heap"] <= 2 * engine_module.COMPACTION_THRESHOLD + 4
         assert sim.events_processed == responses + 2  # responses + final timeout
 
     def test_cancel_after_fire_does_not_corrupt_accounting(self):
@@ -267,10 +270,11 @@ class TestCompaction:
         assert sim.pending_events == 1
         assert live.pending
 
-    def test_run_until_leaves_no_cancelled_entries_behind_compaction(self):
+    def test_run_until_leaves_no_cancelled_entries_behind_compaction(self, monkeypatch):
         # Cancelled entries beyond the run_until horizon are reclaimed by
         # later compactions rather than lingering forever.
-        sim = Simulator(compaction_threshold=4)
+        monkeypatch.setattr(engine_module, "COMPACTION_THRESHOLD", 4)
+        sim = Simulator()
         far = [sim.schedule(10_000 + i, lambda: None) for i in range(16)]
         sim.schedule(10, lambda: None)
         sim.run_until(100)

@@ -39,7 +39,9 @@ import pytest
 
 from repro import CellConfig, UeProfile, build_slingshot_cell
 from repro.apps import TcpIperfDownlink
+from repro.core import orion as orion_module
 from repro.core.orion import OrionDatagram, _ServiceQueue
+from repro.core import standby as standby_module
 from repro.core.standby import Sleeper, StandbyDormancy
 from repro.fapi.messages import SlotIndication, is_null_request
 from repro.faults.injector import FaultInjector
@@ -48,6 +50,7 @@ from repro.fleet import FleetConfig, build_fleet, fleet_digest
 from repro.fronthaul.oran import CplaneMessage, UplaneDownlink
 from repro.net.link import Link
 from repro.net.switch import Switch, SwitchPort
+from repro.phy import process as process_module
 from repro.phy.process import PhyProcess
 from repro.telemetry import collect
 
@@ -313,14 +316,15 @@ def _assert_equivalent(eager: Run, dormant: Run) -> None:
 # ----------------------------------------------------------------------
 # Scenarios
 # ----------------------------------------------------------------------
+@pytest.fixture(autouse=True)
+def inexact_null_slot_cost(monkeypatch):
+    """Every PHY here costs 0.7 µs a null slot, a value with no exact
+    binary form, so a re-associated ``busy_core_us`` sum shows."""
+    monkeypatch.setattr(process_module, "CPU_NULL_SLOT_US", 0.7)
+
+
 def default_cell() -> Tuple[Any, List[Any]]:
-    """The default cell. Its null-slot CPU cost is set to 0.7 µs, a value
-    with no exact binary form, so a re-associated ``busy_core_us`` sum
-    shows."""
-    cell = build_slingshot_cell(CellConfig(seed=11))
-    for node in cell.phy_servers:
-        node.phy.config.cpu_null_slot_us = 0.7
-    return cell, []
+    return build_slingshot_cell(CellConfig(seed=11)), []
 
 
 def _restart_phy0_as_standby(cell: Any) -> None:
@@ -489,25 +493,22 @@ def _no_wake_on_crash(patch) -> None:
 
 
 def _lump_sum_cpu(patch) -> None:
-    """``busy_core_us += k * cpu_null_slot_us`` once per settle instead
+    """``busy_core_us += k * CPU_NULL_SLOT_US`` once per settle instead
     of one addition per slot."""
     dormant_slot = PhyProcess._dormant_slot
     settle = StandbyDormancy.settle
     owed: Counter = Counter()
 
     def deferred_cost(self, sleeper, abs_slot):
-        cost = self.config.cpu_null_slot_us
-        self.config.cpu_null_slot_us = 0.0
-        try:
+        with pytest.MonkeyPatch.context() as free:
+            free.setattr(process_module, "CPU_NULL_SLOT_US", 0.0)
             dormant_slot(self, sleeper, abs_slot)
-        finally:
-            self.config.cpu_null_slot_us = cost
         owed[id(self)] += 1
 
     def settle_lump_sum(self, now):
         for phy in self.phys.values():
             k = owed.pop(id(phy), 0)
-            phy.cpu.busy_core_us += k * phy.config.cpu_null_slot_us
+            phy.cpu.busy_core_us += k * process_module.CPU_NULL_SLOT_US
         settle(self, now)
 
     patch.setattr(PhyProcess, "_dormant_slot", deferred_cost)
@@ -568,14 +569,13 @@ def _jitter_onto_slot_indication(patch) -> None:
         drawn = jitter(self)
         if self.phy_id != 1:
             return drawn
-        abs_slot = self.slot_clock.slot_at(self.sim.now + self.config.tx_lead_ns)
+        abs_slot = self.slot_clock.slot_at(self.sim.now + process_module.TX_LEAD_NS)
         datagram = OrionDatagram(
             message=SlotIndication(cell_id=0, slot=abs_slot),
             phy_id=self.phy_id, is_response=True,
         )
-        config = self.fapi_tx.endpoint.config
-        service = config.service_base_ns + round(
-            datagram.wire_bytes * config.service_per_byte_ns
+        service = orion_module.SERVICE_BASE_NS + round(
+            datagram.wire_bytes * orion_module.SERVICE_PER_BYTE_NS
         )
         return self.fapi_tx.latency_ns + service
 
@@ -747,23 +747,55 @@ def test_booking_mutant_is_caught(runs, monkeypatch, instrumented, mutate):
 UL_NULL_AT_NIC = 14_923
 
 
-def _tick_onto_null_arrivals(cell: Any) -> None:
+def _own_leads(patch, leads: Dict[int, int]) -> None:
+    """A PHY listed in ``leads`` runs on its own transmit lead: its slot
+    tick, its tick arming and its sleeper's slot-indication test read
+    ``TX_LEAD_NS`` as that PHY's entry."""
+
+    def on_own_lead(function, phy_of):
+        def wrapped(self, *args):
+            lead = leads.get(phy_of(self).phy_id)
+            if lead is None:
+                return function(self, *args)
+            with pytest.MonkeyPatch.context() as own:
+                own.setattr(process_module, "TX_LEAD_NS", lead)
+                own.setattr(standby_module, "TX_LEAD_NS", lead)
+                return function(self, *args)
+
+        return wrapped
+
+    for name in ("_slot_tick", "_schedule_next_slot"):
+        patch.setattr(
+            PhyProcess, name, on_own_lead(getattr(PhyProcess, name), lambda phy: phy)
+        )
+    patch.setattr(
+        Sleeper,
+        "_meets_slot_indication",
+        on_own_lead(Sleeper._meets_slot_indication, lambda sleeper: sleeper.phy),
+    )
+
+
+def _tick_onto_null_arrivals(cell: Any, leads: Dict[int, int]) -> None:
     """From here the sleeping standby ticks while a UL null is on its
     NIC line, its SHM hop short of the null's arrival: the two meet at
     the Orion's worker on one nanosecond, and FIFO gives it to the null,
     whose delivery was scheduled first. The standby cannot fall asleep
     again (a tick always finds a null in flight)."""
     phy = cell.phy_servers[1].phy
-    phy.config.tx_lead_ns = cell.slot_clock.slot_duration_ns - (
+    leads[phy.phy_id] = cell.slot_clock.slot_duration_ns - (
         UL_NULL_AT_NIC - phy.fapi_tx.latency_ns
     )
     phy._tick_handle.cancel()
     phy._schedule_next_slot()
 
 
-def rephased_cell() -> Tuple[Any, List[Any]]:
+def rephased_cell(patch) -> Tuple[Any, List[Any]]:
+    leads: Dict[int, int] = {}
+    _own_leads(patch, leads)
     cell, flows = default_cell()
-    cell.sim.at(10 * MS + 1, _tick_onto_null_arrivals, cell, label="test.rephase")
+    cell.sim.at(
+        10 * MS + 1, _tick_onto_null_arrivals, cell, leads, label="test.rephase"
+    )
     return cell, flows
 
 
@@ -777,7 +809,7 @@ def test_a_null_meeting_the_slot_indication_is_sent_live(monkeypatch, instrument
                 _forced_awake(patch)
             if mode == "mutant":
                 patch.setattr(Sleeper, "_meets_slot_indication", lambda self, arrival: False)
-            modes[mode] = _drive(rephased_cell, 14, {}, instrumented)
+            modes[mode] = _drive(lambda: rephased_cell(patch), 14, {}, instrumented)
     assert any(modes["dormant"].asleep)
     assert _mismatches(modes["eager"], modes["dormant"]) == []
     assert "switch ingress log" in _mismatches(modes["eager"], modes["mutant"])

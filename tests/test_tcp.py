@@ -5,19 +5,20 @@ import pytest
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
 from repro.transport.packet import FlowDirection, Packet
-from repro.transport.tcp import TcpConfig, TcpReceiver, TcpSegment, TcpSender
+from repro.transport import tcp as tcp_module
+from repro.transport.tcp import MIN_RTO_NS, TcpReceiver, TcpSegment, TcpSender
 
 
 class PipePair:
     """Wires a sender and receiver through a lossy, delayed pipe."""
 
-    def __init__(self, sim, one_way_ns=5 * MS, config=None):
+    def __init__(self, sim, one_way_ns=5 * MS):
         self.sim = sim
         self.one_way_ns = one_way_ns
         self.drop_data = set()  # segment seq values to drop once
         self.sender = TcpSender(
             sim, "flow", 1, 1, FlowDirection.UPLINK,
-            transmit=self._to_receiver, config=config,
+            transmit=self._to_receiver,
         )
         self.receiver = TcpReceiver(
             sim, "flow", 1, 1, FlowDirection.DOWNLINK,
@@ -45,10 +46,10 @@ class TestBulkTransfer:
         assert pipe.receiver.bytes_delivered > 0
         assert pipe.receiver.rcv_nxt == pipe.receiver.bytes_delivered
 
-    def test_slow_start_doubles_window(self):
+    def test_slow_start_doubles_window(self, monkeypatch):
+        monkeypatch.setattr(tcp_module, "INITIAL_CWND_SEGMENTS", 2)
         sim = Simulator()
-        config = TcpConfig(initial_cwnd_segments=2)
-        pipe = PipePair(sim, config=config)
+        pipe = PipePair(sim)
         pipe.sender.start()
         initial = pipe.sender.cwnd
         sim.run_until(60 * MS)  # Several RTTs.
@@ -137,7 +138,7 @@ class TestLossRecovery:
         sender.start()  # Transmits into the void: nothing ever acked.
         sim.run_until(2_000 * MS)
         assert sender.stats.rto_events >= 3
-        assert sender.rto_ns > sender.config.min_rto_ns
+        assert sender.rto_ns > MIN_RTO_NS
 
 
 class TestReceiver:

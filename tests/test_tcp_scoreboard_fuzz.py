@@ -19,9 +19,10 @@ The last class is a structural guard (the ``sys.settrace`` idiom of
 """
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, List, Tuple
+from typing import Any, Iterator, List, Tuple
 
 import pytest
 
@@ -30,13 +31,12 @@ from repro.sim.rng import RngRegistry
 from repro.sim.units import MS, US
 from repro.transport import tcp as tcp_module
 from repro.transport.packet import FlowDirection
-from repro.transport.tcp import TcpConfig, TcpReceiver, TcpSender
+from repro.transport.tcp import MSS_BYTES as MSS, TcpReceiver, TcpSender
 from tests.corpora import CORPUS_SEED
 from tests.tcp_scan import ScanTcpReceiver, ScanTcpSender
 from tests.test_phy_kernel_fuzz import _python_lines_executed
 
 SCHEDULES = 208
-MSS = TcpConfig().mss_bytes
 #: The sender opens at 1 ms so that no original carries ``ts_echo == 0``
 #: (which marks a retransmission, Karn's algorithm).
 START_NS = 1 * MS
@@ -50,7 +50,7 @@ class Schedule:
     """One generated pipe: shape, fault times and per-transmission draws."""
 
     index: int
-    #: ``receive_window_segments`` and the initial cwnd: the flight fills
+    #: ``RECEIVE_WINDOW_SEGMENTS`` and the initial cwnd: the flight fills
     #: to this many segments before the burst.
     window: int
     one_way_ns: int
@@ -138,14 +138,11 @@ class Pipe:
     def __init__(self, schedule: Schedule, sender_cls: Any, receiver_cls: Any) -> None:
         self.schedule = schedule
         self.sim = Simulator()
-        config = TcpConfig(
-            initial_cwnd_segments=schedule.window,
-            receive_window_segments=schedule.window,
-        )
-        self.sender = sender_cls(
-            self.sim, "fuzz", 1, 1, FlowDirection.DOWNLINK,
-            transmit=self._data_out, config=config,
-        )
+        with self.window():
+            self.sender = sender_cls(
+                self.sim, "fuzz", 1, 1, FlowDirection.DOWNLINK,
+                transmit=self._data_out,
+            )
         self.receiver = receiver_cls(
             self.sim, "fuzz", 1, 1, FlowDirection.UPLINK,
             transmit_ack=self._ack_out,
@@ -248,15 +245,25 @@ class Pipe:
         ))
 
     # -- drive -------------------------------------------------------------
+    @contextmanager
+    def window(self) -> Iterator[None]:
+        """The schedule's window as the initial cwnd and the receive
+        window, which both implementations read off the module."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tcp_module, "INITIAL_CWND_SEGMENTS", self.schedule.window)
+            patch.setattr(tcp_module, "RECEIVE_WINDOW_SEGMENTS", self.schedule.window)
+            yield
+
     def run(self) -> "Pipe":
-        self.sim.run_until(START_NS)
-        self.sender.start()
-        while (
-            self.sender.stats.segments_sent < self.schedule.target
-            and self.sim.now < RUN_CAP_NS
-        ):
-            self.sim.run_for(5 * MS)
-        self.sender.stop()
+        with self.window():
+            self.sim.run_until(START_NS)
+            self.sender.start()
+            while (
+                self.sender.stats.segments_sent < self.schedule.target
+                and self.sim.now < RUN_CAP_NS
+            ):
+                self.sim.run_for(5 * MS)
+            self.sender.stop()
         return self
 
 

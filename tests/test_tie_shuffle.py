@@ -13,6 +13,7 @@ import pytest
 from repro.apps.video import VideoReceiver, VideoSender
 from repro.cell.config import CellConfig
 from repro.cell.deployment import build_baseline_cell, build_slingshot_cell
+from repro.sim import engine as engine_module
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import s_to_ns
@@ -76,13 +77,15 @@ class TestEngineTieShuffle:
         # Cancelling enough ties to trigger compaction must not change
         # the relative firing order of the survivors.
         def survivor_order(threshold):
-            sim = Simulator(tie_shuffle_seed=23, compaction_threshold=threshold)
-            order = []
-            handles = [sim.schedule(100, order.append, tag) for tag in range(48)]
-            for tag in range(0, 48, 3):
-                handles[tag].cancel()
-            sim.run()
-            return order
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine_module, "COMPACTION_THRESHOLD", threshold)
+                sim = Simulator(tie_shuffle_seed=23)
+                order = []
+                handles = [sim.schedule(100, order.append, tag) for tag in range(48)]
+                for tag in range(0, 48, 3):
+                    handles[tag].cancel()
+                sim.run()
+                return order
 
         aggressive = survivor_order(threshold=2)
         never = survivor_order(threshold=10**9)

@@ -12,10 +12,10 @@ from repro.phy.numerology import Numerology, SlotClock, TddPattern
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
-from repro.ue.ue import UeConfig, UserEquipment
+from repro.ue.ue import UserEquipment
 
 
-def build_ue(sim, rlf_ms=50):
+def build_ue(sim):
     air = AirInterface()
     ue = UserEquipment(
         sim=sim,
@@ -29,7 +29,6 @@ def build_ue(sim, rlf_ms=50):
             RlcBearerConfig(bearer_id=1, mode=RlcMode.UM),
             RlcBearerConfig(bearer_id=2, mode=RlcMode.AM),
         ],
-        config=UeConfig(rlf_timeout_ns=rlf_ms * MS),
     )
     return ue, air
 
@@ -141,7 +140,7 @@ class TestDownlinkDecode:
 class TestRlf:
     def test_rlf_fires_after_silence(self):
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
         fired = []
         ue.on_rlf = fired.append
         sim.run_until(40 * MS)
@@ -153,7 +152,7 @@ class TestRlf:
 
     def test_control_resets_rlf_timer(self):
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
         # Feed control every 10 ms: no RLF ever.
         def feed():
             air.broadcast_dl_control(
@@ -170,7 +169,7 @@ class TestRlf:
         """A different vRAN stack taking over (baseline failover) makes
         the UE lose its context: RLF despite continuing control."""
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
 
         def feed(instance):
             air.broadcast_dl_control(
@@ -188,7 +187,7 @@ class TestRlf:
 
     def test_reattach_restores_service(self):
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
         sim.run_until(120 * MS)
         assert not ue.attached
         ue.complete_reattach()
@@ -202,7 +201,7 @@ class TestRlf:
 
     def test_rlf_discards_radio_state(self):
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
         ue.send_uplink(1, "queued", 100)
         air.broadcast_dl_control(10, [grant(tb_id=9)], vran_instance_id=1)
         sim.run_until(120 * MS)  # RLF fires.
@@ -211,7 +210,7 @@ class TestRlf:
 
     def test_send_uplink_rejected_when_detached(self):
         sim = Simulator()
-        ue, air = build_ue(sim, rlf_ms=50)
+        ue, air = build_ue(sim)
         sim.run_until(120 * MS)
         assert not ue.send_uplink(1, "x", 10)
 

@@ -94,3 +94,130 @@ def test_the_readers_load_no_campaign_tooling():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+#: Trees whose callers count: a field set only by tests or examples is a
+#: constant wearing a config field.
+CALLER_TREES = ("src", "bench", "benchmarks")
+#: The race detector's test instrument: tests alone set it, on purpose.
+TEST_ONLY_FIELDS = frozenset({"tie_shuffle_seed"})
+
+
+def _config_fields() -> dict:
+    """``{class: {field: default expression or None}}`` of every
+    ``*Config`` dataclass under ``src/repro``."""
+    classes = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
+                continue
+            decorators = {
+                getattr(d, "id", None) or getattr(getattr(d, "func", None), "id", None)
+                for d in node.decorator_list
+            }
+            if "dataclass" in decorators:
+                classes[node.name] = {
+                    stmt.target.id: stmt.value
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                }
+    return classes
+
+
+def _set_fields(classes: dict) -> set:
+    """``(class, field)`` pairs a caller in :data:`CALLER_TREES` sets to
+    something other than the field's default: a constructor argument
+    (keyword, positional, or a ``**dict(...)`` built in the same
+    function), a ``replace(...)`` keyword, or an assignment to an
+    attribute of a ``*config`` object."""
+    found = set()
+    root = SRC.parents[1]
+    for tree_name in CALLER_TREES:
+        for path in sorted((root / tree_name).rglob("*.py")):
+            module = ast.parse(path.read_text(), filename=str(path))
+            constants = {
+                target.id: node.value
+                for node in module.body
+                if isinstance(node, ast.Assign)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+
+            def differs(cls, name, value):
+                default = classes[cls].get(name)
+                if isinstance(value, ast.Name):
+                    value = constants.get(value.id, value)
+                return default is None or ast.dump(value) != ast.dump(default)
+
+            for scope in ast.walk(module):
+                if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                    continue
+                built = {}
+                for node in ast.walk(scope):
+                    if (
+                        isinstance(node, ast.Assign)
+                        and isinstance(node.value, ast.Call)
+                        and getattr(node.value.func, "id", None) == "dict"
+                    ):
+                        for target in node.targets:
+                            if isinstance(target, ast.Name):
+                                built[target.id] = node.value.keywords
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call):
+                        func = node.func
+                        name = getattr(func, "id", None) or getattr(func, "attr", None)
+                        if name in classes:
+                            pairs = list(zip(classes[name], node.args))
+                            for keyword in node.keywords:
+                                if keyword.arg is not None:
+                                    pairs.append((keyword.arg, keyword.value))
+                                elif isinstance(keyword.value, ast.Name):
+                                    pairs += [
+                                        (k.arg, k.value)
+                                        for k in built.get(keyword.value.id, [])
+                                    ]
+                            found |= {
+                                (name, field)
+                                for field, value in pairs
+                                if differs(name, field, value)
+                            }
+                        elif name == "replace":
+                            found |= {
+                                (cls, keyword.arg)
+                                for keyword in node.keywords
+                                for cls, fields in classes.items()
+                                if keyword.arg in fields
+                            }
+                    elif isinstance(node, ast.Assign):
+                        for target in node.targets:
+                            owner = getattr(target, "value", None)
+                            owner_name = getattr(owner, "id", None) or getattr(
+                                owner, "attr", ""
+                            )
+                            if isinstance(target, ast.Attribute) and (
+                                owner_name.endswith("config")
+                            ):
+                                found |= {
+                                    (cls, target.attr)
+                                    for cls, fields in classes.items()
+                                    if target.attr in fields
+                                }
+    return found
+
+
+def test_every_config_field_is_set_by_a_non_test_caller():
+    """A config field exists only where non-test callers need different
+    values (DESIGN §17): a field that ``src/``, ``bench/`` and
+    ``benchmarks/`` never set off its default is a model parameter, a
+    module constant beside the code that reads it."""
+    classes = _config_fields()
+    assert {"CellConfig", "FleetConfig", "PhyConfig"} <= set(classes)
+    set_fields = _set_fields(classes)
+    unset = sorted(
+        f"{cls}.{field}"
+        for cls, fields in classes.items()
+        for field in fields
+        if (cls, field) not in set_fields and field not in TEST_ONLY_FIELDS
+    )
+    assert unset == [], f"config fields no non-test caller sets: {unset}"
