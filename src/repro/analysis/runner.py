@@ -46,7 +46,7 @@ def _run_over_contexts(contexts: Sequence[LintContext]) -> LintReport:
     return LintReport(findings=sort_findings(run_rules(program)), program=program)
 
 
-def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+def lint_source(source: str, path: str) -> List[Finding]:
     """Lint one source string; raises SyntaxError on unparseable input.
 
     The single file forms a one-module program that every rule runs over.
@@ -112,11 +112,6 @@ def lint_report(paths: Optional[Sequence[Path]] = None) -> LintReport:
     file lives under it, so reports are stable across checkouts.
     """
     return _run_over_contexts(_contexts_for_paths(paths))
-
-
-def lint_paths(paths: Optional[Sequence[Path]] = None) -> List[Finding]:
-    """Lint files/directories (default: the ``repro`` package source)."""
-    return lint_report(paths).findings
 
 
 def rule_catalog() -> str:

@@ -29,10 +29,8 @@ class UdpIperfDownlink:
         flow_id: str,
         bearer_id: int,
         bitrate_bps: float,
-        packet_bytes: int = 1200,
-        bin_ns: int = 10 * MS,
     ) -> None:
-        self.sink = UdpSink(sim, flow_id, bin_ns=bin_ns)
+        self.sink = UdpSink(sim, flow_id)
         self.sender = UdpSender(
             sim,
             flow_id,
@@ -41,7 +39,6 @@ class UdpIperfDownlink:
             FlowDirection.DOWNLINK,
             transmit=server.send_to_ue,
             bitrate_bps=bitrate_bps,
-            packet_bytes=packet_bytes,
         )
         ue.dl_sink = FlowDispatch(flow_id, self.sink.on_packet, ue.dl_sink)
 
@@ -63,7 +60,6 @@ class UdpIperfUplink:
         flow_id: str,
         bearer_id: int,
         bitrate_bps: float,
-        packet_bytes: int = 1200,
         bin_ns: int = 10 * MS,
     ) -> None:
         self.sink = UdpSink(sim, flow_id, bin_ns=bin_ns)
@@ -75,7 +71,6 @@ class UdpIperfUplink:
             FlowDirection.UPLINK,
             transmit=UplinkTransmit(ue, bearer_id),
             bitrate_bps=bitrate_bps,
-            packet_bytes=packet_bytes,
         )
         server.register_flow(flow_id, self.sink.on_packet)
 
@@ -96,7 +91,6 @@ class TcpIperfDownlink:
         ue: UserEquipment,
         flow_id: str,
         bearer_id: int,
-        bin_ns: int = 10 * MS,
     ) -> None:
         self.sender = TcpSender(
             sim,
@@ -113,7 +107,6 @@ class TcpIperfDownlink:
             bearer_id,
             ack_direction=FlowDirection.UPLINK,
             transmit_ack=UplinkTransmit(ue, bearer_id),
-            bin_ns=bin_ns,
         )
         ue.dl_sink = FlowDispatch(flow_id, self._on_dl_packet, ue.dl_sink)
         server.register_flow(flow_id, self._on_server_packet)
@@ -143,7 +136,6 @@ class TcpIperfUplink:
         ue: UserEquipment,
         flow_id: str,
         bearer_id: int,
-        bin_ns: int = 10 * MS,
     ) -> None:
         self.sender = TcpSender(
             sim,
@@ -160,7 +152,6 @@ class TcpIperfUplink:
             bearer_id,
             ack_direction=FlowDirection.DOWNLINK,
             transmit_ack=self._send_ack_downlink,
-            bin_ns=bin_ns,
         )
         self._server = None
         self._ue = ue

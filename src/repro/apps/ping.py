@@ -18,6 +18,9 @@ from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
 from repro.ue.ue import UserEquipment
 
+#: A request unanswered this long is a loss.
+TIMEOUT_NS = 2 * SECOND
+
 
 @dataclass(frozen=True)
 class _EchoRequest:
@@ -62,6 +65,9 @@ class UePingResponder:
 class PingClient(Process):
     """Server-side ping client toward one UE."""
 
+    #: Echo request size.
+    packet_bytes = 64
+
     def __init__(
         self,
         sim: Simulator,
@@ -70,8 +76,6 @@ class PingClient(Process):
         flow_id: str,
         bearer_id: int,
         interval_ns: int = 10 * MS,
-        timeout_ns: int = 2 * SECOND,
-        packet_bytes: int = 64,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"ping:{flow_id}")
@@ -80,8 +84,6 @@ class PingClient(Process):
         self.flow_id = flow_id
         self.bearer_id = bearer_id
         self.interval_ns = interval_ns
-        self.timeout_ns = timeout_ns
-        self.packet_bytes = packet_bytes
         self.samples: List[PingSample] = []
         self._outstanding: Dict[int, PingSample] = {}
         self._seq = 0
@@ -119,7 +121,7 @@ class PingClient(Process):
         self.server.send_to_ue(packet)
         self.sim.schedule(self.interval_ns, self._send_next)
         # Expire long-gone requests to bound the outstanding map.
-        cutoff = self.sim.now - self.timeout_ns
+        cutoff = self.sim.now - TIMEOUT_NS
         stale = [s for s, smp in self._outstanding.items() if smp.sent_ns < cutoff]
         for seq in stale:
             del self._outstanding[seq]
@@ -146,7 +148,7 @@ class PingClient(Process):
 
     def loss_count(self) -> int:
         """Pings with no reply (excluding ones still in flight)."""
-        horizon = self.sim.now - self.timeout_ns
+        horizon = self.sim.now - TIMEOUT_NS
         return sum(
             1 for s in self.samples if s.rtt_ns is None and s.sent_ns < horizon
         )

@@ -22,6 +22,13 @@ from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
 from repro.ue.ue import UserEquipment
 
+#: Frame cadence of the talking-head source.
+FPS = 30.0
+#: Largest chunk a frame is packetized into.
+MTU_BYTES = 1200
+#: The receiver's bitrate-reporting interval.
+INTERVAL_NS = 500 * MS
+
 
 @dataclass(frozen=True)
 class _VideoChunk:
@@ -40,8 +47,6 @@ class VideoSender(Process):
         flow_id: str,
         bearer_id: int,
         bitrate_bps: float = 500_000.0,
-        fps: float = 30.0,
-        mtu_bytes: int = 1200,
         *,
         rng: np.random.Generator,
         name: str = "",
@@ -52,17 +57,11 @@ class VideoSender(Process):
         self.flow_id = flow_id
         self.bearer_id = bearer_id
         self.bitrate_bps = bitrate_bps
-        self.fps = fps
-        self.mtu_bytes = mtu_bytes
         self.rng = rng
         self._frame_index = 0
         self._seq = 0
         self._running = False
         self.frames_sent = 0
-
-    @property
-    def frame_interval_ns(self) -> int:
-        return round(SECOND / self.fps)
 
     def start(self) -> None:
         if self._running:
@@ -77,13 +76,13 @@ class VideoSender(Process):
     def _send_frame(self) -> None:
         if not self._running:
             return
-        nominal = self.bitrate_bps / 8.0 / self.fps
+        nominal = self.bitrate_bps / 8.0 / FPS
         # Encoder output varies frame to frame (talking-head content).
         frame_bytes = max(200, int(self.rng.normal(nominal, nominal * 0.15)))
         offset = 0
         chunk_index = 0
         while offset < frame_bytes:
-            chunk = min(self.mtu_bytes, frame_bytes - offset)
+            chunk = min(MTU_BYTES, frame_bytes - offset)
             packet = Packet(
                 flow_id=self.flow_id,
                 ue_id=self.ue_id,
@@ -100,7 +99,7 @@ class VideoSender(Process):
             self.server.send_to_ue(packet)
         self._frame_index += 1
         self.frames_sent += 1
-        self.sim.schedule(self.frame_interval_ns, self._send_frame)
+        self.sim.schedule(round(SECOND / FPS), self._send_frame)
 
 
 class VideoReceiver:
@@ -111,11 +110,9 @@ class VideoReceiver:
         sim: Simulator,
         ue: UserEquipment,
         flow_id: str,
-        interval_ns: int = 500 * MS,
     ) -> None:
         self.sim = sim
         self.flow_id = flow_id
-        self.interval_ns = interval_ns
         #: bytes received per interval index.
         self.bins: Dict[int, int] = {}
         self.bytes_received = 0
@@ -133,18 +130,18 @@ class VideoReceiver:
     def _on_packet(self, packet: Packet) -> None:
         self.packets_received += 1
         self.bytes_received += packet.size_bytes
-        index = self.sim.now // self.interval_ns
+        index = self.sim.now // INTERVAL_NS
         self.bins[index] = self.bins.get(index, 0) + packet.size_bytes
 
     def bitrate_series_kbps(self, start_ns: int, end_ns: int) -> List[Tuple[float, float]]:
         """(interval start s, received kb/s) samples over the window."""
         series = []
-        first = start_ns // self.interval_ns
-        last = (end_ns - 1) // self.interval_ns
+        first = start_ns // INTERVAL_NS
+        last = (end_ns - 1) // INTERVAL_NS
         for index in range(first, last + 1):
             bytes_in_bin = self.bins.get(index, 0)
-            kbps = bytes_in_bin * 8 / (self.interval_ns / SECOND) / 1e3
-            series.append((index * self.interval_ns / SECOND, kbps))
+            kbps = bytes_in_bin * 8 / (INTERVAL_NS / SECOND) / 1e3
+            series.append((index * INTERVAL_NS / SECOND, kbps))
         return series
 
     def outage_seconds(self, start_ns: int, end_ns: int) -> float:
@@ -152,4 +149,4 @@ class VideoReceiver:
         zero_bins = sum(
             1 for _, kbps in self.bitrate_series_kbps(start_ns, end_ns) if kbps == 0.0
         )
-        return zero_bins * self.interval_ns / SECOND
+        return zero_bins * INTERVAL_NS / SECOND

@@ -38,6 +38,10 @@ FRONTHAUL_BUDGET_NS = 100 * US
 MBOX_CORES_PER_SERVER = 1.6
 #: PHY cores per server (FlexRAN-class deployment).
 PHY_CORES_PER_SERVER = 16.0
+#: The tail percentile the paper quotes (p99.999 ≈ 10 µs).
+TAIL_PERCENTILE = 99.999
+#: Draws per percentile estimate.
+LATENCY_SAMPLES = 400_000
 
 
 class SoftwareMiddleboxModel:
@@ -53,9 +57,9 @@ class SoftwareMiddleboxModel:
         base[hiccups] += self.rng.uniform(0.3, 1.0, hiccups.sum()) * HICCUP_EXTRA_NS
         return base
 
-    def added_latency_percentile_ns(self, percentile: float, count: int = 400_000) -> float:
+    def added_latency_percentile_ns(self, percentile: float) -> float:
         """Added latency at a percentile (the paper quotes p99.999 ≈ 10 µs)."""
-        samples = self.sample_added_latency_ns(count)
+        samples = self.sample_added_latency_ns(LATENCY_SAMPLES)
         return float(np.percentile(samples, percentile))
 
     def radius_km(self, added_latency_ns: float = 0.0) -> float:
@@ -63,10 +67,10 @@ class SoftwareMiddleboxModel:
         usable = FRONTHAUL_BUDGET_NS - added_latency_ns
         return max(usable, 0.0) / FIBER_NS_PER_KM
 
-    def radius_reduction_fraction(self, percentile: float = 99.999) -> float:
+    def radius_reduction_fraction(self) -> float:
         """Coverage-radius loss caused by the middlebox's tail latency."""
         baseline = self.radius_km(0.0)
-        with_mbox = self.radius_km(self.added_latency_percentile_ns(percentile))
+        with_mbox = self.radius_km(self.added_latency_percentile_ns(TAIL_PERCENTILE))
         return (baseline - with_mbox) / baseline
 
     def cpu_overhead_fraction(self) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.l2.rlc import RlcBearerConfig, RlcMode
-from repro.phy.numerology import Numerology, TddPattern
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,6 @@ def default_bearers() -> List[RlcBearerConfig]:
         RlcBearerConfig(bearer_id=1, mode=RlcMode.UM),
         RlcBearerConfig(bearer_id=2, mode=RlcMode.AM),
     ]
-
-
-#: The testbed's carrier (Table 1): 100 MHz at 30 kHz SCS, 500 µs slots.
-NUMEROLOGY = Numerology()
-#: The testbed's TDD slot format, "DDDSU".
-TDD = TddPattern()
 
 
 @dataclass

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cell.config import NUMEROLOGY, TDD, CellConfig, UeProfile, default_bearers
+from repro.cell.config import CellConfig, UeProfile, default_bearers
 from repro.core.commands import MigrateOnSlot, SLINGSHOT_CMD_BYTES
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.core.migration import Cluster, MigrationController, PhyServer
@@ -225,7 +225,7 @@ class _Wiring:
         self.sim = sim
         self.trace = TraceRecorder()
         self.rng = RngRegistry(seed=config.seed)
-        self.slot_clock = SlotClock(NUMEROLOGY)
+        self.slot_clock = SlotClock()
         self.macs = MacAllocator()
         self.switch = Switch(sim, name="edge-switch")
         self.middlebox = FronthaulMiddlebox(sim, trace=self.trace, name="fh-mbox")
@@ -240,7 +240,6 @@ class _Wiring:
             mac=ru_mac,
             virtual_phy_mac=self.middlebox.virtual_phy_mac,
             slot_clock=self.slot_clock,
-            tdd=TDD,
             air=AirInterface(),
             trace=self.trace,
             name=f"ru{ru_id}",
@@ -275,7 +274,6 @@ class _Wiring:
             phy_id=phy_id,
             mac=phy_mac,
             slot_clock=self.slot_clock,
-            tdd=TDD,
             rng=self.rng.stream(f"phy{phy_id}"),
             config=PhyConfig(
                 decoder_iterations=decoder_iterations,
@@ -313,8 +311,6 @@ class _Wiring:
         return L2Process(
             sim=self.sim,
             slot_clock=self.slot_clock,
-            tdd=TDD,
-            numerology=NUMEROLOGY,
             cell_id=cell_id,
             ru_id=cell_id,
             trace=self.trace,
@@ -353,7 +349,6 @@ class _Wiring:
                 sim=self.sim,
                 ue_id=profile.ue_id,
                 slot_clock=self.slot_clock,
-                tdd=TDD,
                 air=air,
                 channel=channel,
                 rng=self.rng.stream(f"ue{profile.ue_id}.modem"),

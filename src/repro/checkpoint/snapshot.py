@@ -64,13 +64,13 @@ class SnapshotError(RuntimeError):
 
 
 @functools.lru_cache(maxsize=None)
-def source_fingerprint(package_dir: Path = PACKAGE_DIR) -> str:
-    """SHA-256 over every ``.py`` file under ``package_dir``: each
+def source_fingerprint() -> str:
+    """SHA-256 over every ``.py`` file under :data:`PACKAGE_DIR`: each
     relative path and its bytes, in sorted path order. Computed once per
-    process and directory."""
+    process."""
     digest = hashlib.sha256()
-    for path in sorted(package_dir.rglob("*.py")):
-        digest.update(path.relative_to(package_dir).as_posix().encode("utf-8") + b"\0")
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        digest.update(path.relative_to(PACKAGE_DIR).as_posix().encode("utf-8") + b"\0")
         digest.update(hashlib.sha256(path.read_bytes()).digest())
     return digest.hexdigest()
 

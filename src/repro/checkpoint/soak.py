@@ -72,7 +72,6 @@ def run_soak(
     config: Optional[SoakConfig] = None,
     checkpoint_dir: Optional[Path] = None,
     resume: Optional[Path] = None,
-    keep: int = KEEP_CHECKPOINTS,
 ) -> Tuple[SoakState, Dict[str, Any], List[Tuple[int, Path]]]:
     """Run (or resume) one soak; returns (state, summary, checkpoints).
 
@@ -80,7 +79,7 @@ def run_soak(
     ``config`` must be None; a checkpoint of anything but a
     :class:`SoakState` is a ``SnapshotError``. At every boundary the trace evicts all
     complete digest windows behind it and (when ``checkpoint_dir`` is
-    set) a checkpoint is written; only the last ``keep``
+    set) a checkpoint is written; only the last :data:`KEEP_CHECKPOINTS`
     boundary checkpoints stay on disk.
     """
     if resume is not None:
@@ -111,7 +110,7 @@ def run_soak(
                 state, label=f"soak seed={config.seed} t={boundary}"
             ).save(path)
             written.append((boundary, path))
-            while len(written) > keep:
+            while len(written) > KEEP_CHECKPOINTS:
                 _, stale = written.pop(0)
                 stale.unlink(missing_ok=True)
     if cell.sim.now < config.horizon_ns:

@@ -17,6 +17,11 @@ from repro.net.addresses import MacAddress
 from repro.phy.process import PhyProcess
 from repro.sim.trace import TraceRecorder
 
+#: Whether :meth:`MigrationController.replace_failed_secondary` may also
+#: restart a crashed-but-repaired spare (an operator's call; off, so a
+#: crashed server is never revived automatically).
+RESTART_CRASHED_SPARES = False
+
 
 @dataclass
 class PhyServer:
@@ -92,16 +97,14 @@ class MigrationController:
         # migrating onto it.
         return self.orion.planned_migration(cell_id)
 
-    def replace_failed_secondary(
-        self, cell_id: int, allow_restart: bool = False
-    ) -> Optional[int]:
+    def replace_failed_secondary(self, cell_id: int) -> Optional[int]:
         """After a failover, stand up a new secondary on a spare server.
 
         Placement policy: prefer live spares; servers that previously
         failed while serving this cell are never chosen automatically
-        (the fault may recur). With ``allow_restart`` an operator may
-        additionally offer crashed-but-repaired spares, which are
-        restarted before re-initialization.
+        (the fault may recur). With :data:`RESTART_CRASHED_SPARES` an
+        operator additionally offers crashed-but-repaired spares, which
+        are restarted before re-initialization.
         """
         assignment = self.orion.cells[cell_id]
         in_use = [assignment.primary_phy]
@@ -116,7 +119,7 @@ class MigrationController:
         chosen: Optional[int] = None
         if alive:
             chosen = alive[0]
-        elif allow_restart and candidates:
+        elif RESTART_CRASHED_SPARES and candidates:
             chosen = candidates[0]
         if chosen is None:
             return None

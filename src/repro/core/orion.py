@@ -720,16 +720,12 @@ class L2SideOrion(Process):
                 phy=phy_id,
             )
 
-    def planned_migration(self, cell_id: int, at_slot: Optional[int] = None) -> int:
+    def planned_migration(self, cell_id: int) -> int:
         """Operator/controller-initiated migration; returns the boundary slot."""
         assignment = self.cells[cell_id]
         if assignment.secondary_phy is None:
             raise RuntimeError(f"cell {cell_id} has no secondary PHY")
-        boundary = (
-            at_slot
-            if at_slot is not None
-            else self.slot_clock.slot_at(self.sim.now) + PLANNED_SLOT_MARGIN
-        )
+        boundary = self.slot_clock.slot_at(self.sim.now) + PLANNED_SLOT_MARGIN
         self._start_migration(
             assignment, dest=assignment.secondary_phy, boundary=boundary, failover=False
         )

@@ -55,6 +55,7 @@ from repro.fapi.messages import FapiMessage, null_dl_tti, null_ul_tti
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import SwitchPort
+from repro.phy.numerology import SLOT_EPOCH_NS
 from repro.phy.process import TX_LEAD_NS, PhyCellContext, PhyProcess
 from repro.sim.engine import Simulator
 
@@ -153,7 +154,7 @@ class Sleeper:
         phy = self.phy
         clock = phy.slot_clock
         boundary = arrival - phy.fapi_tx.latency_ns + TX_LEAD_NS
-        return (boundary - clock.epoch_ns) % clock.slot_duration_ns == 0
+        return (boundary - SLOT_EPOCH_NS) % clock.slot_duration_ns == 0
 
     def settle_inbound(self, now: int, arrived_by: int, delivered_before: int) -> None:
         """Apply every stage due: NIC arrivals at or before

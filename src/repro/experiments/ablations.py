@@ -21,11 +21,18 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.software_mbox import SoftwareMiddleboxModel
+from repro.baselines.software_mbox import TAIL_PERCENTILE, SoftwareMiddleboxModel
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.core.failure_detector import DetectorConfig
 from repro.sim.units import US, seconds
+
+#: Seeds per :func:`tti_alignment` variant; conflicting slots are summed.
+ALIGNMENT_TRIALS = 3
+#: :func:`detector_timeout_sweep`'s timeouts, around the healthy-gap envelope.
+SWEEP_TIMEOUTS_US = (250.0, 350.0, 450.0, 900.0, 1800.0)
+#: Measured standby-CPU window of :func:`null_vs_duplicate_fapi`.
+DUPLICATE_RUN_S = 2.0
 
 
 @dataclass
@@ -34,7 +41,7 @@ class TtiAlignmentResult:
     unaligned_conflicting_slots: int
 
 
-def tti_alignment(trials: int = 3, seed: int = 0) -> TtiAlignmentResult:
+def tti_alignment(seed: int = 0) -> TtiAlignmentResult:
     """Compare aligned vs immediate (unaligned) migration execution."""
 
     def run_one(align: bool, trial_seed: int) -> int:
@@ -52,8 +59,8 @@ def tti_alignment(trials: int = 3, seed: int = 0) -> TtiAlignmentResult:
         cell.run_for(seconds(0.3))
         return cell.ru.stats.conflicting_source_slots
 
-    aligned = sum(run_one(True, seed + i) for i in range(trials))
-    unaligned = sum(run_one(False, seed + 100 + i) for i in range(trials))
+    aligned = sum(run_one(True, seed + i) for i in range(ALIGNMENT_TRIALS))
+    unaligned = sum(run_one(False, seed + 100 + i) for i in range(ALIGNMENT_TRIALS))
     return TtiAlignmentResult(
         aligned_conflicting_slots=aligned, unaligned_conflicting_slots=unaligned
     )
@@ -66,12 +73,10 @@ class TimeoutSweepPoint:
     detection_latency_us: Optional[float]
 
 
-def detector_timeout_sweep(
-    timeouts_us: Optional[List[float]] = None, seed: int = 0
-) -> List[TimeoutSweepPoint]:
+def detector_timeout_sweep(seed: int = 0) -> List[TimeoutSweepPoint]:
     """Sweep the detector timeout around the healthy-gap envelope."""
     points: List[TimeoutSweepPoint] = []
-    for timeout_us in timeouts_us or [250.0, 350.0, 450.0, 900.0, 1800.0]:
+    for timeout_us in SWEEP_TIMEOUTS_US:
         config = CellConfig(
             seed=seed,
             ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
@@ -123,7 +128,7 @@ def software_vs_switch_middlebox(seed: int = 0) -> MiddleboxComparison:
     """Quantify §5's argument for the in-switch design."""
     model = SoftwareMiddleboxModel(rng=np.random.default_rng(seed))
     return MiddleboxComparison(
-        software_p99999_latency_us=model.added_latency_percentile_ns(99.999) / 1e3,
+        software_p99999_latency_us=model.added_latency_percentile_ns(TAIL_PERCENTILE) / 1e3,
         software_radius_reduction=model.radius_reduction_fraction(),
         software_cpu_fraction=model.cpu_overhead_fraction(),
         software_nic_multiplier=model.nic_bandwidth_multiplier(),
@@ -138,7 +143,7 @@ class NullVsDuplicateResult:
     duplicate_secondary_fraction: float
 
 
-def null_vs_duplicate_fapi(duration_s: float = 2.0, seed: int = 0) -> NullVsDuplicateResult:
+def null_vs_duplicate_fapi(seed: int = 0) -> NullVsDuplicateResult:
     """Measure standby CPU with null FAPI, and with duplicated work.
 
     The duplicate variant steers real (not null) requests to the
@@ -166,7 +171,7 @@ def null_vs_duplicate_fapi(duration_s: float = 2.0, seed: int = 0) -> NullVsDupl
         flow.start()
         primary, secondary = cell.phy_servers[0].phy, cell.phy_servers[1].phy
         busy0 = (primary.cpu.busy_core_us, secondary.cpu.busy_core_us)
-        cell.run_for(seconds(duration_s))
+        cell.run_for(seconds(DUPLICATE_RUN_S))
         primary_busy = primary.cpu.busy_core_us - busy0[0]
         secondary_busy = secondary.cpu.busy_core_us - busy0[1]
         return secondary_busy / max(primary_busy, 1e-9)

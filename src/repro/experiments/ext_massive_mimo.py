@@ -24,6 +24,9 @@ from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.sim.units import MS, s_to_ns, seconds
 
+#: A dip is time below this fraction of the pre-migration mean.
+DIP_FRACTION = 0.7
+
 
 @dataclass
 class MimoTransient:
@@ -32,12 +35,12 @@ class MimoTransient:
     series: List[Tuple[float, float]]
     rlf_events: int
 
-    def dip_duration_ms(self, threshold_fraction: float = 0.7) -> float:
-        """Time below a fraction of the pre-migration mean."""
+    def dip_duration_ms(self) -> float:
+        """Time below :data:`DIP_FRACTION` of the pre-migration mean."""
         before = [m for t, m in self.series if t < -30.0]
         if not before:
             return 0.0
-        target = threshold_fraction * (sum(before) / len(before))
+        target = DIP_FRACTION * (sum(before) / len(before))
         below = 0.0
         for t, mbps in self.series:
             if t >= 0 and mbps < target:

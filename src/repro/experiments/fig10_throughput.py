@@ -27,6 +27,13 @@ from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.sim.units import MS, s_to_ns, seconds
 
+#: The goodput bin of every flow here (the receivers' 10 ms).
+BIN_MS = 10.0
+#: Recovered = back above this fraction of the pre-event mean.
+RECOVERY_FRACTION = 0.7
+#: Post-event window of :meth:`ThroughputTrace.min_after_event_mbps`.
+AFTER_EVENT_MS = 200.0
+
 
 @dataclass
 class ThroughputTrace:
@@ -41,7 +48,7 @@ class ThroughputTrace:
         """Series re-based so the event is at t=0 (as plotted in Fig 10)."""
         return [(t - self.event_time_ms, mbps) for t, mbps in self.series]
 
-    def zero_window_ms(self, bin_ms: float = 10.0) -> float:
+    def zero_window_ms(self) -> float:
         """Longest run of zero-throughput bins after the event."""
         longest = 0
         current = 0
@@ -53,25 +60,25 @@ class ThroughputTrace:
                 longest = max(longest, current)
             else:
                 current = 0
-        return longest * bin_ms
+        return longest * BIN_MS
 
-    def recovery_ms(self, threshold_fraction: float = 0.7) -> Optional[float]:
-        """Time from the event until throughput is back above a fraction
-        of its pre-event mean."""
+    def recovery_ms(self) -> Optional[float]:
+        """Time from the event until throughput is back above
+        :data:`RECOVERY_FRACTION` of its pre-event mean."""
         before = [m for t, m in self.series if t < self.event_time_ms - 20.0]
         if not before:
             return None
-        target = threshold_fraction * (sum(before) / len(before))
+        target = RECOVERY_FRACTION * (sum(before) / len(before))
         for t, mbps in self.series:
             if t >= self.event_time_ms and mbps >= target:
                 return t - self.event_time_ms
         return None
 
-    def min_after_event_mbps(self, window_ms: float = 200.0) -> float:
+    def min_after_event_mbps(self) -> float:
         vals = [
             m
             for t, m in self.series
-            if self.event_time_ms <= t < self.event_time_ms + window_ms
+            if self.event_time_ms <= t < self.event_time_ms + AFTER_EVENT_MS
         ]
         return min(vals) if vals else 0.0
 

@@ -19,6 +19,9 @@ from repro.cell.deployment import build_slingshot_cell
 from repro.sim.units import MS, SECOND, ns_to_s, s_to_ns, seconds
 from repro.transport.packet import Packet
 
+#: "Near failover": within this many seconds of the kill.
+SPIKE_WINDOW_S = 0.5
+
 
 @dataclass
 class Fig9Result:
@@ -29,7 +32,7 @@ class Fig9Result:
     failure_time_s: float
     detection_time_s: Optional[float]
 
-    def max_spike_ms(self, window_s: float = 0.5) -> float:
+    def max_spike_ms(self) -> float:
         """Largest RTT excursion above each UE's own median, near failover."""
         worst = 0.0
         for series in self.rtt_series.values():
@@ -38,7 +41,7 @@ class Fig9Result:
             if len(rtts) < 10:
                 continue
             median = float(np.median(rtts))
-            near = rtts[np.abs(times - self.failure_time_s) < window_s]
+            near = rtts[np.abs(times - self.failure_time_s) < SPIKE_WINDOW_S]
             if len(near):
                 worst = max(worst, float(near.max() - median))
         return worst

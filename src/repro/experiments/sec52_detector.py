@@ -143,7 +143,7 @@ def sweep(warm: Checkpoint, instants: List[int], healthy_seconds: float) -> Swee
     runs = model.run_campaign(TransportKind.RDMA, 20)
     median_pause_us = float(np.median([r.pause_time_ns for r in runs])) / US
     config = healthy.middlebox.detector.config
-    schedule = downlink_schedule(healthy.slot_ns)
+    schedule = downlink_schedule()
     return SweepResult(
         kill_at_ns=list(instants),
         detection_latencies_us=from_kill,

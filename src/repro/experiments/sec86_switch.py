@@ -23,7 +23,6 @@ from typing import Dict
 
 from repro.core.failure_detector import DetectorConfig
 from repro.net.p4.resources import PipelineResourceModel
-from repro.phy.numerology import Numerology
 from repro.phy.process import downlink_schedule
 from repro.sim.units import US
 
@@ -46,7 +45,7 @@ def run(num_rus: int = 256, num_phys: int = 256) -> SwitchResult:
     sram_scaling = {
         n: model.usage(n, n).percent("sram_bits") for n in (64, 128, 256, 512, 1024)
     }
-    schedule = downlink_schedule(Numerology().slot_duration_ns)
+    schedule = downlink_schedule()
     return SwitchResult(
         resource_percent={
             name: usage.percent(name) for name in usage.fraction

@@ -19,6 +19,7 @@ from repro.apps.iperf import UdpIperfUplink
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
 from repro.sim.units import MS, SECOND, s_to_ns, seconds
+from repro.transport.udp import PACKET_BYTES
 
 
 @dataclass
@@ -80,7 +81,7 @@ def _run_rate(
     min_mbps, max_mbps = flow.sink.min_max_bin_mbps(start_ns, end_ns)
     blackouts = flow.sink.blackout_bins(start_ns, end_ns)
     # Per-10ms packet loss: compare offered packets per bin to received.
-    offered_per_bin = offered_bps / 8 / flow.sender.packet_bytes * 0.01
+    offered_per_bin = offered_bps / 8 / PACKET_BYTES * 0.01
     worst_loss = 0.0
     first_bin = start_ns // (10 * MS)
     last_bin = (end_ns - 1) // (10 * MS)

@@ -19,6 +19,9 @@ from repro.fapi.messages import FapiMessage
 from repro.sim.engine import Simulator
 from repro.sim.units import US
 
+#: The ring-buffer handoff between two pinned processes.
+LATENCY_NS = 1 * US
+
 
 class FapiEndpoint(Protocol):
     """Anything that consumes FAPI messages from a channel."""
@@ -30,20 +33,18 @@ class FapiEndpoint(Protocol):
 class ShmChannel:
     """One direction of a shared-memory FAPI channel.
 
-    Delivery latency models the cost of the ring-buffer handoff between
-    two pinned processes (around a microsecond); order is preserved.
+    Delivery takes :data:`LATENCY_NS`; order is preserved.
     """
 
     def __init__(
         self,
         sim: Simulator,
         endpoint: Optional[FapiEndpoint] = None,
-        latency_ns: int = 1 * US,
         name: str = "shm",
     ) -> None:
         self.sim = sim
         self.endpoint = endpoint
-        self.latency_ns = latency_ns
+        self.latency_ns = LATENCY_NS
         self.name = name
         self.messages_sent = 0
         self._pending: Deque[FapiMessage] = deque()

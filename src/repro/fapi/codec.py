@@ -9,10 +9,9 @@ Round-tripping through the codec is property-tested; the encoded size
 feeds the link-level serialization-delay model, which is how the "L2-PHY
 traffic is ~100 Mbps vs 4.5 Gbps fronthaul" comparison (§5) shows up.
 
-What the simulation calls: only :func:`wire_size` (and
-:func:`data_message_wire_size`), the analytic size — FAPI messages cross
-the SHM channels and the Orion datagrams as typed objects, never as
-bytes. :func:`encode_message` / :func:`decode_message` are the normative
+What the simulation calls: only :func:`wire_size`, the analytic size —
+FAPI messages cross the SHM channels and the Orion datagrams as typed
+objects, never as bytes. :func:`encode_message` / :func:`decode_message` are the normative
 wire image that size is checked against
 (``wire_size(m) == len(encode_message(m))`` over a generated corpus) and
 what the codec micro benchmarks drive: type-keyed dispatch tables, and
@@ -264,11 +263,6 @@ def wire_size(message: m.FapiMessage) -> int:
     """
     sizer = _WIRE_SIZERS.get(type(message), _wire_size_header_only)
     return sizer(message, _HEADER.size)
-
-
-def data_message_wire_size(message: m.FapiMessage, payload_bytes: int) -> int:
-    """Wire size for a data message whose payloads total ``payload_bytes``."""
-    return wire_size(message) + payload_bytes
 
 
 # ----------------------------------------------------------------------

@@ -63,7 +63,6 @@ from repro.faults.scenarios import (
     PROBE_START_NS,
     RUN_END_NS,
     scenario_by_name,
-    standard_scenarios,
 )
 from repro.sim.units import MS
 from repro.telemetry import FailoverTimeline, collect
@@ -74,7 +73,6 @@ from repro.transport.udp import UdpSender, UdpSink
 #: ~1.2 ms — fine-grained enough to resolve sub-10 ms outages, light
 #: enough that the cell never saturates.
 PROBE_BITRATE_BPS = 8e6
-PROBE_PACKET_BYTES = 1200
 PROBE_FLOW_ID = "chaos-probe"
 PROBE_BEARER_ID = 1
 
@@ -238,7 +236,6 @@ def build_probe_harness(
         FlowDirection.UPLINK,
         transmit=UplinkTransmit(ue, PROBE_BEARER_ID),
         bitrate_bps=PROBE_BITRATE_BPS,
-        packet_bytes=PROBE_PACKET_BYTES,
     )
     cell.server.register_flow(PROBE_FLOW_ID, ProbeTap(cell, sink, monitor))
     return ProbeHarness(
@@ -375,23 +372,6 @@ def _shards(
 
 def _report(results: Dict[tuple, ScenarioRun], execution: dict) -> CampaignReport:
     return CampaignReport(runs=list(results.values()), execution=execution)
-
-
-def run_campaign(
-    scenarios: Optional[Sequence[ChaosScenario]] = None,
-    seeds: Sequence[int] = (1, 2, 3),
-    replay: bool = False,
-    progress=None,
-    jobs: int = 1,
-) -> CampaignReport:
-    """Run the (scenario x seed) matrix, optionally on ``jobs`` workers.
-
-    Results merge — and ``progress`` streams — in canonical shard order
-    at every jobs value, so the returned report is identical to a serial
-    run.
-    """
-    selected = standard_scenarios() if scenarios is None else scenarios
-    return _report(*CHAOS.execute(_shards(selected, seeds, replay), jobs, progress))
 
 
 # ----------------------------------------------------------------------

@@ -57,6 +57,9 @@ PROP_RESTART_NS = 30 * MS
 PROP_REWARM_NS = 10_000 * MS
 
 PROP_KINDS = ("crash", "crash_restart", "hang")
+#: Cases drawn; every ``PROP_CONTENTION_EVERY``-th is same-instant.
+PROP_CASES = 50
+PROP_CONTENTION_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -106,16 +109,14 @@ def _draw_spec(stream, kind: str, at_ns: int) -> ProcessFaultSpec:
     return ProcessFaultSpec(phy_id=0, kind=kind, at_ns=at_ns)
 
 
-def generate_cases(
-    master_seed: int = 2026, count: int = 50, contention_every: int = 5
-) -> Tuple[PropCase, ...]:
-    """Draw ``count`` cases; every ``contention_every``-th is same-instant."""
+def generate_cases(master_seed: int = 2026) -> Tuple[PropCase, ...]:
+    """Draw :data:`PROP_CASES` cases."""
     registry = RngRegistry(seed=master_seed)  # Private seed universe.
     stream = registry.stream(PROP_STREAM)
     cases = []
-    for case_id in range(count):
+    for case_id in range(PROP_CASES):
         num_cells = int(stream.integers(2, 4))
-        if contention_every and case_id % contention_every == 0:
+        if case_id % PROP_CONTENTION_EVERY == 0:
             # Every cell crashes at the same nanosecond, one token.
             at_ns = PROP_FAULT_START_NS + int(stream.integers(0, 5)) * MS
             faults = tuple(

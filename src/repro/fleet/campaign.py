@@ -165,12 +165,13 @@ def _downtimes_ns(
     return downtimes
 
 
-def fleet_config(seed: int, pool_size: int = 0) -> FleetConfig:
-    """The campaign fleet's shape for one seed and standby pool size."""
+def fleet_config(seed: int) -> FleetConfig:
+    """The campaign fleet's shape for one seed, with no standby pool (a
+    run sizes its pool on its branch)."""
     return FleetConfig(
         seed=seed,
         num_cells=FLEET_NUM_CELLS,
-        standby_pool_size=pool_size,
+        standby_pool_size=0,
         users_per_cell=FLEET_USERS_PER_CELL,
     )
 

@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 from repro.phy.channel import ChannelRealization
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import SlotAddress
+from repro.phy.numerology import NUMEROLOGY, SlotAddress
 from repro.phy.transport import TransportBlock
 
 #: Bits per compressed IQ component (9-bit block floating point is the
@@ -35,14 +35,14 @@ IQ_SAMPLE_BITS = 9 * 2
 HEADER_OVERHEAD_BYTES = 54
 
 
-def uplane_wire_bytes(prbs: int, symbols: int = 12, subcarriers_per_prb: int = 12) -> int:
+def uplane_wire_bytes(prbs: int) -> int:
     """On-the-wire bytes of IQ data for an allocation of ``prbs`` PRBs.
 
     For a full 273-PRB slot this comes to ~530 kB across the slot's
     packets, i.e. ≈4.5 Gb/s of downlink fronthaul for three DL slots per
     2.5 ms — matching the paper's testbed figure.
     """
-    samples = prbs * subcarriers_per_prb * symbols
+    samples = NUMEROLOGY.resource_elements_per_slot(prbs)
     return HEADER_OVERHEAD_BYTES + (samples * IQ_SAMPLE_BITS + 7) // 8
 
 

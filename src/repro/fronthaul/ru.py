@@ -27,11 +27,14 @@ from repro.fronthaul.oran import (
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
-from repro.phy.numerology import SlotClock, SlotType, TddPattern
+from repro.phy.numerology import TDD, SlotClock, SlotType
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
+
+#: How long past slot start the RU waits for the slot's C-plane.
+CONTROL_DEADLINE_NS = 200 * US
 
 
 @dataclass
@@ -65,11 +68,9 @@ class RadioUnit(Process):
         mac: MacAddress,
         virtual_phy_mac: MacAddress,
         slot_clock: SlotClock,
-        tdd: TddPattern,
         air: AirInterface,
         uplink: Optional[Link] = None,
         trace: Optional[TraceRecorder] = None,
-        control_deadline_ns: int = 200 * US,
         name: str = "ru",
     ) -> None:
         super().__init__(sim, name)
@@ -77,12 +78,9 @@ class RadioUnit(Process):
         self.mac = mac
         self.virtual_phy_mac = virtual_phy_mac
         self.slot_clock = slot_clock
-        self.tdd = tdd
         self.air = air
         self.uplink = uplink
         self.trace = trace
-        #: How long past slot start the RU waits for the slot's C-plane.
-        self.control_deadline_ns = control_deadline_ns
         self.stats = RuStats()
         #: C-plane messages received, keyed by absolute slot.
         self._cplane: Dict[int, CplaneMessage] = {}
@@ -157,10 +155,10 @@ class RadioUnit(Process):
         # one before this callback runs, so a failure in this slot's
         # handling can never stop the radio.
         abs_slot = self.slot_clock.slot_at(self.sim.now)
-        slot_type = self.tdd.slot_type(abs_slot)
+        slot_type = TDD.slot_type(abs_slot)
         # Give the PHY's packets a grace window past the slot start, then act.
         self.sim.schedule(
-            self.control_deadline_ns, self._process_slot, abs_slot, slot_type
+            CONTROL_DEADLINE_NS, self._process_slot, abs_slot, slot_type
         )
         # Garbage-collect state from long-past slots: what a scan frees
         # is at least 16 slots stale, so one scan in 16 slots is enough.

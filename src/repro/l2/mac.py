@@ -51,7 +51,7 @@ from repro.l2.rlc import (
     RlcTransmitter,
 )
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock, SlotType, TddPattern
+from repro.phy.numerology import NUMEROLOGY, TDD, SlotClock, SlotType
 from repro.sim.engine import SimClock, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -188,21 +188,16 @@ class L2Process(Process):
         self,
         sim: Simulator,
         slot_clock: SlotClock,
-        tdd: TddPattern,
-        numerology: Numerology,
         cell_id: int = 0,
         ru_id: int = 0,
-        mcs_table: Optional[McsTable] = None,
         trace: Optional[TraceRecorder] = None,
         name: str = "l2",
     ) -> None:
         super().__init__(sim, name)
         self.slot_clock = slot_clock
-        self.tdd = tdd
-        self.numerology = numerology
         self.cell_id = cell_id
         self.ru_id = ru_id
-        self.mcs_table = mcs_table or McsTable()
+        self.mcs_table = McsTable()
         self.trace = trace
         self.ues: Dict[int, UeContext] = {}
         self.stats = MacStats()
@@ -233,9 +228,9 @@ class L2Process(Process):
                 ConfigRequest(
                     cell_id=self.cell_id,
                     slot=self.slot_clock.slot_at(self.sim.now),
-                    num_prbs=self.numerology.num_prbs,
-                    numerology_mu=self.numerology.mu,
-                    tdd_pattern=self.tdd.pattern,
+                    num_prbs=NUMEROLOGY.num_prbs,
+                    numerology_mu=NUMEROLOGY.mu,
+                    tdd_pattern=TDD.pattern,
                     ru_id=self.ru_id,
                 )
             )
@@ -374,7 +369,7 @@ class L2Process(Process):
         target = abs_slot + SCHEDULE_AHEAD_SLOTS
         self._expire_harq(abs_slot)
         self._maybe_emit_status(abs_slot)
-        slot_type = self.tdd.slot_type(target)
+        slot_type = TDD.slot_type(target)
         ul_req = UlTtiRequest(cell_id=self.cell_id, slot=target, pdus=[])
         dl_req = DlTtiRequest(cell_id=self.cell_id, slot=target, pdus=[])
         tx_data = TxDataRequest(cell_id=self.cell_id, slot=target, payloads=[])
@@ -427,7 +422,7 @@ class L2Process(Process):
     # Downlink scheduling
     # ------------------------------------------------------------------
     def _tb_bytes(self, prbs: int, entry: McsEntry) -> int:
-        res = self.numerology.resource_elements_per_slot(prbs)
+        res = NUMEROLOGY.resource_elements_per_slot(prbs)
         usable = res * USABLE_RE_FRACTION
         return int(usable * entry.modulation.bits_per_symbol * entry.code_rate) // 8
 
@@ -448,7 +443,7 @@ class L2Process(Process):
         ]
         if not candidates:
             return pdus, payloads
-        prbs_each = max(1, self.numerology.num_prbs // len(candidates))
+        prbs_each = max(1, NUMEROLOGY.num_prbs // len(candidates))
         # Round-robin rotation for fairness across slots.
         self._dl_rr_cursor += 1
         rotation = self._dl_rr_cursor % len(candidates)
@@ -540,7 +535,7 @@ class L2Process(Process):
         ]
         if not active:
             return pdus
-        prbs_each = max(1, self.numerology.num_prbs // len(active))
+        prbs_each = max(1, NUMEROLOGY.num_prbs // len(active))
         for ctx in active:
             ctx.last_ul_grant_slot = target_slot
             # Pending retransmission grants first.

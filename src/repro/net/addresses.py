@@ -51,17 +51,18 @@ class MacAddress:
 #: The all-ones broadcast address.
 BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
+#: The allocator's OUI: the 0x02 prefix is locally administered, unicast.
+OUI = 0x02_00_00
+
 
 class MacAllocator:
     """Hands out unique unicast MAC addresses for simulated nodes."""
 
-    def __init__(self, oui: int = 0x02_00_00) -> None:
-        # 0x02 prefix = locally administered, unicast.
-        self._base = oui << 24
+    def __init__(self) -> None:
         self._next = 1
 
     def allocate(self) -> MacAddress:
         """Return a fresh unique address."""
-        mac = MacAddress(self._base | self._next)
+        mac = MacAddress(OUI << 24 | self._next)
         self._next += 1
         return mac

@@ -9,7 +9,7 @@ cannot be aligned to a TTI boundary — which is why the migration trigger
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Optional
+from typing import Any, Hashable, Optional
 
 import numpy as np
 
@@ -50,21 +50,13 @@ class ControlPlane:
         latency_ms = float(self.rng.lognormal(self._MU, self._SIGMA))
         return ms_to_ns(latency_ms)
 
-    def install_rule(
-        self,
-        table: MatchActionTable,
-        key: Hashable,
-        value: Any,
-        on_done: Optional[Callable[[], None]] = None,
-    ) -> int:
+    def install_rule(self, table: MatchActionTable, key: Hashable, value: Any) -> int:
         """Install a rule after the control-plane latency; returns apply time."""
         self.updates_issued += 1
         delay = self.sample_update_latency_ns()
 
         def _apply() -> None:
             table.install(key, value, now=self.sim.now)
-            if on_done is not None:
-                on_done()
 
         self.sim.schedule(delay, _apply, label=self._install_label)
         return self.sim.now + delay

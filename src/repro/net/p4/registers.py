@@ -19,14 +19,14 @@ from typing import List
 class RegisterArray:
     """A fixed-size array of unsigned integer registers."""
 
-    def __init__(self, name: str, size: int, width_bits: int = 32, initial: int = 0) -> None:
+    def __init__(self, name: str, size: int, width_bits: int = 32) -> None:
         if size <= 0:
             raise ValueError("register array size must be positive")
         self.name = name
         self.size = size
         self.width_bits = width_bits
         self._mask = (1 << width_bits) - 1
-        self._cells: List[int] = [initial & self._mask] * size
+        self._cells: List[int] = [0] * size
         self.reads = 0
         self.writes = 0
 
@@ -64,9 +64,9 @@ class RegisterArray:
         self._cells[index] = value
         return value
 
-    def reset_all(self, value: int = 0) -> None:
-        """Control-plane bulk reset."""
-        self._cells = [value & self._mask] * self.size
+    def reset_all(self) -> None:
+        """Control-plane bulk reset to zero."""
+        self._cells = [0] * self.size
 
     @property
     def sram_bits(self) -> int:

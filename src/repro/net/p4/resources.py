@@ -68,9 +68,6 @@ class ResourceUsage:
 class PipelineResourceModel:
     """Analytic resource model for Slingshot's switch data plane."""
 
-    def __init__(self, totals: Dict[str, float] = None) -> None:
-        self.totals = dict(PIPELINE_TOTALS if totals is None else totals)
-
     def usage(self, num_rus: int, num_phys: int) -> ResourceUsage:
         """Resource usage for a deployment of ``num_rus`` RUs / ``num_phys`` PHYs.
 
@@ -82,16 +79,14 @@ class PipelineResourceModel:
         entries = max(num_rus, num_phys)
         absolute: Dict[str, float] = {}
         fraction: Dict[str, float] = {}
-        for resource, total in self.totals.items():
+        for resource, total in PIPELINE_TOTALS.items():
             used = _FIXED_COSTS[resource] + entries * _PER_ENTRY_COSTS[resource]
             absolute[resource] = used
             fraction[resource] = used / total
         return ResourceUsage(absolute=absolute, fraction=fraction)
 
-    def max_supported_entries(self, resource: str = "sram_bits") -> int:
-        """How many RU/PHY pairs fit before ``resource`` is exhausted."""
-        budget = self.totals[resource] - _FIXED_COSTS[resource]
-        per_entry = _PER_ENTRY_COSTS[resource]
-        if per_entry <= 0:
-            return 1 << 30
-        return int(budget // per_entry)
+    def max_supported_entries(self) -> int:
+        """How many RU/PHY pairs fit before SRAM, the one resource that
+        grows with them, is exhausted."""
+        budget = PIPELINE_TOTALS["sram_bits"] - _FIXED_COSTS["sram_bits"]
+        return int(budget // _PER_ENTRY_COSTS["sram_bits"])

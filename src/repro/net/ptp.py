@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.phy.numerology import NUMEROLOGY
 from repro.sim.units import SECOND, US
 
 
@@ -33,24 +34,19 @@ class PtpClock:
     """A local clock, optionally disciplined by PTP.
 
     ``read(true_time)`` returns this clock's view of the given true
-    simulated time. Undisciplined clocks accumulate drift from their
-    epoch; disciplined clocks are re-aligned every sync interval with a
-    small residual error.
+    simulated time. A clock starts disciplined at time 0: it is
+    re-aligned every sync interval with a small residual error. In
+    holdover (:meth:`set_disciplined`) it accumulates drift from the
+    instant it lost sync.
     """
 
-    def __init__(
-        self,
-        *,
-        rng: np.random.Generator,
-        disciplined: bool = True,
-        epoch_ns: int = 0,
-    ) -> None:
-        self.disciplined = disciplined
+    def __init__(self, *, rng: np.random.Generator) -> None:
+        self.disciplined = True
         self.rng = rng
-        self.epoch_ns = epoch_ns
+        self.epoch_ns = 0
         #: Offset at the last discipline point.
         self._base_offset_ns = 0.0
-        self._last_sync_ns = epoch_ns
+        self._last_sync_ns = 0
         #: This oscillator's actual drift (fixed per instance).
         self._drift = float(self.rng.normal(0.0, DRIFT_PPM / 3.0))
         self.syncs_applied = 0
@@ -110,7 +106,7 @@ class PtpClock:
         """This clock's reading at a true simulated instant."""
         return true_time + round(self.offset_ns(true_time))
 
-    def slot_boundary_error_ns(self, true_time: int, slot_ns: int = 500_000) -> float:
+    def slot_boundary_error_ns(self, true_time: int) -> float:
         """How far this clock's idea of 'the slot boundary' lands from
         the true boundary — the figure of merit for migration triggering."""
-        return abs(self.offset_ns(true_time)) % slot_ns
+        return abs(self.offset_ns(true_time)) % NUMEROLOGY.slot_duration_ns

@@ -17,6 +17,10 @@ from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
+#: The data-plane forwarding latency (hundreds of nanoseconds on
+#: Tofino-class hardware).
+PIPELINE_LATENCY_NS = 400
+
 
 class ForwardingDecision:
     """What the pipeline wants done with one ingress frame.
@@ -123,22 +127,15 @@ class SwitchPort(NetworkEndpoint):
 class Switch(Process):
     """A store-and-forward switch with a pluggable processing pipeline.
 
-    ``pipeline_latency_ns`` models the data-plane forwarding latency
-    (hundreds of nanoseconds on Tofino-class hardware). It is constant,
-    so a frame's egress instant is known at ingress and forwarding costs
-    no event of its own (see :meth:`Link.send`'s ``ready_at``).
+    The forwarding latency (:data:`PIPELINE_LATENCY_NS`) is constant, so
+    a frame's egress instant is known at ingress and forwarding costs no
+    event of its own (see :meth:`Link.send`'s ``ready_at``).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str = "switch",
-        pipeline: Optional[SwitchPipeline] = None,
-        pipeline_latency_ns: int = 400,
-    ) -> None:
+    def __init__(self, sim: Simulator, name: str = "switch") -> None:
         super().__init__(sim, name)
-        self.pipeline: SwitchPipeline = pipeline or StaticL2Pipeline()
-        self.pipeline_latency_ns = pipeline_latency_ns
+        self.pipeline: SwitchPipeline = StaticL2Pipeline()
+        self.pipeline_latency_ns = PIPELINE_LATENCY_NS
         self._ports: Dict[int, SwitchPort] = {}
         self.frames_processed = 0
         self.frames_dropped = 0
@@ -146,12 +143,9 @@ class Switch(Process):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def add_port(self, number: Optional[int] = None) -> SwitchPort:
-        """Create a port; auto-numbered if ``number`` is None."""
-        if number is None:
-            number = max(self._ports, default=-1) + 1
-        if number in self._ports:
-            raise ValueError(f"port {number} already exists on {self.name}")
+    def add_port(self) -> SwitchPort:
+        """Create a port, numbered after the last."""
+        number = max(self._ports, default=-1) + 1
         port = SwitchPort(self, number)
         self._ports[number] = port
         return port
@@ -161,16 +155,15 @@ class Switch(Process):
         endpoint: NetworkEndpoint,
         bandwidth_bps: float = 100e9,
         latency_ns: int = 1_000,
-        port: Optional[int] = None,
         name: str = "",
     ) -> SwitchPort:
-        """Cable a node to a (possibly new) port with a duplex link pair.
+        """Cable a node to a new port with a duplex link pair.
 
         Returns the switch port. The node should send frames into
         ``port.ingress_link`` (exposed as the returned value's
         ``ingress_link`` attribute).
         """
-        sw_port = self.add_port(port)
+        sw_port = self.add_port()
         label = name or getattr(endpoint, "name", f"node{sw_port.number}")
         # Node -> switch direction.
         up = Link(self.sim, sw_port, bandwidth_bps, latency_ns, f"{label}->{self.name}")
@@ -207,6 +200,7 @@ class Switch(Process):
             if port is not None:
                 port.transmit(extra)
 
-    def inject(self, frame: EthernetFrame, in_port: int = -1) -> None:
-        """Inject a frame into the pipeline as if received (packet generator)."""
-        self.ingress(frame, in_port)
+    def inject(self, frame: EthernetFrame) -> None:
+        """Inject a frame into the pipeline as if received on no port
+        (the packet generator)."""
+        self.ingress(frame, -1)

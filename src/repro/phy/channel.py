@@ -19,6 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: AR(1) coefficient of the per-slot shadowing (must lie in [0, 1)).
+SHADOW_CORRELATION = 0.99
+#: SNR drop during a fade, and how many slots a fade lasts.
+FADE_DEPTH_DB = 6.0
+FADE_DURATION_SLOTS = 20
+
 
 def snr_db_to_noise_var(snr_db: float) -> float:
     """Complex noise variance for unit-energy symbols at the given SNR."""
@@ -80,20 +86,12 @@ class UeChannelModel:
         rng: np.random.Generator,
         mean_snr_db: float = 18.0,
         shadow_sigma_db: float = 1.2,
-        correlation: float = 0.99,
         fade_probability: float = 0.0005,
-        fade_depth_db: float = 6.0,
-        fade_duration_slots: int = 20,
     ) -> None:
-        if not 0.0 <= correlation < 1.0:
-            raise ValueError("correlation must be in [0, 1)")
         self.rng = rng
         self.mean_snr_db = mean_snr_db
         self.shadow_sigma_db = shadow_sigma_db
-        self.correlation = correlation
         self.fade_probability = fade_probability
-        self.fade_depth_db = fade_depth_db
-        self.fade_duration_slots = fade_duration_slots
         self._shadow_db = 0.0
         self._fade_until_slot = -1
         self._last_slot = -1
@@ -107,11 +105,11 @@ class UeChannelModel:
         if slot > self._last_slot:
             steps = min(slot - self._last_slot, 1000)
             innovation_sigma = self.shadow_sigma_db * np.sqrt(
-                1.0 - self.correlation ** 2
+                1.0 - SHADOW_CORRELATION ** 2
             )
             for _ in range(steps):
                 self._shadow_db = (
-                    self.correlation * self._shadow_db
+                    SHADOW_CORRELATION * self._shadow_db
                     + float(self.rng.normal(0.0, innovation_sigma))
                 )
             if self._fade_until_slot < slot:
@@ -119,9 +117,9 @@ class UeChannelModel:
                 if float(self.rng.random()) < self.fade_probability * (
                     slot - self._last_slot
                 ):
-                    self._fade_until_slot = slot + self.fade_duration_slots
+                    self._fade_until_slot = slot + FADE_DURATION_SLOTS
             self._last_slot = slot
         snr = self.mean_snr_db + self._shadow_db
         if slot <= self._fade_until_slot:
-            snr -= self.fade_depth_db
+            snr -= FADE_DEPTH_DB
         return ChannelRealization(snr_db=snr)

@@ -26,6 +26,8 @@ HARQ_MAX_RETX = 3
 
 #: Number of parallel HARQ processes per UE (NR allows up to 16).
 HARQ_NUM_PROCESSES = 8
+#: Bytes a stored soft LLR takes (for :meth:`HarqProcessPool.soft_bytes`).
+LLR_BYTES = 2
 
 
 @dataclass
@@ -123,12 +125,12 @@ class HarqProcessPool:
         """Number of processes currently holding soft bits."""
         return sum(1 for buf in self._buffers.values() if buf.occupied)
 
-    def soft_bytes(self, bytes_per_llr: int = 2) -> int:
+    def soft_bytes(self) -> int:
         """Approximate memory held in soft buffers (the state migration skips)."""
         total = 0
         for buf in self._buffers.values():
             if buf.soft_llrs is not None:
-                total += len(buf.soft_llrs) * bytes_per_llr
+                total += len(buf.soft_llrs) * LLR_BYTES
         return total
 
     def discard_all(self) -> int:

@@ -93,9 +93,6 @@ class BeamformingTracker:
             return 0.0
         return self._aged_quality(state, slot) * max_gain_db()
 
-    def tracked_ues(self) -> int:
-        return len(self._state)
-
     def state_bytes(self) -> int:
         """Rough memory footprint of the full matrices this stands in for.
 

@@ -27,6 +27,9 @@ SUBFRAMES_PER_FRAME = 10
 #: Frame number wraps at 1024 (3GPP system frame number is 10 bits).
 MAX_FRAME = 1024
 
+#: Simulated time at which slot 0 starts.
+SLOT_EPOCH_NS = 0
+
 
 class SlotType(enum.Enum):
     """Link direction of a TDD slot."""
@@ -98,6 +101,12 @@ class Numerology:
         return prbs * self.subcarriers_per_prb * data_symbols
 
 
+#: The testbed's carrier (Table 1): 100 MHz at 30 kHz SCS, 500 µs slots.
+NUMEROLOGY = Numerology()
+#: The testbed's TDD slot format, "DDDSU".
+TDD = TddPattern()
+
+
 @dataclass(frozen=True)
 class SlotAddress:
     """(frame, subframe, slot) triple — the timing fields in O-RAN headers."""
@@ -111,27 +120,26 @@ class SlotAddress:
 
 
 class SlotClock:
-    """Maps simulated time to slot counters and O-RAN header fields."""
+    """Maps simulated time to :data:`NUMEROLOGY`'s slot counters and
+    O-RAN header fields."""
 
-    def __init__(self, numerology: Numerology, epoch_ns: int = 0) -> None:
-        self.numerology = numerology
-        self.epoch_ns = epoch_ns
-        #: The numerology's slot (TTI) duration, read under every
-        #: ``slot_at`` / ``slot_start``.
-        self.slot_duration_ns = numerology.slot_duration_ns
+    def __init__(self) -> None:
+        #: The slot (TTI) duration, read under every ``slot_at`` /
+        #: ``slot_start``.
+        self.slot_duration_ns = NUMEROLOGY.slot_duration_ns
 
     def slot_at(self, time_ns: int) -> int:
         """Absolute slot counter containing ``time_ns``."""
-        return (time_ns - self.epoch_ns) // self.slot_duration_ns
+        return (time_ns - SLOT_EPOCH_NS) // self.slot_duration_ns
 
     def slot_start(self, slot: int) -> int:
         """Start time of an absolute slot."""
-        return self.epoch_ns + slot * self.slot_duration_ns
+        return SLOT_EPOCH_NS + slot * self.slot_duration_ns
 
     def address_of(self, slot: int) -> SlotAddress:
         """O-RAN (frame, subframe, slot-in-subframe) address of a slot."""
-        per_subframe = self.numerology.slots_per_subframe
-        per_frame = self.numerology.slots_per_frame
+        per_subframe = NUMEROLOGY.slots_per_subframe
+        per_frame = NUMEROLOGY.slots_per_frame
         frame = (slot // per_frame) % MAX_FRAME
         within = slot % per_frame
         return SlotAddress(
@@ -147,8 +155,8 @@ class SlotClock:
         switch resolves them against its notion of "around now". The
         nearest absolute slot with the given address is returned.
         """
-        per_subframe = self.numerology.slots_per_subframe
-        per_frame = self.numerology.slots_per_frame
+        per_subframe = NUMEROLOGY.slots_per_subframe
+        per_frame = NUMEROLOGY.slots_per_frame
         wrap = MAX_FRAME * per_frame
         within = (
             address.frame * per_frame

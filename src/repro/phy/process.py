@@ -60,7 +60,7 @@ from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.channel import ChannelRealization
 from repro.phy.codec import PhyCodec
 from repro.phy.mimo import BeamformingTracker
-from repro.phy.numerology import SlotClock, TddPattern
+from repro.phy.numerology import NUMEROLOGY, SlotClock
 from repro.phy.snr_filter import SnrMovingAverage
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import EventHandle, PeriodicHandle, Simulator
@@ -129,9 +129,9 @@ class DownlinkSchedule(NamedTuple):
     max_gap_ns: int
 
 
-def downlink_schedule(slot_ns: int) -> DownlinkSchedule:
-    """The section windows of one slot and the maximum healthy gap
-    between two consecutive downlink frames of a PHY.
+def downlink_schedule() -> DownlinkSchedule:
+    """The section windows of one :data:`NUMEROLOGY` slot and the maximum
+    healthy gap between two consecutive downlink frames of a PHY.
 
     The DL U-plane only ever follows a first section, so the gaps to
     bound are first → mid of one slot, longest at zero jitter and full
@@ -147,6 +147,7 @@ def downlink_schedule(slot_ns: int) -> DownlinkSchedule:
     lead = TX_LEAD_NS
     first = (-lead, round(FIRST_SECTION_MAX_JITTER_US * US) - lead)
     mid = (MID_SECTION_NS, MID_SECTION_NS + round(MID_SECTION_SPREAD_US * US))
+    slot_ns = NUMEROLOGY.slot_duration_ns
     return DownlinkSchedule(
         first, mid, max(mid[1] - first[0], slot_ns + first[1] - mid[0])
     )
@@ -198,7 +199,6 @@ class PhyProcess(Process):
         phy_id: int,
         mac: MacAddress,
         slot_clock: SlotClock,
-        tdd: TddPattern,
         rng: np.random.Generator,
         config: Optional[PhyConfig] = None,
         uplink: Optional[Link] = None,
@@ -211,7 +211,6 @@ class PhyProcess(Process):
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
-        self.tdd = tdd
         self.rng = rng
         self.config = config or PhyConfig()
         self.uplink = uplink

@@ -16,6 +16,10 @@ from typing import Dict, Optional
 
 #: Default SNR a fresh PHY assumes for a UE before any measurement.
 DEFAULT_SNR_DB = 10.0
+#: Weight of each new sample, in (0, 1].
+ALPHA = 0.1
+#: Samples before a UE's average is trusted.
+MIN_SAMPLES = 10
 
 
 @dataclass
@@ -27,17 +31,13 @@ class _FilterState:
 class SnrMovingAverage:
     """EWMA SNR tracker for all UEs served by one PHY process.
 
-    ``alpha`` is the weight of each new sample. With one UL measurement
-    per 2.5 ms (one UL slot per DDDSU period) and alpha = 0.1, the filter
+    With one UL measurement per 2.5 ms (one UL slot per DDDSU period)
+    and :data:`ALPHA` = 0.1, the filter
     converges to within 1 dB of a step change in roughly 25 ms, matching
     the paper's reconvergence remark.
     """
 
-    def __init__(self, alpha: float = 0.1, default_snr_db: float = DEFAULT_SNR_DB) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        self.alpha = alpha
-        self.default_snr_db = default_snr_db
+    def __init__(self) -> None:
         self._state: Dict[int, _FilterState] = {}
 
     def update(self, ue_id: int, measured_snr_db: float) -> float:
@@ -47,27 +47,24 @@ class SnrMovingAverage:
             state = _FilterState(value_db=measured_snr_db, samples=1)
             self._state[ue_id] = state
         else:
-            state.value_db += self.alpha * (measured_snr_db - state.value_db)
+            state.value_db += ALPHA * (measured_snr_db - state.value_db)
             state.samples += 1
         return state.value_db
 
     def report(self, ue_id: int) -> float:
         """Current average for a UE (default if never measured)."""
         state = self._state.get(ue_id)
-        return state.value_db if state is not None else self.default_snr_db
+        return state.value_db if state is not None else DEFAULT_SNR_DB
 
     def samples(self, ue_id: int) -> int:
         """Number of measurements folded in for a UE since last reset."""
         state = self._state.get(ue_id)
         return state.samples if state is not None else 0
 
-    def converged(self, ue_id: int, min_samples: int = 10) -> bool:
+    def converged(self, ue_id: int) -> bool:
         """True once the filter has seen enough samples to be trusted."""
-        return self.samples(ue_id) >= min_samples
+        return self.samples(ue_id) >= MIN_SAMPLES
 
     def discard_all(self) -> None:
         """Drop all filter state (what PHY migration does)."""
         self._state.clear()
-
-    def tracked_ues(self) -> int:
-        return len(self._state)

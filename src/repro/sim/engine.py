@@ -237,17 +237,11 @@ class PeriodicHandle:
         self._event = None
         event.cancel()
 
-    def re_arm(
-        self,
-        *,
-        start_offset: Optional[int] = None,
-        first_at: Optional[int] = None,
-    ) -> None:
+    def re_arm(self, *, first_at: Optional[int] = None) -> None:
         """Revive a cancelled periodic with a fresh first occurrence.
 
         The first fire time is ``first_at`` if given, else ``now +
-        start_offset`` (default ``now + period``). Re-arming a live handle
-        is an error — cancel it first.
+        period``. Re-arming a live handle is an error — cancel it first.
         """
         if self._event is not None:
             raise SimulationError(
@@ -256,8 +250,7 @@ class PeriodicHandle:
             )
         sim = self._sim
         if first_at is None:
-            offset = self.period if start_offset is None else start_offset
-            first_at = sim.now + offset
+            first_at = sim.now + self.period
         if type(first_at) is not int or first_at < sim.now:
             raise _refused(
                 "periodic first occurrence",
@@ -317,14 +310,10 @@ class Simulator:
     rebuilds).
     """
 
-    def __init__(
-        self,
-        start_time: int = 0,
-        tie_shuffle_seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, tie_shuffle_seed: Optional[int] = None) -> None:
         _apply_gc_policy()
         #: Current simulated time in nanoseconds; only the run loop writes it.
-        self.now = start_time
+        self.now = 0
         self._queue: List[_QueueEntry] = []
         self._seq = itertools.count()
         self._running = False
@@ -417,14 +406,13 @@ class Simulator:
         period: int,
         callback: Callable[..., Any],
         *args: Any,
-        start_offset: Optional[int] = None,
         first_at: Optional[int] = None,
         label: str = "",
     ) -> PeriodicHandle:
         """Schedule ``callback(*args)`` every ``period`` ns.
 
         The first occurrence fires at ``first_at`` if given, else at
-        ``now + start_offset`` (default ``now + period``); each occurrence
+        ``now + period``; each occurrence
         queues the next, ``period`` later, before its callback runs (the
         module notes say why there).
         """
@@ -433,7 +421,7 @@ class Simulator:
                 "period", period, f"periodic period must be >= 1 ns, got {period}"
             )
         handle = PeriodicHandle(self, period, callback, args, label)
-        handle.re_arm(start_offset=start_offset, first_at=first_at)
+        handle.re_arm(first_at=first_at)
         return handle
 
     # ------------------------------------------------------------------

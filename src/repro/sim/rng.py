@@ -79,6 +79,10 @@ def _check_owner(
     raise ValueError(f"stream {name!r} drawn from {caller}: {problem}")
 
 
+#: Integers :class:`BatchedIntegers` prefetches per numpy call.
+BATCH_BLOCK = 256
+
+
 class BatchedIntegers:
     """Block-prefetching facade over one generator's bounded integers.
 
@@ -96,21 +100,12 @@ class BatchedIntegers:
     relative to the unbatched program.
     """
 
-    __slots__ = ("_gen", "_low", "_high", "_block", "_buf", "_pos")
+    __slots__ = ("_gen", "_low", "_high", "_buf", "_pos")
 
-    def __init__(
-        self,
-        generator: np.random.Generator,
-        low: int,
-        high: int,
-        block: int = 256,
-    ) -> None:
-        if block <= 0:
-            raise ValueError(f"block must be positive, got {block}")
+    def __init__(self, generator: np.random.Generator, low: int, high: int) -> None:
         self._gen = generator
         self._low = low
         self._high = high
-        self._block = block
         self._buf: List[int] = []
         self._pos = 0
 
@@ -118,7 +113,7 @@ class BatchedIntegers:
         """Next integer in [low, high); identical to scalar ``integers()``."""
         if self._pos >= len(self._buf):
             self._buf = self._gen.integers(
-                self._low, self._high, size=self._block
+                self._low, self._high, size=BATCH_BLOCK
             ).tolist()
             self._pos = 0
         value = self._buf[self._pos]

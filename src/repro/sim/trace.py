@@ -39,19 +39,18 @@ class TraceRecorder:
     into a small picklable chain value, their events are dropped, and
     :meth:`rolling_digest` still equals the digest a never-evicting
     recorder with the same ``window_ns`` would produce over the full
-    trace. With the default ``window_ns=None`` the whole trace is one
+    trace. With ``window_ns`` None (the default) the whole trace is one
     window and the chain seed is empty, so the digest is byte-identical
     to the historical flat SHA-256 — recorded golden digests are
     unaffected.
     """
 
-    def __init__(self, window_ns: Optional[int] = None) -> None:
-        if window_ns is not None and window_ns <= 0:
-            raise ValueError(f"window_ns must be positive, got {window_ns}")
+    def __init__(self) -> None:
         self._events: List[TraceEvent] = []
         self._by_category: Dict[str, List[TraceEvent]] = {}
         self.enabled = True
-        self.window_ns = window_ns
+        #: Digest window; a soak sets it before recording.
+        self.window_ns: Optional[int] = None
         #: Hex chain over evicted windows ("" until the first eviction).
         self._chain = ""
         #: Events absorbed into the chain and dropped.
@@ -146,7 +145,7 @@ class TraceRecorder:
     def digest(self) -> str:
         """SHA-256 over the canonical trace; equal digests ⇔ identical runs.
 
-        With ``window_ns=None`` (the default) this is the flat canonical
+        With ``window_ns`` None (the default) this is the flat canonical
         hash; with windows it is the window chain — identical for any
         two runs recorded with the same ``window_ns``, whether or not
         either of them evicted.

@@ -35,6 +35,8 @@ from repro.transport.packet import FlowDirection, Packet
 
 #: TCP header bytes attributed to each segment.
 TCP_HEADER_BYTES = 20
+#: The receiver's goodput bin (the paper's 10 ms reporting interval).
+BIN_NS = 10 * MS
 
 
 # Transport tunables (tuned for a cellular-latency path).
@@ -408,7 +410,6 @@ class TcpReceiver(Process):
         bearer_id: int,
         ack_direction: FlowDirection,
         transmit_ack: Callable[[Packet], None],
-        bin_ns: int = 10 * MS,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"tcp-rx:{flow_id}")
@@ -417,7 +418,6 @@ class TcpReceiver(Process):
         self.bearer_id = bearer_id
         self.ack_direction = ack_direction
         self.transmit_ack = transmit_ack
-        self.bin_ns = bin_ns
         self.rcv_nxt = 0
         #: Out-of-order segments held by seq.
         self._ooo: Dict[int, TcpSegment] = {}
@@ -457,7 +457,7 @@ class TcpReceiver(Process):
             if delivered:
                 del self._held[0]  # The run that started at rcv_nxt.
                 self.bytes_delivered += delivered
-                index = self.sim.now // self.bin_ns
+                index = self.sim.now // BIN_NS
                 self.bins[index] = self.bins.get(index, 0) + delivered
         sack_blocks = self._sack_blocks()
         ack = TcpSegment(
@@ -485,10 +485,10 @@ class TcpReceiver(Process):
     ) -> List[Tuple[float, float]]:
         """(bin start ms, goodput Mbps) over the window."""
         series = []
-        first = start_ns // self.bin_ns
-        last = (end_ns - 1) // self.bin_ns
+        first = start_ns // BIN_NS
+        last = (end_ns - 1) // BIN_NS
         for index in range(first, last + 1):
             bytes_in_bin = self.bins.get(index, 0)
-            mbps = bytes_in_bin * 8 / (self.bin_ns / SECOND) / 1e6
-            series.append((index * self.bin_ns / MS, mbps))
+            mbps = bytes_in_bin * 8 / (BIN_NS / SECOND) / 1e6
+            series.append((index * BIN_NS / MS, mbps))
         return series

@@ -16,6 +16,9 @@ from repro.sim.process import Process
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
 
+#: Datagram size of every UDP flow (iperf's default payload).
+PACKET_BYTES = 1200
+
 
 @dataclass
 class UdpFlowStats:
@@ -41,8 +44,8 @@ class UdpSender(Process):
     """Constant-bitrate UDP datagram source.
 
     ``transmit`` is the egress function (UE uplink enqueue, or app-server
-    downlink send); the sender paces packets of ``packet_bytes`` so the
-    offered load matches ``bitrate_bps``.
+    downlink send); the sender paces packets of :data:`PACKET_BYTES` so
+    the offered load matches ``bitrate_bps``.
     """
 
     def __init__(
@@ -54,7 +57,6 @@ class UdpSender(Process):
         direction: FlowDirection,
         transmit: Callable[[Packet], None],
         bitrate_bps: float,
-        packet_bytes: int = 1200,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"udp-tx:{flow_id}")
@@ -64,14 +66,13 @@ class UdpSender(Process):
         self.direction = direction
         self.transmit = transmit
         self.bitrate_bps = bitrate_bps
-        self.packet_bytes = packet_bytes
         self.stats = UdpFlowStats()
         self._seq = 0
         self._running = False
 
     @property
     def interval_ns(self) -> int:
-        return max(1, round(self.packet_bytes * 8 * SECOND / self.bitrate_bps))
+        return max(1, round(PACKET_BYTES * 8 * SECOND / self.bitrate_bps))
 
     def start(self) -> None:
         if self._running:
@@ -96,7 +97,7 @@ class UdpSender(Process):
             bearer_id=self.bearer_id,
             direction=self.direction,
             payload=None,
-            size_bytes=self.packet_bytes,
+            size_bytes=PACKET_BYTES,
             created_ns=self.sim.now,
             seq=self._seq,
         )

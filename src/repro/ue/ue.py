@@ -36,7 +36,7 @@ from repro.l2.rlc import (
 )
 from repro.phy.channel import ChannelRealization, UeChannelModel
 from repro.phy.codec import PhyCodec
-from repro.phy.numerology import SlotClock, SlotType, TddPattern
+from repro.phy.numerology import TDD, SlotClock, SlotType
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import SimClock, Simulator
 from repro.sim.process import Process
@@ -75,7 +75,6 @@ class UserEquipment(Process):
         sim: Simulator,
         ue_id: int,
         slot_clock: SlotClock,
-        tdd: TddPattern,
         air: AirInterface,
         channel: UeChannelModel,
         rng: np.random.Generator,
@@ -86,7 +85,6 @@ class UserEquipment(Process):
         super().__init__(sim, name or f"ue{ue_id}")
         self.ue_id = ue_id
         self.slot_clock = slot_clock
-        self.tdd = tdd
         self.trace = trace
         self.bearer_configs = list(bearers)
         self.codec = PhyCodec(rng, decoder_iterations=DECODER_ITERATIONS)
@@ -305,7 +303,7 @@ class UserEquipment(Process):
         # requests (BSR) all ride here.
         backlog = self.uplink_backlog_bytes
         if (
-            self.tdd.slot_type(abs_slot) is SlotType.UPLINK
+            TDD.slot_type(abs_slot) is SlotType.UPLINK
             and abs_slot not in self._staged_slots
             and (self._pending_feedback or self._pending_ul_status or backlog)
         ):

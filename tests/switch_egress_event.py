@@ -13,8 +13,6 @@ outcomes.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.commands import SLINGSHOT_CMD_BYTES, FailureNotification
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.net.packet import EtherType, EthernetFrame
@@ -35,8 +33,8 @@ class EgressEventPort(SwitchPort):
 class EgressEventSwitch(Switch):
     """The switch with one ``_egress`` event per forwarded frame."""
 
-    def add_port(self, number: Optional[int] = None) -> SwitchPort:
-        number = super().add_port(number).number
+    def add_port(self) -> SwitchPort:
+        number = super().add_port().number
         port = self._ports[number] = EgressEventPort(self, number)
         return port
 

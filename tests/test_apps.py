@@ -128,7 +128,7 @@ class TestVideo:
             CellConfig(seed=28, ue_profiles=[UeProfile(1, "UE", 17.0)])
         )
         sender = VideoSender(
-            local.sim, local.server, 1, "v", 1, fps=30.0,
+            local.sim, local.server, 1, "v", 1,
             rng=np.random.default_rng(0),
         )
         sender.start()

@@ -16,7 +16,13 @@ from repro.faults import (
     ProcessFaultSpec,
     RecoveryInvariants,
 )
-from repro.faults.campaign import build_probe_harness, drive_to, run_campaign
+from repro.faults.campaign import (
+    build_fork_base,
+    build_probe_harness,
+    drive_to,
+    fork_key,
+    run_branch,
+)
 from repro.faults.invariants import PROBE_RX
 from repro.faults.proptest import generate_cases
 from repro.faults.scenarios import scenario_by_name, standard_scenarios
@@ -455,7 +461,8 @@ class TestChaosSmoke:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_crash_scenario_replays_bit_identically(self, seed):
         scenario = scenario_by_name()["crash"]
-        (run,) = run_campaign([scenario], seeds=(seed,), replay=True).runs
+        base = build_fork_base(fork_key(scenario, seed))
+        run = run_branch(base, (scenario, seed, True))
         assert run.replay_digest_matched is True
         failed = [r["name"] for r in run.invariants if not r["passed"]]
         assert not failed, failed

@@ -32,6 +32,8 @@ from repro.checkpoint import (
     iter_object_graph,
     source_fingerprint,
 )
+from repro.checkpoint import snapshot
+from repro.checkpoint import soak as soak_runner
 from repro.checkpoint.snapshot import PACKAGE_DIR
 from repro.checkpoint.soak import main as soak_main
 from repro.checkpoint.soak import run_soak
@@ -250,6 +252,14 @@ class TestSourceMismatch:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"repro soak: cannot resume: {path}: written by another source tree")
 
+    @staticmethod
+    def _fingerprint(tree):
+        """The fingerprint ``tree`` would have as the package directory
+        (uncached; the real directory is back on return)."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(snapshot, "PACKAGE_DIR", tree)
+            return source_fingerprint.__wrapped__()
+
     def test_a_renamed_attribute_changes_the_fingerprint(self, tmp_path):
         """The renamed-attribute mutant: a copy of the package is this
         tree until one attribute is renamed in one file."""
@@ -258,12 +268,12 @@ class TestSourceMismatch:
             shutil.copytree(
                 PACKAGE_DIR, copy, ignore=shutil.ignore_patterns("__pycache__")
             )
-        assert source_fingerprint(same) == source_fingerprint()
+        assert self._fingerprint(same) == source_fingerprint()
         detector = renamed / "core" / "failure_detector.py"
         source = detector.read_text()
         assert "self._lag" in source
         detector.write_text(source.replace("self._lag", "self._tick_lag"))
-        assert source_fingerprint(renamed) != source_fingerprint()
+        assert self._fingerprint(renamed) != source_fingerprint()
 
     def test_a_moved_module_changes_the_fingerprint(self, tmp_path):
         """Paths count as well as bytes: a module moved unchanged makes
@@ -273,7 +283,7 @@ class TestSourceMismatch:
             PACKAGE_DIR, moved, ignore=shutil.ignore_patterns("__pycache__")
         )
         (moved / "sim" / "units.py").rename(moved / "sim" / "units_moved.py")
-        assert source_fingerprint(moved) != source_fingerprint()
+        assert self._fingerprint(moved) != source_fingerprint()
 
     def test_only_python_sources_count(self, tmp_path):
         """Bytecode caches and stray data files do not make another tree:
@@ -283,7 +293,7 @@ class TestSourceMismatch:
         (copy / "notes.txt").write_text("not a source\n")
         (copy / "sim" / "__pycache__").mkdir(exist_ok=True)
         (copy / "sim" / "__pycache__" / "stray.pyc").write_bytes(b"\0")
-        assert source_fingerprint(copy) == source_fingerprint()
+        assert self._fingerprint(copy) == source_fingerprint()
 
 
 class TestCensusMutants:
@@ -587,9 +597,10 @@ class TestSoakResume:
         with pytest.raises(ValueError, match="resume"):
             run_soak(config, resume=written[0][1])
 
-    def test_checkpoint_pruning_keeps_last_n(self, tmp_path):
+    def test_checkpoint_pruning_keeps_last_n(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(soak_runner, "KEEP_CHECKPOINTS", 2)
         config = SoakConfig(seed=5, horizon_ns=2000 * MS)
-        _, _, written = run_soak(config, checkpoint_dir=tmp_path, keep=2)
+        _, _, written = run_soak(config, checkpoint_dir=tmp_path)
         assert len(written) == 2
         on_disk = sorted(tmp_path.glob("*.ckpt"))
         assert on_disk == sorted(path for _, path in written)

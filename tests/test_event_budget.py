@@ -50,7 +50,7 @@ import sys
 from collections import Counter
 
 from repro import CellConfig, UeProfile, build_slingshot_cell
-from repro.cell.config import NUMEROLOGY
+from repro.phy.numerology import NUMEROLOGY
 from repro.apps import TcpIperfDownlink
 from repro.fleet import FleetConfig, build_fleet
 from repro.sim.engine import Simulator

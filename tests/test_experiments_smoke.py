@@ -356,8 +356,9 @@ class TestExtMassiveMimo:
 
 
 class TestAblations:
-    def test_tti_alignment_prevents_mixed_slots(self):
-        result = ablations.tti_alignment(trials=1)
+    def test_tti_alignment_prevents_mixed_slots(self, monkeypatch):
+        monkeypatch.setattr(ablations, "ALIGNMENT_TRIALS", 1)
+        result = ablations.tti_alignment()
         assert result.aligned_conflicting_slots == 0
         assert result.unaligned_conflicting_slots >= 1
 
@@ -369,13 +370,15 @@ class TestAblations:
         assert comparison.switch_added_latency_us < 1.0
         assert comparison.software_nic_multiplier == 2.0
 
-    def test_null_vs_duplicate_fapi(self):
-        result = ablations.null_vs_duplicate_fapi(duration_s=1.0)
+    def test_null_vs_duplicate_fapi(self, monkeypatch):
+        monkeypatch.setattr(ablations, "DUPLICATE_RUN_S", 1.0)
+        result = ablations.null_vs_duplicate_fapi()
         assert result.null_secondary_fraction < 0.05
         assert result.duplicate_secondary_fraction > 0.6  # ~100 % overhead.
 
-    def test_detector_timeout_sweep_tradeoff(self):
-        points = ablations.detector_timeout_sweep(timeouts_us=[250.0, 450.0, 1800.0])
+    def test_detector_timeout_sweep_tradeoff(self, monkeypatch):
+        monkeypatch.setattr(ablations, "SWEEP_TIMEOUTS_US", (250.0, 450.0, 1800.0))
+        points = ablations.detector_timeout_sweep()
         by_timeout = {p.timeout_us: p for p in points}
         # Too-low timeout false-positives on healthy gaps (up to the
         # 380 us that phy.process.downlink_schedule derives).

@@ -21,7 +21,7 @@ class TestShmChannel:
     def test_delivery_after_latency(self):
         sim = Simulator()
         sink = Sink(sim)
-        channel = ShmChannel(sim, sink, latency_ns=1 * US)
+        channel = ShmChannel(sim, sink)
         message = SlotIndication(cell_id=0, slot=5)
         channel.send(message)
         sim.run()
@@ -33,7 +33,7 @@ class TestShmChannel:
     def test_order_preserved(self):
         sim = Simulator()
         sink = Sink(sim)
-        channel = ShmChannel(sim, sink, latency_ns=1 * US)
+        channel = ShmChannel(sim, sink)
         for slot in range(5):
             channel.send(SlotIndication(cell_id=0, slot=slot))
         sim.run()
@@ -65,8 +65,8 @@ class TestShmChannel:
         # A duplex FAPI link is two channels, one per direction.
         sim = Simulator()
         a, b = Sink(sim), Sink(sim)
-        a_to_b = ShmChannel(sim, b, latency_ns=2 * US)
-        b_to_a = ShmChannel(sim, a, latency_ns=2 * US)
+        a_to_b = ShmChannel(sim, b)
+        b_to_a = ShmChannel(sim, a)
         a_to_b.send(UlTtiRequest(cell_id=0, slot=3, pdus=[]))
         b_to_a.send(SlotIndication(cell_id=0, slot=3))
         sim.run()

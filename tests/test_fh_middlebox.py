@@ -16,7 +16,7 @@ from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import Switch
 from repro.phy.channel import ChannelRealization
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock
+from repro.phy.numerology import SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -40,7 +40,8 @@ class Sink:
 def build_fabric():
     """Switch + middlebox with an RU port, two PHY ports, an Orion port."""
     sim = Simulator()
-    switch = Switch(sim, pipeline_latency_ns=0)
+    switch = Switch(sim)
+    switch.pipeline_latency_ns = 0
     mbox = FronthaulMiddlebox(sim)
     mbox.install_on(switch)
     nodes = {}
@@ -57,7 +58,7 @@ def build_fabric():
 
 
 def ul_frame(abs_slot, src=RU_MAC):
-    clock = SlotClock(Numerology())
+    clock = SlotClock()
     block = TransportBlock(
         ue_id=1, direction=LinkDirection.UPLINK, harq_process=0,
         modulation=Modulation.QPSK, prbs=10, data=[], size_bytes=100,
@@ -73,7 +74,7 @@ def ul_frame(abs_slot, src=RU_MAC):
 
 
 def dl_frame(abs_slot, src_mac=PHY0_MAC, src_phy=0):
-    clock = SlotClock(Numerology())
+    clock = SlotClock()
     payload = CplaneMessage(
         ru_id=0, address=clock.address_of(abs_slot), abs_slot=abs_slot,
         source_phy_id=src_phy,
@@ -94,7 +95,7 @@ def command_frame(payload):
 class TestSteering:
     def test_uplink_steered_to_initial_primary(self):
         sim, switch, mbox, nodes = build_fabric()
-        switch.inject(ul_frame(10), in_port=nodes["ru"][1].number)
+        switch.ingress(ul_frame(10), nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy0"][0].received) == 1
         assert nodes["phy0"][0].received[0][1].dst == PHY0_MAC
@@ -102,16 +103,15 @@ class TestSteering:
 
     def test_downlink_from_active_forwarded_to_ru(self):
         sim, switch, mbox, nodes = build_fabric()
-        switch.inject(dl_frame(10), in_port=nodes["phy0"][1].number)
+        switch.ingress(dl_frame(10), nodes["phy0"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["ru"][0].received) == 1
         assert nodes["ru"][0].received[0][1].dst == RU_MAC
 
     def test_downlink_from_standby_filtered(self):
         sim, switch, mbox, nodes = build_fabric()
-        switch.inject(
-            dl_frame(10, src_mac=PHY1_MAC, src_phy=1),
-            in_port=nodes["phy1"][1].number,
+        switch.ingress(
+            dl_frame(10, src_mac=PHY1_MAC, src_phy=1), nodes["phy1"][1].number
         )
         sim.run_until(sim.now + 10_000)
         assert len(nodes["ru"][0].received) == 0
@@ -121,17 +121,16 @@ class TestSteering:
         sim, switch, mbox, nodes = build_fabric()
         mbox.detector.set_monitor(1, True)
         mbox.detector.counters.write(1, 10)
-        # inject() runs the pipeline synchronously; the heartbeat reset
+        # ingress() runs the pipeline synchronously; the heartbeat reset
         # happens before any timer tick can fire.
-        switch.inject(
-            dl_frame(10, src_mac=PHY1_MAC, src_phy=1),
-            in_port=nodes["phy1"][1].number,
+        switch.ingress(
+            dl_frame(10, src_mac=PHY1_MAC, src_phy=1), nodes["phy1"][1].number
         )
         assert mbox.detector.counters.read(1) == 0
 
     def test_unknown_source_dropped(self):
         sim, switch, mbox, nodes = build_fabric()
-        switch.inject(ul_frame(10, src=MacAddress(0x99)), in_port=9)
+        switch.ingress(ul_frame(10, src=MacAddress(0x99)), 9)
         sim.run_until(sim.now + 10_000)
         assert mbox.stats.unknown_dropped == 1
 
@@ -141,7 +140,7 @@ class TestMigrateOnSlot:
         sim, switch, mbox, nodes = build_fabric()
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)))
         sim.run_until(sim.now + 10_000)
-        switch.inject(ul_frame(99), in_port=nodes["ru"][1].number)
+        switch.ingress(ul_frame(99), nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy0"][0].received) == 1
         assert len(nodes["phy1"][0].received) == 0
@@ -150,13 +149,13 @@ class TestMigrateOnSlot:
         sim, switch, mbox, nodes = build_fabric()
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)))
         sim.run_until(sim.now + 10_000)
-        switch.inject(ul_frame(100), in_port=nodes["ru"][1].number)
+        switch.ingress(ul_frame(100), nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 1
         assert mbox.stats.migrations_executed == 1
         assert mbox.ru_to_phy.read(0) == 1
         # Subsequent packets follow the new mapping without a pending request.
-        switch.inject(ul_frame(101), in_port=nodes["ru"][1].number)
+        switch.ingress(ul_frame(101), nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 2
 
@@ -166,10 +165,10 @@ class TestMigrateOnSlot:
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)))
         sim.run_until(sim.now + 10_000)
         # Old primary still emits slot 99; new one emits slot 100.
-        switch.inject(dl_frame(99, PHY0_MAC, 0), in_port=nodes["phy0"][1].number)
-        switch.inject(dl_frame(100, PHY0_MAC, 0), in_port=nodes["phy0"][1].number)
-        switch.inject(dl_frame(99, PHY1_MAC, 1), in_port=nodes["phy1"][1].number)
-        switch.inject(dl_frame(100, PHY1_MAC, 1), in_port=nodes["phy1"][1].number)
+        switch.ingress(dl_frame(99, PHY0_MAC, 0), nodes["phy0"][1].number)
+        switch.ingress(dl_frame(100, PHY0_MAC, 0), nodes["phy0"][1].number)
+        switch.ingress(dl_frame(99, PHY1_MAC, 1), nodes["phy1"][1].number)
+        switch.ingress(dl_frame(100, PHY1_MAC, 1), nodes["phy1"][1].number)
         sim.run_until(sim.now + 10_000)
         per_slot_sources = {}
         for _, frame in nodes["ru"][0].received:
@@ -185,7 +184,7 @@ class TestMigrateOnSlot:
         sim, switch, mbox, nodes = build_fabric()
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=100)))
         sim.run_until(sim.now + 10_000)
-        switch.inject(dl_frame(100, PHY1_MAC, 1), in_port=nodes["phy1"][1].number)
+        switch.ingress(dl_frame(100, PHY1_MAC, 1), nodes["phy1"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["ru"][0].received) == 1
 
@@ -194,7 +193,7 @@ class TestMigrateOnSlot:
         mbox.config.align_to_tti = False
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=10**9)))
         sim.run_until(sim.now + 10_000)
-        switch.inject(ul_frame(5), in_port=nodes["ru"][1].number)
+        switch.ingress(ul_frame(5), nodes["ru"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 1
 
@@ -218,7 +217,8 @@ class TestSteerAgainstTheTwoCallForm:
 
     def outcome(self, mbox_cls, mig_valid, slot, last_boundary, frame):
         sim = Simulator()
-        switch = Switch(sim, pipeline_latency_ns=0)
+        switch = Switch(sim)
+        switch.pipeline_latency_ns = 0
         trace = TraceRecorder()
         mbox = mbox_cls(sim, trace=trace)
         mbox.install_on(switch)
@@ -289,7 +289,7 @@ class TestL2Fallback:
             src=ORION_MAC, dst=PHY1_MAC, ethertype=EtherType.IPV4,
             payload="udp", wire_bytes=100,
         )
-        switch.inject(frame, in_port=nodes["orion"][1].number)
+        switch.ingress(frame, nodes["orion"][1].number)
         sim.run_until(sim.now + 10_000)
         assert len(nodes["phy1"][0].received) == 1
 
@@ -394,7 +394,7 @@ class TestRegisterAccessCensus:
             ), orion),
         ]
         for frame, port in frames:
-            switch.inject(frame, in_port=port)
+            switch.ingress(frame, port)
         mbox.config.align_to_tti = False
         switch.inject(command_frame(MigrateOnSlot(ru_id=0, dest_phy_id=1, slot=300)))
         stats = mbox.stats

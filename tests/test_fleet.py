@@ -15,6 +15,8 @@ The two hardening pillars of this suite:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cell.deployment import build_slingshot_cell
@@ -331,7 +333,9 @@ class TestAccountingRegression:
         skips ``fleet.pool.resize`` differs (pool 0's verdict), and a
         base warmed past the first fault (60 ms) fails arming with
         "cannot schedule at t=60000000 ns"."""
-        cold = build_fleet(fleet_config(seed=1, pool_size=1))
+        cold = build_fleet(
+            dataclasses.replace(fleet_config(seed=1), standby_pool_size=1)
+        )
         arm_wave(cold, "second_wave")
         cold.run_until(FLEET_RUN_END_NS)
         model = judge_fleet(cold, "second_wave")

@@ -16,7 +16,7 @@ from repro.l2 import mac as mac_module
 from repro.l2.mac import L2Process, McsEntry, McsTable
 from repro.l2.rlc import RlcBearerConfig, RlcMode
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock, SlotType, TddPattern
+from repro.phy.numerology import TDD, SlotClock, SlotType
 from repro.sim.engine import Simulator
 from repro.sim.units import MS
 
@@ -37,14 +37,11 @@ def build_l2(sim, monkeypatch=None, **constants):
     override the scheduler's module constants for the test."""
     for name, value in constants.items():
         monkeypatch.setattr(mac_module, name.upper(), value)
-    l2 = L2Process(
-        sim,
-        slot_clock=SlotClock(Numerology()),
-        tdd=TddPattern(),
-        numerology=Numerology(),
-    )
+    l2 = L2Process(sim, slot_clock=SlotClock())
     sink = FapiSink()
-    l2.set_fapi_channel(ShmChannel(sim, sink, latency_ns=0))
+    channel = ShmChannel(sim, sink)
+    channel.latency_ns = 0
+    l2.set_fapi_channel(channel)
     return l2, sink
 
 
@@ -97,7 +94,7 @@ class TestTtiGeneration:
         l2.fapi_tx.send = tap
         l2.start()
         sim.run_until(5 * MS)
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         for message in sink.of_type(UlTtiRequest):
             generation_slot = clock.slot_at(generated_at[message.message_id])
             assert message.slot - generation_slot == mac_module.SCHEDULE_AHEAD_SLOTS
@@ -115,10 +112,9 @@ class TestTtiGeneration:
         l2.register_ue(1, bearers(), snr_db=15.0)
         l2.start()
         sim.run_until(20 * MS)
-        tdd = TddPattern()
         for message in sink.of_type(UlTtiRequest):
             if message.pdus:
-                assert tdd.slot_type(message.slot) is SlotType.UPLINK
+                assert TDD.slot_type(message.slot) is SlotType.UPLINK
 
 
 class TestDownlinkScheduling:

@@ -124,7 +124,8 @@ class TestLink:
 class TestSwitch:
     def _build(self):
         sim = Simulator()
-        switch = Switch(sim, pipeline_latency_ns=100)
+        switch = Switch(sim)
+        switch.pipeline_latency_ns = 100
         hosts = []
         for i in range(3):
             host = Collector(sim)
@@ -170,13 +171,6 @@ class TestSwitch:
         # The ingress and egress deliveries are the hop's only engine
         # events; the pipeline latency costs none.
         assert sim.events_processed == 2
-
-    def test_duplicate_port_number_rejected(self):
-        sim = Simulator()
-        switch = Switch(sim)
-        switch.add_port(5)
-        with pytest.raises(ValueError):
-            switch.add_port(5)
 
     def test_inject_runs_pipeline(self):
         sim, switch, hosts = self._build()

@@ -27,7 +27,7 @@ from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock
+from repro.phy.numerology import SlotClock
 from repro.sim.engine import Simulator
 
 L2_ORION_MAC = MacAddress(0x100)
@@ -69,7 +69,7 @@ def build_l2_orion(sim):
     orion = L2SideOrion(
         sim,
         mac=L2_ORION_MAC,
-        slot_clock=SlotClock(Numerology()),
+        slot_clock=SlotClock(),
     )
     nic = FrameSink(sim)
     orion.uplink = Link(sim, nic, bandwidth_bps=0, latency_ns=0)
@@ -77,7 +77,8 @@ def build_l2_orion(sim):
     orion.register_phy_server(1, PHY1_ORION_MAC)
     orion.assign_cell(cell_id=0, ru_id=0, primary_phy=0, secondary_phy=1)
     l2_sink = MessageSink()
-    orion.shm_to_l2 = ShmChannel(sim, l2_sink, latency_ns=0)
+    orion.shm_to_l2 = ShmChannel(sim, l2_sink)
+    orion.shm_to_l2.latency_ns = 0
     return orion, nic, l2_sink
 
 
@@ -313,7 +314,8 @@ class TestPhySideOrion:
         sim = Simulator()
         orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
         phy_sink = MessageSink()
-        orion.shm_to_phy = ShmChannel(sim, phy_sink, latency_ns=0)
+        orion.shm_to_phy = ShmChannel(sim, phy_sink)
+        orion.shm_to_phy.latency_ns = 0
         message = UlTtiRequest(cell_id=0, slot=5, pdus=[])
         orion.receive_frame(
             EthernetFrame(
@@ -351,7 +353,8 @@ class TestPhySideOrion:
             def receive_fapi(self, message, channel):
                 arrival_times.append(sim.now)
 
-        orion.shm_to_phy = ShmChannel(sim, TimedSink(), latency_ns=0)
+        orion.shm_to_phy = ShmChannel(sim, TimedSink())
+        orion.shm_to_phy.latency_ns = 0
         for _ in range(5):
             orion.receive_frame(
                 EthernetFrame(

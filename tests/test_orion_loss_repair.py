@@ -34,7 +34,8 @@ class MessageSink:
 def build_orion(sim):
     orion = PhySideOrion(sim, phy_id=0, mac=MacAddress(0x200))
     sink = MessageSink()
-    orion.shm_to_phy = ShmChannel(sim, sink, latency_ns=0)
+    orion.shm_to_phy = ShmChannel(sim, sink)
+    orion.shm_to_phy.latency_ns = 0
     return orion, sink
 
 

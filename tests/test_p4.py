@@ -170,7 +170,7 @@ class TestResourceModel:
 
     def test_hundreds_of_rus_fit(self):
         model = PipelineResourceModel()
-        assert model.max_supported_entries("sram_bits") > 1000
+        assert model.max_supported_entries() > 1000
         # ~5.9k entries exhaust one pipeline's SRAM.
         assert model.usage(6000, 6000).fraction["sram_bits"] >= 1.0
 

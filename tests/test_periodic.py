@@ -46,13 +46,6 @@ class TestSchedulePeriodicApi:
         sim.run_for(550)
         assert times == [100, 200, 300, 400, 500]
 
-    def test_start_offset_shifts_first_occurrence(self):
-        sim = Simulator()
-        times = []
-        sim.schedule_periodic(100, lambda: times.append(sim.now), start_offset=30)
-        sim.run_for(350)
-        assert times == [30, 130, 230, 330]
-
     def test_first_at_pins_first_occurrence(self):
         sim = Simulator()
         sim.schedule(10, lambda: None)
@@ -97,7 +90,7 @@ class TestSchedulePeriodicApi:
         sim.run_for(250)
         handle.cancel()
         sim.run_for(250)  # now = 500
-        handle.re_arm(start_offset=50)
+        handle.re_arm(first_at=sim.now + 50)
         sim.run_for(300)
         assert times == [100, 200, 550, 650, 750]
 
@@ -294,7 +287,7 @@ class TestPeriodicChurnBounded:
             for _ in range(5):
                 for handle in handles:
                     handle.cancel()
-                    handle.re_arm(start_offset=100)
+                    handle.re_arm(first_at=sim.now + 100)
                     most_queued = max(most_queued, sim.queued_entries)
         assert sim.pending_events == lanes
         # Live entries plus not-yet-swept tombstones stay within the

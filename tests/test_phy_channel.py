@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.phy.channel import (
+    FADE_DEPTH_DB,
+    SHADOW_CORRELATION,
     AwgnChannel,
     ChannelRealization,
     UeChannelModel,
@@ -60,16 +62,13 @@ class TestUeChannelModel:
             mean_snr_db=15.0,
             shadow_sigma_db=0.0,
             fade_probability=1.0,
-            fade_depth_db=6.0,
-            fade_duration_slots=5,
         )
         model.snr_for_slot(0)
         faded = model.snr_for_slot(1)
-        assert faded.snr_db == pytest.approx(9.0, abs=0.1)
+        assert faded.snr_db == pytest.approx(15.0 - FADE_DEPTH_DB, abs=0.1)
 
-    def test_invalid_correlation_rejected(self):
-        with pytest.raises(ValueError):
-            UeChannelModel(np.random.default_rng(0), correlation=1.5)
+    def test_correlation_is_a_stationary_ar1(self):
+        assert 0.0 <= SHADOW_CORRELATION < 1.0
 
     def test_distinct_rngs_give_distinct_channels(self):
         a = UeChannelModel(np.random.default_rng(10), mean_snr_db=15.0)

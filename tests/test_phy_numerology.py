@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.phy import numerology as numerology_module
 from repro.phy.numerology import (
     MAX_FRAME,
     Numerology,
@@ -54,19 +55,20 @@ class TestTddPattern:
 
 class TestSlotClock:
     def test_slot_boundaries(self):
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         assert clock.slot_at(0) == 0
         assert clock.slot_at(499_999) == 0
         assert clock.slot_at(500_000) == 1
         assert clock.slot_start(7) == 7 * 500_000
 
-    def test_epoch_offset(self):
-        clock = SlotClock(Numerology(), epoch_ns=100)
+    def test_epoch_offset(self, monkeypatch):
+        monkeypatch.setattr(numerology_module, "SLOT_EPOCH_NS", 100)
+        clock = SlotClock()
         assert clock.slot_at(99) == -1
         assert clock.slot_at(100) == 0
 
     def test_address_of_wraps_at_1024_frames(self):
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         slots_per_frame = 20
         address = clock.address_of(MAX_FRAME * slots_per_frame + 3)
         assert address.frame == 0
@@ -74,7 +76,7 @@ class TestSlotClock:
         assert address.slot == 1
 
     def test_address_fields_in_range(self):
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         for slot in (0, 1, 19, 20, 54321):
             address = clock.address_of(slot)
             assert 0 <= address.frame < MAX_FRAME
@@ -86,7 +88,7 @@ class TestSlotClock:
     def test_address_roundtrip_near_reference(self, slot):
         """absolute_from_address inverts address_of when given a nearby
         reference slot — the resolution the switch middlebox performs."""
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         address = clock.address_of(slot)
         for drift in (-300, 0, 300):
             recovered = clock.absolute_from_address(address, near_slot=slot + drift)

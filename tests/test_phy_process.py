@@ -23,7 +23,7 @@ from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.phy.channel import ChannelRealization
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock, TddPattern
+from repro.phy.numerology import SlotClock
 from repro.phy.process import PhyProcess
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
@@ -60,13 +60,13 @@ def build_phy(sim):
         sim=sim,
         phy_id=0,
         mac=MacAddress(0x20),
-        slot_clock=SlotClock(Numerology()),
-        tdd=TddPattern(),
+        slot_clock=SlotClock(),
         rng=np.random.default_rng(0),
         uplink=uplink,
     )
     fapi_sink = FapiSink()
-    phy.fapi_tx = ShmChannel(sim, fapi_sink, latency_ns=0)
+    phy.fapi_tx = ShmChannel(sim, fapi_sink)
+    phy.fapi_tx.latency_ns = 0
     return phy, sink, fapi_sink
 
 
@@ -202,7 +202,7 @@ class TestUplinkPipeline:
         sim = Simulator()
         phy, sink, fapi = build_phy(sim)
         start_cell(phy)
-        clock = SlotClock(Numerology())
+        clock = SlotClock()
         ul_slot = 9  # A U slot (9 % 5 == 4).
         for slot in range(1, 16):
             request = UlTtiRequest(cell_id=0, slot=slot, pdus=[])

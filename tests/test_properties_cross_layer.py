@@ -65,7 +65,8 @@ class TestMiddleboxSteeringProperty:
         to the old PHY and slot >= boundary to the new — the contract
         the RU's protocol compliance depends on."""
         sim = Simulator()
-        switch = Switch(sim, pipeline_latency_ns=0)
+        switch = Switch(sim)
+        switch.pipeline_latency_ns = 0
         mbox = FronthaulMiddlebox(sim)
         mbox.install_on(switch)
         mbox.register_ru(0, MacAddress(0x10), 0, initial_phy=0)

@@ -8,9 +8,16 @@ from repro.net.ptp import PtpClock
 from repro.sim.units import MS, SECOND, US
 
 
+def free_running(seed):
+    """A clock in holdover from time 0 (PTP sync lost at start)."""
+    clock = PtpClock(rng=np.random.default_rng(seed))
+    clock.set_disciplined(0, False)
+    return clock
+
+
 class TestDisciplinedClock:
     def test_offset_stays_sub_microsecond(self):
-        clock = PtpClock(rng=np.random.default_rng(0), disciplined=True)
+        clock = PtpClock(rng=np.random.default_rng(0))
         worst = max(
             abs(clock.offset_ns(t))
             for t in range(0, 60 * SECOND, SECOND // 7)
@@ -40,7 +47,7 @@ class TestDisciplinedClock:
 
 class TestFreeRunningClock:
     def test_drift_accumulates_without_discipline(self):
-        clock = PtpClock(rng=np.random.default_rng(5), disciplined=False)
+        clock = free_running(5)
         early = abs(clock.offset_ns(SECOND))
         late = abs(clock.offset_ns(3600 * SECOND))
         assert late > 100 * max(early, 1.0)
@@ -50,12 +57,12 @@ class TestFreeRunningClock:
         clock; within an hour a free-running oscillator is off by more
         than many whole slots, so 'migrate at time T' is meaningless —
         only the packets' own slot fields identify TTIs."""
-        clock = PtpClock(rng=np.random.default_rng(6), disciplined=False)
+        clock = free_running(6)
         offset_after_hour = abs(clock.offset_ns(3600 * SECOND))
         assert offset_after_hour > 2 * 500 * US  # Several slots wrong.
 
     def test_drift_is_stable_per_instance(self):
-        clock = PtpClock(rng=np.random.default_rng(7), disciplined=False)
+        clock = free_running(7)
         assert clock.drift_ppm == clock.drift_ppm
         # Offset grows linearly with elapsed time.
         o1 = clock.offset_ns(100 * SECOND)
@@ -70,7 +77,7 @@ class TestSlotBoundaryError:
 
     def test_distinct_seeds_distinct_drifts(self):
         drifts = {
-            PtpClock(rng=np.random.default_rng(seed), disciplined=False).drift_ppm
+            free_running(seed).drift_ppm
             for seed in range(8)
         }
         assert len(drifts) > 4

@@ -17,7 +17,7 @@ from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.channel import UeChannelModel
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock, TddPattern
+from repro.phy.numerology import SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -45,21 +45,21 @@ class UplinkSink:
 
 
 def build_ru(sim):
-    clock = SlotClock(Numerology())
+    clock = SlotClock()
     air = AirInterface()
     sink = UplinkSink(sim)
     uplink = Link(sim, sink, bandwidth_bps=0, latency_ns=0)
     ru = RadioUnit(
         sim=sim, ru_id=0, mac=MacAddress(0x10),
         virtual_phy_mac=MacAddress(0xF0),
-        slot_clock=clock, tdd=TddPattern(), air=air, uplink=uplink,
+        slot_clock=clock, air=air, uplink=uplink,
     )
     ru.start()
     return ru, air, sink, clock
 
 
 def cplane(abs_slot, grants=(), phy=0, instance=1):
-    clock = SlotClock(Numerology())
+    clock = SlotClock()
     return CplaneMessage(
         ru_id=0, address=clock.address_of(abs_slot), abs_slot=abs_slot,
         ul_grants=list(grants), source_phy_id=phy, vran_instance_id=instance,

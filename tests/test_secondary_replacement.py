@@ -9,6 +9,7 @@ import pytest
 
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
+from repro.core import migration
 from repro.sim.units import US, s_to_ns
 
 
@@ -59,7 +60,7 @@ class TestSecondaryReplacement:
         cell.run_for(s_to_ns(0.3))
         assert cell.l2.stats.ul_crc_ok > crc_before
 
-    def test_just_failed_server_never_chosen(self):
+    def test_just_failed_server_never_chosen(self, monkeypatch):
         """With two servers, the only spare after a failover is the
         server that just crashed — the policy refuses it even when
         restarts are allowed (the fault may recur)."""
@@ -73,11 +74,12 @@ class TestSecondaryReplacement:
         cell.kill_phy_at(0, cell.sim.now)
         cell.run_for(s_to_ns(0.3))
         assert cell.controller.replace_failed_secondary(0) is None
-        assert cell.controller.replace_failed_secondary(0, allow_restart=True) is None
+        monkeypatch.setattr(migration, "RESTART_CRASHED_SPARES", True)
+        assert cell.controller.replace_failed_secondary(0) is None
 
-    def test_replacement_restarts_repaired_spare_when_allowed(self):
+    def test_replacement_restarts_repaired_spare_when_allowed(self, monkeypatch):
         """A server that crashed for unrelated reasons can be revived as
-        the new standby, but only with the operator's allow_restart."""
+        the new standby, but only when the operator allows restarts."""
         cell = build_slingshot_cell(three_server_config(seed=73))
         cell.run_for(s_to_ns(0.5))
         cell.phy_servers[2].phy.crash(reason="earlier fault")
@@ -86,8 +88,7 @@ class TestSecondaryReplacement:
         # Automatically: no live, non-suspect spare exists.
         assert cell.controller.replace_failed_secondary(0) is None
         # Operator offers the repaired server 2 (server 0 stays excluded).
-        new_secondary = cell.controller.replace_failed_secondary(
-            0, allow_restart=True
-        )
+        monkeypatch.setattr(migration, "RESTART_CRASHED_SPARES", True)
+        new_secondary = cell.controller.replace_failed_secondary(0)
         assert new_secondary == 2
         assert cell.phy_servers[2].phy.alive

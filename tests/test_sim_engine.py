@@ -103,14 +103,14 @@ class TestIntegerTime:
             lambda sim: sim.schedule(True, print),
             lambda sim: sim.at(1.0, print),
             lambda sim: sim.schedule_periodic(2.0, print),
-            lambda sim: sim.schedule_periodic(2, print, start_offset=1.0),
+            lambda sim: sim.schedule_periodic(2, print, first_at=1.0),
             lambda sim: sim.schedule_periodic(2, print, first_at=np.int64(1)),
             lambda sim: sim.run_until(3.0),
             lambda sim: sim.run_for(10 / 1),
         ],
         ids=[
             "float delay", "numpy.int64 delay", "bool delay", "float at",
-            "float period", "float start_offset", "numpy.int64 first_at",
+            "float period", "float first_at", "numpy.int64 first_at",
             "float run_until", "integral float run_for",
         ],
     )
@@ -124,7 +124,7 @@ class TestIntegerTime:
         sim = Simulator()
         with pytest.raises(SimulationError, match="in the past"):
             sim.schedule(-1, print)
-        sim.schedule_periodic(5, print, start_offset=0)
+        sim.schedule_periodic(5, print, first_at=0)
         sim.run_until(12)
         assert sim.now == 12
 
@@ -350,9 +350,7 @@ def test_transit_stages_format_no_label_per_event():
 
 class TestBatchedRng:
     def test_batched_integers_matches_scalar_sequence(self):
-        batched = BatchedIntegers(
-            np.random.Generator(np.random.PCG64(7)), 0, 1 << 32, block=64
-        )
+        batched = BatchedIntegers(np.random.Generator(np.random.PCG64(7)), 0, 1 << 32)
         scalar = np.random.Generator(np.random.PCG64(7))
         assert [batched.draw() for _ in range(1000)] == [
             int(scalar.integers(0, 1 << 32)) for _ in range(1000)
@@ -909,11 +907,17 @@ class TestTraceRecorder:
         assert trace.categories() == []
 
 
+def _windowed(window_ns):
+    trace = TraceRecorder()
+    trace.window_ns = window_ns
+    return trace
+
+
 class TestRollingDigest:
     """The bounded-memory digest contract behind soak runs.
 
     ``rolling_digest()`` must equal the digest of a never-evicting
-    recorder with the same ``window_ns``, and ``window_ns=None`` must
+    recorder with the same ``window_ns``, and ``window_ns`` None must
     stay byte-identical to the historical flat SHA-256 (the recorded
     golden digests depend on that).
     """
@@ -929,14 +933,14 @@ class TestRollingDigest:
     def test_windowed_digest_equals_flat_digest_structureless(self):
         # One window covering the whole trace == the flat digest.
         flat = TraceRecorder()
-        wide = TraceRecorder(window_ns=10_000)
+        wide = _windowed(10_000)
         self._feed(flat)
         self._feed(wide)
         assert wide.digest() == flat.digest()
 
     def test_eviction_preserves_rolling_digest(self):
-        keep = TraceRecorder(window_ns=100)
-        evicting = TraceRecorder(window_ns=100)
+        keep = _windowed(100)
+        evicting = _windowed(100)
         self._feed(keep)
         self._feed(evicting)
         evicted = evicting.evict_before(400)
@@ -946,8 +950,8 @@ class TestRollingDigest:
         assert evicting.rolling_digest() == keep.rolling_digest()
 
     def test_incremental_eviction_matches_single_eviction(self):
-        stepwise = TraceRecorder(window_ns=100)
-        oneshot = TraceRecorder(window_ns=100)
+        stepwise = _windowed(100)
+        oneshot = _windowed(100)
         self._feed(stepwise)
         self._feed(oneshot)
         for horizon in (150, 320, 500):
@@ -957,7 +961,7 @@ class TestRollingDigest:
         assert stepwise.evicted_events == oneshot.evicted_events
 
     def test_recording_below_evicted_horizon_rejected(self):
-        trace = TraceRecorder(window_ns=100)
+        trace = _windowed(100)
         self._feed(trace)
         trace.evict_before(300)
         with pytest.raises(ValueError, match="evicted"):
@@ -972,8 +976,8 @@ class TestRollingDigest:
         # Different window sizes chain differently (digests are only
         # comparable at equal window_ns), but each size is internally
         # deterministic.
-        a100, b100 = TraceRecorder(window_ns=100), TraceRecorder(window_ns=100)
-        a200 = TraceRecorder(window_ns=200)
+        a100, b100 = _windowed(100), _windowed(100)
+        a200 = _windowed(200)
         for trace in (a100, b100, a200):
             self._feed(trace)
         assert a100.digest() == b100.digest()

@@ -267,7 +267,7 @@ class Rig:
         for number, (bandwidth, latency) in enumerate(schedule.ports):
             self.switch.attach(Sink(self, number), bandwidth, latency, name=f"n{number}")
             pipeline.learn(mac_of(number), number)
-        self.switch.add_port(schedule.dark_port)
+        assert self.switch.add_port().number == schedule.dark_port
         self.mbox.set_notification_target(
             mac_of(schedule.notify_port), schedule.notify_port
         )
@@ -294,7 +294,7 @@ class Rig:
         if kind == "send":
             self.switch.port(in_port).ingress_link.send(frame)
         else:
-            self.switch.inject(frame, in_port)
+            self.switch.ingress(frame, in_port)
 
     def run(self) -> Dict[str, Any]:
         self.sim.run()

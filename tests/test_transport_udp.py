@@ -14,7 +14,7 @@ class TestUdpSender:
         sent = []
         sender = UdpSender(
             sim, "f", 1, 1, FlowDirection.UPLINK,
-            transmit=sent.append, bitrate_bps=9.6e6, packet_bytes=1200,
+            transmit=sent.append, bitrate_bps=9.6e6,
         )
         sender.start()
         sim.run_until(SECOND)
@@ -52,7 +52,7 @@ class TestUdpSender:
         sent = []
         sender = UdpSender(
             sim, "f", 1, 1, FlowDirection.UPLINK,
-            transmit=sent.append, bitrate_bps=1e6, packet_bytes=1250,
+            transmit=sent.append, bitrate_bps=1e6,
         )
         sender.start()
         sim.run_until(500 * MS)

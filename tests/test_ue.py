@@ -8,7 +8,7 @@ from repro.fronthaul.oran import UlGrant
 from repro.l2.rlc import RlcBearerConfig, RlcMode
 from repro.phy.channel import UeChannelModel
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import Numerology, SlotClock, TddPattern
+from repro.phy.numerology import SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
 from repro.sim.units import MS, US
@@ -20,8 +20,7 @@ def build_ue(sim):
     ue = UserEquipment(
         sim=sim,
         ue_id=1,
-        slot_clock=SlotClock(Numerology()),
-        tdd=TddPattern(),
+        slot_clock=SlotClock(),
         air=air,
         channel=UeChannelModel(np.random.default_rng(0), mean_snr_db=18.0),
         rng=np.random.default_rng(1),
@@ -156,7 +155,7 @@ class TestRlf:
         # Feed control every 10 ms: no RLF ever.
         def feed():
             air.broadcast_dl_control(
-                SlotClock(Numerology()).slot_at(sim.now), [], vran_instance_id=1
+                SlotClock().slot_at(sim.now), [], vran_instance_id=1
             )
             sim.schedule(10 * MS, feed)
 
@@ -173,7 +172,7 @@ class TestRlf:
 
         def feed(instance):
             air.broadcast_dl_control(
-                SlotClock(Numerology()).slot_at(sim.now), [],
+                SlotClock().slot_at(sim.now), [],
                 vran_instance_id=instance,
             )
 

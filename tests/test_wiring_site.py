@@ -9,6 +9,7 @@ or a fleet reaches every deployment shape there is. A bare ``Switch`` /
 """
 
 import ast
+import functools
 import os
 import subprocess
 import sys
@@ -103,6 +104,17 @@ CALLER_TREES = ("src", "bench", "benchmarks")
 TEST_ONLY_FIELDS = frozenset({"tie_shuffle_seed"})
 
 
+@functools.lru_cache(maxsize=None)
+def _caller_modules() -> tuple:
+    """Every module under :data:`CALLER_TREES`, parsed."""
+    root = SRC.parents[1]
+    return tuple(
+        ast.parse(path.read_text(), filename=str(path))
+        for tree_name in CALLER_TREES
+        for path in sorted((root / tree_name).rglob("*.py"))
+    )
+
+
 def _config_fields() -> dict:
     """``{class: {field: default expression or None}}`` of every
     ``*Config`` dataclass under ``src/repro``."""
@@ -132,77 +144,74 @@ def _set_fields(classes: dict) -> set:
     function), a ``replace(...)`` keyword, or an assignment to an
     attribute of a ``*config`` object."""
     found = set()
-    root = SRC.parents[1]
-    for tree_name in CALLER_TREES:
-        for path in sorted((root / tree_name).rglob("*.py")):
-            module = ast.parse(path.read_text(), filename=str(path))
-            constants = {
-                target.id: node.value
-                for node in module.body
-                if isinstance(node, ast.Assign)
-                for target in node.targets
-                if isinstance(target, ast.Name)
-            }
+    for module in _caller_modules():
+        constants = {
+            target.id: node.value
+            for node in module.body
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
 
-            def differs(cls, name, value):
-                default = classes[cls].get(name)
-                if isinstance(value, ast.Name):
-                    value = constants.get(value.id, value)
-                return default is None or ast.dump(value) != ast.dump(default)
+        def differs(cls, name, value):
+            default = classes[cls].get(name)
+            if isinstance(value, ast.Name):
+                value = constants.get(value.id, value)
+            return default is None or ast.dump(value) != ast.dump(default)
 
-            for scope in ast.walk(module):
-                if not isinstance(scope, (ast.Module, ast.FunctionDef)):
-                    continue
-                built = {}
-                for node in ast.walk(scope):
-                    if (
-                        isinstance(node, ast.Assign)
-                        and isinstance(node.value, ast.Call)
-                        and getattr(node.value.func, "id", None) == "dict"
-                    ):
-                        for target in node.targets:
-                            if isinstance(target, ast.Name):
-                                built[target.id] = node.value.keywords
-                for node in ast.walk(scope):
-                    if isinstance(node, ast.Call):
-                        func = node.func
-                        name = getattr(func, "id", None) or getattr(func, "attr", None)
-                        if name in classes:
-                            pairs = list(zip(classes[name], node.args))
-                            for keyword in node.keywords:
-                                if keyword.arg is not None:
-                                    pairs.append((keyword.arg, keyword.value))
-                                elif isinstance(keyword.value, ast.Name):
-                                    pairs += [
-                                        (k.arg, k.value)
-                                        for k in built.get(keyword.value.id, [])
-                                    ]
+        for scope in ast.walk(module):
+            if not isinstance(scope, (ast.Module, ast.FunctionDef)):
+                continue
+            built = {}
+            for node in ast.walk(scope):
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "dict"
+                ):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            built[target.id] = node.value.keywords
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name in classes:
+                        pairs = list(zip(classes[name], node.args))
+                        for keyword in node.keywords:
+                            if keyword.arg is not None:
+                                pairs.append((keyword.arg, keyword.value))
+                            elif isinstance(keyword.value, ast.Name):
+                                pairs += [
+                                    (k.arg, k.value)
+                                    for k in built.get(keyword.value.id, [])
+                                ]
+                        found |= {
+                            (name, field)
+                            for field, value in pairs
+                            if differs(name, field, value)
+                        }
+                    elif name == "replace":
+                        found |= {
+                            (cls, keyword.arg)
+                            for keyword in node.keywords
+                            for cls, fields in classes.items()
+                            if keyword.arg in fields
+                        }
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        owner = getattr(target, "value", None)
+                        owner_name = getattr(owner, "id", None) or getattr(
+                            owner, "attr", ""
+                        )
+                        if isinstance(target, ast.Attribute) and (
+                            owner_name.endswith("config")
+                        ):
                             found |= {
-                                (name, field)
-                                for field, value in pairs
-                                if differs(name, field, value)
-                            }
-                        elif name == "replace":
-                            found |= {
-                                (cls, keyword.arg)
-                                for keyword in node.keywords
+                                (cls, target.attr)
                                 for cls, fields in classes.items()
-                                if keyword.arg in fields
+                                if target.attr in fields
                             }
-                    elif isinstance(node, ast.Assign):
-                        for target in node.targets:
-                            owner = getattr(target, "value", None)
-                            owner_name = getattr(owner, "id", None) or getattr(
-                                owner, "attr", ""
-                            )
-                            if isinstance(target, ast.Attribute) and (
-                                owner_name.endswith("config")
-                            ):
-                                found |= {
-                                    (cls, target.attr)
-                                    for cls, fields in classes.items()
-                                    if target.attr in fields
-                                }
     return found
 
 
@@ -221,3 +230,170 @@ def test_every_config_field_is_set_by_a_non_test_caller():
         if (cls, field) not in set_fields and field not in TEST_ONLY_FIELDS
     )
     assert unset == [], f"config fields no non-test caller sets: {unset}"
+
+
+#: Defaulted parameters no non-test caller passes, kept on purpose: the
+#: qualified name and why. Anything else is a module constant.
+KEPT_PARAMETERS = {
+    # Identity: names and seeds.
+    "apps.ping.PingClient.name": "identity: the process name",
+    "apps.video.VideoSender.name": "identity: the process name",
+    "core.orion.L2SideOrion.name": "identity: the process name",
+    "corenet.core.CoreNetwork.name": "identity: the process name",
+    "corenet.server.AppServer.name": "identity: the process name",
+    "net.p4.control.ControlPlane.name": "identity: names its RNG stream",
+    "transport.tcp.TcpSender.name": "identity: the process name",
+    "transport.tcp.TcpReceiver.name": "identity: the process name",
+    "transport.udp.UdpSender.name": "identity: the process name",
+    "experiments.ablations.tti_alignment.seed": "identity: the run's seed",
+    "experiments.ablations.detector_timeout_sweep.seed": "identity: the run's seed",
+    "experiments.ablations.software_vs_switch_middlebox.seed": "identity: the run's seed",
+    "experiments.ablations.null_vs_duplicate_fapi.seed": "identity: the run's seed",
+    "faults.proptest.generate_cases.master_seed": "identity: the case universe's seed",
+    # Collaborators wired in.
+    "cell.deployment.build_slingshot_cell.placement": "collaborator: builds the crossed pod",
+    "faults.campaign.build_probe_harness.plan": "collaborator: the fault plan armed "
+    "at build, the cold reference that forking is checked against",
+    "fleet.composer.build_fleet.sim": "collaborator: the engine (the legacy-engine "
+    "differential)",
+    "fronthaul.ru.RadioUnit.uplink": "collaborator: the fronthaul link",
+    "net.p4.control.ControlPlane.rng": "collaborator: the latency stream",
+    "phy.codec.PhyCodec.code": "collaborator: the LDPC code the chain fuzz varies",
+    # Executor arguments, reached through Verb.execute.
+    "harness.branch_sweep.jobs": "executor: worker count",
+    "harness.branch_sweep.progress": "executor: result stream",
+    # Set by a caller the name match cannot see.
+    "phy.ldpc.get_code.n": "construction key: LdpcCode.__reduce__ restores through it",
+    "phy.ldpc.get_code.dv": "construction key: LdpcCode.__reduce__ restores through it",
+    "phy.ldpc.get_code.dc": "construction key: LdpcCode.__reduce__ restores through it",
+    "phy.ldpc.get_code.seed": "construction key: LdpcCode.__reduce__ restores through it",
+    "phy.ldpc.get_code.normalization": "construction key: LdpcCode.__reduce__ "
+    "restores through it",
+    "phy.process.PhyProcess.hang.reason": "trace field: the fault injector passes "
+    "it through sim.at",
+    # Fields of a message, not settings.
+    "fronthaul.ecpri.encode_header.symbol": "wire field decode_header returns",
+    "fronthaul.ecpri.encode_header.section_type": "wire field decode_header returns",
+    "net.switch.ForwardingDecision.extra": "pipeline decision field: frames a "
+    "program emits besides the forwarded one",
+}
+
+
+def _defaulted_parameters() -> dict:
+    """``{qualified name: (callee name, positional names)}`` for every
+    defaulted parameter of a public module function, constructor or
+    method under ``src/repro``."""
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callables = [(node.name, node.name, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef)]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for item in cls.body:
+                    if not isinstance(item, ast.FunctionDef):
+                        continue
+                    if item.name == "__init__":
+                        callables.append((cls.name, cls.name, item))
+                    else:
+                        callables.append((item.name, f"{cls.name}.{item.name}", item))
+        for callee, qualified, function in callables:
+            if callee.startswith("_"):
+                continue
+            args = function.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            if positional[:1] in (["self"], ["cls"]):
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            for name in defaulted:
+                found[f"{module}.{qualified}.{name}"] = (callee, positional)
+    return found
+
+
+def _passes(call: ast.Call, name: str, positional: list) -> bool:
+    """Whether ``call`` may set parameter ``name``: by keyword, by
+    position, or through ``*args`` / ``**kwargs``."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    return name in positional and positional.index(name) < len(call.args)
+
+
+def test_every_parameter_is_set_by_a_non_test_caller():
+    """A defaulted parameter exists only where non-test callers need
+    different values (DESIGN §17). Callees are matched by name, so a
+    same-named callee elsewhere can only hide a candidate, never invent
+    one; each kept parameter names its reason."""
+    calls = {}
+    for module in _caller_modules():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    parameters = _defaulted_parameters()
+    assert "phy.process.PhyProcess.hang.reason" in parameters
+    unset = {
+        qualified
+        for qualified, (callee, positional) in parameters.items()
+        if not any(
+            _passes(call, qualified.rsplit(".", 1)[1], positional)
+            for call in calls.get(callee, [])
+        )
+    }
+    folded = sorted(unset - set(KEPT_PARAMETERS))
+    assert folded == [], f"parameters no non-test caller sets: {folded}"
+    stale = sorted(set(KEPT_PARAMETERS) - unset)
+    assert stale == [], f"KEPT_PARAMETERS entries a caller now sets: {stale}"
+
+
+def test_examples_bind_to_current_signatures():
+    """Tier-1 does not run ``examples/``: every call an example makes to
+    a name it imports from ``repro`` must still bind to that callable's
+    signature (arity and keyword names), checked without running it."""
+    import importlib
+    import inspect
+
+    checked = set()
+    for path in sorted((SRC.parents[1] / "examples").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = getattr(module, alias.name)
+        calls = 0
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name) or func.id not in bound:
+                continue
+            target = bound[func.id]
+            for attr in chain:
+                target = getattr(target, attr)
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                continue
+            try:
+                inspect.signature(target).bind_partial(
+                    *node.args, **{k.arg: k.value for k in node.keywords if k.arg}
+                )
+            except TypeError as error:
+                raise AssertionError(f"{path.name}:{node.lineno}: {error}") from None
+            checked.add(f"{target.__module__}.{target.__qualname__}")
+            calls += 1
+        assert calls, f"{path.name} makes no call the check can resolve"
+    assert {
+        "repro.experiments.ablations.detector_timeout_sweep",
+        "repro.experiments.fig11_upgrade.run",
+        "repro.cell.deployment.build_slingshot_cell",
+    } <= checked
