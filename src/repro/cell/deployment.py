@@ -47,7 +47,6 @@ from repro.l2.mac import L2Process
 from repro.net.addresses import MacAddress, MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
-from repro.net.ptp import PtpClock
 from repro.net.switch import Switch
 from repro.phy.channel import UeChannelModel
 from repro.phy.numerology import SlotClock
@@ -131,9 +130,6 @@ class _BaseCell:
     core: CoreNetwork
     server: AppServer
     ues: Dict[int, UserEquipment]
-    #: PTP-disciplined clocks of the slot-synchronized nodes (Table 1):
-    #: every RU and every PHY server, each on its own registry stream.
-    ptp_clocks: Dict[str, PtpClock] = field(default_factory=dict)
 
     @property
     def slot_ns(self) -> int:
@@ -374,17 +370,6 @@ class _Wiring:
             label="arm-detector",
         )
 
-    def ptp_clocks(self, num_rus: int, num_phy_servers: int) -> Dict[str, PtpClock]:
-        """Disciplined PTP clocks for the RUs and PHY servers.
-
-        Each clock's oscillator/servo noise comes from its own named
-        registry stream, so the clock ensemble is deterministic per
-        scenario seed.
-        """
-        nodes = [f"ru{i}" for i in range(num_rus)]
-        nodes += [f"phy{i}" for i in range(num_phy_servers)]
-        return {node: PtpClock(rng=self.rng.stream(f"ptp.{node}")) for node in nodes}
-
 
 def _site_profiles(config: CellConfig, ru_id: int) -> List[UeProfile]:
     """RU 0 serves ``config.ue_profiles`` as given; every further RU
@@ -522,7 +507,6 @@ def build_slingshot_cell(
         core=core,
         server=server,
         ues={ue_id: ue for site in sites for ue_id, ue in site.ues.items()},
-        ptp_clocks=wiring.ptp_clocks(len(rus), config.num_phy_servers),
         l2=l2s[0],
         l2_orion=l2_orion,
         controller=controller,
@@ -576,7 +560,6 @@ def build_baseline_cell(config: Optional[CellConfig] = None) -> BaselineCell:
         core=core,
         server=server,
         ues=ues,
-        ptp_clocks=wiring.ptp_clocks(1, num_phy_servers=2),
         primary_l2=l2s[0],
         backup_l2=l2s[1],
     )

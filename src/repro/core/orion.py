@@ -121,6 +121,9 @@ class OrionStats:
     bytes_on_wire: int = 0
     #: Failure notifications for cells with no live standby.
     failovers_impossible: int = 0
+    #: Failure notifications that started no migration and marked no
+    #: failover impossible (duplicates, or a PHY no cell runs on).
+    notifications_ignored: int = 0
     #: Gap-repair nulls not fabricated because the gap exceeded the cap.
     repair_slots_dropped: int = 0
     #: Failovers triggered by the L2-side response watchdog (gray faults).
@@ -668,6 +671,7 @@ class L2SideOrion(Process):
             self.trace.record(
                 self.sim.now, "orion.failure_notified", phy=notification.phy_id
             )
+        acted = False
         for assignment in self.cells.values():
             if assignment.primary_phy != notification.phy_id:
                 continue
@@ -683,6 +687,7 @@ class L2SideOrion(Process):
                 # Degraded mode: the cell is down until an operator
                 # intervenes — make that observable instead of silent.
                 self._note_failover_impossible(assignment, notification.phy_id)
+                acted = True
                 continue
             self.stats.failovers_handled += 1
             self._start_migration(
@@ -692,6 +697,9 @@ class L2SideOrion(Process):
                 + FAILOVER_SLOT_MARGIN,
                 failover=True,
             )
+            acted = True
+        if not acted:
+            self.stats.notifications_ignored += 1
 
     def _failover_dest(self, assignment: CellAssignment) -> Optional[int]:
         """The standby to promote for a failover, or ``None`` when the

@@ -3,8 +3,8 @@
 Slingshot's claim is sub-10 ms recovery *under failure* — so the repo
 needs a way to produce failures richer than a single fail-stop
 ``kill_phy``: lossy/duplicating/reordering/corrupting links, gray PHY
-failures (hangs that keep heartbeating, slowdowns), clock faults, and a
-lossy control plane. This package provides:
+failures (hangs that keep heartbeating, slowdowns), and a lossy control
+plane. This package provides:
 
 * :mod:`repro.faults.plan` — declarative :class:`FaultPlan` scenarios;
 * :mod:`repro.faults.link_faults` — the per-link impairment hook;
@@ -19,7 +19,6 @@ any (scenario, seed) pair replays to the bit-identical trace digest.
 """
 
 from repro.faults.plan import (
-    ClockFaultSpec,
     FaultPlan,
     LinkFaultSpec,
     ProcessFaultSpec,
@@ -31,7 +30,6 @@ from repro.faults.scenarios import ChaosScenario, standard_scenarios
 
 __all__ = [
     "ChaosScenario",
-    "ClockFaultSpec",
     "CorruptedPayload",
     "FaultInjector",
     "FaultPlan",

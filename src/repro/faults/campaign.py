@@ -19,13 +19,13 @@ idle until the fault), so the sweep builds one warm, unarmed
 fork_ns)``, :data:`FORK_MARGIN_NS` before the plan's earliest fault — and
 checkpoints it in memory; each ``(scenario, seed)`` then restores its
 base, arms the plan and runs the remainder (a replay branches the same
-base again). Most scenarios share one base; ``clock_drift`` needs an
-earlier one (its clock fault leads the crash by 100 ms) and
-``no_secondary`` runs a one-PHY cell. The branch equals a run armed at
-t = 0 record for record: link impairments touch nothing, draw nothing
-and count nothing before their windows open (:meth:`Link.send
-<repro.net.link.Link.send>`), transitions are scheduled at absolute
-times, and registry streams are seeded by name alone. The cold run
+base again). Every scenario forks at the same instant, so a seed has
+two bases: the two-PHY cell and ``no_secondary``'s one-PHY cell. The
+branch equals a run armed at t = 0 record for record: link impairments
+touch nothing, draw nothing and count nothing before their windows open
+(:meth:`Link.send <repro.net.link.Link.send>`), transitions are
+scheduled at absolute times, and registry streams are seeded by name
+alone. The cold run
 survives as the model of that differential test
 (``tests/chaos_cold.py``).
 
@@ -315,7 +315,6 @@ def earliest_fault_ns(plan: FaultPlan) -> int:
     times = (
         [spec.at_ns for spec in plan.process_faults]
         + [spec.start_ns for spec in plan.link_faults]
-        + [spec.at_ns for spec in plan.clock_faults]
     )
     if not times:
         raise ValueError(f"plan {plan.name!r} has no faults to fork before")

@@ -2,7 +2,7 @@
 
 The injector is purely a scheduler: at arm() time it attaches
 :class:`~repro.faults.link_faults.LinkImpairment` hooks to every switch
-link whose name matches a spec, and schedules the process/clock fault
+link whose name matches a spec, and schedules the process fault
 transitions as ordinary simulator events. All randomness is drawn from
 ``faults.*`` registry streams (owner-only, checked by
 ``RngRegistry.stream``), so a plan replays bit-identically for a given
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Iterator
 
 from repro.faults.link_faults import LinkImpairment
-from repro.faults.plan import ClockFaultSpec, FaultPlan, ProcessFaultSpec, invalid_spec
+from repro.faults.plan import FaultPlan, ProcessFaultSpec, invalid_spec
 from repro.net.link import Link
 
 
@@ -53,15 +53,12 @@ class FaultInjector:
             dormancy.hooks_attached()
         for spec in self.plan.process_faults:
             self._arm_process_fault(spec)
-        for spec in self.plan.clock_faults:
-            self._arm_clock_fault(spec)
 
     def _refuse_what_this_cell_lacks(self) -> None:
         """Before anything is attached or scheduled: every link pattern
-        matches a switch link, every ``phy_id`` names a server, every
-        clock ``node`` names a clock — else one ``ValueError``, not a
-        scenario that "passes" with nothing armed or a traceback at the
-        fault instant."""
+        matches a switch link and every ``phy_id`` names a server — else
+        one ``ValueError``, not a scenario that "passes" with nothing
+        armed or a traceback at the fault instant."""
         links = [link.name for link in self._switch_links()]
         for spec in self.plan.link_faults:
             if not any(spec.link_pattern in name for name in links):
@@ -71,11 +68,6 @@ class FaultInjector:
             if spec.phy_id >= servers:
                 raise invalid_spec(
                     spec, f"phy_id {spec.phy_id} but the cell has {servers} PHY servers"
-                )
-        for spec in self.plan.clock_faults:
-            if spec.node not in self.cell.ptp_clocks:
-                raise invalid_spec(
-                    spec, f"unknown clock node; known: {sorted(self.cell.ptp_clocks)}"
                 )
 
     def _switch_links(self) -> Iterator[Link]:
@@ -159,40 +151,3 @@ class FaultInjector:
             # The operator explicitly clears the server's failure record.
             assignment.failed_phys.discard(phy_id)
             l2_orion.initialize_secondary(cell_id, phy_id)
-
-    # ------------------------------------------------------------------
-    # Clock faults
-    # ------------------------------------------------------------------
-    def _arm_clock_fault(self, spec: ClockFaultSpec) -> None:
-        sim = self.cell.sim
-        sim.at(spec.at_ns, self._apply_clock_fault, spec, label="fault.clock")
-        if spec.holdover and spec.duration_ns:
-            sim.at(
-                spec.at_ns + spec.duration_ns,
-                self._end_holdover,
-                spec,
-                label="fault.clock-resync",
-            )
-
-    def _apply_clock_fault(self, spec: ClockFaultSpec) -> None:
-        clock = self.cell.ptp_clocks[spec.node]
-        now = self.cell.sim.now
-        if spec.step_ns:
-            clock.apply_step(now, spec.step_ns)
-        if spec.drift_ppm is not None:
-            clock.set_drift_ppm(now, spec.drift_ppm)
-        if spec.holdover:
-            clock.set_disciplined(now, False)
-        if self.cell.trace is not None:
-            self.cell.trace.record(
-                now,
-                "fault.clock",
-                node=spec.node,
-                step_ns=spec.step_ns,
-                drift_ppm=spec.drift_ppm,
-                holdover=spec.holdover,
-            )
-
-    def _end_holdover(self, spec: ClockFaultSpec) -> None:
-        clock = self.cell.ptp_clocks[spec.node]
-        clock.set_disciplined(self.cell.sim.now, True)

@@ -20,7 +20,7 @@ built; one a particular cell cannot honour is refused by
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.net.packet import EtherType
 
@@ -113,34 +113,12 @@ class ProcessFaultSpec:
 
 
 @dataclass(frozen=True)
-class ClockFaultSpec:
-    """A PTP clock fault on one node (key into ``cell.ptp_clocks``).
-
-    Any combination of a phase step, a drift-rate override, and a
-    holdover window (sync lost for ``duration_ns``). The switch data
-    plane is not time-synchronized (§5.1), so recovery must be — and the
-    invariants assert it is — unaffected.
-    """
-
-    node: str
-    at_ns: int
-    step_ns: float = 0.0
-    drift_ppm: Optional[float] = None
-    holdover: bool = False
-    duration_ns: int = 0
-
-    def __post_init__(self) -> None:
-        _refuse_negative(self, "duration_ns")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """One scenario's complete fault description."""
 
     name: str
     link_faults: Tuple[LinkFaultSpec, ...] = ()
     process_faults: Tuple[ProcessFaultSpec, ...] = ()
-    clock_faults: Tuple[ClockFaultSpec, ...] = ()
 
     def describe(self) -> dict:
         """JSON-ready form for campaign reports."""
@@ -158,5 +136,4 @@ class FaultPlan:
             "name": self.name,
             "link_faults": [spec_dict(s) for s in self.link_faults],
             "process_faults": [spec_dict(s) for s in self.process_faults],
-            "clock_faults": [spec_dict(s) for s in self.clock_faults],
         }

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.faults.plan import (
-    ClockFaultSpec,
     FaultPlan,
     LinkFaultSpec,
     ProcessFaultSpec,
@@ -205,33 +204,6 @@ def standard_scenarios() -> Tuple[ChaosScenario, ...]:
             downtime_budget_ns=20 * MS,
             detection_path="none (degraded, not failed)",
             description="uplink pipeline inflated by 3 ms for 200 ms",
-        ),
-        ChaosScenario(
-            name="clock_drift",
-            plan=FaultPlan(
-                name="clock_drift",
-                clock_faults=(
-                    ClockFaultSpec(
-                        node="phy0",
-                        at_ns=FAULT_AT_NS - 100 * MS,
-                        step_ns=200_000.0,
-                        drift_ppm=500.0,
-                        holdover=True,
-                        duration_ns=400 * MS,
-                    ),
-                ),
-                process_faults=(
-                    ProcessFaultSpec(phy_id=0, kind="crash", at_ns=FAULT_AT_NS),
-                ),
-            ),
-            expected_migrations=1,
-            downtime_budget_ns=15 * MS,
-            detection_path="in-switch detector (clock-independent)",
-            description=(
-                "primary's PTP clock steps 200 us and free-runs at 500 ppm "
-                "before the crash — recovery is slot-field driven, not "
-                "clock driven, so failover must be unaffected"
-            ),
         ),
         ChaosScenario(
             name="cmd_drop",

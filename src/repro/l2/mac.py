@@ -14,7 +14,7 @@ evaluation needs:
 * RLC bearer multiplexing: transport blocks carry RLC PDUs and STATUS
   PDUs for any number of bearers.
 
-The L2 keeps its own PTP-derived slot clock: it never stops scheduling
+The L2 schedules on the cell's slot clock: it never stops scheduling
 just because a PHY died — that is precisely what lets Orion hand the
 unmodified FAPI stream to the secondary PHY mid-stream.
 """

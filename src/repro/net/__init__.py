@@ -10,7 +10,6 @@ fronthaul middlebox is built.
 from repro.net.addresses import MacAddress, BROADCAST_MAC
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.link import Link, NetworkEndpoint
-from repro.net.ptp import PtpClock
 from repro.net.switch import Switch, SwitchPort
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "EthernetFrame",
     "Link",
     "NetworkEndpoint",
-    "PtpClock",
     "Switch",
     "SwitchPort",
 ]

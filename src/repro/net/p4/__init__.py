@@ -5,9 +5,8 @@ program plus a Python control plane (paper §7). This package models the
 primitives that program uses:
 
 * :class:`~repro.net.p4.tables.MatchActionTable` — exact-match tables
-  installed from the control plane (with the control plane's tens-of-ms
-  rule-update latency, which is *why* migration must happen in the data
-  plane).
+  installed from the control plane at bring-up (a rule update takes tens
+  of ms, which is *why* migration must happen in the data plane).
 * :class:`~repro.net.p4.registers.RegisterArray` — data-plane-updatable
   state (the RU-to-PHY mapping, migration request store, and
   failure-detector counters).
@@ -19,14 +18,12 @@ primitives that program uses:
 
 from repro.net.p4.tables import MatchActionTable, TableEntry
 from repro.net.p4.registers import RegisterArray
-from repro.net.p4.control import ControlPlane
 from repro.net.p4.resources import PipelineResourceModel, ResourceUsage
 
 __all__ = [
     "MatchActionTable",
     "TableEntry",
     "RegisterArray",
-    "ControlPlane",
     "PipelineResourceModel",
     "ResourceUsage",
 ]

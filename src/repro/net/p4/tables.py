@@ -2,10 +2,8 @@
 
 These model P4 tables that can only be written from the switch control
 plane. Lookups (data-plane reads) are instantaneous in simulated time;
-writes performed through :class:`~repro.net.p4.control.ControlPlane` incur
-the control plane's rule-update latency, matching the paper's measurement
-of ~29 ms at the 99.9th percentile — the reason Slingshot's migration
-trigger lives in the data plane.
+writes are installed at bring-up, long before realtime traffic flows
+(why a rule update cannot trigger a migration: DESIGN §1).
 """
 
 from __future__ import annotations

@@ -32,8 +32,6 @@ class EtherType(enum.IntEnum):
     #: Slingshot control packets (migrate_on_slot, failure notifications,
     #: switch timer/packet-generator packets). A locally-chosen value.
     SLINGSHOT = 0x88B5
-    #: Precision Time Protocol (modeled only for completeness).
-    PTP = 0x88F7
 
 
 _frame_ids = itertools.count(1)

@@ -27,21 +27,13 @@ class ForwardingDecision:
 
     ``out_ports`` lists egress ports; an empty list drops the frame.
     ``frame`` may be a rewritten copy (e.g. virtual-address translation).
-    ``extra`` carries additional frames to emit (e.g. failure notifications
-    or mirrored packets), as (port, frame) pairs.
     """
 
-    __slots__ = ("out_ports", "frame", "extra")
+    __slots__ = ("out_ports", "frame")
 
-    def __init__(
-        self,
-        out_ports: List[int],
-        frame: EthernetFrame,
-        extra: Optional[List["tuple[int, EthernetFrame]"]] = None,
-    ) -> None:
+    def __init__(self, out_ports: List[int], frame: EthernetFrame) -> None:
         self.out_ports = out_ports
         self.frame = frame
-        self.extra = extra or []
 
     @classmethod
     def drop(cls, frame: EthernetFrame) -> "ForwardingDecision":
@@ -187,7 +179,7 @@ class Switch(Process):
         """Run the pipeline on an ingress frame and forward the result."""
         self.frames_processed += 1
         decision = self.pipeline.process(frame, in_port, self)
-        if not decision.out_ports and not decision.extra:
+        if not decision.out_ports:
             self.frames_dropped += 1
             return
         ports = self._ports
@@ -195,10 +187,6 @@ class Switch(Process):
             port = ports.get(number)
             if port is not None:
                 port.transmit(decision.frame)
-        for number, extra in decision.extra:
-            port = ports.get(number)
-            if port is not None:
-                port.transmit(extra)
 
     def inject(self, frame: EthernetFrame) -> None:
         """Inject a frame into the pipeline as if received on no port

@@ -31,8 +31,6 @@ NAMESPACES: Dict[str, Tuple[str, bool]] = {
     "fleet": ("fleet", True),  # fleet composition (tracer sampling)
     "perf": ("perf", True),  # test input corpora
     "phy": ("cell", False),  # per-PHY processing jitter
-    "ptp": ("net", False),  # PTP clock noise
-    "p4": ("net", False),  # switch control-plane latency
     "ue": ("cell", False),  # per-UE channel and modem
 }
 

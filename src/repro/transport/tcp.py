@@ -261,10 +261,11 @@ class TcpSender(Process):
             ranges[i:j] = [(start, end)]
 
     def _sack_span(self, start: int, end: int) -> None:
-        """Record the in-flight segments of ``[start, end)`` as SACKed
-        (a segment already marked lost stays in ``_lost`` as well)."""
+        """Record the in-flight segments of ``[start, end)`` as SACKed;
+        one already marked lost is delivered, not lost (RFC 6675)."""
         for seq in range(start, end, MSS_BYTES):
             self._sacked.add(seq)
+            self._lost.discard(seq)
             self._unjudged.pop(seq, None)
             self._rack_time = max(self._rack_time, self._flight[seq].sent_at)
 

@@ -73,7 +73,7 @@ def _mid_recovery_verify(base, payload):
 
 @pytest.fixture(scope="session")
 def seed1_chaos():
-    """The session's one seed-1 chaos pass: the three warm fork bases,
+    """The session's one seed-1 chaos pass: the two warm fork bases,
     and every scenario class branched from its base once at jobs 2 with
     a capture at :data:`MID_RECOVERY_NS` restored to the end beside it.
     Scenario name -> ``_mid_recovery_verify``'s result."""

@@ -42,7 +42,7 @@ class EgressEventSwitch(Switch):
         """Run the pipeline on an ingress frame and forward the result."""
         self.frames_processed += 1
         decision = self.pipeline.process(frame, in_port, self)
-        if not decision.out_ports and not decision.extra:
+        if not decision.out_ports:
             self.frames_dropped += 1
             return
         self.sim.schedule(
@@ -57,10 +57,6 @@ class EgressEventSwitch(Switch):
             port = self._ports.get(number)
             if port is not None:
                 port.transmit(decision.frame)
-        for number, frame in decision.extra:
-            port = self._ports.get(number)
-            if port is not None:
-                port.transmit(frame)
 
 
 class EgressEventMiddlebox(FronthaulMiddlebox):

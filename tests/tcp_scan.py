@@ -157,6 +157,7 @@ class ScanTcpSender(Process):
                 if start <= seq and seq + self._flight[seq].length <= end:
                     if seq not in self._sacked:
                         self._sacked.add(seq)
+                        self._lost.discard(seq)
                         self._rack_time = max(
                             self._rack_time, self._flight[seq].sent_at
                         )

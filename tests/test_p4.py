@@ -1,15 +1,13 @@
-"""Tests for the P4 primitives: tables, registers, packet generator,
-control plane, and the resource model."""
+"""Tests for the P4 primitives: tables, registers, packet generator and
+the resource model."""
 
-import numpy as np
 import pytest
 
-from repro.net.p4.control import ControlPlane
 from repro.net.p4.registers import RegisterArray
 from repro.net.p4.resources import PipelineResourceModel
 from repro.net.p4.tables import MatchActionTable
 from repro.sim.engine import Simulator
-from repro.sim.units import MS, US
+from repro.sim.units import US
 from tests.packetgen import PacketGenerator
 
 
@@ -118,35 +116,6 @@ class TestPacketGenerator:
         sim = Simulator()
         with pytest.raises(ValueError):
             PacketGenerator.for_timeout(sim, lambda t: None, 1000, 0)
-
-
-class TestControlPlane:
-    def test_updates_are_slow(self):
-        """Rule updates land tens of ms later — why migration cannot be
-        triggered from the control plane (§5.1)."""
-        sim = Simulator()
-        control = ControlPlane(sim, rng=np.random.default_rng(0))
-        table = MatchActionTable("t", capacity=4, key_bits=8, value_bits=8)
-        apply_time = control.install_rule(table, "k", 1)
-        assert apply_time - sim.now > 3 * MS
-        assert table.lookup("k") is None  # Not yet applied.
-        sim.run()
-        assert table.lookup("k") == 1
-
-    def test_p999_latency_near_29ms(self):
-        control = ControlPlane(Simulator(), rng=np.random.default_rng(1))
-        samples = np.array(
-            [control.sample_update_latency_ns() for _ in range(4000)]
-        )
-        p999_ms = np.percentile(samples, 99.9) / MS
-        assert 20.0 < p999_ms < 40.0
-
-    def test_sync_install_is_immediate(self):
-        sim = Simulator()
-        control = ControlPlane(sim)
-        table = MatchActionTable("t", capacity=4, key_bits=8, value_bits=8)
-        control.install_rule_sync(table, "k", 5)
-        assert table.lookup("k") == 5
 
 
 class TestResourceModel:

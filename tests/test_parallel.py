@@ -190,13 +190,13 @@ class TestRunShardsPool:
 
 @pytest.mark.slow
 class TestSerialParallelEquality:
-    """Every one of the 39 records in ``BENCH_chaos.json`` is checked each
+    """Every one of the 36 records in ``BENCH_chaos.json`` is checked each
     session: seeds 2 and 3 through the CLI, seed 1 from the session's
     one seed-1 pass (``seed1_chaos``)."""
 
     def test_standard_campaign_digests_identical_across_jobs(self, capsys):
         """Seeds 2 and 3 of the standard chaos campaign, run once on a
-        4-worker pool, stream one line per run and reproduce their 26
+        4-worker pool, stream one line per run and reproduce their 24
         records in the recorded ``BENCH_chaos.json`` — pinned to the
         recording and, through it, to a serial run. Equality at jobs 1, 2
         and 4 on a subset is the harness contract
@@ -206,12 +206,12 @@ class TestSerialParallelEquality:
         exit_code = chaos_main(["--check", "--no-replay", "--seeds", "2", "3", "--jobs", "4"])
         output = capsys.readouterr().out
         assert exit_code == 0, output
-        assert sum(" PASS " in line for line in output.splitlines()) == 26
-        assert "26 runs, 0 failed" in output
-        assert "chaos check passed (26 run(s))" in output
+        assert sum(" PASS " in line for line in output.splitlines()) == 24
+        assert "24 runs, 0 failed" in output
+        assert "chaos check passed (24 run(s))" in output
 
     def test_seed1_records_match_the_baseline(self, seed1_chaos):
-        """The session pass's 13 continued seed-1 records, compared with
+        """The session pass's 12 continued seed-1 records, compared with
         their recorded entries on the chaos verb's exact fields (what
         ``chaos --check`` compares)."""
         from repro.faults.campaign import CHAOS
@@ -221,6 +221,6 @@ class TestSerialParallelEquality:
             {"runs": [result["continued"].as_dict() for result in seed1_chaos.values()]}
         )
         assert sorted(fresh) == sorted(f"{name}/seed=1" for name in seed1_chaos)
-        assert len(fresh) == 13
+        assert len(fresh) == 12
         recorded = CHAOS.entries(load_baseline("chaos"))
         assert check_entries(fresh, recorded, CHAOS.exact_fields) == []

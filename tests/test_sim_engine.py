@@ -457,7 +457,7 @@ class TestStreamOwnership:
         assert namespace_head("phy3") == "phy"
         assert namespace_head("ue12.channel") == "ue"
         assert namespace_head("p4") == "p4"
-        assert {"faults", "phy", "ptp", "ue", "app", "perf", "fleet"} <= set(NAMESPACES)
+        assert {"faults", "phy", "core", "ue", "app", "perf", "fleet"} <= set(NAMESPACES)
         assert {head for head, (_, strict) in NAMESPACES.items() if strict} == {
             "faults", "fleet", "perf",
         }
@@ -506,7 +506,7 @@ class TestStreamOwnership:
     def test_composition_roots_wire_non_strict_namespaces(self):
         registry = RngRegistry(seed=1)
         draw_from("repro.cell.deployment", registry, "ue1.channel")
-        draw_from("repro.cell.deployment", registry, "ptp.ru")
+        draw_from("repro.cell.deployment", registry, "core.attach")
         draw_from("repro.experiments.fig8_video", registry, "app.video.video")
         draw_from("repro.faults.injector", registry, "faults.link.fh")
         draw_from("repro.fleet.population", registry, "fleet.tracers")
@@ -745,8 +745,8 @@ STREAM_CORPUS = [
     ),
     (
         "stream001_fstring_without_static_prefix",
-        [("repro.faults.injector", 'def f(rng, name):\n    return rng.stream(f"{name}.jitter")\n', ("ptp",))],
-        "owned by 'net'",
+        [("repro.faults.injector", 'def f(rng, name):\n    return rng.stream(f"{name}.jitter")\n', ("app",))],
+        "owned by 'apps'",
     ),
     (
         "stream002_undeclared_namespace_in_faults",

@@ -469,7 +469,7 @@ def _census():
     # belong to someone else, two undeclared ones to nobody. The lint is
     # silent; RngRegistry.stream refuses each draw at run time.
     for name in (
-        "app.x", "core.x", "faults.x", "phy1", "ptp", "ue1.channel",
+        "app.x", "core.x", "faults.x", "phy1", "baseline.x", "ue1.channel",
         "telemetry", "metrics.flush",
     ):
         rows.append(

@@ -6,7 +6,7 @@ switch it replaced lives on as ``tests/switch_egress_event.py``. Both are
 driven with the same generated traffic — mixed line rates, bursts that
 queue on one egress link, same-nanosecond arrivals on different ports,
 failure notifications landing inside another frame's pipeline window (and
-the other way round), broadcast and ``extra`` frames, ports that lead
+the other way round), broadcast and multi-port frames, ports that lead
 nowhere, impaired egress links whose fault windows open while a frame is
 inside the pipeline — and everything observable must be **equal**: every
 ``(arrival, port, frame)`` delivered, every link's ``_line_free_at`` /
@@ -73,8 +73,6 @@ class FrameSpec:
     #: ``broadcast`` go through the static MAC table.
     mode: str
     out_ports: Tuple[int, ...] = ()
-    #: Frames the pipeline emits beside it, as (port, tag, wire_bytes).
-    extra: Tuple[Tuple[int, int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ def generate_schedules(count: int = SCHEDULES):
         def other(port):
             return int((port + rng.integers(1, n)) % n)
 
-        def script(out_ports, extra=()):
-            return FrameSpec(next(tags), size(), "script", tuple(out_ports), tuple(extra))
+        def script(out_ports):
+            return FrameSpec(next(tags), size(), "script", tuple(out_ports))
 
         def entry(when, spec, in_port):
             ops.append((int(when), pick("send", "inject"), in_port, spec))
@@ -140,15 +138,11 @@ def generate_schedules(count: int = SCHEDULES):
             for _ in range(int(rng.integers(5, 21))):
                 at += int(rng.integers(1, 2_000))
                 entry(at, script([hot]), other(hot))
-        # Frames that leave on several ports and bring ``extra`` frames.
+        # Frames that leave on several ports.
         for _ in range(int(rng.integers(3, 9))):
             in_port = int(rng.integers(0, n))
-            extra = [
-                (pick(hot, notify_port, other(in_port), n), next(tags), size())
-                for _ in range(int(rng.integers(1, 3)))
-            ]
             outs = pick((), (other(in_port),), (hot, other(in_port)))
-            entry(rng.integers(0, HORIZON_NS), script(outs, extra), in_port)
+            entry(rng.integers(0, HORIZON_NS), script(outs), in_port)
         # Same-instant ingress on two ports, to one egress link and to two.
         if not tie_free:
             for _ in range(int(rng.integers(2, 7))):
@@ -227,11 +221,7 @@ class ScriptedPipeline(StaticL2Pipeline):
         spec = frame.payload
         if spec.mode != "script":
             return super().process(frame, in_port, switch)
-        extra = [
-            (port, EthernetFrame(frame.src, mac_of(port), EtherType.IPV4, tag, wire_bytes))
-            for port, tag, wire_bytes in spec.extra
-        ]
-        return ForwardingDecision(list(spec.out_ports), frame, extra)
+        return ForwardingDecision(list(spec.out_ports), frame)
 
 
 class Sink:
@@ -362,7 +352,7 @@ def test_fold_matches_egress_event_switch(schedule):
 def test_corpus_reaches_the_cases_it_names(monkeypatch):
     """The generator's shape claims, checked on what the fixture did."""
     saw = dict.fromkeys(
-        ("queued", "dropped", "broadcast", "extra", "same_instant", "lost",
+        ("queued", "dropped", "broadcast", "multi_port", "same_instant", "lost",
          "duplicated", "reordered", "corrupted", "window_opens_mid_flight",
          "notify_inside_frame_window", "frame_inside_notify_window"), 0
     )
@@ -386,7 +376,7 @@ def test_corpus_reaches_the_cases_it_names(monkeypatch):
         saw["same_instant"] += len(set(instants)) < len(instants)
         saw["dropped"] += outcome["switch"][1] > 0
         saw["broadcast"] += any(op[3].mode == "broadcast" for op in frames)
-        saw["extra"] += any(op[3].extra for op in frames)
+        saw["multi_port"] += any(len(op[3].out_ports) > 1 for op in frames)
         for stats in outcome["impairments"].values():
             saw["lost"] += stats["dropped"] > 0
             saw["duplicated"] += stats["duplicated"] > 0

@@ -203,11 +203,10 @@ class TestReceiver:
 
 
 class TestLostThenSackedEdge:
-    """Pins, does not bless, a suspected over-retransmission (DESIGN.md
-    section 6, ROADMAP "The two pins"): a segment RACK marked lost whose original
-    then arrives — HARQ delivered it late — is SACKed *and* stays in
-    ``_lost``. ``_pipe()`` subtracts it twice and ``_fill_window`` still
-    retransmits it. Fixing it moves digests, so it gets a PR of its own."""
+    """A segment RACK marked lost whose original then arrives — HARQ
+    delivered it late — is delivered, not lost, once SACKed (RFC 6675):
+    it leaves ``_lost``, ``_pipe()`` counts it out once, and it is not
+    sent again (DESIGN.md section 6)."""
 
     def _ack(self, ack, *blocks, ts_echo=0):
         return TcpSegment(
@@ -215,7 +214,7 @@ class TestLostThenSackedEdge:
             sack_blocks=tuple((a * 1200, b * 1200) for a, b in blocks),
         )
 
-    def test_segment_marked_lost_then_sacked_is_still_retransmitted(self):
+    def test_segment_marked_lost_then_sacked_is_not_retransmitted(self):
         sim = Simulator()
         sent = []
         sender = TcpSender(
@@ -238,13 +237,12 @@ class TestLostThenSackedEdge:
         assert sender.in_fast_recovery
         assert sent[19:] == [1] and sender._lost == {2 * 1200}
         pipe_before = sender._pipe()
-        # The late original of 2 arrives after all and is SACKed.
+        # The late original of 2 arrives after all and is SACKed: it moves
+        # from lost to SACKed, so the pipe does not shrink a second time.
         sender.on_ack(self._ack(1, (2, 12)))
-        assert 2 * 1200 in sender._sacked and 2 * 1200 in sender._lost
-        assert sender._pipe() == pipe_before - 1200  # Counted out twice.
-        assert sent[19:] == [1]
-        # Once the pipe drains, the delivered segment is sent again.
+        assert 2 * 1200 in sender._sacked and not sender._lost
+        assert sender._pipe() == pipe_before
+        # Once the pipe drains, new data goes out; 2 is never sent again.
         sender.on_ack(self._ack(1, (2, 19)))
-        assert sent[19:21] == [1, 2]
-        assert sender.stats.retransmissions == 2
-        assert 2 * 1200 in sender._sacked and 2 * 1200 not in sender._lost
+        assert sent[19:] == [1, 19, 20]
+        assert sender.stats.retransmissions == 1

@@ -125,6 +125,12 @@ def generate_schedules(count: int = SCHEDULES) -> List[Schedule]:
     return schedules
 
 
+def _sacks_a_lost_segment(blocks, lost) -> bool:
+    """Whether an ACK's SACK blocks cover a seq the sender has marked
+    lost: the lost-then-SACKed edge, read before the ACK clears it."""
+    return any(start <= seq < end for start, end in blocks for seq in lost)
+
+
 class Pipe:
     """One sender/receiver pair of either implementation on a schedule.
 
@@ -232,10 +238,10 @@ class Pipe:
         sender = self.sender
         if ack.ack < sender.snd_una:
             self.hits["stale_ack"] += 1
+        if _sacks_a_lost_segment(ack.sack_blocks, sender._lost):
+            self.hits["lost_then_sacked"] += 1
         self.around_ack(lambda: sender.on_ack(ack))
         sacked, lost = sender._sacked, sender._lost
-        if sacked and lost and not sacked.isdisjoint(lost):
-            self.hits["lost_then_sacked"] += 1
         self.states.append((
             self.sim.now, sender.cwnd, sender.ssthresh, sender.srtt_ns,
             sender.rto_ns, sender.snd_una, sender.snd_nxt,

@@ -241,7 +241,6 @@ KEPT_PARAMETERS = {
     "core.orion.L2SideOrion.name": "identity: the process name",
     "corenet.core.CoreNetwork.name": "identity: the process name",
     "corenet.server.AppServer.name": "identity: the process name",
-    "net.p4.control.ControlPlane.name": "identity: names its RNG stream",
     "transport.tcp.TcpSender.name": "identity: the process name",
     "transport.tcp.TcpReceiver.name": "identity: the process name",
     "transport.udp.UdpSender.name": "identity: the process name",
@@ -257,7 +256,6 @@ KEPT_PARAMETERS = {
     "fleet.composer.build_fleet.sim": "collaborator: the engine (the legacy-engine "
     "differential)",
     "fronthaul.ru.RadioUnit.uplink": "collaborator: the fronthaul link",
-    "net.p4.control.ControlPlane.rng": "collaborator: the latency stream",
     "phy.codec.PhyCodec.code": "collaborator: the LDPC code the chain fuzz varies",
     # Executor arguments, reached through Verb.execute.
     "harness.branch_sweep.jobs": "executor: worker count",
@@ -274,8 +272,6 @@ KEPT_PARAMETERS = {
     # Fields of a message, not settings.
     "fronthaul.ecpri.encode_header.symbol": "wire field decode_header returns",
     "fronthaul.ecpri.encode_header.section_type": "wire field decode_header returns",
-    "net.switch.ForwardingDecision.extra": "pipeline decision field: frames a "
-    "program emits besides the forwarded one",
 }
 
 
