@@ -5,7 +5,7 @@ import pytest
 from repro.net.addresses import BROADCAST_MAC, MacAddress, MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame, MIN_FRAME_BYTES
-from repro.net.switch import StaticL2Pipeline, Switch
+from repro.net.switch import ForwardingDecision, StaticL2Pipeline, Switch
 from repro.sim.engine import Simulator
 
 
@@ -171,6 +171,37 @@ class TestSwitch:
         # The ingress and egress deliveries are the hop's only engine
         # events; the pipeline latency costs none.
         assert sim.events_processed == 2
+
+    def test_decision_forwards_its_rewritten_frame_to_every_port(self):
+        sim, switch, hosts = self._build()
+        rewritten = make_frame(src=9, dst=8, payload="rewritten")
+        ports = [hosts[1][1].number, hosts[2][1].number]
+
+        class Rewrite:
+            def process(self, frame, in_port, switch):
+                return ForwardingDecision(ports, rewritten)
+
+        switch.pipeline = Rewrite()
+        hosts[0][1].ingress_link.send(make_frame(src=1, dst=2))
+        sim.run()
+        assert [f for _, f in hosts[1][0].received] == [rewritten]
+        assert [f for _, f in hosts[2][0].received] == [rewritten]
+        assert hosts[0][0].received == []
+        assert (switch.frames_processed, switch.frames_dropped) == (1, 0)
+
+    def test_decision_to_unattached_port_skips_it(self):
+        sim, switch, hosts = self._build()
+        ports = [99, hosts[1][1].number]
+
+        class ToNowhereAndOne:
+            def process(self, frame, in_port, switch):
+                return ForwardingDecision(ports, frame)
+
+        switch.pipeline = ToNowhereAndOne()
+        hosts[0][1].ingress_link.send(make_frame(src=1, dst=2))
+        sim.run()
+        assert len(hosts[1][0].received) == 1
+        assert (switch.frames_processed, switch.frames_dropped) == (1, 0)
 
     def test_inject_runs_pipeline(self):
         sim, switch, hosts = self._build()

@@ -309,6 +309,87 @@ class TestMigrationSteering:
         assert orion.stats.migrations_initiated == 1
 
 
+def notify_failure(orion, phy_id):
+    orion.receive_frame(
+        EthernetFrame(
+            src=MacAddress(1), dst=L2_ORION_MAC,
+            ethertype=EtherType.SLINGSHOT,
+            payload=FailureNotification(phy_id=phy_id, detected_at=orion.sim.now),
+            wire_bytes=64,
+        ),
+        ingress=None,
+    )
+
+
+class TestNotificationsIgnored:
+    """``notifications_ignored`` counts a failure notification that starts
+    no migration and marks no failover impossible — the trace the
+    duplicate suppression of DESIGN section 8 leaves."""
+
+    def test_first_notification_fails_over_and_is_not_ignored(self):
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        notify_failure(orion, 0)
+        assert orion.stats.failovers_handled == 1
+        assert orion.stats.notifications_ignored == 0
+
+    def test_duplicate_mid_migration_is_counted_once(self):
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        notify_failure(orion, 0)
+        notify_failure(orion, 0)
+        notify_failure(orion, 0)
+        assert orion.stats.migrations_initiated == 1
+        assert orion.stats.notifications_ignored == 2
+
+    def test_late_duplicate_after_the_flip_is_ignored(self):
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        notify_failure(orion, 0)
+        sim.run_until(500_000 * 40)
+        assert orion.cells[0].primary_phy == 1
+        notify_failure(orion, 0)
+        assert orion.stats.migrations_initiated == 1
+        assert orion.stats.notifications_ignored == 1
+
+    def test_standby_failure_is_ignored(self):
+        """The failed PHY is no cell's primary: nothing to fail over."""
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        notify_failure(orion, 1)
+        assert orion.cells[0].primary_phy == 0
+        assert orion.stats.migrations_initiated == 0
+        assert orion.stats.notifications_ignored == 1
+
+    def test_unknown_phy_is_ignored(self):
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        notify_failure(orion, 7)
+        assert orion.stats.migrations_initiated == 0
+        assert orion.stats.notifications_ignored == 1
+
+    def test_failover_impossible_is_not_ignored(self):
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        orion.assign_cell(cell_id=0, ru_id=0, primary_phy=0, secondary_phy=None)
+        notify_failure(orion, 0)
+        assert orion.stats.failovers_impossible == 1
+        assert orion.stats.notifications_ignored == 0
+
+    def test_pooled_duplicate_after_a_denied_seat_is_ignored(self):
+        """With a pooled standby, a denied primary is pinned as failed:
+        its duplicate notification is ignored, not counted impossible
+        again."""
+        sim = Simulator()
+        orion, _, _ = build_l2_orion(sim)
+        orion.standby_gate = lambda assignment: False
+        notify_failure(orion, 0)
+        notify_failure(orion, 0)
+        assert orion.stats.failovers_impossible == 1
+        assert orion.stats.notifications_ignored == 1
+        assert orion.stats.migrations_initiated == 0
+
+
 class TestPhySideOrion:
     def test_relays_network_to_shm(self):
         sim = Simulator()
