@@ -64,16 +64,17 @@ from repro.sim.engine import Simulator  # noqa: E402
 SLOT_NS = 500 * workloads.US
 
 
-def callback_kind(handle: Any) -> str:
-    """``Owner.method`` of a popped event; a carrier — its cost belongs to
-    whoever it hands the work to — is split by that consumer."""
-    callback = handle.callback
+def callback_kind(entry: List[Any]) -> str:
+    """``Owner.method`` of a popped heap entry (``[time, tie, seq,
+    callback, args, periodic]``); a carrier — its cost belongs to whoever
+    it hands the work to — is split by that consumer."""
+    callback = entry[3]
     owner = getattr(callback, "__self__", None)
     if owner is None:
         return getattr(callback, "__qualname__", repr(callback))
     kind = f"{type(owner).__name__}.{callback.__name__}"
     if kind == "_ServiceQueue._complete":
-        action = handle.args[0]
+        action = entry[4][0]
         return f"{kind} -> {type(action.__self__).__name__}.{action.__name__}"
     if kind in ("Link._deliver", "ShmChannel._deliver"):
         return f"{kind} -> {type(owner.endpoint).__name__}"
@@ -110,18 +111,18 @@ class RoleMap:
             return "dormant" if self.cells[cell].phy_servers[phy].phy.asleep else "standby"
         return "retired"
 
-    def __call__(self, handle: Any) -> str:
-        callback = handle.callback
+    def __call__(self, entry: List[Any]) -> str:
+        callback = entry[3]
         owner = getattr(callback, "__self__", None)
         server = self.server_of.get(id(owner))
         if server is None and type(owner).__name__ == "_ServiceQueue":
-            action, args = handle.args
+            action, args = entry[4]
             server = self.server_of.get(id(action.__self__))
             if server is None and action.__name__ == "_route_response":
                 server = (self.cell_of[id(action.__self__)], args[0].phy_id)
         elif server is None and type(owner).__name__ == "Link":
             cell = self.cell_of[id(owner)]
-            frame = handle.args[0]
+            frame = entry[4][0]
             phy = self.mac_phy.get((cell, frame.src), self.mac_phy.get((cell, frame.dst)))
             if phy is not None:
                 server = (cell, phy)
@@ -165,9 +166,9 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         if entry is None:
             running = None
             return None
-        running = callback_kind(entry[3])
+        running = callback_kind(entry)
         if role_of is not None:
-            running = f"{role_of(entry[3])} {running}"
+            running = f"{role_of(entry)} {running}"
         events[running] += 1
         started = clock()
         return entry

@@ -149,9 +149,7 @@ class _BaseCell:
         self.phy_servers[phy_id].phy.crash(reason="SIGKILL")
 
     def kill_phy_at(self, phy_id: int, time_ns: int) -> None:
-        self.sim.at(
-            time_ns, self.kill_phy, phy_id, label=f"kill-phy{phy_id}"
-        )
+        self.sim.at(time_ns, self.kill_phy, phy_id)
 
 
 @dataclass
@@ -367,7 +365,6 @@ class _Wiring:
             self.middlebox.detector.set_monitor,
             phy_id,
             True,
-            label="arm-detector",
         )
 
 

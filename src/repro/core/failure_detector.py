@@ -47,7 +47,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.p4.registers import RegisterArray
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.units import US
 
 
@@ -121,7 +121,7 @@ class FailureDetector:
         #: Grid ticks applied so far (the next one is tick ``_ticks_applied``).
         self._ticks_applied = 0
         #: Queued event, never later than the earliest possible saturation.
-        self._deadline: Optional[EventHandle] = None
+        self._deadline: Optional[list] = None
         #: Per PHY zeroed since the last sync: how many of the ticks the
         #: next sync applies had already elapsed when the zero was written.
         self._lag: Dict[int, int] = {}
@@ -136,7 +136,7 @@ class FailureDetector:
         """Stop the tick stream; later touches see no further ticks."""
         self._sync()
         if self._deadline is not None:
-            self._deadline.cancel()
+            self._sim.cancel(self._deadline)
         self._sim = self._deadline = None
 
     def _sync(self, count: Optional[int] = None) -> None:
@@ -171,12 +171,10 @@ class FailureDetector:
         when = self._grid_origin_ns + (target - 1) * self._grid_period_ns
         pending = self._deadline
         if pending is not None:
-            if pending.time <= when:
+            if pending[0] <= when:
                 return
-            pending.cancel()
-        self._deadline = self._sim.at(
-            when, self._on_deadline, target, label="detector.deadline"
-        )
+            self._sim.cancel(pending)
+        self._deadline = self._sim.at(when, self._on_deadline, target)
 
     def _on_deadline(self, target: int) -> None:
         """Apply the deadline tick (detecting, if nothing reset the
@@ -240,7 +238,7 @@ class FailureDetector:
             if sim is not None:
                 deadline = self._deadline
                 elapsed = sim.now - self._grid_origin_ns
-                if deadline is not None and deadline.time <= sim.now:
+                if deadline is not None and deadline[0] <= sim.now:
                     # Queued at this very nanosecond, and its tick may
                     # saturate: tick first.
                     self._sync()

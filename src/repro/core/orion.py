@@ -141,7 +141,6 @@ class _ServiceQueue:
         self.sim = sim
         self.name = name
         self._busy_until = 0
-        self._service_label = f"{name}.service"
 
     def submit(
         self, size_bytes: int, action: Callable[..., None], *args: Any
@@ -153,7 +152,7 @@ class _ServiceQueue:
         so an in-flight queue survives a checkpoint pickle.
         """
         done = self.reserve(self.sim.now, size_bytes)
-        self.sim.at(done, self._complete, action, args, label=self._service_label)
+        self.sim.at(done, self._complete, action, args)
         return done
 
     def reserve(self, arrival: int, size_bytes: int) -> int:
@@ -239,7 +238,6 @@ class PhySideOrion(Process):
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.name)
-        self._watchdog_label = f"{self.name}.watchdog"
         #: SHM channel toward the local PHY.
         self.shm_to_phy: Optional[ShmChannel] = None
         #: NIC uplink into the switch.
@@ -325,7 +323,6 @@ class PhySideOrion(Process):
             self.slot_clock.slot_duration_ns,
             self._watchdog_tick,
             first_at=fire_at,
-            label=self._watchdog_label,
         )
 
     def watchdog_covers(self, abs_slot: int) -> bool:
@@ -408,9 +405,6 @@ class L2SideOrion(Process):
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.name)
-        self._watchdog_label = f"{name}.response-watchdog"
-        self._cmd_retx_label = f"{name}.cmd-retx"
-        self._finalize_label = f"{name}.finalize"
         #: SHM channel toward the local L2.
         self.shm_to_l2: Optional[ShmChannel] = None
         #: Multi-cell: per-cell SHM channels when several L2 processes
@@ -589,7 +583,6 @@ class L2SideOrion(Process):
                 self._watchdog_threshold_ns(),
                 self._watchdog_check,
                 assignment,
-                label=self._watchdog_label,
             )
 
     def _watchdog_check(self, assignment: CellAssignment) -> None:
@@ -607,7 +600,6 @@ class L2SideOrion(Process):
                 last + self._watchdog_threshold_ns(),
                 self._watchdog_check,
                 assignment,
-                label=self._watchdog_label,
             )
             return
         # Silence exceeded the threshold: the active PHY is gray-failed.
@@ -776,7 +768,6 @@ class L2SideOrion(Process):
                 assignment,
                 assignment.migration_seq,
                 commands,
-                label=self._cmd_retx_label,
             )
         if self.trace is not None:
             self.trace.record(
@@ -796,7 +787,6 @@ class L2SideOrion(Process):
             dest,
             old_primary,
             failover,
-            label=self._finalize_label,
         )
 
     def _finalize_migration(

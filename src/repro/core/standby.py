@@ -259,20 +259,17 @@ class Sleeper:
         delivery; in the worker, its completion; in SHM, its delivery."""
         l2_line, egress = self.l2_line, self.egress
         for arrival, _, _, code in egress.take_elided():
-            sim.at(arrival, l2_line._deliver, self._frame(code),
-                   label=l2_line._deliver_label)
+            sim.at(arrival, l2_line._deliver, self._frame(code))
         departed = egress.elided_departed or deque()
         while departed:
             arrival, code = departed.popleft()
-            sim.at(arrival, egress._deliver, self._frame(code),
-                   label=egress._deliver_label)
+            sim.at(arrival, egress._deliver, self._frame(code))
         queue, channel = self.orion._queue, self.orion.shm_to_phy
         for done, code in self.queued:
-            sim.at(done, queue._complete, self.orion._to_phy, (self._null(code),),
-                   label=queue._service_label)
+            sim.at(done, queue._complete, self.orion._to_phy, (self._null(code),))
         for delivery, code in self.handed:
             channel._pending.append(self._null(code))
-            sim.at(delivery, channel._deliver, label=channel._deliver_label)
+            sim.at(delivery, channel._deliver)
 
 
 class StandbyDormancy:
@@ -465,11 +462,11 @@ class StandbyDormancy:
             frame = phy._fronthaul_frame(
                 phy._null_cplane(cell, abs_slot), current.wire_bytes
             )
-            sim.at(arrival, link._deliver, frame, label=link._deliver_label)
+            sim.at(arrival, link._deliver, frame)
         for send_ns, _, wire_bytes, abs_slot in link.take_elided():
             pending.append(sim.at(
                 send_ns, phy._send_fronthaul_now, phy._null_cplane(cell, abs_slot),
-                wire_bytes, label=phy._fh_tx_label,
+                wire_bytes,
             ))
         current.orion.sleeper = None
         phy.asleep = False

@@ -110,7 +110,7 @@ def run(
         gaps_before = cell.ru.stats.slots_without_control
         cell.live_upgrade(decoder_iterations=new_iterations)
 
-    cell.sim.at(s_to_ns(upgrade_at_s), do_upgrade, label="upgrade")
+    cell.sim.at(s_to_ns(upgrade_at_s), do_upgrade)
     cell.run_until(seconds(duration_s))
     gaps_during = (
         cell.ru.stats.slots_without_control - gaps_before

@@ -48,7 +48,6 @@ class ShmChannel:
         self.name = name
         self.messages_sent = 0
         self._pending: Deque[FapiMessage] = deque()
-        self._deliver_label = f"{name}.deliver"
 
     def connect(self, endpoint: FapiEndpoint) -> None:
         """Attach the consumer (two-phase wiring)."""
@@ -66,7 +65,7 @@ class ShmChannel:
             raise RuntimeError(f"SHM channel {self.name} has no endpoint")
         self.messages_sent += 1
         self._pending.append(message)
-        self.sim.schedule(self.latency_ns, self._deliver, label=self._deliver_label)
+        self.sim.schedule(self.latency_ns, self._deliver)
 
     def _deliver(self) -> None:
         assert self.endpoint is not None

@@ -16,7 +16,8 @@ writes no trace record and draws no randomness.
 1,050 ms identically (build the cell, attach the UE, start the probe,
 idle until the fault), so the sweep builds one warm, unarmed
 :class:`ProbeHarness` per :func:`fork_key` — ``(seed, num_phy_servers,
-fork_ns)``, :data:`FORK_MARGIN_NS` before the plan's earliest fault — and
+fork_ns)``, ``fork_ns`` being :data:`FORK_NS`, :data:`FORK_MARGIN_NS` before
+the first fault every plan has at :data:`FAULT_AT_NS` — and
 checkpoints it in memory; each ``(scenario, seed)`` then restores its
 base, arms the plan and runs the remainder (a replay branches the same
 base again). Every scenario forks at the same instant, so a seed has
@@ -58,6 +59,7 @@ from repro.faults.invariants import PROBE_RX, RecoveryInvariants
 from repro.faults.plan import FaultPlan
 from repro.faults.scenarios import (
     ChaosScenario,
+    FAULT_AT_NS,
     MEASURE_END_NS,
     MEASURE_START_NS,
     PROBE_START_NS,
@@ -76,10 +78,12 @@ PROBE_BITRATE_BPS = 8e6
 PROBE_FLOW_ID = "chaos-probe"
 PROBE_BEARER_ID = 1
 
-#: Branch this long before a scenario's earliest fault: late enough to
+#: Branch this long before a scenario's first fault: late enough to
 #: amortize warmup, early enough that every plan-scheduled transition
 #: is still in the future when the restored harness arms it.
 FORK_MARGIN_NS = 10 * MS
+#: The one fork point of the standard scenarios.
+FORK_NS = FAULT_AT_NS - FORK_MARGIN_NS
 
 #: ``(seed, num_phy_servers, fork_ns)`` — one warm base per key.
 ForkKey = Tuple[int, int, int]
@@ -310,24 +314,23 @@ def judge_execution(
     )
 
 
-def earliest_fault_ns(plan: FaultPlan) -> int:
-    """The first absolute time at which a plan touches the cell."""
-    times = (
-        [spec.at_ns for spec in plan.process_faults]
-        + [spec.start_ns for spec in plan.link_faults]
-    )
-    if not times:
-        raise ValueError(f"plan {plan.name!r} has no faults to fork before")
-    return min(times)
-
-
 def fork_key(scenario: ChaosScenario, seed: int) -> ForkKey:
-    """The warm-base key serving one (scenario, seed) branch."""
-    return (
-        seed,
-        scenario.num_phy_servers,
-        earliest_fault_ns(scenario.plan) - FORK_MARGIN_NS,
+    """The warm-base key serving one (scenario, seed) branch. Every
+    standard plan's first fault is at :data:`FAULT_AT_NS`, so every
+    branch forks at :data:`FORK_NS`; a plan whose first fault lies
+    elsewhere (or that has none) is refused."""
+    plan = scenario.plan
+    first = min(
+        [spec.at_ns for spec in plan.process_faults]
+        + [spec.start_ns for spec in plan.link_faults],
+        default=None,
     )
+    if first != FAULT_AT_NS:
+        raise ValueError(
+            f"scenario {scenario.name!r}: first fault at {first} ns, not at "
+            f"FAULT_AT_NS ({FAULT_AT_NS} ns), where every branch forks"
+        )
+    return (seed, scenario.num_phy_servers, FORK_NS)
 
 
 def build_fork_base(key: ForkKey) -> Checkpoint:

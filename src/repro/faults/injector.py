@@ -87,29 +87,25 @@ class FaultInjector:
         sim = self.cell.sim
         phy = self.cell.phy_servers[spec.phy_id].phy
         if spec.kind == "crash":
-            sim.at(spec.at_ns, phy.crash, "chaos", label="fault.crash")
+            sim.at(spec.at_ns, phy.crash, "chaos")
         elif spec.kind == "crash_restart":
-            sim.at(spec.at_ns, phy.crash, "chaos", label="fault.crash")
+            sim.at(spec.at_ns, phy.crash, "chaos")
             sim.at(
                 spec.at_ns + spec.duration_ns,
                 self._revive_phy,
                 spec.phy_id,
                 spec.reinit_secondary,
-                label="fault.restart",
             )
         elif spec.kind == "hang":
-            sim.at(spec.at_ns, phy.hang, "chaos", label="fault.hang")
+            sim.at(spec.at_ns, phy.hang, "chaos")
             if spec.duration_ns:
-                sim.at(
-                    spec.at_ns + spec.duration_ns, phy.unhang, label="fault.unhang"
-                )
+                sim.at(spec.at_ns + spec.duration_ns, phy.unhang)
         elif spec.kind == "slowdown":
             sim.at(
                 spec.at_ns,
                 self._set_inflation,
                 spec.phy_id,
                 spec.slowdown_ns,
-                label="fault.slowdown",
             )
             if spec.duration_ns:
                 sim.at(
@@ -117,7 +113,6 @@ class FaultInjector:
                     self._set_inflation,
                     spec.phy_id,
                     0,
-                    label="fault.slowdown-end",
                 )
 
     def _set_inflation(self, phy_id: int, inflation_ns: int) -> None:

@@ -83,7 +83,7 @@ class StandbyPool:
                 phy=phy_id,
                 available=self.available,
             )
-        self.sim.schedule(REWARM_NS, self._rewarm, label="fleet.pool.rewarm")
+        self.sim.schedule(REWARM_NS, self._rewarm)
         return True
 
     def _rewarm(self) -> None:

@@ -92,9 +92,7 @@ class FleetPopulation:
 
     # ------------------------------------------------------------------
     def start(self) -> None:
-        self.sim.schedule_periodic(
-            EPOCH_NS, self._epoch_tick, label="fleet.pop.epoch"
-        )
+        self.sim.schedule_periodic(EPOCH_NS, self._epoch_tick)
 
     def _epoch_tick(self) -> None:
         """Advance every cohort one epoch — one event for the whole fleet."""

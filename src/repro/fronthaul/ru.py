@@ -102,7 +102,6 @@ class RadioUnit(Process):
             self.slot_clock.slot_duration_ns,
             self._slot_boundary,
             first_at=self.slot_clock.slot_start(next_slot),
-            label=f"{self.name}.slot",
         )
 
     # ------------------------------------------------------------------
@@ -183,9 +182,7 @@ class RadioUnit(Process):
         if slot_type is SlotType.UPLINK:
             # Capture at the end of the slot: UEs transmit during it.
             capture_at = self.slot_clock.slot_start(abs_slot + 1)
-            self.sim.at(
-                capture_at, self._capture_uplink, abs_slot, label=f"{self.name}.capture"
-            )
+            self.sim.at(capture_at, self._capture_uplink, abs_slot)
 
     def _capture_uplink(self, abs_slot: int) -> None:
         if self.uplink is None:

@@ -240,7 +240,6 @@ class L2Process(Process):
             self.slot_clock.slot_duration_ns,
             self._slot_tick,
             first_at=self.slot_clock.slot_start(next_slot) + 10 * US,
-            label=f"{self.name}.tick",
         )
 
     # ------------------------------------------------------------------

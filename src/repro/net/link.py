@@ -80,8 +80,6 @@ class Link:
         self.bytes_sent = 0
         #: Optional fault-injection hook (see :class:`LinkImpairmentHook`).
         self.impairment: Optional[LinkImpairmentHook] = None
-        self._deliver_label = f"{name}.deliver"
-        self._deferred_label = f"{name}.send"
         #: Frames an impaired link holds until their ready instant, FIFO
         #: (created by the first one: most links never carry a hook).
         self._deferred: Optional[Deque[EthernetFrame]] = None
@@ -138,7 +136,7 @@ class Link:
                 if self._deferred is None:
                     self._deferred = deque()
                 self._deferred.append(frame)
-                sim.at(ready_at, self._send_deferred, label=self._deferred_label)
+                sim.at(ready_at, self._send_deferred)
                 return ready_at
             start = ready_at
         if self._line_free_at > start:
@@ -155,9 +153,9 @@ class Link:
         impairment = self.impairment
         if impairment is not None and sim.now >= impairment.active_from_ns:
             for when, delivered in impairment.on_transmit(self, frame, arrival):
-                sim.at(when, self._deliver, delivered, label=self._deliver_label)
+                sim.at(when, self._deliver, delivered)
             return arrival
-        sim.at(arrival, self._deliver, frame, label=self._deliver_label)
+        sim.at(arrival, self._deliver, frame)
         return arrival
 
     # ------------------------------------------------------------------

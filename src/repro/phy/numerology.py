@@ -18,9 +18,6 @@ from typing import Tuple
 
 from repro.sim.units import US
 
-#: Slots per 1 ms subframe for numerology mu=1 (30 kHz SCS).
-SLOTS_PER_SUBFRAME_MU1 = 2
-
 #: Subframes per 10 ms radio frame.
 SUBFRAMES_PER_FRAME = 10
 
@@ -105,6 +102,10 @@ class Numerology:
 NUMEROLOGY = Numerology()
 #: The testbed's TDD slot format, "DDDSU".
 TDD = TddPattern()
+#: :data:`NUMEROLOGY`'s slots per subframe and per frame, read once here
+#: rather than through its properties on every :meth:`SlotClock.address_of`.
+SLOTS_PER_SUBFRAME = NUMEROLOGY.slots_per_subframe
+SLOTS_PER_FRAME = NUMEROLOGY.slots_per_frame
 
 
 @dataclass(frozen=True)
@@ -138,14 +139,11 @@ class SlotClock:
 
     def address_of(self, slot: int) -> SlotAddress:
         """O-RAN (frame, subframe, slot-in-subframe) address of a slot."""
-        per_subframe = NUMEROLOGY.slots_per_subframe
-        per_frame = NUMEROLOGY.slots_per_frame
-        frame = (slot // per_frame) % MAX_FRAME
-        within = slot % per_frame
+        within = slot % SLOTS_PER_FRAME
         return SlotAddress(
-            frame=frame,
-            subframe=within // per_subframe,
-            slot=within % per_subframe,
+            frame=(slot // SLOTS_PER_FRAME) % MAX_FRAME,
+            subframe=within // SLOTS_PER_SUBFRAME,
+            slot=within % SLOTS_PER_SUBFRAME,
         )
 
     def absolute_from_address(self, address: SlotAddress, near_slot: int) -> int:
@@ -155,12 +153,10 @@ class SlotClock:
         switch resolves them against its notion of "around now". The
         nearest absolute slot with the given address is returned.
         """
-        per_subframe = NUMEROLOGY.slots_per_subframe
-        per_frame = NUMEROLOGY.slots_per_frame
-        wrap = MAX_FRAME * per_frame
+        wrap = MAX_FRAME * SLOTS_PER_FRAME
         within = (
-            address.frame * per_frame
-            + address.subframe * per_subframe
+            address.frame * SLOTS_PER_FRAME
+            + address.subframe * SLOTS_PER_SUBFRAME
             + address.slot
         )
         base = (near_slot // wrap) * wrap

@@ -60,10 +60,10 @@ from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.channel import ChannelRealization
 from repro.phy.codec import PhyCodec
 from repro.phy.mimo import BeamformingTracker
-from repro.phy.numerology import NUMEROLOGY, SlotClock
+from repro.phy.numerology import NUMEROLOGY, TDD, SlotClock, SlotType
 from repro.phy.snr_filter import SnrMovingAverage
 from repro.phy.transport import LinkDirection, TransportBlock
-from repro.sim.engine import EventHandle, PeriodicHandle, Simulator
+from repro.sim.engine import PeriodicHandle, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import US
@@ -206,8 +206,6 @@ class PhyProcess(Process):
         name: str = "phy",
     ) -> None:
         super().__init__(sim, name)
-        self._fh_tx_label = f"{name}.fh_tx"
-        self._ul_done_label = f"{name}.ul_done"
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
@@ -238,7 +236,9 @@ class PhyProcess(Process):
         self.dormancy: Optional[object] = None
         #: Set by the dormancy while this PHY's slots run dormant.
         self.asleep = False
-        self._pending: List[EventHandle] = []
+        #: Queued completion and emission events (engine heap entries),
+        #: cancelled on a crash.
+        self._pending: List[list] = []
         self._tick_handle: Optional[PeriodicHandle] = None
         self._schedule_next_slot()
 
@@ -254,7 +254,7 @@ class PhyProcess(Process):
         if self._tick_handle is not None:
             self._tick_handle.cancel()
         for handle in self._pending:
-            handle.cancel()
+            self.sim.cancel(handle)
         self._pending.clear()
         if self.trace is not None:
             self.trace.record(self.sim.now, "phy.crash", phy=self.phy_id, reason=reason)
@@ -388,7 +388,6 @@ class PhyProcess(Process):
             self.slot_clock.slot_duration_ns,
             self._slot_tick,
             first_at=fire_at,
-            label=f"{self.name}.tick",
         )
 
     def _slot_tick(self) -> None:
@@ -409,9 +408,7 @@ class PhyProcess(Process):
         # Every handle is appended under this tick, healthy or hung, so
         # this is the one place that bounds the list.
         if len(self._pending) > 64:
-            self._pending = [
-                h for h in self._pending if not (h.fired or h.cancelled)
-            ]
+            self._pending = [h for h in self._pending if h[3] is not None]
 
     def _tx_jitter_ns(self) -> int:
         """Transmit-time jitter for the slot's first DL packet.
@@ -465,24 +462,20 @@ class PhyProcess(Process):
             )
         self._emit_downlink(cell, abs_slot, ul_pdus, dl_pdus)
         self._emit_slot_indication(cell, abs_slot)
-        self._schedule_finish(cell, abs_slot, ul_pdus)
+        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
+            self._schedule_finish(cell, abs_slot, ul_pdus)
 
     def _schedule_finish(self, cell: PhyCellContext, abs_slot: int, ul_pdus) -> None:
         """Uplink slot results surface after the processing pipeline,
-        even when only control (feedback) was captured."""
+        even when only control (feedback) was captured. Only an uplink
+        slot has a completion: the RU captures, and the L2 grants UL
+        PDUs, in no other, so a D / S slot's would have no input."""
         done_at = (
             self.slot_clock.slot_start(abs_slot + UL_PIPELINE_SLOTS)
             + 120 * US
             + self.service_inflation_ns
         )
-        handle = self.sim.at(
-            done_at,
-            self._finish_uplink,
-            cell,
-            abs_slot,
-            ul_pdus,
-            label=self._ul_done_label,
-        )
+        handle = self.sim.at(done_at, self._finish_uplink, cell, abs_slot, ul_pdus)
         if self.phy_backend is not None:
             self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
         self._pending.append(handle)
@@ -490,9 +483,9 @@ class PhyProcess(Process):
     def _dormant_slot(self, sleeper, abs_slot: int) -> None:
         """A dormant standby's null slot, evaluated (core/standby.py):
         :meth:`_process_cell_slot` on a null request pair with the same
-        CPU accounting, RNG draws, ``SlotIndication`` and completion, but
-        the request pair is taken from the books and the two C-plane
-        sends are elided into the NIC link."""
+        CPU accounting, RNG draws, ``SlotIndication`` and (in an uplink
+        slot) completion, but the request pair is taken from the books
+        and the two C-plane sends are elided into the NIC link."""
         cell = sleeper.cell
         sleeper.take(abs_slot)
         cell.consecutive_missing_tti = 0
@@ -512,7 +505,8 @@ class PhyProcess(Process):
         uplink.elide(now + first_tx, wire_bytes, abs_slot)
         uplink.elide(now + mid_offset, wire_bytes, abs_slot)
         self._emit_slot_indication(cell, abs_slot)
-        self._schedule_finish(cell, abs_slot, [])
+        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
+            self._schedule_finish(cell, abs_slot, [])
 
     def _null_cplane(self, cell: PhyCellContext, abs_slot: int) -> CplaneMessage:
         """A C-plane section with no grant or allocation: the mid-slot
@@ -615,7 +609,6 @@ class PhyProcess(Process):
             self._send_fronthaul_now,
             payload,
             wire_bytes,
-            label=self._fh_tx_label,
         )
         self._pending.append(handle)
 

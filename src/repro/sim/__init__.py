@@ -8,7 +8,7 @@ Simulated time is an integer count of nanoseconds; helper constants for
 common durations live in :mod:`repro.sim.units`.
 """
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder, TraceEvent
@@ -27,7 +27,6 @@ from repro.sim.units import (
 )
 
 __all__ = [
-    "EventHandle",
     "Simulator",
     "Process",
     "RngRegistry",

@@ -22,18 +22,24 @@ Design notes
   under any seed; any divergence from the FIFO trace is a real ordering
   race (a component whose semantics depend on scheduling order rather
   than on event time).
-* Heap entries are plain ``(time, tie, seq, handle)`` tuples. ``seq`` is
-  unique per simulator, so tuple comparison never reaches the handle and
-  ordering is exactly (time, tie, seq) — FIFO on ties unless a
-  tie-shuffle key is assigned. Tuples compare in C, which is the single
-  biggest win over the previous dataclass entries on churn-heavy runs.
-* Cancellation is O(1): cancelled events stay in the heap but are skipped
-  when popped. To keep the heap *bounded* under heavy cancel/reschedule
-  churn (e.g. a watchdog re-armed every response), the simulator counts
-  live cancellations and compacts the heap once cancelled entries exceed
-  :data:`COMPACTION_THRESHOLD` **and** outnumber live ones — so compaction
-  cost stays amortized O(1) per cancel while the queue never holds more
-  than ~half garbage.
+* The heap entry *is* the event: a plain list ``[time, tie, seq,
+  callback, args, periodic]``, and :meth:`Simulator.schedule` /
+  :meth:`Simulator.at` return it as the handle. ``seq`` is unique per
+  simulator, so list comparison never reaches the callback and ordering
+  is exactly (time, tie, seq) — FIFO on ties unless a tie-shuffle key is
+  assigned. The run loop clears the callback slot (``entry[3]``) when the
+  event fires and :meth:`Simulator.cancel` clears it when it is
+  cancelled, so ``handle[3] is None`` reads "fired or cancelled" and
+  ``handle[0]`` is its time. Lists are unhashable and compare by value:
+  nothing keys a set or dict by a handle.
+* Cancellation is O(1): a cancelled entry stays in the heap with its
+  callback cleared and is skipped when popped. To keep the heap
+  *bounded* under heavy cancel/reschedule churn (e.g. a watchdog
+  re-armed every response), the simulator counts live cancellations and
+  compacts the heap once cancelled entries exceed
+  :data:`COMPACTION_THRESHOLD` **and** outnumber live ones — so
+  compaction cost stays amortized O(1) per cancel while the queue never
+  holds more than ~half garbage.
 * Strictly periodic work (slot ticks, FAPI timers, heartbeats) is
   :meth:`Simulator.schedule_periodic`. An occurrence is an ordinary
   event on the one heap; when it pops, the run loop pushes the next one
@@ -42,10 +48,10 @@ Design notes
   draw them: ahead of anything the callback schedules, under FIFO and
   under every ``tie_shuffle_seed``. Cancelling a periodic tombstones its
   queued occurrence like any other event.
-* An event costs one ``EventHandle``, one ``heappush`` and one
-  ``heappop``; :meth:`Simulator.schedule`, :meth:`Simulator.at` and the
-  periodic re-arm each build and push it themselves rather than one
-  calling the other.
+* An event costs one list, one ``heappush`` and one ``heappop``;
+  :meth:`Simulator.schedule`, :meth:`Simulator.at` and the periodic
+  re-arm each build and push it themselves rather than one calling the
+  other.
 * ``_pop`` is the single point through which every fired event leaves
   the queue; ``benchmarks/pop_census.py`` hooks it from outside to
   attribute wall time without instrumenting callbacks.
@@ -95,8 +101,9 @@ def _refused(what: str, value: Any, out_of_range: str) -> SimulationError:
     )
 
 
-#: Heap entry shape: (time, tie, seq, handle).
-_QueueEntry = Tuple[int, int, int, "EventHandle"]
+#: Heap entry and event handle: [time, tie, seq, callback, args,
+#: periodic]; the callback slot is None once fired or cancelled.
+_QueueEntry = List[Any]
 
 #: Cancelled heap entries that, once they also outnumber live ones,
 #: trigger a rebuild of the queue without them.
@@ -121,75 +128,17 @@ def _apply_gc_policy() -> None:
         gc.set_threshold(GC_YOUNG_THRESHOLD, middle, old)
 
 
-class EventHandle:
-    """Handle to a scheduled event, usable to cancel it.
-
-    Instances are returned by :meth:`Simulator.schedule` and
-    :meth:`Simulator.at`. Calling :meth:`cancel` before the event fires
-    prevents the callback from running.
-    """
-
-    __slots__ = (
-        "time", "callback", "args", "cancelled", "fired", "label", "periodic", "_sim"
-    )
-
-    def __init__(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...],
-        label: str = "",
-        sim: Optional["Simulator"] = None,
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.label = label
-        #: The :class:`PeriodicHandle` this event is an occurrence of; the
-        #: run loop re-arms it before the callback. None for a one-shot.
-        self.periodic: Optional["PeriodicHandle"] = None
-        #: Owning simulator, for compaction accounting.
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Idempotent; safe after firing.
-
-        Cancelling an event that already fired (or was already cancelled)
-        is a cheap no-op counted in :attr:`Simulator.cancel_noops` — it
-        never plants a tombstone in the queue.
-        """
-        if self.cancelled or self.fired:
-            if self._sim is not None:
-                self._sim.cancel_noops += 1
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._note_cancel()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event is scheduled and not yet fired or cancelled."""
-        return not self.cancelled and not self.fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        name = self.label or getattr(self.callback, "__qualname__", repr(self.callback))
-        return f"<EventHandle t={self.time} {name} {state}>"
-
-
 class PeriodicHandle:
     """Handle to a periodic event (:meth:`Simulator.schedule_periodic`).
 
-    Exactly one *occurrence* is queued at a time: an ordinary
-    :class:`EventHandle` carrying this handle's callback, replaced by the
-    next when it pops. :meth:`cancel` tombstones it and :meth:`re_arm`
-    queues a fresh one, so a cancelled occurrence never fires, whatever
-    instant the re-arm names.
+    Exactly one *occurrence* is queued at a time: an ordinary heap entry
+    carrying this handle's callback and, in its ``periodic`` slot, this
+    handle, replaced by the next when it pops. :meth:`cancel` tombstones
+    it and :meth:`re_arm` queues a fresh one, so a cancelled occurrence
+    never fires, whatever instant the re-arm names.
     """
 
-    __slots__ = ("period", "callback", "args", "label", "_event", "_sim")
+    __slots__ = ("period", "callback", "args", "_event", "_sim")
 
     def __init__(
         self,
@@ -197,16 +146,14 @@ class PeriodicHandle:
         period: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
-        label: str = "",
     ) -> None:
         self.period = period
         self.callback = callback
         self.args = args
-        self.label = label
         #: The queued occurrence; None while cancelled (and before the
         #: first arm). While the handle's own callback runs this is
         #: already the *next* one, so it is pending whenever it is set.
-        self._event: Optional[EventHandle] = None
+        self._event: Optional[_QueueEntry] = None
         self._sim = sim
 
     def _arm(self, time: int) -> None:
@@ -214,28 +161,31 @@ class PeriodicHandle:
         now. Pushes directly: a re-arm is not a call to the public
         :meth:`Simulator.at` (which observers wrap to see user scheduling)."""
         sim = self._sim
-        event = EventHandle(time, self.callback, self.args, self.label, sim)
-        event.periodic = self
-        self._event = event
         ties = sim._tie_stream
-        heappush(
-            sim._queue,
-            (time, 0 if ties is None else ties.draw(), next(sim._seq), event),
-        )
+        event = [
+            time,
+            0 if ties is None else ties.draw(),
+            next(sim._seq),
+            self.callback,
+            self.args,
+            self,
+        ]
+        self._event = event
+        heappush(sim._queue, event)
 
     def cancel(self) -> None:
         """Stop the periodic: cancel the queued occurrence.
 
         Idempotent — a repeated cancel is a no-op counted in
         :attr:`Simulator.cancel_noops`, like a repeated
-        :meth:`EventHandle.cancel`.
+        :meth:`Simulator.cancel`.
         """
         event = self._event
         if event is None:
             self._sim.cancel_noops += 1
             return
         self._event = None
-        event.cancel()
+        self._sim.cancel(event)
 
     def re_arm(self, *, first_at: Optional[int] = None) -> None:
         """Revive a cancelled periodic with a fresh first occurrence.
@@ -245,8 +195,7 @@ class PeriodicHandle:
         """
         if self._event is not None:
             raise SimulationError(
-                f"cannot re-arm live periodic {self.label or self.callback!r}; "
-                "cancel it first"
+                f"cannot re-arm live periodic {self.callback!r}; cancel it first"
             )
         sim = self._sim
         if first_at is None:
@@ -268,11 +217,11 @@ class PeriodicHandle:
     @property
     def next_time(self) -> Optional[int]:
         """Absolute fire time of the queued occurrence (None if cancelled)."""
-        return None if self._event is None else self._event.time
+        return None if self._event is None else self._event[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self._event is None else f"next={self._event.time}"
-        name = self.label or getattr(self.callback, "__qualname__", repr(self.callback))
+        state = "cancelled" if self._event is None else f"next={self._event[0]}"
+        name = getattr(self.callback, "__qualname__", repr(self.callback))
         return f"<PeriodicHandle period={self.period} {name} {state}>"
 
 
@@ -355,37 +304,32 @@ class Simulator:
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
-        self,
-        delay: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> EventHandle:
+        self, delay: int, callback: Callable[..., Any], *args: Any
+    ) -> _QueueEntry:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
         ``delay`` must be non-negative; a zero delay runs the callback after
-        all events already scheduled for the current instant.
+        all events already scheduled for the current instant. Returns the
+        heap entry, which :meth:`cancel` takes.
         """
         if type(delay) is not int or delay < 0:
             raise _refused(
                 "delay", delay, f"cannot schedule {delay} ns in the past"
             )
         time = self.now + delay
-        handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
-        heappush(
-            self._queue,
-            (time, 0 if ties is None else ties.draw(), next(self._seq), handle),
-        )
-        return handle
+        entry = [
+            time,
+            0 if ties is None else ties.draw(),
+            next(self._seq),
+            callback,
+            args,
+            None,
+        ]
+        heappush(self._queue, entry)
+        return entry
 
-    def at(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> EventHandle:
+    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> _QueueEntry:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
         if type(time) is not int or time < self.now:
             raise _refused(
@@ -393,13 +337,17 @@ class Simulator:
                 time,
                 f"cannot schedule at t={time} ns; clock is already at {self.now} ns",
             )
-        handle = EventHandle(time, callback, args, label, self)
         ties = self._tie_stream
-        heappush(
-            self._queue,
-            (time, 0 if ties is None else ties.draw(), next(self._seq), handle),
-        )
-        return handle
+        entry = [
+            time,
+            0 if ties is None else ties.draw(),
+            next(self._seq),
+            callback,
+            args,
+            None,
+        ]
+        heappush(self._queue, entry)
+        return entry
 
     def schedule_periodic(
         self,
@@ -407,7 +355,6 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         first_at: Optional[int] = None,
-        label: str = "",
     ) -> PeriodicHandle:
         """Schedule ``callback(*args)`` every ``period`` ns.
 
@@ -420,15 +367,25 @@ class Simulator:
             raise _refused(
                 "period", period, f"periodic period must be >= 1 ns, got {period}"
             )
-        handle = PeriodicHandle(self, period, callback, args, label)
+        handle = PeriodicHandle(self, period, callback, args)
         handle.re_arm(first_at=first_at)
         return handle
 
     # ------------------------------------------------------------------
     # Cancellation accounting
     # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """Called by :meth:`EventHandle.cancel` while the entry is queued."""
+    def cancel(self, handle: _QueueEntry) -> None:
+        """Prevent a scheduled event from firing. Idempotent; safe after
+        firing.
+
+        Cancelling an event that already fired (or was already cancelled)
+        is a cheap no-op counted in :attr:`cancel_noops` — it never plants
+        a tombstone in the queue.
+        """
+        if handle[3] is None:
+            self.cancel_noops += 1
+            return
+        handle[3] = None
         self._cancelled_in_queue += 1
         if (
             self._cancelled_in_queue >= COMPACTION_THRESHOLD
@@ -443,7 +400,7 @@ class Simulator:
         so re-heapifying the surviving entries reproduces the exact same
         pop sequence — compaction is invisible to execution order.
         """
-        self._queue = [entry for entry in self._queue if not entry[3].cancelled]
+        self._queue = [entry for entry in self._queue if entry[3] is not None]
         heapify(self._queue)
         self._cancelled_in_queue = 0
         self.compactions += 1
@@ -461,7 +418,7 @@ class Simulator:
         queue = self._queue
         while queue:
             head = queue[0]
-            if head[3].cancelled:
+            if head[3] is None:
                 heappop(queue)
                 self._cancelled_in_queue -= 1
                 continue
@@ -475,14 +432,14 @@ class Simulator:
         entry = self._pop()
         if entry is None:
             return False
-        handle = entry[3]
-        self.now = entry[0]
-        handle.fired = True
+        self.now = time = entry[0]
+        callback = entry[3]
+        entry[3] = None
         self._events_processed += 1
-        periodic = handle.periodic
+        periodic = entry[5]
         if periodic is not None:
-            periodic._arm(entry[0] + periodic.period)
-        handle.callback(*handle.args)
+            periodic._arm(time + periodic.period)
+        callback(*entry[4])
         self._settle()
         return True
 
@@ -496,14 +453,14 @@ class Simulator:
                 entry = pop(limit)
                 if entry is None:
                     return True
-                handle = entry[3]
-                self.now = entry[0]
-                handle.fired = True
+                self.now = time = entry[0]
+                callback = entry[3]
+                entry[3] = None
                 self._events_processed += 1
-                periodic = handle.periodic
+                periodic = entry[5]
                 if periodic is not None:
-                    periodic._arm(entry[0] + periodic.period)
-                handle.callback(*handle.args)
+                    periodic._arm(time + periodic.period)
+                callback(*entry[4])
         finally:
             self._running = False
         return False

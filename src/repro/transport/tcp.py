@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
@@ -127,7 +127,7 @@ class TcpSender(Process):
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: int = 0
         self.rto_ns = MIN_RTO_NS
-        self._rto_handle: Optional[EventHandle] = None
+        self._rto_handle: Optional[list] = None
         # SACK scoreboard (RFC 6675) + RACK (time-based loss detection):
         #: Unacked segments by seq (for retransmission).
         self._flight: Dict[int, TcpSegment] = {}
@@ -165,7 +165,7 @@ class TcpSender(Process):
     def stop(self) -> None:
         self._running = False
         if self._rto_handle is not None:
-            self._rto_handle.cancel()
+            self.sim.cancel(self._rto_handle)
 
     # ------------------------------------------------------------------
     # Sending
@@ -376,8 +376,8 @@ class TcpSender(Process):
         """(Re)arm the RTO while data is in flight. A handle that survives
         the first test is pending, so only a cleared one is re-armed."""
         handle = self._rto_handle
-        if handle is not None and (reset or handle.cancelled or handle.fired):
-            handle.cancel()
+        if handle is not None and (reset or handle[3] is None):
+            self.sim.cancel(handle)
             handle = self._rto_handle = None
         if handle is None and self.snd_nxt != self.snd_una:
             self._rto_handle = self.sim.schedule(self.rto_ns, self._on_rto)

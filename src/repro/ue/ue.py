@@ -279,7 +279,6 @@ class UserEquipment(Process):
             self._tick,
             first_at=self.slot_clock.slot_start(next_slot)
             + PUCCH_STAGE_OFFSET_NS,
-            label=f"{self.name}.tick",
         )
 
     def _tick(self) -> None:

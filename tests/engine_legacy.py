@@ -10,13 +10,16 @@ drive it against the live engine: same program, same FIFO tie order,
 same fleet digest.
 
 It intentionally does not track the live engine's API additions
-(``compactions``, ``_pop``). The one deliberate exception: it has
+(``compactions``, ``_pop``). The deliberate exceptions: it has
 ``run_for`` and a **self-rescheduling** ``schedule_periodic`` adapter so
 the full deployment model (whose call sites use ``schedule_periodic``)
-still builds and runs on this engine. The adapter re-schedules itself on
-every occurrence, before the callback — the draw point the live engine's
-own re-arm reproduces, which makes this file the order oracle for
-periodic events.
+still builds and runs on this engine, and it hands out the live
+engine's handle shape — a list ``[time, tie, seq, callback, args,
+periodic]`` whose callback slot is None once fired or cancelled — with
+``cancel(handle)``, because that is how the model cancels. The adapter
+re-schedules itself on every occurrence, before the callback — the draw
+point the live engine's own re-arm reproduces, which makes this file the
+order oracle for periodic events.
 """
 
 from __future__ import annotations
@@ -36,34 +39,8 @@ class _LegacyQueueEntry:
     time: int
     tie: int
     seq: int
-    handle: "LegacyEventHandle" = field(compare=False)
-
-
-class LegacyEventHandle:
-    """Pre-optimization event handle (no owning-simulator backref)."""
-
-    __slots__ = ("time", "callback", "args", "cancelled", "fired", "label")
-
-    def __init__(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...],
-        label: str = "",
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.label = label
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    @property
-    def pending(self) -> bool:
-        return not self.cancelled and not self.fired
+    #: The handle: [time, tie, seq, callback, args, periodic].
+    handle: list = field(compare=False)
 
 
 class LegacyPeriodicHandle:
@@ -73,9 +50,7 @@ class LegacyPeriodicHandle:
     :class:`~repro.sim.engine.PeriodicHandle` so the whole deployment
     model runs unchanged on this engine for baseline measurement."""
 
-    __slots__ = (
-        "sim", "period", "callback", "args", "cancelled", "fired", "label", "_next"
-    )
+    __slots__ = ("sim", "period", "callback", "args", "cancelled", "fired", "_next")
 
     def __init__(
         self,
@@ -84,7 +59,6 @@ class LegacyPeriodicHandle:
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
         first_at: int,
-        label: str = "",
     ) -> None:
         self.sim = sim
         self.period = period
@@ -92,24 +66,21 @@ class LegacyPeriodicHandle:
         self.args = args
         self.cancelled = False
         self.fired = False
-        self.label = label
-        self._next = sim.at(first_at, self._fire, label=label)
+        self._next = sim.at(first_at, self._fire)
 
     def _fire(self) -> None:
         if self.cancelled:
             return
         # Re-arm first, then run: the live engine pushes the next
         # occurrence at this same point, from inside its run loop.
-        self._next = self.sim.schedule(
-            self.period, self._fire, label=self.label
-        )
+        self._next = self.sim.schedule(self.period, self._fire)
         self.fired = True
         self.callback(*self.args)
 
     def cancel(self) -> None:
         self.cancelled = True
         if self._next is not None:
-            self._next.cancel()
+            self.sim.cancel(self._next)
             self._next = None
 
     def re_arm(
@@ -124,7 +95,7 @@ class LegacyPeriodicHandle:
             offset = self.period if start_offset is None else start_offset
             first_at = self.sim.now + offset
         self.cancelled = False
-        self._next = self.sim.at(first_at, self._fire, label=self.label)
+        self._next = self.sim.at(first_at, self._fire)
 
     @property
     def pending(self) -> bool:
@@ -163,28 +134,18 @@ class LegacySimulator:
         for hook in self._settle_hooks:
             hook(self.now)
 
-    def schedule(
-        self,
-        delay: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> LegacyEventHandle:
-        return self.at(self.now + delay, callback, *args, label=label)
+    def schedule(self, delay: int, callback: Callable[..., Any], *args: Any) -> list:
+        return self.at(self.now + delay, callback, *args)
 
-    def at(
-        self,
-        time: int,
-        callback: Callable[..., Any],
-        *args: Any,
-        label: str = "",
-    ) -> LegacyEventHandle:
-        handle = LegacyEventHandle(time, callback, args, label=label)
-        entry = _LegacyQueueEntry(
-            time=time, tie=0, seq=next(self._seq), handle=handle
-        )
+    def at(self, time: int, callback: Callable[..., Any], *args: Any) -> list:
+        seq = next(self._seq)
+        handle = [time, 0, seq, callback, args, None]
+        entry = _LegacyQueueEntry(time=time, tie=0, seq=seq, handle=handle)
         heapq.heappush(self._queue, entry)
         return handle
+
+    def cancel(self, handle: list) -> None:
+        handle[3] = None
 
     def schedule_periodic(
         self,
@@ -193,7 +154,6 @@ class LegacySimulator:
         *args: Any,
         start_offset: Optional[int] = None,
         first_at: Optional[int] = None,
-        label: str = "",
     ) -> LegacyPeriodicHandle:
         """Periodic work as a handle that re-schedules itself on every
         occurrence. Draw-order-compatible with the live engine (the re-arm
@@ -202,7 +162,7 @@ class LegacySimulator:
         if first_at is None:
             offset = period if start_offset is None else start_offset
             first_at = self.now + offset
-        return LegacyPeriodicHandle(self, period, callback, args, first_at, label=label)
+        return LegacyPeriodicHandle(self, period, callback, args, first_at)
 
     def step(self) -> bool:
         fired = self._step()
@@ -213,12 +173,13 @@ class LegacySimulator:
         while self._queue:
             entry = heapq.heappop(self._queue)
             handle = entry.handle
-            if handle.cancelled:
+            callback = handle[3]
+            if callback is None:
                 continue
             self.now = entry.time
-            handle.fired = True
+            handle[3] = None
             self._events_processed += 1
-            handle.callback(*handle.args)
+            callback(*handle[4])
             return True
         return False
 
@@ -254,7 +215,7 @@ class LegacySimulator:
     def _peek_time(self) -> Optional[int]:
         while self._queue:
             entry = self._queue[0]
-            if entry.handle.cancelled:
+            if entry.handle[3] is None:
                 heapq.heappop(self._queue)
                 continue
             return entry.time

@@ -47,7 +47,7 @@ class PeriodicProcess(Process):
         self.tick_count = 0
         self._stopped = False
         self._next_tick: Optional[PeriodicHandle] = sim.schedule_periodic(
-            period, self._tick, first_at=sim.now + start_offset, label=f"{name}.tick"
+            period, self._tick, first_at=sim.now + start_offset
         )
 
     def stop(self) -> None:

@@ -49,7 +49,6 @@ class EgressEventSwitch(Switch):
             self.pipeline_latency_ns,
             self._egress,
             decision,
-            label=f"{self.name}.egress",
         )
 
     def _egress(self, decision: ForwardingDecision) -> None:
@@ -81,5 +80,4 @@ class EgressEventMiddlebox(FronthaulMiddlebox):
             self._switch.pipeline_latency_ns,
             self._switch.port(port).transmit,
             notification,
-            label=f"{self.name}.notify",
         )

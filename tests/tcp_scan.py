@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.units import MS, SECOND
 from repro.transport.packet import FlowDirection, Packet
@@ -55,7 +55,7 @@ class ScanTcpSender(Process):
         self.srtt_ns: Optional[int] = None
         self.rttvar_ns: int = 0
         self.rto_ns = tcp_module.MIN_RTO_NS
-        self._rto_handle: Optional[EventHandle] = None
+        self._rto_handle: Optional[list] = None
         # SACK scoreboard (RFC 6675) + RACK (time-based loss detection):
         #: Unacked segments by seq (for retransmission).
         self._flight: Dict[int, TcpSegment] = {}
@@ -82,7 +82,7 @@ class ScanTcpSender(Process):
     def stop(self) -> None:
         self._running = False
         if self._rto_handle is not None:
-            self._rto_handle.cancel()
+            self.sim.cancel(self._rto_handle)
 
     # ------------------------------------------------------------------
     # Sending
@@ -264,12 +264,12 @@ class ScanTcpSender(Process):
         )
 
     def _arm_rto(self, reset: bool = False) -> None:
-        if self._rto_handle is not None and (reset or not self._rto_handle.pending):
-            self._rto_handle.cancel()
+        if self._rto_handle is not None and (reset or self._rto_handle[3] is None):
+            self.sim.cancel(self._rto_handle)
             self._rto_handle = None
         if self.flight_size == 0:
             return
-        if self._rto_handle is None or not self._rto_handle.pending:
+        if self._rto_handle is None or self._rto_handle[3] is None:
             self._rto_handle = self.sim.schedule(self.rto_ns, self._on_rto)
 
     def _on_rto(self) -> None:

@@ -16,6 +16,7 @@ from repro.faults import (
     RecoveryInvariants,
 )
 from repro.faults.campaign import (
+    FORK_MARGIN_NS,
     build_fork_base,
     build_probe_harness,
     drive_to,
@@ -24,7 +25,12 @@ from repro.faults.campaign import (
 )
 from repro.faults.invariants import PROBE_RX
 from repro.faults.proptest import generate_cases
-from repro.faults.scenarios import scenario_by_name, standard_scenarios
+from repro.faults.scenarios import (
+    FAULT_AT_NS,
+    ChaosScenario,
+    scenario_by_name,
+    standard_scenarios,
+)
 from repro.faults.soak import SoakConfig, generate_soak_plan
 from repro.fleet import FleetConfig, build_fleet
 from repro.fleet.campaign import FAULT_CLASSES, fault_schedule
@@ -462,8 +468,33 @@ class TestScenarioMatrix:
         assert len(scenarios) == 12
         for seed in (1, 2, 3):
             keys = {fork_key(scenario, seed) for scenario in scenarios}
-            assert len(keys) == 2, keys
-            assert {key[1] for key in keys} == {1, 2}
+            assert keys == {
+                (seed, phys, FAULT_AT_NS - FORK_MARGIN_NS) for phys in (1, 2)
+            }, keys
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(name="late", process_faults=(
+                ProcessFaultSpec(kind="crash", phy_id=0, at_ns=FAULT_AT_NS + MS),
+            )),
+            FaultPlan(name="early-link", link_faults=(
+                LinkFaultSpec(link_pattern="phy0->edge", start_ns=FAULT_AT_NS - MS,
+                              end_ns=FAULT_AT_NS + MS, loss_prob=0.1),
+            ), process_faults=(
+                ProcessFaultSpec(kind="crash", phy_id=0, at_ns=FAULT_AT_NS),
+            )),
+            FaultPlan(name="empty"),
+        ],
+        ids=lambda plan: plan.name,
+    )
+    def test_fork_key_refuses_a_plan_whose_first_fault_is_elsewhere(self, plan):
+        hostile = ChaosScenario(
+            name=f"hostile-{plan.name}", plan=plan,
+            expected_migrations=0, downtime_budget_ns=None,
+        )
+        with pytest.raises(ValueError, match=f"hostile-{plan.name}"):
+            fork_key(hostile, 1)
 
 
 class TestChaosSmoke:

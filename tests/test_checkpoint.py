@@ -418,7 +418,7 @@ class TestCaptureBeforeSaturationDeadline:
         detector = harness.cell.middlebox.detector
         assert harness.cell.trace.count("mbox.failure_detected") == 0
         deadline = detector._deadline
-        assert deadline.pending and deadline.time > self.CAPTURE_NS
+        assert deadline[3] is not None and deadline[0] > self.CAPTURE_NS
         period = detector.config.tick_period_ns
         assert detector._ticks_applied < self.CAPTURE_NS // period + 1
 
@@ -426,7 +426,7 @@ class TestCaptureBeforeSaturationDeadline:
         drive_to(harness, RUN_END_NS)
         restored = checkpoint.restore()
         twin = restored.cell.middlebox.detector
-        assert twin._deadline.pending and twin._deadline.time == deadline.time
+        assert twin._deadline[3] is not None and twin._deadline[0] == deadline[0]
         drive_to(restored, RUN_END_NS)
 
         detected = harness.cell.trace.events("mbox.failure_detected")

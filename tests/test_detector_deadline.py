@@ -568,7 +568,7 @@ def test_corpus_reaches_the_lag_cases(monkeypatch):
     def on_heartbeat(self, phy_id, now_ns=None):
         if self._sim is not None:
             deadline = self._deadline
-            if deadline is not None and deadline.time <= self._sim.now:
+            if deadline is not None and deadline[0] <= self._sim.now:
                 saw["deadline_queued"] += 1
             elif self._sim.now == self._grid_origin_ns:
                 saw["at_the_origin"] += 1
@@ -609,7 +609,7 @@ MUTANTS = {
     # nanosecond records a lag that covers the tick about to saturate.
     "zero_swallows_the_saturating_tick": (
         "on_heartbeat",
-        "deadline is not None and deadline.time <= sim.now",
+        "deadline is not None and deadline[0] <= sim.now",
         "False",
     ),
     # A heartbeat at the origin counts tick 0, still to come, as elapsed,

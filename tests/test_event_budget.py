@@ -5,7 +5,9 @@ driven for 100 ms and every popped event is attributed to the component
 and callback that own it. Four things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
-  (40.8 plus 15 % when set; 42.8 measured since the dormant standby's
+  (41.2 measured since each PHY schedules its uplink completion only in
+  the uplink slot, one in five; 42.8 while both PHYs popped one every
+  slot; 40.8 plus 15 % when first set; 42.8 since the dormant standby's
   completion and watchdog occurrence are events again, 54.8 while its
   null slots ran as events — twelve a slot are evaluated on touch, DESIGN
   §9 "Standby on touch: cost model" — 62.9 while every forwarded frame waited out
@@ -17,11 +19,13 @@ and callback that own it. Four things are pinned:
   anything. A component that needs a finer clock has to evaluate it
   arithmetically between events, the way the failure detector does;
 * exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
-  ``schedule_periodic`` series (21 % of the measured 42.8; the dormant
+  ``schedule_periodic`` series (22 % of the measured 41.2; the dormant
   standby's Orion watchdog is one) — the census on which
   periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (505.2 plus 5 % when set, 518.5 measured since; 526.2 with a
+  slot (458.7 measured since an event is its heap entry, with no
+  ``EventHandle`` to build, and D / S slots have no uplink completion;
+  505.2 plus 5 % when first set, 518.5 measured then; 526.2 with a
   per-bit demodulator and a Generator per payload, 548.2 with the
   L2-side nulls sent and switched, 645.4 with the standby forced awake, 627.1 before dormancy
   existed, 666.3 while every process read the clock through a property,
@@ -32,18 +36,21 @@ and callback that own it. Four things are pinned:
 
 A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
 ``TcpIperfDownlink``, warmed past slow start and its first recovery, pops
-exactly ``TCP_EVENTS`` events in the window (77.4 a slot; 75.4 while the
+exactly ``TCP_EVENTS`` events in the window (75.8 a slot; 77.4 while both
+PHYs popped an uplink completion in D / S slots too, 75.4 while the
 dormant standby's completion and watchdog were elided too, 89.4 with the
 standby forced awake) and enters at most
-``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (995.5 plus 5 % when
-set; 1,019.3 with a per-bit demodulator and a Generator per payload,
+``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (887.3 measured since
+list heap entries and uplink-slot-only completions; 995.5 plus 5 % when
+first set; 1,019.3 with a per-bit demodulator and a Generator per payload,
 1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
 id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
 model"), so frames cannot be traded for events.
 
 A 16-cell idle fleet pops at most ``MAX_FLEET_EVENTS_PER_CELL_SLOT``
-events per cell-slot (37.3 plus 15 % when set, 39.3 measured since;
-51.3 with every standby forced awake).
+events per cell-slot (37.7 measured since completions are confined to
+uplink slots; 37.3 plus 15 % when first set, 39.3 measured then; 51.3
+with every standby forced awake).
 """
 
 import sys
@@ -58,16 +65,16 @@ from repro.sim.units import MS
 
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
-MAX_EVENTS_PER_SLOT = 47
+MAX_EVENTS_PER_SLOT = 42
 PERIODIC_PER_SLOT = 9
-MAX_CALLS_PER_SLOT = 531
+MAX_CALLS_PER_SLOT = 470
 #: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
-TCP_EVENTS = 15_484
-MAX_CALLS_PER_TCP_SLOT = 1046
+TCP_EVENTS = 15_164
+MAX_CALLS_PER_TCP_SLOT = 910
 FLEET_CELLS = 16
-MAX_FLEET_EVENTS_PER_CELL_SLOT = 43
+MAX_FLEET_EVENTS_PER_CELL_SLOT = 38
 
 
 def _python_calls(sim, window_ns, skip=None):
@@ -98,8 +105,8 @@ def test_healthy_cell_event_budget(monkeypatch):
     def counting_pop(sim, limit=None):
         entry = inner_pop(sim, limit)
         if entry is not None:
-            callback = entry[3].callback
-            periodic[0] += entry[3].periodic is not None
+            callback = entry[3]
+            periodic[0] += entry[5] is not None
             fired[(id(getattr(callback, "__self__", None)), callback.__qualname__)] += 1
         return entry
 
@@ -155,7 +162,7 @@ def test_bulk_tcp_cell_call_budget():
 
 def test_idle_fleet_event_budget():
     """Cohort-only cells: per cell-slot the primary's chain plus what a
-    dormant standby keeps (its tick, its SlotIndication, its completion
+    dormant standby keeps (its tick, its SlotIndication, its uplink-slot completion
     and its watchdog occurrence)."""
     fleet = build_fleet(FleetConfig(seed=0, num_cells=FLEET_CELLS))
     fleet.run_for(20 * MS)

@@ -36,11 +36,11 @@ from repro.sim.units import MS, US
 
 SLOT_NS = 500 * US
 
-#: Fleets built and dropped by the leak guard, ~4.5k tracked objects
-#: each: two young collections under the policy (peak ~80k above the
+#: Fleets built and dropped by the leak guard, ~2.8k tracked objects
+#: each: young collections under the policy (peak ~83k above the
 #: baseline), while a policy that never collects passes the bound by
-#: the 32nd fleet.
-LEAK_LOOP_FLEETS = 48
+#: the 50th fleet (~181k at the 64th; at 48 fleets it stayed under).
+LEAK_LOOP_FLEETS = 64
 #: Tracked objects the loop may hold above its baseline: the young
 #: generation filling to its threshold, plus what survives into the
 #: middle one (the fleet alive at each collection).

@@ -45,15 +45,16 @@ GOLDEN_DIGESTS = {
 
 #: cell name -> engine events popped. An event that leaves no trace
 #: record (a timer that fires and does nothing visible) moves no digest,
-#: so the count is pinned beside it. Each is the eager count (116,857 /
-#: 97,298 / 113,992 with the standby forced awake) less the twelve
-#: events a slot of its dormant standby elides (``core/standby.py``;
-#: 1,197 / 1,197 / 917 dormant slots). The killed primary's loss
-#: watchdog stops at its first tick after the crash (``PhySideOrion``).
+#: so the count is pinned beside it. Each is the eager count less the
+#: twelve events a slot of its dormant standby elides
+#: (``core/standby.py``; 1,197 / 1,197 / 917 dormant slots). The killed
+#: primary's loss watchdog stops at its first tick after the crash
+#: (``PhySideOrion``). A PHY pops an uplink completion only in uplink
+#: slots (102,503 / 82,944 / 102,998 while it popped one every slot).
 GOLDEN_EVENTS = {
-    "fig9": 102_503,
-    "fig10_smoke": 82_944,
-    "fig10_tcp_dl": 102_998,
+    "fig9": 99_633,
+    "fig10_smoke": 80_394,
+    "fig10_tcp_dl": 100_912,
 }
 
 

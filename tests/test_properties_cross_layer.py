@@ -46,7 +46,7 @@ class TestSimulatorProperties:
             handles.append((handle, cancel))
         for handle, cancel in handles:
             if cancel:
-                handle.cancel()
+                sim.cancel(handle)
         sim.run()
         expected = [i for i, (_, cancel) in enumerate(handles) if not cancel]
         assert sorted(fired) == expected

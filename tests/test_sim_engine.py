@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulator core."""
 
+import ast
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,7 +135,7 @@ class TestCancellation:
         sim = Simulator()
         seen = []
         handle = sim.schedule(10, seen.append, "x")
-        handle.cancel()
+        sim.cancel(handle)
         sim.run()
         assert seen == []
 
@@ -142,21 +143,28 @@ class TestCancellation:
         sim = Simulator()
         handle = sim.schedule(10, lambda: None)
         sim.run()
-        assert handle.fired
-        handle.cancel()  # No error.
+        assert handle[3] is None
+        sim.cancel(handle)  # No error.
+        assert sim.cancel_noops == 1
 
-    def test_pending_reflects_state(self):
+    def test_handle_is_the_heap_entry(self):
+        # [time, tie, seq, callback, args, periodic]; the callback slot
+        # reads "pending" until the event fires or is cancelled.
         sim = Simulator()
-        handle = sim.schedule(10, lambda: None)
-        assert handle.pending
+        callback = lambda *args: None  # noqa: E731
+        handle = sim.schedule(10, callback, "a", 1)
+        assert handle == [10, 0, 0, callback, ("a", 1), None]
         sim.run()
-        assert not handle.pending
+        assert handle[3] is None and handle[0] == 10
+        dropped = sim.at(20, callback)
+        sim.cancel(dropped)
+        assert dropped[3] is None and sim.pending_events == 0
 
     def test_pending_events_counts_live_only(self):
         sim = Simulator()
         keep = sim.schedule(10, lambda: None)
         drop = sim.schedule(20, lambda: None)
-        drop.cancel()
+        sim.cancel(drop)
         assert sim.pending_events == 1
 
     def test_stopped_run_until_leaves_the_clock_at_the_last_fired_event(self):
@@ -187,7 +195,7 @@ class TestCompaction:
         sim = Simulator()
         handles = [sim.schedule(1000 + i, lambda: None) for i in range(32)]
         for handle in handles[:24]:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.compactions >= 1
         assert sim.queued_entries == 8
         assert sim.pending_events == 8
@@ -200,7 +208,7 @@ class TestCompaction:
         order = []
         handles = [sim.schedule(100, order.append, tag) for tag in range(40)]
         for tag in range(0, 40, 2):
-            handles[tag].cancel()
+            sim.cancel(handles[tag])
         assert sim.compactions >= 1
         sim.run()
         assert order == list(range(1, 40, 2))
@@ -221,7 +229,7 @@ class TestCompaction:
                 order.append(i)
                 stale = handles.pop(i - 2, None)
                 if stale is not None:
-                    stale.cancel()
+                    sim.cancel(stale)
                 if i < 200:
                     handles[i] = sim.schedule(50 + (i % 3), work, i + 1)
 
@@ -245,7 +253,7 @@ class TestCompaction:
 
         def on_response():
             if state["watchdog"] is not None:
-                state["watchdog"].cancel()
+                sim.cancel(state["watchdog"])
             state["watchdog"] = sim.schedule(1_000_000, on_timeout)
             state["max_heap"] = max(state["max_heap"], sim.queued_entries)
             if state["left"] > 0:
@@ -265,10 +273,10 @@ class TestCompaction:
         handle = sim.schedule(10, lambda: None)
         live = sim.schedule(20, lambda: None)
         sim.run_until(15)
-        handle.cancel()  # Fired already: must not count as queued garbage.
-        handle.cancel()
+        sim.cancel(handle)  # Fired already: must not count as queued garbage.
+        sim.cancel(handle)
         assert sim.pending_events == 1
-        assert live.pending
+        assert live[3] is not None
 
     def test_run_until_leaves_no_cancelled_entries_behind_compaction(self, monkeypatch):
         # Cancelled entries beyond the run_until horizon are reclaimed by
@@ -279,7 +287,7 @@ class TestCompaction:
         sim.schedule(10, lambda: None)
         sim.run_until(100)
         for handle in far:
-            handle.cancel()
+            sim.cancel(handle)
         assert sim.queued_entries == 0
         assert sim.pending_events == 0
 
@@ -338,14 +346,31 @@ class TestPeriodicTieOrder:
         assert live != self._program(Simulator(), [])
 
 
-def test_transit_stages_format_no_label_per_event():
-    """``git grep -n 'label=f"' src/repro/net src/repro/fapi/channels.py
-    src/repro/core/orion.py`` is empty: labels are built at construction."""
+def test_no_scheduling_call_passes_a_label():
+    """An event carries no label: no ``schedule`` / ``at`` /
+    ``schedule_periodic`` call under ``src/`` passes ``label=``, and the
+    engine refuses one."""
     root = Path(__file__).resolve().parents[1] / "src" / "repro"
-    files = sorted((root / "net").rglob("*.py")) + [
-        root / "fapi" / "channels.py", root / "core" / "orion.py"
-    ]
-    assert [str(path) for path in files if 'label=f"' in path.read_text()] == []
+    labelled = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("schedule", "at", "schedule_periodic")
+                and any(keyword.arg == "label" for keyword in node.keywords)
+            ):
+                labelled.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert labelled == []
+    sim = Simulator()
+    for call in (
+        lambda: sim.schedule(1, print, label="x"),
+        lambda: sim.at(1, print, label="x"),
+        lambda: sim.schedule_periodic(1, print, label="x"),
+    ):
+        with pytest.raises(TypeError, match="label"):
+            call()
+    assert sim.queued_entries == 0
 
 
 class TestBatchedRng:

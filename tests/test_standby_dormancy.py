@@ -71,18 +71,26 @@ def _bench_counters() -> Dict[str, tuple]:
 
 COUNTERS = _bench_counters()
 
-#: Labels of the event kinds a dormant standby elides (some — the L2 and
-#: NIC links' deliveries, the Orion worker's completions — also carry
-#: kept traffic, so only their elided share goes).
-ELIDED_LABELS = ("fh_tx", "->edge-switch.deliver",
-                 "edge-switch->phy", ".service", "->phy.deliver")
+#: Event kinds (``<owner name>.<callback __qualname__>``) a dormant
+#: standby elides (some — the L2 and NIC links' deliveries, the Orion
+#: worker's completions — also carry kept traffic, so only their elided
+#: share goes).
+ELIDED_KINDS = ("._send_fronthaul_now", "->edge-switch.Link._deliver",
+                "edge-switch->phy", "._ServiceQueue._complete",
+                "->phy.ShmChannel._deliver")
 
 
-def _elided_kind(label: str) -> bool:
-    return label.startswith(
+def _pop_kind(callback: Any) -> str:
+    """A popped event's kind: its callback's owner and qualified name."""
+    owner = getattr(getattr(callback, "__self__", None), "name", "")
+    return f"{owner}.{callback.__qualname__}"
+
+
+def _elided_kind(kind: str) -> bool:
+    return kind.startswith(
         ("phy", "orion-phy", "edge-switch->phy", "shm-orion", "l2->")
     ) and any(
-        part in label for part in ELIDED_LABELS
+        part in kind for part in ELIDED_KINDS
     )
 
 
@@ -242,7 +250,7 @@ def _drive(
     def counting_pop(limit=None):
         entry = inner_pop(limit)
         if entry is not None:
-            pops[entry[3].label] += 1
+            pops[_pop_kind(entry[3])] += 1
         return entry
 
     sim._pop = counting_pop
@@ -302,13 +310,13 @@ def _assert_equivalent(eager: Run, dormant: Run) -> None:
     assert not any(eager.asleep)
     assert any(dormant.asleep), "no standby ever fell asleep"
     assert _mismatches(eager, dormant) == []
-    elided = {label for label in eager.pops | dormant.pops if _elided_kind(label)}
+    elided = {kind for kind in eager.pops | dormant.pops if _elided_kind(kind)}
     kept = set(eager.pops) | set(dormant.pops)
-    for label in kept - elided:
-        assert eager.pops[label] == dormant.pops[label], label
-    for label in elided:
-        assert dormant.pops[label] <= eager.pops[label], label
-    removed = sum(eager.pops[label] - dormant.pops[label] for label in elided)
+    for kind in kept - elided:
+        assert eager.pops[kind] == dormant.pops[kind], kind
+    for kind in elided:
+        assert dormant.pops[kind] <= eager.pops[kind], kind
+    removed = sum(eager.pops[kind] - dormant.pops[kind] for kind in elided)
     assert removed > 0
     assert dormant.events == eager.events - removed
 
@@ -385,8 +393,8 @@ def impaired_cell() -> Tuple[Any, List[Any]]:
                           end_ns=180 * MS, **lossy),
         ),
     )
-    cell.sim.at(20 * MS + 1, FaultInjector(cell, plan).arm, label="test.arm")
-    cell.sim.at(170 * MS + 1, FaultInjector(cell, at_once).arm, label="test.arm")
+    cell.sim.at(20 * MS + 1, FaultInjector(cell, plan).arm)
+    cell.sim.at(170 * MS + 1, FaultInjector(cell, at_once).arm)
     return cell, []
 
 
@@ -396,7 +404,7 @@ def tcp_cell() -> Tuple[Any, List[Any]]:
     )
     cell = build_slingshot_cell(CellConfig(ue_profiles=[bulk_ue]))
     flow = TcpIperfDownlink(cell.sim, cell.server, cell.ue(1), "iperf", 1)
-    cell.sim.at(30 * MS, flow.start, label="test.start-flow")
+    cell.sim.at(30 * MS, flow.start)
     return cell, [types.SimpleNamespace(
         kind="tcp_dl", obj=flow, useful_bytes=lambda: flow.receiver.bytes_delivered
     )]
@@ -635,8 +643,7 @@ TOUCH_END_MS = 30
 def touched_cell() -> Tuple[Any, List[Any]]:
     cell, flows = default_cell()
     for slot, offset in TOUCHES.items():
-        cell.sim.at(cell.slot_clock.slot_start(slot) + offset, cell.dormancy.wake,
-                    label="test.touch")
+        cell.sim.at(cell.slot_clock.slot_start(slot) + offset, cell.dormancy.wake)
     return cell, flows
 
 
@@ -794,7 +801,7 @@ def rephased_cell(patch) -> Tuple[Any, List[Any]]:
     _own_leads(patch, leads)
     cell, flows = default_cell()
     cell.sim.at(
-        10 * MS + 1, _tick_onto_null_arrivals, cell, leads, label="test.rephase"
+        10 * MS + 1, _tick_onto_null_arrivals, cell, leads
     )
     return cell, flows
 

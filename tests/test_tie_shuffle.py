@@ -83,7 +83,7 @@ class TestEngineTieShuffle:
                 order = []
                 handles = [sim.schedule(100, order.append, tag) for tag in range(48)]
                 for tag in range(0, 48, 3):
-                    handles[tag].cancel()
+                    sim.cancel(handles[tag])
                 sim.run()
                 return order
 
