@@ -34,18 +34,15 @@ from repro.core import (
     FailureDetector,
     FronthaulMiddlebox,
     L2SideOrion,
-    MigrationController,
     PhySideOrion,
 )
 from repro.sim import (
     Simulator,
-    ms_to_ns,
     ns_to_ms,
     ns_to_s,
     ns_to_us,
     s_to_ns,
     seconds,
-    us_to_ns,
 )
 
 __version__ = "1.0.0"
@@ -60,15 +57,12 @@ __all__ = [
     "FailureDetector",
     "FronthaulMiddlebox",
     "L2SideOrion",
-    "MigrationController",
     "PhySideOrion",
     "Simulator",
-    "ms_to_ns",
     "ns_to_ms",
     "ns_to_s",
     "ns_to_us",
     "s_to_ns",
     "seconds",
-    "us_to_ns",
     "__version__",
 ]

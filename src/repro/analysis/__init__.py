@@ -37,7 +37,6 @@ from repro.analysis.registry import (
     all_rules,
     register_rule,
 )
-from repro.analysis.runner import lint_source
 
 # Importing the rule modules registers their rules.
 from repro.analysis import determinism as _determinism  # noqa: F401
@@ -50,6 +49,5 @@ __all__ = [
     "Severity",
     "all_rules",
     "format_findings",
-    "lint_source",
     "register_rule",
 ]

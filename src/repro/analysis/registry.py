@@ -100,12 +100,6 @@ class LintContext:
             module_parts=parts,
         )
 
-    def in_module(self, *suffix: str) -> bool:
-        """True when this file is ``repro/<...>/suffix`` (exact tail match)."""
-        if len(suffix) > len(self.module_parts):
-            return False
-        return self.module_parts[len(self.module_parts) - len(suffix) :] == suffix
-
     def suppressed(self, rule_id: str, line: int) -> bool:
         if {"all", rule_id} & self.file_suppressions:
             return True

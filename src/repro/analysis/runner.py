@@ -46,14 +46,6 @@ def _run_over_contexts(contexts: Sequence[LintContext]) -> LintReport:
     return LintReport(findings=sort_findings(run_rules(program)), program=program)
 
 
-def lint_source(source: str, path: str) -> List[Finding]:
-    """Lint one source string; raises SyntaxError on unparseable input.
-
-    The single file forms a one-module program that every rule runs over.
-    """
-    return _run_over_contexts([LintContext.for_source(source, path=path)]).findings
-
-
 def _is_skippable(path: Path) -> bool:
     """True for files under ``__pycache__`` or hidden directories."""
     return any(

@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.apps.dispatch import FlowDispatch
 from repro.corenet.server import AppServer
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -117,15 +118,7 @@ class VideoReceiver:
         self.bins: Dict[int, int] = {}
         self.bytes_received = 0
         self.packets_received = 0
-        previous_sink = ue.dl_sink
-
-        def dispatch(bearer_id: int, sdu) -> None:
-            if isinstance(sdu, Packet) and sdu.flow_id == flow_id:
-                self._on_packet(sdu)
-            elif previous_sink is not None:
-                previous_sink(bearer_id, sdu)
-
-        ue.dl_sink = dispatch
+        ue.dl_sink = FlowDispatch(flow_id, self._on_packet, ue.dl_sink)
 
     def _on_packet(self, packet: Packet) -> None:
         self.packets_received += 1

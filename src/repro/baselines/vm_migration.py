@@ -25,7 +25,7 @@ processing continuously generates dirty memory pages".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -151,10 +151,3 @@ class PrecopyMigrationModel:
     ) -> List[MigrationRun]:
         """Repeat migrations, as the paper's 80-run campaign does."""
         return [self.migrate_once(transport) for _ in range(runs)]
-
-    @staticmethod
-    def pause_cdf(runs: List[MigrationRun]) -> List[tuple]:
-        """(pause ms, cumulative fraction) points, sorted."""
-        pauses = sorted(run.pause_time_ms for run in runs)
-        count = len(pauses)
-        return [(pause, (i + 1) / count) for i, pause in enumerate(pauses)]

@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.cell.config import CellConfig, UeProfile, default_bearers
 from repro.core.commands import MigrateOnSlot, SLINGSHOT_CMD_BYTES
 from repro.core.fh_middlebox import FronthaulMiddlebox
-from repro.core.migration import Cluster, MigrationController, PhyServer
 from repro.core.orion import L2SideOrion, PhySideOrion
 from repro.core.standby import StandbyDormancy
 from repro.corenet.core import CoreNetwork
@@ -159,16 +158,39 @@ class SlingshotCell(_BaseCell):
 
     l2: L2Process = None  # type: ignore[assignment]
     l2_orion: L2SideOrion = None  # type: ignore[assignment]
-    controller: MigrationController = None  # type: ignore[assignment]
     sites: List[CellSite] = field(default_factory=list)
     #: Evaluates a healthy standby's slots on touch (core/standby.py).
     dormancy: StandbyDormancy = None  # type: ignore[assignment]
 
     def planned_migration(self, cell_id: int = 0) -> int:
-        return self.controller.planned_migration(cell_id)
+        """Move a cell's PHY processing to its standby; returns the
+        boundary slot."""
+        return self.l2_orion.planned_migration(cell_id)
 
-    def live_upgrade(self, decoder_iterations: int, cell_id: int = 0) -> int:
-        return self.controller.live_upgrade(cell_id, decoder_iterations)
+    def live_upgrade(self, decoder_iterations: int) -> int:
+        """Zero-downtime PHY upgrade of cell 0 (paper §8.3).
+
+        The standby's PHY process restarts with the upgraded software
+        (modeled as a decoder-iteration budget), Orion replays its stored
+        initialization so it re-hosts the cell (§6.3), and traffic
+        migrates onto it at a TTI boundary. The old primary stays as the
+        new standby, ready for the next upgrade wave.
+        """
+        standby = self.l2_orion.cells[0].secondary_phy
+        if standby is None:
+            raise RuntimeError("cell 0 has no secondary to upgrade onto")
+        phy = self.phy_servers[standby].phy
+        phy.crash(reason="upgrade restart")
+        phy.restart(decoder_iterations=decoder_iterations)
+        self.l2_orion.initialize_secondary(0, standby)
+        self.trace.record(
+            self.sim.now,
+            "controller.upgrade",
+            cell=0,
+            phy=standby,
+            decoder_iterations=decoder_iterations,
+        )
+        return self.l2_orion.planned_migration(0)
 
 
 @dataclass
@@ -461,14 +483,9 @@ def build_slingshot_cell(
             cell_id=cell_id, ru_id=cell_id, primary_phy=primary, secondary_phy=standby
         )
         l2s.append(l2)
-    cluster = Cluster()
     for node in phy_servers:
         node.orion.l2_orion_mac = l2_orion_mac
         l2_orion.register_phy_server(node.phy_id, node.orion_mac)
-        cluster.add_server(
-            PhyServer(phy_id=node.phy_id, phy=node.phy, orion_mac=node.orion_mac)
-        )
-    controller = MigrationController(l2_orion, cluster, trace=wiring.trace)
     dormancy = StandbyDormancy(sim, middlebox)
     for node in phy_servers:
         dormancy.add_server(node.phy, node.orion)
@@ -506,7 +523,6 @@ def build_slingshot_cell(
         ues={ue_id: ue for site in sites for ue_id, ue in site.ues.items()},
         l2=l2s[0],
         l2_orion=l2_orion,
-        controller=controller,
         sites=sites,
         dormancy=dormancy,
     )

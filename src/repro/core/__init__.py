@@ -13,9 +13,9 @@ RU below and the L2 above, with no modification to either:
 * :mod:`repro.core.orion` — the software FAPI middlebox: decouples
   L2 and PHY over a lean stateless transport, keeps hot-standby
   secondaries alive with null FAPI requests, filters their responses,
-  and orchestrates migration end to end (§6).
-* :mod:`repro.core.migration` — cluster configuration and the planned
-  migration / live-upgrade controller built on the above.
+  and orchestrates migration end to end (§6). It also stands up a new
+  standby by replaying a cell's stored initialization (§6.3); the
+  cell's ``planned_migration`` and ``live_upgrade`` call it directly.
 """
 
 from repro.core.commands import (
@@ -32,7 +32,6 @@ from repro.core.orion import (
     OrionDatagram,
     CellAssignment,
 )
-from repro.core.migration import MigrationController, Cluster, PhyServer
 
 __all__ = [
     "MigrateOnSlot",
@@ -47,7 +46,4 @@ __all__ = [
     "PhySideOrion",
     "OrionDatagram",
     "CellAssignment",
-    "MigrationController",
-    "Cluster",
-    "PhyServer",
 ]

@@ -25,7 +25,7 @@ from repro.apps.iperf import (
 )
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.sim.units import MS, s_to_ns, seconds
+from repro.sim.units import s_to_ns, seconds
 
 #: The goodput bin of every flow here (the receivers' 10 ms).
 BIN_MS = 10.0
@@ -43,10 +43,6 @@ class ThroughputTrace:
     #: (bin start ms, Mbps) series, absolute simulation time.
     series: List[Tuple[float, float]]
     event_time_ms: float
-
-    def relative(self) -> List[Tuple[float, float]]:
-        """Series re-based so the event is at t=0 (as plotted in Fig 10)."""
-        return [(t - self.event_time_ms, mbps) for t, mbps in self.series]
 
     def zero_window_ms(self) -> float:
         """Longest run of zero-throughput bins after the event."""

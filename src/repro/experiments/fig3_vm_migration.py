@@ -8,7 +8,7 @@ a realtime PHY — and FlexRAN crashes in all runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
@@ -36,10 +36,6 @@ class Fig3Result:
     def crash_fraction(self) -> float:
         runs = self.all_runs
         return sum(r.phy_crashed for r in runs) / len(runs)
-
-    def cdf(self, transport: TransportKind) -> List[Tuple[float, float]]:
-        runs = self.tcp_runs if transport is TransportKind.TCP else self.rdma_runs
-        return PrecopyMigrationModel.pause_cdf(runs)
 
 
 def run(runs_per_transport: int = 40, seed: int = 0) -> Fig3Result:

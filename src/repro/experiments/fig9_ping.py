@@ -13,11 +13,11 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.apps.dispatch import FlowDispatch
 from repro.apps.ping import PingClient, UePingResponder
 from repro.cell.config import CellConfig
 from repro.cell.deployment import build_slingshot_cell
 from repro.sim.units import MS, SECOND, ns_to_s, s_to_ns, seconds
-from repro.transport.packet import Packet
 
 #: "Near failover": within this many seconds of the kill.
 SPIKE_WINDOW_S = 0.5
@@ -59,15 +59,7 @@ def run(
     for ue_id, ue in cell.ues.items():
         flow = f"ping-{ue_id}"
         responder = UePingResponder(ue, flow, bearer_id=1)
-        previous_sink = ue.dl_sink
-
-        def dispatch(bearer_id, sdu, responder=responder, flow=flow, prev=previous_sink):
-            if isinstance(sdu, Packet) and sdu.flow_id == flow:
-                responder.on_packet(sdu)
-            elif prev is not None:
-                prev(bearer_id, sdu)
-
-        ue.dl_sink = dispatch
+        ue.dl_sink = FlowDispatch(flow, responder.on_packet, ue.dl_sink)
         clients[ue.name] = PingClient(
             cell.sim,
             cell.server,

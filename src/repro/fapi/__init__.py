@@ -37,7 +37,7 @@ from repro.fapi.messages import (
     null_dl_tti,
     is_null_request,
 )
-from repro.fapi.codec import encode_message, decode_message, encoded_size
+from repro.fapi.codec import encode_message, decode_message
 from repro.fapi.channels import ShmChannel, FapiEndpoint
 
 __all__ = [
@@ -63,7 +63,6 @@ __all__ = [
     "is_null_request",
     "encode_message",
     "decode_message",
-    "encoded_size",
     "ShmChannel",
     "FapiEndpoint",
 ]

@@ -49,10 +49,6 @@ class ShmChannel:
         self.messages_sent = 0
         self._pending: Deque[FapiMessage] = deque()
 
-    def connect(self, endpoint: FapiEndpoint) -> None:
-        """Attach the consumer (two-phase wiring)."""
-        self.endpoint = endpoint
-
     def send(self, message: FapiMessage) -> None:
         """Deliver a message after the channel latency.
 

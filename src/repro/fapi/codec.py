@@ -193,11 +193,6 @@ def encode_message(message: m.FapiMessage) -> bytes:
     )
 
 
-def encoded_size(message: m.FapiMessage) -> int:
-    """Wire size in bytes without materializing the buffer twice."""
-    return len(encode_message(message))
-
-
 def _wire_size_config(message, size: int) -> int:
     return size + 6 + len(message.tdd_pattern)
 
@@ -257,7 +252,7 @@ _WIRE_SIZERS: Dict[Type[m.FapiMessage], Callable[..., int]] = {
 def wire_size(message: m.FapiMessage) -> int:
     """Analytic wire size in bytes for link accounting.
 
-    Unlike :func:`encoded_size`, this never serializes the message, so it
+    Unlike ``len(encode_message(message))``, this never serializes the message, so it
     also works for data messages whose hot-path payloads are typed
     objects; declared TB sizes stand in for blob lengths.
     """

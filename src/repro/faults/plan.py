@@ -19,7 +19,7 @@ built; one a particular cell cannot honour is refused by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.net.packet import EtherType
@@ -119,21 +119,3 @@ class FaultPlan:
     name: str
     link_faults: Tuple[LinkFaultSpec, ...] = ()
     process_faults: Tuple[ProcessFaultSpec, ...] = ()
-
-    def describe(self) -> dict:
-        """JSON-ready form for campaign reports."""
-
-        def spec_dict(spec) -> dict:
-            out = {}
-            for f in fields(spec):
-                value = getattr(spec, f.name)
-                if isinstance(value, tuple):
-                    value = [getattr(v, "name", v) for v in value]
-                out[f.name] = value
-            return out
-
-        return {
-            "name": self.name,
-            "link_faults": [spec_dict(s) for s in self.link_faults],
-            "process_faults": [spec_dict(s) for s in self.process_faults],
-        }

@@ -129,9 +129,6 @@ class FleetHarness:
     def run_until(self, time_ns: int) -> None:
         self.sim.run_until(time_ns)
 
-    def kill_cell_primary_at(self, cell_index: int, time_ns: int) -> None:
-        self.cells[cell_index].kill_phy_at(0, time_ns)
-
 
 def build_fleet(
     config: Optional[FleetConfig] = None, sim: Optional[Simulator] = None

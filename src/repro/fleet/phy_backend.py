@@ -8,13 +8,15 @@ batched-kernel invocation *per cell*; this backend pays one *per fleet*:
 
 * At slot-processing time each PHY **registers** its planned uplink work
   (completion time, cell, slot, scheduled PDUs) — captures have not
-  arrived yet at that point, so registration records only the plan.
-* When the first ``_finish_uplink`` at a timestamp asks for symbols, the
-  backend **gathers** every registered plan at that instant, peeks each
-  cell's captured blocks read-only (the owning PHY still pops them
-  itself), dedupes by encode key, and runs **one** batched encode per
-  LDPC code object across all cells. Results are **scattered** back
-  through a per-timestamp symbol cache keyed by content.
+  arrived yet at that point, so registration records only the plan. A
+  slot with no PDU registers nothing.
+* When the first ``_finish_uplink`` at a timestamp that captured a block
+  asks for symbols, the backend **gathers** every registered plan at
+  that instant, peeks each cell's captured blocks read-only (the owning
+  PHY still pops them itself), dedupes by encode key, and runs **one**
+  batched encode per LDPC code object across all cells. Results are
+  **scattered** back through a per-timestamp symbol cache keyed by
+  content.
 
 Byte-identity is structural, not incidental: the transmit chain is a
 pure function of ``(code, tb_id, modulation)`` (the batch kernels in
@@ -84,9 +86,14 @@ class FleetPhyBackend:
         self, done_at: int, phy: Any, cell: Any, abs_slot: int, ul_pdus: Sequence[Any]
     ) -> None:
         """Record that ``phy`` will finish ``cell``'s slot at ``done_at``."""
-        self._planned.setdefault(done_at, []).append(
-            (phy, cell, abs_slot, list(ul_pdus))
-        )
+        planned = self._planned
+        # A plan nobody demanded (its PHY crashed, or captured nothing)
+        # is never gathered; drop past ones before they pile up.
+        if len(planned) > 8:
+            now = phy.sim.now
+            for stale in [t for t in planned if t < now]:
+                del planned[stale]
+        planned.setdefault(done_at, []).append((phy, cell, abs_slot, list(ul_pdus)))
 
     # ------------------------------------------------------------------
     # Demand (from PhyProcess._finish_uplink, replacing codec.encode_blocks)
@@ -127,11 +134,6 @@ class FleetPhyBackend:
     def _gather(self, now: int) -> None:
         """Batch-encode every block planned fleet-wide for this instant."""
         plans = self._planned.pop(now, None)
-        # Plans whose completion event never fired (the PHY crashed after
-        # registering) would otherwise accumulate forever.
-        if len(self._planned) > 8:
-            for stale in [t for t in self._planned if t < now]:
-                del self._planned[stale]
         if not plans:
             return
         self.stats.gather_passes += 1

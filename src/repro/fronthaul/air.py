@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.phy.channel import ChannelRealization, UeChannelModel
 from repro.phy.transport import TransportBlock
-from repro.fronthaul.oran import UlGrant, DlAllocation
+from repro.fronthaul.oran import UlGrant
 
 
 class UeAirListener(Protocol):
@@ -102,9 +102,6 @@ class AirInterface:
     def attach(self, port: UeRadioPort) -> None:
         """Attach a UE's radio port to this cell's air interface."""
         self._ports[port.ue_id] = port
-
-    def detach(self, ue_id: int) -> None:
-        self._ports.pop(ue_id, None)
 
     def port(self, ue_id: int) -> Optional[UeRadioPort]:
         return self._ports.get(ue_id)

@@ -21,20 +21,6 @@ class MacAddress:
         if not 0 <= self.value < (1 << 48):
             raise ValueError(f"MAC address out of range: {self.value:#x}")
 
-    @classmethod
-    def from_string(cls, text: str) -> "MacAddress":
-        """Parse ``aa:bb:cc:dd:ee:ff`` notation."""
-        parts = text.split(":")
-        if len(parts) != 6:
-            raise ValueError(f"malformed MAC address: {text!r}")
-        value = 0
-        for part in parts:
-            octet = int(part, 16)
-            if not 0 <= octet <= 0xFF:
-                raise ValueError(f"malformed MAC octet in {text!r}")
-            value = (value << 8) | octet
-        return cls(value)
-
     def __str__(self) -> str:
         """``aa:bb:cc:dd:ee:ff`` rendering."""
         octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]

@@ -95,10 +95,6 @@ class Link:
         #: token)``, for their owner to account at the far end.
         self.elided_departed: Optional[Deque[Tuple[int, Any]]] = None
 
-    def connect(self, endpoint: NetworkEndpoint) -> None:
-        """Attach the receiving endpoint (allows two-phase wiring)."""
-        self.endpoint = endpoint
-
     def serialization_delay_ns(self, wire_bytes: int) -> int:
         """Time to clock ``wire_bytes`` onto the line at the link rate."""
         if self.bandwidth_bps <= 0:

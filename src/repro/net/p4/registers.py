@@ -64,18 +64,5 @@ class RegisterArray:
         self._cells[index] = value
         return value
 
-    def reset_all(self) -> None:
-        """Control-plane bulk reset to zero."""
-        self._cells = [0] * self.size
-
-    @property
-    def sram_bits(self) -> int:
-        """SRAM footprint of the array."""
-        return self.size * self.width_bits
-
-    def snapshot(self) -> List[int]:
-        """Copy of all cells (control-plane sync read, for tests)."""
-        return list(self._cells)
-
     def __len__(self) -> int:
         return self.size

@@ -84,9 +84,3 @@ class PipelineResourceModel:
             absolute[resource] = used
             fraction[resource] = used / total
         return ResourceUsage(absolute=absolute, fraction=fraction)
-
-    def max_supported_entries(self) -> int:
-        """How many RU/PHY pairs fit before SRAM, the one resource that
-        grows with them, is exhausted."""
-        budget = PIPELINE_TOTALS["sram_bits"] - _FIXED_COSTS["sram_bits"]
-        return int(budget // _PER_ENTRY_COSTS["sram_bits"])

@@ -64,10 +64,5 @@ class MatchActionTable:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._entries
 
-    @property
-    def sram_bits(self) -> int:
-        """SRAM footprint of the full table allocation."""
-        return self.capacity * (self.key_bits + self.value_bits)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Table {self.name} {len(self._entries)}/{self.capacity}>"

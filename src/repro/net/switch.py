@@ -55,10 +55,6 @@ class StaticL2Pipeline:
     def __init__(self) -> None:
         self.mac_table: Dict[MacAddress, int] = {}
 
-    def learn(self, mac: MacAddress, port: int) -> None:
-        """Install a static MAC-to-port entry."""
-        self.mac_table[mac] = port
-
     def process(
         self, frame: EthernetFrame, in_port: int, switch: "Switch"
     ) -> ForwardingDecision:

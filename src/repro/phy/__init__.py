@@ -17,7 +17,7 @@ actual FEC math rather than assumed:
   (:mod:`repro.phy.process`)
 """
 
-from repro.phy.crc import crc24a, attach_crc, check_crc, CRC24_BITS
+from repro.phy.crc import crc24a, check_crc, CRC24_BITS
 from repro.phy.numerology import Numerology, SlotClock, TddPattern, SlotType
 from repro.phy.modulation import Modulation, modulate, demodulate_llr
 from repro.phy.ldpc import LdpcCode, LdpcDecodeResult
@@ -42,7 +42,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "crc24a",
-    "attach_crc",
     "check_crc",
     "CRC24_BITS",
     "Numerology",

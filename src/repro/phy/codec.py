@@ -63,7 +63,7 @@ _GENERATORS: Dict[LdpcCode, np.ndarray] = {}
 
 def payload_generator(code: LdpcCode) -> np.ndarray:
     """The bit-packed generator of the map payload ->
-    ``code.encode(attach_crc(payload))``: row ``j`` holds byte ``j`` of
+    ``code.encode(payload + CRC24A(payload))``: row ``j`` holds byte ``j`` of
     every codeword bit's payload mask, ``(ceil(payload / 8), n)``, so the
     product's XOR-fold runs over the leading axis.
 
@@ -91,12 +91,6 @@ class CodecStats:
     crc_failures: int = 0
     garbage_decodes: int = 0
     total_decoder_iterations: int = 0
-
-    @property
-    def block_error_rate(self) -> float:
-        if self.blocks_decoded == 0:
-            return 0.0
-        return self.crc_failures / self.blocks_decoded
 
 
 class PhyCodec:

@@ -130,20 +130,9 @@ _CRC_SHIFTS = np.arange(CRC24_BITS - 1, -1, -1)
 _CRC_WEIGHTS = 1 << _CRC_SHIFTS
 
 
-def crc_bits(crc: int) -> np.ndarray:
-    """Expand a CRC value into its 24 bits, MSB first."""
-    return ((int(crc) >> _CRC_SHIFTS) & 1).astype(np.uint8)
-
-
-def attach_crc(payload_bits: np.ndarray) -> np.ndarray:
-    """Append the 24 CRC bits (MSB-first) to a payload bit array."""
-    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
-    return np.concatenate([payload_bits, crc_bits(crc24a(payload_bits))])
-
-
 def attach_crc_batch(payloads: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Append CRC bits to every payload; batch-equivalent of
-    :func:`attach_crc` (one CRC kernel call for the whole batch)."""
+    """Append the 24 CRC bits (MSB first) to every payload, with one CRC
+    kernel call for the whole batch."""
     crcs = crc24a_batch(payloads)
     all_crc_bits = (
         (crcs[:, np.newaxis] >> _CRC_SHIFTS[np.newaxis, :]) & 1

@@ -16,7 +16,7 @@ that happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -26,8 +26,6 @@ HARQ_MAX_RETX = 3
 
 #: Number of parallel HARQ processes per UE (NR allows up to 16).
 HARQ_NUM_PROCESSES = 8
-#: Bytes a stored soft LLR takes (for :meth:`HarqProcessPool.soft_bytes`).
-LLR_BYTES = 2
 
 
 @dataclass
@@ -120,18 +118,6 @@ class HarqProcessPool:
             self.stats.cleared += 1
         if buf is not None:
             buf.clear()
-
-    def occupied_count(self) -> int:
-        """Number of processes currently holding soft bits."""
-        return sum(1 for buf in self._buffers.values() if buf.occupied)
-
-    def soft_bytes(self) -> int:
-        """Approximate memory held in soft buffers (the state migration skips)."""
-        total = 0
-        for buf in self._buffers.values():
-            if buf.soft_llrs is not None:
-                total += len(buf.soft_llrs) * LLR_BYTES
-        return total
 
     def discard_all(self) -> int:
         """Drop every soft buffer (what PHY migration does). Returns count dropped."""

@@ -93,16 +93,6 @@ class BeamformingTracker:
             return 0.0
         return self._aged_quality(state, slot) * max_gain_db()
 
-    def state_bytes(self) -> int:
-        """Rough memory footprint of the full matrices this stands in for.
-
-        Per UE: an N-antenna complex channel estimate per PRB-group plus
-        the derived precoder row — the multi-megabyte state §10 notes is
-        impractical to transfer within the availability target.
-        """
-        per_ue = NUM_ANTENNAS * 2 * 4 * 273  # complex64 x PRBs.
-        return len(self._state) * per_ue
-
     def discard_all(self) -> int:
         """Drop everything (what PHY migration does). Returns UEs affected."""
         affected = len(self._state)

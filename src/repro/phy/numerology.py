@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.sim.units import US
 
@@ -54,10 +53,6 @@ class TddPattern:
     @property
     def period(self) -> int:
         return len(self.pattern)
-
-    def slots_of_type(self, slot_type: SlotType) -> int:
-        """Number of slots of a type within one pattern period."""
-        return sum(1 for ch in self.pattern if ch == slot_type.value)
 
 
 @dataclass(frozen=True)
@@ -145,20 +140,3 @@ class SlotClock:
             subframe=within // SLOTS_PER_SUBFRAME,
             slot=within % SLOTS_PER_SUBFRAME,
         )
-
-    def absolute_from_address(self, address: SlotAddress, near_slot: int) -> int:
-        """Invert :meth:`address_of` near a reference absolute slot.
-
-        O-RAN headers carry only the wrapped (frame, subframe, slot); the
-        switch resolves them against its notion of "around now". The
-        nearest absolute slot with the given address is returned.
-        """
-        wrap = MAX_FRAME * SLOTS_PER_FRAME
-        within = (
-            address.frame * SLOTS_PER_FRAME
-            + address.subframe * SLOTS_PER_SUBFRAME
-            + address.slot
-        )
-        base = (near_slot // wrap) * wrap
-        candidates = [base - wrap + within, base + within, base + wrap + within]
-        return min(candidates, key=lambda s: abs(s - near_slot))

@@ -163,12 +163,6 @@ class PhyCpuStats:
     work_slots: int = 0
     fec_decodes: int = 0
 
-    def utilization(self, elapsed_us: float) -> float:
-        """Average core utilization over ``elapsed_us`` of wall time."""
-        if elapsed_us <= 0:
-            return 0.0
-        return self.busy_core_us / elapsed_us
-
 
 @dataclass
 class PhyCellContext:
@@ -476,7 +470,7 @@ class PhyProcess(Process):
             + self.service_inflation_ns
         )
         handle = self.sim.at(done_at, self._finish_uplink, cell, abs_slot, ul_pdus)
-        if self.phy_backend is not None:
+        if ul_pdus and self.phy_backend is not None:
             self.phy_backend.register(done_at, self, cell, abs_slot, ul_pdus)
         self._pending.append(handle)
 
@@ -647,13 +641,15 @@ class PhyProcess(Process):
             for pdu in ul_pdus
         ]
         blocks = [capture.block for _, capture in captured if capture is not None]
-        if self.phy_backend is not None:
+        if not blocks:
+            encoded = iter(())
+        elif self.phy_backend is not None:
             # Fleet backend: one batched kernel invocation covers every
             # cell completing at this instant; element-for-element
             # identical to the standalone cell's call below.
             encoded = iter(self.phy_backend.encode_blocks(self, blocks))
         else:
-            encoded = iter(self.codec.encode_blocks(blocks) if blocks else ())
+            encoded = iter(self.codec.encode_blocks(blocks))
         for pdu, capture in captured:
             if capture is None:
                 # Nothing arrived on the fronthaul for this allocation
@@ -736,19 +732,3 @@ class PhyProcess(Process):
     # ------------------------------------------------------------------
     # Introspection (the state migration would have to copy)
     # ------------------------------------------------------------------
-    def soft_state_bytes(self) -> int:
-        """Bytes of inter-TTI soft state currently held (HARQ buffers,
-        plus beamforming matrices in massive-MIMO mode)."""
-        total = self.codec.harq.soft_bytes()
-        if self.beamforming is not None:
-            total += self.beamforming.state_bytes()
-        return total
-
-    def discard_soft_state(self) -> int:
-        """Drop HARQ + SNR (+ beamforming) state, as a fresh
-        post-migration PHY has none."""
-        dropped = self.codec.harq.discard_all()
-        self.snr_filter.discard_all()
-        if self.beamforming is not None:
-            dropped += self.beamforming.discard_all()
-        return dropped

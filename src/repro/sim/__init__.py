@@ -22,8 +22,6 @@ from repro.sim.units import (
     ns_to_us,
     s_to_ns,
     seconds,
-    us_to_ns,
-    ms_to_ns,
 )
 
 __all__ = [
@@ -39,8 +37,6 @@ __all__ = [
     "ns_to_us",
     "ns_to_ms",
     "ns_to_s",
-    "us_to_ns",
-    "ms_to_ns",
     "s_to_ns",
     "seconds",
 ]

@@ -214,11 +214,6 @@ class PeriodicHandle:
         """True while the periodic is armed (cancel is the only way out)."""
         return self._event is not None
 
-    @property
-    def next_time(self) -> Optional[int]:
-        """Absolute fire time of the queued occurrence (None if cancelled)."""
-        return None if self._event is None else self._event[0]
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self._event is None else f"next={self._event[0]}"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -499,11 +494,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events queued."""
         return len(self._queue) - self._cancelled_in_queue
-
-    @property
-    def queued_entries(self) -> int:
-        """Raw heap size including cancelled garbage (diagnostics/tests)."""
-        return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now}ns pending={self.pending_events}>"

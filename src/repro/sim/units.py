@@ -18,16 +18,6 @@ MS = 1_000_000
 SECOND = 1_000_000_000
 
 
-def us_to_ns(us: float) -> int:
-    """Convert microseconds to integer nanoseconds."""
-    return round(us * US)
-
-
-def ms_to_ns(ms: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return round(ms * MS)
-
-
 def s_to_ns(seconds: float) -> int:
     """Convert seconds to integer nanoseconds."""
     return round(seconds * SECOND)

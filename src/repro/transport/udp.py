@@ -8,8 +8,8 @@ of Figs 8/10/11 and Table 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
@@ -83,10 +83,6 @@ class UdpSender(Process):
 
     def stop(self) -> None:
         self._running = False
-
-    def set_bitrate(self, bitrate_bps: float) -> None:
-        """Adjust the offered load (takes effect from the next packet)."""
-        self.bitrate_bps = bitrate_bps
 
     def _send_next(self) -> None:
         if not self._running:

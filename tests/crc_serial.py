@@ -4,7 +4,8 @@
 is the shift-register definition those tables are derived from, kept so
 ``tests/test_phy_crc.py`` and ``tests/test_phy_kernel_fuzz.py`` can pin
 the table path to it at every length: byte-at-a-time for byte-multiple
-messages, bit-serial otherwise.
+messages, bit-serial otherwise. :func:`attach_crc` is the one-block form
+of ``attach_crc_batch`` that the PHY chain references encode through.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.phy.crc import _TABLE, CRC24A_POLY
+from repro.phy.crc import _CRC_SHIFTS, _TABLE, CRC24A_POLY, crc24a
 
 
 def _crc_bytes_serial(data: Sequence[int]) -> int:
@@ -43,3 +44,10 @@ def crc24a_reference(bits: np.ndarray) -> int:
     if len(bits) % 8 == 0:
         return _crc_bytes_serial(np.packbits(bits))
     return crc_bits_serial(bits)
+
+
+def attach_crc(payload_bits: np.ndarray) -> np.ndarray:
+    """Append the 24 CRC bits (MSB first) to one payload bit array."""
+    payload_bits = np.asarray(payload_bits, dtype=np.uint8)
+    crc_bits = ((crc24a(payload_bits) >> _CRC_SHIFTS) & 1).astype(np.uint8)
+    return np.concatenate([payload_bits, crc_bits])

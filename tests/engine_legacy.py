@@ -220,9 +220,3 @@ class LegacySimulator:
                 continue
             return entry.time
         return None
-
-    @property
-    def queued_entries(self) -> int:
-        """Raw heap size including cancelled garbage (for the benchmarks'
-        heap-growth comparison against the compacting engine)."""
-        return len(self._queue)

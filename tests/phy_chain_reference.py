@@ -22,11 +22,12 @@ import numpy as np
 
 from repro.phy.channel import ChannelRealization
 from repro.phy.codec import CodecStats
-from repro.phy.crc import CRC24_BITS, attach_crc
+from repro.phy.crc import CRC24_BITS
 from repro.phy.harq import HarqProcessPool
 from repro.phy.ldpc import LdpcCode, LdpcDecodeResult, get_code
 from repro.phy.modulation import _NORMS, _PAM_LEVELS, Modulation
 from repro.phy.transport import DecodeOutcome, TransportBlock
+from tests.crc_serial import attach_crc
 
 
 def modulate_reference(bits: np.ndarray, modulation: Modulation) -> np.ndarray:

@@ -50,16 +50,6 @@ class TestPrecopyModel:
         run = model.migrate_once(TransportKind.TCP)
         assert run.total_time_ns > run.pause_time_ns
 
-    def test_cdf_shape(self):
-        model = PrecopyMigrationModel(rng=np.random.default_rng(3))
-        runs = model.run_campaign(TransportKind.TCP, 20)
-        cdf = PrecopyMigrationModel.pause_cdf(runs)
-        fractions = [f for _, f in cdf]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-        pauses = [p for p, _ in cdf]
-        assert pauses == sorted(pauses)
-
     def test_higher_bandwidth_lowers_pause(self, monkeypatch):
         medians = {}
         for bandwidth in (20e9, 5e9):

@@ -25,6 +25,9 @@ from collections import Counter
 
 import pytest
 
+from repro.apps.video import VideoReceiver, VideoSender
+from repro.cell.config import CellConfig
+from repro.cell.deployment import build_slingshot_cell
 from repro.checkpoint import (
     Checkpoint,
     CheckpointMeta,
@@ -504,6 +507,38 @@ class TestCaptureInsideSwitchPipelineWindow:
         )
         assert restored.cell.l2_orion.stats.failovers_handled == 1
         assert orion.stats.failovers_handled == 1
+
+
+class TestVideoFlowCheckpoint:
+    """A video flow routes the UE's downlink through ``FlowDispatch``,
+    not a closure, so a cell carrying one pickles like any other and its
+    restored run ends on the uninterrupted run's digest and bitrate bins."""
+
+    def test_restored_video_cell_matches_the_uninterrupted_run(self):
+        cell = build_slingshot_cell(CellConfig(seed=8))
+        ue = cell.ue(1)
+        sender = VideoSender(
+            cell.sim,
+            cell.server,
+            ue_id=ue.ue_id,
+            flow_id="video",
+            bearer_id=1,
+            bitrate_bps=500_000.0,
+            rng=cell.rng.stream("app.video.video"),
+        )
+        receiver = VideoReceiver(cell.sim, ue, flow_id="video")
+        cell.run_for(200 * MS)
+        sender.start()
+        cell.kill_phy_at(0, 300 * MS)
+        cell.run_until(280 * MS)
+        checkpoint = Checkpoint.capture((cell, receiver), label="video cell")
+        cell.run_until(450 * MS)
+        twin_cell, twin_receiver = checkpoint.restore()
+        twin_cell.run_until(450 * MS)
+        assert receiver.packets_received > 0
+        assert twin_receiver.bins == receiver.bins
+        assert twin_cell.middlebox.stats.migrations_executed == 1
+        assert twin_cell.trace.digest() == cell.trace.digest()
 
 
 @pytest.mark.slow

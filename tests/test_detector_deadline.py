@@ -728,4 +728,4 @@ class TestDeadlineEvent:
             rig.sim.run_until(100 * US + k * 1_000)
             rig.mbox.detector.on_heartbeat(0, rig.sim.now)
         assert rig.mbox.detector._deadline is pending
-        assert rig.sim.queued_entries == 1
+        assert len(rig.sim._queue) == 1

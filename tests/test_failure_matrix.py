@@ -43,8 +43,7 @@ class TestStandbyFailure:
         cell.kill_phy_at(1, cell.sim.now)  # Standby dies.
         cell.run_for(s_to_ns(0.2))
         # Operator replaces the dead standby with the spare.
-        cell.l2_orion.cells[0].secondary_phy = None
-        assert cell.controller.replace_failed_secondary(0) == 2
+        cell.l2_orion.initialize_secondary(0, 2)
         cell.run_for(s_to_ns(0.2))
         cell.kill_phy_at(0, cell.sim.now + 100 * US)  # Primary dies.
         cell.run_for(s_to_ns(0.5))
@@ -94,7 +93,7 @@ class TestFailureDuringMigration:
         cell.run_for(s_to_ns(0.5))
         cell.kill_phy_at(0, cell.sim.now + 100 * US)
         cell.run_for(s_to_ns(0.25))
-        cell.controller.replace_failed_secondary(0)
+        cell.l2_orion.initialize_secondary(0, 2)
         cell.run_for(s_to_ns(0.25))
         cell.kill_phy_at(1, cell.sim.now + 100 * US)
         cell.run_for(s_to_ns(0.5))

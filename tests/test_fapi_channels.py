@@ -49,7 +49,7 @@ class TestShmChannel:
         sim = Simulator()
         channel = ShmChannel(sim, None)
         sink = Sink(sim)
-        channel.connect(sink)
+        channel.endpoint = sink
         channel.send(SlotIndication(cell_id=0, slot=1))
         sim.run()
         assert len(sink.received) == 1

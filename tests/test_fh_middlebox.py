@@ -234,7 +234,7 @@ class TestSteerAgainstTheTwoCallForm:
         return (
             decision.out_ports,
             decision.frame.dst,
-            {name: getattr(mbox, name).snapshot()[0] for name in self.REGISTERS},
+            {name: getattr(mbox, name).peek(0) for name in self.REGISTERS},
             asdict(mbox.stats),
             [(e.time, e.category, e.fields) for e in trace.events()],
         )

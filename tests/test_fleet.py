@@ -109,8 +109,8 @@ class TestPooledStandby:
 
     def test_single_token_grants_first_failure_denies_second(self, monkeypatch):
         harness = self._mini_fleet(monkeypatch, pool_size=1)
-        harness.kill_cell_primary_at(0, 60 * MS)
-        harness.kill_cell_primary_at(1, 80 * MS)
+        harness.cells[0].kill_phy_at(0, 60 * MS)
+        harness.cells[1].kill_phy_at(0, 80 * MS)
         harness.run_until(120 * MS)
         assert harness.pool.promotions == 1
         assert harness.pool.exhaustions == 1
@@ -128,8 +128,8 @@ class TestPooledStandby:
 
     def test_rewarmed_seat_absorbs_a_later_failure(self, monkeypatch):
         harness = self._mini_fleet(monkeypatch, pool_size=1, rewarm_ns=20 * MS)
-        harness.kill_cell_primary_at(0, 60 * MS)
-        harness.kill_cell_primary_at(1, 100 * MS)
+        harness.cells[0].kill_phy_at(0, 60 * MS)
+        harness.cells[1].kill_phy_at(0, 100 * MS)
         harness.run_until(140 * MS)
         assert harness.pool.promotions == 2
         assert harness.pool.exhaustions == 0
@@ -142,7 +142,7 @@ class TestPooledStandby:
 
     def test_denied_cell_recovers_only_through_operator_revival(self, monkeypatch):
         harness = self._mini_fleet(monkeypatch, pool_size=0)
-        harness.kill_cell_primary_at(0, 60 * MS)
+        harness.cells[0].kill_phy_at(0, 60 * MS)
         harness.run_until(100 * MS)
         assert _impossible(harness.cells[0]) == 1
         assert harness.population.cell_down[0] is True
@@ -155,7 +155,7 @@ class TestPooledStandby:
 
     def test_population_degrades_and_recovers_with_the_cell(self, monkeypatch):
         harness = self._mini_fleet(monkeypatch, pool_size=1)
-        harness.kill_cell_primary_at(0, 60 * MS)
+        harness.cells[0].kill_phy_at(0, 60 * MS)
         harness.run_until(200 * MS)
         summary = harness.population.summary()
         # The promoted cell was down for well under one 10 ms epoch, so

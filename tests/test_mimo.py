@@ -45,11 +45,9 @@ class TestBeamformingTracker:
         for slot in range(0, 200, 5):
             tracker.on_sounding(1, slot)
             tracker.on_sounding(2, slot)
-        assert tracker.state_bytes() > 0
         affected = tracker.discard_all()
         assert affected == 2
         assert tracker.gain_db(1, 200) == 0.0
-        assert tracker.state_bytes() == 0
 
     def test_reconvergence_takes_tens_of_soundings(self):
         """The paper's 'tens to hundreds of slots' horizon."""
@@ -72,15 +70,6 @@ class TestBeamformingTracker:
             tracker.on_sounding(1, slot)
         assert tracker.gain_db(1, 100) > 0.0
         assert tracker.gain_db(2, 100) == 0.0
-
-    def test_state_bytes_scale_with_ues_and_antennas(self, monkeypatch):
-        tracker = BeamformingTracker()
-        tracker.on_sounding(1, 0)
-        state_bytes = {}
-        for antennas in (4, 64):
-            monkeypatch.setattr(mimo_module, "NUM_ANTENNAS", antennas)
-            state_bytes[antennas] = tracker.state_bytes()
-        assert state_bytes[64] > state_bytes[4]
 
 
 class TestPhyIntegration:
@@ -107,21 +96,3 @@ class TestPhyIntegration:
         assert primary.beamforming.gain_db(1, now_slot) > 6.0
         # Uplink decodes succeed despite the 1 dB base channel.
         assert cell.l2.stats.ul_crc_ok > 0
-
-    def test_soft_state_accounting_includes_beam_matrices(self):
-        from repro.cell.config import CellConfig, UeProfile
-        from repro.cell.deployment import build_slingshot_cell
-        from repro.sim.units import s_to_ns
-
-        config = CellConfig(
-            seed=61,
-            ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=5.0)],
-            massive_mimo=True,
-        )
-        cell = build_slingshot_cell(config)
-        cell.run_for(s_to_ns(0.4))
-        primary = cell.phy_servers[0].phy
-        bytes_before = primary.soft_state_bytes()
-        assert bytes_before > 100_000  # Megabyte-scale matrices.
-        primary.discard_soft_state()
-        assert primary.soft_state_bytes() < bytes_before

@@ -8,6 +8,7 @@ backend's byte-identity to the per-cell encode path (plus the
 legacy-engine fleet digest equality).
 """
 
+import dataclasses
 import hashlib
 import pickle
 from types import SimpleNamespace
@@ -124,7 +125,7 @@ class TestSchedulePeriodicApi:
         holder.append(sim.schedule_periodic(100, tick))
         sim.run_for(1_000)
         assert times == [100, 200, 300]
-        assert not holder[0].pending and holder[0].next_time is None
+        assert not holder[0].pending and holder[0]._event is None
         assert sim.pending_events == 0
         assert sim.cancel_noops == 0
 
@@ -135,10 +136,10 @@ class TestSchedulePeriodicApi:
         times = []
         handle = sim.schedule_periodic(100, lambda: times.append(sim.now))
         sim.run_for(150)
-        assert handle.next_time == 200
+        assert handle._event[0] == 200
         handle.cancel()
         handle.re_arm(first_at=200)
-        assert sim.queued_entries == 2 and sim.pending_events == 1
+        assert len(sim._queue) == 2 and sim.pending_events == 1
         sim.run_for(200)
         assert times == [100, 200, 300]
 
@@ -286,7 +287,7 @@ class TestPeriodicChurnBounded:
                 for handle in handles:
                     handle.cancel()
                     handle.re_arm(first_at=sim.now + 100)
-                    most_queued = max(most_queued, sim.queued_entries)
+                    most_queued = max(most_queued, len(sim._queue))
         assert sim.pending_events == lanes
         # Live entries plus not-yet-swept tombstones stay within the
         # compaction policy's bound, forever.
@@ -372,6 +373,19 @@ class TestFleetPhyBackend:
         # Cross-plan dedup: the aliased plan adds no extra encodes.
         unique = {(block.tb_id, block.modulation) for block in blocks}
         assert backend.stats.blocks_encoded == len(unique)
+
+    def test_cohort_only_fleet_never_enters_the_backend(self):
+        """Cohort cells carry no uplink data: no completion has a PDU to
+        plan or a captured block to encode, through a failover too, so
+        every backend counter reads 0 and no plan is left behind."""
+        from repro.fleet.composer import FleetConfig, build_fleet
+
+        harness = build_fleet(FleetConfig(seed=1, num_cells=4))
+        harness.cells[1].kill_phy_at(0, 12_000_000)
+        harness.run_for(30_000_000)
+        stats = dataclasses.asdict(harness.phy_backend.stats)
+        assert stats and set(stats.values()) == {0}, stats
+        assert harness.phy_backend._planned == {}
 
 
 @pytest.mark.slow

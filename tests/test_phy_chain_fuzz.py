@@ -31,12 +31,12 @@ from repro.phy import codec as codec_module
 from repro.phy import ldpc as ldpc_module
 from repro.phy.channel import AwgnChannel, ChannelRealization
 from repro.phy.codec import PhyCodec
-from repro.phy.crc import attach_crc
 from repro.phy.ldpc import LdpcCode, get_code
 from repro.phy.modulation import Modulation, modulate
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.rng import RngRegistry
 from tests.conftest import mutated
+from tests.crc_serial import attach_crc
 from tests.corpora import CORPUS_SEED
 from tests.phy_chain_reference import ReferenceCodec, decode_reference
 

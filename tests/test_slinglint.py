@@ -4,7 +4,8 @@ by case, exactly which rules fire."""
 
 import pytest
 
-from repro.analysis import Severity, all_rules, lint_source
+from repro.analysis import Severity, all_rules
+from repro.analysis.findings import sort_findings
 from repro.analysis.program import Program
 from repro.analysis.registry import LintContext, parse_suppressions, run_rules
 
@@ -14,7 +15,9 @@ def rule_ids(findings):
 
 
 def lint(source, path="src/repro/somewhere/mod.py"):
-    return lint_source(source, path=path)
+    """Every rule over a one-module program of ``source``."""
+    context = LintContext.for_source(source, path=path)
+    return sort_findings(run_rules(Program([context])))
 
 
 class TestDeterminismRules:
@@ -559,8 +562,3 @@ class TestFramework:
 
         with pytest.raises(ValueError):
             format_findings([], fmt="xml")
-
-    def test_in_module_matching(self):
-        ctx = LintContext.for_source("x = 1\n", path="src/repro/sim/rng.py")
-        assert ctx.in_module("sim", "rng.py")
-        assert not ctx.in_module("net", "rng.py")

@@ -135,7 +135,7 @@ def _state(cell: Any) -> Dict[str, Any]:
         ],
         "switch": (cell.switch.frames_processed, cell.switch.frames_dropped),
         "registers": [
-            (r.reads, r.writes, r.snapshot())
+            (r.reads, r.writes, [r.peek(i) for i in range(r.size)])
             for r in (mbox.ru_to_phy, mbox.mig_valid, mbox.mig_slot, mbox.mig_dest,
                       mbox.prev_phy, mbox.last_boundary, detector._counters)
         ],
@@ -352,8 +352,8 @@ CELL_END_MS = 330
 
 def idle_fleet() -> Tuple[Any, List[Any]]:
     fleet = build_fleet(FleetConfig(seed=5, num_cells=4, standby_pool_size=1))
-    fleet.kill_cell_primary_at(1, 30 * MS + 123_457)
-    fleet.kill_cell_primary_at(2, 35 * MS + 777)
+    fleet.cells[1].kill_phy_at(0, 30 * MS + 123_457)
+    fleet.cells[2].kill_phy_at(0, 35 * MS + 777)
     return fleet, []
 
 

@@ -256,7 +256,7 @@ class Rig:
         self.deliveries = []
         for number, (bandwidth, latency) in enumerate(schedule.ports):
             self.switch.attach(Sink(self, number), bandwidth, latency, name=f"n{number}")
-            pipeline.learn(mac_of(number), number)
+            pipeline.mac_table[mac_of(number)] = number
         assert self.switch.add_port().number == schedule.dark_port
         self.mbox.set_notification_target(
             mac_of(schedule.notify_port), schedule.notify_port

@@ -47,7 +47,7 @@ class TestUdpSender:
         sim.run_until(200 * MS)
         assert len(sent) == count
 
-    def test_set_bitrate_changes_pace(self):
+    def test_bitrate_change_changes_pace(self):
         sim = Simulator()
         sent = []
         sender = UdpSender(
@@ -57,7 +57,7 @@ class TestUdpSender:
         sender.start()
         sim.run_until(500 * MS)
         first_half = len(sent)
-        sender.set_bitrate(4e6)
+        sender.bitrate_bps = 4e6
         sim.run_until(SECOND)
         assert len(sent) - first_half > 3 * first_half
 
