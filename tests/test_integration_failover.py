@@ -167,6 +167,24 @@ class TestLiveUpgrade:
         new_primary = cell.phy_servers[1].phy
         assert new_primary.config.decoder_iterations == 12
         assert new_primary.alive
+        [upgrade] = cell.trace.events("controller.upgrade")
+        assert upgrade.fields == {"cell": 0, "phy": 1, "decoder_iterations": 12}
+
+    def test_upgrade_without_a_standby_is_refused(self):
+        """After a failover with no spare, cell 0 has no standby to upgrade
+        onto: the upgrade is refused before any PHY restarts."""
+        cell = build_slingshot_cell(single_ue_config(seed=13))
+        cell.run_for(s_to_ns(0.2))
+        cell.kill_phy_at(0, cell.sim.now + 100 * US)
+        cell.run_for(s_to_ns(0.1))
+        assert cell.l2_orion.cells[0].secondary_phy is None
+        survivor = cell.phy_servers[1].phy
+        iterations = survivor.config.decoder_iterations
+        with pytest.raises(RuntimeError, match="no secondary"):
+            cell.live_upgrade(decoder_iterations=12)
+        assert survivor.alive
+        assert survivor.config.decoder_iterations == iterations
+        assert not cell.trace.events("controller.upgrade")
 
 
 class TestBaselineFailover:
