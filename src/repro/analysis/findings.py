@@ -52,7 +52,7 @@ def sort_findings(findings: Iterable[Finding]) -> List[Finding]:
     return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule_id))
 
 
-def format_findings(findings: Iterable[Finding], fmt: str = "text") -> str:
+def format_findings(findings: Iterable[Finding], fmt: str) -> str:
     """Render findings as a text report or a JSON document."""
     ordered = sort_findings(findings)
     if fmt == "json":

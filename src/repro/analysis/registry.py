@@ -84,7 +84,7 @@ class LintContext:
     module_parts: Tuple[str, ...] = ()
 
     @classmethod
-    def for_source(cls, source: str, path: str = "<string>") -> "LintContext":
+    def for_source(cls, source: str, path: str) -> "LintContext":
         per_line, whole_file = parse_suppressions(source)
         tree = ast.parse(source, filename=path)
         parts: Tuple[str, ...] = ()

@@ -97,8 +97,9 @@ def _contexts_for_paths(paths: Optional[Sequence[Path]]) -> List[LintContext]:
     return contexts
 
 
-def lint_report(paths: Optional[Sequence[Path]] = None) -> LintReport:
-    """Full lint pass over files/directories, returning the rich report.
+def lint_report(paths: Optional[Sequence[Path]]) -> LintReport:
+    """Full lint pass over files/directories (None: the default
+    targets), returning the rich report.
 
     Finding paths are reported relative to the repository root when the
     file lives under it, so reports are stable across checkouts.

@@ -75,7 +75,7 @@ class PingClient(Process):
         ue_id: int,
         flow_id: str,
         bearer_id: int,
-        interval_ns: int = 10 * MS,
+        interval_ns: int,
         name: str = "",
     ) -> None:
         super().__init__(sim, name or f"ping:{flow_id}")

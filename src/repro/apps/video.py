@@ -47,7 +47,7 @@ class VideoSender(Process):
         ue_id: int,
         flow_id: str,
         bearer_id: int,
-        bitrate_bps: float = 500_000.0,
+        bitrate_bps: float,
         *,
         rng: np.random.Generator,
         name: str = "",

@@ -62,7 +62,7 @@ class SoftwareMiddleboxModel:
         samples = self.sample_added_latency_ns(LATENCY_SAMPLES)
         return float(np.percentile(samples, percentile))
 
-    def radius_km(self, added_latency_ns: float = 0.0) -> float:
+    def radius_km(self, added_latency_ns: float) -> float:
         """Max RU-to-datacenter distance under the fronthaul budget."""
         usable = FRONTHAUL_BUDGET_NS - added_latency_ns
         return max(usable, 0.0) / FIBER_NS_PER_KM

@@ -147,7 +147,7 @@ class PrecopyMigrationModel:
         )
 
     def run_campaign(
-        self, transport: TransportKind, runs: int = 40
+        self, transport: TransportKind, runs: int
     ) -> List[MigrationRun]:
         """Repeat migrations, as the paper's 80-run campaign does."""
         return [self.migrate_once(transport) for _ in range(runs)]

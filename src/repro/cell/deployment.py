@@ -69,18 +69,20 @@ class ServerNic:
 
     Fronthaul (eCPRI) frames go to the PHY process; everything else
     (Orion datagrams, Slingshot notifications) goes to the Orion process.
+    The builder sets both before the first event; the L2 server's NIC
+    has no PHY.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.phy: Optional[PhyProcess] = None
-        self.orion = None  # PhySideOrion or L2SideOrion
+        self.orion: "PhySideOrion | L2SideOrion"
 
     def receive_frame(self, frame: EthernetFrame, ingress: Link) -> None:
         if frame.ethertype == EtherType.ECPRI:
             if self.phy is not None:
                 self.phy.receive_frame(frame, ingress)
-        elif self.orion is not None:
+        else:
             self.orion.receive_frame(frame, ingress)
 
 
@@ -162,10 +164,10 @@ class SlingshotCell(_BaseCell):
     #: Evaluates a healthy standby's slots on touch (core/standby.py).
     dormancy: StandbyDormancy = None  # type: ignore[assignment]
 
-    def planned_migration(self, cell_id: int = 0) -> int:
-        """Move a cell's PHY processing to its standby; returns the
+    def planned_migration(self) -> int:
+        """Move cell 0's PHY processing to its standby; returns the
         boundary slot."""
-        return self.l2_orion.planned_migration(cell_id)
+        return self.l2_orion.planned_migration(0)
 
     def live_upgrade(self, decoder_iterations: int) -> int:
         """Zero-downtime PHY upgrade of cell 0 (paper §8.3).
@@ -244,7 +246,7 @@ class _Wiring:
         self.slot_clock = SlotClock()
         self.macs = MacAllocator()
         self.switch = Switch(sim, name="edge-switch")
-        self.middlebox = FronthaulMiddlebox(sim, trace=self.trace, name="fh-mbox")
+        self.middlebox = FronthaulMiddlebox(sim, trace=self.trace)
         self.middlebox.install_on(self.switch)
 
     def radio_unit(self, ru_id: int, initial_phy: int) -> RadioUnit:
@@ -408,7 +410,7 @@ def _site_profiles(config: CellConfig, ru_id: int) -> List[UeProfile]:
 
 
 def build_slingshot_cell(
-    config: Optional[CellConfig] = None,
+    config: CellConfig,
     sim: Optional[Simulator] = None,
     placement: Optional[Sequence[Placement]] = None,
 ) -> SlingshotCell:
@@ -422,7 +424,6 @@ def build_slingshot_cell(
     cell ``i``: its own L2 process behind the shared L2-side Orion, its
     own air interface, and its own copy of ``config.ue_profiles``.
     """
-    config = config or CellConfig()
     servers = range(config.num_phy_servers)
     if placement is None:
         placement = [(0, 1 if config.num_phy_servers > 1 else None)]
@@ -528,7 +529,7 @@ def build_slingshot_cell(
     )
 
 
-def build_baseline_cell(config: Optional[CellConfig] = None) -> BaselineCell:
+def build_baseline_cell(config: CellConfig) -> BaselineCell:
     """Build the no-Slingshot baseline: primary vRAN + hot-backup vRAN.
 
     Each vRAN stack (PHY + L2) runs on its own pair of processes with its
@@ -536,7 +537,6 @@ def build_baseline_cell(config: Optional[CellConfig] = None) -> BaselineCell:
     fronthaul quickly (the paper grants the baseline this much); the UEs
     nevertheless need a full re-establishment with the backup stack.
     """
-    config = config or CellConfig()
     wiring = _Wiring(config)
     sim, middlebox = wiring.sim, wiring.middlebox
     ru = wiring.radio_unit(0, initial_phy=0)

@@ -108,7 +108,7 @@ class FailureDetector:
         self._reported: Set[int] = set()
         self._stats = DetectorStats()
         #: ``now_ns`` of each PHY's latest heartbeat (None: it carried none).
-        self._last_heartbeat_ns: Dict[int, Optional[int]] = {}
+        self._last_heartbeat_ns: Dict[int, int] = {}
         #: One ``(phy_id, detected_at_ns, last_heartbeat_ns)`` record per
         #: detection, in detection order: detected − last heartbeat is the
         #: latency §5.2 bounds by T plus one tick.
@@ -226,13 +226,10 @@ class FailureDetector:
     # ------------------------------------------------------------------
     # Data-plane events
     # ------------------------------------------------------------------
-    def on_heartbeat(self, phy_id: int, now_ns: Optional[int] = None) -> None:
-        """A downlink packet from ``phy_id`` traversed the switch.
-
-        ``now_ns`` is optional metadata (the last-heartbeat timestamp a
-        :attr:`detections` record carries); passing it never changes
-        detector behaviour.
-        """
+    def on_heartbeat(self, phy_id: int, now_ns: int) -> None:
+        """A downlink packet from ``phy_id`` traversed the switch at
+        ``now_ns`` (the last-heartbeat timestamp a :attr:`detections`
+        record carries; it never changes detector behaviour)."""
         if 0 <= phy_id < self._counters.size:
             sim = self._sim
             if sim is not None:

@@ -86,12 +86,11 @@ class FronthaulMiddlebox:
         self,
         sim: Simulator,
         trace: Optional[TraceRecorder] = None,
-        name: str = "fh-mbox",
     ) -> None:
         self.sim = sim
         self.config = MiddleboxConfig()
         self.trace = trace
-        self.name = name
+        self.name = "fh-mbox"
         # --- Match-action tables (control-plane installed) -------------
         self.ru_id_directory = MatchActionTable(
             "ru_id_directory", MAX_RUS, key_bits=48, value_bits=8

@@ -101,6 +101,9 @@ MAX_REPAIR_SLOTS = 8
 #: heartbeats keep the in-switch detector happy, the L2-side Orion
 #: fails the cell over itself.
 RESPONSE_WATCHDOG_SLOTS = 8
+#: Lead before slot start at which the PHY-side Orion's loss-repair
+#: watchdog checks that the slot's TTI requests arrived.
+WATCHDOG_LEAD_NS = 200 * US
 #: Times each migration's command packets are retransmitted (the
 #: switch command path is lossy under faults; commands are idempotent).
 COMMAND_RETX_COUNT = 8
@@ -227,29 +230,29 @@ class PhySideOrion(Process):
         sim: Simulator,
         phy_id: int,
         mac: MacAddress,
-        slot_clock: Optional[SlotClock] = None,
-        trace: Optional[TraceRecorder] = None,
-        name: str = "",
+        slot_clock: SlotClock,
+        trace: TraceRecorder,
+        name: str,
     ) -> None:
-        super().__init__(sim, name or f"orion-phy{phy_id}")
+        super().__init__(sim, name)
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.name)
-        #: SHM channel toward the local PHY.
-        self.shm_to_phy: Optional[ShmChannel] = None
-        #: NIC uplink into the switch.
-        self.uplink: Optional[Link] = None
-        #: L2-side Orion's MAC (destination for responses).
-        self.l2_orion_mac: Optional[MacAddress] = None
+        #: SHM channel toward the local PHY, the NIC uplink into the
+        #: switch, and the L2-side Orion's MAC (destination for
+        #: responses): set by the builder before the first event. The
+        #: baseline cell never sets ``l2_orion_mac``: its PHYs answer
+        #: their L2 over SHM and this Orion relays nothing.
+        self.shm_to_phy: ShmChannel
+        self.uplink: Link
+        self.l2_orion_mac: MacAddress
         #: Loss repair: last TTI-request slot seen per (cell, type-name).
         self._last_tti_slot: Dict[Tuple[int, str], int] = {}
         #: Nulls injected to cover transport losses.
         self.nulls_injected = 0
-        #: Lead before slot start at which the watchdog injects.
-        self.watchdog_lead_ns = 200_000
         self._watchdog_running = False
         self._watchdog: Optional[PeriodicHandle] = None
         #: The :class:`~repro.core.standby.Sleeper` while its PHY is
@@ -270,8 +273,6 @@ class PhySideOrion(Process):
 
     def _to_phy(self, message: FapiMessage) -> None:
         channel = self.shm_to_phy
-        if channel is None:
-            return
         if channel.endpoint.alive:
             for repaired in self._repair_gaps(message):
                 channel.send(repaired)
@@ -298,7 +299,7 @@ class PhySideOrion(Process):
             self.stats.repair_slots_dropped += dropped
         nulls = [make_null(message.cell_id, slot) for slot in missing]
         self.nulls_injected += len(nulls)
-        if self.trace is not None and nulls:
+        if nulls:
             self.trace.record(
                 self.sim.now, "orion.loss_repaired",
                 phy=self.phy_id, cell=message.cell_id, count=len(nulls),
@@ -307,15 +308,14 @@ class PhySideOrion(Process):
 
     # --- Per-slot watchdog (deadline-based loss repair) -----------------
     def _start_watchdog(self) -> None:
-        if self._watchdog_running or self.slot_clock is None:
+        if self._watchdog_running:
             return
         self._watchdog_running = True
         self._arm_watchdog()
 
     def _arm_watchdog(self) -> None:
-        assert self.slot_clock is not None
-        next_slot = self.slot_clock.slot_at(self.sim.now + self.watchdog_lead_ns) + 1
-        fire_at = self.slot_clock.slot_start(next_slot) - self.watchdog_lead_ns
+        next_slot = self.slot_clock.slot_at(self.sim.now + WATCHDOG_LEAD_NS) + 1
+        fire_at = self.slot_clock.slot_start(next_slot) - WATCHDOG_LEAD_NS
         if self._watchdog is not None:
             self._watchdog.re_arm(first_at=fire_at)
             return
@@ -336,10 +336,7 @@ class PhySideOrion(Process):
     def _watchdog_tick(self) -> None:
         """Just before the PHY needs the upcoming slot's requests, check
         that they arrived; inject nulls for any that did not."""
-        assert self.slot_clock is not None
-        abs_slot = self.slot_clock.slot_at(self.sim.now + self.watchdog_lead_ns)
-        if self.shm_to_phy is None:
-            return
+        abs_slot = self.slot_clock.slot_at(self.sim.now + WATCHDOG_LEAD_NS)
         if not self.shm_to_phy.endpoint.alive:
             # A crashed PHY has no FAPI contract left to keep: stop, and
             # forget the slots seen, so a restarted PHY's loss repair
@@ -359,11 +356,10 @@ class PhySideOrion(Process):
                 self.shm_to_phy.send(make_null(cell_id, slot))
                 self.nulls_injected += 1
             self._last_tti_slot[(cell_id, kind)] = abs_slot
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now, "orion.watchdog_nulls",
-                    phy=self.phy_id, cell=cell_id, kind=kind, slot=abs_slot,
-                )
+            self.trace.record(
+                self.sim.now, "orion.watchdog_nulls",
+                phy=self.phy_id, cell=cell_id, kind=kind, slot=abs_slot,
+            )
 
     # --- PHY -> network ---------------------------------------------------
     def receive_fapi(self, message: FapiMessage, channel: ShmChannel) -> None:
@@ -376,8 +372,6 @@ class PhySideOrion(Process):
         self._queue.submit(datagram.wire_bytes, self._to_network, datagram)
 
     def _to_network(self, datagram: OrionDatagram) -> None:
-        if self.uplink is None or self.l2_orion_mac is None:
-            return
         frame = EthernetFrame(
             src=self.mac,
             dst=self.l2_orion_mac,
@@ -396,7 +390,7 @@ class L2SideOrion(Process):
         sim: Simulator,
         mac: MacAddress,
         slot_clock: SlotClock,
-        trace: Optional[TraceRecorder] = None,
+        trace: TraceRecorder,
         name: str = "orion-l2",
     ) -> None:
         super().__init__(sim, name)
@@ -405,13 +399,13 @@ class L2SideOrion(Process):
         self.trace = trace
         self.stats = OrionStats()
         self._queue = _ServiceQueue(sim, self.name)
-        #: SHM channel toward the local L2.
-        self.shm_to_l2: Optional[ShmChannel] = None
+        #: SHM channel toward cell 0's L2, and the NIC uplink into the
+        #: switch: set by the builder before the first event.
+        self.shm_to_l2: ShmChannel
+        self.uplink: Link
         #: Multi-cell: per-cell SHM channels when several L2 processes
         #: share this server (falls back to ``shm_to_l2``).
         self.shm_to_l2_by_cell: Dict[int, ShmChannel] = {}
-        #: NIC uplink into the switch.
-        self.uplink: Optional[Link] = None
         #: PHY server id -> PHY-side Orion MAC.
         self.phy_orion_macs: Dict[int, MacAddress] = {}
         #: Cell assignments by cell id.
@@ -424,9 +418,10 @@ class L2SideOrion(Process):
         #: the cell degrades exactly as if it had no standby. ``None`` —
         #: the dedicated-standby default — always grants.
         self.standby_gate: Optional[Callable[[CellAssignment], bool]] = None
-        #: The deployment's :class:`~repro.core.standby.StandbyDormancy`:
-        #: any assignment change wakes its dormant standbys first.
-        self.dormancy: Optional[Any] = None
+        #: The deployment's :class:`~repro.core.standby.StandbyDormancy`
+        #: (set by the builder before the first event): any assignment
+        #: change wakes its dormant standbys first.
+        self.dormancy: Any
 
     # ------------------------------------------------------------------
     # Wiring / cluster config
@@ -479,7 +474,7 @@ class L2SideOrion(Process):
             # A dormant standby's null is booked from its kind, cell and
             # slot, not built (core/standby.py); one it cannot book has
             # woken it and is sent.
-            sleeper = None if self.dormancy is None else self.dormancy.sleeping.get(standby)
+            sleeper = self.dormancy.sleeping.get(standby)
             if sleeper is None or not sleeper.book(
                 int(isinstance(message, DlTtiRequest)), message.cell_id, message.slot
             ):
@@ -517,7 +512,7 @@ class L2SideOrion(Process):
         return null_dl_tti(message.cell_id, message.slot)
 
     def _send_to_phy(self, phy_id: Optional[int], message: FapiMessage) -> None:
-        if phy_id is None or self.uplink is None:
+        if phy_id is None:
             return
         mac = self.phy_orion_macs.get(phy_id)
         if mac is None:
@@ -557,7 +552,7 @@ class L2SideOrion(Process):
             if datagram.phy_id == active:
                 self._note_response(assignment)
             channel = self.shm_to_l2_by_cell.get(message.cell_id, self.shm_to_l2)
-            if channel is not None and not isinstance(message, SlotIndication):
+            if not isinstance(message, SlotIndication):
                 channel.send(message)
         else:
             self.stats.responses_dropped += 1
@@ -606,14 +601,13 @@ class L2SideOrion(Process):
         if assignment.primary_phy in assignment.failed_phys:
             return  # Failure already accounted (pooled-standby denial).
         self.stats.watchdog_fires += 1
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "orion.response_watchdog_fired",
-                cell=assignment.cell_id,
-                phy=assignment.primary_phy,
-                silent_ns=self.sim.now - last,
-            )
+        self.trace.record(
+            self.sim.now,
+            "orion.response_watchdog_fired",
+            cell=assignment.cell_id,
+            phy=assignment.primary_phy,
+            silent_ns=self.sim.now - last,
+        )
         dest = self._failover_dest(assignment)
         if dest is None:
             self._note_failover_impossible(assignment, assignment.primary_phy)
@@ -659,10 +653,9 @@ class L2SideOrion(Process):
     # ------------------------------------------------------------------
     def _on_failure_notification(self, notification: FailureNotification) -> None:
         """The switch detected a dead PHY: fail over every affected cell."""
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now, "orion.failure_notified", phy=notification.phy_id
-            )
+        self.trace.record(
+            self.sim.now, "orion.failure_notified", phy=notification.phy_id
+        )
         acted = False
         for assignment in self.cells.values():
             if assignment.primary_phy != notification.phy_id:
@@ -712,13 +705,12 @@ class L2SideOrion(Process):
             # failure is counted exactly once across the notification and
             # watchdog paths, however many duplicates are in flight.
             assignment.failed_phys.add(phy_id)
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "orion.failover_impossible",
-                cell=assignment.cell_id,
-                phy=phy_id,
-            )
+        self.trace.record(
+            self.sim.now,
+            "orion.failover_impossible",
+            cell=assignment.cell_id,
+            phy=phy_id,
+        )
 
     def planned_migration(self, cell_id: int) -> int:
         """Operator/controller-initiated migration; returns the boundary slot."""
@@ -734,8 +726,7 @@ class L2SideOrion(Process):
     def _start_migration(
         self, assignment: CellAssignment, dest: int, boundary: int, failover: bool
     ) -> None:
-        if self.dormancy is not None:
-            self.dormancy.wake()
+        self.dormancy.wake()
         self.stats.migrations_initiated += 1
         assignment.migration_slot = boundary
         assignment.migration_dest = dest
@@ -769,15 +760,14 @@ class L2SideOrion(Process):
                 assignment.migration_seq,
                 commands,
             )
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "orion.migration_started",
-                cell=assignment.cell_id,
-                dest_phy=dest,
-                boundary=boundary,
-                failover=failover,
-            )
+        self.trace.record(
+            self.sim.now,
+            "orion.migration_started",
+            cell=assignment.cell_id,
+            dest_phy=dest,
+            boundary=boundary,
+            failover=failover,
+        )
         # Finalize roles once the boundary + draining window passes.
         finalize_at = self.slot_clock.slot_start(assignment.drain_until_slot + 1)
         self.sim.at(
@@ -798,8 +788,7 @@ class L2SideOrion(Process):
     ) -> None:
         if assignment.migration_dest != dest:
             return  # Superseded by a newer migration.
-        if self.dormancy is not None:
-            self.dormancy.wake()
+        self.dormancy.wake()
         assignment.primary_phy = dest
         # After a planned migration the old primary becomes the standby;
         # after a failover there is no standby until one is initialized.
@@ -809,14 +798,13 @@ class L2SideOrion(Process):
         assignment.migration_slot = None
         assignment.migration_dest = None
         assignment.draining_phy = None
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "orion.migration_finalized",
-                cell=assignment.cell_id,
-                primary=dest,
-                secondary=assignment.secondary_phy,
-            )
+        self.trace.record(
+            self.sim.now,
+            "orion.migration_finalized",
+            cell=assignment.cell_id,
+            primary=dest,
+            secondary=assignment.secondary_phy,
+        )
         if failover and self.on_failover is not None:
             self.on_failover(assignment.cell_id, dest)
 
@@ -826,18 +814,16 @@ class L2SideOrion(Process):
         assignment = self.cells[cell_id]
         if assignment.stored_config is None:
             raise RuntimeError(f"cell {cell_id} has no stored initialization")
-        if self.dormancy is not None:
-            self.dormancy.wake()
+        self.dormancy.wake()
         # The operator standing a server back up clears its failure record
         # (mirrors the injector's revive path) so it is eligible again.
         assignment.failed_phys.discard(phy_id)
         assignment.secondary_phy = phy_id
         self._send_to_phy(phy_id, assignment.stored_config)
         self._send_to_phy(phy_id, StartRequest(cell_id=cell_id))
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now, "orion.secondary_initialized", cell=cell_id, phy=phy_id
-            )
+        self.trace.record(
+            self.sim.now, "orion.secondary_initialized", cell=cell_id, phy=phy_id
+        )
 
     def _retransmit_commands(
         self, assignment: CellAssignment, seq: int, commands: tuple
@@ -850,8 +836,6 @@ class L2SideOrion(Process):
 
     def _send_command(self, command) -> None:
         """Send a Slingshot command packet into the switch."""
-        if self.uplink is None:
-            return
         frame = EthernetFrame(
             src=self.mac,
             dst=MacAddress(0x02_5A_5A_00_00_02),  # Consumed by the pipeline.

@@ -325,7 +325,7 @@ class StandbyDormancy:
             return False
         if not cell.started or cell.captures or cell.feedback_only or cell.bsr:
             return False
-        if phy.uplink is None or phy.fapi_tx is None or not self._inert(phy):
+        if not self._inert(phy):
             return False
         if not self._slot_is_null(cell, abs_slot):
             return False

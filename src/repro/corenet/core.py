@@ -41,25 +41,28 @@ class CoreNetwork(Process):
     def __init__(
         self,
         sim: Simulator,
-        registry: Optional[RngRegistry] = None,
-        trace: Optional[TraceRecorder] = None,
+        registry: RngRegistry,
+        trace: TraceRecorder,
         name: str = "core",
     ) -> None:
         super().__init__(sim, name)
         #: Named-stream registry. Attach jitter is drawn from a per-UE
         #: stream so that concurrent RLFs (same-timestamp events) get the
         #: same durations regardless of the order their events fire in.
-        self.registry = registry if registry is not None else RngRegistry(seed=0)
+        self.registry = registry
         self.trace = trace
+        #: The primary binding (set by :meth:`bind_l2` before any UE is
+        #: admitted).
         self.l2: Optional[L2Process] = None
         #: UEs known to the core, with their bearer profiles.
         self._ues: Dict[int, UserEquipment] = {}
         self._bearer_profiles: Dict[int, List[RlcBearerConfig]] = {}
         self._ue_snr_hint: Dict[int, float] = {}
-        #: Serving L2 per UE (multi-cell deployments; falls back to l2).
+        #: Serving L2 per UE, set at admission.
         self._l2_for_ue: Dict[int, L2Process] = {}
-        #: Downlink handler on the server side of the core (set by AppServer).
-        self.uplink_handler: Optional[Callable[[Packet], None]] = None
+        #: Uplink handler on the server side of the core (set by the
+        #: AppServer, which every builder builds with the core).
+        self.uplink_handler: Callable[[Packet], None]
         self.packets_ul = 0
         self.packets_dl = 0
 
@@ -86,25 +89,19 @@ class CoreNetwork(Process):
         self,
         ue: UserEquipment,
         bearers: List[RlcBearerConfig],
-        snr_hint_db: float = 10.0,
-        l2: Optional[L2Process] = None,
+        snr_hint_db: float,
+        l2: L2Process,
     ) -> None:
-        """Register a UE as attached (initial bring-up, no delay).
-
-        ``l2`` selects the serving L2 in multi-cell deployments; the
-        default is the core's primary binding.
-        """
-        serving = l2 if l2 is not None else self.l2
+        """Register a UE as attached to ``l2`` (initial bring-up, no
+        delay)."""
         self._ues[ue.ue_id] = ue
         self._bearer_profiles[ue.ue_id] = list(bearers)
         self._ue_snr_hint[ue.ue_id] = snr_hint_db
-        if serving is not None:
-            self._l2_for_ue[ue.ue_id] = serving
+        self._l2_for_ue[ue.ue_id] = l2
         ue.on_rlf = self._on_ue_rlf
-        if serving is not None:
-            serving.register_ue(ue.ue_id, bearers, snr_db=snr_hint_db)
+        l2.register_ue(ue.ue_id, bearers, snr_db=snr_hint_db)
 
-    def _serving_l2(self, ue_id: int) -> Optional[L2Process]:
+    def _serving_l2(self, ue_id: int) -> L2Process:
         return self._l2_for_ue.get(ue_id, self.l2)
 
     # ------------------------------------------------------------------
@@ -117,10 +114,9 @@ class CoreNetwork(Process):
 
     def _deliver_dl(self, packet: Packet) -> None:
         serving = self._l2_for_ue.get(packet.ue_id, self.l2)  # _serving_l2, inlined
-        if serving is not None:
-            serving.send_downlink(
-                packet.ue_id, packet.bearer_id, packet, packet.size_bytes
-            )
+        serving.send_downlink(
+            packet.ue_id, packet.bearer_id, packet, packet.size_bytes
+        )
 
     def _on_uplink_sdu(self, ue_id: int, bearer_id: int, sdu: Any) -> None:
         """L2 -> core -> server: deliver after backhaul latency."""
@@ -128,7 +124,7 @@ class CoreNetwork(Process):
         self.sim.schedule(BACKHAUL_LATENCY_NS, self._deliver_ul, sdu)
 
     def _deliver_ul(self, sdu: Any) -> None:
-        if self.uplink_handler is not None and isinstance(sdu, Packet):
+        if isinstance(sdu, Packet):
             self.uplink_handler(sdu)
 
     # ------------------------------------------------------------------
@@ -137,24 +133,20 @@ class CoreNetwork(Process):
     def _on_ue_rlf(self, ue: UserEquipment) -> None:
         """A UE lost the radio link: purge its context and begin reattach."""
         serving = self._serving_l2(ue.ue_id)
-        if serving is not None:
-            serving.deregister_ue(ue.ue_id)
+        serving.deregister_ue(ue.ue_id)
         rng = self.registry.stream(f"core.attach.ue{ue.ue_id}")
         jitter = int(rng.uniform(-1.0, 1.0) * ATTACH_JITTER_NS)
         duration = max(ATTACH_DURATION_NS + jitter, 0)
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now, "core.attach_started", ue=ue.ue_id, expected_ns=duration
-            )
+        self.trace.record(
+            self.sim.now, "core.attach_started", ue=ue.ue_id, expected_ns=duration
+        )
         self.sim.schedule(duration, self._finish_attach, ue)
 
     def _finish_attach(self, ue: UserEquipment) -> None:
-        bearers = self._bearer_profiles.get(ue.ue_id, [])
+        bearers = self._bearer_profiles[ue.ue_id]
         serving = self._serving_l2(ue.ue_id)
-        if serving is not None:
-            serving.register_ue(
-                ue.ue_id, bearers, snr_db=self._ue_snr_hint.get(ue.ue_id, 10.0)
-            )
+        serving.register_ue(
+            ue.ue_id, bearers, snr_db=self._ue_snr_hint[ue.ue_id]
+        )
         ue.complete_reattach()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "core.attach_done", ue=ue.ue_id)
+        self.trace.record(self.sim.now, "core.attach_done", ue=ue.ue_id)

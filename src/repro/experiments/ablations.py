@@ -53,7 +53,7 @@ def tti_alignment(seed: int = 0) -> TtiAlignmentResult:
         cell.middlebox.config.align_to_tti = align
         cell.run_for(seconds(0.5))
         # Migrate mid-slot (worst case for the unaligned variant).
-        cell.sim.schedule(130 * US, lambda: cell.planned_migration(0))
+        cell.sim.schedule(130 * US, cell.planned_migration)
         cell.run_for(seconds(0.3))
         return cell.ru.stats.conflicting_source_slots
 

@@ -82,7 +82,7 @@ def _run_variant(
     # Give the tracker time to converge before measuring.
     cell.run_for(seconds(0.3))
     flow.start()
-    cell.sim.at(s_to_ns(migrate_at_s), lambda: cell.planned_migration(0))
+    cell.sim.at(s_to_ns(migrate_at_s), cell.planned_migration)
     cell.run_until(seconds(duration_s))
     start = s_to_ns(0.5)
     series = [

@@ -138,7 +138,7 @@ def _run_flow(
     cell.run_for(seconds(0.2))
     flow.start()
     if planned:
-        cell.sim.at(s_to_ns(event_at_s), lambda: cell.planned_migration(0))
+        cell.sim.at(s_to_ns(event_at_s), cell.planned_migration)
     else:
         cell.kill_phy_at(0, s_to_ns(event_at_s))
     cell.run_until(seconds(duration_s))

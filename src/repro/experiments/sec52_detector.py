@@ -15,7 +15,7 @@ costs; planned migrations drop zero.
 Both come from one sweep over every phase a kill can take against the
 tick grid: one warm cell, captured once (:func:`phase_branches`, which
 the hang sweep shares), forked at each of the 56 tick-period offsets
-that cover a slot into a primary kill and into ``planned_migration(0)``.
+that cover a slot into a primary kill and into ``planned_migration()``.
 A kill branch yields the detection record, the RU's slots without
 control and the slot its migration committed at. A restored copy of
 the warm cell then runs healthy to count false positives.
@@ -40,7 +40,7 @@ from repro.sim.units import MS, US, ns_to_us, seconds
 RECOVERY_NS = 10 * MS
 
 
-def phase_branches(seed: int = 0) -> Tuple[Checkpoint, List[int]]:
+def phase_branches(seed: int) -> Tuple[Checkpoint, List[int]]:
     """One default cell warmed to 50 ms, captured, and the instant of
     each tick-period offset that covers a slot, 1 ms past the warm
     point: 56 instants, phase k at ``warm + 1 ms + k * tick``. The
@@ -132,7 +132,7 @@ def sweep(warm: Checkpoint, instants: List[int], healthy_seconds: float) -> Swee
         committed.append(branch.trace.events("mbox.migration_committed")[0]["slot"])
 
         branch = warm.restore()
-        branch.sim.at(at, branch.planned_migration, 0)
+        branch.sim.at(at, branch.planned_migration)
         branch.sim.run_until(at + RECOVERY_NS)
         planned.append(branch.ru.stats.slots_without_control - before)
         planned_commits.append(branch.trace.count("mbox.migration_committed"))

@@ -74,7 +74,7 @@ def _run_rate(
     interval_ns = round(SECOND / migrations_per_s)
     t = start_ns
     while t < end_ns - interval_ns:
-        cell.sim.at(t, lambda: cell.planned_migration(0))
+        cell.sim.at(t, cell.planned_migration)
         t += interval_ns
     harq_before = _interrupted_harq(cell)
     cell.run_until(end_ns + seconds(0.1))

@@ -13,7 +13,7 @@ implementing :class:`FapiEndpoint` can peer over a :class:`ShmChannel`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Protocol
+from typing import Deque, Protocol
 
 from repro.fapi.messages import FapiMessage
 from repro.sim.engine import Simulator
@@ -39,8 +39,8 @@ class ShmChannel:
     def __init__(
         self,
         sim: Simulator,
-        endpoint: Optional[FapiEndpoint] = None,
-        name: str = "shm",
+        endpoint: FapiEndpoint,
+        name: str,
     ) -> None:
         self.sim = sim
         self.endpoint = endpoint
@@ -57,12 +57,9 @@ class ShmChannel:
         share a timestamp and the engine permutes tie order (the
         ``tie_shuffle_seed`` race-detector mode).
         """
-        if self.endpoint is None:
-            raise RuntimeError(f"SHM channel {self.name} has no endpoint")
         self.messages_sent += 1
         self._pending.append(message)
         self.sim.schedule(self.latency_ns, self._deliver)
 
     def _deliver(self) -> None:
-        assert self.endpoint is not None
         self.endpoint.receive_fapi(self._pending.popleft(), channel=self)

@@ -170,7 +170,7 @@ class ProbeTap:
 
     __slots__ = ("cell", "sink", "monitor")
 
-    def __init__(self, cell, sink: UdpSink, monitor=None) -> None:
+    def __init__(self, cell, sink: UdpSink, monitor) -> None:
         self.cell = cell
         self.sink = sink
         self.monitor = monitor

@@ -119,13 +119,12 @@ class FaultInjector:
         phy = self.cell.phy_servers[phy_id].phy
         phy.touch()
         phy.service_inflation_ns = inflation_ns
-        if self.cell.trace is not None:
-            self.cell.trace.record(
-                self.cell.sim.now,
-                "fault.slowdown",
-                phy=phy_id,
-                inflation_ns=inflation_ns,
-            )
+        self.cell.trace.record(
+            self.cell.sim.now,
+            "fault.slowdown",
+            phy=phy_id,
+            inflation_ns=inflation_ns,
+        )
 
     def _revive_phy(self, phy_id: int, reinit_secondary: bool) -> None:
         """Operator revival: restart the process and (optionally) stand

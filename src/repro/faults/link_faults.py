@@ -18,7 +18,7 @@ it, exactly like a frame that fails its integrity check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class LinkImpairment:
         self,
         specs: Tuple[LinkFaultSpec, ...],
         rng: np.random.Generator,
-        trace: Optional[TraceRecorder] = None,
+        trace: TraceRecorder,
     ) -> None:
         self.specs = specs
         self.rng = rng
@@ -118,10 +118,9 @@ class LinkImpairment:
         return deliveries
 
     def _record(self, category: str, link: Link, frame: EthernetFrame) -> None:
-        if self.trace is not None:
-            self.trace.record(
-                link.sim.now,
-                category,
-                link=link.name,
-                ethertype=int(frame.ethertype),
-            )
+        self.trace.record(
+            link.sim.now,
+            category,
+            link=link.name,
+            ethertype=int(frame.ethertype),
+        )

@@ -131,7 +131,7 @@ class FleetHarness:
 
 
 def build_fleet(
-    config: Optional[FleetConfig] = None, sim: Optional[Simulator] = None
+    config: FleetConfig, sim: Optional[Simulator] = None
 ) -> FleetHarness:
     """Compose, validate, and start a fleet (built at sim time zero).
 
@@ -144,7 +144,6 @@ def build_fleet(
     has peers to batch an encode with. A standalone cell has none, so
     its PHYs keep the direct ``codec.encode_blocks`` call.
     """
-    config = config or FleetConfig()
     validate_fleet_budget(config.num_cells)
     if sim is None:
         sim = Simulator(tie_shuffle_seed=config.tie_shuffle_seed)

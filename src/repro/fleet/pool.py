@@ -17,8 +17,6 @@ server (``initialize_secondary``).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
@@ -34,7 +32,7 @@ class StandbyPool:
         self,
         sim: Simulator,
         size: int,
-        trace: Optional[TraceRecorder] = None,
+        trace: TraceRecorder,
     ) -> None:
         self.sim = sim
         self.trace = trace
@@ -65,24 +63,22 @@ class StandbyPool:
         """
         if self.available <= 0:
             self.exhaustions += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now,
-                    "fleet.pool.exhausted",
-                    cell=cell_index,
-                    phy=phy_id,
-                )
+            self.trace.record(
+                self.sim.now,
+                "fleet.pool.exhausted",
+                cell=cell_index,
+                phy=phy_id,
+            )
             return False
         self.available -= 1
         self.promotions += 1
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "fleet.pool.promoted",
-                cell=cell_index,
-                phy=phy_id,
-                available=self.available,
-            )
+        self.trace.record(
+            self.sim.now,
+            "fleet.pool.promoted",
+            cell=cell_index,
+            phy=phy_id,
+            available=self.available,
+        )
         self.sim.schedule(REWARM_NS, self._rewarm)
         return True
 
@@ -92,10 +88,9 @@ class StandbyPool:
             return  # Capacity already at the provisioned ceiling.
         self.available += 1
         self.rewarmed += 1
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now, "fleet.pool.rewarmed", available=self.available
-            )
+        self.trace.record(
+            self.sim.now, "fleet.pool.rewarmed", available=self.available
+        )
 
     # ------------------------------------------------------------------
     def stats_dict(self) -> dict:
@@ -117,17 +112,16 @@ class PoolGate:
 
     __slots__ = ("pool", "cell_index", "on_decision")
 
-    def __init__(self, pool: StandbyPool, cell_index: int, on_decision=None) -> None:
+    def __init__(self, pool: StandbyPool, cell_index: int, on_decision) -> None:
         self.pool = pool
         self.cell_index = cell_index
-        #: Optional observer called with (cell_index, granted) — the
-        #: population model marks the cell degraded/recovering from here.
+        #: Observer called with (cell_index, granted) — the population
+        #: model marks the cell degraded/recovering from here.
         self.on_decision = on_decision
 
     def __call__(self, assignment) -> bool:
         granted = self.pool.claim(
             self.cell_index, assignment.cell_id, assignment.secondary_phy
         )
-        if self.on_decision is not None:
-            self.on_decision(self.cell_index, granted)
+        self.on_decision(self.cell_index, granted)
         return granted

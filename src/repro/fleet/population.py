@@ -19,7 +19,7 @@ The population model therefore splits the user base:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -55,7 +55,7 @@ class FleetPopulation:
     """Fleet-wide cohort accounting, advanced one event per epoch."""
 
     sim: Simulator
-    trace: Optional[TraceRecorder]
+    trace: TraceRecorder
     num_cells: int
     users_per_cell: int
     cohorts: List[UeCohort] = field(default_factory=list)
@@ -110,14 +110,13 @@ class FleetPopulation:
                 served_users += cohort.users
         self.served_user_epochs += served_users
         self.degraded_user_epochs += degraded_users
-        if self.trace is not None:
-            self.trace.record(
-                self.sim.now,
-                "fleet.pop.epoch",
-                epoch=self.epochs,
-                served_users=served_users,
-                degraded_users=degraded_users,
-            )
+        self.trace.record(
+            self.sim.now,
+            "fleet.pop.epoch",
+            epoch=self.epochs,
+            served_users=served_users,
+            degraded_users=degraded_users,
+        )
 
     # ------------------------------------------------------------------
     # Degradation hooks (driven by the pool gate and failover completion)

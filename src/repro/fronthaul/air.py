@@ -71,7 +71,7 @@ class UeRadioPort:
         abs_slot: int,
         block: Optional[TransportBlock],
         dl_feedback: List[Tuple[int, int, int, bool]],
-        bsr_bytes: int = 0,
+        bsr_bytes: int,
     ) -> None:
         """Queue this UE's transmission for an uplink slot."""
         self._pending_ul[abs_slot] = UlTransmission(
@@ -110,7 +110,7 @@ class AirInterface:
     # Downlink (RU -> UEs)
     # ------------------------------------------------------------------
     def broadcast_dl_control(
-        self, abs_slot: int, grants: List[UlGrant], vran_instance_id: int = 1
+        self, abs_slot: int, grants: List[UlGrant], vran_instance_id: int
     ) -> None:
         """Radiate the slot's downlink control to every attached UE."""
         for port in self._ports.values():

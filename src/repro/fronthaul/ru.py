@@ -69,9 +69,8 @@ class RadioUnit(Process):
         virtual_phy_mac: MacAddress,
         slot_clock: SlotClock,
         air: AirInterface,
-        uplink: Optional[Link] = None,
-        trace: Optional[TraceRecorder] = None,
-        name: str = "ru",
+        trace: TraceRecorder,
+        name: str,
     ) -> None:
         super().__init__(sim, name)
         self.ru_id = ru_id
@@ -79,7 +78,10 @@ class RadioUnit(Process):
         self.virtual_phy_mac = virtual_phy_mac
         self.slot_clock = slot_clock
         self.air = air
-        self.uplink = uplink
+        #: Fronthaul link into the switch: its ingress link, which exists
+        #: only once the switch has cabled this RU (set by the builder,
+        #: before the first slot).
+        self.uplink: Link
         self.trace = trace
         self.stats = RuStats()
         #: C-plane messages received, keyed by absolute slot.
@@ -126,25 +128,23 @@ class RadioUnit(Process):
             # Compact handover audit trail: one event per PHY transition
             # (invariant checkers compare these against committed
             # migrations to spot stale post-boundary sources).
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now,
-                    "ru.source_changed",
-                    ru=self.ru_id,
-                    slot=abs_slot,
-                    source=source_phy_id,
-                    previous=self._last_source_phy,
-                )
+            self.trace.record(
+                self.sim.now,
+                "ru.source_changed",
+                ru=self.ru_id,
+                slot=abs_slot,
+                source=source_phy_id,
+                previous=self._last_source_phy,
+            )
             self._last_source_phy = source_phy_id
         sources = self._sources_per_slot.setdefault(abs_slot, set())
         before = len(sources)
         sources.add(source_phy_id)
         if before == 1 and len(sources) == 2:
             self.stats.conflicting_source_slots += 1
-            if self.trace is not None:
-                self.trace.record(
-                    self.sim.now, "ru.conflicting_sources", slot=abs_slot, ru=self.ru_id
-                )
+            self.trace.record(
+                self.sim.now, "ru.conflicting_sources", slot=abs_slot, ru=self.ru_id
+            )
 
     # ------------------------------------------------------------------
     # Per-slot operation
@@ -185,8 +185,6 @@ class RadioUnit(Process):
             self.sim.at(capture_at, self._capture_uplink, abs_slot)
 
     def _capture_uplink(self, abs_slot: int) -> None:
-        if self.uplink is None:
-            return
         address = self.slot_clock.address_of(abs_slot)
         transmissions = self.air.collect_uplink(abs_slot)
         for transmission in transmissions:

@@ -96,9 +96,8 @@ def bench_path(name: str) -> Path:
     return Path(__file__).resolve().parents[2] / "benchmarks" / f"BENCH_{name}.json"
 
 
-def load_baseline(name: str, path: Optional[Path] = None) -> Dict[str, Any]:
-    """The recorded ``name`` report, or :class:`BaselineError`."""
-    path = bench_path(name) if path is None else path
+def load_baseline(name: str, path: Path) -> Dict[str, Any]:
+    """The ``name`` report recorded at ``path``, or :class:`BaselineError`."""
     try:
         data = json.loads(path.read_text())
     except OSError as exc:

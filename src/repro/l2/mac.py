@@ -188,10 +188,10 @@ class L2Process(Process):
         self,
         sim: Simulator,
         slot_clock: SlotClock,
-        cell_id: int = 0,
-        ru_id: int = 0,
-        trace: Optional[TraceRecorder] = None,
-        name: str = "l2",
+        cell_id: int,
+        ru_id: int,
+        trace: TraceRecorder,
+        name: str,
     ) -> None:
         super().__init__(sim, name)
         self.slot_clock = slot_clock
@@ -201,10 +201,12 @@ class L2Process(Process):
         self.trace = trace
         self.ues: Dict[int, UeContext] = {}
         self.stats = MacStats()
-        #: FAPI channel toward the PHY (through L2-side Orion when present).
-        self.fapi_tx: Optional[ShmChannel] = None
-        #: Uplink SDU sink: callable(ue_id, bearer_id, sdu).
-        self.uplink_sink: Optional[Callable[[int, int, Any], None]] = None
+        #: FAPI channel toward the PHY (through L2-side Orion when
+        #: present; set by the builder before :meth:`start`).
+        self.fapi_tx: ShmChannel
+        #: Uplink SDU sink: callable(ue_id, bearer_id, sdu), set by
+        #: ``CoreNetwork.bind_l2`` before the L2 serves any UE.
+        self.uplink_sink: Callable[[int, int, Any], None]
         self._started = False
         self._dl_rr_cursor = 0
         # Per-instance TB id counter: keeps reruns of a scenario
@@ -223,18 +225,17 @@ class L2Process(Process):
         if self._started:
             return
         self._started = True
-        if self.fapi_tx is not None:
-            self.fapi_tx.send(
-                ConfigRequest(
-                    cell_id=self.cell_id,
-                    slot=self.slot_clock.slot_at(self.sim.now),
-                    num_prbs=NUMEROLOGY.num_prbs,
-                    numerology_mu=NUMEROLOGY.mu,
-                    tdd_pattern=TDD.pattern,
-                    ru_id=self.ru_id,
-                )
+        self.fapi_tx.send(
+            ConfigRequest(
+                cell_id=self.cell_id,
+                slot=self.slot_clock.slot_at(self.sim.now),
+                num_prbs=NUMEROLOGY.num_prbs,
+                numerology_mu=NUMEROLOGY.mu,
+                tdd_pattern=TDD.pattern,
+                ru_id=self.ru_id,
             )
-            self.fapi_tx.send(StartRequest(cell_id=self.cell_id))
+        )
+        self.fapi_tx.send(StartRequest(cell_id=self.cell_id))
         next_slot = self.slot_clock.slot_at(self.sim.now) + 1
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
@@ -246,7 +247,7 @@ class L2Process(Process):
     # UE management
     # ------------------------------------------------------------------
     def register_ue(
-        self, ue_id: int, bearers: List[RlcBearerConfig], snr_db: float = 10.0
+        self, ue_id: int, bearers: List[RlcBearerConfig], snr_db: float
     ) -> UeContext:
         """Admit a UE with the given bearers (called at attach)."""
         ctx = UeContext(ue_id=ue_id, snr_db=snr_db)
@@ -258,15 +259,13 @@ class L2Process(Process):
                 bearer, now_fn=SimClock(self.sim)
             )
         self.ues[ue_id] = ctx
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "l2.ue_registered", ue=ue_id)
+        self.trace.record(self.sim.now, "l2.ue_registered", ue=ue_id)
         return ctx
 
     def deregister_ue(self, ue_id: int) -> None:
         """Remove a UE (RLF/detach): all its L2 state is released."""
         self.ues.pop(ue_id, None)
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "l2.ue_deregistered", ue=ue_id)
+        self.trace.record(self.sim.now, "l2.ue_deregistered", ue=ue_id)
 
     def send_downlink(self, ue_id: int, bearer_id: int, sdu: Any, size_bytes: int) -> bool:
         """Entry point for core-network DL traffic toward a UE."""
@@ -327,8 +326,7 @@ class L2Process(Process):
         if receiver is None:
             return
         for sdu in receiver.on_pdu(item):
-            if self.uplink_sink is not None:
-                self.uplink_sink(ctx.ue_id, item.bearer_id, sdu)
+            self.uplink_sink(ctx.ue_id, item.bearer_id, sdu)
 
     def _on_uci(self, message: UciIndication) -> None:
         for ue_id, pending in message.bsr_reports:
@@ -376,11 +374,10 @@ class L2Process(Process):
             ul_req.pdus = self._schedule_uplink(target)
         elif slot_type is SlotType.DOWNLINK:
             dl_req.pdus, tx_data.payloads = self._schedule_downlink(target)
-        if self.fapi_tx is not None:
-            self.fapi_tx.send(ul_req)
-            self.fapi_tx.send(dl_req)
-            if tx_data.payloads:
-                self.fapi_tx.send(tx_data)
+        self.fapi_tx.send(ul_req)
+        self.fapi_tx.send(dl_req)
+        if tx_data.payloads:
+            self.fapi_tx.send(tx_data)
 
     def _expire_harq(self, now_slot: int) -> None:
         """DTX timeouts: missing CRC/UCI responses count as NACK."""

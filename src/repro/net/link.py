@@ -63,9 +63,9 @@ class Link:
     def __init__(
         self,
         sim: Simulator,
-        endpoint: Optional[NetworkEndpoint] = None,
-        bandwidth_bps: float = 100e9,
-        latency_ns: int = 1_000,
+        endpoint: NetworkEndpoint,
+        bandwidth_bps: float,
+        latency_ns: int,
         name: str = "link",
     ) -> None:
         self.sim = sim
@@ -120,8 +120,6 @@ class Link:
         an unimpaired one — wherever the hook was attached (and the hook
         is not consulted: it would hand the frame back untouched).
         """
-        if self.endpoint is None:
-            raise RuntimeError(f"link {self.name} has no endpoint")
         sim = self.sim
         if self._elided:
             self.settle_elided(sim.now)
@@ -224,7 +222,6 @@ class Link:
         self.send(self._deferred.popleft())
 
     def _deliver(self, frame: EthernetFrame) -> None:
-        assert self.endpoint is not None
         self.endpoint.receive_frame(frame, ingress=self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -19,7 +19,7 @@ from typing import List
 class RegisterArray:
     """A fixed-size array of unsigned integer registers."""
 
-    def __init__(self, name: str, size: int, width_bits: int = 32) -> None:
+    def __init__(self, name: str, size: int, width_bits: int) -> None:
         if size <= 0:
             raise ValueError("register array size must be positive")
         self.name = name
@@ -55,7 +55,7 @@ class RegisterArray:
         self.writes += 1
         self._cells[index] = value & self._mask
 
-    def increment(self, index: int, amount: int = 1) -> int:
+    def increment(self, index: int, amount: int) -> int:
         """Saturating increment (the detector counters saturate, not wrap)."""
         if not 0 <= index < self.size:
             self._check(index)

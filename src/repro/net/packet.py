@@ -58,7 +58,7 @@ class EthernetFrame:
         dst: MacAddress,
         ethertype: EtherType,
         payload: Any,
-        wire_bytes: int = MIN_FRAME_BYTES,
+        wire_bytes: int,
     ) -> None:
         self.src = src
         self.dst = dst

@@ -94,8 +94,8 @@ class ShardCrash(RuntimeError):
     def __init__(
         self,
         candidate_keys: Sequence[ShardKey],
-        stderr_tail: str = "",
-        retries: int = 0,
+        stderr_tail: str,
+        retries: int,
     ) -> None:
         keys = list(candidate_keys)
         message = (
@@ -404,7 +404,7 @@ def _run_pool(
 def run_shards(
     worker: ShardWorker,
     shards: Sequence[Tuple[ShardKey, Any]],
-    jobs: int = 1,
+    jobs: int,
     progress: Optional[Callable[[ShardKey, Any], None]] = None,
 ) -> ShardOutcome:
     """Run every shard through ``worker`` and merge deterministically.

@@ -84,9 +84,9 @@ class UeChannelModel:
     def __init__(
         self,
         rng: np.random.Generator,
-        mean_snr_db: float = 18.0,
-        shadow_sigma_db: float = 1.2,
-        fade_probability: float = 0.0005,
+        mean_snr_db: float,
+        shadow_sigma_db: float,
+        fade_probability: float,
     ) -> None:
         self.rng = rng
         self.mean_snr_db = mean_snr_db

@@ -184,11 +184,11 @@ class LdpcCode:
 
     def __init__(
         self,
-        n: int = 648,
-        dv: int = 3,
-        dc: int = 6,
-        seed: int = 7,
-        normalization: float = 0.8,
+        n: int,
+        dv: int,
+        dc: int,
+        seed: int,
+        normalization: float,
     ) -> None:
         self.n = n
         self.dv = dv

@@ -194,17 +194,17 @@ class PhyProcess(Process):
         mac: MacAddress,
         slot_clock: SlotClock,
         rng: np.random.Generator,
-        config: Optional[PhyConfig] = None,
-        uplink: Optional[Link] = None,
-        trace: Optional[TraceRecorder] = None,
-        name: str = "phy",
+        config: PhyConfig,
+        uplink: Link,
+        trace: TraceRecorder,
+        name: str,
     ) -> None:
         super().__init__(sim, name)
         self.phy_id = phy_id
         self.mac = mac
         self.slot_clock = slot_clock
         self.rng = rng
-        self.config = config or PhyConfig()
+        self.config = config
         self.uplink = uplink
         self.trace = trace
         self.codec = PhyCodec(rng, decoder_iterations=self.config.decoder_iterations)
@@ -218,8 +218,9 @@ class PhyProcess(Process):
         self.hung = False
         #: Gray failure: extra per-slot uplink pipeline latency.
         self.service_inflation_ns = 0
-        #: FAPI channel back toward the L2 / Orion peer.
-        self.fapi_tx: Optional[ShmChannel] = None
+        #: FAPI channel back toward the L2 / Orion peer (set by the
+        #: builder, before the first slot).
+        self.fapi_tx: ShmChannel
         #: The fleet's shared encode backend
         #: (:class:`repro.fleet.phy_backend.FleetPhyBackend`, attached by
         #: ``build_fleet``); None in a standalone cell, which has no peer
@@ -239,7 +240,7 @@ class PhyProcess(Process):
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def crash(self, reason: str = "killed") -> None:
+    def crash(self, reason: str) -> None:
         """Fail-stop: cease all processing and emission immediately."""
         if not self.alive:
             return
@@ -250,10 +251,9 @@ class PhyProcess(Process):
         for handle in self._pending:
             self.sim.cancel(handle)
         self._pending.clear()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "phy.crash", phy=self.phy_id, reason=reason)
+        self.trace.record(self.sim.now, "phy.crash", phy=self.phy_id, reason=reason)
 
-    def hang(self, reason: str = "wedged") -> None:
+    def hang(self, reason: str) -> None:
         """Gray failure: the PHY worker pool wedges (e.g. a deadlocked
         pipeline stage) while the realtime transmit thread keeps sending
         fronthaul heartbeats — invisible to the in-switch detector."""
@@ -265,8 +265,7 @@ class PhyProcess(Process):
         # heartbeat cadence that the in-switch detector would see, and a
         # hang is precisely the failure it cannot see.
         self.hung = True
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "phy.hang", phy=self.phy_id, reason=reason)
+        self.trace.record(self.sim.now, "phy.hang", phy=self.phy_id, reason=reason)
 
     def unhang(self) -> None:
         """Clear a hang (the wedged stage recovers)."""
@@ -274,8 +273,7 @@ class PhyProcess(Process):
             return
         self.touch()
         self.hung = False
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "phy.unhang", phy=self.phy_id)
+        self.trace.record(self.sim.now, "phy.unhang", phy=self.phy_id)
 
     def restart(self, decoder_iterations: Optional[int] = None) -> None:
         """Bring the process back up, empty (used for upgrade rollarounds).
@@ -297,8 +295,7 @@ class PhyProcess(Process):
         self.hung = False
         self.service_inflation_ns = 0
         self._schedule_next_slot()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "phy.restart", phy=self.phy_id)
+        self.trace.record(self.sim.now, "phy.restart", phy=self.phy_id)
 
     def touch(self) -> None:
         """A fault or a non-null input reaches this deployment: wake its
@@ -607,7 +604,7 @@ class PhyProcess(Process):
         self._pending.append(handle)
 
     def _send_fronthaul_now(self, payload, wire_bytes: int) -> None:
-        if not self.alive or self.uplink is None:
+        if not self.alive:
             return
         self.uplink.send(self._fronthaul_frame(payload, wire_bytes))
 
@@ -621,8 +618,7 @@ class PhyProcess(Process):
         )
 
     def _emit_slot_indication(self, cell: PhyCellContext, abs_slot: int) -> None:
-        if self.fapi_tx is not None:
-            self.fapi_tx.send(SlotIndication(cell_id=cell.cell_id, slot=abs_slot))
+        self.fapi_tx.send(SlotIndication(cell_id=cell.cell_id, slot=abs_slot))
 
     # ------------------------------------------------------------------
     # Uplink pipeline completion
@@ -704,26 +700,25 @@ class PhyProcess(Process):
             for (ue, hp, tb, ack) in cell.feedback_only.pop(abs_slot, [])
         ]
         bsr_reports = sorted(cell.bsr.pop(abs_slot, {}).items())
-        if self.fapi_tx is not None:
-            if crc_results:
-                self.fapi_tx.send(
-                    CrcIndication(cell_id=cell.cell_id, slot=abs_slot, results=crc_results)
+        if crc_results:
+            self.fapi_tx.send(
+                CrcIndication(cell_id=cell.cell_id, slot=abs_slot, results=crc_results)
+            )
+        if rx_payloads:
+            self.fapi_tx.send(
+                RxDataIndication(
+                    cell_id=cell.cell_id, slot=abs_slot, payloads=rx_payloads
                 )
-            if rx_payloads:
-                self.fapi_tx.send(
-                    RxDataIndication(
-                        cell_id=cell.cell_id, slot=abs_slot, payloads=rx_payloads
-                    )
+            )
+        if feedback or bsr_reports:
+            self.fapi_tx.send(
+                UciIndication(
+                    cell_id=cell.cell_id,
+                    slot=abs_slot,
+                    feedback=feedback,
+                    bsr_reports=bsr_reports,
                 )
-            if feedback or bsr_reports:
-                self.fapi_tx.send(
-                    UciIndication(
-                        cell_id=cell.cell_id,
-                        slot=abs_slot,
-                        feedback=feedback,
-                        bsr_reports=bsr_reports,
-                    )
-                )
+            )
         # Drop stale captures so memory stays bounded.
         stale = [key for key in cell.captures if key[0] < abs_slot - 8]
         for key in stale:

@@ -187,11 +187,11 @@ class PeriodicHandle:
         self._event = None
         self._sim.cancel(event)
 
-    def re_arm(self, *, first_at: Optional[int] = None) -> None:
+    def re_arm(self, *, first_at: Optional[int]) -> None:
         """Revive a cancelled periodic with a fresh first occurrence.
 
-        The first fire time is ``first_at`` if given, else ``now +
-        period``. Re-arming a live handle is an error — cancel it first.
+        The first fire time is ``first_at``, or ``now + period`` when
+        None. Re-arming a live handle is an error — cancel it first.
         """
         if self._event is not None:
             raise SimulationError(

@@ -127,7 +127,7 @@ class RngRegistry:
     ``repro`` package; tests, benchmarks and examples are exempt.
     """
 
-    def __init__(self, seed: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self.seed = seed
         #: name -> (generator, first ``repro`` subsystem to acquire it).
         self._streams: Dict[str, Tuple[np.random.Generator, Optional[str]]] = {}

@@ -79,10 +79,10 @@ class UserEquipment(Process):
         channel: UeChannelModel,
         rng: np.random.Generator,
         bearers: List[RlcBearerConfig],
-        trace: Optional[TraceRecorder] = None,
-        name: str = "",
+        trace: TraceRecorder,
+        name: str,
     ) -> None:
-        super().__init__(sim, name or f"ue{ue_id}")
+        super().__init__(sim, name)
         self.ue_id = ue_id
         self.slot_clock = slot_clock
         self.trace = trace
@@ -110,8 +110,9 @@ class UserEquipment(Process):
         #: The vRAN stack identity this UE's RRC context lives in.
         self._vran_instance_id: Optional[int] = None
         self._out_of_sync = False
-        #: Called when RLF fires: callable(ue) — wired to the core network.
-        self.on_rlf: Optional[Callable[["UserEquipment"], None]] = None
+        #: Called when RLF fires: callable(ue) — wired by
+        #: ``CoreNetwork.admit_ue``, which every builder calls for every UE.
+        self.on_rlf: Callable[["UserEquipment"], None]
         #: Downlink SDU dispatch: callable(bearer_id, sdu).
         self.dl_sink: Optional[Callable[[int, Any], None]] = None
         self._schedule_tick()
@@ -150,7 +151,7 @@ class UserEquipment(Process):
     # Air interface listener (UeAirListener protocol)
     # ------------------------------------------------------------------
     def on_dl_control(
-        self, abs_slot: int, grants: List[UlGrant], vran_instance_id: int = 1
+        self, abs_slot: int, grants: List[UlGrant], vran_instance_id: int
     ) -> None:
         if not self.attached:
             return
@@ -325,10 +326,8 @@ class UserEquipment(Process):
         self._pending_ul_status.clear()
         self._sent_blocks.clear()
         self.codec.harq.discard_all()
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "ue.rlf", ue=self.ue_id)
-        if self.on_rlf is not None:
-            self.on_rlf(self)
+        self.trace.record(self.sim.now, "ue.rlf", ue=self.ue_id)
+        self.on_rlf(self)
 
     def complete_reattach(self) -> None:
         """Called by the core once the attach procedure finishes."""
@@ -340,5 +339,4 @@ class UserEquipment(Process):
         self._vran_instance_id = None
         self._out_of_sync = False
         self.stats.reattach_completions += 1
-        if self.trace is not None:
-            self.trace.record(self.sim.now, "ue.reattached", ue=self.ue_id)
+        self.trace.record(self.sim.now, "ue.reattached", ue=self.ue_id)

@@ -22,7 +22,7 @@ from repro.faults.campaign import (
     judge_execution,
 )
 from repro.faults.scenarios import RUN_END_NS, ChaosScenario, scenario_by_name
-from repro.harness import BaselineError, load_baseline
+from repro.harness import BaselineError, bench_path, load_baseline
 
 
 def run_cold(scenario: ChaosScenario, seed: int) -> ScenarioRun:
@@ -45,7 +45,7 @@ def recorded_digests() -> Dict[Tuple[str, int], str]:
     """``(scenario, seed)`` -> digest recorded in ``BENCH_chaos.json``;
     empty when that file cannot be loaded."""
     try:
-        runs = load_baseline("chaos")["runs"]
+        runs = load_baseline("chaos", bench_path("chaos"))["runs"]
     except BaselineError:
         return {}
     return {(run["scenario"], run["seed"]): run["digest"] for run in runs}

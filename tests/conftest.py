@@ -93,7 +93,7 @@ def warm_phases():
     """The default seed-0 cell warmed and captured, with its 56 kill
     phases (``sec52_detector.phase_branches``): the one base of §5.2 and
     §8.2's sweep and of the hang sweep. Every run on it is a restore."""
-    return phase_branches()
+    return phase_branches(0)
 
 
 @pytest.fixture(scope="session")

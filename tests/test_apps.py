@@ -30,7 +30,9 @@ class TestPing:
         ue.dl_sink = lambda bearer, sdu: (
             responder.on_packet(sdu) if isinstance(sdu, Packet) else None
         )
-        client = PingClient(local.sim, local.server, 1, "ping", bearer_id=1)
+        client = PingClient(
+            local.sim, local.server, 1, "ping", bearer_id=1, interval_ns=10 * MS
+        )
         local.run_for(s_to_ns(0.2))
         client.start()
         local.run_for(s_to_ns(0.8))
@@ -128,7 +130,7 @@ class TestVideo:
             CellConfig(seed=28, ue_profiles=[UeProfile(1, "UE", 17.0)])
         )
         sender = VideoSender(
-            local.sim, local.server, 1, "v", 1,
+            local.sim, local.server, 1, "v", 1, 500_000.0,
             rng=np.random.default_rng(0),
         )
         sender.start()

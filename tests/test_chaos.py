@@ -69,7 +69,7 @@ def impaired_link(spec, seed=7):
     sink = Collector(sim)
     link = Link(sim, sink, bandwidth_bps=0, latency_ns=1_000, name="lk")
     link.impairment = LinkImpairment(
-        (spec,), RngRegistry(seed).stream("faults.link.lk")
+        (spec,), RngRegistry(seed).stream("faults.link.lk"), TraceRecorder()
     )
     return sim, link, sink
 
@@ -134,7 +134,7 @@ class TestLinkImpairment:
             for _ in range(2)
         )
         impaired.impairment = LinkImpairment(
-            (spec,), RngRegistry(7).stream("faults.link.lk")
+            (spec,), RngRegistry(7).stream("faults.link.lk"), TraceRecorder()
         )
         sent = []
 

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cell.deployment import EDGE_LINK_LATENCY_NS
 from repro.core.failure_detector import FailureDetector
+from repro.core.orion import OrionDatagram
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.experiments import (
     ablations,
@@ -31,6 +32,7 @@ from repro.experiments import (
     sec86_switch,
     table2_stress,
 )
+from repro.fapi.messages import null_dl_tti, null_ul_tti
 from repro.fronthaul.oran import CplaneMessage
 from repro.sim.units import US
 
@@ -240,6 +242,20 @@ class TestSec85:
         assert result.null_fapi_bytes_per_s < 1_000_000  # < 1 MB/s.
         assert result.primary_fec_decodes > 0  # The primary worked.
         assert sec85_overhead.summarize(result)
+        # Each null is priced at its wire size (below), exactly.
+        assert result.null_requests > 0
+        assert result.null_fapi_bytes_per_s == (
+            result.null_requests * 65 / result.duration_s
+        )
+
+    def test_a_null_costs_what_orion_puts_on_the_wire(self):
+        """The FAPI encoding of a null UL or DL request (the same size)
+        plus the UDP/IP overhead: 19 + 46 bytes."""
+        sizes = {
+            OrionDatagram(message=null(0, 0), phy_id=1, is_response=False).wire_bytes
+            for null in (null_ul_tti, null_dl_tti)
+        }
+        assert sizes == {sec85_overhead.NULL_WIRE_BYTES} == {65}
 
 
 class TestFig8:

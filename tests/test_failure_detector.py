@@ -40,7 +40,7 @@ class TestDetection:
         for tick in range(200):
             detector.on_timer_tick(tick)
             if tick % 20 == 0:  # Heartbeat well inside the timeout.
-                detector.on_heartbeat(1)
+                detector.on_heartbeat(1, tick)
         assert detections == []
 
     def test_unmonitored_phy_never_reported(self):
@@ -78,7 +78,7 @@ class TestDetection:
             detector.on_timer_tick(tick)
         assert detector.counters.read(4) == threshold - 1
         assert detections == []
-        detector.on_heartbeat(4)  # Last-instant save.
+        detector.on_heartbeat(4, threshold - 1)  # Last-instant save.
         assert detector.counters.read(4) == 0
         # The tick that would have saturated the counter now moves it to 1.
         detector.on_timer_tick(threshold - 1)
@@ -100,7 +100,7 @@ class TestDetection:
         detector.set_monitor(1, True)
         for tick in range(100):
             detector.on_timer_tick(tick)
-            detector.on_heartbeat(1)  # Standby healthy; primary 0 dies.
+            detector.on_heartbeat(1, tick)  # Standby healthy; primary 0 dies.
         assert [phy for phy, _ in detections] == [0]
         # Replacement: Orion promotes 1, revives 0 as the new standby.
         detector.set_monitor(0, True)
@@ -108,7 +108,7 @@ class TestDetection:
         assert detector.counters.read(0) == 0
         for tick in range(100, 200):
             detector.on_timer_tick(tick)
-            detector.on_heartbeat(1)
+            detector.on_heartbeat(1, tick)
         assert [phy for phy, _ in detections] == [0, 0]
         assert detector.stats.failures_detected == 2
 
@@ -126,7 +126,7 @@ class TestDetection:
         detector.set_monitor(2, True)
         for tick in range(100):
             detector.on_timer_tick(tick)
-            detector.on_heartbeat(1)  # Only PHY 1 stays healthy.
+            detector.on_heartbeat(1, tick)  # Only PHY 1 stays healthy.
         assert [phy for phy, _ in detections] == [2]
 
     def test_detection_latency_bounded_by_t_plus_precision(self):
@@ -143,7 +143,7 @@ class TestDetection:
             time = tick * period
             detector.on_timer_tick(time)
             if time <= last_heartbeat:
-                detector.on_heartbeat(0)
+                detector.on_heartbeat(0, time)
             tick += 1
         latency = detections[0][1] - last_heartbeat
         assert latency <= config.timeout_ns + config.precision_ns
@@ -151,13 +151,12 @@ class TestDetection:
     def test_a_detection_appends_exactly_one_record(self):
         """``(phy, detected_at, last_heartbeat)`` per detection — what the
         ``core.detector.detection_latency_ns`` histogram is computed from;
-        the timestamp is None when no heartbeat ever carried one."""
+        the timestamp is None when the PHY never sent a heartbeat."""
         detector, detections = self._detector()
         config = detector.config
         for phy in (0, 1):
             detector.set_monitor(phy, True)
         detector.on_heartbeat(0, 1000)
-        detector.on_heartbeat(1)
         assert detector.detections == []
         for tick in range(TICKS_PER_TIMEOUT):
             detector.on_timer_tick(1000 + (tick + 1) * config.tick_period_ns)
@@ -166,7 +165,7 @@ class TestDetection:
             (0, detected_at, 1000), (1, detected_at, None)
         ]
         assert detections == [(0, detected_at), (1, detected_at)]
-        assert detector.stats.heartbeats_seen == 2
+        assert detector.stats.heartbeats_seen == 1
         assert detector.stats.ticks_processed == TICKS_PER_TIMEOUT
         assert detector.stats.failures_detected == 2
         # Already reported: further ticks add no record.

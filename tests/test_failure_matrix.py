@@ -79,7 +79,7 @@ class TestFailureDuringMigration:
         (now standby) takes the cell back."""
         cell = build_slingshot_cell(single_ue(83))
         cell.run_for(s_to_ns(0.5))
-        cell.planned_migration(0)
+        cell.planned_migration()
         cell.run_for(s_to_ns(0.2))  # Roles swapped: primary is now 1.
         assert cell.l2_orion.cells[0].primary_phy == 1
         cell.kill_phy_at(1, cell.sim.now + 100 * US)

@@ -21,7 +21,7 @@ class TestShmChannel:
     def test_delivery_after_latency(self):
         sim = Simulator()
         sink = Sink(sim)
-        channel = ShmChannel(sim, sink)
+        channel = ShmChannel(sim, sink, name="shm")
         message = SlotIndication(cell_id=0, slot=5)
         channel.send(message)
         sim.run()
@@ -33,30 +33,19 @@ class TestShmChannel:
     def test_order_preserved(self):
         sim = Simulator()
         sink = Sink(sim)
-        channel = ShmChannel(sim, sink)
+        channel = ShmChannel(sim, sink, name="shm")
         for slot in range(5):
             channel.send(SlotIndication(cell_id=0, slot=slot))
         sim.run()
         assert [m.slot for _, m, _ in sink.received] == [0, 1, 2, 3, 4]
 
-    def test_unconnected_channel_raises(self):
-        sim = Simulator()
-        channel = ShmChannel(sim, None)
-        with pytest.raises(RuntimeError):
-            channel.send(SlotIndication(cell_id=0, slot=0))
-
-    def test_two_phase_wiring(self):
-        sim = Simulator()
-        channel = ShmChannel(sim, None)
-        sink = Sink(sim)
-        channel.endpoint = sink
-        channel.send(SlotIndication(cell_id=0, slot=1))
-        sim.run()
-        assert len(sink.received) == 1
+    def test_a_channel_is_built_with_its_endpoint(self):
+        with pytest.raises(TypeError):
+            ShmChannel(Simulator(), name="shm")
 
     def test_counter(self):
         sim = Simulator()
-        channel = ShmChannel(sim, Sink(sim))
+        channel = ShmChannel(sim, Sink(sim), name="shm")
         channel.send(SlotIndication(cell_id=0, slot=0))
         channel.send(SlotIndication(cell_id=0, slot=1))
         assert channel.messages_sent == 2
@@ -65,8 +54,8 @@ class TestShmChannel:
         # A duplex FAPI link is two channels, one per direction.
         sim = Simulator()
         a, b = Sink(sim), Sink(sim)
-        a_to_b = ShmChannel(sim, b)
-        b_to_a = ShmChannel(sim, a)
+        a_to_b = ShmChannel(sim, b, name="shm")
+        b_to_a = ShmChannel(sim, a, name="shm")
         a_to_b.send(UlTtiRequest(cell_id=0, slot=3, pdus=[]))
         b_to_a.send(SlotIndication(cell_id=0, slot=3))
         sim.run()

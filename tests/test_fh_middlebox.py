@@ -353,7 +353,7 @@ class TestRegisterAccessCensus:
         failover.kill_phy_at(0, failover.sim.now + 1)
         failover.run_for(10 * MS)
         planned = warm.restore()
-        planned.planned_migration(0)
+        planned.planned_migration()
         planned.run_for(10 * MS)
         for branch in (failover, planned):
             stats = branch.middlebox.stats

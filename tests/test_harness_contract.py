@@ -167,7 +167,7 @@ def _perturb_machine_facts(entry: Dict[str, Any], exact: List[str], prefix: str 
 @pytest.mark.parametrize("name", CASES)
 def test_machine_facts_are_never_compared(name):
     verb = CASES[name].verb
-    recorded = verb.entries(harness.load_baseline(name))
+    recorded = verb.entries(harness.load_baseline(name, harness.bench_path(name)))
     fresh = copy.deepcopy(recorded)
     for entry in fresh.values():
         _perturb_machine_facts(entry, list(verb.exact_fields))
@@ -178,7 +178,7 @@ def test_machine_facts_are_never_compared(name):
 @pytest.mark.parametrize("name", CASES)
 def test_each_flipped_exact_field_is_one_failure_line_per_entry(name):
     verb = CASES[name].verb
-    recorded = verb.entries(harness.load_baseline(name))
+    recorded = verb.entries(harness.load_baseline(name, harness.bench_path(name)))
     for field in verb.exact_fields:
         fresh = copy.deepcopy(recorded)
         for entry in fresh.values():
@@ -220,7 +220,7 @@ def test_absent_key_and_flipped_field_are_one_failure_line_each(
 
     def crafted(mutations) -> List[str]:
         """Failure lines of a ``--check`` against a mutated committed baseline."""
-        baseline = harness.load_baseline(name)
+        baseline = harness.load_baseline(name, harness.bench_path(name))
         recorded = case.verb.entries(baseline)
         for mutate in mutations:
             mutate(baseline, recorded)

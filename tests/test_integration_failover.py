@@ -106,14 +106,14 @@ class TestPlannedMigration:
         cell = build_slingshot_cell(single_ue_config(seed=5))
         cell.run_for(s_to_ns(0.4))
         gaps_before = cell.ru.stats.slots_without_control
-        cell.planned_migration(0)
+        cell.planned_migration()
         cell.run_for(s_to_ns(0.3))
         assert cell.ru.stats.slots_without_control == gaps_before
 
     def test_roles_swap_and_service_continues(self):
         cell = build_slingshot_cell(single_ue_config(seed=6))
         cell.run_for(s_to_ns(0.4))
-        cell.planned_migration(0)
+        cell.planned_migration()
         cell.run_for(s_to_ns(0.3))
         assignment = cell.l2_orion.cells[0]
         assert assignment.primary_phy == 1
@@ -125,7 +125,7 @@ class TestPlannedMigration:
         cell = build_slingshot_cell(single_ue_config(seed=7))
         cell.run_for(s_to_ns(0.4))
         for _ in range(4):
-            cell.planned_migration(0)
+            cell.planned_migration()
             cell.run_for(s_to_ns(0.1))
         assert cell.middlebox.stats.migrations_executed == 4
         assert cell.ue(1).stats.rlf_events == 0
@@ -142,7 +142,7 @@ class TestPlannedMigration:
         cell.run_for(s_to_ns(0.3))
         flow.start()
         for _ in range(5):
-            cell.planned_migration(0)
+            cell.planned_migration()
             cell.run_for(s_to_ns(0.1))
         cell.run_for(s_to_ns(0.2))
         assert cell.ue(1).stats.rlf_events == 0

@@ -18,6 +18,7 @@ from repro.l2.rlc import RlcBearerConfig, RlcMode
 from repro.phy.modulation import Modulation
 from repro.phy.numerology import TDD, SlotClock, SlotType
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS
 
 
@@ -37,9 +38,13 @@ def build_l2(sim, monkeypatch=None, **constants):
     override the scheduler's module constants for the test."""
     for name, value in constants.items():
         monkeypatch.setattr(mac_module, name.upper(), value)
-    l2 = L2Process(sim, slot_clock=SlotClock())
+    l2 = L2Process(
+        sim, slot_clock=SlotClock(), cell_id=0, ru_id=0, trace=TraceRecorder(),
+        name="l2",
+    )
+    l2.uplink_sink = lambda ue_id, bearer_id, sdu: None
     sink = FapiSink()
-    channel = ShmChannel(sim, sink)
+    channel = ShmChannel(sim, sink, name="shm-l2->phy")
     channel.latency_ns = 0
     l2.set_fapi_channel(channel)
     return l2, sink

@@ -91,24 +91,22 @@ class TestLink:
 
     def test_counters(self):
         sim = Simulator()
-        link = Link(sim, Collector(sim))
+        link = Link(sim, Collector(sim), bandwidth_bps=100e9, latency_ns=1_000)
         link.send(make_frame(wire_bytes=100))
         link.send(make_frame(wire_bytes=200))
         assert link.frames_sent == 2
         assert link.bytes_sent == 300
 
-    def test_unconnected_link_raises(self):
-        sim = Simulator()
-        link = Link(sim, None)
-        with pytest.raises(RuntimeError):
-            link.send(make_frame())
+    def test_a_link_is_built_with_its_endpoint(self):
+        with pytest.raises(TypeError):
+            Link(Simulator(), bandwidth_bps=0, latency_ns=0)
 
     def test_duplex_wiring(self):
         # A duplex cable is two links, one per direction.
         sim = Simulator()
         a, b = Collector(sim), Collector(sim)
-        forward = Link(sim, b, latency_ns=10)
-        reverse = Link(sim, a, latency_ns=10)
+        forward = Link(sim, b, bandwidth_bps=100e9, latency_ns=10)
+        reverse = Link(sim, a, bandwidth_bps=100e9, latency_ns=10)
         forward.send(make_frame(payload="to-b"))
         reverse.send(make_frame(payload="to-a"))
         sim.run()
@@ -147,7 +145,7 @@ class TestSwitch:
         sim, switch, hosts = self._build()
         frame = EthernetFrame(
             src=MacAddress(1), dst=BROADCAST_MAC,
-            ethertype=EtherType.IPV4, payload="b",
+            ethertype=EtherType.IPV4, payload="b", wire_bytes=64,
         )
         hosts[0][1].ingress_link.send(frame)
         sim.run()

@@ -29,6 +29,8 @@ from repro.net.packet import EtherType, EthernetFrame
 from repro.phy.modulation import Modulation
 from repro.phy.numerology import SlotClock
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
+from repro.sim.units import US
 
 L2_ORION_MAC = MacAddress(0x100)
 PHY0_ORION_MAC = MacAddress(0x200)
@@ -65,21 +67,40 @@ class MessageSink:
         self.messages.append(message)
 
 
+class EagerDormancy:
+    """A deployment whose standbys never sleep: nothing to wake, no
+    sleeper to book a null with."""
+
+    sleeping = {}
+
+    def wake(self):
+        pass
+
+
 def build_l2_orion(sim):
     orion = L2SideOrion(
         sim,
         mac=L2_ORION_MAC,
         slot_clock=SlotClock(),
+        trace=TraceRecorder(),
     )
+    orion.dormancy = EagerDormancy()
     nic = FrameSink(sim)
     orion.uplink = Link(sim, nic, bandwidth_bps=0, latency_ns=0)
     orion.register_phy_server(0, PHY0_ORION_MAC)
     orion.register_phy_server(1, PHY1_ORION_MAC)
     orion.assign_cell(cell_id=0, ru_id=0, primary_phy=0, secondary_phy=1)
     l2_sink = MessageSink()
-    orion.shm_to_l2 = ShmChannel(sim, l2_sink)
+    orion.shm_to_l2 = ShmChannel(sim, l2_sink, name="shm-orion->l2")
     orion.shm_to_l2.latency_ns = 0
     return orion, nic, l2_sink
+
+
+def phy_orion(sim):
+    return PhySideOrion(
+        sim, phy_id=0, mac=PHY0_ORION_MAC, slot_clock=SlotClock(),
+        trace=TraceRecorder(), name="orion-phy0",
+    )
 
 
 def tti_with_work(slot):
@@ -393,9 +414,9 @@ class TestNotificationsIgnored:
 class TestPhySideOrion:
     def test_relays_network_to_shm(self):
         sim = Simulator()
-        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
+        orion = phy_orion(sim)
         phy_sink = MessageSink()
-        orion.shm_to_phy = ShmChannel(sim, phy_sink)
+        orion.shm_to_phy = ShmChannel(sim, phy_sink, name="shm-orion0->phy")
         orion.shm_to_phy.latency_ns = 0
         message = UlTtiRequest(cell_id=0, slot=5, pdus=[])
         orion.receive_frame(
@@ -406,12 +427,14 @@ class TestPhySideOrion:
             ),
             ingress=None,
         )
-        sim.run()
+        # Short of the loss-repair watchdog's first tick, which the
+        # request arms.
+        sim.run_for(10 * US)
         assert phy_sink.messages == [message]
 
     def test_relays_shm_to_network(self):
         sim = Simulator()
-        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
+        orion = phy_orion(sim)
         nic = FrameSink(sim)
         orion.uplink = Link(sim, nic, bandwidth_bps=0, latency_ns=0)
         orion.l2_orion_mac = L2_ORION_MAC
@@ -424,7 +447,7 @@ class TestPhySideOrion:
     def test_service_queue_adds_latency_under_load(self, monkeypatch):
         monkeypatch.setattr(orion_module, "SERVICE_BASE_NS", 1000)
         sim = Simulator()
-        orion = PhySideOrion(sim, phy_id=0, mac=PHY0_ORION_MAC)
+        orion = phy_orion(sim)
         sink = MessageSink()
         arrival_times = []
 
@@ -434,7 +457,7 @@ class TestPhySideOrion:
             def receive_fapi(self, message, channel):
                 arrival_times.append(sim.now)
 
-        orion.shm_to_phy = ShmChannel(sim, TimedSink())
+        orion.shm_to_phy = ShmChannel(sim, TimedSink(), name="shm-orion0->phy")
         orion.shm_to_phy.latency_ns = 0
         for _ in range(5):
             orion.receive_frame(

@@ -49,7 +49,7 @@ class TestMatchActionTable:
 
 class TestRegisterArray:
     def test_read_write(self):
-        registers = RegisterArray("r", size=8)
+        registers = RegisterArray("r", size=8, width_bits=32)
         registers.write(3, 99)
         assert registers.read(3) == 99
         assert registers.read(0) == 0
@@ -62,11 +62,11 @@ class TestRegisterArray:
     def test_saturating_increment(self):
         registers = RegisterArray("r", size=1, width_bits=8)
         registers.write(0, 254)
-        assert registers.increment(0) == 255
-        assert registers.increment(0) == 255  # Saturates, not wraps.
+        assert registers.increment(0, 1) == 255
+        assert registers.increment(0, 1) == 255  # Saturates, not wraps.
 
     def test_bounds_checked(self):
-        registers = RegisterArray("r", size=4)
+        registers = RegisterArray("r", size=4, width_bits=32)
         with pytest.raises(IndexError):
             registers.read(4)
         with pytest.raises(IndexError):
@@ -74,7 +74,7 @@ class TestRegisterArray:
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):
-            RegisterArray("r", size=0)
+            RegisterArray("r", size=0, width_bits=32)
 
 
 class TestPacketGenerator:

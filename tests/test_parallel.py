@@ -215,12 +215,12 @@ class TestSerialParallelEquality:
         their recorded entries on the chaos verb's exact fields (what
         ``chaos --check`` compares)."""
         from repro.faults.campaign import CHAOS
-        from repro.harness import check_entries, load_baseline
+        from repro.harness import bench_path, check_entries, load_baseline
 
         fresh = CHAOS.entries(
             {"runs": [result["continued"].as_dict() for result in seed1_chaos.values()]}
         )
         assert sorted(fresh) == sorted(f"{name}/seed=1" for name in seed1_chaos)
         assert len(fresh) == 12
-        recorded = CHAOS.entries(load_baseline("chaos"))
+        recorded = CHAOS.entries(load_baseline("chaos", bench_path("chaos")))
         assert check_entries(fresh, recorded, CHAOS.exact_fields) == []

@@ -82,7 +82,7 @@ class TestSchedulePeriodicApi:
         sim = Simulator()
         handle = sim.schedule_periodic(100, lambda: None)
         with pytest.raises(SimulationError):
-            handle.re_arm()
+            handle.re_arm(first_at=None)
 
     def test_cancel_then_re_arm_resumes(self):
         sim = Simulator()

@@ -37,32 +37,34 @@ class TestAwgn:
         assert ChannelRealization(20.0).noise_var == pytest.approx(0.01)
 
 
+def channel_model(seed, mean_snr_db=15.0, shadow_sigma_db=1.2, fade_probability=0.0005):
+    return UeChannelModel(
+        np.random.default_rng(seed),
+        mean_snr_db=mean_snr_db,
+        shadow_sigma_db=shadow_sigma_db,
+        fade_probability=fade_probability,
+    )
+
+
 class TestUeChannelModel:
     def test_same_slot_same_realization(self):
-        model = UeChannelModel(np.random.default_rng(0), mean_snr_db=15.0)
+        model = channel_model(0)
         a = model.snr_for_slot(100)
         b = model.snr_for_slot(100)
         assert a.snr_db == b.snr_db
 
     def test_mean_tracks_configured_snr(self):
-        model = UeChannelModel(
-            np.random.default_rng(1), mean_snr_db=18.0, fade_probability=0.0
-        )
+        model = channel_model(1, mean_snr_db=18.0, fade_probability=0.0)
         samples = [model.snr_for_slot(slot).snr_db for slot in range(0, 20_000, 5)]
         assert float(np.mean(samples)) == pytest.approx(18.0, abs=0.8)
 
     def test_shadowing_varies_over_time(self):
-        model = UeChannelModel(np.random.default_rng(2), mean_snr_db=15.0)
+        model = channel_model(2)
         samples = {model.snr_for_slot(slot).snr_db for slot in range(0, 5000, 50)}
         assert len(samples) > 10
 
     def test_fades_reduce_snr(self):
-        model = UeChannelModel(
-            np.random.default_rng(3),
-            mean_snr_db=15.0,
-            shadow_sigma_db=0.0,
-            fade_probability=1.0,
-        )
+        model = channel_model(3, shadow_sigma_db=0.0, fade_probability=1.0)
         model.snr_for_slot(0)
         faded = model.snr_for_slot(1)
         assert faded.snr_db == pytest.approx(15.0 - FADE_DEPTH_DB, abs=0.1)
@@ -71,8 +73,8 @@ class TestUeChannelModel:
         assert 0.0 <= SHADOW_CORRELATION < 1.0
 
     def test_distinct_rngs_give_distinct_channels(self):
-        a = UeChannelModel(np.random.default_rng(10), mean_snr_db=15.0)
-        b = UeChannelModel(np.random.default_rng(11), mean_snr_db=15.0)
+        a = channel_model(10)
+        b = channel_model(11)
         sa = [a.snr_for_slot(s).snr_db for s in range(0, 1000, 100)]
         sb = [b.snr_for_slot(s).snr_db for s in range(0, 1000, 100)]
         assert sa != sb

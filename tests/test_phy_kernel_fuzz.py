@@ -155,7 +155,7 @@ class TestDecodeMatchesDense:
     def test_other_code_shapes(self):
         rng = RngRegistry(CORPUS_SEED).stream("perf.kernel_fuzz.shapes")
         for n, dv, dc in ((96, 3, 6), (120, 3, 4), (150, 3, 5)):
-            small = LdpcCode(n=n, dv=dv, dc=dc, seed=11)
+            small = LdpcCode(n=n, dv=dv, dc=dc, seed=11, normalization=0.8)
             dense = DenseLdpcCode(small)
             for _ in range(30):
                 info = rng.integers(0, 2, size=small.k, dtype=np.uint8)
@@ -534,7 +534,10 @@ class TestCodewordTable:
         ]
 
     def test_key_includes_the_code(self, empty_table):
-        small = PhyCodec(np.random.default_rng(0), code=LdpcCode(n=96, dv=3, dc=6, seed=11))
+        small = PhyCodec(
+            np.random.default_rng(0),
+            code=LdpcCode(n=96, dv=3, dc=6, seed=11, normalization=0.8),
+        )
         full = PhyCodec(np.random.default_rng(0))
         block = _block(300)
         assert np.array_equal(small._codewords([block])[0], _fresh_word(small, block))

@@ -47,8 +47,8 @@ class TestConstruction:
         assert np.array_equal(summed, (code.encode(a) + code.encode(b)) % 2)
 
     def test_same_seed_same_code(self):
-        a = LdpcCode(n=96, dv=3, dc=6, seed=11)
-        b = LdpcCode(n=96, dv=3, dc=6, seed=11)
+        a = LdpcCode(n=96, dv=3, dc=6, seed=11, normalization=0.8)
+        b = LdpcCode(n=96, dv=3, dc=6, seed=11, normalization=0.8)
         assert np.array_equal(a.chk_to_var, b.chk_to_var)
 
     def test_wrong_info_length_rejected(self, code):
@@ -57,7 +57,7 @@ class TestConstruction:
 
     def test_incompatible_degrees_rejected(self):
         with pytest.raises(ValueError):
-            LdpcCode(n=100, dv=3, dc=7)
+            LdpcCode(n=100, dv=3, dc=7, seed=7, normalization=0.8)
 
     def test_cache_returns_same_instance(self):
         assert get_code() is get_code()

@@ -24,9 +24,10 @@ from repro.net.link import Link
 from repro.phy.channel import ChannelRealization
 from repro.phy.modulation import Modulation
 from repro.phy.numerology import SlotClock
-from repro.phy.process import PhyProcess
+from repro.phy.process import PhyConfig, PhyProcess
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, US
 
 
@@ -62,10 +63,13 @@ def build_phy(sim):
         mac=MacAddress(0x20),
         slot_clock=SlotClock(),
         rng=np.random.default_rng(0),
+        config=PhyConfig(),
         uplink=uplink,
+        trace=TraceRecorder(),
+        name="phy",
     )
     fapi_sink = FapiSink()
-    phy.fapi_tx = ShmChannel(sim, fapi_sink)
+    phy.fapi_tx = ShmChannel(sim, fapi_sink, name="shm-phy->l2")
     phy.fapi_tx.latency_ns = 0
     return phy, sink, fapi_sink
 
@@ -106,7 +110,7 @@ class TestHeartbeatEmission:
         start_cell(phy)
         feed_nulls(phy, sim, 1, 40)
         sim.run_until(5 * MS)
-        phy.crash()
+        phy.crash("killed")
         count = len(sink.frames)
         sim.run_until(10 * MS)
         assert len(sink.frames) == count
@@ -144,11 +148,11 @@ class TestPendingHandleBookkeeping:
         sim.schedule_periodic(500 * US, sample)
         sim.run_until(100 * MS)
         assert phy.alive and 40 < longest[0] <= bound
-        phy.hang()
+        phy.hang("wedged")
         sim.run_until(300 * MS)
         assert longest[0] <= bound
         noops = sim.cancel_noops
-        phy.crash()
+        phy.crash("killed")
         assert sim.cancel_noops - noops < 70
 
 
@@ -184,7 +188,7 @@ class TestFapiContract:
         start_cell(phy)
         feed_nulls(phy, sim, 1, 10)
         sim.run_until(3 * MS)
-        phy.crash()
+        phy.crash("killed")
         phy.restart(decoder_iterations=12)
         assert phy.alive
         assert phy.cells == {}  # All cell state gone.

@@ -20,7 +20,17 @@ from repro.phy.modulation import Modulation
 from repro.phy.numerology import SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, US
+
+
+def channel_model(seed):
+    return UeChannelModel(
+        np.random.default_rng(seed),
+        mean_snr_db=18.0,
+        shadow_sigma_db=1.2,
+        fade_probability=0.0005,
+    )
 
 
 class RecordingListener:
@@ -52,8 +62,9 @@ def build_ru(sim):
     ru = RadioUnit(
         sim=sim, ru_id=0, mac=MacAddress(0x10),
         virtual_phy_mac=MacAddress(0xF0),
-        slot_clock=clock, air=air, uplink=uplink,
+        slot_clock=clock, air=air, trace=TraceRecorder(), name="ru",
     )
+    ru.uplink = uplink
     ru.start()
     return ru, air, sink, clock
 
@@ -77,7 +88,7 @@ class TestAirInterface:
     def test_attach_and_broadcast(self):
         air = AirInterface()
         listener = RecordingListener()
-        channel = UeChannelModel(np.random.default_rng(0))
+        channel = channel_model(0)
         air.attach(UeRadioPort(1, channel, listener))
         air.broadcast_dl_control(5, [], vran_instance_id=3)
         assert listener.control == [(5, [], 3)]
@@ -85,7 +96,7 @@ class TestAirInterface:
     def test_detached_port_silent(self):
         air = AirInterface()
         listener = RecordingListener()
-        port = UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener)
+        port = UeRadioPort(1, channel_model(0), listener)
         air.attach(port)
         port.attached = False
         air.broadcast_dl_control(5, [], vran_instance_id=1)
@@ -98,7 +109,7 @@ class TestAirInterface:
             listeners[ue_id] = RecordingListener()
             air.attach(
                 UeRadioPort(
-                    ue_id, UeChannelModel(np.random.default_rng(ue_id)),
+                    ue_id, channel_model(ue_id),
                     listeners[ue_id],
                 )
             )
@@ -113,10 +124,10 @@ class TestAirInterface:
     def test_collect_uplink_pops_and_drops_stale(self):
         air = AirInterface()
         listener = RecordingListener()
-        port = UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener)
+        port = UeRadioPort(1, channel_model(0), listener)
         air.attach(port)
-        port.stage_uplink(3, None, [(1, 0, 9, True)])
-        port.stage_uplink(10, None, [(1, 0, 10, True)])
+        port.stage_uplink(3, None, [(1, 0, 9, True)], 0)
+        port.stage_uplink(10, None, [(1, 0, 10, True)], 0)
         captured = air.collect_uplink(10)
         assert len(captured) == 1
         assert captured[0].dl_feedback[0][2] == 10
@@ -129,7 +140,7 @@ class TestRadioUnit:
         sim = Simulator()
         ru, air, sink, clock = build_ru(sim)
         listener = RecordingListener()
-        air.attach(UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener))
+        air.attach(UeRadioPort(1, channel_model(0), listener))
         ru.receive_frame(frame_of(cplane(2)), ingress=None)
         sim.run_until(clock.slot_start(2) + 300 * US)
         assert [c[0] for c in listener.control] == [2]
@@ -144,7 +155,7 @@ class TestRadioUnit:
         sim = Simulator()
         ru, air, sink, clock = build_ru(sim)
         listener = RecordingListener()
-        port = UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener)
+        port = UeRadioPort(1, channel_model(0), listener)
         air.attach(port)
         # Slot 4 is UL in DDDSU. Provide control for it, stage a block.
         ru.receive_frame(frame_of(cplane(4)), ingress=None)
@@ -152,7 +163,7 @@ class TestRadioUnit:
             ue_id=1, direction=LinkDirection.UPLINK, harq_process=0,
             modulation=Modulation.QPSK, prbs=10, data=[], size_bytes=10, tb_id=42,
         )
-        port.stage_uplink(4, block, [])
+        port.stage_uplink(4, block, [], 0)
         sim.run_until(clock.slot_start(5) + 100 * US)
         assert len(sink.frames) == 1
         frame = sink.frames[0]
@@ -166,13 +177,13 @@ class TestRadioUnit:
         sim = Simulator()
         ru, air, sink, clock = build_ru(sim)
         listener = RecordingListener()
-        port = UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener)
+        port = UeRadioPort(1, channel_model(0), listener)
         air.attach(port)
         block = TransportBlock(
             ue_id=1, direction=LinkDirection.UPLINK, harq_process=0,
             modulation=Modulation.QPSK, prbs=10, data=[], size_bytes=10,
         )
-        port.stage_uplink(4, block, [])
+        port.stage_uplink(4, block, [], 0)
         sim.run_until(clock.slot_start(6))
         assert sink.frames == []
 
@@ -194,7 +205,7 @@ class TestRadioUnit:
         sim = Simulator()
         ru, air, sink, clock = build_ru(sim)
         listener = RecordingListener()
-        air.attach(UeRadioPort(1, UeChannelModel(np.random.default_rng(0)), listener))
+        air.attach(UeRadioPort(1, channel_model(0), listener))
         block = TransportBlock(
             ue_id=1, direction=LinkDirection.DOWNLINK, harq_process=0,
             modulation=Modulation.QPSK, prbs=10, data=[], size_bytes=10,

@@ -345,7 +345,7 @@ def _restart_phy0_as_standby(cell: Any) -> None:
 CELL_ACTIONS = {
     150: lambda cell: cell.kill_phy(0),
     200: _restart_phy0_as_standby,
-    260: lambda cell: cell.planned_migration(0),
+    260: lambda cell: cell.planned_migration(),
 }
 CELL_END_MS = 330
 

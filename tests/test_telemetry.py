@@ -26,7 +26,7 @@ from repro.faults.campaign import (
     judge_execution,
 )
 from repro.faults.scenarios import RUN_END_NS, scenario_by_name
-from repro.harness import load_baseline
+from repro.harness import bench_path, load_baseline
 from repro.sim.trace import TraceEvent
 from repro.sim.units import MS, US
 from repro.telemetry import FailoverTimeline, collect, stats_objects
@@ -250,7 +250,7 @@ class TestInstrumentedFailover:
 @pytest.fixture(scope="module")
 def recorded_runs():
     by_scenario = {}
-    for run in load_baseline("chaos")["runs"]:
+    for run in load_baseline("chaos", bench_path("chaos"))["runs"]:
         by_scenario.setdefault(run["scenario"], []).append(run)
     return by_scenario
 

@@ -120,6 +120,7 @@ def _fig8_failure_digest(slingshot: bool, tie_shuffle_seed) -> str:
         ue_id=ue.ue_id,
         flow_id="video",
         bearer_id=1,
+        bitrate_bps=500_000.0,
         rng=cell.rng.stream("video"),
     )
     VideoReceiver(cell.sim, ue, flow_id="video")

@@ -11,6 +11,7 @@ from repro.phy.modulation import Modulation
 from repro.phy.numerology import SlotClock
 from repro.phy.transport import LinkDirection, TransportBlock
 from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, US
 from repro.ue.ue import UserEquipment
 
@@ -22,13 +23,21 @@ def build_ue(sim):
         ue_id=1,
         slot_clock=SlotClock(),
         air=air,
-        channel=UeChannelModel(np.random.default_rng(0), mean_snr_db=18.0),
+        channel=UeChannelModel(
+            np.random.default_rng(0),
+            mean_snr_db=18.0,
+            shadow_sigma_db=1.2,
+            fade_probability=0.0005,
+        ),
         rng=np.random.default_rng(1),
         bearers=[
             RlcBearerConfig(bearer_id=1, mode=RlcMode.UM),
             RlcBearerConfig(bearer_id=2, mode=RlcMode.AM),
         ],
+        trace=TraceRecorder(),
+        name="ue1",
     )
+    ue.on_rlf = lambda _ue: None
     return ue, air
 
 

@@ -102,7 +102,7 @@ def observed():
         cell.phy_servers[0].phy.restart()
         cell.l2_orion.initialize_secondary(0, 0)
         cell.run_until(MIGRATE_NS)
-        cell.planned_migration(0)
+        cell.planned_migration()
         cell.run_until(END_NS)
     finally:
         patch.undo()

@@ -281,7 +281,6 @@ KEPT_PARAMETERS = {
     "at build, the cold reference that forking is checked against",
     "fleet.composer.build_fleet.sim": "collaborator: the engine (the legacy-engine "
     "differential)",
-    "fronthaul.ru.RadioUnit.uplink": "collaborator: the fronthaul link",
     "phy.codec.PhyCodec.code": "collaborator: the LDPC code the chain fuzz varies",
     # Executor arguments, reached through Verb.execute.
     "harness.branch_sweep.jobs": "executor: worker count",
@@ -300,9 +299,9 @@ KEPT_PARAMETERS = {
 
 
 def _defaulted_parameters() -> dict:
-    """``{qualified name: (callee name, positional names)}`` for every
-    defaulted parameter of a public module function, constructor or
-    method under ``src/repro``."""
+    """``{qualified name: (callee name, positional names, default
+    expression)}`` for every defaulted parameter of a public module
+    function, constructor or method under ``src/repro``."""
     found = {}
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
@@ -325,23 +324,42 @@ def _defaulted_parameters() -> dict:
             positional = [a.arg for a in args.posonlyargs + args.args]
             if positional[:1] in (["self"], ["cls"]):
                 positional = positional[1:]
-            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted = list(
+                zip(positional[len(positional) - len(args.defaults):], args.defaults)
+            )
             defaulted += [
-                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                (a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None
             ]
-            for name in defaulted:
-                found[f"{module}.{qualified}.{name}"] = (callee, positional)
+            for name, default in defaulted:
+                found[f"{module}.{qualified}.{name}"] = (callee, positional, default)
     return found
 
 
-def _passes(call: ast.Call, name: str, positional: list) -> bool:
-    """Whether ``call`` may set parameter ``name``: by keyword, by
-    position, or through ``*args`` / ``**kwargs``."""
+def _passes(call: ast.Call, name: str, positional: list, default=None) -> bool:
+    """Whether ``call`` may set parameter ``name`` off its ``default``: by
+    keyword, by position, or through ``*args`` / ``**kwargs``. Passing
+    the default's own literal sets nothing."""
     if any(isinstance(arg, ast.Starred) for arg in call.args):
         return True
-    if any(keyword.arg in (None, name) for keyword in call.keywords):
-        return True
-    return name in positional and positional.index(name) < len(call.args)
+    value = next((k.value for k in call.keywords if k.arg == name), None)
+    if value is None and name in positional:
+        index = positional.index(name)
+        value = call.args[index] if index < len(call.args) else None
+    if value is None:
+        return any(keyword.arg is None for keyword in call.keywords)
+    return not (
+        isinstance(default, ast.Constant) and ast.dump(value) == ast.dump(default)
+    )
+
+
+def _calls_by_callee() -> dict:
+    """Every call under :data:`CALLER_TREES`, by callee name."""
+    calls = {}
+    for _, module in _caller_modules():
+        for call in _calls(module):
+            calls.setdefault(_callee(call), []).append(call)
+    return calls
 
 
 def test_every_parameter_is_set_by_a_non_test_caller():
@@ -349,17 +367,14 @@ def test_every_parameter_is_set_by_a_non_test_caller():
     different values (DESIGN §17). Callees are matched by name, so a
     same-named callee elsewhere can only hide a candidate, never invent
     one; each kept parameter names its reason."""
-    calls = {}
-    for _, module in _caller_modules():
-        for call in _calls(module):
-            calls.setdefault(_callee(call), []).append(call)
+    calls = _calls_by_callee()
     parameters = _defaulted_parameters()
-    assert "phy.process.PhyProcess.hang.reason" in parameters
+    assert "sim.engine.Simulator.schedule_periodic.first_at" in parameters
     unset = {
         qualified
-        for qualified, (callee, positional) in parameters.items()
+        for qualified, (callee, positional, default) in parameters.items()
         if not any(
-            _passes(call, qualified.rsplit(".", 1)[1], positional)
+            _passes(call, qualified.rsplit(".", 1)[1], positional, default)
             for call in calls.get(callee, [])
         )
     }
@@ -367,6 +382,38 @@ def test_every_parameter_is_set_by_a_non_test_caller():
     assert folded == [], f"parameters no non-test caller sets: {folded}"
     stale = sorted(set(KEPT_PARAMETERS) - unset)
     assert stale == [], f"KEPT_PARAMETERS entries a caller now sets: {stale}"
+
+
+#: Defaults every non-test caller overrides, kept on purpose: the
+#: qualified name and why (an entry point Python calls with fewer
+#: arguments than the program does, an executor argument). None is kept
+#: today; anything else loses its default.
+KEPT_DEFAULTS = {}
+
+
+def test_every_default_is_relied_on_by_a_non_test_caller():
+    """A parameter has a default only where a non-test caller relies on
+    it (DESIGN §17): one that every caller under ``src/``, ``bench/`` and
+    ``benchmarks/`` passes is a code path only tests reach — a component
+    built without a collaborator it always has — and loses its default.
+    Callees are matched by name, so a same-named callee elsewhere that
+    omits the argument hides a candidate; each kept default names its
+    reason."""
+    calls = _calls_by_callee()
+    parameters = _defaulted_parameters()
+    overridden = {
+        qualified
+        for qualified, (callee, positional, default) in parameters.items()
+        if calls.get(callee)
+        and all(
+            _passes(call, qualified.rsplit(".", 1)[1], positional, default)
+            for call in calls[callee]
+        )
+    }
+    dropped = sorted(overridden - set(KEPT_DEFAULTS))
+    assert dropped == [], f"defaults every non-test caller overrides: {dropped}"
+    stale = sorted(set(KEPT_DEFAULTS) - overridden)
+    assert stale == [], f"KEPT_DEFAULTS entries a caller now relies on: {stale}"
 
 
 #: Trees whose code counts as reaching a callable: the callers above and
@@ -476,6 +523,21 @@ def test_a_scheduled_callback_binds_the_arguments_after_it():
         assert _passes(deferred[0], "reason", ["reason"]) is passes
 
 
+def test_passing_the_default_literal_sets_nothing():
+    """``cell.planned_migration(0)`` against ``cell_id: int = 0`` leaves
+    the parameter at its default: a constant, as far as the guards go."""
+    default = ast.parse("0", mode="eval").body
+    for source, passes in (
+        ("cell.planned_migration(0)", False),
+        ("cell.planned_migration(cell_id=0)", False),
+        ("cell.planned_migration()", False),
+        ("cell.planned_migration(1)", True),
+        ("cell.planned_migration(cell)", True),
+    ):
+        call = ast.parse(source, mode="eval").body
+        assert _passes(call, "cell_id", ["cell_id"], default) is passes
+
+
 def test_a_bench_dotted_path_loads_each_of_its_names():
     tree = ast.parse('PATCH = "repro.net.link.Link.send"')
     assert _loaded_names(tree, dotted_paths=True)["send"] == 1
@@ -493,48 +555,154 @@ def test_a_callable_only_its_own_body_loads_is_unreached():
     assert loads["countdown"] > _loaded_names(function)["countdown"]
 
 
-def test_examples_bind_to_current_signatures():
-    """Tier-1 does not run ``examples/``: every call an example makes to
-    a name it imports from ``repro`` must still bind to that callable's
-    signature (arity and keyword names), checked without running it."""
+#: A fenced ``python`` block of a Markdown file.
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.M | re.S)
+
+
+def _class_of(hint):
+    """``hint`` when it names a class, else None (``Optional[...]``, a
+    string that did not resolve, ...)."""
+    return hint if isinstance(hint, type) else None
+
+
+def _hints(obj) -> dict:
+    import typing
+
+    try:
+        return typing.get_type_hints(obj)
+    except (NameError, TypeError):  # A name the module imports only to check types.
+        return {}
+
+
+def _resolve(node: ast.AST, bound: dict, instances: dict):
+    """What ``node`` evaluates to, as far as annotations tell without
+    running it: ``("callable", obj)`` for a name imported from ``repro``
+    (or an attribute of one), ``("method", function)`` for a method read
+    off an instance, ``("instance", cls)`` for an object of a known
+    class — a local assigned from a resolved call, a call's annotated
+    return value, or an annotated attribute of another instance."""
+    import inspect
+
+    if isinstance(node, ast.Name):
+        if node.id in bound:
+            return "callable", bound[node.id]
+        if node.id in instances:
+            return "instance", instances[node.id]
+        return None
+    if isinstance(node, ast.Attribute):
+        owner = _resolve(node.value, bound, instances)
+        if owner is None:
+            return None
+        kind, value = owner
+        if kind == "callable":
+            found = getattr(value, node.attr, None)
+            return None if found is None else ("callable", found)
+        if kind != "instance":
+            return None
+        member = inspect.getattr_static(value, node.attr, None)
+        if isinstance(member, property):
+            cls = _class_of(_hints(member.fget).get("return"))
+            return None if cls is None else ("instance", cls)
+        if inspect.isfunction(member):
+            return "method", member
+        cls = _class_of(_hints(value).get(node.attr))
+        return None if cls is None else ("instance", cls)
+    if isinstance(node, ast.Call):
+        called = _resolve(node.func, bound, instances)
+        if called is None:
+            return None
+        kind, value = called
+        if kind == "callable" and isinstance(value, type):
+            return "instance", value
+        cls = _class_of(_hints(value).get("return"))
+        return None if cls is None else ("instance", cls)
+    return None
+
+
+def _bind_calls(tree: ast.AST, where: str) -> set:
+    """Bind every call ``tree`` makes whose callee :func:`_resolve` finds
+    to that callee's signature (arity and keyword names, every required
+    argument present), without running it; the qualified names bound."""
     import importlib
     import inspect
 
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+    instances = {}
+    assignments = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ]
+    for _ in range(2):  # A local may be assigned from another.
+        for node in assignments:
+            value = _resolve(node.value, bound, instances)
+            if value is not None and value[0] == "instance":
+                instances[node.targets[0].id] = value[1]
     checked = set()
-    for path in sorted((SRC.parents[1] / "examples").glob("*.py")):
-        tree = _parsed(path)
-        bound = {}
-        for node in tree.body:
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("repro"):
-                module = importlib.import_module(node.module)
-                for alias in node.names:
-                    bound[alias.asname or alias.name] = getattr(module, alias.name)
-        calls = 0
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            chain, func = [], node.func
-            while isinstance(func, ast.Attribute):
-                chain.insert(0, func.attr)
-                func = func.value
-            if not isinstance(func, ast.Name) or func.id not in bound:
-                continue
-            target = bound[func.id]
-            for attr in chain:
-                target = getattr(target, attr)
-            if any(isinstance(arg, ast.Starred) for arg in node.args):
-                continue
-            try:
-                inspect.signature(target).bind_partial(
-                    *node.args, **{k.arg: k.value for k in node.keywords if k.arg}
-                )
-            except TypeError as error:
-                raise AssertionError(f"{path.name}:{node.lineno}: {error}") from None
-            checked.add(f"{target.__module__}.{target.__qualname__}")
-            calls += 1
-        assert calls, f"{path.name} makes no call the check can resolve"
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        called = _resolve(node.func, bound, instances)
+        if called is None or called[0] == "instance":
+            continue
+        if any(isinstance(arg, ast.Starred) for arg in node.args) or any(
+            keyword.arg is None for keyword in node.keywords
+        ):
+            continue
+        kind, target = called
+        args = ([None] if kind == "method" else []) + node.args
+        try:
+            inspect.signature(target).bind(
+                *args, **{k.arg: k.value for k in node.keywords}
+            )
+        except TypeError as error:
+            raise AssertionError(f"{where}:{node.lineno}: {error}") from None
+        checked.add(f"{target.__module__}.{target.__qualname__}")
+    return checked
+
+
+def test_examples_bind_to_current_signatures():
+    """Tier-1 does not run ``examples/`` or the README's ``python``
+    blocks: every call they make to what they import from ``repro`` —
+    and to methods of what those calls return — must still bind to the
+    callee's signature, checked without running it."""
+    root = SRC.parents[1]
+    checked = set()
+    for path in sorted((root / "examples").glob("*.py")):
+        found = _bind_calls(_parsed(path), path.name)
+        assert found, f"{path.name} makes no call the check can resolve"
+        checked |= found
+    blocks = PYTHON_BLOCK.findall((root / "README.md").read_text())
+    assert len(blocks) == 2
+    for number, block in enumerate(blocks, 1):
+        found = _bind_calls(ast.parse(block), f"README.md python block {number}")
+        assert found, f"README python block {number} makes no call the check can resolve"
+        checked |= found
     assert {
         "repro.experiments.ablations.detector_timeout_sweep",
         "repro.experiments.fig11_upgrade.run",
         "repro.cell.deployment.build_slingshot_cell",
+        "repro.cell.deployment.SlingshotCell.planned_migration",
+        "repro.core.orion.L2SideOrion.initialize_secondary",
     } <= checked
+
+
+def test_a_call_missing_a_required_argument_does_not_bind():
+    """``bind``, not ``bind_partial``: a call that omits a required
+    argument fails the check, and so does one through an instance."""
+    import pytest
+
+    for source in (
+        "from repro.cell.deployment import build_slingshot_cell\n"
+        "build_slingshot_cell()\n",
+        "from repro.cell.deployment import build_slingshot_cell\n"
+        "cell = build_slingshot_cell(config)\n"
+        "cell.planned_migration(0)\n",
+    ):
+        with pytest.raises(AssertionError):
+            _bind_calls(ast.parse(source), "snippet")
