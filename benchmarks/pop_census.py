@@ -16,7 +16,9 @@ window twice, on two identical deployments:
   cyclic collector over the same window (collections per generation and
   their share of the window's wall, DESIGN §9 "Collector: cost model");
   ``--by-role`` prefixes each kind with the role, at pop time, of the
-  PHY server the event works for (below);
+  PHY server the event works for (below); the cancelled entries each
+  pop skipped (``sim._cancelled_in_queue`` before and after it) are the
+  cost an event traded for a cancel leaves behind;
 * a **counted** pass under ``sys.setprofile``: Python ``call`` and C
   ``c_call`` events per cell-slot, and the Python ones per code object
   (``--frames N`` prints the N most entered). Deterministic, so it repeats
@@ -148,6 +150,7 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     collections: Counter = Counter()  # generation -> collections ...
     collected: Counter = Counter()  # ... -> objects they reclaimed
     gc_ns = 0
+    skipped = 0  # Cancelled entries the window's pops dropped.
     elided = 0  # Slots a dormant standby ran evaluated.
     booked = 0  # Null requests booked for a dormant standby.
     inner_pop = Simulator._pop
@@ -158,11 +161,13 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     started = 0  # ... and when its pop returned.
 
     def census_pop(self: Simulator, limit: Optional[int] = None):
-        nonlocal running, started
+        nonlocal running, started, skipped
         asked = clock()
         if running is not None:
             wall_ns[running] += asked - started
+        cancelled = self._cancelled_in_queue
         entry = inner_pop(self, limit)
+        skipped += cancelled - self._cancelled_in_queue
         if entry is None:
             running = None
             return None
@@ -208,6 +213,7 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         PhyProcess._dormant_slot = inner_dormant_slot
         Simulator._pop = inner_pop
     return {
+        "skipped": skipped,
         "elided_slots": elided,
         "booked_nulls": booked,
         "events": events,
@@ -292,7 +298,7 @@ def census(
 
 
 def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
-    """The census as text: a header, one row per kind, two total lines,
+    """The census as text: a header, one row per kind, three total lines,
     then the ``frames`` most entered Python code objects."""
     slots = result["cell_slots"]
     wall_total = sum(result["wall_ns"].values())
@@ -312,6 +318,9 @@ def render(result: Dict[str, Any], frames: int = 0) -> List[str]:
     lines.append(
         f"events {result['attributed']} == events_processed delta "
         f"{result['events_processed']} ({result['events_processed'] / slots:.1f} /cell-slot)"
+    )
+    lines.append(
+        f"cancelled skipped {result['skipped']} ({result['skipped'] / slots:.2f} /cell-slot)"
     )
     lines.append(
         f"calls /cell-slot: python {result['call'] / slots:.1f} c {result['c_call'] / slots:.1f}"

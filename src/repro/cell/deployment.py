@@ -268,7 +268,7 @@ class _Wiring:
             latency_ns=FRONTHAUL_LATENCY_NS,
             name=f"ru{ru_id}",
         )
-        ru.uplink = ru_port.ingress_link  # type: ignore[attr-defined]
+        ru.uplink = ru_port.ingress_link
         self.middlebox.register_ru(
             ru_id, ru_mac, ru_port.number, initial_phy=initial_phy
         )
@@ -298,7 +298,7 @@ class _Wiring:
                 vran_instance_id=vran_instance_id,
                 massive_mimo=self.config.massive_mimo,
             ),
-            uplink=port.ingress_link,  # type: ignore[attr-defined]
+            uplink=port.ingress_link,
             trace=self.trace,
             name=f"phy{phy_id}",
         )
@@ -307,7 +307,7 @@ class _Wiring:
             slot_clock=self.slot_clock, trace=self.trace,
             name=f"orion-phy{phy_id}",
         )
-        orion.uplink = port.ingress_link  # type: ignore[attr-defined]
+        orion.uplink = port.ingress_link
         # SHM pair between the local Orion and PHY.
         orion.shm_to_phy = ShmChannel(self.sim, phy, name=f"shm-orion{phy_id}->phy")
         phy.fapi_tx = ShmChannel(self.sim, orion, name=f"shm-phy{phy_id}->orion")
@@ -464,7 +464,7 @@ def build_slingshot_cell(
     l2_orion = L2SideOrion(
         sim=sim, mac=l2_orion_mac, slot_clock=wiring.slot_clock, trace=wiring.trace
     )
-    l2_orion.uplink = l2_port.ingress_link  # type: ignore[attr-defined]
+    l2_orion.uplink = l2_port.ingress_link
     l2_nic.orion = l2_orion
     middlebox.register_l2_host(l2_orion_mac, l2_port.number)
     middlebox.set_notification_target(l2_orion_mac, l2_port.number)

@@ -28,16 +28,19 @@ tick_period_ns``; elapsed ticks are applied arithmetically whenever
 detector state is *read* (the deadline event, ``counters``, ``stats``,
 ``set_monitor``), and one heap event — the *deadline* — sits at the
 earliest tick on which a monitored, unreported counter could saturate.
-A heartbeat only pushes that instant later, so it leaves the event alone
-(it re-derives itself when it fires) and applies no tick: it writes its
-zero and records how many elapsed, unapplied ticks the zero covers — the
-PHY's *lag*, which the next sync leaves out of that PHY's share. Nothing
-saturates unseen meanwhile: every event before now has run and the
-deadline is never later than a saturation. A tick and a touch at the
-same nanosecond resolve **tick first** (the generator armed that timer
-packet a period earlier than a link armed the delivery) — so a heartbeat
-that finds the deadline queued at its own nanosecond syncs like a read —
-except tick 0, armed at the origin, which follows what runs there.
+A heartbeat applies no tick: it writes its zero and records how many
+elapsed, unapplied ticks the zero covers — the PHY's *lag*, which the
+next sync leaves out of that PHY's share — so its PHY now saturates
+exactly on tick ``applied + lag + TICKS_PER_TIMEOUT``, and the deadline
+follows it there (one cancel and one push, when that is later). The
+deadline therefore pops only at a real saturation, a tick a read forced
+or a monitor change. Nothing saturates unseen meanwhile: every event
+before now has run and the deadline is never later than a saturation.
+A tick and a touch at the same nanosecond resolve **tick first** (the
+generator armed that timer packet a period earlier than a link armed the
+delivery) — so a heartbeat that finds the deadline queued at its own
+nanosecond syncs like a read before it moves it — except tick 0, armed
+at the origin, which follows what runs there.
 """
 
 from __future__ import annotations
@@ -243,9 +246,33 @@ class FailureDetector:
                     self._lag[phy_id] = (
                         elapsed // self._grid_period_ns + 1 - self._ticks_applied
                     )
+                if phy_id in self._monitored and phy_id not in self._reported:
+                    self._follow(phy_id)
             self._counters.write(phy_id, 0)
             self._stats.heartbeats_seen += 1
             self._last_heartbeat_ns[phy_id] = now_ns
+
+    def _follow(self, phy_id: int) -> None:
+        """Move the deadline to the earliest saturation now that a
+        heartbeat restarts ``phy_id``'s counter: its own is exactly tick
+        ``applied + lag + threshold``, another PHY's is its lag plus what
+        its counter lacks. The queued deadline is never later than any of
+        them (one is queued whenever a PHY is watched), so it only moves
+        later, and is left alone when it would not move."""
+        applied, lag = self._ticks_applied, self._lag
+        target = applied + lag.get(phy_id, 0) + self._threshold
+        for other in self._monitored:
+            if other != phy_id and other not in self._reported:
+                target = min(
+                    target,
+                    applied + lag.get(other, 0) + self._ticks_to_saturation(other),
+                )
+        when = self._grid_origin_ns + (target - 1) * self._grid_period_ns
+        deadline = self._deadline
+        if deadline[0] < when:
+            sim = self._sim
+            sim.cancel(deadline)
+            self._deadline = sim.at(when, self._on_deadline, target)
 
     def note_heartbeats(self, phy_id: int, count: int, last_ns: int) -> None:
         """``count`` heartbeats of an *unmonitored* PHY, the last at

@@ -74,11 +74,8 @@ class FaultInjector:
         switch = self.cell.switch
         for number in switch.port_numbers():
             port = switch.port(number)
-            ingress = getattr(port, "ingress_link", None)
-            if ingress is not None:
-                yield ingress
-            if port.egress is not None:
-                yield port.egress
+            yield port.ingress_link
+            yield port.egress
 
     # ------------------------------------------------------------------
     # Process faults

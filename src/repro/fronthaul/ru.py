@@ -95,15 +95,16 @@ class RadioUnit(Process):
         self._started = False
 
     def start(self) -> None:
-        """Begin per-slot operation at the next slot boundary."""
+        """Begin per-slot operation with the next slot: one periodic
+        event per slot, at its control deadline."""
         if self._started:
             return
         self._started = True
         next_slot = self.slot_clock.slot_at(self.sim.now) + 1
         self.sim.schedule_periodic(
             self.slot_clock.slot_duration_ns,
-            self._slot_boundary,
-            first_at=self.slot_clock.slot_start(next_slot),
+            self._process_slot,
+            first_at=self.slot_clock.slot_start(next_slot) + CONTROL_DEADLINE_NS,
         )
 
     # ------------------------------------------------------------------
@@ -149,22 +150,17 @@ class RadioUnit(Process):
     # ------------------------------------------------------------------
     # Per-slot operation
     # ------------------------------------------------------------------
-    def _slot_boundary(self) -> None:
-        # Fires exactly at each slot boundary; the engine re-arms the next
-        # one before this callback runs, so a failure in this slot's
-        # handling can never stop the radio.
+    def _process_slot(self) -> None:
+        # Fires at each slot's control deadline, the PHY's packets having
+        # had a grace window past the slot start; the engine re-arms the
+        # next one before this callback runs, so a failure in this slot's
+        # handling can never stop the radio. A frame arriving at this very
+        # nanosecond was sent after the slot started, so it follows.
         abs_slot = self.slot_clock.slot_at(self.sim.now)
-        slot_type = TDD.slot_type(abs_slot)
-        # Give the PHY's packets a grace window past the slot start, then act.
-        self.sim.schedule(
-            CONTROL_DEADLINE_NS, self._process_slot, abs_slot, slot_type
-        )
         # Garbage-collect state from long-past slots: what a scan frees
         # is at least 16 slots stale, so one scan in 16 slots is enough.
         if abs_slot % 16 == 0:
             self._gc(abs_slot - 16)
-
-    def _process_slot(self, abs_slot: int, slot_type: SlotType) -> None:
         cplane = self._cplane.pop(abs_slot, None)
         if cplane is None:
             self.stats.slots_without_control += 1
@@ -179,7 +175,7 @@ class RadioUnit(Process):
         # Radiate downlink data.
         for packet in self._dl_data.pop(abs_slot, []):
             self.air.deliver_dl_data(abs_slot, packet.block)
-        if slot_type is SlotType.UPLINK:
+        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
             # Capture at the end of the slot: UEs transmit during it.
             capture_at = self.slot_clock.slot_start(abs_slot + 1)
             self.sim.at(capture_at, self._capture_uplink, abs_slot)

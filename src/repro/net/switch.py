@@ -1,7 +1,7 @@
 """Edge-datacenter switch.
 
-A :class:`Switch` owns numbered ports, each of which may be cabled to a
-node via a pair of :class:`~repro.net.link.Link` objects. Forwarding is
+A :class:`Switch` owns numbered ports, each cabled to a node via a pair
+of :class:`~repro.net.link.Link` objects. Forwarding is
 delegated to a pluggable pipeline — the default is plain static L2
 forwarding; Slingshot installs the P4-modeled fronthaul-middlebox pipeline
 from :mod:`repro.core.fh_middlebox` instead.
@@ -9,7 +9,7 @@ from :mod:`repro.core.fh_middlebox` instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Protocol
+from typing import Dict, List, Protocol
 
 from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.link import Link, NetworkEndpoint
@@ -73,8 +73,11 @@ class SwitchPort(NetworkEndpoint):
     def __init__(self, switch: "Switch", number: int) -> None:
         self.switch = switch
         self.number = number
-        #: Egress link toward the attached node (None until cabled).
-        self.egress: Optional[Link] = None
+        #: The link the attached node sends into this port, and the
+        #: egress link toward it (both cabled by :meth:`Switch.attach`,
+        #: the one way a port is made).
+        self.ingress_link: Link
+        self.egress: Link
         self.frames_in = 0
         self.frames_out = 0
 
@@ -105,8 +108,6 @@ class SwitchPort(NetworkEndpoint):
         the link is told so at once (``ready_at``) instead of through an
         event, and ``frames_out`` counts the frame here, at ingress.
         """
-        if self.egress is None:
-            return
         self.frames_out += 1
         switch = self.switch
         self.egress.send(frame, switch.sim.now + switch.pipeline_latency_ns)
@@ -131,13 +132,6 @@ class Switch(Process):
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def add_port(self) -> SwitchPort:
-        """Create a port, numbered after the last."""
-        number = max(self._ports, default=-1) + 1
-        port = SwitchPort(self, number)
-        self._ports[number] = port
-        return port
-
     def attach(
         self,
         endpoint: NetworkEndpoint,
@@ -145,21 +139,24 @@ class Switch(Process):
         latency_ns: int = 1_000,
         name: str = "",
     ) -> SwitchPort:
-        """Cable a node to a new port with a duplex link pair.
+        """Cable a node to a new port, numbered after the last, with a
+        duplex link pair.
 
-        Returns the switch port. The node should send frames into
-        ``port.ingress_link`` (exposed as the returned value's
-        ``ingress_link`` attribute).
+        Returns the switch port. The node sends frames into its
+        ``ingress_link``.
         """
-        sw_port = self.add_port()
-        label = name or getattr(endpoint, "name", f"node{sw_port.number}")
+        number = max(self._ports, default=-1) + 1
+        sw_port = SwitchPort(self, number)
+        label = name or getattr(endpoint, "name", f"node{number}")
         # Node -> switch direction.
-        up = Link(self.sim, sw_port, bandwidth_bps, latency_ns, f"{label}->{self.name}")
+        sw_port.ingress_link = Link(
+            self.sim, sw_port, bandwidth_bps, latency_ns, f"{label}->{self.name}"
+        )
         # Switch -> node direction.
-        down = Link(self.sim, endpoint, bandwidth_bps, latency_ns, f"{self.name}->{label}")
-        sw_port.egress = down
-        # Expose the uplink so the node can transmit.
-        sw_port.ingress_link = up  # type: ignore[attr-defined]
+        sw_port.egress = Link(
+            self.sim, endpoint, bandwidth_bps, latency_ns, f"{self.name}->{label}"
+        )
+        self._ports[number] = sw_port
         return sw_port
 
     def port(self, number: int) -> SwitchPort:

@@ -13,7 +13,8 @@ parses to align migration to TTI boundaries (paper §5.1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.sim.units import US
 
@@ -40,15 +41,20 @@ class TddPattern:
     """A repeating TDD slot-format pattern, e.g. "DDDSU"."""
 
     pattern: str = "DDDSU"
+    #: The :class:`SlotType` of each position of the pattern, built once:
+    #: every RU, PHY, L2 and UE asks for a slot's type every slot.
+    _types: Tuple[SlotType, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         valid = set("DSU")
         if not self.pattern or any(ch not in valid for ch in self.pattern):
             raise ValueError(f"invalid TDD pattern {self.pattern!r}")
+        object.__setattr__(self, "_types", tuple(SlotType(ch) for ch in self.pattern))
 
     def slot_type(self, slot_index: int) -> SlotType:
         """Slot type for an absolute slot counter."""
-        return SlotType(self.pattern[slot_index % len(self.pattern)])
+        types = self._types
+        return types[slot_index % len(types)]
 
     @property
     def period(self) -> int:

@@ -522,41 +522,45 @@ class PhyProcess(Process):
         ul_pdus,
         dl_pdus,
     ) -> None:
-        address = self.slot_clock.address_of(abs_slot)
-        grants = [
-            UlGrant(
-                ue_id=p.ue_id,
-                harq_process=p.harq_process,
-                modulation=p.modulation,
-                prbs=p.prbs,
-                new_data=p.new_data,
-                tb_id=p.tb_id,
-                tb_bytes=p.tb_bytes,
-                retx_index=p.retx_index,
+        # The mid-slot section, and the first too in a null slot: the two
+        # would be equal, and nothing mutates a sent message. Its address
+        # is the slot's, computed once.
+        mid = self._null_cplane(cell, abs_slot)
+        address = mid.address
+        cplane = mid
+        if ul_pdus or dl_pdus:
+            cplane = CplaneMessage(
+                ru_id=cell.ru_id,
+                address=address,
+                abs_slot=abs_slot,
+                ul_grants=[
+                    UlGrant(
+                        ue_id=p.ue_id,
+                        harq_process=p.harq_process,
+                        modulation=p.modulation,
+                        prbs=p.prbs,
+                        new_data=p.new_data,
+                        tb_id=p.tb_id,
+                        tb_bytes=p.tb_bytes,
+                        retx_index=p.retx_index,
+                    )
+                    for p in ul_pdus
+                ],
+                dl_allocations=[
+                    DlAllocation(
+                        ue_id=p.ue_id,
+                        harq_process=p.harq_process,
+                        modulation=p.modulation,
+                        prbs=p.prbs,
+                        new_data=p.new_data,
+                        tb_id=p.tb_id,
+                        retx_index=p.retx_index,
+                    )
+                    for p in dl_pdus
+                ],
+                source_phy_id=self.phy_id,
+                vran_instance_id=self.config.vran_instance_id,
             )
-            for p in ul_pdus
-        ]
-        allocations = [
-            DlAllocation(
-                ue_id=p.ue_id,
-                harq_process=p.harq_process,
-                modulation=p.modulation,
-                prbs=p.prbs,
-                new_data=p.new_data,
-                tb_id=p.tb_id,
-                retx_index=p.retx_index,
-            )
-            for p in dl_pdus
-        ]
-        cplane = CplaneMessage(
-            ru_id=cell.ru_id,
-            address=address,
-            abs_slot=abs_slot,
-            ul_grants=grants,
-            dl_allocations=allocations,
-            source_phy_id=self.phy_id,
-            vran_instance_id=self.config.vran_instance_id,
-        )
         first_tx = self._tx_jitter_ns()
         self._send_fronthaul_at(self.sim.now + first_tx, cplane, cplane.wire_bytes)
         # DL U-plane data for each allocation, paced across the early slot.
@@ -588,7 +592,6 @@ class PhyProcess(Process):
             offset += UPLANE_PACING_NS
         # Second C-plane section packet mid-slot (symbol-group sections);
         # keeps the heartbeat cadence dense within the slot.
-        mid = self._null_cplane(cell, abs_slot)
         mid_offset = TX_LEAD_NS + MID_SECTION_NS + round(
             MID_SECTION_SPREAD_US * float(self.rng.random()) * US
         )

@@ -24,8 +24,6 @@ class EgressEventPort(SwitchPort):
 
     def transmit(self, frame: EthernetFrame) -> None:
         """Send a frame out of this port toward the attached node."""
-        if self.egress is None:
-            return
         self.frames_out += 1
         self.egress.send(frame)
 
@@ -33,9 +31,11 @@ class EgressEventPort(SwitchPort):
 class EgressEventSwitch(Switch):
     """The switch with one ``_egress`` event per forwarded frame."""
 
-    def add_port(self) -> SwitchPort:
-        number = super().add_port().number
-        port = self._ports[number] = EgressEventPort(self, number)
+    def attach(self, endpoint, *args, **kwargs) -> SwitchPort:
+        cabled = super().attach(endpoint, *args, **kwargs)
+        port = self._ports[cabled.number] = EgressEventPort(self, cabled.number)
+        port.ingress_link, port.egress = cabled.ingress_link, cabled.egress
+        port.ingress_link.endpoint = port
         return port
 
     def ingress(self, frame: EthernetFrame, in_port: int) -> None:

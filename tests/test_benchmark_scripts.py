@@ -53,7 +53,7 @@ def test_pop_census_attributes_every_event():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stdout + result.stderr
-    *rows, total, calls, collector = result.stdout.splitlines()
+    *rows, total, cancelled, calls, collector = result.stdout.splitlines()
     assert rows[0].startswith("# pop census: fleet_idle_wave seed 1 smoke")
     assert rows[1].startswith("# host: ") and rows[2].startswith("callback kind")
     row = re.compile(r"(\S.*?) +(\d+) +(\d+\.\d\d) +(\d+\.\d) +(\d+\.\d\d)")
@@ -68,6 +68,7 @@ def test_pop_census_attributes_every_event():
         r"events (\d+) == events_processed delta (\d+) \(\d+\.\d /cell-slot\)", total
     ).groups()
     assert int(attributed) == int(delta) == sum(int(m.group(2)) for m in parsed) > 0
+    assert re.fullmatch(r"cancelled skipped \d+ \(\d+\.\d\d /cell-slot\)", cancelled)
     assert re.fullmatch(r"calls /cell-slot: python \d+\.\d c \d+\.\d", calls)
     assert re.fullmatch(
         r"collector: gen0 \d+ \(\d+ reclaimed\) gen1 \d+ \(\d+ reclaimed\) "
@@ -101,7 +102,7 @@ def test_pop_census_by_role_splits_every_kind():
     assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",
             "dormant PhyProcess._slot_tick",
             "dormant _ServiceQueue._complete -> L2SideOrion._route_response",
-            "other RadioUnit._slot_boundary"} <= kinds
+            "other RadioUnit._process_slot"} <= kinds
     # A dormant standby's C-plane sends and inbound nulls pop nothing;
     # its completion and its watchdog occurrence stay events.
     assert not {"dormant PhyProcess._send_fronthaul_now",

@@ -315,15 +315,20 @@ class TestCensusMutants:
 
     @pytest.fixture(scope="class")
     def reference(self, base):
-        """The unmutated replay's digest: the recorded chaos baseline."""
-        digest = self._replay(base.restore())
-        assert digest == _chaos_baseline()[("crash", 1)]
-        return digest
+        """The unmutated replay's digest (the recorded chaos baseline)
+        and counters."""
+        replayed = self._replay(base.restore())
+        assert replayed[0] == _chaos_baseline()[("crash", 1)]
+        return replayed
 
     @staticmethod
     def _replay(root):
+        """The replay's trace digest and its record's counters: a reset
+        detector tick count moves ``core.detector.ticks_processed`` and
+        nothing the trace holds."""
         drive_to(root, RUN_END_NS)
-        return judge_execution(scenario_by_name()["crash"], 1, root).digest
+        run = judge_execution(scenario_by_name()["crash"], 1, root)
+        return run.digest, run.counters
 
     @staticmethod
     def _reduce(cls, monkeypatch, edit):

@@ -17,29 +17,34 @@ model — the convention the deadline-driven detector hard-codes.
 
 A heartbeat applies no tick: it writes its zero and records the PHY's
 *lag*, which the next sync (the deadline event, ``counters``, ``stats``,
-``set_monitor``) leaves out of that PHY's share. The generated schedules
-therefore land heartbeats between syncs, interleave all three kinds of
-read, and put operations on the exact nanosecond of a grid tick, of a
-grid's origin and inside the last microsecond before a tick (where the
-deadline a read arms pops *after* a coincident heartbeat);
+``set_monitor``) leaves out of that PHY's share, and moves the deadline
+to the PHY's saturation tick. The generated schedules therefore land
+heartbeats between syncs, interleave all three kinds of read, and put
+operations on the exact nanosecond of a grid tick, of a grid's origin
+and inside the last microsecond before a tick (where the deadline a read
+arms pops *after* a coincident heartbeat);
 ``test_corpus_reaches_the_lag_cases`` counts each. ``TestMutantsAreCaught``
-applies three one-line mutants to the live detector and requires the
-schedules to tell each from the per-tick model. Census (of the 8 named
-lag schedules + the 12 FIFO corpus seeds, how many differ from the model):
+applies five one-line mutants to the live detector and requires the
+schedules to tell each from the per-tick model, or the placement pin
+(``placed_after_each_heartbeat``: a healthy window pops no deadline, and
+each heartbeat leaves exactly one on tick applied + lag + threshold) to
+fail. Census (of the 8 named lag schedules + the 12 FIFO corpus seeds,
+how many differ from the model; and the pin):
 
-* ``lag_not_cleared_at_sync`` — 4 named + 12 generated;
+* ``lag_not_cleared_at_sync`` — 3 named + 12 generated;
 * ``zero_swallows_the_saturating_tick`` (a heartbeat that finds the
   deadline still queued at its own nanosecond records a lag instead of
   applying the tick first) — 1 named + 11 generated;
+* ``moved_without_the_tick_first`` (that heartbeat records nothing and
+  moves the deadline past the tick) — 1 named + 11 generated;
 * ``lag_recorded_at_the_origin`` (tick 0, still to come, counted as
-  elapsed) — 1 named + 1 generated.
+  elapsed) — 1 named + 1 generated;
+* ``target_ignores_the_lag`` (the deadline a heartbeat moves is early by
+  the lag) — the pin only: an early deadline pops, applies its tick and
+  re-derives itself, so no outcome differs.
 
-ISSUE 22 named two other mutants — lag not added in
-``_ticks_to_saturation``, a stale lag kept on an already-applied tick —
-that have no live line here: ``_arm`` derives its target right after a
-sync, when the lag map is empty (and a target without the lag is early,
-never late), and a heartbeat always overwrites its own entry. The two
-above are the nearest lines that exist.
+A stale lag kept on an already-applied tick has no live line: a
+heartbeat always overwrites its own entry.
 """
 
 from dataclasses import asdict
@@ -615,6 +620,14 @@ MUTANTS = {
     # A heartbeat at the origin counts tick 0, still to come, as elapsed,
     # and its zero covers it.
     "lag_recorded_at_the_origin": ("on_heartbeat", "elif elapsed:", "else:"),
+    # A heartbeat moves the deadline to a target without its lag: early,
+    # never late, so only the placement pin tells it from the model.
+    "target_ignores_the_lag": (
+        "_follow", "lag.get(phy_id, 0) + self._threshold", "self._threshold"
+    ),
+    # A heartbeat that meets the deadline queued at its own nanosecond
+    # moves it without applying that tick first.
+    "moved_without_the_tick_first": ("on_heartbeat", "self._sync()", "pass"),
 }
 
 
@@ -635,7 +648,7 @@ def named_schedules():
 
 class TestMutantsAreCaught:
     def test_unmutated_code_passes_the_same_loop(self):
-        assert self.caught() == (0, 0)
+        assert self.caught() == (0, 0, 0)
 
     @pytest.mark.parametrize("name", sorted(MUTANTS))
     def test_mutant(self, name, monkeypatch):
@@ -649,7 +662,8 @@ class TestMutantsAreCaught:
 
     @staticmethod
     def caught():
-        """(named, generated) schedules on which the two models differ."""
+        """(named, generated) schedules on which the two models differ,
+        and 1 if the deadline is misplaced after a healthy heartbeat."""
         named = 0
         for case in named_schedules():
             try:
@@ -661,7 +675,11 @@ class TestMutantsAreCaught:
             schedule, end_ns = generated_schedule(seed, coincide=True)
             eager = Rig(EagerMiddlebox).run(schedule, end_ns)
             generated += Rig(FronthaulMiddlebox).run(schedule, end_ns) != eager
-        return named, generated
+        try:
+            placed_after_each_heartbeat()
+        except AssertionError:
+            return named, generated, 1
+        return named, generated, 0
 
 
 # ----------------------------------------------------------------------
@@ -707,8 +725,8 @@ def test_the_watchdog_catches_a_hang_at_every_phase(warm_phases):
 class TestDeadlineEvent:
     def test_healthy_heartbeats_cost_a_handful_of_events(self):
         """Heartbeats every 100 us for 45 ms: the eager model pops 5000
-        ticks, the deadline model a few hundred re-derivations — and the
-        modelled tick count is the same."""
+        ticks, the deadline model none, since each heartbeat moves it —
+        and the modelled tick count is the same."""
         schedule = [(LEAD_NS, ("mon", 0, True))] + [
             (100 * US * k + 1, ("hb", 0)) for k in range(1, 450)
         ]
@@ -716,16 +734,42 @@ class TestDeadlineEvent:
         assert lazy.run(schedule, 45_000 * US) == eager.run(schedule, 45_000 * US)
         ops = 2 * len(schedule)
         assert eager.sim.events_processed - ops == 5001
-        assert lazy.sim.events_processed - ops <= 150
+        assert lazy.sim.events_processed - ops == 0
         assert lazy.mbox.detector.stats.ticks_processed == 5001
 
-    def test_heartbeats_never_touch_the_deadline_event(self):
-        rig = Rig(FronthaulMiddlebox)
-        rig.mbox.detector.set_monitor(0, True)
-        rig.sim.run_until(100 * US)
-        pending = rig.mbox.detector._deadline
-        for k in range(20):
-            rig.sim.run_until(100 * US + k * 1_000)
-            rig.mbox.detector.on_heartbeat(0, rig.sim.now)
-        assert rig.mbox.detector._deadline is pending
-        assert len(rig.sim._queue) == 1
+    def test_the_deadline_follows_each_heartbeat(self):
+        placed_after_each_heartbeat()
+
+
+#: Heartbeat gaps in ns: inside a tick period, onto grid instants, across
+#: many ticks, up to the longest that can never saturate.
+HEALTHY_GAPS = (
+    1_000, 37_000, PERIOD_NS, 120_000, PERIOD_NS - 1, (THRESHOLD - 1) * PERIOD_NS,
+    5 * PERIOD_NS + 1, 393_000, 3_000, 250_000,
+)
+
+
+def placed_after_each_heartbeat():
+    """A healthy monitored window: PHY 0 heartbeats at every gap above,
+    some gaps with a ``stats`` read in them. The deadline never pops, and
+    after each heartbeat exactly one live event is queued — the deadline,
+    on tick applied + lag + threshold, the PHY's saturation tick (the
+    tick count at the heartbeat plus the threshold)."""
+    rig = Rig(FronthaulMiddlebox)
+    detector = rig.mbox.detector
+    detector.set_monitor(0, True)
+    now = 0
+    for index, gap in enumerate(HEALTHY_GAPS * 3):
+        if index % 4 == 1:
+            rig.sim.run_until(now + gap // 2)
+            detector.stats
+        now += gap
+        rig.sim.run_until(now)
+        detector.on_heartbeat(0, now)
+        live = [entry for entry in rig.sim._queue if entry[3] is not None]
+        assert live == [detector._deadline], (index, live)
+        target = detector._ticks_applied + detector._lag.get(0, 0) + THRESHOLD
+        assert live[0][4] == (target,), (index, live[0])
+        assert live[0][0] == tick(now // PERIOD_NS + THRESHOLD), (index, live[0])
+    assert rig.sim.events_processed == 0
+    assert rig.outcome()["detections"] == []

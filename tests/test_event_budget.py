@@ -5,7 +5,10 @@ driven for 100 ms and every popped event is attributed to the component
 and callback that own it. Four things are pinned:
 
 * the engine pops at most ``MAX_EVENTS_PER_SLOT`` events per slot
-  (41.2 measured since each PHY schedules its uplink completion only in
+  (38.2 measured since the detector's deadline follows each heartbeat
+  and the RU's slot is one event; 41.2 while the deadline popped about
+  twice a slot and the RU once more at each slot boundary, since each
+  PHY schedules its uplink completion only in
   the uplink slot, one in five; 42.8 while both PHYs popped one every
   slot; 40.8 plus 15 % when first set; 42.8 since the dormant standby's
   completion and watchdog occurrence are events again, 54.8 while its
@@ -19,11 +22,13 @@ and callback that own it. Four things are pinned:
   anything. A component that needs a finer clock has to evaluate it
   arithmetically between events, the way the failure detector does;
 * exactly ``PERIODIC_PER_SLOT`` of a slot's events are occurrences of a
-  ``schedule_periodic`` series (22 % of the measured 41.2; the dormant
+  ``schedule_periodic`` series (24 % of the measured 38.2; the dormant
   standby's Orion watchdog is one) — the census on which
   periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (458.7 measured since an event is its heap entry, with no
+  slot (416.9 measured since the deadline and the RU's slot boundary
+  stopped popping, a slot's TDD type is a table read and a null slot
+  builds one C-plane; 458.7 since an event is its heap entry, with no
   ``EventHandle`` to build, and D / S slots have no uplink completion;
   505.2 plus 5 % when first set, 518.5 measured then; 526.2 with a
   per-bit demodulator and a Generator per payload, 548.2 with the
@@ -36,19 +41,23 @@ and callback that own it. Four things are pinned:
 
 A bulk-TCP slot is pinned the same way: one UE at ~17 dB carrying
 ``TcpIperfDownlink``, warmed past slow start and its first recovery, pops
-exactly ``TCP_EVENTS`` events in the window (75.8 a slot; 77.4 while both
+exactly ``TCP_EVENTS`` events in the window (72.8 a slot; 75.8 while the
+detector's deadline and the RU's slot boundary popped; 77.4 while both
 PHYs popped an uplink completion in D / S slots too, 75.4 while the
 dormant standby's completion and watchdog were elided too, 89.4 with the
 standby forced awake) and enters at most
-``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (887.3 measured since
-list heap entries and uplink-slot-only completions; 995.5 plus 5 % when
+``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (853.3 measured since
+the deadline follows the heartbeat and the RU's slot is one event; 887.3
+since list heap entries and uplink-slot-only completions; 995.5 plus 5 % when
 first set; 1,019.3 with a per-bit demodulator and a Generator per payload,
 1,041.3 with the nulls sent, 1,117.7 before; 1,478.4 with a clock property, a label string per event, lambda
 id factories and property-sized PDUs — DESIGN §9 "Bulk TCP slot: cost
 model"), so frames cannot be traded for events.
 
 A 16-cell idle fleet pops at most ``MAX_FLEET_EVENTS_PER_CELL_SLOT``
-events per cell-slot (37.7 measured since completions are confined to
+events per cell-slot (34.7 measured since the detector's deadline
+follows each heartbeat and the RU's slot is one event; 37.7 since
+completions are confined to
 uplink slots; 37.3 plus 15 % when first set, 39.3 measured then; 51.3
 with every standby forced awake).
 """
@@ -65,16 +74,16 @@ from repro.sim.units import MS
 
 WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
-MAX_EVENTS_PER_SLOT = 42
+MAX_EVENTS_PER_SLOT = 39
 PERIODIC_PER_SLOT = 9
-MAX_CALLS_PER_SLOT = 470
+MAX_CALLS_PER_SLOT = 427
 #: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
-TCP_EVENTS = 15_164
-MAX_CALLS_PER_TCP_SLOT = 910
+TCP_EVENTS = 14_565
+MAX_CALLS_PER_TCP_SLOT = 875
 FLEET_CELLS = 16
-MAX_FLEET_EVENTS_PER_CELL_SLOT = 38
+MAX_FLEET_EVENTS_PER_CELL_SLOT = 35
 
 
 def _python_calls(sim, window_ns, skip=None):

@@ -51,10 +51,14 @@ GOLDEN_DIGESTS = {
 #: primary's loss watchdog stops at its first tick after the crash
 #: (``PhySideOrion``). A PHY pops an uplink completion only in uplink
 #: slots (102,503 / 82,944 / 102,998 while it popped one every slot).
+#: The detector's deadline follows each heartbeat, so it pops only to
+#: detect, and the RU's slot is one event at its control deadline
+#: (99,633 / 80,394 / 100,912 while the deadline popped 4,734 / 3,949 /
+#: 3,355 times and the RU's slot boundary 2,400 / 2,000 / 1,700).
 GOLDEN_EVENTS = {
-    "fig9": 99_633,
-    "fig10_smoke": 80_394,
-    "fig10_tcp_dl": 100_912,
+    "fig9": 92_500,
+    "fig10_smoke": 74_446,
+    "fig10_tcp_dl": 95_858,
 }
 
 

@@ -21,7 +21,7 @@ egress link could see, and what a tie may still legitimately decide (which
 of two equal-sized frames is serialized first) is compared order-free, the
 ``tie_free`` idiom of ``test_detector_deadline.py``.
 
-The last class applies three one-line mutants to the live code and
+The last class applies four one-line mutants to the live code and
 requires the corpus to tell each from the fixture.
 """
 
@@ -80,8 +80,9 @@ class Schedule:
     index: int
     #: (bandwidth_bps, latency_ns) of attached port 0, 1, ...
     ports: Tuple[Tuple[float, int], ...]
-    #: A port that exists but was never cabled.
-    dark_port: int
+    #: A cabled port that no operation sends into and no MAC-table entry
+    #: names: only stray scripted frames leave by it.
+    spare_port: int
     notify_port: int
     #: Egress port -> fault specs of its impaired link.
     impaired: Tuple[Tuple[int, Tuple[LinkFaultSpec, ...]], ...]
@@ -202,7 +203,7 @@ def generate_schedules(count: int = SCHEDULES):
         schedules.append(Schedule(
             index=index,
             ports=tuple(ports),
-            dark_port=n,
+            spare_port=n,
             notify_port=notify_port,
             impaired=tuple(impaired),
             ops=tuple(ops),
@@ -257,7 +258,8 @@ class Rig:
         for number, (bandwidth, latency) in enumerate(schedule.ports):
             self.switch.attach(Sink(self, number), bandwidth, latency, name=f"n{number}")
             pipeline.mac_table[mac_of(number)] = number
-        assert self.switch.add_port().number == schedule.dark_port
+        spare = self.switch.attach(Sink(self, schedule.spare_port), name="spare")
+        assert spare.number == schedule.spare_port
         self.mbox.set_notification_target(
             mac_of(schedule.notify_port), schedule.notify_port
         )
@@ -291,7 +293,7 @@ class Rig:
         ports = [self.switch.port(number) for number in self.switch.port_numbers()]
         links = [
             link
-            for port in ports if port.egress is not None
+            for port in ports
             for link in (port.ingress_link, port.egress)
         ]
         return {
@@ -417,6 +419,15 @@ MUTANTS = {
         "send",
         "start = ready_at\n",
         "start = ready_at if self._line_free_at <= start else start\n",
+    ),
+    # A frame the pipeline drops (the stray frames that name no port)
+    # goes uncounted: every port is cabled, so this is where a dropped
+    # frame lives.
+    "drop_not_counted": (
+        Switch,
+        "ingress",
+        "if not decision.out_ports:",
+        "if False:",
     ),
     # The impairment hook runs at ingress, before the frame is at the link.
     "impaired_link_not_deferred": (
