@@ -11,10 +11,14 @@ window twice, on two identical deployments:
 * a **timed** pass with ``Simulator._pop`` wrapped from outside: the wall
   between one pop returning and the next pop being asked for is the
   popped callback's, attributed to its kind — owner class · method, with
-  ``Link._deliver``, ``ShmChannel._deliver`` and ``_ServiceQueue._complete``
+  the carriers ``ShmChannel._deliver`` and ``ServerNic.receive_frame``
   split by the consumer they hand to; ``gc.callbacks`` times CPython's
   cyclic collector over the same window (collections per generation and
-  their share of the window's wall, DESIGN §9 "Collector: cost model");
+  their share of the window's wall, DESIGN §9 "Collector: cost model").
+  The window runs in the benchmark's chunks, and each chunk's walls are
+  scaled by the calibration loop timed right before it
+  (``bench/worker.calibration_work``) to the reference host's speed, as
+  ``bench/metrics.quiet_wall_s`` scales a run;
   ``--by-role`` prefixes each kind with the role, at pop time, of the
   PHY server the event works for (below); the cancelled entries each
   pop skipped (``sim._cancelled_in_queue`` before and after it) are the
@@ -31,8 +35,9 @@ census before any fleet-speed direction is taken; DESIGN §9 "Healthy slot: cost
 model" quotes its table and "Collector: cost model" its collector line.
 
 A PHY server's events are those of its PHY, its PHY-side Orion, their
-SHM channels and its NIC, every frame from or to one of its MACs, and
-the L2-side ``_route_response`` of its datagrams. Its role is read from
+SHM channels and its NIC, every frame delivery whose frame is from or to
+one of its MACs, and the L2-side ``_route_response`` of its datagrams.
+Its role is read from
 its cell's L2-side Orion when the event pops, since a failover swaps
 them: ``active`` (a primary), ``standby`` (a secondary), ``dormant`` (a
 secondary whose slots run evaluated, ``core/standby.py``) or ``retired``
@@ -58,8 +63,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402  (bench/workloads.py)
+from metrics import CALIBRATION_REF_NS  # noqa: E402  (bench/metrics.py)
+from worker import calibration_work  # noqa: E402  (bench/worker.py)
 
 from repro.core.standby import Sleeper  # noqa: E402
+from repro.net.packet import EtherType  # noqa: E402
 from repro.phy.process import PhyProcess  # noqa: E402
 from repro.sim.engine import Simulator  # noqa: E402
 
@@ -67,7 +75,7 @@ SLOT_NS = 500 * workloads.US
 
 
 def callback_kind(entry: List[Any]) -> str:
-    """``Owner.method`` of a popped heap entry (``[time, tie, seq,
+    """``Owner.method`` of a popped queue entry (``[time, tie, seq,
     callback, args, periodic]``); a carrier — its cost belongs to whoever
     it hands the work to — is split by that consumer."""
     callback = entry[3]
@@ -75,11 +83,12 @@ def callback_kind(entry: List[Any]) -> str:
     if owner is None:
         return getattr(callback, "__qualname__", repr(callback))
     kind = f"{type(owner).__name__}.{callback.__name__}"
-    if kind == "_ServiceQueue._complete":
-        action = entry[4][0]
-        return f"{kind} -> {type(action.__self__).__name__}.{action.__name__}"
-    if kind in ("Link._deliver", "ShmChannel._deliver"):
+    if kind == "ShmChannel._deliver":
         return f"{kind} -> {type(owner.endpoint).__name__}"
+    if kind == "ServerNic.receive_frame":
+        frame = entry[4][0]
+        consumer = owner.phy if frame.ethertype == EtherType.ECPRI else owner.orion
+        return f"{kind} -> {type(consumer).__name__}"
     return kind
 
 
@@ -90,14 +99,14 @@ class RoleMap:
     def __init__(self, cells: List[Any]) -> None:
         self.cells = cells
         self.server_of: Dict[int, Tuple[int, int]] = {}  # id(object) -> (cell, phy)
-        self.cell_of: Dict[int, int] = {}  # id(link or L2-side Orion) -> cell
+        self.cell_of: Dict[int, int] = {}  # id(endpoint or L2-side Orion) -> cell
         self.mac_phy: Dict[Tuple[int, Any], int] = {}  # (cell, MAC) -> phy
         for index, cell in enumerate(cells):
             self.cell_of[id(cell.l2_orion)] = index
             for number in cell.switch.port_numbers():
                 port = cell.switch.port(number)
-                self.cell_of[id(port.egress)] = index
-                self.cell_of[id(port.ingress_link)] = index
+                self.cell_of[id(port)] = index
+                self.cell_of[id(port.egress.endpoint)] = index
             for node in cell.phy_servers:
                 for part in (node.phy, node.orion, node.nic,
                              node.orion.shm_to_phy, node.phy.fapi_tx):
@@ -117,12 +126,9 @@ class RoleMap:
         callback = entry[3]
         owner = getattr(callback, "__self__", None)
         server = self.server_of.get(id(owner))
-        if server is None and type(owner).__name__ == "_ServiceQueue":
-            action, args = entry[4]
-            server = self.server_of.get(id(action.__self__))
-            if server is None and action.__name__ == "_route_response":
-                server = (self.cell_of[id(action.__self__)], args[0].phy_id)
-        elif server is None and type(owner).__name__ == "Link":
+        if server is None and callback.__name__ == "_route_response":
+            server = (self.cell_of[id(owner)], entry[4][0].phy_id)
+        elif server is None and callback.__name__ == "receive_frame":
             cell = self.cell_of[id(owner)]
             frame = entry[4][0]
             phy = self.mac_phy.get((cell, frame.src), self.mac_phy.get((cell, frame.dst)))
@@ -141,12 +147,13 @@ def _window(name: str, seed: int, smoke: bool) -> Tuple[Any, Dict[str, Any]]:
 def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict[str, Any]:
     """Events and callback wall per kind (per role and kind with
     ``by_role``) over the measured window, and the collections the
-    window ran."""
+    window ran; walls in reference-host nanoseconds (module notes)."""
     deployment, plan = _window(name, seed, smoke)
     sim = deployment.sim
     role_of = RoleMap(deployment.cells) if by_role else None
     events: Counter = Counter()
-    wall_ns: Counter = Counter()
+    wall_ns: Counter = Counter()  # Reference-host ns, summed over chunks ...
+    chunk_wall_ns: Counter = Counter()  # ... of the chunk's measured ns.
     collections: Counter = Counter()  # generation -> collections ...
     collected: Counter = Counter()  # ... -> objects they reclaimed
     gc_ns = 0
@@ -164,7 +171,7 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         nonlocal running, started, skipped
         asked = clock()
         if running is not None:
-            wall_ns[running] += asked - started
+            chunk_wall_ns[running] += asked - started
         cancelled = self._cancelled_in_queue
         entry = inner_pop(self, limit)
         skipped += cancelled - self._cancelled_in_queue
@@ -202,13 +209,27 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
     Simulator._pop = census_pop
     PhyProcess._dormant_slot = counting_dormant_slot
     Sleeper.book = counting_book
-    gc.callbacks.append(on_collect)
-    window_started = clock()
+    window_ns = 0.0
     try:
-        sim.run_until(plan["end_ns"])
+        for end in deployment.chunk_ends():
+            calibration_work()  # Untimed: refills the caches the chunk evicted.
+            calibrated = clock()
+            calibration_work()
+            scale = CALIBRATION_REF_NS / (clock() - calibrated)
+            gc_before = gc_ns
+            gc.callbacks.append(on_collect)  # The chunk's collections only.
+            chunk_started = clock()
+            try:
+                sim.run_until(end)
+            finally:
+                chunk_ns = clock() - chunk_started
+                gc.callbacks.remove(on_collect)
+            window_ns += chunk_ns * scale
+            gc_ns = gc_before + (gc_ns - gc_before) * scale
+            for kind, wall in chunk_wall_ns.items():
+                wall_ns[kind] += wall * scale
+            chunk_wall_ns.clear()
     finally:
-        window_ns = clock() - window_started
-        gc.callbacks.remove(on_collect)
         Sleeper.book = inner_book
         PhyProcess._dormant_slot = inner_dormant_slot
         Simulator._pop = inner_pop

@@ -44,7 +44,7 @@ from repro.fronthaul.air import AirInterface
 from repro.fronthaul.ru import RadioUnit
 from repro.l2.mac import L2Process
 from repro.net.addresses import MacAddress, MacAllocator
-from repro.net.link import Link
+from repro.net.link import ServerNic
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.switch import Switch
 from repro.phy.channel import UeChannelModel
@@ -64,39 +64,18 @@ EDGE_LINK_LATENCY_NS = 1_000
 FRONTHAUL_LATENCY_NS = 25_000
 
 
-class ServerNic:
-    """One server's NIC: demultiplexes ingress frames to local processes.
-
-    Fronthaul (eCPRI) frames go to the PHY process; everything else
-    (Orion datagrams, Slingshot notifications) goes to the Orion process.
-    The builder sets both before the first event; the L2 server's NIC
-    has no PHY.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.phy: Optional[PhyProcess] = None
-        self.orion: "PhySideOrion | L2SideOrion"
-
-    def receive_frame(self, frame: EthernetFrame, ingress: Link) -> None:
-        if frame.ethertype == EtherType.ECPRI:
-            if self.phy is not None:
-                self.phy.receive_frame(frame, ingress)
-        else:
-            self.orion.receive_frame(frame, ingress)
-
-
 @dataclass
 class PhyServerNode:
-    """A PHY server: PHY process + PHY-side Orion + NIC."""
+    """A PHY server: PHY process + NIC and, in a Slingshot cell, its
+    PHY-side Orion (a baseline PHY answers its L2 over SHM)."""
 
     phy_id: int
     phy: PhyProcess
-    orion: PhySideOrion
     nic: ServerNic
     phy_mac: MacAddress
-    orion_mac: MacAddress
     port: int
+    orion: Optional[PhySideOrion] = field(default=None, init=False)
+    orion_mac: Optional[MacAddress] = field(default=None, init=False)
 
 
 @dataclass
@@ -277,9 +256,8 @@ class _Wiring:
     def phy_server(
         self, phy_id: int, decoder_iterations: int, vran_instance_id: int
     ) -> PhyServerNode:
-        """One PHY server: PHY + PHY-side Orion + NIC + switch port."""
+        """One PHY server: PHY + NIC + switch port."""
         phy_mac = self.macs.allocate()
-        orion_mac = self.macs.allocate()
         nic = ServerNic(name=f"phy-server{phy_id}")
         port = self.switch.attach(
             nic,
@@ -302,28 +280,30 @@ class _Wiring:
             trace=self.trace,
             name=f"phy{phy_id}",
         )
-        orion = PhySideOrion(
-            sim=self.sim, phy_id=phy_id, mac=orion_mac,
-            slot_clock=self.slot_clock, trace=self.trace,
-            name=f"orion-phy{phy_id}",
-        )
-        orion.uplink = port.ingress_link
-        # SHM pair between the local Orion and PHY.
-        orion.shm_to_phy = ShmChannel(self.sim, phy, name=f"shm-orion{phy_id}->phy")
-        phy.fapi_tx = ShmChannel(self.sim, orion, name=f"shm-phy{phy_id}->orion")
         nic.phy = phy
-        nic.orion = orion
         self.middlebox.register_phy(phy_id, phy_mac, port.number)
-        self.middlebox.register_l2_host(orion_mac, port.number)
         return PhyServerNode(
-            phy_id=phy_id,
-            phy=phy,
-            orion=orion,
-            nic=nic,
-            phy_mac=phy_mac,
-            orion_mac=orion_mac,
-            port=port.number,
+            phy_id=phy_id, phy=phy, nic=nic, phy_mac=phy_mac, port=port.number
         )
+
+    def phy_side_orion(self, node: PhyServerNode) -> None:
+        """A Slingshot PHY server's Orion: behind its NIC, on an SHM pair
+        with its PHY."""
+        node.orion_mac = self.macs.allocate()
+        node.orion = orion = PhySideOrion(
+            sim=self.sim, phy_id=node.phy_id, mac=node.orion_mac,
+            slot_clock=self.slot_clock, trace=self.trace,
+            name=f"orion-phy{node.phy_id}",
+        )
+        orion.uplink = node.phy.uplink
+        orion.shm_to_phy = ShmChannel(
+            self.sim, node.phy, name=f"shm-orion{node.phy_id}->phy"
+        )
+        node.phy.fapi_tx = ShmChannel(
+            self.sim, orion, name=f"shm-phy{node.phy_id}->orion"
+        )
+        node.nic.orion = orion
+        self.middlebox.register_l2_host(node.orion_mac, node.port)
 
     def l2_process(self, cell_id: int, name: str) -> L2Process:
         return L2Process(
@@ -449,9 +429,9 @@ def build_slingshot_cell(
         iterations = config.phy_decoder_iterations
         if phy_id == 1 and config.secondary_decoder_iterations is not None:
             iterations = config.secondary_decoder_iterations
-        phy_servers.append(
-            wiring.phy_server(phy_id, iterations, vran_instance_id=1)
-        )
+        node = wiring.phy_server(phy_id, iterations, vran_instance_id=1)
+        wiring.phy_side_orion(node)
+        phy_servers.append(node)
     # L2 server: one L2 process per RU behind one L2-side Orion.
     l2_orion_mac = wiring.macs.allocate()
     l2_nic = ServerNic(name="l2-server")

@@ -48,10 +48,14 @@ from repro.net.addresses import MacAddress
 from repro.net.p4.registers import RegisterArray
 from repro.net.p4.tables import MatchActionTable
 from repro.net.packet import EtherType, EthernetFrame
-from repro.net.switch import ForwardingDecision, Switch
+from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
 
+
+#: A forwarding decision: the egress port and the frame to send there,
+#: or None to drop the frame.
+Forward = Optional[Tuple[int, EthernetFrame]]
 
 #: RUs the pipeline's directories and per-RU registers hold (its PHY
 #: directories hold the detector's ``MAX_PHYS``).
@@ -171,11 +175,11 @@ class FronthaulMiddlebox:
         self.notification_target = (mac, port)
 
     # ------------------------------------------------------------------
-    # Pipeline (SwitchPipeline protocol)
+    # Pipeline (the switch's ``process`` call)
     # ------------------------------------------------------------------
     def process(
         self, frame: EthernetFrame, in_port: int, switch: Switch
-    ) -> ForwardingDecision:
+    ) -> Forward:
         if frame.ethertype == EtherType.ECPRI:
             return self._process_fronthaul(frame, in_port)
         if frame.ethertype == EtherType.SLINGSHOT:
@@ -185,14 +189,14 @@ class FronthaulMiddlebox:
     # --- Fronthaul ----------------------------------------------------
     def _process_fronthaul(
         self, frame: EthernetFrame, in_port: int
-    ) -> ForwardingDecision:
+    ) -> Forward:
         payload = frame.payload
         if isinstance(payload, (UplaneUplink, UplaneUplinkControlOnly)):
             return self._process_uplink(frame, payload)
         if isinstance(payload, (CplaneMessage, UplaneDownlink)):
             return self._process_downlink(frame, payload)
         self.stats.unknown_dropped += 1
-        return ForwardingDecision.drop(frame)
+        return None
 
     def _effective_phy(self, ru_id: int, abs_slot: int) -> int:
         """Active PHY for an RU at a given slot.
@@ -266,42 +270,42 @@ class FronthaulMiddlebox:
         self.stats.dl_filtered += count
         self.detector.note_heartbeats(phy_id, count, last_ns)
 
-    def _process_uplink(self, frame: EthernetFrame, payload) -> ForwardingDecision:
+    def _process_uplink(self, frame: EthernetFrame, payload) -> Forward:
         ru_id = self.ru_id_directory.lookup(frame.src)
         if ru_id is None:
             self.stats.unknown_dropped += 1
-            return ForwardingDecision.drop(frame)
+            return None
         phy_id = self._steer(ru_id, payload.abs_slot)
         target = self.phy_address_directory.lookup(phy_id)
         if target is None:
             self.stats.unknown_dropped += 1
-            return ForwardingDecision.drop(frame)
+            return None
         mac, port = target
         self.stats.ul_steered += 1
-        return ForwardingDecision([port], frame.copy_to(mac))
+        return port, frame.copy_to(mac)
 
-    def _process_downlink(self, frame: EthernetFrame, payload) -> ForwardingDecision:
+    def _process_downlink(self, frame: EthernetFrame, payload) -> Forward:
         src_phy = self.phy_id_directory.lookup(frame.src)
         if src_phy is None:
             self.stats.unknown_dropped += 1
-            return ForwardingDecision.drop(frame)
+            return None
         # Any downlink packet refreshes its sender's liveness counter,
         # including packets about to be filtered.
         self.detector.on_heartbeat(src_phy, self.sim.now)
         ru_id = payload.ru_id
         if src_phy != self._steer(ru_id, payload.abs_slot):
             self.stats.dl_filtered += 1
-            return ForwardingDecision.drop(frame)
+            return None
         target = self.ru_port_directory.lookup(ru_id)
         if target is None:
             self.stats.unknown_dropped += 1
-            return ForwardingDecision.drop(frame)
+            return None
         mac, port = target
         self.stats.dl_forwarded += 1
-        return ForwardingDecision([port], frame.copy_to(mac))
+        return port, frame.copy_to(mac)
 
     # --- Slingshot commands ---------------------------------------------
-    def _process_command(self, frame: EthernetFrame, in_port: int) -> ForwardingDecision:
+    def _process_command(self, frame: EthernetFrame, in_port: int) -> Forward:
         payload = frame.payload
         self.stats.commands_received += 1
         if isinstance(payload, MigrateOnSlot):
@@ -316,7 +320,7 @@ class FronthaulMiddlebox:
                     and self.last_boundary.read(payload.ru_id) == payload.slot
                 ):
                     self.stats.duplicate_commands_ignored += 1
-                    return ForwardingDecision.drop(frame)
+                    return None
                 self.mig_dest.write(payload.ru_id, payload.dest_phy_id)
                 self.mig_slot.write(payload.ru_id, payload.slot)
                 self.mig_valid.write(payload.ru_id, 1)
@@ -335,15 +339,15 @@ class FronthaulMiddlebox:
                 )
         elif isinstance(payload, SetMonitor):
             self.detector.set_monitor(payload.phy_id, payload.enabled)
-        return ForwardingDecision.drop(frame)
+        return None
 
     # --- Plain L2 fallback ----------------------------------------------
-    def _process_l2(self, frame: EthernetFrame, in_port: int) -> ForwardingDecision:
+    def _process_l2(self, frame: EthernetFrame, in_port: int) -> Forward:
         port = self.l2_table.get(frame.dst)
         if port is None or port == in_port:
             self.stats.unknown_dropped += 1
-            return ForwardingDecision.drop(frame)
-        return ForwardingDecision([port], frame)
+            return None
+        return port, frame
 
     # ------------------------------------------------------------------
     # Detection path

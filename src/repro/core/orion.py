@@ -63,7 +63,7 @@ from repro.sim.units import US
 UDP_OVERHEAD_BYTES = 46
 
 
-@dataclass
+@dataclass(init=False)
 class OrionDatagram:
     """One FAPI message in flight between two Orion processes."""
 
@@ -73,10 +73,13 @@ class OrionDatagram:
     #: True when flowing PHY -> L2 (an indication/response).
     is_response: bool
     #: On-the-wire size, fixed at construction (read 2-3 times per hop).
-    wire_bytes: int = field(init=False)
+    wire_bytes: int
 
-    def __post_init__(self) -> None:
-        self.wire_bytes = UDP_OVERHEAD_BYTES + wire_size(self.message)
+    def __init__(self, message: FapiMessage, phy_id: int, is_response: bool) -> None:
+        self.message = message
+        self.phy_id = phy_id
+        self.is_response = is_response
+        self.wire_bytes = UDP_OVERHEAD_BYTES + wire_size(message)
 
 
 # Per-process Orion tunables (service model per Fig 12).
@@ -150,12 +153,12 @@ class _ServiceQueue:
     ) -> int:
         """Queue one message; returns its completion time.
 
-        ``action(*args)`` runs at completion. The action is carried as a
-        (callable, args) pair on a bound-method event — not a closure —
-        so an in-flight queue survives a checkpoint pickle.
+        ``action(*args)`` is the completion event itself. It is a bound
+        method — not a closure — so an in-flight queue survives a
+        checkpoint pickle.
         """
         done = self.reserve(self.sim.now, size_bytes)
-        self.sim.at(done, self._complete, action, args)
+        self.sim.at(done, action, *args)
         return done
 
     def reserve(self, arrival: int, size_bytes: int) -> int:
@@ -167,9 +170,6 @@ class _ServiceQueue:
         done = start + service
         self._busy_until = done
         return done
-
-    def _complete(self, action: Callable[..., None], args: Tuple[Any, ...]) -> None:
-        action(*args)
 
 
 @dataclass
@@ -243,9 +243,7 @@ class PhySideOrion(Process):
         self._queue = _ServiceQueue(sim, self.name)
         #: SHM channel toward the local PHY, the NIC uplink into the
         #: switch, and the L2-side Orion's MAC (destination for
-        #: responses): set by the builder before the first event. The
-        #: baseline cell never sets ``l2_orion_mac``: its PHYs answer
-        #: their L2 over SHM and this Orion relays nothing.
+        #: responses): set by the builder before the first event.
         self.shm_to_phy: ShmChannel
         self.uplink: Link
         self.l2_orion_mac: MacAddress

@@ -259,14 +259,14 @@ class Sleeper:
         delivery; in the worker, its completion; in SHM, its delivery."""
         l2_line, egress = self.l2_line, self.egress
         for arrival, _, _, code in egress.take_elided():
-            sim.at(arrival, l2_line._deliver, self._frame(code))
+            sim.at(arrival, l2_line.endpoint.receive_frame, self._frame(code), l2_line)
         departed = egress.elided_departed or deque()
         while departed:
             arrival, code = departed.popleft()
-            sim.at(arrival, egress._deliver, self._frame(code))
-        queue, channel = self.orion._queue, self.orion.shm_to_phy
+            sim.at(arrival, egress.endpoint.receive_frame, self._frame(code), egress)
+        channel = self.orion.shm_to_phy
         for done, code in self.queued:
-            sim.at(done, queue._complete, self.orion._to_phy, (self._null(code),))
+            sim.at(done, self.orion._to_phy, self._null(code))
         for delivery, code in self.handed:
             channel._pending.append(self._null(code))
             sim.at(delivery, channel._deliver)
@@ -462,7 +462,7 @@ class StandbyDormancy:
             frame = phy._fronthaul_frame(
                 phy._null_cplane(cell, abs_slot), current.wire_bytes
             )
-            sim.at(arrival, link._deliver, frame)
+            sim.at(arrival, link.endpoint.receive_frame, frame, link)
         for send_ns, _, wire_bytes, abs_slot in link.take_elided():
             pending.append(sim.at(
                 send_ns, phy._send_fronthaul_now, phy._null_cplane(cell, abs_slot),

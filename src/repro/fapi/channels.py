@@ -62,4 +62,4 @@ class ShmChannel:
         self.sim.schedule(self.latency_ns, self._deliver)
 
     def _deliver(self) -> None:
-        self.endpoint.receive_fapi(self._pending.popleft(), channel=self)
+        self.endpoint.receive_fapi(self._pending.popleft(), self)

@@ -7,14 +7,13 @@ with latency and serialization delay, switch ports, and a programmable
 fronthaul middlebox is built.
 """
 
-from repro.net.addresses import MacAddress, BROADCAST_MAC
+from repro.net.addresses import MacAddress
 from repro.net.packet import EtherType, EthernetFrame
 from repro.net.link import Link, NetworkEndpoint
 from repro.net.switch import Switch, SwitchPort
 
 __all__ = [
     "MacAddress",
-    "BROADCAST_MAC",
     "EtherType",
     "EthernetFrame",
     "Link",

@@ -2,40 +2,30 @@
 
 Fronthaul packets in O-RAN split 7.2x deployments are raw Ethernet frames
 addressed by MAC; Slingshot's virtual-PHY-address scheme (§5.1 of the
-paper) rewrites destination MACs in the switch data plane. A tiny value
-type keeps addresses hashable, comparable, and printable.
+paper) rewrites destination MACs in the switch data plane. An address is
+an ``int``, so the tables keyed by it hash and compare in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True, order=True)
-class MacAddress:
+class MacAddress(int):
     """A 48-bit Ethernet MAC address."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << 48):
-            raise ValueError(f"MAC address out of range: {self.value:#x}")
+    def __new__(cls, value: int) -> "MacAddress":
+        if not 0 <= value < (1 << 48):
+            raise ValueError(f"MAC address out of range: {value:#x}")
+        return super().__new__(cls, value)
 
     def __str__(self) -> str:
         """``aa:bb:cc:dd:ee:ff`` rendering."""
-        octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]
-        return ":".join(f"{octet:02x}" for octet in octets)
+        return ":".join(f"{(self >> shift) & 0xFF:02x}" for shift in range(40, -8, -8))
 
-    def __int__(self) -> int:
-        return self.value
+    def __repr__(self) -> str:
+        return f"MacAddress({int(self):#x})"
 
-    def __hash__(self) -> int:
-        # The generated hash builds a one-element tuple per table lookup.
-        return hash(self.value)
-
-
-#: The all-ones broadcast address.
-BROADCAST_MAC = MacAddress((1 << 48) - 1)
 
 #: The allocator's OUI: the 0x02 prefix is locally administered, unicast.
 OUI = 0x02_00_00

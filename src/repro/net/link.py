@@ -1,4 +1,5 @@
-"""Point-to-point links with latency and serialization delay.
+"""Point-to-point links with latency and serialization delay, and the
+server NIC at a link's far end.
 
 Each link direction models: serialization at the sender's line rate,
 fixed propagation/processing latency, and FIFO ordering. The fronthaul
@@ -11,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Protocol, Tuple
 
-from repro.net.packet import EthernetFrame
+from repro.net.packet import EtherType, EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.units import SECOND
 
@@ -21,6 +22,28 @@ class NetworkEndpoint(Protocol):
 
     def receive_frame(self, frame: EthernetFrame, ingress: "Link") -> None:
         """Handle an arriving frame. ``ingress`` identifies the delivering link."""
+
+
+class ServerNic:
+    """One server's NIC: demultiplexes ingress frames to local processes.
+
+    Fronthaul (eCPRI) frames go to the PHY process; everything else
+    (Orion datagrams, Slingshot notifications) goes to the Orion process.
+    The builder sets both before the first event; the L2 server's NIC
+    has no PHY.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.phy: Optional[NetworkEndpoint] = None
+        self.orion: NetworkEndpoint
+
+    def receive_frame(self, frame: EthernetFrame, ingress: "Link") -> None:
+        if frame.ethertype == EtherType.ECPRI:
+            if self.phy is not None:
+                self.phy.receive_frame(frame, ingress)
+        else:
+            self.orion.receive_frame(frame, ingress)
 
 
 class LinkImpairmentHook(Protocol):
@@ -147,9 +170,9 @@ class Link:
         impairment = self.impairment
         if impairment is not None and sim.now >= impairment.active_from_ns:
             for when, delivered in impairment.on_transmit(self, frame, arrival):
-                sim.at(when, self._deliver, delivered)
+                sim.at(when, self.endpoint.receive_frame, delivered, self)
             return arrival
-        sim.at(arrival, self._deliver, frame)
+        sim.at(arrival, self.endpoint.receive_frame, frame, self)
         return arrival
 
     # ------------------------------------------------------------------
@@ -220,9 +243,6 @@ class Link:
     def _send_deferred(self) -> None:
         assert self._deferred is not None
         self.send(self._deferred.popleft())
-
-    def _deliver(self, frame: EthernetFrame) -> None:
-        self.endpoint.receive_frame(frame, ingress=self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         gbps = self.bandwidth_bps / 1e9

@@ -1,17 +1,15 @@
 """Edge-datacenter switch.
 
 A :class:`Switch` owns numbered ports, each cabled to a node via a pair
-of :class:`~repro.net.link.Link` objects. Forwarding is
-delegated to a pluggable pipeline — the default is plain static L2
-forwarding; Slingshot installs the P4-modeled fronthaul-middlebox pipeline
-from :mod:`repro.core.fh_middlebox` instead.
+of :class:`~repro.net.link.Link` objects. Forwarding is its one
+pipeline's: the P4-modeled fronthaul middlebox of
+:mod:`repro.core.fh_middlebox`, installed by its ``install_on``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol
+from typing import Any, Dict, List
 
-from repro.net.addresses import BROADCAST_MAC, MacAddress
 from repro.net.link import Link, NetworkEndpoint
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
@@ -20,51 +18,6 @@ from repro.sim.process import Process
 #: The data-plane forwarding latency (hundreds of nanoseconds on
 #: Tofino-class hardware).
 PIPELINE_LATENCY_NS = 400
-
-
-class ForwardingDecision:
-    """What the pipeline wants done with one ingress frame.
-
-    ``out_ports`` lists egress ports; an empty list drops the frame.
-    ``frame`` may be a rewritten copy (e.g. virtual-address translation).
-    """
-
-    __slots__ = ("out_ports", "frame")
-
-    def __init__(self, out_ports: List[int], frame: EthernetFrame) -> None:
-        self.out_ports = out_ports
-        self.frame = frame
-
-    @classmethod
-    def drop(cls, frame: EthernetFrame) -> "ForwardingDecision":
-        return cls([], frame)
-
-
-class SwitchPipeline(Protocol):
-    """Packet-processing program installed on a switch."""
-
-    def process(
-        self, frame: EthernetFrame, in_port: int, switch: "Switch"
-    ) -> ForwardingDecision:
-        """Decide forwarding for one ingress frame."""
-
-
-class StaticL2Pipeline:
-    """Default pipeline: static MAC table plus broadcast flooding."""
-
-    def __init__(self) -> None:
-        self.mac_table: Dict[MacAddress, int] = {}
-
-    def process(
-        self, frame: EthernetFrame, in_port: int, switch: "Switch"
-    ) -> ForwardingDecision:
-        if frame.dst == BROADCAST_MAC:
-            out = [p for p in switch.port_numbers() if p != in_port]
-            return ForwardingDecision(out, frame)
-        port = self.mac_table.get(frame.dst)
-        if port is None or port == in_port:
-            return ForwardingDecision.drop(frame)
-        return ForwardingDecision([port], frame)
 
 
 class SwitchPort(NetworkEndpoint):
@@ -114,7 +67,11 @@ class SwitchPort(NetworkEndpoint):
 
 
 class Switch(Process):
-    """A store-and-forward switch with a pluggable processing pipeline.
+    """A store-and-forward switch running one processing pipeline.
+
+    The pipeline's ``process(frame, in_port, switch)`` returns the
+    ``(egress port, frame)`` to forward — the frame possibly a rewritten
+    copy (virtual-address translation) — or None to drop the frame.
 
     The forwarding latency (:data:`PIPELINE_LATENCY_NS`) is constant, so
     a frame's egress instant is known at ingress and forwarding costs no
@@ -123,7 +80,8 @@ class Switch(Process):
 
     def __init__(self, sim: Simulator, name: str = "switch") -> None:
         super().__init__(sim, name)
-        self.pipeline: SwitchPipeline = StaticL2Pipeline()
+        #: The installed pipeline (``FronthaulMiddlebox.install_on``).
+        self.pipeline: Any = None
         self.pipeline_latency_ns = PIPELINE_LATENCY_NS
         self._ports: Dict[int, SwitchPort] = {}
         self.frames_processed = 0
@@ -172,14 +130,11 @@ class Switch(Process):
         """Run the pipeline on an ingress frame and forward the result."""
         self.frames_processed += 1
         decision = self.pipeline.process(frame, in_port, self)
-        if not decision.out_ports:
+        if decision is None:
             self.frames_dropped += 1
             return
-        ports = self._ports
-        for number in decision.out_ports:
-            port = ports.get(number)
-            if port is not None:
-                port.transmit(decision.frame)
+        number, out = decision
+        self._ports[number].transmit(out)
 
     def inject(self, frame: EthernetFrame) -> None:
         """Inject a frame into the pipeline as if received on no port

@@ -22,36 +22,38 @@ Design notes
   under any seed; any divergence from the FIFO trace is a real ordering
   race (a component whose semantics depend on scheduling order rather
   than on event time).
-* The heap entry *is* the event: a plain list ``[time, tie, seq,
-  callback, args, periodic]``, and :meth:`Simulator.schedule` /
-  :meth:`Simulator.at` return it as the handle. ``seq`` is unique per
-  simulator, so list comparison never reaches the callback and ordering
-  is exactly (time, tie, seq) — FIFO on ties unless a tie-shuffle key is
-  assigned. The run loop clears the callback slot (``entry[3]``) when the
-  event fires and :meth:`Simulator.cancel` clears it when it is
-  cancelled, so ``handle[3] is None`` reads "fired or cancelled" and
-  ``handle[0]`` is its time. Lists are unhashable and compare by value:
-  nothing keys a set or dict by a handle.
-* Cancellation is O(1): a cancelled entry stays in the heap with its
-  callback cleared and is skipped when popped. To keep the heap
-  *bounded* under heavy cancel/reschedule churn (e.g. a watchdog
-  re-armed every response), the simulator counts live cancellations and
-  compacts the heap once cancelled entries exceed
-  :data:`COMPACTION_THRESHOLD` **and** outnumber live ones — so
-  compaction cost stays amortized O(1) per cancel while the queue never
-  holds more than ~half garbage.
+* The queue is one lane keyed by *instant*: a heap of distinct int keys
+  (the time; ``time << 32 | tie`` under a tie-shuffle seed) and a dict
+  from each key to the entry waiting there or, once the instant is
+  shared, a ``deque`` of them in push order. Deployments tick in
+  lockstep, so most pushes land on a queued instant and never touch the
+  heap. Order is exactly (time, tie, seq): FIFO on ties unless a
+  tie-shuffle key is assigned.
+* An event is a plain list ``[time, tie, seq, callback, args,
+  periodic]`` (``seq`` counts the pushes before it), and
+  :meth:`Simulator.schedule` / :meth:`Simulator.at` return it as the
+  handle. The run loop clears the callback slot (``entry[3]``) when the
+  event fires and :meth:`Simulator.cancel` when it is cancelled, so
+  ``handle[3] is None`` reads "fired or cancelled" and ``handle[0]`` is
+  its time. Lists are unhashable: nothing keys a set or dict by a handle.
+* Cancellation is O(1): a cancelled entry stays queued with its callback
+  cleared and is skipped when popped. To keep the queue *bounded* under
+  cancel/reschedule churn (a watchdog re-armed every response), it is
+  rebuilt once cancelled entries reach :data:`COMPACTION_THRESHOLD`
+  **and** outnumber live ones — amortized O(1) per cancel, never more
+  than ~half garbage. Live entries are pushes less fired events less
+  cancels, so nothing is counted per event for it.
 * Strictly periodic work (slot ticks, FAPI timers, heartbeats) is
   :meth:`Simulator.schedule_periodic`. An occurrence is an ordinary
-  event on the one heap; when it pops, the run loop pushes the next one
+  event on the one lane; when it pops, the run loop pushes the next one
   **immediately before invoking the callback**, so its (tie, seq) keys
   are drawn where a callback that began by re-scheduling itself would
   draw them: ahead of anything the callback schedules, under FIFO and
   under every ``tie_shuffle_seed``. Cancelling a periodic tombstones its
   queued occurrence like any other event.
-* An event costs one list, one ``heappush`` and one ``heappop``;
-  :meth:`Simulator.schedule`, :meth:`Simulator.at` and the periodic
-  re-arm each build and push it themselves rather than one calling the
-  other.
+* :meth:`Simulator.schedule`, :meth:`Simulator.at` and the periodic
+  re-arm each build and push an event themselves rather than one
+  calling the other.
 * ``_pop`` is the single point through which every fired event leaves
   the queue; ``benchmarks/pop_census.py`` hooks it from outside to
   attribute wall time without instrumenting callbacks.
@@ -77,9 +79,9 @@ Design notes
 from __future__ import annotations
 
 import gc
-import itertools
+from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -101,11 +103,11 @@ def _refused(what: str, value: Any, out_of_range: str) -> SimulationError:
     )
 
 
-#: Heap entry and event handle: [time, tie, seq, callback, args,
+#: Queue entry and event handle: [time, tie, seq, callback, args,
 #: periodic]; the callback slot is None once fired or cancelled.
 _QueueEntry = List[Any]
 
-#: Cancelled heap entries that, once they also outnumber live ones,
+#: Cancelled queue entries that, once they also outnumber live ones,
 #: trigger a rebuild of the queue without them.
 COMPACTION_THRESHOLD = 64
 
@@ -131,7 +133,7 @@ def _apply_gc_policy() -> None:
 class PeriodicHandle:
     """Handle to a periodic event (:meth:`Simulator.schedule_periodic`).
 
-    Exactly one *occurrence* is queued at a time: an ordinary heap entry
+    Exactly one *occurrence* is queued at a time: an ordinary queue entry
     carrying this handle's callback and, in its ``periodic`` slot, this
     handle, replaced by the next when it pops. :meth:`cancel` tombstones
     it and :meth:`re_arm` queues a fresh one, so a cancelled occurrence
@@ -162,16 +164,23 @@ class PeriodicHandle:
         :meth:`Simulator.at` (which observers wrap to see user scheduling)."""
         sim = self._sim
         ties = sim._tie_stream
-        event = [
-            time,
-            0 if ties is None else ties.draw(),
-            next(sim._seq),
-            self.callback,
-            self.args,
-            self,
-        ]
-        self._event = event
-        heappush(sim._queue, event)
+        if ties is None:
+            key = time
+            tie = 0
+        else:
+            tie = ties.draw()
+            key = time << 32 | tie
+        seq = sim._seq
+        sim._seq = seq + 1
+        self._event = event = [time, tie, seq, self.callback, self.args, self]
+        buckets = sim._buckets
+        queued = buckets.setdefault(key, event)
+        if queued is event:
+            heappush(sim._instants, key)
+        elif type(queued) is list:
+            buckets[key] = deque((queued, event))
+        else:
+            queued.append(event)
 
     def cancel(self) -> None:
         """Stop the periodic: cancel the queued occurrence.
@@ -248,7 +257,7 @@ class Simulator:
     the traces is a dynamic race check — identical traces mean no component
     depends on same-timestamp tie order.
 
-    :data:`COMPACTION_THRESHOLD` bounds heap garbage: once at least that
+    :data:`COMPACTION_THRESHOLD` bounds queue garbage: once at least that
     many cancelled entries sit in the queue *and* they outnumber live
     entries, the queue is rebuilt without them (``compactions`` counts
     rebuilds).
@@ -258,13 +267,21 @@ class Simulator:
         _apply_gc_policy()
         #: Current simulated time in nanoseconds; only the run loop writes it.
         self.now = 0
-        self._queue: List[_QueueEntry] = []
-        self._seq = itertools.count()
+        #: Keys of the queued instants (the time; ``time << 32 | tie``
+        #: under a tie-shuffle seed), a heap.
+        self._instants: List[int] = []
+        #: Key -> the entry queued at that instant, or a deque of its
+        #: entries in push order once it holds more than one.
+        self._buckets: Dict[int, Any] = {}
+        #: Entries pushed so far (the next entry's ``seq``).
+        self._seq = 0
         self._running = False
         self._events_processed = 0
-        #: Number of cancelled-entry heap rebuilds performed so far.
+        #: Entries cancelled while queued, so far.
+        self._cancels = 0
+        #: Number of cancelled-entry queue rebuilds performed so far.
         self.compactions = 0
-        #: Cancelled entries currently sitting in the heap.
+        #: Cancelled entries currently sitting in the queue.
         self._cancelled_in_queue = 0
         #: Cancels that found nothing to do (already fired / already
         #: cancelled). Diagnostic only.
@@ -305,7 +322,7 @@ class Simulator:
 
         ``delay`` must be non-negative; a zero delay runs the callback after
         all events already scheduled for the current instant. Returns the
-        heap entry, which :meth:`cancel` takes.
+        queue entry, which :meth:`cancel` takes.
         """
         if type(delay) is not int or delay < 0:
             raise _refused(
@@ -313,15 +330,23 @@ class Simulator:
             )
         time = self.now + delay
         ties = self._tie_stream
-        entry = [
-            time,
-            0 if ties is None else ties.draw(),
-            next(self._seq),
-            callback,
-            args,
-            None,
-        ]
-        heappush(self._queue, entry)
+        if ties is None:
+            key = time
+            tie = 0
+        else:
+            tie = ties.draw()
+            key = time << 32 | tie
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, tie, seq, callback, args, None]
+        buckets = self._buckets
+        queued = buckets.setdefault(key, entry)
+        if queued is entry:
+            heappush(self._instants, key)
+        elif type(queued) is list:
+            buckets[key] = deque((queued, entry))
+        else:
+            queued.append(entry)
         return entry
 
     def at(self, time: int, callback: Callable[..., Any], *args: Any) -> _QueueEntry:
@@ -333,15 +358,23 @@ class Simulator:
                 f"cannot schedule at t={time} ns; clock is already at {self.now} ns",
             )
         ties = self._tie_stream
-        entry = [
-            time,
-            0 if ties is None else ties.draw(),
-            next(self._seq),
-            callback,
-            args,
-            None,
-        ]
-        heappush(self._queue, entry)
+        if ties is None:
+            key = time
+            tie = 0
+        else:
+            tie = ties.draw()
+            key = time << 32 | tie
+        seq = self._seq
+        self._seq = seq + 1
+        entry = [time, tie, seq, callback, args, None]
+        buckets = self._buckets
+        queued = buckets.setdefault(key, entry)
+        if queued is entry:
+            heappush(self._instants, key)
+        elif type(queued) is list:
+            buckets[key] = deque((queued, entry))
+        else:
+            queued.append(entry)
         return entry
 
     def schedule_periodic(
@@ -381,22 +414,30 @@ class Simulator:
             self.cancel_noops += 1
             return
         handle[3] = None
-        self._cancelled_in_queue += 1
-        if (
-            self._cancelled_in_queue >= COMPACTION_THRESHOLD
-            and self._cancelled_in_queue * 2 >= len(self._queue)
-        ):
+        self._cancels += 1
+        cancelled = self._cancelled_in_queue = self._cancelled_in_queue + 1
+        if cancelled >= COMPACTION_THRESHOLD and cancelled >= self.pending_events:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled entries.
+        """Rebuild the queue without cancelled entries.
 
-        Heap order is a total order on (time, tie, seq) with unique seq,
-        so re-heapifying the surviving entries reproduces the exact same
-        pop sequence — compaction is invisible to execution order.
+        Survivors keep their keys and, within a bucket, their push order,
+        so the rebuilt queue pops the exact same sequence — compaction is
+        invisible to execution order.
         """
-        self._queue = [entry for entry in self._queue if entry[3] is not None]
-        heapify(self._queue)
+        buckets: Dict[int, Any] = {}
+        for key, queued in self._buckets.items():
+            if type(queued) is list:
+                if queued[3] is not None:
+                    buckets[key] = queued
+                continue
+            live = deque(entry for entry in queued if entry[3] is not None)
+            if live:
+                buckets[key] = live
+        self._buckets = buckets
+        self._instants = list(buckets)
+        heapify(self._instants)
         self._cancelled_in_queue = 0
         self.compactions += 1
 
@@ -410,16 +451,27 @@ class Simulator:
         ``limit`` in place and returns None. Every event that fires flows
         through here, so the pop census wraps this method.
         """
-        queue = self._queue
-        while queue:
-            head = queue[0]
+        instants = self._instants
+        buckets = self._buckets
+        while instants:
+            key = instants[0]
+            queued = buckets[key]
+            shared = type(queued) is not list
+            head = queued[0] if shared else queued
+            if head[3] is not None and limit is not None and head[0] > limit:
+                return None
+            if not shared:
+                del buckets[key]
+                heappop(instants)
+            else:
+                queued.popleft()
+                if not queued:
+                    del buckets[key]
+                    heappop(instants)
             if head[3] is None:
-                heappop(queue)
                 self._cancelled_in_queue -= 1
                 continue
-            if limit is not None and head[0] > limit:
-                return None
-            return heappop(queue)
+            return head
         return None
 
     def step(self) -> bool:
@@ -493,7 +545,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events queued."""
-        return len(self._queue) - self._cancelled_in_queue
+        return self._seq - self._events_processed - self._cancels
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Simulator now={self.now}ns pending={self.pending_events}>"

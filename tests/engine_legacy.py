@@ -10,7 +10,11 @@ drive it against the live engine: same program, same FIFO tie order,
 same fleet digest.
 
 It intentionally does not track the live engine's API additions
-(``compactions``, ``_pop``). The deliberate exceptions: it has
+(``compactions``, ``_pop``). The deliberate exceptions: it draws the
+live engine's tie keys under ``tie_shuffle_seed`` (one draw per push,
+from the same seeded stream), so it orders ties as the live engine must
+under any seed (``tests/test_engine_order_oracle.py``), and a stopped
+``run_until`` leaves its clock where the live engine's stays; it has
 ``run_for`` and a **self-rescheduling** ``schedule_periodic`` adapter so
 the full deployment model (whose call sites use ``schedule_periodic``)
 still builds and runs on this engine, and it hands out the live
@@ -28,6 +32,10 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
+
+import numpy as np
+
+from repro.sim.rng import BatchedIntegers
 
 
 @dataclass(order=True)
@@ -112,8 +120,15 @@ class LegacySimulator:
     the ``engine_cancel_watchdog`` benchmark demonstrates).
     """
 
-    def __init__(self, start_time: int = 0) -> None:
-        self.now = start_time
+    def __init__(self, tie_shuffle_seed: Optional[int] = None) -> None:
+        self.now = 0
+        self._ties = (
+            None
+            if tie_shuffle_seed is None
+            else BatchedIntegers(
+                np.random.Generator(np.random.PCG64(tie_shuffle_seed)), 0, 1 << 32
+            )
+        )
         self._queue: List[_LegacyQueueEntry] = []
         self._seq = itertools.count()
         self._running = False
@@ -123,6 +138,10 @@ class LegacySimulator:
     @property
     def events_processed(self) -> int:
         return self._events_processed
+
+    @property
+    def pending_events(self) -> int:
+        return sum(1 for entry in self._queue if entry.handle[3] is not None)
 
     def add_settle_hook(self, hook: Callable[[int], None]) -> None:
         """Same contract as the live engine: ``hook(now)`` whenever a
@@ -138,9 +157,10 @@ class LegacySimulator:
         return self.at(self.now + delay, callback, *args)
 
     def at(self, time: int, callback: Callable[..., Any], *args: Any) -> list:
+        tie = 0 if self._ties is None else self._ties.draw()
         seq = next(self._seq)
-        handle = [time, 0, seq, callback, args, None]
-        entry = _LegacyQueueEntry(time=time, tie=0, seq=seq, handle=handle)
+        handle = [time, tie, seq, callback, args, None]
+        entry = _LegacyQueueEntry(time=time, tie=tie, seq=seq, handle=handle)
         heapq.heappush(self._queue, entry)
         return handle
 
@@ -184,6 +204,8 @@ class LegacySimulator:
         return False
 
     def run_until(self, end_time: int) -> None:
+        """As the live engine's: a run ended by :meth:`stop` leaves the
+        clock at the last fired event."""
         self._running = True
         try:
             while self._queue and self._running:
@@ -191,9 +213,10 @@ class LegacySimulator:
                 if head_time is None or head_time > end_time:
                     break
                 self._step()
+            stopped = not self._running
         finally:
             self._running = False
-        if self.now < end_time:
+        if not stopped and self.now < end_time:
             self.now = end_time
         self._settle()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from repro.core.commands import SLINGSHOT_CMD_BYTES, FailureNotification
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.net.packet import EtherType, EthernetFrame
-from repro.net.switch import ForwardingDecision, Switch, SwitchPort
+from repro.net.switch import Switch, SwitchPort
 
 
 class EgressEventPort(SwitchPort):
@@ -42,7 +42,7 @@ class EgressEventSwitch(Switch):
         """Run the pipeline on an ingress frame and forward the result."""
         self.frames_processed += 1
         decision = self.pipeline.process(frame, in_port, self)
-        if not decision.out_ports:
+        if decision is None:
             self.frames_dropped += 1
             return
         self.sim.schedule(
@@ -51,11 +51,9 @@ class EgressEventSwitch(Switch):
             decision,
         )
 
-    def _egress(self, decision: ForwardingDecision) -> None:
-        for number in decision.out_ports:
-            port = self._ports.get(number)
-            if port is not None:
-                port.transmit(decision.frame)
+    def _egress(self, decision) -> None:
+        number, frame = decision
+        self._ports[number].transmit(frame)
 
 
 class EgressEventMiddlebox(FronthaulMiddlebox):

@@ -61,9 +61,10 @@ def test_pop_census_attributes_every_event():
     assert all(parsed), [line for line, m in zip(rows[3:], parsed) if m is None]
     kinds = [m.group(1) for m in parsed]
     assert len(set(kinds)) == len(kinds)
-    assert {"Link._deliver -> SwitchPort", "ShmChannel._deliver -> PhyProcess",
-            "_ServiceQueue._complete -> L2SideOrion._route_request",
-            "PhyProcess._slot_tick"} <= set(kinds)
+    assert {"SwitchPort.receive_frame", "ShmChannel._deliver -> PhyProcess",
+            "ServerNic.receive_frame -> PhySideOrion",
+            "ServerNic.receive_frame -> L2SideOrion",
+            "L2SideOrion._route_request", "PhyProcess._slot_tick"} <= set(kinds)
     attributed, delta = re.fullmatch(
         r"events (\d+) == events_processed delta (\d+) \(\d+\.\d /cell-slot\)", total
     ).groups()
@@ -101,12 +102,12 @@ def test_pop_census_by_role_splits_every_kind():
     kinds = {f"{m.group(1)} {m.group(2)}" for m in parsed}
     assert {"active PhyProcess._slot_tick", "standby PhyProcess._slot_tick",
             "dormant PhyProcess._slot_tick",
-            "dormant _ServiceQueue._complete -> L2SideOrion._route_response",
+            "dormant L2SideOrion._route_response",
             "other RadioUnit._process_slot"} <= kinds
     # A dormant standby's C-plane sends and inbound nulls pop nothing;
     # its completion and its watchdog occurrence stay events.
     assert not {"dormant PhyProcess._send_fronthaul_now",
-                "dormant _ServiceQueue._complete -> PhySideOrion._to_phy",
+                "dormant PhySideOrion._to_phy",
                 "dormant ShmChannel._deliver -> PhyProcess"} & kinds
     assert {"dormant PhyProcess._finish_uplink", "dormant PhySideOrion._watchdog_tick"} <= kinds
     header = lines.index(next(line for line in lines if line.startswith("role ")))

@@ -37,24 +37,27 @@ COLLABORATORS = [
     (deployment, "PhyProcess", "trace"),
     (deployment, "PhyProcess", "config"),
     (deployment, "RadioUnit", "trace"),
-    (deployment, "PhySideOrion", "slot_clock"),
-    (deployment, "PhySideOrion", "trace"),
     (deployment, "L2Process", "trace"),
     (deployment, "UserEquipment", "trace"),
     (deployment, "CoreNetwork", "registry"),
     (deployment, "CoreNetwork", "trace"),
     (deployment, "ShmChannel", "endpoint"),
 ]
+#: Orion's components, which every shape but the baseline builds.
+ORION = [
+    (deployment, "PhySideOrion", "slot_clock"),
+    (deployment, "PhySideOrion", "trace"),
+    (deployment, "L2SideOrion", "trace"),
+]
 #: Components only some shapes build.
 SHAPE_COLLABORATORS = {
-    "slingshot": [(deployment, "L2SideOrion", "trace")],
-    "crossed-pod": [(deployment, "L2SideOrion", "trace")],
-    "fleet-island": [
-        (deployment, "L2SideOrion", "trace"),
+    "slingshot": ORION,
+    "crossed-pod": ORION,
+    "fleet-island": ORION + [
         (composer, "StandbyPool", "trace"),
         (composer, "PoolGate", "on_decision"),
     ],
-    "probe-harness": [(deployment, "L2SideOrion", "trace")],
+    "probe-harness": ORION,
 }
 
 CASES = [

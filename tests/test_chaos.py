@@ -273,13 +273,13 @@ class TestFaultPlan:
     def test_hostile_plan_is_one_value_error_naming_spec_and_defect(self, defect):
         build, says = HOSTILE_PLANS[defect]
         cell = two_server_cell()
-        queued = len(cell.sim._queue)
+        queued = cell.sim.pending_events
         with pytest.raises(ValueError) as refused:
             FaultInjector(cell, build()).arm()
         message = str(refused.value)
         assert message.split("(")[0] in {"ProcessFaultSpec", "LinkFaultSpec"}, message
         assert f"): {says}" in message, message
-        assert len(cell.sim._queue) == queued
+        assert cell.sim.pending_events == queued
         links = FaultInjector(cell, FaultPlan(name="none"))._switch_links()
         assert all(link.impairment is None for link in links)
 

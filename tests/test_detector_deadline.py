@@ -766,7 +766,12 @@ def placed_after_each_heartbeat():
         now += gap
         rig.sim.run_until(now)
         detector.on_heartbeat(0, now)
-        live = [entry for entry in rig.sim._queue if entry[3] is not None]
+        live = [
+            entry
+            for queued in rig.sim._buckets.values()
+            for entry in ([queued] if type(queued) is list else queued)
+            if entry[3] is not None
+        ]
         assert live == [detector._deadline], (index, live)
         target = detector._ticks_applied + detector._lag.get(0, 0) + THRESHOLD
         assert live[0][4] == (target,), (index, live[0])

@@ -26,7 +26,10 @@ and callback that own it. Four things are pinned:
   standby's Orion watchdog is one) — the census on which
   periodic events were sized to share the one heap (DESIGN §15);
 * the interpreter enters at most ``MAX_CALLS_PER_SLOT`` Python frames per
-  slot (416.9 measured since the deadline and the RU's slot boundary
+  slot (384.3 measured since a link delivers to its endpoint and an
+  Orion worker completes into its action with no trampoline between, and
+  the switch's pipeline returns a port and a frame; 416.9 since the
+  deadline and the RU's slot boundary
   stopped popping, a slot's TDD type is a table read and a null slot
   builds one C-plane; 458.7 since an event is its heap entry, with no
   ``EventHandle`` to build, and D / S slots have no uplink completion;
@@ -46,7 +49,8 @@ detector's deadline and the RU's slot boundary popped; 77.4 while both
 PHYs popped an uplink completion in D / S slots too, 75.4 while the
 dormant standby's completion and watchdog were elided too, 89.4 with the
 standby forced awake) and enters at most
-``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (853.3 measured since
+``MAX_CALLS_PER_TCP_SLOT`` Python frames per slot (827.6 measured since
+deliveries and completions need no trampoline; 853.3 since
 the deadline follows the heartbeat and the RU's slot is one event; 887.3
 since list heap entries and uplink-slot-only completions; 995.5 plus 5 % when
 first set; 1,019.3 with a per-bit demodulator and a Generator per payload,
@@ -76,12 +80,12 @@ WARMUP_NS = 50 * MS
 WINDOW_NS = 100 * MS
 MAX_EVENTS_PER_SLOT = 39
 PERIODIC_PER_SLOT = 9
-MAX_CALLS_PER_SLOT = 427
+MAX_CALLS_PER_SLOT = 394
 #: Bulk TCP: the flow starts at WARMUP_NS and is counted from TCP_WARMUP_NS
 #: on, past slow start's overshoot and the fast recovery it ends in.
 TCP_WARMUP_NS = 650 * MS
 TCP_EVENTS = 14_565
-MAX_CALLS_PER_TCP_SLOT = 875
+MAX_CALLS_PER_TCP_SLOT = 848
 FLEET_CELLS = 16
 MAX_FLEET_EVENTS_PER_CELL_SLOT = 35
 

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.net.addresses import BROADCAST_MAC, MacAddress, MacAllocator
+from repro.net.addresses import MacAddress, MacAllocator
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame, MIN_FRAME_BYTES
-from repro.net.switch import ForwardingDecision, StaticL2Pipeline, Switch
+from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 
 
@@ -44,8 +44,12 @@ class TestMacAddress:
         addresses = {allocator.allocate() for _ in range(100)}
         assert len(addresses) == 100
 
-    def test_broadcast_is_all_ones(self):
-        assert int(BROADCAST_MAC) == (1 << 48) - 1
+    def test_an_address_is_its_int(self):
+        # Table keys hash and compare as the int they are.
+        mac = MacAddress(0x02_00_00_00_00_2A)
+        assert mac == 0x02_00_00_00_00_2A and hash(mac) == hash(0x02_00_00_00_00_2A)
+        assert {mac: 1}[MacAddress(0x02_00_00_00_00_2A)] == 1
+        assert repr(mac) == "MacAddress(0x2000000002a)"
 
 
 class TestFrames:
@@ -114,10 +118,25 @@ class TestLink:
         assert [frame.payload for _, frame in a.received] == ["to-a"]
 
 
+class TablePipeline:
+    """A static MAC table: the destination's port and the frame, or None
+    (drop) for an unknown destination or one behind the ingress port."""
+
+    def __init__(self):
+        self.table = {}
+
+    def process(self, frame, in_port, switch):
+        port = self.table.get(frame.dst)
+        if port is None or port == in_port:
+            return None
+        return port, frame
+
+
 class TestSwitch:
     def _build(self):
         sim = Simulator()
         switch = Switch(sim)
+        switch.pipeline = TablePipeline()
         switch.pipeline_latency_ns = 100
         hosts = []
         for i in range(3):
@@ -128,8 +147,7 @@ class TestSwitch:
 
     def test_static_forwarding(self):
         sim, switch, hosts = self._build()
-        pipeline = switch.pipeline
-        pipeline.mac_table[MacAddress(2)] = hosts[1][1].number
+        switch.pipeline.table[MacAddress(2)] = hosts[1][1].number
         hosts[0][1].ingress_link.send(make_frame(src=1, dst=2))
         sim.run()
         assert len(hosts[1][0].received) == 1
@@ -141,21 +159,9 @@ class TestSwitch:
         sim.run()
         assert switch.frames_dropped == 1
 
-    def test_broadcast_floods_other_ports(self):
-        sim, switch, hosts = self._build()
-        frame = EthernetFrame(
-            src=MacAddress(1), dst=BROADCAST_MAC,
-            ethertype=EtherType.IPV4, payload="b", wire_bytes=64,
-        )
-        hosts[0][1].ingress_link.send(frame)
-        sim.run()
-        assert len(hosts[0][0].received) == 0
-        assert len(hosts[1][0].received) == 1
-        assert len(hosts[2][0].received) == 1
-
     def test_pipeline_latency_added(self):
         sim, switch, hosts = self._build()
-        switch.pipeline.mac_table[MacAddress(2)] = hosts[1][1].number
+        switch.pipeline.table[MacAddress(2)] = hosts[1][1].number
         hosts[0][1].ingress_link.send(make_frame(src=1, dst=2, wire_bytes=64))
         sim.run()
         arrival = hosts[1][0].received[0][0]
@@ -165,40 +171,25 @@ class TestSwitch:
         # events; the pipeline latency costs none.
         assert sim.events_processed == 2
 
-    def test_decision_forwards_its_rewritten_frame_to_every_port(self):
+    def test_decision_forwards_its_rewritten_frame(self):
         sim, switch, hosts = self._build()
         rewritten = make_frame(src=9, dst=8, payload="rewritten")
-        ports = [hosts[1][1].number, hosts[2][1].number]
+        port = hosts[2][1].number
 
         class Rewrite:
             def process(self, frame, in_port, switch):
-                return ForwardingDecision(ports, rewritten)
+                return port, rewritten
 
         switch.pipeline = Rewrite()
         hosts[0][1].ingress_link.send(make_frame(src=1, dst=2))
         sim.run()
-        assert [f for _, f in hosts[1][0].received] == [rewritten]
         assert [f for _, f in hosts[2][0].received] == [rewritten]
-        assert hosts[0][0].received == []
-        assert (switch.frames_processed, switch.frames_dropped) == (1, 0)
-
-    def test_decision_to_unattached_port_skips_it(self):
-        sim, switch, hosts = self._build()
-        ports = [99, hosts[1][1].number]
-
-        class ToNowhereAndOne:
-            def process(self, frame, in_port, switch):
-                return ForwardingDecision(ports, frame)
-
-        switch.pipeline = ToNowhereAndOne()
-        hosts[0][1].ingress_link.send(make_frame(src=1, dst=2))
-        sim.run()
-        assert len(hosts[1][0].received) == 1
+        assert hosts[0][0].received == hosts[1][0].received == []
         assert (switch.frames_processed, switch.frames_dropped) == (1, 0)
 
     def test_inject_runs_pipeline(self):
         sim, switch, hosts = self._build()
-        switch.pipeline.mac_table[MacAddress(2)] = hosts[1][1].number
+        switch.pipeline.table[MacAddress(2)] = hosts[1][1].number
         switch.inject(make_frame(src=9, dst=2))
         sim.run()
         assert len(hosts[1][0].received) == 1

@@ -197,7 +197,7 @@ class TestCompaction:
         for handle in handles[:24]:
             sim.cancel(handle)
         assert sim.compactions >= 1
-        assert len(sim._queue) == 8
+        assert sim.pending_events + sim._cancelled_in_queue == 8
         assert sim.pending_events == 8
 
     def test_compaction_preserves_fifo_tie_order(self, monkeypatch):
@@ -242,8 +242,9 @@ class TestCompaction:
     def test_watchdog_churn_keeps_heap_bounded(self):
         # Orion's watchdog pattern: every response cancels and re-arms a
         # timeout, so nearly every scheduled event is cancelled. Without
-        # compaction the heap grows with the response count; with it the
-        # raw heap size stays around the compaction threshold.
+        # compaction the queue grows with the response count; with it the
+        # queued entries, live or cancelled, stay around the compaction
+        # threshold.
         responses = 5_000
         sim = Simulator()
         state = {"left": responses, "watchdog": None, "max_heap": 0}
@@ -255,7 +256,9 @@ class TestCompaction:
             if state["watchdog"] is not None:
                 sim.cancel(state["watchdog"])
             state["watchdog"] = sim.schedule(1_000_000, on_timeout)
-            state["max_heap"] = max(state["max_heap"], len(sim._queue))
+            state["max_heap"] = max(
+                state["max_heap"], sim.pending_events + sim._cancelled_in_queue
+            )
             if state["left"] > 0:
                 state["left"] -= 1
                 sim.schedule(1_000, on_response)
@@ -288,7 +291,7 @@ class TestCompaction:
         sim.run_until(100)
         for handle in far:
             sim.cancel(handle)
-        assert len(sim._queue) == 0
+        assert sim._cancelled_in_queue == 0 and not sim._buckets
         assert sim.pending_events == 0
 
 
@@ -370,7 +373,7 @@ def test_no_scheduling_call_passes_a_label():
     ):
         with pytest.raises(TypeError, match="label"):
             call()
-    assert len(sim._queue) == 0
+    assert not sim._buckets
 
 
 class TestBatchedRng:

@@ -71,19 +71,40 @@ def _bench_counters() -> Dict[str, tuple]:
 
 COUNTERS = _bench_counters()
 
-#: Event kinds (``<owner name>.<callback __qualname__>``) a dormant
-#: standby elides (some — the L2 and NIC links' deliveries, the Orion
+#: Event kinds (``<owner name>.<callback __qualname__>``, a frame
+#: delivery ``<source>-><endpoint>.receive_frame``) a dormant standby
+#: elides (some — the L2's and the PHY servers' frames to and from the
+#: switch, an impaired line's deferred sends toward them, the Orion
 #: worker's completions — also carry kept traffic, so only their elided
 #: share goes).
-ELIDED_KINDS = ("._send_fronthaul_now", "->edge-switch.Link._deliver",
-                "edge-switch->phy", "._ServiceQueue._complete",
+ELIDED_KINDS = ("._send_fronthaul_now", "->edge-switch.receive_frame",
+                "->phy-server", "Link._send_deferred", "PhySideOrion._to_phy",
                 "->phy.ShmChannel._deliver")
 
 
-def _pop_kind(callback: Any) -> str:
-    """A popped event's kind: its callback's owner and qualified name."""
-    owner = getattr(getattr(callback, "__self__", None), "name", "")
-    return f"{owner}.{callback.__qualname__}"
+def _frame_sources(root: Any) -> Dict[Any, str]:
+    """The name a frame's source MAC stands for, over every cell."""
+    names = {}
+    for cell in _cells(root):
+        names[cell.l2_orion.mac] = "l2"
+        for site in cell.sites:
+            names[site.ru.mac] = site.ru.name
+        for node in cell.phy_servers:
+            names[node.phy_mac] = node.phy.name
+            names[node.orion_mac] = node.orion.name
+    return names
+
+
+def _pop_kind(entry: List[Any], sources: Dict[Any, str]) -> str:
+    """A popped event's kind: its callback's owner and qualified name; a
+    frame delivery's, the frame's source and the receiving endpoint."""
+    callback = entry[3]
+    owner = getattr(callback, "__self__", None)
+    if callback.__name__ == "receive_frame":
+        frame = entry[4][0]
+        endpoint = getattr(owner, "switch", owner).name
+        return f"{sources.get(frame.src, 'other')}->{endpoint}.receive_frame"
+    return f"{getattr(owner, 'name', '')}.{callback.__qualname__}"
 
 
 def _elided_kind(kind: str) -> bool:
@@ -246,11 +267,12 @@ def _drive(
     sim = root.sim
     pops: Counter = Counter()
     inner_pop = sim._pop
+    sources = _frame_sources(root)
 
     def counting_pop(limit=None):
         entry = inner_pop(limit)
         if entry is not None:
-            pops[_pop_kind(entry[3])] += 1
+            pops[_pop_kind(entry, sources)] += 1
         return entry
 
     sim._pop = counting_pop

@@ -6,9 +6,9 @@ switch it replaced lives on as ``tests/switch_egress_event.py``. Both are
 driven with the same generated traffic — mixed line rates, bursts that
 queue on one egress link, same-nanosecond arrivals on different ports,
 failure notifications landing inside another frame's pipeline window (and
-the other way round), broadcast and multi-port frames, ports that lead
-nowhere, impaired egress links whose fault windows open while a frame is
-inside the pipeline — and everything observable must be **equal**: every
+the other way round), frames the pipeline drops, impaired egress links
+whose fault windows open while a frame is inside the pipeline — and
+everything observable must be **equal**: every
 ``(arrival, port, frame)`` delivered, every link's ``_line_free_at`` /
 ``frames_sent`` / ``bytes_sent`` at quiescence, port and switch counters,
 impairment stats and trace records. Schedules are drawn from a reserved
@@ -34,10 +34,10 @@ from repro.core.commands import FailureNotification
 from repro.core.fh_middlebox import FronthaulMiddlebox
 from repro.faults.link_faults import CorruptedPayload, LinkImpairment
 from repro.faults.plan import FOREVER, LinkFaultSpec
-from repro.net.addresses import BROADCAST_MAC, MacAddress
+from repro.net.addresses import MacAddress
 from repro.net.link import Link
 from repro.net.packet import EtherType, EthernetFrame
-from repro.net.switch import ForwardingDecision, StaticL2Pipeline, Switch
+from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -55,8 +55,6 @@ HORIZON_NS = 300 * US
 LINE_RATES = (1e9, 10e9, 25e9, 100e9)
 LATENCIES = (100, 1_000, 3_000)
 SIZES = (64, 128, 1_500, 9_000)
-#: A forwarding target that is no port of the switch.
-NO_SUCH_PORT = 99
 
 
 def mac_of(port: int) -> MacAddress:
@@ -69,8 +67,8 @@ class FrameSpec:
 
     tag: int
     wire_bytes: int
-    #: ``script`` carries its forwarding decision; ``unicast`` and
-    #: ``broadcast`` go through the static MAC table.
+    #: ``script`` carries its forwarding decision, one egress port or
+    #: none (a drop); ``unicast`` goes through the static MAC table.
     mode: str
     out_ports: Tuple[int, ...] = ()
 
@@ -123,15 +121,13 @@ def generate_schedules(count: int = SCHEDULES):
 
         for _ in range(int(rng.integers(40, 121))):
             in_port = int(rng.integers(0, n))
-            mode = pick("script", "script", "unicast", "broadcast", "stray")
+            mode = pick("script", "script", "unicast", "stray")
             if mode == "script":
                 spec = script([other(in_port)])
             elif mode == "unicast":
                 spec = FrameSpec(next(tags), size(), "unicast", (other(in_port),))
-            elif mode == "broadcast":
-                spec = FrameSpec(next(tags), size(), "broadcast")
             else:
-                spec = script(pick((), (n,), (NO_SUCH_PORT,), (n, other(in_port))))
+                spec = script(pick((), (n,)))
             entry(rng.integers(0, HORIZON_NS), spec, in_port)
         # Bursts that queue on the slow egress link.
         for _ in range(int(rng.integers(2, 4))):
@@ -139,10 +135,10 @@ def generate_schedules(count: int = SCHEDULES):
             for _ in range(int(rng.integers(5, 21))):
                 at += int(rng.integers(1, 2_000))
                 entry(at, script([hot]), other(hot))
-        # Frames that leave on several ports.
+        # Frames dropped, forwarded, or sent to the slow link.
         for _ in range(int(rng.integers(3, 9))):
             in_port = int(rng.integers(0, n))
-            outs = pick((), (other(in_port),), (hot, other(in_port)))
+            outs = pick((), (other(in_port),), (hot,))
             entry(rng.integers(0, HORIZON_NS), script(outs), in_port)
         # Same-instant ingress on two ports, to one egress link and to two.
         if not tie_free:
@@ -215,14 +211,20 @@ def generate_schedules(count: int = SCHEDULES):
 CORPUS = generate_schedules()
 
 
-class ScriptedPipeline(StaticL2Pipeline):
+class ScriptedPipeline:
     """Static L2 forwarding, except for frames that carry their decision."""
+
+    def __init__(self) -> None:
+        self.mac_table: Dict[MacAddress, int] = {}
 
     def process(self, frame, in_port, switch):
         spec = frame.payload
-        if spec.mode != "script":
-            return super().process(frame, in_port, switch)
-        return ForwardingDecision(list(spec.out_ports), frame)
+        if spec.mode == "script":
+            return (spec.out_ports[0], frame) if spec.out_ports else None
+        port = self.mac_table.get(frame.dst)
+        if port is None or port == in_port:
+            return None
+        return port, frame
 
 
 class Sink:
@@ -278,10 +280,7 @@ class Rig:
             self.mbox.detector.notify(args[0], self.sim.now)
             return
         in_port, spec = args
-        dst = {
-            "unicast": mac_of(spec.out_ports[0]) if spec.out_ports else None,
-            "broadcast": BROADCAST_MAC,
-        }.get(spec.mode) or MacAddress(0)
+        dst = mac_of(spec.out_ports[0]) if spec.mode == "unicast" else MacAddress(0)
         frame = EthernetFrame(mac_of(in_port), dst, EtherType.IPV4, spec, spec.wire_bytes)
         if kind == "send":
             self.switch.port(in_port).ingress_link.send(frame)
@@ -354,9 +353,10 @@ def test_fold_matches_egress_event_switch(schedule):
 def test_corpus_reaches_the_cases_it_names(monkeypatch):
     """The generator's shape claims, checked on what the fixture did."""
     saw = dict.fromkeys(
-        ("queued", "dropped", "broadcast", "multi_port", "same_instant", "lost",
+        ("queued", "dropped", "same_instant", "lost",
          "duplicated", "reordered", "corrupted", "window_opens_mid_flight",
-         "notify_inside_frame_window", "frame_inside_notify_window"), 0
+         "notify_inside_frame_window", "frame_inside_notify_window",
+         "to_spare_port"), 0
     )
     real_send = Link.send
 
@@ -377,8 +377,9 @@ def test_corpus_reaches_the_cases_it_names(monkeypatch):
         instants = [op[0] for op in schedule.ops]
         saw["same_instant"] += len(set(instants)) < len(instants)
         saw["dropped"] += outcome["switch"][1] > 0
-        saw["broadcast"] += any(op[3].mode == "broadcast" for op in frames)
-        saw["multi_port"] += any(len(op[3].out_ports) > 1 for op in frames)
+        saw["to_spare_port"] += any(
+            op[3].out_ports == (schedule.spare_port,) for op in frames
+        )
         for stats in outcome["impairments"].values():
             saw["lost"] += stats["dropped"] > 0
             saw["duplicated"] += stats["duplicated"] > 0
@@ -421,13 +422,13 @@ MUTANTS = {
         "start = ready_at if self._line_free_at <= start else start\n",
     ),
     # A frame the pipeline drops (the stray frames that name no port)
-    # goes uncounted: every port is cabled, so this is where a dropped
-    # frame lives.
+    # goes uncounted: a decision is one egress port or None, so this is
+    # where a dropped frame lives.
     "drop_not_counted": (
         Switch,
         "ingress",
-        "if not decision.out_ports:",
-        "if False:",
+        "self.frames_dropped += 1",
+        "pass",
     ),
     # The impairment hook runs at ingress, before the frame is at the link.
     "impaired_link_not_deferred": (
