@@ -12,10 +12,6 @@ markers. This script regenerates that block from
 are never typed from memory; ``tests/test_benchmark_scripts.py`` runs the
 ``--check`` form in tier-1.
 
-DESIGN section 7's slinglint rule table sits between the same kind of
-markers (``perf:rules``) and is rendered from the rule registry, the one
-place a rule's id, severity and title are written down.
-
 It also writes ``benchmarks/src_lines.json``, the per-package line count
 of ``src/repro`` (:func:`src_line_ledger`), so a PR's diff shows what it
 did to the size of the runtime package instead of CHANGES.md typing it.
@@ -28,8 +24,6 @@ import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.analysis import all_rules
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
@@ -99,18 +93,8 @@ def render_trajectory() -> str:
     return "\n".join(rows)
 
 
-def render_rules() -> str:
-    """The slinglint catalog (``python -m repro lint --list-rules``)."""
-    rows = ["| rule | severity | title |", "|---|---|---|"]
-    rows.extend(
-        f"| {rule.rule_id} | {rule.severity} | {rule.title} |" for rule in all_rules()
-    )
-    return "\n".join(rows)
-
-
 BLOCKS: Dict[str, Callable[[], str]] = {
     "trajectory": render_trajectory,
-    "rules": render_rules,
 }
 
 

@@ -95,7 +95,7 @@ class PingClient(Process):
             return
         self._running = True
         # First probe at start time; order-independent (tie-shuffle clean).
-        self.sim.schedule(0, self._send_next)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_next)
 
     def stop(self) -> None:
         self._running = False

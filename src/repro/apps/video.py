@@ -69,7 +69,7 @@ class VideoSender(Process):
             return
         self._running = True
         # First frame at start time; order-independent (tie-shuffle clean).
-        self.sim.schedule(0, self._send_frame)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_frame)
 
     def stop(self) -> None:
         self._running = False

@@ -8,7 +8,6 @@ Usage::
     python -m repro table2 --duration 60 --rates 1 10 20 50
     python -m repro all --quick
     python -m repro sec52
-    python -m repro lint [paths...]
     python -m repro chaos [--scenario NAME ...] [--seeds 1 2 3] [--jobs N]
     python -m repro soak [--check --quick] [--resume CKPT]
     python -m repro fleet [--check --quick] [--pool-sizes 0 1 2 4] [--jobs N]
@@ -17,8 +16,7 @@ Every experiment subcommand is derived from the
 :data:`repro.experiments.REGISTRY` — the registry entry supplies the
 description, the default/quick durations, and the mapping from parsed
 CLI arguments to ``run(...)`` parameters, so adding an experiment means
-registering a spec, not writing another shim. ``lint`` runs the
-:mod:`repro.analysis` static checks (slinglint); ``chaos`` sweeps the
+registering a spec, not writing another shim. ``chaos`` sweeps the
 :mod:`repro.faults` fault-injection matrix and records each run's
 failover timeline and every layer's counters (:mod:`repro.telemetry`);
 ``soak`` and ``fleet`` are the continuous-operation and metro-fleet
@@ -43,11 +41,9 @@ from repro.perf.timing import wall_ns
 
 #: Verbs dispatched to their own sub-CLIs before experiment argument
 #: parsing: name -> (module whose ``main(argv)`` runs it, imported
-#: lazily; the line ``list`` prints for it). All but ``lint`` are
-#: declarations handed to :mod:`repro.harness`.
+#: lazily; the line ``list`` prints for it). Each is a declaration
+#: handed to :mod:`repro.harness`.
 _HARNESS_VERBS = {
-    "lint": ("repro.analysis.runner",
-             "static-analysis pass over src/repro (slinglint)"),
     "chaos": ("repro.faults.campaign",
               "fault-injection campaign: invariants, timelines, counters"),
     "soak": ("repro.checkpoint.soak",

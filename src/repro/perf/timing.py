@@ -3,10 +3,10 @@
 Simulation logic must never read the host clock; the shard pool's
 accounting, the soak report and the CLI's elapsed-time print obviously
 must. This module is the single one in ``src/repro`` allowed to touch
-:mod:`time`: it is the sanctioned module of slinglint's DET001 row, which
-resolves names through imports and flags a host-clock read anywhere
-else, so every measurement is forced through these helpers (one clock,
-monotonic, ns resolution).
+:mod:`time`: it is the sanctioned module of the DET001 row of
+``tests/test_tree_policy.py``, which resolves names through imports and
+fails on a host-clock read anywhere else, so every measurement is
+forced through these helpers (one clock, monotonic, ns resolution).
 """
 
 from __future__ import annotations

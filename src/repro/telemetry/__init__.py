@@ -14,9 +14,10 @@ Nothing simulated imports this package (``tests/test_wiring_site.py``):
 components count in their own ``Stats`` fields and telemetry only reads
 them. Determinism contract: every value is a deterministic count or an
 integer simulated-time value — never a wall clock, never an RNG draw
-(slinglint DET001–004; no stream namespace is owned by ``telemetry``,
-so ``RngRegistry.stream`` refuses it any draw) — and reading writes no trace
-record, so looking at a run is digest-neutral by construction.
+(the DET rows of ``tests/test_tree_policy.py``; no stream namespace is
+owned by ``telemetry``, so ``RngRegistry.stream`` refuses it any draw) —
+and reading writes no trace record, so looking at a run is
+digest-neutral by construction.
 """
 
 from repro.telemetry.collect import collect, stats_objects

@@ -79,7 +79,7 @@ class UdpSender(Process):
             return
         self._running = True
         # First packet at start time; order-independent (tie-shuffle clean).
-        self.sim.schedule(0, self._send_next)  # slinglint: disable=EVT002
+        self.sim.schedule(0, self._send_next)
 
     def stop(self) -> None:
         self._running = False

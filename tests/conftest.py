@@ -3,12 +3,10 @@
 import functools
 import inspect
 import textwrap
-from pathlib import Path
 from typing import Any, Dict
 
 import pytest
 
-from repro.analysis.runner import lint_report
 from repro.checkpoint import Checkpoint
 from repro.checkpoint import soak as soak_module
 from repro.core import orion as orion_module
@@ -24,8 +22,6 @@ from repro.faults.scenarios import RUN_END_NS, scenario_by_name
 from repro.harness import branch_sweep
 from repro.sim.units import MS
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
-
 #: Mid-recovery capture point: inside every standard scenario's fault
 #: window (faults land at 550 ms, recovery completes by 850 ms).
 MID_RECOVERY_NS = 600 * MS
@@ -37,14 +33,6 @@ def zero_orion_service(monkeypatch):
     hop-by-hop timing without the Fig 12 service model."""
     monkeypatch.setattr(orion_module, "SERVICE_BASE_NS", 0)
     monkeypatch.setattr(orion_module, "SERVICE_PER_BYTE_NS", 0.0)
-
-
-@pytest.fixture(scope="session")
-def package_report():
-    """One whole-tree lint pass (``src/repro``) serving every read-only
-    assertion about the real tree: its findings, its suppression
-    directives and its program model."""
-    return lint_report([PACKAGE])
 
 
 def _mid_recovery_verify(base, payload):

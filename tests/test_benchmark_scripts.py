@@ -2,9 +2,8 @@
 the pop census.
 
 ``render_perf_docs.py`` writes the README / DESIGN / EXPERIMENTS blocks
-(the speed trajectory from ``benchmarks/trajectory.json``, the slinglint
-rule table) and ``benchmarks/src_lines.json``; a stale block or ledger
-fails here. ``pop_census.py`` runs at smoke size. No wall number is
+(the speed trajectory from ``benchmarks/trajectory.json``) and
+``benchmarks/src_lines.json``; a stale block or ledger fails here. ``pop_census.py`` runs at smoke size. No wall number is
 asserted anywhere: the simulator's speed is ``bench/run.py``'s to measure.
 """
 
@@ -20,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def test_docs_quote_the_committed_sources():
     """README / DESIGN / EXPERIMENTS generated blocks are rendered from
-    the committed JSON and the rule registry, never typed."""
+    the committed JSON, never typed."""
     result = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "render_perf_docs.py"), "--check"],
         capture_output=True, text=True, timeout=60,

@@ -63,11 +63,13 @@ class TestParser:
         for name in EXPERIMENTS:
             assert name in out
 
-    @pytest.mark.parametrize("name", ["nonsense", "perf", "telemetry", "sec82"])
+    @pytest.mark.parametrize("name", ["nonsense", "perf", "telemetry", "sec82", "lint"])
     def test_unknown_experiment_is_one_line_and_exit_2(self, capsys, name):
         """``perf`` is not a verb: speed is ``bench/run.py``'s to measure;
         nor is ``telemetry``: every chaos run carries its timeline and
-        counters; nor is ``sec82``: ``sec52`` prints §8.2 from its sweep."""
+        counters; nor is ``sec82``: ``sec52`` prints §8.2 from its sweep;
+        nor is ``lint``: the tree's policy is tier-1's guards
+        (``tests/test_tree_policy.py``)."""
         assert main([name]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -1,7 +1,6 @@
 """Unit tests for the discrete-event simulator core."""
 
 import ast
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,7 @@ from repro.sim.rng import COMPOSITION_ROOTS, NAMESPACES, BatchedIntegers, RngReg
 from repro.sim.trace import TraceRecorder
 from repro.sim.units import MS, SECOND, US, ns_to_ms, ns_to_us, s_to_ns
 from tests.packetgen import PeriodicProcess
+from tests.tree_reader import SCHEDULING_CALLS, modules
 
 
 class TestSimulatorScheduling:
@@ -94,7 +94,7 @@ class TestSimulatorScheduling:
 class TestIntegerTime:
     """Every entry point refuses a time that is not exactly an ``int``,
     where it already compares the value (once the only guard was the
-    TIMX001 dataflow lint)."""
+    TIMX001 dataflow rule)."""
 
     @pytest.mark.parametrize(
         "call",
@@ -353,17 +353,16 @@ def test_no_scheduling_call_passes_a_label():
     """An event carries no label: no ``schedule`` / ``at`` /
     ``schedule_periodic`` call under ``src/`` passes ``label=``, and the
     engine refuses one."""
-    root = Path(__file__).resolve().parents[1] / "src" / "repro"
     labelled = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for module, tree in modules():
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("schedule", "at", "schedule_periodic")
+                and node.func.attr in SCHEDULING_CALLS
                 and any(keyword.arg == "label" for keyword in node.keywords)
             ):
-                labelled.append(f"{path.relative_to(root)}:{node.lineno}")
+                labelled.append(f"{module}:{node.lineno}")
     assert labelled == []
     sim = Simulator()
     for call in (
@@ -473,7 +472,7 @@ def draw_from(module, registry, name):
 class TestStreamOwnership:
     """``RngRegistry.stream`` refuses a ``repro`` caller the namespace
     table (``NAMESPACES``) does not let draw the stream — what the
-    STREAM002-004 lint rules used to approximate from the source."""
+    STREAM002-004 rules used to approximate from the source."""
 
     def test_namespace_table(self):
         assert namespace_head("faults.link.fh") == "faults"
@@ -537,11 +536,11 @@ class TestStreamOwnership:
 
 REFUSED_TIME = "must be integer nanoseconds"
 
-#: The retired TIM / TIMX lint corpus, run instead of linted: (case,
+#: The retired TIM / TIMX rules' corpus, run instead of read: (case,
 #: source defining ``f(sim, *args)`` or acting at module level, args,
-#: refused). A suppression comment silenced the lint; it cannot silence
-#: the scheduler. A flow the lint followed only to a binding is carried
-#: on to the scheduler call it would have reached.
+#: refused). A comment silences no runtime check: the scheduler refuses
+#: a suppressed case like any other. A flow the rules followed only to a
+#: binding is carried on to the scheduler call it would have reached.
 TIME_CORPUS = [
     ("tim001_float_literal_delay", "def f(sim):\n    sim.schedule(1.5, print)\n", (), True),
     ("tim001_float_inside_expression", "def f(sim, n):\n    sim.at(n * 0.5, print)\n", (4,), True),
@@ -734,7 +733,7 @@ TIME_CORPUS = [
     ),
 ]
 
-#: The retired STREAM / OBS001 lint corpus, run instead of linted: (case,
+#: The retired STREAM / OBS001 rules' corpus, run instead of read: (case,
 #: draws, refusal). Each draw is (calling module, source defining
 #: ``f(rng, *args)``, args), all on one registry; ``refusal`` is a piece
 #: of the last draw's ``ValueError``, or ``None`` when every draw passes.
@@ -855,9 +854,10 @@ STREAM_CORPUS = [
 
 
 class TestRetiredLintCorpus:
-    """Every case of the retired TIM / TIMX / STREAM / OBS001 lint tests,
-    executed against the runtime check that replaced the rule: a case
-    the lint flagged raises, a case it passed runs."""
+    """Every case of the retired TIM / TIMX / STREAM / OBS001 rules'
+    tests, executed against the runtime check that replaced the rule: a
+    case a rule flagged raises, a case it passed runs, and a suppression
+    comment changes neither."""
 
     @staticmethod
     def run_time_case(source, args):

@@ -9,16 +9,15 @@ or a fleet reaches every deployment shape there is. A bare ``Switch`` /
 """
 
 import ast
-import functools
 import os
 import re
 import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-WIRING_SITE = "cell/deployment.py"
+from tests.tree_reader import SCHEDULING_CALLS, SRC, callee, modules, parsed
+
+WIRING_SITE = "cell.deployment"
 COMPONENTS = frozenset(
     {
         "PhyProcess",
@@ -31,31 +30,17 @@ COMPONENTS = frozenset(
 )
 
 
-
-@functools.lru_cache(maxsize=None)
-def _parsed(path: Path) -> ast.Module:
-    """``path`` parsed, once for every guard in this file."""
-    return ast.parse(path.read_text(), filename=str(path))
-
-
-def _instantiations(path: Path) -> set:
-    """Component classes a module calls, by bare or dotted name."""
-    found = set()
-    for node in ast.walk(_parsed(path)):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name in COMPONENTS:
-                found.add(name)
-    return found
-
-
 def test_only_the_deployment_module_instantiates_components():
+    """Every module's component constructions, by bare or dotted name:
+    only the wiring site has any."""
     sites = {}
-    for path in sorted(SRC.rglob("*.py")):
-        found = _instantiations(path)
+    for module, tree in modules():
+        found = {
+            callee(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and callee(node) in COMPONENTS
+        }
         if found:
-            sites[path.relative_to(SRC).as_posix()] = found
+            sites[module] = found
     # The guard sees what it guards: the wiring site builds all six.
     assert sites.pop(WIRING_SITE) == COMPONENTS
     assert sites == {}, (
@@ -70,11 +55,10 @@ def test_nothing_simulated_imports_telemetry():
     chaos campaign, tooling that reads every finished run) is a push
     site growing back."""
     importers = {}
-    for path in sorted(SRC.rglob("*.py")):
-        relative = path.relative_to(SRC).as_posix()
-        if relative.startswith("telemetry/") or relative == "faults/campaign.py":
+    for module, tree in modules():
+        if module.startswith("telemetry.") or module == "faults.campaign":
             continue
-        for node in ast.walk(_parsed(path)):
+        for node in ast.walk(tree):
             names = []
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -84,7 +68,7 @@ def test_nothing_simulated_imports_telemetry():
                     *(f"{node.module}.{alias.name}" for alias in node.names),
                 ]
             if any(name.startswith("repro.telemetry") for name in names):
-                importers[relative] = node.lineno
+                importers[module] = node.lineno
     assert importers == {}
 
 
@@ -111,24 +95,16 @@ def test_the_readers_load_no_campaign_tooling():
 CALLER_TREES = ("src", "bench", "benchmarks")
 #: The race detector's test instrument: tests alone set it, on purpose.
 TEST_ONLY_FIELDS = frozenset({"tie_shuffle_seed"})
-#: ``Simulator`` entry points whose arguments after the callback are the
-#: callback's own: ``sim.at(t, phy.hang, "chaos")`` calls ``hang("chaos")``.
-SCHEDULING_CALLS = frozenset({"at", "schedule", "schedule_periodic"})
 
 
 def _caller_modules(trees: tuple = CALLER_TREES) -> tuple:
     """``(tree name, parsed module)`` for every module under ``trees``."""
     root = SRC.parents[1]
     return tuple(
-        (tree_name, _parsed(path))
+        (tree_name, parsed(path))
         for tree_name in trees
         for path in sorted((root / tree_name).rglob("*.py"))
     )
-
-
-def _callee(call: ast.Call):
-    func = call.func
-    return getattr(func, "id", None) or getattr(func, "attr", None)
 
 
 def _calls(tree: ast.AST):
@@ -137,7 +113,7 @@ def _calls(tree: ast.AST):
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             yield node
-            if _callee(node) in SCHEDULING_CALLS and len(node.args) >= 2:
+            if callee(node) in SCHEDULING_CALLS and len(node.args) >= 2:
                 yield ast.Call(func=node.args[1], args=node.args[2:], keywords=[])
 
 
@@ -145,8 +121,8 @@ def _config_fields() -> dict:
     """``{class: {field: default expression or None}}`` of every
     ``*Config`` dataclass under ``src/repro``."""
     classes = {}
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(_parsed(path)):
+    for _, tree in modules():
+        for node in ast.walk(tree):
             if not (isinstance(node, ast.ClassDef) and node.name.endswith("Config")):
                 continue
             decorators = {
@@ -200,8 +176,7 @@ def _set_fields(classes: dict) -> set:
                             built[target.id] = node.value.keywords
             for node in ast.walk(scope):
                 if isinstance(node, ast.Call):
-                    func = node.func
-                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    name = callee(node)
                     if name in classes:
                         pairs = list(zip(classes[name], node.args))
                         for keyword in node.keywords:
@@ -303,9 +278,7 @@ def _defaulted_parameters() -> dict:
     expression)}`` for every defaulted parameter of a public module
     function, constructor or method under ``src/repro``."""
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        tree = _parsed(path)
+    for module, tree in modules():
         callables = [(node.name, node.name, node) for node in tree.body
                      if isinstance(node, ast.FunctionDef)]
         for cls in tree.body:
@@ -358,7 +331,7 @@ def _calls_by_callee() -> dict:
     calls = {}
     for _, module in _caller_modules():
         for call in _calls(module):
-            calls.setdefault(_callee(call), []).append(call)
+            calls.setdefault(callee(call), []).append(call)
     return calls
 
 
@@ -426,11 +399,9 @@ DOTTED_PATH = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 #: Public callables no non-test code loads, kept on purpose: the qualified
 #: name and why. Anything else is deleted.
 KEPT_CALLABLES = {
-    # Hooks that Python or a decorator calls.
+    # Hooks that Python calls.
     "checkpoint.snapshot._Pickler.reducer_override": "hook: pickle calls it "
     "for every object it writes",
-    "analysis.event_safety.LoopCaptureRule": "hook: @register_rule instantiates it",
-    "analysis.event_safety.ZeroDelayRule": "hook: @register_rule instantiates it",
     # Decisions already recorded.
     "experiments.ablations.tti_alignment": "decision: the design ablations stay",
     "experiments.ablations.software_vs_switch_middlebox": "decision: the design "
@@ -451,9 +422,8 @@ def _public_callables() -> dict:
     class of a module under ``src/repro``, and every public method of a
     class there (a private class's too: its methods may be hooks)."""
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in _parsed(path).body:
+    for module, tree in modules():
+        for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
@@ -517,7 +487,7 @@ def test_a_scheduled_callback_binds_the_arguments_after_it():
         ("sim.at(t, phy.hang)", False),
     ):
         deferred = [
-            call for call in _calls(ast.parse(source)) if _callee(call) == "hang"
+            call for call in _calls(ast.parse(source)) if callee(call) == "hang"
         ]
         assert len(deferred) == 1
         assert _passes(deferred[0], "reason", ["reason"]) is passes
@@ -674,7 +644,7 @@ def test_examples_bind_to_current_signatures():
     root = SRC.parents[1]
     checked = set()
     for path in sorted((root / "examples").glob("*.py")):
-        found = _bind_calls(_parsed(path), path.name)
+        found = _bind_calls(parsed(path), path.name)
         assert found, f"{path.name} makes no call the check can resolve"
         checked |= found
     blocks = PYTHON_BLOCK.findall((root / "README.md").read_text())
