@@ -8,28 +8,33 @@ Builds and warms the workload's plan exactly as ``bench/worker.py`` does
 (``bench/workloads.py`` is imported read-only), then drives the measured
 window twice, on two identical deployments:
 
-* a **timed** pass with ``Simulator._pop`` wrapped from outside: the wall
-  between one pop returning and the next pop being asked for is the
-  popped callback's, attributed to its kind — owner class · method, with
+* a **timed** pass with every callback wrapped where it is scheduled
+  (``Simulator.schedule`` / ``.at`` / ``.schedule_periodic`` patched from
+  outside before the deployment is built, through the tests' seam
+  ``tests/fired.wrap_scheduled``, as ``bench/spans.py`` does):
+  each fire's wall is its callback's, attributed to its kind — owner
+  class · method, with
   the carriers ``ShmChannel._deliver`` and ``ServerNic.receive_frame``
-  split by the consumer they hand to; ``gc.callbacks`` times CPython's
+  split by the consumer they hand to; the run loop's own work between
+  callbacks is no kind's; ``gc.callbacks`` times CPython's
   cyclic collector over the same window (collections per generation and
   their share of the window's wall, DESIGN §9 "Collector: cost model").
   The window runs in the benchmark's chunks, and each chunk's walls are
   scaled by the calibration loop timed right before it
   (``bench/worker.calibration_work``) to the reference host's speed, as
   ``bench/metrics.quiet_wall_s`` scales a run;
-  ``--by-role`` prefixes each kind with the role, at pop time, of the
-  PHY server the event works for (below); the cancelled entries each
-  pop skipped (``sim._cancelled_in_queue`` before and after it) are the
-  cost an event traded for a cancel leaves behind;
+  ``--by-role`` prefixes each kind with the role, at fire time, of the
+  PHY server the event works for (below); the cancelled entries the run
+  loop skipped (the fall of ``sim._cancelled_in_queue`` between one
+  callback's end and the next one's start) are the cost an event traded
+  for a cancel leaves behind;
 * a **counted** pass under ``sys.setprofile``: Python ``call`` and C
   ``c_call`` events per cell-slot, and the Python ones per code object
   (``--frames N`` prints the N most entered). Deterministic, so it repeats
   exactly; it runs apart from the timed pass because the profile hook
   would be most of the wall it measured.
 
-Both passes must pop the ``events_processed`` delta of the window, event
+Both passes must fire the ``events_processed`` delta of the window, event
 for event, or the script fails. ROADMAP's perf_opt item asks for this
 census before any fleet-speed direction is taken; DESIGN §9 "Healthy slot: cost
 model" quotes its table and "Collector: cost model" its collector line.
@@ -38,12 +43,12 @@ A PHY server's events are those of its PHY, its PHY-side Orion, their
 SHM channels and its NIC, every frame delivery whose frame is from or to
 one of its MACs, and the L2-side ``_route_response`` of its datagrams.
 Its role is read from
-its cell's L2-side Orion when the event pops, since a failover swaps
+its cell's L2-side Orion when the event fires, since a failover swaps
 them: ``active`` (a primary), ``standby`` (a secondary), ``dormant`` (a
 secondary whose slots run evaluated, ``core/standby.py``) or ``retired``
 (neither, e.g. a killed primary). Every other event (RU, switch,
 detector, L2, the fleet's own) is ``other``. A dormant server's elided
-work pops nothing; the census counts its dormant slot ticks instead
+work fires nothing; the census counts its dormant slot ticks instead
 (``standby-slots elided``), and the null requests the L2-side Orion
 booked for it instead of sending them (``nulls booked``).
 """
@@ -60,7 +65,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench"), ROOT]
 
 import workloads  # noqa: E402  (bench/workloads.py)
 from metrics import CALIBRATION_REF_NS  # noqa: E402  (bench/metrics.py)
@@ -69,16 +74,14 @@ from worker import calibration_work  # noqa: E402  (bench/worker.py)
 from repro.core.standby import Sleeper  # noqa: E402
 from repro.net.packet import EtherType  # noqa: E402
 from repro.phy.process import PhyProcess  # noqa: E402
-from repro.sim.engine import Simulator  # noqa: E402
+from tests.fired import wrap_scheduled  # noqa: E402
 
 SLOT_NS = 500 * workloads.US
 
 
-def callback_kind(entry: List[Any]) -> str:
-    """``Owner.method`` of a popped queue entry (``[time, tie, seq,
-    callback, args, periodic]``); a carrier — its cost belongs to whoever
-    it hands the work to — is split by that consumer."""
-    callback = entry[3]
+def callback_kind(callback: Any, args: Tuple[Any, ...]) -> str:
+    """``Owner.method`` of a fired callback; a carrier — its cost belongs
+    to whoever it hands the work to — is split by that consumer."""
     owner = getattr(callback, "__self__", None)
     if owner is None:
         return getattr(callback, "__qualname__", repr(callback))
@@ -86,15 +89,15 @@ def callback_kind(entry: List[Any]) -> str:
     if kind == "ShmChannel._deliver":
         return f"{kind} -> {type(owner.endpoint).__name__}"
     if kind == "ServerNic.receive_frame":
-        frame = entry[4][0]
+        frame = args[0]
         consumer = owner.phy if frame.ethertype == EtherType.ECPRI else owner.orion
         return f"{kind} -> {type(consumer).__name__}"
     return kind
 
 
 class RoleMap:
-    """Which PHY server of which cell a popped event works for, and that
-    server's role at pop time."""
+    """Which PHY server of which cell a fired event works for, and that
+    server's role at fire time."""
 
     def __init__(self, cells: List[Any]) -> None:
         self.cells = cells
@@ -122,15 +125,14 @@ class RoleMap:
             return "dormant" if self.cells[cell].phy_servers[phy].phy.asleep else "standby"
         return "retired"
 
-    def __call__(self, entry: List[Any]) -> str:
-        callback = entry[3]
+    def __call__(self, callback: Any, args: Tuple[Any, ...]) -> str:
         owner = getattr(callback, "__self__", None)
         server = self.server_of.get(id(owner))
         if server is None and callback.__name__ == "_route_response":
-            server = (self.cell_of[id(owner)], entry[4][0].phy_id)
+            server = (self.cell_of[id(owner)], args[0].phy_id)
         elif server is None and callback.__name__ == "receive_frame":
             cell = self.cell_of[id(owner)]
-            frame = entry[4][0]
+            frame = args[0]
             phy = self.mac_phy.get((cell, frame.src), self.mac_phy.get((cell, frame.dst)))
             if phy is not None:
                 server = (cell, phy)
@@ -144,46 +146,102 @@ def _window(name: str, seed: int, smoke: bool) -> Tuple[Any, Dict[str, Any]]:
     return deployment, plan
 
 
+class Timed:
+    """A scheduled callback whose fires the census times while it is on."""
+
+    __slots__ = ("census", "callback")
+
+    def __init__(self, census: "FireCensus", callback: Any) -> None:
+        self.census = census
+        self.callback = callback
+
+    def __call__(self, *args: Any) -> Any:
+        census = self.census
+        if not census.on:
+            return self.callback(*args)
+        return census.fire(self.callback, args)
+
+
+class FireCensus:
+    """Events and callback wall per kind, taken by wrapping every
+    callback where it is scheduled (module notes)."""
+
+    def __init__(self, role_of: Optional[RoleMap]) -> None:
+        self.role_of = role_of
+        self.on = False
+        self.sim: Any = None
+        self.events: Counter = Counter()
+        self.wall_ns: Counter = Counter()  # This chunk's measured ns per kind.
+        self.skipped = 0  # Cancelled entries the window's run loop dropped.
+        self.queued_cancels = 0  # sim._cancelled_in_queue as the last callback ended.
+        self.clock = time.perf_counter_ns
+        self._patched: List[Tuple[Any, str, Any]] = []
+
+    def install(self) -> None:
+        wrap_scheduled(self._patch, lambda callback, periodic: Timed(self, callback))
+
+    def _patch(self, owner: Any, name: str, value: Any) -> None:
+        self._patched.append((owner, name, getattr(owner, name)))
+        setattr(owner, name, value)
+
+    def uninstall(self) -> None:
+        for owner, name, original in self._patched:
+            setattr(owner, name, original)
+        self._patched.clear()
+
+    def start(self, sim: Any) -> None:
+        self.sim = sim
+        self.queued_cancels = sim._cancelled_in_queue
+        self.on = True
+
+    def stop(self) -> None:
+        self.skipped += self.queued_cancels - self.sim._cancelled_in_queue
+        self.on = False
+
+    def fire(self, callback: Any, args: Tuple[Any, ...]) -> Any:
+        sim = self.sim
+        self.skipped += self.queued_cancels - sim._cancelled_in_queue
+        kind = callback_kind(callback, args)
+        if self.role_of is not None:
+            kind = f"{self.role_of(callback, args)} {kind}"
+        self.events[kind] += 1
+        clock = self.clock
+        started = clock()
+        try:
+            return callback(*args)
+        finally:
+            self.wall_ns[kind] += clock() - started
+            self.queued_cancels = sim._cancelled_in_queue
+
+
 def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict[str, Any]:
     """Events and callback wall per kind (per role and kind with
     ``by_role``) over the measured window, and the collections the
     window ran; walls in reference-host nanoseconds (module notes)."""
-    deployment, plan = _window(name, seed, smoke)
+    plan = workloads.plan(name, seed, smoke)
+    fires = FireCensus(None)
+    fires.install()
+    try:
+        deployment = workloads.build(plan)
+        deployment.warm_up()
+        if by_role:
+            fires.role_of = RoleMap(deployment.cells)
+        return _timed_window(deployment, plan, fires)
+    finally:
+        fires.uninstall()
+
+
+def _timed_window(deployment: Any, plan: Dict[str, Any], fires: FireCensus) -> Dict[str, Any]:
     sim = deployment.sim
-    role_of = RoleMap(deployment.cells) if by_role else None
-    events: Counter = Counter()
-    wall_ns: Counter = Counter()  # Reference-host ns, summed over chunks ...
-    chunk_wall_ns: Counter = Counter()  # ... of the chunk's measured ns.
+    wall_ns: Counter = Counter()  # Reference-host ns, summed over chunks.
     collections: Counter = Counter()  # generation -> collections ...
     collected: Counter = Counter()  # ... -> objects they reclaimed
     gc_ns = 0
-    skipped = 0  # Cancelled entries the window's pops dropped.
     elided = 0  # Slots a dormant standby ran evaluated.
     booked = 0  # Null requests booked for a dormant standby.
-    inner_pop = Simulator._pop
     inner_dormant_slot = PhyProcess._dormant_slot
     inner_book = Sleeper.book
     clock = time.perf_counter_ns
-    running: Optional[str] = None  # Kind of the callback in flight ...
-    started = 0  # ... and when its pop returned.
-
-    def census_pop(self: Simulator, limit: Optional[int] = None):
-        nonlocal running, started, skipped
-        asked = clock()
-        if running is not None:
-            chunk_wall_ns[running] += asked - started
-        cancelled = self._cancelled_in_queue
-        entry = inner_pop(self, limit)
-        skipped += cancelled - self._cancelled_in_queue
-        if entry is None:
-            running = None
-            return None
-        running = callback_kind(entry)
-        if role_of is not None:
-            running = f"{role_of(entry)} {running}"
-        events[running] += 1
-        started = clock()
-        return entry
 
     def on_collect(phase: str, info: Dict[str, int]) -> None:
         nonlocal gc_ns
@@ -206,7 +264,6 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
         return done
 
     before = sim.events_processed
-    Simulator._pop = census_pop
     PhyProcess._dormant_slot = counting_dormant_slot
     Sleeper.book = counting_book
     window_ns = 0.0
@@ -218,26 +275,27 @@ def timed_pass(name: str, seed: int, smoke: bool, by_role: bool = False) -> Dict
             scale = CALIBRATION_REF_NS / (clock() - calibrated)
             gc_before = gc_ns
             gc.callbacks.append(on_collect)  # The chunk's collections only.
+            fires.start(sim)
             chunk_started = clock()
             try:
                 sim.run_until(end)
             finally:
                 chunk_ns = clock() - chunk_started
+                fires.stop()
                 gc.callbacks.remove(on_collect)
             window_ns += chunk_ns * scale
             gc_ns = gc_before + (gc_ns - gc_before) * scale
-            for kind, wall in chunk_wall_ns.items():
+            for kind, wall in fires.wall_ns.items():
                 wall_ns[kind] += wall * scale
-            chunk_wall_ns.clear()
+            fires.wall_ns.clear()
     finally:
         Sleeper.book = inner_book
         PhyProcess._dormant_slot = inner_dormant_slot
-        Simulator._pop = inner_pop
     return {
-        "skipped": skipped,
+        "skipped": fires.skipped,
         "elided_slots": elided,
         "booked_nulls": booked,
-        "events": events,
+        "events": fires.events,
         "wall_ns": wall_ns,
         "window_ns": window_ns,
         "gc_ns": gc_ns,

@@ -47,7 +47,7 @@ from repro.fronthaul.oran import (
 from repro.net.addresses import MacAddress
 from repro.net.p4.registers import RegisterArray
 from repro.net.p4.tables import MatchActionTable
-from repro.net.packet import EtherType, EthernetFrame
+from repro.net.packet import ETH_ECPRI, ETH_SLINGSHOT, EthernetFrame
 from repro.net.switch import Switch
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -180,9 +180,9 @@ class FronthaulMiddlebox:
     def process(
         self, frame: EthernetFrame, in_port: int, switch: Switch
     ) -> Forward:
-        if frame.ethertype == EtherType.ECPRI:
+        if frame.ethertype == ETH_ECPRI:
             return self._process_fronthaul(frame, in_port)
-        if frame.ethertype == EtherType.SLINGSHOT:
+        if frame.ethertype == ETH_SLINGSHOT:
             return self._process_command(frame, in_port)
         return self._process_l2(frame, in_port)
 
@@ -362,7 +362,7 @@ class FronthaulMiddlebox:
         notification = EthernetFrame(
             src=self.virtual_phy_mac,
             dst=mac,
-            ethertype=EtherType.SLINGSHOT,
+            ethertype=ETH_SLINGSHOT,
             payload=FailureNotification(phy_id=phy_id, detected_at=detected_at),
             wire_bytes=SLINGSHOT_CMD_BYTES,
         )

@@ -52,7 +52,7 @@ from repro.fapi.messages import (
 )
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
-from repro.net.packet import EtherType, EthernetFrame
+from repro.net.packet import ETH_IPV4, ETH_SLINGSHOT, EthernetFrame
 from repro.phy.numerology import SlotClock
 from repro.sim.engine import PeriodicHandle, Simulator
 from repro.sim.process import Process
@@ -373,7 +373,7 @@ class PhySideOrion(Process):
         frame = EthernetFrame(
             src=self.mac,
             dst=self.l2_orion_mac,
-            ethertype=EtherType.IPV4,
+            ethertype=ETH_IPV4,
             payload=datagram,
             wire_bytes=datagram.wire_bytes,
         )
@@ -521,7 +521,7 @@ class L2SideOrion(Process):
         frame = EthernetFrame(
             src=self.mac,
             dst=mac,
-            ethertype=EtherType.IPV4,
+            ethertype=ETH_IPV4,
             payload=datagram,
             wire_bytes=datagram.wire_bytes,
         )
@@ -837,7 +837,7 @@ class L2SideOrion(Process):
         frame = EthernetFrame(
             src=self.mac,
             dst=MacAddress(0x02_5A_5A_00_00_02),  # Consumed by the pipeline.
-            ethertype=EtherType.SLINGSHOT,
+            ethertype=ETH_SLINGSHOT,
             payload=command,
             wire_bytes=SLINGSHOT_CMD_BYTES,
         )

@@ -53,7 +53,7 @@ from repro.core.orion import UDP_OVERHEAD_BYTES, OrionDatagram, PhySideOrion
 from repro.fapi.codec import wire_size
 from repro.fapi.messages import FapiMessage, null_dl_tti, null_ul_tti
 from repro.net.link import Link
-from repro.net.packet import EtherType, EthernetFrame
+from repro.net.packet import ETH_IPV4, EthernetFrame
 from repro.net.switch import SwitchPort
 from repro.phy.numerology import SLOT_EPOCH_NS
 from repro.phy.process import TX_LEAD_NS, PhyCellContext, PhyProcess
@@ -248,7 +248,7 @@ class Sleeper:
         """The frame the L2-side Orion would have sent for a booked null."""
         datagram = OrionDatagram(self._null(code), self.phy.phy_id, is_response=False)
         return EthernetFrame(
-            src=self.dormancy.l2_orion.mac, dst=self.orion.mac, ethertype=EtherType.IPV4,
+            src=self.dormancy.l2_orion.mac, dst=self.orion.mac, ethertype=ETH_IPV4,
             payload=datagram, wire_bytes=datagram.wire_bytes,
         )
 

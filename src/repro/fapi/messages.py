@@ -16,7 +16,6 @@ cost.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, Union
 
@@ -39,9 +38,6 @@ class MessageType(enum.IntEnum):
     ERROR_INDICATION = 0x03
 
 
-_message_ids = itertools.count(1)
-
-
 @dataclass
 class FapiMessage:
     """Common header: every FAPI message names its cell and slot."""
@@ -50,7 +46,6 @@ class FapiMessage:
     cell_id: int = 0
     #: Absolute slot counter (the simulation's TTI index).
     slot: int = -1
-    message_id: int = field(default_factory=_message_ids.__next__)
 
     @property
     def message_type(self) -> MessageType:

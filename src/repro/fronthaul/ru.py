@@ -26,8 +26,8 @@ from repro.fronthaul.oran import (
 )
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
-from repro.net.packet import EtherType, EthernetFrame
-from repro.phy.numerology import TDD, SlotClock, SlotType
+from repro.net.packet import ETH_ECPRI, EthernetFrame
+from repro.phy.numerology import TDD, UPLINK_SLOT, SlotClock
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -175,7 +175,7 @@ class RadioUnit(Process):
         # Radiate downlink data.
         for packet in self._dl_data.pop(abs_slot, []):
             self.air.deliver_dl_data(abs_slot, packet.block)
-        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
+        if TDD.slot_type(abs_slot) is UPLINK_SLOT:
             # Capture at the end of the slot: UEs transmit during it.
             capture_at = self.slot_clock.slot_start(abs_slot + 1)
             self.sim.at(capture_at, self._capture_uplink, abs_slot)
@@ -208,7 +208,7 @@ class RadioUnit(Process):
             frame = EthernetFrame(
                 src=self.mac,
                 dst=self.virtual_phy_mac,
-                ethertype=EtherType.ECPRI,
+                ethertype=ETH_ECPRI,
                 payload=payload,
                 wire_bytes=payload.wire_bytes,
             )

@@ -43,15 +43,15 @@ from repro.fapi.messages import (
 )
 from repro.l2.rlc import (
     PDU_HEADER_BYTES,
+    RLC_AM,
     RlcBearerConfig,
-    RlcMode,
     RlcPdu,
     RlcReceiver,
     RlcStatus,
     RlcTransmitter,
 )
 from repro.phy.modulation import Modulation
-from repro.phy.numerology import NUMEROLOGY, TDD, SlotClock, SlotType
+from repro.phy.numerology import DOWNLINK_SLOT, NUMEROLOGY, TDD, UPLINK_SLOT, SlotClock
 from repro.sim.engine import SimClock, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -369,15 +369,17 @@ class L2Process(Process):
         slot_type = TDD.slot_type(target)
         ul_req = UlTtiRequest(cell_id=self.cell_id, slot=target, pdus=[])
         dl_req = DlTtiRequest(cell_id=self.cell_id, slot=target, pdus=[])
-        tx_data = TxDataRequest(cell_id=self.cell_id, slot=target, payloads=[])
-        if slot_type is SlotType.UPLINK:
+        payloads = None
+        if slot_type is UPLINK_SLOT:
             ul_req.pdus = self._schedule_uplink(target)
-        elif slot_type is SlotType.DOWNLINK:
-            dl_req.pdus, tx_data.payloads = self._schedule_downlink(target)
+        elif slot_type is DOWNLINK_SLOT:
+            dl_req.pdus, payloads = self._schedule_downlink(target)
         self.fapi_tx.send(ul_req)
         self.fapi_tx.send(dl_req)
-        if tx_data.payloads:
-            self.fapi_tx.send(tx_data)
+        if payloads:
+            self.fapi_tx.send(
+                TxDataRequest(cell_id=self.cell_id, slot=target, payloads=payloads)
+            )
 
     def _expire_harq(self, now_slot: int) -> None:
         """DTX timeouts: missing CRC/UCI responses count as NACK."""
@@ -411,7 +413,7 @@ class L2Process(Process):
                 continue
             ctx.last_status_at = self.sim.now
             for bearer_id, receiver in ctx.ul_rx.items():
-                if receiver.config.mode is RlcMode.AM and receiver.status_due:
+                if receiver.config.mode is RLC_AM and receiver.status_due:
                     ctx.pending_dl_status.append(receiver.build_status())
 
     # ------------------------------------------------------------------

@@ -37,6 +37,10 @@ class RlcMode(enum.Enum):
     AM = "AM"
 
 
+#: :attr:`RlcMode.AM`, bound once for the per-PDU and per-slot mode tests.
+RLC_AM = RlcMode.AM
+
+
 #: AM: maximum retransmissions of one PDU before it is discarded.
 MAX_RETX = 8
 #: UM: reassembly timer — a gap older than this is declared lost and
@@ -202,7 +206,7 @@ class RlcTransmitter:
             pdus.append(pdu)
             budget -= PDU_HEADER_BYTES + segment
             self.stats.pdus_sent += 1
-            if self.config.mode is RlcMode.AM:
+            if self.config.mode is RLC_AM:
                 self._flight[pdu.seq] = (pdu, 0)
         return pdus
 
@@ -217,7 +221,7 @@ class RlcTransmitter:
         flight PDU that two consecutive status reports fail to cover is
         presumed lost and retransmitted (3GPP's t-PollRetransmit).
         """
-        if self.config.mode is not RlcMode.AM:
+        if self.config.mode is not RLC_AM:
             return
         acked = [seq for seq in self._flight if seq < status.ack_seq]
         for seq in acked:
@@ -326,7 +330,7 @@ class RlcReceiver:
         self.stats.pdus_received += 1
         self.pdus_since_status += 1
         self._fallback_clock += 1
-        if self.config.mode is RlcMode.AM:
+        if self.config.mode is RLC_AM:
             return self._on_pdu_am(pdu)
         seen = self._seen
         if pdu.seq in seen:

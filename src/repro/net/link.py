@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Protocol, Tuple
 
-from repro.net.packet import EtherType, EthernetFrame
+from repro.net.packet import ETH_ECPRI, EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.units import SECOND
 
@@ -39,7 +39,7 @@ class ServerNic:
         self.orion: NetworkEndpoint
 
     def receive_frame(self, frame: EthernetFrame, ingress: "Link") -> None:
-        if frame.ethertype == EtherType.ECPRI:
+        if frame.ethertype == ETH_ECPRI:
             if self.phy is not None:
                 self.phy.receive_frame(frame, ingress)
         else:

@@ -10,7 +10,6 @@ their real on-the-wire size.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Any
 
 from repro.net.addresses import MacAddress
@@ -34,7 +33,12 @@ class EtherType(enum.IntEnum):
     SLINGSHOT = 0x88B5
 
 
-_frame_ids = itertools.count(1)
+#: The members bound once, as module constants: every hop compares or
+#: sets an ethertype, and on CPython 3.11 ``EtherType.ECPRI`` costs a
+#: class-attribute lookup (~130 ns) where a module global costs ~10 ns.
+ETH_ECPRI = EtherType.ECPRI
+ETH_IPV4 = EtherType.IPV4
+ETH_SLINGSHOT = EtherType.SLINGSHOT
 
 
 class EthernetFrame:
@@ -50,7 +54,7 @@ class EthernetFrame:
     machinery, one C-level attribute store per field.
     """
 
-    __slots__ = ("src", "dst", "ethertype", "payload", "wire_bytes", "frame_id")
+    __slots__ = ("src", "dst", "ethertype", "payload", "wire_bytes")
 
     def __init__(
         self,
@@ -65,7 +69,6 @@ class EthernetFrame:
         self.ethertype = ethertype
         self.payload = payload
         self.wire_bytes = wire_bytes if wire_bytes >= MIN_FRAME_BYTES else MIN_FRAME_BYTES
-        self.frame_id = next(_frame_ids)
 
     def copy_to(self, dst: MacAddress) -> "EthernetFrame":
         """Clone the frame with a rewritten destination (switch forwarding)."""
@@ -79,6 +82,6 @@ class EthernetFrame:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"<Frame #{self.frame_id} {self.src}->{self.dst} "
+            f"<Frame {self.src}->{self.dst} "
             f"{self.ethertype.name} {self.wire_bytes}B>"
         )

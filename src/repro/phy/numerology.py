@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.sim.units import US
 
@@ -34,6 +34,12 @@ class SlotType(enum.Enum):
     DOWNLINK = "D"
     SPECIAL = "S"
     UPLINK = "U"
+
+
+#: The members the per-slot paths test a slot's type against, bound once
+#: (a module global, not an enum class-attribute lookup, per slot).
+UPLINK_SLOT = SlotType.UPLINK
+DOWNLINK_SLOT = SlotType.DOWNLINK
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,9 @@ TDD = TddPattern()
 #: rather than through its properties on every :meth:`SlotClock.address_of`.
 SLOTS_PER_SUBFRAME = NUMEROLOGY.slots_per_subframe
 SLOTS_PER_FRAME = NUMEROLOGY.slots_per_frame
+#: Slots before an O-RAN address repeats: the frame number wraps at
+#: :data:`MAX_FRAME` (20,480 slots, 10.24 s at 500 µs).
+ADDRESS_PERIOD = SLOTS_PER_FRAME * MAX_FRAME
 
 
 @dataclass(frozen=True)
@@ -139,10 +148,26 @@ class SlotClock:
         return SLOT_EPOCH_NS + slot * self.slot_duration_ns
 
     def address_of(self, slot: int) -> SlotAddress:
-        """O-RAN (frame, subframe, slot-in-subframe) address of a slot."""
-        within = slot % SLOTS_PER_FRAME
-        return SlotAddress(
-            frame=(slot // SLOTS_PER_FRAME) % MAX_FRAME,
-            subframe=within // SLOTS_PER_SUBFRAME,
-            slot=within % SLOTS_PER_SUBFRAME,
-        )
+        """O-RAN (frame, subframe, slot-in-subframe) address of a slot.
+
+        A pure function of ``slot % ADDRESS_PERIOD``: each address is
+        built the first time any clock asks for it and served from
+        ``_ADDRESSES`` after that (every RU and PHY asks every slot).
+        """
+        index = slot % ADDRESS_PERIOD
+        try:
+            return _ADDRESSES[index]
+        except KeyError:
+            within = index % SLOTS_PER_FRAME
+            address = _ADDRESSES[index] = SlotAddress(
+                frame=index // SLOTS_PER_FRAME,
+                subframe=within // SLOTS_PER_SUBFRAME,
+                slot=within % SLOTS_PER_SUBFRAME,
+            )
+            return address
+
+
+#: :meth:`SlotClock.address_of`'s table, filled on demand: ~0.36 MB per
+#: simulated second, bounded at :data:`ADDRESS_PERIOD` addresses (~3.7 MB)
+#: once a process has run a full period.
+_ADDRESSES: Dict[int, SlotAddress] = {}

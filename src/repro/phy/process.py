@@ -56,13 +56,13 @@ from repro.fronthaul.oran import (
 )
 from repro.net.addresses import MacAddress
 from repro.net.link import Link
-from repro.net.packet import EtherType, EthernetFrame
+from repro.net.packet import ETH_ECPRI, EthernetFrame
 from repro.phy.channel import ChannelRealization
 from repro.phy.codec import PhyCodec
 from repro.phy.mimo import BeamformingTracker
-from repro.phy.numerology import NUMEROLOGY, TDD, SlotClock, SlotType
+from repro.phy.numerology import NUMEROLOGY, TDD, UPLINK_SLOT, SlotClock
 from repro.phy.snr_filter import SnrMovingAverage
-from repro.phy.transport import LinkDirection, TransportBlock
+from repro.phy.transport import DOWNLINK_TB, UPLINK_TB, TransportBlock
 from repro.sim.engine import PeriodicHandle, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -453,7 +453,7 @@ class PhyProcess(Process):
             )
         self._emit_downlink(cell, abs_slot, ul_pdus, dl_pdus)
         self._emit_slot_indication(cell, abs_slot)
-        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
+        if TDD.slot_type(abs_slot) is UPLINK_SLOT:
             self._schedule_finish(cell, abs_slot, ul_pdus)
 
     def _schedule_finish(self, cell: PhyCellContext, abs_slot: int, ul_pdus) -> None:
@@ -496,7 +496,7 @@ class PhyProcess(Process):
         uplink.elide(now + first_tx, wire_bytes, abs_slot)
         uplink.elide(now + mid_offset, wire_bytes, abs_slot)
         self._emit_slot_indication(cell, abs_slot)
-        if TDD.slot_type(abs_slot) is SlotType.UPLINK:
+        if TDD.slot_type(abs_slot) is UPLINK_SLOT:
             self._schedule_finish(cell, abs_slot, [])
 
     def _null_cplane(self, cell: PhyCellContext, abs_slot: int) -> CplaneMessage:
@@ -570,7 +570,7 @@ class PhyProcess(Process):
             data = payloads.get(pdu.tb_id)
             block = TransportBlock(
                 ue_id=pdu.ue_id,
-                direction=LinkDirection.DOWNLINK,
+                direction=DOWNLINK_TB,
                 harq_process=pdu.harq_process,
                 modulation=pdu.modulation,
                 prbs=pdu.prbs,
@@ -615,7 +615,7 @@ class PhyProcess(Process):
         return EthernetFrame(
             src=self.mac,
             dst=_UNRESOLVED_DST,
-            ethertype=EtherType.ECPRI,
+            ethertype=ETH_ECPRI,
             payload=payload,
             wire_bytes=wire_bytes,
         )
@@ -656,7 +656,7 @@ class PhyProcess(Process):
                 # processes garbage samples (§4).
                 block = TransportBlock(
                     ue_id=pdu.ue_id,
-                    direction=LinkDirection.UPLINK,
+                    direction=UPLINK_TB,
                     harq_process=pdu.harq_process,
                     modulation=pdu.modulation,
                     prbs=pdu.prbs,

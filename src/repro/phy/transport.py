@@ -28,6 +28,11 @@ class LinkDirection(enum.Enum):
     DOWNLINK = "DL"
 
 
+#: The members bound once, for the per-slot paths that build blocks.
+UPLINK_TB = LinkDirection.UPLINK
+DOWNLINK_TB = LinkDirection.DOWNLINK
+
+
 _tb_ids = itertools.count(1)
 
 

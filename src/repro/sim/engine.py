@@ -54,9 +54,16 @@ Design notes
 * :meth:`Simulator.schedule`, :meth:`Simulator.at` and the periodic
   re-arm each build and push an event themselves rather than one
   calling the other.
-* ``_pop`` is the single point through which every fired event leaves
-  the queue; ``benchmarks/pop_census.py`` hooks it from outside to
-  attribute wall time without instrumenting callbacks.
+* The run loop drains the queue an instant at a time: a one-entry
+  instant fires from its own short branch, and a shared instant's
+  ``deque`` is emptied in place, one ``popleft`` per entry, with no call
+  per event. The drain leaves the instant to the outer loop when a
+  callback stops the run or, under a tie-shuffle seed, pushes a key
+  ahead of the instant's; compaction filters the queue in place, so the
+  deque being drained stays the instant's. Nothing wraps the loop:
+  observers (``benchmarks/pop_census.py``, ``bench/spans.py``) wrap the
+  callbacks where :meth:`Simulator.schedule`, :meth:`Simulator.at` and
+  :meth:`Simulator.schedule_periodic` take them.
 * *Settle hooks* (:meth:`Simulator.add_settle_hook`) run, in
   registration order, whenever a run call (``run_until``, ``run_for``,
   ``run``, ``step``) returns. Only a deployment's standby dormancy
@@ -420,24 +427,29 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the queue without cancelled entries.
+        """Rebuild the queue without cancelled entries, in place.
 
         Survivors keep their keys and, within a bucket, their push order,
         so the rebuilt queue pops the exact same sequence — compaction is
-        invisible to execution order.
+        invisible to execution order. The heap, the dict and every
+        surviving ``deque`` stay the same objects, so a run loop that is
+        draining one of them mid-instant goes on draining it.
         """
-        buckets: Dict[int, Any] = {}
-        for key, queued in self._buckets.items():
+        buckets = self._buckets
+        for key, queued in list(buckets.items()):
             if type(queued) is list:
-                if queued[3] is not None:
-                    buckets[key] = queued
+                if queued[3] is None:
+                    del buckets[key]
                 continue
-            live = deque(entry for entry in queued if entry[3] is not None)
+            live = [entry for entry in queued if entry[3] is not None]
+            queued.clear()
             if live:
-                buckets[key] = live
-        self._buckets = buckets
-        self._instants = list(buckets)
-        heapify(self._instants)
+                queued.extend(live)
+            else:
+                del buckets[key]
+        instants = self._instants
+        instants[:] = buckets
+        heapify(instants)
         self._cancelled_in_queue = 0
         self.compactions += 1
 
@@ -448,8 +460,8 @@ class Simulator:
         """Pop the next live entry with time <= ``limit`` (None = no limit).
 
         Skips (and drops) cancelled entries; leaves a live head beyond
-        ``limit`` in place and returns None. Every event that fires flows
-        through here, so the pop census wraps this method.
+        ``limit`` in place and returns None. :meth:`step` pops through
+        here, and so does a run that reaches an instant past its limit.
         """
         instants = self._instants
         buckets = self._buckets
@@ -492,25 +504,74 @@ class Simulator:
 
     def _run(self, limit: Optional[int]) -> bool:
         """Fire events with time <= ``limit`` until none is left (True) or
-        :meth:`stop` ends the loop first (False)."""
+        :meth:`stop` ends the loop first (False).
+
+        An instant leaves the queue before its entries fire: a lone entry
+        at once, a shared instant's ``deque`` when its last entry is taken
+        off, so a push at the current instant from the last callback
+        starts a new one. Every entry of an instant has its time, so one
+        check against ``limit`` covers it; past the limit, :meth:`_pop`
+        drops the cancelled entries ahead of the first live one, as the
+        run's last pop always has.
+        """
         self._running = True
-        pop = self._pop
+        instants = self._instants
+        buckets = self._buckets
+        shuffled = self._tie_stream is not None
         try:
-            while self._running:
-                entry = pop(limit)
-                if entry is None:
+            while instants:
+                key = instants[0]
+                queued = buckets[key]
+                if type(queued) is list:
+                    callback = queued[3]
+                    if callback is None:
+                        del buckets[key]
+                        heappop(instants)
+                        self._cancelled_in_queue -= 1
+                        continue
+                    time = queued[0]
+                    if limit is not None and time > limit:
+                        return True
+                    del buckets[key]
+                    heappop(instants)
+                    self.now = time
+                    queued[3] = None
+                    self._events_processed += 1
+                    periodic = queued[5]
+                    if periodic is not None:
+                        periodic._arm(time + periodic.period)
+                    callback(*queued[4])
+                    if not self._running:
+                        return False
+                    continue
+                time = queued[0][0]
+                if limit is not None and time > limit:
+                    self._pop(limit)
                     return True
-                self.now = time = entry[0]
-                callback = entry[3]
-                entry[3] = None
-                self._events_processed += 1
-                periodic = entry[5]
-                if periodic is not None:
-                    periodic._arm(time + periodic.period)
-                callback(*entry[4])
+                popleft = queued.popleft
+                while queued:
+                    entry = popleft()
+                    if not queued:
+                        del buckets[key]
+                        heappop(instants)
+                    callback = entry[3]
+                    if callback is None:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    self.now = time
+                    entry[3] = None
+                    self._events_processed += 1
+                    periodic = entry[5]
+                    if periodic is not None:
+                        periodic._arm(time + periodic.period)
+                    callback(*entry[4])
+                    if not self._running:
+                        return False
+                    if shuffled and queued and instants[0] != key:
+                        break  # A tie drawn ahead of this instant's key.
+            return True
         finally:
             self._running = False
-        return False
 
     def run_until(self, end_time: int) -> None:
         """Run all events with timestamps <= ``end_time``; clock ends at ``end_time``.

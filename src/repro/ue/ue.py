@@ -27,8 +27,8 @@ from repro.fronthaul.air import AirInterface, UeRadioPort
 from repro.fronthaul.oran import UlGrant
 from repro.l2.rlc import (
     PDU_HEADER_BYTES,
+    RLC_AM,
     RlcBearerConfig,
-    RlcMode,
     RlcPdu,
     RlcReceiver,
     RlcStatus,
@@ -36,8 +36,8 @@ from repro.l2.rlc import (
 )
 from repro.phy.channel import ChannelRealization, UeChannelModel
 from repro.phy.codec import PhyCodec
-from repro.phy.numerology import TDD, SlotClock, SlotType
-from repro.phy.transport import LinkDirection, TransportBlock
+from repro.phy.numerology import TDD, UPLINK_SLOT, SlotClock
+from repro.phy.transport import UPLINK_TB, TransportBlock
 from repro.sim.engine import SimClock, Simulator
 from repro.sim.process import Process
 from repro.sim.trace import TraceRecorder
@@ -224,7 +224,7 @@ class UserEquipment(Process):
                     used += PDU_HEADER_BYTES + rlc_pdu.length  # its ``wire_bytes``
             block = TransportBlock(
                 ue_id=self.ue_id,
-                direction=LinkDirection.UPLINK,
+                direction=UPLINK_TB,
                 harq_process=grant.harq_process,
                 modulation=grant.modulation,
                 prbs=grant.prbs,
@@ -247,7 +247,7 @@ class UserEquipment(Process):
                 # blackout): transmit padding so the PHY sees *something*.
                 original = TransportBlock(
                     ue_id=self.ue_id,
-                    direction=LinkDirection.UPLINK,
+                    direction=UPLINK_TB,
                     harq_process=grant.harq_process,
                     modulation=grant.modulation,
                     prbs=grant.prbs,
@@ -296,14 +296,14 @@ class UserEquipment(Process):
         if self.sim.now - self._last_status_ns >= STATUS_INTERVAL_NS:
             self._last_status_ns = self.sim.now
             for bearer_id, receiver in self.dl_rx.items():
-                if receiver.config.mode is RlcMode.AM and receiver.status_due:
+                if receiver.config.mode is RLC_AM and receiver.status_due:
                     self._pending_ul_status.append(receiver.build_status())
         # Control-only (PUCCH) transmission in uplink slots without a
         # grant: HARQ feedback, RLC status prompts, and scheduling
         # requests (BSR) all ride here.
         backlog = self.uplink_backlog_bytes
         if (
-            TDD.slot_type(abs_slot) is SlotType.UPLINK
+            TDD.slot_type(abs_slot) is UPLINK_SLOT
             and abs_slot not in self._staged_slots
             and (self._pending_feedback or self._pending_ul_status or backlog)
         ):

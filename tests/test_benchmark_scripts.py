@@ -43,7 +43,7 @@ def test_src_line_ledger_is_current():
 
 
 def test_pop_census_attributes_every_event():
-    """benchmarks/pop_census.py at smoke size: every popped event of the
+    """benchmarks/pop_census.py at smoke size: every fired event of the
     window lands in exactly one callback kind, the carriers are split by
     consumer, and every line it prints parses. No wall number is asserted."""
     result = subprocess.run(
@@ -78,11 +78,11 @@ def test_pop_census_attributes_every_event():
 
 
 def test_pop_census_by_role_splits_every_kind():
-    """``--by-role`` prefixes every kind with the role, at pop time, of
+    """``--by-role`` prefixes every kind with the role, at fire time, of
     the PHY server the event works for; the role block sums the rows.
     The idle fleet's never-promoted standbys show up as ``dormant``
     (their slots elided and counted), and every live PHY role runs the
-    PHY tick. Its killed primaries pop nothing in the window: no row is
+    PHY tick. Its killed primaries fire nothing in the window: no row is
     ``retired`` (their loss watchdogs stop at the first tick after the
     kill)."""
     result = subprocess.run(
@@ -103,7 +103,7 @@ def test_pop_census_by_role_splits_every_kind():
             "dormant PhyProcess._slot_tick",
             "dormant L2SideOrion._route_response",
             "other RadioUnit._process_slot"} <= kinds
-    # A dormant standby's C-plane sends and inbound nulls pop nothing;
+    # A dormant standby's C-plane sends and inbound nulls fire nothing;
     # its completion and its watchdog occurrence stay events.
     assert not {"dormant PhyProcess._send_fronthaul_now",
                 "dormant PhySideOrion._to_phy",
@@ -150,5 +150,5 @@ def test_pop_census_frames_tally_every_python_call():
     assert sum(per_slot) <= float(calls.group(1)) + 0.1
     labels = [m.group(1) for m in rows]
     assert len(set(labels)) == len(labels)
-    assert "repro/sim/engine.py:Simulator._pop" in labels
+    assert "repro/sim/engine.py:Simulator.at" in labels
     assert all(label.startswith(("repro/", "<string>:")) for label in labels), labels

@@ -20,11 +20,12 @@ engines drop.
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 import pytest
 
 from repro.sim import engine as engine_module
 from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import BatchedIntegers, RngRegistry
 from tests.corpora import CORPUS_SEED
 from tests.engine_legacy import LegacySimulator
 
@@ -301,3 +302,145 @@ def test_corpus_reaches_the_cases_it_names():
              "periodic_re_arm", "stop_inside_an_instant", "limit_on_a_shared_instant",
              "cancelled_head_past_the_limit", "compaction")
     assert {case: reached.get(case, 0) > 0 for case in cases} == dict.fromkeys(cases, True), reached
+
+
+# ----------------------------------------------------------------------
+# The run loop's exits from an instant it is draining
+# ----------------------------------------------------------------------
+#: Tie keys drawn from {0, 1, 2} under a tie seed: with full 32-bit ties
+#: two entries almost never share an instant, so a shuffled run would
+#: never drain one. Both engines draw one tie per push from the stream.
+NARROW_TIES = 3
+
+
+def _cancelled_head_past_the_limit(sim, fire, actions, notes):
+    """A shared instant past ``run_until``'s limit whose head is
+    cancelled: the live entry behind it waits for the next call, and a
+    wholly cancelled instant inside the limit is dropped on the way."""
+    head = sim.at(100, fire, "a")
+    for tag in ("b", "c"):
+        sim.at(100, fire, tag)
+    sim.cancel(sim.at(90, fire, "x"))
+    sim.cancel(head)
+    sim.at(300, fire, "z")
+    return [("until", 95), ("until", 99), ("until", 100), ("until", 400)]
+
+
+def _stop_inside_an_instant(sim, fire, actions, notes):
+    """``stop()`` from the second of four entries at one instant: the
+    rest wait for the next run call, and the clock stays at the stop."""
+    for tag in ("a", "b", "c", "d"):
+        sim.at(100, fire, tag)
+    sim.at(200, fire, "e")
+    actions["b"] = sim.stop
+    return [("until", 300), ("until", 300), ("run",)]
+
+
+def _compaction_inside_a_shared_instant(sim, fire, actions, notes):
+    """The instant's first entry cancels enough to compact the queue,
+    two of them behind it in the same instant; the live ones left there
+    fire once each, and so does a zero-delay push from one of them."""
+    handles = {
+        tag: sim.at(when, fire, tag)
+        for tag, when in (
+            ("a", 100), ("x1", 100), ("b", 100), ("x2", 100), ("c", 100),
+            ("x3", 150), ("x4", 150), ("x5", 200), ("x6", 250), ("d", 300),
+        )
+    }
+
+    def cancel_six():
+        for tag in ("x1", "x2", "x3", "x4", "x5", "x6"):
+            sim.cancel(handles[tag])
+
+    actions["a"] = cancel_six
+    actions["b"] = lambda: sim.schedule(0, fire, "e")
+    return [("until", 400)]
+
+
+def _push_ahead_of_the_instant(sim, fire, actions, notes):
+    """Every fire at the burst's instant pushes two more there; under a
+    tie seed some land on a key ahead of the entries still queued in the
+    instant being drained, and fire before them."""
+    handles = {}
+    spawned = [0]
+
+    def burst(tag):
+        def push():
+            for _ in range(2):
+                if spawned[0] < 40:
+                    spawned[0] += 1
+                    child = f"z{spawned[0]}"
+                    actions[child] = burst(child)
+                    handles[child] = sim.schedule(0, fire, child)
+            if isinstance(sim, Simulator):
+                key = sim.now << 32 | handles[tag][1]
+                queued = sim._buckets.get(key)
+                if type(queued) is not list and queued and sim._instants[0] < key:
+                    notes["push_ahead"] = notes.get("push_ahead", 0) + 1
+        return push
+
+    for tag in ("a", "b", "c", "d", "e", "f"):
+        actions[tag] = burst(tag)
+        handles[tag] = sim.at(100, fire, tag)
+    return [("until", 100)]
+
+
+DRAIN_CASES = {
+    "cancelled_head_past_the_limit": (_cancelled_head_past_the_limit, None),
+    "stop_inside_an_instant": (_stop_inside_an_instant, None),
+    "compaction_inside_a_shared_instant": (_compaction_inside_a_shared_instant, 4),
+    "push_ahead_of_the_instant": (_push_ahead_of_the_instant, None),
+}
+
+
+def drive_drain_case(name: str, engine: type, seed: Optional[int]):
+    """(log, notes, simulator) of one scripted case on one engine."""
+    case, threshold = DRAIN_CASES[name]
+    log: List[Tuple[Any, ...]] = []
+    notes: Dict[str, int] = {}
+    actions: Dict[str, Any] = {}
+    with pytest.MonkeyPatch.context() as patch:
+        if threshold is not None:
+            patch.setattr(engine_module, "COMPACTION_THRESHOLD", threshold)
+        sim = engine(tie_shuffle_seed=seed)
+        if seed is not None:
+            ties = BatchedIntegers(
+                np.random.Generator(np.random.PCG64(seed)), 0, NARROW_TIES
+            )
+            if isinstance(sim, Simulator):
+                sim._tie_stream = ties
+            else:
+                sim._ties = ties
+
+        def fire(tag):
+            log.append(("fire", sim.now, tag))
+            action = actions.get(tag)
+            if action is not None:
+                action()
+
+        for call in case(sim, fire, actions, notes):
+            if call[0] == "until":
+                sim.run_until(call[1])
+            else:
+                sim.run()
+            record = (call, sim.now, sim.pending_events, sim.events_processed)
+            if threshold is None:
+                # Uncompacted: both engines hold the same entries, cancelled too.
+                record += (
+                    sim.pending_events + sim._cancelled_in_queue
+                    if isinstance(sim, Simulator) else len(sim._queue),
+                )
+            log.append(record)
+    return log, notes, sim
+
+
+@pytest.mark.parametrize("seed", SEEDS, ids=("fifo", "shuffle1", "shuffle2"))
+@pytest.mark.parametrize("name", sorted(DRAIN_CASES))
+def test_drain_exits_fire_as_the_legacy_heap(name, seed):
+    live, notes, sim = drive_drain_case(name, Simulator, seed)
+    assert live == drive_drain_case(name, LegacySimulator, seed)[0]
+    assert any(entry[0] == "fire" for entry in live)
+    if name == "compaction_inside_a_shared_instant":
+        assert sim.compactions >= 1
+    if name == "push_ahead_of_the_instant" and seed is not None:
+        assert notes.get("push_ahead", 0) > 0

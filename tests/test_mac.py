@@ -89,19 +89,20 @@ class TestTtiGeneration:
         (Fig 7's FAPI transfer budget)."""
         sim = Simulator()
         l2, sink = build_l2(sim)
-        generated_at = {}
+        sent = []  # (message, send time); holding each keeps its id unique.
         original = l2.fapi_tx.send
 
         def tap(message):
-            generated_at.setdefault(message.message_id, sim.now)
+            sent.append((message, sim.now))
             original(message)
 
         l2.fapi_tx.send = tap
         l2.start()
         sim.run_until(5 * MS)
+        generated_at = {id(message): now for message, now in sent}
         clock = SlotClock()
         for message in sink.of_type(UlTtiRequest):
-            generation_slot = clock.slot_at(generated_at[message.message_id])
+            generation_slot = clock.slot_at(generated_at[id(message)])
             assert message.slot - generation_slot == mac_module.SCHEDULE_AHEAD_SLOTS
 
     def test_idle_cell_sends_null_requests(self):

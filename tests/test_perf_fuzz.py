@@ -7,8 +7,7 @@ on every run and every machine — through the codecs and require:
 * encode -> decode -> encode is byte-identical (the codec is a bijection
   on its wire image), and decoded TTI PDUs keep every field;
 * every decoded message equals its original field for field (CRC SNRs
-  at the wire's float32 precision) and, built through its constructor,
-  carries a fresh ``message_id``;
+  at the wire's float32 precision);
 * the analytic ``wire_size`` equals the encoding's length;
 * eCPRI's ``parse_timing_fields`` (the P4-parser arithmetic) agrees with
   the full header decode.
@@ -48,7 +47,7 @@ class TestFapiCodecFuzz:
             return struct.unpack(">f", struct.pack(">f", value))[0]
 
         def fields(message):
-            values = {k: v for k, v in vars(message).items() if k != "message_id"}
+            values = {f.name: getattr(message, f.name) for f in dataclasses.fields(message)}
             if isinstance(message, m.CrcIndication):
                 values["results"] = [
                     dataclasses.replace(r, measured_snr_db=float32(r.measured_snr_db))
@@ -60,15 +59,6 @@ class TestFapiCodecFuzz:
             decoded = codec.decode_message(codec.encode_message(message))
             assert type(decoded) is type(message)
             assert fields(decoded) == fields(message)
-
-    def test_decoded_messages_get_fresh_message_ids(self, fapi_corpus):
-        # The ids come from the constructor's default factory, so each
-        # decode draws a new, larger one than any message built before it.
-        last_id = max(message.message_id for message in fapi_corpus)
-        for message in fapi_corpus:
-            decoded = codec.decode_message(codec.encode_message(message))
-            assert decoded.message_id > last_id
-            last_id = decoded.message_id
 
     def test_wire_size_matches_encoding_for_bytes_payloads(self, fapi_corpus):
         # The whole corpus uses bytes payloads, where the declared wire

@@ -53,6 +53,7 @@ from repro.net.switch import Switch, SwitchPort
 from repro.phy import process as process_module
 from repro.phy.process import PhyProcess
 from repro.telemetry import collect
+from tests.fired import observe_fires
 
 MS = 1_000_000
 
@@ -95,13 +96,12 @@ def _frame_sources(root: Any) -> Dict[Any, str]:
     return names
 
 
-def _pop_kind(entry: List[Any], sources: Dict[Any, str]) -> str:
-    """A popped event's kind: its callback's owner and qualified name; a
+def _fire_kind(callback: Any, args: Tuple[Any, ...], sources: Dict[Any, str]) -> str:
+    """A fired event's kind: its callback's owner and qualified name; a
     frame delivery's, the frame's source and the receiving endpoint."""
-    callback = entry[3]
     owner = getattr(callback, "__self__", None)
     if callback.__name__ == "receive_frame":
-        frame = entry[4][0]
+        frame = args[0]
         endpoint = getattr(owner, "switch", owner).name
         return f"{sources.get(frame.src, 'other')}->{endpoint}.receive_frame"
     return f"{getattr(owner, 'name', '')}.{callback.__qualname__}"
@@ -263,29 +263,27 @@ def _drive(
 ) -> Run:
     log["ingress"].clear()
     log["submits"].clear()
-    root, flows = build()
-    sim = root.sim
     pops: Counter = Counter()
-    inner_pop = sim._pop
-    sources = _frame_sources(root)
+    sources: Dict[Any, str] = {}
 
-    def counting_pop(limit=None):
-        entry = inner_pop(limit)
-        if entry is not None:
-            pops[_pop_kind(entry, sources)] += 1
-        return entry
+    def count_fire(callback, args, periodic):
+        pops[_fire_kind(callback, args, sources)] += 1
 
-    sim._pop = counting_pop
-    readings, asleep_after_touch, asleep = [], [], []
-    for ms in range(1, end_ms + 1):
-        sim.run_until(ms * MS)
-        asleep.append(sum(len(cell.dormancy.sleeping) for cell in _cells(root)))
-        if ms in actions:
-            actions[ms](root)
-            asleep_after_touch.append(
-                sum(len(cell.dormancy.sleeping) for cell in _cells(root))
-            )
-        readings.append(_reading(root))
+    with pytest.MonkeyPatch.context() as patch:
+        observe_fires(patch, count_fire)
+        root, flows = build()
+        sim = root.sim
+        sources.update(_frame_sources(root))
+        readings, asleep_after_touch, asleep = [], [], []
+        for ms in range(1, end_ms + 1):
+            sim.run_until(ms * MS)
+            asleep.append(sum(len(cell.dormancy.sleeping) for cell in _cells(root)))
+            if ms in actions:
+                actions[ms](root)
+                asleep_after_touch.append(
+                    sum(len(cell.dormancy.sleeping) for cell in _cells(root))
+                )
+            readings.append(_reading(root))
     ingress_ids = {id(cell.switch): i for i, cell in enumerate(_cells(root))}
     return Run(
         digest=fleet_digest(root) if hasattr(root, "phy_backend") else root.trace.digest(),

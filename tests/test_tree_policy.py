@@ -18,6 +18,12 @@ These guards keep what no run can notice, on every module of
   loop reads the loop variable at fire time, not at schedule time.
 * **EVT002** — ``schedule(0, ...)`` runs after whatever else is queued
   at the current instant: it leans on FIFO tie order.
+* **ENM001** — a member read of an ``enum.Enum`` subclass
+  (``EtherType.ECPRI``) inside a function body of a per-slot module,
+  :data:`PER_SLOT_MODULES`. On CPython 3.11 the class-attribute lookup
+  costs ~130 ns where a module constant bound once (``ETH_ECPRI``)
+  costs ~10, and an idle cell-slot made ~25 of them. A default
+  argument or a module-level binding is evaluated once and is clean.
 
 A finding is ``(qualified scope, rule id)``. Every exemption is a row
 of :data:`KEPT_FINDINGS` with its reason, and a row that excuses
@@ -28,6 +34,7 @@ fire; a rule that never fires alone duplicates another.
 
 import ast
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -173,22 +180,111 @@ def _zero_delay(node: ast.AST) -> bool:
     )
 
 
+#: The modules a healthy slot runs through (a package covers every
+#: module under it): ENM001 holds their function bodies.
+PER_SLOT_MODULES = (
+    "net", "core", "fapi.channels", "phy.process", "fronthaul", "l2", "ue.ue",
+)
+
+#: The bases that make a class an enum.
+ENUM_BASES = frozenset(
+    f"enum.{name}" for name in ("Enum", "IntEnum", "Flag", "IntFlag", "StrEnum")
+)
+
+
+def _per_slot(module: str) -> bool:
+    return any(
+        module == name or module.startswith(f"{name}.") for name in PER_SLOT_MODULES
+    )
+
+
+def _qualified(module: str, name: str) -> str:
+    """``name`` as :func:`origin` resolved it in ``module``, made absolute:
+    a name no import binds is the module's own."""
+    if name.startswith(("repro.", "enum.")):
+        return name
+    return f"repro.{module.removesuffix('.__init__')}.{name}"
+
+
+def enum_members(trees, known=None) -> Dict[str, frozenset]:
+    """Qualified enum class -> its member names, for the classes defined
+    at the top of ``trees`` (``(module, tree)`` pairs) that subclass an
+    enum base or a class of ``known`` (the same shape)."""
+    found = dict(known or {})
+    classes = [
+        (module, tree, node)
+        for module, tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    ]
+    grown = True
+    while grown:  # An enum may subclass an enum defined further on.
+        grown = False
+        for module, tree, node in classes:
+            name = _qualified(module, node.name)
+            if name in found or not any(
+                (base := origin(tree, expr)) is not None
+                and (_qualified(module, base) in found or base in ENUM_BASES)
+                for expr in node.bases
+            ):
+                continue
+            found[name] = frozenset(
+                target.id
+                for statement in node.body
+                if isinstance(statement, (ast.Assign, ast.AnnAssign))
+                for target in (
+                    statement.targets if isinstance(statement, ast.Assign)
+                    else [statement.target]
+                )
+                if isinstance(target, ast.Name) and not target.id.startswith("_")
+            )
+            grown = True
+    return found
+
+
+@functools.lru_cache(maxsize=None)
+def tree_enums() -> Dict[str, frozenset]:
+    """Every enum class of ``src/repro`` and its members."""
+    return enum_members(list(modules()))
+
+
+def _member_read(module: str, tree: ast.Module, node: ast.AST, enums) -> bool:
+    if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+        return False
+    owner = origin(tree, node.value)
+    return owner is not None and node.attr in enums.get(_qualified(module, owner), ())
+
+
 def findings(module: str, tree: ast.Module) -> set:
     """``(qualified scope, rule id)`` for every violation in ``tree``: the
     scope is the function or class it sits in (``apps.ping.PingClient.start``),
     or the module."""
     found = set()
-    stack = [(module, tree)]
+    per_slot = _per_slot(module)
+    enums = enum_members([(module, tree)], tree_enums()) if per_slot else {}
+    # (scope, node, whether the node runs on every call of a function of
+    # a per-slot module)
+    stack = [(module, tree, False)]
     while stack:
-        scope, node = stack.pop()
+        scope, node, hot = stack.pop()
         found |= {(scope, rule) for rule in _ambient(module, tree, node)}
         if isinstance(node, (ast.For, ast.AsyncFor)) and _late_capture(node):
             found.add((scope, "EVT001"))
         if _zero_delay(node):
             found.add((scope, "EVT002"))
+        if hot and _member_read(module, tree, node, enums):
+            found.add((scope, "ENM001"))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        stack.extend((scope, child) for child in ast.iter_child_nodes(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # Decorators, defaults and annotations run once, at the def.
+            body = {id(statement) for statement in node.body}
+            stack.extend(
+                (scope, child, hot or (per_slot and id(child) in body))
+                for child in ast.iter_child_nodes(node)
+            )
+        else:
+            stack.extend((scope, child, hot) for child in ast.iter_child_nodes(node))
     return found
 
 
@@ -207,6 +303,9 @@ TIE_SHUFFLE = (
 #: Findings kept on purpose: ``(qualified scope, rule id)`` and why. A
 #: row that excuses nothing is stale (SUP001); anything else is fixed.
 KEPT_FINDINGS = {
+    ("l2.mac.McsTable.__init__", "ENM001"): (
+        "cold: the MCS table is built once, with its L2 process"
+    ),
     ("apps.ping.PingClient.start", "EVT002"): TIE_SHUFFLE,
     ("apps.video.VideoSender.start", "EVT002"): TIE_SHUFFLE,
     ("transport.udp.UdpSender.start", "EVT002"): TIE_SHUFFLE,
@@ -290,7 +389,7 @@ def test_rule_ids_unique_and_rows_name_what_exists():
         assert set(row.sanctioned) <= names
         unexempt = dataclasses.replace(row, exempt=())
         assert all(map(unexempt.bans, row.exempt))
-    rules = set(ids) | {"EVT001", "EVT002"}
+    rules = set(ids) | {"EVT001", "EVT002", "ENM001"}
     for (scope, rule), reason in KEPT_FINDINGS.items():
         assert rule in rules and reason
         assert any(scope.startswith(f"{name}.") for name in names)
@@ -324,6 +423,8 @@ PERF = "src/repro/perf/__init__.py"
 PARALLEL = "src/repro/parallel/pool.py"
 TIMING = "src/repro/perf/timing.py"
 RNG = "src/repro/sim/rng.py"
+LINK = "src/repro/net/link.py"
+ETHERTYPE = "from repro.net.packet import EtherType\n"
 
 #: The determinism holes string matching left open, each with the DET
 #: row that owns it and the module that row sanctions.
@@ -360,6 +461,21 @@ def _pipeline_class(table_count=1, accesses=2):
         lines.append("        self.reg.read(0)")
     lines.append("        return frame")
     return "\n".join(lines) + "\n"
+
+
+def test_enum_member_read_in_the_switch_pipeline_fires():
+    """The mutant: ``FronthaulMiddlebox.process`` reads
+    ``EtherType.ECPRI`` again, and ENM001 names its scope."""
+    path = SRC / "core" / "fh_middlebox.py"
+    source = path.read_text()
+    constant = "if frame.ethertype == ETH_ECPRI:"
+    assert source.count(constant) == 1
+    mutant = source.replace(constant, "if frame.ethertype == EtherType.ECPRI:").replace(
+        "from repro.net.packet import ", "from repro.net.packet import EtherType, ", 1
+    )
+    scope = ("core.fh_middlebox.FronthaulMiddlebox.process", "ENM001")
+    assert scope not in findings("core.fh_middlebox", ast.parse(source))
+    assert scope in findings("core.fh_middlebox", ast.parse(mutant))
 
 
 def _census():
@@ -754,6 +870,85 @@ def _census():
             "        self.count += 1\n"
             "        self.last_poke = 42\n",
         ),
+        # ENM001: an enum member read where a slot runs it, every call.
+        row(
+            "ENM001 alone",
+            ["ENM001"],
+            f"{ETHERTYPE}def f(frame):\n    return frame.ethertype == EtherType.ECPRI\n",
+            LINK,
+        ),
+        row(
+            "ENM001: the member bound once at module level",
+            [],
+            f"{ETHERTYPE}ECPRI = EtherType.ECPRI\n"
+            "def f(frame):\n    return frame.ethertype == ECPRI\n",
+            LINK,
+        ),
+        row(
+            "ENM001: a module that runs in no slot",
+            [],
+            f"{ETHERTYPE}def f(frame):\n    return frame.ethertype == EtherType.ECPRI\n",
+            "src/repro/experiments/fig9_ping.py",
+        ),
+        row(
+            "ENM001 in a package module of a per-slot package",
+            ["ENM001"],
+            "from repro.phy.numerology import SlotType\n"
+            "def f(kind):\n    return kind is SlotType.UPLINK\n",
+            "src/repro/net/p4/tables.py",
+        ),
+        row(
+            "ENM001 through an aliased import",
+            ["ENM001"],
+            "from repro.net.packet import EtherType as ET\n"
+            "def f(frame):\n    return frame.ethertype == ET.IPV4\n",
+            LINK,
+        ),
+        row(
+            "ENM001 through a module import",
+            ["ENM001"],
+            "from repro.net import packet\n"
+            "class N:\n    def f(self, frame):\n"
+            "        return frame.ethertype == packet.EtherType.SLINGSHOT\n",
+            LINK,
+        ),
+        row(
+            "ENM001 on an enum the module defines",
+            ["ENM001"],
+            "import enum\nclass Mode(enum.Enum):\n    A = 1\n    B = 2\n"
+            "def f(mode):\n    return mode is Mode.B\n",
+            "src/repro/core/standby.py",
+        ),
+        row(
+            "ENM001 in a nested function",
+            ["ENM001"],
+            f"{ETHERTYPE}def f(frames):\n"
+            "    def g(frame):\n        return frame.ethertype == EtherType.ECPRI\n"
+            "    return [g(frame) for frame in frames]\n",
+            LINK,
+        ),
+        row(
+            "ENM001: a default argument and a class attribute run once",
+            [],
+            "from repro.l2.rlc import RlcMode\n"
+            "class C:\n    MODE = RlcMode.AM\n"
+            "    def f(self, mode=RlcMode.UM):\n        return mode\n",
+            "src/repro/l2/rlc.py",
+        ),
+        row(
+            "ENM001: the enum's own methods and non-member attributes",
+            [],
+            "from repro.phy.numerology import SlotType, NUMEROLOGY\n"
+            "def f(ch):\n    return SlotType(ch), SlotType.__members__, NUMEROLOGY.mu\n",
+            "src/repro/phy/process.py",
+        ),
+        row(
+            "kept ENM001",
+            [],
+            f"{ETHERTYPE}def f(frame):\n    return frame.ethertype == EtherType.ECPRI\n",
+            LINK,
+            keep("net.link.f", "ENM001"),
+        ),
     ]
     # No stream namespace is owned by ``telemetry``: six declared heads
     # belong to someone else, two undeclared ones to nobody. No guard
@@ -820,5 +1015,7 @@ class TestRuleCensus:
         alone = {
             next(iter(expected)) for _, expected, _, _ in CENSUS if len(expected) == 1
         }
-        rules = {row.rule_id for row in AMBIENT_SOURCES} | {"EVT001", "EVT002", "SUP001"}
+        rules = {row.rule_id for row in AMBIENT_SOURCES} | {
+            "EVT001", "EVT002", "ENM001", "SUP001",
+        }
         assert rules <= alone
